@@ -21,12 +21,18 @@
 //! a 16-WR window while B consumes receive CQEs and verifies payload
 //! bytes. Throughput is measured on A from first post to last send-side
 //! completion — i.e. it includes the full ack round trip through the
-//! reverse ring, not just enqueue rate.
+//! reverse ring, not just enqueue rate. Both ranks `yield_now()` on an empty
+//! CQ poll: two drivers and two progress threads rarely have four cores to
+//! themselves, and a driver that spins instead takes the core its own
+//! progress thread needs (the fabric then falls back to parking, at about a
+//! fifth of the throughput on a 2-CPU host).
 //!
-//! Per row the JSON records sustained msgs/s and GB/s plus the fabric's
-//! reliability counters (retransmits, stale acks, ring-full backpressure
-//! stalls) from both sides, so a "fast" run that silently leaned on the
-//! retry machinery is visible as such.
+//! Per row the JSON records sustained msgs/s and GB/s plus what that row
+//! added to the fabric's reliability counters on both sides (retransmits,
+//! stale acks and ring-full backpressure stalls on the sender; records
+//! consumed, RNR deferrals and out-of-order arrivals on the receiver), so a
+//! "fast" run that silently leaned on the retry machinery is visible as
+//! such.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -230,7 +236,7 @@ fn role_a(dir: &Path, smoke: bool, out: &Path, prom: Option<&str>) {
                     assert_eq!(wc.status, WcStatus::Success, "send {}", wc.wr_id);
                     completed += 1;
                 }
-                None => std::hint::spin_loop(),
+                None => std::thread::yield_now(),
             }
         }
         let wall_s = t0.elapsed().as_secs_f64();
@@ -319,6 +325,8 @@ fn role_b(dir: &Path, smoke: bool) {
         .expect("open data channel");
 
     for (cfg_idx, (msg_bytes, messages)) in rows(smoke).iter().copied().enumerate() {
+        // The fabric's counters are cumulative; a row reports what it added.
+        let (records0, rnr0) = (fabric.data_records(), fabric.rnr_deferrals());
         let mut posted = 0u64;
         while posted < RECV_DEPTH.min(messages) {
             qb.post_recv(RecvWr::bare(posted)).expect("pre-post recv");
@@ -341,7 +349,7 @@ fn role_b(dir: &Path, smoke: bool) {
                         posted += 1;
                     }
                 }
-                None => std::hint::spin_loop(),
+                None => std::thread::yield_now(),
             }
         }
         // The stream is quiet: spot-verify the final window's slots
@@ -362,8 +370,8 @@ fn role_b(dir: &Path, smoke: bool) {
                 "received={received} out_of_order={out_of_order} \
                  verify_failures={verify_failures} data_records={} \
                  rnr_deferrals={}",
-                fabric.data_records(),
-                fabric.rnr_deferrals()
+                fabric.data_records() - records0,
+                fabric.rnr_deferrals() - rnr0
             )
             .as_bytes(),
         )

@@ -4,7 +4,8 @@
 //! semantics*: identical payload bytes at the destination, identical CQE
 //! opcode/WR-id/status sequences, and a clean telemetry ledger — whatever
 //! its execution substrate (virtual clock, synchronous call, decorated
-//! chaos, or real threads over shared-memory rings).
+//! chaos, or real threads over shared-memory rings, in-process or mapped
+//! from files).
 //!
 //! The harness encodes that contract as a table of scenario programs
 //! ([`scenarios`]). Each scenario runs against every [`BackendKind`] and
@@ -23,18 +24,20 @@
 //! uniformly around every backend, so the fault draw sequence is identical
 //! across the matrix.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use partix_sim::Scheduler;
 
 use crate::cq::CompletionQueue;
-use crate::fabric::{Fabric, PostOptions};
+use crate::fabric::{Fabric, PostOptions, TransferJob};
 use crate::fabric_instant::InstantFabric;
 use crate::fabric_lossy::{LossyConfig, LossyFabric};
 use crate::fabric_sim::{FabricParams, SimFabric};
 use crate::memory::MemoryRegion;
-use crate::network::{connect_pair, Context, Network, ProtectionDomain};
+use crate::network::{connect_pair, Context, Network, NetworkState, ProtectionDomain};
 use crate::qp::{QpCaps, QueuePair};
 use crate::shm::{ShmConfig, ShmFabric};
 use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcStatus, WorkCompletion};
@@ -57,15 +60,20 @@ pub enum BackendKind {
     Lossy,
     /// Real-time shared-memory fabric (loopback rings + progress thread).
     Shm,
+    /// The same fabric deployed as two processes would deploy it: one
+    /// [`ShmFabric::host`] per node over mapped file segments in a shared
+    /// directory, channels opened with the `open_tx`/`open_rx` handshake.
+    ShmFile,
 }
 
 /// Every backend in the matrix, in canonical order.
-pub const ALL_BACKENDS: [BackendKind; 5] = [
+pub const ALL_BACKENDS: [BackendKind; 6] = [
     BackendKind::Sim,
     BackendKind::SimSharded,
     BackendKind::Instant,
     BackendKind::Lossy,
     BackendKind::Shm,
+    BackendKind::ShmFile,
 ];
 
 impl BackendKind {
@@ -77,6 +85,7 @@ impl BackendKind {
             BackendKind::Instant => "instant",
             BackendKind::Lossy => "lossy",
             BackendKind::Shm => "shm",
+            BackendKind::ShmFile => "shm-file",
         }
     }
 }
@@ -110,7 +119,21 @@ pub struct Bed {
     /// The network under test.
     pub net: Network,
     sched: Option<Scheduler>,
-    shm: Option<Arc<ShmFabric>>,
+    /// The real-time fabrics to quiesce and shut down: one in loopback,
+    /// one per node over file segments.
+    shm: Vec<Arc<ShmFabric>>,
+    /// The file-backed arm's segment directory, removed on drop.
+    shm_dir: Option<PathBuf>,
+}
+
+/// Routes each job to the [`ShmFabric`] of the node that posted it — what
+/// having one process per node does in a real deployment.
+struct PerNode([Arc<ShmFabric>; 2]);
+
+impl Fabric for PerNode {
+    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
+        self.0[job.src_node as usize].submit(net, job);
+    }
 }
 
 impl Bed {
@@ -128,7 +151,16 @@ impl Bed {
 
     fn build(kind: BackendKind, chaos: Option<LossyConfig>) -> Self {
         let mut sched = None;
-        let mut shm = None;
+        let mut shm = Vec::new();
+        let mut shm_dir = None;
+        let shm_cfg = ShmConfig {
+            // Small enough that long scenarios lap the physical ring; large
+            // enough for the biggest scenario record.
+            ring_capacity: 1 << 16,
+            ack_capacity: 1 << 14,
+            idle_park: Duration::from_micros(50),
+            ..ShmConfig::default()
+        };
         let base: Arc<dyn Fabric> = match kind {
             BackendKind::Sim => {
                 let s = Scheduler::new();
@@ -152,27 +184,43 @@ impl Bed {
                 LossyFabric::new(InstantFabric::new(), LossyConfig::default())
             }
             BackendKind::Shm => {
-                let f = ShmFabric::loopback_with(ShmConfig {
-                    // Small enough that long scenarios lap the physical
-                    // ring; large enough for the biggest scenario record.
-                    ring_capacity: 1 << 16,
-                    ack_capacity: 1 << 14,
-                    idle_park: Duration::from_micros(50),
-                    ..ShmConfig::default()
-                });
-                shm = Some(f.clone());
+                let f = ShmFabric::loopback_with(shm_cfg);
+                shm.push(f.clone());
                 f
+            }
+            BackendKind::ShmFile => {
+                // Scenarios run in parallel test threads: a directory each.
+                static BEDS: AtomicU64 = AtomicU64::new(0);
+                let dir = std::env::temp_dir().join(format!(
+                    "partix_conformance_{}_{}",
+                    std::process::id(),
+                    BEDS.fetch_add(1, Ordering::Relaxed)
+                ));
+                std::fs::create_dir_all(&dir).expect("create shm segment dir");
+                let hosts = [0, 1].map(|_| ShmFabric::host(&dir, shm_cfg));
+                shm.extend(hosts.iter().cloned());
+                shm_dir = Some(dir);
+                Arc::new(PerNode(hosts))
             }
         };
         let fabric: Arc<dyn Fabric> = match chaos {
             Some(cfg) => LossyFabric::new(base, cfg),
             None => base,
         };
+        let net = Network::new(2, fabric);
+        for f in &shm {
+            // A host fabric must know its delivery target before a record
+            // can arrive (loopback would learn it on its first submit). Both
+            // nodes' state lives in this process, so both host fabrics
+            // deliver into, and stamp the ledger of, the one network.
+            f.attach_network(net.state());
+        }
         Bed {
             kind,
-            net: Network::new(2, fabric),
+            net,
             sched,
             shm,
+            shm_dir,
         }
     }
 
@@ -195,6 +243,21 @@ impl Bed {
             .create_qp(pdb, send_b.clone(), recv_b.clone(), caps)
             .expect("qp b");
         connect_pair(&qa, &qb).expect("connect");
+        if let (BackendKind::ShmFile, [f0, f1]) = (self.kind, self.shm.as_slice()) {
+            // Host mode opens each directed channel explicitly; `open_tx`
+            // blocks until the peer's `open_rx` attaches, so the two nodes
+            // run their halves side by side.
+            let (a, b) = ((0, qa.qp_num()), (1, qb.qp_num()));
+            let wait = Duration::from_secs(30);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    f0.open_tx(a, b, wait).expect("open a→b on node 0");
+                    f0.open_rx(b, a, wait).expect("open b→a on node 0");
+                });
+                f1.open_rx(a, b, wait).expect("open a→b on node 1");
+                f1.open_tx(b, a, wait).expect("open b→a on node 1");
+            });
+        }
         (
             Endpoint {
                 ctx: a,
@@ -219,7 +282,7 @@ impl Bed {
         if let Some(s) = &self.sched {
             s.run();
         }
-        if self.shm.is_some() {
+        if !self.shm.is_empty() {
             std::thread::yield_now();
         }
     }
@@ -229,7 +292,10 @@ impl Bed {
         if let Some(s) = &self.sched {
             s.run();
         }
-        if let Some(f) = &self.shm {
+        // One after the other is enough: a fabric is idle only once its
+        // own sends are acked, i.e. after the peer delivered them, and
+        // nothing posts while a scenario settles.
+        for f in &self.shm {
             assert!(
                 f.quiesce(Duration::from_secs(30)),
                 "shm fabric failed to quiesce"
@@ -300,8 +366,11 @@ impl Bed {
 
 impl Drop for Bed {
     fn drop(&mut self) {
-        if let Some(f) = &self.shm {
+        for f in &self.shm {
             f.shutdown();
+        }
+        if let Some(dir) = &self.shm_dir {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

@@ -1,21 +1,51 @@
 //! The real-time shared-memory fabric.
 //!
 //! [`ShmFabric`] runs the verbs object model on *wall-clock time and real
-//! threads*: every posted WR is serialised into a per-QP-pair SPSC
-//! [`SpscRing`] (a DATA record carrying the gathered payload), a dedicated
-//! progress thread drains rings into deliveries and completions, and the
-//! receive side acknowledges each record on a paired ACK ring — the
-//! RDMA-write-with-immediate protocol of Ibdxnet's messaging engine mapped
-//! onto shared memory (see DESIGN.md §12).
+//! threads*: every posted WR becomes a DATA record in a per-QP-pair SPSC
+//! [`SpscRing`], a dedicated progress thread drains rings into deliveries
+//! and completions, and the receive side acknowledges each record on a
+//! paired ACK ring — the RDMA-write-with-immediate protocol of Ibdxnet's
+//! messaging engine mapped onto shared memory (see DESIGN.md §12).
 //!
 //! Two deployments share all of this code:
 //!
 //! - **loopback** — both endpoints in one process over [`HeapSegment`]
 //!   rings: the conformance-matrix configuration, where the same
 //!   [`NetworkState`] (and telemetry registry) sees both sides;
-//! - **host** — one process per endpoint over [`FileSegment`] rings in a
-//!   tmpfs directory: the `shm_exchange` two-process deployment, where
-//!   each process stamps its own side of the ledger.
+//! - **host** — one process per endpoint over [`FileSegment`] rings mapped
+//!   from a tmpfs directory: the `shm_exchange` two-process deployment,
+//!   where each process stamps its own side of the ledger.
+//!
+//! # Data path
+//!
+//! A payload is copied three times between the two registered regions, and
+//! no syscall is made on the way: `submit` gathers the source MR straight
+//! into the ring (72-byte header first), the progress thread copies the
+//! record out of the ring into the one buffer the delivery owns, and the
+//! delivery writes that into the destination MR. The sender keeps no copy:
+//! the ring loses nothing, so only a record the chaos knob charged as
+//! dropped is serialised aside for its retransmission.
+//!
+//! # Progress loop
+//!
+//! The progress thread polls. A scan visits every channel (from a snapshot
+//! of the channel list refreshed only when one is installed), then the RNR
+//! queue and the retransmission timers. After a scan that found nothing it
+//! backs off up a ladder: [`SPIN_ROUNDS`] scans separated by a spin hint,
+//! [`YIELD_ROUNDS`] separated by `yield_now`, and then it parks for
+//! [`ShmConfig::idle_park`] (or until the nearest timer) — any work sends it
+//! back to the bottom. So a stream or a ping-pong is served at polling
+//! latency, an idle fabric costs a wake-up per `idle_park`, and the first
+//! message after a quiet spell waits at most `idle_park` (a local submit
+//! unparks the thread; a peer *process* cannot). Yields are timed: one that
+//! returns later than a park would have means a neighbour is busy-polling
+//! on a core this thread needs, and the ladder then skips to parking for a
+//! while (see [`MAX_STARVED_SPELLS`]), because a waking sleeper is scheduled
+//! ahead of such a neighbour and a yielder is not.
+//!
+//! Receiver-not-ready deliveries wait in a FIFO the progress thread owns;
+//! later records for the same destination QP queue behind the deferred one,
+//! so a window posted ahead of its receives still lands in posting order.
 //!
 //! Reliability is PR 2's RC state machine on real [`Instant`] deadlines:
 //! receiver-not-ready re-arms after the QP's `min_rnr_timer` (wall-clock)
@@ -28,9 +58,9 @@
 //! double-entry wire ledger exact; see the invariant laws in
 //! `partix-telemetry`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -47,7 +77,7 @@ use crate::network::NetworkState;
 use crate::qp::RetryProfile;
 use crate::types::{Opcode, WcStatus};
 
-use super::ring::{Popped, SpscRing};
+use super::ring::{RecordReader, RecordWriter, SpscRing};
 use super::segment::{FileSegment, HeapSegment, Segment};
 
 /// DATA record kind tag.
@@ -64,7 +94,8 @@ const ACK_LEN: usize = 48;
 #[derive(Clone, Copy, Debug)]
 pub struct ShmConfig {
     /// Data-ring capacity per QP-pair channel, bytes. A single record
-    /// (72-byte header + payload) must fit.
+    /// (72-byte header + payload) must fit. See [`ShmConfig::default`] for
+    /// how the default was chosen.
     pub ring_capacity: u64,
     /// ACK-ring capacity per channel, bytes.
     pub ack_capacity: u64,
@@ -75,8 +106,12 @@ pub struct ShmConfig {
     /// Deterministic duplication: every `n`-th DATA enqueue is preceded by
     /// a ghost copy sharing its PSN, which the receive side must suppress.
     pub dup_nth: Option<u64>,
-    /// How long the progress thread parks when idle. Submissions unpark it,
-    /// so this bounds RNR/timer latency, not message latency.
+    /// How long the progress thread parks once the back-off ladder (spin,
+    /// then yield; see the module docs) has run out. Local submissions
+    /// unpark it and a message finds it still polling unless the channel
+    /// has been quiet for a while, so this bounds RNR/timer latency and the
+    /// latency of the first message after a quiet spell from another
+    /// process, not steady-state message latency.
     pub idle_park: Duration,
     /// MTU used for `mtu_segments` accounting (the wire ledger's
     /// segmentation law), matching `FabricParams::mtu`.
@@ -88,9 +123,23 @@ pub struct ShmConfig {
 }
 
 impl Default for ShmConfig {
+    /// The data ring defaults to 512 KiB: seven 64 KiB records, about half
+    /// of a 16-WR window of the largest message the benches send. Measured
+    /// on the benchmark's `shm_exchange` (2 vCPUs, 64 KiB × 400 stream),
+    /// throughput is flat from 256 KiB to 1 MiB (8.7–9.3 GB/s) because the
+    /// consumer polls: a full ring costs the sender one `yield_now`, not a
+    /// 100 µs park as it did when 1 MiB was chosen. What the size does
+    /// change is memory — ring pages are mapped, so every touched page is
+    /// resident in each process that maps it (peak RSS of that workload
+    /// against the positioned-I/O transport: 1 MiB +16 %, 512 KiB +4–7 %,
+    /// 256 KiB −1–+3 %) — and ring-full stalls per 400 messages (13 / 84 /
+    /// 165). 512 KiB halves the memory for a count that costs nothing
+    /// measurable. 256 KiB would buy the last few percent, but the ring also
+    /// bounds the largest message a channel can carry (capacity − 80 bytes)
+    /// and would pipeline only three of the largest records.
     fn default() -> Self {
         ShmConfig {
-            ring_capacity: 1 << 20,
+            ring_capacity: 1 << 19,
             ack_capacity: 1 << 16,
             drop_nth: None,
             dup_nth: None,
@@ -145,8 +194,6 @@ struct Channel {
 
 /// Sender-side record awaiting its ACK.
 struct Pending {
-    /// Full serialized DATA record, kept for retransmission.
-    record: Vec<u8>,
     /// Completion identity (enough to rebuild the job for
     /// [`complete_send`]).
     echo: AckEcho,
@@ -154,20 +201,31 @@ struct Pending {
     profile: RetryProfile,
     /// Wire attempts already charged as dropped; `retry_cnt` bounds this.
     attempts: u8,
-    /// Armed only for records charged as dropped: when the backoff
-    /// expires the record is re-offered to the ring.
-    deadline: Option<Instant>,
+    /// Present only for records charged as dropped (the ring itself loses
+    /// nothing): the backoff deadline, and the serialized DATA record the
+    /// timer re-offers to the ring when it expires.
+    retry: Option<(Instant, Vec<u8>)>,
     /// Flow-clock timestamp at submit, for the wire-stage histogram.
     submit_ns: u64,
 }
 
-/// Receiver-side delivery re-armed by the RNR timer.
+/// Receiver-side delivery waiting in the progress thread's RNR queue:
+/// either deferred by a receiver-not-ready outcome (`attempts > 0`, due
+/// when the wall-clock RNR timer expires) or held behind such a delivery
+/// of the same QP (`attempts == 0`, due at once — order is what holds it).
 struct RnrPending {
     job: TransferJob,
     rnr_budget: u8,
     min_rnr_timer_ns: u64,
     attempts: u8,
     deadline: Instant,
+}
+
+impl RnrPending {
+    /// The destination QP whose receive queue this delivery waits on.
+    fn dst(&self) -> (u32, u32) {
+        (self.job.dst_node, self.job.dst_qp)
+    }
 }
 
 /// The identity a receiver echoes back in an ACK.
@@ -196,14 +254,12 @@ struct ShmStats {
     progress_iterations: AtomicU64,
     progress_wakeups: AtomicU64,
     ring_occupancy_high_water: AtomicU64,
-}
-
-/// Mutable progress-engine state, under one lock: the sender's
-/// outstanding-record table and the receiver's RNR retry queue.
-#[derive(Default)]
-struct Inflight {
-    outstanding: HashMap<(u32, u64), Pending>,
-    rnr: Vec<RnrPending>,
+    /// Records the progress thread has taken off a ring and not finished
+    /// with: being delivered or completed right now, or waiting in its RNR
+    /// queue (which is that thread's own; this is what `is_idle` can see of
+    /// it). Raised *before* the ring's `Head` moves, so whoever sees the
+    /// ring empty also sees the record counted here.
+    in_hand: AtomicU64,
 }
 
 /// Real-time shared-memory fabric. See the module docs.
@@ -211,13 +267,17 @@ pub struct ShmFabric {
     cfg: ShmConfig,
     backing: Backing,
     channels: Mutex<Vec<Arc<Channel>>>,
+    /// `channels.len()`, published after each install: the progress thread
+    /// re-reads the list only when this differs from its snapshot.
+    channels_installed: AtomicUsize,
     by_pair: Mutex<HashMap<PairKey, Arc<Channel>>>,
-    inflight: Mutex<Inflight>,
+    /// Sender-side records awaiting their ACK, by `(src_qp, psn)`.
+    outstanding: Mutex<HashMap<(u32, u64), Pending>>,
     net: OnceLock<Weak<NetworkState>>,
     shutdown: AtomicBool,
     progress: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Progress thread handle for unparking on submit.
-    progress_thread: Mutex<Option<std::thread::Thread>>,
+    progress_thread: OnceLock<std::thread::Thread>,
     data_seq: AtomicU64,
     stats: ShmStats,
     /// Wall-clock sampler ticked by the progress thread, paired with the
@@ -254,12 +314,13 @@ impl ShmFabric {
             cfg,
             backing,
             channels: Mutex::new(Vec::new()),
+            channels_installed: AtomicUsize::new(0),
             by_pair: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(Inflight::default()),
+            outstanding: Mutex::new(HashMap::new()),
             net: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             progress: Mutex::new(None),
-            progress_thread: Mutex::new(None),
+            progress_thread: OnceLock::new(),
             data_seq: AtomicU64::new(0),
             stats: ShmStats::default(),
             sampler: OnceLock::new(),
@@ -270,7 +331,7 @@ impl ShmFabric {
             .name("partix-shm-progress".into())
             .spawn(move || progress_loop(weak))
             .expect("spawn shm progress thread");
-        *fabric.progress_thread.lock() = Some(handle.thread().clone());
+        let _ = fabric.progress_thread.set(handle.thread().clone());
         *fabric.progress.lock() = Some(handle);
         fabric
     }
@@ -346,7 +407,9 @@ impl ShmFabric {
     }
 
     /// High-water mark of DATA-ring occupancy in bytes, across every
-    /// channel this process consumes, as observed by the progress thread.
+    /// channel of this fabric: sampled by the sender after each enqueue (and
+    /// at each ring-full stall) and by the receiver's progress thread before
+    /// each drain, so whichever side sees the backlog reports it.
     pub fn ring_occupancy_high_water(&self) -> u64 {
         self.stats.ring_occupancy_high_water.load(Ordering::Relaxed)
     }
@@ -375,18 +438,18 @@ impl ShmFabric {
     }
 
     /// Whether nothing is in flight on this fabric: every consumable ring
-    /// drained, no record awaiting ack, no RNR-deferred delivery.
+    /// drained, no record being delivered, completed or RNR-deferred, none
+    /// awaiting its ack.
     pub fn is_idle(&self) -> bool {
-        {
-            let inflight = self.inflight.lock();
-            if !inflight.outstanding.is_empty() || !inflight.rnr.is_empty() {
-                return false;
-            }
-        }
-        let channels = self.channels.lock();
-        channels
-            .iter()
-            .all(|ch| (!ch.we_recv || ch.data.is_empty()) && (!ch.we_send || ch.ack.is_empty()))
+        // Rings first, `in_hand` second: a record leaves a ring only after
+        // it is counted in hand (see `ShmStats::in_hand`).
+        let drained =
+            self.channels.lock().iter().all(|ch| {
+                (!ch.we_recv || ch.data.is_empty()) && (!ch.we_send || ch.ack.is_empty())
+            });
+        drained
+            && self.stats.in_hand.load(Ordering::Acquire) == 0
+            && self.outstanding.lock().is_empty()
     }
 
     /// Block until [`is_idle`](Self::is_idle) holds, or `timeout` elapses.
@@ -431,7 +494,7 @@ impl ShmFabric {
     }
 
     fn kick(&self) {
-        if let Some(t) = self.progress_thread.lock().as_ref() {
+        if let Some(t) = self.progress_thread.get() {
             t.unpark();
         }
     }
@@ -526,8 +589,16 @@ impl ShmFabric {
             tx_lock: Mutex::new(()),
         });
         self.by_pair.lock().insert(key, ch.clone());
-        self.channels.lock().push(ch.clone());
+        self.publish(&ch);
         ch
+    }
+
+    /// Add `ch` to the list the progress thread scans.
+    fn publish(&self, ch: &Arc<Channel>) {
+        let mut channels = self.channels.lock();
+        channels.push(ch.clone());
+        self.channels_installed
+            .store(channels.len(), Ordering::Release);
     }
 
     /// Channel for `key`, creating it lazily in loopback mode.
@@ -554,7 +625,7 @@ impl ShmFabric {
                     tx_lock: Mutex::new(()),
                 });
                 map.insert(key, ch.clone());
-                self.channels.lock().push(ch.clone());
+                self.publish(&ch);
                 ch
             }
             Backing::Host(_) => panic!(
@@ -564,18 +635,27 @@ impl ShmFabric {
         }
     }
 
-    /// Push `record` onto `ch`'s DATA ring, waiting out backpressure, and
-    /// charge the wire ledger for a transfer entering the fabric.
-    fn enqueue_data(&self, net: &Arc<NetworkState>, ch: &Channel, record: &[u8]) {
-        let payload_len = (record.len() - DATA_HEADER) as u64;
+    /// Publish one DATA record of `len` bytes, written in place by `write`,
+    /// on `ch`'s ring, waiting out backpressure, and charge the wire ledger
+    /// for a transfer entering the fabric.
+    fn enqueue_data(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        len: usize,
+        write: &dyn Fn(&mut RecordWriter<'_>),
+    ) {
         let _tx = ch.tx_lock.lock();
-        if !ch.data.try_push(KIND_DATA, record) {
+        if !ch.data.try_push_with(KIND_DATA, len, write) {
             self.stats.ring_full_stalls.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .ring_occupancy_high_water
+                .fetch_max(ch.data.len(), Ordering::Relaxed);
             let deadline = Instant::now() + self.cfg.full_ring_deadline;
             loop {
                 self.kick();
                 std::thread::yield_now();
-                if ch.data.try_push(KIND_DATA, record) {
+                if ch.data.try_push_with(KIND_DATA, len, write) {
                     break;
                 }
                 assert!(
@@ -587,10 +667,13 @@ impl ShmFabric {
                 );
             }
         }
+        self.stats
+            .ring_occupancy_high_water
+            .fetch_max(ch.data.len(), Ordering::Relaxed);
         let wire = &net.telemetry().wire;
         wire.inner_submissions.inc();
         wire.mtu_segments
-            .add(segments_for(payload_len, self.cfg.mtu));
+            .add(segments_for((len - DATA_HEADER) as u64, self.cfg.mtu));
         self.kick();
     }
 }
@@ -626,7 +709,15 @@ impl Fabric for ShmFabric {
             rnr_retry: 0,
             min_rnr_timer_ns: 10_000,
         });
-        let record = serialize_data(&job, &profile);
+        let header = data_header(&job, &profile);
+        let len = DATA_HEADER + job.total_len as usize;
+        // Header, then the payload gathered *at post time* straight into
+        // the ring (the wire must not chase source-region rewrites across a
+        // process boundary; inline sends reuse their snapshot).
+        let write = |w: &mut RecordWriter<'_>| {
+            w.put(&header);
+            gather_payload(&job, w);
+        };
         let flows = &net.telemetry().flows;
         let submit_ns = flows.now();
         flows.event(job.flow, FlowStage::WireSubmit, job.src_qp, 0, 0);
@@ -634,7 +725,7 @@ impl Fabric for ShmFabric {
         // Ghost duplicates (ours or a lossy decorator's) are
         // fire-and-forget: no ack, no retransmission, no completion.
         if job.ghost {
-            self.enqueue_data(net, &ch, &record);
+            self.enqueue_data(net, &ch, len, &write);
             return;
         }
 
@@ -644,9 +735,12 @@ impl Fabric for ShmFabric {
         if let Some(n) = self.cfg.dup_nth {
             if seq % n.max(1) == 0 {
                 wire.duplicates_injected.inc();
-                let mut ghost = record.clone();
-                ghost[60] |= FLAG_GHOST;
-                self.enqueue_data(net, &ch, &ghost);
+                let mut ghost = header;
+                ghost[FLAGS_AT] |= FLAG_GHOST;
+                self.enqueue_data(net, &ch, len, &|w| {
+                    w.put(&ghost);
+                    gather_payload(&job, w);
+                });
             }
         }
         let dropped = self.cfg.drop_nth.is_some_and(|n| seq % n.max(1) == 0);
@@ -661,18 +755,23 @@ impl Fabric for ShmFabric {
             total_len: job.total_len,
             opcode: job.opcode,
         };
-        let deadline =
-            dropped.then(|| Instant::now() + Duration::from_nanos(profile.backoff_ns(0)));
+        // Only a record charged as dropped is ever re-sent, so only it
+        // keeps a copy of itself.
+        let retry = dropped.then(|| {
+            let mut record = vec![0u8; len];
+            write(&mut RecordWriter::new(&mut record, &mut []));
+            let backoff = Duration::from_nanos(profile.backoff_ns(0));
+            (Instant::now() + backoff, record)
+        });
         // Registered before the record can produce an ack, so the ack
         // handler always finds its entry.
-        self.inflight.lock().outstanding.insert(
+        self.outstanding.lock().insert(
             (job.src_qp, job.psn),
             Pending {
-                record: record.clone(),
                 echo,
                 profile,
                 attempts: 0,
-                deadline,
+                retry,
                 submit_ns,
             },
         );
@@ -683,7 +782,7 @@ impl Fabric for ShmFabric {
             self.kick();
             return;
         }
-        self.enqueue_data(net, &ch, &record);
+        self.enqueue_data(net, &ch, len, &write);
     }
 }
 
@@ -732,58 +831,72 @@ fn status_from_wire(b: u8) -> WcStatus {
     }
 }
 
-/// Serialize `job` into a DATA record: fixed header plus the payload
-/// gathered *at post time* (the wire must not chase source-region rewrites
-/// across a process boundary; inline sends reuse their snapshot).
-fn serialize_data(job: &TransferJob, profile: &RetryProfile) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(DATA_HEADER + job.total_len as usize);
-    rec.extend_from_slice(&job.src_node.to_le_bytes());
-    rec.extend_from_slice(&job.dst_node.to_le_bytes());
-    rec.extend_from_slice(&job.src_qp.to_le_bytes());
-    rec.extend_from_slice(&job.dst_qp.to_le_bytes());
-    rec.extend_from_slice(&job.wr_id.to_le_bytes());
-    rec.extend_from_slice(&job.psn.to_le_bytes());
-    rec.extend_from_slice(&job.flow.to_le_bytes());
-    rec.extend_from_slice(&job.remote_addr.to_le_bytes());
-    rec.extend_from_slice(&job.rkey.to_le_bytes());
-    rec.extend_from_slice(&job.total_len.to_le_bytes());
-    rec.extend_from_slice(&job.imm.unwrap_or(0).to_le_bytes());
-    let mut flags = 0u8;
+/// Offset of the flags byte in a DATA header.
+const FLAGS_AT: usize = 60;
+
+/// The fixed header of `job`'s DATA record (the payload follows it).
+fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
+    let mut rec = [0u8; DATA_HEADER];
+    rec[0..4].copy_from_slice(&job.src_node.to_le_bytes());
+    rec[4..8].copy_from_slice(&job.dst_node.to_le_bytes());
+    rec[8..12].copy_from_slice(&job.src_qp.to_le_bytes());
+    rec[12..16].copy_from_slice(&job.dst_qp.to_le_bytes());
+    rec[16..24].copy_from_slice(&job.wr_id.to_le_bytes());
+    rec[24..32].copy_from_slice(&job.psn.to_le_bytes());
+    rec[32..40].copy_from_slice(&job.flow.to_le_bytes());
+    rec[40..48].copy_from_slice(&job.remote_addr.to_le_bytes());
+    rec[48..52].copy_from_slice(&job.rkey.to_le_bytes());
+    rec[52..56].copy_from_slice(&job.total_len.to_le_bytes());
+    rec[56..60].copy_from_slice(&job.imm.unwrap_or(0).to_le_bytes());
     if job.imm.is_some() {
-        flags |= FLAG_IMM;
+        rec[FLAGS_AT] |= FLAG_IMM;
     }
     if job.ghost {
-        flags |= FLAG_GHOST;
+        rec[FLAGS_AT] |= FLAG_GHOST;
     }
-    rec.push(flags);
-    rec.push(opcode_to_wire(job.opcode));
-    rec.push(profile.rnr_retry);
-    rec.push(0);
-    rec.extend_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
-    debug_assert_eq!(rec.len(), DATA_HEADER);
-    match &job.inline_payload {
-        Some(p) => rec.extend_from_slice(p),
-        None => {
-            for seg in job.segments.iter() {
-                seg.mr
-                    .read_into(seg.offset, seg.len, &mut rec)
-                    .expect("segments validated at post time");
-            }
-        }
-    }
-    debug_assert_eq!(rec.len(), DATA_HEADER + job.total_len as usize);
+    rec[61] = opcode_to_wire(job.opcode);
+    rec[62] = profile.rnr_retry;
+    rec[64..72].copy_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
     rec
 }
 
-/// Parse a DATA record back into a deliverable job (payload rides as an
-/// inline snapshot) plus the sender's RNR attributes.
-fn parse_data(rec: &[u8]) -> (TransferJob, u8, u64) {
+/// Write `job`'s `total_len` payload bytes through `w`: the inline snapshot,
+/// or each gather segment read out of its source region — one copy, source
+/// MR to wherever `w` points.
+fn gather_payload(job: &TransferJob, w: &mut RecordWriter<'_>) {
+    match &job.inline_payload {
+        Some(p) => w.put(p),
+        None => {
+            for seg in job.segments.iter() {
+                let mut at = seg.offset;
+                w.fill(seg.len, |dst| {
+                    seg.mr
+                        .read(at, dst)
+                        .expect("segments validated at post time");
+                    at += dst.len();
+                });
+            }
+        }
+    }
+}
+
+/// Read a DATA record back into a deliverable job plus the sender's RNR
+/// attributes. The payload is copied once, ring to the buffer the job owns
+/// (it rides as an inline snapshot).
+fn parse_data(r: &mut RecordReader<'_>) -> (TransferJob, u8, u64) {
+    let mut rec = [0u8; DATA_HEADER];
+    r.take(&mut rec);
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
     let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("fixed"));
-    let flags = rec[60];
+    let flags = rec[FLAGS_AT];
     let total_len = u32_at(52);
-    let payload = rec[DATA_HEADER..].to_vec();
-    debug_assert_eq!(payload.len(), total_len as usize);
+    assert_eq!(
+        r.remaining(),
+        total_len as usize,
+        "shm DATA record length disagrees with its header"
+    );
+    let mut payload = Vec::with_capacity(total_len as usize);
+    r.append_rest_to(&mut payload);
     let job = TransferJob {
         src_node: u32_at(0),
         dst_node: u32_at(4),
@@ -819,7 +932,9 @@ fn serialize_ack(echo: &AckEcho, status: WcStatus) -> [u8; ACK_LEN] {
     rec
 }
 
-fn parse_ack(rec: &[u8]) -> (AckEcho, WcStatus) {
+fn parse_ack(r: &mut RecordReader<'_>) -> (AckEcho, WcStatus) {
+    let mut rec = [0u8; ACK_LEN];
+    r.take(&mut rec);
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
     let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("fixed"));
     (
@@ -865,109 +980,203 @@ impl AckEcho {
 // Progress engine
 // ---------------------------------------------------------------------------
 
+/// Back-off ladder of an idle progress thread: this many scans separated by
+/// a `spin_loop` hint…
+const SPIN_ROUNDS: u32 = 16;
+/// …then this many separated by `yield_now`, and only then `idle_park`
+/// parks. Short on purpose: hosts here have fewer cores than runnable
+/// threads, and a progress loop that spins for long starves the very
+/// drivers whose posts it is waiting for (they only ever `yield_now`). 256
+/// scans outlast the gap between two messages of a ping-pong; a channel
+/// quiet for longer is served at `idle_park` latency.
+const YIELD_ROUNDS: u32 = 240;
+/// After yields that took longer than `idle_park` (so parking would have
+/// been no slower), at most this many idle spells go straight from spinning
+/// to parking before a yield is tried again: one slow yield in 128 spells
+/// is noise, one per spell is a sixfold collapse under a busy-polling
+/// caller.
+const MAX_STARVED_SPELLS: u32 = 128;
+
 /// The dedicated poll/progress thread (Ibdxnet's receive thread): drains
 /// DATA rings into deliveries + ACKs, ACK rings into send completions,
 /// and services the wall-clock RNR and retransmission timers.
 fn progress_loop(me: Weak<ShmFabric>) {
-    let mut scratch: Vec<u8> = Vec::new();
+    // Snapshot of the channel list, re-read only when one is installed.
+    let mut channels: Vec<Arc<Channel>> = Vec::new();
+    // Deliveries waiting on a receive queue, in arrival order. Only this
+    // thread delivers, so the queue is its own.
+    let mut rnr: VecDeque<RnrPending> = VecDeque::new();
+    // Consecutive scans that found nothing to do.
+    let mut idle_rounds = 0u32;
+    // Idle spells left that skip the yield phase, and how many were skipped
+    // last time (see `MAX_STARVED_SPELLS`).
+    let (mut skip_yields, mut starved_spells) = (0u32, 0u32);
     loop {
+        // Held across scans and dropped only to park: `Drop` must be able
+        // to join a parked thread, and the fabric may be gone by the time it
+        // wakes. (If this handle turns out to be the last one, `shutdown`
+        // runs here and knows not to join itself.)
         let Some(fab) = me.upgrade() else { return };
-        let shutting_down = fab.shutdown.load(Ordering::Acquire);
-        let net = fab.net.get().and_then(|w| w.upgrade());
-        let mut did_work = false;
-        fab.stats
-            .progress_iterations
-            .fetch_add(1, Ordering::Relaxed);
+        loop {
+            let shutting_down = fab.shutdown.load(Ordering::Acquire);
+            let net = fab.net.get().and_then(|w| w.upgrade());
+            let mut did_work = false;
+            fab.stats
+                .progress_iterations
+                .fetch_add(1, Ordering::Relaxed);
 
-        if let Some(net) = &net {
-            let channels: Vec<Arc<Channel>> = fab.channels.lock().clone();
-            for ch in &channels {
-                if ch.we_recv {
-                    fab.stats
-                        .ring_occupancy_high_water
-                        .fetch_max(ch.data.len(), Ordering::Relaxed);
-                    while let Popped::Record(kind) = ch.data.try_pop(&mut scratch) {
-                        debug_assert_eq!(kind, KIND_DATA);
-                        fab.stats.data_records.fetch_add(1, Ordering::Relaxed);
-                        fab.handle_data(net, ch, &scratch, 0);
-                        did_work = true;
+            if let Some(net) = &net {
+                if fab.channels_installed.load(Ordering::Acquire) != channels.len() {
+                    channels.clone_from(&fab.channels.lock());
+                }
+                for ch in &channels {
+                    if ch.we_recv {
+                        fab.stats
+                            .ring_occupancy_high_water
+                            .fetch_max(ch.data.len(), Ordering::Relaxed);
+                        while let Ok((job, rnr_budget, rnr_timer_ns)) =
+                            ch.data.try_pop_with(|kind, r| {
+                                debug_assert_eq!(kind, KIND_DATA);
+                                fab.stats.in_hand.fetch_add(1, Ordering::Relaxed);
+                                parse_data(r)
+                            })
+                        {
+                            fab.stats.data_records.fetch_add(1, Ordering::Relaxed);
+                            fab.handle_data(net, ch, job, rnr_budget, rnr_timer_ns, &mut rnr);
+                            did_work = true;
+                        }
+                    }
+                    if ch.we_send {
+                        while let Ok((echo, status)) = ch.ack.try_pop_with(|kind, r| {
+                            debug_assert_eq!(kind, KIND_ACK);
+                            fab.stats.in_hand.fetch_add(1, Ordering::Relaxed);
+                            parse_ack(r)
+                        }) {
+                            fab.stats.ack_records.fetch_add(1, Ordering::Relaxed);
+                            fab.handle_ack(net, echo, status);
+                            fab.stats.in_hand.fetch_sub(1, Ordering::Release);
+                            did_work = true;
+                        }
                     }
                 }
-                if ch.we_send {
-                    while let Popped::Record(kind) = ch.ack.try_pop(&mut scratch) {
-                        debug_assert_eq!(kind, KIND_ACK);
-                        fab.stats.ack_records.fetch_add(1, Ordering::Relaxed);
-                        fab.handle_ack(net, &scratch);
-                        did_work = true;
-                    }
+                did_work |= fab.service_rnr(net, &mut rnr);
+                did_work |= fab.service_timeouts(net);
+            }
+
+            if let Some((sampler, epoch)) = fab.sampler.get() {
+                sampler.tick(epoch.elapsed().as_nanos() as u64);
+            }
+
+            if shutting_down {
+                // Final drain: leave only once everything consumable is
+                // quiet (or the fabric is being torn down with the network
+                // gone).
+                if net.is_none() || (!did_work && fab.is_idle()) {
+                    return;
                 }
+                continue;
             }
-            did_work |= fab.service_rnr(net);
-            did_work |= fab.service_timeouts(net);
-        }
-
-        if let Some((sampler, epoch)) = fab.sampler.get() {
-            sampler.tick(epoch.elapsed().as_nanos() as u64);
-        }
-
-        if shutting_down {
-            // Final drain: leave only once everything consumable is quiet
-            // (or the fabric is being torn down with the network gone).
-            if net.is_none() || (!did_work && fab.is_idle()) {
-                return;
+            if did_work {
+                idle_rounds = 0;
+            } else if idle_rounds < SPIN_ROUNDS {
+                idle_rounds += 1;
+                std::hint::spin_loop();
+            } else if idle_rounds < SPIN_ROUNDS + YIELD_ROUNDS && skip_yields == 0 {
+                idle_rounds += 1;
+                let before = Instant::now();
+                std::thread::yield_now();
+                // A yield that comes back later than a park would have:
+                // some neighbour polls without yielding (a caller spinning
+                // on its CQ, on a host with a core too few). Yielding to it
+                // costs a time slice per idle spell, while a parked thread
+                // is scheduled ahead of it when it wakes: park instead, for
+                // twice as many spells each time the next yield is slow too
+                // (a lone slow yield is the hypervisor, and costs one spell).
+                if before.elapsed() > fab.cfg.idle_park {
+                    starved_spells = (2 * starved_spells).clamp(1, MAX_STARVED_SPELLS);
+                    skip_yields = starved_spells;
+                } else {
+                    starved_spells = 0;
+                }
+            } else {
+                // The ladder restarts only after work: a timed-out park that
+                // finds nothing parks again at once.
+                skip_yields = skip_yields.saturating_sub(1);
+                break;
             }
-            continue;
         }
-        if !did_work {
-            let park = fab.next_deadline_in().unwrap_or(fab.cfg.idle_park);
-            drop(fab); // don't hold the Arc while parked: Drop must be able to join us
-            std::thread::park_timeout(park);
-            // The fabric may have been dropped while we were parked.
-            if let Some(fab) = me.upgrade() {
-                fab.stats.progress_wakeups.fetch_add(1, Ordering::Relaxed);
-            }
+        let park = fab.next_deadline_in(&rnr);
+        drop(fab);
+        std::thread::park_timeout(park);
+        if let Some(fab) = me.upgrade() {
+            fab.stats.progress_wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 impl ShmFabric {
-    /// Time until the nearest armed RNR/retransmission deadline, bounded
-    /// by the idle park interval.
-    fn next_deadline_in(&self) -> Option<Duration> {
-        let inflight = self.inflight.lock();
-        let now = Instant::now();
-        let nearest = inflight
-            .rnr
-            .iter()
-            .map(|r| r.deadline)
-            .chain(inflight.outstanding.values().filter_map(|p| p.deadline))
-            .min()?;
-        Some(
-            nearest
-                .saturating_duration_since(now)
+    /// How long an idle progress thread may park: until the nearest armed
+    /// RNR/retransmission deadline, and never longer than `idle_park`.
+    fn next_deadline_in(&self, rnr: &VecDeque<RnrPending>) -> Duration {
+        let outstanding = self.outstanding.lock();
+        let retries = outstanding
+            .values()
+            .filter_map(|p| p.retry.as_ref().map(|(deadline, _)| *deadline));
+        match rnr.iter().map(|r| r.deadline).chain(retries).min() {
+            Some(nearest) => nearest
+                .saturating_duration_since(Instant::now())
                 .min(self.cfg.idle_park),
-        )
+            None => self.cfg.idle_park,
+        }
     }
 
-    /// Deliver one DATA record: run the destination-side effects and, for
-    /// non-ghost records, acknowledge. Receiver-not-ready re-arms on the
-    /// wall-clock RNR timer within the sender's budget.
-    fn handle_data(&self, net: &Arc<NetworkState>, ch: &Channel, rec: &[u8], attempts: u8) {
-        let (job, rnr_budget, min_rnr_timer_ns) = parse_data(rec);
-        self.deliver(net, ch, job, rnr_budget, min_rnr_timer_ns, attempts);
-    }
-
-    fn deliver(
+    /// Take one DATA record (already counted in hand) off the wire. Delivery
+    /// order on a QP is posting order: while an earlier delivery for the
+    /// same destination QP waits in the RNR queue, this one queues behind it
+    /// untried.
+    fn handle_data(
         &self,
         net: &Arc<NetworkState>,
         ch: &Channel,
         job: TransferJob,
         rnr_budget: u8,
         min_rnr_timer_ns: u64,
-        attempts: u8,
+        rnr: &mut VecDeque<RnrPending>,
     ) {
-        let outcome = execute_delivery(net, &job);
-        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && attempts < rnr_budget {
+        let mut waiting = RnrPending {
+            job,
+            rnr_budget,
+            min_rnr_timer_ns,
+            attempts: 0,
+            deadline: Instant::now(),
+        };
+        let dst = waiting.dst();
+        if !rnr.iter().any(|r| r.dst() == dst) {
+            match self.deliver(net, ch, waiting) {
+                None => {
+                    self.stats.in_hand.fetch_sub(1, Ordering::Release);
+                    return;
+                }
+                Some(deferred) => waiting = deferred,
+            }
+        }
+        rnr.push_back(waiting);
+    }
+
+    /// Attempt one delivery: run the destination-side effects and, for
+    /// non-ghost records, acknowledge. On receiver-not-ready within the
+    /// sender's RNR budget the delivery comes back, re-armed on the
+    /// wall-clock RNR timer, for the caller to (re)queue; `None` means it is
+    /// done with, delivered or acknowledged as failed.
+    fn deliver(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        mut d: RnrPending,
+    ) -> Option<RnrPending> {
+        let job = &d.job;
+        let outcome = execute_delivery(net, job);
+        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && d.attempts < d.rnr_budget {
             let wire = &net.telemetry().wire;
             wire.rnr_requeues.inc();
             self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
@@ -977,22 +1186,17 @@ impl ShmFabric {
                 FlowStage::RnrWait,
                 job.src_qp,
                 0,
-                min_rnr_timer_ns,
+                d.min_rnr_timer_ns,
             );
             if job.flow != 0 {
-                flows.stage_ns(|s| &s.rnr_wait, min_rnr_timer_ns);
+                flows.stage_ns(|s| &s.rnr_wait, d.min_rnr_timer_ns);
             }
-            self.inflight.lock().rnr.push(RnrPending {
-                job,
-                rnr_budget,
-                min_rnr_timer_ns,
-                attempts: attempts + 1,
-                deadline: Instant::now() + Duration::from_nanos(min_rnr_timer_ns.max(1)),
-            });
-            return;
+            d.attempts += 1;
+            d.deadline = Instant::now() + Duration::from_nanos(d.min_rnr_timer_ns.max(1));
+            return Some(d);
         }
         if job.ghost {
-            return;
+            return None;
         }
         let echo = AckEcho {
             src_node: job.src_node,
@@ -1013,19 +1217,15 @@ impl ShmFabric {
             );
             std::thread::yield_now();
         }
+        None
     }
 
     /// Complete a send against an arriving ACK. Duplicate acks (the
     /// receiver acks every non-ghost record, so a timeout retransmission
     /// that raced a slow original produces two) fall out of the
     /// outstanding table: only the first completes.
-    fn handle_ack(&self, net: &Arc<NetworkState>, rec: &[u8]) {
-        let (echo, status) = parse_ack(rec);
-        let pending = self
-            .inflight
-            .lock()
-            .outstanding
-            .remove(&(echo.src_qp, echo.psn));
+    fn handle_ack(&self, net: &Arc<NetworkState>, echo: AckEcho, status: WcStatus) {
+        let pending = self.outstanding.lock().remove(&(echo.src_qp, echo.psn));
         let Some(pending) = pending else {
             self.stats.stale_acks.fetch_add(1, Ordering::Relaxed);
             return;
@@ -1038,39 +1238,49 @@ impl ShmFabric {
         complete_send(net, &echo.to_job(), status);
     }
 
-    /// Re-attempt RNR-deferred deliveries whose wall-clock timer expired.
-    fn service_rnr(&self, net: &Arc<NetworkState>) -> bool {
+    /// Re-attempt queued deliveries, oldest first. A QP whose oldest queued
+    /// delivery is not due yet (or hits receiver-not-ready again) keeps
+    /// everything behind it waiting, so a deferred window is redelivered in
+    /// posting order; other QPs pass it.
+    fn service_rnr(&self, net: &Arc<NetworkState>, rnr: &mut VecDeque<RnrPending>) -> bool {
+        if rnr.is_empty() {
+            return false;
+        }
         let now = Instant::now();
-        let due: Vec<RnrPending> = {
-            let mut inflight = self.inflight.lock();
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < inflight.rnr.len() {
-                if inflight.rnr[i].deadline <= now {
-                    due.push(inflight.rnr.swap_remove(i));
-                } else {
+        let mut blocked: Vec<(u32, u32)> = Vec::new();
+        let mut worked = false;
+        let mut i = 0;
+        while i < rnr.len() {
+            let dst = rnr[i].dst();
+            if blocked.contains(&dst) {
+                i += 1;
+                continue;
+            }
+            if rnr[i].deadline > now {
+                blocked.push(dst);
+                i += 1;
+                continue;
+            }
+            let due = rnr.remove(i).expect("index checked against len");
+            worked = true;
+            let key = PairKey {
+                src_node: due.job.src_node,
+                src_qp: due.job.src_qp,
+                dst_node: due.job.dst_node,
+                dst_qp: due.job.dst_qp,
+            };
+            // The record came off this channel's ring, so the channel is
+            // installed (channels are never removed).
+            let ch = self.by_pair.lock().get(&key).cloned();
+            match ch.and_then(|ch| self.deliver(net, &ch, due)) {
+                Some(deferred) => {
+                    rnr.insert(i, deferred);
+                    blocked.push(dst);
                     i += 1;
                 }
-            }
-            due
-        };
-        let worked = !due.is_empty();
-        for r in due {
-            let key = PairKey {
-                src_node: r.job.src_node,
-                src_qp: r.job.src_qp,
-                dst_node: r.job.dst_node,
-                dst_qp: r.job.dst_qp,
-            };
-            if let Some(ch) = self.by_pair.lock().get(&key).cloned() {
-                self.deliver(
-                    net,
-                    &ch,
-                    r.job,
-                    r.rnr_budget,
-                    r.min_rnr_timer_ns,
-                    r.attempts,
-                );
+                None => {
+                    self.stats.in_hand.fetch_sub(1, Ordering::Release);
+                }
             }
         }
         worked
@@ -1081,48 +1291,39 @@ impl ShmFabric {
     /// [`Instant`] deadlines.
     fn service_timeouts(&self, net: &Arc<NetworkState>) -> bool {
         let now = Instant::now();
-        let mut retransmit: Vec<(PairKey, Vec<u8>)> = Vec::new();
-        let mut exhausted: Vec<(AckEcho, u64)> = Vec::new();
+        let mut retransmit: Vec<(AckEcho, Vec<u8>)> = Vec::new();
+        let mut exhausted: Vec<AckEcho> = Vec::new();
         {
-            let mut inflight = self.inflight.lock();
-            let keys: Vec<(u32, u64)> = inflight
-                .outstanding
+            let mut outstanding = self.outstanding.lock();
+            let keys: Vec<(u32, u64)> = outstanding
                 .iter()
-                .filter(|(_, p)| p.deadline.is_some_and(|d| d <= now))
+                .filter(|(_, p)| p.retry.as_ref().is_some_and(|(d, _)| *d <= now))
                 .map(|(k, _)| *k)
                 .collect();
             for k in keys {
-                let p = inflight.outstanding.get_mut(&k).expect("key just listed");
+                let p = outstanding.get_mut(&k).expect("key just listed");
                 if p.attempts >= p.profile.retry_cnt {
-                    let p = inflight.outstanding.remove(&k).expect("present");
-                    exhausted.push((p.echo, p.submit_ns));
+                    let p = outstanding.remove(&k).expect("present");
+                    exhausted.push(p.echo);
                     continue;
                 }
                 p.attempts += 1;
                 let backoff = Duration::from_nanos(p.profile.backoff_ns(p.attempts));
+                let (deadline, record) = p.retry.as_mut().expect("filtered on retry above");
                 // Re-armed pessimistically: if the chaos knob drops the
                 // retransmitted record too, the next expiry doubles again.
-                p.deadline = Some(now + backoff);
-                let key = PairKey {
-                    src_node: p.echo.src_node,
-                    src_qp: p.echo.src_qp,
-                    // dst lives in the record; recover it from the header.
-                    dst_node: u32::from_le_bytes(p.record[4..8].try_into().expect("fixed")),
-                    dst_qp: p.echo.dst_qp,
-                };
-                retransmit.push((key, p.record.clone()));
+                *deadline = now + backoff;
+                retransmit.push((p.echo, record.clone()));
             }
         }
         let worked = !retransmit.is_empty() || !exhausted.is_empty();
         let wire = &net.telemetry().wire;
-        for (key, record) in retransmit {
+        for (echo, record) in retransmit {
             self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
             wire.retransmits.inc();
-            let flow = u64::from_le_bytes(record[32..40].try_into().expect("fixed"));
-            let src_qp = u32::from_le_bytes(record[8..12].try_into().expect("fixed"));
             net.telemetry()
                 .flows
-                .event(flow, FlowStage::Retransmit, src_qp, 0, 0);
+                .event(echo.flow, FlowStage::Retransmit, echo.src_qp, 0, 0);
             // The retransmitted record re-enters the wire; whether it is
             // dropped again is the next submit-order chaos draw.
             let seq = self.data_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1130,14 +1331,21 @@ impl ShmFabric {
                 wire.dropped.inc();
                 continue;
             }
+            let key = PairKey {
+                src_node: echo.src_node,
+                src_qp: echo.src_qp,
+                // The echo carries no destination node; the record does.
+                dst_node: u32::from_le_bytes(record[4..8].try_into().expect("fixed")),
+                dst_qp: echo.dst_qp,
+            };
             if let Some(ch) = self.by_pair.lock().get(&key).cloned() {
-                if flow != 0 {
+                if echo.flow != 0 {
                     net.telemetry().flows.stage_ns(|s| &s.retrans_wait, 0);
                 }
-                self.enqueue_data(net, &ch, &record);
+                self.enqueue_data(net, &ch, record.len(), &|w| w.put(&record));
             }
         }
-        for (echo, _) in exhausted {
+        for echo in exhausted {
             wire.exhausted.inc();
             complete_send(net, &echo.to_job(), WcStatus::RetryExceeded);
         }
@@ -1328,6 +1536,161 @@ mod tests {
         assert!(p.fabric.rnr_deferrals() >= 1, "at least one RNR deferral");
         assert_clean(&p);
         p.fabric.shutdown();
+    }
+
+    /// A window posted before any receive is deferred as a whole; once the
+    /// receives arrive it must land in posting order (a receiver that
+    /// reposts late would otherwise see its messages shuffled), while a QP
+    /// with receives posted is not held up behind it.
+    #[test]
+    fn rnr_deferred_window_is_redelivered_in_posting_order() {
+        const WINDOW: u64 = 12;
+        let caps = QpCaps {
+            min_rnr_timer_ns: 500_000,
+            ..QpCaps::default()
+        };
+        let p = pair(ShmConfig::default(), caps);
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        for i in 0..WINDOW {
+            write_with_imm(&p, &src, &dst, i, 64);
+        }
+        // Every record is off the ring: the first hit receiver-not-ready,
+        // the rest are queued behind it (or deferred themselves, before the
+        // fix — each with its own deadline, collected out of order).
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while p.fabric.data_records() < WINDOW {
+            assert!(Instant::now() < deadline, "window never left the ring");
+            std::thread::yield_now();
+        }
+        assert!(p.fabric.rnr_deferrals() >= 1);
+        assert!(
+            p.cqb.poll_one().is_none(),
+            "nothing can land without a receive"
+        );
+
+        // A second QP pair on the same nodes, receiver ready: passes.
+        let (cq2a, cq2b) = (p.a.create_cq(), p.b.create_cq());
+        let q2a =
+            p.a.create_qp(p.pda, cq2a.clone(), p.a.create_cq(), caps)
+                .unwrap();
+        let q2b =
+            p.b.create_qp(p.pdb, p.b.create_cq(), cq2b.clone(), caps)
+                .unwrap();
+        connect_pair(&q2a, &q2b).unwrap();
+        q2b.post_recv(RecvWr::bare(1)).unwrap();
+        q2a.post_send(SendWr {
+            wr_id: 77,
+            opcode: Opcode::RdmaWriteWithImm,
+            sg_list: vec![Sge {
+                addr: src.addr(),
+                length: 64,
+                lkey: src.lkey(),
+            }],
+            remote_addr: dst.addr(),
+            rkey: dst.rkey(),
+            imm: Some(77),
+            inline_data: false,
+            flow: 0,
+        })
+        .unwrap();
+        assert_eq!(poll_until(&cq2b, "second QP's recv CQE").imm, Some(77));
+        assert!(p.cqb.poll_one().is_none(), "first QP still waits");
+
+        for i in 0..WINDOW {
+            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
+        }
+        for i in 0..WINDOW {
+            let wc = poll_until(&p.cqb, "recv CQE");
+            assert_eq!(wc.wr_id, 500 + i, "receives are consumed in order");
+            assert_eq!(
+                wc.imm,
+                Some(imm::encode(0, 4)),
+                "write_with_imm's immediate"
+            );
+            let send = poll_until(&p.cqa, "send CQE");
+            assert_eq!(
+                (send.wr_id, send.status),
+                (i, WcStatus::Success),
+                "acks follow deliveries, so send CQEs show the delivery order"
+            );
+        }
+        let _ = poll_until(&cq2a, "second QP's send CQE");
+        assert_clean(&p);
+        p.fabric.shutdown();
+    }
+
+    /// Host mode over mapped file segments, one direction: the sending
+    /// fabric never consumes a DATA record, yet its occupancy gauge must
+    /// show what it put on the ring (it is the side that stalls on a full
+    /// one).
+    #[cfg(unix)]
+    #[test]
+    fn host_mode_sender_reports_ring_occupancy() {
+        let dir = std::env::temp_dir().join(format!("partix_shm_host_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = ShmConfig {
+            ring_capacity: 1 << 16,
+            ..ShmConfig::default()
+        };
+        let tx = ShmFabric::host(&dir, cfg);
+        let rx = ShmFabric::host(&dir, cfg);
+        // One network, so the test can see both ends; node 0 only sends, so
+        // every submit goes to `tx`, and `rx` only ever delivers.
+        let net = Network::new(2, tx.clone());
+        rx.attach_network(net.state());
+        let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
+        let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+        let (cqa, cqb) = (a.create_cq(), b.create_cq());
+        let qa = a
+            .create_qp(pda, cqa.clone(), a.create_cq(), QpCaps::default())
+            .unwrap();
+        let qb = b
+            .create_qp(pdb, b.create_cq(), cqb.clone(), QpCaps::default())
+            .unwrap();
+        connect_pair(&qa, &qb).unwrap();
+        let (from, to) = ((0, qa.qp_num()), (1, qb.qp_num()));
+        std::thread::scope(|s| {
+            s.spawn(|| tx.open_tx(from, to, Duration::from_secs(10)).unwrap());
+            rx.open_rx(from, to, Duration::from_secs(10)).unwrap();
+        });
+
+        let src = a.reg_mr(pda, 4096).unwrap();
+        let dst = b.reg_mr(pdb, 4096).unwrap();
+        for i in 0..32u64 {
+            src.fill(0, 4096, i as u8 + 1).unwrap();
+            qb.post_recv(RecvWr::bare(i)).unwrap();
+            qa.post_send(SendWr {
+                wr_id: i,
+                opcode: Opcode::RdmaWriteWithImm,
+                sg_list: vec![Sge {
+                    addr: src.addr(),
+                    length: 4096,
+                    lkey: src.lkey(),
+                }],
+                remote_addr: dst.addr(),
+                rkey: dst.rkey(),
+                imm: Some(i as u32),
+                inline_data: false,
+                flow: 0,
+            })
+            .unwrap();
+            assert_eq!(poll_until(&cqa, "send CQE").status, WcStatus::Success);
+            assert_eq!(poll_until(&cqb, "recv CQE").imm, Some(i as u32));
+            assert_eq!(dst.read_vec(0, 4096).unwrap(), vec![i as u8 + 1; 4096]);
+        }
+        assert_eq!((tx.data_records(), rx.data_records()), (0, 32));
+        assert_eq!((tx.ack_records(), rx.ack_records()), (32, 0));
+        assert!(
+            tx.ring_occupancy_high_water() >= 4096,
+            "the sender saw at least one whole record on its ring"
+        );
+        assert!(tx.quiesce(Duration::from_secs(10)) && rx.quiesce(Duration::from_secs(10)));
+        let report = invariants::check_strict(&net.state().telemetry_snapshot());
+        assert!(report.is_clean(), "invariants violated: {report:?}");
+        tx.shutdown();
+        rx.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //!
 //! The acquire on `Tail` is what makes the record bytes visible to the
 //! consumer; the acquire on `Head` is what lets the producer reuse space.
+//!
+//! Both ends can work on a record *in place*: [`SpscRing::try_push_with`]
+//! hands the producer the record's span to fill before `Tail` moves, and
+//! [`SpscRing::try_pop_with`] hands the consumer the span to read before
+//! `Head` moves — so a payload is copied once on the way in (source → ring)
+//! and once on the way out (ring → its owner), with no staging buffer.
+//! [`SpscRing::try_push`] / [`SpscRing::try_pop`] are the slice-and-`Vec`
+//! conveniences over them.
 
 use std::sync::Arc;
 
@@ -40,7 +48,95 @@ pub enum Popped {
     Closed,
 }
 
-/// SPSC ring handle. Producer-side calls (`try_push`, `close`) must come
+/// The payload span of a record being published, handed to the filler of
+/// [`SpscRing::try_push_with`]: up to two pieces of ring memory (split at
+/// the physical wrap point), written front to back. Lets a producer gather
+/// straight into the ring instead of staging the record first.
+pub struct RecordWriter<'a> {
+    first: &'a mut [u8],
+    second: &'a mut [u8],
+}
+
+impl<'a> RecordWriter<'a> {
+    /// A writer over `first` then `second` (any memory, not only a ring's:
+    /// the fabric serialises a retransmission copy through the same code).
+    pub fn new(first: &'a mut [u8], second: &'a mut [u8]) -> Self {
+        RecordWriter { first, second }
+    }
+
+    /// Bytes not yet written.
+    pub fn remaining(&self) -> usize {
+        self.first.len() + self.second.len()
+    }
+
+    /// Hand the next `len` bytes to `fill`, one call per contiguous piece
+    /// (two when the span straddles the wrap point), in order.
+    pub fn fill(&mut self, len: usize, mut fill: impl FnMut(&mut [u8])) {
+        assert!(len <= self.remaining(), "record writer overrun");
+        let n = len.min(self.first.len());
+        for (piece, n) in [(&mut self.first, n), (&mut self.second, len - n)] {
+            if n > 0 {
+                let (now, later) = std::mem::take(piece).split_at_mut(n);
+                fill(now);
+                *piece = later;
+            }
+        }
+    }
+
+    /// Write `bytes` next.
+    pub fn put(&mut self, bytes: &[u8]) {
+        let mut done = 0;
+        self.fill(bytes.len(), |dst| {
+            dst.copy_from_slice(&bytes[done..done + dst.len()]);
+            done += dst.len();
+        });
+    }
+}
+
+/// The payload of the record at the head of the ring, handed to the reader
+/// of [`SpscRing::try_pop_with`]: up to two pieces of ring memory, consumed
+/// front to back. Lets a consumer copy each part of a record once, into the
+/// buffer that will own it.
+pub struct RecordReader<'a> {
+    first: &'a [u8],
+    second: &'a [u8],
+}
+
+impl RecordReader<'_> {
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.first.len() + self.second.len()
+    }
+
+    /// Hand the next `len` bytes to `read`, one call per contiguous piece.
+    fn drain(&mut self, len: usize, mut read: impl FnMut(&[u8])) {
+        assert!(len <= self.remaining(), "record shorter than its format");
+        let n = len.min(self.first.len());
+        for (piece, n) in [(&mut self.first, n), (&mut self.second, len - n)] {
+            if n > 0 {
+                let (now, later) = piece.split_at(n);
+                read(now);
+                *piece = later;
+            }
+        }
+    }
+
+    /// Fill `dst` from the next `dst.len()` bytes.
+    pub fn take(&mut self, dst: &mut [u8]) {
+        let mut done = 0;
+        self.drain(dst.len(), |src| {
+            dst[done..done + src.len()].copy_from_slice(src);
+            done += src.len();
+        });
+    }
+
+    /// Append everything left to `dst`.
+    pub fn append_rest_to(&mut self, dst: &mut Vec<u8>) {
+        self.drain(self.remaining(), |src| dst.extend_from_slice(src));
+    }
+}
+
+/// SPSC ring handle. Producer-side calls (`try_push*`, `close`) must come
 /// from one logical producer, consumer-side calls from one logical
 /// consumer; the fabric serialises each side with its own lock.
 pub struct SpscRing {
@@ -97,13 +193,22 @@ impl SpscRing {
         self.seg.ctrl_load(Ctrl::Attached) != 0
     }
 
+    /// The `len` data bytes at logical position `pos` as `(offset, first,
+    /// second)`: `first` bytes at physical `offset`, then `second` bytes at
+    /// physical 0 (non-zero only when the span straddles the wrap point).
+    fn split(&self, pos: u64, len: usize) -> (usize, usize, usize) {
+        let cap = self.seg.capacity();
+        assert!(len as u64 <= cap, "span longer than the ring");
+        let off = pos % cap;
+        let first = ((cap - off) as usize).min(len);
+        (off as usize, first, len - first)
+    }
+
     /// Copy `bytes` into the data area starting at logical position `pos`,
     /// splitting at the physical wrap point.
     fn write_wrapped(&self, pos: u64, bytes: &[u8]) {
-        let cap = self.seg.capacity();
-        let off = pos % cap;
-        let first = ((cap - off) as usize).min(bytes.len());
-        self.seg.data_write(off, &bytes[..first]);
+        let (off, first, _) = self.split(pos, bytes.len());
+        self.seg.data_write(off as u64, &bytes[..first]);
         if first < bytes.len() {
             self.seg.data_write(0, &bytes[first..]);
         }
@@ -112,12 +217,9 @@ impl SpscRing {
     /// Copy `dst.len()` bytes out of the data area from logical position
     /// `pos`, splitting at the physical wrap point.
     fn read_wrapped(&self, pos: u64, dst: &mut [u8]) {
-        let cap = self.seg.capacity();
-        let off = pos % cap;
-        let first = ((cap - off) as usize).min(dst.len());
-        self.seg.data_read(off, &mut dst[..first]);
-        let rest = dst.len() - first;
-        if rest > 0 {
+        let (off, first, _) = self.split(pos, dst.len());
+        self.seg.data_read(off as u64, &mut dst[..first]);
+        if first < dst.len() {
             self.seg.data_read(0, &mut dst[first..]);
         }
     }
@@ -126,7 +228,20 @@ impl SpscRing {
     /// caller retries after the consumer advances). Panics if the record
     /// can never fit (payload larger than the ring).
     pub fn try_push(&self, kind: u8, payload: &[u8]) -> bool {
-        let need = RECORD_HEADER + payload.len() as u64;
+        self.try_push_with(kind, payload.len(), |w| w.put(payload))
+    }
+
+    /// Publish one record of `len` payload bytes that `fill` writes in
+    /// place. `fill` runs only when the record fits, and must write exactly
+    /// `len` bytes; the record becomes visible to the consumer when it
+    /// returns. Returns and panics as [`try_push`](Self::try_push).
+    pub fn try_push_with(
+        &self,
+        kind: u8,
+        len: usize,
+        fill: impl FnOnce(&mut RecordWriter<'_>),
+    ) -> bool {
+        let need = RECORD_HEADER + len as u64;
         let cap = self.seg.capacity();
         assert!(
             need <= cap,
@@ -138,11 +253,26 @@ impl SpscRing {
             return false;
         }
         let mut header = [0u8; RECORD_HEADER as usize];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[..4].copy_from_slice(&(len as u32).to_le_bytes());
         header[4] = kind;
         header[5] = RECORD_MAGIC;
         self.write_wrapped(tail, &header);
-        self.write_wrapped(tail + RECORD_HEADER, payload);
+        let (off, first, second) = self.split(tail + RECORD_HEADER, len);
+        let data = self.seg.data();
+        // SAFETY: `split` keeps both pieces inside the data area, and they
+        // are disjoint (`first + second <= cap`). The span lies in `[tail,
+        // head + cap)`, checked free above against a `Head` that only
+        // grows: the consumer reads nothing past `Tail`, which has not
+        // moved yet, and there is one logical producer, so nothing else
+        // touches these bytes while the slices live.
+        let mut writer = unsafe {
+            RecordWriter::new(
+                std::slice::from_raw_parts_mut(data.add(off), first),
+                std::slice::from_raw_parts_mut(data, second),
+            )
+        };
+        fill(&mut writer);
+        assert_eq!(writer.remaining(), 0, "record filler stopped short");
         self.seg.ctrl_store(Ctrl::Tail, tail + need);
         true
     }
@@ -156,11 +286,30 @@ impl SpscRing {
     /// span) — the cursors are no longer trustworthy and continuing would
     /// deliver garbage bytes into registered memory.
     pub fn try_pop(&self, scratch: &mut Vec<u8>) -> Popped {
+        let popped = self.try_pop_with(|kind, payload| {
+            scratch.clear();
+            payload.append_rest_to(scratch);
+            kind
+        });
+        match popped {
+            Ok(kind) => Popped::Record(kind),
+            Err(none) => none,
+        }
+    }
+
+    /// Consume one record if available: `read` gets its kind tag and its
+    /// payload in place, and the space is handed back to the producer when
+    /// it returns. `Err` is [`Popped::Empty`] or [`Popped::Closed`], never
+    /// a record. Panics as [`try_pop`](Self::try_pop).
+    pub fn try_pop_with<R>(
+        &self,
+        read: impl FnOnce(u8, &mut RecordReader<'_>) -> R,
+    ) -> Result<R, Popped> {
         let mut tail = self.seg.ctrl_load(Ctrl::Tail);
         let head = self.seg.ctrl_load(Ctrl::Head);
         if tail == head {
             if !self.is_closed() {
-                return Popped::Empty;
+                return Err(Popped::Empty);
             }
             // `Closed` may have been observed between our `Tail` load and
             // the producer's final publishes (push … push, close). Having
@@ -169,13 +318,14 @@ impl SpscRing {
             // would drop the stream's suffix.
             tail = self.seg.ctrl_load(Ctrl::Tail);
             if tail == head {
-                return Popped::Closed;
+                return Err(Popped::Closed);
             }
         }
-        let avail = tail - head;
+        // Saturating: a `Tail` behind `Head` is corruption too.
+        let avail = tail.saturating_sub(head);
         assert!(
-            avail >= RECORD_HEADER,
-            "ring published a partial header ({avail} bytes)"
+            avail >= RECORD_HEADER && avail <= self.seg.capacity(),
+            "ring cursors corrupt: {avail} bytes published at head {head}"
         );
         let mut header = [0u8; RECORD_HEADER as usize];
         self.read_wrapped(head, &mut header);
@@ -189,11 +339,22 @@ impl SpscRing {
             RECORD_HEADER + len <= avail,
             "ring record length {len} exceeds published span {avail}"
         );
-        scratch.clear();
-        scratch.resize(len as usize, 0);
-        self.read_wrapped(head + RECORD_HEADER, scratch);
+        let (off, first, second) = self.split(head + RECORD_HEADER, len as usize);
+        let data = self.seg.data();
+        // SAFETY: `split` keeps both pieces inside the data area. The span
+        // lies in `[head, tail)`, published by the `Tail` release acquired
+        // above; the producer writes nothing before `Head + cap`, and `Head`
+        // moves only below, after the slices are gone (one logical
+        // consumer).
+        let mut reader = unsafe {
+            RecordReader {
+                first: std::slice::from_raw_parts(data.add(off), first),
+                second: std::slice::from_raw_parts(data, second),
+            }
+        };
+        let out = read(kind, &mut reader);
         self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
-        Popped::Record(kind)
+        Ok(out)
     }
 }
 
@@ -232,6 +393,50 @@ mod tests {
             assert_eq!(buf, payload, "record {i}");
         }
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn in_place_push_and_pop_straddle_the_wrap_point() {
+        let r = ring(48);
+        let mut buf = Vec::new();
+        // Park the cursors at 30: the next record's 8-byte header ends at
+        // 38, its 16-byte payload wraps after 10 bytes.
+        assert!(r.try_push(0, &[0; 22]));
+        assert_eq!(r.try_pop(&mut buf), Popped::Record(0));
+        let pushed = r.try_push_with(9, 16, |w| {
+            assert_eq!(w.remaining(), 16);
+            w.put(b"head:");
+            // A gather source that is asked for each contiguous piece.
+            let mut next = 0u8;
+            w.fill(11, |dst| {
+                for b in dst {
+                    *b = next;
+                    next += 1;
+                }
+            });
+        });
+        assert!(pushed);
+        let (tag, body) = r
+            .try_pop_with(|kind, payload| {
+                assert_eq!((kind, payload.remaining()), (9, 16));
+                let mut tag = [0u8; 5];
+                payload.take(&mut tag);
+                let mut body = Vec::new();
+                payload.append_rest_to(&mut body);
+                (tag, body)
+            })
+            .expect("a record is waiting");
+        assert_eq!(&tag, b"head:");
+        assert_eq!(body, (0..11).collect::<Vec<u8>>());
+        assert_eq!(r.try_pop_with(|_, _| ()), Err(Popped::Empty));
+        assert!(r.is_empty(), "the space went back when the reader returned");
+    }
+
+    #[test]
+    #[should_panic(expected = "stopped short")]
+    fn filler_that_stops_short_publishes_nothing() {
+        let r = ring(64);
+        let _ = r.try_push_with(1, 8, |w| w.put(b"four"));
     }
 
     #[test]

@@ -2,17 +2,26 @@
 //! lives in.
 //!
 //! A segment is a fixed-size byte area plus a small bank of 8-byte control
-//! words with acquire/release semantics. Two backings exist:
+//! words. Both backings are plain memory the two sides load and store
+//! directly — no syscall moves a byte or orders one:
 //!
 //! - [`HeapSegment`] — process-private memory for the loopback fabric and
-//!   for tests: control words are `AtomicU64`s, data is an `UnsafeCell`
-//!   byte area ordered by them (the classic SPSC publication protocol);
-//! - [`FileSegment`] — a file on a tmpfs (`/dev/shm` when present), the
-//!   `shm_open` analogue reachable from plain `std`: two processes open the
-//!   same path and exchange records through the page cache. Each
-//!   `read_at`/`write_at` is a syscall, which both moves the bytes and
-//!   orders them — the kernel's page locking plays the role the atomics
-//!   play in the heap backing.
+//!   for tests;
+//! - [`FileSegment`] — one `MAP_SHARED` mapping of a file on a tmpfs
+//!   (`/dev/shm` when present), the `shm_open` analogue reachable from plain
+//!   `std` plus two `extern "C"` declarations: two processes map the same
+//!   path and exchange records through the same physical pages.
+//!
+//! # Memory ordering
+//!
+//! Control words are `AtomicU64`s, stored with `Release` and loaded with
+//! `Acquire`; data bytes are moved with `copy_nonoverlapping`. The producer
+//! writes a record's bytes and *then* release-stores [`Ctrl::Tail`]; a
+//! consumer that acquire-loads a `Tail` covering the record therefore sees
+//! its bytes (the classic SPSC publication argument, DESIGN.md §12). The
+//! same pairing on [`Ctrl::Head`] hands consumed space back. Lock-free
+//! atomics are address-free, so the argument holds unchanged when the two
+//! sides are different processes mapping the file at different addresses.
 //!
 //! The ring code is written against the [`Segment`] trait only, so the
 //! protocol (and its tests) is identical across backings.
@@ -38,9 +47,14 @@ pub enum Ctrl {
 /// Number of control slots.
 pub const CTRL_SLOTS: usize = 4;
 
-/// Bytes reserved at the front of a file segment for magic, capacity and
-/// the control words; the data area starts here.
+/// Bytes reserved at the front of a file segment; the data area starts
+/// here. Layout (little-endian `u64`s): magic at 0, capacity at 8, the
+/// [`Ctrl`] words at `16 + 8 * slot`, the rest reserved. The mapping is
+/// page-aligned, so every word is naturally aligned.
 pub const FILE_HEADER: u64 = 64;
+
+/// Header offset of the first control word.
+const CTRL_BASE: usize = 16;
 
 /// Magic stamped into file segments so a stale or foreign file is rejected
 /// instead of parsed.
@@ -49,23 +63,69 @@ pub const SEG_MAGIC: u64 = 0x5052_5458_5348_4d31; // "PRTXSHM1"
 /// Storage for one ring: a data area plus control words.
 ///
 /// Contract: control-word stores are release operations and loads are
-/// acquire operations (or stronger), so data written *before* a
-/// [`Ctrl::Tail`] store is visible *after* the corresponding load. Data
-/// access is only valid for ranges the protocol proves unshared: the
-/// producer writes only `[tail, head + capacity)`, the consumer reads only
-/// `[head, tail)`.
-pub trait Segment: Send + Sync {
+/// acquire operations, so data written *before* a [`Ctrl::Tail`] store is
+/// visible *after* the corresponding load. Data access is only valid for
+/// ranges the protocol proves unshared: the producer writes only
+/// `[tail, head + capacity)`, the consumer reads only `[head, tail)`.
+///
+/// # Safety
+///
+/// The provided methods (and the ring) dereference what an implementation
+/// hands out: [`data`](Self::data) must point to [`capacity`](Self::capacity)
+/// bytes that stay valid and writable for as long as the segment lives, and
+/// [`ctrl`](Self::ctrl) must return the same word for the same slot every
+/// time, distinct from the data area.
+pub unsafe trait Segment: Send + Sync {
     /// Data-area capacity in bytes.
     fn capacity(&self) -> u64;
+    /// The control word of `slot`.
+    fn ctrl(&self, slot: Ctrl) -> &AtomicU64;
+    /// Base of the data area.
+    fn data(&self) -> *mut u8;
+
     /// Acquire-load a control word.
-    fn ctrl_load(&self, slot: Ctrl) -> u64;
+    fn ctrl_load(&self, slot: Ctrl) -> u64 {
+        self.ctrl(slot).load(Ordering::Acquire)
+    }
+
     /// Release-store a control word.
-    fn ctrl_store(&self, slot: Ctrl, v: u64);
+    fn ctrl_store(&self, slot: Ctrl, v: u64) {
+        self.ctrl(slot).store(v, Ordering::Release);
+    }
+
     /// Copy `src` into the data area at `off` (`off + src.len() <=
     /// capacity`; wrap splitting is the ring's job).
-    fn data_write(&self, off: u64, src: &[u8]);
+    fn data_write(&self, off: u64, src: &[u8]) {
+        assert!(in_bounds(off, src.len(), self.capacity()));
+        // SAFETY: bounds asserted; the range is producer-owned per the
+        // `Segment` contract, and the subsequent `ctrl_store(Tail)` release
+        // publishes it before any consumer acquire-load can cover it.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), self.data().add(off as usize), src.len());
+        }
+    }
+
     /// Copy `dst.len()` bytes out of the data area at `off`.
-    fn data_read(&self, off: u64, dst: &mut [u8]);
+    fn data_read(&self, off: u64, dst: &mut [u8]) {
+        assert!(in_bounds(off, dst.len(), self.capacity()));
+        // SAFETY: bounds asserted; the range is consumer-owned (published
+        // by a Tail release the caller has already acquire-loaded).
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                self.data().add(off as usize),
+                dst.as_mut_ptr(),
+                dst.len(),
+            );
+        }
+    }
+}
+
+/// Whether `[off, off + len)` lies inside a data area of `capacity` bytes.
+/// A hard check, not a debug one: on a mapped segment an out-of-range copy
+/// is a SIGBUS or a write into a neighbouring mapping.
+pub(super) fn in_bounds(off: u64, len: usize, capacity: u64) -> bool {
+    off.checked_add(len as u64)
+        .is_some_and(|end| end <= capacity)
 }
 
 // ---------------------------------------------------------------------------
@@ -102,40 +162,19 @@ impl HeapSegment {
     }
 }
 
-impl Segment for HeapSegment {
+// SAFETY: `data` is a boxed slice of `capacity` interior-mutable bytes owned
+// by the segment; `ctrl` is a field array separate from it.
+unsafe impl Segment for HeapSegment {
     fn capacity(&self) -> u64 {
         self.data.len() as u64
     }
 
-    fn ctrl_load(&self, slot: Ctrl) -> u64 {
-        self.ctrl[slot as usize].load(Ordering::Acquire)
+    fn ctrl(&self, slot: Ctrl) -> &AtomicU64 {
+        &self.ctrl[slot as usize]
     }
 
-    fn ctrl_store(&self, slot: Ctrl, v: u64) {
-        self.ctrl[slot as usize].store(v, Ordering::Release);
-    }
-
-    fn data_write(&self, off: u64, src: &[u8]) {
-        let off = off as usize;
-        debug_assert!(off + src.len() <= self.data.len());
-        // SAFETY: bounds asserted; the range is producer-owned per the
-        // `Segment` contract, and the subsequent `ctrl_store(Tail)` release
-        // publishes it before any consumer acquire-load can cover it.
-        unsafe {
-            let dst = self.data.as_ptr().add(off) as *mut u8;
-            std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
-        }
-    }
-
-    fn data_read(&self, off: u64, dst: &mut [u8]) {
-        let off = off as usize;
-        debug_assert!(off + dst.len() <= self.data.len());
-        // SAFETY: bounds asserted; the range is consumer-owned (published
-        // by a Tail release the caller has already acquire-loaded).
-        unsafe {
-            let src = self.data.as_ptr().add(off) as *const u8;
-            std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len());
-        }
+    fn data(&self) -> *mut u8 {
+        UnsafeCell::raw_get(self.data.as_ptr())
     }
 }
 
@@ -155,19 +194,133 @@ pub fn default_shm_dir() -> PathBuf {
     }
 }
 
-/// Cross-process segment backed by a file (tmpfs-resident when available).
+/// `mmap`/`munmap`, declared here because `std` already links the
+/// platform's libc: no new dependency, and the offline build holds. The
+/// constants below are the same on Linux, macOS and the BSDs; `off_t` is
+/// declared as `i64`, which is what those platforms use on 64-bit targets.
+#[cfg(all(unix, target_pointer_width = "64"))]
+mod sys {
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::AsRawFd;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_SHARED: c_int = 1;
+
+    /// Map the first `len` bytes of `file` shared and read-write.
+    pub fn map(file: &std::fs::File, len: usize) -> std::io::Result<*mut u8> {
+        // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing
+        // this process owns; `file` is open read-write and the caller has
+        // checked it is at least `len` bytes long.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_SHARED,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if base as isize == -1 {
+            return Err(std::io::Error::last_os_error());
+        }
+        Ok(base.cast())
+    }
+
+    /// Unmap what [`map`] returned.
+    ///
+    /// # Safety
+    ///
+    /// `base`/`len` must be exactly one live mapping from [`map`], with no
+    /// reference into it outliving this call.
+    pub unsafe fn unmap(base: *mut u8, len: usize) {
+        // Failure (EINVAL on a bad range) would mean the caller broke the
+        // contract above; there is nothing to recover in a destructor.
+        let _ = munmap(base.cast(), len);
+    }
+}
+
+#[cfg(not(all(unix, target_pointer_width = "64")))]
+mod sys {
+    pub fn map(_file: &std::fs::File, _len: usize) -> std::io::Result<*mut u8> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "cross-process shm segments require a 64-bit unix platform",
+        ))
+    }
+
+    pub unsafe fn unmap(_base: *mut u8, _len: usize) {}
+}
+
+/// Positioned whole-buffer write, used only while a segment file is being
+/// created (never on the ring path).
+fn write_at(file: &std::fs::File, off: u64, src: &[u8]) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::write_all_at(file, src, off)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (file, off, src);
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
+}
+
+/// Positioned whole-buffer read, used only to validate a header before the
+/// file is mapped.
+fn read_at(file: &std::fs::File, off: u64, dst: &mut [u8]) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, dst, off)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (file, off, dst);
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
+}
+
+/// Cross-process segment: one shared mapping of a file (tmpfs-resident when
+/// available), header first, data area after it.
 ///
-/// Control words live at fixed 8-byte offsets in a 64-byte header; the data
-/// area follows. Every access is a positioned read/write syscall: slower
-/// than a true `mmap`, but dependency-free, and the kernel's per-page
-/// locking gives each 8-byte aligned control access the atomicity and
-/// ordering the protocol needs.
+/// After [`create`](Self::create) / [`open`](Self::open) return, every
+/// access is a load or a store into the mapping; the file descriptor is
+/// already closed. A peer that truncates the file under a live mapping
+/// turns the next access into a SIGBUS — segments are owned by the pair
+/// that opened them, like any `shm_open` object.
 pub struct FileSegment {
-    file: std::fs::File,
+    base: *mut u8,
     capacity: u64,
 }
 
+// SAFETY: `base` is a private mapping handle, unmapped only in `Drop`; all
+// access through it follows the `Segment` contract (see `HeapSegment`).
+unsafe impl Send for FileSegment {}
+unsafe impl Sync for FileSegment {}
+
 impl FileSegment {
+    fn map(file: &std::fs::File, capacity: u64) -> std::io::Result<Self> {
+        let len = usize::try_from(FILE_HEADER + capacity)
+            .map_err(|_| std::io::Error::other("segment larger than the address space"))?;
+        Ok(FileSegment {
+            base: sys::map(file, len)?,
+            capacity,
+        })
+    }
+
     /// Create (truncate) a segment file of `capacity` data bytes.
     pub fn create(path: &Path, capacity: u64) -> std::io::Result<Self> {
         assert!(capacity > 0, "segment capacity must be non-zero");
@@ -178,16 +331,24 @@ impl FileSegment {
             .truncate(true)
             .open(path)?;
         file.set_len(FILE_HEADER + capacity)?;
-        let seg = FileSegment { file, capacity };
-        seg.write_at(8, &capacity.to_le_bytes())?;
+        // The header goes in with positioned writes, before mapping: on a
+        // block-backed file system (ext4) the first *store* into a sparse
+        // shared mapping allocates blocks in the fault handler, an order of
+        // magnitude slower than letting `write` allocate the header page.
+        let mut rest = [0u8; FILE_HEADER as usize - 8];
+        rest[..8].copy_from_slice(&capacity.to_le_bytes());
+        write_at(&file, 8, &rest)?;
         // Magic last: a peer that sees it knows the header is complete.
-        seg.write_at(0, &SEG_MAGIC.to_le_bytes())?;
-        Ok(seg)
+        write_at(&file, 0, &SEG_MAGIC.to_le_bytes())?;
+        Self::map(&file, capacity)
     }
 
-    /// Open an existing segment file, validating magic. Returns `None`
-    /// while the file is absent or its header incomplete (the creator is
-    /// still setting it up) — callers poll.
+    /// Open and map an existing segment file. Returns `None` while the file
+    /// is absent or its header incomplete (the creator is still setting it
+    /// up) — callers poll. A complete header that contradicts the file (zero
+    /// capacity, or a length other than header + capacity) is an error: it
+    /// can never become valid, and mapping it would trade an `io::Error`
+    /// for a SIGBUS.
     pub fn open(path: &Path) -> std::io::Result<Option<Self>> {
         let file = match std::fs::OpenOptions::new()
             .read(true)
@@ -198,83 +359,70 @@ impl FileSegment {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let mut probe = FileSegment { file, capacity: 0 };
+        // Two reads, magic first: the creator writes the magic last, so a
+        // capacity read *after* the magic was seen is the final one.
         let mut word = [0u8; 8];
-        if probe.read_at(0, &mut word).is_err() || u64::from_le_bytes(word) != SEG_MAGIC {
-            return Ok(None);
+        if read_at(&file, 0, &mut word).is_err() || u64::from_le_bytes(word) != SEG_MAGIC {
+            return Ok(None); // not sized or not stamped yet
         }
-        probe.read_at(8, &mut word)?;
-        probe.capacity = u64::from_le_bytes(word);
-        if probe.capacity == 0 {
-            return Ok(None);
+        // A file that ends inside its header reads as capacity 0: an error.
+        let capacity = read_at(&file, 8, &mut word).map_or(0, |()| u64::from_le_bytes(word));
+        let file_len = file.metadata()?.len();
+        if capacity == 0 || FILE_HEADER.checked_add(capacity) != Some(file_len) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "shm segment {} declares capacity {capacity} but is {file_len} bytes long",
+                    path.display()
+                ),
+            ));
         }
-        Ok(Some(probe))
-    }
-
-    fn ctrl_off(slot: Ctrl) -> u64 {
-        16 + (slot as u64) * 8
-    }
-
-    #[cfg(unix)]
-    fn read_at(&self, off: u64, dst: &mut [u8]) -> std::io::Result<()> {
-        use std::os::unix::fs::FileExt;
-        self.file.read_exact_at(dst, off)
-    }
-
-    #[cfg(unix)]
-    fn write_at(&self, off: u64, src: &[u8]) -> std::io::Result<()> {
-        use std::os::unix::fs::FileExt;
-        self.file.write_all_at(src, off)
-    }
-
-    #[cfg(not(unix))]
-    fn read_at(&self, _off: u64, _dst: &mut [u8]) -> std::io::Result<()> {
-        Err(std::io::Error::other(
-            "cross-process shm segments require a unix platform",
-        ))
-    }
-
-    #[cfg(not(unix))]
-    fn write_at(&self, _off: u64, _src: &[u8]) -> std::io::Result<()> {
-        Err(std::io::Error::other(
-            "cross-process shm segments require a unix platform",
-        ))
+        Self::map(&file, capacity).map(Some)
     }
 }
 
-impl Segment for FileSegment {
+impl Drop for FileSegment {
+    fn drop(&mut self) {
+        // SAFETY: `base` came from `sys::map` with exactly this length, and
+        // `&mut self` proves no borrow into the mapping is left.
+        unsafe { sys::unmap(self.base, (FILE_HEADER + self.capacity) as usize) };
+    }
+}
+
+// SAFETY: the mapping is `FILE_HEADER + capacity` bytes (its length was
+// checked against the file before mapping), lives until `Drop`, and is
+// page-aligned, so the control words at `CTRL_BASE + 8 * slot` are aligned
+// `u64`s inside the header and the data area is the `capacity` bytes after
+// it.
+unsafe impl Segment for FileSegment {
     fn capacity(&self) -> u64 {
         self.capacity
     }
 
-    fn ctrl_load(&self, slot: Ctrl) -> u64 {
-        let mut word = [0u8; 8];
-        self.read_at(Self::ctrl_off(slot), &mut word)
-            .expect("shm segment control read");
-        u64::from_le_bytes(word)
+    fn ctrl(&self, slot: Ctrl) -> &AtomicU64 {
+        // SAFETY: see the impl comment; `AtomicU64` has no invalid bit
+        // patterns and is only ever accessed atomically, by either process.
+        unsafe {
+            &*self
+                .base
+                .add(CTRL_BASE + 8 * slot as usize)
+                .cast::<AtomicU64>()
+        }
     }
 
-    fn ctrl_store(&self, slot: Ctrl, v: u64) {
-        self.write_at(Self::ctrl_off(slot), &v.to_le_bytes())
-            .expect("shm segment control write");
-    }
-
-    fn data_write(&self, off: u64, src: &[u8]) {
-        debug_assert!(off + src.len() as u64 <= self.capacity);
-        self.write_at(FILE_HEADER + off, src)
-            .expect("shm segment data write");
-    }
-
-    fn data_read(&self, off: u64, dst: &mut [u8]) {
-        debug_assert!(off + dst.len() as u64 <= self.capacity);
-        self.read_at(FILE_HEADER + off, dst)
-            .expect("shm segment data read");
+    fn data(&self) -> *mut u8 {
+        // SAFETY: the header is inside the mapping.
+        unsafe { self.base.add(FILE_HEADER as usize) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("partix_seg_{tag}_{}.ring", std::process::id()))
+    }
 
     #[test]
     fn heap_round_trip() {
@@ -288,34 +436,103 @@ mod tests {
         assert_eq!(seg.ctrl_load(Ctrl::Head), 0);
     }
 
+    #[test]
+    #[should_panic]
+    fn out_of_range_copy_is_refused() {
+        HeapSegment::new(16).data_write(12, b"hello");
+    }
+
+    /// The mapping *is* the channel: a store through one mapping is a load
+    /// through another of the same file, with no call in between that could
+    /// have moved the bytes.
     #[cfg(unix)]
     #[test]
-    fn file_round_trip_and_reopen() {
-        let path =
-            std::env::temp_dir().join(format!("partix_seg_test_{}.ring", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let seg = FileSegment::create(&path, 128).unwrap();
-        seg.data_write(0, b"abc");
-        seg.ctrl_store(Ctrl::Tail, 3);
-        let reopened = FileSegment::open(&path).unwrap().expect("valid segment");
-        assert_eq!(reopened.capacity(), 128);
-        assert_eq!(reopened.ctrl_load(Ctrl::Tail), 3);
+    fn second_mapping_observes_tail_and_the_bytes_before_it() {
+        let path = temp_path("shared");
+        let writer = FileSegment::create(&path, 128).unwrap();
+        let reader = FileSegment::open(&path).unwrap().expect("valid segment");
+        assert_eq!(reader.capacity(), 128);
+        assert_eq!(reader.ctrl_load(Ctrl::Tail), 0);
+        writer.data_write(0, b"abc");
+        writer.ctrl_store(Ctrl::Tail, 3);
+        assert_eq!(reader.ctrl_load(Ctrl::Tail), 3);
         let mut out = [0u8; 3];
-        reopened.data_read(0, &mut out);
+        reader.data_read(0, &mut out);
         assert_eq!(&out, b"abc");
+        // And back: the consumer's cursor reaches the producer the same way.
+        reader.ctrl_store(Ctrl::Head, 3);
+        assert_eq!(writer.ctrl_load(Ctrl::Head), 3);
+        // Unmapping one side leaves the other (and the file) intact.
+        drop(writer);
+        assert_eq!(reader.ctrl_load(Ctrl::Tail), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[cfg(unix)]
     #[test]
-    fn open_missing_or_foreign_is_none() {
-        let dir = std::env::temp_dir();
-        assert!(FileSegment::open(&dir.join("partix_seg_missing.ring"))
-            .unwrap()
-            .is_none());
-        let junk = dir.join(format!("partix_seg_junk_{}.ring", std::process::id()));
-        std::fs::write(&junk, b"not a segment").unwrap();
-        assert!(FileSegment::open(&junk).unwrap().is_none());
-        std::fs::remove_file(&junk).unwrap();
+    fn create_truncates_a_previous_segment() {
+        let path = temp_path("recreate");
+        let old = FileSegment::create(&path, 64).unwrap();
+        old.ctrl_store(Ctrl::Tail, 9);
+        drop(old);
+        let new = FileSegment::create(&path, 256).unwrap();
+        assert_eq!(new.capacity(), 256);
+        assert_eq!(new.ctrl_load(Ctrl::Tail), 0);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            FILE_HEADER + 256,
+            "file is header + data, nothing else"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Files that are not (yet) segments read as "keep polling": absent,
+    /// empty, shorter than a header, or without the magic.
+    #[cfg(unix)]
+    #[test]
+    fn open_of_an_incomplete_or_foreign_file_is_none() {
+        assert!(FileSegment::open(&temp_path("missing")).unwrap().is_none());
+        for (tag, bytes) in [
+            ("empty", &b""[..]),
+            ("short", &b"PRTX"[..]),
+            ("junk", &[0x5au8; 4096][..]),
+        ] {
+            let path = temp_path(tag);
+            std::fs::write(&path, bytes).unwrap();
+            assert!(FileSegment::open(&path).unwrap().is_none(), "{tag}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A complete header the file contradicts is an error, never a mapping:
+    /// truncated behind the header, longer than declared, or zero capacity.
+    #[cfg(unix)]
+    #[test]
+    fn open_of_a_segment_with_the_wrong_length_is_an_error() {
+        let header = |capacity: u64| {
+            let mut h = vec![0u8; FILE_HEADER as usize];
+            h[..8].copy_from_slice(&SEG_MAGIC.to_le_bytes());
+            h[8..16].copy_from_slice(&capacity.to_le_bytes());
+            h
+        };
+        let mut truncated = header(1 << 20);
+        truncated.extend_from_slice(&[0; 100]);
+        let mut padded = header(64);
+        padded.extend_from_slice(&[0; 65]);
+        for (tag, bytes) in [
+            ("truncated", truncated),
+            ("padded", padded),
+            ("zero_capacity", header(0)),
+            ("magic_only", SEG_MAGIC.to_le_bytes().to_vec()),
+            ("huge", header(u64::MAX - 8)),
+        ] {
+            let path = temp_path(tag);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = FileSegment::open(&path).err().unwrap_or_else(|| {
+                panic!("{tag}: a contradictory header must not map");
+            });
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

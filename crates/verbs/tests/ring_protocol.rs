@@ -31,7 +31,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use partix_verbs::shm::{HeapSegment, Popped, SpscRing};
+use partix_verbs::shm::{FileSegment, HeapSegment, Popped, SpscRing};
 
 /// Producer program counter: push records 0..n (two steps each: load
 /// `Head`, then publish by storing `Tail`), then store `Closed`, then done.
@@ -290,42 +290,61 @@ fn stale_head_space_check_never_overcommits() {
 }
 
 /// Concrete counterpart on the real ring: hammer the close-drain
-/// handshake with real threads and varying producer/consumer timing.
-/// Default 200 rounds; `RING_PROTOCOL_DEEP=1` runs 5000.
+/// handshake with real threads and varying producer/consumer timing, over
+/// a heap segment and over two mappings of one segment file (the model
+/// above is about control-word steps, which both backings execute as the
+/// same `AtomicU64` operations; this is where the mapped words themselves
+/// are exercised). Default 200 rounds each; `RING_PROTOCOL_DEEP=1` runs 5000.
 #[test]
 fn concrete_close_drain_stress() {
     let rounds = if deep() { 5000 } else { 200 };
+    let path =
+        std::env::temp_dir().join(format!("partix_ring_protocol_{}.ring", std::process::id()));
     for round in 0..rounds {
-        let seg = Arc::new(HeapSegment::new(96)); // a few records deep
-        let tx = SpscRing::new(seg.clone());
-        let rx = SpscRing::new(seg);
-        let n = 1 + (round % 7) as u32;
-        let producer = std::thread::spawn(move || {
-            for i in 0..n {
-                let bytes = i.to_le_bytes();
-                while !tx.try_push((i % 251) as u8, &bytes) {
-                    std::hint::spin_loop();
-                }
-                if i % 3 == round as u32 % 3 {
-                    std::thread::yield_now(); // vary publish/close timing
-                }
+        let heap = Arc::new(HeapSegment::new(96)); // a few records deep
+        close_drain_round(SpscRing::new(heap.clone()), SpscRing::new(heap), round);
+        let created = FileSegment::create(&path, 96).expect("create segment file");
+        let opened = FileSegment::open(&path)
+            .expect("open segment file")
+            .expect("a created segment is complete");
+        close_drain_round(
+            SpscRing::new(Arc::new(created)),
+            SpscRing::new(Arc::new(opened)),
+            round,
+        );
+    }
+    std::fs::remove_file(&path).expect("remove segment file");
+}
+
+/// One producer thread pushes `1 + round % 7` records and closes; this
+/// thread drains until `Closed` and must have seen them all, in order.
+fn close_drain_round(tx: SpscRing, rx: SpscRing, round: u32) {
+    let n = 1 + round % 7;
+    let producer = std::thread::spawn(move || {
+        for i in 0..n {
+            let bytes = i.to_le_bytes();
+            while !tx.try_push((i % 251) as u8, &bytes) {
+                std::hint::spin_loop();
             }
-            tx.close();
-        });
-        let mut buf = Vec::new();
-        let mut got = 0u32;
-        loop {
-            match rx.try_pop(&mut buf) {
-                Popped::Record(kind) => {
-                    assert_eq!(kind, (got % 251) as u8, "round {round}");
-                    assert_eq!(buf, got.to_le_bytes(), "round {round}");
-                    got += 1;
-                }
-                Popped::Empty => std::hint::spin_loop(),
-                Popped::Closed => break,
+            if i % 3 == round % 3 {
+                std::thread::yield_now(); // vary publish/close timing
             }
         }
-        assert_eq!(got, n, "round {round}: close-drain lost records");
-        producer.join().expect("producer");
+        tx.close();
+    });
+    let mut buf = Vec::new();
+    let mut got = 0u32;
+    loop {
+        match rx.try_pop(&mut buf) {
+            Popped::Record(kind) => {
+                assert_eq!(kind, (got % 251) as u8, "round {round}");
+                assert_eq!(buf, got.to_le_bytes(), "round {round}");
+                got += 1;
+            }
+            Popped::Empty => std::hint::spin_loop(),
+            Popped::Closed => break,
+        }
     }
+    assert_eq!(got, n, "round {round}: close-drain lost records");
+    producer.join().expect("producer");
 }

@@ -10,16 +10,60 @@
 //! - a real producer thread and consumer thread agree on the stream for
 //!   arbitrary payload mixes, ending in the close-drain handshake.
 //!
+//! Every property runs over both backings: a heap segment shared by the two
+//! ends, and a file segment the producer creates and the consumer opens —
+//! two `MAP_SHARED` mappings of one file, which is what two processes have.
+//!
 //! The vendored proptest is deterministic (seeded from the test name), so
 //! a green run is reproducible.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use partix_verbs::shm::{HeapSegment, Popped, SpscRing, RECORD_HEADER};
+use partix_verbs::shm::{FileSegment, HeapSegment, Popped, SpscRing, RECORD_HEADER};
 use proptest::prelude::*;
 
-fn ring(cap: usize) -> SpscRing {
-    SpscRing::new(Arc::new(HeapSegment::new(cap)))
+/// The two ends of one ring, and the segment file to remove afterwards.
+struct Ends {
+    tx: SpscRing,
+    rx: SpscRing,
+    file: Option<PathBuf>,
+}
+
+impl Drop for Ends {
+    fn drop(&mut self) {
+        if let Some(path) = &self.file {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// A ring of `cap` bytes over each backing, heap first.
+fn rings(cap: usize) -> [Ends; 2] {
+    static FILES: AtomicU64 = AtomicU64::new(0);
+    let heap = Arc::new(HeapSegment::new(cap));
+    let path = std::env::temp_dir().join(format!(
+        "partix_ring_props_{}_{}.ring",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let created = FileSegment::create(&path, cap as u64).expect("create segment file");
+    let opened = FileSegment::open(&path)
+        .expect("open segment file")
+        .expect("a created segment is complete");
+    [
+        Ends {
+            tx: SpscRing::new(heap.clone()),
+            rx: SpscRing::new(heap),
+            file: None,
+        },
+        Ends {
+            tx: SpscRing::new(Arc::new(created)),
+            rx: SpscRing::new(Arc::new(opened)),
+            file: Some(path),
+        },
+    ]
 }
 
 /// Deterministic payload for record `i` of length `len`.
@@ -41,41 +85,42 @@ proptest! {
         cap in 24usize..=1024,
         lens in prop::collection::vec(0usize..=192, 1..120),
     ) {
-        let r = ring(cap);
-        let max_payload = r.max_payload() as usize;
-        let mut buf = Vec::new();
-        let mut next = 0usize; // next record index expected out
-        for (i, &len) in lens.iter().enumerate() {
-            let len = len.min(max_payload);
-            let bytes = payload(i, len);
-            while !r.try_push((i % 251) as u8, &bytes) {
-                // Full: the consumer must be able to free space.
-                match r.try_pop(&mut buf) {
+        for Ends { tx, rx, .. } in &rings(cap) {
+            let max_payload = tx.max_payload() as usize;
+            let mut buf = Vec::new();
+            let mut next = 0usize; // next record index expected out
+            for (i, &len) in lens.iter().enumerate() {
+                let len = len.min(max_payload);
+                let bytes = payload(i, len);
+                while !tx.try_push((i % 251) as u8, &bytes) {
+                    // Full: the consumer must be able to free space.
+                    match rx.try_pop(&mut buf) {
+                        Popped::Record(kind) => {
+                            prop_assert_eq!(kind, (next % 251) as u8);
+                            let want = payload(next, lens[next].min(max_payload));
+                            prop_assert_eq!(&buf, &want, "record {} corrupted", next);
+                            next += 1;
+                        }
+                        other => prop_assert!(false, "full ring popped {:?}", other),
+                    }
+                }
+            }
+            tx.close();
+            loop {
+                match rx.try_pop(&mut buf) {
                     Popped::Record(kind) => {
                         prop_assert_eq!(kind, (next % 251) as u8);
                         let want = payload(next, lens[next].min(max_payload));
                         prop_assert_eq!(&buf, &want, "record {} corrupted", next);
                         next += 1;
                     }
-                    other => prop_assert!(false, "full ring popped {:?}", other),
+                    Popped::Closed => break,
+                    Popped::Empty => prop_assert!(false, "closed ring reported Empty"),
                 }
             }
+            prop_assert_eq!(next, lens.len(), "records lost");
+            prop_assert!(rx.is_empty());
         }
-        r.close();
-        loop {
-            match r.try_pop(&mut buf) {
-                Popped::Record(kind) => {
-                    prop_assert_eq!(kind, (next % 251) as u8);
-                    let want = payload(next, lens[next].min(max_payload));
-                    prop_assert_eq!(&buf, &want, "record {} corrupted", next);
-                    next += 1;
-                }
-                Popped::Closed => break,
-                Popped::Empty => prop_assert!(false, "closed ring reported Empty"),
-            }
-        }
-        prop_assert_eq!(next, lens.len(), "records lost");
-        prop_assert!(r.is_empty());
     }
 
     /// Advance the cursors to an arbitrary physical offset with a warm-up
@@ -89,22 +134,23 @@ proptest! {
         warmup in prop::collection::vec(0usize..=100, 0..24),
         len in 0usize..=248,
     ) {
-        let r = ring(cap);
-        let max_payload = r.max_payload() as usize;
-        let mut buf = Vec::new();
-        for (i, &w) in warmup.iter().enumerate() {
-            let bytes = payload(i, w.min(max_payload));
-            prop_assert!(r.try_push(0, &bytes), "warm-up push on empty ring");
-            prop_assert_eq!(r.try_pop(&mut buf), Popped::Record(0));
+        for Ends { tx, rx, .. } in &rings(cap) {
+            let max_payload = tx.max_payload() as usize;
+            let mut buf = Vec::new();
+            for (i, &w) in warmup.iter().enumerate() {
+                let bytes = payload(i, w.min(max_payload));
+                prop_assert!(tx.try_push(0, &bytes), "warm-up push on empty ring");
+                prop_assert_eq!(rx.try_pop(&mut buf), Popped::Record(0));
+                prop_assert_eq!(&buf, &bytes);
+            }
+            // The record under test: long payloads straddle the boundary for
+            // most cursor positions; short ones exercise split headers.
+            let bytes = payload(99, len.min(max_payload));
+            prop_assert!(tx.try_push(7, &bytes));
+            prop_assert_eq!(rx.try_pop(&mut buf), Popped::Record(7));
             prop_assert_eq!(&buf, &bytes);
+            prop_assert!(rx.is_empty());
         }
-        // The record under test: long payloads straddle the boundary for
-        // most cursor positions; short ones exercise split headers.
-        let bytes = payload(99, len.min(max_payload));
-        prop_assert!(r.try_push(7, &bytes));
-        prop_assert_eq!(r.try_pop(&mut buf), Popped::Record(7));
-        prop_assert_eq!(&buf, &bytes);
-        prop_assert!(r.is_empty());
     }
 
     /// The full/empty boundary is exact: pushes are accepted while the
@@ -115,43 +161,44 @@ proptest! {
         cap in 24usize..=512,
         record_len in 0usize..=64,
     ) {
-        let r = ring(cap);
-        let record_len = record_len.min(r.max_payload() as usize);
-        let footprint = RECORD_HEADER as usize + record_len;
-        let bytes = payload(3, record_len);
-        let mut pushed = 0usize;
-        // Fill to the brim; the ledger tracks every accepted record.
-        while r.try_push(1, &bytes) {
-            pushed += 1;
-            prop_assert_eq!(r.len(), (pushed * footprint) as u64);
-            prop_assert!(pushed * footprint <= cap, "ring overcommitted");
-        }
-        prop_assert_eq!(pushed, cap / footprint, "acceptance must match exact fit");
-        // No sacrificial slot: the reject happened only because the free
-        // span is genuinely smaller than one footprint.
-        prop_assert!(cap - pushed * footprint < footprint);
-        let mut buf = Vec::new();
-        prop_assert_eq!(r.try_pop(&mut buf), Popped::Record(1));
-        prop_assert_eq!(&buf, &bytes);
-        // Exactly one footprint freed: one push fits again, a second would
-        // exceed the span that single pop released.
-        prop_assert!(r.try_push(2, &bytes));
-        prop_assert!(!r.try_push(2, &bytes));
-        // Drain everything; order and the ledger must reconcile.
-        let mut drained = 0usize;
-        loop {
-            match r.try_pop(&mut buf) {
-                Popped::Record(kind) => {
-                    prop_assert_eq!(kind, if drained + 1 < pushed { 1 } else { 2 });
-                    prop_assert_eq!(&buf, &bytes);
-                    drained += 1;
-                }
-                Popped::Empty => break,
-                Popped::Closed => prop_assert!(false, "ring never closed"),
+        for Ends { tx, rx, .. } in &rings(cap) {
+            let record_len = record_len.min(tx.max_payload() as usize);
+            let footprint = RECORD_HEADER as usize + record_len;
+            let bytes = payload(3, record_len);
+            let mut pushed = 0usize;
+            // Fill to the brim; the ledger tracks every accepted record.
+            while tx.try_push(1, &bytes) {
+                pushed += 1;
+                prop_assert_eq!(rx.len(), (pushed * footprint) as u64);
+                prop_assert!(pushed * footprint <= cap, "ring overcommitted");
             }
+            prop_assert_eq!(pushed, cap / footprint, "acceptance must match exact fit");
+            // No sacrificial slot: the reject happened only because the free
+            // span is genuinely smaller than one footprint.
+            prop_assert!(cap - pushed * footprint < footprint);
+            let mut buf = Vec::new();
+            prop_assert_eq!(rx.try_pop(&mut buf), Popped::Record(1));
+            prop_assert_eq!(&buf, &bytes);
+            // Exactly one footprint freed: one push fits again, a second would
+            // exceed the span that single pop released.
+            prop_assert!(tx.try_push(2, &bytes));
+            prop_assert!(!tx.try_push(2, &bytes));
+            // Drain everything; order and the ledger must reconcile.
+            let mut drained = 0usize;
+            loop {
+                match rx.try_pop(&mut buf) {
+                    Popped::Record(kind) => {
+                        prop_assert_eq!(kind, if drained + 1 < pushed { 1 } else { 2 });
+                        prop_assert_eq!(&buf, &bytes);
+                        drained += 1;
+                    }
+                    Popped::Empty => break,
+                    Popped::Closed => prop_assert!(false, "ring never closed"),
+                }
+            }
+            prop_assert_eq!(drained, pushed, "one popped, one pushed: count preserved");
+            prop_assert_eq!(rx.len(), 0);
         }
-        prop_assert_eq!(drained, pushed, "one popped, one pushed: count preserved");
-        prop_assert_eq!(r.len(), 0);
     }
 
     /// Cross-thread stream with arbitrary payload mixes: a real producer
@@ -162,35 +209,35 @@ proptest! {
         cap in 64usize..=2048,
         lens in prop::collection::vec(0usize..=128, 1..400),
     ) {
-        let seg = Arc::new(HeapSegment::new(cap));
-        let tx = SpscRing::new(seg.clone());
-        let rx = SpscRing::new(seg);
-        let max_payload = tx.max_payload() as usize;
-        let lens_tx: Vec<usize> = lens.iter().map(|&l| l.min(max_payload)).collect();
-        let expect = lens_tx.clone();
-        let producer = std::thread::spawn(move || {
-            for (i, &len) in lens_tx.iter().enumerate() {
-                let bytes = payload(i, len);
-                while !tx.try_push((i % 251) as u8, &bytes) {
-                    std::hint::spin_loop();
+        for Ends { tx, rx, .. } in &rings(cap) {
+            let max_payload = tx.max_payload() as usize;
+            let expect: Vec<usize> = lens.iter().map(|&l| l.min(max_payload)).collect();
+            let next = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for (i, &len) in expect.iter().enumerate() {
+                        let bytes = payload(i, len);
+                        while !tx.try_push((i % 251) as u8, &bytes) {
+                            std::hint::spin_loop();
+                        }
+                    }
+                    tx.close();
+                });
+                let mut buf = Vec::new();
+                let mut next = 0usize;
+                loop {
+                    match rx.try_pop(&mut buf) {
+                        Popped::Record(kind) => {
+                            prop_assert_eq!(kind, (next % 251) as u8);
+                            prop_assert_eq!(&buf, &payload(next, expect[next]), "record {}", next);
+                            next += 1;
+                        }
+                        Popped::Empty => std::hint::spin_loop(),
+                        Popped::Closed => break,
+                    }
                 }
-            }
-            tx.close();
-        });
-        let mut buf = Vec::new();
-        let mut next = 0usize;
-        loop {
-            match rx.try_pop(&mut buf) {
-                Popped::Record(kind) => {
-                    prop_assert_eq!(kind, (next % 251) as u8);
-                    prop_assert_eq!(&buf, &payload(next, expect[next]), "record {}", next);
-                    next += 1;
-                }
-                Popped::Empty => std::hint::spin_loop(),
-                Popped::Closed => break,
-            }
+                next
+            });
+            prop_assert_eq!(next, expect.len(), "records lost in flight");
         }
-        producer.join().expect("producer");
-        prop_assert_eq!(next, expect.len(), "records lost in flight");
     }
 }
