@@ -1,155 +1,21 @@
 //! Bench: runtime hot paths — event post/dispatch throughput of the
-//! slab-backed scheduler (against a boxed-heap baseline reimplementing the
-//! previous design), steady-state event chains, same-timestamp storms, the
-//! pready fast path, and full partitioned rounds.
+//! slab-backed scheduler, steady-state event chains, same-timestamp storms,
+//! the pready fast path, full partitioned rounds, the batched verbs data
+//! plane, and the cost of each opt-in observability layer.
 //!
 //! Writes all measurements to `BENCH_hotpath.json` (override the path with
-//! the `BENCH_JSON` environment variable), and the `dataplane` group —
-//! ns/op *and* allocations/op of the zero-copy data plane against a replica
-//! of the previous per-`Vec` design — to `BENCH_dataplane.json` (override
-//! with `BENCH_DATAPLANE_JSON`). Run with `-- --test` for a one-iteration
-//! smoke pass, as CI does; the allocation gate (new path ≥25% fewer
-//! allocations per message) holds in smoke mode too, because allocation
-//! counts are deterministic.
+//! the `BENCH_JSON` environment variable). Run with `-- --test` for a
+//! one-iteration smoke pass, as CI does. What a work request may allocate is
+//! pinned by `tests/tests/alloc_regression.rs`, not measured here.
 
 use criterion::Criterion;
 use partix_core::{AggregatorKind, PartixConfig, World};
 use partix_sim::{Scheduler, SimDuration, SimTime};
 use std::hint::black_box;
 
-/// Counting wrapper around the system allocator, gated by a flag so the
-/// rest of the benchmark binary runs at full speed (one relaxed load per
-/// allocation when idle).
-mod alloc_counter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static COUNTING: AtomicBool = AtomicBool::new(false);
-
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            if COUNTING.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            if COUNTING.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if COUNTING.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-    /// Heap allocations per call of `f`, measured over `iters` calls after
-    /// a short warm-up (so pools and map capacity are already populated).
-    pub fn allocs_per_op(f: &mut impl FnMut(), iters: u64) -> f64 {
-        for _ in 0..4 {
-            f();
-        }
-        ALLOCS.store(0, Ordering::Relaxed);
-        COUNTING.store(true, Ordering::Relaxed);
-        for _ in 0..iters {
-            f();
-        }
-        COUNTING.store(false, Ordering::Relaxed);
-        ALLOCS.load(Ordering::Relaxed) as f64 / iters as f64
-    }
-}
-
-/// The previous event-queue design, kept here as a measured baseline: one
-/// boxed closure per event in a mutex-guarded binary heap, with peek+pop
-/// taking separate lock acquisitions.
-mod boxed_baseline {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-    use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-    use std::sync::Mutex;
-
-    struct BoxedEvent {
-        time: u64,
-        seq: u64,
-        f: Box<dyn FnOnce() + Send>,
-    }
-
-    impl PartialEq for BoxedEvent {
-        fn eq(&self, other: &Self) -> bool {
-            (self.time, self.seq) == (other.time, other.seq)
-        }
-    }
-    impl Eq for BoxedEvent {}
-    impl PartialOrd for BoxedEvent {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for BoxedEvent {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want earliest first.
-            (other.time, other.seq).cmp(&(self.time, self.seq))
-        }
-    }
-
-    pub struct BoxedQueue {
-        heap: Mutex<BinaryHeap<BoxedEvent>>,
-        seq: AtomicU64,
-    }
-
-    impl BoxedQueue {
-        pub fn new() -> Self {
-            BoxedQueue {
-                heap: Mutex::new(BinaryHeap::new()),
-                seq: AtomicU64::new(0),
-            }
-        }
-
-        pub fn at(&self, time: u64, f: impl FnOnce() + Send + 'static) {
-            let seq = self.seq.fetch_add(1, AtomicOrdering::Relaxed);
-            self.heap.lock().unwrap().push(BoxedEvent {
-                time,
-                seq,
-                f: Box::new(f),
-            });
-        }
-
-        pub fn run(&self) -> u64 {
-            let mut executed = 0;
-            loop {
-                // Deliberately two lock rounds per event (peek, then pop),
-                // matching the shape of the old scheduler loop.
-                if self.heap.lock().unwrap().peek().is_none() {
-                    return executed;
-                }
-                let ev = self.heap.lock().unwrap().pop().expect("non-empty");
-                (ev.f)();
-                executed += 1;
-            }
-        }
-    }
-}
-
 /// Event-queue throughput: post N events, then dispatch them all. The
 /// closures capture an `Arc` and a payload word, like real runtime events
-/// (completion delivery captures request state) — a zero-sized closure
-/// would let the boxed baseline skip its per-event allocation entirely.
+/// (completion delivery captures request state).
 fn bench_event_queue(c: &mut Criterion) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -172,21 +38,6 @@ fn bench_event_queue(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("post_dispatch_100k_boxed_baseline", |b| {
-        b.iter(|| {
-            let q = boxed_baseline::BoxedQueue::new();
-            let acc = Arc::new(AtomicU64::new(0));
-            for i in 0..N {
-                let acc = acc.clone();
-                q.at(i, move || {
-                    acc.fetch_add(i, Ordering::Relaxed);
-                });
-            }
-            q.run();
-            black_box(acc.load(Ordering::Relaxed))
-        })
-    });
-
     // Post-only: isolates insertion (slab slot + heap push) from dispatch.
     g.bench_function("post_100k_slab", |b| {
         b.iter(|| {
@@ -204,8 +55,7 @@ fn bench_event_queue(c: &mut Criterion) {
 
     // Steady state: a single chain where each event schedules the next, so
     // the queue depth stays at 1 and every event reuses the same slab slot
-    // — the allocation-free regime the slab design targets. The boxed
-    // baseline allocates and frees one closure per link instead.
+    // — the allocation-free regime the slab design targets.
     g.bench_function("steady_chain_100k_slab", |b| {
         b.iter(|| {
             let sim = Scheduler::new();
@@ -218,21 +68,6 @@ fn bench_event_queue(c: &mut Criterion) {
             }
             link(&sim, N);
             black_box(sim.run())
-        })
-    });
-
-    g.bench_function("steady_chain_100k_boxed_baseline", |b| {
-        b.iter(|| {
-            let q = Arc::new(boxed_baseline::BoxedQueue::new());
-            fn link(q: &Arc<boxed_baseline::BoxedQueue>, time: u64, remaining: u64) {
-                if remaining == 0 {
-                    return;
-                }
-                let next = q.clone();
-                q.at(time + 1, move || link(&next, time + 1, remaining - 1));
-            }
-            link(&q, 0, N);
-            black_box(q.run())
         })
     });
 
@@ -394,7 +229,7 @@ const DP_PARTS: usize = 16;
 /// The zero-copy data plane: pooled WR shells updated in place, one
 /// `post_send_batch` slot claim per message, completions drained into a
 /// reused scratch vector, and the wire moving bytes MR→MR directly.
-fn dataplane_new_round(msg: usize) -> impl FnMut() {
+fn dataplane_round(msg: usize) -> impl FnMut() {
     use partix_verbs::{
         connect_pair, InstantFabric, Network, Opcode, PostOptions, QpCaps, SendWr, Sge,
     };
@@ -454,103 +289,15 @@ fn dataplane_new_round(msg: usize) -> impl FnMut() {
     }
 }
 
-/// Measured baseline replicating the previous data plane's per-message
-/// shape: every WR is a fresh `SendWr` with its own `sg_list` vector,
-/// cloned once into an in-flight image map and once onto the wire, posted
-/// one at a time (one slot claim each), and the wire copy is staged
-/// through a freshly allocated `Vec` (the old `read_vec` hop).
-fn dataplane_legacy_replica_round(msg: usize) -> impl FnMut() {
-    use partix_verbs::{connect_pair, InstantFabric, Network, Opcode, QpCaps, SendWr, Sge};
-    use std::collections::HashMap;
-    let pb = msg / DP_PARTS;
-    let net = Network::new(2, InstantFabric::new());
-    let a = net.open(0).unwrap();
-    let b = net.open(1).unwrap();
-    let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
-    let cqa = a.create_cq();
-    let qa = a
-        .create_qp(pda, cqa.clone(), a.create_cq(), QpCaps::default())
-        .unwrap();
-    let qb = b
-        .create_qp(pdb, b.create_cq(), b.create_cq(), QpCaps::default())
-        .unwrap();
-    connect_pair(&qa, &qb).unwrap();
-    let src = a.reg_mr(pda, msg).unwrap();
-    let dst = b.reg_mr(pdb, msg).unwrap();
-    src.fill(0, msg, 0x5A).unwrap();
-    let mut inflight: HashMap<u64, SendWr> = HashMap::new();
-    let mut scratch = Vec::with_capacity(DP_PARTS);
-    let mut next_id = 0u64;
-    let keep = (net, qb);
-    move || {
-        black_box(&keep);
-        for i in 0..DP_PARTS {
-            let off = i * pb;
-            // The old wire staged every transfer through a heap buffer.
-            let staged = src.read_vec(off, pb).unwrap();
-            black_box(staged.as_ptr());
-            drop(staged);
-            let wr = SendWr {
-                wr_id: next_id,
-                opcode: Opcode::RdmaWrite,
-                sg_list: vec![Sge {
-                    addr: src.addr_at(off),
-                    length: pb as u32,
-                    lkey: src.lkey(),
-                }],
-                remote_addr: dst.addr() + off as u64,
-                rkey: dst.rkey(),
-                imm: None,
-                inline_data: false,
-                flow: 0,
-            };
-            next_id += 1;
-            inflight.insert(wr.wr_id, wr.clone());
-            qa.post_send(wr.clone()).unwrap();
-            drop(wr);
-        }
-        scratch.clear();
-        while scratch.len() < DP_PARTS {
-            cqa.poll_cq_into(&mut scratch, DP_PARTS);
-        }
-        for wc in scratch.drain(..) {
-            inflight.remove(&wc.wr_id);
-        }
-    }
-}
-
-/// One row of the dataplane comparison (written to `BENCH_dataplane.json`).
-struct DataplaneStat {
-    label: &'static str,
-    msg_bytes: usize,
-    new_allocs_per_op: f64,
-    legacy_allocs_per_op: f64,
-}
-
-/// Dataplane group: ns/op under criterion plus a direct allocations/op
-/// measurement for the new path and the legacy replica, at a 4 KiB and a
-/// 64 KiB message.
-fn bench_dataplane(c: &mut Criterion) -> Vec<DataplaneStat> {
-    let mut stats = Vec::new();
+/// Dataplane group: one 16-WR message through the verbs layer alone, at a
+/// 4 KiB and a 64 KiB message.
+fn bench_dataplane(c: &mut Criterion) {
     let mut g = c.benchmark_group("dataplane");
     for (label, msg) in [("msg_4k", 4096usize), ("msg_64k", 65536)] {
-        let mut new_round = dataplane_new_round(msg);
-        let mut legacy_round = dataplane_legacy_replica_round(msg);
-        let new_allocs = alloc_counter::allocs_per_op(&mut new_round, 64);
-        let legacy_allocs = alloc_counter::allocs_per_op(&mut legacy_round, 64);
-        g.bench_function(format!("{label}_new"), |b| b.iter(&mut new_round));
-        g.bench_function(format!("{label}_legacy_replica"), |b| {
-            b.iter(&mut legacy_round)
-        });
-        stats.push(DataplaneStat {
-            label,
-            msg_bytes: msg,
-            new_allocs_per_op: new_allocs,
-            legacy_allocs_per_op: legacy_allocs,
-        });
+        let mut round = dataplane_round(msg);
+        g.bench_function(label, |b| b.iter(&mut round));
     }
     g.finish();
-    stats
 }
 
 fn bench_scheduler(c: &mut Criterion) {
@@ -571,95 +318,13 @@ fn bench(c: &mut Criterion) {
     bench_round(c, AggregatorKind::Persistent);
     bench_round(c, AggregatorKind::PLogGp);
     bench_telemetry_overhead(c);
+    bench_dataplane(c);
     bench_scheduler(c);
-}
-
-/// Serialise the dataplane comparison (allocation counts always, timing
-/// stats when criterion actually measured) and enforce the gates: the new
-/// path must allocate ≥25% less per message (always — counts are
-/// deterministic), and must show a ns/op win at the sample floor or the
-/// median (measured runs only).
-fn report_dataplane(c: &Criterion, stats: &[DataplaneStat]) {
-    let find = |id: &str| c.results().iter().find(|r| r.id == id);
-    let mut json = String::from("[\n");
-    for (i, st) in stats.iter().enumerate() {
-        let new = find(&format!("dataplane/{}_new", st.label));
-        let legacy = find(&format!("dataplane/{}_legacy_replica", st.label));
-        let fmt_ns = |r: Option<&criterion::BenchResult>| match r {
-            Some(r) => format!(
-                "{{ \"min_ns\": {:.1}, \"median_ns\": {:.1} }}",
-                r.min_ns, r.median_ns
-            ),
-            None => "null".into(),
-        };
-        json.push_str(&format!(
-            "  {{ \"id\": \"dataplane/{}\", \"msg_bytes\": {}, \
-             \"allocs_per_op\": {:.2}, \"legacy_allocs_per_op\": {:.2}, \
-             \"timing\": {}, \"legacy_timing\": {} }}{}\n",
-            st.label,
-            st.msg_bytes,
-            st.new_allocs_per_op,
-            st.legacy_allocs_per_op,
-            fmt_ns(new),
-            fmt_ns(legacy),
-            if i + 1 < stats.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    let path =
-        std::env::var("BENCH_DATAPLANE_JSON").unwrap_or_else(|_| "BENCH_dataplane.json".into());
-    std::fs::write(&path, json).expect("write dataplane results");
-    eprintln!("wrote dataplane results to {path}");
-    if let Ok(Some(mirror)) =
-        partix_bench::artifacts::mirror_to_repo_root(std::path::Path::new(&path))
-    {
-        eprintln!("wrote dataplane results to {}", mirror.display());
-    }
-
-    for st in stats {
-        eprintln!(
-            "dataplane/{}: {:.2} allocs/op vs {:.2} legacy ({:+.1}%)",
-            st.label,
-            st.new_allocs_per_op,
-            st.legacy_allocs_per_op,
-            (st.new_allocs_per_op / st.legacy_allocs_per_op - 1.0) * 100.0,
-        );
-        assert!(
-            st.new_allocs_per_op <= st.legacy_allocs_per_op * 0.75,
-            "dataplane/{}: {:.2} allocs/op is not >=25% below the legacy replica's {:.2}",
-            st.label,
-            st.new_allocs_per_op,
-            st.legacy_allocs_per_op,
-        );
-        if !c.is_test_mode() {
-            if let (Some(new), Some(legacy)) = (
-                find(&format!("dataplane/{}_new", st.label)),
-                find(&format!("dataplane/{}_legacy_replica", st.label)),
-            ) {
-                assert!(
-                    new.min_ns < legacy.min_ns || new.median_ns < legacy.median_ns,
-                    "dataplane/{}: no ns/op win (new {:.1}/{:.1} vs legacy {:.1}/{:.1} \
-                     floor/median)",
-                    st.label,
-                    new.min_ns,
-                    new.median_ns,
-                    legacy.min_ns,
-                    legacy.median_ns,
-                );
-                eprintln!(
-                    "dataplane/{}: {:.1} ns/op vs {:.1} legacy at the floor \
-                     ({:.1} vs {:.1} at the median)",
-                    st.label, new.min_ns, legacy.min_ns, new.median_ns, legacy.median_ns,
-                );
-            }
-        }
-    }
 }
 
 fn main() {
     let mut c = Criterion::from_args();
     bench(&mut c);
-    let dataplane = bench_dataplane(&mut c);
     // Always leave a results file behind (empty array in smoke mode), so CI
     // can upload it unconditionally.
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_hotpath.json".into());
@@ -671,7 +336,6 @@ fn main() {
     {
         eprintln!("wrote benchmark results to {}", mirror.display());
     }
-    report_dataplane(&c, &dataplane);
 
     // Acceptance bounds: span tracing, flow tracing (histograms and causal
     // stage events), and windowed sampling must each stay within 5% of the

@@ -126,7 +126,10 @@ impl Proc {
             inner: self.world.clone(),
         }
         .offer_send(shared.clone())?;
-        Ok(PsendRequest { shared })
+        Ok(PsendRequest {
+            shared,
+            _world: self.world.clone(),
+        })
     }
 
     /// Initialise a partitioned receive (`MPI_Precv_init`).
@@ -139,8 +142,12 @@ impl Proc {
         tag: u32,
     ) -> Result<PrecvRequest> {
         self.validate(buf, partitions, part_bytes)?;
+        // Register with the process: the request's place in `recvs` is the
+        // id its receive WRs carry.
+        let mut recvs = self.inner.recvs.write();
         let shared = Arc::new(RecvShared {
             id: self.world.req_seq.fetch_add(1, Ordering::Relaxed),
+            wr_id: recvs.len() as u64,
             proc: self.inner.clone(),
             partitions,
             part_bytes,
@@ -158,11 +165,16 @@ impl Proc {
             complete_cbs: Mutex::new(Vec::new()),
             early: Mutex::new(Vec::new()),
         });
+        recvs.push(shared.clone());
+        drop(recvs);
         crate::world::World {
             inner: self.world.clone(),
         }
         .offer_recv(shared.clone())?;
-        Ok(PrecvRequest { shared })
+        Ok(PrecvRequest {
+            shared,
+            _world: self.world.clone(),
+        })
     }
 
     /// Drive the progress engine (the `MPI_Test`-without-a-request
@@ -225,6 +237,8 @@ macro_rules! common_request_methods {
 #[derive(Clone)]
 pub struct PsendRequest {
     shared: Arc<SendShared>,
+    /// A request keeps its world alive (see `Drop for WorldInner`).
+    _world: Arc<WorldInner>,
 }
 
 impl PsendRequest {
@@ -241,7 +255,7 @@ impl PsendRequest {
     /// engine until the remote buffer is ready. Only valid off the virtual
     /// clock (instant mode).
     pub fn start_blocking(&self) -> Result<()> {
-        if self.shared.proc.sim_mode {
+        if self.shared.proc.sim_mode() {
             return Err(PartixError::WouldBlockInSim);
         }
         while !self.is_ready() {
@@ -302,7 +316,7 @@ impl PsendRequest {
             if !self.shared.active.load(Ordering::Acquire) {
                 return Ok(());
             }
-            if self.shared.proc.sim_mode {
+            if self.shared.proc.sim_mode() {
                 return Err(PartixError::WouldBlockInSim);
             }
             self.shared.proc.try_progress();
@@ -341,6 +355,8 @@ impl PsendRequest {
 #[derive(Clone)]
 pub struct PrecvRequest {
     shared: Arc<RecvShared>,
+    /// A request keeps its world alive (see `Drop for WorldInner`).
+    _world: Arc<WorldInner>,
 }
 
 impl PrecvRequest {
@@ -355,7 +371,7 @@ impl PrecvRequest {
     /// `MPI_Start` that first waits (blocking) for channel readiness.
     /// Instant mode only.
     pub fn start_blocking(&self) -> Result<()> {
-        if self.shared.proc.sim_mode {
+        if self.shared.proc.sim_mode() {
             return Err(PartixError::WouldBlockInSim);
         }
         while !self.is_ready() {
@@ -386,7 +402,7 @@ impl PrecvRequest {
             if !self.shared.active.load(Ordering::Acquire) {
                 return Ok(());
             }
-            if self.shared.proc.sim_mode {
+            if self.shared.proc.sim_mode() {
                 return Err(PartixError::WouldBlockInSim);
             }
             self.shared.proc.try_progress();

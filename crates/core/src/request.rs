@@ -13,7 +13,7 @@
 //!   of a group, flushes the arrived subset as maximal contiguous runs on
 //!   expiry, and lets post-flush arrivals send their own runs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -49,8 +49,9 @@ pub(crate) struct GroupState {
 }
 
 /// A WR that hit the hardware outstanding cap and waits for a free slot.
-/// Also the retained image of every in-flight WR, so QP recovery can
-/// re-post a failed transfer byte-identically.
+/// Also the retained image of every in-flight WR (in the process's
+/// [`SendTable`](crate::proc::SendTable)), so QP recovery can re-post a
+/// failed transfer byte-identically.
 pub(crate) struct PendingPost {
     pub qp_idx: u32,
     pub wr: SendWr,
@@ -69,26 +70,13 @@ pub(crate) struct SendChannel {
     pub remote_rkey: u32,
     pub groups: Vec<GroupState>,
     pub pending: Mutex<VecDeque<PendingPost>>,
-    /// Image of every WR handed to the wire and not yet retired, keyed by
-    /// WR id. Consulted by the recovery path to re-post a failed WR after
-    /// cycling its QP back to RTS.
-    pub inflight: Mutex<HashMap<u64, PendingPost>>,
     /// Live delta for the timer aggregator (ns); seeded from the plan and
     /// rewritten each round when adaptive tuning is on.
     pub delta_ns: AtomicU64,
-    /// Freelist of retired `SendWr` shells. The `sg_list` vectors keep their
-    /// capacity across reuse, so steady-state posting builds WRs and their
-    /// in-flight images without heap allocation.
-    pub wr_pool: Mutex<Vec<SendWr>>,
     /// Reusable assembly buffer for multi-run flush batches (capacity
     /// retained between flushes).
     pub batch_scratch: Mutex<Vec<SendWr>>,
 }
-
-/// Upper bound on pooled WR shells per channel; beyond this, retired shells
-/// are simply dropped (the pool only needs to cover the outstanding window
-/// plus the software-pending spill).
-const WR_POOL_CAP: usize = 64;
 
 impl SendChannel {
     /// Current timer delta, if this channel aggregates with a timer.
@@ -97,37 +85,6 @@ impl SendChannel {
         Some(SimDuration::from_nanos(
             self.delta_ns.load(Ordering::Acquire),
         ))
-    }
-
-    /// Pop a WR shell off the freelist (or mint one on a cold pool).
-    pub(crate) fn take_wr(&self) -> SendWr {
-        self.wr_pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a retired WR shell to the freelist, keeping its `sg_list`
-    /// capacity. Leaf lock: safe to call while holding any channel lock.
-    pub(crate) fn recycle_wr(&self, mut wr: SendWr) {
-        wr.sg_list.clear();
-        let mut pool = self.wr_pool.lock();
-        if pool.len() < WR_POOL_CAP {
-            pool.push(wr);
-        }
-    }
-
-    /// Copy `src` into a pooled shell — the retained in-flight image — by
-    /// field assignment into recycled storage instead of `Clone`.
-    fn image_of(&self, src: &SendWr) -> SendWr {
-        let mut img = self.take_wr();
-        img.wr_id = src.wr_id;
-        img.opcode = src.opcode;
-        img.sg_list.clear();
-        img.sg_list.extend_from_slice(&src.sg_list);
-        img.remote_addr = src.remote_addr;
-        img.rkey = src.rkey;
-        img.imm = src.imm;
-        img.inline_data = src.inline_data;
-        img.flow = src.flow;
-        img
     }
 }
 
@@ -193,7 +150,7 @@ impl SendShared {
 
     /// Begin a round.
     pub(crate) fn start(self: &Arc<Self>) -> Result<()> {
-        let ch = self.channel()?.clone();
+        let ch = self.channel()?;
         if self.active.swap(true, Ordering::AcqRel) {
             return Err(PartixError::AlreadyActive);
         }
@@ -250,11 +207,11 @@ impl SendShared {
         if self.proc.tel.flows.enabled() {
             self.pready_ns[i as usize].store(self.proc.tel.flows.now(), Ordering::Relaxed);
         }
-        let ch = self.channel()?.clone();
+        let ch = self.channel()?;
         let g = ch.plan.group_of(i);
         match ch.current_delta() {
-            None => self.counting_pready(&ch, g),
-            Some(delta) => self.timer_pready(&ch, g, i, delta),
+            None => self.counting_pready(ch, g),
+            Some(delta) => self.timer_pready(ch, g, i, delta),
         }
         // This pready may have posted nothing (a concurrent flush already
         // covered the partition) while every WR ack has already been
@@ -302,15 +259,11 @@ impl SendShared {
             let weak = Arc::downgrade(self);
             let ch2 = ch.clone();
             let round = self.round.load(Ordering::Acquire);
-            self.proc.time.schedule_on(
-                self.proc.rank,
-                delta,
-                Box::new(move || {
-                    if let Some(s) = weak.upgrade() {
-                        s.flush_group(&ch2, g, round);
-                    }
-                }),
-            );
+            self.proc.after(delta, move || {
+                if let Some(s) = weak.upgrade() {
+                    s.flush_group(&ch2, g, round);
+                }
+            });
         }
 
         if grp.phase.load(Ordering::Acquire) == PHASE_FLUSHED {
@@ -385,8 +338,16 @@ impl SendShared {
     }
 
     /// Per-run posting bookkeeping (sent flags, counters, events) and WR
-    /// assembly into a pooled shell. Shared by the single and batched paths.
-    fn build_range_wr(self: &Arc<Self>, ch: &Arc<SendChannel>, range: &Range<u32>) -> SendWr {
+    /// assembly: the WR is registered with the process (which mints its id
+    /// and retains its in-flight image) and the copy to post comes back in a
+    /// pooled shell. Shared by the single and batched paths.
+    fn build_range_wr(
+        self: &Arc<Self>,
+        ch: &SendChannel,
+        range: &Range<u32>,
+        qp_idx: u32,
+        opts: PostOptions,
+    ) -> SendWr {
         let lo = range.start;
         let len = range.end - range.start;
         debug_assert!(len >= 1);
@@ -402,31 +363,13 @@ impl SendShared {
         self.proc
             .emit(|s, t| s.on_wr_posted(self.proc.rank, self.id, lo, len, t));
 
-        let bytes = len as usize * self.part_bytes;
-        let byte_lo = lo as usize * self.part_bytes;
-        let wr_id = self.proc.next_wr_id();
-        self.proc.pending_sends.lock().insert(wr_id, self.clone());
-        let mut wr = ch.take_wr();
-        wr.wr_id = wr_id;
-        wr.opcode = Opcode::RdmaWriteWithImm;
-        wr.sg_list.clear();
-        wr.sg_list.push(Sge {
-            addr: self.mr.addr_at(byte_lo),
-            length: bytes as u32,
-            lkey: self.mr.lkey(),
-        });
-        wr.remote_addr = ch.remote_addr + byte_lo as u64;
-        wr.rkey = ch.remote_rkey;
-        wr.imm = Some(imm::encode(lo as u16, len as u16));
-        // The paper's module does not use inlining (§IV-A).
-        wr.inline_data = false;
         // Causal tracing: mint a flow identifier (0 when tracing is off) and
         // record the Posted span. Aggregation hold is measured from the
         // earliest pready of the run — the time the first-ready partition
         // spent waiting for the aggregation decision.
         let flows = &self.proc.tel.flows;
-        wr.flow = flows.next_flow_id();
-        if wr.flow != 0 {
+        let flow = flows.next_flow_id();
+        if flow != 0 {
             let now = flows.now();
             let first_ready = range
                 .clone()
@@ -435,69 +378,61 @@ impl SendShared {
                 .min()
                 .unwrap_or(now);
             let hold = now.saturating_sub(first_ready);
-            let qp = ch.plan.qp_of(ch.plan.group_of(lo));
             flows.event_at(
-                wr.flow,
+                flow,
                 partix_verbs::FlowStage::Posted,
                 now,
-                qp,
+                qp_idx,
                 self.id as u32,
                 hold,
             );
             flows.stage_ns(|s| &s.agg_hold, hold);
         }
-        wr
+
+        let bytes = len as usize * self.part_bytes;
+        let byte_lo = lo as usize * self.part_bytes;
+        self.proc.track_send(self, qp_idx, opts, |wr| {
+            wr.opcode = Opcode::RdmaWriteWithImm;
+            wr.sg_list.clear();
+            wr.sg_list.push(Sge {
+                addr: self.mr.addr_at(byte_lo),
+                length: bytes as u32,
+                lkey: self.mr.lkey(),
+            });
+            wr.remote_addr = ch.remote_addr + byte_lo as u64;
+            wr.rkey = ch.remote_rkey;
+            wr.imm = Some(imm::encode(lo as u16, len as u16));
+            // The paper's module does not use inlining (§IV-A).
+            wr.inline_data = false;
+            wr.flow = flow;
+        })
     }
 
     /// Post every run of a multi-run flush through one `post_send_batch`
     /// call: WR-cap slots are claimed once, and a partial grant spills the
     /// unaccepted tail to the software-pending queue exactly as a
     /// `SendQueueFull` would per-WR.
-    fn post_range_batch(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, runs: &[Range<u32>]) {
-        let mut wrs = std::mem::take(&mut *ch.batch_scratch.lock());
-        wrs.clear();
-        for run in runs {
-            wrs.push(self.build_range_wr(ch, run));
-        }
+    fn post_range_batch(self: &Arc<Self>, ch: &SendChannel, g: u32, runs: &[Range<u32>]) {
         // Non-persistent post options ignore payload size (see
         // `post_options`), so the batch shares one computation.
         let opts = self.post_options(0);
         let qp_idx = ch.plan.qp_of(g);
-        // Retain every image before the first post: an instant fabric can
-        // dispatch an error completion synchronously, and recovery needs the
-        // in-flight image of whichever WR failed.
-        {
-            let mut inflight = ch.inflight.lock();
-            for wr in &wrs {
-                inflight.insert(
-                    wr.wr_id,
-                    PendingPost {
-                        qp_idx,
-                        wr: ch.image_of(wr),
-                        opts,
-                        queued_ns: 0,
-                    },
-                );
-            }
-        }
+        // Every image is retained before the first post: an instant fabric
+        // can dispatch an error completion synchronously, and recovery needs
+        // the in-flight image of whichever WR failed.
+        let mut wrs = std::mem::take(&mut *ch.batch_scratch.lock());
+        wrs.extend(
+            runs.iter()
+                .map(|run| self.build_range_wr(ch, run, qp_idx, opts)),
+        );
         let granted = match ch.qps[qp_idx as usize].post_send_batch(&wrs, opts) {
             Ok(n) => n,
-            Err(VerbsError::InvalidQpState { .. })
-                if self.proc.config.reliability.max_recoveries > 0
-                    && self.error.get().is_none() =>
-            {
+            Err(VerbsError::InvalidQpState { .. }) if self.can_recover() => {
                 // QP mid-recovery: park the whole batch for the progress
                 // drain (same contract as the per-WR path in `submit`).
-                let mut pending = ch.pending.lock();
                 for wr in wrs.drain(..) {
-                    pending.push_back(PendingPost {
-                        qp_idx,
-                        wr,
-                        opts,
-                        queued_ns: 0,
-                    });
+                    self.park(ch, qp_idx, wr, opts, 0);
                 }
-                drop(pending);
                 *ch.batch_scratch.lock() = wrs;
                 return;
             }
@@ -507,22 +442,13 @@ impl SendShared {
             }) => {
                 // Recovery disabled: no completions will come. Retire the
                 // whole batch and poison.
-                let retired = wrs.len() as u32;
-                {
-                    let mut sends = self.proc.pending_sends.lock();
-                    let mut inflight = ch.inflight.lock();
-                    for wr in &wrs {
-                        sends.remove(&wr.wr_id);
-                        if let Some(img) = inflight.remove(&wr.wr_id) {
-                            ch.recycle_wr(img.wr);
-                        }
-                    }
-                }
+                self.wr_completed
+                    .fetch_add(wrs.len() as u32, Ordering::AcqRel);
                 for wr in wrs.drain(..) {
-                    ch.recycle_wr(wr);
+                    self.proc.retire_send(wr.wr_id, false);
+                    self.proc.recycle_wr(wr);
                 }
                 *ch.batch_scratch.lock() = wrs;
-                self.wr_completed.fetch_add(retired, Ordering::AcqRel);
                 self.poison(ch, "queue pair in error state");
                 return;
             }
@@ -530,45 +456,63 @@ impl SendShared {
         };
         // The leading `granted` WRs are on the wire; the tail hit the
         // outstanding cap and waits for free slots.
-        if granted < wrs.len() {
-            let flows = &self.proc.tel.flows;
-            let queued_ns = flows.now();
-            let mut pending = ch.pending.lock();
-            for wr in wrs.drain(granted..) {
-                self.proc.tel.runtime.pending_spills.inc();
-                flows.event_at(
-                    wr.flow,
-                    partix_verbs::FlowStage::CapQueued,
-                    queued_ns,
-                    qp_idx,
-                    self.id as u32,
-                    0,
-                );
-                pending.push_back(PendingPost {
-                    qp_idx,
-                    wr,
-                    opts,
-                    queued_ns,
-                });
-            }
+        for wr in wrs.drain(granted..) {
+            self.spill(ch, qp_idx, wr, opts);
         }
         for wr in wrs.drain(..) {
-            ch.recycle_wr(wr);
+            self.proc.recycle_wr(wr);
         }
         *ch.batch_scratch.lock() = wrs;
     }
 
     /// Post one RDMA-write-with-immediate covering user partitions `range`.
-    fn post_range(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, range: Range<u32>) {
+    fn post_range(self: &Arc<Self>, ch: &SendChannel, g: u32, range: Range<u32>) {
         let bytes = (range.end - range.start) as usize * self.part_bytes;
-        let wr = self.build_range_wr(ch, &range);
-        let opts = self.post_options(bytes);
         let qp_idx = ch.plan.qp_of(g);
+        let opts = self.post_options(bytes);
+        let wr = self.build_range_wr(ch, &range, qp_idx, opts);
         self.submit(ch, qp_idx, wr, opts);
     }
 
-    /// Hand a WR to the QP, spilling to the channel's software pending queue
-    /// when the hardware outstanding cap is hit (drained from progress).
+    /// Whether an errored QP may still be cycled back to RTS for this
+    /// request.
+    fn can_recover(&self) -> bool {
+        self.proc.config.reliability.max_recoveries > 0 && self.error.get().is_none()
+    }
+
+    /// Queue `wr` on the channel's software-pending queue for the progress
+    /// drain.
+    fn park(&self, ch: &SendChannel, qp_idx: u32, wr: SendWr, opts: PostOptions, queued_ns: u64) {
+        ch.pending.lock().push_back(PendingPost {
+            qp_idx,
+            wr,
+            opts,
+            queued_ns,
+        });
+        self.proc.spilled.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// The hardware outstanding cap refused `wr`: count the spill, stamp the
+    /// flow, and park it until a slot frees.
+    fn spill(&self, ch: &SendChannel, qp_idx: u32, wr: SendWr, opts: PostOptions) {
+        self.proc.tel.runtime.pending_spills.inc();
+        let flows = &self.proc.tel.flows;
+        let queued_ns = flows.now();
+        flows.event_at(
+            wr.flow,
+            partix_verbs::FlowStage::CapQueued,
+            queued_ns,
+            qp_idx,
+            self.id as u32,
+            0,
+        );
+        self.park(ch, qp_idx, wr, opts, queued_ns);
+    }
+
+    /// Hand a tracked WR (its in-flight image is already retained, so a
+    /// failed completion can re-post it after QP recovery) to the QP,
+    /// spilling to the channel's software pending queue when the hardware
+    /// outstanding cap is hit (drained from progress).
     pub(crate) fn submit(
         self: &Arc<Self>,
         ch: &SendChannel,
@@ -576,57 +520,19 @@ impl SendShared {
         wr: SendWr,
         opts: PostOptions,
     ) {
-        // Retain the WR image while it is in flight so a failed completion
-        // can re-post it after QP recovery. The image is a pooled shell, not
-        // a fresh clone.
-        ch.inflight.lock().insert(
-            wr.wr_id,
-            PendingPost {
-                qp_idx,
-                wr: ch.image_of(&wr),
-                opts,
-                queued_ns: 0,
-            },
-        );
         // Single-WR batch post: borrows the WR, so a successful post recycles
         // the shell instead of surrendering it. `Ok(0)` is the queue-full
         // case.
         match ch.qps[qp_idx as usize].post_send_batch(std::slice::from_ref(&wr), opts) {
-            Ok(1..) => ch.recycle_wr(wr),
-            Ok(_) => {
-                self.proc.tel.runtime.pending_spills.inc();
-                let flows = &self.proc.tel.flows;
-                let queued_ns = flows.now();
-                flows.event_at(
-                    wr.flow,
-                    partix_verbs::FlowStage::CapQueued,
-                    queued_ns,
-                    qp_idx,
-                    self.id as u32,
-                    0,
-                );
-                ch.pending.lock().push_back(PendingPost {
-                    qp_idx,
-                    wr,
-                    opts,
-                    queued_ns,
-                });
-            }
-            Err(VerbsError::InvalidQpState { .. })
-                if self.proc.config.reliability.max_recoveries > 0
-                    && self.error.get().is_none() =>
-            {
-                // The QP is in the error state (or mid-recovery cycle) under
-                // an earlier failed WR. With recovery enabled, park the post:
-                // the failing WR's completion handler will cycle the QP back
-                // to RTS, and the progress engine's drain will re-post this
-                // one — or, if recovery exhausts, poisoning will retire it.
-                ch.pending.lock().push_back(PendingPost {
-                    qp_idx,
-                    wr,
-                    opts,
-                    queued_ns: 0,
-                });
+            Ok(1..) => self.proc.recycle_wr(wr),
+            Ok(_) => self.spill(ch, qp_idx, wr, opts),
+            // The QP is in the error state (or mid-recovery cycle) under an
+            // earlier failed WR. With recovery enabled, park the post: the
+            // failing WR's completion handler will cycle the QP back to RTS,
+            // and the progress engine's drain will re-post this one — or, if
+            // recovery exhausts, poisoning will retire it.
+            Err(VerbsError::InvalidQpState { .. }) if self.can_recover() => {
+                self.park(ch, qp_idx, wr, opts, 0)
             }
             Err(VerbsError::InvalidQpState {
                 actual: QpState::Error,
@@ -635,11 +541,8 @@ impl SendShared {
                 // Recovery disabled: no completion will ever come for this
                 // post. Poison the request and account the WR as retired so
                 // the round terminates.
-                self.proc.pending_sends.lock().remove(&wr.wr_id);
-                if let Some(img) = ch.inflight.lock().remove(&wr.wr_id) {
-                    ch.recycle_wr(img.wr);
-                }
-                ch.recycle_wr(wr);
+                self.proc.retire_send(wr.wr_id, false);
+                self.proc.recycle_wr(wr);
                 self.wr_completed.fetch_add(1, Ordering::AcqRel);
                 self.poison(ch, "queue pair in error state");
             }
@@ -649,7 +552,7 @@ impl SendShared {
 
     /// Software-path cost model for this policy (only in simulated mode).
     fn post_options(&self, bytes: usize) -> PostOptions {
-        if !self.proc.sim_mode {
+        if !self.proc.sim_mode() {
             return PostOptions::default();
         }
         let now = self.proc.time.now();
@@ -685,36 +588,32 @@ impl SendShared {
         }
     }
 
-    /// A send-side work completion arrived.
-    pub(crate) fn on_wr_complete(self: &Arc<Self>, wc: WorkCompletion) {
-        if wc.status != WcStatus::Success {
+    /// A send-side work completion arrived. `failed` is the WR's in-flight
+    /// image, handed over only with an error completion (a successful one
+    /// has no further use for it).
+    pub(crate) fn on_wr_complete(
+        self: &Arc<Self>,
+        wc: WorkCompletion,
+        failed: Option<PendingPost>,
+    ) {
+        if let Some(post) = failed {
             // The wire layer already exhausted its own retries to produce
             // this completion; the runtime's last line of defence is QP
             // recovery (cycle the QP back to RTS and re-post the WR).
-            if self.try_recover(&wc) {
+            let Err(post) = self.try_recover(post) else {
                 return;
-            }
+            };
+            self.proc.recycle_wr(post.wr);
             let msg = match wc.status {
                 WcStatus::RemoteAccessError => "remote access error",
                 WcStatus::RetryExceeded => "transport retries exhausted",
                 WcStatus::RnrRetryExceeded => "receiver not ready",
                 WcStatus::LocalLengthError => "payload exceeded receive space",
-                WcStatus::Success => unreachable!(),
+                WcStatus::Success => unreachable!("images accompany error completions only"),
             };
-            if let Some(ch) = self.channel.get() {
-                let ch = ch.clone();
-                let img = ch.inflight.lock().remove(&wc.wr_id);
-                if let Some(img) = img {
-                    ch.recycle_wr(img.wr);
-                }
-                self.poison(&ch, msg);
-            } else {
-                let _ = self.error.set(msg);
-            }
-        } else if let Some(ch) = self.channel.get() {
-            let img = ch.inflight.lock().remove(&wc.wr_id);
-            if let Some(img) = img {
-                ch.recycle_wr(img.wr);
+            match self.channel.get() {
+                Some(ch) => self.poison(ch, msg),
+                None => drop(self.error.set(msg)),
             }
         }
         self.wr_completed.fetch_add(1, Ordering::AcqRel);
@@ -723,48 +622,39 @@ impl SendShared {
 
     /// Attempt QP recovery for a failed WR: consume one unit of the round's
     /// recovery budget, cycle the errored QP Error → Reset → Init → RTR →
-    /// RTS, and re-post the WR under a fresh id. Returns `false` when the
-    /// budget is exhausted, recovery is disabled, or the WR cannot be
-    /// re-posted — the caller then poisons the request.
+    /// RTS, and re-post the WR under a fresh id. Hands the image back when
+    /// the budget is exhausted, recovery is disabled, or the QP cannot be
+    /// cycled — the caller then poisons the request.
     ///
     /// The failed WR is *not* counted as retired here: its re-post inherits
     /// the original's `wr_posted` slot, so `wr_posted`/`wr_completed` stay
     /// balanced and the round completes only once the retried transfer
     /// really finishes.
-    fn try_recover(self: &Arc<Self>, wc: &WorkCompletion) -> bool {
+    fn try_recover(self: &Arc<Self>, post: PendingPost) -> std::result::Result<(), PendingPost> {
         let rel = &self.proc.config.reliability;
-        if rel.max_recoveries == 0 || self.error.get().is_some() {
-            return false;
-        }
-        let Some(ch) = self.channel.get().cloned() else {
-            return false;
-        };
-        let Some(post) = ch.inflight.lock().remove(&wc.wr_id) else {
-            return false;
+        let Some(ch) = self.channel.get().filter(|_| self.can_recover()) else {
+            return Err(post);
         };
         if self.recoveries_round.fetch_add(1, Ordering::AcqRel) >= rel.max_recoveries {
             // Budget exhausted. Leave the counter saturated; the failure
             // surfaces through the normal poison path.
-            return false;
+            return Err(post);
         }
         self.recoveries_total.fetch_add(1, Ordering::Relaxed);
         self.proc.tel.runtime.recoveries.inc();
         let qp = &ch.qps[post.qp_idx as usize];
         if qp.state() == QpState::Error && !recover_qp(qp) {
-            return false;
+            return Err(post);
         }
         // Re-post byte-identically under a fresh WR id (the old id's
         // completion was just consumed). In-flight WRs the error flushed to
         // software pending are re-posted by the progress engine's drain once
         // the QP is back at RTS.
-        let mut wr = post.wr;
-        wr.wr_id = self.proc.next_wr_id();
-        self.proc
-            .pending_sends
-            .lock()
-            .insert(wr.wr_id, self.clone());
-        self.submit(&ch, post.qp_idx, wr, post.opts);
-        true
+        let wr = self.proc.track_send(self, post.qp_idx, post.opts, |wr| {
+            *wr = post.wr;
+        });
+        self.submit(ch, post.qp_idx, wr, post.opts);
+        Ok(())
     }
 
     /// Record a fatal error and retire every software-pending WR of the
@@ -773,22 +663,15 @@ impl SendShared {
     pub(crate) fn poison(self: &Arc<Self>, ch: &SendChannel, msg: &'static str) {
         let _ = self.error.set(msg);
         let stranded: Vec<PendingPost> = ch.pending.lock().drain(..).collect();
-        let retired = stranded.len() as u32;
+        let retired = stranded.len();
+        for p in stranded {
+            self.proc.retire_send(p.wr.wr_id, false);
+            self.proc.recycle_wr(p.wr);
+        }
         if retired > 0 {
-            let mut sends = self.proc.pending_sends.lock();
-            let mut inflight = ch.inflight.lock();
-            for p in &stranded {
-                sends.remove(&p.wr.wr_id);
-                if let Some(img) = inflight.remove(&p.wr.wr_id) {
-                    ch.recycle_wr(img.wr);
-                }
-            }
-            drop(inflight);
-            drop(sends);
-            for p in stranded {
-                ch.recycle_wr(p.wr);
-            }
-            self.wr_completed.fetch_add(retired, Ordering::AcqRel);
+            self.proc.spilled.fetch_sub(retired, Ordering::AcqRel);
+            self.wr_completed
+                .fetch_add(retired as u32, Ordering::AcqRel);
         }
     }
 
@@ -878,6 +761,9 @@ pub(crate) struct RecvChannel {
 /// Shared state of a partitioned receive request.
 pub(crate) struct RecvShared {
     pub id: u64,
+    /// The id every receive WR of this request carries: its index in the
+    /// process's `recvs` table.
+    pub wr_id: u64,
     pub proc: Arc<ProcInner>,
     pub partitions: u32,
     pub part_bytes: usize,
@@ -925,7 +811,7 @@ impl RecvShared {
     /// MPI_Start we also post our receive WRs"), and apply any early
     /// arrivals.
     pub(crate) fn start(self: &Arc<Self>) -> Result<()> {
-        let ch = self.channel()?.clone();
+        let ch = self.channel()?;
         if self.active.swap(true, Ordering::AcqRel) {
             return Err(PartixError::AlreadyActive);
         }
@@ -942,9 +828,7 @@ impl RecvShared {
             let needed = ch.plan.max_incoming_wrs(q as u32) as usize;
             let depth = qp.recv_queue_depth();
             for _ in depth..needed {
-                let wr_id = self.proc.next_wr_id();
-                self.proc.pending_recvs.lock().insert(wr_id, self.clone());
-                qp.post_recv(partix_verbs::RecvWr::bare(wr_id))?;
+                qp.post_recv(partix_verbs::RecvWr::bare(self.wr_id))?;
             }
         }
 
@@ -969,7 +853,7 @@ impl RecvShared {
         debug_assert_eq!(wc.status, WcStatus::Success, "recv completion error");
         let (lo, cnt) = imm::decode(wc.imm.expect("write-with-imm carries an immediate"));
         let flow = wc.flow;
-        if !self.proc.sim_mode {
+        if !self.proc.sim_mode() {
             self.record_arrival(lo, cnt, flow);
             return;
         }
@@ -988,13 +872,8 @@ impl RecvShared {
             self.record_arrival(lo, cnt, flow);
         } else {
             let me = self.clone();
-            self.proc.time.schedule_on(
-                self.proc.rank,
-                delay,
-                Box::new(move || {
-                    me.record_arrival(lo, cnt, flow);
-                }),
-            );
+            self.proc
+                .after(delay, move || me.record_arrival(lo, cnt, flow));
         }
     }
 

@@ -13,9 +13,9 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use partix_sim::{Scheduler, SerialResource, SimDuration, SimTime, TimeSource};
+use partix_sim::{Scheduler, SimDuration, SimTime, TimeSource};
 use partix_verbs::telemetry::{
     invariants, Registry, Sample, Sampler, SamplerConfig, Snapshot, SpanLog,
 };
@@ -26,7 +26,7 @@ use crate::error::Result;
 use crate::events::EventSink;
 use crate::handles::Proc;
 use crate::plan::{plan_for, PlanDecision};
-use crate::proc::{ProcInner, SinkHandle};
+use crate::proc::{ProcInner, SinkSlot};
 use crate::request::{GroupState, RecvChannel, RecvShared, SendChannel, SendShared};
 
 /// Matching queues per `(src, dst, tag)`.
@@ -92,9 +92,22 @@ pub(crate) struct WorldInner {
     pub config: PartixConfig,
     pub match_svc: MatchService,
     pub procs: Mutex<HashMap<u32, Arc<ProcInner>>>,
-    pub sink: SinkHandle,
+    pub sink: Arc<SinkSlot>,
     pub req_seq: AtomicU64,
     pub sampler: OnceLock<Arc<Sampler>>,
+}
+
+/// Every user-facing handle holds the `WorldInner`, and ownership below it
+/// points one way except where a request holds its process while the
+/// process's WR tables hold requests. Emptying those tables here is what
+/// lets a world nothing refers to any more be freed, network and all
+/// (DESIGN.md §15, "World lifetime").
+impl Drop for WorldInner {
+    fn drop(&mut self) {
+        for p in self.procs.get_mut().values() {
+            p.forget_requests();
+        }
+    }
 }
 
 /// An in-process "MPI world": a set of ranks joined by one fabric.
@@ -168,7 +181,7 @@ impl World {
             config,
             match_svc: MatchService::default(),
             procs: Mutex::new(HashMap::new()),
-            sink: Arc::new(RwLock::new(None)),
+            sink: Arc::default(),
             req_seq: AtomicU64::new(1),
             sampler: OnceLock::new(),
         });
@@ -198,7 +211,7 @@ impl World {
             config,
             match_svc: MatchService::default(),
             procs: Mutex::new(HashMap::new()),
-            sink: Arc::new(RwLock::new(None)),
+            sink: Arc::default(),
             req_seq: AtomicU64::new(1),
             sampler: OnceLock::new(),
         });
@@ -323,12 +336,12 @@ impl World {
 
     /// Install an event sink (profiler hook).
     pub fn set_event_sink(&self, sink: Arc<dyn EventSink>) {
-        *self.inner.sink.write() = Some(sink);
+        self.inner.sink.set(Some(sink));
     }
 
     /// Remove the event sink.
     pub fn clear_event_sink(&self) {
-        *self.inner.sink.write() = None;
+        self.inner.sink.set(None);
     }
 
     /// Get (or lazily create) the process for `rank`.
@@ -343,30 +356,15 @@ impl World {
                     .network
                     .open(rank)
                     .expect("rank within world size");
-                let pd = ctx.alloc_pd();
-                let send_cq = ctx.create_cq();
-                let recv_cq = ctx.create_cq();
-                let p = Arc::new(ProcInner {
+                let p = ProcInner::new(
                     rank,
                     ctx,
-                    pd,
-                    send_cq: send_cq.clone(),
-                    recv_cq: recv_cq.clone(),
-                    config: self.inner.config.clone(),
-                    time: self.inner.time.clone(),
-                    sim_mode: self.inner.sim.is_some(),
-                    sink: self.inner.sink.clone(),
-                    tel: self.inner.network.state().telemetry().clone(),
-                    progress_lock: Mutex::new(()),
-                    pending_sends: Mutex::new(HashMap::new()),
-                    pending_recvs: Mutex::new(HashMap::new()),
-                    wr_seq: AtomicU64::new(1),
-                    drainable: Mutex::new(Vec::new()),
-                    ucx_lock: Arc::new(SerialResource::new()),
-                    recv_path: Arc::new(SerialResource::new()),
-                    poll_scratch: Mutex::new(Vec::new()),
-                    drain_scratch: Mutex::new(Vec::new()),
-                });
+                    self.inner.config.clone(),
+                    self.inner.time.clone(),
+                    self.inner.sim.clone(),
+                    self.inner.sink.clone(),
+                    self.inner.network.state().telemetry().clone(),
+                );
                 // In simulated mode, completion events drive the progress
                 // engine directly (the completion-channel analogue); in
                 // instant mode progress is caller-driven, like real MPI.
@@ -377,8 +375,8 @@ impl World {
                             p.try_progress();
                         }
                     });
-                    send_cq.set_notify(hook.clone());
-                    recv_cq.set_notify(hook);
+                    p.send_cq.set_notify(hook.clone());
+                    p.recv_cq.set_notify(hook);
                 }
                 procs.insert(rank, p.clone());
                 p
@@ -467,11 +465,9 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
         remote_rkey: r.mr.rkey(),
         groups,
         pending: Mutex::new(std::collections::VecDeque::new()),
-        inflight: Mutex::new(HashMap::new()),
         delta_ns: std::sync::atomic::AtomicU64::new(
             plan.timer_delta.map(|d| d.as_nanos()).unwrap_or(0),
         ),
-        wr_pool: Mutex::new(Vec::new()),
         batch_scratch: Mutex::new(Vec::new()),
     });
     let recv_channel = Arc::new(RecvChannel {

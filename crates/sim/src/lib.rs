@@ -54,4 +54,5 @@ pub use parallel::{default_jobs, par_map};
 pub use resource::SerialResource;
 pub use rng::{split_seed, stream_rng};
 pub use scheduler::{EventKey, SampleHook, Scheduler};
+pub use slab::Slab;
 pub use time::{SimDuration, SimTime};

@@ -1,4 +1,5 @@
-//! A recycling slot arena shared by the event schedulers.
+//! A recycling slot arena shared by the event schedulers and, outside this
+//! crate, by the runtime's in-flight work-request tables.
 //!
 //! This is the PR 1 event-pool design factored out of the sequential
 //! scheduler so the sharded PDES engine reuses the same storage discipline:
@@ -15,21 +16,31 @@ enum Slot<T> {
 }
 
 /// Recycling arena of `T` slots addressed by dense `u32` indices.
-pub(crate) struct Slab<T> {
+pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free_head: u32,
 }
 
 impl<T> Slab<T> {
-    pub(crate) fn with_capacity(n: usize) -> Self {
+    /// An empty arena with room for `n` slots before it grows.
+    pub fn with_capacity(n: usize) -> Self {
         Slab {
             slots: Vec::with_capacity(n),
             free_head: NIL,
         }
     }
 
+    /// The index the next [`insert`](Self::insert) will return.
+    pub fn next_key(&self) -> u32 {
+        if self.free_head != NIL {
+            self.free_head
+        } else {
+            self.slots.len() as u32
+        }
+    }
+
     /// Store `value`, preferring a recycled slot over fresh growth.
-    pub(crate) fn insert(&mut self, value: T) -> u32 {
+    pub fn insert(&mut self, value: T) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             match std::mem::replace(&mut self.slots[idx as usize], Slot::Occupied(value)) {
@@ -46,7 +57,7 @@ impl<T> Slab<T> {
 
     /// Remove and return the payload at `idx`, returning the slot to the
     /// free list.
-    pub(crate) fn take(&mut self, idx: u32) -> T {
+    pub fn take(&mut self, idx: u32) -> T {
         let vacant = Slot::Vacant {
             next_free: self.free_head,
         };
@@ -59,8 +70,24 @@ impl<T> Slab<T> {
         }
     }
 
+    /// [`take`](Self::take) for an index that came from outside (a completion
+    /// naming a work request): `None` when the slot is vacant or was never
+    /// minted.
+    pub fn remove(&mut self, idx: u32) -> Option<T> {
+        match self.slots.get(idx as usize)? {
+            Slot::Occupied(_) => Some(self.take(idx)),
+            Slot::Vacant { .. } => None,
+        }
+    }
+
+    /// Drop every payload and forget every slot.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free_head = NIL;
+    }
+
     /// High-water mark: how many slots have ever been live at once.
-    pub(crate) fn high_water(&self) -> usize {
+    pub fn high_water(&self) -> usize {
         self.slots.len()
     }
 }
@@ -80,5 +107,20 @@ mod tests {
         assert_eq!(s.take(b), 2);
         assert_eq!(s.take(c), 3);
         assert_eq!(s.high_water(), 2);
+    }
+
+    #[test]
+    fn remove_is_checked_and_clear_forgets() {
+        let mut s: Slab<u64> = Slab::with_capacity(0);
+        assert_eq!(s.next_key(), 0);
+        let a = s.insert(7);
+        assert_eq!(s.remove(a + 1), None, "never minted");
+        assert_eq!(s.remove(a), Some(7));
+        assert_eq!(s.remove(a), None, "already vacant");
+        assert_eq!(s.next_key(), a, "freed slot is next");
+        s.insert(8);
+        s.clear();
+        assert_eq!(s.high_water(), 0);
+        assert_eq!(s.insert(9), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! progress promptly instead of modelling a busy-poll loop.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -40,6 +40,9 @@ pub struct CompletionQueue {
     /// completion push. An `RwLock` keeps concurrent pushers from
     /// serialising on hook lookup the way the old `Mutex` did.
     notify: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Whether `notify` holds a hook: a push on an unhooked CQ (every
+    /// wall-clock world) skips the lock and the clone.
+    hooked: AtomicBool,
     pushed: AtomicU64,
     polled: AtomicU64,
     counters: Arc<CqCounters>,
@@ -51,6 +54,7 @@ impl CompletionQueue {
             id,
             entries: Mutex::new(VecDeque::with_capacity(CQ_INITIAL_CAPACITY)),
             notify: RwLock::new(None),
+            hooked: AtomicBool::new(false),
             pushed: AtomicU64::new(0),
             polled: AtomicU64::new(0),
             counters: Arc::new(CqCounters::default()),
@@ -73,12 +77,18 @@ impl CompletionQueue {
     /// re-entrancy-safe (the partitioned runtime uses a try-lock progress
     /// engine for exactly this reason).
     pub fn set_notify(&self, hook: Arc<dyn Fn() + Send + Sync>) {
-        *self.notify.write() = Some(hook);
+        self.install(Some(hook));
     }
 
     /// Remove the notify hook.
     pub fn clear_notify(&self) {
-        *self.notify.write() = None;
+        self.install(None);
+    }
+
+    fn install(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
+        let mut slot = self.notify.write();
+        self.hooked.store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
     /// Push a completion and fire the notify hook. Fabric-internal.
@@ -97,6 +107,9 @@ impl CompletionQueue {
         // Clone under the read guard, call outside it: the hook may
         // re-enter the CQ (the progress engine polls from inside it) or
         // swap itself out, and must not hold the lock while it does.
+        if !self.hooked.load(Ordering::Acquire) {
+            return;
+        }
         let hook = self.notify.read().clone();
         if let Some(h) = hook {
             h();

@@ -16,9 +16,9 @@ use std::sync::Arc;
 use partix_sim::{SimDuration, SimTime};
 
 use crate::buf::{InlineVec, PooledBuf};
-use crate::memory::MemoryRegion;
+use crate::memory::{MemoryRegion, MrRegistry};
 use crate::network::NetworkState;
-use crate::types::{NodeId, Opcode, WcOpcode, WcStatus, WorkCompletion};
+use crate::types::{NodeId, Opcode, RecvWr, WcOpcode, WcStatus, WorkCompletion};
 
 /// A gather segment resolved against local registrations at post time.
 #[derive(Clone)]
@@ -181,150 +181,86 @@ pub fn execute_delivery_ext(
 }
 
 fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> DeliveryOutcome {
-    let Ok(dst_node) = net.node(job.dst_node) else {
+    let Ok(dst_qp) = net.qp(job.dst_node, job.dst_qp) else {
         return DeliveryOutcome::RemoteAccessError;
     };
-    let Ok(dst_qp) = dst_node.qp(job.dst_qp) else {
-        return DeliveryOutcome::RemoteAccessError;
-    };
-    // PSN suppression: a retransmission or duplicate of an already-applied
-    // transfer is dropped *before* it can consume a receive WR or write
-    // memory, turning at-least-once wire behaviour into exactly-once at the
-    // memory region. The PSN is recorded only on successful delivery, so an
-    // RNR-deferred attempt is never mistaken for a duplicate.
-    if dst_qp.psn_seen(job.src_qp, job.psn) {
-        return DeliveryOutcome::Duplicate;
-    }
+    let mrs = dst_qp.mrs();
     let two_sided = matches!(job.opcode, Opcode::Send | Opcode::SendWithImm);
 
-    if two_sided {
-        // Two-sided: the receive WR *is* the destination.
-        let Some(recv_wr) = dst_qp.take_recv() else {
+    // Admission, one critical section on the destination QP's receive side.
+    // PSN suppression comes first: a retransmission or duplicate of an
+    // already-applied transfer is dropped *before* it can consume a receive
+    // WR or write memory, turning at-least-once wire behaviour into
+    // exactly-once at the memory region. The PSN is marked only once nothing
+    // can fail any more, so an RNR-deferred attempt is never mistaken for a
+    // duplicate.
+    let mut rx = dst_qp.rx();
+    if rx.psn_seen(job.src_qp, job.psn) {
+        return DeliveryOutcome::Duplicate;
+    }
+    // One-sided: validate the remote address *before* consuming a receive
+    // WR, so a protection failure leaves the receive queue untouched.
+    let target = if two_sided {
+        None
+    } else {
+        match mrs.resolve_remote(job.rkey, job.remote_addr, job.total_len as u64) {
+            Ok(t) => Some(t),
+            Err(_) => return DeliveryOutcome::RemoteAccessError,
+        }
+    };
+    let recv_wr = if job.opcode == Opcode::RdmaWrite {
+        None
+    } else {
+        let Some(wr) = rx.queue.pop_front() else {
             return DeliveryOutcome::ReceiverNotReady;
         };
+        dst_qp.counters().recv_consumed.inc();
+        Some(wr)
+    };
+
+    let wc_opcode = if let Some((dst_mr, base_off)) = target {
+        rx.mark_psn(job.src_qp, job.psn);
+        drop(rx);
+        // Gather: copy each local segment (or the inline snapshot) into the
+        // contiguous remote range.
+        if copy_data {
+            if let Some(payload) = &job.inline_payload {
+                dst_mr
+                    .write(base_off, payload)
+                    .expect("range validated at resolve time");
+            } else {
+                let mut cursor = base_off;
+                for seg in job.segments.iter() {
+                    dst_mr
+                        .copy_from(cursor, &seg.mr, seg.offset, seg.len)
+                        .expect("ranges validated at post and resolve time");
+                    cursor += seg.len;
+                }
+            }
+        }
+        WcOpcode::RecvRdmaWithImm
+    } else {
+        // Two-sided: the receive WR *is* the destination.
+        let recv_wr = recv_wr.as_ref().expect("two-sided sends consume a WR");
         let recv_space: u64 = recv_wr.sg_list.iter().map(|s| s.length as u64).sum();
         if (job.total_len as u64) > recv_space {
             return DeliveryOutcome::PayloadTooLarge;
         }
         if copy_data {
-            // Stream the gathered payload into the receive WR's scatter
-            // elements with chunked MR→MR copies: each chunk spans as far
-            // as both the current source piece and the current destination
-            // element allow, moving bytes source-region→destination-region
-            // with a single copy and no intermediate buffer. Inline sends
-            // stream from their post-time snapshot instead of the (possibly
-            // since-rewritten) source region.
-            enum Piece<'a> {
-                Bytes(&'a [u8]),
-                Region(&'a MemoryRegion, usize, usize),
-            }
-            let inline = job.inline_payload.is_some();
-            let pieces = job.inline_payload.iter().map(|p| Piece::Bytes(p)).chain(
-                job.segments
-                    .iter()
-                    .filter(move |_| !inline)
-                    .map(|s| Piece::Region(&s.mr, s.offset, s.len)),
-            );
-            let mut sge_iter = recv_wr.sg_list.iter();
-            // Current destination window: (region, cursor, bytes left).
-            let mut dst: Option<(MemoryRegion, usize, usize)> = None;
-            'outer: for piece in pieces {
-                let slen = match &piece {
-                    Piece::Bytes(b) => b.len(),
-                    Piece::Region(_, _, len) => *len,
-                };
-                let mut spos = 0usize;
-                while spos < slen {
-                    if dst.as_ref().is_none_or(|w| w.2 == 0) {
-                        let Some(sge) = sge_iter.next() else {
-                            break 'outer;
-                        };
-                        let Ok(mr) = dst_node.mrs.by_lkey(sge.lkey) else {
-                            return DeliveryOutcome::RemoteAccessError;
-                        };
-                        let Ok(base) = mr.offset_of(sge.lkey, sge.addr, sge.length as u64) else {
-                            return DeliveryOutcome::RemoteAccessError;
-                        };
-                        dst = Some((mr, base, sge.length as usize));
-                        continue; // re-check: the new element may be empty
-                    }
-                    let w = dst.as_mut().expect("window installed above");
-                    let n = w.2.min(slen - spos);
-                    match &piece {
-                        Piece::Bytes(b) => {
-                            w.0.write(w.1, &b[spos..spos + n]).expect("validated above")
-                        }
-                        Piece::Region(mr, off, _) => {
-                            w.0.copy_from(w.1, mr, off + spos, n)
-                                .expect("validated at post and above")
-                        }
-                    }
-                    w.1 += n;
-                    w.2 -= n;
-                    spos += n;
-                }
+            if let Err(outcome) = scatter(mrs, job, recv_wr) {
+                return outcome;
             }
         }
-        dst_qp.mark_psn(job.src_qp, job.psn);
+        rx.mark_psn(job.src_qp, job.psn);
+        drop(rx);
+        WcOpcode::Recv
+    };
+
+    if let Some(recv_wr) = recv_wr {
         dst_qp.recv_cq().push(WorkCompletion {
             wr_id: recv_wr.wr_id,
             status: WcStatus::Success,
-            opcode: WcOpcode::Recv,
-            byte_len: job.total_len,
-            imm: job.imm,
-            qp_num: dst_qp.qp_num(),
-            flow: job.flow,
-            pushed_ns: net.telemetry().flows.now(),
-        });
-        return DeliveryOutcome::Delivered {
-            bytes: job.total_len,
-        };
-    }
-
-    // One-sided: validate the remote address *before* consuming a receive
-    // WR, so a protection failure leaves the receive queue untouched.
-    let Ok((dst_mr, base_off)) =
-        dst_node
-            .mrs
-            .resolve_remote(job.rkey, job.remote_addr, job.total_len as u64)
-    else {
-        return DeliveryOutcome::RemoteAccessError;
-    };
-    let recv_slot = if job.opcode == Opcode::RdmaWriteWithImm {
-        match dst_qp.take_recv() {
-            Some(r) => Some(r),
-            None => return DeliveryOutcome::ReceiverNotReady,
-        }
-    } else {
-        None
-    };
-
-    // Gather: copy each local segment (or the inline snapshot) into the
-    // contiguous remote range.
-    if copy_data {
-        if let Some(payload) = &job.inline_payload {
-            dst_mr
-                .write(base_off, payload)
-                .expect("range validated at resolve time");
-        } else {
-            let mut cursor = base_off;
-            for seg in job.segments.iter() {
-                dst_mr
-                    .copy_from(cursor, &seg.mr, seg.offset, seg.len)
-                    .expect("ranges validated at post and resolve time");
-                cursor += seg.len;
-            }
-        }
-    } else {
-        let _ = (dst_mr, base_off);
-    }
-
-    dst_qp.mark_psn(job.src_qp, job.psn);
-    if let Some(recv_wr) = recv_slot {
-        dst_qp.recv_cq().push(WorkCompletion {
-            wr_id: recv_wr.wr_id,
-            status: WcStatus::Success,
-            opcode: WcOpcode::RecvRdmaWithImm,
+            opcode: wc_opcode,
             byte_len: job.total_len,
             imm: job.imm,
             qp_num: dst_qp.qp_num(),
@@ -337,6 +273,64 @@ fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> Deliv
     }
 }
 
+/// Stream a two-sided payload into the receive WR's scatter elements with
+/// chunked MR→MR copies: each chunk spans as far as both the current source
+/// piece and the current destination element allow, moving bytes
+/// source-region→destination-region with a single copy and no intermediate
+/// buffer. Inline sends stream from their post-time snapshot instead of the
+/// (possibly since-rewritten) source region.
+fn scatter(mrs: &MrRegistry, job: &TransferJob, recv_wr: &RecvWr) -> Result<(), DeliveryOutcome> {
+    enum Piece<'a> {
+        Bytes(&'a [u8]),
+        Region(&'a MemoryRegion, usize, usize),
+    }
+    let inline = job.inline_payload.is_some();
+    let pieces = job.inline_payload.iter().map(|p| Piece::Bytes(p)).chain(
+        job.segments
+            .iter()
+            .filter(move |_| !inline)
+            .map(|s| Piece::Region(&s.mr, s.offset, s.len)),
+    );
+    let mut sge_iter = recv_wr.sg_list.iter();
+    // Current destination window: (region, cursor, bytes left).
+    let mut dst: Option<(&MemoryRegion, usize, usize)> = None;
+    for piece in pieces {
+        let slen = match &piece {
+            Piece::Bytes(b) => b.len(),
+            Piece::Region(_, _, len) => *len,
+        };
+        let mut spos = 0usize;
+        while spos < slen {
+            if dst.as_ref().is_none_or(|w| w.2 == 0) {
+                let Some(sge) = sge_iter.next() else {
+                    return Ok(());
+                };
+                let Ok(mr) = mrs.by_lkey(sge.lkey) else {
+                    return Err(DeliveryOutcome::RemoteAccessError);
+                };
+                let Ok(base) = mr.offset_of(sge.lkey, sge.addr, sge.length as u64) else {
+                    return Err(DeliveryOutcome::RemoteAccessError);
+                };
+                dst = Some((mr, base, sge.length as usize));
+                continue; // re-check: the new element may be empty
+            }
+            let w = dst.as_mut().expect("window installed above");
+            let n = w.2.min(slen - spos);
+            match &piece {
+                Piece::Bytes(b) => w.0.write(w.1, &b[spos..spos + n]).expect("validated above"),
+                Piece::Region(mr, off, _) => {
+                    w.0.copy_from(w.1, mr, off + spos, n)
+                        .expect("validated at post and above")
+                }
+            }
+            w.1 += n;
+            w.2 -= n;
+            spos += n;
+        }
+    }
+    Ok(())
+}
+
 /// Push the send-side completion for `job` with `status`, releasing the
 /// outstanding-WR slot; drives the source QP to the error state on failure
 /// (as real hardware does).
@@ -346,10 +340,7 @@ pub fn complete_send(net: &Arc<NetworkState>, job: &TransferJob, status: WcStatu
         // place: no CQE, no slot release, no error state.
         return;
     }
-    let Ok(src_node) = net.node(job.src_node) else {
-        return;
-    };
-    let Ok(src_qp) = src_node.qp(job.src_qp) else {
+    let Ok(src_qp) = net.qp(job.src_node, job.src_qp) else {
         return;
     };
     src_qp.release_send_slot();
@@ -383,9 +374,7 @@ pub fn sender_retry_profile(
     net: &Arc<NetworkState>,
     job: &TransferJob,
 ) -> Option<crate::qp::RetryProfile> {
-    let node = net.node(job.src_node).ok()?;
-    let qp = node.qp(job.src_qp).ok()?;
-    Some(qp.retry_profile())
+    Some(net.qp(job.src_node, job.src_qp).ok()?.retry_profile())
 }
 
 /// Map a delivery outcome to the send-side completion status.

@@ -78,11 +78,12 @@ impl Fabric for InstantFabric {
         // real threads the receiver may be about to post its WR, so each
         // attempt yields the CPU first (the zero-latency analogue of waiting
         // out the RNR NAK timer).
-        let rnr_budget = sender_retry_profile(net, &job).map_or(0, |p| p.rnr_retry);
         let mut attempt = 0u8;
         let outcome = loop {
             let outcome = execute_delivery(net, &job);
-            if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && attempt < rnr_budget {
+            if matches!(outcome, DeliveryOutcome::ReceiverNotReady)
+                && attempt < sender_retry_profile(net, &job).map_or(0, |p| p.rnr_retry)
+            {
                 attempt += 1;
                 wire.rnr_requeues.inc();
                 let before = flows.now();

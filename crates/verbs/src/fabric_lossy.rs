@@ -25,6 +25,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::fabric::{complete_send, sender_retry_profile, Fabric, TransferJob};
 use crate::network::NetworkState;
+use crate::table::IndexTable;
 use crate::types::WcStatus;
 
 /// Loss model of a [`LossyFabric`]. All probabilities are per wire attempt
@@ -104,7 +105,7 @@ pub struct LossyFabric {
     /// while per-node streams are pure functions of each node's (shard-
     /// deterministic) attempt order. Seeds derive from `cfg.seed` via
     /// `split_seed`, so the fault pattern is reproducible per node.
-    node_rngs: Mutex<std::collections::HashMap<u32, StdRng>>,
+    node_rngs: IndexTable<Mutex<StdRng>>,
     /// True when `sched` executes on the sharded PDES engine.
     sharded: bool,
     stats: LossyStats,
@@ -142,7 +143,7 @@ impl LossyFabric {
             sched,
             cfg,
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
-            node_rngs: Mutex::new(std::collections::HashMap::new()),
+            node_rngs: IndexTable::new(),
             sharded,
             stats: LossyStats::default(),
             me: me.clone(),
@@ -154,15 +155,14 @@ impl LossyFabric {
     /// = global attempt order), a per-node split stream in sharded mode.
     fn with_rng<R>(&self, src_node: u32, f: impl FnOnce(&mut StdRng) -> R) -> R {
         if self.sharded {
-            let mut map = self.node_rngs.lock();
-            let rng = map.entry(src_node).or_insert_with(|| {
-                StdRng::seed_from_u64(partix_sim::split_seed(
+            let rng = self.node_rngs.get_or_init(src_node, || {
+                Mutex::new(StdRng::seed_from_u64(partix_sim::split_seed(
                     self.cfg.seed,
                     "lossy-node",
                     src_node as u64,
-                ))
+                )))
             });
-            f(rng)
+            f(&mut rng.lock())
         } else {
             f(&mut self.rng.lock())
         }

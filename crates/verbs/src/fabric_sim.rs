@@ -18,14 +18,13 @@
 //!    wire is traversed; the receive completion is visible `o_r` later;
 //! 6. **Ack** — the send completion is visible `L` after delivery.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use partix_model::LogGpParams;
-use partix_sim::{Scheduler, SerialResource, SimDuration};
+use partix_sim::{Scheduler, SerialResource, SimDuration, SimTime};
 use partix_telemetry::{segments_for, SpanLog};
 
 use crate::fabric::{
@@ -33,6 +32,7 @@ use crate::fabric::{
     Fabric, TransferJob,
 };
 use crate::network::NetworkState;
+use crate::table::IndexTable;
 use crate::types::NodeId;
 
 /// Timing parameters of the simulated fabric.
@@ -111,14 +111,26 @@ struct ResourceEntry {
     tid: u32,
 }
 
+/// The three per-node resources.
+struct NodeResources {
+    nic: ResourceEntry,
+    egress: ResourceEntry,
+    ingress: ResourceEntry,
+}
+
 /// Discrete-event fabric.
 pub struct SimFabric {
     sched: Scheduler,
     params: FabricParams,
-    nic: Mutex<HashMap<NodeId, ResourceEntry>>,
-    engines: Mutex<HashMap<(NodeId, u32), ResourceEntry>>,
-    egress: Mutex<HashMap<NodeId, ResourceEntry>>,
-    ingress: Mutex<HashMap<NodeId, ResourceEntry>>,
+    /// `params.loggp.{o_s, l, o_r}` as durations, converted once.
+    o_s: SimDuration,
+    latency: SimDuration,
+    o_r: SimDuration,
+    /// Per-node resources by node id and per-QP DMA engines by (network-wide
+    /// sequential) QP number, each created at first use: a transfer finds
+    /// its whole route with three index look-ups.
+    nodes: IndexTable<NodeResources>,
+    engines: IndexTable<ResourceEntry>,
     stats: FabricStats,
     /// Destination for resource busy spans once tracing is enabled; `None`
     /// keeps the hot path span-free.
@@ -132,50 +144,61 @@ const EGRESS_TID: u32 = 1;
 const INGRESS_TID: u32 = 2;
 const ENGINE_TID_BASE: u32 = 8;
 
-fn get_or_insert<K: std::hash::Hash + Eq + Copy>(
-    map: &Mutex<HashMap<K, ResourceEntry>>,
-    key: K,
-    span_log: &Mutex<Option<Arc<SpanLog>>>,
-    mk_span: impl FnOnce() -> (String, u32, u32),
-) -> Arc<SerialResource> {
-    let mut m = map.lock();
-    if let Some(e) = m.get(&key) {
-        return e.res.clone();
-    }
-    // First use of this resource: format its trace name once and, if tracing
-    // is already on, attach the span sink now so lazily-created resources
-    // are not invisible in the trace.
-    let res = Arc::new(SerialResource::new());
-    let (name, pid, tid) = mk_span();
-    let name: Arc<str> = name.into();
-    if let Some(log) = span_log.lock().clone() {
-        res.attach_span_log(log, name.clone(), pid, tid);
-    }
-    m.insert(
-        key,
-        ResourceEntry {
-            res: res.clone(),
-            name,
-            pid,
-            tid,
-        },
-    );
-    res
-}
-
 impl SimFabric {
     /// Create a simulated fabric driven by `sched`.
     pub fn new(sched: Scheduler, params: FabricParams) -> Arc<Self> {
         Arc::new(SimFabric {
             sched,
             params,
-            nic: Mutex::new(HashMap::new()),
-            engines: Mutex::new(HashMap::new()),
-            egress: Mutex::new(HashMap::new()),
-            ingress: Mutex::new(HashMap::new()),
+            o_s: SimDuration::from_nanos_f64(params.loggp.o_s),
+            latency: SimDuration::from_nanos_f64(params.loggp.l),
+            o_r: SimDuration::from_nanos_f64(params.loggp.o_r),
+            nodes: IndexTable::new(),
+            engines: IndexTable::new(),
             stats: FabricStats::default(),
             span_log: Mutex::new(None),
         })
+    }
+
+    /// First use of a resource: format its trace name once and, if tracing
+    /// is already on, attach the span sink now so lazily-created resources
+    /// are not invisible in the trace.
+    fn resource(&self, name: String, pid: u32, tid: u32) -> ResourceEntry {
+        let entry = ResourceEntry {
+            res: Arc::new(SerialResource::new()),
+            name: name.into(),
+            pid,
+            tid,
+        };
+        if let Some(log) = self.span_log.lock().clone() {
+            entry.attach(&log);
+        }
+        entry
+    }
+
+    fn node(&self, n: NodeId) -> &NodeResources {
+        self.nodes.get_or_init(n, || NodeResources {
+            nic: self.resource(format!("nic[node {n}]"), n, NIC_TID),
+            egress: self.resource(format!("egress[node {n}]"), n, EGRESS_TID),
+            ingress: self.resource(format!("ingress[node {n}]"), n, INGRESS_TID),
+        })
+    }
+
+    fn engine(&self, n: NodeId, qp: u32) -> &ResourceEntry {
+        self.engines.get_or_init(qp, || {
+            self.resource(
+                format!("qp_engine[node {n}, qp {qp}]"),
+                n,
+                ENGINE_TID_BASE + qp,
+            )
+        })
+    }
+
+    fn resources(&self) -> impl Iterator<Item = &ResourceEntry> {
+        self.nodes
+            .iter()
+            .flat_map(|n| [&n.nic, &n.egress, &n.ingress])
+            .chain(self.engines.iter())
     }
 
     /// Enable span tracing: every modelled hardware resource records its
@@ -185,14 +208,7 @@ impl SimFabric {
     /// bump, not a `format!`.
     pub fn trace_into(&self, log: Arc<SpanLog>) {
         *self.span_log.lock() = Some(log.clone());
-        let attach = |e: &ResourceEntry| {
-            e.res
-                .attach_span_log(log.clone(), e.name.clone(), e.pid, e.tid);
-        };
-        self.nic.lock().values().for_each(attach);
-        self.egress.lock().values().for_each(attach);
-        self.ingress.lock().values().for_each(attach);
-        self.engines.lock().values().for_each(attach);
+        self.resources().for_each(|e| e.attach(&log));
     }
 
     /// The parameters in force.
@@ -215,24 +231,29 @@ impl SimFabric {
         self.stats.bytes.load(Ordering::Relaxed)
     }
 
-    /// Busy-time accounting for every modelled hardware resource, for
-    /// utilisation reporting: `(name, busy_ns, reservations)` per resource.
-    /// Busy fractions follow by dividing by the observation window.
+    /// Busy-time accounting for every modelled hardware resource that has
+    /// carried traffic, for utilisation reporting: `(name, busy_ns,
+    /// reservations)` per resource. Busy fractions follow by dividing by the
+    /// observation window.
     pub fn utilization(&self) -> Vec<ResourceUtilization> {
-        let mut out = Vec::new();
-        let mut collect = |e: &ResourceEntry| {
-            out.push(ResourceUtilization {
+        let mut out: Vec<_> = self
+            .resources()
+            .filter(|e| e.res.reservations() > 0)
+            .map(|e| ResourceUtilization {
                 name: e.name.to_string(),
                 busy_ns: e.res.busy_total().as_nanos(),
                 reservations: e.res.reservations(),
-            });
-        };
-        self.nic.lock().values().for_each(&mut collect);
-        self.egress.lock().values().for_each(&mut collect);
-        self.ingress.lock().values().for_each(&mut collect);
-        self.engines.lock().values().for_each(&mut collect);
+            })
+            .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
+    }
+}
+
+impl ResourceEntry {
+    fn attach(&self, log: &Arc<SpanLog>) {
+        self.res
+            .attach_span_log(log.clone(), self.name.clone(), self.pid, self.tid);
     }
 }
 
@@ -248,13 +269,46 @@ pub struct ResourceUtilization {
     pub reservations: u64,
 }
 
+/// One transfer on its way through the simulated wire: the job plus what
+/// its later events need, boxed once at submit time and handed from the
+/// delivery event to any RNR re-attempt to the ack event — each of those
+/// closures captures only this pointer, so it stores inline in the
+/// scheduler's event slab.
+struct Flight {
+    sched: Scheduler,
+    net: Arc<NetworkState>,
+    job: TransferJob,
+    copy_data: bool,
+    /// One-way wire latency the ack pays.
+    ack_latency: SimDuration,
+    /// Absolute time the send-side ack of the current delivery attempt
+    /// becomes visible; a re-attempt pays a fresh ack latency from its own
+    /// delivery time.
+    ack_at: SimTime,
+    /// RNR re-attempts so far.
+    attempt: u8,
+    /// What the sharded arrival event still has to add up on the
+    /// receiver's shard (unused on the sequential scheduler, where `submit`
+    /// finishes the arithmetic itself).
+    arrival: Arrival,
+}
+
+#[derive(Clone, Copy)]
+struct Arrival {
+    doorbell: SimTime,
+    nic_done: SimTime,
+    wire_cost: SimDuration,
+    latency: SimDuration,
+    o_r: SimDuration,
+}
+
 impl Fabric for SimFabric {
     fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
         let p = &self.params;
         let bytes = job.total_len as u64;
         let now = self.sched.now();
         let sw_ready = job.opts.earliest.unwrap_or(now).max(now);
-        let doorbell = sw_ready + SimDuration::from_nanos_f64(p.loggp.o_s);
+        let doorbell = sw_ready + self.o_s;
 
         let wire_counters = &net.telemetry().wire;
         wire_counters.inner_submissions.inc();
@@ -262,50 +316,47 @@ impl Fabric for SimFabric {
         // Per-node WQE processing path (shared by all QPs of the node).
         let packets = segments_for(bytes, p.mtu);
         wire_counters.mtu_segments.add(packets);
-        let src_node = job.src_node;
-        let nic = get_or_insert(&self.nic, job.src_node, &self.span_log, || {
-            (format!("nic[node {src_node}]"), src_node, NIC_TID)
-        });
+        let src = self.node(job.src_node);
         let wqe = if job.opts.small_lane {
             p.inline_wqe_overhead_ns
         } else {
             p.wqe_overhead_ns + packets * p.pkt_overhead_ns
         };
         let nic_cost = SimDuration::from_nanos(wqe);
-        let (_, nic_done) = nic.reserve(doorbell, nic_cost);
+        let (_, nic_done) = src.nic.res.reserve(doorbell, nic_cost);
 
         // Per-QP DMA engine pacing the payload.
-        let src_qp = job.src_qp;
-        let engine = get_or_insert(
-            &self.engines,
-            (job.src_node, job.src_qp),
-            &self.span_log,
-            || {
-                (
-                    format!("qp_engine[node {src_node}, qp {src_qp}]"),
-                    src_node,
-                    ENGINE_TID_BASE + src_qp,
-                )
-            },
-        );
+        let engine = self.engine(job.src_node, job.src_qp);
         let engine_cost = SimDuration::from_nanos_f64(bytes as f64 * p.qp_g());
-        let (_, engine_done) = engine.reserve(nic_done, engine_cost);
+        let (_, engine_done) = engine.res.reserve(nic_done, engine_cost);
 
         // Shared link occupancy at full rate (egress then ingress).
         let wire_cost = SimDuration::from_nanos_f64(bytes as f64 * p.link_g());
-        let egress = get_or_insert(&self.egress, job.src_node, &self.span_log, || {
-            (format!("egress[node {src_node}]"), src_node, EGRESS_TID)
-        });
-        let (_, egress_done) = egress.reserve(nic_done, wire_cost);
+        let (_, egress_done) = src.egress.res.reserve(nic_done, wire_cost);
         let dst_node = job.dst_node;
+        let ingress = &self.node(dst_node).ingress.res;
 
         self.stats.transfers.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
 
-        let latency = SimDuration::from_nanos_f64(p.loggp.l) + job.opts.extra_wire_latency;
-        let o_r = SimDuration::from_nanos_f64(p.loggp.o_r);
-        let ack_latency = SimDuration::from_nanos_f64(p.loggp.l);
-        let copy_data = p.copy_data;
+        let latency = self.latency + job.opts.extra_wire_latency;
+        let o_r = self.o_r;
+        let mut flight = Box::new(Flight {
+            sched: self.sched.clone(),
+            net: net.clone(),
+            job,
+            copy_data: p.copy_data,
+            ack_latency: self.latency,
+            ack_at: SimTime::ZERO,
+            attempt: 0,
+            arrival: Arrival {
+                doorbell,
+                nic_done,
+                wire_cost,
+                latency,
+                o_r,
+            },
+        });
 
         if self.sched.is_sharded() {
             // Sharded delivery is split in two so that every resource is
@@ -319,50 +370,41 @@ impl Fabric for SimFabric {
             // ingress done) + latency = max(head_arrive, ingress_done +
             // latency)`.
             let head_arrive = engine_done.max(egress_done) + latency;
-            let ingress = get_or_insert(&self.ingress, job.dst_node, &self.span_log, || {
-                (format!("ingress[node {dst_node}]"), dst_node, INGRESS_TID)
-            });
-            let net = net.clone();
-            let sched = self.sched.clone();
+            let ingress = ingress.clone();
             self.sched.at_node(dst_node, head_arrive, move || {
-                let (_, ingress_done) = ingress.reserve(nic_done, wire_cost);
-                let delivered = head_arrive.max(ingress_done + latency);
-                record_wire_span(&net, &job, doorbell, delivered);
-                let recv_visible = delivered + o_r;
-                let ack = delivered + ack_latency;
-                let sched2 = sched.clone();
-                sched.at_node(dst_node, recv_visible, move || {
-                    deliver_with_rnr_retry(&sched2, &net, job, copy_data, ack, ack_latency, 0);
+                let a = flight.arrival;
+                let (_, ingress_done) = ingress.reserve(a.nic_done, a.wire_cost);
+                let delivered = head_arrive.max(ingress_done + a.latency);
+                record_wire_span(&flight.net, &flight.job, a.doorbell, delivered);
+                flight.ack_at = delivered + flight.ack_latency;
+                let sched = flight.sched.clone();
+                sched.at_node(dst_node, delivered + a.o_r, move || {
+                    deliver_with_rnr_retry(flight)
                 });
             });
             return;
         }
 
-        let ingress = get_or_insert(&self.ingress, job.dst_node, &self.span_log, || {
-            (format!("ingress[node {dst_node}]"), dst_node, INGRESS_TID)
-        });
         let (_, ingress_done) = ingress.reserve(nic_done, wire_cost);
 
         let wire_end = engine_done.max(egress_done).max(ingress_done);
         let delivered = wire_end + latency;
-        let recv_visible = delivered + SimDuration::from_nanos_f64(p.loggp.o_r);
-        let ack = delivered + SimDuration::from_nanos_f64(p.loggp.l);
+        let recv_visible = delivered + o_r;
+        flight.ack_at = delivered + self.latency;
 
         // Flow tracing: both the doorbell instant and the delivery instant
         // fall out of the reservation arithmetic above, so the wire-time
         // sample is recorded passively here — no extra scheduler events,
         // keeping traced runs byte-identical to untraced ones.
-        record_wire_span(net, &job, doorbell, delivered);
+        record_wire_span(net, &flight.job, doorbell, delivered);
 
         // Delivery event: move the data, push the receive completion, then
         // schedule the send-side ack. Receiver-not-ready re-arms the
         // delivery after the RNR timer instead of failing outright.
-        let net = net.clone();
-        let sched = self.sched.clone();
         // Delivery executes on the receiver: route with destination-node
         // affinity so a sharded executor can home it correctly.
         self.sched.at_node(dst_node, recv_visible, move || {
-            deliver_with_rnr_retry(&sched, &net, job, copy_data, ack, ack_latency, 0);
+            deliver_with_rnr_retry(flight)
         });
     }
 }
@@ -372,8 +414,8 @@ impl Fabric for SimFabric {
 fn record_wire_span(
     net: &Arc<NetworkState>,
     job: &TransferJob,
-    doorbell: partix_sim::SimTime,
-    delivered: partix_sim::SimTime,
+    doorbell: SimTime,
+    delivered: SimTime,
 ) {
     let flows = &net.telemetry().flows;
     let wire_ns = delivered.saturating_since(doorbell).as_nanos();
@@ -392,22 +434,15 @@ fn record_wire_span(
 
 /// Execute a delivery on the virtual clock, waiting out the RNR NAK timer
 /// and re-attempting up to the sender's `rnr_retry` budget before the
-/// `RnrRetryExceeded` completion is allowed to surface. `ack_at` is the
-/// absolute time the send-side ack of *this* attempt becomes visible; a
-/// re-attempt pays a fresh ack latency from its own delivery time.
-fn deliver_with_rnr_retry(
-    sched: &Scheduler,
-    net: &Arc<NetworkState>,
-    job: TransferJob,
-    copy_data: bool,
-    ack_at: partix_sim::SimTime,
-    ack_latency: SimDuration,
-    attempt: u8,
-) {
-    let outcome = execute_delivery_ext(net, &job, copy_data);
+/// `RnrRetryExceeded` completion is allowed to surface.
+fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
+    let Flight {
+        sched, net, job, ..
+    } = &*flight;
+    let outcome = execute_delivery_ext(net, job, flight.copy_data);
     if matches!(outcome, DeliveryOutcome::ReceiverNotReady) {
-        if let Some(profile) = sender_retry_profile(net, &job) {
-            if attempt < profile.rnr_retry {
+        if let Some(profile) = sender_retry_profile(net, job) {
+            if flight.attempt < profile.rnr_retry {
                 net.telemetry().wire.rnr_requeues.inc();
                 let wait = SimDuration::from_nanos(profile.min_rnr_timer_ns.max(1));
                 let flows = &net.telemetry().flows;
@@ -422,20 +457,12 @@ fn deliver_with_rnr_retry(
                 if job.flow != 0 {
                     flows.stage_ns(|s| &s.rnr_wait, wait.as_nanos());
                 }
-                let sched2 = sched.clone();
-                let net2 = net.clone();
-                let dst_node = job.dst_node;
-                sched.at_node(dst_node, sched.now() + wait, move || {
-                    let ack_at = sched2.now() + ack_latency;
-                    deliver_with_rnr_retry(
-                        &sched2,
-                        &net2,
-                        job,
-                        copy_data,
-                        ack_at,
-                        ack_latency,
-                        attempt + 1,
-                    );
+                let sched = sched.clone();
+                let at = sched.now() + wait;
+                flight.attempt += 1;
+                sched.at_node(flight.job.dst_node, at, move || {
+                    flight.ack_at = flight.sched.now() + flight.ack_latency;
+                    deliver_with_rnr_retry(flight);
                 });
                 return;
             }
@@ -448,15 +475,15 @@ fn deliver_with_rnr_retry(
         // sender's shard needs the full wire latency from the current
         // instant, so the ack pays at least `now + L`. (Virtual-time only;
         // identical on every sharded executor and job count.)
-        ack_at.max(sched.now() + ack_latency)
+        flight.ack_at.max(sched.now() + flight.ack_latency)
     } else {
-        ack_at.max(sched.now())
+        flight.ack_at.max(sched.now())
     };
-    let net = net.clone();
-    // The completion lands in the sender's CQ: source-node affinity.
-    let src_node = job.src_node;
-    sched.at_node(src_node, at, move || {
-        complete_send(&net, &job, status);
+    // The completion lands in the sender's CQ — source-node affinity — and
+    // the flight ends there.
+    let sched = sched.clone();
+    sched.at_node(flight.job.src_node, at, move || {
+        complete_send(&flight.net, &flight.job, status)
     });
 }
 

@@ -70,6 +70,7 @@ mod memory;
 mod network;
 mod qp;
 pub mod shm;
+mod table;
 mod types;
 
 pub use buf::{InlineVec, PayloadArena, PooledBuf, PooledBufMut, INLINE_CAP};

@@ -21,6 +21,7 @@ use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Result, VerbsError};
+use crate::table::IndexTable;
 use crate::types::NodeId;
 
 /// Page granularity of the fake NIC address space; regions are padded to
@@ -300,10 +301,16 @@ impl MemoryRegion {
     }
 }
 
+/// First key handed out; region `i` gets `lkey = FIRST_KEY + 2i` and
+/// `rkey = lkey + 1`, so either key spells the region's table index.
+const FIRST_KEY: u32 = 0x100;
+
 /// Per-node registry of memory regions and the NIC address-space allocator.
 pub(crate) struct MrRegistry {
     node: NodeId,
-    regions: parking_lot::RwLock<Vec<MemoryRegion>>,
+    /// Regions by registration order (never deregistered): a key resolves
+    /// with no lock and no scan.
+    regions: IndexTable<MemoryRegion>,
     next_addr: parking_lot::Mutex<u64>,
     next_key: std::sync::atomic::AtomicU32,
 }
@@ -312,9 +319,9 @@ impl MrRegistry {
     pub(crate) fn new(node: NodeId) -> Self {
         MrRegistry {
             node,
-            regions: parking_lot::RwLock::new(Vec::new()),
+            regions: IndexTable::new(),
             next_addr: parking_lot::Mutex::new(PAGE),
-            next_key: std::sync::atomic::AtomicU32::new(0x100),
+            next_key: std::sync::atomic::AtomicU32::new(FIRST_KEY),
         }
     }
 
@@ -343,46 +350,45 @@ impl MrRegistry {
             base
         };
         let mr = MemoryRegion::new(self.node, pd_id, base, len, lkey, rkey, virtual_backing);
-        self.regions.write().push(mr.clone());
+        let fresh = self.regions.set((key - FIRST_KEY) / 2, mr.clone());
+        assert!(fresh.is_ok(), "memory keys are minted once");
         mr
     }
 
+    /// The region whose local (`remote = false`) or remote key is `key`.
+    fn by_key(&self, key: u32, remote: bool) -> Option<&MemoryRegion> {
+        let i = key.checked_sub(FIRST_KEY + remote as u32)?;
+        self.regions.get(i / 2).filter(|_| i % 2 == 0)
+    }
+
     /// Resolve an lkey to its region.
-    pub(crate) fn by_lkey(&self, lkey: u32) -> Result<MemoryRegion> {
-        self.regions
-            .read()
-            .iter()
-            .find(|m| m.lkey == lkey)
-            .cloned()
+    pub(crate) fn by_lkey(&self, lkey: u32) -> Result<&MemoryRegion> {
+        self.by_key(lkey, false)
             .ok_or(VerbsError::InvalidLKey { lkey })
     }
 
     /// Resolve `(rkey, addr, len)` as remote-access hardware would: find the
-    /// region holding the address range *and* carrying the matching rkey.
+    /// region carrying the rkey *and* holding the address range.
     pub(crate) fn resolve_remote(
         &self,
         rkey: u32,
         addr: u64,
         len: u64,
-    ) -> Result<(MemoryRegion, usize)> {
-        let regions = self.regions.read();
-        for m in regions.iter() {
-            if m.rkey == rkey {
-                let off = m.offset_of(rkey, addr, len)?;
-                return Ok((m.clone(), off));
-            }
+    ) -> Result<(&MemoryRegion, usize)> {
+        match self.by_key(rkey, true) {
+            Some(m) => Ok((m, m.offset_of(rkey, addr, len)?)),
+            None => Err(VerbsError::OutOfBounds {
+                key: rkey,
+                addr,
+                len,
+                region_len: 0,
+            }),
         }
-        Err(VerbsError::OutOfBounds {
-            key: rkey,
-            addr,
-            len,
-            region_len: 0,
-        })
     }
 
     /// Number of registered regions (diagnostics).
     pub(crate) fn count(&self) -> usize {
-        self.regions.read().len()
+        self.regions.iter().count()
     }
 }
 

@@ -5,11 +5,8 @@
 //! it allocates protection domains, registers memory, and creates CQs and
 //! QPs on its node.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use partix_telemetry::{QpSnapshot, Registry, Snapshot};
 
@@ -19,14 +16,15 @@ use crate::error::{Result, VerbsError};
 use crate::fabric::Fabric;
 use crate::memory::{MemoryRegion, MrRegistry};
 use crate::qp::{QpCaps, QueuePair};
+use crate::table::IndexTable;
 use crate::types::NodeId;
 
-/// Per-node state: registered memory and live QPs.
+/// Per-node state: the node's registered memory. Every QP of the node
+/// holds it, so posting and delivery reach the registry without a look-up.
 pub struct NodeCtx {
     /// Node identifier.
     pub id: NodeId,
     pub(crate) mrs: MrRegistry,
-    qps: RwLock<HashMap<u32, Arc<QueuePair>>>,
 }
 
 impl NodeCtx {
@@ -34,33 +32,21 @@ impl NodeCtx {
         Arc::new(NodeCtx {
             id,
             mrs: MrRegistry::new(id),
-            qps: RwLock::new(HashMap::new()),
         })
-    }
-
-    /// Look up a QP by number.
-    pub fn qp(&self, qp_num: u32) -> Result<Arc<QueuePair>> {
-        self.qps
-            .read()
-            .get(&qp_num)
-            .cloned()
-            .ok_or(VerbsError::UnknownQp(qp_num))
     }
 
     /// Number of registered memory regions (diagnostics).
     pub fn mr_count(&self) -> usize {
         self.mrs.count()
     }
-
-    /// Number of live QPs (diagnostics).
-    pub fn qp_count(&self) -> usize {
-        self.qps.read().len()
-    }
 }
 
-/// Shared, fabric-visible network state: the set of nodes.
+/// Shared, fabric-visible network state: the nodes and every live QP.
 pub struct NetworkState {
     nodes: Vec<Arc<NodeCtx>>,
+    /// Every QP of the network at the index its number spells (numbers are
+    /// minted sequentially network-wide and QPs are never destroyed).
+    qps: IndexTable<Arc<QueuePair>>,
     next_qp_num: AtomicU32,
     next_cq_id: AtomicU32,
     next_pd_id: AtomicU32,
@@ -70,16 +56,24 @@ pub struct NetworkState {
 
 impl NetworkState {
     /// Node lookup.
-    pub fn node(&self, id: NodeId) -> Result<Arc<NodeCtx>> {
+    pub fn node(&self, id: NodeId) -> Result<&Arc<NodeCtx>> {
         self.nodes
             .get(id as usize)
-            .cloned()
             .ok_or(VerbsError::UnknownNode(id))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Look up QP `qp_num` of node `node` — how the wire resolves the
+    /// `(node, qp)` pair a transfer names.
+    pub fn qp(&self, node: NodeId, qp_num: u32) -> Result<&Arc<QueuePair>> {
+        self.qps
+            .get(qp_num)
+            .filter(|qp| qp.node() == node)
+            .ok_or(VerbsError::UnknownQp(qp_num))
     }
 
     /// The telemetry registry every layer of this network reports into.
@@ -96,17 +90,14 @@ impl NetworkState {
     /// alongside each QP's live state (outstanding slots, receive depth,
     /// state machine position), plus every CQ, the wire, and the runtime.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        let mut qps = Vec::new();
-        for node in &self.nodes {
-            let map = node.qps.read();
-            let mut nums: Vec<u32> = map.keys().copied().collect();
-            nums.sort_unstable();
-            for num in nums {
-                let qp = &map[&num];
+        let mut qps: Vec<QpSnapshot> = self
+            .qps
+            .iter()
+            .map(|qp| {
                 let c = qp.counters();
-                qps.push(QpSnapshot {
-                    node: node.id,
-                    qp_num: num,
+                QpSnapshot {
+                    node: qp.node(),
+                    qp_num: qp.qp_num(),
                     state: qp.state().name(),
                     outstanding: qp.outstanding() as u64,
                     recv_queue_depth: qp.recv_queue_depth() as u64,
@@ -119,9 +110,11 @@ impl NetworkState {
                     bytes_completed: c.bytes_completed.get(),
                     recoveries: c.recoveries.get(),
                     slot_underflows: c.slot_underflows.get(),
-                });
-            }
-        }
+                }
+            })
+            .collect();
+        // The table runs in QP-number order; the ledger lists node by node.
+        qps.sort_by_key(|q| q.node);
         Snapshot {
             qps,
             cqs: self.telemetry.cq_snapshots(),
@@ -147,6 +140,7 @@ impl Network {
         arena.set_telemetry(telemetry.clone());
         let state = Arc::new(NetworkState {
             nodes: (0..nodes).map(NodeCtx::new).collect(),
+            qps: IndexTable::new(),
             next_qp_num: AtomicU32::new(1),
             next_cq_id: AtomicU32::new(1),
             next_pd_id: AtomicU32::new(1),
@@ -170,7 +164,7 @@ impl Network {
     pub fn open(&self, node: NodeId) -> Result<Context> {
         let node_ctx = self.state.node(node)?;
         Ok(Context {
-            node: node_ctx,
+            node: node_ctx.clone(),
             state: self.state.clone(),
             fabric: self.fabric.clone(),
         })
@@ -253,7 +247,7 @@ impl Context {
         let qp_num = self.state.next_qp_num.fetch_add(1, Ordering::Relaxed);
         let qp = QueuePair::new(
             qp_num,
-            self.node.id,
+            self.node.clone(),
             pd.id,
             caps,
             send_cq,
@@ -261,7 +255,8 @@ impl Context {
             Arc::downgrade(&self.state),
             self.fabric.clone(),
         );
-        self.node.qps.write().insert(qp_num, qp.clone());
+        let fresh = self.state.qps.set(qp_num, qp.clone());
+        assert!(fresh.is_ok(), "QP numbers are minted once");
         Ok(qp)
     }
 }

@@ -6,7 +6,7 @@
 //! §IV-A: *"we opted to use multiple QPs"* rather than throttle).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -17,7 +17,8 @@ use crate::buf::{InlineVec, PooledBuf};
 use crate::cq::CompletionQueue;
 use crate::error::{Result, VerbsError};
 use crate::fabric::{Fabric, PostOptions, ResolvedSegment, TransferJob};
-use crate::network::NetworkState;
+use crate::memory::MrRegistry;
+use crate::network::{NetworkState, NodeCtx};
 use crate::types::{NodeId, Opcode, QpState, RecvWr, SendWr};
 
 /// Capabilities requested at QP creation.
@@ -141,34 +142,89 @@ pub struct PeerId {
     pub qp_num: u32,
 }
 
+/// `peer` before `modify_to_rtr`: no node id reaches `u32::MAX`.
+const NO_PEER: u64 = u64::MAX;
+
+/// State-machine states by the discriminant `state` stores.
+const STATES: [QpState; 5] = [
+    QpState::Reset,
+    QpState::Init,
+    QpState::ReadyToReceive,
+    QpState::ReadyToSend,
+    QpState::Error,
+];
+
+/// What a delivery consults and consumes on the receiving QP: the posted
+/// receive WRs and the record of PSNs already applied. One lock, so a
+/// delivery's duplicate check, receive-WR claim and PSN mark are one
+/// critical section.
+#[derive(Default)]
+pub(crate) struct RxSide {
+    pub(crate) queue: VecDeque<RecvWr>,
+    /// One [`PsnWindow`] per peer QP (linear scan: a QP talks to very few
+    /// peers). At-least-once wire behaviour (retransmits, duplicated
+    /// packets) collapses to exactly-once at the memory region here.
+    applied: Vec<(u32, PsnWindow)>,
+}
+
+impl RxSide {
+    /// Has the payload of `(src_qp, psn)` already been applied here?
+    pub(crate) fn psn_seen(&self, src_qp: u32, psn: u64) -> bool {
+        self.applied
+            .iter()
+            .find(|(qp, _)| *qp == src_qp)
+            .is_some_and(|(_, w)| w.seen(psn))
+    }
+
+    /// Record `(src_qp, psn)` as applied. Called only once a delivery can
+    /// no longer fail, so an RNR-deferred attempt is not mistaken for a
+    /// duplicate.
+    pub(crate) fn mark_psn(&mut self, src_qp: u32, psn: u64) {
+        match self.applied.iter_mut().find(|(qp, _)| *qp == src_qp) {
+            Some((_, w)) => w.mark(psn),
+            None => {
+                let mut w = PsnWindow::default();
+                w.mark(psn);
+                self.applied.push((src_qp, w));
+            }
+        }
+    }
+}
+
 /// A queue pair.
+///
+/// Everything a post or a delivery reads — state, peer, retry attributes —
+/// is an atomic, and the node's memory registry is held directly, so the
+/// per-WR path takes a lock only where it mutates something (the receive
+/// side, the completion queue).
 pub struct QueuePair {
     qp_num: u32,
-    node: NodeId,
+    node: Arc<NodeCtx>,
     pd_id: u32,
     caps: QpCaps,
-    state: Mutex<QpState>,
-    peer: Mutex<Option<PeerId>>,
+    /// Index into [`STATES`].
+    state: AtomicU8,
+    /// `node << 32 | qp_num` of the connected peer, or [`NO_PEER`].
+    peer: AtomicU64,
     send_cq: Arc<CompletionQueue>,
     recv_cq: Arc<CompletionQueue>,
-    recv_queue: Mutex<VecDeque<RecvWr>>,
+    rx: Mutex<RxSide>,
     outstanding: AtomicU32,
     posted_sends: AtomicU64,
     posted_recvs: AtomicU64,
-    retry: Mutex<RetryProfile>,
+    /// `timeout | retry_cnt << 8 | rnr_retry << 16` of the retry profile;
+    /// the RNR timer sits beside it. `modify_to_rts_with` is the only
+    /// writer, before the QP carries traffic.
+    retry_counts: AtomicU32,
+    min_rnr_timer_ns: AtomicU64,
     /// Send-side packet sequence counter: every posted WR gets a fresh PSN.
     next_psn: AtomicU64,
-    /// Receive-side record of PSNs whose payload already landed, one
-    /// [`PsnWindow`] per peer QP (linear scan: a QP talks to very few
-    /// peers). At-least-once wire behaviour (retransmits, duplicated
-    /// packets) collapses to exactly-once at the memory region here.
-    applied_psns: Mutex<Vec<(u32, PsnWindow)>>,
     net: Weak<NetworkState>,
     fabric: Arc<dyn Fabric>,
     /// Telemetry ledger for this QP; walked by the network when it builds
     /// a snapshot.
     counters: Arc<QpCounters>,
-    /// Reusable staging for batched posts (capacity retained, so a
+    /// Reusable staging for multi-WR posts (capacity retained, so a
     /// steady-state batch of any size prepares without heap allocation).
     prepare_scratch: Mutex<Vec<PreparedSend>>,
 }
@@ -181,7 +237,7 @@ impl QueuePair {
     #[allow(clippy::too_many_arguments)] // mirrors ibv_create_qp's attribute set
     pub(crate) fn new(
         qp_num: u32,
-        node: NodeId,
+        node: Arc<NodeCtx>,
         pd_id: u32,
         caps: QpCaps,
         send_cq: Arc<CompletionQueue>,
@@ -189,27 +245,29 @@ impl QueuePair {
         net: Weak<NetworkState>,
         fabric: Arc<dyn Fabric>,
     ) -> Arc<Self> {
-        Arc::new(QueuePair {
+        let qp = QueuePair {
             qp_num,
             node,
             pd_id,
             caps,
-            state: Mutex::new(QpState::Reset),
-            peer: Mutex::new(None),
+            state: AtomicU8::new(QpState::Reset as u8),
+            peer: AtomicU64::new(NO_PEER),
             send_cq,
             recv_cq,
-            recv_queue: Mutex::new(VecDeque::new()),
+            rx: Mutex::new(RxSide::default()),
             outstanding: AtomicU32::new(0),
             posted_sends: AtomicU64::new(0),
             posted_recvs: AtomicU64::new(0),
-            retry: Mutex::new(RetryProfile::from_caps(&caps)),
+            retry_counts: AtomicU32::new(0),
+            min_rnr_timer_ns: AtomicU64::new(0),
             next_psn: AtomicU64::new(0),
-            applied_psns: Mutex::new(Vec::new()),
             net,
             fabric,
             counters: Arc::new(QpCounters::default()),
             prepare_scratch: Mutex::new(Vec::new()),
-        })
+        };
+        qp.set_retry_profile(RetryProfile::from_caps(&caps));
+        Arc::new(qp)
     }
 
     /// This QP's telemetry ledger.
@@ -224,7 +282,12 @@ impl QueuePair {
 
     /// Owning node.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.node.id
+    }
+
+    /// The owning node's registered memory.
+    pub(crate) fn mrs(&self) -> &MrRegistry {
+        &self.node.mrs
     }
 
     /// Protection domain.
@@ -234,7 +297,7 @@ impl QueuePair {
 
     /// Current state.
     pub fn state(&self) -> QpState {
-        *self.state.lock()
+        STATES[self.state.load(Ordering::Acquire) as usize]
     }
 
     /// The send completion queue.
@@ -249,7 +312,11 @@ impl QueuePair {
 
     /// Connected peer, if any.
     pub fn peer(&self) -> Option<PeerId> {
-        *self.peer.lock()
+        let bits = self.peer.load(Ordering::Acquire);
+        (bits != NO_PEER).then_some(PeerId {
+            node: (bits >> 32) as u32,
+            qp_num: bits as u32,
+        })
     }
 
     /// Capabilities.
@@ -274,19 +341,25 @@ impl QueuePair {
 
     /// `ibv_modify_qp` analogue: request a state transition.
     pub fn modify(&self, to: QpState) -> Result<()> {
-        let mut st = self.state.lock();
-        if !st.can_transition_to(to) {
-            return Err(VerbsError::InvalidTransition { from: *st, to });
-        }
-        *st = to;
-        Ok(())
+        self.state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |from| {
+                STATES[from as usize]
+                    .can_transition_to(to)
+                    .then_some(to as u8)
+            })
+            .map(drop)
+            .map_err(|from| VerbsError::InvalidTransition {
+                from: STATES[from as usize],
+                to,
+            })
     }
 
     /// Transition RTR while recording the peer (the `ah_attr`/`dest_qp_num`
     /// part of `ibv_modify_qp`).
     pub fn modify_to_rtr(&self, peer: PeerId) -> Result<()> {
         self.modify(QpState::ReadyToReceive)?;
-        *self.peer.lock() = Some(peer);
+        let bits = ((peer.node as u64) << 32) | peer.qp_num as u64;
+        self.peer.store(bits, Ordering::Release);
         Ok(())
     }
 
@@ -300,13 +373,26 @@ impl QueuePair {
     /// RTS). Without this call, the profile seeded from [`QpCaps`] applies.
     pub fn modify_to_rts_with(&self, profile: RetryProfile) -> Result<()> {
         self.modify(QpState::ReadyToSend)?;
-        *self.retry.lock() = profile;
+        self.set_retry_profile(profile);
         Ok(())
+    }
+
+    fn set_retry_profile(&self, p: RetryProfile) {
+        let counts = p.timeout as u32 | ((p.retry_cnt as u32) << 8) | ((p.rnr_retry as u32) << 16);
+        self.retry_counts.store(counts, Ordering::Relaxed);
+        self.min_rnr_timer_ns
+            .store(p.min_rnr_timer_ns, Ordering::Relaxed);
     }
 
     /// The retry/timeout attributes currently in force.
     pub fn retry_profile(&self) -> RetryProfile {
-        *self.retry.lock()
+        let counts = self.retry_counts.load(Ordering::Relaxed);
+        RetryProfile {
+            timeout: counts as u8,
+            retry_cnt: (counts >> 8) as u8,
+            rnr_retry: (counts >> 16) as u8,
+            min_rnr_timer_ns: self.min_rnr_timer_ns.load(Ordering::Relaxed),
+        }
     }
 
     /// Allocate the next packet sequence number (fabric-internal, at post
@@ -315,32 +401,14 @@ impl QueuePair {
         self.next_psn.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Has the payload of `(src_qp, psn)` already been applied here?
-    pub(crate) fn psn_seen(&self, src_qp: u32, psn: u64) -> bool {
-        self.applied_psns
-            .lock()
-            .iter()
-            .find(|(qp, _)| *qp == src_qp)
-            .is_some_and(|(_, w)| w.seen(psn))
-    }
-
-    /// Record `(src_qp, psn)` as applied. Called only after a successful
-    /// delivery, so an RNR-deferred attempt is not mistaken for a duplicate.
-    pub(crate) fn mark_psn(&self, src_qp: u32, psn: u64) {
-        let mut windows = self.applied_psns.lock();
-        match windows.iter_mut().find(|(qp, _)| *qp == src_qp) {
-            Some((_, w)) => w.mark(psn),
-            None => {
-                let mut w = PsnWindow::default();
-                w.mark(psn);
-                windows.push((src_qp, w));
-            }
-        }
+    /// Lock the receive side (fabric-internal, for one delivery).
+    pub(crate) fn rx(&self) -> parking_lot::MutexGuard<'_, RxSide> {
+        self.rx.lock()
     }
 
     /// Force the QP into the error state (fatal completion).
     pub(crate) fn set_error(&self) {
-        *self.state.lock() = QpState::Error;
+        self.state.store(QpState::Error as u8, Ordering::Release);
     }
 
     /// Post a receive work request (`ibv_post_recv`). Scatter elements are
@@ -353,46 +421,32 @@ impl QueuePair {
                 required: QpState::Init,
             });
         }
-        if !wr.sg_list.is_empty() {
-            if wr.sg_list.len() > self.caps.max_sge {
-                return Err(VerbsError::TooManySges {
-                    got: wr.sg_list.len(),
-                    max: self.caps.max_sge,
-                });
-            }
-            let net = self.net.upgrade().expect("network outlives queue pairs");
-            let node = net.node(self.node)?;
-            for sge in &wr.sg_list {
-                let mr = node.mrs.by_lkey(sge.lkey)?;
-                if mr.pd_id() != self.pd_id {
-                    return Err(VerbsError::ProtectionDomainMismatch);
-                }
-                mr.offset_of(sge.lkey, sge.addr, sge.length as u64)?;
-            }
+        if wr.sg_list.len() > self.caps.max_sge {
+            return Err(VerbsError::TooManySges {
+                got: wr.sg_list.len(),
+                max: self.caps.max_sge,
+            });
         }
-        let mut q = self.recv_queue.lock();
-        if q.len() as u32 >= self.caps.max_recv_wr {
+        for sge in &wr.sg_list {
+            let mr = self.mrs().by_lkey(sge.lkey)?;
+            if mr.pd_id() != self.pd_id {
+                return Err(VerbsError::ProtectionDomainMismatch);
+            }
+            mr.offset_of(sge.lkey, sge.addr, sge.length as u64)?;
+        }
+        let mut rx = self.rx.lock();
+        if rx.queue.len() as u32 >= self.caps.max_recv_wr {
             return Err(VerbsError::RecvQueueFull);
         }
-        q.push_back(wr);
+        rx.queue.push_back(wr);
         self.posted_recvs.fetch_add(1, Ordering::Relaxed);
         self.counters.recv_posted.inc();
         Ok(())
     }
 
-    /// Consume the oldest posted receive WR (fabric-internal, for
-    /// write-with-immediate delivery).
-    pub(crate) fn take_recv(&self) -> Option<RecvWr> {
-        let wr = self.recv_queue.lock().pop_front();
-        if wr.is_some() {
-            self.counters.recv_consumed.inc();
-        }
-        wr
-    }
-
     /// Depth of the posted receive queue.
     pub fn recv_queue_depth(&self) -> usize {
-        self.recv_queue.lock().len()
+        self.rx.lock().queue.len()
     }
 
     /// Post a send work request (`ibv_post_send`) with default timing
@@ -414,12 +468,7 @@ impl QueuePair {
     }
 
     /// Validate one WR of a batch and resolve its gather list.
-    fn prepare_send(
-        &self,
-        node: &crate::network::NodeCtx,
-        net: &Arc<NetworkState>,
-        wr: &SendWr,
-    ) -> Result<(InlineVec<ResolvedSegment>, u64, Option<PooledBuf>)> {
+    fn prepare_send(&self, net: &NetworkState, wr: &SendWr) -> Result<PreparedSend> {
         match wr.opcode {
             Opcode::RdmaWrite | Opcode::Send => {}
             Opcode::RdmaWriteWithImm | Opcode::SendWithImm => {
@@ -443,14 +492,14 @@ impl QueuePair {
         let mut segments = InlineVec::new();
         let mut total: u64 = 0;
         for sge in &wr.sg_list {
-            let mr = node.mrs.by_lkey(sge.lkey)?;
+            let mr = self.mrs().by_lkey(sge.lkey)?;
             if mr.pd_id() != self.pd_id {
                 return Err(VerbsError::ProtectionDomainMismatch);
             }
             let off = mr.offset_of(sge.lkey, sge.addr, sge.length as u64)?;
             total += sge.length as u64;
             segments.push(ResolvedSegment {
-                mr,
+                mr: mr.clone(),
                 offset: off,
                 len: sge.length as usize,
             });
@@ -478,6 +527,57 @@ impl QueuePair {
         Ok((segments, total, snapshot))
     }
 
+    /// Claim up to `want` outstanding-WR slots in one atomic update;
+    /// hardware rejects past the cap, so only the slots actually free are
+    /// taken. Returns how many were granted.
+    fn claim_slots(&self, want: u32) -> u32 {
+        let mut granted = 0;
+        let _ = self
+            .outstanding
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
+                granted = want.min(self.caps.max_send_wr.saturating_sub(cur));
+                (granted > 0).then(|| cur + granted)
+            });
+        granted
+    }
+
+    /// Hand one validated WR, its slot claimed, to the fabric.
+    fn launch(
+        &self,
+        net: &Arc<NetworkState>,
+        peer: PeerId,
+        wr: &SendWr,
+        (segments, total, snapshot): PreparedSend,
+        mut opts: PostOptions,
+    ) {
+        self.posted_sends.fetch_add(1, Ordering::Relaxed);
+        self.counters.send_posted.inc();
+        self.counters.bytes_posted.add(total);
+        if wr.inline_data {
+            // Inline rides the doorbell write: the small-message fast lane.
+            opts.small_lane = true;
+        }
+        let job = TransferJob {
+            src_node: self.node.id,
+            dst_node: peer.node,
+            src_qp: self.qp_num,
+            dst_qp: peer.qp_num,
+            wr_id: wr.wr_id,
+            opcode: wr.opcode,
+            segments,
+            remote_addr: wr.remote_addr,
+            rkey: wr.rkey,
+            imm: wr.imm,
+            total_len: total as u32,
+            inline_payload: snapshot,
+            psn: self.assign_psn(),
+            ghost: false,
+            flow: wr.flow,
+            opts,
+        };
+        self.fabric.submit(net, job);
+    }
+
     /// Post a batch of send work requests through one doorbell
     /// (`ibv_post_send` with a chained WR list).
     ///
@@ -501,76 +601,41 @@ impl QueuePair {
         }
         let peer = self.peer().ok_or(VerbsError::PeerNotSet)?;
         let net = self.net.upgrade().expect("network outlives queue pairs");
-        let node = net.node(self.node)?;
+
+        if let [wr] = wrs {
+            // One WR stages on the stack. An unclaimed slot drops the
+            // prepared entry, handing any inline snapshot back to the arena.
+            let prepared = self.prepare_send(&net, wr)?;
+            let granted = self.claim_slots(1);
+            if granted == 1 {
+                self.launch(&net, peer, wr, prepared, opts);
+            }
+            return Ok(granted as usize);
+        }
 
         // Take (don't hold) the pooled staging vector: a concurrent post on
         // the same QP simply pays a fresh allocation for its batch.
         let mut prepared = std::mem::take(&mut *self.prepare_scratch.lock());
-        prepared.clear();
+        let mut result = Ok(0);
         for wr in wrs {
-            match self.prepare_send(&node, &net, wr) {
+            match self.prepare_send(&net, wr) {
                 Ok(p) => prepared.push(p),
                 Err(e) => {
-                    prepared.clear();
-                    *self.prepare_scratch.lock() = prepared;
-                    return Err(e);
+                    result = Err(e);
+                    break;
                 }
             }
         }
-
-        // Claim slots for the whole batch in one atomic update; hardware
-        // rejects past the cap, so only the slots actually free are taken.
-        let want = wrs.len().min(u32::MAX as usize) as u32;
-        let mut granted: u32 = 0;
-        let claim = self
-            .outstanding
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                granted = want.min(self.caps.max_send_wr.saturating_sub(cur));
-                (granted > 0).then(|| cur + granted)
-            });
-        if claim.is_err() {
-            // Dropping the prepared entries hands any inline snapshots back
-            // to the arena.
-            prepared.clear();
-            *self.prepare_scratch.lock() = prepared;
-            return Ok(0);
-        }
-        let granted = granted as usize;
-
-        for (wr, (segments, total, snapshot)) in wrs.iter().zip(prepared.drain(..)).take(granted) {
-            self.posted_sends.fetch_add(1, Ordering::Relaxed);
-            self.counters.send_posted.inc();
-            self.counters.bytes_posted.add(total);
-
-            let mut opts = opts;
-            if wr.inline_data {
-                // Inline rides the doorbell write: the small-message fast
-                // lane.
-                opts.small_lane = true;
+        if result.is_ok() {
+            let granted = self.claim_slots(wrs.len().min(u32::MAX as usize) as u32) as usize;
+            for (wr, p) in wrs.iter().zip(prepared.drain(..granted)) {
+                self.launch(&net, peer, wr, p, opts);
             }
-            let job = TransferJob {
-                src_node: self.node,
-                dst_node: peer.node,
-                src_qp: self.qp_num,
-                dst_qp: peer.qp_num,
-                wr_id: wr.wr_id,
-                opcode: wr.opcode,
-                segments,
-                remote_addr: wr.remote_addr,
-                rkey: wr.rkey,
-                imm: wr.imm,
-                total_len: total as u32,
-                inline_payload: snapshot,
-                psn: self.assign_psn(),
-                ghost: false,
-                flow: wr.flow,
-                opts,
-            };
-            self.fabric.submit(&net, job);
+            result = Ok(granted);
         }
         prepared.clear();
         *self.prepare_scratch.lock() = prepared;
-        Ok(granted)
+        result
     }
 
     /// Release an outstanding-WR slot (fabric-internal, at send completion).

@@ -1527,7 +1527,11 @@ mod tests {
         // No receive posted yet: the first delivery attempt hits RNR and
         // re-arms on the wall-clock timer; the receive lands mid-backoff.
         write_with_imm(&p, &src, &dst, 9, 64);
-        std::thread::sleep(Duration::from_millis(1));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while p.fabric.rnr_deferrals() == 0 {
+            assert!(Instant::now() < deadline, "timed out waiting for the RNR");
+            std::thread::yield_now();
+        }
         p.qb.post_recv(RecvWr::bare(900)).unwrap();
         let wc = poll_until(&p.cqa, "send CQE");
         assert_eq!(wc.status, WcStatus::Success);

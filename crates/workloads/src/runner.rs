@@ -176,10 +176,10 @@ impl Driver {
         });
 
         for (i, a) in arrivals.into_iter().enumerate() {
-            let send = self.send.clone();
+            let me = self.clone();
             // Thread arrivals happen at the sending rank (0).
             sched.at_node(0, t0 + a, move || {
-                send.pready(i as u32).expect("pready");
+                me.send.pready(i as u32).expect("pready");
             });
         }
     }

@@ -81,6 +81,10 @@ pub struct SweepResult {
     pub mean_comm_ns: f64,
     /// Sample standard deviation of the total (ns).
     pub std_total_ns: f64,
+    /// Events the scheduler executed, bring-up and warm-up included.
+    pub events_executed: u64,
+    /// Virtual time at which the last event ran.
+    pub end_time: SimTime,
 }
 
 struct SweepNode {
@@ -159,12 +163,11 @@ impl SweepDriver {
             .arrivals(self.cfg.threads, self.cfg.seed, round_key);
         let sched = self.world.scheduler().expect("sim world");
         let t0 = self.world.now();
-        let rank = node.id;
         for (t, a) in arrivals.into_iter().enumerate() {
-            let outputs: Vec<PsendRequest> = node.outputs.clone();
+            let node = node.clone();
             // Thread arrivals happen at the computing rank.
-            sched.at_node(rank, t0 + a, move || {
-                for out in &outputs {
+            sched.at_node(node.id, t0 + a, move || {
+                for out in &node.outputs {
                     out.pready(t as u32).expect("pready");
                 }
             });
@@ -301,6 +304,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
         mean_total_ns: mean_total,
         mean_comm_ns: (mean_total - compute_path).max(0.0),
         std_total_ns: stats::stddev(&totals),
+        events_executed: sched.events_executed(),
+        end_time: sched.now(),
     }
 }
 
@@ -323,6 +328,39 @@ mod tests {
             seed: 11,
         };
         run_sweep(&cfg)
+    }
+
+    /// Virtual time is part of the contract: the paper's 1024-core sweep at
+    /// 16 KiB messages must execute exactly these events, end at exactly
+    /// this instant and report exactly this communication time under every
+    /// aggregator. A refactor that adds, drops or reorders an event fails
+    /// here; a deliberate model change re-records the constants (and the
+    /// benchmark's pinned runs with them).
+    #[test]
+    fn paper_1024_virtual_time_is_pinned() {
+        let pinned = [
+            (
+                AggregatorKind::Persistent,
+                25_651u64,
+                59_665_966u64,
+                909_726.333333334f64,
+            ),
+            (AggregatorKind::TuningTable, 5_491, 56_943_879, 230_110.0),
+            (AggregatorKind::PLogGp, 5_491, 56_943_879, 230_110.0),
+            (AggregatorKind::TimerPLogGp, 5_939, 56_962_883, 230_110.0),
+        ];
+        for (kind, events, end_ns, comm_ns) in pinned {
+            let mut cfg =
+                SweepConfig::paper_1024(PartixConfig::with_aggregator(kind), (16 << 10) / 16);
+            cfg.warmup = 1;
+            cfg.iters = 3;
+            let r = run_sweep(&cfg);
+            assert_eq!(
+                (r.events_executed, r.end_time.as_nanos(), r.mean_comm_ns),
+                (events, end_ns, comm_ns),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use partix_core::{MemoryRegion, PartixConfig, PrecvRequest, Proc, PsendRequest, World};
 
+pub mod alloc_count;
+
 /// A matched send/receive pair over two ranks of a fresh instant world.
 pub struct InstantPair {
     /// The world (kept alive for the requests).

@@ -1,53 +1,15 @@
-//! Data-plane allocation regression test.
+//! Data-plane allocation regression tests.
 //!
-//! A counting global allocator wraps `System`; after a warm-up round has
-//! populated every pool (WR freelists, CQ rings, poll scratch, hash-map
-//! capacity), a steady-state 64 KiB partitioned send must perform zero
-//! heap allocations end to end: post, wire delivery, completion dispatch,
-//! and progress polling all run out of recycled storage.
-//!
-//! This file holds exactly one test: a sibling test allocating on another
-//! thread while the window is open would fail it spuriously.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! After a warm-up has populated every pool (WR shells, CQ rings, poll
+//! scratch, slot tables, the event slab), a steady-state round must
+//! allocate exactly what the design says and nothing more: nothing at all
+//! on the instant fabric — post, wire delivery, completion dispatch and
+//! progress polling all run out of recycled storage — and one box per work
+//! request on the simulated fabric (the transfer's `Flight`, which carries
+//! the job through its delivery, RNR and ack events).
 
 use partix_core::{AggregatorKind, PartixConfig, World};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+use partix_system_tests::alloc_count::count_allocs;
 
 const PARTITIONS: u32 = 16;
 const PART_BYTES: usize = 4096; // 16 x 4 KiB = one 64 KiB message per round
@@ -84,13 +46,11 @@ fn steady_state_64k_send_is_allocation_free() {
         round(tick);
     }
 
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for tick in 4..12u8 {
-        round(tick);
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let (allocs, ()) = count_allocs(|| {
+        for tick in 4..12u8 {
+            round(tick);
+        }
+    });
 
     // Verify the rounds actually moved data before judging the count.
     let last = 11u8;
@@ -104,5 +64,47 @@ fn steady_state_64k_send_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "steady-state partitioned send must not touch the heap ({allocs} allocations leaked into the hot path)"
+    );
+}
+
+/// The simulated path: a persistent round posts one WR per partition, and
+/// each WR costs the host exactly one allocation. A closure that outgrows
+/// the scheduler's inline event storage, a scratch buffer that grows per
+/// round or a hash map on the WR path all show up here as a second one.
+#[test]
+fn steady_state_persistent_sim_round_allocates_once_per_wr() {
+    const ROUNDS: u64 = 8;
+    let cfg = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let (world, sched) = World::sim(2, cfg);
+    let p0 = world.proc(0);
+    let p1 = world.proc(1);
+    let total = PARTITIONS as usize * PART_BYTES;
+    let sbuf = p0.alloc_buffer(total).unwrap();
+    let rbuf = p1.alloc_buffer(total).unwrap();
+    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
+    sched.run(); // channel bring-up
+
+    let round = || {
+        recv.start().unwrap();
+        send.start().unwrap();
+        for i in 0..PARTITIONS {
+            send.pready(i).unwrap();
+        }
+        sched.run();
+    };
+    for _ in 0..4 {
+        round();
+    }
+    let wrs_before = send.total_wrs_posted();
+    let (allocs, ()) = count_allocs(|| (0..ROUNDS).for_each(|_| round()));
+
+    assert_eq!(send.completed_rounds(), 4 + ROUNDS);
+    assert_eq!(recv.completed_rounds(), 4 + ROUNDS);
+    let wrs = send.total_wrs_posted() - wrs_before;
+    assert_eq!(wrs, ROUNDS * PARTITIONS as u64, "one WR per partition");
+    assert_eq!(
+        allocs, wrs,
+        "a simulated WR allocates its flight and nothing else ({allocs} allocations for {wrs} WRs)"
     );
 }
