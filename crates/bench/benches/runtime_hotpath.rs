@@ -331,11 +331,6 @@ fn main() {
     c.write_json(std::path::Path::new(&path))
         .expect("write hotpath results");
     eprintln!("wrote benchmark results to {path}");
-    if let Ok(Some(mirror)) =
-        partix_bench::artifacts::mirror_to_repo_root(std::path::Path::new(&path))
-    {
-        eprintln!("wrote benchmark results to {}", mirror.display());
-    }
 
     // Acceptance bounds: span tracing, flow tracing (histograms and causal
     // stage events), and windowed sampling must each stay within 5% of the

@@ -1,80 +1,18 @@
 //! Shared writer for bench result artifacts (`BENCH_*.json`).
 //!
-//! Every bench binary emits its results twice: into the run's `--out`
-//! directory (`results/` by default) *and* as a copy at the repository
-//! root, where CI upload steps and humans running `cargo run --bin ...`
-//! from a checkout both find them without knowing the out-dir convention.
-//! The root is located by walking up from the current directory to the
-//! first ancestor containing `.git` or a workspace `Cargo.toml`; when no
-//! root is found (e.g. installed binaries run elsewhere) only the out-dir
-//! copy is written.
+//! Every bench binary writes its results under the run's `--out` directory
+//! (`results/` by default) and nowhere else.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Locate the repository root: the nearest ancestor of the current
-/// directory containing `.git` or a `Cargo.toml` declaring `[workspace]`.
-pub fn repo_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        if dir.join(".git").exists() {
-            return Some(dir);
-        }
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-/// Write `contents` as artifact `name` into `out_dir` and, when it resolves
-/// to a different file, as a copy at the repository root. Returns every
-/// path written (the out-dir copy first).
-pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) -> io::Result<Vec<PathBuf>> {
+/// Write `contents` as artifact `name` into `out_dir`, creating the
+/// directory if needed. Returns the path written.
+pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) -> io::Result<PathBuf> {
     std::fs::create_dir_all(out_dir)?;
-    let primary = out_dir.join(name);
-    std::fs::write(&primary, contents)?;
-    let mut written = vec![primary.clone()];
-    if let Some(root) = repo_root() {
-        let mirror = root.join(name);
-        if !same_file(&primary, &mirror) {
-            std::fs::write(&mirror, contents)?;
-            written.push(mirror);
-        }
-    }
-    Ok(written)
-}
-
-/// Copy an already-written artifact to the repository root (for writers
-/// that stream to their primary path directly). Returns the mirror path
-/// when a copy was made.
-pub fn mirror_to_repo_root(path: &Path) -> io::Result<Option<PathBuf>> {
-    let Some(root) = repo_root() else {
-        return Ok(None);
-    };
-    let Some(name) = path.file_name() else {
-        return Ok(None);
-    };
-    let mirror = root.join(name);
-    if same_file(path, &mirror) {
-        return Ok(None);
-    }
-    std::fs::copy(path, &mirror)?;
-    Ok(Some(mirror))
-}
-
-/// Best-effort "these paths are the same file" (canonicalised comparison;
-/// false when either does not resolve).
-fn same_file(a: &Path, b: &Path) -> bool {
-    match (a.canonicalize(), b.canonicalize()) {
-        (Ok(ca), Ok(cb)) => ca == cb,
-        _ => false,
-    }
+    let path = out_dir.join(name);
+    std::fs::write(&path, contents)?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -82,29 +20,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn writes_out_dir_and_repo_root_copies() {
+    fn writes_under_the_out_dir_only() {
         let tmp = std::env::temp_dir().join(format!("partix-artifacts-{}", std::process::id()));
         let out = tmp.join("results");
-        let paths = write_artifact(&out, "BENCH_test_artifact.json", "{\"ok\":true}\n")
+        let path = write_artifact(&out, "BENCH_test_artifact.json", "{\"ok\":true}\n")
             .expect("write artifact");
-        assert!(paths[0].ends_with("results/BENCH_test_artifact.json"));
-        assert!(paths[0].exists());
-        // Running inside the repo, a second copy lands at the root.
-        if let Some(root) = repo_root() {
-            assert!(paths.iter().any(|p| p.parent() == Some(root.as_path())));
-            let _ = std::fs::remove_file(root.join("BENCH_test_artifact.json"));
-        }
+        assert_eq!(path, out.join("BENCH_test_artifact.json"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
+        // Nothing beside it: the working directory (the crate or repository
+        // root under `cargo test`) gets no copy.
+        let here = std::env::current_dir().unwrap();
+        assert!(!here.join("BENCH_test_artifact.json").exists());
         let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn mirror_skips_when_already_at_root() {
-        if let Some(root) = repo_root() {
-            let p = root.join("BENCH_mirror_probe.json");
-            std::fs::write(&p, "{}\n").expect("write probe");
-            let mirrored = mirror_to_repo_root(&p).expect("mirror");
-            assert!(mirrored.is_none(), "same-file mirror must be skipped");
-            let _ = std::fs::remove_file(&p);
-        }
     }
 }

@@ -399,12 +399,10 @@ fn main() {
     }
 
     let json = render_json(smoke, host_cpus, ranks, seed, &scenarios, speedup_jobs4);
-    let paths = partix_bench::artifacts::write_artifact(&out, "BENCH_fullstack.json", &json)
+    let path = partix_bench::artifacts::write_artifact(&out, "BENCH_fullstack.json", &json)
         .expect("write results");
     println!();
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
+    println!("wrote {}", path.display());
 
     // Forensics pass: re-run the chaos ring with flow tracing, arm a flight
     // recorder against mid-run panics, and dump unconditionally at the end

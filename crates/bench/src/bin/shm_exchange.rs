@@ -431,10 +431,8 @@ fn write_json(
     }
     let _ = writeln!(w, "  ]");
     let _ = writeln!(w, "}}");
-    let paths = partix_bench::artifacts::write_artifact(out, "BENCH_shm.json", &f)?;
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
+    let path = partix_bench::artifacts::write_artifact(out, "BENCH_shm.json", &f)?;
+    println!("wrote {}", path.display());
     Ok(())
 }
 

@@ -258,17 +258,6 @@ impl PooledBuf {
         self.inner.data.is_empty()
     }
 
-    /// Build a detached (non-pooled) payload from raw bytes. Used by tests
-    /// and cold paths; its storage is simply freed on drop.
-    pub fn from_vec(data: Vec<u8>) -> Self {
-        PooledBuf {
-            inner: Arc::new(PooledInner {
-                data,
-                arena: Weak::new(),
-            }),
-        }
-    }
-
     /// True when two handles share the same storage (diagnostics / tests).
     pub fn ptr_eq(a: &PooledBuf, b: &PooledBuf) -> bool {
         Arc::ptr_eq(&a.inner, &b.inner)

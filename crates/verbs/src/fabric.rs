@@ -98,6 +98,107 @@ pub struct TransferJob {
     pub opts: PostOptions,
 }
 
+/// What a delivery reads of a transfer besides its payload: small and
+/// `Copy`, so a wire that carries transfers as records (the shared-memory
+/// fabric) can deliver straight from a parsed record header without building
+/// a [`TransferJob`].
+#[derive(Clone, Copy, Debug)]
+pub struct DeliveryHeader {
+    /// Originating QP number.
+    pub src_qp: u32,
+    /// Destination node.
+    pub dst_node: NodeId,
+    /// Destination QP number.
+    pub dst_qp: u32,
+    /// Operation.
+    pub opcode: Opcode,
+    /// Remote NIC-visible destination address.
+    pub remote_addr: u64,
+    /// Remote key.
+    pub rkey: u32,
+    /// Immediate data.
+    pub imm: Option<u32>,
+    /// Total bytes.
+    pub total_len: u32,
+    /// Packet sequence number (see [`TransferJob::psn`]).
+    pub psn: u64,
+    /// Spurious wire-level duplicate (see [`TransferJob::ghost`]).
+    pub ghost: bool,
+    /// Causal-trace flow identifier (0 = untraced).
+    pub flow: u64,
+}
+
+/// Where a delivery's bytes come from.
+#[derive(Clone, Copy)]
+pub enum Payload<'a> {
+    /// Gather segments resolved at post time, read out of their source
+    /// regions at delivery.
+    Segments(&'a InlineVec<ResolvedSegment>),
+    /// The bytes themselves, in up to two pieces (either may be empty): an
+    /// inline snapshot, or a record still in the ring it arrived on, split
+    /// where the ring wraps.
+    Bytes([&'a [u8]; 2]),
+}
+
+/// What the send-side completion of a posted WR reads: the sender's whole
+/// record of it between post and ack.
+#[derive(Clone, Copy, Debug)]
+pub struct PostedSend {
+    /// Originating node.
+    pub src_node: NodeId,
+    /// Originating QP number.
+    pub src_qp: u32,
+    /// Caller's WR id.
+    pub wr_id: u64,
+    /// Operation.
+    pub opcode: Opcode,
+    /// Total bytes.
+    pub total_len: u32,
+    /// Causal-trace flow identifier (0 = untraced).
+    pub flow: u64,
+}
+
+impl TransferJob {
+    /// The delivery-side view of this job.
+    pub fn delivery_header(&self) -> DeliveryHeader {
+        DeliveryHeader {
+            src_qp: self.src_qp,
+            dst_node: self.dst_node,
+            dst_qp: self.dst_qp,
+            opcode: self.opcode,
+            remote_addr: self.remote_addr,
+            rkey: self.rkey,
+            imm: self.imm,
+            total_len: self.total_len,
+            psn: self.psn,
+            ghost: self.ghost,
+            flow: self.flow,
+        }
+    }
+
+    /// This job's payload source: the post-time snapshot of an inline send
+    /// (the source region may have been rewritten since), else the gather
+    /// list.
+    pub fn payload(&self) -> Payload<'_> {
+        match &self.inline_payload {
+            Some(snapshot) => Payload::Bytes([snapshot, &[]]),
+            None => Payload::Segments(&self.segments),
+        }
+    }
+
+    /// The completion-side view of this job.
+    pub fn posted(&self) -> PostedSend {
+        PostedSend {
+            src_node: self.src_node,
+            src_qp: self.src_qp,
+            wr_id: self.wr_id,
+            opcode: self.opcode,
+            total_len: self.total_len,
+            flow: self.flow,
+        }
+    }
+}
+
 /// Moves bytes for posted work requests and delivers completions.
 pub trait Fabric: Send + Sync {
     /// Accept a validated transfer job. Implementations must eventually:
@@ -145,13 +246,26 @@ pub fn execute_delivery_ext(
     job: &TransferJob,
     copy_data: bool,
 ) -> DeliveryOutcome {
+    execute_delivery_from(net, &job.delivery_header(), job.payload(), copy_data)
+}
+
+/// [`execute_delivery_ext`] for a transfer described by its header and a
+/// payload source of the caller's choosing. The payload is read only by a
+/// delivery that lands: a suppressed duplicate, a protection failure or a
+/// receiver-not-ready outcome never touches it.
+pub fn execute_delivery_from(
+    net: &Arc<NetworkState>,
+    job: &DeliveryHeader,
+    payload: Payload<'_>,
+    copy_data: bool,
+) -> DeliveryOutcome {
     // Telemetry: the attempt is counted before any validation so that the
     // outcome buckets below always partition the attempts exactly — the
     // "outcome partition" invariant. Every return path of `deliver` maps to
     // precisely one bucket.
     let wire = &net.telemetry().wire;
     wire.delivery_attempts.inc();
-    let outcome = deliver(net, job, copy_data);
+    let outcome = deliver(net, job, payload, copy_data);
     match &outcome {
         DeliveryOutcome::Delivered { bytes } => {
             wire.delivered.inc();
@@ -180,7 +294,12 @@ pub fn execute_delivery_ext(
     outcome
 }
 
-fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> DeliveryOutcome {
+fn deliver(
+    net: &Arc<NetworkState>,
+    job: &DeliveryHeader,
+    payload: Payload<'_>,
+    copy_data: bool,
+) -> DeliveryOutcome {
     let Ok(dst_qp) = net.qp(job.dst_node, job.dst_qp) else {
         return DeliveryOutcome::RemoteAccessError;
     };
@@ -221,20 +340,26 @@ fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> Deliv
     let wc_opcode = if let Some((dst_mr, base_off)) = target {
         rx.mark_psn(job.src_qp, job.psn);
         drop(rx);
-        // Gather: copy each local segment (or the inline snapshot) into the
-        // contiguous remote range.
+        // Gather: copy each piece of the payload into the contiguous remote
+        // range.
         if copy_data {
-            if let Some(payload) = &job.inline_payload {
-                dst_mr
-                    .write(base_off, payload)
-                    .expect("range validated at resolve time");
-            } else {
-                let mut cursor = base_off;
-                for seg in job.segments.iter() {
-                    dst_mr
-                        .copy_from(cursor, &seg.mr, seg.offset, seg.len)
-                        .expect("ranges validated at post and resolve time");
-                    cursor += seg.len;
+            let mut cursor = base_off;
+            match payload {
+                Payload::Bytes(pieces) => {
+                    for piece in pieces {
+                        dst_mr
+                            .write(cursor, piece)
+                            .expect("range validated at resolve time");
+                        cursor += piece.len();
+                    }
+                }
+                Payload::Segments(segments) => {
+                    for seg in segments.iter() {
+                        dst_mr
+                            .copy_from(cursor, &seg.mr, seg.offset, seg.len)
+                            .expect("ranges validated at post and resolve time");
+                        cursor += seg.len;
+                    }
                 }
             }
         }
@@ -247,7 +372,7 @@ fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> Deliv
             return DeliveryOutcome::PayloadTooLarge;
         }
         if copy_data {
-            if let Err(outcome) = scatter(mrs, job, recv_wr) {
+            if let Err(outcome) = scatter(mrs, payload, recv_wr) {
                 return outcome;
             }
         }
@@ -274,21 +399,26 @@ fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> Deliv
 }
 
 /// Stream a two-sided payload into the receive WR's scatter elements with
-/// chunked MR→MR copies: each chunk spans as far as both the current source
-/// piece and the current destination element allow, moving bytes
-/// source-region→destination-region with a single copy and no intermediate
-/// buffer. Inline sends stream from their post-time snapshot instead of the
-/// (possibly since-rewritten) source region.
-fn scatter(mrs: &MrRegistry, job: &TransferJob, recv_wr: &RecvWr) -> Result<(), DeliveryOutcome> {
+/// chunked copies: each chunk spans as far as both the current source piece
+/// and the current destination element allow, moving bytes
+/// source→destination-region with a single copy and no intermediate buffer.
+fn scatter(
+    mrs: &MrRegistry,
+    payload: Payload<'_>,
+    recv_wr: &RecvWr,
+) -> Result<(), DeliveryOutcome> {
     enum Piece<'a> {
         Bytes(&'a [u8]),
         Region(&'a MemoryRegion, usize, usize),
     }
-    let inline = job.inline_payload.is_some();
-    let pieces = job.inline_payload.iter().map(|p| Piece::Bytes(p)).chain(
-        job.segments
-            .iter()
-            .filter(move |_| !inline)
+    let (bytes, segments) = match payload {
+        Payload::Bytes(pieces) => (pieces, None),
+        Payload::Segments(segments) => ([&[][..]; 2], Some(segments)),
+    };
+    let pieces = bytes.into_iter().map(Piece::Bytes).chain(
+        segments
+            .into_iter()
+            .flat_map(|s| s.iter())
             .map(|s| Piece::Region(&s.mr, s.offset, s.len)),
     );
     let mut sge_iter = recv_wr.sg_list.iter();
@@ -340,29 +470,34 @@ pub fn complete_send(net: &Arc<NetworkState>, job: &TransferJob, status: WcStatu
         // place: no CQE, no slot release, no error state.
         return;
     }
-    let Ok(src_qp) = net.qp(job.src_node, job.src_qp) else {
+    complete_posted(net, &job.posted(), status);
+}
+
+/// [`complete_send`] for a WR known by what its sender kept of it.
+pub fn complete_posted(net: &Arc<NetworkState>, wr: &PostedSend, status: WcStatus) {
+    let Ok(src_qp) = net.qp(wr.src_node, wr.src_qp) else {
         return;
     };
     src_qp.release_send_slot();
     if status == WcStatus::Success {
         src_qp.counters().completed_success.inc();
-        src_qp.counters().bytes_completed.add(job.total_len as u64);
+        src_qp.counters().bytes_completed.add(wr.total_len as u64);
     } else {
         src_qp.counters().completed_error.inc();
         src_qp.set_error();
     }
-    let opcode = match job.opcode {
+    let opcode = match wr.opcode {
         Opcode::Send | Opcode::SendWithImm => WcOpcode::Send,
         _ => WcOpcode::RdmaWrite,
     };
     src_qp.send_cq().push(WorkCompletion {
-        wr_id: job.wr_id,
+        wr_id: wr.wr_id,
         status,
         opcode,
-        byte_len: job.total_len,
+        byte_len: wr.total_len,
         imm: None,
         qp_num: src_qp.qp_num(),
-        flow: job.flow,
+        flow: wr.flow,
         pushed_ns: net.telemetry().flows.now(),
     });
 }

@@ -18,19 +18,37 @@
 //!
 //! # Data path
 //!
-//! A payload is copied three times between the two registered regions, and
-//! no syscall is made on the way: `submit` gathers the source MR straight
-//! into the ring (72-byte header first), the progress thread copies the
-//! record out of the ring into the one buffer the delivery owns, and the
-//! delivery writes that into the destination MR. The sender keeps no copy:
-//! the ring loses nothing, so only a record the chaos knob charged as
-//! dropped is serialised aside for its retransmission.
+//! A payload is copied twice between the two registered regions, and no
+//! syscall, allocation, hash look-up or clock read is made on the way:
+//! `submit` gathers the source MR straight into the ring (72-byte header
+//! first), and the progress thread delivers the record *in place* — inside
+//! [`SpscRing::try_pop_with`], before `Head` moves, the shared
+//! [`execute_delivery_from`] writes the (up to two) ring slices into the
+//! destination MR, or feeds them to a receive WR's scatter list. The sender
+//! keeps no copy: the ring loses nothing, so only a record the chaos knob
+//! charged as dropped is serialised aside for its retransmission.
+//!
+//! **Ownership rule.** Ring memory is borrowed for exactly as long as the
+//! pop's closure runs; the slot goes back to the producer when it returns. A
+//! delivery that must outlive its slot — receiver-not-ready and re-armed on
+//! the RNR timer, or queued behind such a delivery for the same QP — copies
+//! its payload into a buffer it owns before the closure returns
+//! ([`Deferred`]); that is the only staging copy left. A PSN-suppressed
+//! duplicate, a protection failure and an exhausted RNR budget copy nothing.
+//!
+//! On the way back an ACK is `(psn, status)`: the sending channel keeps its
+//! un-acked records in a window in posting order, so the ack of an in-order
+//! stream completes the window's front, and [`complete_posted`] is handed
+//! what the sender kept. The sending channel of a QP is resolved once, into
+//! a table indexed by the local QP number.
 //!
 //! # Progress loop
 //!
-//! The progress thread polls. A scan visits every channel (from a snapshot
-//! of the channel list refreshed only when one is installed), then the RNR
-//! queue and the retransmission timers. After a scan that found nothing it
+//! The progress thread polls. A scan ([`ShmFabric::scan`]) visits every
+//! channel (from a snapshot of the channel list refreshed only when one is
+//! installed), then the RNR queue, and the retransmission timers while one is
+//! armed; the clock is read only where a deadline is set or checked. After a
+//! scan that found nothing it
 //! backs off up a ladder: [`SPIN_ROUNDS`] scans separated by a spin hint,
 //! [`YIELD_ROUNDS`] separated by `yield_now`, and then it parks for
 //! [`ShmConfig::idle_park`] (or until the nearest timer) — any work sends it
@@ -58,23 +76,23 @@
 //! double-entry wire ledger exact; see the invariant laws in
 //! `partix-telemetry`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use partix_telemetry::{segments_for, FlowStage, Sampler};
 
-use crate::buf::{InlineVec, PooledBuf};
 use crate::fabric::{
-    complete_send, execute_delivery, outcome_status, sender_retry_profile, DeliveryOutcome, Fabric,
-    PostOptions, TransferJob,
+    complete_posted, execute_delivery_from, outcome_status, sender_retry_profile, DeliveryHeader,
+    DeliveryOutcome, Fabric, Payload, PostedSend, TransferJob,
 };
 use crate::network::NetworkState;
 use crate::qp::RetryProfile;
+use crate::table::IndexTable;
 use crate::types::{Opcode, WcStatus};
 
 use super::ring::{RecordReader, RecordWriter, SpscRing};
@@ -87,8 +105,8 @@ const KIND_ACK: u8 = 2;
 
 /// Serialized DATA header bytes (payload follows).
 const DATA_HEADER: usize = 72;
-/// Serialized ACK record bytes.
-const ACK_LEN: usize = 48;
+/// Serialized ACK record bytes: `psn: u64` | `status: u8` | padding.
+const ACK_LEN: usize = 16;
 
 /// Configuration of a [`ShmFabric`].
 #[derive(Clone, Copy, Debug)]
@@ -160,7 +178,7 @@ enum Backing {
 }
 
 /// Directed channel identity: sender node/QP → receiver node/QP.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PairKey {
     src_node: u32,
     src_qp: u32,
@@ -190,13 +208,40 @@ struct Channel {
     /// Serialises the DATA producer side (posts may come from any thread;
     /// the ring protocol wants one logical producer).
     tx_lock: Mutex<()>,
+    /// Sender side: records awaiting their ACK, oldest first. One posting
+    /// thread registers them in PSN order and the receiver acks in delivery
+    /// order, so an ack normally completes the front; anything else (posts
+    /// racing on one QP, a retransmission overtaken) is found by a scan of
+    /// at most the QP's send-queue depth.
+    window: Mutex<VecDeque<Pending>>,
+}
+
+impl Channel {
+    fn new(
+        key: PairKey,
+        data: Arc<dyn Segment>,
+        ack: Arc<dyn Segment>,
+        we_send: bool,
+        we_recv: bool,
+    ) -> Arc<Channel> {
+        Arc::new(Channel {
+            key,
+            data: SpscRing::new(data),
+            ack: SpscRing::new(ack),
+            we_send,
+            we_recv,
+            tx_lock: Mutex::new(()),
+            window: Mutex::new(VecDeque::new()),
+        })
+    }
 }
 
 /// Sender-side record awaiting its ACK.
 struct Pending {
-    /// Completion identity (enough to rebuild the job for
-    /// [`complete_send`]).
-    echo: AckEcho,
+    /// What the completion needs.
+    wr: PostedSend,
+    /// The PSN its ACK will name.
+    psn: u64,
     /// Retry attributes captured at post time.
     profile: RetryProfile,
     /// Wire attempts already charged as dropped; `retry_cnt` bounds this.
@@ -209,36 +254,38 @@ struct Pending {
     submit_ns: u64,
 }
 
-/// Receiver-side delivery waiting in the progress thread's RNR queue:
-/// either deferred by a receiver-not-ready outcome (`attempts > 0`, due
-/// when the wall-clock RNR timer expires) or held behind such a delivery
-/// of the same QP (`attempts == 0`, due at once — order is what holds it).
-struct RnrPending {
-    job: TransferJob,
+/// Receiver-side delivery that outlived its ring slot, waiting in the
+/// progress thread's RNR queue with its payload in a buffer of its own:
+/// either deferred by a receiver-not-ready outcome (due when the wall-clock
+/// RNR timer expires) or held, untried, behind such a delivery of the same
+/// QP (due at once — order is what holds it).
+struct Deferred {
+    /// The channel the record arrived on, which carries its ACK.
+    ch: Arc<Channel>,
+    header: DeliveryHeader,
+    payload: Vec<u8>,
     rnr_budget: u8,
     min_rnr_timer_ns: u64,
     attempts: u8,
-    deadline: Instant,
+    /// When the RNR timer allows the next attempt; `None` while untried.
+    due: Option<Instant>,
 }
 
-impl RnrPending {
+impl Deferred {
     /// The destination QP whose receive queue this delivery waits on.
     fn dst(&self) -> (u32, u32) {
-        (self.job.dst_node, self.job.dst_qp)
+        (self.header.dst_node, self.header.dst_qp)
     }
 }
 
-/// The identity a receiver echoes back in an ACK.
-#[derive(Clone, Copy)]
-struct AckEcho {
-    src_node: u32,
-    src_qp: u32,
-    dst_qp: u32,
-    wr_id: u64,
-    psn: u64,
-    flow: u64,
-    total_len: u32,
-    opcode: Opcode,
+/// What the progress thread keeps between scans. Whoever scans holds the
+/// lock around it, so there is one scanner at a time.
+#[derive(Default)]
+struct ProgressState {
+    /// Snapshot of the channel list, re-read only when one is installed.
+    channels: Vec<Arc<Channel>>,
+    /// Deliveries waiting on a receive queue, in arrival order.
+    rnr: VecDeque<Deferred>,
 }
 
 #[derive(Default)]
@@ -270,9 +317,15 @@ pub struct ShmFabric {
     /// `channels.len()`, published after each install: the progress thread
     /// re-reads the list only when this differs from its snapshot.
     channels_installed: AtomicUsize,
-    by_pair: Mutex<HashMap<PairKey, Arc<Channel>>>,
-    /// Sender-side records awaiting their ACK, by `(src_qp, psn)`.
-    outstanding: Mutex<HashMap<(u32, u64), Pending>>,
+    /// The sending channel of each local QP, at the index its number spells
+    /// (a connected QP sends to one peer): what `submit` resolves instead of
+    /// searching `channels`.
+    tx_route: IndexTable<Arc<Channel>>,
+    /// [`Pending`] records, over every channel, that hold a retransmission
+    /// timer: the timer walk is skipped while this is zero.
+    retry_armed: AtomicUsize,
+    /// The scanner's state; see [`ProgressState`].
+    progress_state: Mutex<ProgressState>,
     net: OnceLock<Weak<NetworkState>>,
     shutdown: AtomicBool,
     progress: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -315,8 +368,9 @@ impl ShmFabric {
             backing,
             channels: Mutex::new(Vec::new()),
             channels_installed: AtomicUsize::new(0),
-            by_pair: Mutex::new(HashMap::new()),
-            outstanding: Mutex::new(HashMap::new()),
+            tx_route: IndexTable::new(),
+            retry_armed: AtomicUsize::new(0),
+            progress_state: Mutex::new(ProgressState::default()),
             net: OnceLock::new(),
             shutdown: AtomicBool::new(false),
             progress: Mutex::new(None),
@@ -408,10 +462,20 @@ impl ShmFabric {
 
     /// High-water mark of DATA-ring occupancy in bytes, across every
     /// channel of this fabric: sampled by the sender after each enqueue (and
-    /// at each ring-full stall) and by the receiver's progress thread before
-    /// each drain, so whichever side sees the backlog reports it.
+    /// at each ring-full stall) and by the receiver's progress thread at
+    /// each record it takes, so whichever side sees the backlog reports it.
     pub fn ring_occupancy_high_water(&self) -> u64 {
         self.stats.ring_occupancy_high_water.load(Ordering::Relaxed)
+    }
+
+    /// Raise the occupancy gauge to `seen` bytes. Compared first: past
+    /// warm-up the mark rarely moves, and a plain load leaves the counter's
+    /// cache line shared between the posting and the progress thread.
+    fn note_occupancy(&self, seen: u64) {
+        let mark = &self.stats.ring_occupancy_high_water;
+        if seen > mark.load(Ordering::Relaxed) {
+            mark.fetch_max(seen, Ordering::Relaxed);
+        }
     }
 
     /// Attach a wall-clock [`Sampler`]: the progress thread ticks it with
@@ -443,13 +507,13 @@ impl ShmFabric {
     pub fn is_idle(&self) -> bool {
         // Rings first, `in_hand` second: a record leaves a ring only after
         // it is counted in hand (see `ShmStats::in_hand`).
-        let drained =
-            self.channels.lock().iter().all(|ch| {
-                (!ch.we_recv || ch.data.is_empty()) && (!ch.we_send || ch.ack.is_empty())
-            });
+        let channels = self.channels.lock();
+        let drained = channels
+            .iter()
+            .all(|ch| (!ch.we_recv || ch.data.is_empty()) && (!ch.we_send || ch.ack.is_empty()));
         drained
             && self.stats.in_hand.load(Ordering::Acquire) == 0
-            && self.outstanding.lock().is_empty()
+            && channels.iter().all(|ch| ch.window.lock().is_empty())
     }
 
     /// Block until [`is_idle`](Self::is_idle) holds, or `timeout` elapses.
@@ -517,10 +581,27 @@ impl ShmFabric {
         let Backing::Host(dir) = &self.backing else {
             panic!("open_tx applies to host-mode fabrics; loopback channels are implicit");
         };
-        let data =
-            FileSegment::create(&dir.join(key.file_stem() + ".data"), self.cfg.ring_capacity)?;
-        let ack = FileSegment::create(&dir.join(key.file_stem() + ".ack"), self.cfg.ack_capacity)?;
-        let ch = self.install(key, Arc::new(data), Arc::new(ack), true, false);
+        let ch = {
+            // Routes are written under the list lock, so the check holds
+            // until the route is set.
+            let mut channels = self.channels.lock();
+            if self.tx_route.get(src.1).is_some() {
+                // A connected QP sends to one peer.
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::AlreadyExists,
+                    "this QP already has a sending shm channel",
+                ));
+            }
+            let data =
+                FileSegment::create(&dir.join(key.file_stem() + ".data"), self.cfg.ring_capacity)?;
+            let ack =
+                FileSegment::create(&dir.join(key.file_stem() + ".ack"), self.cfg.ack_capacity)?;
+            let ch = Channel::new(key, Arc::new(data), Arc::new(ack), true, false);
+            self.publish(&mut channels, &ch);
+            let fresh = self.tx_route.set(src.1, ch.clone());
+            assert!(fresh.is_ok(), "route checked empty under the list lock");
+            ch
+        };
         let deadline = Instant::now() + timeout;
         while !ch.data.is_attached() {
             if Instant::now() >= deadline {
@@ -567,71 +648,53 @@ impl ShmFabric {
             }
             std::thread::sleep(Duration::from_micros(200));
         };
-        let ch = self.install(key, Arc::new(data), Arc::new(ack), false, true);
+        let ch = Channel::new(key, Arc::new(data), Arc::new(ack), false, true);
+        self.publish(&mut self.channels.lock(), &ch);
         ch.data.mark_attached();
         Ok(())
     }
 
-    fn install(
-        &self,
-        key: PairKey,
-        data: Arc<dyn Segment>,
-        ack: Arc<dyn Segment>,
-        we_send: bool,
-        we_recv: bool,
-    ) -> Arc<Channel> {
-        let ch = Arc::new(Channel {
-            key,
-            data: SpscRing::new(data),
-            ack: SpscRing::new(ack),
-            we_send,
-            we_recv,
-            tx_lock: Mutex::new(()),
-        });
-        self.by_pair.lock().insert(key, ch.clone());
-        self.publish(&ch);
-        ch
-    }
-
-    /// Add `ch` to the list the progress thread scans.
-    fn publish(&self, ch: &Arc<Channel>) {
-        let mut channels = self.channels.lock();
+    /// Add `ch` to `channels`, the locked list the progress thread scans.
+    fn publish(&self, channels: &mut Vec<Arc<Channel>>, ch: &Arc<Channel>) {
         channels.push(ch.clone());
         self.channels_installed
             .store(channels.len(), Ordering::Release);
     }
 
-    /// Channel for `key`, creating it lazily in loopback mode.
-    fn channel(&self, key: PairKey) -> Arc<Channel> {
-        if let Some(ch) = self.by_pair.lock().get(&key) {
-            return ch.clone();
-        }
-        match &self.backing {
-            Backing::Loopback => {
-                // Double-checked under the map lock to keep creation
-                // single-shot under concurrent posts.
-                let mut map = self.by_pair.lock();
-                if let Some(ch) = map.get(&key) {
-                    return ch.clone();
-                }
-                let ch = Arc::new(Channel {
-                    key,
-                    data: SpscRing::new(Arc::new(HeapSegment::new(
-                        self.cfg.ring_capacity as usize,
-                    ))),
-                    ack: SpscRing::new(Arc::new(HeapSegment::new(self.cfg.ack_capacity as usize))),
-                    we_send: true,
-                    we_recv: true,
-                    tx_lock: Mutex::new(()),
-                });
-                map.insert(key, ch.clone());
-                self.publish(&ch);
-                ch
+    /// The sending channel for `key` when its QP is not routed to it yet:
+    /// the first post of a loopback QP, which creates the channel and the
+    /// route, or a QP re-connected to another peer, which keeps its first
+    /// route and finds its later channels here on every post.
+    #[cold]
+    fn channel_slow(&self, key: PairKey) -> Arc<Channel> {
+        let Backing::Loopback = &self.backing else {
+            panic!(
+                "no shm channel open for QP pair {key:?}; host mode requires open_tx before posting"
+            );
+        };
+        // Found or created under the list lock, so concurrent posts create
+        // one channel per key.
+        let find_or_create = || {
+            let mut channels = self.channels.lock();
+            if let Some(ch) = channels.iter().find(|c| c.key == key) {
+                return ch.clone();
             }
-            Backing::Host(_) => panic!(
-                "no shm channel open for QP pair {:?}; host mode requires open_tx before posting",
-                key
-            ),
+            let heap = |bytes: u64| Arc::new(HeapSegment::new(bytes as usize));
+            let ch = Channel::new(
+                key,
+                heap(self.cfg.ring_capacity),
+                heap(self.cfg.ack_capacity),
+                true,
+                true,
+            );
+            self.publish(&mut channels, &ch);
+            ch
+        };
+        let routed = self.tx_route.get_or_init(key.src_qp, find_or_create);
+        if routed.key == key {
+            routed.clone()
+        } else {
+            find_or_create()
         }
     }
 
@@ -648,9 +711,7 @@ impl ShmFabric {
         let _tx = ch.tx_lock.lock();
         if !ch.data.try_push_with(KIND_DATA, len, write) {
             self.stats.ring_full_stalls.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .ring_occupancy_high_water
-                .fetch_max(ch.data.len(), Ordering::Relaxed);
+            self.note_occupancy(ch.data.len());
             let deadline = Instant::now() + self.cfg.full_ring_deadline;
             loop {
                 self.kick();
@@ -667,14 +728,89 @@ impl ShmFabric {
                 );
             }
         }
-        self.stats
-            .ring_occupancy_high_water
-            .fetch_max(ch.data.len(), Ordering::Relaxed);
+        // The producer's own bound never under-reports, so the consumer's
+        // cursor is looked at only when the mark could move.
+        if ch.data.len_bound() > self.ring_occupancy_high_water() {
+            self.note_occupancy(ch.data.len());
+        }
         let wire = &net.telemetry().wire;
         wire.inner_submissions.inc();
         wire.mtu_segments
             .add(segments_for((len - DATA_HEADER) as u64, self.cfg.mtu));
         self.kick();
+    }
+
+    /// [`Fabric::submit`] once the sending channel is known.
+    fn submit_on(&self, net: &Arc<NetworkState>, ch: &Channel, job: TransferJob) {
+        let profile = sender_retry_profile(net, &job).unwrap_or(RetryProfile {
+            timeout: 5,
+            retry_cnt: 0,
+            rnr_retry: 0,
+            min_rnr_timer_ns: 10_000,
+        });
+        let header = data_header(&job, &profile);
+        let len = DATA_HEADER + job.total_len as usize;
+        // Header, then the payload gathered *at post time* straight into
+        // the ring (the wire must not chase source-region rewrites across a
+        // process boundary; inline sends reuse their snapshot).
+        let write = |w: &mut RecordWriter<'_>| {
+            w.put(&header);
+            gather_payload(&job, w);
+        };
+        let flows = &net.telemetry().flows;
+        let submit_ns = flows.now();
+        flows.event(job.flow, FlowStage::WireSubmit, job.src_qp, 0, 0);
+
+        // Ghost duplicates (ours or a lossy decorator's) are
+        // fire-and-forget: no ack, no retransmission, no completion.
+        if job.ghost {
+            self.enqueue_data(net, ch, len, &write);
+            return;
+        }
+
+        // Deterministic chaos, drawn per DATA submission in submit order.
+        let seq = self.data_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let wire = &net.telemetry().wire;
+        if let Some(n) = self.cfg.dup_nth {
+            if seq % n.max(1) == 0 {
+                wire.duplicates_injected.inc();
+                let mut ghost = header;
+                ghost[FLAGS_AT] |= FLAG_GHOST;
+                self.enqueue_data(net, ch, len, &|w| {
+                    w.put(&ghost);
+                    gather_payload(&job, w);
+                });
+            }
+        }
+        let dropped = self.cfg.drop_nth.is_some_and(|n| seq % n.max(1) == 0);
+
+        // Only a record charged as dropped is ever re-sent, so only it
+        // keeps a copy of itself.
+        let retry = dropped.then(|| {
+            let mut record = vec![0u8; len];
+            write(&mut RecordWriter::new(&mut record, &mut []));
+            let backoff = Duration::from_nanos(profile.backoff_ns(0));
+            self.retry_armed.fetch_add(1, Ordering::Relaxed);
+            (Instant::now() + backoff, record)
+        });
+        // Registered before the record can produce an ack, so the ack
+        // handler always finds its entry.
+        ch.window.lock().push_back(Pending {
+            wr: job.posted(),
+            psn: job.psn,
+            profile,
+            attempts: 0,
+            retry,
+            submit_ns,
+        });
+        if dropped {
+            // Lost before the wire: charged now, recovered by the ack
+            // timer. The progress thread owns the retransmission.
+            wire.dropped.inc();
+            self.kick();
+            return;
+        }
+        self.enqueue_data(net, ch, len, &write);
     }
 }
 
@@ -702,87 +838,10 @@ impl Fabric for ShmFabric {
             dst_node: job.dst_node,
             dst_qp: job.dst_qp,
         };
-        let ch = self.channel(key);
-        let profile = sender_retry_profile(net, &job).unwrap_or(RetryProfile {
-            timeout: 5,
-            retry_cnt: 0,
-            rnr_retry: 0,
-            min_rnr_timer_ns: 10_000,
-        });
-        let header = data_header(&job, &profile);
-        let len = DATA_HEADER + job.total_len as usize;
-        // Header, then the payload gathered *at post time* straight into
-        // the ring (the wire must not chase source-region rewrites across a
-        // process boundary; inline sends reuse their snapshot).
-        let write = |w: &mut RecordWriter<'_>| {
-            w.put(&header);
-            gather_payload(&job, w);
-        };
-        let flows = &net.telemetry().flows;
-        let submit_ns = flows.now();
-        flows.event(job.flow, FlowStage::WireSubmit, job.src_qp, 0, 0);
-
-        // Ghost duplicates (ours or a lossy decorator's) are
-        // fire-and-forget: no ack, no retransmission, no completion.
-        if job.ghost {
-            self.enqueue_data(net, &ch, len, &write);
-            return;
+        match self.tx_route.get(key.src_qp).filter(|ch| ch.key == key) {
+            Some(ch) => self.submit_on(net, ch, job),
+            None => self.submit_on(net, &self.channel_slow(key), job),
         }
-
-        // Deterministic chaos, drawn per DATA submission in submit order.
-        let seq = self.data_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let wire = &net.telemetry().wire;
-        if let Some(n) = self.cfg.dup_nth {
-            if seq % n.max(1) == 0 {
-                wire.duplicates_injected.inc();
-                let mut ghost = header;
-                ghost[FLAGS_AT] |= FLAG_GHOST;
-                self.enqueue_data(net, &ch, len, &|w| {
-                    w.put(&ghost);
-                    gather_payload(&job, w);
-                });
-            }
-        }
-        let dropped = self.cfg.drop_nth.is_some_and(|n| seq % n.max(1) == 0);
-
-        let echo = AckEcho {
-            src_node: job.src_node,
-            src_qp: job.src_qp,
-            dst_qp: job.dst_qp,
-            wr_id: job.wr_id,
-            psn: job.psn,
-            flow: job.flow,
-            total_len: job.total_len,
-            opcode: job.opcode,
-        };
-        // Only a record charged as dropped is ever re-sent, so only it
-        // keeps a copy of itself.
-        let retry = dropped.then(|| {
-            let mut record = vec![0u8; len];
-            write(&mut RecordWriter::new(&mut record, &mut []));
-            let backoff = Duration::from_nanos(profile.backoff_ns(0));
-            (Instant::now() + backoff, record)
-        });
-        // Registered before the record can produce an ack, so the ack
-        // handler always finds its entry.
-        self.outstanding.lock().insert(
-            (job.src_qp, job.psn),
-            Pending {
-                echo,
-                profile,
-                attempts: 0,
-                retry,
-                submit_ns,
-            },
-        );
-        if dropped {
-            // Lost before the wire: charged now, recovered by the ack
-            // timer. The progress thread owns the retransmission.
-            wire.dropped.inc();
-            self.kick();
-            return;
-        }
-        self.enqueue_data(net, &ch, len, &write);
     }
 }
 
@@ -834,7 +893,10 @@ fn status_from_wire(b: u8) -> WcStatus {
 /// Offset of the flags byte in a DATA header.
 const FLAGS_AT: usize = 60;
 
-/// The fixed header of `job`'s DATA record (the payload follows it).
+/// The fixed header of `job`'s DATA record (the payload follows it). The
+/// receiver reads all of it but `src_node` and `wr_id`, which only say whose
+/// record this is to someone reading a segment file: the ACK names the PSN,
+/// and the sender's window has the rest.
 fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
     let mut rec = [0u8; DATA_HEADER];
     rec[0..4].copy_from_slice(&job.src_node.to_le_bytes());
@@ -880,10 +942,10 @@ fn gather_payload(job: &TransferJob, w: &mut RecordWriter<'_>) {
     }
 }
 
-/// Read a DATA record back into a deliverable job plus the sender's RNR
-/// attributes. The payload is copied once, ring to the buffer the job owns
-/// (it rides as an inline snapshot).
-fn parse_data(r: &mut RecordReader<'_>) -> (TransferJob, u8, u64) {
+/// Read a DATA record's fixed header: what its delivery needs, plus the
+/// sender's RNR attributes. The payload stays where it is, in the ring, as
+/// what is left of `r`.
+fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, u8, u64) {
     let mut rec = [0u8; DATA_HEADER];
     r.take(&mut rec);
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
@@ -895,85 +957,34 @@ fn parse_data(r: &mut RecordReader<'_>) -> (TransferJob, u8, u64) {
         total_len as usize,
         "shm DATA record length disagrees with its header"
     );
-    let mut payload = Vec::with_capacity(total_len as usize);
-    r.append_rest_to(&mut payload);
-    let job = TransferJob {
-        src_node: u32_at(0),
-        dst_node: u32_at(4),
+    let header = DeliveryHeader {
         src_qp: u32_at(8),
+        dst_node: u32_at(4),
         dst_qp: u32_at(12),
-        wr_id: u64_at(16),
         opcode: opcode_from_wire(rec[61]),
-        segments: InlineVec::new(),
         remote_addr: u64_at(40),
         rkey: u32_at(48),
         imm: (flags & FLAG_IMM != 0).then(|| u32_at(56)),
         total_len,
-        inline_payload: Some(PooledBuf::from_vec(payload)),
         psn: u64_at(24),
         ghost: flags & FLAG_GHOST != 0,
         flow: u64_at(32),
-        opts: PostOptions::default(),
     };
-    (job, rec[62], u64_at(64))
+    (header, rec[62], u64_at(64))
 }
 
-fn serialize_ack(echo: &AckEcho, status: WcStatus) -> [u8; ACK_LEN] {
+fn serialize_ack(psn: u64, status: WcStatus) -> [u8; ACK_LEN] {
     let mut rec = [0u8; ACK_LEN];
-    rec[0..4].copy_from_slice(&echo.src_node.to_le_bytes());
-    rec[4..8].copy_from_slice(&echo.src_qp.to_le_bytes());
-    rec[8..12].copy_from_slice(&echo.dst_qp.to_le_bytes());
-    rec[16..24].copy_from_slice(&echo.wr_id.to_le_bytes());
-    rec[24..32].copy_from_slice(&echo.psn.to_le_bytes());
-    rec[32..40].copy_from_slice(&echo.flow.to_le_bytes());
-    rec[40..44].copy_from_slice(&echo.total_len.to_le_bytes());
-    rec[44] = status_to_wire(status);
-    rec[45] = opcode_to_wire(echo.opcode);
+    rec[0..8].copy_from_slice(&psn.to_le_bytes());
+    rec[8] = status_to_wire(status);
     rec
 }
 
-fn parse_ack(r: &mut RecordReader<'_>) -> (AckEcho, WcStatus) {
+fn parse_ack(r: &mut RecordReader<'_>) -> (u64, WcStatus) {
     let mut rec = [0u8; ACK_LEN];
     r.take(&mut rec);
-    let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
-    let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("fixed"));
-    (
-        AckEcho {
-            src_node: u32_at(0),
-            src_qp: u32_at(4),
-            dst_qp: u32_at(8),
-            wr_id: u64_at(16),
-            psn: u64_at(24),
-            flow: u64_at(32),
-            total_len: u32_at(40),
-            opcode: opcode_from_wire(rec[45]),
-        },
-        status_from_wire(rec[44]),
-    )
-}
-
-impl AckEcho {
-    /// Rebuild the minimal job [`complete_send`] needs.
-    fn to_job(self) -> TransferJob {
-        TransferJob {
-            src_node: self.src_node,
-            dst_node: 0,
-            src_qp: self.src_qp,
-            dst_qp: self.dst_qp,
-            wr_id: self.wr_id,
-            opcode: self.opcode,
-            segments: InlineVec::new(),
-            remote_addr: 0,
-            rkey: 0,
-            imm: None,
-            total_len: self.total_len,
-            inline_payload: None,
-            psn: self.psn,
-            ghost: false,
-            flow: self.flow,
-            opts: PostOptions::default(),
-        }
-    }
+    let psn = u64::from_le_bytes(rec[0..8].try_into().expect("fixed"));
+    (psn, status_from_wire(rec[8]))
 }
 
 // ---------------------------------------------------------------------------
@@ -997,81 +1008,46 @@ const YIELD_ROUNDS: u32 = 240;
 /// caller.
 const MAX_STARVED_SPELLS: u32 = 128;
 
-/// The dedicated poll/progress thread (Ibdxnet's receive thread): drains
-/// DATA rings into deliveries + ACKs, ACK rings into send completions,
-/// and services the wall-clock RNR and retransmission timers.
+/// The dedicated poll/progress thread (Ibdxnet's receive thread): runs
+/// [`ShmFabric::scan`] until there is nothing to do, then backs off.
 fn progress_loop(me: Weak<ShmFabric>) {
-    // Snapshot of the channel list, re-read only when one is installed.
-    let mut channels: Vec<Arc<Channel>> = Vec::new();
-    // Deliveries waiting on a receive queue, in arrival order. Only this
-    // thread delivers, so the queue is its own.
-    let mut rnr: VecDeque<RnrPending> = VecDeque::new();
     // Consecutive scans that found nothing to do.
     let mut idle_rounds = 0u32;
     // Idle spells left that skip the yield phase, and how many were skipped
     // last time (see `MAX_STARVED_SPELLS`).
     let (mut skip_yields, mut starved_spells) = (0u32, 0u32);
+    // Set when a final drain starts, pushed back by every scan that worked.
+    let mut drain_deadline: Option<Instant> = None;
     loop {
         // Held across scans and dropped only to park: `Drop` must be able
         // to join a parked thread, and the fabric may be gone by the time it
         // wakes. (If this handle turns out to be the last one, `shutdown`
         // runs here and knows not to join itself.)
         let Some(fab) = me.upgrade() else { return };
+        // The scanner's lock, held for the spell like the fabric.
+        let mut st = fab.progress_state.lock();
         loop {
             let shutting_down = fab.shutdown.load(Ordering::Acquire);
-            let net = fab.net.get().and_then(|w| w.upgrade());
-            let mut did_work = false;
-            fab.stats
-                .progress_iterations
-                .fetch_add(1, Ordering::Relaxed);
-
-            if let Some(net) = &net {
-                if fab.channels_installed.load(Ordering::Acquire) != channels.len() {
-                    channels.clone_from(&fab.channels.lock());
-                }
-                for ch in &channels {
-                    if ch.we_recv {
-                        fab.stats
-                            .ring_occupancy_high_water
-                            .fetch_max(ch.data.len(), Ordering::Relaxed);
-                        while let Ok((job, rnr_budget, rnr_timer_ns)) =
-                            ch.data.try_pop_with(|kind, r| {
-                                debug_assert_eq!(kind, KIND_DATA);
-                                fab.stats.in_hand.fetch_add(1, Ordering::Relaxed);
-                                parse_data(r)
-                            })
-                        {
-                            fab.stats.data_records.fetch_add(1, Ordering::Relaxed);
-                            fab.handle_data(net, ch, job, rnr_budget, rnr_timer_ns, &mut rnr);
-                            did_work = true;
-                        }
-                    }
-                    if ch.we_send {
-                        while let Ok((echo, status)) = ch.ack.try_pop_with(|kind, r| {
-                            debug_assert_eq!(kind, KIND_ACK);
-                            fab.stats.in_hand.fetch_add(1, Ordering::Relaxed);
-                            parse_ack(r)
-                        }) {
-                            fab.stats.ack_records.fetch_add(1, Ordering::Relaxed);
-                            fab.handle_ack(net, echo, status);
-                            fab.stats.in_hand.fetch_sub(1, Ordering::Release);
-                            did_work = true;
-                        }
-                    }
-                }
-                did_work |= fab.service_rnr(net, &mut rnr);
-                did_work |= fab.service_timeouts(net);
-            }
+            let did_work = fab.scan(&mut st);
 
             if let Some((sampler, epoch)) = fab.sampler.get() {
                 sampler.tick(epoch.elapsed().as_nanos() as u64);
             }
 
             if shutting_down {
-                // Final drain: leave only once everything consumable is
-                // quiet (or the fabric is being torn down with the network
-                // gone).
-                if net.is_none() || (!did_work && fab.is_idle()) {
+                // Final drain: leave once everything consumable is quiet, the
+                // fabric is being torn down with the network gone, or nothing
+                // has moved for a stall deadline (a peer that will never ack
+                // must not turn `shutdown` into a hang).
+                let now = Instant::now();
+                if did_work || drain_deadline.is_none() {
+                    drain_deadline = Some(now + fab.cfg.full_ring_deadline);
+                }
+                let network_gone = fab.net.get().is_none_or(|net| net.strong_count() == 0);
+                if network_gone
+                    || (!did_work && fab.is_idle())
+                    || drain_deadline.is_some_and(|deadline| now >= deadline)
+                {
                     return;
                 }
                 continue;
@@ -1105,7 +1081,8 @@ fn progress_loop(me: Weak<ShmFabric>) {
                 break;
             }
         }
-        let park = fab.next_deadline_in(&rnr);
+        let park = fab.next_deadline_in(&st);
+        drop(st);
         drop(fab);
         std::thread::park_timeout(park);
         if let Some(fab) = me.upgrade() {
@@ -1114,15 +1091,82 @@ fn progress_loop(me: Weak<ShmFabric>) {
     }
 }
 
+/// Test hook: exclusive hold on a fabric's progress. See
+/// [`ShmFabric::pause_progress`].
+#[doc(hidden)]
+pub struct ProgressDriver<'a> {
+    fab: &'a ShmFabric,
+    st: MutexGuard<'a, ProgressState>,
+}
+
+impl ProgressDriver<'_> {
+    /// One scan, on the calling thread. Returns whether it found work.
+    pub fn scan(&mut self) -> bool {
+        self.fab.scan(&mut self.st)
+    }
+}
+
 impl ShmFabric {
+    /// Test hook: lock the progress thread out (it blocks at its next spell
+    /// and stays parked on the lock) and hand its job to the caller, one
+    /// [`ProgressDriver::scan`] at a time — so a test can count what one scan
+    /// does, on its own thread, or provoke a stall the thread would otherwise
+    /// die of out of sight. Drop the driver before `shutdown`.
+    #[doc(hidden)]
+    pub fn pause_progress(&self) -> ProgressDriver<'_> {
+        ProgressDriver {
+            fab: self,
+            st: self.progress_state.lock(),
+        }
+    }
+
+    /// One progress scan: drain every DATA ring this process consumes into
+    /// deliveries + ACKs and every ACK ring into send completions, then
+    /// service the wall-clock RNR queue and the retransmission timers.
+    /// Returns whether anything was there to do.
+    fn scan(&self, st: &mut ProgressState) -> bool {
+        self.stats
+            .progress_iterations
+            .fetch_add(1, Ordering::Relaxed);
+        let Some(net) = self.net.get().and_then(Weak::upgrade) else {
+            return false;
+        };
+        let ProgressState { channels, rnr } = st;
+        if self.channels_installed.load(Ordering::Acquire) != channels.len() {
+            channels.clone_from(&self.channels.lock());
+        }
+        let mut did_work = false;
+        for ch in channels.iter() {
+            if ch.we_recv {
+                while self.take_data(&net, ch, rnr) {
+                    did_work = true;
+                }
+            }
+            if ch.we_send {
+                while self.take_ack(&net, ch) {
+                    did_work = true;
+                }
+            }
+        }
+        did_work |= self.service_rnr(&net, rnr);
+        did_work |= self.service_timeouts(&net, channels);
+        did_work
+    }
+
     /// How long an idle progress thread may park: until the nearest armed
     /// RNR/retransmission deadline, and never longer than `idle_park`.
-    fn next_deadline_in(&self, rnr: &VecDeque<RnrPending>) -> Duration {
-        let outstanding = self.outstanding.lock();
-        let retries = outstanding
-            .values()
-            .filter_map(|p| p.retry.as_ref().map(|(deadline, _)| *deadline));
-        match rnr.iter().map(|r| r.deadline).chain(retries).min() {
+    fn next_deadline_in(&self, st: &ProgressState) -> Duration {
+        // A delivery queued untried waits on the one ahead of it, not on a
+        // timer of its own.
+        let mut nearest = st.rnr.iter().filter_map(|d| d.due).min();
+        if self.retry_armed.load(Ordering::Relaxed) > 0 {
+            for ch in st.channels.iter().filter(|ch| ch.we_send) {
+                let window = ch.window.lock();
+                let retries = window.iter().filter_map(|p| Some(p.retry.as_ref()?.0));
+                nearest = nearest.into_iter().chain(retries).min();
+            }
+        }
+        match nearest {
             Some(nearest) => nearest
                 .saturating_duration_since(Instant::now())
                 .min(self.cfg.idle_park),
@@ -1130,119 +1174,153 @@ impl ShmFabric {
         }
     }
 
-    /// Take one DATA record (already counted in hand) off the wire. Delivery
-    /// order on a QP is posting order: while an earlier delivery for the
-    /// same destination QP waits in the RNR queue, this one queues behind it
-    /// untried.
-    fn handle_data(
+    /// Take one DATA record off `ch`, if one is there, and deliver it in
+    /// place: the payload goes from the ring slices to wherever the delivery
+    /// puts it, before the slot is handed back. Delivery order on a QP is
+    /// posting order: while an earlier delivery for the same destination QP
+    /// waits in the RNR queue, this one queues behind it untried. Only a
+    /// record that queues — either way — copies its payload out of the ring.
+    fn take_data(
         &self,
         net: &Arc<NetworkState>,
-        ch: &Channel,
-        job: TransferJob,
-        rnr_budget: u8,
-        min_rnr_timer_ns: u64,
-        rnr: &mut VecDeque<RnrPending>,
-    ) {
-        let mut waiting = RnrPending {
-            job,
-            rnr_budget,
-            min_rnr_timer_ns,
-            attempts: 0,
-            deadline: Instant::now(),
-        };
-        let dst = waiting.dst();
-        if !rnr.iter().any(|r| r.dst() == dst) {
-            match self.deliver(net, ch, waiting) {
-                None => {
-                    self.stats.in_hand.fetch_sub(1, Ordering::Release);
-                    return;
-                }
-                Some(deferred) => waiting = deferred,
+        ch: &Arc<Channel>,
+        rnr: &mut VecDeque<Deferred>,
+    ) -> bool {
+        let taken = ch.data.try_pop_with(|kind, r| {
+            debug_assert_eq!(kind, KIND_DATA);
+            self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
+            self.note_occupancy(r.backlog());
+            let (header, rnr_budget, min_rnr_timer_ns) = parse_data_header(r);
+            let payload = r.rest();
+            let dst = (header.dst_node, header.dst_qp);
+            let due = if rnr.iter().any(|d| d.dst() == dst) {
+                None
+            } else {
+                let retry = rnr_budget > 0;
+                Some(self.deliver(net, ch, &header, payload, retry, min_rnr_timer_ns)?)
+            };
+            Some(Deferred {
+                ch: ch.clone(),
+                header,
+                payload: payload.concat(),
+                rnr_budget,
+                min_rnr_timer_ns,
+                attempts: due.is_some() as u8,
+                due,
+            })
+        });
+        let Ok(deferred) = taken else { return false };
+        self.stats.data_records.fetch_add(1, Ordering::Relaxed);
+        match deferred {
+            Some(deferred) => rnr.push_back(deferred),
+            None => {
+                self.stats.in_hand.fetch_sub(1, Ordering::Release);
             }
         }
-        rnr.push_back(waiting);
+        true
     }
 
     /// Attempt one delivery: run the destination-side effects and, for
-    /// non-ghost records, acknowledge. On receiver-not-ready within the
-    /// sender's RNR budget the delivery comes back, re-armed on the
-    /// wall-clock RNR timer, for the caller to (re)queue; `None` means it is
-    /// done with, delivered or acknowledged as failed.
+    /// non-ghost records, acknowledge. `None` means the record is done with,
+    /// delivered or acknowledged as failed; on receiver-not-ready with
+    /// `retry` left in the sender's RNR budget it is instead the wall-clock
+    /// deadline of the re-armed RNR timer, for the caller to (re)queue by.
     fn deliver(
         &self,
         net: &Arc<NetworkState>,
         ch: &Channel,
-        mut d: RnrPending,
-    ) -> Option<RnrPending> {
-        let job = &d.job;
-        let outcome = execute_delivery(net, job);
-        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && d.attempts < d.rnr_budget {
+        header: &DeliveryHeader,
+        payload: [&[u8]; 2],
+        retry: bool,
+        min_rnr_timer_ns: u64,
+    ) -> Option<Instant> {
+        let outcome = execute_delivery_from(net, header, Payload::Bytes(payload), true);
+        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && retry {
             let wire = &net.telemetry().wire;
             wire.rnr_requeues.inc();
             self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
             let flows = &net.telemetry().flows;
             flows.event(
-                job.flow,
+                header.flow,
                 FlowStage::RnrWait,
-                job.src_qp,
+                header.src_qp,
                 0,
-                d.min_rnr_timer_ns,
+                min_rnr_timer_ns,
             );
-            if job.flow != 0 {
-                flows.stage_ns(|s| &s.rnr_wait, d.min_rnr_timer_ns);
+            if header.flow != 0 {
+                flows.stage_ns(|s| &s.rnr_wait, min_rnr_timer_ns);
             }
-            d.attempts += 1;
-            d.deadline = Instant::now() + Duration::from_nanos(d.min_rnr_timer_ns.max(1));
-            return Some(d);
+            return Some(Instant::now() + Duration::from_nanos(min_rnr_timer_ns.max(1)));
         }
-        if job.ghost {
+        if header.ghost {
             return None;
         }
-        let echo = AckEcho {
-            src_node: job.src_node,
-            src_qp: job.src_qp,
-            dst_qp: job.dst_qp,
-            wr_id: job.wr_id,
-            psn: job.psn,
-            flow: job.flow,
-            total_len: job.total_len,
-            opcode: job.opcode,
-        };
-        let ack = serialize_ack(&echo, outcome_status(&outcome));
-        let deadline = Instant::now() + self.cfg.full_ring_deadline;
+        let ack = serialize_ack(header.psn, outcome_status(&outcome));
+        // The clock is read only once the ring has turned an ACK away.
+        let mut deadline = None;
         while !ch.ack.try_push(KIND_ACK, &ack) {
+            let deadline =
+                *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_ring_deadline);
             assert!(
                 Instant::now() < deadline,
-                "shm ack ring full past the stall deadline — sender progress thread gone?"
+                "shm ack ring {:?} full past the {:?} stall deadline — sender progress \
+                 thread gone?",
+                ch.key,
+                self.cfg.full_ring_deadline
             );
             std::thread::yield_now();
         }
         None
     }
 
+    /// Take one ACK record off `ch`, if one is there, and complete the send
+    /// it names.
+    fn take_ack(&self, net: &Arc<NetworkState>, ch: &Channel) -> bool {
+        let taken = ch.ack.try_pop_with(|kind, r| {
+            debug_assert_eq!(kind, KIND_ACK);
+            self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
+            parse_ack(r)
+        });
+        let Ok((psn, status)) = taken else {
+            return false;
+        };
+        self.stats.ack_records.fetch_add(1, Ordering::Relaxed);
+        self.handle_ack(net, ch, psn, status);
+        self.stats.in_hand.fetch_sub(1, Ordering::Release);
+        true
+    }
+
     /// Complete a send against an arriving ACK. Duplicate acks (the
     /// receiver acks every non-ghost record, so a timeout retransmission
-    /// that raced a slow original produces two) fall out of the
-    /// outstanding table: only the first completes.
-    fn handle_ack(&self, net: &Arc<NetworkState>, echo: AckEcho, status: WcStatus) {
-        let pending = self.outstanding.lock().remove(&(echo.src_qp, echo.psn));
+    /// that raced a slow original produces two) fall out of the window:
+    /// only the first completes.
+    fn handle_ack(&self, net: &Arc<NetworkState>, ch: &Channel, psn: u64, status: WcStatus) {
+        let pending = {
+            let mut window = ch.window.lock();
+            // The front, unless acks and registrations disagree on order.
+            let at = window.iter().position(|p| p.psn == psn);
+            at.and_then(|i| window.remove(i))
+        };
         let Some(pending) = pending else {
             self.stats.stale_acks.fetch_add(1, Ordering::Relaxed);
             return;
         };
+        if pending.retry.is_some() {
+            self.retry_armed.fetch_sub(1, Ordering::Relaxed);
+        }
         let flows = &net.telemetry().flows;
-        if echo.flow != 0 {
+        if pending.wr.flow != 0 {
             let wire_ns = flows.now().saturating_sub(pending.submit_ns);
             flows.stage_ns(|s| &s.wire, wire_ns);
         }
-        complete_send(net, &echo.to_job(), status);
+        complete_posted(net, &pending.wr, status);
     }
 
     /// Re-attempt queued deliveries, oldest first. A QP whose oldest queued
     /// delivery is not due yet (or hits receiver-not-ready again) keeps
     /// everything behind it waiting, so a deferred window is redelivered in
     /// posting order; other QPs pass it.
-    fn service_rnr(&self, net: &Arc<NetworkState>, rnr: &mut VecDeque<RnrPending>) -> bool {
+    fn service_rnr(&self, net: &Arc<NetworkState>, rnr: &mut VecDeque<Deferred>) -> bool {
         if rnr.is_empty() {
             return false;
         }
@@ -1251,34 +1329,29 @@ impl ShmFabric {
         let mut worked = false;
         let mut i = 0;
         while i < rnr.len() {
-            let dst = rnr[i].dst();
+            let d = &mut rnr[i];
+            let dst = d.dst();
             if blocked.contains(&dst) {
                 i += 1;
                 continue;
             }
-            if rnr[i].deadline > now {
+            if d.due.is_some_and(|due| due > now) {
                 blocked.push(dst);
                 i += 1;
                 continue;
             }
-            let due = rnr.remove(i).expect("index checked against len");
             worked = true;
-            let key = PairKey {
-                src_node: due.job.src_node,
-                src_qp: due.job.src_qp,
-                dst_node: due.job.dst_node,
-                dst_qp: due.job.dst_qp,
-            };
-            // The record came off this channel's ring, so the channel is
-            // installed (channels are never removed).
-            let ch = self.by_pair.lock().get(&key).cloned();
-            match ch.and_then(|ch| self.deliver(net, &ch, due)) {
-                Some(deferred) => {
-                    rnr.insert(i, deferred);
+            let retry = d.attempts < d.rnr_budget;
+            let payload = [&d.payload[..], &[]];
+            match self.deliver(net, &d.ch, &d.header, payload, retry, d.min_rnr_timer_ns) {
+                Some(due) => {
+                    d.attempts += 1;
+                    d.due = Some(due);
                     blocked.push(dst);
                     i += 1;
                 }
                 None => {
+                    rnr.remove(i);
                     self.stats.in_hand.fetch_sub(1, Ordering::Release);
                 }
             }
@@ -1288,66 +1361,69 @@ impl ShmFabric {
 
     /// Retransmit (or give up on) records charged as dropped whose ack
     /// timeout expired: the IB sender-side exponential backoff on real
-    /// [`Instant`] deadlines.
-    fn service_timeouts(&self, net: &Arc<NetworkState>) -> bool {
+    /// [`Instant`] deadlines. Nothing is looked at, the clock included,
+    /// while no record holds a retransmission timer.
+    fn service_timeouts(&self, net: &Arc<NetworkState>, channels: &[Arc<Channel>]) -> bool {
+        if self.retry_armed.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
         let now = Instant::now();
-        let mut retransmit: Vec<(AckEcho, Vec<u8>)> = Vec::new();
-        let mut exhausted: Vec<AckEcho> = Vec::new();
-        {
-            let mut outstanding = self.outstanding.lock();
-            let keys: Vec<(u32, u64)> = outstanding
-                .iter()
-                .filter(|(_, p)| p.retry.as_ref().is_some_and(|(d, _)| *d <= now))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in keys {
-                let p = outstanding.get_mut(&k).expect("key just listed");
-                if p.attempts >= p.profile.retry_cnt {
-                    let p = outstanding.remove(&k).expect("present");
-                    exhausted.push(p.echo);
+        let wire = &net.telemetry().wire;
+        let mut worked = false;
+        for ch in channels.iter().filter(|ch| ch.we_send) {
+            // Picked under the window lock, acted on outside it: a
+            // retransmission may wait for ring space and a completion runs
+            // the CQ's hooks.
+            let mut retransmit: Vec<(u64, Vec<u8>)> = Vec::new();
+            let mut exhausted: Vec<PostedSend> = Vec::new();
+            {
+                let mut window = ch.window.lock();
+                let mut i = 0;
+                while i < window.len() {
+                    let p = &mut window[i];
+                    i += 1;
+                    let Some((deadline, record)) = &mut p.retry else {
+                        continue;
+                    };
+                    if *deadline > now {
+                        continue;
+                    }
+                    if p.attempts >= p.profile.retry_cnt {
+                        exhausted.push(p.wr);
+                        i -= 1;
+                        window.remove(i);
+                        self.retry_armed.fetch_sub(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    p.attempts += 1;
+                    // Re-armed pessimistically: if the chaos knob drops the
+                    // retransmitted record too, the next expiry doubles again.
+                    *deadline = now + Duration::from_nanos(p.profile.backoff_ns(p.attempts));
+                    retransmit.push((p.wr.flow, record.clone()));
+                }
+            }
+            worked |= !retransmit.is_empty() || !exhausted.is_empty();
+            for (flow, record) in retransmit {
+                self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
+                wire.retransmits.inc();
+                let flows = &net.telemetry().flows;
+                flows.event(flow, FlowStage::Retransmit, ch.key.src_qp, 0, 0);
+                // The retransmitted record re-enters the wire; whether it is
+                // dropped again is the next submit-order chaos draw.
+                let seq = self.data_seq.fetch_add(1, Ordering::Relaxed) + 1;
+                if self.cfg.drop_nth.is_some_and(|n| seq % n.max(1) == 0) {
+                    wire.dropped.inc();
                     continue;
                 }
-                p.attempts += 1;
-                let backoff = Duration::from_nanos(p.profile.backoff_ns(p.attempts));
-                let (deadline, record) = p.retry.as_mut().expect("filtered on retry above");
-                // Re-armed pessimistically: if the chaos knob drops the
-                // retransmitted record too, the next expiry doubles again.
-                *deadline = now + backoff;
-                retransmit.push((p.echo, record.clone()));
-            }
-        }
-        let worked = !retransmit.is_empty() || !exhausted.is_empty();
-        let wire = &net.telemetry().wire;
-        for (echo, record) in retransmit {
-            self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
-            wire.retransmits.inc();
-            net.telemetry()
-                .flows
-                .event(echo.flow, FlowStage::Retransmit, echo.src_qp, 0, 0);
-            // The retransmitted record re-enters the wire; whether it is
-            // dropped again is the next submit-order chaos draw.
-            let seq = self.data_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.cfg.drop_nth.is_some_and(|n| seq % n.max(1) == 0) {
-                wire.dropped.inc();
-                continue;
-            }
-            let key = PairKey {
-                src_node: echo.src_node,
-                src_qp: echo.src_qp,
-                // The echo carries no destination node; the record does.
-                dst_node: u32::from_le_bytes(record[4..8].try_into().expect("fixed")),
-                dst_qp: echo.dst_qp,
-            };
-            if let Some(ch) = self.by_pair.lock().get(&key).cloned() {
-                if echo.flow != 0 {
-                    net.telemetry().flows.stage_ns(|s| &s.retrans_wait, 0);
+                if flow != 0 {
+                    flows.stage_ns(|s| &s.retrans_wait, 0);
                 }
-                self.enqueue_data(net, &ch, record.len(), &|w| w.put(&record));
+                self.enqueue_data(net, ch, record.len(), &|w| w.put(&record));
             }
-        }
-        for echo in exhausted {
-            wire.exhausted.inc();
-            complete_send(net, &echo.to_job(), WcStatus::RetryExceeded);
+            for wr in exhausted {
+                wire.exhausted.inc();
+                complete_posted(net, &wr, WcStatus::RetryExceeded);
+            }
         }
         worked
     }
@@ -1355,6 +1431,7 @@ impl ShmFabric {
 
 #[cfg(test)]
 mod tests {
+    use super::super::ring::RECORD_HEADER;
     use super::*;
     use crate::cq::CompletionQueue;
     use crate::network::{connect_pair, Context, Network};
@@ -1364,7 +1441,10 @@ mod tests {
 
     struct Pair {
         net: Network,
+        /// The fabric node 0 posts on (and, in loopback, the only one).
         fabric: Arc<ShmFabric>,
+        /// Host mode: node 1's fabric and the segment directory.
+        host: Option<(Arc<ShmFabric>, PathBuf)>,
         a: Context,
         b: Context,
         qa: Arc<QueuePair>,
@@ -1375,9 +1455,45 @@ mod tests {
         pdb: crate::network::ProtectionDomain,
     }
 
+    /// Two connected nodes over one loopback fabric (heap rings).
     fn pair(cfg: ShmConfig, caps: QpCaps) -> Pair {
-        let fabric = ShmFabric::loopback_with(cfg);
+        build_pair(ShmFabric::loopback_with(cfg), None, caps)
+    }
+
+    /// Two connected nodes over a host-mode fabric each, joined by the
+    /// channel a → b: node 0 maps the segment files it creates, node 1 maps
+    /// them again, which is what two processes have. One network, so the
+    /// test sees both ends; node 0 only sends, so every submit goes to its
+    /// fabric, and node 1's only ever delivers.
+    #[cfg(unix)]
+    fn host_pair(cfg: ShmConfig, caps: QpCaps) -> Pair {
+        static DIRS: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "partix_shm_host_{}_{}",
+            std::process::id(),
+            DIRS.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (tx, rx) = (ShmFabric::host(&dir, cfg), ShmFabric::host(&dir, cfg));
+        let p = build_pair(tx, Some((rx, dir)), caps);
+        let (from, to) = ((0, p.qa.qp_num()), (1, p.qb.qp_num()));
+        let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
+        std::thread::scope(|s| {
+            s.spawn(|| tx.open_tx(from, to, Duration::from_secs(10)).unwrap());
+            rx.open_rx(from, to, Duration::from_secs(10)).unwrap();
+        });
+        p
+    }
+
+    fn build_pair(
+        fabric: Arc<ShmFabric>,
+        host: Option<(Arc<ShmFabric>, PathBuf)>,
+        caps: QpCaps,
+    ) -> Pair {
         let net = Network::new(2, fabric.clone());
+        if let Some((rx, _)) = &host {
+            rx.attach_network(net.state());
+        }
         let a = net.open(0).unwrap();
         let b = net.open(1).unwrap();
         let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
@@ -1388,6 +1504,7 @@ mod tests {
         Pair {
             net,
             fabric,
+            host,
             a,
             b,
             qa,
@@ -1396,6 +1513,19 @@ mod tests {
             cqb,
             pda,
             pdb,
+        }
+    }
+
+    impl Pair {
+        /// Quiesce, check the ledger, stop the fabric(s) and remove the
+        /// segment directory.
+        fn finish(self) {
+            assert_clean(&self);
+            self.fabric.shutdown();
+            if let Some((rx, dir)) = &self.host {
+                rx.shutdown();
+                std::fs::remove_dir_all(dir).unwrap();
+            }
         }
     }
 
@@ -1435,10 +1565,12 @@ mod tests {
     }
 
     fn assert_clean(p: &Pair) {
-        assert!(
-            p.fabric.quiesce(Duration::from_secs(10)),
-            "fabric must quiesce"
-        );
+        for fabric in std::iter::once(&p.fabric).chain(p.host.iter().map(|(rx, _)| rx)) {
+            assert!(
+                fabric.quiesce(Duration::from_secs(10)),
+                "fabric must quiesce"
+            );
+        }
         let report = invariants::check_strict(&p.net.state().telemetry_snapshot());
         assert!(report.is_clean(), "invariants violated: {report:?}");
     }
@@ -1549,8 +1681,10 @@ mod tests {
     #[test]
     fn rnr_deferred_window_is_redelivered_in_posting_order() {
         const WINDOW: u64 = 12;
+        // An RNR budget (7 × 2 ms) that outlasts this test's own set-up on a
+        // loaded host.
         let caps = QpCaps {
-            min_rnr_timer_ns: 500_000,
+            min_rnr_timer_ns: 2_000_000,
             ..QpCaps::default()
         };
         let p = pair(ShmConfig::default(), caps);
@@ -1631,70 +1765,218 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn host_mode_sender_reports_ring_occupancy() {
-        let dir = std::env::temp_dir().join(format!("partix_shm_host_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let cfg = ShmConfig {
             ring_capacity: 1 << 16,
             ..ShmConfig::default()
         };
-        let tx = ShmFabric::host(&dir, cfg);
-        let rx = ShmFabric::host(&dir, cfg);
-        // One network, so the test can see both ends; node 0 only sends, so
-        // every submit goes to `tx`, and `rx` only ever delivers.
-        let net = Network::new(2, tx.clone());
-        rx.attach_network(net.state());
-        let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
-        let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
-        let (cqa, cqb) = (a.create_cq(), b.create_cq());
-        let qa = a
-            .create_qp(pda, cqa.clone(), a.create_cq(), QpCaps::default())
-            .unwrap();
-        let qb = b
-            .create_qp(pdb, b.create_cq(), cqb.clone(), QpCaps::default())
-            .unwrap();
-        connect_pair(&qa, &qb).unwrap();
-        let (from, to) = ((0, qa.qp_num()), (1, qb.qp_num()));
-        std::thread::scope(|s| {
-            s.spawn(|| tx.open_tx(from, to, Duration::from_secs(10)).unwrap());
-            rx.open_rx(from, to, Duration::from_secs(10)).unwrap();
-        });
-
-        let src = a.reg_mr(pda, 4096).unwrap();
-        let dst = b.reg_mr(pdb, 4096).unwrap();
+        let p = host_pair(cfg, QpCaps::default());
+        let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
+        let src = p.a.reg_mr(p.pda, 4096).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 4096).unwrap();
         for i in 0..32u64 {
             src.fill(0, 4096, i as u8 + 1).unwrap();
-            qb.post_recv(RecvWr::bare(i)).unwrap();
-            qa.post_send(SendWr {
+            p.qb.post_recv(RecvWr::bare(i)).unwrap();
+            write_with_imm(&p, &src, &dst, i, 4096);
+            assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
+            assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, i);
+            assert_eq!(dst.read_vec(0, 4096).unwrap(), vec![i as u8 + 1; 4096]);
+        }
+        assert_eq!((tx.data_records(), rx.data_records()), (0, 32));
+        assert_eq!((tx.ack_records(), rx.ack_records()), (32, 0));
+        let mark = tx.ring_occupancy_high_water();
+        assert!(
+            (4096..8192).contains(&mark),
+            "the sender saw one whole record on its ring and never two: {mark}"
+        );
+        p.finish();
+    }
+
+    /// The hazard in-place delivery adds: a delivery that outlives its ring
+    /// slot must own its bytes. On a data ring that holds two records, a
+    /// window is posted ahead of its receives — the first record is
+    /// RNR-deferred, the rest queue behind it — and the producer laps the
+    /// ring six times before a receive exists. Every message must still land
+    /// exactly once, in posting order, with the bytes it was posted with; a
+    /// deferred delivery that still read its (long since reused) slot would
+    /// deliver a later message's bytes.
+    fn deferred_deliveries_own_their_bytes(p: Pair) {
+        const WINDOW: u64 = 12;
+        const LEN: usize = 64;
+        let src = p.a.reg_mr(p.pda, LEN).unwrap();
+        let dst = p.b.reg_mr(p.pdb, WINDOW as usize * LEN).unwrap();
+        let byte = |i: u64, k: usize| (i as u8).wrapping_mul(37) ^ (k as u8).wrapping_mul(11);
+        for i in 0..WINDOW {
+            // Gathered at post time, so the one source region can be
+            // rewritten between posts.
+            let payload: Vec<u8> = (0..LEN).map(|k| byte(i, k)).collect();
+            src.write(0, &payload).unwrap();
+            p.qa.post_send(SendWr {
                 wr_id: i,
                 opcode: Opcode::RdmaWriteWithImm,
                 sg_list: vec![Sge {
                     addr: src.addr(),
-                    length: 4096,
+                    length: LEN as u32,
                     lkey: src.lkey(),
                 }],
-                remote_addr: dst.addr(),
+                remote_addr: dst.addr_at(i as usize * LEN),
                 rkey: dst.rkey(),
                 imm: Some(i as u32),
                 inline_data: false,
                 flow: 0,
             })
             .unwrap();
-            assert_eq!(poll_until(&cqa, "send CQE").status, WcStatus::Success);
-            assert_eq!(poll_until(&cqb, "recv CQE").imm, Some(i as u32));
-            assert_eq!(dst.read_vec(0, 4096).unwrap(), vec![i as u8 + 1; 4096]);
         }
-        assert_eq!((tx.data_records(), rx.data_records()), (0, 32));
-        assert_eq!((tx.ack_records(), rx.ack_records()), (32, 0));
-        assert!(
-            tx.ring_occupancy_high_water() >= 4096,
-            "the sender saw at least one whole record on its ring"
+        // Every post returned, so all twelve records went through the
+        // two-record ring — six laps of it, however the two sides interleaved.
+        let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rx.data_records() < WINDOW {
+            assert!(Instant::now() < deadline, "window never left the ring");
+            std::thread::yield_now();
+        }
+        assert!(rx.rnr_deferrals() >= 1);
+        assert_eq!(
+            dst.read_vec(0, WINDOW as usize * LEN).unwrap(),
+            vec![0; 768]
         );
-        assert!(tx.quiesce(Duration::from_secs(10)) && rx.quiesce(Duration::from_secs(10)));
-        let report = invariants::check_strict(&net.state().telemetry_snapshot());
-        assert!(report.is_clean(), "invariants violated: {report:?}");
-        tx.shutdown();
-        rx.shutdown();
+
+        for i in 0..WINDOW {
+            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
+        }
+        for i in 0..WINDOW {
+            let wc = poll_until(&p.cqb, "recv CQE");
+            assert_eq!((wc.wr_id, wc.imm), (500 + i, Some(i as u32)), "in order");
+            let send = poll_until(&p.cqa, "send CQE");
+            assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
+        }
+        assert!(p.cqb.poll_one().is_none(), "every message landed once");
+        for i in 0..WINDOW {
+            let got = dst.read_vec(i as usize * LEN, LEN).unwrap();
+            let want: Vec<u8> = (0..LEN).map(|k| byte(i, k)).collect();
+            assert_eq!(got, want, "message {i} holds the bytes it was posted with");
+        }
+        p.finish();
+    }
+
+    /// Two 64-byte records (8 + 72 + 64 bytes each) and no third; an RNR
+    /// budget of 7 × 5 ms, which a loaded test host does not outlast.
+    fn two_record_ring() -> (ShmConfig, QpCaps) {
+        let cfg = ShmConfig {
+            ring_capacity: 2 * (RECORD_HEADER as usize + DATA_HEADER + 64) as u64 + 16,
+            ..ShmConfig::default()
+        };
+        let caps = QpCaps {
+            min_rnr_timer_ns: 5_000_000,
+            ..QpCaps::default()
+        };
+        (cfg, caps)
+    }
+
+    #[test]
+    fn deferred_deliveries_own_their_bytes_over_a_heap_segment() {
+        let (cfg, caps) = two_record_ring();
+        deferred_deliveries_own_their_bytes(pair(cfg, caps));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn deferred_deliveries_own_their_bytes_over_two_mappings_of_a_file_segment() {
+        let (cfg, caps) = two_record_ring();
+        deferred_deliveries_own_their_bytes(host_pair(cfg, caps));
+    }
+
+    /// What a panic carried, as text.
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| "<not text>".into(), |text| text.to_string()),
+        }
+    }
+
+    /// A full data ring nobody drains is a diagnostic within
+    /// `full_ring_deadline`, not a hang: the receiver here attaches (so
+    /// `open_tx` returns) and then never consumes a record.
+    #[cfg(unix)]
+    #[test]
+    fn full_data_ring_with_no_consumer_fails_within_the_stall_deadline() {
+        let dir = std::env::temp_dir().join(format!("partix_shm_stall_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut cfg, caps) = two_record_ring();
+        cfg.full_ring_deadline = Duration::from_millis(50);
+        let p = build_pair(ShmFabric::host(&dir, cfg), None, caps);
+        let (from, to) = ((0, p.qa.qp_num()), (1, p.qb.qp_num()));
+        std::thread::scope(|s| {
+            s.spawn(|| p.fabric.open_tx(from, to, Duration::from_secs(10)).unwrap());
+            let data = loop {
+                let stem = dir.join(format!("partix_n0q{}_n1q{}.data", from.1, to.1));
+                match FileSegment::open(&stem).unwrap() {
+                    Some(data) => break data,
+                    None => std::thread::yield_now(),
+                }
+            };
+            SpscRing::new(Arc::new(data)).mark_attached();
+        });
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        write_with_imm(&p, &src, &dst, 0, 64);
+        write_with_imm(&p, &src, &dst, 1, 64);
+        let t0 = Instant::now();
+        let third = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            write_with_imm(&p, &src, &dst, 2, 64)
+        }));
+        let waited = t0.elapsed();
+        let text = panic_text(third.expect_err("the third record cannot fit"));
+        assert!(
+            text.contains("full past the 50ms stall deadline"),
+            "diagnostic: {text}"
+        );
+        assert!(
+            waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
+            "bounded by the stall deadline, not a hang: {waited:?}"
+        );
+        // Nothing will ever ack the two records on the ring: the final drain
+        // gives up after the same deadline instead of joining for ever.
+        let t0 = Instant::now();
+        p.fabric.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(1));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The same bound on the way back: an ack ring that holds two ACKs and a
+    /// scan that delivers three records before it consumes an ACK (loopback,
+    /// where the delivering thread is also the one that would drain them).
+    /// The test drives the scan itself, so the stall is its own to catch.
+    #[test]
+    fn full_ack_ring_fails_within_the_stall_deadline() {
+        let cfg = ShmConfig {
+            ack_capacity: 2 * (RECORD_HEADER as usize + ACK_LEN) as u64,
+            full_ring_deadline: Duration::from_millis(50),
+            ..ShmConfig::default()
+        };
+        let p = pair(cfg, QpCaps::default());
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        let mut driver = p.fabric.pause_progress();
+        for i in 0..3u64 {
+            p.qb.post_recv(RecvWr::bare(i)).unwrap();
+            write_with_imm(&p, &src, &dst, i, 64);
+        }
+        let t0 = Instant::now();
+        let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.scan()));
+        let waited = t0.elapsed();
+        let text = panic_text(scan.expect_err("the third ACK cannot fit"));
+        assert!(
+            text.contains("ack ring") && text.contains("full past the 50ms stall deadline"),
+            "diagnostic: {text}"
+        );
+        assert!(
+            waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
+            "bounded by the stall deadline, not a hang: {waited:?}"
+        );
+        drop(driver);
+        p.fabric.shutdown();
     }
 
     #[test]

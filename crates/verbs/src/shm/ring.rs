@@ -17,6 +17,13 @@
 //! The acquire on `Tail` is what makes the record bytes visible to the
 //! consumer; the acquire on `Head` is what lets the producer reuse space.
 //!
+//! Each end remembers the other side's cursor as it last read it and goes
+//! back to the shared word only when that copy says *full* (producer) or
+//! *empty* (consumer). Cursors only grow, so a stale copy errs on the safe
+//! side — it under-reports free space, or published bytes — and a burst of
+//! records costs one load of the line the other side keeps writing, not one
+//! per record. The close-drain re-read of `Tail` below bypasses the copy.
+//!
 //! Both ends can work on a record *in place*: [`SpscRing::try_push_with`]
 //! hands the producer the record's span to fill before `Tail` moves, and
 //! [`SpscRing::try_pop_with`] hands the consumer the span to read before
@@ -25,6 +32,7 @@
 //! [`SpscRing::try_push`] / [`SpscRing::try_pop`] are the slice-and-`Vec`
 //! conveniences over them.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::segment::{Ctrl, Segment};
@@ -100,12 +108,28 @@ impl<'a> RecordWriter<'a> {
 pub struct RecordReader<'a> {
     first: &'a [u8],
     second: &'a [u8],
+    backlog: u64,
 }
 
-impl RecordReader<'_> {
+impl<'a> RecordReader<'a> {
     /// Bytes not yet read.
     pub fn remaining(&self) -> usize {
         self.first.len() + self.second.len()
+    }
+
+    /// Everything not yet read, in place: the ring memory itself, in up to
+    /// two pieces (the second is empty unless the record straddles the wrap
+    /// point). Valid until the reader's closure returns and the space goes
+    /// back to the producer; whatever must outlive that is copied out.
+    pub fn rest(&self) -> [&'a [u8]; 2] {
+        [self.first, self.second]
+    }
+
+    /// Bytes published and unconsumed as of the consumer's last `Tail` load,
+    /// this record included: the ring's occupancy as this end knows it
+    /// (exact when the load was made for this pop, a lower bound after).
+    pub fn backlog(&self) -> u64 {
+        self.backlog
     }
 
     /// Hand the next `len` bytes to `read`, one call per contiguous piece.
@@ -141,13 +165,25 @@ impl RecordReader<'_> {
 /// consumer; the fabric serialises each side with its own lock.
 pub struct SpscRing {
     seg: Arc<dyn Segment>,
+    /// `Head` as the producer last read it; written by the producer only.
+    /// Never ahead of the true `Head`.
+    seen_head: AtomicU64,
+    /// `Tail` as the consumer last read it; written by the consumer only.
+    /// Never ahead of the true `Tail`.
+    seen_tail: AtomicU64,
 }
 
 impl SpscRing {
     /// Wrap `seg`. The segment's control words must start zeroed (freshly
     /// created) or hold a consistent prior state (reattach).
     pub fn new(seg: Arc<dyn Segment>) -> Self {
-        SpscRing { seg }
+        let seen_head = AtomicU64::new(seg.ctrl_load(Ctrl::Head));
+        let seen_tail = AtomicU64::new(seg.ctrl_load(Ctrl::Tail));
+        SpscRing {
+            seg,
+            seen_head,
+            seen_tail,
+        }
     }
 
     /// Data capacity in bytes.
@@ -160,6 +196,14 @@ impl SpscRing {
         let tail = self.seg.ctrl_load(Ctrl::Tail);
         let head = self.seg.ctrl_load(Ctrl::Head);
         tail.saturating_sub(head)
+    }
+
+    /// Producer side: an upper bound on [`len`](Self::len) from the
+    /// producer's own cursor and its remembered `Head`, touching nothing the
+    /// consumer writes.
+    pub fn len_bound(&self) -> u64 {
+        let tail = self.seg.ctrl_load(Ctrl::Tail);
+        tail.saturating_sub(self.seen_head.load(Ordering::Relaxed))
     }
 
     /// Whether nothing is waiting.
@@ -248,9 +292,17 @@ impl SpscRing {
             "record of {need} bytes exceeds ring capacity {cap}"
         );
         let tail = self.seg.ctrl_load(Ctrl::Tail);
-        let head = self.seg.ctrl_load(Ctrl::Head);
+        // `seen_head` is this side's own word (Relaxed is enough: the
+        // acquire that lets the space be reused was made when it was read
+        // from `Head`, by this same logical producer).
+        let mut head = self.seen_head.load(Ordering::Relaxed);
         if cap - (tail - head) < need {
-            return false;
+            // Full as far as the remembered `Head` says: look again.
+            head = self.seg.ctrl_load(Ctrl::Head);
+            self.seen_head.store(head, Ordering::Relaxed);
+            if cap - (tail - head) < need {
+                return false;
+            }
         }
         let mut header = [0u8; RECORD_HEADER as usize];
         header[..4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -305,21 +357,31 @@ impl SpscRing {
         &self,
         read: impl FnOnce(u8, &mut RecordReader<'_>) -> R,
     ) -> Result<R, Popped> {
-        let mut tail = self.seg.ctrl_load(Ctrl::Tail);
         let head = self.seg.ctrl_load(Ctrl::Head);
-        if tail == head {
-            if !self.is_closed() {
-                return Err(Popped::Empty);
-            }
-            // `Closed` may have been observed between our `Tail` load and
-            // the producer's final publishes (push … push, close). Having
-            // seen the close flag (acquire), re-read `Tail`: every record
-            // published before the close must still drain, or the consumer
-            // would drop the stream's suffix.
+        // As `seen_head` in `try_push_with`: this side's own word, and the
+        // acquire that publishes the bytes below it was made when it was
+        // read from `Tail`.
+        let mut tail = self.seen_tail.load(Ordering::Relaxed);
+        if tail <= head {
+            // Empty as far as the remembered `Tail` says (behind `Head`
+            // when another handle consumed since): look again.
             tail = self.seg.ctrl_load(Ctrl::Tail);
             if tail == head {
-                return Err(Popped::Closed);
+                if !self.is_closed() {
+                    return Err(Popped::Empty);
+                }
+                // `Closed` may have been observed between our `Tail` load
+                // and the producer's final publishes (push … push, close).
+                // Having seen the close flag (acquire), re-read `Tail` —
+                // the word itself, not the remembered copy: every record
+                // published before the close must still drain, or the
+                // consumer would drop the stream's suffix.
+                tail = self.seg.ctrl_load(Ctrl::Tail);
+                if tail == head {
+                    return Err(Popped::Closed);
+                }
             }
+            self.seen_tail.store(tail, Ordering::Relaxed);
         }
         // Saturating: a `Tail` behind `Head` is corruption too.
         let avail = tail.saturating_sub(head);
@@ -350,6 +412,7 @@ impl SpscRing {
             RecordReader {
                 first: std::slice::from_raw_parts(data.add(off), first),
                 second: std::slice::from_raw_parts(data, second),
+                backlog: avail,
             }
         };
         let out = read(kind, &mut reader);

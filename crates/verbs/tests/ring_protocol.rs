@@ -1,26 +1,33 @@
-//! Exhaustive-interleaving model check of the SPSC ring's cursor protocol
-//! and the close-drain shutdown handshake.
+//! Exhaustive-interleaving model check of the SPSC ring's cursor protocol,
+//! its remembered cursors, and the close-drain shutdown handshake.
 //!
 //! No model-checking framework is vendored, so this is a hand-rolled
 //! explicit-state checker: the producer and consumer are decomposed into
 //! the same atomic load/store steps the real `SpscRing` performs on its
-//! control words, and a memoized DFS enumerates *every* interleaving of
-//! those steps under sequential consistency, asserting in each reachable
-//! final state that
+//! control words — one shared access per step, with each side's remembered
+//! copy of the other's cursor (`seen_head`, `seen_tail`) as thread-local
+//! state — and a memoized DFS enumerates *every* interleaving of those steps
+//! under sequential consistency, asserting that
 //!
 //! - no published record is lost: when both sides finish, the consumer has
 //!   drained exactly the `n` records the producer pushed before closing;
 //! - the producer never overcommits: a push accepted against a stale
 //!   `Head` still fits, because `Head` only advances (the stale check is
 //!   conservative);
+//! - a remembered cursor only ever errs on the safe side: in every reachable
+//!   state `seen_head <= Head` and `seen_tail <= Tail`, so the producer can
+//!   only under-report free space and the consumer only under-report
+//!   published bytes, and a record consumed on the strength of `seen_tail`
+//!   is really there;
 //! - the handshake terminates: every reachable state has a successor until
 //!   both sides are done (no stuck states).
 //!
-//! The checker is validated against itself: the *pre-fix* consumer (which
-//! returned `Closed` without re-reading `Tail` after observing the close
-//! flag) is model-checked too, and the checker must find its lost-record
-//! interleaving — the exact race the ring property tests caught on real
-//! threads.
+//! The checker is validated against itself, twice: the *pre-fix* consumer
+//! (which returned `Closed` without re-reading `Tail` after observing the
+//! close flag) is model-checked too, and the checker must find its
+//! lost-record interleaving — the exact race the ring property tests caught
+//! on real threads; and so is a consumer whose close-drain "re-read" looks at
+//! its remembered `Tail` instead of the word, which loses the same records.
 //!
 //! Bounds: capacities 1–3 records × streams of 1–4 records by default.
 //! Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4, stream
@@ -33,34 +40,50 @@ use std::sync::Arc;
 
 use partix_verbs::shm::{FileSegment, HeapSegment, Popped, SpscRing};
 
-/// Producer program counter: push records 0..n (two steps each: load
-/// `Head`, then publish by storing `Tail`), then store `Closed`, then done.
+/// Producer program counter, mirroring `SpscRing::try_push_with`: push
+/// records 0..n, then store `Closed`, then done.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Prod {
-    /// About to load `Head` for the space check of record `i`.
-    LoadHead { i: u8 },
-    /// Loaded `Head` as `h`; about to space-check and publish record `i`.
-    Publish { i: u8, h: u8 },
+    /// About to push record `i`: publish it (store `Tail`) if the remembered
+    /// `Head` shows room, else load `Head` into the remembered copy and try
+    /// again.
+    Push { i: u8 },
     /// All records published; about to store the close flag.
     Close,
     /// Finished.
     Done,
 }
 
-/// Consumer program counter, mirroring `SpscRing::try_pop` step for step.
+/// Consumer program counter, mirroring `SpscRing::try_pop_with` step for
+/// step.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Cons {
-    /// About to load `Tail`.
-    LoadTail,
-    /// Loaded `Tail` as `t`; about to compare against own `Head`.
+    /// About to pop: consume a record (store `Head`) if the remembered
+    /// `Tail` shows one, else load `Tail`.
+    Pop,
+    /// Loaded `Tail` as `t` because the remembered copy said empty; about to
+    /// compare it against own `Head`.
     Compare { t: u8 },
     /// Saw `t == head`; about to load the close flag.
     LoadClosed,
-    /// Saw the close flag set; about to re-read `Tail` (the post-fix
-    /// drain step). The buggy variant skips this state entirely.
+    /// Saw the close flag set; about to re-read `Tail` (the post-fix drain
+    /// step). The pre-fix variant skips this state entirely.
     Recheck,
     /// Finished (observed `Closed` with nothing left).
     Done,
+}
+
+/// What the consumer does between seeing the close flag and reporting
+/// `Closed`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum CloseDrain {
+    /// Re-read the `Tail` word itself: the protocol.
+    RereadWord,
+    /// "Re-read" the remembered `Tail`: a cache that the drain fails to
+    /// bypass.
+    RereadRemembered,
+    /// Nothing: the pre-fix consumer.
+    Skip,
 }
 
 /// One interleaved state of the whole system. `tail`/`head`/`closed` are
@@ -71,17 +94,21 @@ struct World {
     head: u8,
     closed: bool,
     prod: Prod,
+    /// `Head` as the producer last read it.
+    seen_head: u8,
     cons: Cons,
+    /// `Tail` as the consumer last read it.
+    seen_tail: u8,
     consumed: u8,
 }
 
-/// Model parameters: `n` records through a ring holding `cap` records,
-/// with or without the close-drain `Recheck` step.
+/// Model parameters: `n` records through a ring holding `cap` records, and
+/// the consumer's close-drain step.
 #[derive(Clone, Copy)]
 struct Model {
     n: u8,
     cap: u8,
-    recheck_on_close: bool,
+    close_drain: CloseDrain,
 }
 
 impl Model {
@@ -90,8 +117,10 @@ impl Model {
             tail: 0,
             head: 0,
             closed: false,
-            prod: Prod::LoadHead { i: 0 },
-            cons: Cons::LoadTail,
+            prod: Prod::Push { i: 0 },
+            seen_head: 0,
+            cons: Cons::Pop,
+            seen_tail: 0,
             consumed: 0,
         }
     }
@@ -101,35 +130,34 @@ impl Model {
     fn step_prod(&self, w: World, out: &mut Vec<World>) {
         let mut v = w;
         match w.prod {
-            Prod::LoadHead { i } => {
-                v.prod = Prod::Publish { i, h: w.head };
-                out.push(v);
-            }
-            Prod::Publish { i, h } => {
-                if w.tail - h < self.cap {
+            Prod::Push { i } => {
+                if w.tail - w.seen_head < self.cap {
                     // Space check passed against a possibly stale head.
                     // The real ring writes the record bytes here; under
                     // sequential consistency the byte copy collapses into
                     // the release store of `Tail`. The overcommit safety
-                    // assertion: even with the stale `h`, the record fits
+                    // assertion: even with the stale copy, the record fits
                     // against the *true* head, because head only grows.
                     assert!(
                         w.tail + 1 - w.head <= self.cap,
-                        "overcommit: push accepted against stale head {h} \
+                        "overcommit: push accepted against remembered head {} \
                          but true occupancy is {}..{} in cap {}",
+                        w.seen_head,
                         w.head,
                         w.tail + 1,
                         self.cap
                     );
                     v.tail = w.tail + 1;
                     v.prod = if i + 1 < self.n {
-                        Prod::LoadHead { i: i + 1 }
+                        Prod::Push { i: i + 1 }
                     } else {
                         Prod::Close
                     };
                 } else {
-                    // Full: spin back to re-read head.
-                    v.prod = Prod::LoadHead { i };
+                    // Full as far as the remembered head says: re-read it.
+                    // Still full afterwards means the push fails and the
+                    // caller comes back, to this same step.
+                    v.seen_head = w.head;
                 }
                 out.push(v);
             }
@@ -146,40 +174,55 @@ impl Model {
     fn step_cons(&self, w: World, out: &mut Vec<World>) {
         let mut v = w;
         match w.cons {
-            Cons::LoadTail => {
-                v.cons = Cons::Compare { t: w.tail };
+            Cons::Pop => {
+                if w.seen_tail > w.head {
+                    // A record is published as far as the remembered tail
+                    // says — and so it is, because tail only grows: consume
+                    // it and loop.
+                    assert!(
+                        w.head < w.tail,
+                        "consumed record {} on the strength of remembered tail {} \
+                         but only {} are published",
+                        w.head,
+                        w.seen_tail,
+                        w.tail
+                    );
+                    v.head = w.head + 1;
+                    v.consumed = w.consumed + 1;
+                } else {
+                    v.cons = Cons::Compare { t: w.tail };
+                }
                 out.push(v);
             }
             Cons::Compare { t } => {
                 if t == w.head {
                     v.cons = Cons::LoadClosed;
                 } else {
-                    // A record is published: consume it and loop.
-                    v.head = w.head + 1;
-                    v.consumed = w.consumed + 1;
-                    v.cons = Cons::LoadTail;
+                    v.seen_tail = t;
+                    v.cons = Cons::Pop;
                 }
                 out.push(v);
             }
             Cons::LoadClosed => {
-                if w.closed {
-                    v.cons = if self.recheck_on_close {
-                        Cons::Recheck
-                    } else {
-                        Cons::Done
-                    };
-                } else {
-                    v.cons = Cons::LoadTail; // empty, not closed: spin
-                }
+                v.cons = match (w.closed, self.close_drain) {
+                    (false, _) => Cons::Pop, // empty, not closed: spin
+                    (true, CloseDrain::Skip) => Cons::Done,
+                    (true, _) => Cons::Recheck,
+                };
                 out.push(v);
             }
             Cons::Recheck => {
                 // The post-fix drain step: re-read Tail after seeing the
                 // close flag; records published before the close win.
-                if w.tail == w.head {
+                let t = match self.close_drain {
+                    CloseDrain::RereadRemembered => w.seen_tail.max(w.head),
+                    _ => w.tail,
+                };
+                if t == w.head {
                     v.cons = Cons::Done;
                 } else {
-                    v.cons = Cons::LoadTail;
+                    v.seen_tail = t;
+                    v.cons = Cons::Pop;
                 }
                 out.push(v);
             }
@@ -198,6 +241,11 @@ impl Model {
             if !seen.insert(w) {
                 continue;
             }
+            // A remembered cursor is never ahead of the word it remembers.
+            assert!(
+                w.seen_head <= w.head && w.seen_tail <= w.tail,
+                "remembered cursor ahead of its word in {w:?}"
+            );
             succ.clear();
             self.step_prod(w, &mut succ);
             self.step_cons(w, &mut succ);
@@ -238,7 +286,7 @@ fn close_drain_handshake_loses_nothing_in_any_interleaving() {
             let finals = Model {
                 n,
                 cap,
-                recheck_on_close: true,
+                close_drain: CloseDrain::RereadWord,
             }
             .check();
             assert_eq!(
@@ -257,10 +305,24 @@ fn close_drain_handshake_loses_nothing_in_any_interleaving() {
 /// between the consumer's `Tail` load and its close-flag load.
 #[test]
 fn checker_finds_the_prefix_close_race() {
+    assert_loses_a_record(CloseDrain::Skip);
+}
+
+/// The same race, reopened by a remembered cursor: a close-drain step that
+/// consults the consumer's remembered `Tail` re-reads nothing (the copy said
+/// empty a moment ago, which is why the close flag was looked at), so it
+/// must be caught losing the same records. The re-read has to bypass the
+/// copy.
+#[test]
+fn checker_finds_a_close_drain_that_trusts_the_remembered_tail() {
+    assert_loses_a_record(CloseDrain::RereadRemembered);
+}
+
+fn assert_loses_a_record(close_drain: CloseDrain) {
     let finals = Model {
         n: 1,
         cap: 1,
-        recheck_on_close: false,
+        close_drain,
     }
     .check();
     assert!(
@@ -274,17 +336,20 @@ fn checker_finds_the_prefix_close_race() {
     );
 }
 
-/// The overcommit-safety assertion inside the model doubles as a proof
-/// obligation over all interleavings; this test just makes its coverage
-/// explicit for the widest bounded ring.
+/// The safety assertions inside the model — no overcommit against a
+/// remembered `Head`, no record consumed that a remembered `Tail` promised
+/// and the word does not hold, no remembered cursor ahead of its word —
+/// double as proof obligations over all interleavings; this test just makes
+/// their coverage explicit for the widest bounded ring.
 #[test]
 fn stale_head_space_check_never_overcommits() {
     let (max_n, max_cap) = bounds();
-    // The assert! inside `step_prod` fires on any violating interleaving.
+    // The assert!s inside `step_prod`, `step_cons` and `check` fire on any
+    // violating interleaving.
     let _ = Model {
         n: max_n,
         cap: max_cap,
-        recheck_on_close: true,
+        close_drain: CloseDrain::RereadWord,
     }
     .check();
 }

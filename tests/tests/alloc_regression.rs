@@ -4,12 +4,19 @@
 //! scratch, slot tables, the event slab), a steady-state round must
 //! allocate exactly what the design says and nothing more: nothing at all
 //! on the instant fabric — post, wire delivery, completion dispatch and
-//! progress polling all run out of recycled storage — and one box per work
+//! progress polling all run out of recycled storage — one box per work
 //! request on the simulated fabric (the transfer's `Flight`, which carries
-//! the job through its delivery, RNR and ack events).
+//! the job through its delivery, RNR and ack events), and nothing per
+//! delivered record or per ack in a progress scan of the shared-memory
+//! fabric.
+
+use std::time::{Duration, Instant};
 
 use partix_core::{AggregatorKind, PartixConfig, World};
 use partix_system_tests::alloc_count::count_allocs;
+use partix_verbs::{
+    connect_pair, Network, Opcode, QpCaps, RecvWr, SendWr, Sge, ShmFabric, WcStatus,
+};
 
 const PARTITIONS: u32 = 16;
 const PART_BYTES: usize = 4096; // 16 x 4 KiB = one 64 KiB message per round
@@ -107,4 +114,87 @@ fn steady_state_persistent_sim_round_allocates_once_per_wr() {
         allocs, wrs,
         "a simulated WR allocates its flight and nothing else ({allocs} allocations for {wrs} WRs)"
     );
+}
+
+/// The real-time path: one progress scan of a loopback `ShmFabric` takes
+/// every waiting DATA record from its ring to the destination region and the
+/// receive CQ, acks it, and takes every ACK to the send CQ. The test holds
+/// the fabric's progress itself (`pause_progress`), so the scans — and the
+/// counting — happen on this thread. A record staged through a buffer of its
+/// own on the way (two allocations each, before in-place delivery), a
+/// per-ack job, or a scratch list per scan shows up here.
+#[test]
+fn steady_state_shm_progress_scan_is_allocation_free() {
+    const WINDOW: u64 = 8;
+    const LEN: usize = 64;
+    const WARM_UP: u64 = 4;
+    const ROUNDS: u64 = 16;
+    let fabric = ShmFabric::loopback();
+    let net = Network::new(2, fabric.clone());
+    let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
+    let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+    let (cqa, cqb) = (a.create_cq(), b.create_cq());
+    let caps = QpCaps::default();
+    let qa = a.create_qp(pda, cqa.clone(), a.create_cq(), caps).unwrap();
+    let qb = b.create_qp(pdb, b.create_cq(), cqb.clone(), caps).unwrap();
+    connect_pair(&qa, &qb).unwrap();
+    let src = a.reg_mr(pda, WINDOW as usize * LEN).unwrap();
+    let dst = b.reg_mr(pdb, WINDOW as usize * LEN).unwrap();
+
+    let mut driver = fabric.pause_progress();
+    let mut scan_allocs = 0u64;
+    for round in 0..WARM_UP + ROUNDS {
+        for i in 0..WINDOW {
+            let off = i as usize * LEN;
+            src.fill(off, LEN, (round * WINDOW + i) as u8).unwrap();
+            qb.post_recv(RecvWr::bare(i)).unwrap();
+            qa.post_send(SendWr {
+                wr_id: i,
+                opcode: Opcode::RdmaWriteWithImm,
+                sg_list: vec![Sge {
+                    addr: src.addr_at(off),
+                    length: LEN as u32,
+                    lkey: src.lkey(),
+                }],
+                remote_addr: dst.addr_at(off),
+                rkey: dst.rkey(),
+                imm: Some(i as u32),
+                inline_data: false,
+                flow: 0,
+            })
+            .unwrap();
+        }
+        // Nothing else scans: the window sits on the ring until this does.
+        assert_eq!(fabric.data_records(), round * WINDOW);
+        let done = (round + 1) * WINDOW;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (allocs, ()) = count_allocs(|| {
+            while fabric.ack_records() < done {
+                driver.scan();
+                assert!(Instant::now() < deadline, "scans made no progress");
+            }
+        });
+        if round >= WARM_UP {
+            scan_allocs += allocs;
+        }
+        for i in 0..WINDOW {
+            let recv = cqb.poll_one().expect("delivered by the scan");
+            assert_eq!((recv.wr_id, recv.imm), (i, Some(i as u32)));
+            let send = cqa.poll_one().expect("completed by the scan");
+            assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
+        }
+        let want: Vec<u8> = (0..WINDOW)
+            .flat_map(|i| [(round * WINDOW + i) as u8; LEN])
+            .collect();
+        assert_eq!(dst.read_vec(0, want.len()).unwrap(), want);
+    }
+    assert_eq!(fabric.data_records(), (WARM_UP + ROUNDS) * WINDOW);
+    assert_eq!(
+        scan_allocs,
+        0,
+        "{scan_allocs} allocations in the scans that delivered and acked {} records",
+        ROUNDS * WINDOW
+    );
+    drop(driver);
+    fabric.shutdown();
 }
