@@ -4,9 +4,9 @@
 //! behind every reproduced figure is checkable.
 
 use partix_core::{AggregatorKind, PartixConfig, SimDuration};
+use partix_sim::parallel::par_map;
 use partix_workloads::halo::{run_halo, HaloConfig};
 use partix_workloads::overhead::{speedup, OverheadSweep};
-use partix_workloads::parallel::par_map;
 use partix_workloads::perceived::PerceivedSweep;
 use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
 

@@ -14,7 +14,7 @@ use partix_bench::experiments::Quality;
 
 fn main() {
     let mut quick = false;
-    let mut jobs = partix_workloads::parallel::default_jobs();
+    let mut jobs = partix_sim::parallel::default_jobs();
     let mut out = PathBuf::from("results");
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {

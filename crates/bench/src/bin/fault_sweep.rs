@@ -7,22 +7,23 @@
 //!
 //! `--jobs N` fans independent cells across N worker threads (default: the
 //! machine's available parallelism); output is byte-identical at any count.
-//! `--trace` additionally runs one fully-observed lossy cell, writes
+//! `--trace` additionally runs one fully-observed, sampled lossy cell, writes
 //! `<out>/telemetry_fault_chaos.json` (counter ledger + invariant verdict)
-//! and `<out>/trace_fault_chaos.json` (chrome-trace + causal flow events),
-//! and exits non-zero if any counter conservation law is violated or any
-//! causal flow chain is incomplete.
+//! and `<out>/trace_fault_chaos.json` (chrome-trace + causal flow events +
+//! windowed frames, what `trace report|diff|timeline` read), and exits
+//! non-zero if any counter conservation law is violated or any causal flow
+//! chain is incomplete.
 
 use std::path::PathBuf;
 
 use partix_core::{AggregatorKind, LossyConfig, PartixConfig};
 use partix_sim::split_seed;
 use partix_workloads::fault_sweep::{strategy_name, FaultSweep};
-use partix_workloads::{run_traced, Pt2PtConfig, ThreadTiming};
+use partix_workloads::{Pt2PtConfig, ThreadTiming};
 
 fn main() {
     let mut quick = false;
-    let mut jobs = partix_workloads::parallel::default_jobs();
+    let mut jobs = partix_sim::parallel::default_jobs();
     let mut out = PathBuf::from("results");
     let mut seed: Option<u64> = None;
     let mut trace = false;
@@ -112,31 +113,7 @@ fn main() {
             timing: ThreadTiming::overhead(),
             seed: sweep.seed,
         };
-        let art = run_traced(&cfg);
-        let tag = "fault_chaos";
-        art.write_to(&out, tag).expect("write trace artifacts");
-        println!(
-            "wrote {} and {} ({} spans, {} flow events)",
-            out.join(format!("telemetry_{tag}.json")).display(),
-            out.join(format!("trace_{tag}.json")).display(),
-            art.spans.len(),
-            art.flows.len(),
-        );
-        let violations = art.chain_violations();
-        for v in &violations {
-            eprintln!("flow-chain violation: {v}");
-        }
-        if !violations.is_empty() {
-            eprintln!(
-                "causal flow chains INCOMPLETE ({} violations)",
-                violations.len()
-            );
-            std::process::exit(1);
-        }
-        if art.report.is_clean() {
-            println!("telemetry invariants: clean");
-        } else {
-            eprintln!("telemetry invariants VIOLATED:\n{}", art.report);
+        if !partix_bench::trace_run::run_trace(&cfg, &out, "fault_chaos") {
             std::process::exit(1);
         }
     }

@@ -5,10 +5,11 @@
 //! experiments: table1 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 | all
 //! ```
 //!
-//! `--trace` additionally runs one fully-observed workload and writes
+//! `--trace` additionally runs one fully-observed, sampled workload and writes
 //! `<out>/telemetry_figures.json` (counter ledger + invariant verdict) and
-//! `<out>/trace_figures.json` (chrome-trace + causal flow events, open at
-//! <https://ui.perfetto.dev> or analyze with the `trace` binary); the
+//! `<out>/trace_figures.json` (chrome-trace + causal flow events + windowed
+//! frames, open at <https://ui.perfetto.dev> or analyze with the `trace`
+//! binary: `report`, `diff`, `timeline`); the
 //! process exits non-zero if any conservation law is violated or any
 //! causal flow chain is incomplete.
 //!
@@ -35,7 +36,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut quick = false;
-    let mut jobs = partix_workloads::parallel::default_jobs();
+    let mut jobs = partix_sim::parallel::default_jobs();
     let mut out = PathBuf::from("results");
     let mut trace = false;
     let mut which = Vec::new();
@@ -86,15 +87,14 @@ fn parse_args() -> Args {
     }
 }
 
-/// Run one fully-observed workload: write `telemetry.json` + `trace.json`
-/// into `out` and return whether the counter ledger reconciled cleanly.
-fn run_trace(out: &std::path::Path, quick: bool) -> bool {
+/// The fully-observed workload behind `--trace`.
+fn trace_cfg(quick: bool) -> partix_workloads::Pt2PtConfig {
     use partix_core::{AggregatorKind, PartixConfig};
-    use partix_workloads::{run_traced, Pt2PtConfig, ThreadTiming};
+    use partix_workloads::{Pt2PtConfig, ThreadTiming};
 
     let mut partix = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     partix.fabric.copy_data = true;
-    let cfg = Pt2PtConfig {
+    Pt2PtConfig {
         partix,
         partitions: 16,
         part_bytes: 64 << 10,
@@ -102,34 +102,6 @@ fn run_trace(out: &std::path::Path, quick: bool) -> bool {
         iters: if quick { 3 } else { 10 },
         timing: ThreadTiming::perceived_bw(1, 0.04),
         seed: 7,
-    };
-    let art = run_traced(&cfg);
-    let tag = "figures";
-    art.write_to(out, tag).expect("write trace artifacts");
-    println!(
-        "wrote {} and {} ({} spans, {} flow events)",
-        out.join(format!("telemetry_{tag}.json")).display(),
-        out.join(format!("trace_{tag}.json")).display(),
-        art.spans.len(),
-        art.flows.len(),
-    );
-    let violations = art.chain_violations();
-    for v in &violations {
-        eprintln!("flow-chain violation: {v}");
-    }
-    if !violations.is_empty() {
-        eprintln!(
-            "causal flow chains INCOMPLETE ({} violations)",
-            violations.len()
-        );
-        return false;
-    }
-    if art.report.is_clean() {
-        println!("telemetry invariants: clean");
-        true
-    } else {
-        eprintln!("telemetry invariants VIOLATED:\n{}", art.report);
-        false
     }
 }
 
@@ -226,7 +198,9 @@ fn main() {
         eprintln!("[{which} done in {:.1?}]", t0.elapsed());
     }
 
-    if args.trace && !run_trace(&args.out, args.quick) {
+    if args.trace
+        && !partix_bench::trace_run::run_trace(&trace_cfg(args.quick), &args.out, "figures")
+    {
         std::process::exit(1);
     }
 }

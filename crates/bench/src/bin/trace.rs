@@ -154,7 +154,7 @@ fn cmd_timeline(args: &[String]) -> i32 {
     let tf = load(&file);
     let Some(text) = timeline(&tf) else {
         eprintln!(
-            "{}: no time-series frames (run the workload with sampling enabled)",
+            "{}: no time-series frames (`figures --trace` and `fault_sweep --trace` write sampled traces)",
             file.display()
         );
         return 1;

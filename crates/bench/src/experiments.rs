@@ -8,8 +8,8 @@ use std::sync::Arc;
 use partix_core::{AggregatorKind, PartixConfig, SimDuration};
 use partix_model::{table1, ArrivalPattern, PLogGpModel};
 use partix_profiler::{min_delta_ns, ArrivalProfile, Profiler};
+use partix_sim::parallel::par_map;
 use partix_workloads::overhead::{forced_config, pow2_sizes, speedup, OverheadSweep};
-use partix_workloads::parallel::par_map;
 use partix_workloads::perceived::PerceivedSweep;
 use partix_workloads::sweep::{run_sweep, SweepConfig};
 use partix_workloads::tuning_search::TuningSearch;
@@ -49,7 +49,7 @@ impl Quality {
         }
     }
 
-    /// Reduced counts for CI / criterion.
+    /// Reduced counts for CI and the benchmark.
     pub fn quick() -> Self {
         Quality {
             warmup: 2,

@@ -2,16 +2,16 @@
 //!
 //! Experiment harnesses and reporting for regenerating every table and
 //! figure of the paper's evaluation. The `figures` binary drives
-//! [`experiments`]; the Criterion benches under `benches/` time reduced
-//! versions of the same experiments.
+//! [`experiments`]; the repository's one benchmark (`benchmark/`, see
+//! `BENCHMARK.json`) times the same functions.
 
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod artifacts;
 pub mod check;
 pub mod experiments;
 pub mod plots;
 pub mod prom;
 pub mod report;
+pub mod trace_run;
 pub mod tracefile;

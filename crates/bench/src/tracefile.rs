@@ -65,11 +65,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level and the `trace` bin feeds it files the user names, so an
+/// unbounded depth is a stack overflow on demand; a sampled trace, the
+/// deepest artifact the repository writes, nests seven deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Errors carry the byte offset of the problem.
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let b = src.as_bytes();
     let mut pos = 0;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -93,9 +99,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, itself `depth` arrays/objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -106,12 +117,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key is not a string at offset {}", *pos)),
                 };
                 expect(b, pos, b':')?;
-                members.push((key, parse_value(b, pos)?));
+                members.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -132,7 +143,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -701,6 +712,7 @@ pub fn diff(base: &TraceFile, cand: &TraceFile, threshold: f64) -> (String, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn json_round_trips_nested_values() {
@@ -715,6 +727,61 @@ mod tests {
         assert_eq!(doc.get("b").unwrap().get("e"), Some(&Json::Null));
         assert!(parse_json("{\"unterminated\": ").is_err());
         assert!(parse_json("[1, 2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_error_names_the_offset() {
+        // 200 000 levels overflowed the stack (SIGABRT) before the bound.
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at offset 128");
+        let err = parse_json(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at offset 640");
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&deepest).is_ok());
+        assert!(parse_json(&format!("[{deepest}]")).is_err());
+    }
+
+    const BASELINE: &str = include_str!("../../../results/baseline/trace_fault_chaos.json");
+
+    /// What the `trace` bin does with a file the user names, short of
+    /// reading it: neither parser may panic, whatever the bytes.
+    fn parse_both(bytes: &[u8]) {
+        let src = String::from_utf8_lossy(bytes);
+        let _ = parse_json(&src);
+        let _ = TraceFile::parse(&src);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arbitrary bytes, strings over JSON's own alphabet (which get past
+        /// the first byte), and a real artifact truncated anywhere or with
+        /// any one byte changed.
+        #[test]
+        fn no_input_panics_the_parsers(
+            junk in prop::collection::vec(any::<u8>(), 0..64),
+            jsonish in prop::collection::vec(
+                prop::sample::select(b"[]{}\":,\\u0123456789-+.eEtrufalsn \n".to_vec()),
+                0..64,
+            ),
+            cut in 0..BASELINE.len(),
+            at in 0..BASELINE.len(),
+            mask in 1u8..=255,
+        ) {
+            parse_both(&junk);
+            parse_both(&jsonish);
+            parse_both(&BASELINE.as_bytes()[..cut]);
+            let mut flipped = BASELINE.as_bytes().to_vec();
+            flipped[at] ^= mask;
+            parse_both(&flipped);
+        }
+    }
+
+    #[test]
+    fn the_committed_baseline_loads() {
+        let tf = TraceFile::parse(BASELINE).expect("baseline parses");
+        assert_eq!(tf.workload, "fault_chaos");
+        assert!(!tf.flows.is_empty() && !tf.stages.is_empty());
     }
 
     fn sample_doc(wire_vals: &[u64]) -> String {

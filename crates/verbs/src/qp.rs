@@ -40,7 +40,11 @@ pub struct QpCaps {
     /// Transport retries before `RetryExceeded` surfaces (`retry_cnt`).
     pub retry_cnt: u8,
     /// Receiver-not-ready retries before `RnrRetryExceeded` surfaces
-    /// (`rnr_retry`; the IB value 7 means "infinite", which we cap).
+    /// (`rnr_retry`). The IB value 7 means "retry indefinitely": the
+    /// real-time `ShmFabric` honours that, re-arming the timer until its
+    /// stall deadline (`ShmConfig::full_ring_deadline`), while the
+    /// virtual-time and instant fabrics make seven attempts — an unbounded
+    /// wait would never drain their event loop.
     pub rnr_retry: u8,
     /// RNR NAK back-off interval in nanoseconds (the `min_rnr_timer`
     /// analogue, expressed directly in time rather than the IB 5-bit code).

@@ -66,11 +66,15 @@
 //! so a window posted ahead of its receives still lands in posting order.
 //!
 //! Reliability is PR 2's RC state machine on real [`Instant`] deadlines:
-//! receiver-not-ready re-arms after the QP's `min_rnr_timer` (wall-clock)
-//! up to `rnr_retry` times; deterministic fault injection (`drop_nth` /
-//! `dup_nth`) exercises ack-timeout retransmission with the IB exponential
-//! backoff (`4.096 µs × 2^timeout`, doubling per attempt) and PSN
-//! exactly-once suppression. The ring transport itself is lossless, so
+//! receiver-not-ready re-arms after the QP's `min_rnr_timer` (wall-clock),
+//! `rnr_retry` times for budgets 0–6 and, for InfiniBand's "retry
+//! indefinitely" 7, until the record has waited
+//! [`ShmConfig::full_ring_deadline`] ([`RnrBudget`]): a receiver that is
+//! merely slow holds its sender back, and only one that is gone fails it.
+//! Deterministic fault injection (`drop_nth` / `dup_nth`) exercises
+//! ack-timeout retransmission with the IB exponential backoff
+//! (`4.096 µs × 2^timeout`, doubling per attempt) and PSN exactly-once
+//! suppression. The ring transport itself is lossless, so
 //! ack timers arm only for records charged as dropped — a presumed-lost
 //! record is retransmitted, a merely-slow ack is awaited (this keeps the
 //! double-entry wire ledger exact; see the invariant laws in
@@ -134,9 +138,11 @@ pub struct ShmConfig {
     /// MTU used for `mtu_segments` accounting (the wire ledger's
     /// segmentation law), matching `FabricParams::mtu`.
     pub mtu: usize,
-    /// Bound on waiting for ring space on submit before panicking (a ring
-    /// sized far below the offered load is a deployment error, not a
-    /// recoverable condition).
+    /// The stall deadline. Bound on waiting for ring space on submit before
+    /// panicking (a ring sized far below the offered load is a deployment
+    /// error, not a recoverable condition), and on how long a delivery from a
+    /// QP with `rnr_retry = 7` waits for a receive WR before it fails with
+    /// `RnrRetryExceeded`.
     pub full_ring_deadline: Duration,
 }
 
@@ -264,11 +270,26 @@ struct Deferred {
     ch: Arc<Channel>,
     header: DeliveryHeader,
     payload: Vec<u8>,
-    rnr_budget: u8,
+    budget: RnrBudget,
     min_rnr_timer_ns: u64,
-    attempts: u8,
     /// When the RNR timer allows the next attempt; `None` while untried.
     due: Option<Instant>,
+}
+
+/// The `rnr_retry` value InfiniBand reserves for "retry indefinitely".
+const RNR_RETRY_INFINITE: u8 = 7;
+
+/// What is left of the sending QP's `rnr_retry` for one queued delivery.
+enum RnrBudget {
+    /// `rnr_retry` 0–6: receiver-not-ready may re-arm the timer this many
+    /// more times.
+    Rearms(u8),
+    /// `rnr_retry = 7`: it may re-arm the timer until this instant,
+    /// [`ShmConfig::full_ring_deadline`] after the record came off its ring.
+    /// A wall-clock fabric cannot count this budget out: seven timers are a
+    /// few milliseconds, which a receiver thread that merely lost its CPU
+    /// outlasts, and the sender it fails cannot tell that from a dead peer.
+    Until(Instant),
 }
 
 impl Deferred {
@@ -1190,22 +1211,27 @@ impl ShmFabric {
             debug_assert_eq!(kind, KIND_DATA);
             self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
             self.note_occupancy(r.backlog());
-            let (header, rnr_budget, min_rnr_timer_ns) = parse_data_header(r);
+            let (header, rnr_retry, min_rnr_timer_ns) = parse_data_header(r);
             let payload = r.rest();
             let dst = (header.dst_node, header.dst_qp);
             let due = if rnr.iter().any(|d| d.dst() == dst) {
                 None
             } else {
-                let retry = rnr_budget > 0;
+                let retry = rnr_retry > 0;
                 Some(self.deliver(net, ch, &header, payload, retry, min_rnr_timer_ns)?)
+            };
+            // A first attempt that re-armed the timer has spent one re-arm.
+            let budget = if rnr_retry == RNR_RETRY_INFINITE {
+                RnrBudget::Until(Instant::now() + self.cfg.full_ring_deadline)
+            } else {
+                RnrBudget::Rearms(rnr_retry - due.is_some() as u8)
             };
             Some(Deferred {
                 ch: ch.clone(),
                 header,
                 payload: payload.concat(),
-                rnr_budget,
+                budget,
                 min_rnr_timer_ns,
-                attempts: due.is_some() as u8,
                 due,
             })
         });
@@ -1341,11 +1367,16 @@ impl ShmFabric {
                 continue;
             }
             worked = true;
-            let retry = d.attempts < d.rnr_budget;
+            let retry = match d.budget {
+                RnrBudget::Rearms(left) => left > 0,
+                RnrBudget::Until(give_up) => now < give_up,
+            };
             let payload = [&d.payload[..], &[]];
             match self.deliver(net, &d.ch, &d.header, payload, retry, d.min_rnr_timer_ns) {
                 Some(due) => {
-                    d.attempts += 1;
+                    if let RnrBudget::Rearms(left) = &mut d.budget {
+                        *left -= 1;
+                    }
                     d.due = Some(due);
                     blocked.push(dst);
                     i += 1;
@@ -1436,7 +1467,7 @@ mod tests {
     use crate::cq::CompletionQueue;
     use crate::network::{connect_pair, Context, Network};
     use crate::qp::{QpCaps, QueuePair};
-    use crate::types::{imm, Opcode, RecvWr, SendWr, Sge, WcOpcode, WorkCompletion};
+    use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcOpcode, WorkCompletion};
     use partix_telemetry::invariants;
 
     struct Pair {
@@ -1680,19 +1711,13 @@ mod tests {
     /// with receives posted is not held up behind it.
     #[test]
     fn rnr_deferred_window_is_redelivered_in_posting_order() {
-        const WINDOW: u64 = 12;
-        // An RNR budget (7 × 2 ms) that outlasts this test's own set-up on a
-        // loaded host.
+        // Default caps: the 2 ms timer re-arms until the receives are posted.
         let caps = QpCaps {
             min_rnr_timer_ns: 2_000_000,
             ..QpCaps::default()
         };
         let p = pair(ShmConfig::default(), caps);
-        let src = p.a.reg_mr(p.pda, 64).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
-        for i in 0..WINDOW {
-            write_with_imm(&p, &src, &dst, i, 64);
-        }
+        let dst = post_window_ahead_of_its_receives(&p);
         // Every record is off the ring: the first hit receiver-not-ready,
         // the rest are queued behind it (or deferred themselves, before the
         // fix — each with its own deadline, collected out of order).
@@ -1716,17 +1741,19 @@ mod tests {
             p.b.create_qp(p.pdb, p.b.create_cq(), cq2b.clone(), caps)
                 .unwrap();
         connect_pair(&q2a, &q2b).unwrap();
+        let src2 = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst2 = p.b.reg_mr(p.pdb, 64).unwrap();
         q2b.post_recv(RecvWr::bare(1)).unwrap();
         q2a.post_send(SendWr {
             wr_id: 77,
             opcode: Opcode::RdmaWriteWithImm,
             sg_list: vec![Sge {
-                addr: src.addr(),
+                addr: src2.addr(),
                 length: 64,
-                lkey: src.lkey(),
+                lkey: src2.lkey(),
             }],
-            remote_addr: dst.addr(),
-            rkey: dst.rkey(),
+            remote_addr: dst2.addr(),
+            rkey: dst2.rkey(),
             imm: Some(77),
             inline_data: false,
             flow: 0,
@@ -1735,24 +1762,8 @@ mod tests {
         assert_eq!(poll_until(&cq2b, "second QP's recv CQE").imm, Some(77));
         assert!(p.cqb.poll_one().is_none(), "first QP still waits");
 
-        for i in 0..WINDOW {
-            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
-        }
-        for i in 0..WINDOW {
-            let wc = poll_until(&p.cqb, "recv CQE");
-            assert_eq!(wc.wr_id, 500 + i, "receives are consumed in order");
-            assert_eq!(
-                wc.imm,
-                Some(imm::encode(0, 4)),
-                "write_with_imm's immediate"
-            );
-            let send = poll_until(&p.cqa, "send CQE");
-            assert_eq!(
-                (send.wr_id, send.status),
-                (i, WcStatus::Success),
-                "acks follow deliveries, so send CQEs show the delivery order"
-            );
-        }
+        // Acks follow deliveries, so the send CQEs show the delivery order.
+        window_lands_once_in_order(&p, &dst);
         let _ = poll_until(&cq2a, "second QP's send CQE");
         assert_clean(&p);
         p.fabric.shutdown();
@@ -1791,24 +1802,25 @@ mod tests {
         p.finish();
     }
 
-    /// The hazard in-place delivery adds: a delivery that outlives its ring
-    /// slot must own its bytes. On a data ring that holds two records, a
-    /// window is posted ahead of its receives — the first record is
-    /// RNR-deferred, the rest queue behind it — and the producer laps the
-    /// ring six times before a receive exists. Every message must still land
-    /// exactly once, in posting order, with the bytes it was posted with; a
-    /// deferred delivery that still read its (long since reused) slot would
-    /// deliver a later message's bytes.
-    fn deferred_deliveries_own_their_bytes(p: Pair) {
-        const WINDOW: u64 = 12;
-        const LEN: usize = 64;
+    /// Messages of the window the tests below post ahead of its receives,
+    /// and the bytes of one.
+    const WINDOW: u64 = 12;
+    const LEN: usize = 64;
+
+    fn window_byte(i: u64, k: usize) -> u8 {
+        (i as u8).wrapping_mul(37) ^ (k as u8).wrapping_mul(11)
+    }
+
+    /// Post the window with no receive posted: message `i` carries its own
+    /// bytes to slot `i` of the destination region, which is returned, with
+    /// immediate `i`.
+    fn post_window_ahead_of_its_receives(p: &Pair) -> crate::memory::MemoryRegion {
         let src = p.a.reg_mr(p.pda, LEN).unwrap();
         let dst = p.b.reg_mr(p.pdb, WINDOW as usize * LEN).unwrap();
-        let byte = |i: u64, k: usize| (i as u8).wrapping_mul(37) ^ (k as u8).wrapping_mul(11);
         for i in 0..WINDOW {
             // Gathered at post time, so the one source region can be
             // rewritten between posts.
-            let payload: Vec<u8> = (0..LEN).map(|k| byte(i, k)).collect();
+            let payload: Vec<u8> = (0..LEN).map(|k| window_byte(i, k)).collect();
             src.write(0, &payload).unwrap();
             p.qa.post_send(SendWr {
                 wr_id: i,
@@ -1826,6 +1838,40 @@ mod tests {
             })
             .unwrap();
         }
+        dst
+    }
+
+    /// Post the window's receives: every message must land exactly once, in
+    /// posting order, `Success` on both sides, with the bytes it was posted
+    /// with.
+    fn window_lands_once_in_order(p: &Pair, dst: &crate::memory::MemoryRegion) {
+        for i in 0..WINDOW {
+            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
+        }
+        for i in 0..WINDOW {
+            let wc = poll_until(&p.cqb, "recv CQE");
+            assert_eq!((wc.wr_id, wc.imm), (500 + i, Some(i as u32)), "in order");
+            let send = poll_until(&p.cqa, "send CQE");
+            assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
+        }
+        assert!(p.cqb.poll_one().is_none(), "every message landed once");
+        for i in 0..WINDOW {
+            let got = dst.read_vec(i as usize * LEN, LEN).unwrap();
+            let want: Vec<u8> = (0..LEN).map(|k| window_byte(i, k)).collect();
+            assert_eq!(got, want, "message {i} holds the bytes it was posted with");
+        }
+    }
+
+    /// The hazard in-place delivery adds: a delivery that outlives its ring
+    /// slot must own its bytes. On a data ring that holds two records, a
+    /// window is posted ahead of its receives — the first record is
+    /// RNR-deferred, the rest queue behind it — and the producer laps the
+    /// ring six times before a receive exists. Every message must still land
+    /// exactly once, in posting order, with the bytes it was posted with; a
+    /// deferred delivery that still read its (long since reused) slot would
+    /// deliver a later message's bytes.
+    fn deferred_deliveries_own_their_bytes(p: Pair) {
+        let dst = post_window_ahead_of_its_receives(&p);
         // Every post returned, so all twelve records went through the
         // two-record ring — six laps of it, however the two sides interleaved.
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
@@ -1839,27 +1885,12 @@ mod tests {
             dst.read_vec(0, WINDOW as usize * LEN).unwrap(),
             vec![0; 768]
         );
-
-        for i in 0..WINDOW {
-            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
-        }
-        for i in 0..WINDOW {
-            let wc = poll_until(&p.cqb, "recv CQE");
-            assert_eq!((wc.wr_id, wc.imm), (500 + i, Some(i as u32)), "in order");
-            let send = poll_until(&p.cqa, "send CQE");
-            assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
-        }
-        assert!(p.cqb.poll_one().is_none(), "every message landed once");
-        for i in 0..WINDOW {
-            let got = dst.read_vec(i as usize * LEN, LEN).unwrap();
-            let want: Vec<u8> = (0..LEN).map(|k| byte(i, k)).collect();
-            assert_eq!(got, want, "message {i} holds the bytes it was posted with");
-        }
+        window_lands_once_in_order(&p, &dst);
         p.finish();
     }
 
-    /// Two 64-byte records (8 + 72 + 64 bytes each) and no third; an RNR
-    /// budget of 7 × 5 ms, which a loaded test host does not outlast.
+    /// Two 64-byte records (8 + 72 + 64 bytes each) and no third, on a 5 ms
+    /// RNR timer.
     fn two_record_ring() -> (ShmConfig, QpCaps) {
         let cfg = ShmConfig {
             ring_capacity: 2 * (RECORD_HEADER as usize + DATA_HEADER + 64) as u64 + 16,
@@ -1883,6 +1914,100 @@ mod tests {
     fn deferred_deliveries_own_their_bytes_over_two_mappings_of_a_file_segment() {
         let (cfg, caps) = two_record_ring();
         deferred_deliveries_own_their_bytes(host_pair(cfg, caps));
+    }
+
+    /// Default caps (`rnr_retry = 7`) on a 100 µs RNR timer: counted out,
+    /// that budget was 0.7 ms of wall clock.
+    fn indefinite_rnr_caps() -> QpCaps {
+        QpCaps {
+            min_rnr_timer_ns: 100_000,
+            ..QpCaps::default()
+        }
+    }
+
+    /// `rnr_retry = 7` is flow control, not a countdown: a window posted
+    /// twenty old budgets ahead of its receives is held back, re-arming the
+    /// timer many more than seven times, and no send fails; when the
+    /// receives come every message lands once, in posting order, with the
+    /// bytes it was posted with.
+    fn a_late_receiver_holds_the_sender_back(p: Pair) {
+        let t0 = Instant::now();
+        let dst = post_window_ahead_of_its_receives(&p);
+        let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
+        let deadline = t0 + Duration::from_secs(10);
+        while t0.elapsed() < Duration::from_millis(14) || rx.rnr_deferrals() <= 7 {
+            assert!(Instant::now() < deadline, "the RNR timer stopped re-arming");
+            std::thread::yield_now();
+        }
+        assert!(p.cqa.poll_one().is_none(), "no send may have failed yet");
+        window_lands_once_in_order(&p, &dst);
+        p.finish();
+    }
+
+    #[test]
+    fn a_late_receiver_holds_the_sender_back_over_a_heap_segment() {
+        a_late_receiver_holds_the_sender_back(pair(ShmConfig::default(), indefinite_rnr_caps()));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_late_receiver_holds_the_sender_back_over_two_mappings_of_a_file_segment() {
+        a_late_receiver_holds_the_sender_back(host_pair(
+            ShmConfig::default(),
+            indefinite_rnr_caps(),
+        ));
+    }
+
+    /// Indefinitely is still bounded: with no receive ever, everything the
+    /// receiver holds fails with `RnrRetryExceeded` once it has waited the
+    /// stall deadline — not after 0.7 ms, and not one deadline per message —
+    /// the QP enters Error, and `shutdown` has nothing left to wait for.
+    fn a_receiver_that_never_posts_fails_the_sender_at_the_stall_deadline(p: Pair) {
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        src.fill(0, 64, 0x77).unwrap();
+        let t0 = Instant::now();
+        for i in 0..3u64 {
+            write_with_imm(&p, &src, &dst, i, 64);
+        }
+        for i in 0..3u64 {
+            let wc = poll_until(&p.cqa, "send CQE");
+            assert_eq!((wc.wr_id, wc.status), (i, WcStatus::RnrRetryExceeded));
+        }
+        let waited = t0.elapsed();
+        assert!(
+            waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
+            "bounded by the stall deadline, neither a countdown nor a hang: {waited:?}"
+        );
+        assert_eq!(p.qa.state(), QpState::Error);
+        assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0; 64], "nothing landed");
+        let t0 = Instant::now();
+        p.finish();
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    fn short_stall_deadline() -> ShmConfig {
+        ShmConfig {
+            full_ring_deadline: Duration::from_millis(50),
+            ..ShmConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_receiver_that_never_posts_fails_the_sender_over_a_heap_segment() {
+        a_receiver_that_never_posts_fails_the_sender_at_the_stall_deadline(pair(
+            short_stall_deadline(),
+            indefinite_rnr_caps(),
+        ));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_receiver_that_never_posts_fails_the_sender_over_two_mappings_of_a_file_segment() {
+        a_receiver_that_never_posts_fails_the_sender_at_the_stall_deadline(host_pair(
+            short_stall_deadline(),
+            indefinite_rnr_caps(),
+        ));
     }
 
     /// What a panic carried, as text.

@@ -105,7 +105,7 @@ impl FaultSweep {
             .enumerate()
             .map(|(i, (kind, p))| (kind, p, i as u64))
             .collect();
-        crate::parallel::par_map(self.jobs, cells, |(kind, drop_p, idx)| {
+        partix_sim::parallel::par_map(self.jobs, cells, |(kind, drop_p, idx)| {
             self.run_cell(kind, drop_p, idx)
         })
     }

@@ -15,9 +15,6 @@
 //!   application pattern of the benchmark suite the paper builds on);
 //! - [`fault_sweep`] — aggregation strategies under injected wire loss
 //!   (drops / duplicates / delays) with the RC reliability layer on;
-//! - [`parallel`] — order-preserving parallel fan-out of independent
-//!   experiment cells across worker threads (each cell owns its scheduler
-//!   and seed, so results are byte-identical at any job count);
 //! - [`pdes`] — 100k+-rank fan-in and Sweep3D wavefront generators for the
 //!   sharded conservative-sync engine in `partix_sim::pdes` (O(1) state
 //!   per rank, LogGP wire timing, order-sensitive digests);
@@ -57,7 +54,6 @@ pub mod halo;
 pub mod netgauge_provider;
 pub mod noise;
 pub mod overhead;
-pub mod parallel;
 pub mod pdes;
 pub mod perceived;
 pub mod runner;

@@ -71,7 +71,7 @@ impl OverheadSweep {
             .copied()
             .filter(|s| *s >= self.partitions as usize)
             .collect();
-        crate::parallel::par_map(self.jobs, sizes, |total| {
+        partix_sim::parallel::par_map(self.jobs, sizes, |total| {
             run_overhead_point(&self.partix, self.partitions, total, self)
         })
     }

@@ -73,7 +73,7 @@ impl PerceivedSweep {
             .copied()
             .filter(|s| *s >= self.partitions as usize)
             .collect();
-        crate::parallel::par_map(self.jobs, sizes, |total| {
+        partix_sim::parallel::par_map(self.jobs, sizes, |total| {
             let mut partix = self.partix.clone();
             partix.fabric.copy_data = false;
             let cfg = Pt2PtConfig {

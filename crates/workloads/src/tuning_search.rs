@@ -67,7 +67,7 @@ impl TuningSearch {
                     .map(move |&size| (parts, size))
             })
             .collect();
-        let results = crate::parallel::par_map(self.jobs, keys, |(parts, size)| {
+        let results = partix_sim::parallel::par_map(self.jobs, keys, |(parts, size)| {
             (parts, size, self.best_for(parts, size))
         });
         let mut table = TuningTable::new();

@@ -6,8 +6,10 @@
 //! order — checked end to end through the order-sensitive workload digests
 //! (any reordering anywhere in the run changes the digest).
 
+use partix_core::telemetry::FlowLog;
 use partix_workloads::fullstack::{
-    run_fullstack, run_fullstack_observed, Executor, FullStackConfig,
+    run_fullstack, run_fullstack_instrumented, run_fullstack_observed, Executor, FullStackConfig,
+    FullStackReport,
 };
 use partix_workloads::pdes::{run_fanin, run_sweep, PdesOutcome, PdesWorkloadConfig};
 
@@ -70,18 +72,48 @@ fn shard_count_changes_the_schedule_not_the_model() {
     );
 }
 
+/// Every flow stage's `(name, count, sum)`: the residency multisets are
+/// virtual-time facts, so no executor may change them.
+type StageTotals = Vec<(&'static str, u64, u64)>;
+
+/// `cfg` once more on `executor` with a flow log attached. Tracing only
+/// observes: the run must reproduce the digests of `untraced`, the same
+/// executor's run without it.
+fn traced_stage_totals(
+    name: &str,
+    cfg: &FullStackConfig,
+    executor: Executor,
+    untraced: &FullStackReport,
+) -> StageTotals {
+    let (traced, world, _sched) =
+        run_fullstack_instrumented(cfg, executor, Some(FlowLog::new()), None);
+    assert_eq!(
+        (traced.digest, traced.ledger_digest),
+        (untraced.digest, untraced.ledger_digest),
+        "{name}: tracing changed the run on {}",
+        executor.label()
+    );
+    let stages = world.telemetry().flows.stages.snapshot();
+    let totals = stages.into_iter().map(|(stage, h)| (stage, h.count, h.sum));
+    totals.collect()
+}
+
 /// Full-stack executor independence: the entire verbs pipeline — partitioned
 /// aggregation runtime, DES fabric, optionally the lossy wire — through the
 /// job matrix, comparing the completion-record digest AND the canonical
 /// telemetry ledger digest against the sequential reference. Ledger equality
 /// is the stronger claim: every per-QP/CQ counter, all wire counters, and all
-/// runtime counters byte-identical, with all conservation laws clean.
-fn assert_fullstack_matrix_agrees(name: &str, cfg: &FullStackConfig) {
+/// runtime counters byte-identical, with all conservation laws clean. The
+/// matrix runs untraced, as the benchmark and users do; each executor then
+/// runs once more traced, for the flow-stage totals. Returns the reference
+/// executor's.
+fn assert_fullstack_matrix_agrees(name: &str, cfg: &FullStackConfig) -> StageTotals {
     let reference = run_fullstack(cfg, Executor::Reference);
     assert!(
         reference.invariants_clean,
         "{name}: reference run left a dirty ledger"
     );
+    let reference_stages = traced_stage_totals(name, cfg, Executor::Reference, &reference);
     for jobs in JOB_MATRIX {
         let got = run_fullstack(cfg, Executor::Sharded(jobs));
         assert_eq!(
@@ -93,12 +125,19 @@ fn assert_fullstack_matrix_agrees(name: &str, cfg: &FullStackConfig) {
             "{name}: telemetry ledger diverged from the reference at jobs={jobs}"
         );
         assert_eq!(
-            (got.events, got.makespan, got.drops, got.retransmits),
+            (
+                got.events,
+                got.makespan,
+                got.drops,
+                got.retransmits,
+                got.duplicates
+            ),
             (
                 reference.events,
                 reference.makespan,
                 reference.drops,
-                reference.retransmits
+                reference.retransmits,
+                reference.duplicates
             ),
             "{name}: schedule shape diverged from the reference at jobs={jobs}"
         );
@@ -106,7 +145,13 @@ fn assert_fullstack_matrix_agrees(name: &str, cfg: &FullStackConfig) {
             got.invariants_clean,
             "{name}: jobs={jobs} left a dirty ledger"
         );
+        assert_eq!(
+            traced_stage_totals(name, cfg, Executor::Sharded(jobs), &got),
+            reference_stages,
+            "{name}: flow-stage totals diverged from the reference at jobs={jobs}"
+        );
     }
+    reference_stages
 }
 
 #[test]
@@ -126,7 +171,12 @@ fn fullstack_chaos_agrees_across_the_job_matrix() {
             reference.drops > 0,
             "chaos seed={seed} must actually drop packets for the test to bite"
         );
-        assert_fullstack_matrix_agrees(&format!("chaos seed={seed}"), &cfg);
+        let stages = assert_fullstack_matrix_agrees(&format!("chaos seed={seed}"), &cfg);
+        let wire = stages.iter().find(|(stage, ..)| *stage == "wire_ns");
+        assert!(
+            wire.is_some_and(|&(_, count, _)| count > 0),
+            "chaos seed={seed} must time flows on the wire for the stage comparison to bite"
+        );
     }
 }
 

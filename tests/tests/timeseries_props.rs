@@ -220,7 +220,7 @@ proptest! {
     }
 }
 
-/// Acceptance criterion: a chaos full-stack run on the sharded executor at
+/// The acceptance test: a chaos full-stack run on the sharded executor at
 /// `--jobs 1` and `--jobs 4` emits a frame sequence **byte-identical** to
 /// the sequential reference — the time axis is as deterministic as the
 /// end-of-run digests.
