@@ -160,16 +160,6 @@ fn main() {
             ),
             "fig12" => emit(&args, "fig12", &experiments::fig12_table(q)),
             "check" => emit(&args, "check", &partix_bench::check::check_table(q)),
-            "plots" => {
-                let slugs =
-                    partix_bench::plots::write_plot_scripts(&args.out).expect("write scripts");
-                println!(
-                    "wrote {} gnuplot scripts to {} (render with: cd {} && gnuplot plot_*.gp)",
-                    slugs.len(),
-                    args.out.display(),
-                    args.out.display(),
-                );
-            }
             "timeline" => {
                 std::fs::create_dir_all(&args.out).expect("results dir");
                 for kind in [

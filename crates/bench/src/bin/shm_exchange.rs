@@ -2,14 +2,8 @@
 //! shared-memory fabric. Writes `results/BENCH_shm.json`.
 //!
 //! ```text
-//! shm_exchange [--smoke] [--out DIR] [--prom ADDR]
+//! shm_exchange [--smoke] [--out DIR]
 //! ```
-//!
-//! `--prom ADDR` (e.g. `127.0.0.1:9464`) attaches a wall-clock telemetry
-//! sampler to the sender's progress thread and serves the latest window
-//! frame as a Prometheus scrape endpoint for the duration of the run —
-//! `curl http://ADDR/metrics` while the bench streams to watch
-//! `partix_window_*` deltas and `partix_gauge_*` ring counters live.
 //!
 //! The parent process is rank A (node 0); it re-executes itself as rank B
 //! (node 1) with `--role b`. The two processes bootstrap exactly like a
@@ -39,9 +33,7 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partix_bench::prom::PromServer;
 use partix_verbs::shm::{await_blob, default_shm_dir, publish_blob};
-use partix_verbs::telemetry::{Sample, SampleSource, Sampler, SamplerConfig};
 use partix_verbs::{
     Network, Opcode, PeerId, QpCaps, QpState, RecvWr, SendWr, Sge, ShmConfig, ShmFabric,
     VerbsError, WcStatus,
@@ -105,35 +97,10 @@ fn parse_kv(report: &str, key: &str) -> Option<u64> {
     })
 }
 
-/// Attach a wall-clock sampler (1 ms windows, last 600 retained) to the
-/// sender fabric and serve its latest frame at `addr`.
-fn start_prom(addr: &str, fabric: &Arc<ShmFabric>, net: &Network) -> PromServer {
-    let state = net.state().clone();
-    let fab = fabric.clone();
-    let source: SampleSource = Arc::new(move || Sample {
-        snapshot: state.telemetry_snapshot(),
-        stages: Vec::new(),
-        gauges: fab.sample_gauges(),
-    });
-    let sampler = Sampler::new(
-        SamplerConfig {
-            interval_ns: 1_000_000,
-            capacity: 600,
-            deterministic: false,
-        },
-        source,
-    );
-    fabric.attach_sampler(sampler.clone());
-    let srv = PromServer::bind(addr, sampler).expect("bind Prometheus endpoint");
-    println!("serving metrics at http://{}/metrics", srv.local_addr());
-    srv
-}
-
 /// Rank A: the sender / orchestrator.
-fn role_a(dir: &Path, smoke: bool, out: &Path, prom: Option<&str>) {
+fn role_a(dir: &Path, smoke: bool, out: &Path) {
     let fabric = ShmFabric::host(dir.to_path_buf(), ShmConfig::default());
     let net = Network::new(2, fabric.clone() as Arc<dyn partix_verbs::Fabric>);
-    let _prom_server = prom.map(|addr| start_prom(addr, &fabric, &net));
     let a = net.open(0).expect("node 0");
     let pd = a.alloc_pd();
     let (send_cq, recv_cq) = (a.create_cq(), a.create_cq());
@@ -445,7 +412,6 @@ fn main() {
     let mut smoke = false;
     let mut out = PathBuf::from("results");
     let mut dir: Option<PathBuf> = None;
-    let mut prom: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -453,7 +419,6 @@ fn main() {
             "--smoke" => smoke = true,
             "--out" => out = PathBuf::from(it.next().expect("--out requires a value")),
             "--dir" => dir = Some(PathBuf::from(it.next().expect("--dir requires a value"))),
-            "--prom" => prom = Some(it.next().expect("--prom requires an address")),
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
@@ -478,7 +443,7 @@ fn main() {
                 cmd.arg("--smoke");
             }
             let mut child = cmd.spawn().expect("spawn rank B");
-            role_a(&dir, smoke, &out, prom.as_deref());
+            role_a(&dir, smoke, &out);
             let status = child.wait().expect("wait for rank B");
             assert!(status.success(), "rank B exited with {status:?}");
             let _ = std::fs::remove_dir_all(&dir);

@@ -10,8 +10,6 @@
 pub mod ablations;
 pub mod check;
 pub mod experiments;
-pub mod plots;
-pub mod prom;
 pub mod report;
 pub mod trace_run;
 pub mod tracefile;

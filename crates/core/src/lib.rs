@@ -56,7 +56,6 @@ mod plan;
 mod proc;
 mod request;
 mod tuning;
-mod typed;
 mod ucx;
 mod world;
 
@@ -66,7 +65,6 @@ pub use events::{EventSink, NullSink};
 pub use handles::{PrecvRequest, Proc, PsendRequest, MAX_PARTITIONS};
 pub use plan::{plan_for, PlanDecision, TransportPlan};
 pub use tuning::{TuningKey, TuningTable, TuningValue};
-pub use typed::{typed_channel, Element, TypedReceiver, TypedSender};
 pub use ucx::{UcxCost, UcxModel, UcxProtocol};
 pub use world::World;
 

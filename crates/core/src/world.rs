@@ -101,7 +101,7 @@ pub(crate) struct WorldInner {
 /// points one way except where a request holds its process while the
 /// process's WR tables hold requests. Emptying those tables here is what
 /// lets a world nothing refers to any more be freed, network and all
-/// (DESIGN.md §15, "World lifetime").
+/// (DESIGN.md §13, "World lifetime").
 impl Drop for WorldInner {
     fn drop(&mut self) {
         for p in self.procs.get_mut().values() {

@@ -6,15 +6,17 @@
 //!
 //! This crate provides:
 //!
-//! - a virtual clock and event queue ([`Scheduler`]) with deterministic
-//!   same-instant ordering,
+//! - one event engine ([`pdes`]): per-shard event queues advanced under
+//!   conservative synchronisation, byte-identical on every executor,
+//! - a virtual clock and closure-scheduling handle on that engine
+//!   ([`Scheduler`]) with deterministic same-instant ordering — sequential
+//!   (one shard) or one shard per simulated node,
 //! - [`Clock`]/[`Timer`] abstractions so the MPI runtime runs identically on
 //!   virtual and wall-clock time,
 //! - [`SerialResource`], the FIFO occupancy primitive used to model QP DMA
 //!   engines, shared links, and software locks,
 //! - seed-splitting helpers for reproducible noise ([`stream_rng`]),
-//! - the sharded conservative-sync parallel-DES engine ([`pdes`]) and the
-//!   order-preserving thread fan-out it runs on ([`parallel`]).
+//! - the order-preserving thread fan-out ([`parallel`]) behind `--jobs`.
 //!
 //! The network *model* (LogGP parameters, per-transfer cost composition)
 //! lives in `partix-verbs`; this crate is mechanism only.
@@ -53,6 +55,6 @@ pub use clock::{Clock, RealClock, SimClock, ThreadTimer, TimeSource, Timer};
 pub use parallel::{default_jobs, par_map};
 pub use resource::SerialResource;
 pub use rng::{split_seed, stream_rng};
-pub use scheduler::{EventKey, SampleHook, Scheduler};
+pub use scheduler::{SampleHook, Scheduler};
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};

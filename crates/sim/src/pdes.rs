@@ -1,15 +1,17 @@
-//! Sharded parallel discrete-event simulation with conservative
-//! synchronisation.
+//! The event engine: a conservatively synchronised discrete-event
+//! simulation over **shards**.
 //!
-//! The sequential [`Scheduler`](crate::Scheduler) tops out at one core: a
-//! single global heap serialises every event in the simulation. This module
-//! is the scale substrate: simulated nodes are partitioned across
-//! **shards**, each shard owns a private event queue (the same slab +
-//! index-min-heap layout as the sequential scheduler), and shards advance
-//! in parallel under a **conservative barrier-epoch protocol** whose safety
-//! window comes from the physical lookahead of the modelled network — a
-//! cross-shard event (a wire delivery) can never be due sooner than the
-//! LogGP link latency after the instant that produced it.
+//! Simulated nodes are partitioned across shards; each shard owns a private
+//! event queue — a slab of event payloads plus an index min-heap of small
+//! `Copy` entries `(time, seq, node, slot)`, both reused across pops so the
+//! steady state allocates nothing per event. Every
+//! [`Scheduler`](crate::Scheduler) is a handle on one `Pdes`: the sequential
+//! scheduler is the **one-shard case** (no mailbox traffic, a 1 ns lookahead,
+//! so one epoch is one timestamp), the sharded scheduler has one shard per
+//! simulated node. With several shards, epochs advance under a **barrier-epoch
+//! protocol** whose safety window comes from the physical lookahead of the
+//! modelled network — a cross-shard event (a wire delivery) can never be due
+//! sooner than the LogGP link latency after the instant that produced it.
 //!
 //! # Protocol
 //!
@@ -54,11 +56,11 @@
 //! # Memory discipline
 //!
 //! The cross-shard channel path performs **zero steady-state allocations**:
-//! mailboxes are preallocated to [`PdesConfig::channel_capacity`] and
-//! swapped (not reallocated) at merge time, local queues reuse the PR 1
-//! slab/arena event pool (the crate-private `Slab`), and the merge sort is
-//! an in-place `sort_unstable`. `tests/pdes_alloc.rs` pins this with a
-//! counting allocator.
+//! mailboxes are preallocated to [`PdesConfig::channel_capacity`] (nothing
+//! on a one-shard engine, which has no peer to hear from) and swapped (not
+//! reallocated) at merge time, local queues recycle their [`Slab`] slots,
+//! and the merge sort is an in-place `sort_unstable`. `tests/pdes_alloc.rs`
+//! pins this with a counting allocator.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -202,6 +204,26 @@ impl Ord for LocalEntry {
     }
 }
 
+/// Park `ev` in the shard's slab and index it in its heap: the one way an
+/// event enters a queue, on either sequence lane.
+#[inline]
+fn enqueue<E>(
+    heap: &mut BinaryHeap<LocalEntry>,
+    slab: &mut Slab<E>,
+    time: SimTime,
+    seq: u64,
+    node: PdesNode,
+    ev: E,
+) {
+    let slot = slab.insert(ev);
+    heap.push(LocalEntry {
+        time,
+        seq,
+        node,
+        slot,
+    });
+}
+
 /// One cross-shard message in flight. Carries the sender-side identity that
 /// defines the deterministic merge order at the destination.
 struct WireMsg<E> {
@@ -300,14 +322,7 @@ impl<E> ShardCtx<'_, E> {
         let dst = self.map.shard_of(node);
         if dst == self.shard {
             *self.local_ctr += 1;
-            let seq = *self.local_ctr << 1;
-            let slot = self.slab.insert(ev);
-            self.heap.push(LocalEntry {
-                time: at,
-                seq,
-                node,
-                slot,
-            });
+            enqueue(self.heap, self.slab, at, *self.local_ctr << 1, node, ev);
         } else {
             assert!(
                 at >= self.now + self.lookahead,
@@ -347,8 +362,6 @@ pub struct PdesReport {
     pub channel_high_water: usize,
     /// Messages pushed while a mailbox was beyond its soft capacity bound.
     pub channel_overflows: u64,
-    /// Peak live slots of any shard's event slab.
-    pub slab_high_water: usize,
 }
 
 impl PdesReport {
@@ -446,13 +459,7 @@ impl<L: ShardLogic> ShardCell<L> {
     fn push_local(&mut self, at: SimTime, node: PdesNode, ev: L::Event) {
         self.local_ctr += 1;
         let seq = self.local_ctr << 1;
-        let slot = self.slab.insert(ev);
-        self.heap.push(LocalEntry {
-            time: at,
-            seq,
-            node,
-            slot,
-        });
+        enqueue(&mut self.heap, &mut self.slab, at, seq, node, ev);
     }
 
     /// Drain this shard's mailbox into the local queue in the deterministic
@@ -470,13 +477,14 @@ impl<L: ShardLogic> ShardCell<L> {
         for m in self.scratch.drain(..) {
             self.in_msg_ctr += 1;
             let seq = (self.in_msg_ctr << 1) | 1;
-            let slot = self.slab.insert(m.ev);
-            self.heap.push(LocalEntry {
-                time: m.deliver_at,
+            enqueue(
+                &mut self.heap,
+                &mut self.slab,
+                m.deliver_at,
                 seq,
-                node: m.dst_node,
-                slot,
-            });
+                m.dst_node,
+                m.ev,
+            );
         }
     }
 
@@ -497,43 +505,14 @@ impl<L: ShardLogic> ShardCell<L> {
         lookahead: SimDuration,
         mailboxes: &[Mailbox<L::Event>],
     ) {
-        let ShardCell {
-            id,
-            logic,
-            heap,
-            slab,
-            local_ctr,
-            out_msg_ctr,
-            executed,
-            sent_cross,
-            last_time,
-            ..
-        } = self;
-        while let Some(top) = heap.peek().copied() {
-            if top.time >= horizon {
-                break;
-            }
-            heap.pop();
-            let ev = slab.take(top.slot);
-            *executed += 1;
-            *last_time = top.time;
-            let mut ctx = ShardCtx {
-                now: top.time,
-                shard: *id,
-                map,
-                lookahead,
-                heap,
-                slab,
-                local_ctr,
-                out_msg_ctr,
-                sent_cross,
-                mailboxes,
-            };
-            logic.handle(&mut ctx, top.node, ev);
+        while self.heap.peek().is_some_and(|top| top.time < horizon) {
+            self.step_one(map, lookahead, mailboxes);
         }
     }
 
-    /// Execute exactly the next pending event (reference executor).
+    /// Execute exactly the next pending event: the one dispatch body every
+    /// executor shares.
+    #[inline]
     fn step_one(&mut self, map: ShardMap, lookahead: SimDuration, mailboxes: &[Mailbox<L::Event>]) {
         let ShardCell {
             id,
@@ -567,10 +546,10 @@ impl<L: ShardLogic> ShardCell<L> {
     }
 }
 
-/// The sharded conservative-sync engine. Single-shot: build, [`seed`]
-/// initial events, then call exactly one of [`run`](Pdes::run) /
-/// [`run_reference`](Pdes::run_reference), and harvest final model state
-/// with [`into_logics`](Pdes::into_logics).
+/// The conservative-sync engine: build, [`seed`] initial events, drain with
+/// [`run`](Pdes::run) or [`run_reference`](Pdes::run_reference) (an idle
+/// engine may be seeded and run again; reports are cumulative), and harvest
+/// final model state with [`into_logics`](Pdes::into_logics).
 ///
 /// [`seed`]: Pdes::seed
 pub struct Pdes<L: ShardLogic> {
@@ -587,7 +566,7 @@ pub struct Pdes<L: ShardLogic> {
 impl<L: ShardLogic> Pdes<L> {
     /// Create an engine over `logics` (one per shard;
     /// `logics.len() == cfg.shards`).
-    pub fn new(cfg: PdesConfig, logics: Vec<L>) -> Self {
+    pub fn new(mut cfg: PdesConfig, logics: Vec<L>) -> Self {
         assert!(cfg.shards > 0, "at least one shard required");
         assert_eq!(
             logics.len(),
@@ -599,6 +578,10 @@ impl<L: ShardLogic> Pdes<L> {
             "zero lookahead admits no safe window"
         );
         let map = ShardMap::new(cfg.shards);
+        if cfg.shards == 1 {
+            // A lone shard has no peer: nothing to preallocate a channel for.
+            cfg.channel_capacity = 0;
+        }
         let cells = logics
             .into_iter()
             .enumerate()
@@ -649,11 +632,6 @@ impl<L: ShardLogic> Pdes<L> {
             .collect()
     }
 
-    /// The node→shard map in force.
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
     /// Inject an initial event for `node` at `at`. Call in a deterministic
     /// order (e.g. ascending node id): seeds take local-lane sequence
     /// numbers in call order.
@@ -691,12 +669,6 @@ impl<L: ShardLogic> Pdes<L> {
                 .iter()
                 .map(|m| m.overflows.load(Ordering::Relaxed))
                 .sum(),
-            slab_high_water: self
-                .cells
-                .iter()
-                .map(|c| c.slab.high_water())
-                .max()
-                .unwrap_or(0),
         }
     }
 

@@ -1,50 +1,55 @@
 //! The discrete-event scheduler.
 //!
-//! A [`Scheduler`] owns a priority queue of timestamped events. Executing an
-//! event may schedule further events through a clone of the same handle,
-//! which is why the queue lives behind a lock that is *not* held while an
-//! event runs.
+//! A [`Scheduler`] is a cheap-to-clone handle on exactly one event engine, a
+//! [`Pdes`] whose events are type-erased closures. Executing an event may
+//! schedule further events through a clone of the same handle: while an
+//! event runs, its shard's [`ShardCtx`] is published in a thread-local, and
+//! [`at`](Scheduler::at) / [`at_node`](Scheduler::at_node) /
+//! [`now`](Scheduler::now) calls made from inside the closure re-enter the
+//! executing shard through it, without a lock.
 //!
-//! Determinism: two events scheduled for the same instant execute in the
-//! order they were scheduled (a monotonically increasing sequence number
-//! breaks ties), so a fixed seed yields a bit-identical simulation.
+//! The sequential scheduler ([`Scheduler::new`]) is the **one-shard case**
+//! of that engine: every node maps to shard 0, nothing crosses a mailbox,
+//! and the lookahead is 1 ns, so one epoch is one timestamp. The sharded
+//! scheduler ([`Scheduler::sharded`]) has one shard per simulated node and
+//! the model's wire latency as its lookahead. Which of the two built a
+//! scheduler selects the *timing model* of the layers above
+//! ([`is_sharded`](Scheduler::is_sharded)); every method here has one body.
 //!
-//! # Hot-path layout
+//! # Order
 //!
-//! The queue is split into two structures so the steady state allocates
-//! nothing per event:
+//! Events execute in ascending `(time, shard, seq)` order (see
+//! [`crate::pdes::ShardKey`]); on one shard that reads `(time, seq)`: two
+//! events scheduled for the same instant execute in the order they were
+//! scheduled, so a fixed seed yields a bit-identical simulation. An event
+//! scheduled in the past is clamped to "now" and therefore sorts after
+//! everything already pending at that instant.
 //!
-//! - a **slab of event slots** holding the closures. Small closures (up to
-//!   [`INLINE_EVENT_BYTES`] bytes, the common case for simulation callbacks)
-//!   are stored *inline* in the slot — no `Box` per event; larger ones fall
-//!   back to a heap box transparently. Freed slots go on a free list and are
-//!   reused, so slab capacity reaches a high-water mark and stays there;
-//! - an **index min-heap** of small `Copy` entries `(time, seq, slot)`.
-//!   Sift operations move 24-byte records instead of fat closure objects,
-//!   and the heap's backing storage is likewise reused across pops.
+//! # Storage
 //!
-//! [`run`](Scheduler::run) and [`run_until`](Scheduler::run_until) drain the
-//! queue in **batches of same-timestamp events**: one lock acquisition pops
-//! the whole batch (this is safe — any event a batch member schedules is
-//! clamped to "now" and receives a later sequence number, so it can never
-//! have to run before the rest of the batch). The pending-event count is
-//! derived from the scheduled/executed counters, so
-//! [`events_pending`](Scheduler::events_pending) never takes the lock and
-//! the hot path pays no extra atomic per event.
+//! Closures of up to [`INLINE_EVENT_BYTES`] bytes (the common case for
+//! simulation callbacks) are stored *inline* in the shard's event slab — no
+//! `Box` per event; larger ones fall back to a heap box transparently.
+//! Freed slots are reused, so the slab reaches a high-water mark and stays
+//! there, and the steady state allocates nothing per event.
+//!
+//! # Threads
+//!
+//! Events execute on the thread that calls [`run`](Scheduler::run) (or on
+//! the engine's workers when a sharded scheduler was given `jobs > 1`), and
+//! `run` holds the engine for its whole extent. Calling `at` or `now` on a
+//! running scheduler from a thread that is not executing one of its events
+//! is unsupported: `at` blocks until the run ends and `now` reads the
+//! clock as it stood before the run.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::pdes::{
-    EpochObservation, Pdes, PdesConfig, PdesNode, PdesReport, PdesShardStat, ShardCtx, ShardLogic,
-};
-use crate::slab::Slab;
+use crate::pdes::{EpochObservation, Pdes, PdesConfig, PdesNode, ShardCtx, ShardLogic};
 use crate::time::{SimDuration, SimTime};
 
 /// Closures up to this many bytes are stored inline in the event slab
@@ -116,61 +121,6 @@ impl Drop for RawEvent {
     }
 }
 
-/// The scheduler's **public total order**: events execute in ascending
-/// `(time, seq)` order, where `seq` is the monotonically increasing number
-/// assigned at scheduling time. Two events never share a key (seqs are
-/// unique), so the order is total and tie-breaking at equal timestamps is
-/// *specified* — scheduling order, not an accident of heap layout. The
-/// sharded PDES engine extends this key with a shard coordinate (see
-/// [`crate::pdes::ShardKey`]); both orders are part of the determinism
-/// contract and are asserted by tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventKey {
-    /// Virtual execution instant.
-    pub time: SimTime,
-    /// Scheduling sequence number, unique per scheduler.
-    pub seq: u64,
-}
-
-/// Heap record: the ordering key plus the slab slot. `Copy`, 24 bytes.
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    key: EventKey,
-    slot: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so that BinaryHeap (a max-heap) pops the earliest entry.
-        other.key.cmp(&self.key)
-    }
-}
-
-struct Queue {
-    heap: BinaryHeap<HeapEntry>,
-    slots: Slab<RawEvent>,
-}
-
-impl Queue {
-    fn with_capacity(n: usize) -> Self {
-        Queue {
-            heap: BinaryHeap::with_capacity(n),
-            slots: Slab::with_capacity(n),
-        }
-    }
-}
-
 /// Per-node counts of node-affine events (see [`Scheduler::at_node`]).
 /// Allocated once by [`Scheduler::enable_node_affinity`]; the last slot
 /// collects events whose node id exceeds the configured range.
@@ -178,27 +128,12 @@ struct AffinityCounts {
     per_node: Box<[AtomicU64]>,
 }
 
-// ---------------------------------------------------------------------------
-// Sharded execution mode
-// ---------------------------------------------------------------------------
-//
-// `Scheduler::sharded` swaps the sequential queue for a `pdes::Pdes` engine
-// whose `ShardLogic` is a thin adapter (`ClosureShard`) over the same
-// type-erased `RawEvent` closures. Every node gets its own shard (so the
-// deterministic `(time, shard, seq)` total order is independent of the job
-// count), and `--jobs` only chooses how many worker threads the epochs run
-// on. While a shard executes an event, its `ShardCtx` is published in a
-// thread-local so that `Scheduler::at`/`at_node`/`now` calls made from
-// inside the closure re-enter the owning shard: same-node schedules stay on
-// the private local lane; cross-node schedules go through the mailbox merge
-// lane and must respect the engine lookahead (the LogGP wire latency `L`).
-
-/// Identity of the shard context currently executing an event on this
-/// thread. `rt` disambiguates between coexisting sharded schedulers.
+/// The shard context currently executing an event on this thread. `rt`
+/// tells coexisting schedulers apart.
 #[derive(Clone, Copy)]
 struct ActiveShard {
     rt: u64,
-    ctx: *mut (),
+    ctx: *mut ShardCtx<'static, RawEvent>,
     node: PdesNode,
 }
 
@@ -207,8 +142,8 @@ thread_local! {
 }
 
 /// Publishes a `ShardCtx` for the dynamic extent of one event, restoring
-/// the previous value on drop (events never nest, but a shard event may
-/// drive a *different* scheduler whose events re-check `rt`).
+/// the previous value on drop (a scheduler's own events never nest, but an
+/// event may drive a *different* scheduler whose events re-check `rt`).
 struct ActiveShardGuard {
     prev: Option<ActiveShard>,
 }
@@ -217,7 +152,7 @@ impl ActiveShardGuard {
     fn enter(rt: u64, ctx: &mut ShardCtx<'_, RawEvent>, node: PdesNode) -> Self {
         let active = ActiveShard {
             rt,
-            ctx: ctx as *mut ShardCtx<'_, RawEvent> as *mut (),
+            ctx: (ctx as *mut ShardCtx<'_, RawEvent>).cast(),
             node,
         };
         ActiveShardGuard {
@@ -232,9 +167,9 @@ impl Drop for ActiveShardGuard {
     }
 }
 
-/// Per-shard logic of the sharded scheduler: runs the stored closure with
-/// the shard context published in thread-local storage so the closure's
-/// `Scheduler` calls route back into this shard.
+/// Per-shard logic of the scheduler: runs the stored closure with the shard
+/// context published in thread-local storage so the closure's `Scheduler`
+/// calls route back into this shard.
 struct ClosureShard {
     rt: u64,
 }
@@ -248,55 +183,35 @@ impl ShardLogic for ClosureShard {
     }
 }
 
-/// Engine state behind the sharded scheduler's lock: the pdes instance plus
-/// bookkeeping to convert its cumulative report into per-`run` deltas.
-struct EngineBox {
-    pdes: Pdes<ClosureShard>,
-    last_events: u64,
-    last_report: Option<PdesReport>,
-}
-
-struct Sharded {
-    /// Unique runtime token matching `ActiveShard::rt`.
-    rt: u64,
-    /// Worker threads for `run` (ignored by the reference executor).
-    jobs: usize,
-    /// Engine lookahead — the model's minimum cross-node latency.
-    lookahead: SimDuration,
-    /// Use the sequential reference executor (global `(time, shard, seq)`
-    /// scan) instead of the barrier-epoch engine.
-    reference: bool,
-    engine: Mutex<EngineBox>,
-}
-
-/// Source of `Sharded::rt` tokens (0 is reserved for "none").
-static SHARDED_RT: AtomicU64 = AtomicU64::new(1);
+/// Source of `Inner::rt` tokens.
+static NEXT_RT: AtomicU64 = AtomicU64::new(1);
 
 /// Sample hook installed by [`Scheduler::set_sample_hook`]: called with the
-/// current simulation time in nanoseconds at deterministic points of the run
-/// loop (epoch boundaries in sharded mode, after each same-timestamp batch
-/// in sequential mode). The callee decides whether a sample is due, so the
-/// hook must be cheap when idle.
+/// current simulation time in nanoseconds at each epoch boundary of the run
+/// loop. The callee decides whether a sample is due, so the hook must be
+/// cheap when idle.
 pub type SampleHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 struct Inner {
+    /// Unique token matching `ActiveShard::rt`.
+    rt: u64,
+    /// The clock as seen from outside a run: the last executed event's time.
     now: AtomicU64,
-    seq: AtomicU64,
+    scheduled: AtomicU64,
     executed: AtomicU64,
-    queue: Mutex<Queue>,
-    /// Reusable drain buffer for the batched run loops. Taken (not held)
-    /// while events execute, so reentrant `run` calls stay safe.
-    batch_buf: Mutex<Vec<RawEvent>>,
     /// Node-affinity diagnostics, populated lazily by
     /// [`Scheduler::enable_node_affinity`]. Disabled costs one pointer load
     /// per `at_node` call.
     affinity: OnceLock<AffinityCounts>,
-    /// Present when this scheduler executes on the sharded PDES engine
-    /// instead of the sequential queue.
-    sharded: Option<Sharded>,
-    /// Sequential-mode sample hook, called after each executed batch. In
-    /// sharded mode the hook lives on the engine instead (epoch boundaries).
-    sample_hook: OnceLock<SampleHook>,
+    /// The model's minimum cross-node latency, for schedulers built by
+    /// [`Scheduler::sharded`] / [`Scheduler::sharded_reference`].
+    sharded_lookahead: Option<SimDuration>,
+    /// Worker threads for `run` (ignored by the reference executor).
+    jobs: usize,
+    /// Use the sequential reference executor (global `(time, shard, seq)`
+    /// scan) instead of the barrier-epoch engine.
+    reference: bool,
+    engine: Mutex<Pdes<ClosureShard>>,
 }
 
 /// Handle to the discrete-event simulation. Cheap to clone; all clones share
@@ -312,10 +227,6 @@ impl Default for Scheduler {
     }
 }
 
-/// Cap on how many same-timestamp events one lock acquisition pops. Bounds
-/// the drain buffer; batches larger than this simply take another trip.
-const MAX_BATCH: usize = 128;
-
 impl Scheduler {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Self {
@@ -325,39 +236,32 @@ impl Scheduler {
     /// Create an empty simulation with storage preallocated for `events`
     /// concurrent pending events.
     pub fn with_capacity(events: usize) -> Self {
-        Scheduler {
-            inner: Arc::new(Inner {
-                now: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                executed: AtomicU64::new(0),
-                queue: Mutex::new(Queue::with_capacity(events)),
-                batch_buf: Mutex::new(Vec::with_capacity(MAX_BATCH.min(events.max(16)))),
-                affinity: OnceLock::new(),
-                sharded: None,
-                sample_hook: OnceLock::new(),
-            }),
-        }
+        let cfg = PdesConfig {
+            shards: 1,
+            // One epoch is one timestamp.
+            lookahead: SimDuration::from_nanos(1),
+            event_capacity: events,
+            ..PdesConfig::default()
+        };
+        Self::build(cfg, None, 1, false)
     }
 
-    /// Create a **sharded** scheduler for `nodes` simulated nodes: events
-    /// execute on the conservative-sync PDES engine ([`crate::pdes`]) with
-    /// one shard per node and `jobs` worker threads per [`run`](Self::run)
+    /// Create a **sharded** scheduler for `nodes` simulated nodes: one
+    /// shard per node and `jobs` worker threads per [`run`](Self::run)
     /// call. `lookahead` is the model's minimum cross-node latency (the
     /// LogGP wire `L`): cross-node events closer than that panic at the
     /// scheduling site.
     ///
     /// The shard count is tied to `nodes`, not `jobs`, so the deterministic
     /// `(time, shard, seq)` total order — and therefore every digest — is
-    /// identical at any job count. `step`/`step_n`/`run_until`/`run_bounded`
-    /// are unsupported in this mode (the epoch protocol has no single global
-    /// cursor to pause); drive it with `run`.
+    /// identical at any job count.
     pub fn sharded(nodes: u32, lookahead: SimDuration, jobs: usize) -> Self {
         Self::sharded_with(nodes, lookahead, jobs, false)
     }
 
     /// Like [`sharded`](Self::sharded) but executing on the sequential
     /// reference executor (the global `(time, shard, seq)` merge) — the
-    /// oracle the parallel engine is byte-compared against.
+    /// oracle the epoch engine is byte-compared against.
     pub fn sharded_reference(nodes: u32, lookahead: SimDuration) -> Self {
         Self::sharded_with(nodes, lookahead, 1, true)
     }
@@ -367,48 +271,44 @@ impl Scheduler {
             lookahead.as_nanos() > 0,
             "sharded scheduler requires a positive lookahead"
         );
-        let shards = nodes.max(1);
-        let rt = SHARDED_RT.fetch_add(1, AtomicOrdering::Relaxed);
         let cfg = PdesConfig {
-            shards,
+            shards: nodes.max(1),
             lookahead,
             ..PdesConfig::default()
         };
-        let logics = (0..shards).map(|_| ClosureShard { rt }).collect();
-        let pdes = Pdes::new(cfg, logics);
+        Self::build(cfg, Some(lookahead), jobs, reference)
+    }
+
+    fn build(
+        cfg: PdesConfig,
+        sharded_lookahead: Option<SimDuration>,
+        jobs: usize,
+        reference: bool,
+    ) -> Self {
+        let rt = NEXT_RT.fetch_add(1, Ordering::Relaxed);
+        let logics = (0..cfg.shards).map(|_| ClosureShard { rt }).collect();
         Scheduler {
             inner: Arc::new(Inner {
+                rt,
                 now: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
+                scheduled: AtomicU64::new(0),
                 executed: AtomicU64::new(0),
-                queue: Mutex::new(Queue::with_capacity(0)),
-                batch_buf: Mutex::new(Vec::new()),
                 affinity: OnceLock::new(),
-                sharded: Some(Sharded {
-                    rt,
-                    jobs: jobs.max(1),
-                    lookahead,
-                    reference,
-                    engine: Mutex::new(EngineBox {
-                        pdes,
-                        last_events: 0,
-                        last_report: None,
-                    }),
-                }),
-                sample_hook: OnceLock::new(),
+                sharded_lookahead,
+                jobs,
+                reference,
+                engine: Mutex::new(Pdes::new(cfg, logics)),
             }),
         }
     }
 
-    /// True when this scheduler executes on the sharded PDES engine.
+    /// True when this scheduler was built by [`sharded`](Self::sharded) or
+    /// [`sharded_reference`](Self::sharded_reference), whatever the node
+    /// count. The layers above read it to pick their timing model (two-phase
+    /// delivery, acks no sooner than the lookahead, per-node RNG streams).
     #[inline]
     pub fn is_sharded(&self) -> bool {
-        self.inner.sharded.is_some()
-    }
-
-    /// Worker-thread count of a sharded scheduler (`None` when sequential).
-    pub fn sharded_jobs(&self) -> Option<usize> {
-        self.inner.sharded.as_ref().map(|s| s.jobs)
+        self.inner.sharded_lookahead.is_some()
     }
 
     /// Engine lookahead of a sharded scheduler (`None` when sequential).
@@ -416,184 +316,110 @@ impl Scheduler {
     /// happens-before ordered across shards even under parallel execution,
     /// so state written by the earlier one is visible to the later.
     pub fn sharded_lookahead(&self) -> Option<SimDuration> {
-        self.inner.sharded.as_ref().map(|s| s.lookahead)
+        self.inner.sharded_lookahead
     }
 
-    /// Engine report of the most recent sharded [`run`](Self::run) —
-    /// cumulative event/cross-message counts, epochs, channel high-water.
-    /// `None` when sequential or before the first run.
-    pub fn pdes_report(&self) -> Option<PdesReport> {
-        self.inner
-            .sharded
-            .as_ref()
-            .and_then(|s| s.engine.lock().last_report)
-    }
-
-    /// Install the time-series sample hook. In sharded mode it fires once
-    /// per barrier epoch with the epoch's LBTS — a quiescent, jobs-invariant
-    /// instant, so frame sequences are byte-identical at any worker count.
-    /// In sequential mode it fires after each same-timestamp batch with the
-    /// batch time. One hook per scheduler; later calls are ignored.
+    /// Install the time-series sample hook. It fires once per epoch, after
+    /// every event of the epoch has executed, with the epoch's lower bound
+    /// on pending event time — a quiescent, jobs-invariant instant, so frame
+    /// sequences are byte-identical at any worker count. On a sequential
+    /// scheduler an epoch is one timestamp: the hook fires exactly once per
+    /// distinct event time, in strictly increasing order, after the last
+    /// event at that instant (including those scheduled during it). One
+    /// hook per scheduler, installed before running; a later call replaces
+    /// it.
     pub fn set_sample_hook(&self, hook: SampleHook) {
-        if let Some(sh) = &self.inner.sharded {
-            sh.engine
-                .lock()
-                .pdes
-                .set_epoch_hook(Arc::new(move |obs: &EpochObservation| {
-                    hook(obs.lbts.as_nanos());
-                }));
-            return;
-        }
-        let _ = self.inner.sample_hook.set(hook);
-    }
-
-    /// Per-shard execution stats of a sharded scheduler (events handled,
-    /// cross-shard sends, mailbox high-water). Empty when sequential.
-    pub fn pdes_shard_stats(&self) -> Vec<PdesShardStat> {
         self.inner
-            .sharded
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.engine.lock().pdes.shard_stats())
+            .engine
+            .lock()
+            .set_epoch_hook(Arc::new(move |obs: &EpochObservation| {
+                hook(obs.lbts.as_nanos());
+            }));
     }
 
-    /// Cumulative wall-clock nanoseconds worker threads spent blocked on
-    /// epoch barriers across all sharded runs. Zero when sequential or on
-    /// the reference executor.
-    pub fn pdes_barrier_wait_ns(&self) -> u64 {
-        self.inner
-            .sharded
-            .as_ref()
-            .map_or(0, |s| s.engine.lock().pdes.barrier_wait_ns())
+    /// The shard context published by `ClosureShard::handle` when the
+    /// calling thread is inside one of *this* scheduler's events.
+    ///
+    /// Dereferencing its `ctx` is sound for the extent of that event: the
+    /// `&mut` lent to `handle` is suspended while the closure runs and no
+    /// other path reaches the context, so a reborrow is unique as long as it
+    /// is dropped before anything that could read `ACTIVE_SHARD` again. The
+    /// `'static` in its type is erased storage only.
+    fn active(&self) -> Option<ActiveShard> {
+        ACTIVE_SHARD
+            .with(Cell::get)
+            .filter(|a| a.rt == self.inner.rt)
     }
 
-    /// The `ShardCtx` published by `ClosureShard::handle` when the calling
-    /// thread is inside one of *this* scheduler's events, along with the
-    /// event's node. The `&mut` lent to `handle` is suspended while the
-    /// closure runs, so the reborrow is unique for the closure's extent.
-    fn with_active_ctx<R>(
-        &self,
-        sh: &Sharded,
-        f: impl FnOnce(&mut ShardCtx<'_, RawEvent>, PdesNode) -> R,
-    ) -> Option<R> {
-        let active = ACTIVE_SHARD.with(|c| c.get())?;
-        if active.rt != sh.rt {
-            return None;
-        }
-        // Safety: published by ClosureShard::handle on this thread for the
-        // dynamic extent of the currently executing event; no other path can
-        // reach the context while the closure runs. The 'static cast never
-        // escapes this scope.
-        let ctx = unsafe { &mut *(active.ctx as *mut ShardCtx<'static, RawEvent>) };
-        Some(f(ctx, active.node))
-    }
-
-    /// Sharded-mode scheduling: from inside an event, route through the
-    /// executing shard (`node: None` keeps the event on the current node);
-    /// from outside, seed the engine directly (the engine is idle, so there
-    /// is no lookahead constraint and seed order is the call order).
-    fn sharded_schedule(
-        &self,
-        sh: &Sharded,
-        node: Option<PdesNode>,
-        t: SimTime,
-        ev: RawEvent,
-    ) -> EventKey {
-        let seq = self.inner.seq.fetch_add(1, AtomicOrdering::Relaxed);
-        let active = ACTIVE_SHARD.with(|c| c.get()).filter(|a| a.rt == sh.rt);
-        let time = match active {
+    /// From inside an event, route through the executing shard (`node:
+    /// None` keeps the event on the current node); from outside, seed the
+    /// idle engine directly (no lookahead constraint, seed order is call
+    /// order; unaffined events land on node 0).
+    fn schedule(&self, node: Option<PdesNode>, t: SimTime, ev: RawEvent) {
+        self.inner.scheduled.fetch_add(1, Ordering::Relaxed);
+        match self.active() {
             Some(active) => {
-                // Safety: same contract as `with_active_ctx`.
-                let ctx = unsafe { &mut *(active.ctx as *mut ShardCtx<'static, RawEvent>) };
-                let dst = node.unwrap_or(active.node);
-                let at = t.max(ctx.now());
-                ctx.send_at(dst, at, ev);
-                at
+                // SAFETY: see `active`; `send_at` runs no event code.
+                let ctx = unsafe { &mut *active.ctx };
+                ctx.send_at(node.unwrap_or(active.node), t, ev);
             }
             None => {
-                let dst = node.unwrap_or(0);
-                let at = t.max(SimTime(self.inner.now.load(AtomicOrdering::Acquire)));
-                sh.engine.lock().pdes.seed(dst, at, ev);
-                at
-            }
-        };
-        EventKey { time, seq }
-    }
-
-    /// Current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        if let Some(sh) = &self.inner.sharded {
-            if let Some(t) = self.with_active_ctx(sh, |ctx, _| ctx.now()) {
-                return t;
+                let at = t.max(SimTime(self.inner.now.load(Ordering::Acquire)));
+                self.inner.engine.lock().seed(node.unwrap_or(0), at, ev);
             }
         }
-        SimTime(self.inner.now.load(AtomicOrdering::Acquire))
     }
 
-    /// Number of events executed so far.
+    /// Current virtual time: the executing event's timestamp from inside an
+    /// event, the last executed event's otherwise.
+    #[inline]
+    pub fn now(&self) -> SimTime {
+        match self.active() {
+            // SAFETY: see `active`; a shared read, dropped at once.
+            Some(active) => unsafe { (*active.ctx).now() },
+            None => SimTime(self.inner.now.load(Ordering::Acquire)),
+        }
+    }
+
+    /// Number of events executed by completed [`run`](Self::run) calls.
     pub fn events_executed(&self) -> u64 {
-        self.inner.executed.load(AtomicOrdering::Relaxed)
+        self.inner.executed.load(Ordering::Relaxed)
     }
 
     /// Number of events currently pending. Lock-free: derived from the
-    /// scheduled/executed counters, so hot loops can poll it without
-    /// touching the queue lock. Exact whenever the scheduler is quiescent;
-    /// while a batch executes, events claimed for that batch already count
-    /// as executed.
+    /// scheduled/executed counters. Exact whenever the scheduler is
+    /// quiescent; during a run, events count as pending until it returns.
     #[inline]
     pub fn events_pending(&self) -> usize {
-        let scheduled = self.inner.seq.load(AtomicOrdering::Acquire);
-        let executed = self.inner.executed.load(AtomicOrdering::Acquire);
+        let scheduled = self.inner.scheduled.load(Ordering::Acquire);
+        let executed = self.inner.executed.load(Ordering::Acquire);
         scheduled.saturating_sub(executed) as usize
     }
 
     /// Schedule `f` to run at absolute time `t`. Scheduling in the past is a
     /// logic error; the event is clamped to "now" so the simulation still
     /// makes progress, which keeps real-time-adjacent code robust.
-    pub fn at(&self, t: SimTime, f: impl FnOnce() + Send + 'static) {
-        self.at_keyed(t, f);
-    }
-
-    /// Schedule `f` at `t` and return the [`EventKey`] it was assigned —
-    /// the event's position in the scheduler's public `(time, seq)` total
-    /// order. Two events at the same instant execute in ascending `seq`.
     ///
-    /// On a sharded scheduler an unaffined event stays on the node of the
-    /// event that scheduled it (main-thread schedules land on node 0), and
-    /// the returned key is advisory — the executor's total order is the
-    /// pdes `(time, shard, seq)` key.
-    pub fn at_keyed(&self, t: SimTime, f: impl FnOnce() + Send + 'static) -> EventKey {
-        if let Some(sh) = &self.inner.sharded {
-            return self.sharded_schedule(sh, None, t, RawEvent::new(f));
-        }
-        let now = self.now();
-        let t = t.max(now);
-        let seq = self.inner.seq.fetch_add(1, AtomicOrdering::Relaxed);
-        let ev = RawEvent::new(f);
-        let mut q = self.inner.queue.lock();
-        let slot = q.slots.insert(ev);
-        let key = EventKey { time: t, seq };
-        q.heap.push(HeapEntry { key, slot });
-        key
+    /// An unaffined event stays on the node of the event that scheduled it
+    /// (schedules from outside a run land on node 0).
+    pub fn at(&self, t: SimTime, f: impl FnOnce() + Send + 'static) {
+        self.schedule(None, t, RawEvent::new(f));
     }
 
     /// Schedule `f` at `t` with **node affinity**: the event logically
     /// belongs to simulated node `node` (a wire delivery arriving there, a
-    /// completion surfacing on its CQ). On the sequential scheduler the
-    /// execution order is unchanged — affinity feeds the per-node event
-    /// census ([`node_event_counts`](Self::node_event_counts)) that sizes
-    /// and balances sharded PDES runs. On a sharded scheduler affinity **is
-    /// the routing**: the event executes on `node`'s shard, and a
-    /// cross-node schedule closer than the lookahead panics.
-    pub fn at_node(&self, node: u32, t: SimTime, f: impl FnOnce() + Send + 'static) -> EventKey {
+    /// completion surfacing on its CQ) and executes on `node`'s shard. On a
+    /// sequential scheduler every node shares the one shard, so the
+    /// execution order is that of [`at`](Self::at); on a sharded scheduler
+    /// a cross-node schedule closer than the lookahead panics. Affinity
+    /// also feeds the per-node event census
+    /// ([`node_event_counts`](Self::node_event_counts)).
+    pub fn at_node(&self, node: u32, t: SimTime, f: impl FnOnce() + Send + 'static) {
         if let Some(a) = self.inner.affinity.get() {
             let idx = (node as usize).min(a.per_node.len() - 1);
-            a.per_node[idx].fetch_add(1, AtomicOrdering::Relaxed);
+            a.per_node[idx].fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(sh) = &self.inner.sharded {
-            return self.sharded_schedule(sh, Some(node), t, RawEvent::new(f));
-        }
-        self.at_keyed(t, f)
+        self.schedule(Some(node), t, RawEvent::new(f));
     }
 
     /// Turn on per-node affinity counting for node ids `0..nodes` (one
@@ -614,7 +440,7 @@ impl Scheduler {
             Some(a) => a
                 .per_node
                 .iter()
-                .map(|c| c.load(AtomicOrdering::Relaxed))
+                .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             None => Vec::new(),
         }
@@ -625,190 +451,32 @@ impl Scheduler {
         self.at(self.now() + d, f);
     }
 
-    /// Execute the next pending event, advancing the clock to its timestamp.
-    /// Returns `false` when the queue is empty. One lock acquisition per
-    /// event (pop + slot release together). Unsupported in sharded mode.
-    pub fn step(&self) -> bool {
-        assert!(
-            self.inner.sharded.is_none(),
-            "Scheduler::step is unsupported in sharded mode; drive with run()"
-        );
-        let (entry, ev) = {
-            let mut q = self.inner.queue.lock();
-            match q.heap.pop() {
-                Some(e) => {
-                    let ev = q.slots.take(e.slot);
-                    (e, ev)
-                }
-                None => return false,
-            }
-        };
-        debug_assert!(entry.key.time >= self.now(), "event queue went backwards");
-        self.inner
-            .now
-            .store(entry.key.time.as_nanos(), AtomicOrdering::Release);
-        self.inner.executed.fetch_add(1, AtomicOrdering::Relaxed);
-        ev.run();
-        true
-    }
-
-    /// Pop the next batch of events sharing the earliest timestamp (up to
-    /// `MAX_BATCH`, and only at or before `deadline` when given) with a
-    /// single lock acquisition. The first event is returned by value — in the
-    /// common steady state (batch of one) nothing touches `out` at all; only
-    /// same-timestamp followers are copied into it.
-    fn pop_batch(
-        &self,
-        deadline: Option<SimTime>,
-        out: &mut Vec<RawEvent>,
-    ) -> Option<(SimTime, RawEvent)> {
-        let mut q = self.inner.queue.lock();
-        let first = *q.heap.peek()?;
-        if let Some(d) = deadline {
-            if first.key.time > d {
-                return None;
-            }
-        }
-        let t = first.key.time;
-        q.heap.pop();
-        let first_ev = q.slots.take(first.slot);
-        let mut n = 1;
-        while n < MAX_BATCH {
-            match q.heap.peek() {
-                Some(e) if e.key.time == t => {
-                    let e = q.heap.pop().expect("peeked entry");
-                    let ev = q.slots.take(e.slot);
-                    out.push(ev);
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
-        Some((t, first_ev))
-    }
-
-    /// Drain loop shared by `run`/`run_until`/`step_n`: executes batches of
-    /// same-timestamp events, locking once per batch instead of per event.
-    fn run_batched(&self, deadline: Option<SimTime>, max_events: Option<u64>) -> u64 {
-        let mut buf = std::mem::take(&mut *self.inner.batch_buf.lock());
-        let mut n: u64 = 0;
-        loop {
-            if let Some(max) = max_events {
-                if n >= max {
-                    break;
-                }
-            }
-            buf.clear();
-            let Some((t, first)) = self.pop_batch(deadline, &mut buf) else {
-                break;
-            };
-            debug_assert!(t >= self.now(), "event queue went backwards");
-            self.inner.now.store(t.as_nanos(), AtomicOrdering::Release);
-            let batch = 1 + buf.len() as u64;
-            n += batch;
-            self.inner
-                .executed
-                .fetch_add(batch, AtomicOrdering::Relaxed);
-            first.run();
-            for ev in buf.drain(..) {
-                ev.run();
-            }
-            if let Some(hook) = self.inner.sample_hook.get() {
-                hook(t.as_nanos());
-            }
-        }
-        buf.clear();
-        *self.inner.batch_buf.lock() = buf;
-        n
-    }
-
-    /// Run until the event queue is empty. Returns the number of events
-    /// executed by this call.
+    /// Run until the event queue is empty, then park the clock at the last
+    /// executed event. Returns the number of events executed by this call.
     ///
-    /// Sharded mode: executes barrier epochs on the configured worker
-    /// threads (or the sequential reference scan) until every shard drains,
-    /// then parks the clock at the makespan. Not reentrant from inside one
-    /// of this scheduler's own events.
+    /// # Panics
+    ///
+    /// When called from inside one of this scheduler's own events.
     pub fn run(&self) -> u64 {
-        if let Some(sh) = &self.inner.sharded {
-            let reentrant = ACTIVE_SHARD
-                .with(|c| c.get())
-                .is_some_and(|a| a.rt == sh.rt);
-            assert!(
-                !reentrant,
-                "Scheduler::run is not reentrant in sharded mode"
-            );
-            let mut eng = sh.engine.lock();
-            let report = if sh.reference {
-                eng.pdes.run_reference()
-            } else {
-                eng.pdes.run(sh.jobs)
-            };
-            let ran = report.events - eng.last_events;
-            eng.last_events = report.events;
-            eng.last_report = Some(report);
-            if ran > 0 {
-                self.inner
-                    .now
-                    .fetch_max(report.makespan.as_nanos(), AtomicOrdering::AcqRel);
-            }
-            self.inner.executed.fetch_add(ran, AtomicOrdering::Relaxed);
-            return ran;
-        }
-        self.run_batched(None, None)
-    }
-
-    /// Execute up to `max` pending events (in timestamp order, batched).
-    /// Returns how many ran; fewer than `max` means the queue drained.
-    /// Note: a same-timestamp batch is never split, so up to `MAX_BATCH - 1`
-    /// events beyond `max` may execute. Unsupported in sharded mode.
-    pub fn step_n(&self, max: u64) -> u64 {
         assert!(
-            self.inner.sharded.is_none(),
-            "Scheduler::step_n is unsupported in sharded mode; drive with run()"
+            self.active().is_none(),
+            "Scheduler::run is not reentrant: called from one of this scheduler's own events"
         );
-        self.run_batched(None, Some(max))
-    }
-
-    /// Run until the queue is empty or the next event is later than
-    /// `deadline` (which is left unexecuted). The clock does not advance past
-    /// the last executed event. Unsupported in sharded mode (the epoch
-    /// protocol has no single global cursor to pause at a deadline).
-    pub fn run_until(&self, deadline: SimTime) -> u64 {
-        assert!(
-            self.inner.sharded.is_none(),
-            "Scheduler::run_until is unsupported in sharded mode; drive with run()"
-        );
-        self.run_batched(Some(deadline), None)
-    }
-
-    /// Run with a safety valve: panics if more than `max_events` execute,
-    /// which catches accidental event storms in tests.
-    pub fn run_bounded(&self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while self.step() {
-            n += 1;
-            assert!(
-                n <= max_events,
-                "simulation exceeded {max_events} events; likely an event storm"
-            );
+        let mut pdes = self.inner.engine.lock();
+        let report = if self.inner.reference {
+            pdes.run_reference()
+        } else {
+            pdes.run(self.inner.jobs)
+        };
+        // The engine's report is cumulative over its runs.
+        let ran = report.events - self.inner.executed.load(Ordering::Relaxed);
+        if ran > 0 {
+            self.inner
+                .now
+                .fetch_max(report.makespan.as_nanos(), Ordering::AcqRel);
         }
-        n
-    }
-
-    /// High-water mark of the event slab (diagnostics): how many slots have
-    /// ever been live at once. Steady-state workloads should see this
-    /// plateau while `events_executed` keeps climbing. Sharded mode reports
-    /// the peak across shard slabs from the most recent run.
-    pub fn slab_high_water(&self) -> usize {
-        if let Some(sh) = &self.inner.sharded {
-            return sh
-                .engine
-                .lock()
-                .last_report
-                .map_or(0, |r| r.slab_high_water);
-        }
-        self.inner.queue.lock().slots.high_water()
+        self.inner.executed.fetch_add(ran, Ordering::Release);
+        ran
     }
 }
 
@@ -852,13 +520,13 @@ mod tests {
             }
             let s2 = sim.clone();
             sim.after(SimDuration(5), move || {
-                count.fetch_add(1, AtomicOrdering::Relaxed);
+                count.fetch_add(1, Ordering::Relaxed);
                 chain(s2.clone(), count.clone(), remaining - 1);
             });
         }
         chain(sim.clone(), count.clone(), 10);
         sim.run();
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 10);
+        assert_eq!(count.load(Ordering::Relaxed), 10);
         assert_eq!(sim.now(), SimTime(50));
     }
 
@@ -872,42 +540,12 @@ mod tests {
             let f3 = f2.clone();
             // "Past" event: should fire at t=100, not break the heap.
             s2.at(SimTime(1), move || {
-                f3.fetch_add(1, AtomicOrdering::Relaxed);
+                f3.fetch_add(1, Ordering::Relaxed);
             });
         });
         sim.run();
-        assert_eq!(fired.load(AtomicOrdering::Relaxed), 1);
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
         assert_eq!(sim.now(), SimTime(100));
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let sim = Scheduler::new();
-        let count = Arc::new(AtomicUsize::new(0));
-        for t in [10u64, 20, 30, 40] {
-            let count = count.clone();
-            sim.at(SimTime(t), move || {
-                count.fetch_add(1, AtomicOrdering::Relaxed);
-            });
-        }
-        let n = sim.run_until(SimTime(25));
-        assert_eq!(n, 2);
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 2);
-        assert_eq!(sim.events_pending(), 2);
-        sim.run();
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "event storm")]
-    fn run_bounded_catches_storms() {
-        let sim = Scheduler::new();
-        fn storm(sim: Scheduler) {
-            let s2 = sim.clone();
-            sim.after(SimDuration(1), move || storm(s2.clone()));
-        }
-        storm(sim.clone());
-        sim.run_bounded(100);
     }
 
     #[test]
@@ -919,21 +557,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.events_executed(), 2);
         assert_eq!(sim.events_pending(), 0);
-    }
-
-    #[test]
-    fn step_n_respects_limit_and_order() {
-        let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for t in [5u64, 1, 3, 2, 4] {
-            let log = log.clone();
-            sim.at(SimTime(t), move || log.lock().push(t));
-        }
-        let ran = sim.step_n(3);
-        assert_eq!(ran, 3);
-        assert_eq!(*log.lock(), vec![1, 2, 3]);
-        assert_eq!(sim.step_n(10), 2);
-        assert_eq!(*log.lock(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -950,10 +573,10 @@ mod tests {
         chain(sim.clone(), 1_000);
         sim.run();
         assert_eq!(sim.events_executed(), 1_000);
+        let high_water = sim.inner.engine.lock().shard_stats()[0].slab_high_water;
         assert!(
-            sim.slab_high_water() <= 2,
-            "slab grew to {} slots for a 1-deep chain",
-            sim.slab_high_water()
+            high_water <= 2,
+            "slab grew to {high_water} slots for a 1-deep chain"
         );
     }
 
@@ -964,13 +587,10 @@ mod tests {
         let sum = Arc::new(AtomicUsize::new(0));
         let s2 = sum.clone();
         sim.at(SimTime(1), move || {
-            s2.store(
-                big.iter().map(|&b| b as usize).sum(),
-                AtomicOrdering::Relaxed,
-            );
+            s2.store(big.iter().map(|&b| b as usize).sum(), Ordering::Relaxed);
         });
         sim.run();
-        assert_eq!(sum.load(AtomicOrdering::Relaxed), 7 * 512);
+        assert_eq!(sum.load(Ordering::Relaxed), 7 * 512);
     }
 
     #[test]
@@ -989,45 +609,26 @@ mod tests {
 
     #[test]
     fn batches_larger_than_max_batch_stay_ordered() {
+        // 405 events at one instant, a third of them scheduled from inside
+        // events at that instant: those sort after everything seeded.
         let sim = Scheduler::new();
         let log = Arc::new(Mutex::new(Vec::new()));
-        let n = MAX_BATCH * 3 + 17;
-        for i in 0..n {
-            let log = log.clone();
-            sim.at(SimTime(7), move || log.lock().push(i));
+        for i in 0..270 {
+            let (log, s2) = (log.clone(), sim.clone());
+            sim.at(SimTime(7), move || {
+                log.lock().push(i);
+                if i % 2 == 0 {
+                    let log = log.clone();
+                    s2.at(SimTime(7), move || log.lock().push(1_000 + i));
+                }
+            });
         }
-        sim.run();
-        assert_eq!(*log.lock(), (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn event_keys_expose_the_total_order() {
-        let sim = Scheduler::new();
-        let k1 = sim.at_keyed(SimTime(10), || {});
-        let k2 = sim.at_keyed(SimTime(10), || {});
-        let k3 = sim.at_keyed(SimTime(5), || {});
-        // Same instant: scheduling order is the specified tie-break.
-        assert!(k1 < k2, "same-time keys must order by seq");
-        // Earlier instant beats a smaller seq.
-        assert!(k3 < k1 && k3.seq > k1.seq);
-        assert_eq!(k1.time, SimTime(10));
-        sim.run();
-    }
-
-    #[test]
-    fn key_order_matches_execution_order() {
-        let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut keys = Vec::new();
-        for (t, tag) in [(30u64, 'c'), (10, 'a'), (10, 'b'), (20, 'd')] {
-            let log = log.clone();
-            keys.push((sim.at_keyed(SimTime(t), move || log.lock().push(tag)), tag));
-        }
-        sim.run();
-        let mut by_key = keys.clone();
-        by_key.sort_by_key(|(k, _)| *k);
-        let expect: Vec<char> = by_key.into_iter().map(|(_, tag)| tag).collect();
+        assert_eq!(sim.run(), 405);
+        let expect: Vec<i32> = (0..270)
+            .chain((0..270).step_by(2).map(|i| 1_000 + i))
+            .collect();
         assert_eq!(*log.lock(), expect);
+        assert_eq!(sim.now(), SimTime(7));
     }
 
     #[test]
@@ -1120,17 +721,16 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         let c2 = count.clone();
         sim.at_node(0, SimTime(1), move || {
-            c2.fetch_add(1, AtomicOrdering::Relaxed);
+            c2.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(sim.run(), 1);
         let c3 = count.clone();
         sim.at_node(1, SimTime(50), move || {
-            c3.fetch_add(1, AtomicOrdering::Relaxed);
+            c3.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(sim.run(), 1);
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 2);
+        assert_eq!(count.load(Ordering::Relaxed), 2);
         assert_eq!(sim.events_executed(), 2);
-        assert!(sim.pdes_report().is_some());
     }
 
     #[test]
@@ -1146,27 +746,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unsupported in sharded mode")]
-    fn sharded_step_panics() {
-        Scheduler::sharded(2, SimDuration(1), 1).step();
-    }
-
-    #[test]
-    fn reentrant_run_from_event_is_safe() {
-        // An event invoking run() on its own scheduler must not deadlock or
-        // corrupt the drain buffer.
+    #[should_panic(expected = "not reentrant")]
+    fn nested_run_from_event_panics() {
         let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let (l1, l2) = (log.clone(), log.clone());
         let s2 = sim.clone();
         sim.at(SimTime(1), move || {
-            l1.lock().push("outer");
-            let l3 = l2.clone();
-            s2.at(SimTime(2), move || l3.lock().push("inner"));
             s2.run();
         });
         sim.run();
-        assert_eq!(*log.lock(), vec!["outer", "inner"]);
     }
 
     #[test]
@@ -1175,12 +762,18 @@ mod tests {
         let ticks = Arc::new(Mutex::new(Vec::new()));
         let t2 = ticks.clone();
         sim.set_sample_hook(Arc::new(move |t| t2.lock().push(t)));
-        for t in [10u64, 10, 20, 30] {
+        for t in [10u64, 10, 30] {
             sim.at(SimTime(t), || {});
         }
-        sim.run();
-        // One call per same-timestamp batch, in order.
-        assert_eq!(*ticks.lock(), vec![10, 20, 30]);
+        let s2 = sim.clone();
+        sim.at(SimTime(20), move || {
+            // One more at this instant, one at a new instant in between.
+            s2.at(SimTime(20), || {});
+            s2.at(SimTime(25), || {});
+        });
+        assert_eq!(sim.run(), 6);
+        // Exactly once per distinct timestamp, strictly increasing.
+        assert_eq!(*ticks.lock(), vec![10, 20, 25, 30]);
     }
 
     #[test]
@@ -1207,14 +800,11 @@ mod tests {
         let la = SimDuration(10);
         let sim = Scheduler::sharded(4, la, 2);
         hop_chain(&sim, la, 40);
-        let stats = sim.pdes_shard_stats();
+        let stats = sim.inner.engine.lock().shard_stats();
         assert_eq!(stats.len(), 4);
         let total: u64 = stats.iter().map(|s| s.events).sum();
         assert_eq!(total, 41);
         let ratio = crate::pdes::imbalance_ratio(&stats);
         assert!(ratio >= 1.0, "imbalance ratio {ratio} below 1.0");
-        // Sequential schedulers report nothing.
-        assert!(Scheduler::new().pdes_shard_stats().is_empty());
-        assert_eq!(Scheduler::new().pdes_barrier_wait_ns(), 0);
     }
 }

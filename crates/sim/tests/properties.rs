@@ -58,9 +58,10 @@ proptest! {
     }
 
     /// The slab-backed queue pops in exact `(time, seq)` order under
-    /// arbitrary interleavings of push and pop — the interleaving recycles
-    /// slab slots mid-run, so this also checks that slot reuse never
-    /// reorders or loses an event. Each scheduled closure logs its own
+    /// arbitrary interleavings of scheduling and draining — each drain
+    /// recycles slab slots and moves the clock, so this also checks that
+    /// slot reuse never reorders or loses an event and that later events
+    /// are clamped to the new "now". Each scheduled closure logs its own
     /// sequence number; a reference heap of `(clamped_time, seq)` pairs
     /// predicts the exact ordering.
     #[test]
@@ -75,7 +76,8 @@ proptest! {
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut expected = Vec::new();
         let mut next_seq = 0u64;
-        for op in ops {
+        // A trailing `None` drains whatever the last op left pending.
+        for op in ops.into_iter().chain([None]) {
             match op {
                 Some(t) => {
                     // Mirror the scheduler's clamp-to-now rule for events
@@ -88,24 +90,93 @@ proptest! {
                     next_seq += 1;
                 }
                 None => {
-                    let stepped = sim.step();
-                    match model.pop() {
-                        Some(Reverse((_, seq))) => {
-                            prop_assert!(stepped, "scheduler empty but model was not");
-                            expected.push(seq);
-                        }
-                        None => prop_assert!(!stepped, "scheduler popped from empty model"),
+                    let mut model_now = sim.now().as_nanos();
+                    let pending = model.len();
+                    while let Some(Reverse((t, seq))) = model.pop() {
+                        model_now = t;
+                        expected.push(seq);
                     }
+                    prop_assert_eq!(sim.run() as usize, pending);
+                    prop_assert_eq!(sim.now().as_nanos(), model_now);
                 }
             }
         }
-        // Drain the rest; the batched path must agree with the model too.
-        sim.run();
-        while let Some(Reverse((_, seq))) = model.pop() {
-            expected.push(seq);
-        }
         prop_assert_eq!(log.lock().clone(), expected);
         prop_assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// "Sequential is the one-shard case", as a test: a random program of
+    /// `at` / `at_node` / `after` calls — some from outside the run, some
+    /// from inside events, some at the current instant or in the past —
+    /// yields the same execution log on `Scheduler::new()`, on a one-shard
+    /// sharded scheduler's reference executor, and in a model that orders
+    /// events by `(clamped time, scheduling order)`.
+    ///
+    /// Op `i` is `(parent, call, node, t)`: issued by op `parent % i` when
+    /// that executes (from outside the run when `parent` is `None` or `i`
+    /// is 0), through `at(t)`, `at_node(node, now + t)` or `after(t)`.
+    #[test]
+    fn one_shard_engine_matches_the_time_order_model(
+        ops in prop::collection::vec(
+            (prop::option::of(0usize..64), 0u8..3, 0u32..5, 0u64..40),
+            1..80,
+        )
+    ) {
+        type Op = (Option<usize>, u8, u32, u64);
+        type Log = Arc<Mutex<Vec<(usize, u64)>>>;
+
+        /// The ops `issuer` issues (`None`: outside the run), in index order.
+        fn issued_by(ops: &[Op], issuer: Option<usize>) -> impl Iterator<Item = usize> + '_ {
+            (0..ops.len()).filter(move |&i| ops[i].0.filter(|_| i > 0).map(|p| p % i) == issuer)
+        }
+
+        fn issue(sim: &Scheduler, ops: &Arc<Vec<Op>>, log: &Log, i: usize) {
+            let (_, call, node, t) = ops[i];
+            let (s2, ops2, log2) = (sim.clone(), ops.clone(), log.clone());
+            let body = move || {
+                log2.lock().push((i, s2.now().as_nanos()));
+                for child in issued_by(&ops2, Some(i)) {
+                    issue(&s2, &ops2, &log2, child);
+                }
+            };
+            match call {
+                0 => sim.at(SimTime(t), body),
+                1 => sim.at_node(node, sim.now() + SimDuration(t), body),
+                _ => sim.after(SimDuration(t), body),
+            }
+        }
+
+        let ops = Arc::new(ops);
+        let run_on = |sim: Scheduler| {
+            let log = Log::default();
+            for i in issued_by(&ops, None) {
+                issue(&sim, &ops, &log, i);
+            }
+            assert_eq!(sim.run() as usize, ops.len());
+            let out = log.lock().clone();
+            out
+        };
+
+        // Model: a queue keyed by (clamped time, scheduling order).
+        let mut queue = std::collections::BTreeMap::new();
+        let mut expected = Vec::new();
+        let (mut issuer, mut now, mut order) = (None, 0u64, 0u64);
+        loop {
+            for i in issued_by(&ops, issuer) {
+                let (_, call, _, t) = ops[i];
+                queue.insert((if call == 0 { t.max(now) } else { now + t }, order), i);
+                order += 1;
+            }
+            let Some(((at, _), i)) = queue.pop_first() else { break };
+            expected.push((i, at));
+            (issuer, now) = (Some(i), at);
+        }
+
+        prop_assert_eq!(&run_on(Scheduler::new()), &expected);
+        prop_assert_eq!(
+            &run_on(Scheduler::sharded_reference(1, SimDuration::from_nanos(1))),
+            &expected
+        );
     }
 
     /// Serial resources never overlap reservations and never shrink

@@ -5,7 +5,7 @@
 //! [`SpscRing`], a dedicated progress thread drains rings into deliveries
 //! and completions, and the receive side acknowledges each record on a
 //! paired ACK ring — the RDMA-write-with-immediate protocol of Ibdxnet's
-//! messaging engine mapped onto shared memory (see DESIGN.md §12).
+//! messaging engine mapped onto shared memory (see DESIGN.md §11).
 //!
 //! Two deployments share all of this code:
 //!
@@ -769,8 +769,22 @@ impl ShmFabric {
             rnr_retry: 0,
             min_rnr_timer_ns: 10_000,
         });
-        let header = data_header(&job, &profile);
         let len = DATA_HEADER + job.total_len as usize;
+        // One WR is one record, and a record the ring can never hold would
+        // trip the ring's own assertion from inside `post_send`. The wire
+        // took it and refused it for its length: counted as such, and the
+        // poster gets IB's status for a message the port cannot carry.
+        if len as u64 > ch.data.max_payload() {
+            let wire = &net.telemetry().wire;
+            wire.inner_submissions.inc();
+            wire.delivery_attempts.inc();
+            wire.length_errors.inc();
+            if !job.ghost {
+                complete_posted(net, &job.posted(), WcStatus::LocalLengthError);
+            }
+            return;
+        }
+        let header = data_header(&job, &profile);
         // Header, then the payload gathered *at post time* straight into
         // the ring (the wire must not chase source-region rewrites across a
         // process boundary; inline sends reuse their snapshot).
@@ -1507,12 +1521,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (tx, rx) = (ShmFabric::host(&dir, cfg), ShmFabric::host(&dir, cfg));
         let p = build_pair(tx, Some((rx, dir)), caps);
-        let (from, to) = ((0, p.qa.qp_num()), (1, p.qb.qp_num()));
-        let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
-        std::thread::scope(|s| {
-            s.spawn(|| tx.open_tx(from, to, Duration::from_secs(10)).unwrap());
-            rx.open_rx(from, to, Duration::from_secs(10)).unwrap();
-        });
+        p.open_channel();
         p
     }
 
@@ -1548,6 +1557,36 @@ mod tests {
     }
 
     impl Pair {
+        /// Host mode: open the channel `qa → qb` on both fabrics.
+        fn open_channel(&self) {
+            let Some((rx, _)) = &self.host else { return };
+            let (from, to) = ((0, self.qa.qp_num()), (1, self.qb.qp_num()));
+            let tx = &self.fabric;
+            std::thread::scope(|s| {
+                s.spawn(|| tx.open_tx(from, to, Duration::from_secs(10)).unwrap());
+                rx.open_rx(from, to, Duration::from_secs(10)).unwrap();
+            });
+        }
+
+        /// The same nodes, fabrics and PDs with a fresh connected QP pair.
+        fn with_fresh_qps(self) -> Pair {
+            let (a, b, caps) = (&self.a, &self.b, QpCaps::default());
+            let (cqa, cqb) = (a.create_cq(), b.create_cq());
+            let qa = a.create_qp(self.pda, cqa.clone(), a.create_cq(), caps);
+            let qb = b.create_qp(self.pdb, b.create_cq(), cqb.clone(), caps);
+            let (qa, qb) = (qa.unwrap(), qb.unwrap());
+            connect_pair(&qa, &qb).unwrap();
+            let p = Pair {
+                qa,
+                qb,
+                cqa,
+                cqb,
+                ..self
+            };
+            p.open_channel();
+            p
+        }
+
         /// Quiesce, check the ledger, stop the fabric(s) and remove the
         /// segment directory.
         fn finish(self) {
@@ -2008,6 +2047,53 @@ mod tests {
             short_stall_deadline(),
             indefinite_rnr_caps(),
         ));
+    }
+
+    /// A WR the data ring can never hold (128 KiB against a 64 KiB ring)
+    /// fails its poster with `LocalLengthError` — one CQE, nothing delivered,
+    /// no panic out of `post_send` — and leaves the fabric working: a 1 KiB
+    /// write on a fresh QP pair arrives intact.
+    fn a_wr_larger_than_the_ring_is_a_length_error(p: Pair) {
+        const BIG: usize = 128 << 10;
+        let src = p.a.reg_mr(p.pda, BIG).unwrap();
+        let dst = p.b.reg_mr(p.pdb, BIG).unwrap();
+        src.fill(0, BIG, 0x3c).unwrap();
+        p.qb.post_recv(RecvWr::bare(70)).unwrap();
+        write_with_imm(&p, &src, &dst, 1, BIG as u32);
+        let wc = poll_until(&p.cqa, "send CQE of the over-size WR");
+        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::LocalLengthError));
+        assert_eq!(p.qa.state(), QpState::Error);
+        let qb1 = p.qb.clone();
+
+        let p2 = p.with_fresh_qps();
+        p2.qb.post_recv(RecvWr::bare(71)).unwrap();
+        write_with_imm(&p2, &src, &dst, 2, 1024);
+        let wc = poll_until(&p2.cqa, "send CQE of the 1 KiB write");
+        assert_eq!((wc.wr_id, wc.status), (2, WcStatus::Success));
+        assert_eq!(poll_until(&p2.cqb, "recv CQE").wr_id, 71);
+        let landed = dst.read_vec(0, BIG).unwrap();
+        assert_eq!(landed[..1024], [0x3c; 1024]);
+        assert_eq!(landed[1024..], vec![0; BIG - 1024], "over-size WR landed");
+        assert_eq!(qb1.recv_queue_depth(), 1, "over-size WR took a receive");
+        p2.finish();
+    }
+
+    fn small_ring() -> ShmConfig {
+        ShmConfig {
+            ring_capacity: 64 << 10,
+            ..ShmConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_wr_larger_than_the_ring_is_a_length_error_over_a_heap_segment() {
+        a_wr_larger_than_the_ring_is_a_length_error(pair(small_ring(), QpCaps::default()));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_wr_larger_than_the_ring_is_a_length_error_over_two_mappings_of_a_file_segment() {
+        a_wr_larger_than_the_ring_is_a_length_error(host_pair(small_ring(), QpCaps::default()));
     }
 
     /// What a panic carried, as text.

@@ -18,7 +18,7 @@
 //! `Acquire`; data bytes are moved with `copy_nonoverlapping`. The producer
 //! writes a record's bytes and *then* release-stores [`Ctrl::Tail`]; a
 //! consumer that acquire-loads a `Tail` covering the record therefore sees
-//! its bytes (the classic SPSC publication argument, DESIGN.md §12). The
+//! its bytes (the classic SPSC publication argument, DESIGN.md §11). The
 //! same pairing on [`Ctrl::Head`] hands consumed space back. Lock-free
 //! atomics are address-free, so the argument holds unchanged when the two
 //! sides are different processes mapping the file at different addresses.
