@@ -7,39 +7,19 @@
 //! `--jobs N` fans independent cells across N worker threads (default: the
 //! machine's available parallelism); output is byte-identical at any count.
 
-use std::path::PathBuf;
-
 use partix_bench::ablations;
+use partix_bench::cli::{usage_error, SweepArgs};
 use partix_bench::experiments::Quality;
 
 fn main() {
-    let mut quick = false;
-    let mut jobs = partix_sim::parallel::default_jobs();
-    let mut out = PathBuf::from("results");
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--jobs" | "-j" => {
-                let n = it.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = n else {
-                    eprintln!("error: --jobs requires a positive integer argument");
-                    std::process::exit(2);
-                };
-                jobs = n.max(1);
-            }
-            "--out" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("error: --out requires a directory argument");
-                    std::process::exit(2);
-                };
-                out = PathBuf::from(dir);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
+    let SweepArgs {
+        quick,
+        jobs,
+        out,
+        rest,
+    } = SweepArgs::from_env();
+    if let Some(other) = rest.first() {
+        usage_error(&format!("unknown argument: {other}"));
     }
     let q = if quick {
         Quality::quick()

@@ -14,51 +14,30 @@
 //! non-zero if any counter conservation law is violated or any causal flow
 //! chain is incomplete.
 
-use std::path::PathBuf;
-
+use partix_bench::cli::{usage_error, SweepArgs};
 use partix_core::{AggregatorKind, LossyConfig, PartixConfig};
 use partix_sim::split_seed;
 use partix_workloads::fault_sweep::{strategy_name, FaultSweep};
 use partix_workloads::{Pt2PtConfig, ThreadTiming};
 
 fn main() {
-    let mut quick = false;
-    let mut jobs = partix_sim::parallel::default_jobs();
-    let mut out = PathBuf::from("results");
+    let SweepArgs {
+        quick,
+        jobs,
+        out,
+        rest,
+    } = SweepArgs::from_env();
     let mut seed: Option<u64> = None;
     let mut trace = false;
-    let mut it = std::env::args().skip(1);
+    let mut it = rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => quick = true,
             "--trace" => trace = true,
-            "--jobs" | "-j" => {
-                let n = it.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = n else {
-                    eprintln!("error: --jobs requires a positive integer argument");
-                    std::process::exit(2);
-                };
-                jobs = n.max(1);
-            }
-            "--out" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("error: --out requires a directory argument");
-                    std::process::exit(2);
-                };
-                out = PathBuf::from(dir);
-            }
-            "--seed" => {
-                let s = it.next().and_then(|v| v.parse::<u64>().ok());
-                let Some(s) = s else {
-                    eprintln!("error: --seed requires an integer argument");
-                    std::process::exit(2);
-                };
-                seed = Some(s);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(s) => seed = Some(s),
+                None => usage_error("error: --seed requires an integer argument"),
+            },
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 

@@ -23,6 +23,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use partix_bench::cli::SweepArgs;
 use partix_bench::experiments::{self, Quality};
 use partix_bench::report::Table;
 
@@ -35,38 +36,24 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut quick = false;
-    let mut jobs = partix_sim::parallel::default_jobs();
-    let mut out = PathBuf::from("results");
+    let SweepArgs {
+        quick,
+        jobs,
+        out,
+        rest,
+    } = SweepArgs::from_env();
     let mut trace = false;
     let mut which = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    for a in rest {
         match a.as_str() {
-            "--quick" => quick = true,
             "--trace" => trace = true,
-            "--jobs" | "-j" => {
-                let n = it.next().and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = n else {
-                    eprintln!("error: --jobs requires a positive integer argument");
-                    std::process::exit(2);
-                };
-                jobs = n.max(1);
-            }
-            "--out" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("error: --out requires a directory argument");
-                    std::process::exit(2);
-                };
-                out = PathBuf::from(dir);
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [--quick] [--jobs N] [--out DIR] [--trace] [table1|fig3|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|all ...]"
                 );
                 std::process::exit(0);
             }
-            other => which.push(other.to_string()),
+            _ => which.push(a),
         }
     }
     if which.is_empty() || which.iter().any(|w| w == "all") {

@@ -33,7 +33,7 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use partix_verbs::shm::{await_blob, default_shm_dir, publish_blob};
+use partix_verbs::shm::{await_blob, default_shm_dir, publish_blob, Endpoint};
 use partix_verbs::{
     Network, Opcode, PeerId, QpCaps, QpState, RecvWr, SendWr, Sge, ShmConfig, ShmFabric,
     VerbsError, WcStatus,
@@ -97,6 +97,16 @@ fn parse_kv(report: &str, key: &str) -> Option<u64> {
     })
 }
 
+/// Await the peer's endpoint blob. It is another process's output: a
+/// malformed one ends this rank with the parser's diagnostic.
+fn await_endpoint(dir: &Path, name: &str) -> Endpoint {
+    let blob = await_blob(dir, name, Duration::from_secs(60)).expect("await peer endpoint");
+    Endpoint::parse(&blob).unwrap_or_else(|e| {
+        eprintln!("shm_exchange: {name}: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// Rank A: the sender / orchestrator.
 fn role_a(dir: &Path, smoke: bool, out: &Path) {
     let fabric = ShmFabric::host(dir.to_path_buf(), ShmConfig::default());
@@ -113,13 +123,17 @@ fn role_a(dir: &Path, smoke: bool, out: &Path) {
         src.write(s * STRIDE, &bytes).expect("fill slot");
     }
 
-    publish_blob(dir, "ep_a", format!("qp={}", qa.qp_num()).as_bytes()).expect("publish ep_a");
-    let ep_b =
-        String::from_utf8(await_blob(dir, "ep_b", Duration::from_secs(60)).expect("await ep_b"))
-            .expect("utf8 ep_b");
-    let qb_num = parse_kv(&ep_b, "qp").expect("peer qp") as u32;
-    let rkey = parse_kv(&ep_b, "rkey").expect("peer rkey") as u32;
-    let base_addr = parse_kv(&ep_b, "addr").expect("peer addr");
+    let ep_a = Endpoint {
+        qp: qa.qp_num(),
+        rkey: src.rkey(),
+        addr: src.addr(),
+    };
+    publish_blob(dir, "ep_a", &ep_a.encode()).expect("publish ep_a");
+    let Endpoint {
+        qp: qb_num,
+        rkey,
+        addr: base_addr,
+    } = await_endpoint(dir, "ep_b");
 
     qa.modify(QpState::Init).expect("init");
     qa.modify_to_rtr(PeerId {
@@ -268,16 +282,13 @@ fn role_b(dir: &Path, smoke: bool) {
         .expect("qp b");
     let dst = b.reg_mr(pd, SLOTS * STRIDE).expect("slot buffer");
 
-    publish_blob(
-        dir,
-        "ep_b",
-        format!("qp={} rkey={} addr={}", qb.qp_num(), dst.rkey(), dst.addr()).as_bytes(),
-    )
-    .expect("publish ep_b");
-    let ep_a =
-        String::from_utf8(await_blob(dir, "ep_a", Duration::from_secs(60)).expect("await ep_a"))
-            .expect("utf8 ep_a");
-    let qa_num = parse_kv(&ep_a, "qp").expect("peer qp") as u32;
+    let ep_b = Endpoint {
+        qp: qb.qp_num(),
+        rkey: dst.rkey(),
+        addr: dst.addr(),
+    };
+    publish_blob(dir, "ep_b", &ep_b.encode()).expect("publish ep_b");
+    let qa_num = await_endpoint(dir, "ep_a").qp;
 
     qb.modify(QpState::Init).expect("init");
     qb.modify_to_rtr(PeerId {

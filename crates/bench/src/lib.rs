@@ -9,6 +9,7 @@
 
 pub mod ablations;
 pub mod check;
+pub mod cli;
 pub mod experiments;
 pub mod report;
 pub mod trace_run;

@@ -1,8 +1,9 @@
 //! Runtime configuration.
 //!
-//! Mirrors the environment-variable fine-tuning knobs the paper mentions
-//! (§IV-A: transport partitions are invisible to the user "other than any
-//! environment variables we create for fine-tuning of our library").
+//! The fine-tuning knobs the paper mentions (§IV-A: transport partitions are
+//! invisible to the user "other than any environment variables we create for
+//! fine-tuning of our library") are the fields of [`PartixConfig`]; nothing
+//! reads the process environment.
 
 use std::sync::Arc;
 
@@ -80,20 +81,6 @@ pub enum AggregatorKind {
     /// PLogGP grouping with the delta-timer arrival-pattern optimisation
     /// (§IV-D).
     TimerPLogGp,
-}
-
-impl AggregatorKind {
-    /// Parse the spelling used by the `PARTIX_AGGREGATOR` environment
-    /// variable.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "persistent" | "part_persist" => Some(AggregatorKind::Persistent),
-            "tuning" | "tuning_table" => Some(AggregatorKind::TuningTable),
-            "ploggp" => Some(AggregatorKind::PLogGp),
-            "timer" | "timer_ploggp" => Some(AggregatorKind::TimerPLogGp),
-            _ => None,
-        }
-    }
 }
 
 /// Full runtime configuration.
@@ -177,96 +164,11 @@ impl PartixConfig {
             ..Default::default()
         }
     }
-
-    /// Apply `PARTIX_*` environment variable overrides:
-    ///
-    /// - `PARTIX_AGGREGATOR` = `persistent` | `tuning` | `ploggp` | `timer`
-    /// - `PARTIX_DELTA_US` — timer delta in microseconds
-    /// - `PARTIX_MAX_QPS` — per-channel QP cap
-    /// - `PARTIX_PERSISTENT_QPS` — baseline QP count
-    /// - `PARTIX_SETUP_DELAY_US` — modelled channel bring-up time
-    /// - `PARTIX_DECISION_DELAY_US` — PLogGP planning delay input
-    /// - `PARTIX_ADAPTIVE_DELTA` — `1`/`true` enables online delta tuning
-    /// - `PARTIX_RETRY_CNT` — transport retries before `RetryExceeded`
-    /// - `PARTIX_RNR_RETRY` — receiver-not-ready retries
-    /// - `PARTIX_MAX_RECOVERIES` — QP recovery budget per round
-    /// - `PARTIX_DROP_P` — wire drop probability (enables the lossy fabric)
-    /// - `PARTIX_LOSS_SEED` — seed for the lossy fabric's fault stream
-    ///
-    /// Unknown or malformed values are ignored (the variable keeps its
-    /// built-in default), matching typical MCA-parameter leniency.
-    pub fn apply_env(mut self) -> Self {
-        let get = |k: &str| std::env::var(k).ok();
-        if let Some(v) = get("PARTIX_AGGREGATOR").and_then(|s| AggregatorKind::parse(&s)) {
-            self.aggregator = v;
-        }
-        if let Some(v) = get("PARTIX_DELTA_US").and_then(|s| s.parse::<u64>().ok()) {
-            self.delta = SimDuration::from_micros(v);
-        }
-        if let Some(v) = get("PARTIX_MAX_QPS").and_then(|s| s.parse::<u32>().ok()) {
-            if v > 0 {
-                self.max_qps_per_channel = v;
-            }
-        }
-        if let Some(v) = get("PARTIX_PERSISTENT_QPS").and_then(|s| s.parse::<u32>().ok()) {
-            if v > 0 {
-                self.persistent_qps = v;
-            }
-        }
-        if let Some(v) = get("PARTIX_SETUP_DELAY_US").and_then(|s| s.parse::<u64>().ok()) {
-            self.setup_delay = SimDuration::from_micros(v);
-        }
-        if let Some(v) = get("PARTIX_DECISION_DELAY_US").and_then(|s| s.parse::<u64>().ok()) {
-            self.decision_delay_ns = v as f64 * 1_000.0;
-        }
-        if let Some(v) = get("PARTIX_ADAPTIVE_DELTA") {
-            self.adaptive_delta = matches!(v.as_str(), "1" | "true" | "yes" | "on");
-        }
-        if let Some(v) = get("PARTIX_RETRY_CNT").and_then(|s| s.parse::<u8>().ok()) {
-            self.reliability.retry_cnt = v;
-        }
-        if let Some(v) = get("PARTIX_RNR_RETRY").and_then(|s| s.parse::<u8>().ok()) {
-            self.reliability.rnr_retry = v;
-        }
-        if let Some(v) = get("PARTIX_MAX_RECOVERIES").and_then(|s| s.parse::<u64>().ok()) {
-            self.reliability.max_recoveries = v;
-        }
-        if let Some(p) = get("PARTIX_DROP_P").and_then(|s| s.parse::<f64>().ok()) {
-            if (0.0..=1.0).contains(&p) && p > 0.0 {
-                let seed = get("PARTIX_LOSS_SEED")
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .unwrap_or(0x10_55);
-                self.loss = Some(LossyConfig::drops(p, seed));
-            }
-        }
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn aggregator_parsing() {
-        assert_eq!(
-            AggregatorKind::parse("persistent"),
-            Some(AggregatorKind::Persistent)
-        );
-        assert_eq!(
-            AggregatorKind::parse("PLOGGP"),
-            Some(AggregatorKind::PLogGp)
-        );
-        assert_eq!(
-            AggregatorKind::parse("timer_ploggp"),
-            Some(AggregatorKind::TimerPLogGp)
-        );
-        assert_eq!(
-            AggregatorKind::parse("tuning_table"),
-            Some(AggregatorKind::TuningTable)
-        );
-        assert_eq!(AggregatorKind::parse("bogus"), None);
-    }
 
     #[test]
     fn defaults_are_consistent() {
@@ -275,23 +177,5 @@ mod tests {
         assert!(c.max_qps_per_channel >= 1);
         assert!(c.persistent_qps >= 1);
         assert!(c.model_params.validate().is_ok());
-    }
-
-    #[test]
-    fn env_overrides() {
-        // Env vars are process-global; use unique names via a serial test.
-        std::env::set_var("PARTIX_AGGREGATOR", "timer");
-        std::env::set_var("PARTIX_DELTA_US", "123");
-        std::env::set_var("PARTIX_MAX_QPS", "7");
-        std::env::set_var("PARTIX_PERSISTENT_QPS", "0"); // invalid: ignored
-        let c = PartixConfig::default().apply_env();
-        assert_eq!(c.aggregator, AggregatorKind::TimerPLogGp);
-        assert_eq!(c.delta, SimDuration::from_micros(123));
-        assert_eq!(c.max_qps_per_channel, 7);
-        assert_eq!(c.persistent_qps, 2);
-        std::env::remove_var("PARTIX_AGGREGATOR");
-        std::env::remove_var("PARTIX_DELTA_US");
-        std::env::remove_var("PARTIX_MAX_QPS");
-        std::env::remove_var("PARTIX_PERSISTENT_QPS");
     }
 }

@@ -178,7 +178,9 @@ impl Proc {
     }
 
     /// Drive the progress engine (the `MPI_Test`-without-a-request
-    /// equivalent).
+    /// equivalent): poll this rank's CQs and re-post its send WRs that the
+    /// outstanding-WR cap parked in software. Nothing else re-posts them —
+    /// see [`PsendRequest::test`].
     pub fn progress(&self) {
         self.inner.try_progress();
     }
@@ -266,7 +268,11 @@ impl PsendRequest {
     }
 
     /// Mark partition `i` ready for transfer (`MPI_Pready`). Callable from
-    /// any thread.
+    /// any thread. A WR this makes eligible is posted at once if its QP has
+    /// a free send slot and parked in software (a *spill*) if the
+    /// outstanding-WR cap is reached; `pready` itself never drives progress,
+    /// so a parked WR waits for [`test`](Self::test), [`wait`](Self::wait)
+    /// or [`Proc::progress`] on this rank.
     pub fn pready(&self, i: u32) -> Result<()> {
         self.shared.pready(i)
     }
@@ -293,6 +299,16 @@ impl PsendRequest {
     /// Non-blocking completion check (`MPI_Test`): drives progress and
     /// reports whether the round has completed (an inactive request tests
     /// true, as in MPI).
+    ///
+    /// **Who drives progress.** On a wall-clock world the send side's own
+    /// calls — `test`, `wait`, [`Proc::progress`] on the sending rank — are
+    /// the only drivers of spilled WRs: the receiver's `parrived` / `test` /
+    /// `wait` poll the receiver's CQs, and the fabric frees send slots, but
+    /// only the sending rank's progress engine posts what it parked. A
+    /// harness that polls the receiver alone stalls short of the round
+    /// whenever more WRs were made ready than the cap admits (MPI's rule:
+    /// a send completes through calls on the send request). Simulated worlds
+    /// are driven by completion events instead.
     pub fn test(&self) -> bool {
         if !self.shared.active.load(Ordering::Acquire) {
             return true;
@@ -305,8 +321,9 @@ impl PsendRequest {
         !self.shared.active.load(Ordering::Acquire)
     }
 
-    /// Block until the round completes (`MPI_Wait`). Returns
-    /// [`PartixError::WouldBlockInSim`] on the virtual clock — use
+    /// Block until the round completes (`MPI_Wait`), driving progress —
+    /// spilled WRs included, see [`test`](Self::test) — on every turn.
+    /// Returns [`PartixError::WouldBlockInSim`] on the virtual clock — use
     /// [`Self::on_complete`] there.
     pub fn wait(&self) -> Result<()> {
         loop {

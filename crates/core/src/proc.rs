@@ -10,7 +10,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
-use partix_sim::{Scheduler, SerialResource, SimDuration, SimTime, Slab, TimeSource};
+use partix_sim::{SerialResource, SimTime, Slab, TimeSource};
 use partix_verbs::telemetry::Registry;
 use partix_verbs::{
     CompletionQueue, Context, PostOptions, ProtectionDomain, SendWr, VerbsError, WcStatus,
@@ -91,9 +91,8 @@ pub(crate) struct ProcInner {
     pub send_cq: Arc<CompletionQueue>,
     pub recv_cq: Arc<CompletionQueue>,
     pub config: PartixConfig,
+    /// The world's clock and timer: its scheduler, or the wall clock.
     pub time: TimeSource,
-    /// The scheduler driving a simulated world (`None` on the wall clock).
-    pub sim: Option<Scheduler>,
     pub sink: Arc<SinkSlot>,
     /// World-wide telemetry registry (runtime counters live here).
     pub tel: Arc<Registry>,
@@ -123,7 +122,6 @@ impl ProcInner {
         ctx: Context,
         config: PartixConfig,
         time: TimeSource,
-        sim: Option<Scheduler>,
         sink: Arc<SinkSlot>,
         tel: Arc<Registry>,
     ) -> Arc<Self> {
@@ -138,7 +136,6 @@ impl ProcInner {
             recv_cq,
             config,
             time,
-            sim,
             sink,
             tel,
             progress: Mutex::default(),
@@ -162,7 +159,7 @@ impl ProcInner {
 
     /// Whether this process runs on the virtual clock.
     pub(crate) fn sim_mode(&self) -> bool {
-        self.sim.is_some()
+        self.time.scheduler().is_some()
     }
 
     /// Report an event to the installed sink, if any.
@@ -173,18 +170,6 @@ impl ProcInner {
         let sink = self.sink.sink.read().clone();
         if let Some(s) = sink {
             f(&*s, self.time.now());
-        }
-    }
-
-    /// Run `f` at this rank `delay` from now: an event on the rank's node
-    /// under the simulator (stored inline in the event slab when small),
-    /// the wall-clock timer otherwise.
-    pub(crate) fn after(&self, delay: SimDuration, f: impl FnOnce() + Send + 'static) {
-        match &self.sim {
-            Some(sched) => {
-                sched.at_node(self.rank, sched.now() + delay, f);
-            }
-            None => self.time.schedule_on(self.rank, delay, Box::new(f)),
         }
     }
 

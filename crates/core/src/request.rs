@@ -259,7 +259,7 @@ impl SendShared {
             let weak = Arc::downgrade(self);
             let ch2 = ch.clone();
             let round = self.round.load(Ordering::Acquire);
-            self.proc.after(delta, move || {
+            self.proc.time.after(self.proc.rank, delta, move || {
                 if let Some(s) = weak.upgrade() {
                     s.flush_group(&ch2, g, round);
                 }
@@ -872,8 +872,9 @@ impl RecvShared {
             self.record_arrival(lo, cnt, flow);
         } else {
             let me = self.clone();
-            self.proc
-                .after(delay, move || me.record_arrival(lo, cnt, flow));
+            self.proc.time.after(self.proc.rank, delay, move || {
+                me.record_arrival(lo, cnt, flow)
+            });
         }
     }
 

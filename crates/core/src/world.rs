@@ -9,7 +9,7 @@
 //! delay (the paper polls the progress engine in `MPI_Start` until the
 //! remote buffer is ready — §IV-A).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
@@ -85,13 +85,16 @@ impl MatchService {
 /// Shared world state.
 pub(crate) struct WorldInner {
     pub network: Network,
-    pub sim: Option<Scheduler>,
     pub sim_fabric: Option<Arc<SimFabric>>,
     pub lossy: Option<Arc<LossyFabric>>,
+    /// The world's one clock and timer: its scheduler, or the wall clock.
     pub time: TimeSource,
     pub config: PartixConfig,
     pub match_svc: MatchService,
-    pub procs: Mutex<HashMap<u32, Arc<ProcInner>>>,
+    /// By rank, so that a world is torn down in rank order on every run: a
+    /// hash map's order differs from one process to the next, and with it
+    /// the order the ranks' buffers go back to the allocator.
+    pub procs: Mutex<BTreeMap<u32, Arc<ProcInner>>>,
     pub sink: Arc<SinkSlot>,
     pub req_seq: AtomicU64,
     pub sampler: OnceLock<Arc<Sampler>>,
@@ -174,13 +177,12 @@ impl World {
         let network = Network::new(ranks, wire);
         let inner = Arc::new(WorldInner {
             network,
-            sim: Some(sched.clone()),
             sim_fabric: Some(fabric),
             lossy,
-            time: TimeSource::simulated(&sched),
+            time: TimeSource::Sim(sched.clone()),
             config,
             match_svc: MatchService::default(),
-            procs: Mutex::new(HashMap::new()),
+            procs: Mutex::new(BTreeMap::new()),
             sink: Arc::default(),
             req_seq: AtomicU64::new(1),
             sampler: OnceLock::new(),
@@ -204,13 +206,12 @@ impl World {
         let network = Network::new(ranks, fabric);
         let inner = Arc::new(WorldInner {
             network,
-            sim: None,
             sim_fabric: None,
             lossy: None,
-            time: TimeSource::real(),
+            time: TimeSource::wall(),
             config,
             match_svc: MatchService::default(),
-            procs: Mutex::new(HashMap::new()),
+            procs: Mutex::new(BTreeMap::new()),
             sink: Arc::default(),
             req_seq: AtomicU64::new(1),
             sampler: OnceLock::new(),
@@ -230,7 +231,7 @@ impl World {
 
     /// The driving scheduler (sim mode only).
     pub fn scheduler(&self) -> Option<&Scheduler> {
-        self.inner.sim.as_ref()
+        self.inner.time.scheduler()
     }
 
     /// The simulated fabric (sim mode only), for traffic statistics.
@@ -316,12 +317,12 @@ impl World {
                     // Sim-time frames must be jobs-invariant; the arena's
                     // pool-reuse counters are scheduling noise, like in
                     // `ledger_digest`.
-                    deterministic: self.inner.sim.is_some(),
+                    deterministic: self.scheduler().is_some(),
                 },
                 source,
             )
         });
-        if let Some(sched) = &self.inner.sim {
+        if let Some(sched) = self.scheduler() {
             let s = sampler.clone();
             sched.set_sample_hook(Arc::new(move |t_ns| s.tick(t_ns)));
         }
@@ -361,14 +362,13 @@ impl World {
                     ctx,
                     self.inner.config.clone(),
                     self.inner.time.clone(),
-                    self.inner.sim.clone(),
                     self.inner.sink.clone(),
                     self.inner.network.state().telemetry().clone(),
                 );
                 // In simulated mode, completion events drive the progress
                 // engine directly (the completion-channel analogue); in
                 // instant mode progress is caller-driven, like real MPI.
-                if self.inner.sim.is_some() {
+                if p.sim_mode() {
                     let weak = Arc::downgrade(&p);
                     let hook = Arc::new(move || {
                         if let Some(p) = weak.upgrade() {
@@ -487,7 +487,7 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
         s.fire_ready();
         r.fire_ready();
     };
-    match &world.sim {
+    match world.time.scheduler() {
         Some(sched) if sched.is_sharded() => {
             // Each end's state must only be touched on its own shard, so the
             // bring-up is split per end: both ready flags latch at `at`, and
@@ -526,5 +526,57 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
 fn set_once<T>(slot: &OnceLock<T>, value: T) {
     if slot.set(value).is_err() {
         unreachable!("channel established twice for one request");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AggregatorKind;
+
+    /// δ expiry on the wall clock without sleeping: `fire_due` takes `now`.
+    /// A deadline armed in a round that has since ended finds it over and
+    /// does nothing; the live round's deadline flushes.
+    #[test]
+    fn expired_delta_of_an_ended_round_is_a_no_op() {
+        let hour = SimDuration::from_secs(3600);
+        let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
+        cfg.delta = hour;
+        let world = World::instant(2, cfg);
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        let sbuf = p0.alloc_buffer(4 * 256).unwrap();
+        let rbuf = p1.alloc_buffer(4 * 256).unwrap();
+        let send = p0.psend_init(&sbuf, 4, 256, 1, 0).unwrap();
+        let recv = p1.precv_init(&rbuf, 4, 256, 0, 0).unwrap();
+        let fires = || world.telemetry_snapshot().runtime.timer_fires;
+
+        // Round 1 arms δ and ends long before it: the last arrival sends the
+        // whole group.
+        recv.start().unwrap();
+        send.start().unwrap();
+        send.pready_range(0, 4).unwrap();
+        send.wait().unwrap();
+        recv.wait().unwrap();
+        // Round 2 arms its own δ.
+        recv.start().unwrap();
+        send.start().unwrap();
+        send.pready(0).unwrap();
+        assert_eq!((fires(), send.total_wrs_posted()), (0, 1));
+
+        let TimeSource::Wall(clock) = &world.inner.time else {
+            unreachable!("instant worlds run on the wall clock");
+        };
+        assert_eq!(clock.fire_due(world.now() + hour + hour), None);
+        assert_eq!(fires(), 1, "round 1's deadline was stale, round 2's fired");
+        assert_eq!(send.total_wrs_posted(), 2, "the flush sent partition 0");
+
+        send.pready_range(1, 4).unwrap();
+        send.wait().unwrap();
+        recv.wait().unwrap();
+        assert_eq!(
+            send.total_wrs_posted(),
+            5,
+            "post-flush arrivals send themselves"
+        );
     }
 }

@@ -19,7 +19,10 @@ struct Link {
 }
 
 fn instant_link(cfg: PartixConfig, partitions: u32, part_bytes: usize) -> Link {
-    let world = World::instant(2, cfg);
+    link(World::instant(2, cfg), partitions, part_bytes)
+}
+
+fn link(world: World, partitions: u32, part_bytes: usize) -> Link {
     let p0 = world.proc(0);
     let p1 = world.proc(1);
     let bytes = partitions as usize * part_bytes;
@@ -236,6 +239,22 @@ fn timer_aggregator_flushes_contiguous_runs_on_expiry() {
     l.recv.wait().unwrap();
     assert_eq!(l.send.total_wrs_posted(), 3);
     check_pattern(&l.rbuf, 4, 256, 9);
+}
+
+#[test]
+fn dropping_a_world_with_delta_armed_does_not_wait_for_it() {
+    // The armed δ is a deadline on the world's one timer thread, which is
+    // woken and joined when the last handle drops (it used to be a detached
+    // thread asleep for the full 10 s).
+    let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
+    cfg.delta = SimDuration::from_secs(10);
+    let l = instant_link(cfg, 8, 512);
+    l.recv.start().unwrap();
+    l.send.start().unwrap();
+    l.send.pready(0).unwrap();
+    let t0 = std::time::Instant::now();
+    drop(l);
+    assert!(t0.elapsed() < std::time::Duration::from_millis(100));
 }
 
 #[test]
@@ -770,4 +789,68 @@ fn adaptive_delta_converges_to_arrival_spread() {
         (last - expect).abs() / expect < 0.25,
         "delta {last} should be near {expect}: {deltas:?}"
     );
+}
+
+/// Who drives progress (ROADMAP 1(c)): 128 single-partition WRs under
+/// `Persistent` against the 16-WR send-queue cap. A WR the cap refuses is
+/// parked in software, and only the send side's own calls post it again.
+#[test]
+fn spilled_wrs_are_driven_by_the_send_side_only() {
+    let (parts, pb) = (128u32, 64usize);
+    let cfg = || PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let spills = |l: &Link| l.world.telemetry_snapshot().runtime.pending_spills;
+    let finish = |l: &Link| {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !(l.send.test() && l.recv.test()) {
+            assert!(std::time::Instant::now() < give_up, "round did not finish");
+            std::thread::yield_now();
+        }
+        assert_eq!(l.recv.arrived_count(), parts);
+        check_pattern(&l.rbuf, parts, pb, 5);
+        l.world.check_invariants().assert_clean();
+    };
+
+    // The instant fabric completes a WR inside `post_send`, so its slot is
+    // free again before the next `pready`: nothing spills, and the receiver
+    // sees every partition with no help from the sender.
+    let l = instant_link(cfg(), parts, pb);
+    fill_pattern(&l.sbuf, parts, pb, 5);
+    l.recv.start().unwrap();
+    l.send.start().unwrap();
+    l.send.pready_range(0, parts).unwrap();
+    assert_eq!(spills(&l), 0);
+    assert!(l.recv.test());
+    finish(&l);
+
+    // A wire with a round trip in it. The receiver has posted no receive WR
+    // yet, so nothing is acknowledged while the sender posts: every WR past
+    // the cap spills.
+    let l = link(
+        World::with_fabric(2, cfg(), partix_verbs::ShmFabric::loopback()),
+        parts,
+        pb,
+    );
+    fill_pattern(&l.sbuf, parts, pb, 5);
+    l.send.start_blocking().unwrap();
+    l.send.pready_range(0, parts).unwrap();
+    let spilled = spills(&l) as u32;
+    assert!(spilled > 0 && spilled < parts);
+    // Polling the receiver alone delivers what is on the wire and then
+    // stalls, however long it polls: bounded, not a hang.
+    l.recv.start_blocking().unwrap();
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while l.recv.arrived_count() < parts - spilled {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "posted WRs did not arrive"
+        );
+        assert!(!l.recv.test());
+    }
+    for _ in 0..2_000 {
+        assert!(!l.recv.test());
+        std::thread::yield_now();
+    }
+    assert_eq!(l.recv.arrived_count(), parts - spilled);
+    // `send.test()` in the loop drains the parked WRs.
+    finish(&l);
 }

@@ -11,8 +11,8 @@
 //! - a virtual clock and closure-scheduling handle on that engine
 //!   ([`Scheduler`]) with deterministic same-instant ordering — sequential
 //!   (one shard) or one shard per simulated node,
-//! - [`Clock`]/[`Timer`] abstractions so the MPI runtime runs identically on
-//!   virtual and wall-clock time,
+//! - [`TimeSource`], the one clock-and-timer a world runs on: the scheduler,
+//!   or wall-clock time with one deadline thread per world,
 //! - [`SerialResource`], the FIFO occupancy primitive used to model QP DMA
 //!   engines, shared links, and software locks,
 //! - seed-splitting helpers for reproducible noise ([`stream_rng`]),
@@ -51,7 +51,7 @@ mod scheduler;
 mod slab;
 mod time;
 
-pub use clock::{Clock, RealClock, SimClock, ThreadTimer, TimeSource, Timer};
+pub use clock::TimeSource;
 pub use parallel::{default_jobs, par_map};
 pub use resource::SerialResource;
 pub use rng::{split_seed, stream_rng};

@@ -113,13 +113,22 @@ impl RetryProfile {
 /// the applied PSNs at or above it. In-order traffic keeps `recent` empty;
 /// retransmission races bound it by the sender's outstanding-WR window, and
 /// its `Vec` retains capacity, so steady-state marking never allocates.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PsnWindow {
     watermark: u64,
     recent: Vec<u64>,
 }
 
 impl PsnWindow {
+    /// Nothing applied yet, with room for the PSN every `mark` holds for a
+    /// moment: the first mark allocates no more than a later one.
+    fn new() -> Self {
+        PsnWindow {
+            watermark: 0,
+            recent: Vec::with_capacity(4),
+        }
+    }
+
     fn seen(&self, psn: u64) -> bool {
         psn < self.watermark || self.recent.contains(&psn)
     }
@@ -184,14 +193,22 @@ impl RxSide {
     /// no longer fail, so an RNR-deferred attempt is not mistaken for a
     /// duplicate.
     pub(crate) fn mark_psn(&mut self, src_qp: u32, psn: u64) {
-        match self.applied.iter_mut().find(|(qp, _)| *qp == src_qp) {
-            Some((_, w)) => w.mark(psn),
+        self.window(src_qp).mark(psn);
+    }
+
+    /// The window of peer QP `src_qp`, made on first use. `modify_to_rtr`
+    /// makes the connected peer's, so a QP's first delivery allocates
+    /// nothing, and what a world allocates when does not depend on which of
+    /// its QPs receives first.
+    fn window(&mut self, src_qp: u32) -> &mut PsnWindow {
+        let i = match self.applied.iter().position(|(qp, _)| *qp == src_qp) {
+            Some(i) => i,
             None => {
-                let mut w = PsnWindow::default();
-                w.mark(psn);
-                self.applied.push((src_qp, w));
+                self.applied.push((src_qp, PsnWindow::new()));
+                self.applied.len() - 1
             }
-        }
+        };
+        &mut self.applied[i].1
     }
 }
 
@@ -364,6 +381,7 @@ impl QueuePair {
         self.modify(QpState::ReadyToReceive)?;
         let bits = ((peer.node as u64) << 32) | peer.qp_num as u64;
         self.peer.store(bits, Ordering::Release);
+        self.rx.lock().window(peer.qp_num);
         Ok(())
     }
 
@@ -660,5 +678,54 @@ impl QueuePair {
             self.counters.slot_underflows.inc();
             debug_assert!(false, "send-slot accounting underflow");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::network::{connect_pair, Network};
+    use crate::InstantFabric;
+
+    /// Connecting makes the peer's PSN window, with room; deliveries mark
+    /// into it without making a second one or growing it, and a reconnect
+    /// finds it.
+    #[test]
+    fn connect_makes_the_peer_window_once() {
+        let net = Network::new(2, InstantFabric::new());
+        let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
+        let qa = a
+            .create_qp(
+                a.alloc_pd(),
+                a.create_cq(),
+                a.create_cq(),
+                QpCaps::default(),
+            )
+            .unwrap();
+        let qb = b
+            .create_qp(
+                b.alloc_pd(),
+                b.create_cq(),
+                b.create_cq(),
+                QpCaps::default(),
+            )
+            .unwrap();
+        connect_pair(&qa, &qb).unwrap();
+
+        let peer = qa.qp_num();
+        let mut rx = qb.rx.lock();
+        assert_eq!(rx.applied.len(), 1);
+        assert_eq!(rx.applied[0].0, peer);
+        let room = rx.applied[0].1.recent.capacity();
+        assert!(room >= 1);
+        for psn in [0, 2, 1, 3] {
+            rx.mark_psn(peer, psn);
+        }
+        rx.window(peer);
+        assert_eq!(rx.applied.len(), 1);
+        assert_eq!(rx.applied[0].1.watermark, 4);
+        assert_eq!(rx.applied[0].1.recent.capacity(), room);
+        assert!(rx.psn_seen(peer, 3) && !rx.psn_seen(peer, 4));
+        assert!(!rx.psn_seen(peer + 1, 0));
     }
 }

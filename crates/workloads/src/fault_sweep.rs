@@ -26,7 +26,7 @@ pub const STRATEGIES: [AggregatorKind; 4] = [
     AggregatorKind::TimerPLogGp,
 ];
 
-/// Spelling used in reports (matches `PARTIX_AGGREGATOR`).
+/// Spelling used in reports.
 pub fn strategy_name(kind: AggregatorKind) -> &'static str {
     match kind {
         AggregatorKind::Persistent => "persistent",
