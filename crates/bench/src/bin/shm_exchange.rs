@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use partix_verbs::shm::{await_blob, default_shm_dir, publish_blob, Endpoint};
+use partix_verbs::telemetry::{write_json, Json};
 use partix_verbs::{
     Network, Opcode, PeerId, QpCaps, QpState, RecvWr, SendWr, Sge, ShmConfig, ShmFabric,
     VerbsError, WcStatus,
@@ -262,7 +263,10 @@ fn role_a(dir: &Path, smoke: bool, out: &Path) {
     }
 
     publish_blob(dir, "shutdown_a", b"bye").expect("publish shutdown");
-    write_json(out, smoke, &results, &fabric.sample_gauges()).expect("write BENCH_shm.json");
+    let path = out.join("BENCH_shm.json");
+    write_json(&path, &bench_json(smoke, &results, &fabric.sample_gauges()))
+        .expect("write BENCH_shm.json");
+    println!("wrote {}", path.display());
     assert!(
         fabric.quiesce(Duration::from_secs(10)),
         "sender fabric failed to quiesce"
@@ -362,60 +366,35 @@ fn role_b(dir: &Path, smoke: bool) {
     fabric.shutdown();
 }
 
-fn write_json(
-    out: &Path,
-    smoke: bool,
-    results: &[RowResult],
-    fabric_gauges: &[(&'static str, u64)],
-) -> std::io::Result<()> {
-    use std::fmt::Write;
-    let mut f = String::new();
+/// The `BENCH_shm.json` document. `receiver_report` is text the peer process
+/// published; the writer's escaping is what keeps the file parseable.
+fn bench_json(smoke: bool, results: &[RowResult], fabric_gauges: &[(&'static str, u64)]) -> Json {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let w = &mut f;
-    let _ = writeln!(w, "{{");
-    let _ = writeln!(w, "  \"bench\": \"shm_exchange\",");
-    let _ = writeln!(w, "  \"smoke\": {smoke},");
-    let _ = writeln!(w, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(w, "  \"window\": {WINDOW},");
-    let _ = writeln!(w, "  \"slots\": {SLOTS},");
-    let _ = writeln!(w, "  \"sender_fabric\": {{");
-    for (i, (name, v)) in fabric_gauges.iter().enumerate() {
-        let sep = if i + 1 == fabric_gauges.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(w, "    \"{name}\": {v}{sep}");
-    }
-    let _ = writeln!(w, "  }},");
-    let _ = writeln!(w, "  \"rows\": [");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 == results.len() { "" } else { "," };
-        let _ = writeln!(w, "    {{");
-        let _ = writeln!(w, "      \"msg_bytes\": {},", r.msg_bytes);
-        let _ = writeln!(w, "      \"messages\": {},", r.messages);
-        let _ = writeln!(w, "      \"wall_s\": {:.6},", r.wall_s);
-        let _ = writeln!(w, "      \"msgs_per_sec\": {:.0},", r.msgs_per_sec);
-        let _ = writeln!(w, "      \"gb_per_sec\": {:.4},", r.gb_per_sec);
-        let _ = writeln!(w, "      \"sender_retransmits\": {},", r.sender_retransmits);
-        let _ = writeln!(w, "      \"sender_stale_acks\": {},", r.sender_stale_acks);
-        let _ = writeln!(
-            w,
-            "      \"sender_ring_full_stalls\": {},",
-            r.sender_ring_full_stalls
-        );
-        let _ = writeln!(w, "      \"receiver_report\": \"{}\"", r.receiver_report);
-        let _ = writeln!(w, "    }}{sep}");
-    }
-    let _ = writeln!(w, "  ]");
-    let _ = writeln!(w, "}}");
-    std::fs::create_dir_all(out)?;
-    let path = out.join("BENCH_shm.json");
-    std::fs::write(&path, &f)?;
-    println!("wrote {}", path.display());
-    Ok(())
+    let row = |r: &RowResult| {
+        Json::obj([
+            ("msg_bytes", r.msg_bytes.into()),
+            ("messages", r.messages.into()),
+            ("wall_s", r.wall_s.into()),
+            ("msgs_per_sec", r.msgs_per_sec.into()),
+            ("gb_per_sec", r.gb_per_sec.into()),
+            ("sender_retransmits", r.sender_retransmits.into()),
+            ("sender_stale_acks", r.sender_stale_acks.into()),
+            ("sender_ring_full_stalls", r.sender_ring_full_stalls.into()),
+            ("receiver_report", r.receiver_report.as_str().into()),
+        ])
+    };
+    let gauges = fabric_gauges.iter().map(|&(name, v)| (name, v.into()));
+    Json::obj([
+        ("bench", "shm_exchange".into()),
+        ("smoke", smoke.into()),
+        ("host_cpus", host_cpus.into()),
+        ("window", WINDOW.into()),
+        ("slots", SLOTS.into()),
+        ("sender_fabric", Json::obj(gauges)),
+        ("rows", Json::arr(results.iter().map(row))),
+    ])
 }
 
 fn main() {
@@ -463,5 +442,41 @@ fn main() {
             eprintln!("unknown --role {other} (want a|b)");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use partix_verbs::telemetry::parse_json;
+
+    /// The peer's report is bytes from another process; at the parent a quote
+    /// in it ended the string early and the file no longer parsed.
+    #[test]
+    fn a_hostile_receiver_report_round_trips() {
+        let report = "received=\"1\" path=C:\\tmp\nverify_failures=0\t\u{1}";
+        let row = RowResult {
+            msg_bytes: 64,
+            messages: 1,
+            wall_s: 0.5,
+            msgs_per_sec: 2.0,
+            gb_per_sec: 1.28e-7,
+            sender_retransmits: 0,
+            sender_stale_acks: 0,
+            sender_ring_full_stalls: u64::MAX,
+            receiver_report: report.to_string(),
+        };
+        let doc = bench_json(true, &[row], &[("progress_iterations", 7)]);
+        let back = parse_json(&doc.to_string()).expect("BENCH_shm.json parses");
+        assert_eq!(back, doc);
+        let row = &back.get("rows").and_then(Json::as_arr).expect("rows")[0];
+        assert_eq!(
+            row.get("receiver_report").and_then(Json::as_str),
+            Some(report)
+        );
+        assert_eq!(
+            row.get("sender_ring_full_stalls"),
+            Some(&Json::Big(u64::MAX))
+        );
     }
 }

@@ -3,8 +3,9 @@
 //! Reads the `trace_<tag>.json` artifacts written by traced runs
 //! ([`partix_workloads::TraceArtifacts::write_to`]): chrome-trace events
 //! plus a `"flows"` array of raw causal flow events and a `"stages"` map
-//! of per-stage residency histogram snapshots. Parsing is a small
-//! recursive-descent JSON reader (the repo carries no serde); analysis
+//! of per-stage residency histogram snapshots. The bytes are read by the
+//! workspace's one JSON parser, `partix_telemetry::parse_json` (re-exported
+//! here); this module turns the [`Json`] value into a [`TraceFile`],
 //! reconstructs per-flow critical paths via `partix_profiler` and renders
 //! the percentile tables, stall reports, and run-to-run diffs.
 
@@ -12,235 +13,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use partix_profiler::{assemble_chains, top_stalls, FlowChain};
+pub use partix_verbs::telemetry::{parse_json, Json};
 use partix_verbs::telemetry::{FlowEvent, FlowStage, HistSnapshot};
-
-/// A minimal JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (all values in trace files fit f64's exact-integer range).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as u64 (rounded), if numeric.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as &str, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a slice, if an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
-/// once per level and the `trace` bin feeds it files the user names, so an
-/// unbounded depth is a stack overflow on demand; a sampled trace, the
-/// deepest artifact the repository writes, nests seven deep.
-const MAX_DEPTH: usize = 128;
-
-/// Parse a JSON document. Errors carry the byte offset of the problem.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let b = src.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(b, &mut pos, 0)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at offset {}", c as char, *pos))
-    }
-}
-
-/// Parse the value at `pos`, itself `depth` arrays/objects deep.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} at offset {}",
-            *pos
-        )),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos, depth + 1)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key is not a string at offset {}", *pos)),
-                };
-                expect(b, pos, b':')?;
-                members.push((key, parse_value(b, pos, depth + 1)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| format!("bad \\u escape at offset {}", *pos))?;
-                                // Surrogate pairs don't occur in our traces;
-                                // map lone surrogates to the replacement char.
-                                s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at offset {}", *pos)),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 sequences pass through untouched.
-                        let start = *pos;
-                        let len = if c < 0x80 {
-                            1
-                        } else if c >> 5 == 0b110 {
-                            2
-                        } else if c >> 4 == 0b1110 {
-                            3
-                        } else {
-                            4
-                        };
-                        let chunk = b
-                            .get(start..start + len)
-                            .and_then(|ch| std::str::from_utf8(ch).ok())
-                            .ok_or_else(|| format!("bad utf-8 at offset {start}"))?;
-                        s.push_str(chunk);
-                        *pos += len;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at offset {start}"))
-        }
-        None => Err("unexpected end of input".into()),
-    }
-}
 
 /// One parsed time-series frame: a window of ledger deltas, stage-histogram
 /// windows, and transport gauges. Field lists keep source order; unknown
@@ -714,33 +488,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn json_round_trips_nested_values() {
-        let doc =
-            parse_json(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny", "d": true, "e": null}}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("b").unwrap().get("e"), Some(&Json::Null));
-        assert!(parse_json("{\"unterminated\": ").is_err());
-        assert!(parse_json("[1, 2] trailing").is_err());
-    }
-
-    #[test]
-    fn nesting_is_bounded_and_the_error_names_the_offset() {
-        // 200 000 levels overflowed the stack (SIGABRT) before the bound.
-        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
-        assert_eq!(err, "nesting deeper than 128 at offset 128");
-        let err = parse_json(&"{\"a\":".repeat(200_000)).unwrap_err();
-        assert_eq!(err, "nesting deeper than 128 at offset 640");
-        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
-        assert!(parse_json(&deepest).is_ok());
-        assert!(parse_json(&format!("[{deepest}]")).is_err());
-    }
-
     const BASELINE: &str = include_str!("../../../results/baseline/trace_fault_chaos.json");
 
     /// What the `trace` bin does with a file the user names, short of
@@ -777,11 +524,30 @@ mod tests {
         }
     }
 
+    /// The readers against the files in the tree, so one that drifts from
+    /// them fails `cargo test` and not only the CI smoke job.
     #[test]
     fn the_committed_baseline_loads() {
-        let tf = TraceFile::parse(BASELINE).expect("baseline parses");
+        let results = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
+        let tf = TraceFile::load(&results.join("baseline/trace_fault_chaos.json"))
+            .expect("baseline loads");
         assert_eq!(tf.workload, "fault_chaos");
         assert!(!tf.flows.is_empty() && !tf.stages.is_empty());
+        assert!(tf.violations().is_empty());
+
+        let bench = std::fs::read_to_string(results.join("BENCH_shm.json")).expect("BENCH_shm");
+        let bench = parse_json(&bench).expect("BENCH_shm.json parses");
+        assert_eq!(
+            bench.get("bench").and_then(Json::as_str),
+            Some("shm_exchange")
+        );
+        let rows = bench.get("rows").and_then(Json::as_arr).expect("rows");
+        assert!(!rows.is_empty());
+        for row in rows {
+            assert!(row.get("messages").and_then(Json::as_u64).is_some());
+            assert!(matches!(row.get("gb_per_sec"), Some(Json::Num(_))));
+            assert!(row.get("receiver_report").and_then(Json::as_str).is_some());
+        }
     }
 
     fn sample_doc(wire_vals: &[u64]) -> String {

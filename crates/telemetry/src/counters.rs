@@ -1,4 +1,6 @@
-//! Relaxed-atomic counters and the registry that owns the shared ones.
+//! Relaxed-atomic counters, the one definition of each ledger (its counter
+//! struct, its snapshot struct and the field table every walk is written
+//! over), and the registry that owns the shared ones.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -6,7 +8,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::flow::FlowRecorder;
-use crate::snapshot::{ArenaSnapshot, CqSnapshot, RuntimeSnapshot, WireSnapshot};
 
 /// Number of distinct completion statuses a CQ can classify.
 ///
@@ -74,42 +75,184 @@ pub fn segments_for(bytes: u64, mtu: usize) -> u64 {
     (bytes as usize).div_ceil(mtu.max(1)).max(1) as u64
 }
 
-/// Per-queue-pair ledger. One instance per QP, owned by the QP itself.
-#[derive(Debug, Default)]
-pub struct QpCounters {
-    /// Send WRs accepted by `post_send` (a claimed send slot each).
-    pub send_posted: Counter,
-    /// Receive WRs accepted by `post_recv`.
-    pub recv_posted: Counter,
-    /// Receive WRs consumed by an arriving message.
-    pub recv_consumed: Counter,
-    /// Send WRs completed with `WcStatus::Success`.
-    pub completed_success: Counter,
-    /// Send WRs completed with any error status.
-    pub completed_error: Counter,
-    /// Payload bytes across all accepted send WRs.
-    pub bytes_posted: Counter,
-    /// Payload bytes across successfully completed send WRs.
-    pub bytes_completed: Counter,
-    /// Times this QP was recovered from the Error state (drain + reconnect).
-    pub recoveries: Counter,
-    /// Send-slot releases that found the outstanding count already at zero.
-    /// Always zero unless the cap accounting is broken; checked by
-    /// [`crate::invariants::check`].
-    pub slot_underflows: Counter,
+/// One field of a ledger, as the `ledger!` definitions below state it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Field {
+    /// The struct member, the JSON key and the exposition suffix.
+    pub name: &'static str,
+    /// A value that may fall. A delta frame carries it as read at the window
+    /// end, where a monotone counter is subtracted.
+    pub gauge: bool,
+    /// The same at any `--jobs`. `false` for a value that depends on how pool
+    /// accesses interleave across shards: `Snapshot::ledger_digest` skips it
+    /// and a deterministic sampler zeroes it.
+    pub digest: bool,
 }
 
-/// Per-completion-queue ledger. One instance per CQ, owned by the CQ.
-#[derive(Debug, Default)]
-pub struct CqCounters {
-    /// CQEs pushed, bucketed by `WcStatus` discriminant.
-    pub pushed_by_status: [Counter; STATUS_SLOTS],
-    /// CQEs handed back to the application by `poll`.
-    pub polled: Counter,
-    /// CQEs for receive-side opcodes (Recv / RecvRdmaWithImm).
-    pub recv_pushed: Counter,
-    /// Bytes reported by receive-side CQEs.
-    pub recv_bytes: Counter,
+/// Defines one ledger: the `*Counters` struct the hot path increments and
+/// the `*Snapshot` struct of `u64`s everything else reads, plus the field
+/// table and the per-field walks (`fields`, `slots`, `delta`, `accum`) that
+/// the digest, the delta frames and every rendering are written over. A new
+/// counter is one line under `counted`; nothing else names it.
+///
+/// The two leading blocks splice members the walks do not cover (a row's
+/// identity, the CQ status array); `read` lists values the snapshot holds
+/// and the counters do not (live queue depths, a derived total).
+macro_rules! ledger {
+    (@gauge counter) => { false };
+    (@gauge gauge) => { true };
+    (@digest) => { true };
+    (@digest per_executor) => { false };
+    (
+        $(#[$cmeta:meta])*
+        $Counters:ident { $($(#[$xm:meta])* $xf:ident: $xt:ty,)* }
+        $(#[$smeta:meta])*
+        $Snapshot:ident { $($(#[$km:meta])* $kf:ident: $kt:ty,)* }
+        read { $($(#[$rm:meta])* $rkind:ident $rf:ident,)* }
+        counted { $($(#[$fm:meta])* $kind:ident $f:ident $(: $flag:ident)?,)* }
+    ) => {
+        $(#[$cmeta])*
+        #[derive(Debug, Default)]
+        pub struct $Counters {
+            $($(#[$xm])* pub $xf: $xt,)*
+            $($(#[$fm])* pub $f: Counter,)*
+        }
+
+        $(#[$smeta])*
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $Snapshot {
+            $($(#[$km])* pub $kf: $kt,)*
+            $($(#[$rm])* pub $rf: u64,)*
+            $($(#[$fm])* pub $f: u64,)*
+        }
+
+        impl $Counters {
+            /// Read every counter onto `head`, which brings the members the
+            /// counters do not hold.
+            pub fn snapshot_onto(&self, mut head: $Snapshot) -> $Snapshot {
+                $(head.$f = self.$f.get();)*
+                head
+            }
+        }
+
+        impl $Snapshot {
+            /// Number of ledger fields.
+            pub const LEN: usize = Self::FIELDS.len();
+
+            /// The ledger's fields in definition order (`read` first): the
+            /// order of every export and of the digest fold.
+            pub const FIELDS: &'static [Field] = &[
+                $(Field {
+                    name: stringify!($rf),
+                    gauge: ledger!(@gauge $rkind),
+                    digest: true,
+                },)*
+                $(Field {
+                    name: stringify!($f),
+                    gauge: ledger!(@gauge $kind),
+                    digest: ledger!(@digest $($flag)?),
+                },)*
+            ];
+
+            /// Every field as a `(name, value)` pair, in [`Self::FIELDS`] order.
+            pub fn fields(&self) -> [(&'static str, u64); Self::LEN] {
+                [$((stringify!($rf), self.$rf),)* $((stringify!($f), self.$f),)*]
+            }
+
+            /// Every field's storage, in [`Self::FIELDS`] order.
+            pub fn slots(&mut self) -> [&mut u64; Self::LEN] {
+                [$(&mut self.$rf,)* $(&mut self.$f,)*]
+            }
+
+            /// `cur - prev`: counters subtracted (saturating), gauges and the
+            /// members outside the field table as `cur` has them.
+            pub(crate) fn delta(prev: &Self, cur: &Self) -> Self {
+                let mut d = cur.clone();
+                for ((f, d), (_, p)) in Self::FIELDS.iter().zip(d.slots()).zip(prev.fields()) {
+                    if !f.gauge {
+                        *d = d.saturating_sub(p);
+                    }
+                }
+                d
+            }
+
+            /// Add a delta back on: counters summed, gauges overwritten.
+            pub(crate) fn accum(&mut self, delta: &Self) {
+                for ((f, a), (_, d)) in Self::FIELDS.iter().zip(self.slots()).zip(delta.fields()) {
+                    *a = if f.gauge { d } else { *a + d };
+                }
+            }
+        }
+    };
+}
+
+ledger! {
+    /// Per-queue-pair ledger. One instance per QP, owned by the QP itself.
+    QpCounters {}
+    /// Frozen view of one queue pair's ledger plus its live state.
+    QpSnapshot {
+        /// Node that owns the QP.
+        node: u32,
+        /// QP number.
+        qp_num: u32,
+        /// QP state name at snapshot time (e.g. `"RTS"`, `"Error"`).
+        state: &'static str,
+    }
+    read {
+        /// Send WRs currently posted but not yet completed (live slot count).
+        gauge outstanding,
+        /// Receive WRs currently posted but not yet consumed.
+        gauge recv_queue_depth,
+    }
+    counted {
+        /// Send WRs accepted by `post_send` (a claimed send slot each).
+        counter send_posted,
+        /// Receive WRs accepted by `post_recv`.
+        counter recv_posted,
+        /// Receive WRs consumed by an arriving message.
+        counter recv_consumed,
+        /// Send WRs completed with `WcStatus::Success`.
+        counter completed_success,
+        /// Send WRs completed with any error status.
+        counter completed_error,
+        /// Payload bytes across all accepted send WRs.
+        counter bytes_posted,
+        /// Payload bytes across successfully completed send WRs.
+        counter bytes_completed,
+        /// Times this QP was recovered from the Error state (drain + reconnect).
+        counter recoveries,
+        /// Send-slot releases that found the outstanding count already at zero.
+        /// Always zero unless the cap accounting is broken; checked by
+        /// [`crate::invariants::check`].
+        counter slot_underflows,
+    }
+}
+
+ledger! {
+    /// Per-completion-queue ledger. One instance per CQ, owned by the CQ.
+    CqCounters {
+        /// CQEs pushed, bucketed by `WcStatus` discriminant.
+        pushed_by_status: [Counter; STATUS_SLOTS],
+    }
+    /// Frozen view of one completion queue's ledger.
+    CqSnapshot {
+        /// CQ identifier.
+        cq_id: u32,
+        /// CQEs pushed, bucketed by `WcStatus` discriminant.
+        pushed_by_status: [u64; STATUS_SLOTS],
+    }
+    read {
+        /// Total CQEs pushed across all statuses.
+        counter pushed_total,
+    }
+    counted {
+        /// CQEs handed back to the application by `poll`.
+        counter polled,
+        /// CQEs for receive-side opcodes (Recv / RecvRdmaWithImm).
+        counter recv_pushed,
+        /// Bytes reported by receive-side CQEs.
+        counter recv_bytes,
+    }
 }
 
 impl CqCounters {
@@ -119,102 +262,117 @@ impl CqCounters {
     }
 }
 
-/// Wire-level ledger shared by every fabric decorator in a network.
-///
-/// Sites are chosen so the conservation laws in [`crate::invariants`] hold
-/// exactly: each physical event increments exactly one counter here.
-#[derive(Debug, Default)]
-pub struct WireCounters {
-    /// Transfers handed to the innermost (delivering) fabric. Retransmits
-    /// and duplicates count again; dropped and fault-injected ones never
-    /// arrive here.
-    pub inner_submissions: Counter,
-    /// Lossy-wire retransmissions scheduled after a drop.
-    pub retransmits: Counter,
-    /// Transfers the lossy wire dropped (original attempts and retries).
-    pub dropped: Counter,
-    /// Ghost duplicates the lossy wire injected alongside an original.
-    pub duplicates_injected: Counter,
-    /// Transfers the lossy wire delayed beyond the base latency.
-    pub delayed: Counter,
-    /// Transfers whose retry budget ran out (surfaced as `RetryExceeded`).
-    pub exhausted: Counter,
-    /// Completions the faulty fabric failed without attempting delivery.
-    pub injected_faults: Counter,
-    /// RNR re-arms: delivery attempts repeated because the receiver had no
-    /// receive WR posted yet.
-    pub rnr_requeues: Counter,
-    /// MTU segments serialized by the simulated fabric.
-    pub mtu_segments: Counter,
-    /// Calls into the delivery engine (including RNR repeats).
-    pub delivery_attempts: Counter,
-    /// Attempts that landed payload bytes in the target region.
-    pub delivered: Counter,
-    /// Subset of `delivered` carried by ghost duplicates.
-    pub delivered_ghost: Counter,
-    /// Attempts suppressed by the PSN filter (payload already applied).
-    pub duplicates_suppressed: Counter,
-    /// Attempts that failed remote key/address validation (or could not
-    /// resolve the destination).
-    pub remote_errors: Counter,
-    /// Attempts that found no receive WR posted (single RNR event; the
-    /// requeue that may follow is counted separately).
-    pub receiver_not_ready: Counter,
-    /// Attempts whose payload exceeded the receive WR's scatter space.
-    pub length_errors: Counter,
-    /// Payload bytes landed in target memory regions.
-    pub bytes_delivered: Counter,
-    /// Receive-side CQEs generated by deliveries.
-    pub recv_cqes: Counter,
+ledger! {
+    /// Wire-level ledger shared by every fabric decorator in a network.
+    ///
+    /// Sites are chosen so the conservation laws in [`crate::invariants`] hold
+    /// exactly: each physical event increments exactly one counter here.
+    WireCounters {}
+    /// Frozen view of the wire ledger.
+    WireSnapshot {}
+    read {}
+    counted {
+        /// Transfers handed to the innermost (delivering) fabric. Retransmits
+        /// and duplicates count again; dropped and fault-injected ones never
+        /// arrive here.
+        counter inner_submissions,
+        /// Lossy-wire retransmissions scheduled after a drop.
+        counter retransmits,
+        /// Transfers the lossy wire dropped (original attempts and retries).
+        counter dropped,
+        /// Ghost duplicates the lossy wire injected alongside an original.
+        counter duplicates_injected,
+        /// Transfers the lossy wire delayed beyond the base latency.
+        counter delayed,
+        /// Transfers whose retry budget ran out (surfaced as `RetryExceeded`).
+        counter exhausted,
+        /// Completions the faulty fabric failed without attempting delivery.
+        counter injected_faults,
+        /// RNR re-arms: delivery attempts repeated because the receiver had no
+        /// receive WR posted yet.
+        counter rnr_requeues,
+        /// MTU segments serialized by the simulated fabric.
+        counter mtu_segments,
+        /// Calls into the delivery engine (including RNR repeats).
+        counter delivery_attempts,
+        /// Attempts that landed payload bytes in the target region.
+        counter delivered,
+        /// Subset of `delivered` carried by ghost duplicates.
+        counter delivered_ghost,
+        /// Attempts suppressed by the PSN filter (payload already applied).
+        counter duplicates_suppressed,
+        /// Attempts that failed remote key/address validation (or could not
+        /// resolve the destination).
+        counter remote_errors,
+        /// Attempts that found no receive WR posted (single RNR event; the
+        /// requeue that may follow is counted separately).
+        counter receiver_not_ready,
+        /// Attempts whose payload exceeded the receive WR's scatter space.
+        counter length_errors,
+        /// Payload bytes landed in target memory regions.
+        counter bytes_delivered,
+        /// Receive-side CQEs generated by deliveries.
+        counter recv_cqes,
+    }
 }
 
-/// Runtime-level ledger for the MPI Partitioned aggregation layer.
-#[derive(Debug, Default)]
-pub struct RuntimeCounters {
-    /// `pready` calls accepted across all send requests.
-    pub preadys: Counter,
-    /// δ-timer expirations that flushed a partition group.
-    pub timer_fires: Counter,
-    /// Aggregated work requests posted (one WR may carry many partitions).
-    pub aggregated_wrs: Counter,
-    /// Partitions carried by those WRs.
-    pub partitions_posted: Counter,
-    /// WRs spilled to the pending queue because the send queue was full.
-    pub pending_spills: Counter,
-    /// Pending WRs successfully re-posted by the progress engine.
-    pub pending_reposts: Counter,
-    /// Request-level recovery cycles (QP drain + byte-identical re-post).
-    pub recoveries: Counter,
-    /// Transport plans resolved from a tuning-table hit.
-    pub table_decisions: Counter,
-    /// Transport plans that fell back from the table to the model.
-    pub table_fallback_decisions: Counter,
-    /// Transport plans computed directly from the LogGP model.
-    pub model_decisions: Counter,
-    /// Transport plans with a fixed (non-adaptive) mapping.
-    pub fixed_decisions: Counter,
+ledger! {
+    /// Runtime-level ledger for the MPI Partitioned aggregation layer.
+    RuntimeCounters {}
+    /// Frozen view of the runtime ledger.
+    RuntimeSnapshot {}
+    read {}
+    counted {
+        /// `pready` calls accepted across all send requests.
+        counter preadys,
+        /// δ-timer expirations that flushed a partition group.
+        counter timer_fires,
+        /// Aggregated work requests posted (one WR may carry many partitions).
+        counter aggregated_wrs,
+        /// Partitions carried by those WRs.
+        counter partitions_posted,
+        /// WRs spilled to the pending queue because the send queue was full.
+        counter pending_spills,
+        /// Pending WRs successfully re-posted by the progress engine.
+        counter pending_reposts,
+        /// Request-level recovery cycles (QP drain + byte-identical re-post).
+        counter recoveries,
+        /// Transport plans resolved from a tuning-table hit.
+        counter table_decisions,
+        /// Transport plans that fell back from the table to the model.
+        counter table_fallback_decisions,
+        /// Transport plans computed directly from the LogGP model.
+        counter model_decisions,
+        /// Transport plans with a fixed (non-adaptive) mapping.
+        counter fixed_decisions,
+    }
 }
 
-/// Payload-arena ledger: the data plane's buffer-recycling pool.
-///
-/// The arena hands out pooled payload buffers (inline snapshots,
-/// retransmission slots); these counters reconcile the pool's books. The
-/// conservation laws are checked by [`crate::invariants::check`]:
-/// `pool_gets == pool_hits + pool_misses` and `pool_returns <= pool_gets`.
-#[derive(Debug, Default)]
-pub struct ArenaCounters {
-    /// Buffers requested from the arena.
-    pub pool_gets: Counter,
-    /// Requests satisfied by recycling a previously returned buffer.
-    pub pool_hits: Counter,
-    /// Requests that had to allocate a fresh buffer (cold pool, oversized
-    /// payload, or a full size class).
-    pub pool_misses: Counter,
-    /// Buffers handed back to the pool when their last reference dropped.
-    pub pool_returns: Counter,
-    /// High-water mark of concurrently live (handed-out, not yet returned)
-    /// buffers.
-    pub live_high_water: Counter,
+ledger! {
+    /// Payload-arena ledger: the data plane's buffer-recycling pool.
+    ///
+    /// The arena hands out pooled payload buffers (inline snapshots,
+    /// retransmission slots); these counters reconcile the pool's books. The
+    /// conservation laws are checked by [`crate::invariants::check`]:
+    /// `pool_gets == pool_hits + pool_misses` and `pool_returns <= pool_gets`.
+    ArenaCounters {}
+    /// Frozen view of the payload-arena ledger.
+    ArenaSnapshot {}
+    read {}
+    counted {
+        /// Buffers requested from the arena.
+        counter pool_gets,
+        /// Requests satisfied by recycling a previously returned buffer.
+        counter pool_hits: per_executor,
+        /// Requests that had to allocate a fresh buffer (cold pool, oversized
+        /// payload, or a full size class).
+        counter pool_misses: per_executor,
+        /// Buffers handed back to the pool when their last reference dropped.
+        counter pool_returns,
+        /// High-water mark of concurrently live (handed-out, not yet returned)
+        /// buffers.
+        gauge live_high_water: per_executor,
+    }
 }
 
 /// The shared half of a network's telemetry: wire + runtime counters and
@@ -253,70 +411,15 @@ impl Registry {
         self.cqs
             .lock()
             .iter()
-            .map(|(id, c)| CqSnapshot {
-                cq_id: *id,
-                pushed_by_status: c.pushed_by_status.each_ref().map(Counter::get),
-                pushed_total: c.pushed_total(),
-                polled: c.polled.get(),
-                recv_pushed: c.recv_pushed.get(),
-                recv_bytes: c.recv_bytes.get(),
+            .map(|(id, c)| {
+                c.snapshot_onto(CqSnapshot {
+                    cq_id: *id,
+                    pushed_by_status: c.pushed_by_status.each_ref().map(Counter::get),
+                    pushed_total: c.pushed_total(),
+                    ..CqSnapshot::default()
+                })
             })
             .collect()
-    }
-
-    /// Snapshot the wire ledger.
-    pub fn wire_snapshot(&self) -> WireSnapshot {
-        let w = &self.wire;
-        WireSnapshot {
-            inner_submissions: w.inner_submissions.get(),
-            retransmits: w.retransmits.get(),
-            dropped: w.dropped.get(),
-            duplicates_injected: w.duplicates_injected.get(),
-            delayed: w.delayed.get(),
-            exhausted: w.exhausted.get(),
-            injected_faults: w.injected_faults.get(),
-            rnr_requeues: w.rnr_requeues.get(),
-            mtu_segments: w.mtu_segments.get(),
-            delivery_attempts: w.delivery_attempts.get(),
-            delivered: w.delivered.get(),
-            delivered_ghost: w.delivered_ghost.get(),
-            duplicates_suppressed: w.duplicates_suppressed.get(),
-            remote_errors: w.remote_errors.get(),
-            receiver_not_ready: w.receiver_not_ready.get(),
-            length_errors: w.length_errors.get(),
-            bytes_delivered: w.bytes_delivered.get(),
-            recv_cqes: w.recv_cqes.get(),
-        }
-    }
-
-    /// Snapshot the runtime ledger.
-    pub fn runtime_snapshot(&self) -> RuntimeSnapshot {
-        let r = &self.runtime;
-        RuntimeSnapshot {
-            preadys: r.preadys.get(),
-            timer_fires: r.timer_fires.get(),
-            aggregated_wrs: r.aggregated_wrs.get(),
-            partitions_posted: r.partitions_posted.get(),
-            pending_spills: r.pending_spills.get(),
-            pending_reposts: r.pending_reposts.get(),
-            recoveries: r.recoveries.get(),
-            table_decisions: r.table_decisions.get(),
-            table_fallback_decisions: r.table_fallback_decisions.get(),
-            model_decisions: r.model_decisions.get(),
-            fixed_decisions: r.fixed_decisions.get(),
-        }
-    }
-
-    /// Snapshot the payload-arena ledger.
-    pub fn arena_snapshot(&self) -> ArenaSnapshot {
-        let a = &self.arena;
-        ArenaSnapshot {
-            pool_gets: a.pool_gets.get(),
-            pool_hits: a.pool_hits.get(),
-            pool_misses: a.pool_misses.get(),
-            pool_returns: a.pool_returns.get(),
-            live_high_water: a.live_high_water.get(),
-        }
     }
 }
 

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, Weak};
 
 use crate::flow::FlowLog;
-use crate::json::flightrec_json;
+use crate::json::{flightrec_json, write_json};
 use crate::timeseries::Sampler;
 
 /// Recorders consulted by the panic hook. A plain `std` mutex: the list is
@@ -129,9 +129,8 @@ impl FlightRecorder {
             }
             _ => Vec::new(),
         };
-        std::fs::create_dir_all(&self.dir)?;
         let path = self.path();
-        std::fs::write(&path, flightrec_json(&self.tag, reason, &frames, &flows))?;
+        write_json(&path, &flightrec_json(&self.tag, reason, &frames, &flows))?;
         Ok(Some(path))
     }
 

@@ -1,14 +1,16 @@
-//! Hand-written JSON writers for the export artifacts:
-//! `telemetry_<tag>.json` (full ledger + invariant report) and
-//! `trace_<tag>.json` (chrome-trace events plus flow events and stage
-//! histograms for the `trace` analyzer), loadable in `chrome://tracing` /
-//! Perfetto, which ignore the extra top-level keys.
+//! The one JSON module: the [`Json`] value, the writer (`Display`,
+//! [`write_json`]), the parser ([`parse_json`]), and the artifacts built on
+//! them — `telemetry_<tag>.json` (full ledger + invariant report),
+//! `trace_<tag>.json` (chrome-trace events plus flow events, stage
+//! histograms and sampled frames; `chrome://tracing` / Perfetto ignore the
+//! extra top-level keys) and `flightrec_<tag>.json`.
 //!
-//! The workspace has no serde; like the bench result writers, these build
-//! the strings directly. All keys are static and all values are integers
-//! or escaped strings, so the output is always valid JSON.
+//! The workspace has no serde. An artifact is a function that returns a
+//! [`Json`]; escaping, number formatting and line layout live in the writer
+//! and nowhere else, and every ledger object is rendered from its field
+//! table, so a counter added to a definition appears in every artifact.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -17,376 +19,559 @@ use crate::counters::STATUS_NAMES;
 use crate::flow::{FlowEvent, FlowStage};
 use crate::hist::HistSnapshot;
 use crate::invariants::Report;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{CqSnapshot, QpSnapshot, Snapshot};
 use crate::timeseries::Frame;
 use crate::trace::SpanEvent;
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number. The parser reads every number token as this, integers
+    /// included, unless an `f64` would round it. A non-finite value is
+    /// written as `null`.
+    Num(f64),
+    /// An integer an `f64` cannot hold (some past 2^53), so that a `u64` is
+    /// written and read back digit for digit. Build numbers with
+    /// `Json::from`, which picks the variant the parser would.
+    Big(u64),
+    /// A string (escapes decoded).
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in source order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array from anything that converts to values.
+    pub fn arr<V: Into<Json>>(items: impl IntoIterator<Item = V>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// Member lookup on an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         }
     }
-    out
+
+    /// The value as u64, if it is a non-negative integer in range.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Json::Big(n) => Some(n),
+            // 2^64 is the first f64 past u64::MAX; the cast below is exact.
+            Json::Num(n)
+                if n.fract() == 0.0 && (0.0..18_446_744_073_709_551_616.0).contains(&n) =>
+            {
+                Some(n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The value as &str, if a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a slice, if an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(a) => Some(a),
+            _ => None,
+        }
+    }
+}
+
+/// The first `f64` past `u64::MAX`; an integral `f64` below it casts exactly.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+
+json_from! {
+    bool => |v| Json::Bool(v),
+    u64 => |v| match v as f64 {
+        f if f as u128 == v as u128 => Json::Num(f),
+        _ => Json::Big(v),
+    },
+    u32 => |v| Json::from(v as u64),
+    usize => |v| Json::from(v as u64),
+    f64 => |v| Json::Num(v),
+    &str => |v| Json::Str(v.to_string()),
+    String => |v| Json::Str(v),
+}
+
+/// Containers nested this deep or deeper are written on one line; above it
+/// every member gets its own line. Two levels put one span, flow event,
+/// frame, QP row or top-level counter on each line of an artifact.
+const INLINE_DEPTH: usize = 2;
+
+/// The writer: `to_string()` or `{}`. One escaping rule, one number rule (an
+/// integer below 2^64 in full decimal digits, any other `f64` in Rust's
+/// shortest round-trip form), one layout rule (`INLINE_DEPTH`).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0)
+    }
+}
+
+fn write_value(f: &mut fmt::Formatter<'_>, v: &Json, depth: usize) -> fmt::Result {
+    match v {
+        Json::Null => f.write_str("null"),
+        Json::Bool(b) => write!(f, "{b}"),
+        Json::Big(n) => write!(f, "{n}"),
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < TWO_POW_64 => write!(f, "{}", *n as i128),
+        Json::Num(n) if n.is_finite() => write!(f, "{n:?}"),
+        Json::Num(_) => f.write_str("null"),
+        Json::Str(s) => write_str(f, s),
+        Json::Arr(items) => write_seq(f, '[', ']', depth, items.len(), |f, i| {
+            write_value(f, &items[i], depth + 1)
+        }),
+        Json::Obj(members) => write_seq(f, '{', '}', depth, members.len(), |f, i| {
+            let (k, v) = &members[i];
+            write_str(f, k)?;
+            f.write_str(": ")?;
+            write_value(f, v, depth + 1)
+        }),
+    }
+}
+
+fn write_seq(
+    f: &mut fmt::Formatter<'_>,
+    open: char,
+    close: char,
+    depth: usize,
+    len: usize,
+    mut item: impl FnMut(&mut fmt::Formatter<'_>, usize) -> fmt::Result,
+) -> fmt::Result {
+    let broken = depth < INLINE_DEPTH && len > 0;
+    f.write_char(open)?;
+    for i in 0..len {
+        if i > 0 {
+            f.write_char(',')?;
+        }
+        if broken {
+            write!(f, "\n{:1$}", "", 2 * (depth + 1))?;
+        } else if i > 0 {
+            f.write_char(' ')?;
+        }
+        item(f, i)?;
+    }
+    if broken {
+        write!(f, "\n{:1$}", "", 2 * depth)?;
+    }
+    f.write_char(close)
+}
+
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// Write `doc` and a final newline to `path`, creating parent directories as
+/// needed.
+pub fn write_json(path: &Path, doc: &Json) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    fs::write(path, format!("{doc}\n"))
+}
+
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level and the `trace` bin feeds it files the user names, so an
+/// unbounded depth is a stack overflow on demand; a sampled trace, the
+/// deepest artifact the repository writes, nests seven deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Errors carry the byte offset of the problem.
+pub fn parse_json(src: &str) -> Result<Json, String> {
+    let b = src.as_bytes();
+    let mut pos = 0;
+    let v = parse_value(b, &mut pos, 0)?;
+    skip_ws(b, &mut pos);
+    if pos != b.len() {
+        return Err(format!("trailing bytes at offset {pos}"));
+    }
+    Ok(v)
+}
+
+fn skip_ws(b: &[u8], pos: &mut usize) {
+    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+    skip_ws(b, pos);
+    if *pos < b.len() && b[*pos] == c {
+        *pos += 1;
+        Ok(())
+    } else {
+        Err(format!("expected '{}' at offset {}", c as char, *pos))
+    }
+}
+
+/// Parse the value at `pos`, itself `depth` arrays/objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    skip_ws(b, pos);
+    match b.get(*pos) {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {}",
+            *pos
+        )),
+        Some(b'{') => {
+            *pos += 1;
+            let mut members = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Obj(members));
+            }
+            loop {
+                skip_ws(b, pos);
+                let key = match parse_value(b, pos, depth + 1)? {
+                    Json::Str(s) => s,
+                    _ => return Err(format!("object key is not a string at offset {}", *pos)),
+                };
+                expect(b, pos, b':')?;
+                members.push((key, parse_value(b, pos, depth + 1)?));
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Json::Obj(members));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
+                }
+            }
+        }
+        Some(b'[') => {
+            *pos += 1;
+            let mut items = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(parse_value(b, pos, depth + 1)?);
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
+                }
+            }
+        }
+        Some(b'"') => {
+            *pos += 1;
+            let mut s = String::new();
+            loop {
+                match b.get(*pos) {
+                    None => return Err("unterminated string".into()),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(Json::Str(s));
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match b.get(*pos) {
+                            Some(b'"') => s.push('"'),
+                            Some(b'\\') => s.push('\\'),
+                            Some(b'/') => s.push('/'),
+                            Some(b'n') => s.push('\n'),
+                            Some(b't') => s.push('\t'),
+                            Some(b'r') => s.push('\r'),
+                            Some(b'b') => s.push('\u{8}'),
+                            Some(b'f') => s.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = b
+                                    .get(*pos + 1..*pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or_else(|| format!("bad \\u escape at offset {}", *pos))?;
+                                // The writer leaves everything past U+001F
+                                // unescaped, so surrogate pairs do not occur
+                                // in our files; a lone one reads as U+FFFD.
+                                s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                                *pos += 4;
+                            }
+                            _ => return Err(format!("bad escape at offset {}", *pos)),
+                        }
+                        *pos += 1;
+                    }
+                    Some(&c) => {
+                        // Multi-byte UTF-8 sequences pass through untouched.
+                        let start = *pos;
+                        let len = if c < 0x80 {
+                            1
+                        } else if c >> 5 == 0b110 {
+                            2
+                        } else if c >> 4 == 0b1110 {
+                            3
+                        } else {
+                            4
+                        };
+                        let chunk = b
+                            .get(start..start + len)
+                            .and_then(|ch| std::str::from_utf8(ch).ok())
+                            .ok_or_else(|| format!("bad utf-8 at offset {start}"))?;
+                        s.push_str(chunk);
+                        *pos += len;
+                    }
+                }
+            }
+        }
+        Some(b't') if b[*pos..].starts_with(b"true") => {
+            *pos += 4;
+            Ok(Json::Bool(true))
+        }
+        Some(b'f') if b[*pos..].starts_with(b"false") => {
+            *pos += 5;
+            Ok(Json::Bool(false))
+        }
+        Some(b'n') if b[*pos..].starts_with(b"null") => {
+            *pos += 4;
+            Ok(Json::Null)
+        }
+        Some(_) => {
+            let start = *pos;
+            while *pos < b.len()
+                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                *pos += 1;
+            }
+            let text = std::str::from_utf8(&b[start..*pos]).expect("the token is ASCII");
+            // Digits alone that fit a u64 stay exact (`Big` where an f64
+            // would round them); anything else is an f64. Rust's parsers take
+            // a leading `+` and overflow to infinity; JSON has neither.
+            let num = match text.parse::<u64>() {
+                Ok(n) => Some(Json::from(n)),
+                Err(_) => text
+                    .parse()
+                    .ok()
+                    .filter(|n: &f64| n.is_finite())
+                    .map(Json::Num),
+            };
+            let num = num.filter(|_| !text.starts_with('+'));
+            num.ok_or_else(|| format!("bad number at offset {start}"))
+        }
+        None => Err("unexpected end of input".into()),
+    }
+}
+
+/// A ledger's `(name, value)` pairs as object members.
+fn counters<const N: usize>(
+    fields: [(&'static str, u64); N],
+) -> impl Iterator<Item = (&'static str, Json)> {
+    fields.into_iter().map(|(k, v)| (k, v.into()))
+}
+
+/// One QP row: identity, then the ledger. The same in the telemetry artifact
+/// and in a frame.
+fn qp_obj(q: &QpSnapshot) -> Json {
+    let head = [
+        ("node", q.node.into()),
+        ("qp_num", q.qp_num.into()),
+        ("state", q.state.into()),
+    ];
+    Json::obj(head.into_iter().chain(counters(q.fields())))
+}
+
+/// One CQ row. `pushed` is the per-status breakdown: keyed by status name in
+/// the telemetry artifact, a bare array in a frame.
+fn cq_obj(c: &CqSnapshot, pushed: Json) -> Json {
+    let head = [("cq_id", c.cq_id.into()), ("pushed", pushed)];
+    Json::obj(head.into_iter().chain(counters(c.fields())))
 }
 
 /// Render a snapshot plus its invariant report as a JSON document and
 /// write it to `path`, creating parent directories as needed.
 pub fn write_telemetry_json(path: &Path, snap: &Snapshot, report: &Report) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, telemetry_json(snap, report))
+    write_json(path, &telemetry_json(snap, report))
 }
 
-fn telemetry_json(snap: &Snapshot, report: &Report) -> String {
-    let mut s = String::with_capacity(4096);
-    s.push_str("{\n  \"qps\": [");
-    for (i, q) in snap.qps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+fn telemetry_json(snap: &Snapshot, report: &Report) -> Json {
+    let cq = |c: &CqSnapshot| {
+        let by_name = STATUS_NAMES.into_iter().zip(c.pushed_by_status);
+        cq_obj(c, Json::obj(by_name.map(|(k, v)| (k, v.into()))))
+    };
+    // The artifact groups the plan-source counters: every
+    // `<source>_decisions` field is `decisions.<source>`.
+    let (mut runtime, mut decisions) = (Vec::new(), Vec::new());
+    for (k, v) in counters(snap.runtime.fields()) {
+        match k.strip_suffix("_decisions") {
+            Some(source) => decisions.push((source, v)),
+            None => runtime.push((k, v)),
         }
-        let _ = write!(
-            s,
-            "\n    {{\"node\": {}, \"qp_num\": {}, \"state\": \"{}\", \"outstanding\": {}, \
-             \"recv_queue_depth\": {}, \"send_posted\": {}, \"recv_posted\": {}, \
-             \"recv_consumed\": {}, \"completed_success\": {}, \"completed_error\": {}, \
-             \"bytes_posted\": {}, \"bytes_completed\": {}, \"recoveries\": {}, \
-             \"slot_underflows\": {}}}",
-            q.node,
-            q.qp_num,
-            escape(q.state),
-            q.outstanding,
-            q.recv_queue_depth,
-            q.send_posted,
-            q.recv_posted,
-            q.recv_consumed,
-            q.completed_success,
-            q.completed_error,
-            q.bytes_posted,
-            q.bytes_completed,
-            q.recoveries,
-            q.slot_underflows,
-        );
     }
-    s.push_str("\n  ],\n  \"cqs\": [");
-    for (i, c) in snap.cqs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n    {{\"cq_id\": {}, \"pushed\": {{", c.cq_id);
-        for (j, (name, count)) in STATUS_NAMES.iter().zip(c.pushed_by_status).enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{name}\": {count}");
-        }
-        let _ = write!(
-            s,
-            "}}, \"pushed_total\": {}, \"polled\": {}, \"recv_pushed\": {}, \"recv_bytes\": {}}}",
-            c.pushed_total, c.polled, c.recv_pushed, c.recv_bytes,
-        );
-    }
-    let w = &snap.wire;
-    let _ = write!(
-        s,
-        "\n  ],\n  \"wire\": {{\n    \"inner_submissions\": {}, \"retransmits\": {}, \
-         \"dropped\": {}, \"duplicates_injected\": {}, \"delayed\": {}, \"exhausted\": {},\n    \
-         \"injected_faults\": {}, \"rnr_requeues\": {}, \"mtu_segments\": {}, \
-         \"delivery_attempts\": {},\n    \"delivered\": {}, \"delivered_ghost\": {}, \
-         \"duplicates_suppressed\": {}, \"remote_errors\": {},\n    \"receiver_not_ready\": {}, \
-         \"length_errors\": {}, \"bytes_delivered\": {}, \"recv_cqes\": {}\n  }},",
-        w.inner_submissions,
-        w.retransmits,
-        w.dropped,
-        w.duplicates_injected,
-        w.delayed,
-        w.exhausted,
-        w.injected_faults,
-        w.rnr_requeues,
-        w.mtu_segments,
-        w.delivery_attempts,
-        w.delivered,
-        w.delivered_ghost,
-        w.duplicates_suppressed,
-        w.remote_errors,
-        w.receiver_not_ready,
-        w.length_errors,
-        w.bytes_delivered,
-        w.recv_cqes,
-    );
-    let r = &snap.runtime;
-    let _ = write!(
-        s,
-        "\n  \"runtime\": {{\n    \"preadys\": {}, \"timer_fires\": {}, \"aggregated_wrs\": {}, \
-         \"partitions_posted\": {},\n    \"pending_spills\": {}, \"pending_reposts\": {}, \
-         \"recoveries\": {},\n    \"decisions\": {{\"table\": {}, \"table_fallback\": {}, \
-         \"model\": {}, \"fixed\": {}}}\n  }},",
-        r.preadys,
-        r.timer_fires,
-        r.aggregated_wrs,
-        r.partitions_posted,
-        r.pending_spills,
-        r.pending_reposts,
-        r.recoveries,
-        r.table_decisions,
-        r.table_fallback_decisions,
-        r.model_decisions,
-        r.fixed_decisions,
-    );
-    let a = &snap.arena;
-    let _ = write!(
-        s,
-        "\n  \"arena\": {{\n    \"pool_gets\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
-         \"pool_returns\": {}, \"live_high_water\": {}\n  }},",
-        a.pool_gets, a.pool_hits, a.pool_misses, a.pool_returns, a.live_high_water,
-    );
-    let _ = write!(
-        s,
-        "\n  \"invariants\": {{\n    \"clean\": {},\n    \"violations\": [",
-        report.is_clean(),
-    );
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n      \"{}\"", escape(&v.to_string()));
-    }
-    s.push_str("\n    ]\n  }\n}\n");
-    s
+    runtime.push(("decisions", Json::obj(decisions)));
+    Json::obj([
+        ("qps", Json::arr(snap.qps.iter().map(qp_obj))),
+        ("cqs", Json::arr(snap.cqs.iter().map(cq))),
+        ("wire", Json::obj(counters(snap.wire.fields()))),
+        ("runtime", Json::obj(runtime)),
+        ("arena", Json::obj(counters(snap.arena.fields()))),
+        (
+            "invariants",
+            Json::obj([
+                ("clean", report.is_clean().into()),
+                (
+                    "violations",
+                    Json::arr(report.violations.iter().map(|v| v.to_string())),
+                ),
+            ]),
+        ),
+    ])
 }
 
-/// Write spans as a chrome-trace JSON array-format file at `path`,
-/// creating parent directories as needed. Load in `chrome://tracing` or
-/// <https://ui.perfetto.dev>. Timestamps are converted from nanoseconds to
-/// the microseconds the format expects, preserving sub-µs precision as
-/// fractional values.
-pub fn write_chrome_trace(path: &Path, spans: &[SpanEvent]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, chrome_trace_json(spans))
+/// Nanoseconds as the microseconds chrome-trace expects; sub-µs precision
+/// survives as the fraction (exact below 2^53 ns, 104 days).
+fn micros(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1000.0)
 }
 
-fn chrome_trace_json(spans: &[SpanEvent]) -> String {
-    let mut s = String::with_capacity(128 + spans.len() * 128);
-    s.push_str("{\"traceEvents\": [");
-    for (i, e) in spans.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {}, \"tid\": {}, \
-             \"ts\": {}, \"dur\": {}}}",
-            escape(&e.name),
-            escape(e.cat),
-            e.pid,
-            e.tid,
-            micros(e.ts_ns),
-            micros(e.dur_ns),
-        );
-    }
-    s.push_str("\n], \"displayTimeUnit\": \"ns\"}\n");
-    s
+/// The `{"stage": {count, sum, max, buckets}}` map the `trace` analyzer
+/// reads, shared by the trace artifact and frame rendering.
+fn stage_map(stages: &[(&str, HistSnapshot)]) -> Json {
+    Json::obj(stages.iter().map(|(name, snap)| {
+        let buckets = snap
+            .buckets
+            .iter()
+            .map(|b| Json::arr([b.lo, b.hi, b.count]));
+        let hist = Json::obj([
+            ("count", snap.count.into()),
+            ("sum", snap.sum.into()),
+            ("max", snap.max.into()),
+            ("buckets", Json::arr(buckets)),
+        ]);
+        (*name, hist)
+    }))
 }
 
-/// Nanoseconds → microseconds with three decimal places, no float noise.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// One [`Frame`]: ledger deltas, stage windows and gauges under the key
+/// names of the telemetry artifact.
+fn frame_obj(f: &Frame) -> Json {
+    let d = &f.deltas;
+    let gauges = f.gauges.iter().map(|g| {
+        let pair = [("total", g.total.into()), ("delta", g.delta.into())];
+        (g.name, Json::obj(pair))
+    });
+    Json::obj([
+        ("seq", f.seq.into()),
+        ("t_ns", f.t_ns.into()),
+        ("span_ns", f.span_ns.into()),
+        ("qps", Json::arr(d.qps.iter().map(qp_obj))),
+        (
+            "cqs",
+            Json::arr(
+                d.cqs
+                    .iter()
+                    .map(|c| cq_obj(c, Json::arr(c.pushed_by_status))),
+            ),
+        ),
+        ("wire", Json::obj(counters(d.wire.fields()))),
+        ("runtime", Json::obj(counters(d.runtime.fields()))),
+        ("arena", Json::obj(counters(d.arena.fields()))),
+        ("stages", stage_map(&f.stages)),
+        ("gauges", Json::obj(gauges)),
+    ])
 }
 
-/// Append `"k": v` pairs, comma-separated, without surrounding braces.
-fn push_pairs(s: &mut String, pairs: &[(&'static str, u64)]) {
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{k}\": {v}");
-    }
+fn frames_value(frames: &[Frame]) -> Json {
+    Json::arr(frames.iter().map(frame_obj))
 }
 
-/// Append the `{"stage": {count, sum, max, buckets}}` map the `trace`
-/// analyzer reads, shared by the trace artifact and frame rendering.
-fn push_stage_map(s: &mut String, stages: &[(&str, HistSnapshot)], pad: &str) {
-    s.push('{');
-    for (i, (name, snap)) in stages.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n{pad}\"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [",
-            escape(name),
-            snap.count,
-            snap.sum,
-            snap.max,
-        );
-        for (j, b) in snap.buckets.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "[{}, {}, {}]", b.lo, b.hi, b.count);
-        }
-        s.push_str("]}");
-    }
-    if !stages.is_empty() {
-        s.push('\n');
-        s.push_str(&pad[..pad.len().saturating_sub(2)]);
-    }
-    s.push('}');
-}
-
-/// Append one [`Frame`] as a compact JSON object (ledger deltas, stage
-/// windows, gauges) with the same key names as the telemetry artifact.
-fn push_frame_obj(s: &mut String, f: &Frame) {
-    let _ = write!(
-        s,
-        "{{\"seq\": {}, \"t_ns\": {}, \"span_ns\": {}, \"qps\": [",
-        f.seq, f.t_ns, f.span_ns
-    );
-    for (i, q) in f.deltas.qps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"node\": {}, \"qp_num\": {}, \"state\": \"{}\", ",
-            q.node,
-            q.qp_num,
-            escape(q.state)
-        );
-        push_pairs(s, &q.counter_fields());
-        s.push('}');
-    }
-    s.push_str("], \"cqs\": [");
-    for (i, c) in f.deltas.cqs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"cq_id\": {}, \"pushed\": [", c.cq_id);
-        for (j, v) in c.pushed_by_status.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{v}");
-        }
-        s.push_str("], ");
-        push_pairs(s, &c.counter_fields());
-        s.push('}');
-    }
-    s.push_str("], \"wire\": {");
-    push_pairs(s, &f.deltas.wire.fields());
-    s.push_str("}, \"runtime\": {");
-    push_pairs(s, &f.deltas.runtime.fields());
-    s.push_str("}, \"arena\": {");
-    push_pairs(s, &f.deltas.arena.fields());
-    s.push_str("}, \"stages\": ");
-    push_stage_map(s, &f.stages, "    ");
-    s.push_str(", \"gauges\": {");
-    for (i, g) in f.gauges.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(
-            s,
-            "\"{}\": {{\"total\": {}, \"delta\": {}}}",
-            escape(g.name),
-            g.total,
-            g.delta
-        );
-    }
-    s.push_str("}}");
-}
-
-/// Render a frame sequence as a JSON array, one frame per line. This is
-/// the canonical rendering the determinism suites byte-compare, and the
-/// value of the `frames` key in trace and flight-recorder artifacts.
+/// Render a frame sequence as a JSON array. This is the canonical rendering
+/// the determinism suites byte-compare, and the value of the `frames` key in
+/// trace and flight-recorder artifacts.
 pub fn frames_json(frames: &[Frame]) -> String {
-    let mut s = String::with_capacity(64 + frames.len() * 512);
-    s.push('[');
-    for (i, f) in frames.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  ");
-        push_frame_obj(&mut s, f);
-    }
-    s.push_str("\n]");
-    s
+    frames_value(frames).to_string()
 }
 
-/// Append one flow event as the `[flow, "stage", ts, qp, chan, aux]` tuple
-/// the `trace` analyzer reads.
-fn push_flow_tuple(s: &mut String, e: &FlowEvent) {
-    let _ = write!(
-        s,
-        "[{}, \"{}\", {}, {}, {}, {}]",
-        e.flow,
-        e.stage.name(),
-        e.ts_ns,
-        e.qp,
-        e.chan,
-        e.aux,
-    );
+/// The flow log as the `[flow, "stage", ts, qp, chan, aux]` tuples the
+/// `trace` analyzer reads.
+fn flow_tuples(flows: &[FlowEvent]) -> Json {
+    Json::arr(flows.iter().map(|e| {
+        Json::Arr(vec![
+            e.flow.into(),
+            e.stage.name().into(),
+            e.ts_ns.into(),
+            e.qp.into(),
+            e.chan.into(),
+            e.aux.into(),
+        ])
+    }))
 }
 
-/// Render the flight-recorder dump: run metadata, the retained frame ring,
-/// and the tail of the flow log.
-pub fn flightrec_json(tag: &str, reason: &str, frames: &[Frame], flows: &[FlowEvent]) -> String {
-    let mut s = String::with_capacity(256 + frames.len() * 512 + flows.len() * 48);
-    let _ = write!(
-        s,
-        "{{\"meta\": {{\"tag\": \"{}\", \"reason\": \"{}\", \"format\": 1, \
-         \"frames\": {}, \"flow_tail\": {}}},\n\"frames\": ",
-        escape(tag),
-        escape(reason),
-        frames.len(),
-        flows.len(),
-    );
-    s.push_str(&frames_json(frames));
-    s.push_str(",\n\"flows\": [");
-    for (i, e) in flows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  ");
-        push_flow_tuple(&mut s, e);
-    }
-    s.push_str("\n]}\n");
-    s
+/// The flight-recorder dump: run metadata, the retained frame ring, and the
+/// tail of the flow log.
+pub(crate) fn flightrec_json(
+    tag: &str,
+    reason: &str,
+    frames: &[Frame],
+    flows: &[FlowEvent],
+) -> Json {
+    let meta = Json::obj([
+        ("tag", tag.into()),
+        ("reason", reason.into()),
+        ("format", 1u64.into()),
+        ("frames", frames.len().into()),
+        ("flow_tail", flows.len().into()),
+    ]);
+    Json::obj([
+        ("meta", meta),
+        ("frames", frames_value(frames)),
+        ("flows", flow_tuples(flows)),
+    ])
 }
 
 /// Write the full trace artifact for one run at `path`: chrome-trace span
 /// events plus, when flow tracing was armed, flow arrows ("s"/"f" pairs
 /// linking each flow's post to its arrival), the raw flow-event list, and
-/// the per-stage latency histograms. Chrome-trace viewers render the
-/// `traceEvents` array and ignore the extra keys; the `trace` analyzer
-/// reads `flows` and `stages`.
+/// the per-stage latency histograms; when the run was sampled, the frame
+/// ring under a `frames` key and per-window chrome counter tracks
+/// (`ph: "C"`) so Perfetto plots delivery and aggregation rates over the
+/// span timeline. Chrome-trace viewers render the `traceEvents` array and
+/// ignore the extra keys; the `trace` analyzer reads `flows`, `stages` and
+/// `frames`.
 pub fn write_trace_json(
-    path: &Path,
-    workload: &str,
-    spans: &[SpanEvent],
-    flows: &[FlowEvent],
-    stages: &[(&str, HistSnapshot)],
-) -> io::Result<()> {
-    write_trace_json_with_frames(path, workload, spans, flows, stages, &[])
-}
-
-/// [`write_trace_json`] plus the sampler's frame ring under a `frames`
-/// key, and per-window chrome counter tracks (`ph: "C"`) so Perfetto plots
-/// delivery and aggregation rates over the span timeline.
-pub fn write_trace_json_with_frames(
     path: &Path,
     workload: &str,
     spans: &[SpanEvent],
@@ -394,10 +579,7 @@ pub fn write_trace_json_with_frames(
     stages: &[(&str, HistSnapshot)],
     frames: &[Frame],
 ) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, trace_json(workload, spans, flows, stages, frames))
+    write_json(path, &trace_json(workload, spans, flows, stages, frames))
 }
 
 fn trace_json(
@@ -406,180 +588,459 @@ fn trace_json(
     flows: &[FlowEvent],
     stages: &[(&str, HistSnapshot)],
     frames: &[Frame],
-) -> String {
-    let mut s = String::with_capacity(256 + spans.len() * 128 + flows.len() * 48);
-    let _ = write!(
-        s,
-        "{{\"meta\": {{\"workload\": \"{}\", \"format\": 1}},\n\"traceEvents\": [",
-        escape(workload)
-    );
-    let mut first = true;
-    for e in spans {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(
-            s,
-            "\n  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {}, \"tid\": {}, \
-             \"ts\": {}, \"dur\": {}}}",
-            escape(&e.name),
-            escape(e.cat),
-            e.pid,
-            e.tid,
-            micros(e.ts_ns),
-            micros(e.dur_ns),
-        );
-    }
+) -> Json {
+    let mut events: Vec<Json> = Vec::with_capacity(spans.len() + flows.len() + 2 * frames.len());
+    events.extend(spans.iter().map(|e| {
+        Json::obj([
+            ("name", Json::from(&*e.name)),
+            ("cat", e.cat.into()),
+            ("ph", "X".into()),
+            ("pid", e.pid.into()),
+            ("tid", e.tid.into()),
+            ("ts", micros(e.ts_ns)),
+            ("dur", micros(e.dur_ns)),
+        ])
+    }));
     // Flow arrows: one "s" at the post, one "f" at the arrival, keyed by
     // the flow id so viewers draw the causal arrow across lanes.
-    for e in flows {
-        let ph = match e.stage {
-            FlowStage::Posted => "s",
-            FlowStage::Arrived => "f",
-            _ => continue,
+    events.extend(flows.iter().filter_map(|e| {
+        let (ph, bind, pid) = match e.stage {
+            FlowStage::Posted => ("s", None, 0u64),
+            FlowStage::Arrived => ("f", Some(("bp", "e".into())), 1),
+            _ => return None,
         };
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(
-            s,
-            "\n  {{\"name\": \"flow\", \"cat\": \"flow\", \"ph\": \"{}\", {}\"id\": {}, \
-             \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
-            ph,
-            if ph == "f" { "\"bp\": \"e\", " } else { "" },
-            e.flow,
-            if ph == "s" { 0 } else { 1 },
-            e.qp,
-            micros(e.ts_ns),
-        );
-    }
+        let head = [
+            ("name", "flow".into()),
+            ("cat", "flow".into()),
+            ("ph", ph.into()),
+        ];
+        let tail = [
+            ("id", e.flow.into()),
+            ("pid", pid.into()),
+            ("tid", e.qp.into()),
+            ("ts", micros(e.ts_ns)),
+        ];
+        Some(Json::obj(head.into_iter().chain(bind).chain(tail)))
+    }));
     // Counter tracks: one sample per frame, so viewers plot the windowed
     // delivery/aggregation rates alongside the span timeline.
     for f in frames {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let w = &f.deltas.wire;
-        let _ = write!(
-            s,
-            "\n  {{\"name\": \"wire_rate\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, \"ts\": {}, \
-             \"args\": {{\"delivered\": {}, \"retransmits\": {}, \"bytes_delivered\": {}}}}},\
-             \n  {{\"name\": \"runtime_rate\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, \"ts\": {}, \
-             \"args\": {{\"preadys\": {}, \"aggregated_wrs\": {}}}}}",
-            micros(f.t_ns),
-            w.delivered,
-            w.retransmits,
-            w.bytes_delivered,
-            micros(f.t_ns),
-            f.deltas.runtime.preadys,
-            f.deltas.runtime.aggregated_wrs,
-        );
+        let (w, r) = (&f.deltas.wire, &f.deltas.runtime);
+        let track = |name: &str, args: Json| {
+            Json::obj([
+                ("name", name.into()),
+                ("ph", "C".into()),
+                ("pid", 0u64.into()),
+                ("tid", 0u64.into()),
+                ("ts", micros(f.t_ns)),
+                ("args", args),
+            ])
+        };
+        events.push(track(
+            "wire_rate",
+            Json::obj([
+                ("delivered", w.delivered.into()),
+                ("retransmits", w.retransmits.into()),
+                ("bytes_delivered", w.bytes_delivered.into()),
+            ]),
+        ));
+        events.push(track(
+            "runtime_rate",
+            Json::obj([
+                ("preadys", r.preadys.into()),
+                ("aggregated_wrs", r.aggregated_wrs.into()),
+            ]),
+        ));
     }
-    s.push_str("\n],\n\"flows\": [");
-    for (i, e) in flows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  ");
-        push_flow_tuple(&mut s, e);
-    }
-    s.push_str("\n],\n\"stages\": ");
-    push_stage_map(&mut s, stages, "  ");
-    if !frames.is_empty() {
-        s.push_str(",\n\"frames\": ");
-        s.push_str(&frames_json(frames));
-    }
-    s.push_str(",\n\"displayTimeUnit\": \"ns\"}\n");
-    s
+    let meta = Json::obj([("workload", workload.into()), ("format", 1u64.into())]);
+    let sampled = (!frames.is_empty()).then(|| ("frames", frames_value(frames)));
+    Json::obj(
+        [
+            ("meta", meta),
+            ("traceEvents", Json::Arr(events)),
+            ("flows", flow_tuples(flows)),
+            ("stages", stage_map(stages)),
+        ]
+        .into_iter()
+        .chain(sampled)
+        .chain([("displayTimeUnit", "ns".into())]),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expo::frame_exposition;
+    use crate::flow::{FlowEvent, FlowStage};
     use crate::invariants;
-    use crate::snapshot::Snapshot;
-    use crate::trace::SpanEvent;
+    use crate::timeseries::{snapshot_accum, snapshot_delta, FrameGauge};
+    use proptest::prelude::*;
+
+    fn reparse(doc: &Json) -> Json {
+        let text = doc.to_string();
+        parse_json(&text).unwrap_or_else(|e| panic!("{e} in:\n{text}"))
+    }
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let s = Json::from("a\"b\\c\nd\u{1}é");
+        assert_eq!(s.to_string(), "\"a\\\"b\\\\c\\nd\\u0001é\"");
+        assert_eq!(reparse(&s), s);
     }
 
     #[test]
     fn micros_preserves_sub_us() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(1500), "1.500");
-        assert_eq!(micros(999), "0.999");
+        assert_eq!(micros(0).to_string(), "0");
+        assert_eq!(micros(1500).to_string(), "1.5");
+        assert_eq!(micros(999).to_string(), "0.999");
+        // The value the earlier fixed-point writer ("1234.567") read back as.
+        assert_eq!(Ok(micros(1_234_567)), parse_json("1234.567"));
+    }
+
+    #[test]
+    fn json_round_trips_nested_values() {
+        let doc =
+            parse_json(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny", "d": true, "e": null}}"#).unwrap();
+        assert_eq!(
+            doc.get("a"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Num(2.5),
+                Json::Num(-3.0)
+            ]))
+        );
+        assert_eq!(
+            doc.get("b").unwrap().get("c").unwrap().as_str(),
+            Some("x\ny")
+        );
+        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("b").unwrap().get("e"), Some(&Json::Null));
+        assert!(parse_json("{\"unterminated\": ").is_err());
+        assert!(parse_json("[1, 2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_error_names_the_offset() {
+        // 200 000 levels overflowed the stack (SIGABRT) before the bound.
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at offset 128");
+        let err = parse_json(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at offset 640");
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&deepest).is_ok());
+        assert!(parse_json(&format!("[{deepest}]")).is_err());
+    }
+
+    #[test]
+    fn numbers_are_exact_or_refused() {
+        // At the parent: 1.9 -> 1, 1e300 -> u64::MAX, "+1" -> 1, 1e999 -> inf.
+        assert_eq!(Json::Num(1.9).as_u64(), None);
+        assert_eq!(Json::Num(1e300).as_u64(), None);
+        assert_eq!(Json::Num(-1.0).as_u64(), None);
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(Json::Num(4096.0).as_u64(), Some(4096));
+        assert_eq!(Json::from(u64::MAX).as_u64(), Some(u64::MAX));
+        for bad in ["+1", "+1.5", "1e999", "-1e999", "-", "1e", "--1", "x"] {
+            assert!(parse_json(bad).is_err(), "{bad} must not parse");
+        }
+        // Every number token reads as `Num`, as it always has, unless an f64
+        // would round it: u64::MAX goes digit for digit, both ways.
+        assert_eq!(parse_json("76"), Ok(Json::Num(76.0)));
+        assert_eq!(Json::from(u64::MAX), Json::Big(u64::MAX));
+        assert_eq!(Json::from(u64::MAX).to_string(), "18446744073709551615");
+        assert_eq!(parse_json("18446744073709551615"), Ok(Json::Big(u64::MAX)));
+        assert_eq!(parse_json("9007199254740993"), Ok(Json::Big((1 << 53) + 1)));
+        assert_eq!(
+            parse_json("9007199254740992"),
+            Ok(Json::Num(9007199254740992.0))
+        );
+        assert_eq!(
+            parse_json("18446744073709551616"),
+            Ok(Json::Num(18_446_744_073_709_551_616.0))
+        );
+        // Integers in full digits, never an exponent, below 2^64.
+        assert_eq!(Json::from(1u64 << 60).to_string(), "1152921504606846976");
+        assert_eq!(Json::Num(-3.0).to_string(), "-3");
+        assert_eq!(Json::Num(1e20).to_string(), "1e20");
+        assert_eq!(parse_json("1e3"), Ok(Json::Num(1000.0)));
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn layout_breaks_two_levels_and_inlines_the_rest() {
+        let doc = Json::obj([
+            ("a", Json::arr([Json::arr([1u64, 2]), Json::Arr(vec![])])),
+            ("b", Json::obj([("c", Json::obj([("d", Json::Null)]))])),
+            ("e", Json::Obj(vec![])),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            "{\n  \"a\": [\n    [1, 2],\n    []\n  ],\n  \"b\": {\n    \"c\": {\"d\": null}\n  },\n  \"e\": {}\n}"
+        );
+    }
+
+    /// A value built from a pool of random words: every scalar kind (finite
+    /// floats — the writer has no spelling for the others), strings over the
+    /// characters that need care, empty and nested containers.
+    fn json_from(words: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+        const CHARS: [char; 14] = [
+            '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{1f}', ' ', 'a', 'é', '€', '😀', '\u{7f}',
+        ];
+        // Up to seven characters, picked by successive nibbles of one word.
+        let text = |w: u64| -> String {
+            let picks = (0..w % 8).map(|i| CHARS[(w >> (8 + 4 * i)) as usize % CHARS.len()]);
+            picks.collect()
+        };
+        let (kind, w) = (words.next().unwrap_or(0), words.next().unwrap_or(0));
+        match kind % if depth < 6 { 7 } else { 5 } {
+            0 => Json::Null,
+            1 => Json::Bool(w & 1 == 1),
+            2 => Json::from(w),
+            3 => Json::Num(
+                Some(f64::from_bits(w))
+                    .filter(|f| f.is_finite())
+                    .unwrap_or(w as f64 / 3.0),
+            ),
+            4 => Json::Str(text(w)),
+            5 => Json::Arr((0..w % 4).map(|_| json_from(words, depth + 1)).collect()),
+            _ => Json::Obj(
+                (0..w % 4)
+                    .map(|i| {
+                        (
+                            text(w.rotate_left(8 * i as u32)),
+                            json_from(words, depth + 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_inverts_write(
+            words in prop::collection::vec(any::<u64>(), 16..512),
+            wrap in 0..MAX_DEPTH,
+        ) {
+            let v = json_from(&mut words.into_iter(), 0);
+            prop_assert_eq!(reparse(&v), v);
+            // Up to the parser's bound: `wrap` arrays around a scalar nest
+            // `wrap` deep; one more level is an error, not a stack overflow.
+            let nest = |levels: usize| (0..levels).fold(Json::from(7u64), |v, _| Json::Arr(vec![v]));
+            prop_assert_eq!(reparse(&nest(wrap)), nest(wrap));
+            prop_assert_eq!(reparse(&nest(MAX_DEPTH)), nest(MAX_DEPTH));
+            prop_assert!(parse_json(&nest(MAX_DEPTH + 1).to_string()).is_err());
+        }
+
+        /// Arbitrary bytes and strings over JSON's own alphabet (which get
+        /// past the first byte): `Err`, never a panic. The `tracefile` suite
+        /// runs the same over a real artifact cut or flipped anywhere.
+        #[test]
+        fn no_input_panics_the_parser(
+            junk in prop::collection::vec(any::<u8>(), 0..64),
+            jsonish in prop::collection::vec(
+                prop::sample::select(b"[]{}\":,\\u0123456789-+.eEtrufalsn \n".to_vec()),
+                0..64,
+            ),
+        ) {
+            let _ = parse_json(&String::from_utf8_lossy(&junk));
+            let _ = parse_json(&String::from_utf8_lossy(&jsonish));
+        }
+    }
+
+    /// A snapshot with two QP rows, two CQ rows and every ledger field set to
+    /// a distinct value (`base`, `base + 1`, ... in visit order), walked from
+    /// the definitions: a counter added to a ledger is covered unasked.
+    fn distinct_snapshot(base: u64) -> Snapshot {
+        let qp = |node, qp_num| QpSnapshot {
+            node,
+            qp_num,
+            state: "RTS",
+            ..QpSnapshot::default()
+        };
+        let cq = |cq_id, first: u64| CqSnapshot {
+            cq_id,
+            pushed_by_status: std::array::from_fn(|i| base + first + i as u64),
+            ..CqSnapshot::default()
+        };
+        let mut snap = Snapshot {
+            qps: vec![qp(0, 100), qp(1, 101)],
+            cqs: vec![cq(7, 500), cq(8, 600)],
+            ..Snapshot::default()
+        };
+        let mut next = base;
+        snap.for_each_ledger(|_, _, slots| {
+            for v in slots {
+                **v = next;
+                next += 1;
+            }
+        });
+        snap
+    }
+
+    /// Where a field of the n-th `ledger` visited lives in a rendered
+    /// telemetry document or frame.
+    fn rendered<'a>(doc: &'a Json, ledger: &str, row: usize, name: &str) -> Option<&'a Json> {
+        let holder = doc.get(ledger)?;
+        let holder = match holder {
+            Json::Arr(rows) => &rows[row],
+            obj => obj,
+        };
+        holder.get(name).or_else(|| {
+            holder
+                .get("decisions")?
+                .get(name.strip_suffix("_decisions")?)
+        })
+    }
+
+    #[test]
+    fn every_ledger_field_reaches_every_rendering() {
+        let mut snap = distinct_snapshot(1_000);
+        let telemetry = reparse(&telemetry_json(&snap, &invariants::check(&snap)));
+        let frame = Frame {
+            seq: 0,
+            t_ns: 10,
+            span_ns: 10,
+            deltas: snap.clone(),
+            stages: Vec::new(),
+            gauges: Vec::new(),
+        };
+        let frames = parse_json(&frames_json(std::slice::from_ref(&frame))).unwrap();
+        let expo = frame_exposition(&frame);
+
+        let (mut rows, mut seen) = (std::collections::HashMap::new(), 0);
+        snap.for_each_ledger(|ledger, defs, slots| {
+            let row = rows.entry(ledger).or_insert(0usize);
+            for (f, v) in defs.iter().zip(slots.iter()) {
+                let want = Some(Json::from(**v));
+                let at = format!("{ledger}[{row}].{}", f.name);
+                assert_eq!(
+                    rendered(&telemetry, ledger, *row, f.name).cloned(),
+                    want,
+                    "{at}"
+                );
+                let in_frame = rendered(&frames.as_arr().unwrap()[0], ledger, *row, f.name);
+                assert_eq!(in_frame.cloned(), want, "frame {at}");
+                if !matches!(ledger, "qps" | "cqs") {
+                    let line = format!("\npartix_window_{ledger}_{} {}\n", f.name, **v);
+                    assert!(expo.contains(&line), "exposition lacks {at}");
+                }
+                seen += 1;
+            }
+            *row += 1;
+        });
+        assert!(seen >= 2 * 11 + 2 * 4 + 18 + 11 + 5, "walked {seen} fields");
+        // The CQ status breakdown, the one member outside the field tables.
+        let cq0 = &telemetry.get("cqs").and_then(Json::as_arr).unwrap()[0];
+        let pushed = cq0.get("pushed").unwrap();
+        assert_eq!(pushed.get("retry_exceeded"), Some(&Json::from(1_502u64)));
+    }
+
+    #[test]
+    fn every_ledger_field_is_windowed_summed_and_digested() {
+        let prev = distinct_snapshot(1_000);
+        let inc = distinct_snapshot(50_000);
+        let mut cur = prev.clone();
+        snapshot_accum(&mut cur, &inc);
+        assert_eq!(snapshot_delta(&prev, &cur), inc);
+
+        // Field by field: a counter was summed, a gauge overwritten.
+        let (mut before, mut added) = (Vec::new(), Vec::new());
+        prev.clone()
+            .for_each_ledger(|_, _, s| before.extend(s.iter().map(|v| **v)));
+        inc.clone()
+            .for_each_ledger(|_, _, s| added.extend(s.iter().map(|v| **v)));
+        let mut i = 0;
+        cur.clone().for_each_ledger(|ledger, defs, slots| {
+            for (f, v) in defs.iter().zip(slots.iter()) {
+                let want = if f.gauge {
+                    added[i]
+                } else {
+                    before[i] + added[i]
+                };
+                assert_eq!(**v, want, "{ledger}.{}", f.name);
+                i += 1;
+            }
+        });
+
+        // The digest moves with every field it covers and with no other.
+        let digest = prev.ledger_digest();
+        for bumped in 0..before.len() {
+            let (mut probe, mut i, mut covered) = (prev.clone(), 0, false);
+            probe.for_each_ledger(|_, defs, slots| {
+                for (f, v) in defs.iter().zip(slots.iter_mut()) {
+                    if i == bumped {
+                        **v += 1;
+                        covered = f.digest;
+                    }
+                    i += 1;
+                }
+            });
+            assert_eq!(probe.ledger_digest() != digest, covered, "field #{bumped}");
+        }
     }
 
     #[test]
     fn telemetry_json_is_balanced() {
         let snap = Snapshot::default();
         let report = invariants::check(&snap);
-        let text = telemetry_json(&snap, &report);
-        // Structural sanity without a JSON parser: balanced delimiters and
-        // the expected top-level keys.
+        let doc = reparse(&telemetry_json(&snap, &report));
+        let Json::Obj(members) = &doc else {
+            panic!("not an object: {doc}")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            text.matches('{').count(),
-            text.matches('}').count(),
-            "unbalanced braces in:\n{text}"
+            keys,
+            ["qps", "cqs", "wire", "runtime", "arena", "invariants"]
         );
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        for key in [
-            "\"qps\"",
-            "\"cqs\"",
-            "\"wire\"",
-            "\"runtime\"",
-            "\"arena\"",
-            "\"invariants\"",
-        ] {
-            assert!(text.contains(key), "missing {key} in:\n{text}");
+        let verdict = doc.get("invariants").unwrap();
+        assert_eq!(verdict.get("clean"), Some(&Json::Bool(true)));
+        assert_eq!(verdict.get("violations"), Some(&Json::Arr(vec![])));
+    }
+
+    fn flow(flow: u64, stage: FlowStage, ts_ns: u64, aux: u64) -> FlowEvent {
+        FlowEvent {
+            flow,
+            stage,
+            ts_ns,
+            qp: 9,
+            chan: 1,
+            aux,
         }
-        assert!(text.contains("\"clean\": true"));
     }
 
     #[test]
     fn trace_json_carries_flows_and_stages() {
-        use crate::flow::{FlowEvent, FlowStage};
         use crate::hist::LogHistogram;
         let flows = vec![
-            FlowEvent {
-                flow: 3,
-                stage: FlowStage::Posted,
-                ts_ns: 100,
-                qp: 9,
-                chan: 1,
-                aux: 0,
-            },
-            FlowEvent {
-                flow: 3,
-                stage: FlowStage::Arrived,
-                ts_ns: 900,
-                qp: 9,
-                chan: 1,
-                aux: 4,
-            },
+            flow(3, FlowStage::Posted, 100, 0),
+            flow(3, FlowStage::Arrived, 900, 4),
         ];
         let h = LogHistogram::new();
         h.record(800);
         let stages = vec![("wire_ns", h.snapshot())];
-        let text = trace_json("unit", &[], &flows, &stages, &[]);
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        assert!(text.contains("\"workload\": \"unit\""));
-        assert!(text.contains("[3, \"posted\", 100, 9, 1, 0]"));
-        assert!(text.contains("\"ph\": \"s\""));
-        assert!(text.contains("\"ph\": \"f\""));
-        assert!(text.contains("\"wire_ns\": {\"count\": 1"));
+        let doc = reparse(&trace_json("unit", &[], &flows, &stages, &[]));
+        let meta = doc.get("meta").unwrap();
+        assert_eq!(meta.get("workload").and_then(Json::as_str), Some("unit"));
+        let first = &doc.get("flows").and_then(Json::as_arr).unwrap()[0];
+        let want = [3u64.into(), "posted".into(), 100u64.into(), 9u64.into()];
+        assert_eq!(first.as_arr().unwrap()[..4], want);
+        let arrows = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let phases: Vec<_> = arrows
+            .iter()
+            .map(|e| e.get("ph").unwrap().as_str())
+            .collect();
+        assert_eq!(phases, [Some("s"), Some("f")]);
+        assert_eq!(arrows[1].get("bp").and_then(Json::as_str), Some("e"));
+        let wire = doc.get("stages").unwrap().get("wire_ns").unwrap();
+        assert_eq!(wire.get("count"), Some(&Json::from(1u64)));
+        assert_eq!(doc.get("frames"), None, "unsampled run has no frames key");
     }
 
     #[test]
     fn trace_json_with_frames_is_balanced_and_has_counters() {
-        use crate::timeseries::{Frame, FrameGauge};
         let mut deltas = Snapshot::default();
         deltas.wire.delivered = 12;
         deltas.runtime.preadys = 3;
@@ -595,39 +1056,32 @@ mod tests {
                 delta: 5,
             }],
         }];
-        let text = trace_json("unit", &[], &[], &[], &frames);
-        assert_eq!(
-            text.matches('{').count(),
-            text.matches('}').count(),
-            "unbalanced braces in:\n{text}"
-        );
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        assert!(text.contains("\"frames\": ["));
-        assert!(text.contains("\"ph\": \"C\""));
-        assert!(text.contains("\"delivered\": 12"));
-        assert!(text.contains("\"iters\": {\"total\": 5, \"delta\": 5}"));
+        let doc = reparse(&trace_json("unit", &[], &[], &[], &frames));
+        let frame = &doc.get("frames").and_then(Json::as_arr).unwrap()[0];
+        let iters = frame.get("gauges").unwrap().get("iters").unwrap();
+        assert_eq!(iters.get("total"), Some(&Json::from(5u64)));
+        assert_eq!(iters.get("delta"), Some(&Json::from(5u64)));
+        let tracks = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(tracks.len(), 2);
+        assert_eq!(tracks[0].get("ph").and_then(Json::as_str), Some("C"));
+        assert_eq!(tracks[0].get("ts"), Some(&Json::Num(2.0)));
+        let args = tracks[0].get("args").unwrap();
+        assert_eq!(args.get("delivered"), Some(&Json::from(12u64)));
     }
 
     #[test]
     fn flightrec_json_is_balanced() {
-        use crate::flow::{FlowEvent, FlowStage};
-        let flows = vec![FlowEvent {
-            flow: 1,
-            stage: FlowStage::Posted,
-            ts_ns: 10,
-            qp: 2,
-            chan: 0,
-            aux: 0,
-        }];
-        let text = flightrec_json("unit \"tag\"", "panic: boom", &[], &flows);
+        let flows = vec![flow(1, FlowStage::Posted, 10, 0)];
+        let doc = reparse(&flightrec_json("unit \"tag\"", "panic: boom", &[], &flows));
+        let meta = doc.get("meta").unwrap();
+        assert_eq!(meta.get("tag").and_then(Json::as_str), Some("unit \"tag\""));
         assert_eq!(
-            text.matches('{').count(),
-            text.matches('}').count(),
-            "unbalanced braces in:\n{text}"
+            meta.get("reason").and_then(Json::as_str),
+            Some("panic: boom")
         );
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        assert!(text.contains("\"reason\": \"panic: boom\""));
-        assert!(text.contains("[1, \"posted\", 10, 2, 0, 0]"));
+        assert_eq!(meta.get("flow_tail"), Some(&Json::from(1u64)));
+        assert_eq!(doc.get("frames"), Some(&Json::Arr(vec![])));
+        assert_eq!(doc.get("flows").and_then(Json::as_arr).unwrap().len(), 1);
     }
 
     #[test]
@@ -640,10 +1094,16 @@ mod tests {
             ts_ns: 1500,
             dur_ns: 250,
         }];
-        let text = chrome_trace_json(&spans);
+        let doc = trace_json("unit", &spans, &[], &[], &[]);
+        let text = doc.to_string();
         assert!(text.contains("\\\"hot\\\""));
-        assert!(text.contains("\"ts\": 1.500"));
-        assert!(text.contains("\"dur\": 0.250"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
+        assert!(text.contains("\"ts\": 1.5, \"dur\": 0.25}"));
+        let back = reparse(&doc);
+        let event = &back.get("traceEvents").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            event.get("name").and_then(Json::as_str),
+            Some("wire \"hot\"")
+        );
+        assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
     }
 }

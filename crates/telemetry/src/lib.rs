@@ -17,9 +17,13 @@
 //!   one site, and the sites are chosen so conservation laws hold *by
 //!   construction*: `invariants::check` failing means an instrumentation or
 //!   accounting bug, not noise.
-//! - **No serde.** JSON exports ([`write_telemetry_json`],
-//!   [`write_chrome_trace`]) are hand-written, like the rest of the
-//!   workspace's result files.
+//! - **No serde, one JSON module.** An artifact is a function that builds a
+//!   [`Json`] value; [`write_json`] is the only writer and [`parse_json`] the
+//!   only reader, for this crate's exports ([`write_telemetry_json`],
+//!   [`write_trace_json`]) and for every other result file in the workspace.
+//! - **One definition per ledger.** Each counter is named once, in
+//!   `counters.rs`; snapshots, delta frames, the digest and every rendering
+//!   walk that definition ([`Field`]).
 
 #![warn(missing_docs)]
 
@@ -36,7 +40,7 @@ mod trace;
 pub mod invariants;
 
 pub use counters::{
-    segments_for, ArenaCounters, Counter, CqCounters, QpCounters, Registry, RuntimeCounters,
+    segments_for, ArenaCounters, Counter, CqCounters, Field, QpCounters, Registry, RuntimeCounters,
     WireCounters, STATUS_NAMES, STATUS_SLOTS,
 };
 pub use expo::{exposition, frame_exposition, write_exposition};
@@ -45,10 +49,7 @@ pub use flow::{
     ClockHook, FlowEvent, FlowLog, FlowRecorder, FlowStage, StageHistograms, STAGE_HIST_NAMES,
 };
 pub use hist::{HistBucket, HistSnapshot, LogHistogram};
-pub use json::{
-    flightrec_json, frames_json, write_chrome_trace, write_telemetry_json, write_trace_json,
-    write_trace_json_with_frames,
-};
+pub use json::{frames_json, parse_json, write_json, write_telemetry_json, write_trace_json, Json};
 pub use snapshot::{
     ArenaSnapshot, CqSnapshot, QpSnapshot, RuntimeSnapshot, Snapshot, WireSnapshot,
 };

@@ -1,203 +1,8 @@
 //! Point-in-time copies of every ledger, suitable for invariant checking
 //! and JSON export.
 
-use crate::counters::STATUS_SLOTS;
-
-/// Frozen view of one queue pair's ledger plus its live state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QpSnapshot {
-    /// Node that owns the QP.
-    pub node: u32,
-    /// QP number.
-    pub qp_num: u32,
-    /// QP state name at snapshot time (e.g. `"RTS"`, `"Error"`).
-    pub state: &'static str,
-    /// Send WRs currently posted but not yet completed (live slot count).
-    pub outstanding: u64,
-    /// Receive WRs currently posted but not yet consumed.
-    pub recv_queue_depth: u64,
-    /// Send WRs accepted by `post_send`.
-    pub send_posted: u64,
-    /// Receive WRs accepted by `post_recv`.
-    pub recv_posted: u64,
-    /// Receive WRs consumed by arriving messages.
-    pub recv_consumed: u64,
-    /// Send WRs completed successfully.
-    pub completed_success: u64,
-    /// Send WRs completed with an error status.
-    pub completed_error: u64,
-    /// Payload bytes across accepted send WRs.
-    pub bytes_posted: u64,
-    /// Payload bytes across successful completions.
-    pub bytes_completed: u64,
-    /// Error-state recoveries performed on this QP.
-    pub recoveries: u64,
-    /// Send-slot releases that hit an already-zero outstanding count.
-    pub slot_underflows: u64,
-}
-
-/// Frozen view of one completion queue's ledger.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CqSnapshot {
-    /// CQ identifier.
-    pub cq_id: u32,
-    /// CQEs pushed, bucketed by `WcStatus` discriminant.
-    pub pushed_by_status: [u64; STATUS_SLOTS],
-    /// Total CQEs pushed.
-    pub pushed_total: u64,
-    /// CQEs polled out by the application.
-    pub polled: u64,
-    /// Receive-side CQEs pushed.
-    pub recv_pushed: u64,
-    /// Bytes reported by receive-side CQEs.
-    pub recv_bytes: u64,
-}
-
-/// Frozen view of the wire ledger. Field meanings match
-/// [`crate::WireCounters`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct WireSnapshot {
-    pub inner_submissions: u64,
-    pub retransmits: u64,
-    pub dropped: u64,
-    pub duplicates_injected: u64,
-    pub delayed: u64,
-    pub exhausted: u64,
-    pub injected_faults: u64,
-    pub rnr_requeues: u64,
-    pub mtu_segments: u64,
-    pub delivery_attempts: u64,
-    pub delivered: u64,
-    pub delivered_ghost: u64,
-    pub duplicates_suppressed: u64,
-    pub remote_errors: u64,
-    pub receiver_not_ready: u64,
-    pub length_errors: u64,
-    pub bytes_delivered: u64,
-    pub recv_cqes: u64,
-}
-
-/// Frozen view of the runtime ledger. Field meanings match
-/// [`crate::RuntimeCounters`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct RuntimeSnapshot {
-    pub preadys: u64,
-    pub timer_fires: u64,
-    pub aggregated_wrs: u64,
-    pub partitions_posted: u64,
-    pub pending_spills: u64,
-    pub pending_reposts: u64,
-    pub recoveries: u64,
-    pub table_decisions: u64,
-    pub table_fallback_decisions: u64,
-    pub model_decisions: u64,
-    pub fixed_decisions: u64,
-}
-
-/// Frozen view of the payload-arena ledger. Field meanings match
-/// [`crate::ArenaCounters`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ArenaSnapshot {
-    pub pool_gets: u64,
-    pub pool_hits: u64,
-    pub pool_misses: u64,
-    pub pool_returns: u64,
-    pub live_high_water: u64,
-}
-
-impl QpSnapshot {
-    /// The numeric fields as `(name, value)` pairs in export order (gauges
-    /// first, then the monotone counters), for tabular and JSON rendering.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 11] {
-        [
-            ("outstanding", self.outstanding),
-            ("recv_queue_depth", self.recv_queue_depth),
-            ("send_posted", self.send_posted),
-            ("recv_posted", self.recv_posted),
-            ("recv_consumed", self.recv_consumed),
-            ("completed_success", self.completed_success),
-            ("completed_error", self.completed_error),
-            ("bytes_posted", self.bytes_posted),
-            ("bytes_completed", self.bytes_completed),
-            ("recoveries", self.recoveries),
-            ("slot_underflows", self.slot_underflows),
-        ]
-    }
-}
-
-impl CqSnapshot {
-    /// The scalar counters as `(name, value)` pairs in export order (the
-    /// per-status breakdown is rendered separately).
-    pub fn counter_fields(&self) -> [(&'static str, u64); 4] {
-        [
-            ("pushed_total", self.pushed_total),
-            ("polled", self.polled),
-            ("recv_pushed", self.recv_pushed),
-            ("recv_bytes", self.recv_bytes),
-        ]
-    }
-}
-
-impl WireSnapshot {
-    /// Every counter as a `(name, value)` pair in ledger order.
-    pub fn fields(&self) -> [(&'static str, u64); 18] {
-        [
-            ("inner_submissions", self.inner_submissions),
-            ("retransmits", self.retransmits),
-            ("dropped", self.dropped),
-            ("duplicates_injected", self.duplicates_injected),
-            ("delayed", self.delayed),
-            ("exhausted", self.exhausted),
-            ("injected_faults", self.injected_faults),
-            ("rnr_requeues", self.rnr_requeues),
-            ("mtu_segments", self.mtu_segments),
-            ("delivery_attempts", self.delivery_attempts),
-            ("delivered", self.delivered),
-            ("delivered_ghost", self.delivered_ghost),
-            ("duplicates_suppressed", self.duplicates_suppressed),
-            ("remote_errors", self.remote_errors),
-            ("receiver_not_ready", self.receiver_not_ready),
-            ("length_errors", self.length_errors),
-            ("bytes_delivered", self.bytes_delivered),
-            ("recv_cqes", self.recv_cqes),
-        ]
-    }
-}
-
-impl RuntimeSnapshot {
-    /// Every counter as a `(name, value)` pair in ledger order.
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
-        [
-            ("preadys", self.preadys),
-            ("timer_fires", self.timer_fires),
-            ("aggregated_wrs", self.aggregated_wrs),
-            ("partitions_posted", self.partitions_posted),
-            ("pending_spills", self.pending_spills),
-            ("pending_reposts", self.pending_reposts),
-            ("recoveries", self.recoveries),
-            ("table_decisions", self.table_decisions),
-            ("table_fallback_decisions", self.table_fallback_decisions),
-            ("model_decisions", self.model_decisions),
-            ("fixed_decisions", self.fixed_decisions),
-        ]
-    }
-}
-
-impl ArenaSnapshot {
-    /// Every counter as a `(name, value)` pair in ledger order.
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("pool_gets", self.pool_gets),
-            ("pool_hits", self.pool_hits),
-            ("pool_misses", self.pool_misses),
-            ("pool_returns", self.pool_returns),
-            ("live_high_water", self.live_high_water),
-        ]
-    }
-}
+use crate::counters::Field;
+pub use crate::counters::{ArenaSnapshot, CqSnapshot, QpSnapshot, RuntimeSnapshot, WireSnapshot};
 
 /// A complete, self-consistent copy of every ledger in one network.
 ///
@@ -253,102 +58,88 @@ impl Snapshot {
     /// the runtime and the arena — the comparison the sharded-executor
     /// determinism suites use as their "telemetry ledger equality" check.
     pub fn ledger_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut put = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
 
         let mut qps: Vec<&QpSnapshot> = self.qps.iter().collect();
         qps.sort_by_key(|q| (q.node, q.qp_num));
-        put(qps.len() as u64);
+        h.put(qps.len() as u64);
         for q in qps {
-            put(q.node as u64);
-            put(q.qp_num as u64);
+            h.put(q.node as u64);
+            h.put(q.qp_num as u64);
             for b in q.state.as_bytes() {
-                put(*b as u64);
+                h.put(*b as u64);
             }
-            put(q.outstanding);
-            put(q.recv_queue_depth);
-            put(q.send_posted);
-            put(q.recv_posted);
-            put(q.recv_consumed);
-            put(q.completed_success);
-            put(q.completed_error);
-            put(q.bytes_posted);
-            put(q.bytes_completed);
-            put(q.recoveries);
-            put(q.slot_underflows);
+            h.fold(QpSnapshot::FIELDS, &q.fields());
         }
 
         let mut cqs: Vec<&CqSnapshot> = self.cqs.iter().collect();
         cqs.sort_by_key(|c| c.cq_id);
-        put(cqs.len() as u64);
+        h.put(cqs.len() as u64);
         for c in cqs {
-            put(c.cq_id as u64);
+            h.put(c.cq_id as u64);
             for s in c.pushed_by_status {
-                put(s);
+                h.put(s);
             }
-            put(c.pushed_total);
-            put(c.polled);
-            put(c.recv_pushed);
-            put(c.recv_bytes);
+            h.fold(CqSnapshot::FIELDS, &c.fields());
         }
 
-        let w = &self.wire;
-        for v in [
-            w.inner_submissions,
-            w.retransmits,
-            w.dropped,
-            w.duplicates_injected,
-            w.delayed,
-            w.exhausted,
-            w.injected_faults,
-            w.rnr_requeues,
-            w.mtu_segments,
-            w.delivery_attempts,
-            w.delivered,
-            w.delivered_ghost,
-            w.duplicates_suppressed,
-            w.remote_errors,
-            w.receiver_not_ready,
-            w.length_errors,
-            w.bytes_delivered,
-            w.recv_cqes,
-        ] {
-            put(v);
+        h.fold(WireSnapshot::FIELDS, &self.wire.fields());
+        h.fold(RuntimeSnapshot::FIELDS, &self.runtime.fields());
+        h.fold(ArenaSnapshot::FIELDS, &self.arena.fields());
+        h.0
+    }
+
+    /// Visit every ledger in the snapshot — each QP row, each CQ row, then
+    /// the wire, the runtime and the arena — as its key in the artifacts,
+    /// its field table and its storage in table order.
+    pub fn for_each_ledger(
+        &mut self,
+        mut visit: impl FnMut(&'static str, &'static [Field], &mut [&mut u64]),
+    ) {
+        for q in &mut self.qps {
+            visit("qps", QpSnapshot::FIELDS, &mut q.slots());
         }
-
-        let r = &self.runtime;
-        for v in [
-            r.preadys,
-            r.timer_fires,
-            r.aggregated_wrs,
-            r.partitions_posted,
-            r.pending_spills,
-            r.pending_reposts,
-            r.recoveries,
-            r.table_decisions,
-            r.table_fallback_decisions,
-            r.model_decisions,
-            r.fixed_decisions,
-        ] {
-            put(v);
+        for c in &mut self.cqs {
+            visit("cqs", CqSnapshot::FIELDS, &mut c.slots());
         }
+        visit("wire", WireSnapshot::FIELDS, &mut self.wire.slots());
+        visit(
+            "runtime",
+            RuntimeSnapshot::FIELDS,
+            &mut self.runtime.slots(),
+        );
+        visit("arena", ArenaSnapshot::FIELDS, &mut self.arena.slots());
+    }
 
-        // Arena: only the commutative totals. Hit/miss splits and the live
-        // high-water mark depend on the wall-clock interleaving of pool
-        // accesses when events execute on parallel shards, so they are
-        // excluded — they may legitimately differ between executors that
-        // perform identical virtual-time work.
-        let a = &self.arena;
-        put(a.pool_gets);
-        put(a.pool_returns);
+    /// Zero every field [`Snapshot::ledger_digest`] skips: the projection
+    /// under which frames from any executor compare equal.
+    pub(crate) fn zero_per_executor_fields(&mut self) {
+        self.for_each_ledger(|_, defs, slots| {
+            for (_, v) in defs.iter().zip(slots).filter(|(f, _)| !f.digest) {
+                **v = 0;
+            }
+        });
+    }
+}
 
-        h
+/// FNV-1a over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn put(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold a ledger's values in field-table order. Fields a definition marks
+    /// `per_executor` are left out: they depend on the wall-clock
+    /// interleaving of pool accesses when events execute on parallel shards
+    /// and may differ between executors that do identical virtual-time work.
+    fn fold(&mut self, defs: &[Field], vals: &[(&'static str, u64)]) {
+        for (_, (_, v)) in defs.iter().zip(vals).filter(|(f, _)| f.digest) {
+            self.put(*v);
+        }
     }
 }

@@ -26,10 +26,10 @@
 //! capture (a few times per run) takes the ring lock.
 //!
 //! Determinism projection: when [`SamplerConfig::deterministic`] is set the
-//! frame zeroes `arena.pool_hits` / `arena.pool_misses` /
-//! `arena.live_high_water`, the same interleaving-dependent fields
-//! [`Snapshot::ledger_digest`] excludes, so sharded frames compare equal to
-//! sequential ones.
+//! frame zeroes the fields their ledger's definition marks `per_executor`
+//! (`arena.pool_hits`, `pool_misses`, `live_high_water`), the ones
+//! [`Snapshot::ledger_digest`] leaves out, so sharded frames compare equal
+//! to sequential ones.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,164 +118,41 @@ pub struct Frame {
     pub gauges: Vec<FrameGauge>,
 }
 
-/// `cur - prev` over the wire ledger, saturating per field.
-pub fn wire_delta(prev: &WireSnapshot, cur: &WireSnapshot) -> WireSnapshot {
-    WireSnapshot {
-        inner_submissions: cur.inner_submissions.saturating_sub(prev.inner_submissions),
-        retransmits: cur.retransmits.saturating_sub(prev.retransmits),
-        dropped: cur.dropped.saturating_sub(prev.dropped),
-        duplicates_injected: cur
-            .duplicates_injected
-            .saturating_sub(prev.duplicates_injected),
-        delayed: cur.delayed.saturating_sub(prev.delayed),
-        exhausted: cur.exhausted.saturating_sub(prev.exhausted),
-        injected_faults: cur.injected_faults.saturating_sub(prev.injected_faults),
-        rnr_requeues: cur.rnr_requeues.saturating_sub(prev.rnr_requeues),
-        mtu_segments: cur.mtu_segments.saturating_sub(prev.mtu_segments),
-        delivery_attempts: cur.delivery_attempts.saturating_sub(prev.delivery_attempts),
-        delivered: cur.delivered.saturating_sub(prev.delivered),
-        delivered_ghost: cur.delivered_ghost.saturating_sub(prev.delivered_ghost),
-        duplicates_suppressed: cur
-            .duplicates_suppressed
-            .saturating_sub(prev.duplicates_suppressed),
-        remote_errors: cur.remote_errors.saturating_sub(prev.remote_errors),
-        receiver_not_ready: cur
-            .receiver_not_ready
-            .saturating_sub(prev.receiver_not_ready),
-        length_errors: cur.length_errors.saturating_sub(prev.length_errors),
-        bytes_delivered: cur.bytes_delivered.saturating_sub(prev.bytes_delivered),
-        recv_cqes: cur.recv_cqes.saturating_sub(prev.recv_cqes),
-    }
-}
-
-/// `cur - prev` over the runtime ledger, saturating per field.
-pub fn runtime_delta(prev: &RuntimeSnapshot, cur: &RuntimeSnapshot) -> RuntimeSnapshot {
-    RuntimeSnapshot {
-        preadys: cur.preadys.saturating_sub(prev.preadys),
-        timer_fires: cur.timer_fires.saturating_sub(prev.timer_fires),
-        aggregated_wrs: cur.aggregated_wrs.saturating_sub(prev.aggregated_wrs),
-        partitions_posted: cur.partitions_posted.saturating_sub(prev.partitions_posted),
-        pending_spills: cur.pending_spills.saturating_sub(prev.pending_spills),
-        pending_reposts: cur.pending_reposts.saturating_sub(prev.pending_reposts),
-        recoveries: cur.recoveries.saturating_sub(prev.recoveries),
-        table_decisions: cur.table_decisions.saturating_sub(prev.table_decisions),
-        table_fallback_decisions: cur
-            .table_fallback_decisions
-            .saturating_sub(prev.table_fallback_decisions),
-        model_decisions: cur.model_decisions.saturating_sub(prev.model_decisions),
-        fixed_decisions: cur.fixed_decisions.saturating_sub(prev.fixed_decisions),
-    }
-}
-
-/// `cur - prev` over one QP ledger row. The live gauges (`state`,
-/// `outstanding`, `recv_queue_depth`) are copied from `cur`, not subtracted.
-pub fn qp_delta(prev: &QpSnapshot, cur: &QpSnapshot) -> QpSnapshot {
-    QpSnapshot {
-        node: cur.node,
-        qp_num: cur.qp_num,
-        state: cur.state,
-        outstanding: cur.outstanding,
-        recv_queue_depth: cur.recv_queue_depth,
-        send_posted: cur.send_posted.saturating_sub(prev.send_posted),
-        recv_posted: cur.recv_posted.saturating_sub(prev.recv_posted),
-        recv_consumed: cur.recv_consumed.saturating_sub(prev.recv_consumed),
-        completed_success: cur.completed_success.saturating_sub(prev.completed_success),
-        completed_error: cur.completed_error.saturating_sub(prev.completed_error),
-        bytes_posted: cur.bytes_posted.saturating_sub(prev.bytes_posted),
-        bytes_completed: cur.bytes_completed.saturating_sub(prev.bytes_completed),
-        recoveries: cur.recoveries.saturating_sub(prev.recoveries),
-        slot_underflows: cur.slot_underflows.saturating_sub(prev.slot_underflows),
-    }
-}
-
-/// `cur - prev` over one CQ ledger row, saturating per field.
-pub fn cq_delta(prev: &CqSnapshot, cur: &CqSnapshot) -> CqSnapshot {
-    let mut pushed_by_status = cur.pushed_by_status;
-    for (d, p) in pushed_by_status.iter_mut().zip(prev.pushed_by_status) {
-        *d = d.saturating_sub(p);
-    }
-    CqSnapshot {
-        cq_id: cur.cq_id,
-        pushed_by_status,
-        pushed_total: cur.pushed_total.saturating_sub(prev.pushed_total),
-        polled: cur.polled.saturating_sub(prev.polled),
-        recv_pushed: cur.recv_pushed.saturating_sub(prev.recv_pushed),
-        recv_bytes: cur.recv_bytes.saturating_sub(prev.recv_bytes),
-    }
-}
-
-/// `cur - prev` over the whole ledger, saturating per counter. QPs are
-/// matched by `(node, qp_num)` and CQs by `cq_id`; a row with no
-/// predecessor (a QP created inside the window) contributes its full
-/// values. Rows keep `cur`'s order, so frame sequences from identical runs
-/// render identically. `arena.live_high_water` is carried as the current
-/// value; all other arena fields are subtracted.
+/// `cur - prev` over the whole ledger: every counter subtracted
+/// (saturating), every gauge (`state`, `outstanding`, `recv_queue_depth`,
+/// `arena.live_high_water`) carried as `cur` reads it. QPs are matched by
+/// `(node, qp_num)` and CQs by `cq_id`; a row with no predecessor (a QP
+/// created inside the window) contributes its full values. Rows keep `cur`'s
+/// order, so frame sequences from identical runs render identically.
 pub fn snapshot_delta(prev: &Snapshot, cur: &Snapshot) -> Snapshot {
-    let qp_zero = |q: &QpSnapshot| QpSnapshot {
-        send_posted: 0,
-        recv_posted: 0,
-        recv_consumed: 0,
-        completed_success: 0,
-        completed_error: 0,
-        bytes_posted: 0,
-        bytes_completed: 0,
-        recoveries: 0,
-        slot_underflows: 0,
-        ..q.clone()
+    let qp = |q: &QpSnapshot| {
+        let before = prev
+            .qps
+            .iter()
+            .find(|p| p.node == q.node && p.qp_num == q.qp_num);
+        before.map_or_else(|| q.clone(), |p| QpSnapshot::delta(p, q))
     };
-    let qps = cur
-        .qps
-        .iter()
-        .map(|q| {
-            match prev
-                .qps
-                .iter()
-                .find(|p| p.node == q.node && p.qp_num == q.qp_num)
-            {
-                Some(p) => qp_delta(p, q),
-                None => qp_delta(&qp_zero(q), q),
-            }
-        })
-        .collect();
-    let cqs = cur
-        .cqs
-        .iter()
-        .map(|c| match prev.cqs.iter().find(|p| p.cq_id == c.cq_id) {
-            Some(p) => cq_delta(p, c),
-            None => cq_delta(
-                &CqSnapshot {
-                    cq_id: c.cq_id,
-                    pushed_by_status: [0; crate::counters::STATUS_SLOTS],
-                    pushed_total: 0,
-                    polled: 0,
-                    recv_pushed: 0,
-                    recv_bytes: 0,
-                },
-                c,
-            ),
-        })
-        .collect();
+    let cq = |c: &CqSnapshot| {
+        let Some(p) = prev.cqs.iter().find(|p| p.cq_id == c.cq_id) else {
+            return c.clone();
+        };
+        let mut d = CqSnapshot::delta(p, c);
+        for (d, p) in d.pushed_by_status.iter_mut().zip(p.pushed_by_status) {
+            *d = d.saturating_sub(p);
+        }
+        d
+    };
     Snapshot {
-        qps,
-        cqs,
-        wire: wire_delta(&prev.wire, &cur.wire),
-        runtime: runtime_delta(&prev.runtime, &cur.runtime),
-        arena: ArenaSnapshot {
-            pool_gets: cur.arena.pool_gets.saturating_sub(prev.arena.pool_gets),
-            pool_hits: cur.arena.pool_hits.saturating_sub(prev.arena.pool_hits),
-            pool_misses: cur.arena.pool_misses.saturating_sub(prev.arena.pool_misses),
-            pool_returns: cur
-                .arena
-                .pool_returns
-                .saturating_sub(prev.arena.pool_returns),
-            live_high_water: cur.arena.live_high_water,
-        },
+        qps: cur.qps.iter().map(qp).collect(),
+        cqs: cur.cqs.iter().map(cq).collect(),
+        wire: WireSnapshot::delta(&prev.wire, &cur.wire),
+        runtime: RuntimeSnapshot::delta(&prev.runtime, &cur.runtime),
+        arena: ArenaSnapshot::delta(&prev.arena, &cur.arena),
     }
 }
 
 /// Add a delta frame's counters back onto a cumulative snapshot — the
-/// inverse of [`snapshot_delta`]. Gauges (`state`, `outstanding`,
-/// `recv_queue_depth`, `live_high_water`) are overwritten with the frame's
+/// inverse of [`snapshot_delta`]. Gauges are overwritten with the frame's
 /// values. Rows not yet present in `acc` are appended, preserving
 /// first-seen order. Summing every frame of an un-evicted ring onto
 /// `Snapshot::default()` reproduces the final cumulative snapshot.
@@ -288,17 +165,7 @@ pub fn snapshot_accum(acc: &mut Snapshot, delta: &Snapshot) {
         {
             Some(a) => {
                 a.state = q.state;
-                a.outstanding = q.outstanding;
-                a.recv_queue_depth = q.recv_queue_depth;
-                a.send_posted += q.send_posted;
-                a.recv_posted += q.recv_posted;
-                a.recv_consumed += q.recv_consumed;
-                a.completed_success += q.completed_success;
-                a.completed_error += q.completed_error;
-                a.bytes_posted += q.bytes_posted;
-                a.bytes_completed += q.bytes_completed;
-                a.recoveries += q.recoveries;
-                a.slot_underflows += q.slot_underflows;
+                a.accum(q);
             }
             None => acc.qps.push(q.clone()),
         }
@@ -309,54 +176,14 @@ pub fn snapshot_accum(acc: &mut Snapshot, delta: &Snapshot) {
                 for (s, d) in a.pushed_by_status.iter_mut().zip(c.pushed_by_status) {
                     *s += d;
                 }
-                a.pushed_total += c.pushed_total;
-                a.polled += c.polled;
-                a.recv_pushed += c.recv_pushed;
-                a.recv_bytes += c.recv_bytes;
+                a.accum(c);
             }
             None => acc.cqs.push(c.clone()),
         }
     }
-    let w = &mut acc.wire;
-    let d = &delta.wire;
-    w.inner_submissions += d.inner_submissions;
-    w.retransmits += d.retransmits;
-    w.dropped += d.dropped;
-    w.duplicates_injected += d.duplicates_injected;
-    w.delayed += d.delayed;
-    w.exhausted += d.exhausted;
-    w.injected_faults += d.injected_faults;
-    w.rnr_requeues += d.rnr_requeues;
-    w.mtu_segments += d.mtu_segments;
-    w.delivery_attempts += d.delivery_attempts;
-    w.delivered += d.delivered;
-    w.delivered_ghost += d.delivered_ghost;
-    w.duplicates_suppressed += d.duplicates_suppressed;
-    w.remote_errors += d.remote_errors;
-    w.receiver_not_ready += d.receiver_not_ready;
-    w.length_errors += d.length_errors;
-    w.bytes_delivered += d.bytes_delivered;
-    w.recv_cqes += d.recv_cqes;
-    let r = &mut acc.runtime;
-    let d = &delta.runtime;
-    r.preadys += d.preadys;
-    r.timer_fires += d.timer_fires;
-    r.aggregated_wrs += d.aggregated_wrs;
-    r.partitions_posted += d.partitions_posted;
-    r.pending_spills += d.pending_spills;
-    r.pending_reposts += d.pending_reposts;
-    r.recoveries += d.recoveries;
-    r.table_decisions += d.table_decisions;
-    r.table_fallback_decisions += d.table_fallback_decisions;
-    r.model_decisions += d.model_decisions;
-    r.fixed_decisions += d.fixed_decisions;
-    let a = &mut acc.arena;
-    let d = &delta.arena;
-    a.pool_gets += d.pool_gets;
-    a.pool_hits += d.pool_hits;
-    a.pool_misses += d.pool_misses;
-    a.pool_returns += d.pool_returns;
-    a.live_high_water = d.live_high_water;
+    acc.wire.accum(&delta.wire);
+    acc.runtime.accum(&delta.runtime);
+    acc.arena.accum(&delta.arena);
 }
 
 /// `cur - prev` over one stage histogram: windowed `count`/`sum`, buckets
@@ -518,11 +345,7 @@ impl Sampler {
             ),
         };
         if self.cfg.deterministic {
-            // The same projection ledger_digest applies: these depend on the
-            // wall-clock interleaving of pool accesses across shards.
-            deltas.arena.pool_hits = 0;
-            deltas.arena.pool_misses = 0;
-            deltas.arena.live_high_water = 0;
+            deltas.zero_per_executor_fields();
         }
         let frame = Frame {
             seq: ring.seq,

@@ -94,23 +94,14 @@ impl NetworkState {
             .qps
             .iter()
             .map(|qp| {
-                let c = qp.counters();
-                QpSnapshot {
+                qp.counters().snapshot_onto(QpSnapshot {
                     node: qp.node(),
                     qp_num: qp.qp_num(),
                     state: qp.state().name(),
                     outstanding: qp.outstanding() as u64,
                     recv_queue_depth: qp.recv_queue_depth() as u64,
-                    send_posted: c.send_posted.get(),
-                    recv_posted: c.recv_posted.get(),
-                    recv_consumed: c.recv_consumed.get(),
-                    completed_success: c.completed_success.get(),
-                    completed_error: c.completed_error.get(),
-                    bytes_posted: c.bytes_posted.get(),
-                    bytes_completed: c.bytes_completed.get(),
-                    recoveries: c.recoveries.get(),
-                    slot_underflows: c.slot_underflows.get(),
-                }
+                    ..QpSnapshot::default()
+                })
             })
             .collect();
         // The table runs in QP-number order; the ledger lists node by node.
@@ -118,9 +109,9 @@ impl NetworkState {
         Snapshot {
             qps,
             cqs: self.telemetry.cq_snapshots(),
-            wire: self.telemetry.wire_snapshot(),
-            runtime: self.telemetry.runtime_snapshot(),
-            arena: self.telemetry.arena_snapshot(),
+            wire: self.telemetry.wire.snapshot_onto(Default::default()),
+            runtime: self.telemetry.runtime.snapshot_onto(Default::default()),
+            arena: self.telemetry.arena.snapshot_onto(Default::default()),
         }
     }
 }

@@ -8,9 +8,9 @@
 //! observable: at every loss rate in the sweep, every strategy still
 //! completes every round with zero application-visible failures.
 
-use std::io::Write as _;
 use std::path::Path;
 
+use partix_core::telemetry::{write_json, Json};
 use partix_core::{AggregatorKind, LossyConfig, PartixConfig};
 use partix_sim::split_seed;
 
@@ -149,44 +149,35 @@ impl FaultSweep {
     /// Serialise sweep results as JSON to `path` (creating parent
     /// directories), in a stable cell order.
     pub fn write_json(&self, cells: &[FaultCell], path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{{")?;
-        writeln!(f, "  \"partitions\": {},", self.partitions)?;
-        writeln!(f, "  \"part_bytes\": {},", self.part_bytes)?;
-        writeln!(f, "  \"warmup\": {},", self.warmup)?;
-        writeln!(f, "  \"iters\": {},", self.iters)?;
-        writeln!(f, "  \"seed\": {},", self.seed)?;
-        writeln!(f, "  \"cells\": [")?;
-        for (i, c) in cells.iter().enumerate() {
-            let sep = if i + 1 == cells.len() { "" } else { "," };
-            writeln!(
-                f,
-                "    {{\"aggregator\": \"{}\", \"drop_p\": {}, \"mean_ns\": {:.1}, \
-                 \"std_ns\": {:.1}, \"drops\": {}, \"retransmits\": {}, \
-                 \"duplicates\": {}, \"recoveries\": {}, \"failed\": {}}}{sep}",
-                strategy_name(c.aggregator),
-                c.drop_p,
-                c.mean_ns,
-                c.std_ns,
-                c.drops,
-                c.retransmits,
-                c.duplicates,
-                c.recoveries,
-                c.failed,
-            )?;
-        }
-        writeln!(f, "  ]")?;
-        writeln!(f, "}}")?;
-        Ok(())
+        let cell = |c: &FaultCell| {
+            Json::obj([
+                ("aggregator", strategy_name(c.aggregator).into()),
+                ("drop_p", c.drop_p.into()),
+                ("mean_ns", c.mean_ns.into()),
+                ("std_ns", c.std_ns.into()),
+                ("drops", c.drops.into()),
+                ("retransmits", c.retransmits.into()),
+                ("duplicates", c.duplicates.into()),
+                ("recoveries", c.recoveries.into()),
+                ("failed", c.failed.into()),
+            ])
+        };
+        let doc = Json::obj([
+            ("partitions", self.partitions.into()),
+            ("part_bytes", self.part_bytes.into()),
+            ("warmup", self.warmup.into()),
+            ("iters", self.iters.into()),
+            ("seed", self.seed.into()),
+            ("cells", Json::arr(cells.iter().map(cell))),
+        ]);
+        write_json(path, &doc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partix_core::telemetry::parse_json;
 
     fn quick() -> FaultSweep {
         let mut s = FaultSweep::new(PartixConfig::default());
@@ -247,10 +238,16 @@ mod tests {
         let dir = std::env::temp_dir().join("partix_fault_sweep_test");
         let path = dir.join("fault_sweep.json");
         s.write_json(&cells, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"aggregator\": \"ploggp\""));
-        assert!(text.contains("\"drops\": 3"));
-        assert!(text.contains("\"failed\": false"));
+        let doc = parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.get("partitions"), Some(&Json::Num(8.0)));
+        let cell = &doc.get("cells").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            cell.get("aggregator").and_then(Json::as_str),
+            Some("ploggp")
+        );
+        assert_eq!(cell.get("mean_ns"), Some(&Json::Num(1234.5)));
+        assert_eq!(cell.get("drops"), Some(&Json::Num(3.0)));
+        assert_eq!(cell.get("failed"), Some(&Json::Bool(false)));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

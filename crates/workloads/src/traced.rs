@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use partix_core::telemetry::{
-    write_telemetry_json, write_trace_json_with_frames, FlowEvent, FlowLog, Frame, HistSnapshot,
+    write_telemetry_json, write_trace_json, FlowEvent, FlowLog, Frame, HistSnapshot,
 };
 use partix_core::{invariants, SimDuration, Snapshot, SpanEvent, SpanLog};
 use partix_profiler::{assemble_chains, chrome_spans, Profiler};
@@ -58,7 +58,7 @@ impl TraceArtifacts {
             &self.snapshot,
             &self.report,
         )?;
-        write_trace_json_with_frames(
+        write_trace_json(
             &dir.join(format!("trace_{tag}.json")),
             tag,
             &self.spans,

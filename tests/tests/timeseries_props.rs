@@ -16,125 +16,49 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use partix_core::telemetry::{
-    frames_json, snapshot_accum, snapshot_delta, ArenaSnapshot, CqSnapshot, QpSnapshot,
-    RuntimeSnapshot, Sample, SampleSource, Sampler, SamplerConfig, Snapshot, WireSnapshot,
-    STATUS_SLOTS,
+    frames_json, snapshot_accum, snapshot_delta, CqSnapshot, QpSnapshot, Sample, SampleSource,
+    Sampler, SamplerConfig, Snapshot,
 };
 use partix_sim::SimDuration;
 use partix_workloads::fullstack::{run_fullstack_instrumented, Executor, FullStackConfig};
 use proptest::prelude::*;
 
-/// Build a full ledger snapshot (two QPs, two CQs, every scalar counter)
-/// from a flat word pool. The pool cycles, so any non-empty vector works.
+/// Build a full ledger snapshot (two QPs, two CQs, every field of every
+/// ledger as its definition lists them) from a flat word pool. The pool
+/// cycles, so any non-empty vector works.
 fn build_snapshot(vals: &[u64]) -> Snapshot {
     let mut it = vals.iter().copied().cycle();
     let mut n = move || it.next().expect("non-empty pool");
-    let qp = |node: u32, qp_num: u32, n: &mut dyn FnMut() -> u64| QpSnapshot {
+    let qp = |node, qp_num| QpSnapshot {
         node,
         qp_num,
         state: "RTS",
-        outstanding: n(),
-        recv_queue_depth: n(),
-        send_posted: n(),
-        recv_posted: n(),
-        recv_consumed: n(),
-        completed_success: n(),
-        completed_error: n(),
-        bytes_posted: n(),
-        bytes_completed: n(),
-        recoveries: n(),
-        slot_underflows: n(),
+        ..QpSnapshot::default()
     };
-    let cq = |cq_id: u32, n: &mut dyn FnMut() -> u64| {
-        let mut pushed_by_status = [0u64; STATUS_SLOTS];
-        for s in pushed_by_status.iter_mut() {
-            *s = n();
-        }
-        CqSnapshot {
-            cq_id,
-            pushed_by_status,
-            pushed_total: n(),
-            polled: n(),
-            recv_pushed: n(),
-            recv_bytes: n(),
-        }
+    let mut cq = |cq_id| CqSnapshot {
+        cq_id,
+        pushed_by_status: std::array::from_fn(|_| n()),
+        ..CqSnapshot::default()
     };
-    Snapshot {
-        qps: vec![qp(0, 100, &mut n), qp(1, 101, &mut n)],
-        cqs: vec![cq(7, &mut n), cq(8, &mut n)],
-        wire: WireSnapshot {
-            inner_submissions: n(),
-            retransmits: n(),
-            dropped: n(),
-            duplicates_injected: n(),
-            delayed: n(),
-            exhausted: n(),
-            injected_faults: n(),
-            rnr_requeues: n(),
-            mtu_segments: n(),
-            delivery_attempts: n(),
-            delivered: n(),
-            delivered_ghost: n(),
-            duplicates_suppressed: n(),
-            remote_errors: n(),
-            receiver_not_ready: n(),
-            length_errors: n(),
-            bytes_delivered: n(),
-            recv_cqes: n(),
-        },
-        runtime: RuntimeSnapshot {
-            preadys: n(),
-            timer_fires: n(),
-            aggregated_wrs: n(),
-            partitions_posted: n(),
-            pending_spills: n(),
-            pending_reposts: n(),
-            recoveries: n(),
-            table_decisions: n(),
-            table_fallback_decisions: n(),
-            model_decisions: n(),
-            fixed_decisions: n(),
-        },
-        arena: ArenaSnapshot {
-            pool_gets: n(),
-            pool_hits: n(),
-            pool_misses: n(),
-            pool_returns: n(),
-            live_high_water: n(),
-        },
-    }
+    let mut snap = Snapshot {
+        qps: vec![qp(0, 100), qp(1, 101)],
+        cqs: vec![cq(7), cq(8)],
+        ..Snapshot::default()
+    };
+    snap.for_each_ledger(|_, _, slots| slots.iter_mut().for_each(|v| **v = n()));
+    snap
 }
 
 /// Assert every monotone counter of `d` is zero (gauges excluded — they are
 /// carried, not subtracted).
 fn assert_monotone_zero(d: &Snapshot) {
-    for (name, v) in d.wire.fields() {
-        assert_eq!(v, 0, "wire.{name} should have saturated to zero");
-    }
-    for (name, v) in d.runtime.fields() {
-        assert_eq!(v, 0, "runtime.{name} should have saturated to zero");
-    }
-    assert_eq!(d.arena.pool_gets, 0);
-    assert_eq!(d.arena.pool_hits, 0);
-    assert_eq!(d.arena.pool_misses, 0);
-    assert_eq!(d.arena.pool_returns, 0);
-    for q in &d.qps {
-        assert_eq!(q.send_posted, 0);
-        assert_eq!(q.recv_posted, 0);
-        assert_eq!(q.recv_consumed, 0);
-        assert_eq!(q.completed_success, 0);
-        assert_eq!(q.completed_error, 0);
-        assert_eq!(q.bytes_posted, 0);
-        assert_eq!(q.bytes_completed, 0);
-        assert_eq!(q.recoveries, 0);
-        assert_eq!(q.slot_underflows, 0);
-    }
+    d.clone().for_each_ledger(|ledger, defs, slots| {
+        for (f, v) in defs.iter().zip(slots.iter()).filter(|(f, _)| !f.gauge) {
+            assert_eq!(**v, 0, "{ledger}.{} should have saturated to zero", f.name);
+        }
+    });
     for c in &d.cqs {
         assert!(c.pushed_by_status.iter().all(|&s| s == 0));
-        assert_eq!(c.pushed_total, 0);
-        assert_eq!(c.polled, 0);
-        assert_eq!(c.recv_pushed, 0);
-        assert_eq!(c.recv_bytes, 0);
     }
 }
 
