@@ -167,27 +167,8 @@ impl World {
         // tests and the sharded executor confirm routing coverage.
         sched.enable_node_affinity(ranks);
         let fabric = SimFabric::new(sched.clone(), config.fabric);
-        let lossy = config
-            .loss
-            .map(|cfg| LossyFabric::simulated(fabric.clone(), sched.clone(), cfg));
-        let wire: Arc<dyn Fabric> = match &lossy {
-            Some(l) => l.clone(),
-            None => fabric.clone(),
-        };
-        let network = Network::new(ranks, wire);
-        let inner = Arc::new(WorldInner {
-            network,
-            sim_fabric: Some(fabric),
-            lossy,
-            time: TimeSource::Sim(sched.clone()),
-            config,
-            match_svc: MatchService::default(),
-            procs: Mutex::new(BTreeMap::new()),
-            sink: Arc::default(),
-            req_seq: AtomicU64::new(1),
-            sampler: OnceLock::new(),
-        });
-        (World { inner }, sched)
+        let sim = Some((fabric.clone(), sched.clone()));
+        (Self::assemble(ranks, config, fabric, sim), sched)
     }
 
     /// Build an instant-fabric world (wall-clock time, synchronous
@@ -197,18 +178,38 @@ impl World {
     }
 
     /// Build a wall-clock world over a caller-supplied fabric (e.g. a
-    /// [`partix_verbs::FaultyFabric`] for failure-injection testing).
-    pub fn with_fabric(
+    /// [`partix_verbs::ShmFabric`], or a scripted [`LossyFabric`] for
+    /// failure-injection testing). When `config.loss` is set, the fabric is
+    /// wrapped in a [`LossyFabric`] with that loss model, as in
+    /// [`World::sim`], except that a wall-clock wire retransmits at once.
+    pub fn with_fabric(ranks: u32, config: PartixConfig, fabric: Arc<dyn Fabric>) -> World {
+        Self::assemble(ranks, config, fabric, None)
+    }
+
+    /// The one place a [`WorldInner`] is put together, and the one place
+    /// `config.loss` is read: over `fabric`, on `sim`'s virtual clock or,
+    /// without one, on the wall clock.
+    fn assemble(
         ranks: u32,
         config: PartixConfig,
-        fabric: std::sync::Arc<dyn partix_verbs::Fabric>,
+        fabric: Arc<dyn Fabric>,
+        sim: Option<(Arc<SimFabric>, Scheduler)>,
     ) -> World {
-        let network = Network::new(ranks, fabric);
+        let lossy = config.loss.map(|cfg| match &sim {
+            Some((_, sched)) => LossyFabric::simulated(fabric.clone(), sched.clone(), cfg),
+            None => LossyFabric::new(fabric.clone(), cfg),
+        });
+        let wire = match &lossy {
+            Some(lossy) => lossy.clone(),
+            None => fabric,
+        };
+        let network = Network::new(ranks, wire);
+        let (sim_fabric, sched) = sim.unzip();
         let inner = Arc::new(WorldInner {
             network,
-            sim_fabric: None,
-            lossy: None,
-            time: TimeSource::wall(),
+            sim_fabric,
+            lossy,
+            time: sched.map_or_else(TimeSource::wall, TimeSource::Sim),
             config,
             match_svc: MatchService::default(),
             procs: Mutex::new(BTreeMap::new()),

@@ -273,8 +273,7 @@ ledger! {
     read {}
     counted {
         /// Transfers handed to the innermost (delivering) fabric. Retransmits
-        /// and duplicates count again; dropped and fault-injected ones never
-        /// arrive here.
+        /// and duplicates count again; dropped ones never arrive here.
         counter inner_submissions,
         /// Lossy-wire retransmissions scheduled after a drop.
         counter retransmits,
@@ -286,8 +285,6 @@ ledger! {
         counter delayed,
         /// Transfers whose retry budget ran out (surfaced as `RetryExceeded`).
         counter exhausted,
-        /// Completions the faulty fabric failed without attempting delivery.
-        counter injected_faults,
         /// RNR re-arms: delivery attempts repeated because the receiver had no
         /// receive WR posted yet.
         counter rnr_requeues,

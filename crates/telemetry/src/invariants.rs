@@ -12,7 +12,7 @@
 //! 1.  Per QP: `send_posted == completed_success + completed_error + outstanding`
 //! 2.  Per QP: `slot_underflows == 0`
 //! 3.  Per QP: `recv_posted == recv_consumed + recv_queue_depth`
-//! 4.  `inner_submissions == Σ send_posted + retransmits + duplicates_injected − dropped − injected_faults`
+//! 4.  `inner_submissions == Σ send_posted + retransmits + duplicates_injected − dropped`
 //! 5.  `delivery_attempts == inner_submissions + rnr_requeues`
 //! 6.  `delivery_attempts == delivered + duplicates_suppressed + remote_errors + receiver_not_ready + length_errors`
 //! 7.  `dropped == retransmits + exhausted` (every drop is either retried or surfaced)
@@ -75,11 +75,11 @@ pub enum Violation {
         queued: u64,
     },
     /// Law 4: transfers reaching the delivering fabric don't reconcile
-    /// with posts, retransmits, duplicates, drops, and injected faults.
+    /// with posts, retransmits, duplicates and drops.
     SubmissionLedger {
         /// Observed inner submissions.
         inner_submissions: u64,
-        /// Expected: posted + retransmits + duplicates − dropped − injected.
+        /// Expected: posted + retransmits + duplicates − dropped.
         expected: u64,
     },
     /// Law 5: delivery attempts don't equal inner submissions plus RNR
@@ -202,7 +202,7 @@ impl fmt::Display for Violation {
             ),
             Violation::SubmissionLedger { inner_submissions, expected } => write!(
                 f,
-                "wire: inner submissions {inner_submissions} != posted + retransmits + duplicates - dropped - injected = {expected}"
+                "wire: inner submissions {inner_submissions} != posted + retransmits + duplicates - dropped = {expected}"
             ),
             Violation::AttemptLedger { attempts, expected } => write!(
                 f,
@@ -388,8 +388,7 @@ fn check_quiescent(snap: &Snapshot, r: &mut Report) {
     let posted = snap.total_send_posted();
     let success = snap.total_completed_success();
 
-    let expected_inner = (posted + w.retransmits + w.duplicates_injected)
-        .saturating_sub(w.dropped + w.injected_faults);
+    let expected_inner = (posted + w.retransmits + w.duplicates_injected).saturating_sub(w.dropped);
     if w.inner_submissions != expected_inner {
         r.violations.push(Violation::SubmissionLedger {
             inner_submissions: w.inner_submissions,

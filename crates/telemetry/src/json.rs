@@ -931,7 +931,7 @@ mod tests {
             }
             *row += 1;
         });
-        assert!(seen >= 2 * 11 + 2 * 4 + 18 + 11 + 5, "walked {seen} fields");
+        assert!(seen >= 2 * 11 + 2 * 4 + 17 + 11 + 5, "walked {seen} fields");
         // The CQ status breakdown, the one member outside the field tables.
         let cq0 = &telemetry.get("cqs").and_then(Json::as_arr).unwrap()[0];
         let pushed = cq0.get("pushed").unwrap();

@@ -526,97 +526,60 @@ fn diff_lines(a_kind: BackendKind, a: &[String], b_kind: BackendKind, b: &[Strin
 /// mode, segmentation and capacity accounting, reliability under injected
 /// chaos, error surfaces, and cross-cutting ledgers (arena, flows).
 pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "connect_teardown_reconnect",
-            run: s_connect_teardown_reconnect,
-        },
-        Scenario {
-            name: "write_imm_roundtrip",
-            run: s_write_imm_roundtrip,
-        },
-        Scenario {
-            name: "bare_write_has_no_recv_cqe",
-            run: s_bare_write_has_no_recv_cqe,
-        },
-        Scenario {
-            name: "two_sided_send_scatter",
-            run: s_two_sided_send_scatter,
-        },
-        Scenario {
-            name: "send_with_imm_roundtrip",
-            run: s_send_with_imm_roundtrip,
-        },
-        Scenario {
-            name: "gather_three_sge_write",
-            run: s_gather_three_sge_write,
-        },
-        Scenario {
-            name: "mtu_segmentation_ledger",
-            run: s_mtu_segmentation_ledger,
-        },
-        Scenario {
-            name: "wr_cap_spill_sequential",
-            run: s_wr_cap_spill_sequential,
-        },
-        Scenario {
-            name: "batch_partial_grant",
-            run: s_batch_partial_grant,
-        },
-        Scenario {
-            name: "psn_exactly_once_under_duplicates",
-            run: s_psn_exactly_once_under_duplicates,
-        },
-        Scenario {
-            name: "drop_retransmit_recovery",
-            run: s_drop_retransmit_recovery,
-        },
-        Scenario {
-            name: "chaos_storm_delivers_exactly_once",
-            run: s_chaos_storm,
-        },
-        Scenario {
-            name: "rnr_exhausts_without_receiver",
-            run: s_rnr_exhausts_without_receiver,
-        },
-        Scenario {
-            name: "qp_error_then_recovery_cycle",
-            run: s_qp_error_then_recovery_cycle,
-        },
-        Scenario {
-            name: "remote_access_error_writes_nothing",
-            run: s_remote_access_error_writes_nothing,
-        },
-        Scenario {
-            name: "two_sided_overflow_is_length_error",
-            run: s_two_sided_overflow_is_length_error,
-        },
-        Scenario {
-            name: "inline_send_arena_conservation",
-            run: s_inline_send_arena_conservation,
-        },
-        Scenario {
-            name: "imm_encoding_sweep",
-            run: s_imm_encoding_sweep,
-        },
-        Scenario {
-            name: "bidirectional_interleave",
-            run: s_bidirectional_interleave,
-        },
-        Scenario {
-            name: "multi_qp_fanout",
-            run: s_multi_qp_fanout,
-        },
-        Scenario {
-            name: "sequential_stream_wraps_transport",
-            run: s_sequential_stream,
-        },
-        Scenario {
-            name: "flow_stage_trace",
-            run: s_flow_stage_trace,
-        },
-    ]
+    let scenario = |&(name, run): &Row| Scenario { name, run };
+    TABLE.iter().map(scenario).collect()
 }
+
+/// A scenario's name and program.
+type Row = (&'static str, fn(BackendKind) -> Vec<String>);
+
+/// One line per scenario; `tests/tests/fabric_conformance.rs` has the other.
+const TABLE: &[Row] = &[
+    ("connect_teardown_reconnect", s_connect_teardown_reconnect),
+    ("write_imm_roundtrip", s_write_imm_roundtrip),
+    ("bare_write_has_no_recv_cqe", s_bare_write_has_no_recv_cqe),
+    ("two_sided_send_scatter", s_two_sided_send_scatter),
+    ("send_with_imm_roundtrip", s_send_with_imm_roundtrip),
+    ("gather_three_sge_write", s_gather_three_sge_write),
+    ("mtu_segmentation_ledger", s_mtu_segmentation_ledger),
+    ("wr_cap_spill_sequential", s_wr_cap_spill_sequential),
+    ("batch_partial_grant", s_batch_partial_grant),
+    (
+        "psn_exactly_once_under_duplicates",
+        s_psn_exactly_once_under_duplicates,
+    ),
+    ("drop_retransmit_recovery", s_drop_retransmit_recovery),
+    ("chaos_storm_delivers_exactly_once", s_chaos_storm),
+    (
+        "retry_budget_exhausts_under_total_loss",
+        s_retry_budget_exhausts,
+    ),
+    (
+        "rnr_exhausts_without_receiver",
+        s_rnr_exhausts_without_receiver,
+    ),
+    (
+        "qp_error_then_recovery_cycle",
+        s_qp_error_then_recovery_cycle,
+    ),
+    (
+        "remote_access_error_writes_nothing",
+        s_remote_access_error_writes_nothing,
+    ),
+    (
+        "two_sided_overflow_is_length_error",
+        s_two_sided_overflow_is_length_error,
+    ),
+    (
+        "inline_send_arena_conservation",
+        s_inline_send_arena_conservation,
+    ),
+    ("imm_encoding_sweep", s_imm_encoding_sweep),
+    ("bidirectional_interleave", s_bidirectional_interleave),
+    ("multi_qp_fanout", s_multi_qp_fanout),
+    ("sequential_stream_wraps_transport", s_sequential_stream),
+    ("flow_stage_trace", s_flow_stage_trace),
+];
 
 /// Round-trip one message end to end and return `(digest-lines)` for the
 /// common single-transfer shape: send CQE, recv CQE, payload hash.
@@ -641,6 +604,17 @@ fn one_transfer(bed: &Bed, a: &Endpoint, b: &Endpoint, wr_id: u64, len: usize) -
             len,
             fnv1a(&dst.read_vec(0, len).expect("read back"))
         ),
+    ]
+}
+
+/// What every failed-send scenario reports: the error CQE, the sender QP's
+/// state, and the hash of a destination region nothing may have written.
+fn failed_send_lines(swc: &WorkCompletion, a: &Endpoint, dst: &MemoryRegion) -> Vec<String> {
+    let landed = dst.read_vec(0, dst.len()).expect("read");
+    vec![
+        wc_line("send", swc),
+        format!("qp_state={:?}", a.qp.state()),
+        format!("dst untouched hash={:#x}", fnv1a(&landed)),
     ]
 }
 
@@ -1037,6 +1011,38 @@ fn s_chaos_storm(kind: BackendKind) -> Vec<String> {
     out
 }
 
+fn s_retry_budget_exhausts(kind: BackendKind) -> Vec<String> {
+    // Every wire attempt is lost, retransmissions included: the original
+    // and `retry_cnt` re-sends, then the failure surfaces.
+    let caps = QpCaps {
+        retry_cnt: 3,
+        ..QpCaps::default()
+    };
+    let bed = Bed::chaotic(kind, LossyConfig::drops(1.0, 3331));
+    let (a, b) = bed.pair_with(caps);
+    let src = a.mr(64);
+    let dst = b.mr(64);
+    src.write(0, &pattern(7, 64)).expect("fill");
+    b.qp.post_recv(RecvWr::bare(890)).expect("recv");
+    bed.post(&a.qp, write_imm_wr(&src, &dst, 891, 64, 1))
+        .expect("post");
+    let swc = bed.await_wc(&a.send_cq, "error CQE");
+    bed.settle();
+    let snap = bed.net.state().telemetry_snapshot();
+    let mut out = failed_send_lines(&swc, &a, &dst);
+    out.push(format!(
+        "recv_cq depth={} recv_queue={}",
+        b.recv_cq.depth(),
+        b.qp.recv_queue_depth()
+    ));
+    out.push(format!(
+        "dropped={} retransmits={} exhausted={}",
+        snap.wire.dropped, snap.wire.retransmits, snap.wire.exhausted
+    ));
+    bed.check_invariants(true);
+    out
+}
+
 fn s_rnr_exhausts_without_receiver(kind: BackendKind) -> Vec<String> {
     let caps = QpCaps {
         rnr_retry: 3,
@@ -1055,18 +1061,11 @@ fn s_rnr_exhausts_without_receiver(kind: BackendKind) -> Vec<String> {
     let swc = bed.await_wc(&a.send_cq, "send CQE");
     bed.settle();
     let snap = bed.net.state().telemetry_snapshot();
-    let out = vec![
-        wc_line("send", &swc),
-        format!("qp_state={:?}", a.qp.state()),
-        format!(
-            "rnr_requeues={} receiver_not_ready={}",
-            snap.wire.rnr_requeues, snap.wire.receiver_not_ready
-        ),
-        format!(
-            "dst untouched hash={:#x}",
-            fnv1a(&dst.read_vec(0, 64).expect("read"))
-        ),
-    ];
+    let mut out = failed_send_lines(&swc, &a, &dst);
+    out.push(format!(
+        "rnr_requeues={} receiver_not_ready={}",
+        snap.wire.rnr_requeues, snap.wire.receiver_not_ready
+    ));
     bed.check_invariants(false);
     let _ = b;
     out
@@ -1133,15 +1132,8 @@ fn s_remote_access_error_writes_nothing(kind: BackendKind) -> Vec<String> {
     bed.post(&a.qp, wr).expect("post");
     let swc = bed.await_wc(&a.send_cq, "error CQE");
     bed.settle();
-    let out = vec![
-        wc_line("send", &swc),
-        format!("qp_state={:?}", a.qp.state()),
-        format!(
-            "dst untouched hash={:#x}",
-            fnv1a(&dst.read_vec(0, 64).expect("read"))
-        ),
-        format!("recv_cq depth={}", b.recv_cq.depth()),
-    ];
+    let mut out = failed_send_lines(&swc, &a, &dst);
+    out.push(format!("recv_cq depth={}", b.recv_cq.depth()));
     bed.check_invariants(false);
     out
 }
@@ -1181,14 +1173,7 @@ fn s_two_sided_overflow_is_length_error(kind: BackendKind) -> Vec<String> {
     .expect("post");
     let swc = bed.await_wc(&a.send_cq, "length-error CQE");
     bed.settle();
-    let out = vec![
-        wc_line("send", &swc),
-        format!("qp_state={:?}", a.qp.state()),
-        format!(
-            "dst untouched hash={:#x}",
-            fnv1a(&dst.read_vec(0, 64).expect("read"))
-        ),
-    ];
+    let out = failed_send_lines(&swc, &a, &dst);
     bed.check_invariants(false);
     out
 }

@@ -5,7 +5,10 @@
 //! it (an extra ghost delivery the destination's PSN check must suppress),
 //! or **delay** it (extra one-way wire latency). All decisions come from a
 //! single seeded RNG, so a simulated run is bit-reproducible from
-//! `(seed, config)` alone.
+//! `(seed, config)` alone. A [`FaultPlan`] scripts drops instead of rolling
+//! for them ([`LossyFabric::scripted`]): the tests' "fail exactly this
+//! transfer". This is the one place in the workspace where a transfer is
+//! dropped, duplicated, delayed, failed or re-sent.
 //!
 //! Retransmission follows the IB RC model: a dropped transfer is re-offered
 //! to the wire after the source QP's ack timeout (`4.096 us x 2^timeout`),
@@ -79,6 +82,27 @@ impl LossyConfig {
     }
 }
 
+/// Scripted drops: which wire attempts, by their 0-based index in the order
+/// the fabric sees them (retransmissions count), are dropped whatever the
+/// dice say. On a QP with `retry_cnt = 0` a scripted drop is an injected
+/// fault: `RetryExceeded` at once, nothing delivered.
+#[derive(Debug)]
+pub enum FaultPlan {
+    /// Drop every `n`-th attempt (1-based: `EveryNth(1)` drops all).
+    EveryNth(u64),
+    /// Drop the attempts whose index is in the list.
+    Indices(Vec<u64>),
+}
+
+impl FaultPlan {
+    fn drops(&self, index: u64) -> bool {
+        match self {
+            FaultPlan::EveryNth(n) => *n > 0 && (index + 1) % *n == 0,
+            FaultPlan::Indices(list) => list.contains(&index),
+        }
+    }
+}
+
 #[derive(Default)]
 struct LossyStats {
     attempts: AtomicU64,
@@ -98,6 +122,8 @@ pub struct LossyFabric {
     /// transfers are retried immediately (zero-latency retransmission).
     sched: Option<Scheduler>,
     cfg: LossyConfig,
+    /// Scripted drops, on top of the seeded ones.
+    plan: Option<FaultPlan>,
     rng: Mutex<StdRng>,
     /// Per-source-node RNG streams, used instead of the shared `rng` when
     /// the scheduler is sharded: with shards executing concurrently, a
@@ -119,7 +145,14 @@ impl LossyFabric {
     /// with real threads the draw *order* depends on thread interleaving;
     /// only simulated mode is bit-deterministic.
     pub fn new(inner: Arc<dyn Fabric>, cfg: LossyConfig) -> Arc<Self> {
-        Self::build(inner, None, cfg)
+        Self::build(inner, None, cfg, None)
+    }
+
+    /// Wrap `inner` for instant-mode use on an otherwise perfect wire that
+    /// drops exactly the attempts `plan` names: deterministic for any one
+    /// posting order, and no randomness decides anything.
+    pub fn scripted(inner: Arc<dyn Fabric>, plan: FaultPlan) -> Arc<Self> {
+        Self::build(inner, None, LossyConfig::default(), Some(plan))
     }
 
     /// Wrap `inner` for simulated mode: retransmissions wait out the ack
@@ -127,10 +160,15 @@ impl LossyFabric {
     /// single-threaded, so the RNG draw order is a pure function of the
     /// seed and the workload.
     pub fn simulated(inner: Arc<dyn Fabric>, sched: Scheduler, cfg: LossyConfig) -> Arc<Self> {
-        Self::build(inner, Some(sched), cfg)
+        Self::build(inner, Some(sched), cfg, None)
     }
 
-    fn build(inner: Arc<dyn Fabric>, sched: Option<Scheduler>, cfg: LossyConfig) -> Arc<Self> {
+    fn build(
+        inner: Arc<dyn Fabric>,
+        sched: Option<Scheduler>,
+        cfg: LossyConfig,
+        plan: Option<FaultPlan>,
+    ) -> Arc<Self> {
         assert!(
             (0.0..=1.0).contains(&cfg.drop_p)
                 && (0.0..=1.0).contains(&cfg.dup_p)
@@ -142,6 +180,7 @@ impl LossyFabric {
             inner,
             sched,
             cfg,
+            plan,
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             node_rngs: IndexTable::new(),
             sharded,
@@ -205,9 +244,10 @@ impl LossyFabric {
 
     /// One wire attempt for `job` (attempt number `tries`, 0-based).
     fn attempt(&self, net: &Arc<NetworkState>, mut job: TransferJob, tries: u8) {
-        self.stats.attempts.fetch_add(1, Ordering::Relaxed);
+        let index = self.stats.attempts.fetch_add(1, Ordering::Relaxed);
         // Draw all three decisions up front so the consumed randomness per
-        // attempt is fixed regardless of which branches fire.
+        // attempt is fixed regardless of which branches fire (a scripted
+        // drop included: the plan consumes none).
         let (drop_roll, dup_roll, delay_roll) = self.with_rng(job.src_node, |rng| {
             let d: f64 = rng.random();
             let u: f64 = rng.random();
@@ -226,7 +266,8 @@ impl LossyFabric {
             self.inner.submit(net, ghost);
         }
 
-        if drop_roll < self.cfg.drop_p {
+        let scripted = self.plan.as_ref().is_some_and(|plan| plan.drops(index));
+        if scripted || drop_roll < self.cfg.drop_p {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
             net.telemetry().wire.dropped.inc();
             if job.ghost {
@@ -324,7 +365,11 @@ mod tests {
 
     /// Two connected nodes over an instant fabric wrapped by `cfg`.
     fn setup(cfg: LossyConfig, caps: QpCaps) -> (Pair, TestEndpoints) {
-        let lossy = LossyFabric::new(InstantFabric::new(), cfg);
+        setup_on(LossyFabric::new(InstantFabric::new(), cfg), caps)
+    }
+
+    /// Two connected nodes over `lossy`.
+    fn setup_on(lossy: Arc<LossyFabric>, caps: QpCaps) -> (Pair, TestEndpoints) {
         let net = Network::new(2, lossy.clone());
         let a = net.open(0).unwrap();
         let b = net.open(1).unwrap();
@@ -445,6 +490,55 @@ mod tests {
         assert_eq!(pair.lossy.retransmits(), 0);
         assert_eq!(ep.cqb.total_pushed(), 0);
         assert_eq!(ep.dst.read_vec(0, 1).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn scripted_drop_with_no_retries_is_an_injected_fault() {
+        // The plan names the second attempt; with retry_cnt = 0 that drop
+        // fails its WR at once and the wire eats it whole.
+        let caps = QpCaps {
+            retry_cnt: 0,
+            ..QpCaps::default()
+        };
+        let lossy = LossyFabric::scripted(InstantFabric::new(), FaultPlan::EveryNth(2));
+        let (pair, ep) = setup_on(lossy, caps);
+        ep.qb.post_recv(RecvWr::bare(0)).unwrap();
+        ep.qb.post_recv(RecvWr::bare(1)).unwrap();
+
+        ep.write_imm(1);
+        assert_eq!(ep.cqa.poll_one().unwrap().status, WcStatus::Success);
+        assert_eq!(ep.dst.read_vec(0, 1).unwrap(), vec![0x5a]);
+
+        ep.dst.fill(0, 64, 0).unwrap();
+        ep.write_imm(2);
+        assert_eq!(ep.cqa.poll_one().unwrap().status, WcStatus::RetryExceeded);
+        assert_eq!(ep.dst.read_vec(0, 1).unwrap(), vec![0], "nothing landed");
+        assert_eq!(ep.qa.state(), QpState::Error);
+        assert_eq!((pair.lossy.attempts(), pair.lossy.dropped()), (2, 1));
+        assert_eq!((pair.lossy.exhausted(), pair.lossy.retransmits()), (1, 0));
+        assert_eq!(ep.cqb.total_pushed(), 1, "no receive CQE for the drop");
+    }
+
+    #[test]
+    fn plan_counts_every_wire_attempt() {
+        let plan = FaultPlan::Indices(vec![3, 5]);
+        let hits: Vec<u64> = (0..8).filter(|&i| plan.drops(i)).collect();
+        assert_eq!(hits, [3, 5]);
+        assert!((0..8).all(|i| FaultPlan::EveryNth(1).drops(i)));
+        assert!((0..8).all(|i| !FaultPlan::EveryNth(0).drops(i)));
+
+        // With retries left a scripted drop is retransmitted, and the
+        // retransmission is the next index: attempts 0 and 1 are WR 0.
+        let lossy = LossyFabric::scripted(InstantFabric::new(), FaultPlan::Indices(vec![0, 2]));
+        let (pair, ep) = setup_on(lossy, QpCaps::default());
+        for i in 0..2 {
+            ep.qb.post_recv(RecvWr::bare(i)).unwrap();
+            ep.write_imm(i);
+            assert_eq!(ep.cqa.poll_one().unwrap().status, WcStatus::Success);
+        }
+        assert_eq!((pair.lossy.attempts(), pair.lossy.dropped()), (4, 2));
+        assert_eq!((pair.lossy.retransmits(), pair.lossy.exhausted()), (2, 0));
+        assert_eq!(ep.cqb.total_pushed(), 2);
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod conformance;
 mod cq;
 mod error;
 mod fabric;
-mod fabric_faulty;
 mod fabric_instant;
 mod fabric_lossy;
 mod fabric_sim;
@@ -81,9 +80,8 @@ pub use fabric::{
     outcome_status, sender_retry_profile, DeliveryHeader, DeliveryOutcome, Fabric, Payload,
     PostOptions, PostedSend, ResolvedSegment, TransferJob,
 };
-pub use fabric_faulty::{FaultPlan, FaultyFabric};
 pub use fabric_instant::InstantFabric;
-pub use fabric_lossy::{LossyConfig, LossyFabric};
+pub use fabric_lossy::{FaultPlan, LossyConfig, LossyFabric};
 pub use fabric_sim::{FabricParams, ResourceUtilization, SimFabric};
 pub use memory::MemoryRegion;
 pub use network::{connect_pair, Context, Network, NetworkState, NodeCtx, ProtectionDomain};

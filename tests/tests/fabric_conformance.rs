@@ -82,6 +82,7 @@ conformance_tests!(
     psn_exactly_once_under_duplicates,
     drop_retransmit_recovery,
     chaos_storm_delivers_exactly_once,
+    retry_budget_exhausts_under_total_loss,
     rnr_exhausts_without_receiver,
     qp_error_then_recovery_cycle,
     remote_access_error_writes_nothing,

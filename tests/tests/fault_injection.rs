@@ -1,16 +1,18 @@
-//! Failure injection through the full stack: injected wire faults must
-//! surface as error completions, poisoned requests, and QP error states —
-//! never as silent data loss.
+//! Failure injection through the full stack: a scripted [`LossyFabric`]
+//! drops chosen wire attempts, and on QPs with no transport retries each
+//! drop is an injected fault. It must surface as an error completion, a
+//! poisoned request and a QP error state — never as silent data loss.
 
 use std::sync::Arc;
 
 use partix_core::{AggregatorKind, PartixConfig, PartixError, ReliabilityConfig, World};
-use partix_verbs::{FaultPlan, FaultyFabric, InstantFabric, WcStatus};
+use partix_verbs::{FaultPlan, InstantFabric, LossyConfig, LossyFabric};
 
-fn faulty_world(plan: FaultPlan) -> (World, Arc<FaultyFabric>) {
-    let faulty = FaultyFabric::new(InstantFabric::new(), plan, WcStatus::RemoteAccessError);
+fn faulty_world(plan: FaultPlan) -> (World, Arc<LossyFabric>) {
+    let faulty = LossyFabric::scripted(InstantFabric::new(), plan);
     // Reliability off: these tests assert the legacy first-error-poisons
-    // semantics (QP recovery would otherwise absorb the injected fault).
+    // semantics (retransmission, then QP recovery, would otherwise absorb
+    // the injected fault).
     let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     config.reliability = ReliabilityConfig::disabled();
     let world = World::with_fabric(2, config, faulty.clone());
@@ -41,7 +43,7 @@ fn injected_fault_poisons_the_send_request() {
         Err(PartixError::TransferFailed { .. })
     ));
     assert!(send.error().is_some());
-    assert_eq!(faulty.injected(), 1);
+    assert_eq!(faulty.dropped(), 1);
     // The receiver is missing the faulted partition and the later
     // partitions of the now-dead QP (round-robin: 2, 4, 6 shared QP 0).
     assert!(!recv.test());
@@ -62,7 +64,7 @@ fn injected_fault_poisons_the_send_request() {
     // fault is attributed on the wire and the error completion balances
     // the posts.
     let snap = world.telemetry_snapshot();
-    assert_eq!(snap.wire.injected_faults, faulty.injected());
+    assert_eq!((snap.wire.dropped, snap.wire.exhausted), (1, 1));
     partix_core::invariants::check(&snap).assert_clean();
 }
 
@@ -107,11 +109,9 @@ fn clean_rounds_before_the_fault_are_unaffected() {
 fn aggregated_fault_loses_the_whole_group() {
     // With full aggregation (one WR for all partitions), a single fault
     // costs every partition — the blast-radius trade-off of aggregation.
-    let faulty = FaultyFabric::new(
-        InstantFabric::new(),
-        FaultPlan::EveryNth(1),
-        WcStatus::RemoteAccessError,
-    );
+    // Reliability is on and every attempt is lost: retransmissions and QP
+    // recoveries both run out before the failure reaches `wait`.
+    let faulty = LossyFabric::scripted(InstantFabric::new(), FaultPlan::EveryNth(1));
     let world = World::with_fabric(
         2,
         PartixConfig::with_aggregator(AggregatorKind::PLogGp),
@@ -141,11 +141,7 @@ fn posting_onto_a_dead_qp_retires_the_wr_and_terminates() {
     // must hit `submit`'s poisoned path: the WR is retired immediately (no
     // completion will ever come), the error is recorded, and the round
     // terminates instead of hanging with wr_posted > wr_completed.
-    let faulty = FaultyFabric::new(
-        InstantFabric::new(),
-        FaultPlan::Indices(vec![0]),
-        WcStatus::RemoteAccessError,
-    );
+    let faulty = LossyFabric::scripted(InstantFabric::new(), FaultPlan::Indices(vec![0]));
     let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     config.reliability = ReliabilityConfig::disabled();
     config.persistent_qps = 1;
@@ -168,28 +164,26 @@ fn posting_onto_a_dead_qp_retires_the_wr_and_terminates() {
     assert!(send.error().is_some());
     // Only the faulted WR reached the wire; the rest were rejected by the
     // dead QP and retired in software.
-    assert_eq!(faulty.submitted(), 1);
-    assert_eq!(faulty.injected(), 1);
+    assert_eq!((faulty.attempts(), faulty.dropped()), (1, 1));
     assert_eq!(recv.arrived_count(), 0);
     // Software-retired WRs (rejected by the dead QP) never touched the
     // wire and must not appear anywhere in the wire ledger.
     let snap = world.telemetry_snapshot();
-    assert_eq!(snap.wire.injected_faults, 1);
+    assert_eq!((snap.wire.dropped, snap.wire.inner_submissions), (1, 0));
     partix_core::invariants::check(&snap).assert_clean();
 }
 
 #[test]
 fn qp_recovery_absorbs_an_injected_fault() {
-    // Same single-QP setup, but with reliability on: the error completion
-    // triggers QP recovery (Error → Reset → Init → RTR → RTS) and the failed
-    // WR is re-posted. FaultyFabric only eats submission index 0, so the
-    // retry passes and the round completes with full data integrity.
-    let faulty = FaultyFabric::new(
-        InstantFabric::new(),
-        FaultPlan::Indices(vec![0]),
-        WcStatus::RemoteAccessError,
-    );
+    // Same single-QP setup, but with QP recovery on (and transport retries
+    // still off, so the drop is an error and not a retransmission): the
+    // error completion triggers QP recovery (Error → Reset → Init → RTR →
+    // RTS) and the failed WR is re-posted. The plan only eats wire attempt
+    // 0, so the re-post passes and the round completes with full data
+    // integrity.
+    let faulty = LossyFabric::scripted(InstantFabric::new(), FaultPlan::Indices(vec![0]));
     let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    config.reliability.retry_cnt = 0;
     config.persistent_qps = 1;
     let world = World::with_fabric(2, config, faulty.clone());
     let p0 = world.proc(0);
@@ -208,7 +202,7 @@ fn qp_recovery_absorbs_an_injected_fault() {
     recv.wait().unwrap();
     assert_eq!(send.error(), None);
     assert_eq!(send.recoveries(), 1, "exactly one recovery cycle");
-    assert_eq!(faulty.injected(), 1);
+    assert_eq!(faulty.dropped(), 1);
     assert_eq!(recv.arrived_count(), 8);
     for i in 0..8u32 {
         assert_eq!(
@@ -220,7 +214,39 @@ fn qp_recovery_absorbs_an_injected_fault() {
     // Recovery accounting: one injected fault, one error completion, one
     // QP recovery — and a ledger that still balances to zero leaks.
     let snap = world.telemetry_snapshot();
-    assert_eq!(snap.wire.injected_faults, 1);
+    assert_eq!((snap.wire.dropped, snap.wire.exhausted), (1, 1));
     assert_eq!(snap.qps.iter().map(|q| q.recoveries).sum::<u64>(), 1);
     partix_core::invariants::check(&snap).assert_clean();
+}
+
+#[test]
+fn an_instant_world_honours_the_loss_model() {
+    // `PartixConfig::loss` on a wall-clock world: the same seeded chaos as
+    // under the simulator, retransmitted at once. The application sees
+    // three clean rounds; the wire's counters show what it absorbed.
+    let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    config.loss = Some(LossyConfig::chaos(0.2, 41));
+    let world = World::instant(2, config);
+    let p0 = world.proc(0);
+    let p1 = world.proc(1);
+    let sbuf = p0.alloc_buffer(8 * 64).unwrap();
+    let rbuf = p1.alloc_buffer(8 * 64).unwrap();
+    let send = p0.psend_init(&sbuf, 8, 64, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, 8, 64, 0, 0).unwrap();
+    for round in 0..3u8 {
+        let bytes: Vec<u8> = (0..8 * 64).map(|k| (k as u8) ^ (round * 37)).collect();
+        sbuf.write(0, &bytes).unwrap();
+        recv.start().unwrap();
+        send.start().unwrap();
+        for i in 0..8 {
+            send.pready(i).unwrap();
+        }
+        send.wait().unwrap();
+        recv.wait().unwrap();
+        assert_eq!(rbuf.read_vec(0, 8 * 64).unwrap(), bytes, "round {round}");
+    }
+    let lossy = world.lossy_fabric().expect("config.loss wraps the wire");
+    assert!(lossy.dropped() > 0, "the loss model never fired (seed 41)");
+    assert_eq!(lossy.exhausted(), 0);
+    world.check_invariants().assert_clean();
 }

@@ -6,9 +6,8 @@
 
 use partix_sim::Scheduler;
 use partix_verbs::{
-    connect_pair, invariants, FabricParams, FaultPlan, FaultyFabric, InstantFabric, LossyConfig,
-    LossyFabric, Network, Opcode, QpCaps, QpState, RecvWr, SendWr, Sge, SimFabric, VerbsError,
-    WcStatus,
+    connect_pair, invariants, FabricParams, FaultPlan, InstantFabric, LossyConfig, LossyFabric,
+    Network, Opcode, QpCaps, QpState, RecvWr, SendWr, Sge, SimFabric, VerbsError, WcStatus,
 };
 
 const LEN: usize = 64;
@@ -24,17 +23,17 @@ struct Pair {
 
 /// Two connected nodes over `fabric`, with one `LEN`-byte region per side.
 fn pair(fabric: std::sync::Arc<dyn partix_verbs::Fabric>) -> Pair {
+    pair_with(fabric, QpCaps::default())
+}
+
+fn pair_with(fabric: std::sync::Arc<dyn partix_verbs::Fabric>, caps: QpCaps) -> Pair {
     let net = Network::new(2, fabric);
     let a = net.open(0).unwrap();
     let b = net.open(1).unwrap();
     let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
     let (cqa, cqb) = (a.create_cq(), b.create_cq());
-    let qa = a
-        .create_qp(pda, cqa.clone(), a.create_cq(), QpCaps::default())
-        .unwrap();
-    let qb = b
-        .create_qp(pdb, b.create_cq(), cqb.clone(), QpCaps::default())
-        .unwrap();
+    let qa = a.create_qp(pda, cqa.clone(), a.create_cq(), caps).unwrap();
+    let qb = b.create_qp(pdb, b.create_cq(), cqb.clone(), caps).unwrap();
     connect_pair(&qa, &qb).unwrap();
     let src = a.reg_mr(pda, LEN).unwrap();
     let dst = b.reg_mr(pdb, LEN).unwrap();
@@ -187,19 +186,20 @@ fn ghost_duplicates_never_double_release() {
 /// no leaked slot shrinks the usable queue afterwards.
 #[test]
 fn recovery_restores_a_full_send_queue() {
-    let faulty = FaultyFabric::new(
-        InstantFabric::new(),
-        FaultPlan::Indices(vec![0]),
-        WcStatus::RemoteAccessError,
-    );
-    let p = pair(faulty.clone());
+    // No transport retries, so the scripted drop of attempt 0 is an error.
+    let faulty = LossyFabric::scripted(InstantFabric::new(), FaultPlan::Indices(vec![0]));
+    let caps = QpCaps {
+        retry_cnt: 0,
+        ..QpCaps::default()
+    };
+    let p = pair_with(faulty.clone(), caps);
     for i in 0..17 {
         p.qb.post_recv(RecvWr::bare(i)).unwrap();
     }
     // First WR is eaten: error completion, QP dead, slot released.
     p.post(0).unwrap();
     let wc = p.cqa.poll_one().unwrap();
-    assert_eq!(wc.status, WcStatus::RemoteAccessError);
+    assert_eq!(wc.status, WcStatus::RetryExceeded);
     assert_eq!(p.qa.state(), QpState::Error);
     assert_eq!(p.qa.outstanding(), 0, "error completion leaked its slot");
 
@@ -226,5 +226,5 @@ fn recovery_restores_a_full_send_queue() {
     assert_eq!(qp.completed_error, 1);
     assert_eq!(qp.slot_underflows, 0);
     invariants::check(&snap).assert_clean();
-    assert_eq!(faulty.injected(), 1);
+    assert_eq!((faulty.dropped(), faulty.exhausted()), (1, 1));
 }
