@@ -1,9 +1,10 @@
 //! Trace-file loading and analysis for the `trace` binary.
 //!
 //! Reads the `trace_<tag>.json` artifacts written by traced runs
-//! ([`partix_workloads::TraceArtifacts::write_to`]): chrome-trace events
-//! plus a `"flows"` array of raw causal flow events and a `"stages"` map
-//! of per-stage residency histogram snapshots. The bytes are read by the
+//! ([`partix_workloads::TraceArtifacts::write_to`]): a `"flows"` array of
+//! raw causal flow events and a `"stages"` map of per-stage residency
+//! histogram snapshots (the chrome-trace events beside them are a view of
+//! the flows, and are not read here). The bytes are read by the
 //! workspace's one JSON parser, `partix_telemetry::parse_json` (re-exported
 //! here); this module turns the [`Json`] value into a [`TraceFile`],
 //! reconstructs per-flow critical paths via `partix_profiler` and renders

@@ -71,5 +71,5 @@ pub use world::World;
 // Re-export the pieces of the substrate users need to drive the API.
 pub use partix_sim::{Scheduler, SimDuration, SimTime};
 pub use partix_verbs::telemetry;
-pub use partix_verbs::telemetry::{invariants, Registry, Snapshot, SpanEvent, SpanLog};
+pub use partix_verbs::telemetry::{invariants, Registry, Snapshot};
 pub use partix_verbs::{FabricParams, LossyConfig, LossyFabric, MemoryRegion};

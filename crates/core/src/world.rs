@@ -16,9 +16,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use partix_sim::{Scheduler, SimDuration, SimTime, TimeSource};
-use partix_verbs::telemetry::{
-    invariants, Registry, Sample, Sampler, SamplerConfig, Snapshot, SpanLog,
-};
+use partix_verbs::telemetry::{invariants, Registry, Sample, Sampler, SamplerConfig, Snapshot};
 use partix_verbs::{connect_pair, Fabric, LossyFabric, Network, QpCaps, SimFabric};
 
 use crate::config::PartixConfig;
@@ -263,20 +261,14 @@ impl World {
         invariants::check(&self.telemetry_snapshot())
     }
 
-    /// Enable span tracing (sim mode only): modelled hardware resources
-    /// record their busy intervals into `log` for chrome-trace export.
-    pub fn enable_tracing(&self, log: Arc<SpanLog>) {
-        if let Some(fabric) = &self.inner.sim_fabric {
-            fabric.trace_into(log);
-        }
-    }
-
     /// Enable causal flow tracing: every WR posted from here on carries a
     /// flow identifier, per-stage events land in `log`, and per-stage
     /// residency histograms accumulate on the telemetry registry. Works in
-    /// both simulated and instant mode (timestamps come from the world's
-    /// clock). Recording is passive — it never schedules events — so traced
-    /// simulated runs stay byte-identical to untraced ones.
+    /// both simulated and wall-clock mode (timestamps come from the world's
+    /// clock), and the log is the one trace source: the chrome-trace view
+    /// `write_trace_json` renders is computed from it. Recording is passive
+    /// — it never schedules events — so traced simulated runs stay
+    /// byte-identical to untraced ones.
     pub fn enable_flow_tracing(&self, log: Arc<partix_verbs::FlowLog>) {
         self.telemetry()
             .flows

@@ -37,10 +37,8 @@ mod analysis;
 mod flowpath;
 mod recorder;
 mod timeline;
-mod trace;
 
 pub use analysis::{min_delta_ns, ArrivalPoint, ArrivalProfile};
 pub use flowpath::{assemble_chains, top_stalls, FlowChain, Stall};
 pub use recorder::{Profiler, RecvTrace, RoundTrace, SendTrace};
 pub use timeline::{sparkline, PartitionSpan, Timeline};
-pub use trace::chrome_spans;

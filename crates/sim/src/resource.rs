@@ -8,30 +8,16 @@
 //! virtual-time arrival order, which yields FIFO semantics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use partix_telemetry::{SpanEvent, SpanLog};
-
 use crate::time::{SimDuration, SimTime};
-
-/// Where a traced resource's busy intervals go, plus its trace identity.
-struct SpanSink {
-    log: Arc<SpanLog>,
-    name: Arc<str>,
-    pid: u32,
-    tid: u32,
-}
 
 /// A FIFO, one-at-a-time resource on the virtual timeline.
 pub struct SerialResource {
     free_at: Mutex<SimTime>,
     busy_total: AtomicU64,
     reservations: AtomicU64,
-    /// Set at most once, when tracing is enabled. The untraced hot path
-    /// pays a single relaxed load per reservation.
-    span: OnceLock<SpanSink>,
 }
 
 impl SerialResource {
@@ -41,30 +27,7 @@ impl SerialResource {
             free_at: Mutex::new(SimTime::ZERO),
             busy_total: AtomicU64::new(0),
             reservations: AtomicU64::new(0),
-            span: OnceLock::new(),
         }
-    }
-
-    /// Start recording this resource's busy intervals as chrome-trace spans
-    /// into `log`, labelled `name` on lane `(pid, tid)`. Returns false (and
-    /// changes nothing) if a span sink was already attached. Accepts an
-    /// `Arc<str>` so callers that precompute resource names attach them with
-    /// a refcount bump, not a fresh allocation.
-    pub fn attach_span_log(
-        &self,
-        log: Arc<SpanLog>,
-        name: impl Into<Arc<str>>,
-        pid: u32,
-        tid: u32,
-    ) -> bool {
-        self.span
-            .set(SpanSink {
-                log,
-                name: name.into(),
-                pid,
-                tid,
-            })
-            .is_ok()
     }
 
     /// Reserve the resource for `dur`, starting no earlier than `earliest`.
@@ -76,17 +39,6 @@ impl SerialResource {
         *free = end;
         self.busy_total.fetch_add(dur.as_nanos(), Ordering::Relaxed);
         self.reservations.fetch_add(1, Ordering::Relaxed);
-        drop(free);
-        if let Some(sink) = self.span.get() {
-            sink.log.record(SpanEvent {
-                name: sink.name.clone(),
-                cat: "resource",
-                pid: sink.pid,
-                tid: sink.tid,
-                ts_ns: start.as_nanos(),
-                dur_ns: dur.as_nanos(),
-            });
-        }
         (start, end)
     }
 

@@ -89,19 +89,7 @@ impl FlowStage {
 
     /// Inverse of [`FlowStage::name`].
     pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "posted" => FlowStage::Posted,
-            "cap_queued" => FlowStage::CapQueued,
-            "cap_dequeued" => FlowStage::CapDequeued,
-            "wire_submit" => FlowStage::WireSubmit,
-            "retransmit" => FlowStage::Retransmit,
-            "rnr_wait" => FlowStage::RnrWait,
-            "delivered" => FlowStage::Delivered,
-            "send_cqe" => FlowStage::SendCqe,
-            "recv_cqe" => FlowStage::RecvCqe,
-            "arrived" => FlowStage::Arrived,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|stage| stage.name() == s)
     }
 }
 
@@ -136,12 +124,32 @@ struct Slot {
     stage1: AtomicU64,
 }
 
+impl Slot {
+    /// The event in this slot, or `None` while it is reserved but not yet
+    /// committed.
+    fn load(&self) -> Option<FlowEvent> {
+        let stage = match self.stage1.load(Ordering::Acquire) {
+            0 => return None,
+            stage1 => FlowStage::ALL[(stage1 - 1) as usize],
+        };
+        let qp_chan = self.qp_chan.load(Ordering::Relaxed);
+        Some(FlowEvent {
+            flow: self.flow.load(Ordering::Relaxed),
+            stage,
+            ts_ns: self.ts_ns.load(Ordering::Relaxed),
+            qp: (qp_chan >> 32) as u32,
+            chan: qp_chan as u32,
+            aux: self.aux.load(Ordering::Relaxed),
+        })
+    }
+}
+
 /// Events held in the wait-free fast region before appends spill to the
 /// mutex-guarded overflow vector. 8 Ki events (~320 KiB) covers every
 /// traced round comfortably; long traced runs overflow gracefully.
 const FAST_SLOTS: usize = 8192;
 
-/// A shared, append-only collection of flow events (mirror of `SpanLog`).
+/// A shared, append-only collection of flow events.
 ///
 /// Appends are wait-free while the fast region has space — one relaxed
 /// `fetch_add` to claim a slot plus five plain stores — and fall back to a
@@ -198,21 +206,7 @@ impl FlowLog {
         let spill = self.spill.lock();
         let used = self.reserved.load(Ordering::Acquire).min(self.slots.len());
         let mut out = Vec::with_capacity(used + spill.len());
-        for s in &self.slots[..used] {
-            let stage1 = s.stage1.load(Ordering::Acquire);
-            if stage1 == 0 {
-                continue;
-            }
-            let qp_chan = s.qp_chan.load(Ordering::Relaxed);
-            out.push(FlowEvent {
-                flow: s.flow.load(Ordering::Relaxed),
-                stage: FlowStage::ALL[(stage1 - 1) as usize],
-                ts_ns: s.ts_ns.load(Ordering::Relaxed),
-                qp: (qp_chan >> 32) as u32,
-                chan: qp_chan as u32,
-                aux: s.aux.load(Ordering::Relaxed),
-            });
-        }
+        out.extend(self.slots[..used].iter().filter_map(Slot::load));
         out.extend(spill.iter().copied());
         out
     }
@@ -241,18 +235,7 @@ impl FlowLog {
         let used = self.reserved.load(Ordering::Acquire).min(self.slots.len());
         let mut out = Vec::with_capacity(used + spill.len());
         for s in &self.slots[..used] {
-            let stage1 = s.stage1.load(Ordering::Acquire);
-            if stage1 != 0 {
-                let qp_chan = s.qp_chan.load(Ordering::Relaxed);
-                out.push(FlowEvent {
-                    flow: s.flow.load(Ordering::Relaxed),
-                    stage: FlowStage::ALL[(stage1 - 1) as usize],
-                    ts_ns: s.ts_ns.load(Ordering::Relaxed),
-                    qp: (qp_chan >> 32) as u32,
-                    chan: qp_chan as u32,
-                    aux: s.aux.load(Ordering::Relaxed),
-                });
-            }
+            out.extend(s.load());
             s.stage1.store(0, Ordering::Relaxed);
         }
         out.append(&mut spill);
@@ -491,18 +474,8 @@ mod tests {
 
     #[test]
     fn stage_names_round_trip() {
-        for stage in [
-            FlowStage::Posted,
-            FlowStage::CapQueued,
-            FlowStage::CapDequeued,
-            FlowStage::WireSubmit,
-            FlowStage::Retransmit,
-            FlowStage::RnrWait,
-            FlowStage::Delivered,
-            FlowStage::SendCqe,
-            FlowStage::RecvCqe,
-            FlowStage::Arrived,
-        ] {
+        for (i, stage) in FlowStage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "ALL is index-aligned");
             assert_eq!(FlowStage::from_name(stage.name()), Some(stage));
         }
         assert_eq!(FlowStage::from_name("bogus"), None);

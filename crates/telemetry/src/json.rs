@@ -1,9 +1,10 @@
 //! The one JSON module: the [`Json`] value, the writer (`Display`,
 //! [`write_json`]), the parser ([`parse_json`]), and the artifacts built on
 //! them — `telemetry_<tag>.json` (full ledger + invariant report),
-//! `trace_<tag>.json` (chrome-trace events plus flow events, stage
-//! histograms and sampled frames; `chrome://tracing` / Perfetto ignore the
-//! extra top-level keys) and `flightrec_<tag>.json`.
+//! `trace_<tag>.json` (flow events, stage histograms and sampled frames,
+//! with the chrome-trace view of the flow events under `traceEvents`;
+//! `chrome://tracing` / Perfetto ignore the other top-level keys) and
+//! `flightrec_<tag>.json`.
 //!
 //! The workspace has no serde. An artifact is a function that returns a
 //! [`Json`]; escaping, number formatting and line layout live in the writer
@@ -21,7 +22,6 @@ use crate::hist::HistSnapshot;
 use crate::invariants::Report;
 use crate::snapshot::{CqSnapshot, QpSnapshot, Snapshot};
 use crate::timeseries::Frame;
-use crate::trace::SpanEvent;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -562,68 +562,85 @@ pub(crate) fn flightrec_json(
     ])
 }
 
-/// Write the full trace artifact for one run at `path`: chrome-trace span
-/// events plus, when flow tracing was armed, flow arrows ("s"/"f" pairs
-/// linking each flow's post to its arrival), the raw flow-event list, and
-/// the per-stage latency histograms; when the run was sampled, the frame
-/// ring under a `frames` key and per-window chrome counter tracks
-/// (`ph: "C"`) so Perfetto plots delivery and aggregation rates over the
-/// span timeline. Chrome-trace viewers render the `traceEvents` array and
-/// ignore the extra keys; the `trace` analyzer reads `flows`, `stages` and
-/// `frames`.
+/// Write the full trace artifact for one run at `path`: the raw flow-event
+/// list, the per-stage latency histograms, when the run was sampled the
+/// frame ring under a `frames` key, and under `traceEvents` the chrome-trace
+/// view of the flow events (one `X` span per stage interval, on one lane per
+/// QP), plus per-window counter tracks (`ph: "C"`) so Perfetto plots
+/// delivery and aggregation rates over the flow timeline. Chrome-trace
+/// viewers render `traceEvents` and ignore the other keys; the `trace`
+/// analyzer reads `flows`, `stages` and `frames`. `flows` is sorted by
+/// `(flow, ts, stage)`, as [`FlowLog::sorted`](crate::FlowLog::sorted)
+/// returns it. Returns the number of `traceEvents` written.
 pub fn write_trace_json(
     path: &Path,
     workload: &str,
-    spans: &[SpanEvent],
     flows: &[FlowEvent],
     stages: &[(&str, HistSnapshot)],
     frames: &[Frame],
-) -> io::Result<()> {
-    write_json(path, &trace_json(workload, spans, flows, stages, frames))
+) -> io::Result<usize> {
+    let doc = trace_json(workload, flows, stages, frames);
+    write_json(path, &doc)?;
+    let events = doc.get("traceEvents").and_then(Json::as_arr);
+    Ok(events.map_or(0, <[Json]>::len))
+}
+
+/// The chrome-trace view of the flow log, one lane per QP (`pid` 0, `tid` =
+/// QP number, which is network-wide unique). Within a flow, each pair of
+/// consecutive events is one `X` span on the lane of the first, named after
+/// its stage and lasting until the second; a `Posted` that held partitions
+/// adds an `agg_hold` span ending at the post; and an `s`/`f` arrow keyed by
+/// the flow id links the post to the arrival.
+fn flow_view(flows: &[FlowEvent], out: &mut Vec<Json>) {
+    let head = |name: &str, ph: &str, e: &FlowEvent| {
+        let lane = [("pid", 0u64.into()), ("tid", e.qp.into())];
+        let kind = [
+            ("name", name.into()),
+            ("cat", "flow".into()),
+            ("ph", ph.into()),
+        ];
+        kind.into_iter().chain(lane)
+    };
+    let span = |name: &str, e: &FlowEvent, ts_ns: u64, dur_ns: u64| {
+        let args = Json::obj([("flow", e.flow.into())]);
+        let tail = [
+            ("ts", micros(ts_ns)),
+            ("dur", micros(dur_ns)),
+            ("args", args),
+        ];
+        Json::obj(head(name, "X", e).chain(tail))
+    };
+    for chain in flows.chunk_by(|a, b| a.flow == b.flow) {
+        for (i, e) in chain.iter().enumerate() {
+            if e.stage == FlowStage::Posted && e.aux > 0 {
+                let start = e.ts_ns.saturating_sub(e.aux);
+                out.push(span("agg_hold", e, start, e.ts_ns - start));
+            }
+            if let Some(next) = chain.get(i + 1) {
+                let dur_ns = next.ts_ns.saturating_sub(e.ts_ns);
+                out.push(span(e.stage.name(), e, e.ts_ns, dur_ns));
+            }
+            let (ph, bind) = match e.stage {
+                FlowStage::Posted => ("s", None),
+                FlowStage::Arrived => ("f", Some(("bp", "e".into()))),
+                _ => continue,
+            };
+            let tail = [("id", e.flow.into()), ("ts", micros(e.ts_ns))];
+            out.push(Json::obj(head("flow", ph, e).chain(bind).chain(tail)));
+        }
+    }
 }
 
 fn trace_json(
     workload: &str,
-    spans: &[SpanEvent],
     flows: &[FlowEvent],
     stages: &[(&str, HistSnapshot)],
     frames: &[Frame],
 ) -> Json {
-    let mut events: Vec<Json> = Vec::with_capacity(spans.len() + flows.len() + 2 * frames.len());
-    events.extend(spans.iter().map(|e| {
-        Json::obj([
-            ("name", Json::from(&*e.name)),
-            ("cat", e.cat.into()),
-            ("ph", "X".into()),
-            ("pid", e.pid.into()),
-            ("tid", e.tid.into()),
-            ("ts", micros(e.ts_ns)),
-            ("dur", micros(e.dur_ns)),
-        ])
-    }));
-    // Flow arrows: one "s" at the post, one "f" at the arrival, keyed by
-    // the flow id so viewers draw the causal arrow across lanes.
-    events.extend(flows.iter().filter_map(|e| {
-        let (ph, bind, pid) = match e.stage {
-            FlowStage::Posted => ("s", None, 0u64),
-            FlowStage::Arrived => ("f", Some(("bp", "e".into())), 1),
-            _ => return None,
-        };
-        let head = [
-            ("name", "flow".into()),
-            ("cat", "flow".into()),
-            ("ph", ph.into()),
-        ];
-        let tail = [
-            ("id", e.flow.into()),
-            ("pid", pid.into()),
-            ("tid", e.qp.into()),
-            ("ts", micros(e.ts_ns)),
-        ];
-        Some(Json::obj(head.into_iter().chain(bind).chain(tail)))
-    }));
+    let mut events: Vec<Json> = Vec::with_capacity(3 * flows.len() + 2 * frames.len());
+    flow_view(flows, &mut events);
     // Counter tracks: one sample per frame, so viewers plot the windowed
-    // delivery/aggregation rates alongside the span timeline.
+    // delivery/aggregation rates alongside the flow timeline.
     for f in frames {
         let (w, r) = (&f.deltas.wire, &f.deltas.runtime);
         let track = |name: &str, args: Json| {
@@ -1021,19 +1038,19 @@ mod tests {
         let h = LogHistogram::new();
         h.record(800);
         let stages = vec![("wire_ns", h.snapshot())];
-        let doc = reparse(&trace_json("unit", &[], &flows, &stages, &[]));
+        let doc = reparse(&trace_json("unit", &flows, &stages, &[]));
         let meta = doc.get("meta").unwrap();
         assert_eq!(meta.get("workload").and_then(Json::as_str), Some("unit"));
         let first = &doc.get("flows").and_then(Json::as_arr).unwrap()[0];
         let want = [3u64.into(), "posted".into(), 100u64.into(), 9u64.into()];
         assert_eq!(first.as_arr().unwrap()[..4], want);
-        let arrows = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let phases: Vec<_> = arrows
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let phases: Vec<_> = events
             .iter()
             .map(|e| e.get("ph").unwrap().as_str())
             .collect();
-        assert_eq!(phases, [Some("s"), Some("f")]);
-        assert_eq!(arrows[1].get("bp").and_then(Json::as_str), Some("e"));
+        assert_eq!(phases, [Some("X"), Some("s"), Some("f")]);
+        assert_eq!(events[2].get("bp").and_then(Json::as_str), Some("e"));
         let wire = doc.get("stages").unwrap().get("wire_ns").unwrap();
         assert_eq!(wire.get("count"), Some(&Json::from(1u64)));
         assert_eq!(doc.get("frames"), None, "unsampled run has no frames key");
@@ -1056,7 +1073,7 @@ mod tests {
                 delta: 5,
             }],
         }];
-        let doc = reparse(&trace_json("unit", &[], &[], &[], &frames));
+        let doc = reparse(&trace_json("unit", &[], &[], &frames));
         let frame = &doc.get("frames").and_then(Json::as_arr).unwrap()[0];
         let iters = frame.get("gauges").unwrap().get("iters").unwrap();
         assert_eq!(iters.get("total"), Some(&Json::from(5u64)));
@@ -1085,25 +1102,118 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_escapes_and_balances() {
-        let spans = vec![SpanEvent {
-            name: "wire \"hot\"".into(),
-            cat: "resource",
-            pid: 1,
-            tid: 2,
-            ts_ns: 1500,
-            dur_ns: 250,
-        }];
-        let doc = trace_json("unit", &spans, &[], &[], &[]);
-        let text = doc.to_string();
-        assert!(text.contains("\\\"hot\\\""));
-        assert!(text.contains("\"ts\": 1.5, \"dur\": 0.25}"));
-        let back = reparse(&doc);
-        let event = &back.get("traceEvents").and_then(Json::as_arr).unwrap()[0];
+    fn chrome_view_is_rendered_from_the_flow_events() {
+        use FlowStage::*;
+        let ev = |flow, stage, ts_ns, qp, aux| FlowEvent {
+            flow,
+            stage,
+            ts_ns,
+            qp,
+            chan: 1,
+            aux,
+        };
+        // Sorted by (flow, ts, stage), as `FlowLog::sorted` returns them:
+        // a clean flow held 300 ns, a retransmitted one, a capped one.
+        let flows = [
+            ev(1, Posted, 1000, 5, 300),
+            ev(1, WireSubmit, 1100, 5, 900),
+            ev(1, Delivered, 2000, 6, 64),
+            ev(1, RecvCqe, 2100, 6, 0),
+            ev(1, Arrived, 2200, 6, 0),
+            ev(1, SendCqe, 2500, 5, 0),
+            ev(2, Posted, 3000, 5, 0),
+            ev(2, WireSubmit, 3100, 5, 900),
+            ev(2, Retransmit, 3500, 5, 500),
+            ev(2, WireSubmit, 4000, 5, 800),
+            ev(2, Delivered, 4800, 6, 64),
+            ev(2, Arrived, 4900, 6, 0),
+            ev(3, Posted, 5000, 7, 50),
+            ev(3, CapQueued, 5000, 7, 0),
+            ev(3, CapDequeued, 5600, 7, 600),
+            ev(3, WireSubmit, 5600, 7, 400),
+            ev(3, Delivered, 6000, 8, 64),
+            ev(3, Arrived, 6000, 8, 0),
+        ];
+        let doc = reparse(&trace_json("unit", &flows, &[], &[]));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let of = |ph: &str| -> Vec<&Json> {
+            let ph = Json::from(ph);
+            events.iter().filter(|e| e.get("ph") == Some(&ph)).collect()
+        };
+        let lane = |e: &Json| (e.get("pid").cloned(), e.get("tid").cloned());
+
+        let spans = of("X");
+        let got: Vec<_> = spans
+            .iter()
+            .map(|e| {
+                assert_eq!(e.get("cat"), Some(&Json::from("flow")));
+                let field = |k| e.get(k).cloned().unwrap();
+                (field("name"), lane(e), field("ts"), field("dur"))
+            })
+            .collect();
+        let want: Vec<_> = [
+            ("agg_hold", 5u32, 700, 300),
+            ("posted", 5, 1000, 100),
+            ("wire_submit", 5, 1100, 900),
+            ("delivered", 6, 2000, 100),
+            ("recv_cqe", 6, 2100, 100),
+            ("arrived", 6, 2200, 300),
+            ("posted", 5, 3000, 100),
+            ("wire_submit", 5, 3100, 400),
+            ("retransmit", 5, 3500, 500),
+            ("wire_submit", 5, 4000, 800),
+            ("delivered", 6, 4800, 100),
+            ("agg_hold", 7, 4950, 50),
+            ("posted", 7, 5000, 0),
+            ("cap_queued", 7, 5000, 600),
+            ("cap_dequeued", 7, 5600, 0),
+            ("wire_submit", 7, 5600, 400),
+            ("delivered", 8, 6000, 0),
+        ]
+        .into_iter()
+        .map(|(name, qp, ts, dur)| {
+            let lane = (Some(Json::from(0u64)), Some(Json::from(qp)));
+            (Json::from(name), lane, micros(ts), micros(dur))
+        })
+        .collect();
+        assert_eq!(got, want);
+        // events − flows + non-zero holds.
+        assert_eq!(spans.len(), flows.len() - 3 + 2);
+
+        // Arrows: post → arrival per flow, each on a lane its spans use.
+        let arrows: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e.get("ph").and_then(Json::as_str), Some("s" | "f")))
+            .map(|e| {
+                let ph = e.get("ph").and_then(Json::as_str).unwrap();
+                (
+                    ph,
+                    e.get("id").cloned().unwrap(),
+                    lane(e),
+                    e.get("ts").cloned(),
+                )
+            })
+            .collect();
+        let at = |ph, flow: u64, qp: u32, ts| {
+            let lane = (Some(Json::from(0u64)), Some(Json::from(qp)));
+            (ph, Json::from(flow), lane, Some(micros(ts)))
+        };
         assert_eq!(
-            event.get("name").and_then(Json::as_str),
-            Some("wire \"hot\"")
+            arrows,
+            [
+                at("s", 1, 5, 1000),
+                at("f", 1, 6, 2200),
+                at("s", 2, 5, 3000),
+                at("f", 2, 6, 4900),
+                at("s", 3, 7, 5000),
+                at("f", 3, 8, 6000),
+            ]
         );
-        assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
+        for (_, id, arrow_lane, _) in &arrows {
+            let flow = Json::obj([("flow", id.clone())]);
+            assert!(spans
+                .iter()
+                .any(|s| s.get("args") == Some(&flow) && lane(s) == *arrow_lane));
+        }
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! First-class observability for the `partix` stack: relaxed-atomic counters
 //! threaded through the verbs layer (per-QP, per-CQ, wire-level), the MPI
-//! Partitioned runtime (per-strategy aggregation activity), and the
-//! discrete-event simulator (span events for chrome-trace export) — plus an
-//! [`invariants`] module that reconciles the whole ledger after a run.
+//! Partitioned runtime (per-strategy aggregation activity), and causal flow
+//! tracing (per-WR stage events, from which the chrome-trace view is
+//! rendered) — plus an [`invariants`] module that reconciles the whole ledger
+//! after a run.
 //!
 //! Design rules:
 //!
 //! - **Zero allocation on the hot path.** Every counter is a pre-registered
 //!   relaxed [`AtomicU64`](std::sync::atomic::AtomicU64); incrementing never
-//!   takes a lock or allocates. Span recording allocates only when a
-//!   [`SpanLog`] has been explicitly attached (tracing off = a single atomic
+//!   takes a lock or allocates. Flow events are recorded only when a
+//!   [`FlowLog`] has been explicitly attached (tracing off = a single atomic
 //!   load).
 //! - **Counters are a ledger, not a log.** Every event is counted at exactly
 //!   one site, and the sites are chosen so conservation laws hold *by
@@ -35,7 +36,6 @@ mod hist;
 mod json;
 mod snapshot;
 mod timeseries;
-mod trace;
 
 pub mod invariants;
 
@@ -57,4 +57,3 @@ pub use timeseries::{
     hist_delta, snapshot_accum, snapshot_delta, stages_delta, Frame, FrameGauge, Sample,
     SampleSource, Sampler, SamplerConfig,
 };
-pub use trace::{SpanEvent, SpanLog};

@@ -21,11 +21,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use partix_model::LogGpParams;
 use partix_sim::{Scheduler, SerialResource, SimDuration, SimTime};
-use partix_telemetry::{segments_for, SpanLog};
+use partix_telemetry::segments_for;
 
 use crate::fabric::{
     complete_send, execute_delivery_ext, outcome_status, sender_retry_profile, DeliveryOutcome,
@@ -101,14 +99,11 @@ struct FabricStats {
     bytes: AtomicU64,
 }
 
-/// One modelled hardware resource plus its precomputed trace identity. The
-/// name is formatted exactly once, when the resource is first created;
-/// attaching it to a span log afterwards is a refcount bump.
+/// One modelled hardware resource and the name [`SimFabric::utilization`]
+/// reports it under, formatted once, when the resource is first used.
 struct ResourceEntry {
     res: Arc<SerialResource>,
-    name: Arc<str>,
-    pid: u32,
-    tid: u32,
+    name: String,
 }
 
 /// The three per-node resources.
@@ -132,17 +127,7 @@ pub struct SimFabric {
     nodes: IndexTable<NodeResources>,
     engines: IndexTable<ResourceEntry>,
     stats: FabricStats,
-    /// Destination for resource busy spans once tracing is enabled; `None`
-    /// keeps the hot path span-free.
-    span_log: Mutex<Option<Arc<SpanLog>>>,
 }
-
-/// Trace-viewer thread lanes for the per-node resources; QP engines use
-/// `ENGINE_TID_BASE + qp_num`.
-const NIC_TID: u32 = 0;
-const EGRESS_TID: u32 = 1;
-const INGRESS_TID: u32 = 2;
-const ENGINE_TID_BASE: u32 = 8;
 
 impl SimFabric {
     /// Create a simulated fabric driven by `sched`.
@@ -156,41 +141,20 @@ impl SimFabric {
             nodes: IndexTable::new(),
             engines: IndexTable::new(),
             stats: FabricStats::default(),
-            span_log: Mutex::new(None),
         })
-    }
-
-    /// First use of a resource: format its trace name once and, if tracing
-    /// is already on, attach the span sink now so lazily-created resources
-    /// are not invisible in the trace.
-    fn resource(&self, name: String, pid: u32, tid: u32) -> ResourceEntry {
-        let entry = ResourceEntry {
-            res: Arc::new(SerialResource::new()),
-            name: name.into(),
-            pid,
-            tid,
-        };
-        if let Some(log) = self.span_log.lock().clone() {
-            entry.attach(&log);
-        }
-        entry
     }
 
     fn node(&self, n: NodeId) -> &NodeResources {
         self.nodes.get_or_init(n, || NodeResources {
-            nic: self.resource(format!("nic[node {n}]"), n, NIC_TID),
-            egress: self.resource(format!("egress[node {n}]"), n, EGRESS_TID),
-            ingress: self.resource(format!("ingress[node {n}]"), n, INGRESS_TID),
+            nic: ResourceEntry::new(format!("nic[node {n}]")),
+            egress: ResourceEntry::new(format!("egress[node {n}]")),
+            ingress: ResourceEntry::new(format!("ingress[node {n}]")),
         })
     }
 
     fn engine(&self, n: NodeId, qp: u32) -> &ResourceEntry {
         self.engines.get_or_init(qp, || {
-            self.resource(
-                format!("qp_engine[node {n}, qp {qp}]"),
-                n,
-                ENGINE_TID_BASE + qp,
-            )
+            ResourceEntry::new(format!("qp_engine[node {n}, qp {qp}]"))
         })
     }
 
@@ -199,16 +163,6 @@ impl SimFabric {
             .iter()
             .flat_map(|n| [&n.nic, &n.egress, &n.ingress])
             .chain(self.engines.iter())
-    }
-
-    /// Enable span tracing: every modelled hardware resource records its
-    /// busy intervals into `log` from now on (existing resources are
-    /// attached immediately, later-created ones at first use). Names were
-    /// precomputed at resource creation, so each attachment is a refcount
-    /// bump, not a `format!`.
-    pub fn trace_into(&self, log: Arc<SpanLog>) {
-        *self.span_log.lock() = Some(log.clone());
-        self.resources().for_each(|e| e.attach(&log));
     }
 
     /// The parameters in force.
@@ -240,7 +194,7 @@ impl SimFabric {
             .resources()
             .filter(|e| e.res.reservations() > 0)
             .map(|e| ResourceUtilization {
-                name: e.name.to_string(),
+                name: e.name.clone(),
                 busy_ns: e.res.busy_total().as_nanos(),
                 reservations: e.res.reservations(),
             })
@@ -251,9 +205,11 @@ impl SimFabric {
 }
 
 impl ResourceEntry {
-    fn attach(&self, log: &Arc<SpanLog>) {
-        self.res
-            .attach_span_log(log.clone(), self.name.clone(), self.pid, self.tid);
+    fn new(name: String) -> Self {
+        ResourceEntry {
+            res: Arc::new(SerialResource::new()),
+            name,
+        }
     }
 }
 

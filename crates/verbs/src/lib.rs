@@ -88,7 +88,7 @@ pub use network::{connect_pair, Context, Network, NetworkState, NodeCtx, Protect
 pub use partix_telemetry as telemetry;
 pub use partix_telemetry::{
     invariants, CqCounters, FlowEvent, FlowLog, FlowRecorder, FlowStage, HistSnapshot,
-    LogHistogram, QpCounters, Registry, Snapshot, SpanEvent, SpanLog, WireCounters,
+    LogHistogram, QpCounters, Registry, Snapshot, WireCounters,
 };
 pub use qp::{PeerId, QpCaps, QueuePair, RetryProfile};
 pub use shm::{ShmConfig, ShmFabric};

@@ -69,7 +69,6 @@ pub use fullstack::{
 };
 pub use noise::{NoiseModel, ThreadTiming};
 pub use runner::{
-    run_pt2pt, run_pt2pt_instrumented, run_pt2pt_observed, run_pt2pt_with_sink, Pt2PtConfig,
-    Pt2PtResult, RoundSample,
+    run_pt2pt, run_pt2pt_instrumented, run_pt2pt_with_sink, Pt2PtConfig, Pt2PtResult, RoundSample,
 };
-pub use traced::{run_traced, run_traced_sampled, TraceArtifacts};
+pub use traced::{run_traced, TraceArtifacts};

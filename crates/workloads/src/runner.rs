@@ -221,36 +221,20 @@ impl Driver {
 /// Run a point-to-point experiment on a fresh simulated world, returning
 /// the world alongside the result so callers can inspect post-run state
 /// (telemetry ledger, fabric statistics). Install `sink` (e.g. a profiler)
-/// before any event fires, when provided; `span_log`, when provided, turns
-/// on resource span tracing for the whole run; `flow_log`, when provided,
-/// turns on causal flow tracing (per-message stage events and residency
-/// histograms).
-pub fn run_pt2pt_observed(
-    cfg: &Pt2PtConfig,
-    sink: Option<Arc<dyn partix_core::EventSink>>,
-    span_log: Option<Arc<partix_core::SpanLog>>,
-    flow_log: Option<Arc<partix_core::telemetry::FlowLog>>,
-) -> (Pt2PtResult, World) {
-    run_pt2pt_instrumented(cfg, sink, span_log, flow_log, None)
-}
-
-/// [`run_pt2pt_observed`] with optional time-series sampling: when
-/// `sampling` is `Some((interval, capacity))` the world captures a delta
-/// frame every `interval` of virtual time, harvestable after the run via
-/// [`World::sampler`].
+/// before any event fires, when provided; `flow_log`, when provided, turns
+/// on causal flow tracing (per-message stage events and residency
+/// histograms); when `sampling` is `Some((interval, capacity))` the world
+/// captures a delta frame every `interval` of virtual time, harvestable
+/// after the run via [`World::sampler`].
 pub fn run_pt2pt_instrumented(
     cfg: &Pt2PtConfig,
     sink: Option<Arc<dyn partix_core::EventSink>>,
-    span_log: Option<Arc<partix_core::SpanLog>>,
     flow_log: Option<Arc<partix_core::telemetry::FlowLog>>,
     sampling: Option<(partix_core::SimDuration, usize)>,
 ) -> (Pt2PtResult, World) {
     let (world, sched) = World::sim(2, cfg.partix.clone());
     if let Some(s) = sink {
         world.set_event_sink(s);
-    }
-    if let Some(log) = span_log {
-        world.enable_tracing(log);
     }
     if let Some(log) = flow_log {
         world.enable_flow_tracing(log);
@@ -321,12 +305,13 @@ pub fn run_pt2pt_instrumented(
     (result, world)
 }
 
-/// [`run_pt2pt_observed`] keeping only the result.
+/// [`run_pt2pt_instrumented`] with at most an event sink, keeping only the
+/// result.
 pub fn run_pt2pt_with_sink(
     cfg: &Pt2PtConfig,
     sink: Option<Arc<dyn partix_core::EventSink>>,
 ) -> Pt2PtResult {
-    run_pt2pt_observed(cfg, sink, None, None).0
+    run_pt2pt_instrumented(cfg, sink, None, None).0
 }
 
 /// [`run_pt2pt_with_sink`] without instrumentation.

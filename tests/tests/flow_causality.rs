@@ -33,7 +33,7 @@ fn chaos_cfg(drop_p: f64, seed: u64) -> Pt2PtConfig {
 fn every_arrived_flow_has_a_complete_monotone_chain_under_chaos() {
     let mut saw_retransmit = false;
     for seed in [3, 17, 99] {
-        let art = run_traced(&chaos_cfg(0.08, seed));
+        let art = run_traced(&chaos_cfg(0.08, seed), None);
         assert!(art.result.error.is_none(), "chaos run failed (seed {seed})");
         saw_retransmit |= art.result.retransmits > 0;
 
@@ -76,7 +76,7 @@ fn every_arrived_flow_has_a_complete_monotone_chain_under_chaos() {
 
 #[test]
 fn flow_ids_are_unique_and_dense_per_run() {
-    let art = run_traced(&chaos_cfg(0.05, 7));
+    let art = run_traced(&chaos_cfg(0.05, 7), None);
     let chains = assemble_chains(&art.flows);
     // One chain per posted WR, ids minted 1..=N with no reuse across
     // retransmits (a re-posted WR keeps its original flow).
@@ -101,7 +101,7 @@ fn flow_ids_are_unique_and_dense_per_run() {
 fn chaos_tracing_does_not_change_results() {
     let cfg = chaos_cfg(0.08, 23);
     let plain = partix_workloads::run_pt2pt(&cfg);
-    let traced = run_traced(&cfg);
+    let traced = run_traced(&cfg, None);
     let t1: Vec<u64> = plain.rounds.iter().map(|r| r.total().as_nanos()).collect();
     let t2: Vec<u64> = traced
         .result
