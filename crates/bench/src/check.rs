@@ -2,13 +2,12 @@
 //! observable, with a PASS/WARN verdict. `figures -- check` prints the
 //! table; EXPERIMENTS.md narrates the same comparisons.
 
-use partix_core::{AggregatorKind, PartixConfig, SimDuration};
+use partix_core::{min_delta_ns, AggregatorKind, PartixConfig, SimDuration};
 use partix_model::{table1, PLogGpModel};
-use partix_profiler::{min_delta_ns, Profiler};
 use partix_workloads::overhead::{speedup, OverheadSweep};
 use partix_workloads::perceived::PerceivedSweep;
 use partix_workloads::sweep::{run_sweep, SweepConfig};
-use partix_workloads::{run_pt2pt_with_sink, Pt2PtConfig, ThreadTiming};
+use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
 
 use crate::experiments::Quality;
 use crate::report::Table;
@@ -138,15 +137,11 @@ pub fn check_table(q: Quality) -> Table {
         timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 0xC1EC,
     };
-    let profiler = std::sync::Arc::new(Profiler::new());
-    let r = run_pt2pt_with_sink(&cfg, Some(profiler.clone()));
-    let deltas: Vec<f64> = profiler
-        .send_trace(r.send_req_id)
-        .expect("trace")
+    let deltas: Vec<f64> = run_pt2pt(&cfg)
         .rounds
         .iter()
-        .skip(1)
-        .filter_map(min_delta_ns)
+        .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
+        .map(|ns| ns as f64)
         .collect();
     let delta_us = deltas.iter().sum::<f64>() / deltas.len().max(1) as f64 / 1e3;
     checks.push(Check {

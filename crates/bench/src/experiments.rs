@@ -5,15 +5,16 @@
 
 use std::sync::Arc;
 
-use partix_core::{AggregatorKind, PartixConfig, SimDuration};
+use partix_core::telemetry::FlowLog;
+use partix_core::{min_delta_ns, AggregatorKind, PartixConfig, SimDuration};
 use partix_model::{table1, ArrivalPattern, PLogGpModel};
-use partix_profiler::{min_delta_ns, ArrivalProfile, Profiler};
+use partix_profiler::{ArrivalProfile, Timeline};
 use partix_sim::parallel::par_map;
 use partix_workloads::overhead::{forced_config, pow2_sizes, speedup, OverheadSweep};
 use partix_workloads::perceived::PerceivedSweep;
 use partix_workloads::sweep::{run_sweep, SweepConfig};
 use partix_workloads::tuning_search::TuningSearch;
-use partix_workloads::{run_pt2pt_with_sink, Pt2PtConfig, ThreadTiming};
+use partix_workloads::{run_pt2pt, run_pt2pt_instrumented, Pt2PtConfig, ThreadTiming};
 
 use crate::report::{fmt_bytes, Table};
 
@@ -337,12 +338,10 @@ pub fn arrival_profile_table(total_bytes: usize, fig: &str, q: Quality) -> Table
         timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 0xF16,
     };
-    let profiler = Arc::new(Profiler::new());
-    let r = run_pt2pt_with_sink(&cfg, Some(profiler.clone()));
-    let trace = profiler.send_trace(r.send_req_id).expect("send trace");
-    let round = trace.rounds.last().expect("measured round");
+    let r = run_pt2pt(&cfg);
+    let round = r.rounds.last().expect("measured round");
     let bw = partix.fabric.single_qp_bandwidth();
-    let profile = ArrivalProfile::from_round(round, cfg.part_bytes, bw).expect("profile");
+    let profile = ArrivalProfile::from_offsets(&round.pready, cfg.part_bytes, bw);
 
     let mut table = Table::new(
         format!(
@@ -363,7 +362,8 @@ pub fn arrival_profile_table(total_bytes: usize, fig: &str, q: Quality) -> Table
 }
 
 /// ASCII timeline of one profiled round (the live form of Figs. 10/11),
-/// rendered via `partix_profiler::Timeline`.
+/// rendered via `partix_profiler::Timeline` from the round's `pready`
+/// offsets and its flow log.
 pub fn timeline_text(total_bytes: usize, aggregator: AggregatorKind, q: Quality) -> String {
     let partitions = 32u32;
     let mut partix = PartixConfig::with_aggregator(aggregator);
@@ -377,17 +377,17 @@ pub fn timeline_text(total_bytes: usize, aggregator: AggregatorKind, q: Quality)
         timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 0x71ae,
     };
-    let profiler = Arc::new(Profiler::new());
-    let r = run_pt2pt_with_sink(&cfg, Some(profiler.clone()));
-    let send = profiler.send_trace(r.send_req_id).expect("send trace");
-    let recv = profiler.recv_trace(r.recv_req_id).expect("recv trace");
-    let tl = partix_profiler::Timeline::from_round(
-        send.rounds.last().expect("round"),
-        recv.rounds.last(),
+    let log = FlowLog::new();
+    let r = run_pt2pt_instrumented(&cfg, Some(log.clone()), None).0;
+    let round = r.rounds.last().expect("measured round");
+    Timeline::from_flows(
+        round.start,
+        &round.pready,
+        round.send_complete,
+        &log.sorted(),
     )
-    .expect("timeline")
-    .focus_communication();
-    tl.render(100)
+    .focus_communication()
+    .render(100)
 }
 
 /// Fig. 12: estimated minimum delta (us) per message size and partition
@@ -433,14 +433,11 @@ pub fn fig12_table(q: Quality) -> Table {
             timing: ThreadTiming::perceived_bw(100, 0.04),
             seed: 0xDE17A,
         };
-        let profiler = Arc::new(Profiler::new());
-        let r = run_pt2pt_with_sink(&cfg, Some(profiler.clone()));
-        let trace = profiler.send_trace(r.send_req_id).expect("trace");
-        let deltas: Vec<f64> = trace
+        let deltas: Vec<f64> = run_pt2pt(&cfg)
             .rounds
             .iter()
-            .skip(1) // warm-up
-            .filter_map(min_delta_ns)
+            .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
+            .map(|ns| ns as f64)
             .collect();
         if deltas.is_empty() {
             String::new()

@@ -119,7 +119,6 @@ impl Proc {
             recoveries_total: AtomicU64::new(0),
             complete_cbs: Mutex::new(Vec::new()),
             error: OnceLock::new(),
-            arrival_log: Mutex::new(Vec::new()),
             pready_ns: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
         });
         crate::world::World {
@@ -158,7 +157,6 @@ impl Proc {
             ready: AtomicBool::new(false),
             ready_cbs: Mutex::new(Vec::new()),
             active: AtomicBool::new(false),
-            round: AtomicU64::new(0),
             arrived: (0..partitions).map(|_| AtomicU8::new(0)).collect(),
             arrived_count: AtomicU32::new(0),
             completed_rounds: AtomicU64::new(0),
@@ -189,7 +187,7 @@ impl Proc {
 /// Shared behaviour of the two request handles.
 macro_rules! common_request_methods {
     () => {
-        /// Unique request identifier (matches profiler events).
+        /// Unique request identifier (the `chan` of its flow events).
         pub fn id(&self) -> u64 {
             self.shared.id
         }

@@ -50,7 +50,6 @@
 
 mod config;
 mod error;
-mod events;
 mod handles;
 mod plan;
 mod proc;
@@ -61,9 +60,9 @@ mod world;
 
 pub use config::{AggregatorKind, PartixConfig, ReliabilityConfig};
 pub use error::{PartixError, Result};
-pub use events::{EventSink, NullSink};
 pub use handles::{PrecvRequest, Proc, PsendRequest, MAX_PARTITIONS};
 pub use plan::{plan_for, PlanDecision, TransportPlan};
+pub use request::min_delta_ns;
 pub use tuning::{TuningKey, TuningTable, TuningValue};
 pub use ucx::{UcxCost, UcxModel, UcxProtocol};
 pub use world::World;

@@ -5,12 +5,12 @@
 //! quiescent and drains software-pending WRs, everyone else returns
 //! immediately.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
-use partix_sim::{SerialResource, SimTime, Slab, TimeSource};
+use partix_sim::{SerialResource, Slab, TimeSource};
 use partix_verbs::telemetry::Registry;
 use partix_verbs::{
     CompletionQueue, Context, PostOptions, ProtectionDomain, SendWr, VerbsError, WcStatus,
@@ -18,25 +18,7 @@ use partix_verbs::{
 };
 
 use crate::config::PartixConfig;
-use crate::events::EventSink;
 use crate::request::{PendingPost, RecvShared, SendShared};
-
-/// The world's (optional) event sink. Read on every emitted event, written
-/// only when a profiler attaches or detaches: `installed` lets the common
-/// no-profiler case skip the lock and the clone.
-#[derive(Default)]
-pub(crate) struct SinkSlot {
-    installed: AtomicBool,
-    sink: RwLock<Option<Arc<dyn EventSink>>>,
-}
-
-impl SinkSlot {
-    pub(crate) fn set(&self, sink: Option<Arc<dyn EventSink>>) {
-        let mut slot = self.sink.write();
-        self.installed.store(sink.is_some(), Ordering::Release);
-        *slot = sink;
-    }
-}
 
 /// CQ entries drained per poll call inside the progress loop. One batch per
 /// lock acquisition; the loop re-polls until both CQs are quiescent.
@@ -93,7 +75,6 @@ pub(crate) struct ProcInner {
     pub config: PartixConfig,
     /// The world's clock and timer: its scheduler, or the wall clock.
     pub time: TimeSource,
-    pub sink: Arc<SinkSlot>,
     /// World-wide telemetry registry (runtime counters live here).
     pub tel: Arc<Registry>,
     pub progress: Mutex<ProgressScratch>,
@@ -122,7 +103,6 @@ impl ProcInner {
         ctx: Context,
         config: PartixConfig,
         time: TimeSource,
-        sink: Arc<SinkSlot>,
         tel: Arc<Registry>,
     ) -> Arc<Self> {
         let pd = ctx.alloc_pd();
@@ -136,7 +116,6 @@ impl ProcInner {
             recv_cq,
             config,
             time,
-            sink,
             tel,
             progress: Mutex::default(),
             sends: Mutex::new(SendTable {
@@ -160,17 +139,6 @@ impl ProcInner {
     /// Whether this process runs on the virtual clock.
     pub(crate) fn sim_mode(&self) -> bool {
         self.time.scheduler().is_some()
-    }
-
-    /// Report an event to the installed sink, if any.
-    pub(crate) fn emit(&self, f: impl FnOnce(&dyn EventSink, SimTime)) {
-        if !self.sink.installed.load(Ordering::Acquire) {
-            return;
-        }
-        let sink = self.sink.sink.read().clone();
-        if let Some(s) = sink {
-            f(&*s, self.time.now());
-        }
     }
 
     /// Mint a WR id for one send of `owner` and retain its in-flight image:
@@ -308,8 +276,8 @@ impl ProcInner {
                 // Borrowing batch post of one WR: `Ok(0)` is queue-full, and
                 // a successful re-post recycles the shell instead of cloning
                 // it onto the wire.
-                match ch.qps[p.qp_idx as usize].post_send_batch(std::slice::from_ref(&p.wr), p.opts)
-                {
+                let qp = &ch.qps[p.qp_idx as usize];
+                match qp.post_send_batch(std::slice::from_ref(&p.wr), p.opts) {
                     Ok(1..) => {
                         self.spilled.fetch_sub(1, Ordering::AcqRel);
                         self.tel.runtime.pending_reposts.inc();
@@ -322,7 +290,7 @@ impl ProcInner {
                                 p.wr.flow,
                                 partix_verbs::FlowStage::CapDequeued,
                                 now,
-                                p.qp_idx,
+                                qp.qp_num(),
                                 0,
                                 wait,
                             );

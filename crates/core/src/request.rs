@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use partix_sim::{SimDuration, SimTime};
+use partix_sim::SimDuration;
 use partix_verbs::{
     imm, MemoryRegion, Opcode, PostOptions, QpState, QueuePair, SendWr, Sge, VerbsError, WcStatus,
     WorkCompletion,
@@ -117,10 +117,10 @@ pub(crate) struct SendShared {
     pub recoveries_total: AtomicU64,
     pub complete_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     pub error: OnceLock<&'static str>,
-    /// Per-round pready timestamps (populated only under adaptive delta).
-    pub arrival_log: Mutex<Vec<u64>>,
-    /// Per-partition pready timestamps for causal flow tracing (stamped only
-    /// while a flow recorder is attached; feeds the `agg_hold_ns` histogram).
+    /// Per-partition `pready` times on the world clock, stamped only when
+    /// something reads them (see [`Self::stamps_preadies`]): adaptive δ
+    /// takes the round's estimate from them, and flow tracing the
+    /// `agg_hold_ns` of each WR.
     pub pready_ns: Box<[AtomicU64]>,
 }
 
@@ -169,16 +169,19 @@ impl SendShared {
         self.wr_posted.store(0, Ordering::Relaxed);
         self.wr_completed.store(0, Ordering::Release);
         self.recoveries_round.store(0, Ordering::Relaxed);
-        self.arrival_log.lock().clear();
-        if self.proc.tel.flows.enabled() {
+        if self.stamps_preadies() {
             for t in self.pready_ns.iter() {
                 t.store(0, Ordering::Relaxed);
             }
         }
-        let round = self.round.fetch_add(1, Ordering::AcqRel) + 1;
-        self.proc
-            .emit(|s, t| s.on_send_start(self.proc.rank, self.id, round, t));
+        self.round.fetch_add(1, Ordering::AcqRel);
         Ok(())
+    }
+
+    /// Whether `pready` stamps [`Self::pready_ns`]: under adaptive δ or
+    /// while flow tracing is on.
+    fn stamps_preadies(&self) -> bool {
+        self.proc.config.adaptive_delta || self.proc.tel.flows.enabled()
     }
 
     /// Mark user partition `i` ready for transfer.
@@ -195,18 +198,13 @@ impl SendShared {
         if self.arrived[i as usize].swap(1, Ordering::AcqRel) == 1 {
             return Err(PartixError::DoublePready { index: i });
         }
-        self.proc
-            .emit(|s, t| s.on_pready(self.proc.rank, self.id, i, t));
+        // Stamped before `pready_count` counts it: the round completes, and
+        // adaptive δ reads every stamp, only once the count is full.
+        if self.stamps_preadies() {
+            self.pready_ns[i as usize].store(self.proc.time.now().as_nanos(), Ordering::Relaxed);
+        }
         self.proc.tel.runtime.preadys.inc();
         self.pready_count.fetch_add(1, Ordering::AcqRel);
-        if self.proc.config.adaptive_delta {
-            self.arrival_log
-                .lock()
-                .push(self.proc.time.now().as_nanos());
-        }
-        if self.proc.tel.flows.enabled() {
-            self.pready_ns[i as usize].store(self.proc.tel.flows.now(), Ordering::Relaxed);
-        }
         let ch = self.channel()?;
         let g = ch.plan.group_of(i);
         match ch.current_delta() {
@@ -360,8 +358,6 @@ impl SendShared {
         self.wr_posted_total.fetch_add(1, Ordering::Relaxed);
         self.proc.tel.runtime.aggregated_wrs.inc();
         self.proc.tel.runtime.partitions_posted.add(len as u64);
-        self.proc
-            .emit(|s, t| s.on_wr_posted(self.proc.rank, self.id, lo, len, t));
 
         // Causal tracing: mint a flow identifier (0 when tracing is off) and
         // record the Posted span. Aggregation hold is measured from the
@@ -382,7 +378,7 @@ impl SendShared {
                 flow,
                 partix_verbs::FlowStage::Posted,
                 now,
-                qp_idx,
+                ch.qps[qp_idx as usize].qp_num(),
                 self.id as u32,
                 hold,
             );
@@ -502,7 +498,7 @@ impl SendShared {
             wr.flow,
             partix_verbs::FlowStage::CapQueued,
             queued_ns,
-            qp_idx,
+            ch.qps[qp_idx as usize].qp_num(),
             self.id as u32,
             0,
         );
@@ -698,10 +694,7 @@ impl SendShared {
             if self.proc.config.adaptive_delta {
                 self.adapt_delta();
             }
-            let round = self.round.load(Ordering::Acquire);
             self.completed_rounds.fetch_add(1, Ordering::AcqRel);
-            self.proc
-                .emit(|s, t| s.on_send_complete(self.proc.rank, self.id, round, t));
             let cbs = std::mem::take(&mut *self.complete_cbs.lock());
             for cb in cbs {
                 cb();
@@ -710,26 +703,39 @@ impl SendShared {
     }
 
     /// Online delta tuning (the paper's future work): set the next round's
-    /// delta to `margin * (last non-laggard arrival - first arrival)` —
-    /// exactly the paper's Fig. 12 minimum-delta estimator, applied per
-    /// round.
+    /// delta to `margin *` [`min_delta_ns`] of this round's `pready` times.
     fn adapt_delta(&self) {
         let Some(ch) = self.channel.get() else { return };
         if ch.plan.timer_delta.is_none() {
             return;
         }
-        let mut log = self.arrival_log.lock();
-        if log.len() < 3 {
+        let stamps = self.pready_ns.iter().map(|t| t.load(Ordering::Relaxed));
+        let Some(spread) = min_delta_ns(stamps) else {
             return;
-        }
-        log.sort_unstable();
-        // Drop the laggard (max), take the remaining spread.
-        let spread = log[log.len() - 2].saturating_sub(log[0]);
-        drop(log);
+        };
         let margin = self.proc.config.adaptive_delta_margin.max(1.0);
         let new_delta = ((spread as f64 * margin) as u64).max(1_000);
         ch.delta_ns.store(new_delta, Ordering::Release);
     }
+}
+
+/// The paper's minimum-delta estimate for the timer aggregator (Fig. 12),
+/// over one round's `pready` times (or offsets) in ns: drop the laggard —
+/// the latest — and return the spread of the rest. `None` below three
+/// arrivals: with two, dropping the laggard leaves no spread to measure.
+pub fn min_delta_ns(times: impl IntoIterator<Item = u64>) -> Option<u64> {
+    let (mut n, mut first, mut laggard, mut runner_up) = (0, u64::MAX, 0, 0);
+    for t in times {
+        n += 1;
+        first = first.min(t);
+        if t >= laggard {
+            runner_up = laggard;
+            laggard = t;
+        } else {
+            runner_up = runner_up.max(t);
+        }
+    }
+    (n >= 3).then(|| runner_up - first)
 }
 
 /// Cycle an errored QP back to RTS: Error → Reset → Init → RTR → RTS, the
@@ -774,15 +780,14 @@ pub(crate) struct RecvShared {
     pub ready: AtomicBool,
     pub ready_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     pub active: AtomicBool,
-    pub round: AtomicU64,
     pub arrived: Box<[AtomicU8]>,
     pub arrived_count: AtomicU32,
     pub completed_rounds: AtomicU64,
     pub complete_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     /// Arrivals observed between rounds (sender ran ahead); applied at the
-    /// next `start`. Each entry carries `(lo, count, flow)` so the causal
-    /// chain survives the buffering.
-    pub early: Mutex<Vec<(u16, u16, u64)>>,
+    /// next `start`. Each entry carries `(lo, count, flow, receiving QP
+    /// number)` so the causal chain survives the buffering.
+    pub early: Mutex<Vec<(u16, u16, u64, u32)>>,
 }
 
 impl RecvShared {
@@ -819,7 +824,6 @@ impl RecvShared {
             f.store(0, Ordering::Relaxed);
         }
         self.arrived_count.store(0, Ordering::Release);
-        let round = self.round.fetch_add(1, Ordering::AcqRel) + 1;
 
         // Top the per-QP receive queues up to the worst-case incoming WR
         // count (the timer aggregator can split a group into single-partition
@@ -832,12 +836,9 @@ impl RecvShared {
             }
         }
 
-        self.proc
-            .emit(|s, t| s.on_recv_start(self.proc.rank, self.id, round, t));
-
         let early = std::mem::take(&mut *self.early.lock());
-        for (lo, cnt, flow) in early {
-            self.apply_arrival(lo, cnt, flow);
+        for (lo, cnt, flow, qp) in early {
+            self.apply_arrival(lo, cnt, flow, qp);
         }
         Ok(())
     }
@@ -852,9 +853,9 @@ impl RecvShared {
     pub(crate) fn on_incoming(self: &Arc<Self>, wc: WorkCompletion) {
         debug_assert_eq!(wc.status, WcStatus::Success, "recv completion error");
         let (lo, cnt) = imm::decode(wc.imm.expect("write-with-imm carries an immediate"));
-        let flow = wc.flow;
+        let (flow, qp) = (wc.flow, wc.qp_num);
         if !self.proc.sim_mode() {
-            self.record_arrival(lo, cnt, flow);
+            self.record_arrival(lo, cnt, flow, qp);
             return;
         }
         let cfg = &self.proc.config;
@@ -869,41 +870,39 @@ impl RecvShared {
             .reserve(now, SimDuration::from_nanos(cost));
         let delay = end.saturating_since(now);
         if delay == SimDuration::ZERO {
-            self.record_arrival(lo, cnt, flow);
+            self.record_arrival(lo, cnt, flow, qp);
         } else {
             let me = self.clone();
             self.proc.time.after(self.proc.rank, delay, move || {
-                me.record_arrival(lo, cnt, flow)
+                me.record_arrival(lo, cnt, flow, qp)
             });
         }
     }
 
     /// Apply an arrival after the software path, buffering it if the round
     /// has not started yet.
-    fn record_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64) {
+    fn record_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64, qp: u32) {
         if !self.active.load(Ordering::Acquire) {
-            self.early.lock().push((lo, cnt, flow));
+            self.early.lock().push((lo, cnt, flow, qp));
             return;
         }
-        self.apply_arrival(lo, cnt, flow);
+        self.apply_arrival(lo, cnt, flow, qp);
     }
 
-    fn apply_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64) {
+    fn apply_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64, qp: u32) {
         debug_assert!(cnt >= 1);
         // Terminal span of the causal chain: the arrival flags are visible
         // to `parrived` from here on.
         self.proc.tel.flows.event(
             flow,
             partix_verbs::FlowStage::Arrived,
-            0,
+            qp,
             self.id as u32,
-            cnt as u64,
+            ((lo as u64) << 32) | cnt as u64,
         );
         for p in lo as u32..lo as u32 + cnt as u32 {
             let was = self.arrived[p as usize].swap(1, Ordering::AcqRel);
             debug_assert_eq!(was, 0, "partition {p} delivered twice");
-            self.proc
-                .emit(|s, t| s.on_partition_arrived(self.proc.rank, self.id, p, t));
         }
         let total = self.arrived_count.fetch_add(cnt as u32, Ordering::AcqRel) + cnt as u32;
         if total == self.partitions
@@ -912,10 +911,7 @@ impl RecvShared {
                 .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
         {
-            let round = self.round.load(Ordering::Acquire);
             self.completed_rounds.fetch_add(1, Ordering::AcqRel);
-            self.proc
-                .emit(|s, t| s.on_recv_complete(self.proc.rank, self.id, round, t));
             let cbs = std::mem::take(&mut *self.complete_cbs.lock());
             for cb in cbs {
                 cb();
@@ -938,12 +934,4 @@ impl RecvShared {
         self.proc.try_progress();
         Ok(self.arrived[i as usize].load(Ordering::Acquire) == 1)
     }
-}
-
-/// Record a timestamp pair for diagnostics (placeholder for richer
-/// per-round stats).
-#[allow(dead_code)]
-pub(crate) struct RoundStamp {
-    pub start: SimTime,
-    pub complete: SimTime,
 }

@@ -21,10 +21,9 @@ use partix_verbs::{connect_pair, Fabric, LossyFabric, Network, QpCaps, SimFabric
 
 use crate::config::PartixConfig;
 use crate::error::Result;
-use crate::events::EventSink;
 use crate::handles::Proc;
 use crate::plan::{plan_for, PlanDecision};
-use crate::proc::{ProcInner, SinkSlot};
+use crate::proc::ProcInner;
 use crate::request::{GroupState, RecvChannel, RecvShared, SendChannel, SendShared};
 
 /// Matching queues per `(src, dst, tag)`.
@@ -93,7 +92,6 @@ pub(crate) struct WorldInner {
     /// hash map's order differs from one process to the next, and with it
     /// the order the ranks' buffers go back to the allocator.
     pub procs: Mutex<BTreeMap<u32, Arc<ProcInner>>>,
-    pub sink: Arc<SinkSlot>,
     pub req_seq: AtomicU64,
     pub sampler: OnceLock<Arc<Sampler>>,
 }
@@ -211,7 +209,6 @@ impl World {
             config,
             match_svc: MatchService::default(),
             procs: Mutex::new(BTreeMap::new()),
-            sink: Arc::default(),
             req_seq: AtomicU64::new(1),
             sampler: OnceLock::new(),
         });
@@ -328,16 +325,6 @@ impl World {
         self.inner.sampler.get().cloned()
     }
 
-    /// Install an event sink (profiler hook).
-    pub fn set_event_sink(&self, sink: Arc<dyn EventSink>) {
-        self.inner.sink.set(Some(sink));
-    }
-
-    /// Remove the event sink.
-    pub fn clear_event_sink(&self) {
-        self.inner.sink.set(None);
-    }
-
     /// Get (or lazily create) the process for `rank`.
     pub fn proc(&self, rank: u32) -> Proc {
         let inner = {
@@ -355,7 +342,6 @@ impl World {
                     ctx,
                     self.inner.config.clone(),
                     self.inner.time.clone(),
-                    self.inner.sink.clone(),
                     self.inner.network.state().telemetry().clone(),
                 );
                 // In simulated mode, completion events drive the progress

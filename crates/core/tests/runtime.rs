@@ -593,44 +593,20 @@ fn persistent_beats_nothing_but_matches_wr_count_at_high_partitions() {
     );
 }
 
+/// The flow log sees a round's whole lifecycle: one flow per WR, posted by
+/// the send request and applied by the receive request, whose `Arrived`
+/// events name every partition exactly once.
 #[test]
-fn event_sink_sees_lifecycle() {
-    use partix_core::EventSink;
-    use partix_sim::SimTime;
-
-    #[derive(Default)]
-    struct Counter {
-        starts: std::sync::atomic::AtomicU32,
-        preadys: std::sync::atomic::AtomicU32,
-        wrs: std::sync::atomic::AtomicU32,
-        arrivals: std::sync::atomic::AtomicU32,
-        completes: std::sync::atomic::AtomicU32,
-    }
-    impl EventSink for Counter {
-        fn on_send_start(&self, _r: u32, _q: u64, _round: u64, _t: SimTime) {
-            self.starts.fetch_add(1, Ordering::Relaxed);
-        }
-        fn on_pready(&self, _r: u32, _q: u64, _p: u32, _t: SimTime) {
-            self.preadys.fetch_add(1, Ordering::Relaxed);
-        }
-        fn on_wr_posted(&self, _r: u32, _q: u64, _lo: u32, _n: u32, _t: SimTime) {
-            self.wrs.fetch_add(1, Ordering::Relaxed);
-        }
-        fn on_partition_arrived(&self, _r: u32, _q: u64, _p: u32, _t: SimTime) {
-            self.arrivals.fetch_add(1, Ordering::Relaxed);
-        }
-        fn on_recv_complete(&self, _r: u32, _q: u64, _round: u64, _t: SimTime) {
-            self.completes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+fn flow_log_sees_lifecycle() {
+    use partix_core::telemetry::{FlowLog, FlowStage};
 
     let l = instant_link(
         PartixConfig::with_aggregator(AggregatorKind::Persistent),
         4,
         128,
     );
-    let sink = Arc::new(Counter::default());
-    l.world.set_event_sink(sink.clone());
+    let log = FlowLog::new();
+    l.world.enable_flow_tracing(log.clone());
     l.recv.start().unwrap();
     l.send.start().unwrap();
     for i in 0..4 {
@@ -638,11 +614,22 @@ fn event_sink_sees_lifecycle() {
     }
     l.send.wait().unwrap();
     l.recv.wait().unwrap();
-    assert_eq!(sink.starts.load(Ordering::Relaxed), 1);
-    assert_eq!(sink.preadys.load(Ordering::Relaxed), 4);
-    assert_eq!(sink.wrs.load(Ordering::Relaxed), 4);
-    assert_eq!(sink.arrivals.load(Ordering::Relaxed), 4);
-    assert_eq!(sink.completes.load(Ordering::Relaxed), 1);
+
+    let events = log.sorted();
+    let of = |stage| events.iter().filter(move |e| e.stage == stage);
+    let flows: std::collections::BTreeSet<u64> = events.iter().map(|e| e.flow).collect();
+    assert_eq!(flows.len(), 4);
+    assert_eq!(of(FlowStage::Posted).count(), 4);
+    assert!(of(FlowStage::Posted).all(|e| e.chan as u64 == l.send.id()));
+    assert!(of(FlowStage::Arrived).all(|e| e.chan as u64 == l.recv.id()));
+    let mut covered = [0u32; 4];
+    for e in of(FlowStage::Arrived) {
+        let (lo, count) = (e.aux >> 32, e.aux & 0xffff_ffff);
+        for p in lo..lo + count {
+            covered[p as usize] += 1;
+        }
+    }
+    assert_eq!(covered, [1; 4], "arrivals must tile 0..4 exactly once");
 }
 
 #[test]
@@ -695,18 +682,18 @@ fn start_blocking_waits_for_channel_setup() {
     assert_eq!(recv.start_blocking(), Err(PartixError::WouldBlockInSim));
 }
 
-#[test]
-fn adaptive_delta_converges_to_arrival_spread() {
-    // The paper's named future work (§IV-D): online tuning of delta from
-    // the observed arrival pattern. Threads spread over ~60 us with a 4 ms
-    // laggard; delta starts badly mis-tuned at 1 us, so round 1 flushes
-    // many small runs. After adaptation, delta tracks ~1.2x the non-laggard
-    // spread and each round needs only a handful of WRs.
+/// Six adaptive-δ rounds on the virtual clock, with flow tracing on or off:
+/// WRs posted and the δ in force after each round. Threads spread over
+/// ~60 us with a 4 ms laggard; δ starts badly mis-tuned at 1 us.
+fn adaptive_delta_rounds(traced: bool) -> (Vec<u64>, Vec<u64>) {
     let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     cfg.delta = SimDuration::from_micros(1);
     cfg.adaptive_delta = true;
     cfg.fabric.copy_data = false;
     let (world, sched) = World::sim(2, cfg);
+    if traced {
+        world.enable_flow_tracing(partix_core::telemetry::FlowLog::new());
+    }
     let p0 = world.proc(0);
     let p1 = world.proc(1);
     let partitions = 16u32;
@@ -777,6 +764,16 @@ fn adaptive_delta_converges_to_arrival_spread() {
 
     let wrs = wrs_per_round.lock().clone();
     let deltas = deltas.lock().clone();
+    (wrs, deltas)
+}
+
+#[test]
+fn adaptive_delta_converges_to_arrival_spread() {
+    // The paper's named future work (§IV-D): online tuning of delta from
+    // the observed arrival pattern. Delta starts badly mis-tuned, so round
+    // 1 flushes many small runs. After adaptation, delta tracks ~1.2x the
+    // non-laggard spread and each round needs only a handful of WRs.
+    let (wrs, deltas) = adaptive_delta_rounds(false);
     assert_eq!(wrs.len(), 6);
     // Round 1 (delta = 1 us): the flush catches few arrivals; many WRs.
     assert!(wrs[0] >= 4, "mis-tuned delta should fragment: {wrs:?}");
@@ -789,6 +786,15 @@ fn adaptive_delta_converges_to_arrival_spread() {
         (last - expect).abs() / expect < 0.25,
         "delta {last} should be near {expect}: {deltas:?}"
     );
+}
+
+/// Adaptive δ and flow tracing read the same `pready` stamps: turning
+/// tracing on changes neither the δ of any round nor its WR count.
+#[test]
+fn adaptive_delta_is_the_same_with_flow_tracing_on() {
+    let plain = adaptive_delta_rounds(false);
+    assert_eq!(adaptive_delta_rounds(true), plain);
+    assert!(plain.1.windows(2).any(|w| w[0] != w[1]), "δ never adapted");
 }
 
 /// Who drives progress (ROADMAP 1(c)): 128 single-partition WRs under

@@ -1,7 +1,8 @@
-//! Analyses over recorded traces: arrival profiles (paper Figs. 10/11) and
-//! the minimum-delta estimate (Fig. 12).
+//! The arrival profile of one round (paper Figs. 10/11). The Fig. 12
+//! minimum-delta estimate over the same offsets is
+//! [`partix_core::min_delta_ns`].
 
-use crate::recorder::RoundTrace;
+use partix_sim::SimDuration;
 
 /// One partition's profile entry: when it became ready relative to round
 /// start, and how long its bytes take on the wire at the theoretical
@@ -24,115 +25,64 @@ pub struct ArrivalProfile {
 }
 
 impl ArrivalProfile {
-    /// Build from a send-side round trace. `part_bytes` and
-    /// `bandwidth_bytes_per_sec` parameterise the wire-time estimate.
-    /// Returns `None` if the round has no recorded start.
-    pub fn from_round(
-        round: &RoundTrace,
+    /// Build from one round's `pready` offsets from round start, indexed by
+    /// partition. `part_bytes` and `bandwidth_bytes_per_sec` parameterise
+    /// the wire-time estimate. Simultaneous arrivals keep partition order.
+    pub fn from_offsets(
+        pready: &[SimDuration],
         part_bytes: usize,
         bandwidth_bytes_per_sec: f64,
-    ) -> Option<Self> {
-        let start = round.start?;
+    ) -> Self {
         let comm_ns = part_bytes as f64 / bandwidth_bytes_per_sec * 1e9;
-        let mut points: Vec<ArrivalPoint> = round
-            .preadys
+        let mut points: Vec<ArrivalPoint> = pready
             .iter()
+            .enumerate()
             .map(|(p, t)| ArrivalPoint {
-                partition: *p,
-                compute_ns: t.saturating_since(start).as_nanos() as f64,
+                partition: p as u32,
+                compute_ns: t.as_nanos() as f64,
                 comm_ns,
             })
             .collect();
-        points.sort_by(|a, b| {
-            a.compute_ns
-                .partial_cmp(&b.compute_ns)
-                .expect("finite times")
-        });
-        Some(ArrivalProfile { points })
+        points.sort_by(|a, b| a.compute_ns.total_cmp(&b.compute_ns));
+        ArrivalProfile { points }
     }
-
-    /// The laggard's arrival offset (max), if any arrivals were recorded.
-    pub fn laggard_ns(&self) -> Option<f64> {
-        self.points.last().map(|p| p.compute_ns)
-    }
-
-    /// Number of partitions that became ready strictly before the laggard's
-    /// wire time would have ended — i.e. the early-bird candidates.
-    pub fn early_count(&self) -> usize {
-        self.points.len().saturating_sub(1)
-    }
-}
-
-/// The paper's minimum-delta estimate for one round (Fig. 12): the spread
-/// between the first and last *non-laggard* arrival. Returns `None` when
-/// fewer than three arrivals were recorded (with two, removing the laggard
-/// leaves no spread to measure).
-pub fn min_delta_ns(round: &RoundTrace) -> Option<f64> {
-    let start = round.start?;
-    if round.preadys.len() < 3 {
-        return None;
-    }
-    let mut offs: Vec<f64> = round
-        .preadys
-        .iter()
-        .map(|(_, t)| t.saturating_since(start).as_nanos() as f64)
-        .collect();
-    offs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    // Drop the laggard (max), then take the remaining spread.
-    offs.pop();
-    Some(offs.last().expect("len >= 2 after pop") - offs[0])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partix_sim::SimTime;
-
-    fn round(start: u64, arrivals: &[(u32, u64)]) -> RoundTrace {
-        RoundTrace {
-            start: Some(SimTime(start)),
-            preadys: arrivals.iter().map(|(p, t)| (*p, SimTime(*t))).collect(),
-            ..Default::default()
-        }
-    }
+    use partix_core::min_delta_ns;
 
     #[test]
     fn profile_sorted_by_arrival() {
-        let r = round(100, &[(2, 400), (0, 150), (1, 250)]);
-        let prof = ArrivalProfile::from_round(&r, 1_000_000, 1e9).unwrap();
+        let offsets = [50, 150, 300, 150].map(SimDuration::from_nanos);
+        let prof = ArrivalProfile::from_offsets(&offsets, 1_000_000, 1e9);
         let parts: Vec<u32> = prof.points.iter().map(|p| p.partition).collect();
-        assert_eq!(parts, vec![0, 1, 2]);
+        assert_eq!(parts, vec![0, 1, 3, 2]);
         assert_eq!(prof.points[0].compute_ns, 50.0);
-        assert_eq!(prof.laggard_ns(), Some(300.0));
-        assert_eq!(prof.early_count(), 2);
         // 1 MB at 1 GB/s = 1 ms.
         assert!((prof.points[0].comm_ns - 1e6).abs() < 1e-9);
     }
 
     #[test]
-    fn profile_requires_start() {
-        let r = RoundTrace::default();
-        assert!(ArrivalProfile::from_round(&r, 1, 1e9).is_none());
-    }
-
-    #[test]
     fn min_delta_excludes_laggard() {
         // Arrivals at +10, +20, +35, +4000 (laggard): spread of the rest is
-        // 25.
-        let r = round(0, &[(0, 10), (1, 20), (2, 35), (3, 4000)]);
-        assert_eq!(min_delta_ns(&r), Some(25.0));
+        // 25, whatever order they come in.
+        assert_eq!(min_delta_ns([35, 4000, 10, 20]), Some(25));
+        assert_eq!(min_delta_ns([4000, 20, 35, 10]), Some(25));
     }
 
     #[test]
     fn min_delta_needs_three_arrivals() {
-        assert_eq!(min_delta_ns(&round(0, &[(0, 10), (1, 400)])), None);
-        assert_eq!(min_delta_ns(&round(0, &[(0, 10)])), None);
-        assert!(min_delta_ns(&round(0, &[(0, 10), (1, 12), (2, 90)])).is_some());
+        assert_eq!(min_delta_ns([10, 400]), None);
+        assert_eq!(min_delta_ns([10]), None);
+        assert_eq!(min_delta_ns([10, 12, 90]), Some(2));
     }
 
     #[test]
     fn min_delta_handles_simultaneous_arrivals() {
-        let r = round(0, &[(0, 10), (1, 10), (2, 10), (3, 10)]);
-        assert_eq!(min_delta_ns(&r), Some(0.0));
+        assert_eq!(min_delta_ns([10, 10, 10, 10]), Some(0));
+        // Two laggards tie: one is dropped, the other sets the spread.
+        assert_eq!(min_delta_ns([10, 90, 90]), Some(80));
     }
 }

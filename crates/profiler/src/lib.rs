@@ -1,44 +1,40 @@
 //! # partix-profiler
 //!
-//! An arrival-pattern profiler for MPI Partitioned communication, the
-//! analogue of the paper's PMPI-based profiler (§V-A, §V-C2): it records
-//! when each request reaches `start` and when each `pready` / partition
-//! arrival / completion happens, and derives the analyses behind the
-//! paper's Figs. 10–12:
+//! The analyses behind the paper's PMPI-profiler figures (§V-A, §V-C2),
+//! over the two records a run already keeps: the `pready` offsets the
+//! point-to-point driver draws for each round, and the causal flow log
+//! (`partix_telemetry::FlowLog`). It records nothing itself.
 //!
-//! - per-partition arrival offsets relative to round start (Figs. 10/11),
-//! - estimated per-partition wire time from the theoretical bandwidth,
-//! - the minimum useful delta for the timer-based aggregator: the spread
-//!   between the first and last *non-laggard* arrival (Fig. 12),
-//! - ASCII round [`Timeline`]s joining send- and receive-side events.
+//! - per-partition arrival offsets relative to round start, with the
+//!   estimated wire time from the theoretical bandwidth (Figs. 10/11:
+//!   [`ArrivalProfile`]); the minimum useful delta over the same offsets
+//!   (Fig. 12) is `partix_core::min_delta_ns`;
+//! - ASCII round [`Timeline`]s joining those offsets with the round's
+//!   `Posted` and `Arrived` flow events;
+//! - per-flow critical paths and stall attribution ([`assemble_chains`],
+//!   [`top_stalls`]).
 //!
 //! # Example
 //!
 //! ```
-//! use partix_profiler::{min_delta_ns, Profiler};
-//! use partix_core::EventSink;
-//! use partix_sim::SimTime;
+//! use partix_profiler::ArrivalProfile;
+//! use partix_sim::SimDuration;
 //!
-//! let p = Profiler::new();
-//! // Normally installed with World::set_event_sink; here we feed events
-//! // directly: a round with arrivals at +1us, +3us, +9us and a 4ms laggard.
-//! p.on_send_start(0, 1, 1, SimTime(0));
-//! for (part, t_us) in [(0u32, 1u64), (1, 3), (2, 9), (3, 4_000)] {
-//!     p.on_pready(0, 1, part, SimTime(t_us * 1_000));
-//! }
-//! let trace = p.send_trace(1).unwrap();
+//! // A round with arrivals at +1us, +3us, +9us and a 4ms laggard.
+//! let offsets = [1, 3, 9, 4_000].map(SimDuration::from_micros);
+//! let profile = ArrivalProfile::from_offsets(&offsets, 1 << 20, 12.5e9);
+//! assert_eq!(profile.points[3].partition, 3);
 //! // The Fig. 12 estimator: spread of the non-laggard arrivals.
-//! assert_eq!(min_delta_ns(&trace.rounds[0]), Some(8_000.0));
+//! let ns = offsets.iter().map(|d| d.as_nanos());
+//! assert_eq!(partix_core::min_delta_ns(ns), Some(8_000));
 //! ```
 
 #![warn(missing_docs)]
 
 mod analysis;
 mod flowpath;
-mod recorder;
 mod timeline;
 
-pub use analysis::{min_delta_ns, ArrivalPoint, ArrivalProfile};
+pub use analysis::{ArrivalPoint, ArrivalProfile};
 pub use flowpath::{assemble_chains, top_stalls, FlowChain, Stall};
-pub use recorder::{Profiler, RecvTrace, RoundTrace, SendTrace};
 pub use timeline::{sparkline, PartitionSpan, Timeline};

@@ -2,14 +2,14 @@
 //! (the live version of the paper's Figs. 10/11).
 //!
 //! For every user partition the timeline shows when it was committed
-//! (`pready`), when its work request hit the wire, and when it arrived at
-//! the receiver.
+//! (`pready`, as the driver drew it), when its work request hit the wire
+//! and when it arrived at the receiver (both from the flow log).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use partix_sim::SimTime;
-
-use crate::recorder::RoundTrace;
+use partix_sim::{SimDuration, SimTime};
+use partix_telemetry::{FlowEvent, FlowStage};
 
 /// One partition's lifecycle within a round.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,35 +34,40 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Join one round's send trace with the matching receive trace. The
-    /// receive round's `start` may differ slightly from the sender's; all
-    /// offsets are relative to the *sender's* round start.
-    pub fn from_round(send: &RoundTrace, recv: Option<&RoundTrace>) -> Option<Timeline> {
-        let t0 = send.start?;
-        let off = |t: SimTime| t.saturating_since(t0).as_nanos();
-        let mut spans: Vec<PartitionSpan> = send
-            .preadys
+    /// Join one round — its `start`, its `pready` offsets by partition and
+    /// its send completion — with the flow events of that round. Each
+    /// flow's `Arrived` event names the partitions it carried in its `aux`
+    /// (`lo << 32 | count`); they take that event's time as their arrival
+    /// and the same flow's `Posted` time as their post. Events before
+    /// `start` belong to earlier rounds and are skipped. All offsets are
+    /// relative to `start`.
+    pub fn from_flows(
+        start: SimTime,
+        pready: &[SimDuration],
+        send_complete: SimTime,
+        flows: &[FlowEvent],
+    ) -> Timeline {
+        let t0 = start.as_nanos();
+        let mut spans: Vec<PartitionSpan> = pready
             .iter()
+            .enumerate()
             .map(|(p, t)| PartitionSpan {
-                partition: *p,
-                pready_ns: off(*t),
+                partition: p as u32,
+                pready_ns: t.as_nanos(),
                 posted_ns: None,
                 arrived_ns: None,
             })
             .collect();
-        spans.sort_by_key(|s| s.partition);
-        for (lo, count, t) in &send.wrs {
-            for p in *lo..*lo + *count {
-                if let Some(s) = spans.iter_mut().find(|s| s.partition == p) {
-                    s.posted_ns = Some(off(*t));
-                }
-            }
-        }
-        if let Some(r) = recv {
-            for (p, t) in &r.arrivals {
-                if let Some(s) = spans.iter_mut().find(|s| s.partition == *p) {
-                    s.arrived_ns = Some(off(*t));
-                }
+        let round = || flows.iter().filter(|e| e.ts_ns >= t0);
+        let posted: BTreeMap<u64, u64> = round()
+            .filter(|e| e.stage == FlowStage::Posted)
+            .map(|e| (e.flow, e.ts_ns - t0))
+            .collect();
+        for e in round().filter(|e| e.stage == FlowStage::Arrived) {
+            let (lo, count) = ((e.aux >> 32) as usize, e.aux as u32 as usize);
+            for s in spans.iter_mut().skip(lo).take(count) {
+                s.posted_ns = posted.get(&e.flow).copied();
+                s.arrived_ns = Some(e.ts_ns - t0);
             }
         }
         let horizon = spans
@@ -71,11 +76,11 @@ impl Timeline {
             .flatten()
             .max()
             .unwrap_or(0)
-            .max(send.complete.map(off).unwrap_or(0));
-        Some(Timeline {
+            .max(send_complete.saturating_since(start).as_nanos());
+        Timeline {
             spans,
             horizon_ns: horizon,
-        })
+        }
     }
 
     /// Render an ASCII Gantt chart, `width` columns wide. Markers:
@@ -127,11 +132,6 @@ impl Timeline {
         out
     }
 
-    /// The laggard's pready offset, if any spans exist.
-    pub fn laggard_ns(&self) -> Option<u64> {
-        self.spans.iter().map(|s| s.pready_ns).max()
-    }
-
     /// Rebase the timeline so t = 0 is the first `pready` — zooms past the
     /// compute phase so the communication window fills the rendering.
     pub fn focus_communication(mut self) -> Timeline {
@@ -173,36 +173,41 @@ pub fn sparkline(values: &[u64]) -> String {
 mod tests {
     use super::*;
 
-    fn trace() -> (RoundTrace, RoundTrace) {
-        let send = RoundTrace {
-            start: Some(SimTime(1_000)),
-            preadys: vec![
-                (0, SimTime(1_100)),
-                (1, SimTime(1_200)),
-                (2, SimTime(5_000)),
-            ],
-            wrs: vec![(0, 2, SimTime(1_250)), (2, 1, SimTime(5_050))],
-            arrivals: Vec::new(),
-            complete: Some(SimTime(6_000)),
-        };
-        let recv = RoundTrace {
-            start: Some(SimTime(990)),
-            preadys: Vec::new(),
-            wrs: Vec::new(),
-            arrivals: vec![
-                (0, SimTime(2_000)),
-                (1, SimTime(2_000)),
-                (2, SimTime(5_800)),
-            ],
-            complete: Some(SimTime(5_900)),
-        };
-        (send, recv)
+    fn ev(flow: u64, stage: FlowStage, ts_ns: u64, aux: u64) -> FlowEvent {
+        FlowEvent {
+            flow,
+            stage,
+            ts_ns,
+            qp: 1,
+            chan: 1,
+            aux,
+        }
+    }
+
+    /// A round starting at 1 000 ns: partitions 0 and 1 ready at +100 and
+    /// +200 and aggregated into flow 7, the laggard 2 ready at +4 000 and
+    /// sent alone as flow 8; completion at 6 000. Flow 3 is an earlier
+    /// round's WR.
+    fn round(flows: &[FlowEvent]) -> Timeline {
+        let pready = [100, 200, 4_000].map(SimDuration::from_nanos);
+        Timeline::from_flows(SimTime(1_000), &pready, SimTime(6_000), flows)
+    }
+
+    fn flows() -> Vec<FlowEvent> {
+        vec![
+            ev(3, FlowStage::Posted, 400, 0),
+            ev(3, FlowStage::Arrived, 900, 2),
+            ev(7, FlowStage::Posted, 1_250, 50),
+            ev(7, FlowStage::WireSubmit, 1_300, 0),
+            ev(7, FlowStage::Arrived, 2_000, 2),
+            ev(8, FlowStage::Posted, 5_050, 0),
+            ev(8, FlowStage::Arrived, 5_800, 2 << 32 | 1),
+        ]
     }
 
     #[test]
     fn joins_send_and_recv_rounds() {
-        let (send, recv) = trace();
-        let tl = Timeline::from_round(&send, Some(&recv)).unwrap();
+        let tl = round(&flows());
         assert_eq!(tl.spans.len(), 3);
         assert_eq!(
             tl.spans[0],
@@ -215,16 +220,16 @@ mod tests {
         );
         // Partition 1 shares the aggregated WR with partition 0.
         assert_eq!(tl.spans[1].posted_ns, Some(250));
+        assert_eq!(tl.spans[1].arrived_ns, Some(1_000));
         assert_eq!(tl.spans[2].pready_ns, 4_000);
+        assert_eq!(tl.spans[2].posted_ns, Some(4_050));
+        assert_eq!(tl.spans[2].arrived_ns, Some(4_800));
         assert_eq!(tl.horizon_ns, 5_000);
-        assert_eq!(tl.laggard_ns(), Some(4_000));
     }
 
     #[test]
     fn renders_marks_in_order() {
-        let (send, recv) = trace();
-        let tl = Timeline::from_round(&send, Some(&recv)).unwrap();
-        let text = tl.render(64);
+        let text = round(&flows()).render(64);
         assert!(text.contains("3 partitions"));
         for line in text.lines().skip(1) {
             let r = line.find('r').expect("pready mark");
@@ -235,18 +240,15 @@ mod tests {
 
     #[test]
     fn handles_missing_recv_side() {
-        let (send, _) = trace();
-        let tl = Timeline::from_round(&send, None).unwrap();
+        let posted_only: Vec<FlowEvent> = flows()
+            .into_iter()
+            .filter(|e| e.stage != FlowStage::Arrived)
+            .collect();
+        let tl = round(&posted_only);
         assert!(tl.spans.iter().all(|s| s.arrived_ns.is_none()));
         let text = tl.render(40);
         // Body rows (the header legend mentions 'A') carry no arrival marks.
         assert!(text.lines().skip(1).all(|l| !l.contains('A')));
-    }
-
-    #[test]
-    fn requires_send_start() {
-        let tl = Timeline::from_round(&RoundTrace::default(), None);
-        assert!(tl.is_none());
     }
 
     #[test]
@@ -264,10 +266,7 @@ mod tests {
 
     #[test]
     fn focus_rebased_to_first_pready() {
-        let (send, recv) = trace();
-        let tl = Timeline::from_round(&send, Some(&recv))
-            .unwrap()
-            .focus_communication();
+        let tl = round(&flows()).focus_communication();
         assert_eq!(tl.spans[0].pready_ns, 0);
         assert_eq!(tl.spans[2].pready_ns, 3_900);
         assert_eq!(tl.horizon_ns, 4_900);

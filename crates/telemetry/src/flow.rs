@@ -50,8 +50,8 @@ pub enum FlowStage {
     SendCqe,
     /// The receiver polled the recv-side CQE (`aux` = CQ-poll lag ns).
     RecvCqe,
-    /// The receiver marked the carried partitions arrived (`aux` = first
-    /// partition index carried by the WR).
+    /// The receiver marked the carried partitions arrived (`aux` =
+    /// `(lo << 32) | count`: the WR carried partitions `lo..lo + count`).
     Arrived,
 }
 
@@ -102,7 +102,10 @@ pub struct FlowEvent {
     pub stage: FlowStage,
     /// Event time in nanoseconds (virtual time under the simulator).
     pub ts_ns: u64,
-    /// QP number responsible for the flow at this stage (0 if unknown).
+    /// Number of the QP the stage happened on: the sending QP from `Posted`
+    /// through `Delivered` and `SendCqe`, the receiving QP at `RecvCqe` and
+    /// `Arrived`. Always a QP number as the network minted it (never a
+    /// channel's index into its QPs), so 0 names no QP.
     pub qp: u32,
     /// Send-channel / request identifier (0 if unknown).
     pub chan: u32,

@@ -68,7 +68,5 @@ pub use fullstack::{
     FullStackReport,
 };
 pub use noise::{NoiseModel, ThreadTiming};
-pub use runner::{
-    run_pt2pt, run_pt2pt_instrumented, run_pt2pt_with_sink, Pt2PtConfig, Pt2PtResult, RoundSample,
-};
+pub use runner::{run_pt2pt, run_pt2pt_instrumented, Pt2PtConfig, Pt2PtResult, RoundSample};
 pub use traced::{run_traced, TraceArtifacts};

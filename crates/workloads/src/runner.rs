@@ -4,7 +4,10 @@
 //! sender / one receiver pair, `partitions` threads each owning one user
 //! partition, per-round thread arrival times drawn from a [`ThreadTiming`]
 //! model, rounds chained by completion callbacks (warm-up rounds excluded
-//! from results, as in §V-A).
+//! from results, as in §V-A). Each [`RoundSample`] keeps the `pready`
+//! offsets the driver drew, which is all the paper's profiler figures read
+//! from the send side; post and arrival times are in the flow log, when one
+//! is attached ([`run_pt2pt_instrumented`]).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,10 +46,12 @@ impl Pt2PtConfig {
 }
 
 /// Timestamps of one measured round.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct RoundSample {
     /// `start` time of the round.
     pub start: SimTime,
+    /// Each partition's `pready` time minus `start`, by partition index.
+    pub pready: Vec<SimDuration>,
     /// When the last `pready` fired.
     pub last_pready: SimTime,
     /// When the receiver had every partition.
@@ -82,10 +87,6 @@ pub struct Pt2PtResult {
     pub rounds: Vec<RoundSample>,
     /// WRs posted across all rounds including warm-up.
     pub total_wrs: u64,
-    /// Identifier of the send request (for profiler joins).
-    pub send_req_id: u64,
-    /// Identifier of the receive request.
-    pub recv_req_id: u64,
     /// Wire drops injected by the lossy fabric (0 on a clean wire).
     pub drops: u64,
     /// Wire retransmissions the reliability layer performed.
@@ -141,6 +142,7 @@ struct Driver {
 
 struct PartialRound {
     start: SimTime,
+    pready: Vec<SimDuration>,
     last_pready: SimTime,
     recv_complete: Option<SimTime>,
     send_complete: Option<SimTime>,
@@ -157,9 +159,17 @@ impl Driver {
             .cfg
             .timing
             .arrivals(self.cfg.partitions, self.cfg.seed, idx as u64);
+        for (i, &a) in arrivals.iter().enumerate() {
+            let me = self.clone();
+            // Thread arrivals happen at the sending rank (0).
+            sched.at_node(0, t0 + a, move || {
+                me.send.pready(i as u32).expect("pready");
+            });
+        }
         let last = arrivals.iter().copied().max().unwrap_or(SimDuration::ZERO);
         *self.current.lock() = Some(PartialRound {
             start: t0,
+            pready: arrivals,
             last_pready: t0 + last,
             recv_complete: None,
             send_complete: None,
@@ -174,14 +184,6 @@ impl Driver {
         self.recv.on_complete(move || {
             me.side_done(|p, t| p.recv_complete = Some(t));
         });
-
-        for (i, a) in arrivals.into_iter().enumerate() {
-            let me = self.clone();
-            // Thread arrivals happen at the sending rank (0).
-            sched.at_node(0, t0 + a, move || {
-                me.send.pready(i as u32).expect("pready");
-            });
-        }
     }
 
     fn side_done(self: &Arc<Self>, record: impl FnOnce(&mut PartialRound, SimTime)) {
@@ -200,6 +202,7 @@ impl Driver {
         if idx >= self.cfg.warmup {
             self.samples.lock().push(RoundSample {
                 start: p.start,
+                pready: p.pready,
                 last_pready: p.last_pready,
                 recv_complete: p.recv_complete.expect("recv completed"),
                 send_complete: p.send_complete.expect("send completed"),
@@ -220,22 +223,18 @@ impl Driver {
 
 /// Run a point-to-point experiment on a fresh simulated world, returning
 /// the world alongside the result so callers can inspect post-run state
-/// (telemetry ledger, fabric statistics). Install `sink` (e.g. a profiler)
-/// before any event fires, when provided; `flow_log`, when provided, turns
+/// (telemetry ledger, fabric statistics). `flow_log`, when provided, turns
 /// on causal flow tracing (per-message stage events and residency
-/// histograms); when `sampling` is `Some((interval, capacity))` the world
-/// captures a delta frame every `interval` of virtual time, harvestable
-/// after the run via [`World::sampler`].
+/// histograms) before any event fires; when `sampling` is
+/// `Some((interval, capacity))` the world captures a delta frame every
+/// `interval` of virtual time, harvestable after the run via
+/// [`World::sampler`].
 pub fn run_pt2pt_instrumented(
     cfg: &Pt2PtConfig,
-    sink: Option<Arc<dyn partix_core::EventSink>>,
     flow_log: Option<Arc<partix_core::telemetry::FlowLog>>,
     sampling: Option<(partix_core::SimDuration, usize)>,
 ) -> (Pt2PtResult, World) {
     let (world, sched) = World::sim(2, cfg.partix.clone());
-    if let Some(s) = sink {
-        world.set_event_sink(s);
-    }
     if let Some(log) = flow_log {
         world.enable_flow_tracing(log);
     }
@@ -294,8 +293,6 @@ pub fn run_pt2pt_instrumented(
     let result = Pt2PtResult {
         rounds,
         total_wrs: send.total_wrs_posted(),
-        send_req_id: send.id(),
-        recv_req_id: recv.id(),
         drops,
         retransmits,
         duplicates,
@@ -305,18 +302,10 @@ pub fn run_pt2pt_instrumented(
     (result, world)
 }
 
-/// [`run_pt2pt_instrumented`] with at most an event sink, keeping only the
+/// [`run_pt2pt_instrumented`] without instrumentation, keeping only the
 /// result.
-pub fn run_pt2pt_with_sink(
-    cfg: &Pt2PtConfig,
-    sink: Option<Arc<dyn partix_core::EventSink>>,
-) -> Pt2PtResult {
-    run_pt2pt_instrumented(cfg, sink, None, None).0
-}
-
-/// [`run_pt2pt_with_sink`] without instrumentation.
 pub fn run_pt2pt(cfg: &Pt2PtConfig) -> Pt2PtResult {
-    run_pt2pt_with_sink(cfg, None)
+    run_pt2pt_instrumented(cfg, None, None).0
 }
 
 #[cfg(test)]
@@ -344,7 +333,8 @@ mod tests {
         let r = run_pt2pt(&base_cfg(AggregatorKind::PLogGp, 8, 4096));
         assert_eq!(r.rounds.len(), 5);
         for s in &r.rounds {
-            assert!(s.last_pready >= s.start);
+            assert_eq!(s.pready.len(), 8, "one offset per partition");
+            assert_eq!(s.start + *s.pready.iter().max().unwrap(), s.last_pready);
             assert!(s.recv_complete > s.last_pready);
             assert!(s.send_complete > s.last_pready);
             assert!(s.total() > SimDuration::ZERO);

@@ -82,7 +82,7 @@ impl TraceArtifacts {
 /// ledger deltas.
 pub fn run_traced(cfg: &Pt2PtConfig, sampling: Option<(SimDuration, usize)>) -> TraceArtifacts {
     let flow_log = FlowLog::new();
-    let (result, world) = run_pt2pt_instrumented(cfg, None, Some(flow_log.clone()), sampling);
+    let (result, world) = run_pt2pt_instrumented(cfg, Some(flow_log.clone()), sampling);
     let snapshot = world.telemetry_snapshot();
     let report = invariants::check(&snapshot);
     let flows = flow_log.sorted();
@@ -218,6 +218,42 @@ mod tests {
             .map(|r| r.total().as_nanos())
             .collect();
         assert_eq!(t1, t2, "observability must not perturb virtual time");
+    }
+
+    /// Every flow event names its QP by number, and the runtime's stages
+    /// agree with the fabric's. `Persistent` drives two QPs per channel, so
+    /// the channel's QP indices (0, 1) are not the QP numbers, and 64 WRs
+    /// against the 16-WR cap make some of them spill.
+    #[test]
+    fn flow_events_name_real_queue_pairs() {
+        let mut c = cfg(AggregatorKind::Persistent);
+        c.partitions = 64;
+        let art = run_traced(&c, None);
+        assert!(art.flows.iter().all(|e| e.qp != 0), "an event on QP 0");
+        let chains = assemble_chains(&art.flows);
+        let mut send_qps = std::collections::BTreeSet::new();
+        let mut spilled = 0;
+        for chain in &chains {
+            let qp = |stage| chain.events.iter().find(|e| e.stage == stage).map(|e| e.qp);
+            let posted = qp(FlowStage::Posted).expect("posted");
+            send_qps.insert(posted);
+            assert_eq!(
+                qp(FlowStage::WireSubmit),
+                Some(posted),
+                "flow {}",
+                chain.flow
+            );
+            for stage in [FlowStage::CapQueued, FlowStage::CapDequeued] {
+                if let Some(q) = qp(stage) {
+                    assert_eq!(q, posted, "flow {} {stage:?}", chain.flow);
+                    spilled += 1;
+                }
+            }
+            let arrived = qp(FlowStage::Arrived).expect("arrived");
+            assert_eq!(Some(arrived), qp(FlowStage::RecvCqe), "flow {}", chain.flow);
+        }
+        assert_eq!(send_qps.len(), 2, "{send_qps:?}");
+        assert!(spilled > 0, "no WR reached the outstanding cap");
     }
 
     #[test]

@@ -175,9 +175,8 @@ fn claim_netgauge_fit_loop() {
 /// paper's ~35 us.
 #[test]
 fn claim_min_delta_scale() {
-    use partix_profiler::{min_delta_ns, Profiler};
-    use partix_workloads::{run_pt2pt_with_sink, Pt2PtConfig, ThreadTiming};
-    use std::sync::Arc;
+    use partix_core::min_delta_ns;
+    use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
 
     let mut partix = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
     partix.fabric.copy_data = false;
@@ -190,14 +189,11 @@ fn claim_min_delta_scale() {
         timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 42,
     };
-    let profiler = Arc::new(Profiler::new());
-    let r = run_pt2pt_with_sink(&cfg, Some(profiler.clone()));
-    let trace = profiler.send_trace(r.send_req_id).unwrap();
-    let deltas: Vec<f64> = trace
+    let deltas: Vec<f64> = run_pt2pt(&cfg)
         .rounds
         .iter()
-        .skip(1)
-        .filter_map(min_delta_ns)
+        .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
+        .map(|ns| ns as f64)
         .collect();
     let mean_us = deltas.iter().sum::<f64>() / deltas.len() as f64 / 1e3;
     assert!(
