@@ -96,11 +96,6 @@ pub fn fmt_bytes(b: usize) -> String {
     }
 }
 
-/// Format nanoseconds with 3 significant decimals in microseconds.
-pub fn fmt_us(ns: f64) -> String {
-    format!("{:.3}", ns / 1_000.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

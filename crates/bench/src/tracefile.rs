@@ -112,12 +112,15 @@ impl TraceFile {
                     .as_u64()
                     .ok_or_else(|| format!("flow field {i} is not a number"))
             };
+            let narrow = |i: usize, what: &str| -> Result<u32, String> {
+                u32::try_from(num(i)?).map_err(|_| format!("flow {what} exceeds u32::MAX"))
+            };
             flows.push(FlowEvent {
                 flow: num(0)?,
                 stage,
                 ts_ns: num(2)?,
-                qp: num(3)? as u32,
-                chan: num(4)? as u32,
+                qp: narrow(3, "qp")?,
+                chan: narrow(4, "chan")?,
                 aux: num(5)?,
             });
         }
@@ -161,6 +164,9 @@ impl TraceFile {
 
 /// Parse a `{"name": {count, sum, max, buckets}}` histogram map (the shape
 /// of the document-level `"stages"` key and of each frame's stage windows).
+/// Buckets must be non-empty `[lo, hi)` ranges in ascending order without
+/// overlap, and their counts must add up to `count`: what the quantile
+/// arithmetic relies on.
 fn parse_stage_map(v: &Json) -> Result<Vec<(String, HistSnapshot)>, String> {
     let Json::Obj(members) = v else {
         return Err("stage map is not an object".into());
@@ -172,7 +178,8 @@ fn parse_stage_map(v: &Json) -> Result<Vec<(String, HistSnapshot)>, String> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("stage {name}: missing {k}"))
         };
-        let mut buckets = Vec::new();
+        let count = field("count")?;
+        let (mut buckets, mut total, mut floor) = (Vec::new(), 0u64, 0u64);
         for b in snap
             .get("buckets")
             .and_then(Json::as_arr)
@@ -182,16 +189,34 @@ fn parse_stage_map(v: &Json) -> Result<Vec<(String, HistSnapshot)>, String> {
             if b.len() != 3 {
                 return Err("bucket is not a [lo, hi, count] triple".into());
             }
-            buckets.push(partix_verbs::telemetry::HistBucket {
-                lo: b[0].as_u64().ok_or("bucket lo")?,
-                hi: b[1].as_u64().ok_or("bucket hi")?,
-                count: b[2].as_u64().ok_or("bucket count")?,
-            });
+            let (lo, hi) = (
+                b[0].as_u64().ok_or("bucket lo")?,
+                b[1].as_u64().ok_or("bucket hi")?,
+            );
+            if lo >= hi {
+                return Err(format!("stage {name}: bucket [{lo}, {hi}) is empty"));
+            }
+            if lo < floor {
+                return Err(format!(
+                    "stage {name}: bucket [{lo}, {hi}) overlaps or precedes the one before it"
+                ));
+            }
+            floor = hi;
+            let n = b[2].as_u64().ok_or("bucket count")?;
+            total = total
+                .checked_add(n)
+                .ok_or_else(|| format!("stage {name}: bucket counts overflow"))?;
+            buckets.push(partix_verbs::telemetry::HistBucket { lo, hi, count: n });
+        }
+        if total != count {
+            return Err(format!(
+                "stage {name}: bucket counts sum to {total}, but count is {count}"
+            ));
         }
         stages.push((
             name.clone(),
             HistSnapshot {
-                count: field("count")?,
+                count,
                 sum: field("sum")?,
                 max: field("max")?,
                 buckets,
@@ -315,9 +340,9 @@ pub fn timeline(tf: &TraceFile) -> Option<String> {
     Some(out)
 }
 
-/// Prometheus text exposition of the **latest** frame in a loaded trace,
-/// mirroring the live `frame_exposition` encoder: `partix_window_*` ledger
-/// deltas, `partix_gauge_*` transport gauges, and the frame's stage windows.
+/// Prometheus text exposition of the **latest** frame in a loaded trace:
+/// `partix_window_*` ledger deltas, `partix_gauge_*` transport gauges, and
+/// the frame's stage windows.
 pub fn latest_frame_exposition(tf: &TraceFile) -> Option<String> {
     let f = tf.frames.last()?;
     let mut s = String::with_capacity(2048);
@@ -492,11 +517,18 @@ mod tests {
     const BASELINE: &str = include_str!("../../../results/baseline/trace_fault_chaos.json");
 
     /// What the `trace` bin does with a file the user names, short of
-    /// reading it: neither parser may panic, whatever the bytes.
+    /// reading it: neither parser may panic, whatever the bytes, and a
+    /// document that parses renders through every view without panicking.
     fn parse_both(bytes: &[u8]) {
         let src = String::from_utf8_lossy(bytes);
         let _ = parse_json(&src);
-        let _ = TraceFile::parse(&src);
+        if let Ok(tf) = TraceFile::parse(&src) {
+            let _ = report(&tf, 5);
+            let _ = diff(&tf, &tf, 0.10);
+            let _ = timeline(&tf);
+            let _ = latest_frame_exposition(&tf);
+            let _ = partix_verbs::telemetry::exposition(&tf.stage_refs());
+        }
     }
 
     proptest! {
@@ -642,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_frame_exposition_mirrors_the_live_encoder() {
+    fn latest_frame_exposition_renders_the_newest_frame() {
         let tf = TraceFile::parse(&framed_doc()).unwrap();
         let expo = latest_frame_exposition(&tf).unwrap();
         assert!(expo.contains("partix_window_seq 1"));
@@ -665,6 +697,62 @@ mod tests {
         assert!(expo1.contains("partix_gauge_ring_full_stalls 7"));
         assert!(expo1.contains("partix_gauge_ring_full_stalls_delta 3"));
         assert!(expo1.contains("# TYPE partix_stage_wire_ns histogram"));
+    }
+
+    #[test]
+    fn a_qp_or_chan_beyond_u32_is_refused() {
+        let doc = sample_doc(&[100]).replace(
+            "[1, \"posted\", 100, 2, 7, 40]",
+            "[1, \"posted\", 100, 4294967297, 7, 40]",
+        );
+        let err = TraceFile::parse(&doc)
+            .err()
+            .expect("qp 2^32 + 1 must not read as qp 1");
+        assert!(err.contains("qp"), "{err}");
+        let doc = sample_doc(&[100]).replace(
+            "[1, \"posted\", 100, 2, 7, 40]",
+            "[1, \"posted\", 100, 2, 4294967296, 40]",
+        );
+        assert!(TraceFile::parse(&doc)
+            .err()
+            .expect("chan 2^32")
+            .contains("chan"));
+    }
+
+    /// Each malformed bucket list is refused with the stage named, so
+    /// neither `report` nor `timeline` ever computes a quantile from it.
+    #[test]
+    fn malformed_stage_buckets_are_refused() {
+        let stage = |count: u64, buckets: &str| {
+            format!(
+                "{{\"flows\": [[1, \"posted\", 0, 1, 1, 0]], \"stages\": {{\"wire_ns\": \
+                 {{\"count\": {count}, \"sum\": 0, \"max\": 0, \"buckets\": [{buckets}]}}}}}}"
+            )
+        };
+        for (count, buckets, why) in [
+            (1, "[0, 0, 1]", "is empty"),
+            (1, "[5, 3, 1]", "is empty"),
+            (2, "[8, 9, 1], [4, 5, 1]", "precedes"),
+            (2, "[4, 8, 1], [6, 9, 1]", "overlaps"),
+            (3, "[1, 2, 1], [2, 3, 1]", "sum to 2"),
+            (0, "[1, 2, 18446744073709551615], [2, 3, 1]", "overflow"),
+        ] {
+            match TraceFile::parse(&stage(count, buckets)) {
+                Ok(tf) => panic!("accepted {buckets}:\n{}", report(&tf, 5)),
+                Err(e) => assert!(e.contains("wire_ns") && e.contains(why), "{buckets}: {e}"),
+            }
+        }
+        let frame = stage(1, "[1, 2, 1]").replace(
+            "\"stages\"",
+            "\"frames\": [{\"seq\": 0, \"t_ns\": 1, \"span_ns\": 1, \
+             \"stages\": {\"wire_ns\": {\"count\": 1, \"sum\": 0, \"max\": 0, \
+             \"buckets\": [[0, 0, 1]]}}}], \"stages\"",
+        );
+        let err = TraceFile::parse(&frame)
+            .err()
+            .expect("a frame's stage window is checked too");
+        assert!(err.contains("is empty"), "{err}");
+        assert!(TraceFile::parse(&stage(2, "[1, 2, 1], [2, 3, 1]")).is_ok());
     }
 
     #[test]

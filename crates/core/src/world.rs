@@ -82,8 +82,6 @@ impl MatchService {
 /// Shared world state.
 pub(crate) struct WorldInner {
     pub network: Network,
-    pub sim_fabric: Option<Arc<SimFabric>>,
-    pub lossy: Option<Arc<LossyFabric>>,
     /// The world's one clock and timer: its scheduler, or the wall clock.
     pub time: TimeSource,
     pub config: PartixConfig,
@@ -163,8 +161,8 @@ impl World {
         // tests and the sharded executor confirm routing coverage.
         sched.enable_node_affinity(ranks);
         let fabric = SimFabric::new(sched.clone(), config.fabric);
-        let sim = Some((fabric.clone(), sched.clone()));
-        (Self::assemble(ranks, config, fabric, sim), sched)
+        let world = Self::assemble(ranks, config, fabric, Some(sched.clone()));
+        (world, sched)
     }
 
     /// Build an instant-fabric world (wall-clock time, synchronous
@@ -183,28 +181,21 @@ impl World {
     }
 
     /// The one place a [`WorldInner`] is put together, and the one place
-    /// `config.loss` is read: over `fabric`, on `sim`'s virtual clock or,
+    /// `config.loss` is read: over `fabric`, on `sched`'s virtual clock or,
     /// without one, on the wall clock.
     fn assemble(
         ranks: u32,
         config: PartixConfig,
         fabric: Arc<dyn Fabric>,
-        sim: Option<(Arc<SimFabric>, Scheduler)>,
+        sched: Option<Scheduler>,
     ) -> World {
-        let lossy = config.loss.map(|cfg| match &sim {
-            Some((_, sched)) => LossyFabric::simulated(fabric.clone(), sched.clone(), cfg),
-            None => LossyFabric::new(fabric.clone(), cfg),
-        });
-        let wire = match &lossy {
-            Some(lossy) => lossy.clone(),
-            None => fabric,
+        let wire: Arc<dyn Fabric> = match (config.loss, &sched) {
+            (Some(cfg), Some(sched)) => LossyFabric::simulated(fabric, sched.clone(), cfg),
+            (Some(cfg), None) => LossyFabric::new(fabric, cfg),
+            (None, _) => fabric,
         };
-        let network = Network::new(ranks, wire);
-        let (sim_fabric, sched) = sim.unzip();
         let inner = Arc::new(WorldInner {
-            network,
-            sim_fabric,
-            lossy,
+            network: Network::new(ranks, wire),
             time: sched.map_or_else(TimeSource::wall, TimeSource::Sim),
             config,
             match_svc: MatchService::default(),
@@ -228,17 +219,6 @@ impl World {
     /// The driving scheduler (sim mode only).
     pub fn scheduler(&self) -> Option<&Scheduler> {
         self.inner.time.scheduler()
-    }
-
-    /// The simulated fabric (sim mode only), for traffic statistics.
-    pub fn sim_fabric(&self) -> Option<&Arc<SimFabric>> {
-        self.inner.sim_fabric.as_ref()
-    }
-
-    /// The lossy wire decorator, when `config.loss` was set: fault-injection
-    /// statistics (drops, duplicates, retransmissions, exhaustions).
-    pub fn lossy_fabric(&self) -> Option<&Arc<LossyFabric>> {
-        self.inner.lossy.as_ref()
     }
 
     /// The telemetry registry the whole stack reports into.
@@ -270,11 +250,6 @@ impl World {
         self.telemetry()
             .flows
             .attach(log, self.inner.time.ns_hook());
-    }
-
-    /// Disable causal flow tracing (the histograms keep their samples).
-    pub fn disable_flow_tracing(&self) {
-        self.telemetry().flows.detach();
     }
 
     /// Enable windowed time-series sampling: a [`Sampler`] captures a delta

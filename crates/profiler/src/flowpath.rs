@@ -46,23 +46,14 @@ impl FlowChain {
             .min()
     }
 
-    /// Timestamp of the last event of `stage`, if any.
-    pub fn last_ts(&self, stage: FlowStage) -> Option<u64> {
-        self.events
-            .iter()
-            .filter(|e| e.stage == stage)
-            .map(|e| e.ts_ns)
-            .max()
-    }
-
     /// Sum of the `aux` field across events of `stage` (the wait classes
-    /// carry their duration there).
+    /// carry their duration there), saturating: the events may come from a
+    /// file.
     pub fn aux_sum(&self, stage: FlowStage) -> u64 {
         self.events
             .iter()
             .filter(|e| e.stage == stage)
-            .map(|e| e.aux)
-            .sum()
+            .fold(0, |sum, e| sum.saturating_add(e.aux))
     }
 
     /// Queue pair and channel of the posting event (falls back to the first

@@ -197,30 +197,6 @@ proptest! {
             prop_assert_eq!(end.as_nanos() - start.as_nanos(), dur);
             prev_end = end.as_nanos();
         }
-        prop_assert_eq!(r.reservations(), requests.len() as u64);
-        prop_assert_eq!(
-            r.busy_total().as_nanos(),
-            requests.iter().map(|(_, d)| d).sum::<u64>()
-        );
-    }
-
-    /// The resource's utilisation never exceeds 100%: total busy time fits
-    /// within [first start, last end].
-    #[test]
-    fn serial_resource_utilisation_bounded(
-        requests in prop::collection::vec((0u64..1_000, 1u64..100), 2..50)
-    ) {
-        let r = SerialResource::new();
-        let mut first_start = None;
-        let mut last_end = 0;
-        let mut arrival = 0u64;
-        for &(gap, dur) in &requests {
-            arrival += gap;
-            let (s, e) = r.reserve(SimTime(arrival), SimDuration(dur));
-            first_start.get_or_insert(s.as_nanos());
-            last_end = e.as_nanos();
-        }
-        let span = last_end - first_start.unwrap();
-        prop_assert!(r.busy_total().as_nanos() <= span);
+        prop_assert_eq!(r.free_at().as_nanos(), prev_end);
     }
 }

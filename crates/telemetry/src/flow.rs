@@ -309,12 +309,11 @@ impl StageHistograms {
 /// The armed hot path is lock-free: log and clock live in `OnceLock`s
 /// (one `Acquire` load to reach either), the event log is a wait-free
 /// bump region, and the histograms are relaxed atomics. The price is that
-/// a recorder accepts ONE log and clock for its lifetime — [`detach`]
-/// pauses recording but a second [`attach`] must hand back the same log
-/// (`Arc`-identical) or it panics. One world, one log.
+/// a recorder accepts ONE log and clock for its lifetime — a second
+/// [`attach`] must hand back the same log (`Arc`-identical) or it panics.
+/// One world, one log.
 ///
 /// [`attach`]: FlowRecorder::attach
-/// [`detach`]: FlowRecorder::detach
 #[derive(Default)]
 pub struct FlowRecorder {
     enabled: AtomicBool,
@@ -347,16 +346,10 @@ impl FlowRecorder {
         assert!(
             Arc::ptr_eq(installed, &log),
             "FlowRecorder::attach: a different FlowLog is already installed \
-             (a recorder accepts one log for its lifetime; detach only pauses)"
+             (a recorder accepts one log for its lifetime)"
         );
         let _ = self.clock.set(clock);
         self.enabled.store(true, Ordering::Release);
-    }
-
-    /// Disarm the recorder; in-flight flow IDs keep recording nothing.
-    /// The installed log and clock stay (see [`FlowRecorder::attach`]).
-    pub fn detach(&self) {
-        self.enabled.store(false, Ordering::Release);
     }
 
     /// Whether tracing is armed (one relaxed load — the hot-path gate).
@@ -380,7 +373,7 @@ impl FlowRecorder {
         self.next_flow.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Current time from the attached clock, or 0 when detached. Used by
+    /// Current time from the attached clock, or 0 when unarmed. Used by
     /// sites that stamp auxiliary timestamps (e.g. per-partition `pready`
     /// times) rather than events.
     #[inline]
@@ -470,9 +463,6 @@ mod tests {
         assert_eq!(evs[0].stage, FlowStage::Posted);
         assert_eq!(evs[1].ts_ns, 88);
         assert_eq!(r.stages.wire.count(), 1);
-        r.detach();
-        r.event(f, FlowStage::Arrived, 0, 0, 0);
-        assert_eq!(log.len(), 2);
     }
 
     #[test]

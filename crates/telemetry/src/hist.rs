@@ -143,7 +143,9 @@ impl LogHistogram {
             }
         }
         HistSnapshot {
-            count: self.count(),
+            // From the loads above, so a snapshot taken while values are
+            // still being recorded stays self-consistent.
+            count: buckets.iter().map(|b| b.count).sum(),
             sum: self.sum(),
             max: self.max(),
             buckets,

@@ -3,9 +3,9 @@
 //! A [`Snapshot`] is a double-entry ledger: every wire event is counted at
 //! its source (post, retransmit, injection) and at its sink (delivery,
 //! suppression, error). [`check`] reconciles the two sides and returns a
-//! typed [`Report`] of every violated law. A non-empty report after a
-//! quiesced run means the instrumentation or the accounting it observes is
-//! broken — it is never expected noise.
+//! [`Report`] with one numbered line per violated law. A non-empty report
+//! after a quiesced run means the instrumentation or the accounting it
+//! observes is broken — it is never expected noise.
 //!
 //! The laws, in ledger form (Σ sums over all QPs unless noted):
 //!
@@ -29,231 +29,27 @@
 //!     more often than it was handed out)
 //!
 //! [`check_strict`] additionally requires a fully drained system:
-//! every QP's `outstanding == 0` and every CQ fully polled.
+//!
+//! 15. Per QP: `outstanding == 0`
+//! 16. Per CQ: `polled >= pushed_total`
 
 use std::fmt;
 
 use crate::snapshot::Snapshot;
 
-/// One violated conservation law, with both sides of the failed equation.
+/// One violated conservation law: its number in the list above and the
+/// line that states both sides of the failed equation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Violation {
-    /// Law 1: a QP's posted sends don't equal completions plus live
-    /// outstanding slots — a slot leaked or a completion double-fired.
-    QpSendLedger {
-        /// Owning node.
-        node: u32,
-        /// QP number.
-        qp_num: u32,
-        /// Send WRs posted.
-        posted: u64,
-        /// Successful + errored completions.
-        completed: u64,
-        /// Live outstanding slots.
-        outstanding: u64,
-    },
-    /// Law 2: a send-slot release found the outstanding count at zero.
-    QpSlotUnderflow {
-        /// Owning node.
-        node: u32,
-        /// QP number.
-        qp_num: u32,
-        /// Underflowing releases observed.
-        count: u64,
-    },
-    /// Law 3: a QP's posted receives don't equal consumed plus queued.
-    QpRecvLedger {
-        /// Owning node.
-        node: u32,
-        /// QP number.
-        qp_num: u32,
-        /// Receive WRs posted.
-        posted: u64,
-        /// Receive WRs consumed.
-        consumed: u64,
-        /// Receive WRs still queued.
-        queued: u64,
-    },
-    /// Law 4: transfers reaching the delivering fabric don't reconcile
-    /// with posts, retransmits, duplicates and drops.
-    SubmissionLedger {
-        /// Observed inner submissions.
-        inner_submissions: u64,
-        /// Expected: posted + retransmits + duplicates − dropped.
-        expected: u64,
-    },
-    /// Law 5: delivery attempts don't equal inner submissions plus RNR
-    /// requeues.
-    AttemptLedger {
-        /// Observed delivery attempts.
-        attempts: u64,
-        /// Expected: inner_submissions + rnr_requeues.
-        expected: u64,
-    },
-    /// Law 6: delivery outcomes don't partition the attempts.
-    OutcomePartition {
-        /// Observed delivery attempts.
-        attempts: u64,
-        /// Sum of all outcome buckets.
-        outcomes: u64,
-    },
-    /// Law 7: drops aren't fully attributed to retransmissions or retry
-    /// exhaustion.
-    DropLedger {
-        /// Transfers dropped.
-        dropped: u64,
-        /// Retransmissions scheduled.
-        retransmits: u64,
-        /// Retry budgets exhausted.
-        exhausted: u64,
-    },
-    /// Law 8: successful completions exceed actual deliveries, or the
-    /// delivered surplus exceeds what ghosts could account for.
-    DeliveryCompletion {
-        /// Payload-landing deliveries.
-        delivered: u64,
-        /// Of which by ghost duplicates.
-        delivered_ghost: u64,
-        /// Successful send completions.
-        completed_success: u64,
-    },
-    /// Law 9: deliveries and successes agree in count but not in bytes.
-    ByteConservation {
-        /// Bytes landed in target memory.
-        bytes_delivered: u64,
-        /// Bytes in successful completions.
-        bytes_completed: u64,
-    },
-    /// Law 10: receive CQEs generated at delivery don't match CQEs pushed
-    /// to receive-side queues.
-    RecvCqeLedger {
-        /// Receive CQEs counted at the delivery site.
-        delivery_side: u64,
-        /// Receive CQEs counted at the CQ push site.
-        cq_side: u64,
-    },
-    /// Law 11: a CQ polled out more entries than were ever pushed.
-    CqOverPolled {
-        /// CQ identifier.
-        cq_id: u32,
-        /// Entries pushed.
-        pushed: u64,
-        /// Entries polled.
-        polled: u64,
-    },
-    /// Law 12: more partitions were posted to the wire than were ever
-    /// marked ready.
-    RuntimePartitionLedger {
-        /// `pready` calls accepted.
-        preadys: u64,
-        /// Partitions posted in aggregated WRs.
-        partitions_posted: u64,
-    },
-    /// Law 13: arena gets don't partition into pool hits and misses.
-    ArenaGetLedger {
-        /// Buffers requested from the arena.
-        pool_gets: u64,
-        /// Requests served by recycling.
-        pool_hits: u64,
-        /// Requests served by fresh allocation.
-        pool_misses: u64,
-    },
-    /// Law 14: more buffers returned to the arena than were handed out.
-    ArenaReturnLedger {
-        /// Buffers requested from the arena.
-        pool_gets: u64,
-        /// Buffers returned to the pool.
-        pool_returns: u64,
-    },
-    /// Strict only: a QP still has outstanding send WRs.
-    NotDrained {
-        /// Owning node.
-        node: u32,
-        /// QP number.
-        qp_num: u32,
-        /// Outstanding send WRs.
-        outstanding: u64,
-    },
-    /// Strict only: a CQ still holds unpolled entries.
-    CqNotDrained {
-        /// CQ identifier.
-        cq_id: u32,
-        /// Entries pushed.
-        pushed: u64,
-        /// Entries polled.
-        polled: u64,
-    },
+pub struct Violation {
+    /// The law's number, 1–16.
+    pub law: u8,
+    /// What broke, for a human reader.
+    pub text: String,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Violation::QpSendLedger { node, qp_num, posted, completed, outstanding } => write!(
-                f,
-                "qp {node}/{qp_num}: send ledger broken: posted {posted} != completed {completed} + outstanding {outstanding}"
-            ),
-            Violation::QpSlotUnderflow { node, qp_num, count } => write!(
-                f,
-                "qp {node}/{qp_num}: {count} send-slot release(s) underflowed the outstanding count"
-            ),
-            Violation::QpRecvLedger { node, qp_num, posted, consumed, queued } => write!(
-                f,
-                "qp {node}/{qp_num}: recv ledger broken: posted {posted} != consumed {consumed} + queued {queued}"
-            ),
-            Violation::SubmissionLedger { inner_submissions, expected } => write!(
-                f,
-                "wire: inner submissions {inner_submissions} != posted + retransmits + duplicates - dropped = {expected}"
-            ),
-            Violation::AttemptLedger { attempts, expected } => write!(
-                f,
-                "wire: delivery attempts {attempts} != inner submissions + rnr requeues = {expected}"
-            ),
-            Violation::OutcomePartition { attempts, outcomes } => write!(
-                f,
-                "wire: delivery outcomes {outcomes} do not partition the {attempts} attempts"
-            ),
-            Violation::DropLedger { dropped, retransmits, exhausted } => write!(
-                f,
-                "wire: dropped {dropped} != retransmits {retransmits} + exhausted {exhausted}"
-            ),
-            Violation::DeliveryCompletion { delivered, delivered_ghost, completed_success } => write!(
-                f,
-                "wire: delivered {delivered} (ghost {delivered_ghost}) irreconcilable with {completed_success} successful completions"
-            ),
-            Violation::ByteConservation { bytes_delivered, bytes_completed } => write!(
-                f,
-                "wire: bytes delivered {bytes_delivered} != bytes completed {bytes_completed}"
-            ),
-            Violation::RecvCqeLedger { delivery_side, cq_side } => write!(
-                f,
-                "recv CQEs: delivery side counted {delivery_side}, CQ side counted {cq_side}"
-            ),
-            Violation::CqOverPolled { cq_id, pushed, polled } => write!(
-                f,
-                "cq {cq_id}: polled {polled} entries but only {pushed} were pushed"
-            ),
-            Violation::RuntimePartitionLedger { preadys, partitions_posted } => write!(
-                f,
-                "runtime: posted {partitions_posted} partitions but only {preadys} preadys accepted"
-            ),
-            Violation::ArenaGetLedger { pool_gets, pool_hits, pool_misses } => write!(
-                f,
-                "arena: pool gets {pool_gets} != hits {pool_hits} + misses {pool_misses}"
-            ),
-            Violation::ArenaReturnLedger { pool_gets, pool_returns } => write!(
-                f,
-                "arena: {pool_returns} buffers returned but only {pool_gets} handed out"
-            ),
-            Violation::NotDrained { node, qp_num, outstanding } => write!(
-                f,
-                "qp {node}/{qp_num}: {outstanding} send WR(s) still outstanding at quiescence"
-            ),
-            Violation::CqNotDrained { cq_id, pushed, polled } => write!(
-                f,
-                "cq {cq_id}: {} entry(ies) pushed but never polled",
-                pushed - polled
-            ),
-        }
+        f.write_str(&self.text)
     }
 }
 
@@ -275,6 +71,13 @@ impl Report {
     #[track_caller]
     pub fn assert_clean(&self) {
         assert!(self.is_clean(), "{self}");
+    }
+
+    /// Record law `law` as broken, with `text`, when `broken`.
+    fn law(&mut self, law: u8, broken: bool, text: impl FnOnce() -> String) {
+        if broken {
+            self.violations.push(Violation { law, text: text() });
+        }
     }
 }
 
@@ -298,173 +101,150 @@ impl fmt::Display for Report {
 /// Reconcile a quiesced snapshot against laws 1–14.
 ///
 /// "Quiesced" means the scheduler has run dry (sim) or all requests have
-/// completed (instant fabric): laws 5–10 compare sites on opposite ends of
-/// in-flight transfers and only balance once nothing is mid-flight. Laws
-/// 1–3 and 11–12 hold at any instant.
+/// completed (instant fabric): laws 4–10 and 13–14 compare sites on
+/// opposite ends of in-flight transfers and only balance once nothing is
+/// mid-flight. Laws 1–3 and 11–12 hold at any instant.
 pub fn check(snap: &Snapshot) -> Report {
     let mut r = Report::default();
-    check_instantaneous(snap, &mut r);
-    check_quiescent(snap, &mut r);
-    r
-}
-
-/// [`check`] plus full-drain requirements: no outstanding send WRs and no
-/// unpolled CQEs anywhere. Use after a run whose driver polls to empty.
-pub fn check_strict(snap: &Snapshot) -> Report {
-    let mut r = check(snap);
     for q in &snap.qps {
-        if q.outstanding != 0 {
-            r.violations.push(Violation::NotDrained {
-                node: q.node,
-                qp_num: q.qp_num,
-                outstanding: q.outstanding,
-            });
-        }
-    }
-    for c in &snap.cqs {
-        if c.polled != c.pushed_total {
-            r.violations.push(Violation::CqNotDrained {
-                cq_id: c.cq_id,
-                pushed: c.pushed_total,
-                polled: c.polled,
-            });
-        }
-    }
-    r
-}
-
-/// Laws that hold at any instant, even mid-flight.
-fn check_instantaneous(snap: &Snapshot, r: &mut Report) {
-    for q in &snap.qps {
+        let (node, qp, posted) = (q.node, q.qp_num, q.send_posted);
         let completed = q.completed_success + q.completed_error;
-        if q.send_posted != completed + q.outstanding {
-            r.violations.push(Violation::QpSendLedger {
-                node: q.node,
-                qp_num: q.qp_num,
-                posted: q.send_posted,
-                completed,
-                outstanding: q.outstanding,
-            });
-        }
-        if q.slot_underflows != 0 {
-            r.violations.push(Violation::QpSlotUnderflow {
-                node: q.node,
-                qp_num: q.qp_num,
-                count: q.slot_underflows,
-            });
-        }
-        if q.recv_posted != q.recv_consumed + q.recv_queue_depth {
-            r.violations.push(Violation::QpRecvLedger {
-                node: q.node,
-                qp_num: q.qp_num,
-                posted: q.recv_posted,
-                consumed: q.recv_consumed,
-                queued: q.recv_queue_depth,
-            });
-        }
-    }
-    for c in &snap.cqs {
-        if c.polled > c.pushed_total {
-            r.violations.push(Violation::CqOverPolled {
-                cq_id: c.cq_id,
-                pushed: c.pushed_total,
-                polled: c.polled,
-            });
-        }
-    }
-    let rt = &snap.runtime;
-    if rt.partitions_posted > rt.preadys {
-        r.violations.push(Violation::RuntimePartitionLedger {
-            preadys: rt.preadys,
-            partitions_posted: rt.partitions_posted,
+        r.law(1, posted != completed + q.outstanding, || {
+            format!(
+                "qp {node}/{qp}: send ledger broken: posted {posted} != completed {completed} + outstanding {}",
+                q.outstanding
+            )
+        });
+        r.law(2, q.slot_underflows != 0, || {
+            format!(
+                "qp {node}/{qp}: {} send-slot release(s) underflowed the outstanding count",
+                q.slot_underflows
+            )
+        });
+        let (consumed, queued) = (q.recv_consumed, q.recv_queue_depth);
+        r.law(3, q.recv_posted != consumed + queued, || {
+            format!(
+                "qp {node}/{qp}: recv ledger broken: posted {} != consumed {consumed} + queued {queued}",
+                q.recv_posted
+            )
         });
     }
-}
-
-/// Laws that compare opposite ends of the pipe; they balance only once
-/// nothing is in flight.
-fn check_quiescent(snap: &Snapshot, r: &mut Report) {
+    for c in &snap.cqs {
+        r.law(11, c.polled > c.pushed_total, || {
+            format!(
+                "cq {}: polled {} entries but only {} were pushed",
+                c.cq_id, c.polled, c.pushed_total
+            )
+        });
+    }
+    let rt = &snap.runtime;
+    r.law(12, rt.partitions_posted > rt.preadys, || {
+        format!(
+            "runtime: posted {} partitions but only {} preadys accepted",
+            rt.partitions_posted, rt.preadys
+        )
+    });
+    // Laws 4–10 and 13–14: opposite ends of the pipe.
     let w = &snap.wire;
     let posted = snap.total_send_posted();
     let success = snap.total_completed_success();
 
-    let expected_inner = (posted + w.retransmits + w.duplicates_injected).saturating_sub(w.dropped);
-    if w.inner_submissions != expected_inner {
-        r.violations.push(Violation::SubmissionLedger {
-            inner_submissions: w.inner_submissions,
-            expected: expected_inner,
-        });
-    }
+    let expected = (posted + w.retransmits + w.duplicates_injected).saturating_sub(w.dropped);
+    r.law(4, w.inner_submissions != expected, || {
+        format!(
+            "wire: inner submissions {} != posted + retransmits + duplicates - dropped = {expected}",
+            w.inner_submissions
+        )
+    });
 
-    let expected_attempts = w.inner_submissions + w.rnr_requeues;
-    if w.delivery_attempts != expected_attempts {
-        r.violations.push(Violation::AttemptLedger {
-            attempts: w.delivery_attempts,
-            expected: expected_attempts,
-        });
-    }
+    let expected = w.inner_submissions + w.rnr_requeues;
+    r.law(5, w.delivery_attempts != expected, || {
+        format!(
+            "wire: delivery attempts {} != inner submissions + rnr requeues = {expected}",
+            w.delivery_attempts
+        )
+    });
 
     let outcomes = w.delivered
         + w.duplicates_suppressed
         + w.remote_errors
         + w.receiver_not_ready
         + w.length_errors;
-    if w.delivery_attempts != outcomes {
-        r.violations.push(Violation::OutcomePartition {
-            attempts: w.delivery_attempts,
-            outcomes,
-        });
-    }
+    r.law(6, w.delivery_attempts != outcomes, || {
+        format!(
+            "wire: delivery outcomes {outcomes} do not partition the {} attempts",
+            w.delivery_attempts
+        )
+    });
 
-    if w.dropped != w.retransmits + w.exhausted {
-        r.violations.push(Violation::DropLedger {
-            dropped: w.dropped,
-            retransmits: w.retransmits,
-            exhausted: w.exhausted,
-        });
-    }
+    r.law(7, w.dropped != w.retransmits + w.exhausted, || {
+        format!(
+            "wire: dropped {} != retransmits {} + exhausted {}",
+            w.dropped, w.retransmits, w.exhausted
+        )
+    });
 
     // Orphan analysis: every successful completion implies its payload
     // landed (possibly via a ghost), and any delivered surplus must be
     // attributable to ghost duplicates whose original errored out.
-    if success > w.delivered || w.delivered - success > w.delivered_ghost {
-        r.violations.push(Violation::DeliveryCompletion {
-            delivered: w.delivered,
-            delivered_ghost: w.delivered_ghost,
-            completed_success: success,
-        });
-    } else if w.delivered == success {
-        let bytes_completed = snap.total_bytes_completed();
-        if w.bytes_delivered != bytes_completed {
-            r.violations.push(Violation::ByteConservation {
-                bytes_delivered: w.bytes_delivered,
-                bytes_completed,
-            });
-        }
-    }
+    let orphans = success > w.delivered || w.delivered - success > w.delivered_ghost;
+    r.law(8, orphans, || {
+        format!(
+            "wire: delivered {} (ghost {}) irreconcilable with {success} successful completions",
+            w.delivered, w.delivered_ghost
+        )
+    });
+    let (delivered, completed) = (w.bytes_delivered, snap.total_bytes_completed());
+    r.law(9, w.delivered == success && delivered != completed, || {
+        format!("wire: bytes delivered {delivered} != bytes completed {completed}")
+    });
 
     let cq_recv: u64 = snap.cqs.iter().map(|c| c.recv_pushed).sum();
-    if w.recv_cqes != cq_recv {
-        r.violations.push(Violation::RecvCqeLedger {
-            delivery_side: w.recv_cqes,
-            cq_side: cq_recv,
-        });
-    }
+    r.law(10, w.recv_cqes != cq_recv, || {
+        format!(
+            "recv CQEs: delivery side counted {}, CQ side counted {cq_recv}",
+            w.recv_cqes
+        )
+    });
 
     let a = &snap.arena;
-    if a.pool_gets != a.pool_hits + a.pool_misses {
-        r.violations.push(Violation::ArenaGetLedger {
-            pool_gets: a.pool_gets,
-            pool_hits: a.pool_hits,
-            pool_misses: a.pool_misses,
+    r.law(13, a.pool_gets != a.pool_hits + a.pool_misses, || {
+        format!(
+            "arena: pool gets {} != hits {} + misses {}",
+            a.pool_gets, a.pool_hits, a.pool_misses
+        )
+    });
+    r.law(14, a.pool_returns > a.pool_gets, || {
+        format!(
+            "arena: {} buffers returned but only {} handed out",
+            a.pool_returns, a.pool_gets
+        )
+    });
+    r
+}
+
+/// [`check`] plus laws 15 and 16, full drain: no outstanding send WRs and
+/// no unpolled CQEs anywhere. Use after a run whose driver polls to empty.
+pub fn check_strict(snap: &Snapshot) -> Report {
+    let mut r = check(snap);
+    for q in &snap.qps {
+        r.law(15, q.outstanding != 0, || {
+            format!(
+                "qp {}/{}: {} send WR(s) still outstanding at quiescence",
+                q.node, q.qp_num, q.outstanding
+            )
         });
     }
-    if a.pool_returns > a.pool_gets {
-        r.violations.push(Violation::ArenaReturnLedger {
-            pool_gets: a.pool_gets,
-            pool_returns: a.pool_returns,
+    for c in &snap.cqs {
+        r.law(16, c.polled < c.pushed_total, || {
+            format!(
+                "cq {}: {} entry(ies) pushed but never polled",
+                c.cq_id,
+                c.pushed_total - c.polled
+            )
         });
     }
+    r
 }
 
 #[cfg(test)]
@@ -503,6 +283,22 @@ mod tests {
         s
     }
 
+    /// The laws `r` reports, in check order.
+    fn laws(r: &Report) -> Vec<u8> {
+        r.violations.iter().map(|v| v.law).collect()
+    }
+
+    fn cq(pushed: u64, polled: u64) -> CqSnapshot {
+        CqSnapshot {
+            cq_id: 0,
+            pushed_by_status: [pushed, 0, 0, 0, 0],
+            pushed_total: pushed,
+            polled,
+            recv_pushed: 0,
+            recv_bytes: 0,
+        }
+    }
+
     #[test]
     fn clean_ledger_passes() {
         let r = check(&clean(8));
@@ -515,7 +311,7 @@ mod tests {
         let mut s = clean(8);
         s.qps[0].outstanding = 1; // posted 8, completed 8, yet a slot is held
         let r = check(&s);
-        assert!(matches!(r.violations[0], Violation::QpSendLedger { .. }));
+        assert_eq!(laws(&r), [1]);
     }
 
     #[test]
@@ -523,15 +319,8 @@ mod tests {
         let mut s = clean(8);
         s.qps[0].completed_success = 9;
         let r = check(&s);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::QpSendLedger { .. })));
         // 9 successes against 8 deliveries also breaks law 8.
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::DeliveryCompletion { .. })));
+        assert_eq!(laws(&r), [1, 8]);
     }
 
     #[test]
@@ -539,10 +328,8 @@ mod tests {
         let mut s = clean(4);
         s.wire.dropped = 1; // never retransmitted nor surfaced
         let r = check(&s);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::DropLedger { .. })));
+        // The delivering fabric saw one fewer submission than expected, too.
+        assert_eq!(laws(&r), [4, 7]);
     }
 
     #[test]
@@ -551,10 +338,7 @@ mod tests {
         s.wire.bytes_delivered = 100;
         s.qps[0].bytes_completed = 90;
         let r = check(&s);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::ByteConservation { .. })));
+        assert_eq!(laws(&r), [9]);
     }
 
     #[test]
@@ -585,20 +369,9 @@ mod tests {
     #[test]
     fn strict_catches_undrained_cq() {
         let mut s = clean(1);
-        s.cqs.push(CqSnapshot {
-            cq_id: 0,
-            pushed_by_status: [1, 0, 0, 0, 0],
-            pushed_total: 1,
-            polled: 0,
-            recv_pushed: 0,
-            recv_bytes: 0,
-        });
+        s.cqs.push(cq(1, 0));
         assert!(check(&s).is_clean());
-        let r = check_strict(&s);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::CqNotDrained { .. })));
+        assert_eq!(laws(&check_strict(&s)), [16]);
     }
 
     #[test]
@@ -608,10 +381,7 @@ mod tests {
         s.arena.pool_hits = 2;
         s.arena.pool_misses = 2; // one get unaccounted for
         let r = check(&s);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::ArenaGetLedger { .. })));
+        assert_eq!(laws(&r), [13]);
         s.arena.pool_misses = 3;
         check(&s).assert_clean();
     }
@@ -623,10 +393,7 @@ mod tests {
         s.arena.pool_misses = 3;
         s.arena.pool_returns = 4; // more returns than gets
         let r = check(&s);
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::ArenaReturnLedger { .. })));
+        assert_eq!(laws(&r), [14]);
         s.arena.pool_returns = 3;
         check(&s).assert_clean();
     }
@@ -640,5 +407,48 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("underflowed"));
         assert!(text.contains("dropped 1"));
+    }
+
+    /// Each law, broken alone on an otherwise clean snapshot, is reported
+    /// exactly once and under its own number; laws 15 and 16 only by
+    /// [`check_strict`].
+    #[test]
+    fn each_law_is_reported_alone_under_its_number() {
+        type Break = fn(&mut Snapshot);
+        let table: [(u8, Break); 16] = [
+            (1, |s| s.qps[0].completed_error = 1),
+            (2, |s| s.qps[0].slot_underflows = 1),
+            (3, |s| s.qps[0].recv_posted = 1),
+            (4, |s| s.wire.duplicates_injected = 1),
+            (5, |s| s.wire.rnr_requeues = 1),
+            (6, |s| s.wire.remote_errors = 1),
+            (7, |s| s.wire.exhausted = 1),
+            (8, |s| {
+                s.qps[0].completed_success -= 1;
+                s.qps[0].completed_error = 1;
+            }),
+            (9, |s| s.wire.bytes_delivered = 1),
+            (10, |s| s.wire.recv_cqes = 1),
+            (11, |s| s.cqs.push(cq(0, 1))),
+            (12, |s| s.runtime.partitions_posted = 1),
+            (13, |s| s.arena.pool_gets = 1),
+            (14, |s| s.arena.pool_returns = 1),
+            // In flight, its payload already landed by a ghost duplicate.
+            (15, |s| {
+                s.qps[0].completed_success -= 1;
+                s.qps[0].outstanding = 1;
+                s.wire.delivered_ghost = 1;
+            }),
+            (16, |s| s.cqs.push(cq(1, 0))),
+        ];
+        for (law, break_it) in table {
+            let mut s = clean(4);
+            break_it(&mut s);
+            let strict = check_strict(&s);
+            assert_eq!(laws(&strict), [law], "{strict}");
+            assert!(!strict.violations[0].text.is_empty());
+            let lenient: &[u8] = if law <= 14 { &[law] } else { &[] };
+            assert_eq!(laws(&check(&s)), lenient);
+        }
     }
 }

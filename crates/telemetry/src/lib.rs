@@ -43,7 +43,7 @@ pub use counters::{
     segments_for, ArenaCounters, Counter, CqCounters, Field, QpCounters, Registry, RuntimeCounters,
     WireCounters, STATUS_NAMES, STATUS_SLOTS,
 };
-pub use expo::{exposition, frame_exposition, write_exposition};
+pub use expo::exposition;
 pub use flightrec::FlightRecorder;
 pub use flow::{
     ClockHook, FlowEvent, FlowLog, FlowRecorder, FlowStage, StageHistograms, STAGE_HIST_NAMES,

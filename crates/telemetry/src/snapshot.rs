@@ -40,11 +40,6 @@ impl Snapshot {
         self.qps.iter().map(|q| q.completed_error).sum()
     }
 
-    /// Sum of live outstanding send slots across all QPs.
-    pub fn total_outstanding(&self) -> u64 {
-        self.qps.iter().map(|q| q.outstanding).sum()
-    }
-
     /// Sum of payload bytes in successful completions across all QPs.
     pub fn total_bytes_completed(&self) -> u64 {
         self.qps.iter().map(|q| q.bytes_completed).sum()

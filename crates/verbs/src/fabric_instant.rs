@@ -13,8 +13,7 @@
 //! zero-latency, its wire-stage samples are all 0 ns; RNR waits record the
 //! time the yield loop actually took on the attached flow clock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use partix_telemetry::segments_for;
 
@@ -30,34 +29,19 @@ use crate::network::NetworkState;
 const ACCOUNTING_MTU: usize = 4096;
 
 /// Fabric that applies every transfer immediately.
-#[derive(Default)]
-pub struct InstantFabric {
-    transfers: AtomicU64,
-    bytes: AtomicU64,
-}
+pub struct InstantFabric;
 
 impl InstantFabric {
-    /// Create an instant fabric.
+    /// The instant fabric. It holds no state (what it does is counted in
+    /// each network's wire ledger), so every network shares one instance.
     pub fn new() -> Arc<Self> {
-        Arc::new(InstantFabric::default())
-    }
-
-    /// Transfers executed so far.
-    pub fn total_transfers(&self) -> u64 {
-        self.transfers.load(Ordering::Relaxed)
-    }
-
-    /// Bytes moved so far.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        static SHARED: OnceLock<Arc<InstantFabric>> = OnceLock::new();
+        SHARED.get_or_init(|| Arc::new(InstantFabric)).clone()
     }
 }
 
 impl Fabric for InstantFabric {
     fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
-        self.transfers.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(job.total_len as u64, Ordering::Relaxed);
         let wire = &net.telemetry().wire;
         wire.inner_submissions.inc();
         wire.mtu_segments

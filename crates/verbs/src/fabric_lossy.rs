@@ -23,6 +23,7 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use partix_sim::{Scheduler, SimDuration};
+use partix_telemetry::FlowStage;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -103,16 +104,6 @@ impl FaultPlan {
     }
 }
 
-#[derive(Default)]
-struct LossyStats {
-    attempts: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    retransmits: AtomicU64,
-    exhausted: AtomicU64,
-}
-
 /// A fabric decorator that drops, duplicates and delays transfers per a
 /// seeded loss model, and retransmits dropped transfers with exponential
 /// backoff per the source QP's [`RetryProfile`](crate::RetryProfile).
@@ -134,7 +125,9 @@ pub struct LossyFabric {
     node_rngs: IndexTable<Mutex<StdRng>>,
     /// True when `sched` executes on the sharded PDES engine.
     sharded: bool,
-    stats: LossyStats,
+    /// Wire attempts so far: the index [`FaultPlan`] reads. The wire
+    /// ledger (`wire.*` telemetry) counts what became of each attempt.
+    attempts: AtomicU64,
     /// Self-handle for timer closures (retransmissions re-enter `attempt`).
     me: Weak<LossyFabric>,
 }
@@ -184,7 +177,7 @@ impl LossyFabric {
             rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             node_rngs: IndexTable::new(),
             sharded,
-            stats: LossyStats::default(),
+            attempts: AtomicU64::new(0),
             me: me.clone(),
         })
     }
@@ -214,37 +207,12 @@ impl LossyFabric {
 
     /// Wire attempts seen (originals + retransmissions + ghosts).
     pub fn attempts(&self) -> u64 {
-        self.stats.attempts.load(Ordering::Relaxed)
-    }
-
-    /// Transfers the wire dropped.
-    pub fn dropped(&self) -> u64 {
-        self.stats.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Ghost duplicates injected.
-    pub fn duplicated(&self) -> u64 {
-        self.stats.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// Transfers delayed by extra wire latency.
-    pub fn delayed(&self) -> u64 {
-        self.stats.delayed.load(Ordering::Relaxed)
-    }
-
-    /// Retransmissions performed after drops.
-    pub fn retransmits(&self) -> u64 {
-        self.stats.retransmits.load(Ordering::Relaxed)
-    }
-
-    /// Transfers that exhausted `retry_cnt` and surfaced `RetryExceeded`.
-    pub fn exhausted(&self) -> u64 {
-        self.stats.exhausted.load(Ordering::Relaxed)
+        self.attempts.load(Ordering::Relaxed)
     }
 
     /// One wire attempt for `job` (attempt number `tries`, 0-based).
     fn attempt(&self, net: &Arc<NetworkState>, mut job: TransferJob, tries: u8) {
-        let index = self.stats.attempts.fetch_add(1, Ordering::Relaxed);
+        let index = self.attempts.fetch_add(1, Ordering::Relaxed);
         // Draw all three decisions up front so the consumed randomness per
         // attempt is fixed regardless of which branches fire (a scripted
         // drop included: the plan consumes none).
@@ -258,9 +226,9 @@ impl LossyFabric {
         // Duplicate: the wire delivers an extra ghost copy alongside the
         // original. The ghost shares the original's PSN, so at most one of
         // the two writes memory; the ghost never completes at the sender.
+        let wire = &net.telemetry().wire;
         if !job.ghost && dup_roll < self.cfg.dup_p {
-            self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-            net.telemetry().wire.duplicates_injected.inc();
+            wire.duplicates_injected.inc();
             let mut ghost = job.clone();
             ghost.ghost = true;
             self.inner.submit(net, ghost);
@@ -268,73 +236,52 @@ impl LossyFabric {
 
         let scripted = self.plan.as_ref().is_some_and(|plan| plan.drops(index));
         if scripted || drop_roll < self.cfg.drop_p {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            net.telemetry().wire.dropped.inc();
+            wire.dropped.inc();
             if job.ghost {
                 // A lost duplicate is simply gone. It is not retried, so
                 // the drop ledger attributes it as "exhausted with zero
                 // retries" rather than leaving it unaccounted.
-                net.telemetry().wire.exhausted.inc();
+                wire.exhausted.inc();
                 return;
             }
-            let retry_cnt = sender_retry_profile(net, &job).map_or(0, |p| p.retry_cnt);
-            if tries >= retry_cnt {
+            let profile = sender_retry_profile(net, &job);
+            if tries >= profile.map_or(0, |p| p.retry_cnt) {
                 // Retries exhausted: only now does the failure surface.
-                self.stats.exhausted.fetch_add(1, Ordering::Relaxed);
-                net.telemetry().wire.exhausted.inc();
+                wire.exhausted.inc();
                 complete_send(net, &job, WcStatus::RetryExceeded);
                 return;
             }
-            self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
-            net.telemetry().wire.retransmits.inc();
-            match &self.sched {
-                Some(sched) => {
-                    // Sender-side timeout retransmission: the drop is
-                    // noticed one ack-timeout after the post, doubling per
-                    // attempt (exponential backoff).
-                    let backoff =
-                        sender_retry_profile(net, &job).map_or(4_096, |p| p.backoff_ns(tries));
-                    let flows = &net.telemetry().flows;
-                    flows.event(
-                        job.flow,
-                        partix_telemetry::FlowStage::Retransmit,
-                        job.src_qp,
-                        0,
-                        backoff,
-                    );
-                    if job.flow != 0 {
-                        flows.stage_ns(|s| &s.retrans_wait, backoff);
-                    }
-                    let me = self.me.clone();
-                    let net = net.clone();
-                    // The timeout fires on the sender's NIC: source-node
-                    // affinity for sharded executors.
-                    let src_node = job.src_node;
-                    let at = sched.now() + SimDuration::from_nanos(backoff);
-                    sched.at_node(src_node, at, move || {
-                        if let Some(me) = me.upgrade() {
-                            me.attempt(&net, job, tries + 1);
-                        }
-                    });
-                }
-                None => {
-                    // Instant mode: the retry is immediate, zero backoff.
-                    net.telemetry().flows.event(
-                        job.flow,
-                        partix_telemetry::FlowStage::Retransmit,
-                        job.src_qp,
-                        0,
-                        0,
-                    );
-                    self.attempt(net, job, tries + 1)
-                }
+            wire.retransmits.inc();
+            // Sender-side timeout retransmission: the drop is noticed one
+            // ack-timeout after the post, doubling per attempt (exponential
+            // backoff). A wall-clock wire retries at once.
+            let backoff = match &self.sched {
+                Some(_) => profile.map_or(4_096, |p| p.backoff_ns(tries)),
+                None => 0,
+            };
+            let flows = &net.telemetry().flows;
+            flows.event(job.flow, FlowStage::Retransmit, job.src_qp, 0, backoff);
+            let Some(sched) = &self.sched else {
+                return self.attempt(net, job, tries + 1);
+            };
+            if job.flow != 0 {
+                flows.stage_ns(|s| &s.retrans_wait, backoff);
             }
+            let me = self.me.clone();
+            let net = net.clone();
+            // The timeout fires on the sender's NIC: source-node affinity
+            // for sharded executors.
+            let at = sched.now() + SimDuration::from_nanos(backoff);
+            sched.at_node(job.src_node, at, move || {
+                if let Some(me) = me.upgrade() {
+                    me.attempt(&net, job, tries + 1);
+                }
+            });
             return;
         }
 
         if delay_roll < self.cfg.delay_p && self.cfg.max_delay_ns > 0 {
-            self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-            net.telemetry().wire.delayed.inc();
+            wire.delayed.inc();
             let extra = self.with_rng(job.src_node, |rng| {
                 rng.random_range(0..self.cfg.max_delay_ns)
             });
@@ -361,6 +308,13 @@ mod tests {
     struct Pair {
         net: Network,
         lossy: Arc<LossyFabric>,
+    }
+
+    impl Pair {
+        /// The wire ledger: what became of each attempt.
+        fn wire(&self) -> partix_telemetry::WireSnapshot {
+            self.net.state().telemetry_snapshot().wire
+        }
     }
 
     /// Two connected nodes over an instant fabric wrapped by `cfg`.
@@ -441,7 +395,7 @@ mod tests {
             let wc = ep.cqa.poll_one().unwrap();
             assert_eq!(wc.status, WcStatus::Success);
         }
-        assert_eq!(pair.lossy.duplicated(), 8);
+        assert_eq!(pair.wire().duplicates_injected, 8);
         // Exactly one receive CQE and one recv-WR consumed per logical send.
         assert_eq!(ep.cqb.total_pushed(), 8);
         assert_eq!(ep.qb.recv_queue_depth(), 0);
@@ -464,9 +418,9 @@ mod tests {
             let wc = ep.cqa.poll_one().unwrap();
             assert_eq!(wc.status, WcStatus::Success, "wr {i}");
         }
-        assert!(pair.lossy.dropped() > 0, "loss model never fired");
-        assert_eq!(pair.lossy.retransmits(), pair.lossy.dropped());
-        assert_eq!(pair.lossy.exhausted(), 0);
+        let wire = pair.wire();
+        assert!(wire.dropped > 0, "loss model never fired");
+        assert_eq!((wire.retransmits, wire.exhausted), (wire.dropped, 0));
         assert_eq!(ep.cqb.total_pushed(), 16);
         assert_eq!(ep.qa.state(), QpState::ReadyToSend);
     }
@@ -486,8 +440,8 @@ mod tests {
         let wc = ep.cqa.poll_one().unwrap();
         assert_eq!(wc.status, WcStatus::RetryExceeded);
         assert_eq!(ep.qa.state(), QpState::Error);
-        assert_eq!(pair.lossy.exhausted(), 1);
-        assert_eq!(pair.lossy.retransmits(), 0);
+        let wire = pair.wire();
+        assert_eq!((wire.exhausted, wire.retransmits), (1, 0));
         assert_eq!(ep.cqb.total_pushed(), 0);
         assert_eq!(ep.dst.read_vec(0, 1).unwrap(), vec![0]);
     }
@@ -514,8 +468,9 @@ mod tests {
         assert_eq!(ep.cqa.poll_one().unwrap().status, WcStatus::RetryExceeded);
         assert_eq!(ep.dst.read_vec(0, 1).unwrap(), vec![0], "nothing landed");
         assert_eq!(ep.qa.state(), QpState::Error);
-        assert_eq!((pair.lossy.attempts(), pair.lossy.dropped()), (2, 1));
-        assert_eq!((pair.lossy.exhausted(), pair.lossy.retransmits()), (1, 0));
+        let wire = pair.wire();
+        assert_eq!((pair.lossy.attempts(), wire.dropped), (2, 1));
+        assert_eq!((wire.exhausted, wire.retransmits), (1, 0));
         assert_eq!(ep.cqb.total_pushed(), 1, "no receive CQE for the drop");
     }
 
@@ -536,8 +491,9 @@ mod tests {
             ep.write_imm(i);
             assert_eq!(ep.cqa.poll_one().unwrap().status, WcStatus::Success);
         }
-        assert_eq!((pair.lossy.attempts(), pair.lossy.dropped()), (4, 2));
-        assert_eq!((pair.lossy.retransmits(), pair.lossy.exhausted()), (2, 0));
+        let wire = pair.wire();
+        assert_eq!((pair.lossy.attempts(), wire.dropped), (4, 2));
+        assert_eq!((wire.retransmits, wire.exhausted), (2, 0));
         assert_eq!(ep.cqb.total_pushed(), 2);
     }
 
@@ -554,13 +510,7 @@ mod tests {
                 ep.write_imm(i);
                 assert_eq!(ep.cqa.poll_one().unwrap().status, WcStatus::Success);
             }
-            (
-                pair.lossy.attempts(),
-                pair.lossy.dropped(),
-                pair.lossy.duplicated(),
-                pair.lossy.delayed(),
-                pair.lossy.retransmits(),
-            )
+            (pair.lossy.attempts(), pair.wire())
         };
         let first = run(11);
         assert_eq!(first, run(11));

@@ -18,7 +18,6 @@
 //!    wire is traversed; the receive completion is visible `o_r` later;
 //! 6. **Ack** — the send completion is visible `L` after delivery.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use partix_model::LogGpParams;
@@ -93,24 +92,12 @@ impl FabricParams {
     }
 }
 
-#[derive(Default)]
-struct FabricStats {
-    transfers: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// One modelled hardware resource and the name [`SimFabric::utilization`]
-/// reports it under, formatted once, when the resource is first used.
-struct ResourceEntry {
-    res: Arc<SerialResource>,
-    name: String,
-}
-
 /// The three per-node resources.
+#[derive(Default)]
 struct NodeResources {
-    nic: ResourceEntry,
-    egress: ResourceEntry,
-    ingress: ResourceEntry,
+    nic: Arc<SerialResource>,
+    egress: Arc<SerialResource>,
+    ingress: Arc<SerialResource>,
 }
 
 /// Discrete-event fabric.
@@ -125,8 +112,7 @@ pub struct SimFabric {
     /// sequential) QP number, each created at first use: a transfer finds
     /// its whole route with three index look-ups.
     nodes: IndexTable<NodeResources>,
-    engines: IndexTable<ResourceEntry>,
-    stats: FabricStats,
+    engines: IndexTable<Arc<SerialResource>>,
 }
 
 impl SimFabric {
@@ -140,29 +126,11 @@ impl SimFabric {
             o_r: SimDuration::from_nanos_f64(params.loggp.o_r),
             nodes: IndexTable::new(),
             engines: IndexTable::new(),
-            stats: FabricStats::default(),
         })
     }
 
     fn node(&self, n: NodeId) -> &NodeResources {
-        self.nodes.get_or_init(n, || NodeResources {
-            nic: ResourceEntry::new(format!("nic[node {n}]")),
-            egress: ResourceEntry::new(format!("egress[node {n}]")),
-            ingress: ResourceEntry::new(format!("ingress[node {n}]")),
-        })
-    }
-
-    fn engine(&self, n: NodeId, qp: u32) -> &ResourceEntry {
-        self.engines.get_or_init(qp, || {
-            ResourceEntry::new(format!("qp_engine[node {n}, qp {qp}]"))
-        })
-    }
-
-    fn resources(&self) -> impl Iterator<Item = &ResourceEntry> {
-        self.nodes
-            .iter()
-            .flat_map(|n| [&n.nic, &n.egress, &n.ingress])
-            .chain(self.engines.iter())
+        self.nodes.get_or_init(n, NodeResources::default)
     }
 
     /// The parameters in force.
@@ -174,55 +142,6 @@ impl SimFabric {
     pub fn scheduler(&self) -> &Scheduler {
         &self.sched
     }
-
-    /// Transfers executed so far.
-    pub fn total_transfers(&self) -> u64 {
-        self.stats.transfers.load(Ordering::Relaxed)
-    }
-
-    /// Bytes moved so far.
-    pub fn total_bytes(&self) -> u64 {
-        self.stats.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Busy-time accounting for every modelled hardware resource that has
-    /// carried traffic, for utilisation reporting: `(name, busy_ns,
-    /// reservations)` per resource. Busy fractions follow by dividing by the
-    /// observation window.
-    pub fn utilization(&self) -> Vec<ResourceUtilization> {
-        let mut out: Vec<_> = self
-            .resources()
-            .filter(|e| e.res.reservations() > 0)
-            .map(|e| ResourceUtilization {
-                name: e.name.clone(),
-                busy_ns: e.res.busy_total().as_nanos(),
-                reservations: e.res.reservations(),
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-}
-
-impl ResourceEntry {
-    fn new(name: String) -> Self {
-        ResourceEntry {
-            res: Arc::new(SerialResource::new()),
-            name,
-        }
-    }
-}
-
-/// Busy-time snapshot of one modelled resource.
-#[derive(Clone, Debug)]
-pub struct ResourceUtilization {
-    /// Resource identity (`nic[node N]`, `egress[node N]`,
-    /// `qp_engine[node N, qp Q]`, ...).
-    pub name: String,
-    /// Total occupied virtual time (ns).
-    pub busy_ns: u64,
-    /// Number of transfers that reserved the resource.
-    pub reservations: u64,
 }
 
 /// One transfer on its way through the simulated wire: the job plus what
@@ -279,21 +198,18 @@ impl Fabric for SimFabric {
             p.wqe_overhead_ns + packets * p.pkt_overhead_ns
         };
         let nic_cost = SimDuration::from_nanos(wqe);
-        let (_, nic_done) = src.nic.res.reserve(doorbell, nic_cost);
+        let (_, nic_done) = src.nic.reserve(doorbell, nic_cost);
 
         // Per-QP DMA engine pacing the payload.
-        let engine = self.engine(job.src_node, job.src_qp);
+        let engine = self.engines.get_or_init(job.src_qp, Arc::default);
         let engine_cost = SimDuration::from_nanos_f64(bytes as f64 * p.qp_g());
-        let (_, engine_done) = engine.res.reserve(nic_done, engine_cost);
+        let (_, engine_done) = engine.reserve(nic_done, engine_cost);
 
         // Shared link occupancy at full rate (egress then ingress).
         let wire_cost = SimDuration::from_nanos_f64(bytes as f64 * p.link_g());
-        let (_, egress_done) = src.egress.res.reserve(nic_done, wire_cost);
+        let (_, egress_done) = src.egress.reserve(nic_done, wire_cost);
         let dst_node = job.dst_node;
-        let ingress = &self.node(dst_node).ingress.res;
-
-        self.stats.transfers.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        let ingress = &self.node(dst_node).ingress;
 
         let latency = self.latency + job.opts.extra_wire_latency;
         let o_r = self.o_r;
@@ -446,58 +362,6 @@ fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_tracks_traffic() {
-        use crate::network::{connect_pair, Network};
-        use crate::qp::QpCaps;
-        use crate::types::{Opcode, RecvWr, SendWr, Sge};
-        let sched = Scheduler::new();
-        let fabric = SimFabric::new(sched.clone(), FabricParams::default());
-        let net = Network::new(2, fabric.clone());
-        let a = net.open(0).unwrap();
-        let b = net.open(1).unwrap();
-        let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
-        let (cqa, cqb) = (a.create_cq(), b.create_cq());
-        let qa = a
-            .create_qp(pda, cqa, a.create_cq(), QpCaps::default())
-            .unwrap();
-        let qb = b
-            .create_qp(pdb, b.create_cq(), cqb, QpCaps::default())
-            .unwrap();
-        connect_pair(&qa, &qb).unwrap();
-        let src = a.reg_mr(pda, 1 << 20).unwrap();
-        let dst = b.reg_mr(pdb, 1 << 20).unwrap();
-        qb.post_recv(RecvWr::bare(0)).unwrap();
-        qa.post_send(SendWr {
-            wr_id: 0,
-            opcode: Opcode::RdmaWriteWithImm,
-            sg_list: vec![Sge {
-                addr: src.addr(),
-                length: 1 << 20,
-                lkey: src.lkey(),
-            }],
-            remote_addr: dst.addr(),
-            rkey: dst.rkey(),
-            imm: Some(0),
-            inline_data: false,
-            flow: 0,
-        })
-        .unwrap();
-        sched.run();
-        let util = fabric.utilization();
-        // One egress (node 0), one ingress (node 1), one NIC, one engine.
-        assert!(util
-            .iter()
-            .any(|u| u.name == "egress[node 0]" && u.reservations == 1));
-        assert!(util
-            .iter()
-            .any(|u| u.name == "ingress[node 1]" && u.reservations == 1));
-        let egress = util.iter().find(|u| u.name == "egress[node 0]").unwrap();
-        // 1 MiB at the link rate: ~91 us busy.
-        let expect = (1u64 << 20) as f64 * FabricParams::default().link_g();
-        assert!((egress.busy_ns as f64 - expect).abs() / expect < 0.01);
-    }
 
     #[test]
     fn default_params_sane() {

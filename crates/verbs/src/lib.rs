@@ -82,7 +82,7 @@ pub use fabric::{
 };
 pub use fabric_instant::InstantFabric;
 pub use fabric_lossy::{FaultPlan, LossyConfig, LossyFabric};
-pub use fabric_sim::{FabricParams, ResourceUtilization, SimFabric};
+pub use fabric_sim::{FabricParams, SimFabric};
 pub use memory::MemoryRegion;
 pub use network::{connect_pair, Context, Network, NetworkState, NodeCtx, ProtectionDomain};
 pub use partix_telemetry as telemetry;

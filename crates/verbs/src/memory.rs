@@ -385,11 +385,6 @@ impl MrRegistry {
             }),
         }
     }
-
-    /// Number of registered regions (diagnostics).
-    pub(crate) fn count(&self) -> usize {
-        self.regions.iter().count()
-    }
 }
 
 #[cfg(test)]
@@ -503,7 +498,6 @@ mod tests {
             r.by_lkey(0xdead),
             Err(VerbsError::InvalidLKey { lkey: 0xdead })
         ));
-        assert_eq!(r.count(), 1);
     }
 
     #[test]

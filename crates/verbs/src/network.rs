@@ -34,11 +34,6 @@ impl NodeCtx {
             mrs: MrRegistry::new(id),
         })
     }
-
-    /// Number of registered memory regions (diagnostics).
-    pub fn mr_count(&self) -> usize {
-        self.mrs.count()
-    }
 }
 
 /// Shared, fabric-visible network state: the nodes and every live QP.
@@ -60,11 +55,6 @@ impl NetworkState {
         self.nodes
             .get(id as usize)
             .ok_or(VerbsError::UnknownNode(id))
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Look up QP `qp_num` of node `node` — how the wire resolves the

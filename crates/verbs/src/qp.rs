@@ -232,7 +232,6 @@ pub struct QueuePair {
     rx: Mutex<RxSide>,
     outstanding: AtomicU32,
     posted_sends: AtomicU64,
-    posted_recvs: AtomicU64,
     /// `timeout | retry_cnt << 8 | rnr_retry << 16` of the retry profile;
     /// the RNR timer sits beside it. `modify_to_rts_with` is the only
     /// writer, before the QP carries traffic.
@@ -278,7 +277,6 @@ impl QueuePair {
             rx: Mutex::new(RxSide::default()),
             outstanding: AtomicU32::new(0),
             posted_sends: AtomicU64::new(0),
-            posted_recvs: AtomicU64::new(0),
             retry_counts: AtomicU32::new(0),
             min_rnr_timer_ns: AtomicU64::new(0),
             next_psn: AtomicU64::new(0),
@@ -348,11 +346,6 @@ impl QueuePair {
     /// Total send WRs ever posted (diagnostics; used by aggregation tests).
     pub fn total_posted_sends(&self) -> u64 {
         self.posted_sends.load(Ordering::Relaxed)
-    }
-
-    /// Total receive WRs ever posted.
-    pub fn total_posted_recvs(&self) -> u64 {
-        self.posted_recvs.load(Ordering::Relaxed)
     }
 
     /// Currently outstanding (un-completed) send WRs.
@@ -461,7 +454,6 @@ impl QueuePair {
             return Err(VerbsError::RecvQueueFull);
         }
         rx.queue.push_back(wr);
-        self.posted_recvs.fetch_add(1, Ordering::Relaxed);
         self.counters.recv_posted.inc();
         Ok(())
     }

@@ -288,8 +288,6 @@ struct ProgressState {
 
 #[derive(Default)]
 struct ShmStats {
-    submitted: AtomicU64,
-    bytes: AtomicU64,
     data_records: AtomicU64,
     ack_records: AtomicU64,
     rnr_deferrals: AtomicU64,
@@ -397,16 +395,6 @@ impl ShmFabric {
         );
     }
 
-    /// Total WRs submitted.
-    pub fn submitted(&self) -> u64 {
-        self.stats.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes submitted.
-    pub fn total_bytes(&self) -> u64 {
-        self.stats.bytes.load(Ordering::Relaxed)
-    }
-
     /// DATA records consumed by this process's progress thread.
     pub fn data_records(&self) -> u64 {
         self.stats.data_records.load(Ordering::Relaxed)
@@ -418,8 +406,8 @@ impl ShmFabric {
     }
 
     /// Always 0: the rings lose nothing, so this fabric re-sends nothing
-    /// (retransmission is [`LossyFabric`](crate::LossyFabric)'s, which
-    /// counts its own). Kept because `benchmark/` reports it as
+    /// (retransmission is [`LossyFabric`](crate::LossyFabric)'s, counted
+    /// in the wire ledger's `retransmits`). Kept because `benchmark/` reports it as
     /// `verbs.shm.retransmits`; it goes with the `[benchmark]` change that
     /// drops that metric.
     pub fn retransmits(&self) -> u64 {
@@ -798,10 +786,6 @@ impl Fabric for ShmFabric {
             "submit on a shut-down ShmFabric"
         );
         self.attach_network(net);
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes
-            .fetch_add(job.total_len as u64, Ordering::Relaxed);
 
         let key = PairKey {
             src_node: job.src_node,

