@@ -7,7 +7,8 @@
 //! ```
 //!
 //! `report` reconstructs per-flow critical paths from a `trace_<tag>.json`
-//! artifact, prints the per-stage latency table (p50/p95/p99/max/mean) and
+//! artifact, prints the per-stage latency table (p50/p95/p99/max/mean,
+//! computed from the flow events) and
 //! the top-K stall report (flows ranked by WR-cap wait, RNR wait,
 //! retransmit wait, and delta-timer hold, with the responsible QP and
 //! channel). `--expo FILE` additionally writes the stage histograms as a
@@ -71,8 +72,7 @@ fn cmd_report(args: &[String]) -> i32 {
     let tf = load(&file);
     print!("{}", report(&tf, stalls));
     if let Some(out) = expo {
-        let stages = tf.stage_refs();
-        let text = partix_verbs::telemetry::exposition(&stages);
+        let text = partix_verbs::telemetry::exposition(&tf.stages);
         if let Err(e) = std::fs::write(&out, text) {
             eprintln!("error: {}: {e}", out.display());
             return 2;

@@ -17,7 +17,7 @@ const SAMPLING: (SimDuration, usize) = (SimDuration::from_micros(25), 512);
 /// Run `cfg` with every observer attached and write
 /// `<out>/telemetry_<tag>.json` (counter ledger + invariant verdict) and
 /// `<out>/trace_<tag>.json` (causal flow events and their chrome-trace view,
-/// stage histograms, windowed frames — what the `trace` binary reads).
+/// windowed frames — what the `trace` binary reads).
 /// Returns whether the run passed both gates: every causal flow chain
 /// complete and monotone, every conservation law clean. Violations go to
 /// stderr.

@@ -236,7 +236,6 @@ impl ProcInner {
         let now = flows.now();
         let lag = now.saturating_sub(wc.pushed_ns);
         flows.event_at(wc.flow, stage, now, wc.qp_num, 0, lag);
-        flows.stage_ns(|s| &s.cq_lag, lag);
     }
 
     fn dispatch_send_wc(self: &Arc<Self>, wc: WorkCompletion) {
@@ -294,7 +293,6 @@ impl ProcInner {
                                 0,
                                 wait,
                             );
-                            flows.stage_ns(|s| &s.cap_wait, wait);
                         }
                         self.recycle_wr(p.wr);
                     }

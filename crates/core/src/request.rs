@@ -382,7 +382,6 @@ impl SendShared {
                 self.id as u32,
                 hold,
             );
-            flows.stage_ns(|s| &s.agg_hold, hold);
         }
 
         let bytes = len as usize * self.part_bytes;

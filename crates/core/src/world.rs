@@ -239,13 +239,13 @@ impl World {
     }
 
     /// Enable causal flow tracing: every WR posted from here on carries a
-    /// flow identifier, per-stage events land in `log`, and per-stage
-    /// residency histograms accumulate on the telemetry registry. Works in
-    /// both simulated and wall-clock mode (timestamps come from the world's
+    /// flow identifier and its per-stage events land in `log`. Works in both
+    /// simulated and wall-clock mode (timestamps come from the world's
     /// clock), and the log is the one trace source: the chrome-trace view
-    /// `write_trace_json` renders is computed from it. Recording is passive
-    /// — it never schedules events — so traced simulated runs stay
-    /// byte-identical to untraced ones.
+    /// `write_trace_json` renders and every stage histogram
+    /// ([`stage_histograms`](partix_verbs::telemetry::stage_histograms)) are
+    /// computed from it. Recording is passive — it never schedules events —
+    /// so traced simulated runs stay byte-identical to untraced ones.
     pub fn enable_flow_tracing(&self, log: Arc<partix_verbs::FlowLog>) {
         self.telemetry()
             .flows
@@ -253,12 +253,12 @@ impl World {
     }
 
     /// Enable windowed time-series sampling: a [`Sampler`] captures a delta
-    /// frame of the telemetry ledger (and per-stage histograms) every
-    /// `interval` of this world's time, retaining the last `capacity`
-    /// frames. In sim mode the scheduler drives it at deterministic points
-    /// (epoch boundaries on the sharded engine, batch boundaries on the
-    /// sequential one), so frame sequences are byte-identical across job
-    /// counts; wall-clock worlds tick it from whoever drives progress (e.g.
+    /// frame of the telemetry ledger every `interval` of this world's time,
+    /// retaining the last `capacity` frames. In sim mode the scheduler drives
+    /// it at deterministic points (epoch boundaries on the sharded engine,
+    /// batch boundaries on the sequential one), so frame sequences are
+    /// byte-identical across job counts; wall-clock worlds tick it from
+    /// whoever drives progress (e.g.
     /// [`partix_verbs::ShmFabric::attach_sampler`]). Idempotent: a second
     /// call returns the sampler installed by the first.
     pub fn enable_sampling(&self, interval: SimDuration, capacity: usize) -> Arc<Sampler> {
@@ -268,10 +268,8 @@ impl World {
                 let Some(inner) = weak.upgrade() else {
                     return Sample::default();
                 };
-                let state = inner.network.state();
                 Sample {
-                    snapshot: state.telemetry_snapshot(),
-                    stages: state.telemetry().flows.stages.snapshot(),
+                    snapshot: inner.network.state().telemetry_snapshot(),
                     gauges: Vec::new(),
                 }
             });

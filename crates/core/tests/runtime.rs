@@ -860,3 +860,43 @@ fn spilled_wrs_are_driven_by_the_send_side_only() {
     // `send.test()` in the loop drains the parked WRs.
     finish(&l);
 }
+
+/// On `ShmFabric` the wire stage ends with the ACK: each posted WR records
+/// one `WireSubmit`, stamped at submit and carrying submit → ack, and the
+/// `wire_ns` table computed from the flow log counts exactly those.
+#[test]
+fn shm_wire_stage_is_one_event_per_wr_with_its_duration() {
+    use partix_core::telemetry::{stage_histograms, FlowLog, FlowStage};
+    let (parts, pb) = (32u32, 64usize);
+    let cfg = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let world = World::with_fabric(2, cfg, partix_verbs::ShmFabric::loopback());
+    let log = FlowLog::new();
+    world.enable_flow_tracing(log.clone());
+    let l = link(world, parts, pb);
+    fill_pattern(&l.sbuf, parts, pb, 3);
+    l.recv.start_blocking().unwrap();
+    l.send.start_blocking().unwrap();
+    l.send.pready_range(0, parts).unwrap();
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !(l.send.test() && l.recv.test()) {
+        assert!(std::time::Instant::now() < give_up, "round did not finish");
+        std::thread::yield_now();
+    }
+    check_pattern(&l.rbuf, parts, pb, 3);
+
+    let events = log.sorted();
+    let wrs = l.send.total_wrs_posted();
+    let posted = events.iter().filter(|e| e.stage == FlowStage::Posted);
+    assert_eq!(posted.clone().count() as u64, wrs);
+    for p in posted {
+        let wire: Vec<_> = events
+            .iter()
+            .filter(|e| e.flow == p.flow && e.stage == FlowStage::WireSubmit)
+            .collect();
+        assert_eq!(wire.len(), 1, "flow {}", p.flow);
+        assert!(wire[0].aux > 0, "flow {}: no time on the wire", p.flow);
+    }
+    let stages = stage_histograms(&events);
+    let wire = stages.iter().find(|(n, _)| *n == "wire_ns").unwrap();
+    assert_eq!(wire.1.count, wrs);
+}

@@ -386,8 +386,8 @@ pub struct Registry {
     pub runtime: RuntimeCounters,
     /// Payload-arena counters.
     pub arena: ArenaCounters,
-    /// Causal flow tracing: flow-ID minting, stage events, and per-stage
-    /// latency histograms. Inert (one relaxed load per site) until armed.
+    /// Causal flow tracing: flow-ID minting and stage events. Inert (one
+    /// relaxed load per site) until armed.
     pub flows: FlowRecorder,
     cqs: Mutex<Vec<(u32, Arc<CqCounters>)>>,
 }

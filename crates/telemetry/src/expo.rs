@@ -33,15 +33,10 @@ pub fn exposition(stages: &[(&str, HistSnapshot)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LogHistogram;
 
     #[test]
     fn exposition_is_cumulative_and_complete() {
-        let h = LogHistogram::new();
-        for v in [1u64, 1, 9, 100] {
-            h.record(v);
-        }
-        let text = exposition(&[("wire_ns", h.snapshot())]);
+        let text = exposition(&[("wire_ns", HistSnapshot::of([1u64, 1, 9, 100]))]);
         assert!(text.contains("# TYPE partix_stage_wire_ns histogram"));
         assert!(text.contains("partix_stage_wire_ns_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("partix_stage_wire_ns_count 4"));

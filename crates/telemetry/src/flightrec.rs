@@ -2,9 +2,10 @@
 //! the flow log when a run dies.
 //!
 //! A [`FlightRecorder`] pairs a [`Sampler`] (the last N windows of ledger
-//! activity) with an optional [`FlowLog`] (the most recent causal events)
-//! and knows how to serialize both to `flightrec_<tag>.json` in a target
-//! directory. Dumps trigger two ways:
+//! activity) with an optional [`FlowLog`] (the most recent causal events,
+//! from which a reader computes each window's stage histograms) and knows
+//! how to serialize both to `flightrec_<tag>.json` in a target directory.
+//! Dumps trigger two ways:
 //!
 //! - **Panic**: [`FlightRecorder::arm`] registers the recorder on a global
 //!   list consulted by a process-wide chained panic hook. If any armed
@@ -89,7 +90,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Include the last `tail` events of `log` in the dump.
+    /// Include the `tail` latest events of `log` in the dump: the last by
+    /// `(ts, flow, stage)`, written in the log's `(flow, ts, stage)` order.
     pub fn with_flow_log(mut self, log: Arc<FlowLog>, tail: usize) -> Self {
         self.flow_log = Some(log);
         self.flow_tail = tail;
@@ -123,9 +125,11 @@ impl FlightRecorder {
         let frames = self.sampler.frames();
         let flows = match &self.flow_log {
             Some(log) if self.flow_tail > 0 => {
-                let all = log.sorted();
-                let skip = all.len().saturating_sub(self.flow_tail);
-                all[skip..].to_vec()
+                let mut all = log.sorted();
+                all.sort_by_key(|e| (e.ts_ns, e.flow, e.stage));
+                let mut tail = all.split_off(all.len().saturating_sub(self.flow_tail));
+                tail.sort_by_key(|e| (e.flow, e.ts_ns, e.stage));
+                tail
             }
             _ => Vec::new(),
         };
@@ -180,6 +184,34 @@ mod tests {
         let second = rec.dump("later").unwrap();
         assert!(second.is_none(), "second trigger must be a no-op");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The tail is the latest events, not the highest flow ids: a low flow's
+    /// late event outranks a newer flow's early one.
+    #[test]
+    fn flow_tail_keeps_the_latest_events() {
+        use crate::flow::{FlowEvent, FlowStage};
+        use crate::json::parse_json;
+        let log = FlowLog::new();
+        for (flow, ts_ns) in [(1, 900), (2, 100)] {
+            log.record(FlowEvent {
+                flow,
+                stage: FlowStage::Arrived,
+                ts_ns,
+                qp: 1,
+                chan: 0,
+                aux: 0,
+            });
+        }
+        let dir = temp_dir("tail");
+        let rec = FlightRecorder::new("unit_tail", &dir, test_sampler()).with_flow_log(log, 1);
+        let path = rec.dump("tail").unwrap().unwrap();
+        let doc = parse_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let flows = doc.get("flows").and_then(|f| f.as_arr()).unwrap();
+        assert_eq!(flows.len(), 1);
+        let row = flows[0].as_arr().unwrap();
+        assert_eq!((row[0].as_u64(), row[2].as_u64()), (Some(1), Some(900)));
     }
 
     #[test]

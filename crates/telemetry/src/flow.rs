@@ -9,13 +9,17 @@
 //! off every site pays a single relaxed atomic load and records nothing, so
 //! the hot path stays allocation-free and traced runs stay byte-identical
 //! to untraced runs (recording never touches the scheduler).
+//!
+//! The log is the only record of where a flow spent its time: each wait
+//! class of the stall taxonomy is the `aux` of one or two stages, and
+//! [`stage_histograms`] computes the per-stage tables from the events.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::hist::{HistSnapshot, LogHistogram};
+use crate::hist::HistSnapshot;
 
 /// A shared nanosecond clock closure (virtual time under the simulator,
 /// wall time otherwise). Injected at attach time so this crate needs no
@@ -34,8 +38,9 @@ pub enum FlowStage {
     /// The progress engine re-posted a previously capped WR (`aux` = wait
     /// ns spent in the software queue).
     CapDequeued,
-    /// The fabric accepted the transfer onto the wire (`aux` = modelled
-    /// wire time in ns, doorbell to delivery).
+    /// The fabric accepted the transfer onto the wire (`aux` = wire time in
+    /// ns: doorbell to delivery on a modelled wire, submit to acknowledgement
+    /// on a real one).
     WireSubmit,
     /// The lossy wire dropped the transfer and scheduled a retransmission
     /// (`aux` = backoff ns until the retry).
@@ -91,6 +96,44 @@ impl FlowStage {
     pub fn from_name(s: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|stage| stage.name() == s)
     }
+
+    /// The index into [`STAGE_HIST_NAMES`] of the histogram this stage's
+    /// `aux` is a sample of, or `None` when `aux` is not a wait.
+    fn hist(self) -> Option<usize> {
+        match self {
+            FlowStage::Posted => Some(0),
+            FlowStage::CapDequeued => Some(1),
+            FlowStage::RnrWait => Some(2),
+            FlowStage::Retransmit => Some(3),
+            FlowStage::WireSubmit => Some(4),
+            FlowStage::SendCqe | FlowStage::RecvCqe => Some(5),
+            FlowStage::CapQueued | FlowStage::Delivered | FlowStage::Arrived => None,
+        }
+    }
+}
+
+/// Stable exposition names of the stage histograms, one per wait class of
+/// the stall taxonomy: aggregation hold (oldest member partition's `pready`
+/// → WR post), WR-cap queueing, RNR backoff, retransmit backoff, wire time
+/// (doorbell → delivered) and CQ-poll lag (CQE pushed → polled).
+pub const STAGE_HIST_NAMES: [&str; 6] = [
+    "agg_hold_ns",
+    "cap_wait_ns",
+    "rnr_wait_ns",
+    "retrans_wait_ns",
+    "wire_ns",
+    "cq_lag_ns",
+];
+
+/// The stage histograms of `events`, all six in [`STAGE_HIST_NAMES`] order:
+/// each is the histogram of the `aux` of the events whose stage it names.
+pub fn stage_histograms(events: &[FlowEvent]) -> Vec<(&'static str, HistSnapshot)> {
+    (STAGE_HIST_NAMES.into_iter().enumerate())
+        .map(|(i, name)| {
+            let waits = events.iter().filter(|e| e.stage.hist() == Some(i));
+            (name, HistSnapshot::of(waits.map(|e| e.aux)))
+        })
+        .collect()
 }
 
 /// One timestamped stage transition of a flow.
@@ -156,8 +199,8 @@ const FAST_SLOTS: usize = 8192;
 ///
 /// Appends are wait-free while the fast region has space — one relaxed
 /// `fetch_add` to claim a slot plus five plain stores — and fall back to a
-/// mutex-guarded spill vector once it fills. Harvesting (`sorted`/`drain`)
-/// is meant for quiescent points (end of round or run): events still being
+/// mutex-guarded spill vector once it fills. Harvesting (`sorted`) is meant
+/// for quiescent points (end of round or run): events still being
 /// written at harvest time are skipped, never torn.
 pub struct FlowLog {
     slots: Box<[Slot]>,
@@ -230,73 +273,6 @@ impl FlowLog {
         evs.sort_by_key(|e| (e.flow, e.ts_ns, e.stage));
         evs
     }
-
-    /// Take every recorded event, leaving the log empty. Call at a
-    /// quiescent point: appends racing a drain may land in either harvest.
-    pub fn drain(&self) -> Vec<FlowEvent> {
-        let mut spill = self.spill.lock();
-        let used = self.reserved.load(Ordering::Acquire).min(self.slots.len());
-        let mut out = Vec::with_capacity(used + spill.len());
-        for s in &self.slots[..used] {
-            out.extend(s.load());
-            s.stage1.store(0, Ordering::Relaxed);
-        }
-        out.append(&mut spill);
-        self.reserved.store(0, Ordering::Release);
-        out
-    }
-}
-
-/// The per-stage residency histograms, one [`LogHistogram`] per wait class
-/// of the stall taxonomy.
-#[derive(Debug, Default)]
-pub struct StageHistograms {
-    /// Aggregation hold: oldest member partition's `pready` → WR post.
-    pub agg_hold: LogHistogram,
-    /// WR-cap queueing: software pending-queue residency.
-    pub cap_wait: LogHistogram,
-    /// RNR backoff: receiver-not-ready re-arm waits.
-    pub rnr_wait: LogHistogram,
-    /// Retransmit backoff: lossy-wire drop → scheduled retry.
-    pub retrans_wait: LogHistogram,
-    /// Wire time: doorbell → payload delivered.
-    pub wire: LogHistogram,
-    /// CQ-poll lag: CQE pushed → application poll.
-    pub cq_lag: LogHistogram,
-}
-
-/// Stable exposition names for the stage histograms, index-aligned with
-/// [`StageHistograms::all`].
-pub const STAGE_HIST_NAMES: [&str; 6] = [
-    "agg_hold_ns",
-    "cap_wait_ns",
-    "rnr_wait_ns",
-    "retrans_wait_ns",
-    "wire_ns",
-    "cq_lag_ns",
-];
-
-impl StageHistograms {
-    /// The histograms in [`STAGE_HIST_NAMES`] order.
-    pub fn all(&self) -> [&LogHistogram; 6] {
-        [
-            &self.agg_hold,
-            &self.cap_wait,
-            &self.rnr_wait,
-            &self.retrans_wait,
-            &self.wire,
-            &self.cq_lag,
-        ]
-    }
-
-    /// Snapshot every histogram, paired with its exposition name.
-    pub fn snapshot(&self) -> Vec<(&'static str, HistSnapshot)> {
-        STAGE_HIST_NAMES
-            .iter()
-            .zip(self.all())
-            .map(|(name, h)| (*name, h.snapshot()))
-            .collect()
-    }
 }
 
 /// World-wide flow-tracing state, owned by the telemetry `Registry`.
@@ -307,11 +283,10 @@ impl StageHistograms {
 /// traced".
 ///
 /// The armed hot path is lock-free: log and clock live in `OnceLock`s
-/// (one `Acquire` load to reach either), the event log is a wait-free
-/// bump region, and the histograms are relaxed atomics. The price is that
-/// a recorder accepts ONE log and clock for its lifetime — a second
-/// [`attach`] must hand back the same log (`Arc`-identical) or it panics.
-/// One world, one log.
+/// (one `Acquire` load to reach either) and the event log is a wait-free
+/// bump region. The price is that a recorder accepts ONE log and clock for
+/// its lifetime — a second [`attach`] must hand back the same log
+/// (`Arc`-identical) or it panics. One world, one log.
 ///
 /// [`attach`]: FlowRecorder::attach
 #[derive(Default)]
@@ -320,8 +295,6 @@ pub struct FlowRecorder {
     next_flow: AtomicU64,
     log: OnceLock<Arc<FlowLog>>,
     clock: OnceLock<ClockHook>,
-    /// Per-stage residency histograms, recorded alongside the events.
-    pub stages: StageHistograms,
 }
 
 impl std::fmt::Debug for FlowRecorder {
@@ -356,12 +329,6 @@ impl FlowRecorder {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The attached flow log, if any — e.g. for a flight recorder that
-    /// wants the event tail without owning the log itself.
-    pub fn log(&self) -> Option<Arc<FlowLog>> {
-        self.log.get().cloned()
     }
 
     /// Mint a fresh flow ID, or 0 when tracing is off (0 = untraced).
@@ -419,16 +386,6 @@ impl FlowRecorder {
             });
         }
     }
-
-    /// Record a residency sample into one of the stage histograms. Gated
-    /// like events: off = one relaxed load.
-    #[inline]
-    pub fn stage_ns(&self, pick: impl FnOnce(&StageHistograms) -> &LogHistogram, ns: u64) {
-        if !self.enabled() {
-            return;
-        }
-        pick(&self.stages).record(ns);
-    }
 }
 
 #[cfg(test)]
@@ -439,9 +396,12 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let r = FlowRecorder::default();
         assert_eq!(r.next_flow_id(), 0);
+        assert_eq!(r.now(), 0);
         r.event(1, FlowStage::Posted, 0, 0, 0);
-        r.stage_ns(|s| &s.wire, 100);
-        assert_eq!(r.stages.wire.count(), 0);
+        // A log attached later holds nothing from before.
+        let log = FlowLog::new();
+        r.attach(log.clone(), Arc::new(|| 5));
+        assert!(log.is_empty());
     }
 
     #[test]
@@ -456,13 +416,55 @@ mod tests {
         r.event(f, FlowStage::Posted, 7, 3, 0);
         t.store(99, Ordering::Relaxed);
         r.event_at(f, FlowStage::Delivered, 88, 7, 3, 4096);
-        r.stage_ns(|s| &s.wire, 46);
+        r.event_at(0, FlowStage::WireSubmit, 50, 7, 3, 46);
         let evs = log.sorted();
-        assert_eq!(evs.len(), 2);
+        assert_eq!(evs.len(), 2, "flow 0 is untraced");
         assert_eq!(evs[0].ts_ns, 42);
         assert_eq!(evs[0].stage, FlowStage::Posted);
         assert_eq!(evs[1].ts_ns, 88);
-        assert_eq!(r.stages.wire.count(), 1);
+    }
+
+    /// One table, row per stage: an event of that stage with `aux = v` is a
+    /// sample of exactly the histogram named, and of none for the stages
+    /// whose `aux` is not a wait.
+    #[test]
+    fn each_stage_lands_in_the_histogram_it_names() {
+        use FlowStage::*;
+        let table = [
+            (Posted, Some("agg_hold_ns")),
+            (CapQueued, None),
+            (CapDequeued, Some("cap_wait_ns")),
+            (WireSubmit, Some("wire_ns")),
+            (Retransmit, Some("retrans_wait_ns")),
+            (RnrWait, Some("rnr_wait_ns")),
+            (Delivered, None),
+            (SendCqe, Some("cq_lag_ns")),
+            (RecvCqe, Some("cq_lag_ns")),
+            (Arrived, None),
+        ];
+        assert_eq!(table.map(|(s, _)| s), FlowStage::ALL);
+        for (i, (stage, want)) in table.into_iter().enumerate() {
+            let v = 1_000 + i as u64;
+            let ev = FlowEvent {
+                flow: 1,
+                stage,
+                ts_ns: 10,
+                qp: 2,
+                chan: 3,
+                aux: v,
+            };
+            let hists = stage_histograms(&[ev]);
+            let names: Vec<_> = hists.iter().map(|(n, _)| *n).collect();
+            assert_eq!(names, STAGE_HIST_NAMES, "all six, in order");
+            for (name, h) in hists {
+                let expect = if Some(name) == want {
+                    HistSnapshot::of([v])
+                } else {
+                    HistSnapshot::default()
+                };
+                assert_eq!(h, expect, "{stage:?} in {name}");
+            }
+        }
     }
 
     #[test]

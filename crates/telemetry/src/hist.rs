@@ -1,14 +1,13 @@
-//! Zero-alloc log-bucketed latency histograms (HDR-style).
+//! Log-bucketed latency histograms (HDR-style), computed from values.
 //!
-//! A [`LogHistogram`] maps a `u64` value (nanoseconds, in practice) to one
-//! of a fixed set of buckets: values below `2^SUB_BITS` get exact unit
+//! [`HistSnapshot::of`] maps each `u64` value (nanoseconds, in practice) to
+//! one of a fixed set of buckets: values below `2^SUB_BITS` get exact unit
 //! buckets, and every power-of-two octave above that is split into
 //! `2^SUB_BITS` linear sub-buckets, bounding the relative bucket width at
-//! `2^-SUB_BITS` (12.5% with the default of 3 sub-bits). Recording is a
-//! single relaxed `fetch_add` into a pre-allocated atomic array — no locks,
-//! no allocation — so histograms can stay attached to the fabric hot path.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! `2^-SUB_BITS` (12.5% with the default of 3 sub-bits). Nothing records
+//! into a histogram: the stage histograms are functions of the flow log
+//! ([`stage_histograms`](crate::stage_histograms)), built when a table is
+//! rendered.
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` buckets.
 const SUB_BITS: u32 = 3;
@@ -46,113 +45,6 @@ fn bounds_for(index: usize) -> (u64, u64) {
     }
 }
 
-/// A fixed-size, lock-free, log-bucketed histogram.
-///
-/// Values are expected to be durations in nanoseconds but any `u64` works.
-/// All operations use relaxed atomics: like the counters, a histogram is a
-/// ledger reconciled at quiescence, never a synchronisation primitive.
-pub struct LogHistogram {
-    buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for LogHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LogHistogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .field("max", &self.max())
-            .finish()
-    }
-}
-
-impl LogHistogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> Self {
-        // `Box<[AtomicU64; N]>` via a zeroed vec avoids a large stack
-        // temporary; AtomicU64 is layout-identical to u64.
-        let v: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let boxed: Box<[AtomicU64; NUM_BUCKETS]> =
-            v.into_boxed_slice().try_into().expect("exact length");
-        LogHistogram {
-            buckets: boxed,
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one value. Lock-free and allocation-free: two relaxed RMWs
-    /// (bucket + sum) and a plain load on the common no-new-max path —
-    /// the total count is derived from the buckets at snapshot time
-    /// rather than maintained as a third hot-path atomic.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[index_for(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of recorded values (folded from the buckets; call at
-    /// quiescence, like every other ledger read).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of recorded values (wrapping on overflow, like the counters).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest recorded value (exact, not bucketed). Zero when empty.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Fold every recorded value of `other` into `self` (bucket-wise).
-    pub fn merge(&self, other: &LogHistogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Freeze the current contents into an owned snapshot (non-empty
-    /// buckets only).
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                let (lo, hi) = bounds_for(i);
-                buckets.push(HistBucket { lo, hi, count: n });
-            }
-        }
-        HistSnapshot {
-            // From the loads above, so a snapshot taken while values are
-            // still being recorded stays self-consistent.
-            count: buckets.iter().map(|b| b.count).sum(),
-            sum: self.sum(),
-            max: self.max(),
-            buckets,
-        }
-    }
-}
-
 /// One non-empty bucket of a [`HistSnapshot`]: `count` values fell in the
 /// half-open range `[lo, hi)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,24 +53,48 @@ pub struct HistBucket {
     pub lo: u64,
     /// Exclusive upper bound of the bucket.
     pub hi: u64,
-    /// Number of recorded values in the bucket.
+    /// Number of values in the bucket.
     pub count: u64,
 }
 
-/// An owned, immutable snapshot of a [`LogHistogram`].
+/// An owned, immutable log-bucketed histogram of a set of values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
-    /// Total number of recorded values.
+    /// Total number of values.
     pub count: u64,
-    /// Sum of all recorded values.
+    /// Sum of all values (wrapping on overflow, like the counters).
     pub sum: u64,
-    /// Exact maximum recorded value.
+    /// Exact maximum value. Zero when empty.
     pub max: u64,
     /// Non-empty buckets, ascending by `lo`.
     pub buckets: Vec<HistBucket>,
 }
 
 impl HistSnapshot {
+    /// The histogram of `values`.
+    pub fn of(values: impl IntoIterator<Item = u64>) -> HistSnapshot {
+        let mut counts = vec![0u64; NUM_BUCKETS];
+        let (mut sum, mut max) = (0u64, 0u64);
+        for v in values {
+            counts[index_for(v)] += 1;
+            sum = sum.wrapping_add(v);
+            max = max.max(v);
+        }
+        let buckets: Vec<HistBucket> = (counts.iter().enumerate())
+            .filter(|&(_, &count)| count > 0)
+            .map(|(i, &count)| {
+                let (lo, hi) = bounds_for(i);
+                HistBucket { lo, hi, count }
+            })
+            .collect();
+        HistSnapshot {
+            count: buckets.iter().map(|b| b.count).sum(),
+            sum,
+            max,
+            buckets,
+        }
+    }
+
     /// The value at quantile `q` in `[0, 1]`: the inclusive upper bound of
     /// the first bucket whose cumulative count reaches `ceil(q * count)`,
     /// clamped to the exact maximum. Zero when the snapshot is empty.
@@ -197,7 +113,7 @@ impl HistSnapshot {
         self.max
     }
 
-    /// Arithmetic mean of the recorded values. Zero when empty.
+    /// Arithmetic mean of the values. Zero when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -229,11 +145,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_ordered() {
-        let h = LogHistogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = HistSnapshot::of(1..=1000u64);
         assert_eq!(s.count, 1000);
         assert_eq!(s.max, 1000);
         let p50 = s.quantile(0.50);
@@ -242,26 +154,5 @@ mod tests {
         assert!(p50 <= p95 && p95 <= p99 && p99 <= s.max);
         // 12.5% relative error bound from the 3-sub-bit bucket scheme.
         assert!((450..=575).contains(&p50), "p50 = {p50}");
-    }
-
-    #[test]
-    fn merge_equals_union() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let u = LogHistogram::new();
-        for v in [3u64, 17, 900, 1 << 30] {
-            a.record(v);
-            u.record(v);
-        }
-        for v in [5u64, 17, 1_000_000] {
-            b.record(v);
-            u.record(v);
-        }
-        a.merge(&b);
-        let (sa, su) = (a.snapshot(), u.snapshot());
-        assert_eq!(sa.count, su.count);
-        assert_eq!(sa.sum, su.sum);
-        assert_eq!(sa.max, su.max);
-        assert_eq!(sa.buckets, su.buckets);
     }
 }

@@ -1,8 +1,8 @@
 //! The one JSON module: the [`Json`] value, the writer (`Display`,
 //! [`write_json`]), the parser ([`parse_json`]), and the artifacts built on
 //! them — `telemetry_<tag>.json` (full ledger + invariant report),
-//! `trace_<tag>.json` (flow events, stage histograms and sampled frames,
-//! with the chrome-trace view of the flow events under `traceEvents`;
+//! `trace_<tag>.json` (flow events and sampled frames, with the
+//! chrome-trace view of the flow events under `traceEvents`;
 //! `chrome://tracing` / Perfetto ignore the other top-level keys) and
 //! `flightrec_<tag>.json`.
 //!
@@ -18,7 +18,6 @@ use std::path::Path;
 
 use crate::counters::STATUS_NAMES;
 use crate::flow::{FlowEvent, FlowStage};
-use crate::hist::HistSnapshot;
 use crate::invariants::Report;
 use crate::snapshot::{CqSnapshot, QpSnapshot, Snapshot};
 use crate::timeseries::Frame;
@@ -212,7 +211,7 @@ pub fn write_json(path: &Path, doc: &Json) -> io::Result<()> {
 /// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
 /// once per level and the `trace` bin feeds it files the user names, so an
 /// unbounded depth is a stack overflow on demand; a sampled trace, the
-/// deepest artifact the repository writes, nests seven deep.
+/// deepest artifact the repository writes, nests six deep.
 const MAX_DEPTH: usize = 128;
 
 /// Parse a JSON document. Errors carry the byte offset of the problem.
@@ -467,26 +466,8 @@ fn micros(ns: u64) -> Json {
     Json::Num(ns as f64 / 1000.0)
 }
 
-/// The `{"stage": {count, sum, max, buckets}}` map the `trace` analyzer
-/// reads, shared by the trace artifact and frame rendering.
-fn stage_map(stages: &[(&str, HistSnapshot)]) -> Json {
-    Json::obj(stages.iter().map(|(name, snap)| {
-        let buckets = snap
-            .buckets
-            .iter()
-            .map(|b| Json::arr([b.lo, b.hi, b.count]));
-        let hist = Json::obj([
-            ("count", snap.count.into()),
-            ("sum", snap.sum.into()),
-            ("max", snap.max.into()),
-            ("buckets", Json::arr(buckets)),
-        ]);
-        (*name, hist)
-    }))
-}
-
-/// One [`Frame`]: ledger deltas, stage windows and gauges under the key
-/// names of the telemetry artifact.
+/// One [`Frame`]: ledger deltas and gauges under the key names of the
+/// telemetry artifact.
 fn frame_obj(f: &Frame) -> Json {
     let d = &f.deltas;
     let gauges = f.gauges.iter().map(|g| {
@@ -509,7 +490,6 @@ fn frame_obj(f: &Frame) -> Json {
         ("wire", Json::obj(counters(d.wire.fields()))),
         ("runtime", Json::obj(counters(d.runtime.fields()))),
         ("arena", Json::obj(counters(d.arena.fields()))),
-        ("stages", stage_map(&f.stages)),
         ("gauges", Json::obj(gauges)),
     ])
 }
@@ -563,23 +543,22 @@ pub(crate) fn flightrec_json(
 }
 
 /// Write the full trace artifact for one run at `path`: the raw flow-event
-/// list, the per-stage latency histograms, when the run was sampled the
-/// frame ring under a `frames` key, and under `traceEvents` the chrome-trace
-/// view of the flow events (one `X` span per stage interval, on one lane per
-/// QP), plus per-window counter tracks (`ph: "C"`) so Perfetto plots
-/// delivery and aggregation rates over the flow timeline. Chrome-trace
-/// viewers render `traceEvents` and ignore the other keys; the `trace`
-/// analyzer reads `flows`, `stages` and `frames`. `flows` is sorted by
+/// list, when the run was sampled the frame ring under a `frames` key, and
+/// under `traceEvents` the chrome-trace view of the flow events (one `X`
+/// span per stage interval, on one lane per QP), plus per-window counter
+/// tracks (`ph: "C"`) so Perfetto plots delivery and aggregation rates over
+/// the flow timeline. Chrome-trace viewers render `traceEvents` and ignore
+/// the other keys; the `trace` analyzer reads `flows` and `frames`, and
+/// computes every stage histogram from the flows. `flows` is sorted by
 /// `(flow, ts, stage)`, as [`FlowLog::sorted`](crate::FlowLog::sorted)
 /// returns it. Returns the number of `traceEvents` written.
 pub fn write_trace_json(
     path: &Path,
     workload: &str,
     flows: &[FlowEvent],
-    stages: &[(&str, HistSnapshot)],
     frames: &[Frame],
 ) -> io::Result<usize> {
-    let doc = trace_json(workload, flows, stages, frames);
+    let doc = trace_json(workload, flows, frames);
     write_json(path, &doc)?;
     let events = doc.get("traceEvents").and_then(Json::as_arr);
     Ok(events.map_or(0, <[Json]>::len))
@@ -631,12 +610,7 @@ fn flow_view(flows: &[FlowEvent], out: &mut Vec<Json>) {
     }
 }
 
-fn trace_json(
-    workload: &str,
-    flows: &[FlowEvent],
-    stages: &[(&str, HistSnapshot)],
-    frames: &[Frame],
-) -> Json {
+fn trace_json(workload: &str, flows: &[FlowEvent], frames: &[Frame]) -> Json {
     let mut events: Vec<Json> = Vec::with_capacity(3 * flows.len() + 2 * frames.len());
     flow_view(flows, &mut events);
     // Counter tracks: one sample per frame, so viewers plot the windowed
@@ -676,7 +650,6 @@ fn trace_json(
             ("meta", meta),
             ("traceEvents", Json::Arr(events)),
             ("flows", flow_tuples(flows)),
-            ("stages", stage_map(stages)),
         ]
         .into_iter()
         .chain(sampled)
@@ -920,7 +893,6 @@ mod tests {
             t_ns: 10,
             span_ns: 10,
             deltas: snap.clone(),
-            stages: Vec::new(),
             gauges: Vec::new(),
         };
         let frames = parse_json(&frames_json(std::slice::from_ref(&frame))).unwrap();
@@ -1022,31 +994,34 @@ mod tests {
         }
     }
 
+    /// The document carries the flows, and through their `aux` the stage
+    /// histograms: it holds no second copy of them.
     #[test]
     fn trace_json_carries_flows_and_stages() {
-        use crate::hist::LogHistogram;
         let flows = vec![
             flow(3, FlowStage::Posted, 100, 0),
+            flow(3, FlowStage::WireSubmit, 100, 800),
             flow(3, FlowStage::Arrived, 900, 4),
         ];
-        let h = LogHistogram::new();
-        h.record(800);
-        let stages = vec![("wire_ns", h.snapshot())];
-        let doc = reparse(&trace_json("unit", &flows, &stages, &[]));
+        let doc = reparse(&trace_json("unit", &flows, &[]));
         let meta = doc.get("meta").unwrap();
         assert_eq!(meta.get("workload").and_then(Json::as_str), Some("unit"));
-        let first = &doc.get("flows").and_then(Json::as_arr).unwrap()[0];
+        let rows = doc.get("flows").and_then(Json::as_arr).unwrap();
         let want = [3u64.into(), "posted".into(), 100u64.into(), 9u64.into()];
-        assert_eq!(first.as_arr().unwrap()[..4], want);
+        assert_eq!(rows[0].as_arr().unwrap()[..4], want);
+        let aux: Vec<_> = rows
+            .iter()
+            .map(|r| r.as_arr().unwrap()[5].clone())
+            .collect();
+        assert_eq!(aux, [0u64, 800, 4].map(Json::from));
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let phases: Vec<_> = events
             .iter()
             .map(|e| e.get("ph").unwrap().as_str())
             .collect();
-        assert_eq!(phases, [Some("X"), Some("s"), Some("f")]);
-        assert_eq!(events[2].get("bp").and_then(Json::as_str), Some("e"));
-        let wire = doc.get("stages").unwrap().get("wire_ns").unwrap();
-        assert_eq!(wire.get("count"), Some(&Json::from(1u64)));
+        assert_eq!(phases, [Some("X"), Some("s"), Some("X"), Some("f")]);
+        assert_eq!(events[3].get("bp").and_then(Json::as_str), Some("e"));
+        assert_eq!(doc.get("stages"), None, "stages are computed from flows");
         assert_eq!(doc.get("frames"), None, "unsampled run has no frames key");
     }
 
@@ -1060,14 +1035,13 @@ mod tests {
             t_ns: 2_000,
             span_ns: 2_000,
             deltas,
-            stages: Vec::new(),
             gauges: vec![FrameGauge {
                 name: "iters",
                 total: 5,
                 delta: 5,
             }],
         }];
-        let doc = reparse(&trace_json("unit", &[], &[], &frames));
+        let doc = reparse(&trace_json("unit", &[], &frames));
         let frame = &doc.get("frames").and_then(Json::as_arr).unwrap()[0];
         let iters = frame.get("gauges").unwrap().get("iters").unwrap();
         assert_eq!(iters.get("total"), Some(&Json::from(5u64)));
@@ -1128,7 +1102,7 @@ mod tests {
             ev(3, Delivered, 6000, 8, 64),
             ev(3, Arrived, 6000, 8, 0),
         ];
-        let doc = reparse(&trace_json("unit", &flows, &[], &[]));
+        let doc = reparse(&trace_json("unit", &flows, &[]));
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let of = |ph: &str| -> Vec<&Json> {
             let ph = Json::from(ph);

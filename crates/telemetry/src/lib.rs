@@ -46,14 +46,13 @@ pub use counters::{
 pub use expo::exposition;
 pub use flightrec::FlightRecorder;
 pub use flow::{
-    ClockHook, FlowEvent, FlowLog, FlowRecorder, FlowStage, StageHistograms, STAGE_HIST_NAMES,
+    stage_histograms, ClockHook, FlowEvent, FlowLog, FlowRecorder, FlowStage, STAGE_HIST_NAMES,
 };
-pub use hist::{HistBucket, HistSnapshot, LogHistogram};
+pub use hist::{HistBucket, HistSnapshot};
 pub use json::{frames_json, parse_json, write_json, write_telemetry_json, write_trace_json, Json};
 pub use snapshot::{
     ArenaSnapshot, CqSnapshot, QpSnapshot, RuntimeSnapshot, Snapshot, WireSnapshot,
 };
 pub use timeseries::{
-    hist_delta, snapshot_accum, snapshot_delta, stages_delta, Frame, FrameGauge, Sample,
-    SampleSource, Sampler, SamplerConfig,
+    snapshot_accum, snapshot_delta, Frame, FrameGauge, Sample, SampleSource, Sampler, SamplerConfig,
 };

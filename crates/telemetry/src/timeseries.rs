@@ -1,13 +1,14 @@
 //! Windowed time-series plane: periodic **delta frames** over the counter
-//! ledger and the stage histograms, captured into a fixed-capacity ring.
+//! ledger, captured into a fixed-capacity ring.
 //!
 //! A [`Sampler`] owns a [`SampleSource`] closure that freezes the whole
-//! observable state of the stack (a [`Snapshot`], the stage-histogram
-//! snapshots, and optional transport gauges) and, every `interval_ns` of
-//! *driver* time, emits a [`Frame`]: the saturating difference between the
-//! current observation and the previous one. The end-of-run snapshot that
-//! earlier PRs export is exactly the sum of all frames — this module only
-//! adds the time axis.
+//! observable state of the stack (a [`Snapshot`] and optional transport
+//! gauges) and, every `interval_ns` of *driver* time, emits a [`Frame`]: the
+//! saturating difference between the current observation and the previous
+//! one. The end-of-run snapshot is exactly the sum of all frames — this
+//! module only adds the time axis. A frame's stage windows are not sampled:
+//! they are the stage histograms of the flow events stamped inside the
+//! window, computed by whoever reads the frames beside the flow log.
 //!
 //! Who drives the clock depends on the executor:
 //!
@@ -37,20 +38,17 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::hist::HistSnapshot;
 use crate::snapshot::{
     ArenaSnapshot, CqSnapshot, QpSnapshot, RuntimeSnapshot, Snapshot, WireSnapshot,
 };
 
 /// One observation of everything the sampler watches: the frozen counter
-/// ledger, the stage-histogram snapshots, and optional transport gauges
-/// (e.g. ShmFabric ring occupancy) as `(name, value)` pairs.
+/// ledger and optional transport gauges (e.g. ShmFabric ring occupancy) as
+/// `(name, value)` pairs.
 #[derive(Clone, Debug, Default)]
 pub struct Sample {
     /// Complete counter ledger at observation time.
     pub snapshot: Snapshot,
-    /// Per-stage residency histograms at observation time.
-    pub stages: Vec<(&'static str, HistSnapshot)>,
     /// Transport-specific monotone gauges, e.g. progress-loop iterations.
     pub gauges: Vec<(&'static str, u64)>,
 }
@@ -95,13 +93,12 @@ pub struct FrameGauge {
 }
 
 /// One window of the time series: the saturating per-counter increase since
-/// the previous frame, plus the per-stage histogram deltas.
+/// the previous frame.
 ///
 /// Monotone counters in `deltas` hold window increments; the live gauges
 /// (`QpSnapshot::outstanding`, `recv_queue_depth`, `state`, and
 /// `ArenaSnapshot::live_high_water`) hold the value *at the window end*,
-/// since they may decrease. Stage-histogram `max` is the cumulative exact
-/// maximum (a window maximum cannot be recovered from bucket differences).
+/// since they may decrease.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// Frame number since the sampler was created (not reset by eviction).
@@ -112,8 +109,6 @@ pub struct Frame {
     pub span_ns: u64,
     /// Counter-ledger deltas (gauges carried as current values).
     pub deltas: Snapshot,
-    /// Stage-histogram deltas (`max` cumulative, buckets windowed).
-    pub stages: Vec<(&'static str, HistSnapshot)>,
     /// Transport gauge values and their window deltas.
     pub gauges: Vec<FrameGauge>,
 }
@@ -186,49 +181,6 @@ pub fn snapshot_accum(acc: &mut Snapshot, delta: &Snapshot) {
     acc.arena.accum(&delta.arena);
 }
 
-/// `cur - prev` over one stage histogram: windowed `count`/`sum`, buckets
-/// subtracted pairwise by lower bound (empty results dropped), and `max`
-/// carried as the cumulative exact maximum.
-pub fn hist_delta(prev: &HistSnapshot, cur: &HistSnapshot) -> HistSnapshot {
-    let mut buckets = Vec::new();
-    for b in &cur.buckets {
-        let before = prev
-            .buckets
-            .iter()
-            .find(|p| p.lo == b.lo)
-            .map(|p| p.count)
-            .unwrap_or(0);
-        let d = b.count.saturating_sub(before);
-        if d > 0 {
-            buckets.push(crate::hist::HistBucket { count: d, ..*b });
-        }
-    }
-    HistSnapshot {
-        count: cur.count.saturating_sub(prev.count),
-        sum: cur.sum.saturating_sub(prev.sum),
-        max: cur.max,
-        buckets,
-    }
-}
-
-/// Apply [`hist_delta`] across two stage lists, matching by stage name.
-pub fn stages_delta(
-    prev: &[(&'static str, HistSnapshot)],
-    cur: &[(&'static str, HistSnapshot)],
-) -> Vec<(&'static str, HistSnapshot)> {
-    let empty = HistSnapshot::default();
-    cur.iter()
-        .map(|(name, h)| {
-            let before = prev
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, p)| p)
-                .unwrap_or(&empty);
-            (*name, hist_delta(before, h))
-        })
-        .collect()
-}
-
 struct Ring {
     prev: Option<Sample>,
     prev_t: u64,
@@ -269,11 +221,6 @@ impl Sampler {
         })
     }
 
-    /// The policy in force.
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
-    }
-
     /// Advance the sampler clock to `t_ns`; captures a frame iff a window
     /// boundary has been crossed. Hot path below the boundary is one
     /// relaxed load — safe to call per event batch or progress-loop
@@ -310,10 +257,9 @@ impl Sampler {
 
     fn emit(&self, ring: &mut Ring, t_ns: u64) {
         let cur = (self.source)();
-        let (mut deltas, stages, gauges) = match &ring.prev {
+        let (mut deltas, gauges) = match &ring.prev {
             Some(p) => (
                 snapshot_delta(&p.snapshot, &cur.snapshot),
-                stages_delta(&p.stages, &cur.stages),
                 cur.gauges
                     .iter()
                     .map(|(name, v)| {
@@ -333,7 +279,6 @@ impl Sampler {
             ),
             None => (
                 snapshot_delta(&Snapshot::default(), &cur.snapshot),
-                stages_delta(&[], &cur.stages),
                 cur.gauges
                     .iter()
                     .map(|(name, v)| FrameGauge {
@@ -352,7 +297,6 @@ impl Sampler {
             t_ns,
             span_ns: t_ns.saturating_sub(ring.prev_t),
             deltas,
-            stages,
             gauges,
         };
         ring.seq += 1;
@@ -369,11 +313,6 @@ impl Sampler {
     /// Copy of the retained frames, oldest first.
     pub fn frames(&self) -> Vec<Frame> {
         self.inner.lock().frames.iter().cloned().collect()
-    }
-
-    /// The most recent frame, if any.
-    pub fn latest(&self) -> Option<Frame> {
-        self.inner.lock().frames.back().cloned()
     }
 
     /// Total frames captured (including any since evicted).
@@ -416,7 +355,6 @@ mod tests {
             let k = n2.fetch_add(1, Ordering::Relaxed) + 1;
             Sample {
                 snapshot: snap(k * 10, k),
-                stages: Vec::new(),
                 gauges: vec![("iters", k * 3)],
             }
         });
@@ -518,29 +456,12 @@ mod tests {
             source,
         );
         s.tick(10);
-        let f = s.latest().unwrap();
+        let frames = s.frames();
+        let f = frames.last().unwrap();
         assert_eq!(f.deltas.arena.pool_hits, 0);
         assert_eq!(f.deltas.arena.pool_misses, 0);
         assert_eq!(f.deltas.arena.live_high_water, 0);
         assert_eq!(f.deltas.arena.pool_gets, 1, "commutative totals survive");
-    }
-
-    #[test]
-    fn hist_delta_windows_buckets_and_carries_max() {
-        use crate::hist::LogHistogram;
-        let h = LogHistogram::new();
-        h.record(100);
-        h.record(5_000);
-        let before = h.snapshot();
-        h.record(100);
-        h.record(90_000);
-        let after = h.snapshot();
-        let d = hist_delta(&before, &after);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 100 + 90_000);
-        assert_eq!(d.max, 90_000);
-        let total: u64 = d.buckets.iter().map(|b| b.count).sum();
-        assert_eq!(total, 2, "only the new samples appear in the window");
     }
 
     #[test]
@@ -549,6 +470,6 @@ mod tests {
         let s = Sampler::new(SamplerConfig::default(), source);
         s.capture(42);
         assert_eq!(s.frames_captured(), 1);
-        assert_eq!(s.latest().unwrap().t_ns, 42);
+        assert_eq!(s.frames().last().unwrap().t_ns, 42);
     }
 }

@@ -7,11 +7,11 @@
 //!
 //! Telemetry parity: the instant fabric stamps the same wire-ledger
 //! counters and flow stages the simulated and shared-memory fabrics stamp —
-//! `inner_submissions`, `mtu_segments`, `rnr_requeues`, the `WireSubmit` /
-//! `RnrWait` flow events and the `wire` / `rnr_wait` stage histograms — so
-//! it sits in the backend conformance matrix without carve-outs. Being
-//! zero-latency, its wire-stage samples are all 0 ns; RNR waits record the
-//! time the yield loop actually took on the attached flow clock.
+//! `inner_submissions`, `mtu_segments`, `rnr_requeues` and the `WireSubmit`
+//! / `RnrWait` flow events — so it sits in the backend conformance matrix
+//! without carve-outs. Being zero-latency, its wire-stage events carry 0 ns;
+//! RNR waits carry the time the yield loop actually took on the attached
+//! flow clock.
 
 use std::sync::{Arc, OnceLock};
 
@@ -55,9 +55,6 @@ impl Fabric for InstantFabric {
             0,
             0,
         );
-        if job.flow != 0 {
-            flows.stage_ns(|s| &s.wire, 0);
-        }
         // Receiver-not-ready triggers the QP's bounded RNR retry loop: with
         // real threads the receiver may be about to post its WR, so each
         // attempt yields the CPU first (the zero-latency analogue of waiting
@@ -80,9 +77,6 @@ impl Fabric for InstantFabric {
                     0,
                     waited,
                 );
-                if job.flow != 0 {
-                    flows.stage_ns(|s| &s.rnr_wait, waited);
-                }
                 continue;
             }
             break outcome;

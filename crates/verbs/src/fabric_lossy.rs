@@ -264,9 +264,6 @@ impl LossyFabric {
             let Some(sched) = &self.sched else {
                 return self.attempt(net, job, tries + 1);
             };
-            if job.flow != 0 {
-                flows.stage_ns(|s| &s.retrans_wait, backoff);
-            }
             let me = self.me.clone();
             let net = net.clone();
             // The timeout fires on the sender's NIC: source-node affinity

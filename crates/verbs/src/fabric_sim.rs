@@ -132,16 +132,6 @@ impl SimFabric {
     fn node(&self, n: NodeId) -> &NodeResources {
         self.nodes.get_or_init(n, NodeResources::default)
     }
-
-    /// The parameters in force.
-    pub fn params(&self) -> &FabricParams {
-        &self.params
-    }
-
-    /// The scheduler driving this fabric.
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
-    }
 }
 
 /// One transfer on its way through the simulated wire: the job plus what
@@ -281,7 +271,7 @@ impl Fabric for SimFabric {
     }
 }
 
-/// Record the passive wire-stage flow sample for `job`: doorbell instant,
+/// Record the passive wire-stage flow event for `job`: doorbell instant,
 /// wire residency up to `delivered`.
 fn record_wire_span(
     net: &Arc<NetworkState>,
@@ -289,19 +279,14 @@ fn record_wire_span(
     doorbell: SimTime,
     delivered: SimTime,
 ) {
-    let flows = &net.telemetry().flows;
-    let wire_ns = delivered.saturating_since(doorbell).as_nanos();
-    flows.event_at(
+    net.telemetry().flows.event_at(
         job.flow,
         partix_telemetry::FlowStage::WireSubmit,
         doorbell.as_nanos(),
         job.src_qp,
         0,
-        wire_ns,
+        delivered.saturating_since(doorbell).as_nanos(),
     );
-    if job.flow != 0 {
-        flows.stage_ns(|s| &s.wire, wire_ns);
-    }
 }
 
 /// Execute a delivery on the virtual clock, waiting out the RNR NAK timer
@@ -317,8 +302,7 @@ fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
             if flight.attempt < profile.rnr_retry {
                 net.telemetry().wire.rnr_requeues.inc();
                 let wait = SimDuration::from_nanos(profile.min_rnr_timer_ns.max(1));
-                let flows = &net.telemetry().flows;
-                flows.event_at(
+                net.telemetry().flows.event_at(
                     job.flow,
                     partix_telemetry::FlowStage::RnrWait,
                     sched.now().as_nanos(),
@@ -326,9 +310,6 @@ fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
                     0,
                     wait.as_nanos(),
                 );
-                if job.flow != 0 {
-                    flows.stage_ns(|s| &s.rnr_wait, wait.as_nanos());
-                }
                 let sched = sched.clone();
                 let at = sched.now() + wait;
                 flight.attempt += 1;

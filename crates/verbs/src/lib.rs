@@ -87,8 +87,8 @@ pub use memory::MemoryRegion;
 pub use network::{connect_pair, Context, Network, NetworkState, NodeCtx, ProtectionDomain};
 pub use partix_telemetry as telemetry;
 pub use partix_telemetry::{
-    invariants, CqCounters, FlowEvent, FlowLog, FlowRecorder, FlowStage, HistSnapshot,
-    LogHistogram, QpCounters, Registry, Snapshot, WireCounters,
+    invariants, CqCounters, FlowEvent, FlowLog, FlowRecorder, FlowStage, HistSnapshot, QpCounters,
+    Registry, Snapshot, WireCounters,
 };
 pub use qp::{PeerId, QpCaps, QueuePair, RetryProfile};
 pub use shm::{ShmConfig, ShmFabric};

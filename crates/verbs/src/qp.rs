@@ -68,8 +68,7 @@ impl Default for QpCaps {
 
 /// Retry/timeout attributes in force on a connected QP — the subset of
 /// `ibv_modify_qp` attributes set at RTR/RTS (`timeout`, `retry_cnt`,
-/// `rnr_retry`, `min_rnr_timer`). Seeded from [`QpCaps`] at connection time
-/// and overridable via [`QueuePair::modify_to_rts_with`].
+/// `rnr_retry`, `min_rnr_timer`), as [`QpCaps`] set them at creation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryProfile {
     /// Ack-timeout exponent (base interval `4.096 us x 2^timeout`).
@@ -232,11 +231,6 @@ pub struct QueuePair {
     rx: Mutex<RxSide>,
     outstanding: AtomicU32,
     posted_sends: AtomicU64,
-    /// `timeout | retry_cnt << 8 | rnr_retry << 16` of the retry profile;
-    /// the RNR timer sits beside it. `modify_to_rts_with` is the only
-    /// writer, before the QP carries traffic.
-    retry_counts: AtomicU32,
-    min_rnr_timer_ns: AtomicU64,
     /// Send-side packet sequence counter: every posted WR gets a fresh PSN.
     next_psn: AtomicU64,
     net: Weak<NetworkState>,
@@ -265,7 +259,7 @@ impl QueuePair {
         net: Weak<NetworkState>,
         fabric: Arc<dyn Fabric>,
     ) -> Arc<Self> {
-        let qp = QueuePair {
+        Arc::new(QueuePair {
             qp_num,
             node,
             pd_id,
@@ -277,16 +271,12 @@ impl QueuePair {
             rx: Mutex::new(RxSide::default()),
             outstanding: AtomicU32::new(0),
             posted_sends: AtomicU64::new(0),
-            retry_counts: AtomicU32::new(0),
-            min_rnr_timer_ns: AtomicU64::new(0),
             next_psn: AtomicU64::new(0),
             net,
             fabric,
             counters: Arc::new(QpCounters::default()),
             prepare_scratch: Mutex::new(Vec::new()),
-        };
-        qp.set_retry_profile(RetryProfile::from_caps(&caps));
-        Arc::new(qp)
+        })
     }
 
     /// This QP's telemetry ledger.
@@ -383,31 +373,9 @@ impl QueuePair {
         self.modify(QpState::ReadyToSend)
     }
 
-    /// Transition to RTS while overriding the retry/timeout attributes (the
-    /// `timeout`/`retry_cnt`/`rnr_retry` arguments of `ibv_modify_qp` at
-    /// RTS). Without this call, the profile seeded from [`QpCaps`] applies.
-    pub fn modify_to_rts_with(&self, profile: RetryProfile) -> Result<()> {
-        self.modify(QpState::ReadyToSend)?;
-        self.set_retry_profile(profile);
-        Ok(())
-    }
-
-    fn set_retry_profile(&self, p: RetryProfile) {
-        let counts = p.timeout as u32 | ((p.retry_cnt as u32) << 8) | ((p.rnr_retry as u32) << 16);
-        self.retry_counts.store(counts, Ordering::Relaxed);
-        self.min_rnr_timer_ns
-            .store(p.min_rnr_timer_ns, Ordering::Relaxed);
-    }
-
-    /// The retry/timeout attributes currently in force.
+    /// The retry/timeout attributes in force.
     pub fn retry_profile(&self) -> RetryProfile {
-        let counts = self.retry_counts.load(Ordering::Relaxed);
-        RetryProfile {
-            timeout: counts as u8,
-            retry_cnt: (counts >> 8) as u8,
-            rnr_retry: (counts >> 16) as u8,
-            min_rnr_timer_ns: self.min_rnr_timer_ns.load(Ordering::Relaxed),
-        }
+        RetryProfile::from_caps(&self.caps)
     }
 
     /// Allocate the next packet sequence number (fabric-internal, at post

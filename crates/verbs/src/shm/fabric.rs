@@ -233,7 +233,7 @@ struct Pending {
     wr: PostedSend,
     /// The PSN its ACK will name.
     psn: u64,
-    /// Flow-clock timestamp at submit, for the wire-stage histogram.
+    /// Flow-clock timestamp at submit: the `WireSubmit` event's time.
     submit_ns: u64,
 }
 
@@ -755,9 +755,7 @@ impl ShmFabric {
             w.put(&header);
             gather_payload(&job, w);
         };
-        let flows = &net.telemetry().flows;
-        let submit_ns = flows.now();
-        flows.event(job.flow, FlowStage::WireSubmit, job.src_qp, 0, 0);
+        let submit_ns = net.telemetry().flows.now();
 
         // A ghost duplicate (a lossy decorator's) is fire-and-forget: no
         // ack, no completion. Anything else is registered before the record
@@ -1189,17 +1187,13 @@ impl ShmFabric {
             let wire = &net.telemetry().wire;
             wire.rnr_requeues.inc();
             self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
-            let flows = &net.telemetry().flows;
-            flows.event(
+            net.telemetry().flows.event(
                 header.flow,
                 FlowStage::RnrWait,
                 header.src_qp,
                 0,
                 min_rnr_timer_ns,
             );
-            if header.flow != 0 {
-                flows.stage_ns(|s| &s.rnr_wait, min_rnr_timer_ns);
-            }
             return Some(Instant::now() + Duration::from_nanos(min_rnr_timer_ns.max(1)));
         }
         if header.ghost {
@@ -1253,12 +1247,14 @@ impl ShmFabric {
             self.stats.stale_acks.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let flows = &net.telemetry().flows;
-        if pending.wr.flow != 0 {
-            let wire_ns = flows.now().saturating_sub(pending.submit_ns);
-            flows.stage_ns(|s| &s.wire, wire_ns);
-        }
-        complete_posted(net, &pending.wr, status);
+        // The wire stage is known once it ends: stamped at submit, lasting
+        // until this ACK. Recorded before the completion, which a traced
+        // poller may be waiting on.
+        let (wr, flows) = (&pending.wr, &net.telemetry().flows);
+        let wire_ns = flows.now().saturating_sub(pending.submit_ns);
+        let stage = FlowStage::WireSubmit;
+        flows.event_at(wr.flow, stage, pending.submit_ns, wr.src_qp, 0, wire_ns);
+        complete_posted(net, wr, status);
     }
 
     /// Re-attempt queued deliveries, oldest first. A QP whose oldest queued
@@ -2060,7 +2056,6 @@ mod tests {
         let fab = p.fabric.clone();
         let source: SampleSource = Arc::new(move || Sample {
             snapshot: net.telemetry_snapshot(),
-            stages: Vec::new(),
             gauges: fab.sample_gauges(),
         });
         let sampler = Sampler::new(

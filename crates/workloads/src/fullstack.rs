@@ -252,7 +252,7 @@ fn digest_records(samples: &[Mutex<Vec<Record>>]) -> u64 {
 
 /// Run the full-stack ring on `executor`, returning the report alongside the
 /// world and scheduler so callers can inspect post-run state (telemetry
-/// snapshot, stage histograms via flow tracing, node-affinity census).
+/// snapshot, the flow log when tracing, node-affinity census).
 pub fn run_fullstack_observed(
     cfg: &FullStackConfig,
     executor: Executor,

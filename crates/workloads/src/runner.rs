@@ -219,8 +219,8 @@ impl Driver {
 /// Run a point-to-point experiment on a fresh simulated world, returning
 /// the world alongside the result so callers can inspect post-run state
 /// (telemetry ledger, fabric statistics). `flow_log`, when provided, turns
-/// on causal flow tracing (per-message stage events and residency
-/// histograms) before any event fires; when `sampling` is
+/// on causal flow tracing (per-message stage events) before any event
+/// fires; when `sampling` is
 /// `Some((interval, capacity))` the world captures a delta frame every
 /// `interval` of virtual time, harvestable after the run via
 /// [`World::sampler`].

@@ -20,9 +20,7 @@
 
 use std::path::Path;
 
-use partix_core::telemetry::{
-    write_telemetry_json, write_trace_json, FlowEvent, FlowLog, Frame, HistSnapshot,
-};
+use partix_core::telemetry::{write_telemetry_json, write_trace_json, FlowEvent, FlowLog, Frame};
 use partix_core::{invariants, SimDuration, Snapshot};
 use partix_profiler::assemble_chains;
 
@@ -36,10 +34,9 @@ pub struct TraceArtifacts {
     pub snapshot: Snapshot,
     /// The conservation-law reconciliation of that snapshot.
     pub report: invariants::Report,
-    /// Causal flow events, sorted by `(flow, ts, stage)`.
+    /// Causal flow events, sorted by `(flow, ts, stage)`: the one record
+    /// of where each flow spent its time.
     pub flows: Vec<FlowEvent>,
-    /// Per-stage residency histogram snapshots.
-    pub stages: Vec<(&'static str, HistSnapshot)>,
     /// Windowed time-series frames, when sampling was enabled (empty
     /// otherwise).
     pub frames: Vec<Frame>,
@@ -47,8 +44,8 @@ pub struct TraceArtifacts {
 
 impl TraceArtifacts {
     /// Write `telemetry_<tag>.json` (ledger + invariant verdict) and
-    /// `trace_<tag>.json` (flow events + their chrome-trace view + stage
-    /// histograms + frames) into `dir`, creating it if needed. Returns the
+    /// `trace_<tag>.json` (flow events + their chrome-trace view + frames)
+    /// into `dir`, creating it if needed. Returns the
     /// number of chrome-trace events written.
     pub fn write_to(&self, dir: &Path, tag: &str) -> std::io::Result<usize> {
         write_telemetry_json(
@@ -60,7 +57,6 @@ impl TraceArtifacts {
             &dir.join(format!("trace_{tag}.json")),
             tag,
             &self.flows,
-            &self.stages,
             &self.frames,
         )
     }
@@ -86,7 +82,6 @@ pub fn run_traced(cfg: &Pt2PtConfig, sampling: Option<(SimDuration, usize)>) -> 
     let snapshot = world.telemetry_snapshot();
     let report = invariants::check(&snapshot);
     let flows = flow_log.sorted();
-    let stages = world.telemetry().flows.stages.snapshot();
     let now_ns = world.now().as_nanos();
     let frames = world.sampler().map_or_else(Vec::new, |s| {
         // Close the final partial window so the frame stream covers the
@@ -99,7 +94,6 @@ pub fn run_traced(cfg: &Pt2PtConfig, sampling: Option<(SimDuration, usize)>) -> 
         snapshot,
         report,
         flows,
-        stages,
         frames,
     }
 }
@@ -108,7 +102,7 @@ pub fn run_traced(cfg: &Pt2PtConfig, sampling: Option<(SimDuration, usize)>) -> 
 mod tests {
     use super::*;
     use crate::noise::ThreadTiming;
-    use partix_core::telemetry::{parse_json, FlowStage, Json};
+    use partix_core::telemetry::{parse_json, stage_histograms, FlowStage, Json};
     use partix_core::{AggregatorKind, PartixConfig, World};
 
     fn cfg(kind: AggregatorKind) -> Pt2PtConfig {
@@ -159,14 +153,10 @@ mod tests {
             art.result.total_wrs
         );
         assert!(art.chain_violations().is_empty());
-        // Stage histograms saw wire time for every transfer.
-        let wire = art
-            .stages
-            .iter()
-            .find(|(n, _)| *n == "wire_ns")
-            .map(|(_, h)| h.count)
-            .unwrap_or(0);
-        assert_eq!(wire, art.result.total_wrs);
+        // The wire-stage histogram holds one sample per transfer.
+        let stages = stage_histograms(&art.flows);
+        let wire = stages.iter().find(|(n, _)| *n == "wire_ns").unwrap();
+        assert_eq!(wire.1.count, art.result.total_wrs);
 
         // The chrome-trace view is the flow log's: every X span lies inside
         // its flow's [Posted − hold, last event], and there is one per pair
@@ -291,7 +281,7 @@ mod tests {
         let tr = std::fs::read_to_string(dir.join("trace_persistent.json")).unwrap();
         assert!(tr.contains("\"traceEvents\""));
         assert!(tr.contains("\"flows\""));
-        assert!(tr.contains("\"stages\""));
+        assert!(!tr.contains("\"stages\""), "stages are computed from flows");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -319,8 +309,7 @@ mod tests {
 
         let dir = scratch("wall-trace");
         let path = dir.join("trace_wall.json");
-        let stages = world.telemetry().flows.stages.snapshot();
-        write_trace_json(&path, "wall", &log.sorted(), &stages, &[]).unwrap();
+        write_trace_json(&path, "wall", &log.sorted(), &[]).unwrap();
         let spans = x_spans(&path);
         std::fs::remove_dir_all(&dir).ok();
         assert!(!spans.is_empty(), "no X span for a wall-clock round");

@@ -1,18 +1,22 @@
 //! Property tests over the log-bucketed latency histogram
-//! (`partix_telemetry::LogHistogram`), the storage behind every per-stage
-//! residency distribution in the causal-tracing subsystem:
+//! (`partix_telemetry::HistSnapshot::of`), the shape of every per-stage
+//! residency distribution computed from the flow log:
 //!
-//! - count and sum are conserved exactly for arbitrary inputs;
-//! - snapshot buckets are monotone, disjoint, and each holds only values
-//!   inside its `[lo, hi)` bounds;
-//! - `merge(a, b)` is indistinguishable from recording the union;
+//! - count, sum and max are conserved exactly for arbitrary inputs;
+//! - buckets are monotone, disjoint, and each holds only values inside its
+//!   `[lo, hi)` bounds;
+//! - the stage windows of a sampled run partition it: for random events and
+//!   random frame boundaries, the windows' counts, sums and buckets add up to
+//!   the whole-run histogram, and the largest window max is the run's max;
 //! - quantiles are monotone in `q`, bracketed by min and max, and
 //!   `quantile(1.0)` is the exact maximum.
 //!
 //! The vendored proptest is deterministic (seeded from the test name, no
 //! shrinking), so a green run is reproducible.
 
-use partix_verbs::telemetry::LogHistogram;
+use std::collections::BTreeMap;
+
+use partix_verbs::telemetry::{stage_histograms, FlowEvent, FlowStage, HistSnapshot};
 use proptest::prelude::*;
 
 /// Arbitrary latency samples: spread across the full bucket range
@@ -39,11 +43,7 @@ proptest! {
     /// Count/sum conservation and exact max tracking.
     #[test]
     fn count_sum_max_conserved(vals in samples()) {
-        let h = LogHistogram::new();
-        for &v in &vals {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+        let snap = HistSnapshot::of(vals.iter().copied());
         prop_assert_eq!(snap.count, vals.len() as u64);
         prop_assert_eq!(snap.sum, vals.iter().sum::<u64>());
         prop_assert_eq!(snap.max, vals.iter().copied().max().unwrap());
@@ -54,15 +54,11 @@ proptest! {
         );
     }
 
-    /// Bucket bounds are monotone and disjoint, and every recorded value
-    /// falls inside the bounds of exactly the bucket population it joined.
+    /// Bucket bounds are monotone and disjoint, and every value falls
+    /// inside the bounds of exactly the bucket population it joined.
     #[test]
     fn buckets_are_monotone_and_bounding(vals in samples()) {
-        let h = LogHistogram::new();
-        for &v in &vals {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+        let snap = HistSnapshot::of(vals.iter().copied());
         for w in snap.buckets.windows(2) {
             prop_assert!(w[0].hi <= w[1].lo, "buckets overlap or reorder");
         }
@@ -75,39 +71,62 @@ proptest! {
         }
     }
 
-    /// `merge` is union: merging two histograms produces the same snapshot
-    /// as recording every sample into one.
+    /// Windows partition the run: frame `k` takes the events stamped in
+    /// `(t_{k-1}, t_k]` (the first frame everything up to `t_0`), and its
+    /// stage histograms add up, stage by stage, to the whole run's.
     #[test]
-    fn merge_equals_union(a in samples(), b in samples()) {
-        let ha = LogHistogram::new();
-        let hb = LogHistogram::new();
-        let hu = LogHistogram::new();
-        for &v in &a {
-            ha.record(v);
-            hu.record(v);
+    fn windows_partition_the_run(
+        vals in samples(),
+        draws in prop::collection::vec((0usize..10, 0u64..10_000), 64..65),
+        bounds in prop::collection::vec(0u64..10_000, 0..8),
+    ) {
+        let events: Vec<FlowEvent> = vals
+            .iter()
+            .zip(draws.iter().cycle())
+            .enumerate()
+            .map(|(i, (&aux, &(stage, ts_ns)))| FlowEvent {
+                flow: i as u64 + 1,
+                stage: FlowStage::ALL[stage],
+                ts_ns,
+                qp: 1,
+                chan: 0,
+                aux,
+            })
+            .collect();
+        let mut bounds = bounds;
+        bounds.push(10_000);
+        bounds.sort_unstable();
+        let mut windows = Vec::new();
+        let mut after = None;
+        for &t in &bounds {
+            let inside = |e: &&FlowEvent| after.is_none_or(|a| a < e.ts_ns) && e.ts_ns <= t;
+            let window: Vec<FlowEvent> = events.iter().filter(inside).copied().collect();
+            windows.push(stage_histograms(&window));
+            after = Some(t);
         }
-        for &v in &b {
-            hb.record(v);
-            hu.record(v);
+        for (i, (name, whole)) in stage_histograms(&events).into_iter().enumerate() {
+            let parts: Vec<&HistSnapshot> = windows.iter().map(|w| &w[i].1).collect();
+            let count: u64 = parts.iter().map(|h| h.count).sum();
+            prop_assert_eq!(count, whole.count, "{}", name);
+            let sum = parts.iter().fold(0u64, |s, h| s.wrapping_add(h.sum));
+            prop_assert_eq!(sum, whole.sum, "{}", name);
+            let max = parts.iter().map(|h| h.max).max().unwrap_or(0);
+            prop_assert_eq!(max, whole.max, "{}", name);
+            let mut buckets = BTreeMap::new();
+            for b in parts.iter().flat_map(|h| &h.buckets) {
+                *buckets.entry((b.lo, b.hi)).or_insert(0) += b.count;
+            }
+            let want: BTreeMap<_, _> =
+                whole.buckets.iter().map(|b| ((b.lo, b.hi), b.count)).collect();
+            prop_assert_eq!(buckets, want, "{}", name);
         }
-        ha.merge(&hb);
-        let merged = ha.snapshot();
-        let union = hu.snapshot();
-        prop_assert_eq!(merged.count, union.count);
-        prop_assert_eq!(merged.sum, union.sum);
-        prop_assert_eq!(merged.max, union.max);
-        prop_assert_eq!(merged.buckets, union.buckets);
     }
 
     /// Quantiles are monotone in `q`, live inside `[min, max]`, and the
     /// extremes are tight: `quantile(1.0)` is the exact maximum.
     #[test]
     fn quantiles_are_monotone_and_bracketed(vals in samples()) {
-        let h = LogHistogram::new();
-        for &v in &vals {
-            h.record(v);
-        }
-        let snap = h.snapshot();
+        let snap = HistSnapshot::of(vals.iter().copied());
         let qs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
         let got: Vec<u64> = qs.iter().map(|&q| snap.quantile(q)).collect();
         for w in got.windows(2) {

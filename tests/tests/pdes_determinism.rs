@@ -6,7 +6,7 @@
 //! order — checked end to end through the order-sensitive workload digests
 //! (any reordering anywhere in the run changes the digest).
 
-use partix_core::telemetry::FlowLog;
+use partix_core::telemetry::{stage_histograms, FlowLog};
 use partix_workloads::fullstack::{
     run_fullstack, run_fullstack_instrumented, run_fullstack_observed, Executor, FullStackConfig,
     FullStackReport,
@@ -85,15 +85,16 @@ fn traced_stage_totals(
     executor: Executor,
     untraced: &FullStackReport,
 ) -> StageTotals {
-    let (traced, world, _sched) =
-        run_fullstack_instrumented(cfg, executor, Some(FlowLog::new()), None);
+    let log = FlowLog::new();
+    let (traced, _world, _sched) =
+        run_fullstack_instrumented(cfg, executor, Some(log.clone()), None);
     assert_eq!(
         (traced.digest, traced.ledger_digest),
         (untraced.digest, untraced.ledger_digest),
         "{name}: tracing changed the run on {}",
         executor.label()
     );
-    let stages = world.telemetry().flows.stages.snapshot();
+    let stages = stage_histograms(&log.sorted());
     let totals = stages.into_iter().map(|(stage, h)| (stage, h.count, h.sum));
     totals.collect()
 }

@@ -120,7 +120,6 @@ proptest! {
             let observations = observations.clone();
             Arc::new(move || Sample {
                 snapshot: observations[cursor.fetch_add(1, Ordering::Relaxed)].clone(),
-                stages: Vec::new(),
                 gauges: Vec::new(),
             })
         };
