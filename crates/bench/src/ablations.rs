@@ -6,83 +6,68 @@
 use partix_core::{AggregatorKind, PartixConfig, SimDuration};
 use partix_sim::parallel::par_map;
 use partix_workloads::halo::{run_halo, HaloConfig};
-use partix_workloads::overhead::{speedup, OverheadSweep};
-use partix_workloads::perceived::PerceivedSweep;
-use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
+use partix_workloads::overhead::forced_config;
+use partix_workloads::{run_pt2pt, Pt2PtConfig};
 
-use crate::experiments::Quality;
+use crate::experiments::{overhead_ratios, timer, Quality};
 use crate::report::{fmt_bytes, Table};
 
-fn overhead_speedup(
-    base: &PartixConfig,
-    ours: &PartixConfig,
+/// Speed-up of PLogGP over a baseline with the mechanism under study and
+/// over one without it, at each size.
+fn with_and_without(
+    q: Quality,
+    title: &str,
+    columns: [&str; 2],
     partitions: u32,
     sizes: &[usize],
-    q: Quality,
-) -> Vec<(usize, f64)> {
-    let mk = |cfg: &PartixConfig| {
-        let mut s = OverheadSweep::new(cfg.clone(), partitions, sizes.to_vec());
-        s.warmup = q.warmup;
-        s.iters = q.iters;
-        s.jobs = q.jobs;
-        s.run()
-    };
-    speedup(&mk(base), &mk(ours))
+    bases: [PartixConfig; 2],
+) -> Table {
+    let ours = [PartixConfig::with_aggregator(AggregatorKind::PLogGp)];
+    let sp = bases.map(|base| overhead_ratios(q, partitions, sizes, &base, &ours).remove(0));
+    let mut t = Table::new(title, &["message_bytes", "message", columns[0], columns[1]]);
+    for (i, &size) in sizes.iter().enumerate() {
+        t.push(vec![
+            size.to_string(),
+            fmt_bytes(size),
+            format!("{:.3}", sp[0][i]),
+            format!("{:.3}", sp[1][i]),
+        ]);
+    }
+    t
 }
 
 /// A1 — the UCX worker-lock convoy (paper §V-B2): with the
 /// oversubscription convoy disabled, the 128-partition blowup collapses.
 pub fn ablation_convoy(q: Quality) -> Table {
-    let sizes = [64usize << 10, 512 << 10, 4 << 20];
-    let mut with = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let with = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     let mut without = with.clone();
-    without.ucx.cores_per_node = u32::MAX; // convoy factor == 1 at any thread count
-    let ours = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-    // The aggregated side never convoys, so it is shared.
-    with.aggregator = AggregatorKind::Persistent;
-
-    let sp_with = overhead_speedup(&with, &ours, 128, &sizes, q);
-    let sp_without = overhead_speedup(&without, &ours, 128, &sizes, q);
-
-    let mut t = Table::new(
+    // Convoy factor == 1 at any thread count. The aggregated side never
+    // convoys, so it is shared.
+    without.ucx.cores_per_node = u32::MAX;
+    with_and_without(
+        q,
         "Ablation A1: oversubscription lock convoy (128 partitions, speedup of PLogGP over persistent)",
-        &["message_bytes", "message", "with_convoy", "without_convoy"],
-    );
-    for i in 0..sizes.len() {
-        t.push(vec![
-            sizes[i].to_string(),
-            fmt_bytes(sizes[i]),
-            format!("{:.3}", sp_with[i].1),
-            format!("{:.3}", sp_without[i].1),
-        ]);
-    }
-    t
+        ["with_convoy", "without_convoy"],
+        128,
+        &[64 << 10, 512 << 10, 4 << 20],
+        [with, without],
+    )
 }
 
 /// A2 — the NIC small-message fast lane (UCX inlining/BlueFlame, which the
 /// paper's module forgoes): removing it slows the baseline at small sizes.
 pub fn ablation_small_lane(q: Quality) -> Table {
-    let sizes = [1usize << 10, 4 << 10, 64 << 10];
     let base = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     let mut no_lane = base.clone();
     no_lane.fabric.inline_wqe_overhead_ns = no_lane.fabric.wqe_overhead_ns;
-    let ours = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-
-    let sp_with = overhead_speedup(&base, &ours, 4, &sizes, q);
-    let sp_without = overhead_speedup(&no_lane, &ours, 4, &sizes, q);
-    let mut t = Table::new(
+    with_and_without(
+        q,
         "Ablation A2: baseline small-message fast lane (4 partitions, speedup of PLogGP over persistent)",
-        &["message_bytes", "message", "with_fast_lane", "without_fast_lane"],
-    );
-    for i in 0..sizes.len() {
-        t.push(vec![
-            sizes[i].to_string(),
-            fmt_bytes(sizes[i]),
-            format!("{:.3}", sp_with[i].1),
-            format!("{:.3}", sp_without[i].1),
-        ]);
-    }
-    t
+        ["with_fast_lane", "without_fast_lane"],
+        4,
+        &[1 << 10, 4 << 10, 64 << 10],
+        [base, no_lane],
+    )
 }
 
 /// A3 — the per-QP engine fraction behind Fig. 7's multi-QP benefit: a
@@ -94,23 +79,13 @@ pub fn ablation_qp_fraction(q: Quality) -> Table {
     );
     let fracs = vec![1.0f64, 0.8, 0.6, 0.3];
     let means = par_map(q.jobs, fracs.clone(), |frac| {
-        let mut partix = partix_workloads::overhead::forced_config(
-            &PartixConfig::default(),
-            16,
-            64 << 20,
-            16,
-            1,
-        );
+        let mut partix = forced_config(&PartixConfig::default(), 16, 64 << 20, 16, 1);
         partix.fabric.qp_bw_fraction = frac;
-        partix.fabric.copy_data = false;
         let cfg = Pt2PtConfig {
-            partix,
-            partitions: 16,
-            part_bytes: (64 << 20) / 16,
             warmup: q.warmup.min(2),
             iters: q.iters.min(10),
-            timing: ThreadTiming::overhead(),
             seed: 3,
+            ..Pt2PtConfig::overhead(partix, 16, 64 << 20)
         };
         run_pt2pt(&cfg).mean_total_ns()
     });
@@ -132,19 +107,36 @@ pub fn ablation_recv_path(q: Quality) -> Table {
         "Ablation A4: baseline receive-path cost vs Fig.8 peak (32 partitions, 128 KiB)",
         &["recv_path_ns", "speedup"],
     );
-    let ours = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+    let ours = [PartixConfig::with_aggregator(AggregatorKind::PLogGp)];
     let recv_costs = vec![500u64, 1_500, 2_500, 4_000];
-    // The two sweeps inside overhead_speedup are single-size here, so the
-    // useful parallelism is across the recv-cost arms themselves.
+    // Each arm is one size, so the useful parallelism is across the
+    // recv-cost arms themselves.
     let speedups = par_map(q.jobs, recv_costs.clone(), |recv_ns| {
         let mut base = PartixConfig::with_aggregator(AggregatorKind::Persistent);
         base.ucx.recv_path_ns = recv_ns;
-        overhead_speedup(&base, &ours, 32, &[128 << 10], q)[0].1
+        overhead_ratios(q, 32, &[128 << 10], &base, &ours)[0][0]
     });
     for (recv_ns, sp) in recv_costs.iter().zip(&speedups) {
         t.push(vec![recv_ns.to_string(), format!("{sp:.3}")]);
     }
     t
+}
+
+/// WRs per round and tail latency (µs) of a 32-partition, 8 MiB
+/// perceived-bandwidth cell.
+fn wrs_and_tail(partix: PartixConfig, warmup: usize, seed: u64, q: Quality) -> [String; 2] {
+    let cfg = Pt2PtConfig {
+        warmup,
+        iters: q.iters.min(10),
+        seed,
+        ..Pt2PtConfig::perceived(partix, 32, 8 << 20)
+    };
+    let r = run_pt2pt(&cfg);
+    let rounds = (cfg.warmup + cfg.iters) as f64;
+    [
+        format!("{:.2}", r.total_wrs as f64 / rounds),
+        format!("{:.2}", r.mean_tail_ns() / 1e3),
+    ]
 }
 
 /// A5 — delta vs flush granularity: smaller deltas split the early flush
@@ -157,25 +149,8 @@ pub fn ablation_delta_wrs(q: Quality) -> Table {
     );
     let deltas = vec![1u64, 10, 100, 1_000, 100_000];
     let rows = par_map(q.jobs, deltas, |delta_us| {
-        let mut partix = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
-        partix.delta = SimDuration::from_micros(delta_us);
-        partix.fabric.copy_data = false;
-        let cfg = Pt2PtConfig {
-            partix,
-            partitions: 32,
-            part_bytes: (8 << 20) / 32,
-            warmup: 1,
-            iters: q.iters.min(10),
-            timing: ThreadTiming::perceived_bw(100, 0.04),
-            seed: 5,
-        };
-        let r = run_pt2pt(&cfg);
-        let rounds = (1 + q.iters.min(10)) as f64;
-        vec![
-            delta_us.to_string(),
-            format!("{:.2}", r.total_wrs as f64 / rounds),
-            format!("{:.2}", r.mean_tail_ns() / 1e3),
-        ]
+        let [wrs, tail] = wrs_and_tail(timer(delta_us), 1, 5, q);
+        vec![delta_us.to_string(), wrs, tail]
     });
     for row in rows {
         t.push(row);
@@ -191,32 +166,18 @@ pub fn extension_adaptive_delta(q: Quality) -> Table {
         "Extension: adaptive delta vs mis-tuned fixed delta (32 partitions, 8 MiB, WRs per round)",
         &["config", "wrs_per_round", "tail_us"],
     );
-    let run = |adaptive: bool, delta_us: u64| {
-        let mut partix = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
-        partix.delta = SimDuration::from_micros(delta_us);
-        partix.adaptive_delta = adaptive;
-        partix.fabric.copy_data = false;
-        let cfg = Pt2PtConfig {
-            partix,
-            partitions: 32,
-            part_bytes: (8 << 20) / 32,
-            warmup: 2,
-            iters: q.iters.min(10),
-            timing: ThreadTiming::perceived_bw(100, 0.04),
-            seed: 8,
-        };
-        let r = run_pt2pt(&cfg);
-        let rounds = (2 + q.iters.min(10)) as f64;
-        (r.total_wrs as f64 / rounds, r.mean_tail_ns() / 1e3)
-    };
     let arms = vec![
         ("fixed delta=1us (mis-tuned)", false, 1u64),
         ("fixed delta=35us (paper estimate)", false, 35),
         ("adaptive (starts at 1us)", true, 1),
     ];
-    let rows = par_map(q.jobs, arms, |(name, adaptive, delta)| {
-        let (wrs, tail) = run(adaptive, delta);
-        vec![name.to_string(), format!("{wrs:.2}"), format!("{tail:.2}")]
+    let rows = par_map(q.jobs, arms, |(name, adaptive_delta, delta_us)| {
+        let partix = PartixConfig {
+            adaptive_delta,
+            ..timer(delta_us)
+        };
+        let [wrs, tail] = wrs_and_tail(partix, 2, 8, q);
+        vec![name.to_string(), wrs, tail]
     });
     for row in rows {
         t.push(row);
@@ -285,12 +246,16 @@ pub fn ablation_early_bird(q: Quality) -> Table {
         .flat_map(|&parts| kinds.iter().map(move |&k| (parts, k)))
         .collect();
     let bws = par_map(q.jobs, cells, |(parts, kind)| {
-        let mut cfg = PartixConfig::with_aggregator(kind);
-        cfg.delta = SimDuration::from_micros(100);
-        let mut s = PerceivedSweep::new(cfg, parts, vec![8 << 20]);
-        s.warmup = 1;
-        s.iters = q.sweep_iters.max(4);
-        s.run().remove(0).bandwidth / 1e9
+        let partix = PartixConfig {
+            delta: SimDuration::from_micros(100),
+            ..PartixConfig::with_aggregator(kind)
+        };
+        let cfg = Pt2PtConfig {
+            warmup: 1,
+            iters: q.sweep_iters.max(4),
+            ..Pt2PtConfig::perceived(partix, parts, 8 << 20)
+        };
+        run_pt2pt(&cfg).perceived_bandwidth(cfg.total_bytes()) / 1e9
     });
     for (i, parts) in part_counts.iter().enumerate() {
         let (plg, tmr) = (bws[i * 2], bws[i * 2 + 1]);

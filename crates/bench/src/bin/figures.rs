@@ -11,7 +11,8 @@
 //! frames, open at <https://ui.perfetto.dev> or analyze with the `trace`
 //! binary: `report`, `diff`, `timeline`); the
 //! process exits non-zero if any conservation law is violated or any
-//! causal flow chain is incomplete.
+//! causal flow chain is incomplete. It also exits non-zero when a `check`
+//! verdict is not `PASS`.
 //!
 //! Each experiment writes `<out>/<name>*.csv` and prints the aligned table
 //! plus headline observables to stdout. The defaults use the paper's
@@ -116,6 +117,7 @@ fn main() {
         args.out.display()
     );
 
+    let mut failed = false;
     for which in &args.which {
         let t0 = Instant::now();
         match which.as_str() {
@@ -146,7 +148,11 @@ fn main() {
                 &experiments::arrival_profile_table(128 << 20, "Fig 11", q),
             ),
             "fig12" => emit(&args, "fig12", &experiments::fig12_table(q)),
-            "check" => emit(&args, "check", &partix_bench::check::check_table(q)),
+            "check" => {
+                let table = partix_bench::check::check_table(q);
+                emit(&args, "check", &table);
+                failed |= table.rows.iter().any(|r| r[4] != "PASS");
+            }
             "timeline" => {
                 std::fs::create_dir_all(&args.out).expect("results dir");
                 for kind in [
@@ -178,6 +184,9 @@ fn main() {
     if args.trace
         && !partix_bench::trace_run::run_trace(&trace_cfg(args.quick), &args.out, "figures")
     {
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

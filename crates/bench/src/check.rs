@@ -2,14 +2,12 @@
 //! observable, with a PASS/WARN verdict. `figures -- check` prints the
 //! table; EXPERIMENTS.md narrates the same comparisons.
 
-use partix_core::{min_delta_ns, AggregatorKind, PartixConfig, SimDuration};
+use partix_core::{AggregatorKind, PartixConfig, SimDuration};
 use partix_model::{table1, PLogGpModel};
-use partix_workloads::overhead::{speedup, OverheadSweep};
-use partix_workloads::perceived::PerceivedSweep;
 use partix_workloads::sweep::{run_sweep, SweepConfig};
-use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
+use partix_workloads::{run_pt2pt, Pt2PtConfig};
 
-use crate::experiments::Quality;
+use crate::experiments::{overhead_ratios, timer, Quality};
 use crate::report::Table;
 
 struct Check {
@@ -18,29 +16,6 @@ struct Check {
     paper: String,
     measured: String,
     pass: bool,
-}
-
-fn overhead_speedup_at(kind: AggregatorKind, partitions: u32, size: usize, q: Quality) -> f64 {
-    let mk = |k: AggregatorKind| {
-        let mut s = OverheadSweep::new(PartixConfig::with_aggregator(k), partitions, vec![size]);
-        s.warmup = q.warmup;
-        s.iters = q.iters;
-        s.run()
-    };
-    let base = mk(AggregatorKind::Persistent);
-    let ours = mk(kind);
-    speedup(&base, &ours)[0].1
-}
-
-fn perceived_at(kind: AggregatorKind, delta_us: Option<u64>, size: usize, q: Quality) -> f64 {
-    let mut cfg = PartixConfig::with_aggregator(kind);
-    if let Some(d) = delta_us {
-        cfg.delta = SimDuration::from_micros(d);
-    }
-    let mut s = PerceivedSweep::new(cfg, 32, vec![size]);
-    s.warmup = q.sweep_warmup;
-    s.iters = q.sweep_iters.max(4);
-    s.run().remove(0).bandwidth / 1e9
 }
 
 /// Run every headline check and render the verdict table.
@@ -74,8 +49,12 @@ pub fn check_table(q: Quality) -> Table {
         pass: all_match,
     });
 
-    // Fig. 8 peak at 32 partitions.
-    let peak32 = overhead_speedup_at(AggregatorKind::PLogGp, 32, 128 << 10, q);
+    // Fig. 8: PLogGP's speed-up over persistent.
+    let persistent_cfg = || PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let ploggp_cfg = || PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+    let speedup_at =
+        |parts, size| overhead_ratios(q, parts, &[size], &persistent_cfg(), &[ploggp_cfg()])[0][0];
+    let peak32 = speedup_at(32, 128 << 10);
     checks.push(Check {
         experiment: "Fig 8",
         observable: "speedup @ 32 partitions, 128 KiB",
@@ -85,7 +64,7 @@ pub fn check_table(q: Quality) -> Table {
     });
 
     // Fig. 8 convergence at large sizes.
-    let large32 = overhead_speedup_at(AggregatorKind::PLogGp, 32, 64 << 20, q);
+    let large32 = speedup_at(32, 64 << 20);
     checks.push(Check {
         experiment: "Fig 8",
         observable: "speedup @ 32 partitions, 64 MiB (bandwidth bound)",
@@ -95,7 +74,7 @@ pub fn check_table(q: Quality) -> Table {
     });
 
     // Fig. 8 oversubscription blowup.
-    let peak128 = overhead_speedup_at(AggregatorKind::PLogGp, 128, 128 << 10, q);
+    let peak128 = speedup_at(128, 128 << 10);
     checks.push(Check {
         experiment: "Fig 8",
         observable: "speedup @ 128 partitions (oversubscribed), 128 KiB",
@@ -104,46 +83,43 @@ pub fn check_table(q: Quality) -> Table {
         pass: peak128 > 3.0,
     });
 
-    // Fig. 9 ordering at 8 MiB.
-    let persistent = perceived_at(AggregatorKind::Persistent, None, 8 << 20, q);
-    let ploggp = perceived_at(AggregatorKind::PLogGp, None, 8 << 20, q);
-    let timer = perceived_at(AggregatorKind::TimerPLogGp, Some(3_000), 8 << 20, q);
+    // Fig. 9 ordering at 8 MiB: perceived GB/s of a 32-partition cell.
+    let gbs = |partix: PartixConfig| {
+        let cfg = Pt2PtConfig {
+            warmup: q.sweep_warmup,
+            iters: q.sweep_iters.max(4),
+            ..Pt2PtConfig::perceived(partix, 32, 8 << 20)
+        };
+        run_pt2pt(&cfg).perceived_bandwidth(cfg.total_bytes()) / 1e9
+    };
+    let (persistent, ploggp) = (gbs(persistent_cfg()), gbs(ploggp_cfg()));
+    let timer3000 = gbs(timer(3_000));
     checks.push(Check {
         experiment: "Fig 9",
         observable: "perceived BW order @ 8 MiB (GB/s)",
         paper: "persistent & timer >> plain PLogGP".into(),
-        measured: format!("{persistent:.0} / {timer:.0} >> {ploggp:.0}"),
-        pass: persistent > 2.0 * ploggp && timer > 2.0 * ploggp,
+        measured: format!("{persistent:.0} / {timer3000:.0} >> {ploggp:.0}"),
+        pass: persistent > 2.0 * ploggp && timer3000 > 2.0 * ploggp,
     });
 
     let hw = PartixConfig::default().fabric.link_bandwidth() / 1e9;
+    let slowest = ploggp.min(timer3000).min(persistent);
     checks.push(Check {
         experiment: "Fig 9",
         observable: "early-bird beats single-threaded hw line",
         paper: format!("all > {hw:.1} GB/s at medium sizes"),
-        measured: format!("min = {:.1} GB/s", ploggp.min(timer).min(persistent)),
-        pass: ploggp.min(timer).min(persistent) > hw * 0.9,
+        measured: format!("min = {slowest:.1} GB/s"),
+        pass: slowest > hw * 0.9,
     });
 
     // Fig. 12 minimum delta at 32 threads.
-    let mut partix = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-    partix.fabric.copy_data = false;
     let cfg = Pt2PtConfig {
-        partix,
-        partitions: 32,
-        part_bytes: (8 << 20) / 32,
         warmup: 1,
         iters: q.sweep_iters.max(4),
-        timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 0xC1EC,
+        ..Pt2PtConfig::perceived(ploggp_cfg(), 32, 8 << 20)
     };
-    let deltas: Vec<f64> = run_pt2pt(&cfg)
-        .rounds
-        .iter()
-        .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
-        .map(|ns| ns as f64)
-        .collect();
-    let delta_us = deltas.iter().sum::<f64>() / deltas.len().max(1) as f64 / 1e3;
+    let delta_us = run_pt2pt(&cfg).mean_min_delta_ns().unwrap_or(0.0) / 1e3;
     checks.push(Check {
         experiment: "Fig 12",
         observable: "min delta @ 32 threads",
@@ -153,8 +129,7 @@ pub fn check_table(q: Quality) -> Table {
     });
 
     // Fig. 13 robustness.
-    let b10 = perceived_at(AggregatorKind::TimerPLogGp, Some(10), 8 << 20, q);
-    let b100 = perceived_at(AggregatorKind::TimerPLogGp, Some(100), 8 << 20, q);
+    let (b10, b100) = (gbs(timer(10)), gbs(timer(100)));
     let spread_pct = ((b10 - b100).abs() / b100) * 100.0;
     checks.push(Check {
         experiment: "Fig 13",

@@ -6,15 +6,14 @@
 use std::sync::Arc;
 
 use partix_core::telemetry::FlowLog;
-use partix_core::{min_delta_ns, AggregatorKind, PartixConfig, SimDuration};
+use partix_core::{AggregatorKind, PartixConfig, SimDuration};
 use partix_model::{table1, ArrivalPattern, PLogGpModel};
 use partix_profiler::{ArrivalProfile, Timeline};
 use partix_sim::parallel::par_map;
-use partix_workloads::overhead::{forced_config, pow2_sizes, speedup, OverheadSweep};
-use partix_workloads::perceived::PerceivedSweep;
+use partix_workloads::overhead::{forced_config, pow2_sizes};
 use partix_workloads::sweep::{run_sweep, SweepConfig};
 use partix_workloads::tuning_search::TuningSearch;
-use partix_workloads::{run_pt2pt, run_pt2pt_instrumented, Pt2PtConfig, ThreadTiming};
+use partix_workloads::{run_pt2pt, run_pt2pt_instrumented, Pt2PtConfig};
 
 use crate::report::{fmt_bytes, Table};
 
@@ -107,121 +106,108 @@ pub fn fig3_table() -> Table {
     t
 }
 
-/// Fig. 6: overhead-benchmark speedup over the persistent baseline for 32
-/// user partitions, 2 QPs, varying transport partition counts.
-pub fn fig6_table(q: Quality) -> Table {
-    let partitions = 32u32;
-    let qps = 2u32;
-    let transports = [2u32, 4, 8, 16, 32];
-    let sizes = pow2_sizes(1 << 10, 16 << 20);
+/// The timer aggregator at a δ of `delta_us`.
+pub(crate) fn timer(delta_us: u64) -> PartixConfig {
+    PartixConfig {
+        delta: SimDuration::from_micros(delta_us),
+        ..PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp)
+    }
+}
 
-    let mut base_sweep = OverheadSweep::new(
-        PartixConfig::with_aggregator(AggregatorKind::Persistent),
-        partitions,
-        sizes.clone(),
-    );
-    base_sweep.warmup = q.warmup;
-    base_sweep.iters = q.iters;
-    base_sweep.jobs = q.jobs;
-    let baseline = base_sweep.run();
-
-    let mut cols: Vec<String> = vec!["message_bytes".into(), "message".into()];
-    cols.extend(transports.iter().map(|t| format!("speedup_t{t}")));
-    let mut table = Table::new(
-        "Fig 6: overhead speedup vs persistent, 32 user partitions, 2 QPs, by transport partitions",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-
-    // One run per (transport, size) cell, each with its own forced
-    // (transport, QPs) key — all independent, fanned out together.
-    let kept: Vec<usize> = sizes
-        .iter()
-        .copied()
-        .filter(|s| *s >= partitions as usize)
+/// Overhead speed-up over `base` of each arm at every size, at `q`'s rounds:
+/// `out[arm][size]` is `base`'s mean round time over the arm's.
+pub(crate) fn overhead_ratios(
+    q: Quality,
+    partitions: u32,
+    sizes: &[usize],
+    base: &PartixConfig,
+    arms: &[PartixConfig],
+) -> Vec<Vec<f64>> {
+    let cells = std::iter::once(base)
+        .chain(arms)
+        .flat_map(|cfg| sizes.iter().map(move |&size| (cfg.clone(), size)))
         .collect();
-    let cells: Vec<(u32, usize)> = transports
-        .iter()
-        .flat_map(|&t| kept.iter().map(move |&size| (t, size)))
-        .collect();
-    let pts = par_map(q.jobs, cells, |(t, size)| {
-        let mut s2 = OverheadSweep::new(
-            forced_config(&PartixConfig::default(), partitions, size, t, qps),
-            partitions,
-            vec![size],
-        );
-        s2.warmup = q.warmup;
-        s2.iters = q.iters;
-        s2.run().remove(0)
+    ratios(q, partitions, sizes.len(), cells)
+}
+
+/// Mean overhead round times of `(config, total bytes)` cells — `n` of the
+/// baseline, then `n` per arm — divided into speed-ups, `out[arm][size]`.
+fn ratios(
+    q: Quality,
+    partitions: u32,
+    n: usize,
+    cells: Vec<(PartixConfig, usize)>,
+) -> Vec<Vec<f64>> {
+    let ns = par_map(q.jobs, cells, |(partix, size)| {
+        let cell = Pt2PtConfig {
+            warmup: q.warmup,
+            iters: q.iters,
+            ..Pt2PtConfig::overhead(partix, partitions, size)
+        };
+        run_pt2pt(&cell).mean_total_ns()
     });
-    let series: Vec<_> = pts
-        .chunks(kept.len())
-        .map(|pts| speedup(&baseline, pts))
+    let (base, arms) = ns.split_at(n);
+    arms.chunks(n)
+        .map(|arm| base.iter().zip(arm).map(|(b, a)| b / a).collect())
+        .collect()
+}
+
+/// Figs. 6/7: overhead speed-up over persistent of each forced
+/// `(transport partitions, QPs)` arm, one column each.
+fn forced_table(
+    q: Quality,
+    title: &str,
+    partitions: u32,
+    sizes: Vec<usize>,
+    arms: &[(u32, u32)],
+    column: fn(&(u32, u32)) -> String,
+) -> Table {
+    let mut cols: Vec<String> = vec!["message_bytes".into(), "message".into()];
+    cols.extend(arms.iter().map(column));
+    let mut table = Table::new(title, &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+    let base = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let forced = |&(t, qps): &(u32, u32), size| {
+        forced_config(&PartixConfig::default(), partitions, size, t, qps)
+    };
+    let cells = (sizes.iter().map(|&size| (base.clone(), size)))
+        .chain(
+            arms.iter()
+                .flat_map(|arm| sizes.iter().map(move |&s| (forced(arm, s), s))),
+        )
         .collect();
-    for (i, b) in baseline.iter().enumerate() {
-        let mut row = vec![b.total_bytes.to_string(), fmt_bytes(b.total_bytes)];
-        for s in &series {
-            row.push(format!("{:.3}", s[i].1));
-        }
+    let series = ratios(q, partitions, sizes.len(), cells);
+    for (i, &size) in sizes.iter().enumerate() {
+        let mut row = vec![size.to_string(), fmt_bytes(size)];
+        row.extend(series.iter().map(|s| format!("{:.3}", s[i])));
         table.push(row);
     }
     table
 }
 
+/// Fig. 6: overhead-benchmark speedup over the persistent baseline for 32
+/// user partitions, 2 QPs, varying transport partition counts.
+pub fn fig6_table(q: Quality) -> Table {
+    forced_table(
+        q,
+        "Fig 6: overhead speedup vs persistent, 32 user partitions, 2 QPs, by transport partitions",
+        32,
+        pow2_sizes(1 << 10, 16 << 20),
+        &[2, 4, 8, 16, 32].map(|t| (t, 2)),
+        |(t, _)| format!("speedup_t{t}"),
+    )
+}
+
 /// Fig. 7: overhead-benchmark speedup for 16 user = transport partitions,
 /// varying QP counts.
 pub fn fig7_table(q: Quality) -> Table {
-    let partitions = 16u32;
-    let qp_counts = [1u32, 2, 4, 8, 16];
-    let sizes = pow2_sizes(1 << 10, 64 << 20);
-
-    let mut base_sweep = OverheadSweep::new(
-        PartixConfig::with_aggregator(AggregatorKind::Persistent),
-        partitions,
-        sizes.clone(),
-    );
-    base_sweep.warmup = q.warmup;
-    base_sweep.iters = q.iters;
-    base_sweep.jobs = q.jobs;
-    let baseline = base_sweep.run();
-
-    let mut cols: Vec<String> = vec!["message_bytes".into(), "message".into()];
-    cols.extend(qp_counts.iter().map(|c| format!("speedup_q{c}")));
-    let mut table = Table::new(
+    forced_table(
+        q,
         "Fig 7: overhead speedup vs persistent, 16 user/transport partitions, by QP count",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-
-    let kept: Vec<usize> = sizes
-        .iter()
-        .copied()
-        .filter(|s| *s >= partitions as usize)
-        .collect();
-    let cells: Vec<(u32, usize)> = qp_counts
-        .iter()
-        .flat_map(|&qp| kept.iter().map(move |&size| (qp, size)))
-        .collect();
-    let pts = par_map(q.jobs, cells, |(qp, size)| {
-        let mut s2 = OverheadSweep::new(
-            forced_config(&PartixConfig::default(), partitions, size, partitions, qp),
-            partitions,
-            vec![size],
-        );
-        s2.warmup = q.warmup;
-        s2.iters = q.iters;
-        s2.run().remove(0)
-    });
-    let series: Vec<_> = pts
-        .chunks(kept.len())
-        .map(|pts| speedup(&baseline, pts))
-        .collect();
-    for (i, b) in baseline.iter().enumerate() {
-        let mut row = vec![b.total_bytes.to_string(), fmt_bytes(b.total_bytes)];
-        for s in &series {
-            row.push(format!("{:.3}", s[i].1));
-        }
-        table.push(row);
-    }
-    table
+        16,
+        pow2_sizes(1 << 10, 64 << 20),
+        &[1, 2, 4, 8, 16].map(|qps| (16, qps)),
+        |(_, qps)| format!("speedup_q{qps}"),
+    )
 }
 
 /// Fig. 8: tuning-table vs PLogGP aggregator speedup over persistent, for
@@ -233,38 +219,30 @@ pub fn fig8_tables(q: Quality) -> Vec<Table> {
         .map(|parts| {
             // Brute-force table for this partition count (the paper's 23-hour
             // search, in simulation).
-            let mut search = TuningSearch::new(PartixConfig::default(), vec![parts], sizes.clone());
-            search.iters = q.search_iters;
-            search.warmup = 1;
-            search.jobs = q.jobs;
-            let tuned = Arc::new(search.run());
-
-            let mk_sweep = |cfg: PartixConfig| {
-                let mut s = OverheadSweep::new(cfg, parts, sizes.clone());
-                s.warmup = q.warmup;
-                s.iters = q.iters;
-                s.jobs = q.jobs;
-                s
+            let search = TuningSearch {
+                warmup: 1,
+                iters: q.search_iters,
+                jobs: q.jobs,
+                ..TuningSearch::new(PartixConfig::default(), vec![parts], sizes.clone())
             };
-            let baseline =
-                mk_sweep(PartixConfig::with_aggregator(AggregatorKind::Persistent)).run();
-            let mut tt_cfg = PartixConfig::with_aggregator(AggregatorKind::TuningTable);
-            tt_cfg.tuning_table = Some(tuned);
-            let tt = mk_sweep(tt_cfg).run();
-            let plg = mk_sweep(PartixConfig::with_aggregator(AggregatorKind::PLogGp)).run();
-            let tt_speedup = speedup(&baseline, &tt);
-            let plg_speedup = speedup(&baseline, &plg);
+            let tuned = PartixConfig {
+                tuning_table: Some(Arc::new(search.run())),
+                ..PartixConfig::with_aggregator(AggregatorKind::TuningTable)
+            };
+            let arms = [tuned, PartixConfig::with_aggregator(AggregatorKind::PLogGp)];
+            let base = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+            let sp = overhead_ratios(q, parts, &sizes, &base, &arms);
 
             let mut table = Table::new(
                 format!("Fig 8: aggregator speedup vs persistent, {parts} user partitions"),
                 &["message_bytes", "message", "tuning_table", "ploggp"],
             );
-            for i in 0..tt_speedup.len() {
+            for (i, &size) in sizes.iter().enumerate() {
                 table.push(vec![
-                    tt_speedup[i].0.to_string(),
-                    fmt_bytes(tt_speedup[i].0),
-                    format!("{:.3}", tt_speedup[i].1),
-                    format!("{:.3}", plg_speedup[i].1),
+                    size.to_string(),
+                    fmt_bytes(size),
+                    format!("{:.3}", sp[0][i]),
+                    format!("{:.3}", sp[1][i]),
                 ]);
             }
             table
@@ -277,23 +255,26 @@ pub fn fig8_tables(q: Quality) -> Vec<Table> {
 pub fn fig9_tables(q: Quality) -> Vec<Table> {
     let sizes = pow2_sizes(64 << 10, 256 << 20);
     let hw = PartixConfig::default().fabric.link_bandwidth() / 1e9;
+    let arms = [
+        PartixConfig::with_aggregator(AggregatorKind::Persistent),
+        PartixConfig::with_aggregator(AggregatorKind::PLogGp),
+        timer(3_000),
+    ];
     [16u32, 32]
         .into_iter()
         .map(|parts| {
-            let run = |kind: AggregatorKind, delta_us: Option<u64>| {
-                let mut cfg = PartixConfig::with_aggregator(kind);
-                if let Some(d) = delta_us {
-                    cfg.delta = SimDuration::from_micros(d);
-                }
-                let mut s = PerceivedSweep::new(cfg, parts, sizes.clone());
-                s.warmup = q.sweep_warmup;
-                s.iters = q.sweep_iters.max(4);
-                s.jobs = q.jobs;
-                s.run()
-            };
-            let persistent = run(AggregatorKind::Persistent, None);
-            let ploggp = run(AggregatorKind::PLogGp, None);
-            let timer = run(AggregatorKind::TimerPLogGp, Some(3_000));
+            let cells: Vec<Pt2PtConfig> = arms
+                .iter()
+                .flat_map(|cfg| sizes.iter().map(move |&size| (cfg, size)))
+                .map(|(cfg, size)| Pt2PtConfig {
+                    warmup: q.sweep_warmup,
+                    iters: q.sweep_iters.max(4),
+                    ..Pt2PtConfig::perceived(cfg.clone(), parts, size)
+                })
+                .collect();
+            let gbs = par_map(q.jobs, cells, |c| {
+                run_pt2pt(&c).perceived_bandwidth(c.total_bytes()) / 1e9
+            });
 
             let mut table = Table::new(
                 format!(
@@ -308,39 +289,36 @@ pub fn fig9_tables(q: Quality) -> Vec<Table> {
                     "hw_line",
                 ],
             );
-            for i in 0..persistent.len() {
-                table.push(vec![
-                    persistent[i].total_bytes.to_string(),
-                    fmt_bytes(persistent[i].total_bytes),
-                    format!("{:.3}", persistent[i].bandwidth / 1e9),
-                    format!("{:.3}", ploggp[i].bandwidth / 1e9),
-                    format!("{:.3}", timer[i].bandwidth / 1e9),
-                    format!("{hw:.3}"),
-                ]);
+            for (i, &size) in sizes.iter().enumerate() {
+                let mut row = vec![size.to_string(), fmt_bytes(size)];
+                row.extend(gbs[i..].iter().step_by(sizes.len()).map(|g| format!("{g:.3}")));
+                row.push(format!("{hw:.3}"));
+                table.push(row);
             }
             table
         })
         .collect()
 }
 
+/// One profiled perceived-bandwidth round of `total_bytes` over 32
+/// partitions, after `q.sweep_warmup` warm-up rounds.
+fn profiled_round(partix: PartixConfig, total_bytes: usize, seed: u64, q: Quality) -> Pt2PtConfig {
+    Pt2PtConfig {
+        warmup: q.sweep_warmup,
+        iters: 1,
+        seed,
+        ..Pt2PtConfig::perceived(partix, 32, total_bytes)
+    }
+}
+
 /// Figs. 10/11: profiled arrival pattern of one perceived-bandwidth round
 /// (compute offset + estimated wire time per partition).
 pub fn arrival_profile_table(total_bytes: usize, fig: &str, q: Quality) -> Table {
-    let partitions = 32u32;
-    let mut partix = PartixConfig::with_aggregator(AggregatorKind::Persistent);
-    partix.fabric.copy_data = false;
-    let cfg = Pt2PtConfig {
-        partix: partix.clone(),
-        partitions,
-        part_bytes: total_bytes / partitions as usize,
-        warmup: q.sweep_warmup,
-        iters: 1,
-        timing: ThreadTiming::perceived_bw(100, 0.04),
-        seed: 0xF16,
-    };
+    let persistent = PartixConfig::with_aggregator(AggregatorKind::Persistent);
+    let cfg = profiled_round(persistent, total_bytes, 0xF16, q);
     let r = run_pt2pt(&cfg);
     let round = r.rounds.last().expect("measured round");
-    let bw = partix.fabric.single_qp_bandwidth();
+    let bw = cfg.partix.fabric.single_qp_bandwidth();
     let profile = ArrivalProfile::from_offsets(&round.pready, cfg.part_bytes, bw);
 
     let mut table = Table::new(
@@ -365,18 +343,8 @@ pub fn arrival_profile_table(total_bytes: usize, fig: &str, q: Quality) -> Table
 /// rendered via `partix_profiler::Timeline` from the round's `pready`
 /// offsets and its flow log.
 pub fn timeline_text(total_bytes: usize, aggregator: AggregatorKind, q: Quality) -> String {
-    let partitions = 32u32;
-    let mut partix = PartixConfig::with_aggregator(aggregator);
-    partix.fabric.copy_data = false;
-    let cfg = Pt2PtConfig {
-        partix,
-        partitions,
-        part_bytes: total_bytes / partitions as usize,
-        warmup: q.sweep_warmup,
-        iters: 1,
-        timing: ThreadTiming::perceived_bw(100, 0.04),
-        seed: 0x71ae,
-    };
+    let partix = PartixConfig::with_aggregator(aggregator);
+    let cfg = profiled_round(partix, total_bytes, 0x71ae, q);
     let log = FlowLog::new();
     let r = run_pt2pt_instrumented(&cfg, Some(log.clone()), None).0;
     let round = r.rounds.last().expect("measured round");
@@ -413,38 +381,21 @@ pub fn fig12_table(q: Quality) -> Table {
         .flat_map(|&size| partition_counts.iter().map(move |&parts| (size, parts)))
         .collect();
     let values = par_map(q.jobs, cells, |(size, parts)| {
-        if size < parts as usize {
-            return String::new();
-        }
         let partix = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
         let plan = partix_core::plan_for(&partix, parts, size / parts as usize);
         if plan.group_size <= 1 {
             // The model requests no aggregation: no delta to estimate.
             return String::new();
         }
-        let mut cfg_p = partix.clone();
-        cfg_p.fabric.copy_data = false;
         let cfg = Pt2PtConfig {
-            partix: cfg_p,
-            partitions: parts,
-            part_bytes: size / parts as usize,
             warmup: 1,
             iters: q.sweep_iters.max(3),
-            timing: ThreadTiming::perceived_bw(100, 0.04),
             seed: 0xDE17A,
+            ..Pt2PtConfig::perceived(partix, parts, size)
         };
-        let deltas: Vec<f64> = run_pt2pt(&cfg)
-            .rounds
-            .iter()
-            .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
-            .map(|ns| ns as f64)
-            .collect();
-        if deltas.is_empty() {
-            String::new()
-        } else {
-            let mean = deltas.iter().sum::<f64>() / deltas.len() as f64;
-            format!("{:.2}", mean / 1_000.0)
-        }
+        run_pt2pt(&cfg)
+            .mean_min_delta_ns()
+            .map_or(String::new(), |ns| format!("{:.2}", ns / 1_000.0))
     });
     for (i, &size) in sizes.iter().enumerate() {
         let mut row = vec![size.to_string(), fmt_bytes(size)];
@@ -467,23 +418,26 @@ pub fn fig13_table(q: Quality) -> Table {
         "Fig 13: perceived bandwidth (GB/s) around the minimum delta, 32 partitions",
         &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
     );
-    let series: Vec<Vec<f64>> = deltas
+    let cells: Vec<Pt2PtConfig> = deltas
         .iter()
-        .map(|&d| {
-            let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
-            cfg.delta = SimDuration::from_micros(d);
-            let mut s = PerceivedSweep::new(cfg, 32, sizes.clone());
-            s.warmup = q.sweep_warmup;
-            s.iters = q.sweep_iters.max(4);
-            s.jobs = q.jobs;
-            s.run().into_iter().map(|p| p.bandwidth / 1e9).collect()
+        .flat_map(|&d| sizes.iter().map(move |&size| (d, size)))
+        .map(|(d, size)| Pt2PtConfig {
+            warmup: q.sweep_warmup,
+            iters: q.sweep_iters.max(4),
+            ..Pt2PtConfig::perceived(timer(d), 32, size)
         })
         .collect();
+    let gbs = par_map(q.jobs, cells, |c| {
+        run_pt2pt(&c).perceived_bandwidth(c.total_bytes()) / 1e9
+    });
     for (i, &size) in sizes.iter().enumerate() {
         let mut row = vec![size.to_string(), fmt_bytes(size)];
-        for s in &series {
-            row.push(format!("{:.3}", s[i]));
-        }
+        row.extend(
+            gbs[i..]
+                .iter()
+                .step_by(sizes.len())
+                .map(|g| format!("{g:.3}")),
+        );
         table.push(row);
     }
     table

@@ -7,7 +7,7 @@
 //! and a plain-text persistence format so a 23-hour-equivalent search can be
 //! reused (the paper's table was built once and loaded at init).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Key: (user partition count, aggregate message size in bytes).
 pub type TuningKey = (u32, u64);
@@ -16,10 +16,10 @@ pub type TuningKey = (u32, u64);
 pub type TuningValue = (u32, u32);
 
 /// A tuning table mapping workload shape to the empirically best transport
-/// configuration.
+/// configuration, kept in key order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuningTable {
-    map: HashMap<TuningKey, TuningValue>,
+    map: BTreeMap<TuningKey, TuningValue>,
 }
 
 impl TuningTable {
@@ -50,16 +50,18 @@ impl TuningTable {
 
     /// Lookup with nearest-size fallback: if the exact message size is
     /// missing, use the entry (same partition count) whose size is nearest
-    /// in log-space. Returns `None` only if no entry exists for the
-    /// partition count at all.
+    /// in log-space; a size exactly between two entries takes the smaller
+    /// one. Returns `None` only if no entry exists for the partition count
+    /// at all.
     pub fn lookup(&self, user_parts: u32, msg_bytes: u64) -> Option<TuningValue> {
         if let Some(v) = self.get(user_parts, msg_bytes) {
             return Some(v);
         }
         let target = (msg_bytes.max(1) as f64).ln();
+        // `min_by` keeps the first of equal distances, and the map iterates
+        // in ascending size.
         self.map
-            .iter()
-            .filter(|((p, _), _)| *p == user_parts)
+            .range((user_parts, 0)..=(user_parts, u64::MAX))
             .min_by(|((_, a), _), ((_, b), _)| {
                 let da = ((*a).max(1) as f64).ln() - target;
                 let db = ((*b).max(1) as f64).ln() - target;
@@ -71,21 +73,19 @@ impl TuningTable {
     }
 
     /// Serialise as plain text: one `user_parts msg_bytes transport qps`
-    /// line per entry, sorted for reproducible output.
+    /// line per entry, in key order.
     pub fn to_text(&self) -> String {
-        let mut keys: Vec<_> = self.map.keys().copied().collect();
-        keys.sort_unstable();
         let mut out =
             String::from("# partix tuning table: user_parts msg_bytes transport_parts qps\n");
-        for k in keys {
-            let v = self.map[&k];
-            out.push_str(&format!("{} {} {} {}\n", k.0, k.1, v.0, v.1));
+        for ((p, s), (t, q)) in &self.map {
+            out.push_str(&format!("{p} {s} {t} {q}\n"));
         }
         out
     }
 
     /// Parse the plain-text format. Lines starting with `#` and blank lines
-    /// are ignored; malformed lines produce an error naming the line.
+    /// are ignored; a malformed line, or a field out of its type's range,
+    /// produces an error naming the line and the field.
     pub fn from_text(text: &str) -> std::result::Result<Self, String> {
         let mut table = TuningTable::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -101,14 +101,10 @@ impl TuningTable {
                     fields.len()
                 ));
             }
-            let parse = |s: &str, what: &str| -> std::result::Result<u64, String> {
-                s.parse::<u64>()
-                    .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))
-            };
-            let p = parse(fields[0], "user_parts")? as u32;
-            let s = parse(fields[1], "msg_bytes")?;
-            let t = parse(fields[2], "transport_parts")? as u32;
-            let q = parse(fields[3], "qps")? as u32;
+            let p: u32 = field(fields[0], lineno + 1, "user_parts")?;
+            let s: u64 = field(fields[1], lineno + 1, "msg_bytes")?;
+            let t: u32 = field(fields[2], lineno + 1, "transport_parts")?;
+            let q: u32 = field(fields[3], lineno + 1, "qps")?;
             if t == 0 || q == 0 {
                 return Err(format!(
                     "line {}: transport/qps must be non-zero",
@@ -119,6 +115,15 @@ impl TuningTable {
         }
         Ok(table)
     }
+}
+
+/// Field `what` of line `line`, parsed as a `T` (out of range is an error).
+fn field<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> std::result::Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse()
+        .map_err(|e| format!("line {line}: bad {what}: {e}"))
 }
 
 #[cfg(test)]
@@ -151,6 +156,17 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_between_two_entries_takes_the_smaller_size() {
+        // 2 MiB is as far from 1 MiB as from 4 MiB in log-space, to the bit.
+        for _ in 0..64 {
+            let mut t = TuningTable::new();
+            t.insert(32, 1 << 20, 1, 1);
+            t.insert(32, 4 << 20, 4, 4);
+            assert_eq!(t.lookup(32, 2 << 20), Some((1, 1)));
+        }
+    }
+
+    #[test]
     fn text_round_trip() {
         let mut t = TuningTable::new();
         t.insert(4, 4096, 1, 1);
@@ -166,6 +182,15 @@ mod tests {
         assert!(TuningTable::from_text("1 2 3").is_err());
         assert!(TuningTable::from_text("a b c d").is_err());
         assert!(TuningTable::from_text("1 2 0 1").is_err());
+        // 2^32 + 1 does not fit a u32 field: refused, not truncated to 1.
+        for (line, field) in [
+            ("4294967297 1024 1 1", "user_parts"),
+            ("4 1024 4294967297 1", "transport_parts"),
+            ("4 1024 1 4294967297", "qps"),
+        ] {
+            let err = TuningTable::from_text(&format!("# c\n{line}\n")).unwrap_err();
+            assert!(err.starts_with(&format!("line 2: bad {field}")), "{err}");
+        }
         let ok = TuningTable::from_text("# comment\n\n4 1024 2 2\n").unwrap();
         assert_eq!(ok.get(4, 1024), Some((2, 2)));
     }

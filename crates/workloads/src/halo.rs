@@ -4,262 +4,83 @@
 //! also evaluates a halo exchange: every rank of an R×C periodic grid
 //! exchanges edges with its four neighbours each iteration, all exchanges
 //! concurrent (unlike the sweep's wavefront). This stresses a different
-//! regime: 8 simultaneous channels per rank and incast at every NIC.
-
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use partix_core::{PartixConfig, PrecvRequest, PsendRequest, SimDuration, SimTime, World};
+//! regime: 8 simultaneous channels per rank and incast at every NIC. It runs
+//! on the sweep's grid driver; only its channels, its ungated compute and
+//! its thread timing differ.
 
 use crate::noise::{NoiseModel, ThreadTiming};
-use crate::stats;
+use crate::sweep::{run_grid, Pattern, SweepConfig, SweepResult};
 
-/// Configuration of a halo-exchange experiment.
-#[derive(Clone)]
-pub struct HaloConfig {
-    /// Runtime configuration.
-    pub partix: PartixConfig,
-    /// Grid rows (periodic).
-    pub rows: u32,
-    /// Grid columns (periodic).
-    pub cols: u32,
-    /// Threads per rank (= partitions per edge message).
-    pub threads: u32,
-    /// Bytes per partition.
-    pub part_bytes: usize,
-    /// Compute per iteration per thread.
-    pub compute: SimDuration,
-    /// Single-thread-delay noise fraction.
-    pub noise_frac: f64,
-    /// Warm-up iterations.
-    pub warmup: usize,
-    /// Measured iterations.
-    pub iters: usize,
-    /// Root seed.
-    pub seed: u64,
-}
+/// Configuration of a halo-exchange experiment: the same grid fields as a
+/// sweep; [`SweepConfig::small`] is its 4×4 setup.
+pub type HaloConfig = SweepConfig;
 
-impl HaloConfig {
-    /// A 4×4 periodic grid with 8 threads per rank.
-    pub fn small(partix: PartixConfig, part_bytes: usize) -> Self {
-        HaloConfig {
-            partix,
-            rows: 4,
-            cols: 4,
-            threads: 8,
-            part_bytes,
-            compute: SimDuration::from_millis(1),
-            noise_frac: 0.04,
-            warmup: 2,
-            iters: 5,
-            seed: 0xA10,
-        }
-    }
-}
-
-/// Result of a halo-exchange experiment.
-#[derive(Clone, Debug)]
-pub struct HaloResult {
-    /// Mean iteration time (ns).
-    pub mean_total_ns: f64,
-    /// Mean communication time (total − compute), ns.
-    pub mean_comm_ns: f64,
-    /// Sample standard deviation of totals (ns).
-    pub std_total_ns: f64,
-}
-
-struct HaloDriver {
-    world: World,
-    cfg: HaloConfig,
-    sends: Vec<Vec<PsendRequest>>, // per rank
-    recvs: Vec<Vec<PrecvRequest>>, // per rank
-    requests_per_iter: u32,
-    iter_idx: AtomicUsize,
-    remaining: AtomicU32,
-    iter_start: Mutex<SimTime>,
-    totals: Mutex<Vec<f64>>,
-    timing: ThreadTiming,
-}
-
-impl HaloDriver {
-    fn start_iteration(self: &Arc<Self>) {
-        let t0 = self.world.now();
-        *self.iter_start.lock() = t0;
-        self.remaining
-            .store(self.requests_per_iter, Ordering::Release);
-        for rank in &self.recvs {
-            for r in rank {
-                r.start().expect("recv start");
-            }
-        }
-        for rank in &self.sends {
-            for s in rank {
-                s.start().expect("send start");
-            }
-        }
-        for rank in &self.recvs {
-            for r in rank {
-                let me = self.clone();
-                r.on_complete(move || me.request_done());
-            }
-        }
-        for rank in &self.sends {
-            for s in rank {
-                let me = self.clone();
-                s.on_complete(move || me.request_done());
-            }
-        }
-        // Every rank computes, then each thread commits its partition on
-        // all four outgoing edges.
-        let iter = self.iter_idx.load(Ordering::Acquire) as u64;
-        let sched = self.world.scheduler().expect("sim world");
-        for (rank_id, rank_sends) in self.sends.iter().enumerate() {
-            let arrivals = self.timing.arrivals(
-                self.cfg.threads,
-                self.cfg.seed,
-                iter * self.sends.len() as u64 + rank_id as u64,
-            );
-            for (t, a) in arrivals.into_iter().enumerate() {
-                let outs: Vec<PsendRequest> = rank_sends.clone();
-                // Thread arrivals happen at the computing rank.
-                sched.at_node(rank_id as u32, t0 + a, move || {
-                    for s in &outs {
-                        s.pready(t as u32).expect("pready");
-                    }
-                });
+/// Run a halo-exchange experiment on the virtual clock. The communication
+/// time is the iteration time minus one compute phase.
+pub fn run_halo(cfg: &HaloConfig) -> SweepResult {
+    let (rows, cols) = (cfg.rows, cfg.cols);
+    let rank_of = |r: u32, c: u32| (r % rows) * cols + (c % cols);
+    let mut edges = Vec::new();
+    for r in 0..rows {
+        for c in 0..cols {
+            // North, south, west, east: tags 0..4.
+            let steps = [(rows - 1, 0), (1, 0), (0, cols - 1), (0, 1)];
+            for (tag, (dr, dc)) in (0u32..).zip(steps) {
+                edges.push((rank_of(r, c), rank_of(r + dr, c + dc), tag));
             }
         }
     }
-
-    fn request_done(self: &Arc<Self>) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        let t0 = *self.iter_start.lock();
-        let total = self.world.now().saturating_since(t0).as_nanos() as f64;
-        let idx = self.iter_idx.fetch_add(1, Ordering::AcqRel);
-        if idx >= self.cfg.warmup {
-            self.totals.lock().push(total);
-        }
-        if idx + 1 < self.cfg.warmup + self.cfg.iters {
-            // The iteration driver lives at rank 0.
-            let me = self.clone();
-            let sched = self.world.scheduler().expect("sim world");
-            let at = sched.now() + SimDuration::from_micros(5);
-            sched.at_node(0, at, move || me.start_iteration());
-        }
-    }
-}
-
-/// Run a halo-exchange experiment on the virtual clock.
-pub fn run_halo(cfg: &HaloConfig) -> HaloResult {
-    let ranks = cfg.rows * cfg.cols;
-    let mut partix = cfg.partix.clone();
-    partix.fabric.copy_data = false;
-    let (world, sched) = World::sim(ranks, partix);
-    let msg = cfg.threads as usize * cfg.part_bytes;
-    let rank_of = |r: u32, c: u32| (r % cfg.rows) * cfg.cols + (c % cfg.cols);
-
-    let mut sends: Vec<Vec<PsendRequest>> = (0..ranks).map(|_| Vec::new()).collect();
-    let mut recvs: Vec<Vec<PrecvRequest>> = (0..ranks).map(|_| Vec::new()).collect();
-    for r in 0..cfg.rows {
-        for c in 0..cfg.cols {
-            let src = rank_of(r, c);
-            let p_src = world.proc(src);
-            for (dr, dc, tag) in [
-                (cfg.rows - 1, 0, 0u32), // north
-                (1, 0, 1),               // south
-                (0, cfg.cols - 1, 2),    // west
-                (0, 1, 3),               // east
-            ] {
-                let dst = rank_of(r + dr, c + dc);
-                let p_dst = world.proc(dst);
-                let sbuf = p_src.alloc_buffer_virtual(msg).expect("send buffer");
-                let rbuf = p_dst.alloc_buffer_virtual(msg).expect("recv buffer");
-                sends[src as usize].push(
-                    p_src
-                        .psend_init(&sbuf, cfg.threads, cfg.part_bytes, dst, tag)
-                        .expect("psend_init"),
-                );
-                recvs[dst as usize].push(
-                    p_dst
-                        .precv_init(&rbuf, cfg.threads, cfg.part_bytes, src, tag)
-                        .expect("precv_init"),
-                );
-            }
-        }
-    }
-
-    let requests_per_iter: u32 = sends
-        .iter()
-        .zip(&recvs)
-        .map(|(s, r)| (s.len() + r.len()) as u32)
-        .sum();
-    let driver = Arc::new(HaloDriver {
-        world,
-        cfg: cfg.clone(),
-        sends,
-        recvs,
-        requests_per_iter,
-        iter_idx: AtomicUsize::new(0),
-        remaining: AtomicU32::new(0),
-        iter_start: Mutex::new(SimTime::ZERO),
-        totals: Mutex::new(Vec::new()),
-        timing: ThreadTiming {
-            compute: cfg.compute,
-            noise: NoiseModel::SingleThreadDelay {
-                frac: cfg.noise_frac,
-            },
-            jitter_per_thread_ns: 1_000,
-            compute_jitter_frac: 0.0,
-            cores_per_node: 40,
+    let timing = ThreadTiming {
+        compute: cfg.compute,
+        noise: NoiseModel::SingleThreadDelay {
+            frac: cfg.noise_frac,
         },
-    });
-
-    // Readiness barrier over every send request.
-    let pending = Arc::new(AtomicU32::new(
-        driver.sends.iter().map(|s| s.len() as u32).sum(),
-    ));
-    for rank in driver.sends.iter() {
-        for s in rank {
-            let d2 = driver.clone();
-            let p2 = pending.clone();
-            s.on_ready(move || {
-                if p2.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    d2.start_iteration();
-                }
-            });
-        }
-    }
-    sched.run();
-
-    let totals = std::mem::take(&mut *driver.totals.lock());
-    assert_eq!(
-        totals.len(),
-        cfg.iters,
-        "halo did not complete all iterations"
-    );
-    let mean_total = stats::mean(&totals);
-    let compute = cfg.compute.as_nanos() as f64;
-    HaloResult {
-        mean_total_ns: mean_total,
-        mean_comm_ns: (mean_total - compute).max(0.0),
-        std_total_ns: stats::stddev(&totals),
-    }
+        jitter_per_thread_ns: 1_000,
+        compute_jitter_frac: 0.0,
+        cores_per_node: 40,
+    };
+    run_grid(
+        cfg,
+        Pattern {
+            edges,
+            gated: false,
+            timing,
+            compute_path_ns: cfg.compute.as_nanos() as f64,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partix_core::AggregatorKind;
+    use partix_core::{AggregatorKind, PartixConfig};
 
-    fn quick(kind: AggregatorKind, part_bytes: usize) -> HaloResult {
+    fn quick(kind: AggregatorKind, part_bytes: usize) -> SweepResult {
         let mut cfg = HaloConfig::small(PartixConfig::with_aggregator(kind), part_bytes);
         cfg.warmup = 1;
         cfg.iters = 3;
         run_halo(&cfg)
+    }
+
+    /// Virtual time is part of the contract, as for the sweep: the 4×4 halo
+    /// at 32 KiB messages must report exactly this mean iteration time under
+    /// each aggregator.
+    #[test]
+    fn halo_small_virtual_time_is_pinned() {
+        let pinned = [
+            (AggregatorKind::Persistent, 0x4130_c53a_0000_0000u64), // 1 099 066 ns
+            (AggregatorKind::PLogGp, 0x4130_342a_0000_0000),        // 1 061 930 ns
+            (AggregatorKind::TimerPLogGp, 0x4130_131a_8000_0000),   // 1 053 466.5 ns
+        ];
+        for (kind, bits) in pinned {
+            let cfg = HaloConfig {
+                warmup: 1,
+                iters: 2,
+                ..HaloConfig::small(PartixConfig::with_aggregator(kind), (32 << 10) / 8)
+            };
+            let r = run_halo(&cfg);
+            assert_eq!(r.mean_total_ns.to_bits(), bits, "{kind:?}");
+        }
     }
 
     #[test]

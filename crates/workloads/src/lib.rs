@@ -3,16 +3,17 @@
 //! Experiment harnesses reproducing the paper's evaluation (§V):
 //!
 //! - [`runner`] — the point-to-point micro-benchmark driver (virtual clock,
-//!   warm-up + measured rounds, callback-chained iterations);
+//!   warm-up + measured rounds, callback-chained iterations); a cell is a
+//!   [`Pt2PtConfig`], and the overhead (Figs. 6–8) and perceived-bandwidth
+//!   (Figs. 9–13) benchmarks are its two constructors;
 //! - [`noise`] — thread compute/arrival models (single-thread-delay noise,
 //!   natural arrival jitter, oversubscription);
-//! - [`overhead`] — the overhead benchmark (Figs. 6–8), including forced
-//!   `(transport partitions, QPs)` configurations;
-//! - [`perceived`] — the perceived-bandwidth benchmark (Figs. 9, 13);
+//! - [`overhead`] — forced `(transport partitions, QPs)` configurations and
+//!   the power-of-two size axis;
 //! - [`sweep`] — the Sweep3D wavefront pattern at up to 1024 simulated
-//!   cores (Fig. 14);
-//! - [`halo`] — a 2-D periodic halo exchange (extension; the second
-//!   application pattern of the benchmark suite the paper builds on);
+//!   cores (Fig. 14), and the one grid driver the applications share;
+//! - [`halo`] — a 2-D periodic halo exchange on that driver (extension; the
+//!   second application pattern of the benchmark suite the paper builds on);
 //! - [`fault_sweep`] — aggregation strategies under injected wire loss
 //!   (drops / duplicates / delays) with the RC reliability layer on;
 //! - [`pdes`] — 100k+-rank fan-in and Sweep3D wavefront generators for the
@@ -29,17 +30,14 @@
 //! use partix_core::{AggregatorKind, PartixConfig};
 //! use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
 //!
-//! // A small perceived-bandwidth-style experiment on the virtual clock.
-//! let mut partix = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
-//! partix.fabric.copy_data = false; // timing-only
+//! // A small perceived-bandwidth cell on the virtual clock: 1 ms compute
+//! // instead of 100, 1 + 3 rounds.
+//! let partix = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
 //! let cfg = Pt2PtConfig {
-//!     partix,
-//!     partitions: 8,
-//!     part_bytes: 64 << 10,
 //!     warmup: 1,
 //!     iters: 3,
 //!     timing: ThreadTiming::perceived_bw(1, 0.04),
-//!     seed: 7,
+//!     ..Pt2PtConfig::perceived(partix, 8, 512 << 10)
 //! };
 //! let result = run_pt2pt(&cfg);
 //! assert_eq!(result.rounds.len(), 3);
@@ -55,7 +53,6 @@ pub mod netgauge_provider;
 pub mod noise;
 pub mod overhead;
 pub mod pdes;
-pub mod perceived;
 pub mod runner;
 pub mod stats;
 pub mod sweep;

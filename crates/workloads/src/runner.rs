@@ -8,15 +8,25 @@
 //! offsets the driver drew, which is all the paper's profiler figures read
 //! from the send side; post and arrival times are in the flow log, when one
 //! is attached ([`run_pt2pt_instrumented`]).
+//!
+//! A [`Pt2PtConfig`] is one experiment cell. The paper's two
+//! micro-benchmarks are its two constructors: [`Pt2PtConfig::overhead`]
+//! (§V-B, Figs. 6–8: balanced threads, round time) and
+//! [`Pt2PtConfig::perceived`] (§V-C, Figs. 9–13: 100 ms compute with a 4 %
+//! laggard, tail latency after the last `pready`). A sweep is a `par_map`
+//! over cells at its call site.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use partix_core::{PartixConfig, PrecvRequest, PsendRequest, SimDuration, SimTime, World};
+use partix_core::{
+    min_delta_ns, PartixConfig, PrecvRequest, PsendRequest, SimDuration, SimTime, World,
+};
 
 use crate::noise::ThreadTiming;
+use crate::stats;
 
 /// Configuration of one point-to-point experiment.
 #[derive(Clone)]
@@ -39,6 +49,41 @@ pub struct Pt2PtConfig {
 }
 
 impl Pt2PtConfig {
+    /// The overhead benchmark's cell: `total_bytes` split over `partitions`
+    /// balanced threads ([`ThreadTiming::overhead`]), 10 warm-up + 100
+    /// measured rounds, seed `0xC0FFEE`, timing-only (no bytes copied).
+    /// Override rounds or seed by struct update.
+    pub fn overhead(mut partix: PartixConfig, partitions: u32, total_bytes: usize) -> Self {
+        assert!(
+            total_bytes >= partitions as usize,
+            "a partition holds at least one byte"
+        );
+        partix.fabric.copy_data = false;
+        Pt2PtConfig {
+            partix,
+            partitions,
+            part_bytes: total_bytes / partitions as usize,
+            warmup: 10,
+            iters: 100,
+            timing: ThreadTiming::overhead(),
+            seed: 0xC0FFEE,
+        }
+    }
+
+    /// The perceived-bandwidth benchmark's cell: 100 ms compute with 4 %
+    /// single-thread-delay noise ([`ThreadTiming::perceived_bw`]), 3 + 10
+    /// rounds (on the virtual clock more rounds only average noise draws),
+    /// seed `0xBEEF`, timing-only.
+    pub fn perceived(partix: PartixConfig, partitions: u32, total_bytes: usize) -> Self {
+        Pt2PtConfig {
+            warmup: 3,
+            iters: 10,
+            timing: ThreadTiming::perceived_bw(100, 0.04),
+            seed: 0xBEEF,
+            ..Self::overhead(partix, partitions, total_bytes)
+        }
+    }
+
     /// Total aggregate message size.
     pub fn total_bytes(&self) -> usize {
         self.partitions as usize * self.part_bytes
@@ -97,7 +142,7 @@ pub struct Pt2PtResult {
 impl Pt2PtResult {
     /// Mean round time in ns.
     pub fn mean_total_ns(&self) -> f64 {
-        crate::stats::mean(
+        stats::mean(
             &self
                 .rounds
                 .iter()
@@ -108,7 +153,7 @@ impl Pt2PtResult {
 
     /// Mean tail latency (recv complete − last pready) in ns.
     pub fn mean_tail_ns(&self) -> f64 {
-        crate::stats::mean(
+        stats::mean(
             &self
                 .rounds
                 .iter()
@@ -120,6 +165,19 @@ impl Pt2PtResult {
     /// Perceived bandwidth in bytes/sec for a buffer of `total_bytes`.
     pub fn perceived_bandwidth(&self, total_bytes: usize) -> f64 {
         total_bytes as f64 / (self.mean_tail_ns() / 1e9)
+    }
+
+    /// Fig. 12's estimate: the mean over rounds of each round's minimum δ
+    /// ([`min_delta_ns`] of its `pready` offsets), in ns; `None` when no
+    /// round yields one.
+    pub fn mean_min_delta_ns(&self) -> Option<f64> {
+        let deltas: Vec<f64> = self
+            .rounds
+            .iter()
+            .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
+            .map(|ns| ns as f64)
+            .collect();
+        (!deltas.is_empty()).then(|| stats::mean(&deltas))
     }
 }
 
@@ -303,21 +361,100 @@ pub fn run_pt2pt(cfg: &Pt2PtConfig) -> Pt2PtResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::ThreadTiming;
     use partix_core::AggregatorKind;
 
     fn base_cfg(kind: AggregatorKind, partitions: u32, part_bytes: usize) -> Pt2PtConfig {
-        let mut partix = PartixConfig::with_aggregator(kind);
-        partix.fabric.copy_data = false;
         Pt2PtConfig {
-            partix,
-            partitions,
-            part_bytes,
             warmup: 2,
             iters: 5,
-            timing: ThreadTiming::overhead(),
             seed: 42,
+            ..Pt2PtConfig::overhead(
+                PartixConfig::with_aggregator(kind),
+                partitions,
+                partitions as usize * part_bytes,
+            )
         }
+    }
+
+    /// Mean round time of an overhead cell at 2 + 6 rounds.
+    fn overhead_ns(kind: AggregatorKind, partitions: u32, total_bytes: usize) -> f64 {
+        let cfg = Pt2PtConfig {
+            warmup: 2,
+            iters: 6,
+            ..Pt2PtConfig::overhead(PartixConfig::with_aggregator(kind), partitions, total_bytes)
+        };
+        run_pt2pt(&cfg).mean_total_ns()
+    }
+
+    /// Perceived bandwidth of a 32-partition cell at 1 + 4 rounds.
+    fn bandwidth(kind: AggregatorKind, delta_us: Option<u64>, total_bytes: usize) -> f64 {
+        let mut partix = PartixConfig::with_aggregator(kind);
+        if let Some(d) = delta_us {
+            partix.delta = SimDuration::from_micros(d);
+        }
+        let cfg = Pt2PtConfig {
+            warmup: 1,
+            iters: 4,
+            ..Pt2PtConfig::perceived(partix, 32, total_bytes)
+        };
+        run_pt2pt(&cfg).perceived_bandwidth(total_bytes)
+    }
+
+    #[test]
+    fn sweep_produces_monotone_nonless_times_for_large_sizes() {
+        let ns = [64 << 10, 1 << 20, 16 << 20].map(|s| overhead_ns(AggregatorKind::PLogGp, 16, s));
+        assert!(ns[1] > ns[0]);
+        assert!(ns[2] > ns[1]);
+    }
+
+    #[test]
+    fn aggregation_beats_persistent_at_medium_sizes_many_partitions() {
+        // The paper's headline: 32 partitions, medium aggregate sizes ->
+        // aggregating wins over per-partition UCX messages.
+        let sp = overhead_ns(AggregatorKind::Persistent, 32, 128 << 10)
+            / overhead_ns(AggregatorKind::PLogGp, 32, 128 << 10);
+        assert!(
+            sp > 1.0,
+            "expected speedup > 1 at 128 KiB / 32 partitions, got {sp}"
+        );
+    }
+
+    #[test]
+    fn persistent_perceived_bandwidth_beats_hardware_at_medium_sizes() {
+        // Fig. 9: with no aggregation the last partition is tiny, so the
+        // perceived bandwidth is far above the single-QP hardware line.
+        let bw = bandwidth(AggregatorKind::Persistent, None, 8 << 20);
+        let hw = PartixConfig::default().fabric.single_qp_bandwidth();
+        assert!(bw > 2.0 * hw);
+    }
+
+    #[test]
+    fn ordering_persistent_ge_timer_ge_ploggp() {
+        // Fig. 9's ranking at medium sizes: persistent >= timer > plain
+        // PLogGP (aggregation inflates the last transport partition).
+        let persistent = bandwidth(AggregatorKind::Persistent, None, 8 << 20);
+        let timer = bandwidth(AggregatorKind::TimerPLogGp, Some(100), 8 << 20);
+        let ploggp = bandwidth(AggregatorKind::PLogGp, None, 8 << 20);
+        assert!(timer > ploggp, "timer {timer} should beat ploggp {ploggp}");
+        assert!(
+            persistent >= 0.8 * timer,
+            "persistent {persistent} should be at least comparable to timer {timer}"
+        );
+    }
+
+    #[test]
+    fn large_messages_converge_to_wire_bandwidth() {
+        // Fig. 9/11: at 128 MiB the transfer is network-limited, so the
+        // perceived bandwidth falls back toward the hardware line.
+        let medium = bandwidth(AggregatorKind::Persistent, None, 8 << 20);
+        let large = bandwidth(AggregatorKind::Persistent, None, 128 << 20);
+        assert!(large < medium / 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a partition holds at least one byte")]
+    fn a_cell_smaller_than_its_partition_count_is_refused() {
+        Pt2PtConfig::overhead(PartixConfig::default(), 32, 16);
     }
 
     #[test]

@@ -16,45 +16,14 @@ pub fn stddev(xs: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Minimum. Panics on an empty slice.
-pub fn min(xs: &[f64]) -> f64 {
-    xs.iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min)
-        .min(f64::INFINITY)
-}
-
-/// Maximum. Panics on an empty slice? (returns -inf for empty; callers
-/// always pass non-empty samples).
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Median (by sorting a copy). Panics on an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "median of empty sample");
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn basics() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(mean(&xs), 2.5);
-        assert_eq!(min(&xs), 1.0);
-        assert_eq!(max(&xs), 4.0);
-        assert_eq!(median(&xs), 2.5);
-        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(mean(&[5.0]), 5.0);
     }
 
     #[test]

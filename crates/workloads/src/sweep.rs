@@ -1,4 +1,5 @@
-//! The Sweep3D wavefront communication pattern (paper §V-D, Fig. 14).
+//! The Sweep3D wavefront communication pattern (paper §V-D, Fig. 14), and
+//! the grid driver it shares with the halo exchange ([`crate::halo`]).
 //!
 //! Ranks form an R×C grid; a wavefront sweeps from the north-west corner to
 //! the south-east: each rank waits for its west and north inputs, computes
@@ -18,20 +19,21 @@ use partix_core::{PartixConfig, PrecvRequest, PsendRequest, SimDuration, SimTime
 use crate::noise::{NoiseModel, ThreadTiming};
 use crate::stats;
 
-/// Configuration of a sweep experiment.
+/// Configuration of a grid application: the Sweep3D wavefront
+/// ([`run_sweep`]) or the halo exchange ([`crate::halo::run_halo`]).
 #[derive(Clone)]
 pub struct SweepConfig {
     /// Runtime configuration.
     pub partix: PartixConfig,
-    /// Grid rows.
+    /// Grid rows (periodic for the halo).
     pub rows: u32,
-    /// Grid columns.
+    /// Grid columns (periodic for the halo).
     pub cols: u32,
     /// Threads per rank (= partitions per message).
     pub threads: u32,
     /// Bytes per partition (message size = `threads * part_bytes`).
     pub part_bytes: usize,
-    /// Compute per wavefront step per thread.
+    /// Compute per iteration (sweep: per wavefront step) per thread.
     pub compute: SimDuration,
     /// Single-thread-delay noise fraction.
     pub noise_frac: f64,
@@ -60,6 +62,23 @@ impl SweepConfig {
         }
     }
 
+    /// The halo exchange's setup: a 4×4 grid with 8 threads per rank, 1 ms
+    /// compute, 4 % noise.
+    pub fn small(partix: PartixConfig, part_bytes: usize) -> Self {
+        SweepConfig {
+            partix,
+            rows: 4,
+            cols: 4,
+            threads: 8,
+            part_bytes,
+            compute: SimDuration::from_millis(1),
+            noise_frac: 0.04,
+            warmup: 2,
+            iters: 5,
+            seed: 0xA10,
+        }
+    }
+
     /// Total message bytes per edge.
     pub fn message_bytes(&self) -> usize {
         self.threads as usize * self.part_bytes
@@ -71,103 +90,116 @@ impl SweepConfig {
     }
 }
 
-/// Result of a sweep experiment.
+/// Result of a grid application run.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
     /// Mean iteration time (ns).
     pub mean_total_ns: f64,
-    /// Mean communication time: total minus the compute critical path
-    /// (`waves * compute`), as the paper reports.
+    /// Mean communication time: total minus the compute critical path, as
+    /// the paper reports.
     pub mean_comm_ns: f64,
-    /// Sample standard deviation of the total (ns).
-    pub std_total_ns: f64,
     /// Events the scheduler executed, bring-up and warm-up included.
     pub events_executed: u64,
     /// Virtual time at which the last event ran.
     pub end_time: SimTime,
 }
 
-struct SweepNode {
+/// What a grid application gives [`run_grid`].
+pub(crate) struct Pattern {
+    /// `(src, dst, tag)` channels, in creation order.
+    pub edges: Vec<(u32, u32, u32)>,
+    /// Whether a rank computes only once every input has arrived (a
+    /// wavefront); otherwise every rank computes as an iteration starts.
+    pub gated: bool,
+    /// Thread arrival model of one rank's compute.
+    pub timing: ThreadTiming,
+    /// Compute on the measured critical path (ns): the iteration time minus
+    /// this is the communication time.
+    pub compute_path_ns: f64,
+}
+
+struct Rank {
     id: u32,
     inputs: Vec<PrecvRequest>,
     outputs: Vec<PsendRequest>,
+    /// Inputs still to arrive this iteration.
     deps: AtomicU32,
 }
 
-struct SweepDriver {
+/// The iteration driver of every grid application.
+struct GridDriver {
     world: World,
     cfg: SweepConfig,
-    nodes: Vec<Arc<SweepNode>>,
+    pattern: Pattern,
+    ranks: Vec<Arc<Rank>>,
     requests_per_iter: u32,
     iter_idx: AtomicUsize,
     remaining: AtomicU32,
     iter_start: Mutex<SimTime>,
     totals: Mutex<Vec<f64>>,
-    timing: ThreadTiming,
 }
 
-impl SweepDriver {
+impl GridDriver {
     fn start_iteration(self: &Arc<Self>) {
-        let t0 = self.world.now();
-        *self.iter_start.lock() = t0;
+        *self.iter_start.lock() = self.world.now();
         self.remaining
             .store(self.requests_per_iter, Ordering::Release);
         // Start every receive before every send so data can never outrun a
         // receive queue.
-        for node in &self.nodes {
-            node.deps.store(node.inputs.len() as u32, Ordering::Release);
-            for r in &node.inputs {
+        for rank in &self.ranks {
+            rank.deps.store(rank.inputs.len() as u32, Ordering::Release);
+            for r in &rank.inputs {
                 r.start().expect("recv start");
             }
         }
-        for node in &self.nodes {
-            for s in &node.outputs {
+        for rank in &self.ranks {
+            for s in &rank.outputs {
                 s.start().expect("send start");
             }
         }
-        // Wire up completion counting and dependency release.
-        for node in &self.nodes {
-            for r in &node.inputs {
-                let me = self.clone();
-                let n = node.clone();
+        // Count completions; under a wavefront the last input releases the
+        // rank's compute.
+        for rank in &self.ranks {
+            for r in &rank.inputs {
+                let (me, rank) = (self.clone(), rank.clone());
                 r.on_complete(move || {
-                    if n.deps.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        me.begin_compute(&n);
+                    if me.pattern.gated && rank.deps.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        me.begin_compute(&rank);
                     }
                     me.request_done();
                 });
             }
-            for s in &node.outputs {
+            for s in &rank.outputs {
                 let me = self.clone();
-                s.on_complete(move || {
-                    me.request_done();
-                });
+                s.on_complete(move || me.request_done());
             }
         }
-        // Sources (only the NW corner in a corner sweep) compute right away.
-        for node in &self.nodes {
-            if node.inputs.is_empty() {
-                self.begin_compute(node);
+        // Every rank of a halo, and the sources of a wavefront (the NW
+        // corner), compute right away.
+        for rank in &self.ranks {
+            if !self.pattern.gated || rank.inputs.is_empty() {
+                self.begin_compute(rank);
             }
         }
     }
 
-    fn begin_compute(self: &Arc<Self>, node: &Arc<SweepNode>) {
-        if node.outputs.is_empty() {
-            return; // the sink's compute is off the communication path
+    fn begin_compute(self: &Arc<Self>, rank: &Arc<Rank>) {
+        if rank.outputs.is_empty() {
+            return; // a sink's compute is off the communication path
         }
         let iter = self.iter_idx.load(Ordering::Acquire) as u64;
-        let round_key = iter * self.nodes.len() as u64 + node.id as u64;
+        let round_key = iter * self.ranks.len() as u64 + rank.id as u64;
         let arrivals = self
+            .pattern
             .timing
             .arrivals(self.cfg.threads, self.cfg.seed, round_key);
         let sched = self.world.scheduler().expect("sim world");
         let t0 = self.world.now();
         for (t, a) in arrivals.into_iter().enumerate() {
-            let node = node.clone();
+            let rank = rank.clone();
             // Thread arrivals happen at the computing rank.
-            sched.at_node(node.id, t0 + a, move || {
-                for out in &node.outputs {
+            sched.at_node(rank.id, t0 + a, move || {
+                for out in &rank.outputs {
                     out.pready(t as u32).expect("pready");
                 }
             });
@@ -185,105 +217,78 @@ impl SweepDriver {
             self.totals.lock().push(total);
         }
         if idx + 1 < self.cfg.warmup + self.cfg.iters {
-            // The iteration driver lives at the corner rank (0).
+            // The iteration driver lives at rank 0.
             let me = self.clone();
             let sched = self.world.scheduler().expect("sim world");
             let at = sched.now() + SimDuration::from_micros(5);
-            sched.at_node(0, at, move || {
-                me.start_iteration();
-            });
+            sched.at_node(0, at, move || me.start_iteration());
         }
     }
 }
 
-/// Run a sweep experiment.
-pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
+/// Run a grid application: build its channels on a fresh simulated world,
+/// wait until every channel is up, then drive `warmup + iters` iterations.
+pub(crate) fn run_grid(cfg: &SweepConfig, pattern: Pattern) -> SweepResult {
     let ranks = cfg.rows * cfg.cols;
     let mut partix = cfg.partix.clone();
     partix.fabric.copy_data = false;
     let (world, sched) = World::sim(ranks, partix);
 
     let msg = cfg.message_bytes();
-    let id_of = |r: u32, c: u32| r * cfg.cols + c;
-
-    // Build channels: east edges (tag 1) and south edges (tag 2).
     let mut inputs: Vec<Vec<PrecvRequest>> = (0..ranks).map(|_| Vec::new()).collect();
     let mut outputs: Vec<Vec<PsendRequest>> = (0..ranks).map(|_| Vec::new()).collect();
-    for r in 0..cfg.rows {
-        for c in 0..cfg.cols {
-            let src = id_of(r, c);
-            let p_src = world.proc(src);
-            for (dr, dc, tag) in [(0u32, 1u32, 1u32), (1, 0, 2)] {
-                let (nr, nc) = (r + dr, c + dc);
-                if nr >= cfg.rows || nc >= cfg.cols {
-                    continue;
-                }
-                let dst = id_of(nr, nc);
-                let p_dst = world.proc(dst);
-                let sbuf = p_src.alloc_buffer_virtual(msg).expect("send buffer");
-                let rbuf = p_dst.alloc_buffer_virtual(msg).expect("recv buffer");
-                let send = p_src
-                    .psend_init(&sbuf, cfg.threads, cfg.part_bytes, dst, tag)
-                    .expect("psend_init");
-                let recv = p_dst
-                    .precv_init(&rbuf, cfg.threads, cfg.part_bytes, src, tag)
-                    .expect("precv_init");
-                outputs[src as usize].push(send);
-                inputs[dst as usize].push(recv);
-            }
-        }
+    for &(src, dst, tag) in &pattern.edges {
+        let (p_src, p_dst) = (world.proc(src), world.proc(dst));
+        let sbuf = p_src.alloc_buffer_virtual(msg).expect("send buffer");
+        let rbuf = p_dst.alloc_buffer_virtual(msg).expect("recv buffer");
+        outputs[src as usize].push(
+            p_src
+                .psend_init(&sbuf, cfg.threads, cfg.part_bytes, dst, tag)
+                .expect("psend_init"),
+        );
+        inputs[dst as usize].push(
+            p_dst
+                .precv_init(&rbuf, cfg.threads, cfg.part_bytes, src, tag)
+                .expect("precv_init"),
+        );
     }
-
-    let nodes: Vec<Arc<SweepNode>> = (0..ranks)
-        .map(|id| {
-            Arc::new(SweepNode {
+    let ranks: Vec<Arc<Rank>> = (0..ranks)
+        .zip(inputs.into_iter().zip(outputs))
+        .map(|(id, (inputs, outputs))| {
+            Arc::new(Rank {
                 id,
-                inputs: std::mem::take(&mut inputs[id as usize]),
-                outputs: std::mem::take(&mut outputs[id as usize]),
+                inputs,
+                outputs,
                 deps: AtomicU32::new(0),
             })
         })
         .collect();
-    let requests_per_iter: u32 = nodes
+    let requests_per_iter = ranks
         .iter()
-        .map(|n| (n.inputs.len() + n.outputs.len()) as u32)
+        .map(|r| (r.inputs.len() + r.outputs.len()) as u32)
         .sum();
-
-    let driver = Arc::new(SweepDriver {
-        world: world.clone(),
+    let sends: u32 = ranks.iter().map(|r| r.outputs.len() as u32).sum();
+    let driver = Arc::new(GridDriver {
+        world,
         cfg: cfg.clone(),
-        nodes,
+        pattern,
+        ranks,
         requests_per_iter,
         iter_idx: AtomicUsize::new(0),
         remaining: AtomicU32::new(0),
         iter_start: Mutex::new(SimTime::ZERO),
         totals: Mutex::new(Vec::new()),
-        timing: ThreadTiming {
-            compute: cfg.compute,
-            noise: NoiseModel::SingleThreadDelay {
-                frac: cfg.noise_frac,
-            },
-            jitter_per_thread_ns: 100,
-            compute_jitter_frac: 3e-4,
-            cores_per_node: 40,
-        },
     });
 
     // Readiness barrier: iterate only once every channel has finished its
     // (simulated) asynchronous bring-up.
-    let pending_ready = Arc::new(AtomicU32::new(0));
-    let mut total_sends = 0u32;
-    for node in &driver.nodes {
-        total_sends += node.outputs.len() as u32;
-    }
-    pending_ready.store(total_sends, Ordering::Release);
-    for node in driver.nodes.iter() {
-        for s in &node.outputs {
-            let d2 = driver.clone();
-            let pr = pending_ready.clone();
+    let pending = Arc::new(AtomicU32::new(sends));
+    for rank in &driver.ranks {
+        for s in &rank.outputs {
+            let (d, p) = (driver.clone(), pending.clone());
             s.on_ready(move || {
-                if pr.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    d2.start_iteration();
+                if p.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    d.start_iteration();
                 }
             });
         }
@@ -294,19 +299,53 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
     assert_eq!(
         totals.len(),
         cfg.iters,
-        "sweep did not complete all iterations"
+        "grid run did not complete all iterations"
     );
-    let mean_total = stats::mean(&totals);
-    // The sink's compute is not on the measured path (nothing depends on
-    // it), so the critical compute path is one wave short.
-    let compute_path = (cfg.waves() - 1) as f64 * cfg.compute.as_nanos() as f64;
+    let mean_total_ns = stats::mean(&totals);
     SweepResult {
-        mean_total_ns: mean_total,
-        mean_comm_ns: (mean_total - compute_path).max(0.0),
-        std_total_ns: stats::stddev(&totals),
+        mean_total_ns,
+        mean_comm_ns: (mean_total_ns - driver.pattern.compute_path_ns).max(0.0),
         events_executed: sched.events_executed(),
         end_time: sched.now(),
     }
+}
+
+/// Run a sweep experiment.
+pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
+    let id = |r: u32, c: u32| r * cfg.cols + c;
+    let mut edges = Vec::new();
+    for r in 0..cfg.rows {
+        for c in 0..cfg.cols {
+            // East edges (tag 1), then south edges (tag 2).
+            if c + 1 < cfg.cols {
+                edges.push((id(r, c), id(r, c + 1), 1));
+            }
+            if r + 1 < cfg.rows {
+                edges.push((id(r, c), id(r + 1, c), 2));
+            }
+        }
+    }
+    let timing = ThreadTiming {
+        compute: cfg.compute,
+        noise: NoiseModel::SingleThreadDelay {
+            frac: cfg.noise_frac,
+        },
+        jitter_per_thread_ns: 100,
+        compute_jitter_frac: 3e-4,
+        cores_per_node: 40,
+    };
+    // The sink's compute is not on the measured path (nothing depends on
+    // it), so the critical compute path is one wave short.
+    let compute_path_ns = (cfg.waves() - 1) as f64 * cfg.compute.as_nanos() as f64;
+    run_grid(
+        cfg,
+        Pattern {
+            edges,
+            gated: true,
+            timing,
+            compute_path_ns,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -3,16 +3,21 @@
 //! The paper searched the (transport partitions × QPs) space per (user
 //! partitions, message size) key for ~23 hours on two Niagara nodes. The
 //! same exhaustive search runs here against the simulated fabric: for every
-//! key, every power-of-two transport count dividing the partition count and
-//! every power-of-two QP count up to the transport count is measured with
-//! the overhead benchmark; the argmin is recorded.
+//! key, every power-of-two transport count (up to 32) dividing the partition
+//! count and every power-of-two QP count (up to 16) up to the transport
+//! count is measured with the overhead benchmark; the argmin is recorded.
 
 use partix_core::{PartixConfig, TuningTable};
 
-use crate::noise::ThreadTiming;
 use crate::overhead::forced_config;
 use crate::runner::{run_pt2pt, Pt2PtConfig};
-use crate::stats;
+
+/// Cap on transport partitions tried.
+const MAX_TRANSPORT: u32 = 32;
+/// Cap on QPs tried.
+const MAX_QPS: u32 = 16;
+/// Root seed of every candidate run.
+const SEED: u64 = 0x7AB1E;
 
 /// Parameters of the brute-force search.
 #[derive(Clone)]
@@ -23,16 +28,10 @@ pub struct TuningSearch {
     pub partition_counts: Vec<u32>,
     /// Aggregate message sizes to cover.
     pub sizes: Vec<usize>,
-    /// Cap on transport partitions tried.
-    pub max_transport: u32,
-    /// Cap on QPs tried.
-    pub max_qps: u32,
     /// Warm-up rounds per candidate.
     pub warmup: usize,
     /// Measured rounds per candidate.
     pub iters: usize,
-    /// Root seed.
-    pub seed: u64,
     /// Worker threads to fan the per-key searches across (1 = serial).
     /// Every candidate run is an independent seeded simulation, so the
     /// resulting table is identical at any job count.
@@ -46,11 +45,8 @@ impl TuningSearch {
             base,
             partition_counts,
             sizes,
-            max_transport: 32,
-            max_qps: 16,
             warmup: 2,
             iters: 10,
-            seed: 0x7AB1E,
             jobs: 1,
         }
     }
@@ -60,12 +56,7 @@ impl TuningSearch {
         let keys: Vec<(u32, usize)> = self
             .partition_counts
             .iter()
-            .flat_map(|&parts| {
-                self.sizes
-                    .iter()
-                    .filter(move |&&size| size >= parts as usize)
-                    .map(move |&size| (parts, size))
-            })
+            .flat_map(|&parts| self.sizes.iter().map(move |&size| (parts, size)))
             .collect();
         let results = partix_sim::parallel::par_map(self.jobs, keys, |(parts, size)| {
             (parts, size, self.best_for(parts, size))
@@ -83,12 +74,11 @@ impl TuningSearch {
     /// `(transport, qps, mean_ns)`.
     pub fn best_for(&self, partitions: u32, total_bytes: usize) -> Option<(u32, u32, f64)> {
         let mut best: Option<(u32, u32, f64)> = None;
-        let max_t = self.max_transport.min(partitions);
         let mut t = 1u32;
-        while t <= max_t {
+        while t <= MAX_TRANSPORT.min(partitions) {
             if partitions % t == 0 {
                 let mut q = 1u32;
-                while q <= self.max_qps.min(t) {
+                while q <= MAX_QPS.min(t) {
                     let ns = self.measure(partitions, total_bytes, t, q);
                     if best.is_none_or(|(_, _, b)| ns < b) {
                         best = Some((t, q, ns));
@@ -102,24 +92,14 @@ impl TuningSearch {
     }
 
     fn measure(&self, partitions: u32, total_bytes: usize, transport: u32, qps: u32) -> f64 {
-        let mut partix = forced_config(&self.base, partitions, total_bytes, transport, qps);
-        partix.fabric.copy_data = false;
-        let cfg = Pt2PtConfig {
-            partix,
-            partitions,
-            part_bytes: total_bytes / partitions as usize,
+        let partix = forced_config(&self.base, partitions, total_bytes, transport, qps);
+        run_pt2pt(&Pt2PtConfig {
             warmup: self.warmup,
             iters: self.iters,
-            timing: ThreadTiming::overhead(),
-            seed: self.seed,
-        };
-        let r = run_pt2pt(&cfg);
-        stats::mean(
-            &r.rounds
-                .iter()
-                .map(|s| s.total().as_nanos() as f64)
-                .collect::<Vec<_>>(),
-        )
+            seed: SEED,
+            ..Pt2PtConfig::overhead(partix, partitions, total_bytes)
+        })
+        .mean_total_ns()
     }
 }
 

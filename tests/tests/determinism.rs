@@ -3,7 +3,6 @@
 //! the property that makes the regenerated figures trustworthy.
 
 use partix_core::{AggregatorKind, PartixConfig, SimDuration};
-use partix_workloads::overhead::OverheadSweep;
 use partix_workloads::sweep::{run_sweep, SweepConfig};
 use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
 
@@ -52,23 +51,16 @@ fn different_seeds_differ() {
 #[test]
 fn overhead_sweep_reproducible() {
     let run = || {
-        let mut s = OverheadSweep::new(
-            PartixConfig::with_aggregator(AggregatorKind::TuningTable),
-            16,
-            vec![64 << 10, 1 << 20],
-        );
-        s.warmup = 1;
-        s.iters = 5;
-        s.run()
-            .into_iter()
-            .map(|p| {
-                (
-                    p.total_bytes,
-                    p.mean_ns.to_bits(),
-                    p.wrs_per_round.to_bits(),
-                )
-            })
-            .collect::<Vec<_>>()
+        [64 << 10, 1 << 20].map(|size| {
+            let partix = PartixConfig::with_aggregator(AggregatorKind::TuningTable);
+            let cfg = Pt2PtConfig {
+                warmup: 1,
+                iters: 5,
+                ..Pt2PtConfig::overhead(partix, 16, size)
+            };
+            let r = run_pt2pt(&cfg);
+            (r.mean_total_ns().to_bits(), r.total_wrs)
+        })
     };
     assert_eq!(run(), run());
 }

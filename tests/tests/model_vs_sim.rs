@@ -5,30 +5,25 @@
 use partix_core::{AggregatorKind, PartixConfig};
 use partix_model::{ArrivalPattern, PLogGpModel};
 use partix_workloads::overhead::forced_config;
-use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
+use partix_workloads::{run_pt2pt, Pt2PtConfig};
 
 /// Measure one forced-(T,Q) configuration under the many-before-one pattern
 /// (100 ms compute, 4% noise) and return the mean total round time.
 fn measure(partitions: u32, total_bytes: usize, transport: u32, qps: u32) -> f64 {
-    let mut partix = forced_config(
+    let partix = forced_config(
         &PartixConfig::default(),
         partitions,
         total_bytes,
         transport,
         qps,
     );
-    partix.fabric.copy_data = false;
     let cfg = Pt2PtConfig {
-        partix,
-        partitions,
-        part_bytes: total_bytes / partitions as usize,
         warmup: 1,
         iters: 6,
-        timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 99,
+        ..Pt2PtConfig::perceived(partix, partitions, total_bytes)
     };
-    let r = run_pt2pt(&cfg);
-    r.mean_total_ns()
+    run_pt2pt(&cfg).mean_total_ns()
 }
 
 /// Large messages: the model prefers splitting, and so does the simulation.

@@ -5,19 +5,34 @@
 
 use partix_core::{AggregatorKind, PartixConfig, SimDuration};
 use partix_model::{table1, PLogGpModel, DEFAULT_DECISION_DELAY_NS};
-use partix_workloads::overhead::{speedup, OverheadSweep};
-use partix_workloads::perceived::PerceivedSweep;
 use partix_workloads::sweep::{run_sweep, SweepConfig};
+use partix_workloads::{run_pt2pt, Pt2PtConfig};
 
-fn quick_overhead(
-    kind: AggregatorKind,
-    partitions: u32,
-    sizes: Vec<usize>,
-) -> Vec<partix_workloads::overhead::OverheadPoint> {
-    let mut s = OverheadSweep::new(PartixConfig::with_aggregator(kind), partitions, sizes);
-    s.warmup = 2;
-    s.iters = 10;
-    s.run()
+/// Speed-up of PLogGP over persistent in an overhead cell at 2 + 10 rounds.
+fn ploggp_speedup(partitions: u32, size: usize) -> f64 {
+    let mean_ns = |kind| {
+        let cfg = Pt2PtConfig {
+            warmup: 2,
+            iters: 10,
+            ..Pt2PtConfig::overhead(PartixConfig::with_aggregator(kind), partitions, size)
+        };
+        run_pt2pt(&cfg).mean_total_ns()
+    };
+    mean_ns(AggregatorKind::Persistent) / mean_ns(AggregatorKind::PLogGp)
+}
+
+/// Perceived bandwidth of a 32-partition, 8 MiB cell at 1 + 5 rounds.
+fn perceived_8mib(kind: AggregatorKind, delta_us: Option<u64>) -> f64 {
+    let mut partix = PartixConfig::with_aggregator(kind);
+    if let Some(d) = delta_us {
+        partix.delta = SimDuration::from_micros(d);
+    }
+    let cfg = Pt2PtConfig {
+        warmup: 1,
+        iters: 5,
+        ..Pt2PtConfig::perceived(partix, 32, 8 << 20)
+    };
+    run_pt2pt(&cfg).perceived_bandwidth(cfg.total_bytes())
 }
 
 /// Table I reproduces the paper's exact aggregation thresholds.
@@ -42,33 +57,25 @@ fn claim_table1_thresholds() {
 /// around 2x in the medium range and converge toward 1.0 at large sizes.
 #[test]
 fn claim_medium_message_speedup_32_partitions() {
-    let sizes = vec![128 << 10, 64 << 20];
-    let base = quick_overhead(AggregatorKind::Persistent, 32, sizes.clone());
-    let ours = quick_overhead(AggregatorKind::PLogGp, 32, sizes);
-    let sp = speedup(&base, &ours);
+    let medium = ploggp_speedup(32, 128 << 10);
+    let large = ploggp_speedup(32, 64 << 20);
     assert!(
-        sp[0].1 > 1.5 && sp[0].1 < 4.0,
-        "128 KiB speedup should be ~2x (paper: 2.17x), got {}",
-        sp[0].1
+        medium > 1.5 && medium < 4.0,
+        "128 KiB speedup should be ~2x (paper: 2.17x), got {medium}"
     );
     assert!(
-        (sp[1].1 - 1.0).abs() < 0.15,
-        "64 MiB speedup should approach 1.0 (bandwidth bound), got {}",
-        sp[1].1
+        (large - 1.0).abs() < 0.15,
+        "64 MiB speedup should approach 1.0 (bandwidth bound), got {large}"
     );
 }
 
 /// Fig. 8 (128 partitions): oversubscription makes aggregation win big.
 #[test]
 fn claim_oversubscription_blowup_128_partitions() {
-    let sizes = vec![128 << 10];
-    let base = quick_overhead(AggregatorKind::Persistent, 128, sizes.clone());
-    let ours = quick_overhead(AggregatorKind::PLogGp, 128, sizes);
-    let sp = speedup(&base, &ours);
+    let sp = ploggp_speedup(128, 128 << 10);
     assert!(
-        sp[0].1 > 3.0,
-        "128 partitions at 128 KiB should show a large win (paper: up to 8.8x), got {}",
-        sp[0].1
+        sp > 3.0,
+        "128 partitions at 128 KiB should show a large win (paper: up to 8.8x), got {sp}"
     );
 }
 
@@ -76,20 +83,10 @@ fn claim_oversubscription_blowup_128_partitions() {
 /// PLogGP; everything above the single-threaded hardware line.
 #[test]
 fn claim_perceived_bandwidth_ordering() {
-    let run = |kind: AggregatorKind, delta_us: Option<u64>| {
-        let mut cfg = PartixConfig::with_aggregator(kind);
-        if let Some(d) = delta_us {
-            cfg.delta = SimDuration::from_micros(d);
-        }
-        let mut s = PerceivedSweep::new(cfg, 32, vec![8 << 20]);
-        s.warmup = 1;
-        s.iters = 5;
-        s.run().remove(0).bandwidth
-    };
     let hw = PartixConfig::default().fabric.link_bandwidth();
-    let persistent = run(AggregatorKind::Persistent, None);
-    let ploggp = run(AggregatorKind::PLogGp, None);
-    let timer = run(AggregatorKind::TimerPLogGp, Some(3_000));
+    let persistent = perceived_8mib(AggregatorKind::Persistent, None);
+    let ploggp = perceived_8mib(AggregatorKind::PLogGp, None);
+    let timer = perceived_8mib(AggregatorKind::TimerPLogGp, Some(3_000));
     assert!(
         persistent > 2.0 * ploggp,
         "persistent {persistent:.3e} vs ploggp {ploggp:.3e}"
@@ -114,14 +111,7 @@ fn claim_perceived_bandwidth_ordering() {
 /// 6.15% between 10 us and 100 us).
 #[test]
 fn claim_delta_window_is_forgiving() {
-    let bw = |delta_us: u64| {
-        let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
-        cfg.delta = SimDuration::from_micros(delta_us);
-        let mut s = PerceivedSweep::new(cfg, 32, vec![8 << 20]);
-        s.warmup = 1;
-        s.iters = 5;
-        s.run().remove(0).bandwidth
-    };
+    let bw = |delta_us: u64| perceived_8mib(AggregatorKind::TimerPLogGp, Some(delta_us));
     let (b10, b35, b100) = (bw(10), bw(35), bw(100));
     let spread = (b10.max(b35).max(b100) - b10.min(b35).min(b100)) / b35;
     assert!(
@@ -175,27 +165,15 @@ fn claim_netgauge_fit_loop() {
 /// paper's ~35 us.
 #[test]
 fn claim_min_delta_scale() {
-    use partix_core::min_delta_ns;
-    use partix_workloads::{run_pt2pt, Pt2PtConfig, ThreadTiming};
-
-    let mut partix = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-    partix.fabric.copy_data = false;
+    let partix = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
     let cfg = Pt2PtConfig {
-        partix,
-        partitions: 32,
-        part_bytes: (8 << 20) / 32,
         warmup: 1,
         iters: 5,
-        timing: ThreadTiming::perceived_bw(100, 0.04),
         seed: 42,
+        ..Pt2PtConfig::perceived(partix, 32, 8 << 20)
     };
-    let deltas: Vec<f64> = run_pt2pt(&cfg)
-        .rounds
-        .iter()
-        .filter_map(|r| min_delta_ns(r.pready.iter().map(|d| d.as_nanos())))
-        .map(|ns| ns as f64)
-        .collect();
-    let mean_us = deltas.iter().sum::<f64>() / deltas.len() as f64 / 1e3;
+    let mean_ns = run_pt2pt(&cfg).mean_min_delta_ns();
+    let mean_us = mean_ns.expect("a round with a laggard yields a delta") / 1e3;
     assert!(
         (15.0..60.0).contains(&mean_us),
         "min delta for 32 threads should be ~35 us (paper), got {mean_us:.1} us"
