@@ -382,7 +382,7 @@ pub fn fig12_table(q: Quality) -> Table {
         .collect();
     let values = par_map(q.jobs, cells, |(size, parts)| {
         let partix = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-        let plan = partix_core::plan_for(&partix, parts, size / parts as usize);
+        let plan = partix_core::plan_for(&partix, parts, size / parts as usize, u64::MAX);
         if plan.group_size <= 1 {
             // The model requests no aggregation: no delta to estimate.
             return String::new();

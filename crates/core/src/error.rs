@@ -43,6 +43,14 @@ pub enum PartixError {
         /// Bytes available.
         available: usize,
     },
+    /// One partition is longer than the largest WR the world's fabric
+    /// carries, so no transport plan can send it.
+    PartitionTooLarge {
+        /// Bytes per partition requested.
+        part_bytes: usize,
+        /// The fabric's largest WR.
+        max_wr_bytes: u64,
+    },
     /// The buffer belongs to a different node than the calling process.
     WrongNode,
     /// `wait` was called in simulated mode where blocking cannot advance
@@ -82,6 +90,13 @@ impl fmt::Display for PartixError {
             } => write!(
                 f,
                 "buffer too small: need {required} bytes, have {available}"
+            ),
+            PartixError::PartitionTooLarge {
+                part_bytes,
+                max_wr_bytes,
+            } => write!(
+                f,
+                "partition of {part_bytes} bytes exceeds the fabric's largest WR of {max_wr_bytes} bytes"
             ),
             PartixError::WrongNode => write!(f, "buffer registered on a different node"),
             PartixError::WouldBlockInSim => {
@@ -147,6 +162,13 @@ mod tests {
                     available: 512,
                 },
                 "need 1024 bytes, have 512",
+            ),
+            (
+                PartixError::PartitionTooLarge {
+                    part_bytes: 600,
+                    max_wr_bytes: 500,
+                },
+                "600 bytes exceeds the fabric's largest WR of 500 bytes",
             ),
             (PartixError::WrongNode, "different node"),
             (

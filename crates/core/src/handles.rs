@@ -94,6 +94,13 @@ impl Proc {
         tag: u32,
     ) -> Result<PsendRequest> {
         self.validate(buf, partitions, part_bytes)?;
+        let max_wr_bytes = self.world.network.fabric().max_wr_bytes();
+        if part_bytes as u64 > max_wr_bytes {
+            return Err(PartixError::PartitionTooLarge {
+                part_bytes,
+                max_wr_bytes,
+            });
+        }
         let shared = Arc::new(SendShared {
             id: self.world.req_seq.fetch_add(1, Ordering::Relaxed),
             proc: self.inner.clone(),

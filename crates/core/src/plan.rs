@@ -71,7 +71,12 @@ impl TransportPlan {
     /// `group_size` single-partition writes, so the receiver pre-posts that
     /// many receive WRs.
     pub fn max_incoming_wrs(&self, q: u32) -> u32 {
-        let groups_on_q = (0..self.groups).filter(|g| self.qp_of(*g) == q).count() as u32;
+        // Groups q, q + qp_count, q + 2 qp_count, ... below `groups`.
+        let groups_on_q = if q < self.qp_count {
+            (self.groups.saturating_sub(q)).div_ceil(self.qp_count)
+        } else {
+            0
+        };
         groups_on_q * self.group_size
     }
 }
@@ -83,8 +88,36 @@ fn pow2_divisor(n: u32) -> u32 {
 }
 
 /// Compute the transport plan for a channel of `partitions` user partitions
-/// of `part_bytes` bytes each.
-pub fn plan_for(config: &PartixConfig, partitions: u32, part_bytes: usize) -> TransportPlan {
+/// of `part_bytes` bytes each, over a wire whose largest WR is
+/// `max_wr_bytes` (`u64::MAX` when unbounded): while a group's WR would not
+/// fit and halving the group keeps the transport count a power of two that
+/// divides `partitions`, the transport partitions double (and the QPs with
+/// them, up to `max_qps_per_channel`).
+pub fn plan_for(
+    config: &PartixConfig,
+    partitions: u32,
+    part_bytes: usize,
+    max_wr_bytes: u64,
+) -> TransportPlan {
+    let mut plan = policy_plan(config, partitions, part_bytes);
+    while plan.group_size % 2 == 0
+        && u64::from(plan.group_size).saturating_mul(part_bytes as u64) > max_wr_bytes
+    {
+        plan.group_size /= 2;
+        plan.groups *= 2;
+        plan.qp_count = plan
+            .qp_count
+            .max(plan.groups.min(config.max_qps_per_channel));
+    }
+    if plan.group_size == 1 {
+        // Nothing left to aggregate: a timer would only delay.
+        plan.timer_delta = None;
+    }
+    plan
+}
+
+/// The plan `config.aggregator` picks, for an unbounded wire.
+fn policy_plan(config: &PartixConfig, partitions: u32, part_bytes: usize) -> TransportPlan {
     debug_assert!(partitions >= 1);
     let total = partitions as usize * part_bytes;
     match config.aggregator {
@@ -177,7 +210,7 @@ mod tests {
 
     #[test]
     fn persistent_is_one_group_per_partition() {
-        let p = plan_for(&cfg(AggregatorKind::Persistent), 32, 4096);
+        let p = plan_for(&cfg(AggregatorKind::Persistent), 32, 4096, u64::MAX);
         assert_eq!(p.group_size, 1);
         assert_eq!(p.groups, 32);
         assert_eq!(p.qp_count, 2, "baseline drives two UCX lanes");
@@ -188,7 +221,7 @@ mod tests {
     #[test]
     fn ploggp_small_message_fully_aggregates() {
         // 32 x 512 B = 16 KiB: Table I says one transport partition.
-        let p = plan_for(&cfg(AggregatorKind::PLogGp), 32, 512);
+        let p = plan_for(&cfg(AggregatorKind::PLogGp), 32, 512, u64::MAX);
         assert_eq!(p.groups, 1);
         assert_eq!(p.group_size, 32);
         assert_eq!(p.qp_count, 1);
@@ -197,7 +230,7 @@ mod tests {
     #[test]
     fn ploggp_large_message_splits() {
         // 32 x 4 MiB = 128 MiB: Table I says 32 transport partitions.
-        let p = plan_for(&cfg(AggregatorKind::PLogGp), 32, 4 << 20);
+        let p = plan_for(&cfg(AggregatorKind::PLogGp), 32, 4 << 20, u64::MAX);
         assert_eq!(p.groups, 32);
         assert_eq!(p.group_size, 1);
         assert_eq!(p.qp_count, 16, "capped by max_qps_per_channel");
@@ -206,7 +239,7 @@ mod tests {
     #[test]
     fn ploggp_clamps_to_user_request() {
         // 4 partitions of 32 MiB: the model wants 32 but only 4 exist.
-        let p = plan_for(&cfg(AggregatorKind::PLogGp), 4, 32 << 20);
+        let p = plan_for(&cfg(AggregatorKind::PLogGp), 4, 32 << 20, u64::MAX);
         assert_eq!(p.groups, 4);
         assert_eq!(p.group_size, 1);
     }
@@ -216,10 +249,10 @@ mod tests {
         let mut c = cfg(AggregatorKind::TimerPLogGp);
         c.delta = SimDuration::from_micros(100);
         // Aggregating case: small message.
-        let p = plan_for(&c, 32, 512);
+        let p = plan_for(&c, 32, 512, u64::MAX);
         assert_eq!(p.timer_delta, Some(SimDuration::from_micros(100)));
         // Non-aggregating case (group_size == 1): timer pointless.
-        let p = plan_for(&c, 32, 4 << 20);
+        let p = plan_for(&c, 32, 4 << 20, u64::MAX);
         assert_eq!(p.group_size, 1);
         assert_eq!(p.timer_delta, None);
     }
@@ -230,7 +263,7 @@ mod tests {
         tab.insert(32, 32 * 4096, 8, 4);
         let mut c = cfg(AggregatorKind::TuningTable);
         c.tuning_table = Some(Arc::new(tab));
-        let p = plan_for(&c, 32, 4096);
+        let p = plan_for(&c, 32, 4096, u64::MAX);
         assert_eq!(p.groups, 8);
         assert_eq!(p.group_size, 4);
         assert_eq!(p.qp_count, 4);
@@ -240,7 +273,7 @@ mod tests {
     #[test]
     fn tuning_table_missing_key_falls_back_to_model() {
         let c = cfg(AggregatorKind::TuningTable); // no table at all
-        let p = plan_for(&c, 32, 512);
+        let p = plan_for(&c, 32, 512, u64::MAX);
         assert_eq!(
             p.groups, 1,
             "model fallback should aggregate small messages"
@@ -251,12 +284,12 @@ mod tests {
 
     #[test]
     fn non_power_of_two_partitions_stay_uniform() {
-        let p = plan_for(&cfg(AggregatorKind::PLogGp), 12, 4 << 20);
+        let p = plan_for(&cfg(AggregatorKind::PLogGp), 12, 4 << 20, u64::MAX);
         // 12 = 4 * 3: at most 4 transport partitions keep groups uniform.
         assert!(p.groups <= 4);
         assert_eq!(p.groups * p.group_size, 12);
         // Odd partition count: only full aggregation divides evenly.
-        let p = plan_for(&cfg(AggregatorKind::PLogGp), 7, 4 << 20);
+        let p = plan_for(&cfg(AggregatorKind::PLogGp), 7, 4 << 20, u64::MAX);
         assert_eq!(p.groups, 1);
         assert_eq!(p.group_size, 7);
     }
@@ -280,6 +313,25 @@ mod tests {
         // QP 0 serves groups 0, 3, 6 -> up to 12 incoming WRs.
         assert_eq!(p.max_incoming_wrs(0), 12);
         assert_eq!(p.max_incoming_wrs(2), 8);
+    }
+
+    /// 16 x 64 KiB on a ring that holds just under 512 KiB: the model's two
+    /// 512 KiB WRs become four of 256 KiB, each on its own QP. An odd group
+    /// cannot halve, and a timer plan left with single partitions drops δ.
+    #[test]
+    fn wire_limit_doubles_transport_partitions_until_a_group_fits() {
+        let ring = (512 << 10) - 80;
+        let open = plan_for(&cfg(AggregatorKind::PLogGp), 16, 64 << 10, u64::MAX);
+        assert_eq!(open.groups, 2, "the model's plan on an unbounded wire");
+        let p = plan_for(&cfg(AggregatorKind::PLogGp), 16, 64 << 10, ring);
+        assert_eq!((p.groups, p.group_size, p.qp_count), (4, 4, 4));
+        assert!(p.group_size as u64 * (64 << 10) <= ring);
+        let odd = plan_for(&cfg(AggregatorKind::PLogGp), 3, 300 << 10, ring);
+        assert_eq!((odd.groups, odd.group_size), (1, 3));
+        let mut c = cfg(AggregatorKind::TimerPLogGp);
+        c.delta = SimDuration::from_micros(100);
+        let t = plan_for(&c, 4, 400 << 10, ring);
+        assert_eq!((t.groups, t.group_size, t.timer_delta), (4, 1, None));
     }
 
     #[test]

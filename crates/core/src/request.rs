@@ -694,10 +694,7 @@ impl SendShared {
                 self.adapt_delta();
             }
             self.completed_rounds.fetch_add(1, Ordering::AcqRel);
-            let cbs = std::mem::take(&mut *self.complete_cbs.lock());
-            for cb in cbs {
-                cb();
-            }
+            run_round_callbacks(&self.complete_cbs);
         }
     }
 
@@ -715,6 +712,20 @@ impl SendShared {
         let margin = self.proc.config.adaptive_delta_margin.max(1.0);
         let new_delta = ((spread as f64 * margin) as u64).max(1_000);
         ch.delta_ns.store(new_delta, Ordering::Release);
+    }
+}
+
+/// Run the `on_complete` callbacks of the round that just completed, outside
+/// the lock (a callback may register the next round's), then hand the
+/// emptied vector back so that those registrations reuse its capacity.
+fn run_round_callbacks(slot: &Mutex<Vec<Box<dyn FnOnce() + Send>>>) {
+    let mut cbs = std::mem::take(&mut *slot.lock());
+    for cb in cbs.drain(..) {
+        cb();
+    }
+    let mut slot = slot.lock();
+    if slot.is_empty() {
+        *slot = cbs;
     }
 }
 
@@ -829,10 +840,7 @@ impl RecvShared {
         // writes).
         for (q, qp) in ch.qps.iter().enumerate() {
             let needed = ch.plan.max_incoming_wrs(q as u32) as usize;
-            let depth = qp.recv_queue_depth();
-            for _ in depth..needed {
-                qp.post_recv(partix_verbs::RecvWr::bare(self.wr_id))?;
-            }
+            qp.top_up_recv(needed, self.wr_id)?;
         }
 
         let early = std::mem::take(&mut *self.early.lock());
@@ -911,10 +919,7 @@ impl RecvShared {
                 .is_ok()
         {
             self.completed_rounds.fetch_add(1, Ordering::AcqRel);
-            let cbs = std::mem::take(&mut *self.complete_cbs.lock());
-            for cb in cbs {
-                cb();
-            }
+            run_round_callbacks(&self.complete_cbs);
         }
     }
 

@@ -157,9 +157,13 @@ impl World {
 
     fn sim_on(ranks: u32, config: PartixConfig, sched: Scheduler) -> (World, Scheduler) {
         // Fabric events carry node affinity (delivery at the receiver,
-        // completions and retransmit timers at the sender); the census lets
-        // tests and the sharded executor confirm routing coverage.
-        sched.enable_node_affinity(ranks);
+        // completions and retransmit timers at the sender); on a sharded
+        // scheduler, where affinity decides the executing shard, the census
+        // lets tests confirm routing coverage. A sequential scheduler runs
+        // every node on one shard, so it keeps the census off.
+        if sched.is_sharded() {
+            sched.enable_node_affinity(ranks);
+        }
         let fabric = SimFabric::new(sched.clone(), config.fabric);
         let world = Self::assemble(ranks, config, fabric, Some(sched.clone()));
         (world, sched)
@@ -327,8 +331,9 @@ impl World {
                             p.try_progress();
                         }
                     });
-                    p.send_cq.set_notify(hook.clone());
-                    p.recv_cq.set_notify(hook);
+                    let fresh = p.send_cq.set_notify(hook.clone()).is_ok()
+                        && p.recv_cq.set_notify(hook).is_ok();
+                    assert!(fresh, "a new process's CQs carry no hook yet");
                 }
                 procs.insert(rank, p.clone());
                 p
@@ -359,7 +364,8 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
         s.proc.rank, s.dest, s.tag
     );
 
-    let plan = plan_for(&world.config, s.partitions, s.part_bytes);
+    let max_wr_bytes = world.network.fabric().max_wr_bytes();
+    let plan = plan_for(&world.config, s.partitions, s.part_bytes, max_wr_bytes);
     let rt = &world.network.state().telemetry().runtime;
     match plan.decision {
         PlanDecision::Fixed => rt.fixed_decisions.inc(),

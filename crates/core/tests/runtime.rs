@@ -433,6 +433,9 @@ fn matching_is_fifo_per_tag() {
 #[test]
 fn sim_mode_round_with_callbacks() {
     let (world, sched) = World::sim(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
+    // A sequential world leaves the affinity census off; this test reads it.
+    assert!(sched.node_event_counts().is_empty());
+    sched.enable_node_affinity(2);
     let p0 = world.proc(0);
     let p1 = world.proc(1);
     let sbuf = p0.alloc_buffer(8 * 1024).unwrap();
@@ -899,4 +902,59 @@ fn shm_wire_stage_is_one_event_per_wr_with_its_duration() {
     let stages = stage_histograms(&events);
     let wire = stages.iter().find(|(n, _)| *n == "wire_ns").unwrap();
     assert_eq!(wire.1.count, wrs);
+}
+
+/// A request whose plan would exceed the ring: 16 x 64 KiB under `PLogGp` on
+/// `ShmFabric`, whose 512 KiB data ring holds one record of just under
+/// 512 KiB. The plan halves its groups until a WR fits, and every byte
+/// arrives.
+#[test]
+fn shm_plan_fits_the_ring_at_16_x_64_kib() {
+    let (parts, pb) = (16u32, 64usize << 10);
+    let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+    let fabric = partix_verbs::ShmFabric::loopback();
+    let ring = fabric.config().ring_capacity;
+    let l = link(World::with_fabric(2, cfg, fabric), parts, pb);
+    for round in 0..2u8 {
+        fill_pattern(&l.sbuf, parts, pb, 7 + round);
+        l.recv.start_blocking().unwrap();
+        l.send.start_blocking().unwrap();
+        l.send.pready_range(0, parts).unwrap();
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !(l.send.test() && l.recv.test()) {
+            assert!(std::time::Instant::now() < give_up, "round did not finish");
+            std::thread::yield_now();
+        }
+        assert_eq!(l.send.error(), None);
+        check_pattern(&l.rbuf, parts, pb, 7 + round);
+    }
+    let wrs = l.send.total_wrs_posted();
+    assert!(wrs >= 4, "{wrs} WRs for two rounds of 1 MiB");
+    assert!(2 * (parts as usize * pb) as u64 / wrs < ring);
+    l.world.check_invariants().assert_clean();
+}
+
+/// A single partition longer than the fabric's largest WR cannot be sent
+/// by any plan: `psend_init` refuses it and names both sizes.
+#[test]
+fn psend_init_refuses_a_partition_longer_than_the_largest_wr() {
+    let fabric = partix_verbs::ShmFabric::loopback();
+    let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+    let world = World::with_fabric(2, cfg, fabric);
+    let p0 = world.proc(0);
+    let big = 1usize << 20;
+    let buf = p0.alloc_buffer(big).unwrap();
+    let Err(err) = p0.psend_init(&buf, 1, big, 1, 0) else {
+        panic!("a 1 MiB partition was accepted");
+    };
+    let max_wr_bytes = (512 << 10) - 80;
+    assert_eq!(
+        err,
+        PartixError::PartitionTooLarge {
+            part_bytes: big,
+            max_wr_bytes
+        }
+    );
+    let text = err.to_string();
+    assert!(text.contains(&big.to_string()) && text.contains(&max_wr_bytes.to_string()));
 }

@@ -6,15 +6,28 @@
 //! start/end after queueing behind earlier reservations. Because the
 //! simulation executes events in time order, reservation order matches
 //! virtual-time arrival order, which yields FIFO semantics.
+//!
+//! # Single owner
+//!
+//! A resource belongs to one simulated node and is reserved only by events
+//! of that node, on either scheduler: the sequential one runs every event
+//! on one thread, and the sharded one runs a node's events on its shard,
+//! whose successive windows are ordered by the epoch barrier. So no two
+//! reservations of one resource ever overlap in host time, and a reservation
+//! is a plain load and store rather than a lock or a read-modify-write:
+//! `Relaxed` suffices, because the one thread, or the epoch barrier and the
+//! joins between runs, already order each reservation after the last. A
+//! reservation from another node's event would race and yield wrong virtual
+//! times, never undefined behaviour.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::time::{SimDuration, SimTime};
 
 /// A FIFO, one-at-a-time resource on the virtual timeline, free from t = 0.
 #[derive(Default)]
 pub struct SerialResource {
-    free_at: Mutex<SimTime>,
+    free_at: AtomicU64,
 }
 
 impl SerialResource {
@@ -24,18 +37,20 @@ impl SerialResource {
     }
 
     /// Reserve the resource for `dur`, starting no earlier than `earliest`.
-    /// Returns the actual `(start, end)` interval granted.
+    /// Returns the actual `(start, end)` interval granted. Only events of
+    /// the owning node may call this (see the module docs).
+    #[inline]
     pub fn reserve(&self, earliest: SimTime, dur: SimDuration) -> (SimTime, SimTime) {
-        let mut free = self.free_at.lock();
-        let start = (*free).max(earliest);
+        let start = self.free_at().max(earliest);
         let end = start + dur;
-        *free = end;
+        self.free_at.store(end.as_nanos(), Ordering::Relaxed);
         (start, end)
     }
 
     /// Earliest instant at which a new reservation could start.
+    #[inline]
     pub fn free_at(&self) -> SimTime {
-        *self.free_at.lock()
+        SimTime(self.free_at.load(Ordering::Relaxed))
     }
 }
 

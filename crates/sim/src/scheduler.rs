@@ -355,8 +355,11 @@ impl Scheduler {
     /// None` keeps the event on the current node); from outside, seed the
     /// idle engine directly (no lookahead constraint, seed order is call
     /// order; unaffined events land on node 0).
+    ///
+    /// The engine counts what events schedule during a run, and `run`
+    /// publishes that count when it returns; only seeds count here, under
+    /// the engine lock `run` publishes under.
     fn schedule(&self, node: Option<PdesNode>, t: SimTime, ev: RawEvent) {
-        self.inner.scheduled.fetch_add(1, Ordering::Relaxed);
         match self.active() {
             Some(active) => {
                 // SAFETY: see `active`; `send_at` runs no event code.
@@ -365,7 +368,9 @@ impl Scheduler {
             }
             None => {
                 let at = t.max(SimTime(self.inner.now.load(Ordering::Acquire)));
-                self.inner.engine.lock().seed(node.unwrap_or(0), at, ev);
+                let mut engine = self.inner.engine.lock();
+                engine.seed(node.unwrap_or(0), at, ev);
+                self.inner.scheduled.fetch_add(1, Ordering::Release);
             }
         }
     }
@@ -388,7 +393,7 @@ impl Scheduler {
 
     /// Number of events currently pending. Lock-free: derived from the
     /// scheduled/executed counters. Exact whenever the scheduler is
-    /// quiescent; during a run, events count as pending until it returns.
+    /// quiescent; during a run it reads as it stood when the run began.
     #[inline]
     pub fn events_pending(&self) -> usize {
         let scheduled = self.inner.scheduled.load(Ordering::Acquire);
@@ -411,8 +416,9 @@ impl Scheduler {
     /// completion surfacing on its CQ) and executes on `node`'s shard. On a
     /// sequential scheduler every node shares the one shard, so the
     /// execution order is that of [`at`](Self::at); on a sharded scheduler
-    /// a cross-node schedule closer than the lookahead panics. Affinity
-    /// also feeds the per-node event census
+    /// a cross-node schedule closer than the lookahead panics. Once
+    /// [`enable_node_affinity`](Self::enable_node_affinity) has turned it
+    /// on, affinity also feeds the per-node event census
     /// ([`node_event_counts`](Self::node_event_counts)).
     pub fn at_node(&self, node: u32, t: SimTime, f: impl FnOnce() + Send + 'static) {
         if let Some(a) = self.inner.affinity.get() {
@@ -424,8 +430,9 @@ impl Scheduler {
 
     /// Turn on per-node affinity counting for node ids `0..nodes` (one
     /// overflow slot collects ids beyond the range). Idempotent; the first
-    /// call wins. Counting is off by default so `at_node` costs the same as
-    /// `at` in production runs.
+    /// call wins. Counting is off by default: once on, every `at_node` pays
+    /// one atomic increment. `World` turns it on for sharded schedulers
+    /// only, where affinity picks the executing shard and a test audits it.
     pub fn enable_node_affinity(&self, nodes: u32) {
         self.inner.affinity.get_or_init(|| AffinityCounts {
             per_node: (0..=nodes.max(1)).map(|_| AtomicU64::new(0)).collect(),
@@ -475,6 +482,9 @@ impl Scheduler {
                 .now
                 .fetch_max(report.makespan.as_nanos(), Ordering::AcqRel);
         }
+        self.inner
+            .scheduled
+            .store(pdes.scheduled(), Ordering::Release);
         self.inner.executed.fetch_add(ran, Ordering::Release);
         ran
     }
@@ -557,6 +567,32 @@ mod tests {
         sim.run();
         assert_eq!(sim.events_executed(), 2);
         assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// Events scheduled from inside events are counted by the engine and
+    /// published when the run returns: pending is exact at every quiescent
+    /// point, whichever path scheduled what.
+    #[test]
+    fn pending_is_exact_at_quiescence() {
+        for sim in [Scheduler::new(), Scheduler::sharded(3, SimDuration(5), 2)] {
+            let s2 = sim.clone();
+            sim.at(SimTime(1), move || {
+                // Two follow-ups: one runs, one lands beyond a cross-node hop.
+                let s3 = s2.clone();
+                s2.after(SimDuration(1), move || {
+                    s3.at_node(2, s3.now() + SimDuration(10), || {});
+                });
+                s2.at_node(1, SimTime(50), || {});
+            });
+            assert_eq!(sim.events_pending(), 1);
+            assert_eq!(sim.run(), 4);
+            assert_eq!((sim.events_executed(), sim.events_pending()), (4, 0));
+            sim.at(SimTime(60), || {});
+            sim.at(SimTime(70), || {});
+            assert_eq!(sim.events_pending(), 2);
+            assert_eq!(sim.run(), 2);
+            assert_eq!((sim.events_executed(), sim.events_pending()), (6, 0));
+        }
     }
 
     #[test]

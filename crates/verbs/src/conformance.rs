@@ -131,8 +131,16 @@ pub struct Bed {
 struct PerNode([Arc<ShmFabric>; 2]);
 
 impl Fabric for PerNode {
-    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
         self.0[job.src_node as usize].submit(net, job);
+    }
+
+    fn max_wr_bytes(&self) -> u64 {
+        self.0
+            .iter()
+            .map(|f| f.max_wr_bytes())
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 

@@ -5,12 +5,16 @@
 //! notify hook mirrors `ibv_req_notify_cq` + completion channels: the fabric
 //! invokes it after pushing entries, which lets the discrete-event runtime
 //! progress promptly instead of modelling a busy-poll loop.
+//!
+//! The hook is installed once, before traffic, and never replaced: a push
+//! reads it without a lock and calls it by reference, so a completion costs
+//! no lock round trip and no reference-count traffic for the hook.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use partix_telemetry::CqCounters;
 
@@ -32,19 +36,19 @@ fn status_slot(status: WcStatus) -> usize {
 /// traffic never reallocates the entry deque.
 const CQ_INITIAL_CAPACITY: usize = 64;
 
+/// A completion-notify hook (see [`CompletionQueue::set_notify`]).
+pub type NotifyHook = Arc<dyn Fn() + Send + Sync>;
+
 /// A completion queue.
 pub struct CompletionQueue {
     id: u32,
     entries: Mutex<VecDeque<WorkCompletion>>,
-    /// Read-mostly: written once at startup (`set_notify`), read on every
-    /// completion push. An `RwLock` keeps concurrent pushers from
-    /// serialising on hook lookup the way the old `Mutex` did.
-    notify: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
-    /// Whether `notify` holds a hook: a push on an unhooked CQ (every
-    /// wall-clock world) skips the lock and the clone.
+    /// Written once by `set_notify`, read on every completion push.
+    notify: OnceLock<NotifyHook>,
+    /// Whether a push calls `notify`: set by `set_notify`, cleared by
+    /// `clear_notify`. A push on an unhooked CQ (every wall-clock world)
+    /// reads only this flag.
     hooked: AtomicBool,
-    pushed: AtomicU64,
-    polled: AtomicU64,
     counters: Arc<CqCounters>,
 }
 
@@ -53,10 +57,8 @@ impl CompletionQueue {
         Arc::new(CompletionQueue {
             id,
             entries: Mutex::new(VecDeque::with_capacity(CQ_INITIAL_CAPACITY)),
-            notify: RwLock::new(None),
+            notify: OnceLock::new(),
             hooked: AtomicBool::new(false),
-            pushed: AtomicU64::new(0),
-            polled: AtomicU64::new(0),
             counters: Arc::new(CqCounters::default()),
         })
     }
@@ -72,47 +74,40 @@ impl CompletionQueue {
         &self.counters
     }
 
-    /// Install (or replace) the completion-notify hook. The hook runs on the
+    /// Install the completion-notify hook, once per CQ. The hook runs on the
     /// thread that generated the completion — it must be cheap and
     /// re-entrancy-safe (the partitioned runtime uses a try-lock progress
-    /// engine for exactly this reason).
-    pub fn set_notify(&self, hook: Arc<dyn Fn() + Send + Sync>) {
-        self.install(Some(hook));
+    /// engine for exactly this reason). A second install is refused: the
+    /// hook comes back as the error.
+    pub fn set_notify(&self, hook: NotifyHook) -> Result<(), NotifyHook> {
+        self.notify.set(hook)?;
+        self.hooked.store(true, Ordering::Release);
+        Ok(())
     }
 
-    /// Remove the notify hook.
+    /// Stop calling the notify hook. It stays installed, so a later
+    /// `set_notify` is still refused.
     pub fn clear_notify(&self) {
-        self.install(None);
-    }
-
-    fn install(&self, hook: Option<Arc<dyn Fn() + Send + Sync>>) {
-        let mut slot = self.notify.write();
-        self.hooked.store(hook.is_some(), Ordering::Release);
-        *slot = hook;
+        self.hooked.store(false, Ordering::Release);
     }
 
     /// Push a completion and fire the notify hook. Fabric-internal.
     pub(crate) fn push(&self, wc: WorkCompletion) {
+        // Counted *before* the entry is enqueued so the lock-free `depth`
+        // can only over-report, never under-report (an over-report costs
+        // one wasted lock, an under-report would skip a present entry).
         self.counters.pushed_by_status[status_slot(wc.status)].inc();
         if matches!(wc.opcode, WcOpcode::Recv | WcOpcode::RecvRdmaWithImm) {
             self.counters.recv_pushed.inc();
             self.counters.recv_bytes.add(wc.byte_len as u64);
         }
-        // Incremented *before* the entry is enqueued so the lock-free depth
-        // estimate in `poll_cq_into` can only over-report, never under-report
-        // (an over-report costs one wasted lock, an under-report would skip a
-        // present entry).
-        self.pushed.fetch_add(1, Ordering::Relaxed);
         self.entries.lock().push_back(wc);
-        // Clone under the read guard, call outside it: the hook may
-        // re-enter the CQ (the progress engine polls from inside it) or
-        // swap itself out, and must not hold the lock while it does.
-        if !self.hooked.load(Ordering::Acquire) {
-            return;
-        }
-        let hook = self.notify.read().clone();
-        if let Some(h) = hook {
-            h();
+        // Called with no lock held: the hook may re-enter the CQ (the
+        // progress engine polls from inside it).
+        if self.hooked.load(Ordering::Acquire) {
+            if let Some(hook) = self.notify.get() {
+                hook();
+            }
         }
     }
 
@@ -134,7 +129,6 @@ impl CompletionQueue {
         let mut q = self.entries.lock();
         let n = max.min(q.len());
         scratch.extend(q.drain(..n));
-        self.polled.fetch_add(n as u64, Ordering::Relaxed);
         self.counters.polled.add(n as u64);
         n
     }
@@ -144,29 +138,28 @@ impl CompletionQueue {
         let mut q = self.entries.lock();
         let wc = q.pop_front();
         if wc.is_some() {
-            self.polled.fetch_add(1, Ordering::Relaxed);
             self.counters.polled.inc();
         }
         wc
     }
 
     /// Number of completions currently queued, computed lock-free from the
-    /// push/poll counters. A relaxed snapshot: exact whenever the queue is
-    /// quiescent, at worst momentarily stale under concurrent traffic.
+    /// ledger's pushed and polled counts. A relaxed snapshot: exact whenever
+    /// the queue is quiescent, at worst momentarily stale under concurrent
+    /// traffic.
     pub fn depth(&self) -> usize {
-        let pushed = self.pushed.load(Ordering::Relaxed);
-        let polled = self.polled.load(Ordering::Relaxed);
-        pushed.saturating_sub(polled) as usize
+        let polled = self.counters.polled.get();
+        self.counters.pushed_total().saturating_sub(polled) as usize
     }
 
     /// Total completions ever pushed (diagnostics).
     pub fn total_pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
+        self.counters.pushed_total()
     }
 
     /// Total completions ever polled (diagnostics).
     pub fn total_polled(&self) -> u64 {
-        self.polled.load(Ordering::Relaxed)
+        self.counters.polled.get()
     }
 }
 
@@ -208,16 +201,43 @@ mod tests {
         let cq = CompletionQueue::new(1);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
-        cq.set_notify(Arc::new(move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        }));
+        assert!(cq
+            .set_notify(Arc::new(move || {
+                h.fetch_add(1, Ordering::Relaxed);
+            }))
+            .is_ok());
         cq.push(wc(0));
         cq.push(wc(1));
         assert_eq!(hits.load(Ordering::Relaxed), 2);
         cq.clear_notify();
         cq.push(wc(2));
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "a cleared hook fired");
         assert_eq!(cq.depth(), 3);
+    }
+
+    #[test]
+    fn a_second_notify_install_is_refused() {
+        let cq = CompletionQueue::new(4);
+        let (first, second) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (f, s) = (first.clone(), second.clone());
+        assert!(cq
+            .set_notify(Arc::new(move || {
+                f.fetch_add(1, Ordering::Relaxed);
+            }))
+            .is_ok());
+        let refused = cq.set_notify(Arc::new(move || {
+            s.fetch_add(1, Ordering::Relaxed);
+        }));
+        // The refused hook comes back to the caller, and the first stays.
+        let refused = refused.expect_err("a second install must be refused");
+        cq.push(wc(0));
+        assert_eq!(first.load(Ordering::Relaxed), 1);
+        assert_eq!(second.load(Ordering::Relaxed), 0);
+        refused();
+        assert_eq!(second.load(Ordering::Relaxed), 1);
+        // Clearing does not reopen the slot.
+        cq.clear_notify();
+        assert!(cq.set_notify(Arc::new(|| {})).is_err());
     }
 
     #[test]

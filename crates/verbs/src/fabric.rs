@@ -17,14 +17,16 @@ use partix_sim::{SimDuration, SimTime};
 
 use crate::buf::{InlineVec, PooledBuf};
 use crate::memory::{MemoryRegion, MrRegistry};
-use crate::network::NetworkState;
+use crate::network::{NetworkState, NodeCtx};
 use crate::types::{NodeId, Opcode, RecvWr, WcOpcode, WcStatus, WorkCompletion};
 
-/// A gather segment resolved against local registrations at post time.
-#[derive(Clone)]
+/// A gather segment checked against local registrations at post time: the
+/// source region by its lkey, which names it for the life of the network
+/// (regions are never deregistered), and the range within it.
+#[derive(Clone, Copy, Debug)]
 pub struct ResolvedSegment {
-    /// Source region.
-    pub mr: MemoryRegion,
+    /// Local key of the source region.
+    pub lkey: u32,
     /// Offset within the region.
     pub offset: usize,
     /// Byte length.
@@ -131,9 +133,9 @@ pub struct DeliveryHeader {
 /// Where a delivery's bytes come from.
 #[derive(Clone, Copy)]
 pub enum Payload<'a> {
-    /// Gather segments resolved at post time, read out of their source
-    /// regions at delivery.
-    Segments(&'a InlineVec<ResolvedSegment>),
+    /// Gather segments checked at post time, read out of their source
+    /// regions, which are the sending node's, at delivery.
+    Segments(&'a NodeCtx, &'a InlineVec<ResolvedSegment>),
     /// The bytes themselves, in up to two pieces (either may be empty): an
     /// inline snapshot, or a record still in the ring it arrived on, split
     /// where the ring wraps.
@@ -176,13 +178,16 @@ impl TransferJob {
         }
     }
 
-    /// This job's payload source: the post-time snapshot of an inline send
-    /// (the source region may have been rewritten since), else the gather
-    /// list.
-    pub fn payload(&self) -> Payload<'_> {
+    /// This job's payload source on `net`: the post-time snapshot of an
+    /// inline send (the source region may have been rewritten since), else
+    /// the gather list over the sending node's regions.
+    pub fn payload<'a>(&'a self, net: &'a NetworkState) -> Payload<'a> {
         match &self.inline_payload {
             Some(snapshot) => Payload::Bytes([snapshot, &[]]),
-            None => Payload::Segments(&self.segments),
+            None => Payload::Segments(
+                net.node(self.src_node).expect("the posting node exists"),
+                &self.segments,
+            ),
         }
     }
 
@@ -204,8 +209,16 @@ pub trait Fabric: Send + Sync {
     /// Accept a validated transfer job. Implementations must eventually:
     /// move the bytes, push the receive-side completion (for
     /// write-with-immediate), push the send-side completion, and release the
-    /// sender's outstanding-WR slot.
-    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob);
+    /// sender's outstanding-WR slot. The network handle is the poster's, handed
+    /// over so that a fabric which keeps it until delivery need not clone it.
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob);
+
+    /// The largest payload one WR may carry, in bytes (the
+    /// `ibv_device_attr.max_msg_sz` analogue). A longer WR completes with
+    /// `LocalLengthError`. Unbounded unless the wire says otherwise.
+    fn max_wr_bytes(&self) -> u64 {
+        u64::MAX
+    }
 }
 
 /// Outcome of executing a delivery.
@@ -246,7 +259,7 @@ pub fn execute_delivery_ext(
     job: &TransferJob,
     copy_data: bool,
 ) -> DeliveryOutcome {
-    execute_delivery_from(net, &job.delivery_header(), job.payload(), copy_data)
+    execute_delivery_from(net, &job.delivery_header(), job.payload(net), copy_data)
 }
 
 /// [`execute_delivery_ext`] for a transfer described by its header and a
@@ -353,10 +366,11 @@ fn deliver(
                         cursor += piece.len();
                     }
                 }
-                Payload::Segments(segments) => {
+                Payload::Segments(src, segments) => {
                     for seg in segments.iter() {
+                        let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
                         dst_mr
-                            .copy_from(cursor, &seg.mr, seg.offset, seg.len)
+                            .copy_from(cursor, mr, seg.offset, seg.len)
                             .expect("ranges validated at post and resolve time");
                         cursor += seg.len;
                     }
@@ -413,13 +427,16 @@ fn scatter(
     }
     let (bytes, segments) = match payload {
         Payload::Bytes(pieces) => (pieces, None),
-        Payload::Segments(segments) => ([&[][..]; 2], Some(segments)),
+        Payload::Segments(src, segments) => ([&[][..]; 2], Some((src, segments))),
     };
     let pieces = bytes.into_iter().map(Piece::Bytes).chain(
         segments
             .into_iter()
-            .flat_map(|s| s.iter())
-            .map(|s| Piece::Region(&s.mr, s.offset, s.len)),
+            .flat_map(|(src, s)| s.iter().map(move |s| (src, s)))
+            .map(|(src, s)| {
+                let mr = src.mrs.by_lkey(s.lkey).expect("lkey checked at post");
+                Piece::Region(mr, s.offset, s.len)
+            }),
     );
     let mut sge_iter = recv_wr.sg_list.iter();
     // Current destination window: (region, cursor, bytes left).

@@ -41,7 +41,8 @@ impl InstantFabric {
 }
 
 impl Fabric for InstantFabric {
-    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
+        let net = &net;
         let wire = &net.telemetry().wire;
         wire.inner_submissions.inc();
         wire.mtu_segments

@@ -211,7 +211,7 @@ impl LossyFabric {
     }
 
     /// One wire attempt for `job` (attempt number `tries`, 0-based).
-    fn attempt(&self, net: &Arc<NetworkState>, mut job: TransferJob, tries: u8) {
+    fn attempt(&self, net: Arc<NetworkState>, mut job: TransferJob, tries: u8) {
         let index = self.attempts.fetch_add(1, Ordering::Relaxed);
         // Draw all three decisions up front so the consumed randomness per
         // attempt is fixed regardless of which branches fire (a scripted
@@ -231,7 +231,7 @@ impl LossyFabric {
             wire.duplicates_injected.inc();
             let mut ghost = job.clone();
             ghost.ghost = true;
-            self.inner.submit(net, ghost);
+            self.inner.submit(net.clone(), ghost);
         }
 
         let scripted = self.plan.as_ref().is_some_and(|plan| plan.drops(index));
@@ -244,11 +244,11 @@ impl LossyFabric {
                 wire.exhausted.inc();
                 return;
             }
-            let profile = sender_retry_profile(net, &job);
+            let profile = sender_retry_profile(&net, &job);
             if tries >= profile.map_or(0, |p| p.retry_cnt) {
                 // Retries exhausted: only now does the failure surface.
                 wire.exhausted.inc();
-                complete_send(net, &job, WcStatus::RetryExceeded);
+                complete_send(&net, &job, WcStatus::RetryExceeded);
                 return;
             }
             wire.retransmits.inc();
@@ -265,13 +265,12 @@ impl LossyFabric {
                 return self.attempt(net, job, tries + 1);
             };
             let me = self.me.clone();
-            let net = net.clone();
             // The timeout fires on the sender's NIC: source-node affinity
             // for sharded executors.
             let at = sched.now() + SimDuration::from_nanos(backoff);
             sched.at_node(job.src_node, at, move || {
                 if let Some(me) = me.upgrade() {
-                    me.attempt(&net, job, tries + 1);
+                    me.attempt(net, job, tries + 1);
                 }
             });
             return;
@@ -289,8 +288,12 @@ impl LossyFabric {
 }
 
 impl Fabric for LossyFabric {
-    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
         self.attempt(net, job, 0);
+    }
+
+    fn max_wr_bytes(&self) -> u64 {
+        self.inner.max_wr_bytes()
     }
 }
 

@@ -137,10 +137,9 @@ impl SimFabric {
 /// One transfer on its way through the simulated wire: the job plus what
 /// its later events need, boxed once at submit time and handed from the
 /// delivery event to any RNR re-attempt to the ack event — each of those
-/// closures captures only this pointer, so it stores inline in the
-/// scheduler's event slab.
+/// closures captures only this pointer and the scheduler handle the
+/// delivery passes on, so it stores inline in the scheduler's event slab.
 struct Flight {
-    sched: Scheduler,
     net: Arc<NetworkState>,
     job: TransferJob,
     copy_data: bool,
@@ -168,7 +167,7 @@ struct Arrival {
 }
 
 impl Fabric for SimFabric {
-    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
         let p = &self.params;
         let bytes = job.total_len as u64;
         let now = self.sched.now();
@@ -204,8 +203,7 @@ impl Fabric for SimFabric {
         let latency = self.latency + job.opts.extra_wire_latency;
         let o_r = self.o_r;
         let mut flight = Box::new(Flight {
-            sched: self.sched.clone(),
-            net: net.clone(),
+            net,
             job,
             copy_data: p.copy_data,
             ack_latency: self.latency,
@@ -233,15 +231,16 @@ impl Fabric for SimFabric {
             // latency)`.
             let head_arrive = engine_done.max(egress_done) + latency;
             let ingress = ingress.clone();
+            let sched = self.sched.clone();
             self.sched.at_node(dst_node, head_arrive, move || {
                 let a = flight.arrival;
                 let (_, ingress_done) = ingress.reserve(a.nic_done, a.wire_cost);
                 let delivered = head_arrive.max(ingress_done + a.latency);
                 record_wire_span(&flight.net, &flight.job, a.doorbell, delivered);
                 flight.ack_at = delivered + flight.ack_latency;
-                let sched = flight.sched.clone();
+                let handle = sched.clone();
                 sched.at_node(dst_node, delivered + a.o_r, move || {
-                    deliver_with_rnr_retry(flight)
+                    deliver_with_rnr_retry(handle, flight)
                 });
             });
             return;
@@ -258,15 +257,16 @@ impl Fabric for SimFabric {
         // fall out of the reservation arithmetic above, so the wire-time
         // sample is recorded passively here — no extra scheduler events,
         // keeping traced runs byte-identical to untraced ones.
-        record_wire_span(net, &flight.job, doorbell, delivered);
+        record_wire_span(&flight.net, &flight.job, doorbell, delivered);
 
         // Delivery event: move the data, push the receive completion, then
         // schedule the send-side ack. Receiver-not-ready re-arms the
         // delivery after the RNR timer instead of failing outright.
         // Delivery executes on the receiver: route with destination-node
         // affinity so a sharded executor can home it correctly.
+        let sched = self.sched.clone();
         self.sched.at_node(dst_node, recv_visible, move || {
-            deliver_with_rnr_retry(flight)
+            deliver_with_rnr_retry(sched, flight)
         });
     }
 }
@@ -291,11 +291,10 @@ fn record_wire_span(
 
 /// Execute a delivery on the virtual clock, waiting out the RNR NAK timer
 /// and re-attempting up to the sender's `rnr_retry` budget before the
-/// `RnrRetryExceeded` completion is allowed to surface.
-fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
-    let Flight {
-        sched, net, job, ..
-    } = &*flight;
+/// `RnrRetryExceeded` completion is allowed to surface. `sched` is the
+/// handle the delivery event carried; it schedules what comes next.
+fn deliver_with_rnr_retry(sched: Scheduler, mut flight: Box<Flight>) {
+    let Flight { net, job, .. } = &*flight;
     let outcome = execute_delivery_ext(net, job, flight.copy_data);
     if matches!(outcome, DeliveryOutcome::ReceiverNotReady) {
         if let Some(profile) = sender_retry_profile(net, job) {
@@ -310,12 +309,12 @@ fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
                     0,
                     wait.as_nanos(),
                 );
-                let sched = sched.clone();
                 let at = sched.now() + wait;
                 flight.attempt += 1;
+                let handle = sched.clone();
                 sched.at_node(flight.job.dst_node, at, move || {
-                    flight.ack_at = flight.sched.now() + flight.ack_latency;
-                    deliver_with_rnr_retry(flight);
+                    flight.ack_at = handle.now() + flight.ack_latency;
+                    deliver_with_rnr_retry(handle, flight);
                 });
                 return;
             }
@@ -334,7 +333,6 @@ fn deliver_with_rnr_retry(mut flight: Box<Flight>) {
     };
     // The completion lands in the sender's CQ — source-node affinity — and
     // the flight ends there.
-    let sched = sched.clone();
     sched.at_node(flight.job.src_node, at, move || {
         complete_send(&flight.net, &flight.job, status)
     });

@@ -230,7 +230,6 @@ pub struct QueuePair {
     recv_cq: Arc<CompletionQueue>,
     rx: Mutex<RxSide>,
     outstanding: AtomicU32,
-    posted_sends: AtomicU64,
     /// Send-side packet sequence counter: every posted WR gets a fresh PSN.
     next_psn: AtomicU64,
     net: Weak<NetworkState>,
@@ -270,7 +269,6 @@ impl QueuePair {
             recv_cq,
             rx: Mutex::new(RxSide::default()),
             outstanding: AtomicU32::new(0),
-            posted_sends: AtomicU64::new(0),
             next_psn: AtomicU64::new(0),
             net,
             fabric,
@@ -335,7 +333,7 @@ impl QueuePair {
 
     /// Total send WRs ever posted (diagnostics; used by aggregation tests).
     pub fn total_posted_sends(&self) -> u64 {
-        self.posted_sends.load(Ordering::Relaxed)
+        self.counters.send_posted.get()
     }
 
     /// Currently outstanding (un-completed) send WRs.
@@ -394,9 +392,8 @@ impl QueuePair {
         self.state.store(QpState::Error as u8, Ordering::Release);
     }
 
-    /// Post a receive work request (`ibv_post_recv`). Scatter elements are
-    /// validated against local registrations and the protection domain.
-    pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
+    /// Receive posting needs a QP past RESET and not in ERROR.
+    fn check_recv_state(&self) -> Result<()> {
         let st = self.state();
         if matches!(st, QpState::Reset | QpState::Error) {
             return Err(VerbsError::InvalidQpState {
@@ -404,6 +401,13 @@ impl QueuePair {
                 required: QpState::Init,
             });
         }
+        Ok(())
+    }
+
+    /// Post a receive work request (`ibv_post_recv`). Scatter elements are
+    /// validated against local registrations and the protection domain.
+    pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
+        self.check_recv_state()?;
         if wr.sg_list.len() > self.caps.max_sge {
             return Err(VerbsError::TooManySges {
                 got: wr.sg_list.len(),
@@ -424,6 +428,24 @@ impl QueuePair {
         rx.queue.push_back(wr);
         self.counters.recv_posted.inc();
         Ok(())
+    }
+
+    /// Top the receive queue up to `depth` posted WRs with bare receive WRs
+    /// ([`RecvWr::bare`]) carrying `wr_id`, under one lock: the effect of
+    /// `post_recv` called until the queue holds `depth`. Returns how many
+    /// were posted. A `depth` beyond `max_recv_wr` fills the queue and then
+    /// fails with `RecvQueueFull`, as the last of those calls would.
+    pub fn top_up_recv(&self, depth: usize, wr_id: u64) -> Result<usize> {
+        self.check_recv_state()?;
+        let cap = self.caps.max_recv_wr as usize;
+        let mut rx = self.rx.lock();
+        let posted = depth.min(cap).saturating_sub(rx.queue.len());
+        rx.queue.extend((0..posted).map(|_| RecvWr::bare(wr_id)));
+        self.counters.recv_posted.add(posted as u64);
+        if depth > cap {
+            return Err(VerbsError::RecvQueueFull);
+        }
+        Ok(posted)
     }
 
     /// Depth of the posted receive queue.
@@ -481,7 +503,7 @@ impl QueuePair {
             let off = mr.offset_of(sge.lkey, sge.addr, sge.length as u64)?;
             total += sge.length as u64;
             segments.push(ResolvedSegment {
-                mr: mr.clone(),
+                lkey: sge.lkey,
                 offset: off,
                 len: sge.length as usize,
             });
@@ -500,7 +522,8 @@ impl QueuePair {
             }
             let mut bytes = net.arena().get(total as usize);
             for seg in segments.iter() {
-                seg.mr.read_into(seg.offset, seg.len, &mut bytes)?;
+                let mr = self.mrs().by_lkey(seg.lkey)?;
+                mr.read_into(seg.offset, seg.len, &mut bytes)?;
             }
             Some(bytes.freeze())
         } else {
@@ -526,13 +549,12 @@ impl QueuePair {
     /// Hand one validated WR, its slot claimed, to the fabric.
     fn launch(
         &self,
-        net: &Arc<NetworkState>,
+        net: Arc<NetworkState>,
         peer: PeerId,
         wr: &SendWr,
         (segments, total, snapshot): PreparedSend,
         mut opts: PostOptions,
     ) {
-        self.posted_sends.fetch_add(1, Ordering::Relaxed);
         self.counters.send_posted.inc();
         self.counters.bytes_posted.add(total);
         if wr.inline_data {
@@ -590,7 +612,7 @@ impl QueuePair {
             let prepared = self.prepare_send(&net, wr)?;
             let granted = self.claim_slots(1);
             if granted == 1 {
-                self.launch(&net, peer, wr, prepared, opts);
+                self.launch(net, peer, wr, prepared, opts);
             }
             return Ok(granted as usize);
         }
@@ -611,7 +633,7 @@ impl QueuePair {
         if result.is_ok() {
             let granted = self.claim_slots(wrs.len().min(u32::MAX as usize) as u32) as usize;
             for (wr, p) in wrs.iter().zip(prepared.drain(..granted)) {
-                self.launch(&net, peer, wr, p, opts);
+                self.launch(net.clone(), peer, wr, p, opts);
             }
             result = Ok(granted);
         }
@@ -646,6 +668,66 @@ mod tests {
     use super::*;
     use crate::network::{connect_pair, Network};
     use crate::InstantFabric;
+
+    fn connected_pair(net: &Network, max_recv_wr: u32) -> (Arc<QueuePair>, Arc<QueuePair>) {
+        let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
+        let caps = QpCaps {
+            max_recv_wr,
+            ..QpCaps::default()
+        };
+        let qa = a
+            .create_qp(a.alloc_pd(), a.create_cq(), a.create_cq(), caps)
+            .unwrap();
+        let qb = b
+            .create_qp(b.alloc_pd(), b.create_cq(), b.create_cq(), caps)
+            .unwrap();
+        connect_pair(&qa, &qb).unwrap();
+        (qa, qb)
+    }
+
+    /// A top-up posts what `post_recv` called up to the same depth posts:
+    /// the same WRs, the same `recv_posted`, round after round, and an
+    /// over-deep top-up fills the queue and then fails as the per-WR loop
+    /// does.
+    #[test]
+    fn top_up_matches_per_wr_posting() {
+        let net = Network::new(2, InstantFabric::new());
+        let (_, per_wr) = connected_pair(&net, 8);
+        let (_, topped) = connected_pair(&net, 8);
+        for (round, (depth, consumed)) in [(4usize, 3usize), (6, 6), (6, 0), (2, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let wr_id = round as u64;
+            for _ in per_wr.recv_queue_depth()..depth {
+                per_wr.post_recv(RecvWr::bare(wr_id)).unwrap();
+            }
+            let posted = topped.top_up_recv(depth, wr_id).unwrap();
+            assert_eq!(topped.recv_queue_depth(), per_wr.recv_queue_depth());
+            assert_eq!(
+                topped.counters().recv_posted.get(),
+                per_wr.counters().recv_posted.get(),
+                "round {round}"
+            );
+            let ids = |qp: &QueuePair| qp.rx().queue.iter().map(|w| w.wr_id).collect::<Vec<_>>();
+            assert_eq!(ids(&topped), ids(&per_wr));
+            assert!(posted <= depth);
+            for qp in [&per_wr, &topped] {
+                let mut rx = qp.rx();
+                let n = consumed.min(rx.queue.len());
+                rx.queue.drain(..n);
+            }
+        }
+        let before = topped.counters().recv_posted.get();
+        let have = topped.recv_queue_depth();
+        assert_eq!(topped.top_up_recv(9, 7), Err(VerbsError::RecvQueueFull));
+        assert_eq!(topped.recv_queue_depth(), 8, "the queue is filled first");
+        assert_eq!(
+            topped.counters().recv_posted.get(),
+            before + (8 - have) as u64
+        );
+        assert_eq!(topped.top_up_recv(8, 7), Ok(0));
+    }
 
     /// Connecting makes the peer's PSN window, with room; deliveries mark
     /// into it without making a second one or growing it, and a reconnect

@@ -93,7 +93,7 @@ use crate::qp::RetryProfile;
 use crate::table::IndexTable;
 use crate::types::{Opcode, WcStatus};
 
-use super::ring::{RecordReader, RecordWriter, SpscRing};
+use super::ring::{RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
 use super::segment::{FileSegment, HeapSegment, Segment};
 
 /// DATA record kind tag.
@@ -753,7 +753,7 @@ impl ShmFabric {
         // process boundary; inline sends reuse their snapshot).
         let write = |w: &mut RecordWriter<'_>| {
             w.put(&header);
-            gather_payload(&job, w);
+            gather_payload(net, &job, w);
         };
         let submit_ns = net.telemetry().flows.now();
 
@@ -778,7 +778,8 @@ impl Drop for ShmFabric {
 }
 
 impl Fabric for ShmFabric {
-    fn submit(&self, net: &Arc<NetworkState>, job: TransferJob) {
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
+        let net = &net;
         assert!(
             !self.shutdown.load(Ordering::Acquire),
             "submit on a shut-down ShmFabric"
@@ -795,6 +796,14 @@ impl Fabric for ShmFabric {
             Some(ch) => self.submit_on(net, ch, job),
             None => self.submit_on(net, &self.channel_slow(key), job),
         }
+    }
+
+    /// One WR is one record, so the largest is what a record of the data
+    /// ring holds less the DATA header.
+    fn max_wr_bytes(&self) -> u64 {
+        self.cfg
+            .ring_capacity
+            .saturating_sub(RECORD_HEADER + DATA_HEADER as u64)
     }
 }
 
@@ -878,16 +887,15 @@ fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
 /// Write `job`'s `total_len` payload bytes through `w`: the inline snapshot,
 /// or each gather segment read out of its source region — one copy, source
 /// MR to wherever `w` points.
-fn gather_payload(job: &TransferJob, w: &mut RecordWriter<'_>) {
-    match &job.inline_payload {
-        Some(p) => w.put(p),
-        None => {
-            for seg in job.segments.iter() {
+fn gather_payload(net: &NetworkState, job: &TransferJob, w: &mut RecordWriter<'_>) {
+    match job.payload(net) {
+        Payload::Bytes(pieces) => pieces.into_iter().for_each(|p| w.put(p)),
+        Payload::Segments(src, segments) => {
+            for seg in segments.iter() {
+                let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
                 let mut at = seg.offset;
                 w.fill(seg.len, |dst| {
-                    seg.mr
-                        .read(at, dst)
-                        .expect("segments validated at post time");
+                    mr.read(at, dst).expect("segments validated at post time");
                     at += dst.len();
                 });
             }
@@ -1308,7 +1316,6 @@ impl ShmFabric {
 
 #[cfg(test)]
 mod tests {
-    use super::super::ring::RECORD_HEADER;
     use super::*;
     use crate::cq::CompletionQueue;
     use crate::network::{connect_pair, Context, Network};

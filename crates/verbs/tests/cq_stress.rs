@@ -47,9 +47,11 @@ fn concurrent_senders_one_progress_thread() {
 
     let pushed_notify = Arc::new(AtomicUsize::new(0));
     let n2 = pushed_notify.clone();
-    cqb.set_notify(Arc::new(move || {
-        n2.fetch_add(1, Ordering::Relaxed);
-    }));
+    assert!(cqb
+        .set_notify(Arc::new(move || {
+            n2.fetch_add(1, Ordering::Relaxed);
+        }))
+        .is_ok());
 
     let seen_send: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let seen_recv: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));

@@ -78,7 +78,7 @@ proptest! {
             // against the last commit holds in general.
             prop_assert!(s.send_complete > s.last_pready);
         }
-        let plan = partix_core::plan_for(&cfg.partix, partitions, part_bytes);
+        let plan = partix_core::plan_for(&cfg.partix, partitions, part_bytes, u64::MAX);
         let rounds = 4; // warmup + iters
         prop_assert!(r.total_wrs >= plan.groups as u64 * rounds);
         prop_assert!(r.total_wrs <= partitions as u64 * rounds);

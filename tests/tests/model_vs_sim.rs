@@ -107,7 +107,7 @@ fn runtime_plan_matches_model() {
         (128 << 20, 8),
     ] {
         let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-        let plan = partix_core::plan_for(&cfg, partitions, size / partitions as usize);
+        let plan = partix_core::plan_for(&cfg, partitions, size / partitions as usize, u64::MAX);
         let expect = PLogGpModel::new(cfg.model_params).optimal_transport_partitions(
             size,
             partitions,

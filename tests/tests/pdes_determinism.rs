@@ -163,6 +163,17 @@ fn fullstack_figure_agrees_across_the_job_matrix() {
     }
 }
 
+/// `Persistent` is the one policy that reserves the UCX worker-lock
+/// resource (at the sender's `pready`), besides the receive path every
+/// policy reserves (at the receiver's delivery): the case in which a
+/// reservation made off its owning node would race under real threads.
+#[test]
+fn fullstack_persistent_figure_agrees_across_the_job_matrix() {
+    let mut cfg = FullStackConfig::figure(6, 7);
+    cfg.partix.aggregator = partix_core::AggregatorKind::Persistent;
+    assert_fullstack_matrix_agrees("persistent figure seed=7", &cfg);
+}
+
 #[test]
 fn fullstack_chaos_agrees_across_the_job_matrix() {
     for seed in [7, 4242] {
