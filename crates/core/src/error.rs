@@ -53,6 +53,15 @@ pub enum PartixError {
     },
     /// The buffer belongs to a different node than the calling process.
     WrongNode,
+    /// A `psend_init` and the `precv_init` it matched disagree on the
+    /// partition count or size. The init that found the mismatch fails; the
+    /// other stays queued for a partner that agrees with it.
+    ShapeMismatch {
+        /// The send's partitions and bytes per partition.
+        send: (u32, usize),
+        /// The receive's partitions and bytes per partition.
+        recv: (u32, usize),
+    },
     /// `wait` was called in simulated mode where blocking cannot advance
     /// virtual time.
     WouldBlockInSim,
@@ -99,6 +108,11 @@ impl fmt::Display for PartixError {
                 "partition of {part_bytes} bytes exceeds the fabric's largest WR of {max_wr_bytes} bytes"
             ),
             PartixError::WrongNode => write!(f, "buffer registered on a different node"),
+            PartixError::ShapeMismatch { send, recv } => write!(
+                f,
+                "psend_init of {} x {} B does not match precv_init of {} x {} B",
+                send.0, send.1, recv.0, recv.1
+            ),
             PartixError::WouldBlockInSim => {
                 write!(f, "wait() would block in simulated mode; use on_complete")
             }
@@ -171,6 +185,13 @@ mod tests {
                 "600 bytes exceeds the fabric's largest WR of 500 bytes",
             ),
             (PartixError::WrongNode, "different node"),
+            (
+                PartixError::ShapeMismatch {
+                    send: (4, 64),
+                    recv: (8, 64),
+                },
+                "psend_init of 4 x 64 B does not match precv_init of 8 x 64 B",
+            ),
             (
                 PartixError::WouldBlockInSim,
                 "would block in simulated mode",

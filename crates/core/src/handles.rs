@@ -13,7 +13,7 @@
 //! | `MPI_Test` | [`PsendRequest::test`] / [`PrecvRequest::test`] |
 //! | `MPI_Wait` | [`PsendRequest::wait`] / [`PrecvRequest::wait`] |
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -23,7 +23,7 @@ use partix_verbs::MemoryRegion;
 use crate::error::{PartixError, Result};
 use crate::plan::TransportPlan;
 use crate::proc::ProcInner;
-use crate::request::{RecvShared, SendShared};
+use crate::request::{bitset, RecvShared, SendShared};
 use crate::world::WorldInner;
 
 /// The largest partition count the immediate encoding supports (start index
@@ -114,9 +114,7 @@ impl Proc {
             ready_cbs: Mutex::new(Vec::new()),
             active: AtomicBool::new(false),
             round: AtomicU64::new(0),
-            arrived: (0..partitions).map(|_| AtomicU8::new(0)).collect(),
-            sent: (0..partitions).map(|_| AtomicU8::new(0)).collect(),
-            pready_count: AtomicU32::new(0),
+            bits: bitset(2 * partitions.next_multiple_of(u64::BITS)),
             sent_count: AtomicU32::new(0),
             wr_posted: AtomicU32::new(0),
             wr_completed: AtomicU32::new(0),
@@ -164,7 +162,7 @@ impl Proc {
             ready: AtomicBool::new(false),
             ready_cbs: Mutex::new(Vec::new()),
             active: AtomicBool::new(false),
-            arrived: (0..partitions).map(|_| AtomicU8::new(0)).collect(),
+            arrived: bitset(partitions),
             arrived_count: AtomicU32::new(0),
             completed_rounds: AtomicU64::new(0),
             complete_cbs: Mutex::new(Vec::new()),

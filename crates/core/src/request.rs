@@ -2,16 +2,25 @@
 //!
 //! This is the paper's §IV-A data path:
 //!
-//! - `pready` executes an atomic add-and-fetch on per-transport-partition
-//!   arrival counters; the arrival that completes a transport partition
-//!   posts the `IBV_WR_RDMA_WRITE_WITH_IMM` work request;
+//! - `pready` sets the partition's bit in the request's arrival bitset; the
+//!   `pready` that fills its transport partition posts the
+//!   `IBV_WR_RDMA_WRITE_WITH_IMM` work request;
 //! - the immediate value encodes `(starting user partition, contiguous run
 //!   length)` as two packed u16s;
-//! - receive completions decode the immediate and set per-partition arrival
-//!   flags (`Release` on the writer, `Acquire` in `parrived`);
+//! - receive completions decode the immediate and set the run's bits in the
+//!   receiver's arrival bitset (`Release` on the writer, `Acquire` in
+//!   `parrived`);
 //! - the timer-based aggregator (§IV-D) arms a δ-timer at the first arrival
 //!   of a group, flushes the arrived subset as maximal contiguous runs on
 //!   expiry, and lets post-flush arrivals send their own runs.
+//!
+//! One `pready` makes two read-modify-writes (RMWs) on shared memory: the
+//! `fetch_or` on its arrival word, which both rejects a double `pready` and
+//! finds the group's last arrival, and the ledger's `preadys` increment.
+//! Everything else is per WR or rarer: one `full_words` increment per word a
+//! wide group fills, the timer policy's `armed` swap and phase CAS per
+//! group, one `fetch_or` per posted word (groups narrower than a word share
+//! it), and the WR counters.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -36,16 +45,157 @@ const PHASE_COLLECTING: u8 = 0;
 const PHASE_SENT_ALL: u8 = 1;
 const PHASE_FLUSHED: u8 = 2;
 
+/// Partitions per word of an arrival or posted bitset.
+const WORD_BITS: u32 = u64::BITS;
+
+/// A zeroed bitset of `bits` bits.
+pub(crate) fn bitset(bits: u32) -> Box<[AtomicU64]> {
+    (0..bits.div_ceil(WORD_BITS))
+        .map(|_| AtomicU64::new(0))
+        .collect()
+}
+
+/// Word and mask of bit `i` of a bitset.
+fn word_bit(i: u32) -> (usize, u64) {
+    ((i / WORD_BITS) as usize, 1 << (i % WORD_BITS))
+}
+
+/// The mask of the bits `bits` in word `w`, which they must touch.
+fn word_mask(bits: &Range<u32>, w: u32) -> u64 {
+    let base = w * WORD_BITS;
+    let lo = bits.start.max(base) - base;
+    let len = bits.end.min(base + WORD_BITS) - base - lo;
+    (u64::MAX >> (WORD_BITS - len)) << lo
+}
+
+/// The words that the bits `bits` fall in, each with the mask of those bits.
+fn word_masks(bits: Range<u32>) -> impl Iterator<Item = (usize, u64)> {
+    (bits.start / WORD_BITS..bits.end.div_ceil(WORD_BITS))
+        .map(move |w| (w as usize, word_mask(&bits, w)))
+}
+
 /// Per-transport-partition state.
 pub(crate) struct GroupState {
     /// User partitions covered.
-    pub range: Range<u32>,
-    /// Arrivals so far this round.
-    pub arrived: AtomicU32,
+    range: Range<u32>,
+    /// Words of the request's arrival bits that this group filled this
+    /// round, counted only when the group spans more than one word.
+    full_words: AtomicU32,
+    /// Whether this round's δ-timer is armed (timer policy only).
+    armed: AtomicBool,
     /// Timer-aggregator phase.
-    pub phase: AtomicU8,
+    phase: AtomicU8,
     /// Serialises flush-path scanning.
-    pub lock: Mutex<()>,
+    lock: Mutex<()>,
+}
+
+impl GroupState {
+    pub(crate) fn new(range: Range<u32>) -> Self {
+        GroupState {
+            range,
+            full_words: AtomicU32::new(0),
+            armed: AtomicBool::new(false),
+            phase: AtomicU8::new(PHASE_COLLECTING),
+            lock: Mutex::new(()),
+        }
+    }
+
+    /// Forget the last round.
+    fn reset(&self) {
+        self.full_words.store(0, Ordering::Relaxed);
+        self.armed.store(false, Ordering::Relaxed);
+        self.phase.store(PHASE_COLLECTING, Ordering::Relaxed);
+    }
+
+    /// Claim this round's δ-timer: `true` for exactly one caller per round.
+    fn arm(&self) -> bool {
+        !self.armed.load(Ordering::Acquire) && !self.armed.swap(true, Ordering::AcqRel)
+    }
+}
+
+/// One group and the send request's bitsets, one bit per partition. A
+/// group narrower than a word shares it with its neighbours.
+struct Group<'a> {
+    state: &'a GroupState,
+    /// `pready` bits of this round.
+    arrived: &'a [AtomicU64],
+    /// Posted bits of this round.
+    sent: &'a [AtomicU64],
+}
+
+impl Group<'_> {
+    /// Whether partition `p` was made ready this round. A plain load: only
+    /// [`Self::arrive`] decides.
+    fn has_arrived(&self, p: u32) -> bool {
+        let (w, bit) = word_bit(p);
+        self.arrived[w].load(Ordering::Relaxed) & bit != 0
+    }
+
+    /// Set partition `p`'s arrival bit: `None` when it was already set this
+    /// round (a double `pready`), else whether this arrival filled the
+    /// group. `SeqCst`, as is the phase CAS and the flush's scan: either
+    /// the flush sees this bit or this arrival sees the flush's phase.
+    fn arrive(&self, p: u32) -> Option<bool> {
+        let (w, bit) = word_bit(p);
+        let was = self.arrived[w].fetch_or(bit, Ordering::SeqCst);
+        if was & bit != 0 {
+            return None;
+        }
+        let range = &self.state.range;
+        let mine = word_mask(range, w as u32);
+        let words = range.end.div_ceil(WORD_BITS) - range.start / WORD_BITS;
+        Some(
+            (was | bit) & mine == mine
+                && (words == 1
+                    || self.state.full_words.fetch_add(1, Ordering::AcqRel) + 1 == words),
+        )
+    }
+
+    /// Record the partitions `run` as posted: one `fetch_or` per word, as
+    /// the poster of a neighbouring group may share it.
+    fn mark_sent(&self, run: Range<u32>) {
+        for (w, mask) in word_masks(run.clone()) {
+            let was = self.sent[w].fetch_or(mask, Ordering::Release);
+            debug_assert_eq!(was & mask, 0, "partitions {run:?} posted twice");
+        }
+    }
+
+    /// The maximal contiguous runs of arrived and unsent partitions, in
+    /// order; with `containing = Some(i)`, only the run holding `i`.
+    fn unsent_runs(&self, containing: Option<u32>) -> Vec<Range<u32>> {
+        let range = &self.state.range;
+        let mut runs = Vec::new();
+        let mut open = None;
+        for (w, mine) in word_masks(range.clone()) {
+            let bits = self.arrived[w].load(Ordering::SeqCst)
+                & !self.sent[w].load(Ordering::Acquire)
+                & mine;
+            let word = w as u32 * WORD_BITS;
+            let mut pos = 0;
+            while pos < WORD_BITS {
+                let rest = bits >> pos;
+                match open {
+                    None if rest == 0 => break,
+                    None => {
+                        pos += rest.trailing_zeros();
+                        open = Some(word + pos);
+                    }
+                    Some(lo) => {
+                        pos += rest.trailing_ones();
+                        if pos < WORD_BITS {
+                            runs.push(lo..word + pos);
+                            open = None;
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(lo) = open {
+            runs.push(lo..range.end);
+        }
+        runs.retain(|run| containing.is_none_or(|i| run.contains(&i)));
+        runs
+    }
 }
 
 /// A WR that hit the hardware outstanding cap and waits for a free slot.
@@ -102,9 +252,11 @@ pub(crate) struct SendShared {
     pub ready_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     pub active: AtomicBool,
     pub round: AtomicU64,
-    pub arrived: Box<[AtomicU8]>,
-    pub sent: Box<[AtomicU8]>,
-    pub pready_count: AtomicU32,
+    /// This round's `pready` bits, one per partition, then as many posted
+    /// bits: one allocation, halved by [`Self::group`].
+    pub bits: Box<[AtomicU64]>,
+    /// Partitions posted this round. A partition is posted only after its
+    /// `pready`, so a full count also says every `pready` arrived.
     pub sent_count: AtomicU32,
     pub wr_posted: AtomicU32,
     pub wr_completed: AtomicU32,
@@ -154,17 +306,12 @@ impl SendShared {
         if self.active.swap(true, Ordering::AcqRel) {
             return Err(PartixError::AlreadyActive);
         }
-        for f in self.arrived.iter() {
-            f.store(0, Ordering::Relaxed);
-        }
-        for f in self.sent.iter() {
-            f.store(0, Ordering::Relaxed);
+        for w in self.bits.iter() {
+            w.store(0, Ordering::Relaxed);
         }
         for g in &ch.groups {
-            g.arrived.store(0, Ordering::Relaxed);
-            g.phase.store(PHASE_COLLECTING, Ordering::Relaxed);
+            g.reset();
         }
-        self.pready_count.store(0, Ordering::Relaxed);
         self.sent_count.store(0, Ordering::Relaxed);
         self.wr_posted.store(0, Ordering::Relaxed);
         self.wr_completed.store(0, Ordering::Release);
@@ -176,6 +323,16 @@ impl SendShared {
         }
         self.round.fetch_add(1, Ordering::AcqRel);
         Ok(())
+    }
+
+    /// Group `g` of the channel with this request's bitsets.
+    fn group<'a>(&'a self, ch: &'a SendChannel, g: u32) -> Group<'a> {
+        let (arrived, sent) = self.bits.split_at(self.bits.len() / 2);
+        Group {
+            state: &ch.groups[g as usize],
+            arrived,
+            sent,
+        }
     }
 
     /// Whether `pready` stamps [`Self::pready_ns`]: under adaptive δ or
@@ -195,21 +352,28 @@ impl SendShared {
                 partitions: self.partitions,
             });
         }
-        if self.arrived[i as usize].swap(1, Ordering::AcqRel) == 1 {
-            return Err(PartixError::DoublePready { index: i });
-        }
-        // Stamped before `pready_count` counts it: the round completes, and
-        // adaptive δ reads every stamp, only once the count is full.
-        if self.stamps_preadies() {
-            self.pready_ns[i as usize].store(self.proc.time.now().as_nanos(), Ordering::Relaxed);
-        }
-        self.proc.tel.runtime.preadys.inc();
-        self.pready_count.fetch_add(1, Ordering::AcqRel);
         let ch = self.channel()?;
         let g = ch.plan.group_of(i);
+        let grp = self.group(ch, g);
+        // Stamped before the bit is published: whoever sees the bit may post
+        // the partition and complete the round, and adaptive δ then reads
+        // every stamp. The load keeps a double `pready` from overwriting
+        // the stamp; `arrive` stays the authority.
+        if self.stamps_preadies() {
+            if grp.has_arrived(i) {
+                return Err(PartixError::DoublePready { index: i });
+            }
+            self.pready_ns[i as usize].store(self.proc.time.now().as_nanos(), Ordering::Relaxed);
+        }
+        let Some(last) = grp.arrive(i) else {
+            return Err(PartixError::DoublePready { index: i });
+        };
+        self.proc.tel.runtime.preadys.inc();
         match ch.current_delta() {
-            None => self.counting_pready(ch, g),
-            Some(delta) => self.timer_pready(ch, g, i, delta),
+            // Without a timer, the arrival that fills the group posts it.
+            None if last => self.post_range(ch, g, ch.plan.range_of(g)),
+            None => {}
+            Some(delta) => self.timer_pready(ch, g, i, last, delta),
         }
         // This pready may have posted nothing (a concurrent flush already
         // covered the partition) while every WR ack has already been
@@ -219,32 +383,29 @@ impl SendShared {
         Ok(())
     }
 
-    /// Non-timer policies: the arrival completing the group posts it whole.
-    fn counting_pready(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32) {
-        let grp = &ch.groups[g as usize];
-        let n = grp.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-        if n == ch.plan.group_size {
-            self.post_range(ch, g, ch.plan.range_of(g));
-        }
-    }
-
-    /// Timer policy (paper §IV-D).
-    fn timer_pready(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, i: u32, delta: SimDuration) {
-        let grp = &ch.groups[g as usize];
-        let len = ch.plan.group_size;
-        let n = grp.arrived.fetch_add(1, Ordering::AcqRel) + 1;
-
-        if n == len {
+    /// Timer policy (paper §IV-D), after partition `i` of group `g`
+    /// arrived; `last` says it filled the group.
+    fn timer_pready(
+        self: &Arc<Self>,
+        ch: &Arc<SendChannel>,
+        g: u32,
+        i: u32,
+        last: bool,
+        delta: SimDuration,
+    ) {
+        let grp = self.group(ch, g);
+        if last {
             // Last arrival: if the delta timer has not flushed yet, the last
             // thread aggregates and sends the whole group (the delta_a case
             // of the paper's Fig. 5).
             if grp
+                .state
                 .phase
                 .compare_exchange(
                     PHASE_COLLECTING,
                     PHASE_SENT_ALL,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
                 )
                 .is_ok()
             {
@@ -252,7 +413,7 @@ impl SendShared {
                 return;
             }
             // Already flushed: fall through and send our own run.
-        } else if n == 1 {
+        } else if grp.state.arm() {
             // First arrival arms the timer (it "sleeps" for at most delta).
             let weak = Arc::downgrade(self);
             let ch2 = ch.clone();
@@ -264,7 +425,7 @@ impl SendShared {
             });
         }
 
-        if grp.phase.load(Ordering::Acquire) == PHASE_FLUSHED {
+        if grp.state.phase.load(Ordering::SeqCst) == PHASE_FLUSHED {
             // Post-flush arrival: send the maximal contiguous run of
             // arrived-but-unsent partitions containing `i` (the delta_b case:
             // the laggard sends its own partition).
@@ -279,14 +440,13 @@ impl SendShared {
         {
             return; // stale timer from a finished round
         }
-        let grp = &ch.groups[g as usize];
-        if grp
+        if ch.groups[g as usize]
             .phase
             .compare_exchange(
                 PHASE_COLLECTING,
                 PHASE_FLUSHED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             )
             .is_err()
         {
@@ -301,27 +461,9 @@ impl SendShared {
     /// `i` is posted (post-flush arrivals); with `None`, all runs are (the
     /// flush itself).
     fn post_runs(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, containing: Option<u32>) {
-        let grp = &ch.groups[g as usize];
-        let _guard = grp.lock.lock();
-        let range = grp.range.clone();
-        let eligible = |p: u32| -> bool {
-            self.arrived[p as usize].load(Ordering::Acquire) == 1
-                && self.sent[p as usize].load(Ordering::Acquire) == 0
-        };
-        let mut runs: Vec<Range<u32>> = Vec::new();
-        let mut cursor = range.start;
-        while cursor < range.end {
-            if !eligible(cursor) {
-                cursor += 1;
-                continue;
-            }
-            let lo = cursor;
-            while cursor < range.end && eligible(cursor) {
-                cursor += 1;
-            }
-            runs.push(lo..cursor);
-        }
-        runs.retain(|run| containing.is_none_or(|i| run.start <= i && i < run.end));
+        let grp = self.group(ch, g);
+        let _guard = grp.state.lock.lock();
+        let runs = grp.unsent_runs(containing);
         // A flush that produced several runs claims send-queue slots once
         // for the whole batch. Only on non-persistent plans: their post
         // options are payload-independent, so one computation covers every
@@ -349,12 +491,12 @@ impl SendShared {
         let lo = range.start;
         let len = range.end - range.start;
         debug_assert!(len >= 1);
-        for p in range.clone() {
-            let was = self.sent[p as usize].swap(1, Ordering::AcqRel);
-            debug_assert_eq!(was, 0, "partition {p} posted twice");
-        }
-        self.sent_count.fetch_add(len, Ordering::AcqRel);
+        self.group(ch, ch.plan.group_of(lo))
+            .mark_sent(range.clone());
+        // `wr_posted` counts the WR before `sent_count` can read full:
+        // `maybe_complete` reads them in the other order.
         self.wr_posted.fetch_add(1, Ordering::AcqRel);
+        self.sent_count.fetch_add(len, Ordering::AcqRel);
         self.wr_posted_total.fetch_add(1, Ordering::Relaxed);
         self.proc.tel.runtime.aggregated_wrs.inc();
         self.proc.tel.runtime.partitions_posted.add(len as u64);
@@ -670,15 +812,13 @@ impl SendShared {
         }
     }
 
-    /// Complete the round once every partition was marked ready, every byte
-    /// was posted, and every WR was acknowledged.
+    /// Complete the round once every partition was posted (and so marked
+    /// ready) and every WR was acknowledged.
     pub(crate) fn maybe_complete(self: &Arc<Self>) {
         if !self.active.load(Ordering::Acquire) {
             return;
         }
-        if self.pready_count.load(Ordering::Acquire) != self.partitions
-            || self.sent_count.load(Ordering::Acquire) != self.partitions
-        {
+        if self.sent_count.load(Ordering::Acquire) != self.partitions {
             return;
         }
         let posted = self.wr_posted.load(Ordering::Acquire);
@@ -790,7 +930,9 @@ pub(crate) struct RecvShared {
     pub ready: AtomicBool,
     pub ready_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     pub active: AtomicBool,
-    pub arrived: Box<[AtomicU8]>,
+    /// Arrival bits of this round, one per partition.
+    pub arrived: Box<[AtomicU64]>,
+    /// Set bits of `arrived`.
     pub arrived_count: AtomicU32,
     pub completed_rounds: AtomicU64,
     pub complete_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
@@ -830,8 +972,8 @@ impl RecvShared {
         if self.active.swap(true, Ordering::AcqRel) {
             return Err(PartixError::AlreadyActive);
         }
-        for f in self.arrived.iter() {
-            f.store(0, Ordering::Relaxed);
+        for w in self.arrived.iter() {
+            w.store(0, Ordering::Relaxed);
         }
         self.arrived_count.store(0, Ordering::Release);
 
@@ -907,11 +1049,19 @@ impl RecvShared {
             self.id as u32,
             ((lo as u64) << 32) | cnt as u64,
         );
-        for p in lo as u32..lo as u32 + cnt as u32 {
-            let was = self.arrived[p as usize].swap(1, Ordering::AcqRel);
-            debug_assert_eq!(was, 0, "partition {p} delivered twice");
+        // Only bits this arrival set are counted: a duplicate can neither
+        // complete the round early nor push the count past `partitions`.
+        let run = lo as u32..lo as u32 + cnt as u32;
+        let mut fresh = 0;
+        for (w, mask) in word_masks(run.clone()) {
+            let was = self.arrived[w].fetch_or(mask, Ordering::AcqRel);
+            debug_assert_eq!(was & mask, 0, "partitions {run:?} delivered twice");
+            fresh += (mask & !was).count_ones();
         }
-        let total = self.arrived_count.fetch_add(cnt as u32, Ordering::AcqRel) + cnt as u32;
+        if fresh == 0 {
+            return;
+        }
+        let total = self.arrived_count.fetch_add(fresh, Ordering::AcqRel) + fresh;
         if total == self.partitions
             && self
                 .active
@@ -931,11 +1081,143 @@ impl RecvShared {
                 partitions: self.partitions,
             });
         }
-        if self.arrived[i as usize].load(Ordering::Acquire) == 1 {
+        let (w, bit) = word_bit(i);
+        if self.arrived[w].load(Ordering::Acquire) & bit != 0 {
             return Ok(true);
         }
         // Not yet: drive the progress engine (try-lock; §IV-A) and re-check.
         self.proc.try_progress();
-        Ok(self.arrived[i as usize].load(Ordering::Acquire) == 1)
+        Ok(self.arrived[w].load(Ordering::Acquire) & bit != 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The protocol the bitsets replace: a flag byte per partition for
+    /// `pready` and for posting, and an arrival counter per group.
+    struct ByteFlags {
+        arrived: Vec<bool>,
+        sent: Vec<bool>,
+        count: u32,
+    }
+
+    impl ByteFlags {
+        fn new(len: u32) -> Self {
+            ByteFlags {
+                arrived: vec![false; len as usize],
+                sent: vec![false; len as usize],
+                count: 0,
+            }
+        }
+
+        /// `None` for a double `pready`, else whether it completed the group
+        /// and whether it armed the timer.
+        fn pready(&mut self, p: u32) -> Option<(bool, bool)> {
+            if std::mem::replace(&mut self.arrived[p as usize], true) {
+                return None;
+            }
+            self.count += 1;
+            let last = self.count == self.arrived.len() as u32;
+            Some((last, self.count == 1 && !last))
+        }
+
+        /// The flush's scan: maximal runs of arrived and unsent partitions,
+        /// offset by `base`.
+        fn runs(&self, base: u32, containing: Option<u32>) -> Vec<Range<u32>> {
+            let len = self.arrived.len() as u32;
+            let eligible = |p: u32| self.arrived[p as usize] && !self.sent[p as usize];
+            let mut runs = Vec::new();
+            let mut cursor = 0;
+            while cursor < len {
+                if !eligible(cursor) {
+                    cursor += 1;
+                    continue;
+                }
+                let lo = cursor;
+                while cursor < len && eligible(cursor) {
+                    cursor += 1;
+                }
+                runs.push(base + lo..base + cursor);
+            }
+            runs.retain(|run| containing.is_none_or(|i| run.contains(&i)));
+            runs
+        }
+
+        fn mark(&mut self, run: Range<u32>, base: u32) {
+            for p in run {
+                self.sent[(p - base) as usize] = true;
+            }
+        }
+    }
+
+    proptest! {
+        /// Three groups side by side, so that narrow ones share words, made
+        /// ready in interleaved random orders with double `pready`s and
+        /// flushes at random points: each group's view of the bitsets and
+        /// its byte-flag model agree on which `pready` completes the group,
+        /// which one arms the timer and which runs each flush posts, and
+        /// again after a reset.
+        #[test]
+        fn bitsets_agree_with_byte_flags(
+            len in prop::sample::select(vec![1u32, 2, 3, 25, 63, 64, 65, 127, 128, 200]),
+            keys in prop::collection::vec(any::<u64>(), 600..601),
+            steps in prop::collection::vec(any::<u8>(), 600..601),
+        ) {
+            let states: Vec<GroupState> =
+                (0..3).map(|g| GroupState::new(g * len..(g + 1) * len)).collect();
+            let bits = bitset(2 * (3 * len).next_multiple_of(WORD_BITS));
+            let (arrived, sent) = bits.split_at(bits.len() / 2);
+            let groups: Vec<Group> =
+                states.iter().map(|state| Group { state, arrived, sent }).collect();
+            for round in 0..2 {
+                let mut order: Vec<u32> = (0..3 * len).collect();
+                order.sort_by_key(|&i| keys[i as usize].rotate_left(round * 32));
+                let mut models: Vec<ByteFlags> = (0..3).map(|_| ByteFlags::new(len)).collect();
+                for (k, &i) in order.iter().enumerate() {
+                    let step = steps[k];
+                    let g = (i / len) as usize;
+                    let (grp, model, base) = (&groups[g], &mut models[g], g as u32 * len);
+                    let got = grp.arrive(i).map(|last| (last, !last && grp.state.arm()));
+                    prop_assert_eq!(got, model.pready(i - base), "pready {} of {}", i, len);
+                    if step & 7 == 0 {
+                        // A double pready of one of the partitions so far.
+                        let j = order[(step >> 3) as usize % (k + 1)];
+                        let (h, base_h) = ((j / len) as usize, (j / len) * len);
+                        prop_assert!(groups[h].has_arrived(j));
+                        prop_assert_eq!(groups[h].arrive(j), None);
+                        prop_assert_eq!(models[h].pready(j - base_h), None);
+                    }
+                    if step & 0x30 == 0 {
+                        // A flush, or a post-flush arrival's scan for its run.
+                        let (grp, model) = (&groups[g], &mut models[g]);
+                        let containing = (step & 0x40 != 0).then_some(i);
+                        let runs = grp.unsent_runs(containing);
+                        prop_assert_eq!(&runs, &model.runs(base, containing));
+                        for run in runs {
+                            grp.mark_sent(run.clone());
+                            model.mark(run, base);
+                        }
+                    }
+                }
+                for (g, grp) in groups.iter().enumerate() {
+                    prop_assert_eq!(grp.unsent_runs(None), models[g].runs(g as u32 * len, None));
+                    grp.state.reset();
+                }
+                for w in bits.iter() {
+                    w.store(0, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_masks_cover_a_range_exactly() {
+        let words: Vec<_> = word_masks(60..130).collect();
+        assert_eq!(words, [(0, 0xF << 60), (1, u64::MAX), (2, 0b11)]);
+        assert_eq!(word_masks(64..128).collect::<Vec<_>>(), [(1, u64::MAX)]);
+        assert_eq!(word_masks(5..6).collect::<Vec<_>>(), [(0, 1 << 5)]);
     }
 }

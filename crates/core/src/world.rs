@@ -20,7 +20,7 @@ use partix_verbs::telemetry::{invariants, Registry, Sample, Sampler, SamplerConf
 use partix_verbs::{connect_pair, Fabric, LossyFabric, Network, QpCaps, SimFabric};
 
 use crate::config::PartixConfig;
-use crate::error::Result;
+use crate::error::{PartixError, Result};
 use crate::handles::Proc;
 use crate::plan::{plan_for, PlanDecision};
 use crate::proc::ProcInner;
@@ -39,14 +39,29 @@ pub(crate) struct MatchService {
     pending: Mutex<HashMap<(u32, u32, u32), PairQueues>>,
 }
 
+/// The two ends of a matched pair must agree on their shape.
+fn same_shape(s: &SendShared, r: &RecvShared) -> Result<()> {
+    if (s.partitions, s.part_bytes) == (r.partitions, r.part_bytes) {
+        return Ok(());
+    }
+    Err(PartixError::ShapeMismatch {
+        send: (s.partitions, s.part_bytes),
+        recv: (r.partitions, r.part_bytes),
+    })
+}
+
 impl MatchService {
     fn offer_send(&self, world: &Arc<WorldInner>, s: Arc<SendShared>) -> Result<()> {
         let key = (s.proc.rank, s.dest, s.tag);
         let matched = {
             let mut map = self.pending.lock();
             let q = map.entry(key).or_default();
-            match q.recvs.pop_front() {
-                Some(r) => Some(r),
+            match q.recvs.front() {
+                // A mismatched peer stays at the front of its queue.
+                Some(r) => {
+                    same_shape(&s, r)?;
+                    q.recvs.pop_front()
+                }
                 None => {
                     q.sends.push_back(s.clone());
                     None
@@ -64,8 +79,11 @@ impl MatchService {
         let matched = {
             let mut map = self.pending.lock();
             let q = map.entry(key).or_default();
-            match q.sends.pop_front() {
-                Some(s) => Some(s),
+            match q.sends.front() {
+                Some(s) => {
+                    same_shape(s, &r)?;
+                    q.sends.pop_front()
+                }
                 None => {
                     q.recvs.push_back(r.clone());
                     None
@@ -353,17 +371,6 @@ impl World {
 
 /// Establish the channel for a matched psend/precv pair.
 fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) -> Result<()> {
-    assert_eq!(
-        s.partitions, r.partitions,
-        "matched psend/precv disagree on partition count (src {} dst {} tag {})",
-        s.proc.rank, s.dest, s.tag
-    );
-    assert_eq!(
-        s.part_bytes, r.part_bytes,
-        "matched psend/precv disagree on partition size (src {} dst {} tag {})",
-        s.proc.rank, s.dest, s.tag
-    );
-
     let max_wr_bytes = world.network.fabric().max_wr_bytes();
     let plan = plan_for(&world.config, s.partitions, s.part_bytes, max_wr_bytes);
     let rt = &world.network.state().telemetry().runtime;
@@ -408,12 +415,7 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
     }
 
     let groups = (0..plan.groups)
-        .map(|g| GroupState {
-            range: plan.range_of(g),
-            arrived: std::sync::atomic::AtomicU32::new(0),
-            phase: std::sync::atomic::AtomicU8::new(0),
-            lock: Mutex::new(()),
-        })
+        .map(|g| GroupState::new(plan.range_of(g)))
         .collect();
 
     let send_channel = Arc::new(SendChannel {

@@ -1,11 +1,16 @@
 //! Edge-case runtime tests: the software pending queue under the hardware
 //! WR cap, sender-ahead-of-receiver early-arrival buffering, many-rank
-//! all-pairs traffic, and progress-engine behaviour under contention.
+//! all-pairs traffic, progress-engine behaviour under contention, `pready`
+//! racing the δ-timer and itself, and mismatched inits.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-use partix_core::{AggregatorKind, PartixConfig, SimDuration, World};
+use partix_core::{
+    AggregatorKind, MemoryRegion, PartixConfig, PartixError, PrecvRequest, PsendRequest,
+    SimDuration, World,
+};
 
 /// Persistent policy with 128 partitions on few QPs: far more WRs than the
 /// 16-outstanding hardware cap. The software pending queue must drain them
@@ -256,4 +261,260 @@ fn stale_timers_are_harmless_across_rounds() {
     // Every round aggregated into exactly one WR (all arrivals within
     // delta): 10 WRs total, not 10 + spurious flush posts.
     assert_eq!(send.total_wrs_posted(), 10);
+}
+
+/// How long one round of a wall-clock test may take before it fails.
+const ROUND_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Drive both ends until the round completes; a round that misses
+/// [`ROUND_DEADLINE`] fails with the state of both ends, not a hang.
+fn finish_round(send: &PsendRequest, recv: &PrecvRequest, what: &str) {
+    let deadline = Instant::now() + ROUND_DEADLINE;
+    while !(send.test() & recv.test()) {
+        assert!(
+            send.error().is_none() && Instant::now() < deadline,
+            "{what}: round stuck (error {:?}; send active {}, {} rounds; recv active {}, {} rounds, {} arrived)",
+            send.error(),
+            send.is_active(),
+            send.completed_rounds(),
+            recv.is_active(),
+            recv.completed_rounds(),
+            recv.arrived_count(),
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// Byte `b` of round `round`'s payload.
+fn payload(round: u32, b: usize) -> u8 {
+    (round as usize * 131 + b * 7) as u8
+}
+
+fn fill_round(sbuf: &MemoryRegion, round: u32, bytes: usize) {
+    let data: Vec<u8> = (0..bytes).map(|b| payload(round, b)).collect();
+    sbuf.write(0, &data).unwrap();
+}
+
+fn check_round(rbuf: &MemoryRegion, round: u32, bytes: usize, what: &str) {
+    let got = rbuf.read_vec(0, bytes).unwrap();
+    let bad = (0..bytes).find(|&b| got[b] != payload(round, b));
+    assert_eq!(bad, None, "{what}: round {round} delivered a wrong byte");
+}
+
+/// Eight threads share a `TimerPLogGp` group of 64 partitions on the wall
+/// clock, one of them late, with δ short enough that the deadline flush
+/// races the last `pready`s: for 50 rounds, each round completes exactly
+/// once on both ends, every partition arrives once, the bytes are right,
+/// and under adaptive δ no round reads a missing `pready` stamp (which
+/// would stretch δ to the time since the world began).
+fn timer_races_preadys(adaptive: bool) {
+    const THREADS: u32 = 8;
+    const PARTS: u32 = 64;
+    const PB: usize = 64;
+    let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
+    cfg.delta = SimDuration::from_micros(20);
+    cfg.adaptive_delta = adaptive;
+    let margin = cfg.adaptive_delta_margin.max(1.0);
+    let world = World::instant(2, cfg);
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let bytes = PARTS as usize * PB;
+    let sbuf = p0.alloc_buffer(bytes).unwrap();
+    let rbuf = p1.alloc_buffer(bytes).unwrap();
+    let send = p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap();
+    let plan = send.plan().unwrap();
+    assert!(
+        plan.timer_delta.is_some(),
+        "the plan aggregates with a timer"
+    );
+    let completions = Arc::new(AtomicU64::new(0));
+    for round in 0..50u32 {
+        let what = format!("adaptive {adaptive}, round {round}");
+        fill_round(&sbuf, round, bytes);
+        let began = Instant::now();
+        recv.start().unwrap();
+        send.start().unwrap();
+        let (c, d) = (completions.clone(), completions.clone());
+        send.on_complete(move || {
+            c.fetch_add(1, Ordering::AcqRel);
+        });
+        recv.on_complete(move || {
+            d.fetch_add(1, Ordering::AcqRel);
+        });
+        let go = Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (send, go) = (&send, &go);
+                s.spawn(move || {
+                    go.wait();
+                    if t == THREADS - 1 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    let per = PARTS / THREADS;
+                    for i in t * per..(t + 1) * per {
+                        send.pready(i).unwrap();
+                    }
+                });
+            }
+        });
+        finish_round(&send, &recv, &what);
+        let rounds = u64::from(round) + 1;
+        assert_eq!(completions.load(Ordering::Acquire), 2 * rounds, "{what}");
+        assert_eq!(send.completed_rounds(), rounds, "{what}");
+        assert_eq!(recv.completed_rounds(), rounds, "{what}");
+        assert_eq!(recv.arrived_count(), PARTS, "{what}");
+        check_round(&rbuf, round, bytes, &what);
+        if adaptive {
+            // Every stamp of the round lies inside it, so the spread does.
+            let delta = send.current_delta().unwrap().as_nanos();
+            let bound = (began.elapsed().as_nanos() as f64 * margin) as u64;
+            assert!(delta < 1_000_000_000, "{what}: δ {delta} ns");
+            assert!(
+                delta <= bound.max(1_000),
+                "{what}: δ {delta} ns > {bound} ns"
+            );
+        }
+    }
+    // The late thread sleeps past δ, so the flush went first in some round.
+    assert!(
+        send.total_wrs_posted() > 50,
+        "adaptive {adaptive}: no flush raced"
+    );
+}
+
+#[test]
+fn timer_flush_races_concurrent_preadys() {
+    timer_races_preadys(false);
+}
+
+#[test]
+fn timer_flush_races_concurrent_preadys_under_adaptive_delta() {
+    timer_races_preadys(true);
+}
+
+/// Eight threads each call `pready(i)` for every `i`, half in each
+/// direction: exactly one call per partition succeeds and every other one
+/// reports `DoublePready`, and the round completes once with the right
+/// bytes. 64 partitions fill one word of a group's bitset; 130 span three,
+/// the last partial.
+fn racing_double_pready(kind: AggregatorKind, parts: u32) {
+    const THREADS: u32 = 8;
+    const PB: usize = 64;
+    let what = format!("{kind:?}, {parts} partitions");
+    let world = World::instant(2, PartixConfig::with_aggregator(kind));
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let bytes = parts as usize * PB;
+    let sbuf = p0.alloc_buffer(bytes).unwrap();
+    let rbuf = p1.alloc_buffer(bytes).unwrap();
+    let send = p0.psend_init(&sbuf, parts, PB, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, parts, PB, 0, 0).unwrap();
+    if kind != AggregatorKind::Persistent {
+        assert_eq!(send.plan().unwrap().group_size, parts, "{what}: one group");
+    }
+    fill_round(&sbuf, 1, bytes);
+    recv.start().unwrap();
+    send.start().unwrap();
+    let oks: Vec<AtomicU32> = (0..parts).map(|_| AtomicU32::new(0)).collect();
+    let doubles = AtomicU32::new(0);
+    let go = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (send, oks, doubles, go) = (&send, &oks, &doubles, &go);
+            s.spawn(move || {
+                go.wait();
+                for k in 0..parts {
+                    let i = if t % 2 == 0 { k } else { parts - 1 - k };
+                    match send.pready(i) {
+                        Ok(()) => {
+                            oks[i as usize].fetch_add(1, Ordering::AcqRel);
+                        }
+                        Err(PartixError::DoublePready { index }) if index == i => {
+                            doubles.fetch_add(1, Ordering::AcqRel);
+                        }
+                        Err(e) => panic!("pready({i}): {e}"),
+                    }
+                }
+            });
+        }
+    });
+    for (i, ok) in oks.iter().enumerate() {
+        assert_eq!(
+            ok.load(Ordering::Acquire),
+            1,
+            "{what}: pready({i}) succeeded"
+        );
+    }
+    assert_eq!(
+        doubles.load(Ordering::Acquire),
+        (THREADS - 1) * parts,
+        "{what}"
+    );
+    finish_round(&send, &recv, &what);
+    assert_eq!(send.completed_rounds(), 1, "{what}");
+    assert_eq!(recv.completed_rounds(), 1, "{what}");
+    assert_eq!(recv.arrived_count(), parts, "{what}");
+    check_round(&rbuf, 1, bytes, &what);
+}
+
+#[test]
+fn racing_double_pready_is_rejected_exactly_once() {
+    for kind in [
+        AggregatorKind::PLogGp,
+        AggregatorKind::Persistent,
+        AggregatorKind::TimerPLogGp,
+    ] {
+        for parts in [64, 130] {
+            racing_double_pready(kind, parts);
+        }
+    }
+}
+
+/// A `psend_init` and `precv_init` that disagree on their shape: the
+/// second init fails with both shapes named, and the first still matches a
+/// partner that agrees with it and completes a round.
+fn mismatched_init(send_first: bool) {
+    const PARTS: u32 = 8;
+    const PB: usize = 64;
+    let world = World::instant(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let bytes = PARTS as usize * PB;
+    let sbuf = p0.alloc_buffer(bytes).unwrap();
+    let rbuf = p1.alloc_buffer(bytes).unwrap();
+    let (send, recv) = if send_first {
+        let send = p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap();
+        let bad = p1.precv_init(&rbuf, PARTS / 2, PB, 0, 0).err();
+        let want = PartixError::ShapeMismatch {
+            send: (PARTS, PB),
+            recv: (PARTS / 2, PB),
+        };
+        assert_eq!(bad, Some(want));
+        (send, p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap())
+    } else {
+        let recv = p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap();
+        let bad = p0.psend_init(&sbuf, PARTS, PB / 2, 1, 0).err();
+        let want = PartixError::ShapeMismatch {
+            send: (PARTS, PB / 2),
+            recv: (PARTS, PB),
+        };
+        assert_eq!(bad, Some(want));
+        (p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap(), recv)
+    };
+    fill_round(&sbuf, 7, bytes);
+    recv.start().unwrap();
+    send.start().unwrap();
+    for i in 0..PARTS {
+        send.pready(i).unwrap();
+    }
+    finish_round(&send, &recv, "after a mismatched init");
+    check_round(&rbuf, 7, bytes, "after a mismatched init");
+}
+
+#[test]
+fn mismatched_precv_init_is_an_error_and_the_send_still_matches() {
+    mismatched_init(true);
+}
+
+#[test]
+fn mismatched_psend_init_is_an_error_and_the_recv_still_matches() {
+    mismatched_init(false);
 }
