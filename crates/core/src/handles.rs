@@ -146,8 +146,11 @@ impl Proc {
         tag: u32,
     ) -> Result<PrecvRequest> {
         self.validate(buf, partitions, part_bytes)?;
-        // Register with the process: the request's place in `recvs` is the
-        // id its receive WRs carry.
+        // The request's place in `recvs` is the id its receive WRs carry.
+        // The table stays locked until the match service accepts the offer
+        // and registers it there; a refused offer leaves the table as it
+        // was. (A failed channel set-up keeps the entry: receive WRs
+        // carrying its id may already be posted.)
         let mut recvs = self.inner.recvs.write();
         let shared = Arc::new(RecvShared {
             id: self.world.req_seq.fetch_add(1, Ordering::Relaxed),
@@ -168,12 +171,11 @@ impl Proc {
             complete_cbs: Mutex::new(Vec::new()),
             early: Mutex::new(Vec::new()),
         });
-        recvs.push(shared.clone());
-        drop(recvs);
+        let entry = shared.clone();
         crate::world::World {
             inner: self.world.clone(),
         }
-        .offer_recv(shared.clone())?;
+        .offer_recv(shared.clone(), move || recvs.push(entry))?;
         Ok(PrecvRequest {
             shared,
             _world: self.world.clone(),
@@ -185,7 +187,7 @@ impl Proc {
     /// outstanding-WR cap parked in software. Nothing else re-posts them —
     /// see [`PsendRequest::test`].
     pub fn progress(&self) {
-        self.inner.try_progress();
+        self.inner.try_progress(None);
     }
 }
 
@@ -264,7 +266,7 @@ impl PsendRequest {
             return Err(PartixError::WouldBlockInSim);
         }
         while !self.is_ready() {
-            self.shared.proc.try_progress();
+            self.shared.proc.try_progress(None);
             std::thread::yield_now();
         }
         self.start()
@@ -316,7 +318,7 @@ impl PsendRequest {
         if !self.shared.active.load(Ordering::Acquire) {
             return true;
         }
-        self.shared.proc.try_progress();
+        self.shared.proc.try_progress(None);
         // Re-evaluate completion directly: the round can become complete
         // without a fresh work completion (a pready that posts nothing
         // because a concurrent flush already covered its partition).
@@ -339,7 +341,7 @@ impl PsendRequest {
             if self.shared.proc.sim_mode() {
                 return Err(PartixError::WouldBlockInSim);
             }
-            self.shared.proc.try_progress();
+            self.shared.proc.try_progress(None);
             self.shared.maybe_complete();
             std::thread::yield_now();
         }
@@ -395,7 +397,7 @@ impl PrecvRequest {
             return Err(PartixError::WouldBlockInSim);
         }
         while !self.is_ready() {
-            self.shared.proc.try_progress();
+            self.shared.proc.try_progress(None);
             std::thread::yield_now();
         }
         self.start()
@@ -412,7 +414,7 @@ impl PrecvRequest {
         if !self.shared.active.load(Ordering::Acquire) {
             return true;
         }
-        self.shared.proc.try_progress();
+        self.shared.proc.try_progress(None);
         !self.shared.active.load(Ordering::Acquire)
     }
 
@@ -425,7 +427,7 @@ impl PrecvRequest {
             if self.shared.proc.sim_mode() {
                 return Err(PartixError::WouldBlockInSim);
             }
-            self.shared.proc.try_progress();
+            self.shared.proc.try_progress(None);
             std::thread::yield_now();
         }
     }

@@ -13,7 +13,7 @@ use parking_lot::{Mutex, RwLock};
 use partix_sim::{SerialResource, Slab, TimeSource};
 use partix_verbs::telemetry::Registry;
 use partix_verbs::{
-    CompletionQueue, Context, PostOptions, ProtectionDomain, SendWr, VerbsError, WcStatus,
+    CompletionQueue, Context, Handoff, PostOptions, ProtectionDomain, SendWr, VerbsError, WcStatus,
     WorkCompletion,
 };
 
@@ -196,22 +196,33 @@ impl ProcInner {
     }
 
     /// Drive the progress engine if no one else currently is (the paper's
-    /// single-threaded try-lock design).
-    pub(crate) fn try_progress(self: &Arc<Self>) {
+    /// single-threaded try-lock design). A CQ's notify hook passes the
+    /// completion it may hand over as `offer`: the winner of the try-lock
+    /// takes it and puts it at the head of its CQ's first batch, where a
+    /// poll would have found it; a loser drops it, which queues it for the
+    /// winner's next poll.
+    pub(crate) fn try_progress(self: &Arc<Self>, offer: Option<Handoff<'_>>) {
         // Dispatch handlers may re-enter here; the recursive call loses the
         // try-lock and returns.
         let Some(mut scratch) = self.progress.try_lock() else {
             return;
         };
         let ProgressScratch { wcs, strong } = &mut *scratch;
+        let (mut first_send, mut first_recv) = match offer {
+            Some(h) if std::ptr::eq(h.cq(), &*self.recv_cq) => (None, Some(h.take())),
+            Some(h) => (Some(h.take()), None),
+            None => (None, None),
+        };
         loop {
-            self.send_cq.poll_cq_into(wcs, POLL_BATCH);
+            wcs.extend(first_send.take());
+            self.send_cq.poll_cq_into(wcs, POLL_BATCH - wcs.len());
             let mut polled = wcs.len();
             for wc in wcs.drain(..) {
                 self.dispatch_send_wc(wc);
             }
 
-            self.recv_cq.poll_cq_into(wcs, POLL_BATCH);
+            wcs.extend(first_recv.take());
+            self.recv_cq.poll_cq_into(wcs, POLL_BATCH - wcs.len());
             polled += wcs.len();
             for wc in wcs.drain(..) {
                 self.dispatch_recv_wc(wc);

@@ -1086,7 +1086,7 @@ impl RecvShared {
             return Ok(true);
         }
         // Not yet: drive the progress engine (try-lock; §IV-A) and re-check.
-        self.proc.try_progress();
+        self.proc.try_progress(None);
         Ok(self.arrived[w].load(Ordering::Acquire) & bit != 0)
     }
 }

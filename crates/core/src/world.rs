@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 
 use partix_sim::{Scheduler, SimDuration, SimTime, TimeSource};
 use partix_verbs::telemetry::{invariants, Registry, Sample, Sampler, SamplerConfig, Snapshot};
-use partix_verbs::{connect_pair, Fabric, LossyFabric, Network, QpCaps, SimFabric};
+use partix_verbs::{connect_pair, Fabric, LossyFabric, Network, NotifyHook, QpCaps, SimFabric};
 
 use crate::config::PartixConfig;
 use crate::error::{PartixError, Result};
@@ -74,12 +74,20 @@ impl MatchService {
         Ok(())
     }
 
-    fn offer_recv(&self, world: &Arc<WorldInner>, r: Arc<RecvShared>) -> Result<()> {
+    /// `register` enters `r` in its process's receive table. It runs only
+    /// once the offer is accepted, and before the match lock is released,
+    /// so no peer can post to `r` before a completion can find it.
+    fn offer_recv(
+        &self,
+        world: &Arc<WorldInner>,
+        r: Arc<RecvShared>,
+        register: impl FnOnce(),
+    ) -> Result<()> {
         let key = (r.src, r.proc.rank, r.tag);
         let matched = {
             let mut map = self.pending.lock();
             let q = map.entry(key).or_default();
-            match q.sends.front() {
+            let matched = match q.sends.front() {
                 Some(s) => {
                     same_shape(s, &r)?;
                     q.sends.pop_front()
@@ -88,7 +96,9 @@ impl MatchService {
                     q.recvs.push_back(r.clone());
                     None
                 }
-            }
+            };
+            register();
+            matched
         };
         if let Some(s) = matched {
             establish(world, s, r)?;
@@ -344,9 +354,9 @@ impl World {
                 // instant mode progress is caller-driven, like real MPI.
                 if p.sim_mode() {
                     let weak = Arc::downgrade(&p);
-                    let hook = Arc::new(move || {
+                    let hook: NotifyHook = Arc::new(move |offer| {
                         if let Some(p) = weak.upgrade() {
-                            p.try_progress();
+                            p.try_progress(offer);
                         }
                     });
                     let fresh = p.send_cq.set_notify(hook.clone()).is_ok()
@@ -364,8 +374,8 @@ impl World {
         self.inner.match_svc.offer_send(&self.inner, s)
     }
 
-    pub(crate) fn offer_recv(&self, r: Arc<RecvShared>) -> Result<()> {
-        self.inner.match_svc.offer_recv(&self.inner, r)
+    pub(crate) fn offer_recv(&self, r: Arc<RecvShared>, register: impl FnOnce()) -> Result<()> {
+        self.inner.match_svc.offer_recv(&self.inner, r, register)
     }
 }
 
@@ -538,5 +548,83 @@ mod tests {
             5,
             "post-flush arrivals send themselves"
         );
+    }
+
+    /// On the virtual clock every completion reaches an idle progress
+    /// engine, which takes it from the CQ's notify hook: after a round both
+    /// CQs of both ranks are empty, every pushed entry counts as polled, and
+    /// the bytes arrived.
+    #[test]
+    fn sim_completions_are_handed_off_and_counted_polled() {
+        let (world, sched) = World::sim(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        let sbuf = p0.alloc_buffer(8 * 512).unwrap();
+        let rbuf = p1.alloc_buffer(8 * 512).unwrap();
+        let send = p0.psend_init(&sbuf, 8, 512, 1, 0).unwrap();
+        let recv = p1.precv_init(&rbuf, 8, 512, 0, 0).unwrap();
+        let data: Vec<u8> = (0..8 * 512).map(|b| (b % 253) as u8).collect();
+        sbuf.write(0, &data).unwrap();
+        let (send2, recv2) = (send.clone(), recv.clone());
+        send.on_ready(move || {
+            recv2.start().unwrap();
+            send2.start().unwrap();
+            for i in 0..8 {
+                send2.pready(i).unwrap();
+            }
+        });
+        sched.run();
+        assert!(recv.test());
+        assert_eq!(rbuf.read_vec(0, 8 * 512).unwrap(), data);
+        for p in world.inner.procs.lock().values() {
+            for cq in [&p.send_cq, &p.recv_cq] {
+                assert_eq!(cq.depth(), 0, "rank {}", p.rank);
+                assert_eq!(cq.total_polled(), cq.total_pushed(), "rank {}", p.rank);
+            }
+        }
+        let pushed = |rank: u32| {
+            let p = &world.inner.procs.lock()[&rank];
+            (p.send_cq.total_pushed(), p.recv_cq.total_pushed())
+        };
+        assert!(
+            pushed(0).0 > 0 && pushed(1).1 > 0,
+            "the round made completions"
+        );
+    }
+
+    /// A `precv_init` the match service refuses leaves no entry in its
+    /// process's receive table, so refusals neither grow it nor pin their
+    /// requests; the next accepted request takes the first free index as
+    /// its `wr_id` and completes a round.
+    #[test]
+    fn a_refused_precv_init_is_not_registered() {
+        let world = World::instant(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        let sbuf = p0.alloc_buffer(4 * 256).unwrap();
+        let rbuf = p1.alloc_buffer(4 * 256).unwrap();
+        let send = p0.psend_init(&sbuf, 4, 256, 1, 0).unwrap();
+        let table = || {
+            let recvs = world.inner.procs.lock()[&1].recvs.read().clone();
+            recvs.iter().map(|r| r.wr_id).collect::<Vec<_>>()
+        };
+        for _ in 0..3 {
+            let refused = p1.precv_init(&rbuf, 2, 256, 0, 0).err();
+            let want = PartixError::ShapeMismatch {
+                send: (4, 256),
+                recv: (2, 256),
+            };
+            assert_eq!(refused, Some(want));
+        }
+        assert_eq!(table(), [], "a refused request stayed registered");
+
+        let recv = p1.precv_init(&rbuf, 4, 256, 0, 0).unwrap();
+        assert_eq!(table(), [0], "the wr_id is the table index");
+        let data: Vec<u8> = (0..4 * 256).map(|b| (b % 251) as u8).collect();
+        sbuf.write(0, &data).unwrap();
+        recv.start().unwrap();
+        send.start().unwrap();
+        send.pready_range(0, 4).unwrap();
+        send.wait().unwrap();
+        recv.wait().unwrap();
+        assert_eq!(rbuf.read_vec(0, 4 * 256).unwrap(), data);
     }
 }

@@ -57,7 +57,7 @@
 //!
 //! The cross-shard channel path performs **zero steady-state allocations**:
 //! mailboxes are preallocated to [`PdesConfig::channel_capacity`] (nothing
-//! on a one-shard engine, which has no peer to hear from and never locks its
+//! on a one-shard engine, which has no peer to hear from and never reads its
 //! mailbox) and swapped (not
 //! reallocated) at merge time, local queues recycle their [`Slab`] slots,
 //! and the merge sort is an in-place `sort_unstable`. `tests/pdes_alloc.rs`
@@ -328,8 +328,15 @@ struct WireMsg<E> {
 /// Bounded inbound channel of one shard. Senders append under a mutex
 /// during the advance phase; the owner swaps the buffer out at the next
 /// merge phase, so the backing storage is reused for the whole run.
+///
+/// `len` mirrors the queue's length and is written only under the lock,
+/// so a merge reads an empty mailbox without locking it. That is sound
+/// because a merge never overlaps a push to the same mailbox: on the
+/// threaded executor a barrier separates the advance phase (pushes) from
+/// the merge phase, and the inline and reference loops are one thread.
 struct Mailbox<E> {
     q: Mutex<Vec<WireMsg<E>>>,
+    len: AtomicUsize,
     capacity: usize,
     high_water: AtomicUsize,
     overflows: AtomicU64,
@@ -339,6 +346,7 @@ impl<E> Mailbox<E> {
     fn with_capacity(capacity: usize) -> Self {
         Mailbox {
             q: Mutex::new(Vec::with_capacity(capacity)),
+            len: AtomicUsize::new(0),
             capacity,
             high_water: AtomicUsize::new(0),
             overflows: AtomicU64::new(0),
@@ -349,8 +357,11 @@ impl<E> Mailbox<E> {
         let mut q = self.q.lock();
         q.push(msg);
         let len = q.len();
+        self.len.store(len, Ordering::Relaxed);
         drop(q);
-        self.high_water.fetch_max(len, Ordering::Relaxed);
+        if len > self.high_water.load(Ordering::Relaxed) {
+            self.high_water.fetch_max(len, Ordering::Relaxed);
+        }
         if len > self.capacity {
             self.overflows.fetch_add(1, Ordering::Relaxed);
         }
@@ -553,14 +564,16 @@ impl<L: ShardLogic> ShardCell<L> {
     }
 
     /// Drain this shard's mailbox into the local queue in the deterministic
-    /// merge order `(send_time, src_shard, src_msg_seq)`.
+    /// merge order `(send_time, src_shard, src_msg_seq)`. An empty mailbox
+    /// is seen without its lock (see [`Mailbox`]).
     fn merge_inbox(&mut self, mailbox: &Mailbox<L::Event>) {
+        if mailbox.len.load(Ordering::Relaxed) == 0 {
+            return;
+        }
         {
             let mut q = mailbox.q.lock();
-            if q.is_empty() {
-                return;
-            }
             std::mem::swap(&mut *q, &mut self.scratch);
+            mailbox.len.store(0, Ordering::Relaxed);
         }
         self.scratch
             .sort_unstable_by_key(|m| (m.send_time, m.src_shard, m.src_msg_seq));
@@ -737,6 +750,11 @@ impl<L: ShardLogic> Pdes<L> {
         self.cells[shard].push_local(at, node, ev);
     }
 
+    /// The per-shard logic values, in shard order (between runs).
+    pub fn logics_mut(&mut self) -> impl Iterator<Item = &mut L> {
+        self.cells.iter_mut().map(|c| &mut c.logic)
+    }
+
     /// Tear down and return the per-shard logic values (final model state),
     /// in shard order.
     pub fn into_logics(self) -> Vec<L> {
@@ -852,8 +870,8 @@ impl<L: ShardLogic> Pdes<L> {
     }
 
     /// The `jobs == 1` epoch loop: same protocol, no threads, no barriers,
-    /// no allocation in steady state. A lone shard has no peer to hear
-    /// from, so its empty mailbox is never locked.
+    /// no allocation in steady state, and no lock on an empty mailbox. A
+    /// lone shard has no peer to hear from, so its mailbox is never read.
     fn run_epochs_inline(&mut self) -> PdesReport {
         let lookahead = self.cfg.lookahead;
         let map = self.map;

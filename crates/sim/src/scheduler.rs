@@ -45,7 +45,7 @@
 use std::cell::Cell;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -121,19 +121,23 @@ impl Drop for RawEvent {
     }
 }
 
-/// Per-node counts of node-affine events (see [`Scheduler::at_node`]).
-/// Allocated once by [`Scheduler::enable_node_affinity`]; the last slot
-/// collects events whose node id exceeds the configured range.
-struct AffinityCounts {
-    per_node: Box<[AtomicU64]>,
+/// Count one node-affine event for `node` in a census (see
+/// [`Scheduler::at_node`]): one slot per node, the last collecting ids
+/// beyond the range. An empty census is counting switched off.
+#[inline]
+fn count_node(census: &mut [u64], node: PdesNode) {
+    if let Some(last) = census.len().checked_sub(1) {
+        census[(node as usize).min(last)] += 1;
+    }
 }
 
-/// The shard context currently executing an event on this thread. `rt`
-/// tells coexisting schedulers apart.
+/// The shard context currently executing an event on this thread, and
+/// that shard's census. `rt` tells coexisting schedulers apart.
 #[derive(Clone, Copy)]
 struct ActiveShard {
     rt: u64,
     ctx: *mut ShardCtx<'static, RawEvent>,
+    census: *mut [u64],
     node: PdesNode,
 }
 
@@ -149,10 +153,16 @@ struct ActiveShardGuard {
 }
 
 impl ActiveShardGuard {
-    fn enter(rt: u64, ctx: &mut ShardCtx<'_, RawEvent>, node: PdesNode) -> Self {
+    fn enter(
+        rt: u64,
+        ctx: &mut ShardCtx<'_, RawEvent>,
+        census: &mut [u64],
+        node: PdesNode,
+    ) -> Self {
         let active = ActiveShard {
             rt,
             ctx: (ctx as *mut ShardCtx<'_, RawEvent>).cast(),
+            census,
             node,
         };
         ActiveShardGuard {
@@ -172,13 +182,18 @@ impl Drop for ActiveShardGuard {
 /// calls route back into this shard.
 struct ClosureShard {
     rt: u64,
+    /// The `at_node` calls this shard's events made, by target node
+    /// (see [`count_node`]). Plain memory: only the thread executing the
+    /// shard writes it, and seeds count into shard 0's under the engine
+    /// lock.
+    census: Box<[u64]>,
 }
 
 impl ShardLogic for ClosureShard {
     type Event = RawEvent;
 
     fn handle(&mut self, ctx: &mut ShardCtx<'_, RawEvent>, node: PdesNode, ev: RawEvent) {
-        let _guard = ActiveShardGuard::enter(self.rt, ctx, node);
+        let _guard = ActiveShardGuard::enter(self.rt, ctx, &mut self.census, node);
         ev.run();
     }
 }
@@ -199,10 +214,6 @@ struct Inner {
     now: AtomicU64,
     scheduled: AtomicU64,
     executed: AtomicU64,
-    /// Node-affinity diagnostics, populated lazily by
-    /// [`Scheduler::enable_node_affinity`]. Disabled costs one pointer load
-    /// per `at_node` call.
-    affinity: OnceLock<AffinityCounts>,
     /// The model's minimum cross-node latency, for schedulers built by
     /// [`Scheduler::sharded`] / [`Scheduler::sharded_reference`].
     sharded_lookahead: Option<SimDuration>,
@@ -286,14 +297,18 @@ impl Scheduler {
         reference: bool,
     ) -> Self {
         let rt = NEXT_RT.fetch_add(1, Ordering::Relaxed);
-        let logics = (0..cfg.shards).map(|_| ClosureShard { rt }).collect();
+        let logics = (0..cfg.shards)
+            .map(|_| ClosureShard {
+                rt,
+                census: Box::default(),
+            })
+            .collect();
         Scheduler {
             inner: Arc::new(Inner {
                 rt,
                 now: AtomicU64::new(0),
                 scheduled: AtomicU64::new(0),
                 executed: AtomicU64::new(0),
-                affinity: OnceLock::new(),
                 sharded_lookahead,
                 jobs,
                 reference,
@@ -340,11 +355,11 @@ impl Scheduler {
     /// The shard context published by `ClosureShard::handle` when the
     /// calling thread is inside one of *this* scheduler's events.
     ///
-    /// Dereferencing its `ctx` is sound for the extent of that event: the
-    /// `&mut` lent to `handle` is suspended while the closure runs and no
-    /// other path reaches the context, so a reborrow is unique as long as it
-    /// is dropped before anything that could read `ACTIVE_SHARD` again. The
-    /// `'static` in its type is erased storage only.
+    /// Dereferencing its `ctx` or `census` is sound for the extent of that
+    /// event: the `&mut` lent to `handle` is suspended while the closure
+    /// runs and no other path reaches them, so a reborrow is unique as long
+    /// as it is dropped before anything that could read `ACTIVE_SHARD`
+    /// again. The `'static` in its type is erased storage only.
     fn active(&self) -> Option<ActiveShard> {
         ACTIVE_SHARD
             .with(Cell::get)
@@ -354,7 +369,8 @@ impl Scheduler {
     /// From inside an event, route through the executing shard (`node:
     /// None` keeps the event on the current node); from outside, seed the
     /// idle engine directly (no lookahead constraint, seed order is call
-    /// order; unaffined events land on node 0).
+    /// order; unaffined events land on node 0). An affine event (`node:
+    /// Some`) is counted in the census of the shard that schedules it.
     ///
     /// The engine counts what events schedule during a run, and `run`
     /// publishes that count when it returns; only seeds count here, under
@@ -362,6 +378,10 @@ impl Scheduler {
     fn schedule(&self, node: Option<PdesNode>, t: SimTime, ev: RawEvent) {
         match self.active() {
             Some(active) => {
+                if let Some(node) = node {
+                    // SAFETY: see `active`; dropped at once.
+                    count_node(unsafe { &mut *active.census }, node);
+                }
                 // SAFETY: see `active`; `send_at` runs no event code.
                 let ctx = unsafe { &mut *active.ctx };
                 ctx.send_at(node.unwrap_or(active.node), t, ev);
@@ -369,6 +389,9 @@ impl Scheduler {
             None => {
                 let at = t.max(SimTime(self.inner.now.load(Ordering::Acquire)));
                 let mut engine = self.inner.engine.lock();
+                if let (Some(node), Some(first)) = (node, engine.logics_mut().next()) {
+                    count_node(&mut first.census, node);
+                }
                 engine.seed(node.unwrap_or(0), at, ev);
                 self.inner.scheduled.fetch_add(1, Ordering::Release);
             }
@@ -421,36 +444,37 @@ impl Scheduler {
     /// on, affinity also feeds the per-node event census
     /// ([`node_event_counts`](Self::node_event_counts)).
     pub fn at_node(&self, node: u32, t: SimTime, f: impl FnOnce() + Send + 'static) {
-        if let Some(a) = self.inner.affinity.get() {
-            let idx = (node as usize).min(a.per_node.len() - 1);
-            a.per_node[idx].fetch_add(1, Ordering::Relaxed);
-        }
         self.schedule(Some(node), t, RawEvent::new(f));
     }
 
     /// Turn on per-node affinity counting for node ids `0..nodes` (one
     /// overflow slot collects ids beyond the range). Idempotent; the first
-    /// call wins. Counting is off by default: once on, every `at_node` pays
-    /// one atomic increment. `World` turns it on for sharded schedulers
-    /// only, where affinity picks the executing shard and a test audits it.
+    /// call wins. Call it from outside a run. Counting is off by default:
+    /// once on, every `at_node` pays one plain increment of the scheduling
+    /// shard's own census (a census per shard, each `nodes + 1` slots).
+    /// `World` turns it on for sharded schedulers only, where affinity
+    /// picks the executing shard and a test audits it.
     pub fn enable_node_affinity(&self, nodes: u32) {
-        self.inner.affinity.get_or_init(|| AffinityCounts {
-            per_node: (0..=nodes.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        });
+        for shard in self.inner.engine.lock().logics_mut() {
+            if shard.census.is_empty() {
+                shard.census = vec![0; nodes.max(1) as usize + 1].into();
+            }
+        }
     }
 
-    /// Per-node counts of node-affine events scheduled so far (empty when
-    /// affinity tracking was never enabled). Index `nodes` — the final
-    /// slot — counts out-of-range ids.
+    /// Per-node counts of node-affine events scheduled so far, summed over
+    /// the shards' censuses (empty when affinity tracking was never
+    /// enabled). Index `nodes` — the final slot — counts out-of-range ids.
+    /// Call it from outside a run.
     pub fn node_event_counts(&self) -> Vec<u64> {
-        match self.inner.affinity.get() {
-            Some(a) => a
-                .per_node
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            None => Vec::new(),
+        let mut total = Vec::new();
+        for shard in self.inner.engine.lock().logics_mut() {
+            total.resize(shard.census.len(), 0);
+            for (sum, n) in total.iter_mut().zip(&*shard.census) {
+                *sum += n;
+            }
         }
+        total
     }
 
     /// Schedule `f` to run `d` after the current virtual time.

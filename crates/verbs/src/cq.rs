@@ -3,12 +3,20 @@
 //! Completions are pushed by the fabric and drained by the runtime with
 //! [`CompletionQueue::poll`] (the `ibv_poll_cq` analogue). An optional
 //! notify hook mirrors `ibv_req_notify_cq` + completion channels: the fabric
-//! invokes it after pushing entries, which lets the discrete-event runtime
-//! progress promptly instead of modelling a busy-poll loop.
+//! invokes it on every push, which lets the discrete-event runtime progress
+//! promptly instead of modelling a busy-poll loop.
 //!
 //! The hook is installed once, before traffic, and never replaced: a push
 //! reads it without a lock and calls it by reference, so a completion costs
 //! no lock round trip and no reference-count traffic for the hook.
+//!
+//! **Hand-off.** A push onto a hooked CQ whose queue is empty does not queue
+//! the entry: it hands it to the hook as a [`Handoff`]. A hook that can
+//! consume it at once (an idle progress engine) takes it, which counts it as
+//! polled; a hook that cannot drops it, and the drop queues it exactly as a
+//! plain push would. A push behind queued entries queues, then calls the
+//! hook with nothing to hand over, so the queue stays FIFO. Either way
+//! `pushed == polled + depth` holds at quiescence.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,8 +44,44 @@ fn status_slot(status: WcStatus) -> usize {
 /// traffic never reallocates the entry deque.
 const CQ_INITIAL_CAPACITY: usize = 64;
 
-/// A completion-notify hook (see [`CompletionQueue::set_notify`]).
-pub type NotifyHook = Arc<dyn Fn() + Send + Sync>;
+/// A completion-notify hook (see [`CompletionQueue::set_notify`]): called
+/// once per push, with the completion itself when the queue was empty and
+/// with `None` when the push queued it behind earlier entries.
+pub type NotifyHook = Arc<dyn Fn(Option<Handoff<'_>>) + Send + Sync>;
+
+/// A completion offered to the notify hook instead of being queued (see
+/// the module docs). [`take`](Self::take) accepts it; dropping it untaken
+/// queues it.
+pub struct Handoff<'a> {
+    cq: &'a CompletionQueue,
+    wc: Option<WorkCompletion>,
+}
+
+impl<'a> Handoff<'a> {
+    /// The CQ the completion was pushed to.
+    pub fn cq(&self) -> &'a CompletionQueue {
+        self.cq
+    }
+
+    /// Accept the completion: it counts as polled from now on, and the
+    /// caller owes it a dispatch.
+    pub fn take(mut self) -> WorkCompletion {
+        let wc = self
+            .wc
+            .take()
+            .expect("a hand-off holds its entry until taken");
+        self.cq.counters.polled.inc();
+        wc
+    }
+}
+
+impl Drop for Handoff<'_> {
+    fn drop(&mut self) {
+        if let Some(wc) = self.wc.take() {
+            self.cq.entries.lock().push_back(wc);
+        }
+    }
+}
 
 /// A completion queue.
 pub struct CompletionQueue {
@@ -77,8 +121,9 @@ impl CompletionQueue {
     /// Install the completion-notify hook, once per CQ. The hook runs on the
     /// thread that generated the completion — it must be cheap and
     /// re-entrancy-safe (the partitioned runtime uses a try-lock progress
-    /// engine for exactly this reason). A second install is refused: the
-    /// hook comes back as the error.
+    /// engine for exactly this reason), and it must dispatch every
+    /// [`Handoff`] it takes. A second install is refused: the hook comes
+    /// back as the error.
     pub fn set_notify(&self, hook: NotifyHook) -> Result<(), NotifyHook> {
         self.notify.set(hook)?;
         self.hooked.store(true, Ordering::Release);
@@ -91,8 +136,16 @@ impl CompletionQueue {
         self.hooked.store(false, Ordering::Release);
     }
 
-    /// Push a completion and fire the notify hook. Fabric-internal.
+    /// Push a completion and fire the notify hook, handing the entry over
+    /// when the queue is empty (see the module docs). Fabric-internal.
     pub(crate) fn push(&self, wc: WorkCompletion) {
+        let hook = if self.hooked.load(Ordering::Acquire) {
+            self.notify.get()
+        } else {
+            None
+        };
+        // Read before this entry counts: is anything queued ahead of it?
+        let hand_off = hook.is_some() && self.depth() == 0;
         // Counted *before* the entry is enqueued so the lock-free `depth`
         // can only over-report, never under-report (an over-report costs
         // one wasted lock, an under-report would skip a present entry).
@@ -101,12 +154,18 @@ impl CompletionQueue {
             self.counters.recv_pushed.inc();
             self.counters.recv_bytes.add(wc.byte_len as u64);
         }
-        self.entries.lock().push_back(wc);
-        // Called with no lock held: the hook may re-enter the CQ (the
+        // The hook is called with no lock held: it may re-enter the CQ (the
         // progress engine polls from inside it).
-        if self.hooked.load(Ordering::Acquire) {
-            if let Some(hook) = self.notify.get() {
-                hook();
+        match hook {
+            Some(hook) if hand_off => hook(Some(Handoff {
+                cq: self,
+                wc: Some(wc),
+            })),
+            hook => {
+                self.entries.lock().push_back(wc);
+                if let Some(hook) = hook {
+                    hook(None);
+                }
             }
         }
     }
@@ -201,8 +260,9 @@ mod tests {
         let cq = CompletionQueue::new(1);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
+        // The hook drops what it is handed, which queues it.
         assert!(cq
-            .set_notify(Arc::new(move || {
+            .set_notify(Arc::new(move |_| {
                 h.fetch_add(1, Ordering::Relaxed);
             }))
             .is_ok());
@@ -221,11 +281,11 @@ mod tests {
         let (first, second) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let (f, s) = (first.clone(), second.clone());
         assert!(cq
-            .set_notify(Arc::new(move || {
+            .set_notify(Arc::new(move |_| {
                 f.fetch_add(1, Ordering::Relaxed);
             }))
             .is_ok());
-        let refused = cq.set_notify(Arc::new(move || {
+        let refused = cq.set_notify(Arc::new(move |_| {
             s.fetch_add(1, Ordering::Relaxed);
         }));
         // The refused hook comes back to the caller, and the first stays.
@@ -233,11 +293,121 @@ mod tests {
         cq.push(wc(0));
         assert_eq!(first.load(Ordering::Relaxed), 1);
         assert_eq!(second.load(Ordering::Relaxed), 0);
-        refused();
+        refused(None);
         assert_eq!(second.load(Ordering::Relaxed), 1);
         // Clearing does not reopen the slot.
         cq.clear_notify();
-        assert!(cq.set_notify(Arc::new(|| {})).is_err());
+        assert!(cq.set_notify(Arc::new(|_| {})).is_err());
+    }
+
+    /// A stand-in for the runtime's progress engine: a try-locked consumer
+    /// that takes what it is handed, then drains the queue, recording every
+    /// `wr_id` it dispatches. Dispatching `wr_id` `k` in `reenter` pushes
+    /// `k + 100` onto the same CQ from inside the dispatch.
+    fn engine_hook(
+        cq: &Arc<CompletionQueue>,
+        seen: &Arc<Mutex<Vec<u64>>>,
+        reenter: &'static [u64],
+    ) -> NotifyHook {
+        let (weak, seen) = (Arc::downgrade(cq), seen.clone());
+        Arc::new(move |offer: Option<Handoff<'_>>| {
+            let Some(mut log) = seen.try_lock() else {
+                return;
+            };
+            let cq = weak.upgrade().expect("the CQ outlives its pushes");
+            let mut batch: Vec<WorkCompletion> = offer.map(Handoff::take).into_iter().collect();
+            loop {
+                cq.poll_cq_into(&mut batch, 64);
+                if batch.is_empty() {
+                    break;
+                }
+                for entry in batch.drain(..) {
+                    log.push(entry.wr_id);
+                    if reenter.contains(&entry.wr_id) {
+                        cq.push(wc(entry.wr_id + 100));
+                    }
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn an_idle_hook_takes_the_entry_and_it_counts_as_polled() {
+        let cq = CompletionQueue::new(5);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        assert!(cq.set_notify(engine_hook(&cq, &seen, &[])).is_ok());
+        for i in 0..3 {
+            cq.push(wc(i));
+        }
+        assert_eq!(*seen.lock(), [0, 1, 2]);
+        assert!(cq.entries.lock().is_empty(), "nothing was queued");
+        assert_eq!(
+            (cq.depth(), cq.total_pushed(), cq.total_polled()),
+            (0, 3, 3)
+        );
+    }
+
+    #[test]
+    fn a_push_behind_a_queued_entry_queues_behind_it() {
+        let cq = CompletionQueue::new(6);
+        let offers = Arc::new(Mutex::new(Vec::new()));
+        let o = offers.clone();
+        // Refuses every hand-off, so the first entry queues.
+        assert!(cq
+            .set_notify(Arc::new(move |offer: Option<Handoff<'_>>| {
+                o.lock().push(offer.is_some());
+            }))
+            .is_ok());
+        cq.push(wc(0));
+        cq.push(wc(1));
+        assert_eq!(
+            *offers.lock(),
+            [true, false],
+            "only the push onto an empty queue is handed over"
+        );
+        let mut out = Vec::new();
+        assert_eq!(cq.poll(8, &mut out), 2);
+        assert_eq!(out.iter().map(|w| w.wr_id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(
+            (cq.depth(), cq.total_pushed(), cq.total_polled()),
+            (0, 2, 2)
+        );
+    }
+
+    #[test]
+    fn a_reentrant_push_is_drained_by_the_same_run() {
+        let cq = CompletionQueue::new(7);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        // Entry 0's dispatch pushes 100, whose dispatch pushes 200.
+        assert!(cq.set_notify(engine_hook(&cq, &seen, &[0, 100])).is_ok());
+        cq.push(wc(0));
+        assert_eq!(*seen.lock(), [0, 100, 200], "one run, in push order");
+        cq.push(wc(1));
+        assert_eq!(*seen.lock(), [0, 100, 200, 1]);
+        assert_eq!(
+            (cq.depth(), cq.total_pushed(), cq.total_polled()),
+            (0, 4, 4)
+        );
+    }
+
+    #[test]
+    fn a_cleared_hook_queues() {
+        let cq = CompletionQueue::new(8);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        assert!(cq.set_notify(engine_hook(&cq, &seen, &[])).is_ok());
+        cq.push(wc(0));
+        cq.clear_notify();
+        cq.push(wc(1));
+        cq.push(wc(2));
+        assert_eq!(*seen.lock(), [0], "a cleared hook is not called");
+        assert_eq!(cq.depth(), 2);
+        let mut out = Vec::new();
+        assert_eq!(cq.poll(8, &mut out), 2);
+        assert_eq!(out.iter().map(|w| w.wr_id).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(
+            (cq.depth(), cq.total_pushed(), cq.total_polled()),
+            (0, 3, 3)
+        );
     }
 
     #[test]

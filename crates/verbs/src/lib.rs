@@ -73,7 +73,7 @@ mod table;
 mod types;
 
 pub use buf::{InlineVec, PayloadArena, PooledBuf, PooledBufMut, INLINE_CAP};
-pub use cq::{CompletionQueue, NotifyHook};
+pub use cq::{CompletionQueue, Handoff, NotifyHook};
 pub use error::{Result, VerbsError};
 pub use fabric::{
     complete_posted, complete_send, execute_delivery, execute_delivery_ext, execute_delivery_from,

@@ -1,13 +1,23 @@
 //! Multi-threaded completion-queue stress: concurrent pushers and pollers
 //! must neither lose nor duplicate completions, and notify hooks must fire
-//! for every push.
+//! for every push. The receive CQ's hook is a second consumer running on
+//! the producers' threads: it takes the completions handed to it whenever
+//! it wins its try-lock, and races the progress thread for the rest.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use partix_verbs::{connect_pair, InstantFabric, Network, Opcode, QpCaps, RecvWr, SendWr, Sge};
+use partix_verbs::{
+    connect_pair, Handoff, InstantFabric, Network, Opcode, QpCaps, RecvWr, SendWr, Sge,
+    WorkCompletion,
+};
+
+/// A receive completion's identity: `wr_id`s repeat across QPs.
+fn recv_key(wc: &WorkCompletion) -> u64 {
+    (wc.qp_num as u64) << 32 | wc.wr_id
+}
 
 #[test]
 fn concurrent_senders_one_progress_thread() {
@@ -45,17 +55,27 @@ fn concurrent_senders_one_progress_thread() {
     let src = a.reg_mr(pda, 64).unwrap();
     let dst = b.reg_mr(pdb, 64 * TOTAL).unwrap();
 
-    let pushed_notify = Arc::new(AtomicUsize::new(0));
-    let n2 = pushed_notify.clone();
-    assert!(cqb
-        .set_notify(Arc::new(move || {
-            n2.fetch_add(1, Ordering::Relaxed);
-        }))
-        .is_ok());
-
     let seen_send: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let seen_recv: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let done = Arc::new(AtomicU64::new(0));
+
+    let pushed_notify = Arc::new(AtomicUsize::new(0));
+    let handed_off = Arc::new(AtomicUsize::new(0));
+    let (n2, h2, seen) = (pushed_notify.clone(), handed_off.clone(), seen_recv.clone());
+    assert!(cqb
+        .set_notify(Arc::new(move |offer: Option<Handoff<'_>>| {
+            n2.fetch_add(1, Ordering::Relaxed);
+            // `seen_recv` is the consumer's try-lock; losing it drops the
+            // hand-off, which queues the entry for the progress thread.
+            let Some(offer) = offer else { return };
+            let Some(mut set) = seen.try_lock() else {
+                return;
+            };
+            let wc = offer.take();
+            h2.fetch_add(1, Ordering::Relaxed);
+            assert!(set.insert(recv_key(&wc)), "duplicate recv wc {}", wc.wr_id);
+        }))
+        .is_ok());
 
     std::thread::scope(|s| {
         // Progress thread.
@@ -78,8 +98,7 @@ fn concurrent_senders_one_progress_thread() {
                     {
                         let mut set = seen_recv.lock();
                         for wc in &buf {
-                            // recv wr_ids repeat across QPs; key by (qp, id).
-                            let key = (wc.qp_num as u64) << 32 | wc.wr_id;
+                            let key = recv_key(wc);
                             assert!(set.insert(key), "duplicate recv wc {key}");
                         }
                     }
@@ -125,6 +144,16 @@ fn concurrent_senders_one_progress_thread() {
     assert_eq!(seen_send.lock().len(), TOTAL);
     assert_eq!(seen_recv.lock().len(), TOTAL);
     assert_eq!(pushed_notify.load(Ordering::Relaxed), TOTAL);
+    assert!(
+        handed_off.load(Ordering::Relaxed) > 0,
+        "the hook must consume some completions for the race to bite"
+    );
     assert_eq!(cqa.total_pushed(), TOTAL as u64);
-    assert_eq!(cqb.total_polled(), TOTAL as u64);
+    assert_eq!(cqb.total_pushed(), TOTAL as u64);
+    assert_eq!(
+        cqb.total_polled(),
+        TOTAL as u64,
+        "hand-offs count as polled"
+    );
+    assert_eq!((cqa.depth(), cqb.depth()), (0, 0));
 }

@@ -226,6 +226,60 @@ fn fullstack_figure_events_all_carry_node_affinity() {
 }
 
 #[test]
+fn fullstack_figure_census_is_pinned() {
+    // Recorded when every `at_node` was one shared atomic increment; the
+    // per-shard censuses must sum to the same vector on the reference
+    // executor, the inline loop and two worker threads.
+    const CENSUS: [u64; 7] = [214, 130, 130, 130, 130, 130, 0];
+    let cfg = FullStackConfig::figure(6, 99);
+    for executor in [
+        Executor::Reference,
+        Executor::Sharded(1),
+        Executor::Sharded(2),
+    ] {
+        let (report, _world, sched) = run_fullstack_observed(&cfg, executor, None);
+        assert_eq!(report.events, 864, "{executor:?}");
+        assert_eq!(sched.node_event_counts(), CENSUS, "{executor:?}");
+    }
+}
+
+#[test]
+fn pinned_pdes_runs_keep_their_channel_diagnostics() {
+    // The benchmark's pinned `pdes_sweep` runs (seed 12, 10 000 ranks, two
+    // sweeps) on the inline loop and two workers, and on the reference
+    // executor, which merges after every event: `(events, cross, makespan)`
+    // and the mailbox high-water mark and overflow count, as recorded when
+    // every merge locked its mailbox.
+    let cfg = PdesWorkloadConfig {
+        sweeps: 2,
+        seed: 12,
+        ..PdesWorkloadConfig::new(10_000)
+    };
+    for (jobs, sweep_hw, fanin_hw) in [(Some(1), 16, 540), (Some(2), 16, 540), (None, 1, 1)] {
+        let sweep = run_sweep(&cfg, jobs);
+        let fanin = run_fanin(&cfg, jobs);
+        let got = |o: &PdesOutcome| {
+            let r = &o.report;
+            (
+                r.deterministic_parts(),
+                r.channel_high_water,
+                r.channel_overflows,
+            )
+        };
+        assert_eq!(
+            got(&sweep),
+            ((59_601, 39_600, 525_895), sweep_hw, 0),
+            "{jobs:?}"
+        );
+        assert_eq!(
+            got(&fanin),
+            ((18_749, 9_375, 12_594), fanin_hw, 0),
+            "{jobs:?}"
+        );
+    }
+}
+
+#[test]
 fn distinct_seeds_produce_distinct_digests() {
     // A digest that ignored its inputs would pass every equality test;
     // prove it is sensitive to the simulated content.
