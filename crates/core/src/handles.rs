@@ -243,7 +243,7 @@ macro_rules! common_request_methods {
 /// Handle to a partitioned send request.
 #[derive(Clone)]
 pub struct PsendRequest {
-    shared: Arc<SendShared>,
+    pub(crate) shared: Arc<SendShared>,
     /// A request keeps its world alive (see `Drop for WorldInner`).
     _world: Arc<WorldInner>,
 }

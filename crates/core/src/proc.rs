@@ -268,6 +268,11 @@ impl ProcInner {
 
     /// Re-post software-pending WRs that were deferred by the hardware
     /// outstanding-WR cap. Returns how many posts succeeded.
+    ///
+    /// The drain re-posts one WR at a time in its own loop, not through
+    /// `SendShared::post`: a WR refused again goes back to the *front* of
+    /// its queue, keeping the channel's order, and is not counted as a new
+    /// spill, where `post` would queue it at the back and count it again.
     fn drain_pending(&self, strong: &mut Vec<Arc<SendShared>>) -> usize {
         let mut posted = 0;
         self.drainable.lock().retain(|w| match w.upgrade() {

@@ -31,8 +31,8 @@ use parking_lot::Mutex;
 
 use partix_sim::SimDuration;
 use partix_verbs::{
-    imm, MemoryRegion, Opcode, PostOptions, QpState, QueuePair, SendWr, Sge, VerbsError, WcStatus,
-    WorkCompletion,
+    imm, FlowStage, MemoryRegion, Opcode, PostOptions, QpState, QueuePair, SendWr, Sge, VerbsError,
+    WcStatus, WorkCompletion,
 };
 
 use crate::config::AggregatorKind;
@@ -303,6 +303,12 @@ impl SendShared {
     /// Begin a round.
     pub(crate) fn start(self: &Arc<Self>) -> Result<()> {
         let ch = self.channel()?;
+        if self.active.load(Ordering::Acquire) {
+            return Err(PartixError::AlreadyActive);
+        }
+        // Counted before `active` is set: a δ-timer of the last round that
+        // sees the request active sees the new round too, and stands down.
+        self.round.fetch_add(1, Ordering::AcqRel);
         if self.active.swap(true, Ordering::AcqRel) {
             return Err(PartixError::AlreadyActive);
         }
@@ -321,7 +327,6 @@ impl SendShared {
                 t.store(0, Ordering::Relaxed);
             }
         }
-        self.round.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
@@ -457,30 +462,29 @@ impl SendShared {
     }
 
     /// Under the group lock, post maximal contiguous runs of arrived &&
-    /// unsent partitions. With `containing = Some(i)`, only the run holding
-    /// `i` is posted (post-flush arrivals); with `None`, all runs are (the
-    /// flush itself).
+    /// unsent partitions through one `post`: with `containing = Some(i)`,
+    /// only the run holding `i` (post-flush arrivals); with `None`, all of
+    /// them (the flush). Only timer plans get here, whose post options
+    /// ignore payload size, so the runs share one computation; a
+    /// `Persistent` group, whose options do not, is one partition.
     fn post_runs(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, containing: Option<u32>) {
         let grp = self.group(ch, g);
         let _guard = grp.state.lock.lock();
         let runs = grp.unsent_runs(containing);
-        // A flush that produced several runs claims send-queue slots once
-        // for the whole batch. Only on non-persistent plans: their post
-        // options are payload-independent, so one computation covers every
-        // WR in the batch.
-        if runs.len() > 1 && ch.plan.kind != AggregatorKind::Persistent {
-            self.post_range_batch(ch, g, &runs);
-        } else {
-            for run in runs {
-                self.post_range(ch, g, run);
-            }
+        let qp_idx = ch.plan.qp_of(g);
+        let opts = self.post_options(0);
+        let mut wrs = std::mem::take(&mut *ch.batch_scratch.lock());
+        for run in &runs {
+            wrs.push(self.build_range_wr(ch, run, qp_idx, opts));
         }
+        self.post(ch, qp_idx, &mut wrs, opts);
+        wrs.clear();
+        *ch.batch_scratch.lock() = wrs;
     }
 
     /// Per-run posting bookkeeping (sent flags, counters, events) and WR
-    /// assembly: the WR is registered with the process (which mints its id
-    /// and retains its in-flight image) and the copy to post comes back in a
-    /// pooled shell. Shared by the single and batched paths.
+    /// assembly: the process mints the WR's id and retains its in-flight
+    /// image, and the copy to post comes back in a pooled shell.
     fn build_range_wr(
         self: &Arc<Self>,
         ch: &SendChannel,
@@ -518,7 +522,7 @@ impl SendShared {
             let hold = now.saturating_sub(first_ready);
             flows.event_at(
                 flow,
-                partix_verbs::FlowStage::Posted,
+                FlowStage::Posted,
                 now,
                 ch.qps[qp_idx as usize].qp_num(),
                 self.id as u32,
@@ -545,145 +549,78 @@ impl SendShared {
         })
     }
 
-    /// Post every run of a multi-run flush through one `post_send_batch`
-    /// call: WR-cap slots are claimed once, and a partial grant spills the
-    /// unaccepted tail to the software-pending queue exactly as a
-    /// `SendQueueFull` would per-WR.
-    fn post_range_batch(self: &Arc<Self>, ch: &SendChannel, g: u32, runs: &[Range<u32>]) {
-        // Non-persistent post options ignore payload size (see
-        // `post_options`), so the batch shares one computation.
-        let opts = self.post_options(0);
-        let qp_idx = ch.plan.qp_of(g);
-        // Every image is retained before the first post: an instant fabric
-        // can dispatch an error completion synchronously, and recovery needs
-        // the in-flight image of whichever WR failed.
-        let mut wrs = std::mem::take(&mut *ch.batch_scratch.lock());
-        wrs.extend(
-            runs.iter()
-                .map(|run| self.build_range_wr(ch, run, qp_idx, opts)),
-        );
-        let granted = match ch.qps[qp_idx as usize].post_send_batch(&wrs, opts) {
-            Ok(n) => n,
-            Err(VerbsError::InvalidQpState { .. }) if self.can_recover() => {
-                // QP mid-recovery: park the whole batch for the progress
-                // drain (same contract as the per-WR path in `submit`).
-                for wr in wrs.drain(..) {
-                    self.park(ch, qp_idx, wr, opts, 0);
-                }
-                *ch.batch_scratch.lock() = wrs;
-                return;
-            }
-            Err(VerbsError::InvalidQpState {
-                actual: QpState::Error,
-                ..
-            }) => {
-                // Recovery disabled: no completions will come. Retire the
-                // whole batch and poison.
-                self.wr_completed
-                    .fetch_add(wrs.len() as u32, Ordering::AcqRel);
-                for wr in wrs.drain(..) {
-                    self.proc.retire_send(wr.wr_id, false);
-                    self.proc.recycle_wr(wr);
-                }
-                *ch.batch_scratch.lock() = wrs;
-                self.poison(ch, "queue pair in error state");
-                return;
-            }
-            Err(e) => panic!("unexpected verbs failure on partitioned batch post: {e}"),
-        };
-        // The leading `granted` WRs are on the wire; the tail hit the
-        // outstanding cap and waits for free slots.
-        for wr in wrs.drain(granted..) {
-            self.spill(ch, qp_idx, wr, opts);
-        }
-        for wr in wrs.drain(..) {
-            self.proc.recycle_wr(wr);
-        }
-        *ch.batch_scratch.lock() = wrs;
-    }
-
     /// Post one RDMA-write-with-immediate covering user partitions `range`.
     fn post_range(self: &Arc<Self>, ch: &SendChannel, g: u32, range: Range<u32>) {
         let bytes = (range.end - range.start) as usize * self.part_bytes;
         let qp_idx = ch.plan.qp_of(g);
         let opts = self.post_options(bytes);
-        let wr = self.build_range_wr(ch, &range, qp_idx, opts);
-        self.submit(ch, qp_idx, wr, opts);
+        let mut wr = self.build_range_wr(ch, &range, qp_idx, opts);
+        self.post(ch, qp_idx, std::slice::from_mut(&mut wr), opts);
     }
 
-    /// Whether an errored QP may still be cycled back to RTS for this
-    /// request.
+    /// Whether an errored QP may still be cycled back to RTS.
     fn can_recover(&self) -> bool {
         self.proc.config.reliability.max_recoveries > 0 && self.error.get().is_none()
     }
 
-    /// Queue `wr` on the channel's software-pending queue for the progress
-    /// drain.
-    fn park(&self, ch: &SendChannel, qp_idx: u32, wr: SendWr, opts: PostOptions, queued_ns: u64) {
-        ch.pending.lock().push_back(PendingPost {
-            qp_idx,
-            wr,
-            opts,
-            queued_ns,
-        });
-        self.proc.spilled.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The hardware outstanding cap refused `wr`: count the spill, stamp the
-    /// flow, and park it until a slot frees.
-    fn spill(&self, ch: &SendChannel, qp_idx: u32, wr: SendWr, opts: PostOptions) {
-        self.proc.tel.runtime.pending_spills.inc();
-        let flows = &self.proc.tel.flows;
-        let queued_ns = flows.now();
-        flows.event_at(
-            wr.flow,
-            partix_verbs::FlowStage::CapQueued,
-            queued_ns,
-            ch.qps[qp_idx as usize].qp_num(),
-            self.id as u32,
-            0,
-        );
-        self.park(ch, qp_idx, wr, opts, queued_ns);
-    }
-
-    /// Hand a tracked WR (its in-flight image is already retained, so a
-    /// failed completion can re-post it after QP recovery) to the QP,
-    /// spilling to the channel's software pending queue when the hardware
-    /// outstanding cap is hit (drained from progress).
-    pub(crate) fn submit(
+    /// Post tracked WRs (their images are retained, for recovery to re-post
+    /// one that fails) to QP `qp_idx` through one `post_send_batch` call,
+    /// and dispose of each by outcome. Granted, its shell is recycled;
+    /// refused by the outstanding cap, it is spilled: counted, stamped
+    /// `CapQueued` and parked in the channel's software-pending queue; on a
+    /// QP errored or mid recovery, it is parked until the drain finds the QP
+    /// back at RTS; on a dead QP with recovery off, no completion will come,
+    /// so it is retired as completed and the request poisoned.
+    fn post(
         self: &Arc<Self>,
         ch: &SendChannel,
         qp_idx: u32,
-        wr: SendWr,
+        wrs: &mut [SendWr],
         opts: PostOptions,
     ) {
-        // Single-WR batch post: borrows the WR, so a successful post recycles
-        // the shell instead of surrendering it. `Ok(0)` is the queue-full
-        // case.
-        match ch.qps[qp_idx as usize].post_send_batch(std::slice::from_ref(&wr), opts) {
-            Ok(1..) => self.proc.recycle_wr(wr),
-            Ok(_) => self.spill(ch, qp_idx, wr, opts),
-            // The QP is in the error state (or mid-recovery cycle) under an
-            // earlier failed WR. With recovery enabled, park the post: the
-            // failing WR's completion handler will cycle the QP back to RTS,
-            // and the progress engine's drain will re-post this one — or, if
-            // recovery exhausts, poisoning will retire it.
-            Err(VerbsError::InvalidQpState { .. }) if self.can_recover() => {
-                self.park(ch, qp_idx, wr, opts, 0)
-            }
+        let qp = &ch.qps[qp_idx as usize];
+        // How many WRs the QP took, and whether the rest were refused by the
+        // cap (else they met an errored QP that recovery may bring back).
+        let (granted, capped) = match qp.post_send_batch(wrs, opts) {
+            Ok(n) => (n, true),
+            Err(VerbsError::InvalidQpState { .. }) if self.can_recover() => (0, false),
             Err(VerbsError::InvalidQpState {
                 actual: QpState::Error,
                 ..
             }) => {
-                // Recovery disabled: no completion will ever come for this
-                // post. Poison the request and account the WR as retired so
-                // the round terminates.
-                self.proc.retire_send(wr.wr_id, false);
-                self.proc.recycle_wr(wr);
-                self.wr_completed.fetch_add(1, Ordering::AcqRel);
+                // Poisoned before the count lets the round complete, so no
+                // waiter sees it end without its error.
                 self.poison(ch, "queue pair in error state");
+                for wr in wrs.iter_mut() {
+                    self.proc.retire_send(wr.wr_id, false);
+                    self.proc.recycle_wr(std::mem::take(wr));
+                }
+                self.wr_completed
+                    .fetch_add(wrs.len() as u32, Ordering::AcqRel);
+                return;
             }
             Err(e) => panic!("unexpected verbs failure on partitioned post: {e}"),
+        };
+        let (posted, parked) = wrs.split_at_mut(granted);
+        for wr in posted {
+            self.proc.recycle_wr(std::mem::take(wr));
+        }
+        let flows = &self.proc.tel.flows;
+        for wr in parked {
+            let mut queued_ns = 0;
+            if capped {
+                self.proc.tel.runtime.pending_spills.inc();
+                queued_ns = flows.now();
+                let (stage, qp_num) = (FlowStage::CapQueued, qp.qp_num());
+                flows.event_at(wr.flow, stage, queued_ns, qp_num, self.id as u32, 0);
+            }
+            ch.pending.lock().push_back(PendingPost {
+                qp_idx,
+                wr: std::mem::take(wr),
+                opts,
+                queued_ns,
+            });
+            self.proc.spilled.fetch_add(1, Ordering::AcqRel);
         }
     }
 
@@ -787,10 +724,10 @@ impl SendShared {
         // completion was just consumed). In-flight WRs the error flushed to
         // software pending are re-posted by the progress engine's drain once
         // the QP is back at RTS.
-        let wr = self.proc.track_send(self, post.qp_idx, post.opts, |wr| {
+        let mut wr = self.proc.track_send(self, post.qp_idx, post.opts, |wr| {
             *wr = post.wr;
         });
-        self.submit(ch, post.qp_idx, wr, post.opts);
+        self.post(ch, post.qp_idx, std::slice::from_mut(&mut wr), post.opts);
         Ok(())
     }
 
@@ -966,10 +903,11 @@ impl RecvShared {
 
     /// Begin a round: reset flags, replenish receive WRs (paper: "In
     /// MPI_Start we also post our receive WRs"), and apply any early
-    /// arrivals.
+    /// arrivals. The reset comes while the request is inactive, so every
+    /// arrival until `active` is set (under the `early` lock) is buffered.
     pub(crate) fn start(self: &Arc<Self>) -> Result<()> {
         let ch = self.channel()?;
-        if self.active.swap(true, Ordering::AcqRel) {
+        if self.active.load(Ordering::Acquire) {
             return Err(PartixError::AlreadyActive);
         }
         for w in self.arrived.iter() {
@@ -985,7 +923,13 @@ impl RecvShared {
             qp.top_up_recv(needed, self.wr_id)?;
         }
 
-        let early = std::mem::take(&mut *self.early.lock());
+        let early = {
+            let mut early = self.early.lock();
+            if self.active.swap(true, Ordering::AcqRel) {
+                return Err(PartixError::AlreadyActive);
+            }
+            std::mem::take(&mut *early)
+        };
         for (lo, cnt, flow, qp) in early {
             self.apply_arrival(lo, cnt, flow, qp);
         }
@@ -1029,11 +973,15 @@ impl RecvShared {
     }
 
     /// Apply an arrival after the software path, buffering it if the round
-    /// has not started yet.
+    /// has not started: an inactive reading is re-checked under the `early`
+    /// lock, under which `start` sets `active` and takes the buffer.
     fn record_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64, qp: u32) {
         if !self.active.load(Ordering::Acquire) {
-            self.early.lock().push((lo, cnt, flow, qp));
-            return;
+            let mut early = self.early.lock();
+            if !self.active.load(Ordering::Acquire) {
+                early.push((lo, cnt, flow, qp));
+                return;
+            }
         }
         self.apply_arrival(lo, cnt, flow, qp);
     }
@@ -1044,7 +992,7 @@ impl RecvShared {
         // to `parrived` from here on.
         self.proc.tel.flows.event(
             flow,
-            partix_verbs::FlowStage::Arrived,
+            FlowStage::Arrived,
             qp,
             self.id as u32,
             ((lo as u64) << 32) | cnt as u64,
@@ -1219,5 +1167,115 @@ mod tests {
         assert_eq!(words, [(0, 0xF << 60), (1, u64::MAX), (2, 0b11)]);
         assert_eq!(word_masks(64..128).collect::<Vec<_>>(), [(1, u64::MAX)]);
         assert_eq!(word_masks(5..6).collect::<Vec<_>>(), [(0, 1 << 5)]);
+    }
+
+    /// What a δ flush of many runs meets at its QP.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum FlushOnto {
+        /// A live QP whose outstanding-WR cap refuses the batch's tail.
+        FullQueue,
+        /// A QP in the error state, with recovery on.
+        ErroredQp,
+        /// A QP in the error state, with recovery off.
+        DeadQp,
+    }
+
+    /// A `TimerPLogGp` group of 64 partitions on one QP: the even partitions
+    /// are made ready, so the δ flush posts 32 one-partition runs in one
+    /// batch, twice the WR cap; then the odd ones, each a post-flush run of
+    /// its own. The batch's WRs are spilled past the cap and drained, parked
+    /// and drained once the QP is back at RTS, or retired with the request
+    /// poisoned; every case ends the round and leaves a clean ledger.
+    fn flush_batch_onto(onto: FlushOnto) {
+        use partix_verbs::FlowLog;
+        const PARTS: u32 = 64;
+        const PB: usize = 64;
+        let mut cfg = crate::PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
+        if onto == FlushOnto::DeadQp {
+            cfg.reliability = crate::ReliabilityConfig::disabled();
+        }
+        let (world, sched) = crate::World::sim(2, cfg);
+        let log = FlowLog::new();
+        world.enable_flow_tracing(log.clone());
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        let bytes = PARTS as usize * PB;
+        let sbuf = p0.alloc_buffer(bytes).unwrap();
+        let rbuf = p1.alloc_buffer(bytes).unwrap();
+        let send = p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap();
+        let recv = p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap();
+        sched.run(); // channel bring-up
+        let plan = send.plan().unwrap();
+        assert_eq!((plan.groups, plan.qp_count), (1, 1), "{onto:?}");
+        let data: Vec<u8> = (0..bytes).map(|b| (b * 7 + 3) as u8).collect();
+        sbuf.write(0, &data).unwrap();
+        recv.start().unwrap();
+        send.start().unwrap();
+        let qp = send.shared.channel.get().unwrap().qps[0].clone();
+        if onto != FlushOnto::FullQueue {
+            qp.modify(QpState::Error).unwrap();
+        }
+        for i in (0..PARTS).step_by(2) {
+            send.pready(i).unwrap();
+        }
+        sched.run(); // the δ flush
+        let parked = || send.shared.proc.spilled.load(Ordering::Acquire);
+        let rt = world.telemetry_snapshot().runtime;
+        assert_eq!((rt.timer_fires, rt.aggregated_wrs), (1, 32), "{onto:?}");
+        match onto {
+            FlushOnto::FullQueue => {
+                assert_eq!((rt.pending_spills, rt.pending_reposts), (16, 16));
+                assert_eq!(parked(), 0);
+            }
+            FlushOnto::ErroredQp => {
+                assert_eq!((rt.pending_spills, rt.pending_reposts), (0, 0));
+                assert_eq!(parked(), 32, "the batch parked");
+                assert!(recover_qp(&qp));
+                p0.progress();
+                sched.run();
+                assert_eq!(parked(), 0, "the drain posted the batch");
+                let rt = world.telemetry_snapshot().runtime;
+                assert_eq!(rt.pending_reposts, 32);
+            }
+            FlushOnto::DeadQp => {
+                assert_eq!(parked(), 0);
+                assert_eq!(send.error(), Some("queue pair in error state"));
+            }
+        }
+        let cap_queued = log
+            .sorted()
+            .iter()
+            .filter(|e| e.stage == FlowStage::CapQueued)
+            .count();
+        let spills = if onto == FlushOnto::FullQueue { 16 } else { 0 };
+        assert_eq!(cap_queued, spills, "{onto:?}");
+        for i in (1..PARTS).step_by(2) {
+            send.pready(i).unwrap();
+        }
+        sched.run();
+        assert_eq!(send.completed_rounds(), 1, "{onto:?}");
+        assert_eq!(send.total_wrs_posted(), 64, "{onto:?}");
+        if onto == FlushOnto::DeadQp {
+            assert_eq!(recv.arrived_count(), 0);
+        } else {
+            assert_eq!(send.error(), None, "{onto:?}");
+            assert_eq!(recv.completed_rounds(), 1, "{onto:?}");
+            assert_eq!(rbuf.read_vec(0, bytes).unwrap(), data, "{onto:?}");
+        }
+        world.check_invariants().assert_clean();
+    }
+
+    #[test]
+    fn a_flush_batch_spills_its_tail_past_the_wr_cap() {
+        flush_batch_onto(FlushOnto::FullQueue);
+    }
+
+    #[test]
+    fn a_flush_batch_onto_an_errored_qp_parks_until_recovery() {
+        flush_batch_onto(FlushOnto::ErroredQp);
+    }
+
+    #[test]
+    fn a_flush_batch_onto_a_dead_qp_is_retired_and_the_round_ends() {
+        flush_batch_onto(FlushOnto::DeadQp);
     }
 }

@@ -518,3 +518,106 @@ fn mismatched_precv_init_is_an_error_and_the_send_still_matches() {
 fn mismatched_psend_init_is_an_error_and_the_recv_still_matches() {
     mismatched_init(false);
 }
+
+/// The sender runs a round ahead of the receiver on `ShmFabric` while a
+/// third thread drives the receiving rank's progress, and the receiver
+/// starts each round a varying moment after the sender posted it, so the
+/// round's arrivals are dispatched before, during and after its start. Each
+/// arrival must land in the round it belongs to, neither wiped by the
+/// start's reset nor buffered after the start took the buffer: every round
+/// completes on both ends within the deadline, with its own bytes.
+#[test]
+fn receiver_start_races_early_arrivals_on_shm() {
+    const ROUNDS: u32 = 2_000;
+    const PARTS: u32 = 64;
+    const PB: usize = 1024;
+    let world = World::with_fabric(
+        2,
+        PartixConfig::with_aggregator(AggregatorKind::PLogGp),
+        partix_verbs::ShmFabric::loopback(),
+    );
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let bytes = PARTS as usize * PB;
+    let sbuf = p0.alloc_buffer(bytes).unwrap();
+    let rbuf = p1.alloc_buffer(bytes).unwrap();
+    let send = p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap();
+    // Rounds the sender has posted, and rounds the receiver has checked:
+    // the sender starts round `r` once round `r - 1` is checked, so the
+    // bytes of `r - 1` stay put, and the receiver starts `r` once it is
+    // posted.
+    let (posted, checked) = (AtomicU32::new(0), AtomicU32::new(0));
+    let done = AtomicBool::new(false);
+    let stuck = |what: &str, r: u32| -> String {
+        format!(
+            "{what} {r}: send active {} ({} rounds), recv active {} ({} rounds, {} arrived)",
+            send.is_active(),
+            send.completed_rounds(),
+            recv.is_active(),
+            recv.completed_rounds(),
+            recv.arrived_count(),
+        )
+    };
+    let wait_for = |n: &AtomicU32, r: u32, what: &str| {
+        let deadline = Instant::now() + ROUND_DEADLINE;
+        while n.load(Ordering::Acquire) < r {
+            assert!(Instant::now() < deadline, "{}", stuck(what, r));
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                p1.progress();
+                std::thread::yield_now();
+            }
+        });
+        s.spawn(|| {
+            for r in 0..ROUNDS {
+                wait_for(&checked, r, "sender gate");
+                fill_round(&sbuf, r, bytes);
+                send.start_blocking().unwrap();
+                send.pready_range(0, PARTS).unwrap();
+                posted.store(r + 1, Ordering::Release);
+                let deadline = Instant::now() + ROUND_DEADLINE;
+                while !send.test() {
+                    assert!(
+                        send.error().is_none() && Instant::now() < deadline,
+                        "{}",
+                        stuck("send round", r)
+                    );
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let _stop = StopOnDrop(&done);
+        for r in 0..ROUNDS {
+            wait_for(&posted, r + 1, "receiver gate");
+            let lag = Instant::now() + Duration::from_micros(u64::from(r % 32));
+            while Instant::now() < lag {
+                std::hint::spin_loop();
+            }
+            let deadline = Instant::now() + ROUND_DEADLINE;
+            recv.start_blocking().unwrap();
+            while !recv.test() {
+                assert!(Instant::now() < deadline, "{}", stuck("recv round", r));
+                std::thread::yield_now();
+            }
+            check_round(&rbuf, r, bytes, "sender ahead");
+            checked.store(r + 1, Ordering::Release);
+        }
+    });
+    assert_eq!(send.completed_rounds(), u64::from(ROUNDS));
+    assert_eq!(recv.completed_rounds(), u64::from(ROUNDS));
+    world.check_invariants().assert_clean();
+}
+
+/// Stops the progress thread however the receiving loop ends, so a failed
+/// assertion fails the test instead of leaving the scope waiting.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}

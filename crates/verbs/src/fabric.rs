@@ -242,31 +242,19 @@ pub enum DeliveryOutcome {
     Duplicate,
 }
 
-/// Execute the destination-side effects of `job`: validate the remote
-/// address, copy the bytes, and (for write-with-immediate) consume a receive
-/// WR and push the receive completion. Returns what happened so the fabric
-/// can construct the matching send-side completion.
-pub fn execute_delivery(net: &Arc<NetworkState>, job: &TransferJob) -> DeliveryOutcome {
-    execute_delivery_ext(net, job, true)
-}
-
-/// [`execute_delivery`] with an explicit data-movement switch. Timing
-/// studies over many-gigabyte sweeps disable the byte copies (`copy_data =
-/// false`) — all validation, receive-WR accounting and completions still
-/// happen, so control-flow behaviour is identical.
-pub fn execute_delivery_ext(
-    net: &Arc<NetworkState>,
-    job: &TransferJob,
-    copy_data: bool,
-) -> DeliveryOutcome {
-    execute_delivery_from(net, &job.delivery_header(), job.payload(net), copy_data)
-}
-
-/// [`execute_delivery_ext`] for a transfer described by its header and a
-/// payload source of the caller's choosing. The payload is read only by a
+/// Execute the destination-side effects of a transfer described by its
+/// header: validate the remote address, copy the bytes, and (for
+/// write-with-immediate) consume a receive WR and push the receive
+/// completion. Returns what happened so the fabric can construct the
+/// matching send-side completion.
+///
+/// The payload source is the caller's choice, and is read only by a
 /// delivery that lands: a suppressed duplicate, a protection failure or a
-/// receiver-not-ready outcome never touches it.
-pub fn execute_delivery_from(
+/// receiver-not-ready outcome never touches it. Timing studies over
+/// many-gigabyte sweeps disable the byte copies (`copy_data = false`): all
+/// validation, receive-WR accounting and completions still happen, so
+/// control-flow behaviour is identical.
+pub fn execute_delivery(
     net: &Arc<NetworkState>,
     job: &DeliveryHeader,
     payload: Payload<'_>,

@@ -62,7 +62,7 @@ impl Fabric for InstantFabric {
         // out the RNR NAK timer).
         let mut attempt = 0u8;
         let outcome = loop {
-            let outcome = execute_delivery(net, &job);
+            let outcome = execute_delivery(net, &job.delivery_header(), job.payload(net), true);
             if matches!(outcome, DeliveryOutcome::ReceiverNotReady)
                 && attempt < sender_retry_profile(net, &job).map_or(0, |p| p.rnr_retry)
             {

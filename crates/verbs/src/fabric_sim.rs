@@ -25,8 +25,8 @@ use partix_sim::{Scheduler, SerialResource, SimDuration, SimTime};
 use partix_telemetry::segments_for;
 
 use crate::fabric::{
-    complete_send, execute_delivery_ext, outcome_status, sender_retry_profile, DeliveryOutcome,
-    Fabric, TransferJob,
+    complete_send, execute_delivery, outcome_status, sender_retry_profile, DeliveryOutcome, Fabric,
+    TransferJob,
 };
 use crate::network::NetworkState;
 use crate::table::IndexTable;
@@ -295,7 +295,12 @@ fn record_wire_span(
 /// handle the delivery event carried; it schedules what comes next.
 fn deliver_with_rnr_retry(sched: Scheduler, mut flight: Box<Flight>) {
     let Flight { net, job, .. } = &*flight;
-    let outcome = execute_delivery_ext(net, job, flight.copy_data);
+    let outcome = execute_delivery(
+        net,
+        &job.delivery_header(),
+        job.payload(net),
+        flight.copy_data,
+    );
     if matches!(outcome, DeliveryOutcome::ReceiverNotReady) {
         if let Some(profile) = sender_retry_profile(net, job) {
             if flight.attempt < profile.rnr_retry {

@@ -76,9 +76,9 @@ pub use buf::{InlineVec, PayloadArena, PooledBuf, PooledBufMut, INLINE_CAP};
 pub use cq::{CompletionQueue, Handoff, NotifyHook};
 pub use error::{Result, VerbsError};
 pub use fabric::{
-    complete_posted, complete_send, execute_delivery, execute_delivery_ext, execute_delivery_from,
-    outcome_status, sender_retry_profile, DeliveryHeader, DeliveryOutcome, Fabric, Payload,
-    PostOptions, PostedSend, ResolvedSegment, TransferJob,
+    complete_posted, complete_send, execute_delivery, outcome_status, sender_retry_profile,
+    DeliveryHeader, DeliveryOutcome, Fabric, Payload, PostOptions, PostedSend, ResolvedSegment,
+    TransferJob,
 };
 pub use fabric_instant::InstantFabric;
 pub use fabric_lossy::{FaultPlan, LossyConfig, LossyFabric};

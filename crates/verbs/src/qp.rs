@@ -454,16 +454,10 @@ impl QueuePair {
     }
 
     /// Post a send work request (`ibv_post_send`) with default timing
-    /// options.
+    /// options: [`Self::post_send_batch`] of one WR, with a full send queue
+    /// as [`VerbsError::SendQueueFull`].
     pub fn post_send(self: &Arc<Self>, wr: SendWr) -> Result<()> {
-        self.post_send_with(wr, PostOptions::default())
-    }
-
-    /// Post a send work request with explicit software-path timing options
-    /// (used by the runtime's protocol cost models; ignored by the instant
-    /// fabric).
-    pub fn post_send_with(self: &Arc<Self>, wr: SendWr, opts: PostOptions) -> Result<()> {
-        match self.post_send_batch(std::slice::from_ref(&wr), opts)? {
+        match self.post_send_batch(std::slice::from_ref(&wr), PostOptions::default())? {
             0 => Err(VerbsError::SendQueueFull {
                 max_outstanding: self.caps.max_send_wr,
             }),

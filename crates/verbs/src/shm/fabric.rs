@@ -23,7 +23,7 @@
 //! `submit` gathers the source MR straight into the ring (72-byte header
 //! first), and the progress thread delivers the record *in place* — inside
 //! [`SpscRing::try_pop_with`], before `Head` moves, the shared
-//! [`execute_delivery_from`] writes the (up to two) ring slices into the
+//! [`execute_delivery`] writes the (up to two) ring slices into the
 //! destination MR, or feeds them to a receive WR's scatter list. The sender
 //! keeps no copy: the ring loses nothing, so nothing is ever re-sent.
 //!
@@ -85,7 +85,7 @@ use parking_lot::{Mutex, MutexGuard};
 use partix_telemetry::{segments_for, FlowStage, Sampler};
 
 use crate::fabric::{
-    complete_posted, execute_delivery_from, outcome_status, sender_retry_profile, DeliveryHeader,
+    complete_posted, execute_delivery, outcome_status, sender_retry_profile, DeliveryHeader,
     DeliveryOutcome, Fabric, Payload, PostedSend, TransferJob,
 };
 use crate::network::NetworkState;
@@ -1190,7 +1190,7 @@ impl ShmFabric {
         retry: bool,
         min_rnr_timer_ns: u64,
     ) -> Option<Instant> {
-        let outcome = execute_delivery_from(net, header, Payload::Bytes(payload), true);
+        let outcome = execute_delivery(net, header, Payload::Bytes(payload), true);
         if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && retry {
             let wire = &net.telemetry().wire;
             wire.rnr_requeues.inc();

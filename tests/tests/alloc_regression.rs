@@ -116,6 +116,60 @@ fn steady_state_persistent_sim_round_allocates_once_per_wr() {
     );
 }
 
+/// The simulated timer path: each round the even partitions are made ready
+/// at once and the odd ones after the δ flush, so the flush posts eight
+/// one-partition runs through one batch and each odd partition is a
+/// post-flush run of its own. Besides a flight per WR, a round allocates
+/// the run list of each posting scan: one per odd `pready`, and two for the
+/// flush, whose eight runs outgrow the list's first capacity of four. A
+/// batch that stages its WRs in fresh storage, or a timer closure that
+/// outgrows the scheduler's inline storage, shows up here.
+#[test]
+fn steady_state_timer_flush_sim_round_allocates_a_flight_per_wr_and_a_list_per_scan() {
+    const ROUNDS: u64 = 8;
+    let cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
+    let (world, sched) = World::sim(2, cfg);
+    let p0 = world.proc(0);
+    let p1 = world.proc(1);
+    let total = PARTITIONS as usize * PART_BYTES;
+    let sbuf = p0.alloc_buffer(total).unwrap();
+    let rbuf = p1.alloc_buffer(total).unwrap();
+    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
+    sched.run(); // channel bring-up
+    let plan = send.plan().unwrap();
+    assert_eq!((plan.groups, plan.qp_count), (1, 1), "one group on one QP");
+
+    let round = || {
+        recv.start().unwrap();
+        send.start().unwrap();
+        for i in (0..PARTITIONS).step_by(2) {
+            send.pready(i).unwrap();
+        }
+        sched.run(); // the δ flush
+        for i in (1..PARTITIONS).step_by(2) {
+            send.pready(i).unwrap();
+        }
+        sched.run();
+    };
+    for _ in 0..4 {
+        round();
+    }
+    let wrs_before = send.total_wrs_posted();
+    let (allocs, ()) = count_allocs(|| (0..ROUNDS).for_each(|_| round()));
+
+    assert_eq!(send.completed_rounds(), 4 + ROUNDS);
+    assert_eq!(recv.completed_rounds(), 4 + ROUNDS);
+    let wrs = send.total_wrs_posted() - wrs_before;
+    assert_eq!(wrs, ROUNDS * PARTITIONS as u64, "one WR per partition");
+    let lists = ROUNDS * (2 + PARTITIONS as u64 / 2);
+    assert_eq!(
+        allocs,
+        wrs + lists,
+        "{allocs} allocations for {wrs} WRs and {lists} run lists"
+    );
+}
+
 /// The real-time path: one progress scan of a loopback `ShmFabric` takes
 /// every waiting DATA record from its ring to the destination region and the
 /// receive CQ, acks it, and takes every ACK to the send CQ. The test holds

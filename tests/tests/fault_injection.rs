@@ -134,7 +134,7 @@ fn aggregated_fault_loses_the_whole_group() {
 fn posting_onto_a_dead_qp_retires_the_wr_and_terminates() {
     // All traffic shares one QP; the very first WR is eaten, driving the QP
     // to the error state. Every later pready then posts onto a dead QP and
-    // must hit `submit`'s poisoned path: the WR is retired immediately (no
+    // must hit `post`'s poisoned path: the WR is retired immediately (no
     // completion will ever come), the error is recorded, and the round
     // terminates instead of hanging with wr_posted > wr_completed.
     let faulty = LossyFabric::scripted(InstantFabric::new(), FaultPlan::Indices(vec![0]));
