@@ -1,6 +1,7 @@
 //! Runtime error types.
 
 use std::fmt;
+use std::time::Duration;
 
 use partix_verbs::VerbsError;
 
@@ -65,6 +66,13 @@ pub enum PartixError {
     /// `wait` was called in simulated mode where blocking cannot advance
     /// virtual time.
     WouldBlockInSim,
+    /// `wait_deadline` ran out of time; the request is still active.
+    Timeout {
+        /// The limit that ran out.
+        limit: Duration,
+        /// The request in one line: side, id, round, counts, QP states.
+        state: String,
+    },
     /// A work request completed with an error status.
     TransferFailed {
         /// Human-readable status.
@@ -115,6 +123,9 @@ impl fmt::Display for PartixError {
             ),
             PartixError::WouldBlockInSim => {
                 write!(f, "wait() would block in simulated mode; use on_complete")
+            }
+            PartixError::Timeout { limit, state } => {
+                write!(f, "wait timed out after {limit:?}: {state}")
             }
             PartixError::TransferFailed { status } => {
                 write!(f, "transfer failed with status {status}")
@@ -195,6 +206,13 @@ mod tests {
             (
                 PartixError::WouldBlockInSim,
                 "would block in simulated mode",
+            ),
+            (
+                PartixError::Timeout {
+                    limit: Duration::from_millis(50),
+                    state: "recv request 1: round 1".into(),
+                },
+                "timed out after 50ms: recv request 1: round 1",
             ),
             (
                 PartixError::TransferFailed {

@@ -15,10 +15,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use partix_verbs::MemoryRegion;
+use partix_verbs::{MemoryRegion, QpState};
 
 use crate::error::{PartixError, Result};
 use crate::plan::TransportPlan;
@@ -191,6 +192,40 @@ impl Proc {
     }
 }
 
+/// Turns of [`block`] between two reads of a limit's clock.
+const TURNS_PER_CLOCK_READ: u32 = 64;
+
+/// The one blocking loop of both handles: a turn runs `done` (`Some` ends it),
+/// refuses the virtual clock, then drives progress and yields. A `limit` reads
+/// the clock every [`TURNS_PER_CLOCK_READ`] turns; expiry reports `state`.
+fn block(
+    proc: &Arc<ProcInner>,
+    limit: Option<Duration>,
+    mut done: impl FnMut() -> Option<Result<()>>,
+    state: impl FnOnce() -> String,
+) -> Result<()> {
+    let bound = limit.map(|limit| (limit, proc.time.now()));
+    let mut turn = 0u32;
+    loop {
+        if let Some(result) = done() {
+            return result;
+        }
+        if proc.sim_mode() {
+            return Err(PartixError::WouldBlockInSim);
+        }
+        turn = turn.wrapping_add(1);
+        if let Some((limit, since)) = bound.filter(|_| turn % TURNS_PER_CLOCK_READ == 0) {
+            let elapsed = proc.time.now().saturating_since(since).as_nanos();
+            if Duration::from_nanos(elapsed) >= limit {
+                let state = state();
+                return Err(PartixError::Timeout { limit, state });
+            }
+        }
+        proc.try_progress(None);
+        std::thread::yield_now();
+    }
+}
+
 /// Shared behaviour of the two request handles.
 macro_rules! common_request_methods {
     () => {
@@ -237,6 +272,50 @@ macro_rules! common_request_methods {
         pub fn plan(&self) -> Option<TransportPlan> {
             self.shared.channel.get().map(|c| c.plan.clone())
         }
+
+        /// Begin a round (`MPI_Start`; a receive also clears its arrival
+        /// flags and replenishes receive WRs). The channel must be ready:
+        /// sequence the first round with [`Self::on_ready`] on the virtual
+        /// clock, or use [`Self::start_blocking`].
+        pub fn start(&self) -> Result<()> {
+            self.shared.start()
+        }
+
+        /// `MPI_Start` once the channel is ready, driving progress until it
+        /// is (the paper's first round); on the virtual clock a channel not
+        /// yet ready is [`PartixError::WouldBlockInSim`] — use `on_ready`.
+        pub fn start_blocking(&self) -> Result<()> {
+            let ready = || self.is_ready().then(|| self.start());
+            block(&self.shared.proc, None, ready, || self.state())
+        }
+
+        /// Block until the round completes (`MPI_Wait`), driving progress;
+        /// [`PartixError::WouldBlockInSim`] on the virtual clock — use
+        /// [`Self::on_complete`] there.
+        pub fn wait(&self) -> Result<()> {
+            let done = || self.round_done();
+            block(&self.shared.proc, None, done, || self.state())
+        }
+
+        /// [`Self::wait`] for at most `limit` of the world's clock, then
+        /// [`PartixError::Timeout`]: the round stays active for a later wait.
+        pub fn wait_deadline(&self, limit: Duration) -> Result<()> {
+            let done = || self.round_done();
+            block(&self.shared.proc, Some(limit), done, || self.state())
+        }
+
+        /// The request in one line, for a [`PartixError::Timeout`].
+        fn state(&self) -> String {
+            let (side, counts) = self.counts();
+            let qps = self.shared.channel.get().map(|c| c.qps.as_slice());
+            let qps: Vec<QpState> = qps.unwrap_or_default().iter().map(|q| q.state()).collect();
+            let (id, active, done) = (self.id(), self.is_active(), self.completed_rounds());
+            let round = done + u64::from(active);
+            format!(
+                "{side} request {id}: round {round}, active {active}, {counts}, \
+                 {done} rounds completed, QPs {qps:?}"
+            )
+        }
     };
 }
 
@@ -251,27 +330,6 @@ pub struct PsendRequest {
 impl PsendRequest {
     common_request_methods!();
 
-    /// Begin a round (`MPI_Start`). The channel must be ready; use
-    /// [`Self::on_ready`] to sequence the first round in simulated mode, or
-    /// [`Self::start_blocking`] with real threads.
-    pub fn start(&self) -> Result<()> {
-        self.shared.start()
-    }
-
-    /// `MPI_Start` with the paper's first-round behaviour: poll the progress
-    /// engine until the remote buffer is ready. Only valid off the virtual
-    /// clock (instant mode).
-    pub fn start_blocking(&self) -> Result<()> {
-        if self.shared.proc.sim_mode() {
-            return Err(PartixError::WouldBlockInSim);
-        }
-        while !self.is_ready() {
-            self.shared.proc.try_progress(None);
-            std::thread::yield_now();
-        }
-        self.start()
-    }
-
     /// Mark partition `i` ready for transfer (`MPI_Pready`). Callable from
     /// any thread. A WR this makes eligible is posted at once if its QP has
     /// a free send slot and parked in software (a *spill*) if the
@@ -284,10 +342,7 @@ impl PsendRequest {
 
     /// Mark partitions `[lo, hi)` ready (`MPI_Pready_range`).
     pub fn pready_range(&self, lo: u32, hi: u32) -> Result<()> {
-        for i in lo..hi {
-            self.shared.pready(i)?;
-        }
-        Ok(())
+        (lo..hi).try_for_each(|i| self.shared.pready(i))
     }
 
     /// Mark an arbitrary set of partitions ready (`MPI_Pready_list`).
@@ -295,10 +350,7 @@ impl PsendRequest {
     /// before the failing index remain committed (matching MPI's
     /// local-completion semantics).
     pub fn pready_list(&self, indices: &[u32]) -> Result<()> {
-        for &i in indices {
-            self.shared.pready(i)?;
-        }
-        Ok(())
+        indices.iter().try_for_each(|&i| self.shared.pready(i))
     }
 
     /// Non-blocking completion check (`MPI_Test`): drives progress and
@@ -326,25 +378,23 @@ impl PsendRequest {
         !self.shared.active.load(Ordering::Acquire)
     }
 
-    /// Block until the round completes (`MPI_Wait`), driving progress —
-    /// spilled WRs included, see [`test`](Self::test) — on every turn.
-    /// Returns [`PartixError::WouldBlockInSim`] on the virtual clock — use
-    /// [`Self::on_complete`] there.
-    pub fn wait(&self) -> Result<()> {
-        loop {
-            if let Some(status) = self.shared.error.get() {
-                return Err(PartixError::TransferFailed { status });
-            }
-            if !self.shared.active.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if self.shared.proc.sim_mode() {
-                return Err(PartixError::WouldBlockInSim);
-            }
-            self.shared.proc.try_progress(None);
-            self.shared.maybe_complete();
-            std::thread::yield_now();
+    /// A wait's step: a failed transfer ends it; completion is re-evaluated.
+    fn round_done(&self) -> Option<Result<()>> {
+        if let Some(status) = self.shared.error.get() {
+            return Some(Err(PartixError::TransferFailed { status }));
         }
+        self.shared.maybe_complete();
+        (!self.is_active()).then_some(Ok(()))
+    }
+
+    /// Side and partition counts, for the request's `state`.
+    fn counts(&self) -> (&str, String) {
+        let s = &self.shared;
+        let ready = s.bits[..s.bits.len() / 2].iter();
+        let arrived: u32 = ready.map(|w| w.load(Ordering::Acquire).count_ones()).sum();
+        let (posted, parts) = (s.sent_count.load(Ordering::Acquire), s.partitions);
+        let counts = format!("{arrived}/{parts} partitions arrived, {posted} posted");
+        ("send", counts)
     }
 
     /// Total work requests posted across all rounds (aggregation
@@ -384,25 +434,6 @@ pub struct PrecvRequest {
 impl PrecvRequest {
     common_request_methods!();
 
-    /// Begin a round (`MPI_Start`): resets arrival flags and replenishes
-    /// receive WRs.
-    pub fn start(&self) -> Result<()> {
-        self.shared.start()
-    }
-
-    /// `MPI_Start` that first waits (blocking) for channel readiness.
-    /// Instant mode only.
-    pub fn start_blocking(&self) -> Result<()> {
-        if self.shared.proc.sim_mode() {
-            return Err(PartixError::WouldBlockInSim);
-        }
-        while !self.is_ready() {
-            self.shared.proc.try_progress(None);
-            std::thread::yield_now();
-        }
-        self.start()
-    }
-
     /// Has partition `i` arrived this round? (`MPI_Parrived`.) Callable from
     /// any thread; internally drives the try-lock progress engine.
     pub fn parrived(&self, i: u32) -> Result<bool> {
@@ -418,18 +449,15 @@ impl PrecvRequest {
         !self.shared.active.load(Ordering::Acquire)
     }
 
-    /// Block until all partitions arrive (`MPI_Wait`). Instant mode only.
-    pub fn wait(&self) -> Result<()> {
-        loop {
-            if !self.shared.active.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if self.shared.proc.sim_mode() {
-                return Err(PartixError::WouldBlockInSim);
-            }
-            self.shared.proc.try_progress(None);
-            std::thread::yield_now();
-        }
+    /// The receive side's step of a wait: every partition has arrived.
+    fn round_done(&self) -> Option<Result<()>> {
+        (!self.is_active()).then_some(Ok(()))
+    }
+
+    /// Side and partition counts, for the request's `state`.
+    fn counts(&self) -> (&str, String) {
+        let (arrived, parts) = (self.arrived_count(), self.shared.partitions);
+        ("recv", format!("{arrived}/{parts} partitions arrived"))
     }
 
     /// Count of partitions arrived this round.

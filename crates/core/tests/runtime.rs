@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use partix_core::{
     AggregatorKind, PartixConfig, PartixError, PrecvRequest, PsendRequest, SimDuration, World,
@@ -16,6 +17,16 @@ struct Link {
     recv: PrecvRequest,
     sbuf: MemoryRegion,
     rbuf: MemoryRegion,
+}
+
+/// How long a wall-clock round may take before its test fails.
+const ROUND_LIMIT: Duration = Duration::from_secs(30);
+
+/// Wait on both ends of `l` for the round; a round past [`ROUND_LIMIT`]
+/// fails with the `Timeout` that describes the request still waiting.
+fn wait_round(l: &Link) {
+    l.send.wait_deadline(ROUND_LIMIT).unwrap();
+    l.recv.wait_deadline(ROUND_LIMIT).unwrap();
 }
 
 fn instant_link(cfg: PartixConfig, partitions: u32, part_bytes: usize) -> Link {
@@ -72,11 +83,8 @@ fn basic_round_trip_all_aggregators() {
         l.recv.start().unwrap();
         l.send.start().unwrap();
         fill_pattern(&l.sbuf, 8, 256, 1);
-        for i in 0..8 {
-            l.send.pready(i).unwrap();
-        }
-        l.send.wait().unwrap();
-        l.recv.wait().unwrap();
+        l.send.pready_range(0, 8).unwrap();
+        wait_round(&l);
         check_pattern(&l.rbuf, 8, 256, 1);
         assert_eq!(l.send.completed_rounds(), 1, "{kind:?}");
         assert_eq!(l.recv.completed_rounds(), 1, "{kind:?}");
@@ -104,8 +112,7 @@ fn persistent_rounds_reuse_buffers() {
         for i in order {
             l.send.pready(i).unwrap();
         }
-        l.send.wait().unwrap();
-        l.recv.wait().unwrap();
+        wait_round(&l);
         check_pattern(&l.rbuf, 4, 512, round);
     }
     assert_eq!(l.send.completed_rounds(), 5);
@@ -121,9 +128,7 @@ fn persistent_posts_one_wr_per_partition() {
     );
     l.recv.start().unwrap();
     l.send.start().unwrap();
-    for i in 0..16 {
-        l.send.pready(i).unwrap();
-    }
+    l.send.pready_range(0, 16).unwrap();
     l.send.wait().unwrap();
     assert_eq!(l.send.total_wrs_posted(), 16);
     let plan = l.send.plan().unwrap();
@@ -144,8 +149,7 @@ fn ploggp_aggregates_small_messages_into_one_wr() {
     for i in (0..32).rev() {
         l.send.pready(i).unwrap();
     }
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
     assert_eq!(l.send.total_wrs_posted(), 1, "one aggregated WR expected");
 }
 
@@ -160,9 +164,7 @@ fn ploggp_splits_large_messages() {
     );
     l.recv.start().unwrap();
     l.send.start().unwrap();
-    for i in 0..8 {
-        l.send.pready(i).unwrap();
-    }
+    l.send.pready_range(0, 8).unwrap();
     l.send.wait().unwrap();
     assert_eq!(l.send.total_wrs_posted(), 8);
 }
@@ -196,11 +198,8 @@ fn timer_aggregator_sends_whole_group_when_all_arrive_before_delta() {
     let l = instant_link(cfg, 8, 512);
     l.recv.start().unwrap();
     l.send.start().unwrap();
-    for i in 0..8 {
-        l.send.pready(i).unwrap();
-    }
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    l.send.pready_range(0, 8).unwrap();
+    wait_round(&l);
     assert_eq!(
         l.send.total_wrs_posted(),
         1,
@@ -222,7 +221,8 @@ fn timer_aggregator_flushes_contiguous_runs_on_expiry() {
     l.send.pready(0).unwrap();
     l.send.pready(1).unwrap();
     l.send.pready(3).unwrap();
-    // Wait for the delta timer to flush.
+    // Wait for the delta timer to flush: a WR count, not a round, so no
+    // `wait_deadline` (the round ends only with the laggard below).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while l.send.total_wrs_posted() < 2 {
         assert!(
@@ -235,8 +235,7 @@ fn timer_aggregator_flushes_contiguous_runs_on_expiry() {
     assert!(!l.recv.test(), "partition 2 still missing");
     // Laggard arrives after the flush and sends itself.
     l.send.pready(2).unwrap();
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
     assert_eq!(l.send.total_wrs_posted(), 3);
     check_pattern(&l.rbuf, 4, 256, 9);
 }
@@ -282,8 +281,7 @@ fn multithreaded_pready_stress() {
                 });
             }
         });
-        l.send.wait().unwrap();
-        l.recv.wait().unwrap();
+        wait_round(&l);
         check_pattern(&l.rbuf, 32, 4096, round);
     }
     assert_eq!(l.send.completed_rounds(), rounds as u64);
@@ -308,6 +306,7 @@ fn multithreaded_parrived_consumers() {
             let rbuf = &l.rbuf;
             let failed = &failed;
             s.spawn(move || {
+                // One partition per thread, not the round: `parrived` polls.
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
                 while !recv.parrived(t).unwrap() {
                     if std::time::Instant::now() > deadline {
@@ -329,8 +328,7 @@ fn multithreaded_parrived_consumers() {
         }
     });
     assert!(!failed.load(Ordering::Relaxed));
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
 }
 
 #[test]
@@ -366,8 +364,7 @@ fn error_paths() {
 
     l.send.pready_range(2, 4).unwrap();
     l.send.pready(0).unwrap();
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
 }
 
 #[test]
@@ -436,12 +433,13 @@ fn sim_mode_round_with_callbacks() {
     // A sequential world leaves the affinity census off; this test reads it.
     assert!(sched.node_event_counts().is_empty());
     sched.enable_node_affinity(2);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(8 * 1024).unwrap();
-    let rbuf = p1.alloc_buffer(8 * 1024).unwrap();
-    let send = p0.psend_init(&sbuf, 8, 1024, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 8, 1024, 0, 0).unwrap();
+    let Link {
+        world,
+        send,
+        recv,
+        sbuf,
+        rbuf,
+    } = link(world, 8, 1024);
 
     // Nothing is ready until the setup-delay event runs.
     assert!(!send.is_ready());
@@ -503,12 +501,7 @@ fn sim_mode_timer_aggregator_flush() {
     let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     cfg.delta = SimDuration::from_micros(50);
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(4 * 256).unwrap();
-    let rbuf = p1.alloc_buffer(4 * 256).unwrap();
-    let send = p0.psend_init(&sbuf, 4, 256, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 4, 256, 0, 0).unwrap();
+    let Link { send, recv, .. } = link(world, 4, 256);
 
     let send2 = send.clone();
     let recv2 = recv.clone();
@@ -538,12 +531,7 @@ fn sim_determinism() {
     // Two identical simulated runs complete at the identical virtual instant.
     fn run() -> u64 {
         let (world, sched) = World::sim(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
-        let p0 = world.proc(0);
-        let p1 = world.proc(1);
-        let sbuf = p0.alloc_buffer(32 * 2048).unwrap();
-        let rbuf = p1.alloc_buffer(32 * 2048).unwrap();
-        let send = p0.psend_init(&sbuf, 32, 2048, 1, 0).unwrap();
-        let recv = p1.precv_init(&rbuf, 32, 2048, 0, 0).unwrap();
+        let Link { send, recv, .. } = link(world, 32, 2048);
         let send2 = send.clone();
         let recv2 = recv.clone();
         let sched2 = sched.clone();
@@ -582,11 +570,8 @@ fn persistent_beats_nothing_but_matches_wr_count_at_high_partitions() {
     for l in [&persistent, &ploggp] {
         l.recv.start().unwrap();
         l.send.start().unwrap();
-        for i in 0..128 {
-            l.send.pready(i).unwrap();
-        }
-        l.send.wait().unwrap();
-        l.recv.wait().unwrap();
+        l.send.pready_range(0, 128).unwrap();
+        wait_round(l);
     }
     assert_eq!(persistent.send.total_wrs_posted(), 128);
     assert!(
@@ -612,11 +597,8 @@ fn flow_log_sees_lifecycle() {
     l.world.enable_flow_tracing(log.clone());
     l.recv.start().unwrap();
     l.send.start().unwrap();
-    for i in 0..4 {
-        l.send.pready(i).unwrap();
-    }
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    l.send.pready_range(0, 4).unwrap();
+    wait_round(&l);
 
     let events = log.sorted();
     let of = |stage| events.iter().filter(move |e| e.stage == stage);
@@ -647,8 +629,7 @@ fn pready_list_commits_in_order() {
     fill_pattern(&l.sbuf, 8, 128, 2);
     // MPI_Pready_list with a scrambled, complete index set.
     l.send.pready_list(&[6, 0, 3, 7, 1, 5, 2, 4]).unwrap();
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
     check_pattern(&l.rbuf, 8, 128, 2);
 
     // A list with a duplicate fails at the duplicate but keeps earlier
@@ -658,8 +639,7 @@ fn pready_list_commits_in_order() {
     let err = l.send.pready_list(&[0, 1, 1, 2]).unwrap_err();
     assert_eq!(err, PartixError::DoublePready { index: 1 });
     l.send.pready_list(&[2, 3, 4, 5, 6, 7]).unwrap();
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
 }
 
 #[test]
@@ -671,16 +651,10 @@ fn start_blocking_waits_for_channel_setup() {
     l.recv.start_blocking().unwrap();
     l.send.start_blocking().unwrap();
     l.send.pready_range(0, 2).unwrap();
-    l.send.wait().unwrap();
-    l.recv.wait().unwrap();
+    wait_round(&l);
 
     let (world, _sched) = World::sim(2, PartixConfig::default());
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(64).unwrap();
-    let rbuf = p1.alloc_buffer(64).unwrap();
-    let send = p0.psend_init(&sbuf, 1, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 1, 64, 0, 0).unwrap();
+    let Link { send, recv, .. } = link(world, 1, 64);
     assert_eq!(send.start_blocking(), Err(PartixError::WouldBlockInSim));
     assert_eq!(recv.start_blocking(), Err(PartixError::WouldBlockInSim));
 }
@@ -809,11 +783,7 @@ fn spilled_wrs_are_driven_by_the_send_side_only() {
     let cfg = || PartixConfig::with_aggregator(AggregatorKind::Persistent);
     let spills = |l: &Link| l.world.telemetry_snapshot().runtime.pending_spills;
     let finish = |l: &Link| {
-        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !(l.send.test() && l.recv.test()) {
-            assert!(std::time::Instant::now() < give_up, "round did not finish");
-            std::thread::yield_now();
-        }
+        wait_round(l);
         assert_eq!(l.recv.arrived_count(), parts);
         check_pattern(&l.rbuf, parts, pb, 5);
         l.world.check_invariants().assert_clean();
@@ -845,7 +815,8 @@ fn spilled_wrs_are_driven_by_the_send_side_only() {
     let spilled = spills(&l) as u32;
     assert!(spilled > 0 && spilled < parts);
     // Polling the receiver alone delivers what is on the wire and then
-    // stalls, however long it polls: bounded, not a hang.
+    // stalls, however long it polls: bounded, not a hang. This loop drives
+    // the receiver only, on purpose, so it cannot be a `wait_deadline`.
     l.recv.start_blocking().unwrap();
     let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while l.recv.arrived_count() < parts - spilled {
@@ -860,7 +831,7 @@ fn spilled_wrs_are_driven_by_the_send_side_only() {
         std::thread::yield_now();
     }
     assert_eq!(l.recv.arrived_count(), parts - spilled);
-    // `send.test()` in the loop drains the parked WRs.
+    // The send side's wait drains the parked WRs.
     finish(&l);
 }
 
@@ -880,11 +851,7 @@ fn shm_wire_stage_is_one_event_per_wr_with_its_duration() {
     l.recv.start_blocking().unwrap();
     l.send.start_blocking().unwrap();
     l.send.pready_range(0, parts).unwrap();
-    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while !(l.send.test() && l.recv.test()) {
-        assert!(std::time::Instant::now() < give_up, "round did not finish");
-        std::thread::yield_now();
-    }
+    wait_round(&l);
     check_pattern(&l.rbuf, parts, pb, 3);
 
     let events = log.sorted();
@@ -920,11 +887,7 @@ fn shm_plan_fits_the_ring_at_16_x_64_kib() {
         l.recv.start_blocking().unwrap();
         l.send.start_blocking().unwrap();
         l.send.pready_range(0, parts).unwrap();
-        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !(l.send.test() && l.recv.test()) {
-            assert!(std::time::Instant::now() < give_up, "round did not finish");
-            std::thread::yield_now();
-        }
+        wait_round(&l);
         assert_eq!(l.send.error(), None);
         check_pattern(&l.rbuf, parts, pb, 7 + round);
     }

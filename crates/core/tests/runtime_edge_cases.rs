@@ -12,6 +12,20 @@ use partix_core::{
     SimDuration, World,
 };
 
+/// Send buffer, receive buffer, send request, receive request.
+type Ends = (MemoryRegion, MemoryRegion, PsendRequest, PrecvRequest);
+
+/// A request pair of `parts` × `pb` bytes from rank 0 to rank 1 of `world`.
+fn pair(world: &World, parts: u32, pb: usize) -> Ends {
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let bytes = parts as usize * pb;
+    let sbuf = p0.alloc_buffer(bytes).unwrap();
+    let rbuf = p1.alloc_buffer(bytes).unwrap();
+    let send = p0.psend_init(&sbuf, parts, pb, 1, 0).unwrap();
+    let recv = p1.precv_init(&rbuf, parts, pb, 0, 0).unwrap();
+    (sbuf, rbuf, send, recv)
+}
+
 /// Persistent policy with 128 partitions on few QPs: far more WRs than the
 /// 16-outstanding hardware cap. The software pending queue must drain them
 /// all as completions free slots, in order, without loss.
@@ -20,14 +34,8 @@ fn pending_queue_drains_past_the_wr_cap() {
     let mut cfg = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     cfg.persistent_qps = 1; // 128 WRs through one QP with a 16-WR cap
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let parts = 128u32;
-    let pb = 1024usize;
-    let sbuf = p0.alloc_buffer(parts as usize * pb).unwrap();
-    let rbuf = p1.alloc_buffer(parts as usize * pb).unwrap();
-    let send = p0.psend_init(&sbuf, parts, pb, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, parts, pb, 0, 0).unwrap();
+    let (parts, pb) = (128u32, 1024usize);
+    let (sbuf, rbuf, send, recv) = pair(&world, parts, pb);
 
     let (send2, recv2, sbuf2) = (send.clone(), recv.clone(), sbuf.clone());
     send.on_ready(move || {
@@ -62,12 +70,7 @@ fn pending_queue_drains_past_the_wr_cap() {
 #[test]
 fn early_arrivals_buffer_across_rounds() {
     let world = World::instant(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(4 * 64).unwrap();
-    let rbuf = p1.alloc_buffer(4 * 64).unwrap();
-    let send = p0.psend_init(&sbuf, 4, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 4, 64, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, 4, 64);
 
     // Round 1: normal.
     recv.start().unwrap();
@@ -161,13 +164,8 @@ fn all_pairs_traffic_across_four_ranks() {
 #[test]
 fn parrived_contention_is_livelock_free() {
     let world = World::instant(2, PartixConfig::with_aggregator(AggregatorKind::Persistent));
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
     let parts = 8u32;
-    let sbuf = p0.alloc_buffer(parts as usize * 64).unwrap();
-    let rbuf = p1.alloc_buffer(parts as usize * 64).unwrap();
-    let send = p0.psend_init(&sbuf, parts, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, parts, 64, 0, 0).unwrap();
+    let (_sbuf, _rbuf, send, recv) = pair(&world, parts, 64);
     recv.start().unwrap();
     send.start().unwrap();
 
@@ -177,6 +175,7 @@ fn parrived_contention_is_livelock_free() {
             let recv = &recv;
             let failed = &failed;
             s.spawn(move || {
+                // One partition per thread, not the round: `parrived` polls.
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
                 while !recv.parrived(t).unwrap() {
                     if std::time::Instant::now() > deadline {
@@ -207,14 +206,8 @@ fn stale_timers_are_harmless_across_rounds() {
     let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     cfg.delta = SimDuration::from_millis(500); // far longer than a round
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let parts = 8u32;
-    let pb = 512usize;
-    let sbuf = p0.alloc_buffer(parts as usize * pb).unwrap();
-    let rbuf = p1.alloc_buffer(parts as usize * pb).unwrap();
-    let send = p0.psend_init(&sbuf, parts, pb, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, parts, pb, 0, 0).unwrap();
+    let (parts, pb) = (8u32, 512usize);
+    let (_sbuf, _rbuf, send, recv) = pair(&world, parts, pb);
 
     struct Rounds {
         send: partix_core::PsendRequest,
@@ -266,23 +259,12 @@ fn stale_timers_are_harmless_across_rounds() {
 /// How long one round of a wall-clock test may take before it fails.
 const ROUND_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Drive both ends until the round completes; a round that misses
-/// [`ROUND_DEADLINE`] fails with the state of both ends, not a hang.
+/// Wait on both ends for the round; a round that misses [`ROUND_DEADLINE`]
+/// fails with the `Timeout` that describes the waiting request, not a hang.
 fn finish_round(send: &PsendRequest, recv: &PrecvRequest, what: &str) {
-    let deadline = Instant::now() + ROUND_DEADLINE;
-    while !(send.test() & recv.test()) {
-        assert!(
-            send.error().is_none() && Instant::now() < deadline,
-            "{what}: round stuck (error {:?}; send active {}, {} rounds; recv active {}, {} rounds, {} arrived)",
-            send.error(),
-            send.is_active(),
-            send.completed_rounds(),
-            recv.is_active(),
-            recv.completed_rounds(),
-            recv.arrived_count(),
-        );
-        std::thread::yield_now();
-    }
+    let fail = |e| panic!("{what}: {e}");
+    send.wait_deadline(ROUND_DEADLINE).unwrap_or_else(fail);
+    recv.wait_deadline(ROUND_DEADLINE).unwrap_or_else(fail);
 }
 
 /// Byte `b` of round `round`'s payload.
@@ -301,6 +283,90 @@ fn check_round(rbuf: &MemoryRegion, round: u32, bytes: usize, what: &str) {
     assert_eq!(bad, None, "{what}: round {round} delivered a wrong byte");
 }
 
+/// `wait_deadline` at the edges of its limit, one row per case on a fresh
+/// 8 × 64 B pair: what the bounded wait returns, and that it cancels nothing.
+#[test]
+fn wait_deadline_at_the_edges_of_its_limit() {
+    const LIMIT: Duration = Duration::from_millis(50);
+    type Outcome = Result<(), PartixError>;
+    let cfg = || PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+    // A round waited with `wait_deadline` lands the bytes `wait` lands.
+    let completes = || -> Outcome {
+        let (sbuf, rbuf, send, recv) = pair(&World::instant(2, cfg()), 8, 64);
+        let mut landed = Vec::new();
+        for bounded in [false, true] {
+            rbuf.fill(0, 512, 0)?;
+            fill_round(&sbuf, 3, 512);
+            recv.start()?;
+            send.start()?;
+            send.pready_range(0, 8)?;
+            if bounded {
+                send.wait_deadline(LIMIT)?;
+                recv.wait_deadline(LIMIT)?;
+            } else {
+                send.wait()?;
+                recv.wait()?;
+            }
+            landed.push(rbuf.read_vec(0, 512)?);
+        }
+        assert_eq!(landed[0], landed[1]);
+        check_round(&rbuf, 3, 512, "bounded");
+        Ok(())
+    };
+    // An inactive request has nothing to wait for, however short the limit.
+    let inactive = || -> Outcome {
+        let (_, _, send, recv) = pair(&World::instant(2, cfg()), 8, 64);
+        send.wait_deadline(Duration::ZERO)?;
+        recv.wait_deadline(Duration::ZERO)
+    };
+    // Blocking cannot advance virtual time: the bounded wait refuses as
+    // `wait` does, and the scheduler then completes the round.
+    let virtual_clock = || -> Outcome {
+        let (world, sched) = World::sim(2, cfg());
+        let (_, _, send, recv) = pair(&world, 8, 64);
+        sched.run();
+        recv.start()?;
+        send.start()?;
+        send.pready_range(0, 8)?;
+        assert_eq!(send.wait_deadline(LIMIT), Err(PartixError::WouldBlockInSim));
+        let waited = recv.wait_deadline(LIMIT);
+        sched.run();
+        assert_eq!(recv.completed_rounds(), 1);
+        waited
+    };
+    // A timed-out wait cancels nothing: once the sender is driven, a plain
+    // `wait` finishes the round with its bytes.
+    let timeout_then_wait = || -> Outcome {
+        let (sbuf, rbuf, send, recv) = pair(&World::instant(2, cfg()), 8, 64);
+        fill_round(&sbuf, 5, 512);
+        recv.start()?;
+        send.start()?;
+        send.pready_range(0, 7)?;
+        let waited = recv.wait_deadline(LIMIT);
+        assert!(recv.is_active());
+        send.pready(7)?;
+        send.wait()?;
+        recv.wait()?;
+        check_round(&rbuf, 5, 512, "after a timeout");
+        waited
+    };
+    type Row<'a> = (&'a str, &'a dyn Fn() -> Outcome, fn(&Outcome) -> bool);
+    let rows: [Row; 4] = [
+        ("a round that completes", &completes, |r| r.is_ok()),
+        ("a zero limit, inactive", &inactive, |r| r.is_ok()),
+        ("the virtual clock", &virtual_clock, |r| {
+            *r == Err(PartixError::WouldBlockInSim)
+        }),
+        ("a timeout, then wait", &timeout_then_wait, |r| {
+            matches!(r, Err(PartixError::Timeout { limit: LIMIT, .. }))
+        }),
+    ];
+    for (case, run, expected) in rows {
+        let got = run();
+        assert!(expected(&got), "{case}: {got:?}");
+    }
+}
+
 /// Eight threads share a `TimerPLogGp` group of 64 partitions on the wall
 /// clock, one of them late, with δ short enough that the deadline flush
 /// races the last `pready`s: for 50 rounds, each round completes exactly
@@ -315,13 +381,8 @@ fn timer_races_preadys(adaptive: bool) {
     cfg.delta = SimDuration::from_micros(20);
     cfg.adaptive_delta = adaptive;
     let margin = cfg.adaptive_delta_margin.max(1.0);
-    let world = World::instant(2, cfg);
-    let (p0, p1) = (world.proc(0), world.proc(1));
+    let (sbuf, rbuf, send, recv) = pair(&World::instant(2, cfg), PARTS, PB);
     let bytes = PARTS as usize * PB;
-    let sbuf = p0.alloc_buffer(bytes).unwrap();
-    let rbuf = p1.alloc_buffer(bytes).unwrap();
-    let send = p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap();
     let plan = send.plan().unwrap();
     assert!(
         plan.timer_delta.is_some(),
@@ -402,12 +463,8 @@ fn racing_double_pready(kind: AggregatorKind, parts: u32) {
     const PB: usize = 64;
     let what = format!("{kind:?}, {parts} partitions");
     let world = World::instant(2, PartixConfig::with_aggregator(kind));
-    let (p0, p1) = (world.proc(0), world.proc(1));
+    let (sbuf, rbuf, send, recv) = pair(&world, parts, PB);
     let bytes = parts as usize * PB;
-    let sbuf = p0.alloc_buffer(bytes).unwrap();
-    let rbuf = p1.alloc_buffer(bytes).unwrap();
-    let send = p0.psend_init(&sbuf, parts, PB, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, parts, PB, 0, 0).unwrap();
     if kind != AggregatorKind::Persistent {
         assert_eq!(send.plan().unwrap().group_size, parts, "{what}: one group");
     }
@@ -502,9 +559,7 @@ fn mismatched_init(send_first: bool) {
     fill_round(&sbuf, 7, bytes);
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..PARTS {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, PARTS).unwrap();
     finish_round(&send, &recv, "after a mismatched init");
     check_round(&rbuf, 7, bytes, "after a mismatched init");
 }
@@ -536,32 +591,24 @@ fn receiver_start_races_early_arrivals_on_shm() {
         PartixConfig::with_aggregator(AggregatorKind::PLogGp),
         partix_verbs::ShmFabric::loopback(),
     );
-    let (p0, p1) = (world.proc(0), world.proc(1));
+    let p1 = world.proc(1);
     let bytes = PARTS as usize * PB;
-    let sbuf = p0.alloc_buffer(bytes).unwrap();
-    let rbuf = p1.alloc_buffer(bytes).unwrap();
-    let send = p0.psend_init(&sbuf, PARTS, PB, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTS, PB, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, PARTS, PB);
     // Rounds the sender has posted, and rounds the receiver has checked:
     // the sender starts round `r` once round `r - 1` is checked, so the
     // bytes of `r - 1` stay put, and the receiver starts `r` once it is
     // posted.
     let (posted, checked) = (AtomicU32::new(0), AtomicU32::new(0));
     let done = AtomicBool::new(false);
-    let stuck = |what: &str, r: u32| -> String {
-        format!(
-            "{what} {r}: send active {} ({} rounds), recv active {} ({} rounds, {} arrived)",
-            send.is_active(),
-            send.completed_rounds(),
-            recv.is_active(),
-            recv.completed_rounds(),
-            recv.arrived_count(),
-        )
-    };
+    // A gate waits on the other thread, whose own bounded waits name the
+    // state of a stuck round.
     let wait_for = |n: &AtomicU32, r: u32, what: &str| {
         let deadline = Instant::now() + ROUND_DEADLINE;
         while n.load(Ordering::Acquire) < r {
-            assert!(Instant::now() < deadline, "{}", stuck(what, r));
+            assert!(
+                Instant::now() < deadline,
+                "{what} {r}: the other side stopped"
+            );
             std::thread::yield_now();
         }
     };
@@ -579,15 +626,8 @@ fn receiver_start_races_early_arrivals_on_shm() {
                 send.start_blocking().unwrap();
                 send.pready_range(0, PARTS).unwrap();
                 posted.store(r + 1, Ordering::Release);
-                let deadline = Instant::now() + ROUND_DEADLINE;
-                while !send.test() {
-                    assert!(
-                        send.error().is_none() && Instant::now() < deadline,
-                        "{}",
-                        stuck("send round", r)
-                    );
-                    std::thread::yield_now();
-                }
+                let waited = send.wait_deadline(ROUND_DEADLINE);
+                waited.unwrap_or_else(|e| panic!("send round {r}: {e}"));
             }
         });
         let _stop = StopOnDrop(&done);
@@ -597,12 +637,9 @@ fn receiver_start_races_early_arrivals_on_shm() {
             while Instant::now() < lag {
                 std::hint::spin_loop();
             }
-            let deadline = Instant::now() + ROUND_DEADLINE;
             recv.start_blocking().unwrap();
-            while !recv.test() {
-                assert!(Instant::now() < deadline, "{}", stuck("recv round", r));
-                std::thread::yield_now();
-            }
+            let waited = recv.wait_deadline(ROUND_DEADLINE);
+            waited.unwrap_or_else(|e| panic!("recv round {r}: {e}"));
             check_round(&rbuf, r, bytes, "sender ahead");
             checked.store(r + 1, Ordering::Release);
         }

@@ -67,26 +67,14 @@ fn main() {
                     send.pready(t).expect("pready");
                 });
             }
-            // Meanwhile, the receiver's main thread consumes partitions as
-            // they land (receive-side early processing via parrived).
-            let mut seen = 0u32;
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while seen < partitions {
-                for t in 0..partitions {
-                    if recv.parrived(t).expect("parrived") {
-                        // Already counted partitions stay true; count once.
-                    }
-                }
-                seen = recv.arrived_count();
-                if Instant::now() > deadline {
-                    panic!("partitions did not arrive in time");
-                }
-                std::thread::yield_now();
-            }
+            // Meanwhile the receiver's main thread waits for the round,
+            // driving its progress engine; a round that never lands ends in
+            // a `Timeout` naming what arrived, not a hang.
+            recv.wait_deadline(Duration::from_secs(10))
+                .expect("recv wait");
         });
 
         send.wait().expect("send wait");
-        recv.wait().expect("recv wait");
         let wrs = send.total_wrs_posted() - wrs_before;
         println!(
             "round {round}: laggard was thread {laggard}; {wrs} work requests \

@@ -5,7 +5,8 @@
 //! FNV-1a digest the example prints over every byte it verified: the
 //! examples are deterministic end to end, so a digest change means the
 //! runtime changed what actually lands in receive buffers — something a
-//! bare exit-code check would miss.
+//! bare exit-code check would miss. `multithreaded_pready` runs on the wall
+//! clock and pins no digest; it checks its own bytes.
 
 use std::process::Command;
 
@@ -43,6 +44,16 @@ fn halo_exchange_exits_clean_with_pinned_digest() {
     assert_eq!(
         final_line(&out),
         "halo_exchange OK digest=0x6578b1660d7d082a",
+        "full output:\n{out}"
+    );
+}
+
+#[test]
+fn multithreaded_pready_exits_clean() {
+    let out = run(env!("CARGO_BIN_EXE_multithreaded_pready"));
+    assert_eq!(
+        final_line(&out),
+        "multithreaded_pready OK",
         "full output:\n{out}"
     );
 }

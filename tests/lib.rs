@@ -26,17 +26,8 @@ pub struct InstantPair {
 /// Build an instant-fabric pair with the given configuration and shape.
 pub fn instant_pair(cfg: PartixConfig, partitions: u32, part_bytes: usize) -> InstantPair {
     let world = World::instant(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let total = partitions as usize * part_bytes;
-    let sbuf = p0.alloc_buffer(total).expect("send buffer");
-    let rbuf = p1.alloc_buffer(total).expect("recv buffer");
-    let send = p0
-        .psend_init(&sbuf, partitions, part_bytes, 1, 0)
-        .expect("psend_init");
-    let recv = p1
-        .precv_init(&rbuf, partitions, part_bytes, 0, 0)
-        .expect("precv_init");
+    let (sbuf, rbuf, send, recv) = pair(&world, partitions, part_bytes);
+    let (p0, p1) = (world.proc(0), world.proc(1));
     InstantPair {
         world,
         p0,
@@ -46,6 +37,25 @@ pub fn instant_pair(cfg: PartixConfig, partitions: u32, part_bytes: usize) -> In
         sbuf,
         rbuf,
     }
+}
+
+/// Send buffer, receive buffer, send request, receive request.
+pub type Ends = (MemoryRegion, MemoryRegion, PsendRequest, PrecvRequest);
+
+/// Join ranks 0 and 1 of `world` by a request pair of the given shape (tag 0).
+pub fn pair(world: &World, partitions: u32, part_bytes: usize) -> Ends {
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let total = partitions as usize * part_bytes;
+    let sbuf = p0.alloc_buffer(total).expect("send buffer");
+    let rbuf = p1.alloc_buffer(total).expect("recv buffer");
+    let send = p0.psend_init(&sbuf, partitions, part_bytes, 1, 0);
+    let recv = p1.precv_init(&rbuf, partitions, part_bytes, 0, 0);
+    (
+        sbuf,
+        rbuf,
+        send.expect("psend_init"),
+        recv.expect("precv_init"),
+    )
 }
 
 /// Deterministic pattern byte for (round, partition).

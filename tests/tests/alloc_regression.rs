@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use partix_core::{AggregatorKind, PartixConfig, World};
 use partix_system_tests::alloc_count::count_allocs;
+use partix_system_tests::pair;
 use partix_verbs::{
     connect_pair, Network, Opcode, QpCaps, RecvWr, SendWr, Sge, ShmFabric, WcStatus,
 };
@@ -24,13 +25,7 @@ const PART_BYTES: usize = 4096; // 16 x 4 KiB = one 64 KiB message per round
 #[test]
 fn steady_state_64k_send_is_allocation_free() {
     let world = World::instant(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let total = PARTITIONS as usize * PART_BYTES;
-    let sbuf = p0.alloc_buffer(total).unwrap();
-    let rbuf = p1.alloc_buffer(total).unwrap();
-    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
 
     let round = |tick: u8| {
         recv.start().unwrap();
@@ -44,8 +39,9 @@ fn steady_state_64k_send_is_allocation_free() {
             .unwrap();
             send.pready(i).unwrap();
         }
+        // One unbounded wait and one bounded: neither may allocate.
         send.wait().unwrap();
-        recv.wait().unwrap();
+        recv.wait_deadline(Duration::from_secs(10)).unwrap();
     };
 
     // Warm-up: freelists, scratch buffers, and map capacity fill here.
@@ -83,21 +79,13 @@ fn steady_state_persistent_sim_round_allocates_once_per_wr() {
     const ROUNDS: u64 = 8;
     let cfg = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let total = PARTITIONS as usize * PART_BYTES;
-    let sbuf = p0.alloc_buffer(total).unwrap();
-    let rbuf = p1.alloc_buffer(total).unwrap();
-    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
+    let (_, _, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     sched.run(); // channel bring-up
 
     let round = || {
         recv.start().unwrap();
         send.start().unwrap();
-        for i in 0..PARTITIONS {
-            send.pready(i).unwrap();
-        }
+        send.pready_range(0, PARTITIONS).unwrap();
         sched.run();
     };
     for _ in 0..4 {
@@ -129,13 +117,7 @@ fn steady_state_timer_flush_sim_round_allocates_a_flight_per_wr_and_a_list_per_s
     const ROUNDS: u64 = 8;
     let cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let total = PARTITIONS as usize * PART_BYTES;
-    let sbuf = p0.alloc_buffer(total).unwrap();
-    let rbuf = p1.alloc_buffer(total).unwrap();
-    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
+    let (_, _, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     sched.run(); // channel bring-up
     let plan = send.plan().unwrap();
     assert_eq!((plan.groups, plan.qp_count), (1, 1), "one group on one QP");

@@ -17,7 +17,7 @@ use partix_core::{
     AggregatorKind, LossyConfig, MemoryRegion, PartixConfig, PartixError, PrecvRequest,
     PsendRequest, ReliabilityConfig, Scheduler, SimDuration, World,
 };
-use partix_system_tests::pattern;
+use partix_system_tests::{pair, pattern};
 use partix_workloads::halo::{run_halo, HaloConfig};
 use partix_workloads::sweep::{run_sweep, SweepConfig};
 
@@ -110,17 +110,7 @@ fn run_chaos(kind: AggregatorKind, seed: u64, drop_p: f64, rounds: u64) -> Chaos
     let mut cfg = PartixConfig::with_aggregator(kind);
     cfg.loss = Some(LossyConfig::chaos(drop_p, seed));
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let total = PARTITIONS as usize * PART_BYTES;
-    let sbuf = p0.alloc_buffer(total).expect("send buffer");
-    let rbuf = p1.alloc_buffer(total).expect("recv buffer");
-    let send = p0
-        .psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0)
-        .expect("psend_init");
-    let recv = p1
-        .precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0)
-        .expect("precv_init");
+    let (sbuf, rbuf, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     let driver = Arc::new(ChaosDriver {
         world: world.clone(),
         sched: sched.clone(),
@@ -219,21 +209,13 @@ fn zero_retries_preserve_first_loss_failure() {
     cfg.reliability = ReliabilityConfig::disabled();
     cfg.loss = Some(LossyConfig::drops(1.0, 99));
     let (world, sched) = World::sim(2, cfg);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let total = PARTITIONS as usize * PART_BYTES;
-    let sbuf = p0.alloc_buffer(total).unwrap();
-    let rbuf = p1.alloc_buffer(total).unwrap();
-    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
+    let (_, _, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     let send2 = send.clone();
     let recv2 = recv.clone();
     send.on_ready(move || {
         recv2.start().unwrap();
         send2.start().unwrap();
-        for i in 0..PARTITIONS {
-            send2.pready(i).unwrap();
-        }
+        send2.pready_range(0, PARTITIONS).unwrap();
     });
     sched.run();
     assert!(matches!(

@@ -3,7 +3,11 @@
 //! drop is an injected fault. It must surface as an error completion, a
 //! poisoned request and a QP error state — never as silent data loss.
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use partix_core::{AggregatorKind, PartixConfig, PartixError, ReliabilityConfig, World};
+use partix_system_tests::pair;
 use partix_verbs::{FaultPlan, InstantFabric, LossyConfig, LossyFabric};
 
 fn faulty_world(plan: FaultPlan) -> World {
@@ -20,17 +24,10 @@ fn faulty_world(plan: FaultPlan) -> World {
 fn injected_fault_poisons_the_send_request() {
     // Fail the third WR of the round.
     let world = faulty_world(FaultPlan::Indices(vec![2]));
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(8 * 128).unwrap();
-    let rbuf = p1.alloc_buffer(8 * 128).unwrap();
-    let send = p0.psend_init(&sbuf, 8, 128, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 8, 128, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, 8, 128);
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..8 {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, 8).unwrap();
     // The sender's wait reports the failure rather than hanging or lying.
     // Depending on progress timing the first observed error is either the
     // faulted WR's completion or the QP-already-dead rejection of a later
@@ -41,8 +38,17 @@ fn injected_fault_poisons_the_send_request() {
     ));
     assert!(send.error().is_some());
     // The receiver is missing the faulted partition and the later
-    // partitions of the now-dead QP (round-robin: 2, 4, 6 shared QP 0).
-    assert!(!recv.test());
+    // partitions of the now-dead QP (round-robin: 2, 4, 6 shared QP 0). Its
+    // sender is gone, so a bounded wait ends in `Timeout`, naming what
+    // arrived, and cancels nothing.
+    let began = Instant::now();
+    let waited = recv.wait_deadline(Duration::from_millis(50));
+    assert!(began.elapsed() < Duration::from_secs(1), "{waited:?}");
+    let Err(PartixError::Timeout { state, .. }) = &waited else {
+        panic!("expected a timeout, got {waited:?}");
+    };
+    assert!(state.contains("5/8 partitions arrived"), "{state}");
+    assert!(recv.is_active());
     assert_eq!(recv.arrived_count(), 5);
     for lost in [2u32, 4, 6] {
         assert!(
@@ -62,6 +68,13 @@ fn injected_fault_poisons_the_send_request() {
     let snap = world.telemetry_snapshot();
     assert_eq!((snap.wire.dropped, snap.wire.exhausted), (1, 1));
     partix_core::invariants::check(&snap).assert_clean();
+    // A round left waiting pins nothing once every handle is gone.
+    let registry = Arc::downgrade(world.telemetry());
+    drop((world, sbuf, rbuf, send, recv));
+    assert!(
+        registry.upgrade().is_none(),
+        "the dropped world is still alive"
+    );
 }
 
 #[test]
@@ -69,12 +82,7 @@ fn clean_rounds_before_the_fault_are_unaffected() {
     // Fault only the 17th transfer: two full 8-partition rounds pass, the
     // third poisons.
     let world = faulty_world(FaultPlan::Indices(vec![16]));
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(8 * 64).unwrap();
-    let rbuf = p1.alloc_buffer(8 * 64).unwrap();
-    let send = p0.psend_init(&sbuf, 8, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 8, 64, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, 8, 64);
     for round in 0..2 {
         recv.start().unwrap();
         send.start().unwrap();
@@ -94,9 +102,7 @@ fn clean_rounds_before_the_fault_are_unaffected() {
     }
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..8 {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, 8).unwrap();
     assert!(send.wait().is_err());
     world.check_invariants().assert_clean();
 }
@@ -113,18 +119,11 @@ fn aggregated_fault_loses_the_whole_group() {
         PartixConfig::with_aggregator(AggregatorKind::PLogGp),
         faulty,
     );
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(32 * 512).unwrap();
-    let rbuf = p1.alloc_buffer(32 * 512).unwrap();
-    let send = p0.psend_init(&sbuf, 32, 512, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 32, 512, 0, 0).unwrap();
+    let (_, _, send, recv) = pair(&world, 32, 512);
     assert_eq!(send.plan().unwrap().groups, 1, "16 KiB fully aggregates");
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..32 {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, 32).unwrap();
     assert!(send.wait().is_err());
     assert_eq!(recv.arrived_count(), 0, "nothing arrived");
     world.check_invariants().assert_clean();
@@ -142,17 +141,10 @@ fn posting_onto_a_dead_qp_retires_the_wr_and_terminates() {
     config.reliability = ReliabilityConfig::disabled();
     config.persistent_qps = 1;
     let world = World::with_fabric(2, config, faulty.clone());
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(8 * 64).unwrap();
-    let rbuf = p1.alloc_buffer(8 * 64).unwrap();
-    let send = p0.psend_init(&sbuf, 8, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 8, 64, 0, 0).unwrap();
+    let (_, _, send, recv) = pair(&world, 8, 64);
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..8 {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, 8).unwrap();
     assert!(matches!(
         send.wait(),
         Err(PartixError::TransferFailed { .. })
@@ -182,12 +174,7 @@ fn qp_recovery_absorbs_an_injected_fault() {
     config.reliability.retry_cnt = 0;
     config.persistent_qps = 1;
     let world = World::with_fabric(2, config, faulty);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(8 * 64).unwrap();
-    let rbuf = p1.alloc_buffer(8 * 64).unwrap();
-    let send = p0.psend_init(&sbuf, 8, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 8, 64, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, 8, 64);
     recv.start().unwrap();
     send.start().unwrap();
     for i in 0..8u32 {
@@ -222,20 +209,13 @@ fn an_instant_world_honours_the_loss_model() {
     let mut config = PartixConfig::with_aggregator(AggregatorKind::Persistent);
     config.loss = Some(LossyConfig::chaos(0.2, 41));
     let world = World::instant(2, config);
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    let sbuf = p0.alloc_buffer(8 * 64).unwrap();
-    let rbuf = p1.alloc_buffer(8 * 64).unwrap();
-    let send = p0.psend_init(&sbuf, 8, 64, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, 8, 64, 0, 0).unwrap();
+    let (sbuf, rbuf, send, recv) = pair(&world, 8, 64);
     for round in 0..3u8 {
         let bytes: Vec<u8> = (0..8 * 64).map(|k| (k as u8) ^ (round * 37)).collect();
         sbuf.write(0, &bytes).unwrap();
         recv.start().unwrap();
         send.start().unwrap();
-        for i in 0..8 {
-            send.pready(i).unwrap();
-        }
+        send.pready_range(0, 8).unwrap();
         send.wait().unwrap();
         recv.wait().unwrap();
         assert_eq!(rbuf.read_vec(0, 8 * 64).unwrap(), bytes, "round {round}");

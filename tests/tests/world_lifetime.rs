@@ -10,20 +10,11 @@
 
 use std::sync::{Arc, Weak};
 
-use partix_core::{AggregatorKind, PartixConfig, PrecvRequest, PsendRequest, Registry, World};
+use partix_core::{AggregatorKind, PartixConfig, Registry, World};
+use partix_system_tests::pair;
 
 const PARTITIONS: u32 = 16;
 const PART_BYTES: usize = 4096;
-
-fn requests(world: &World) -> (PsendRequest, PrecvRequest) {
-    let (p0, p1) = (world.proc(0), world.proc(1));
-    let total = PARTITIONS as usize * PART_BYTES;
-    let sbuf = p0.alloc_buffer(total).unwrap();
-    let rbuf = p1.alloc_buffer(total).unwrap();
-    let send = p0.psend_init(&sbuf, PARTITIONS, PART_BYTES, 1, 0).unwrap();
-    let recv = p1.precv_init(&rbuf, PARTITIONS, PART_BYTES, 0, 0).unwrap();
-    (send, recv)
-}
 
 /// The round really left receive WRs posted and unconsumed: without them
 /// the test would pass on a runtime that still leaks.
@@ -43,13 +34,11 @@ fn watch(world: &World) -> Weak<Registry> {
 fn dropped_sim_world_is_freed() {
     let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
     let (world, sched) = World::sim(2, cfg);
-    let (send, recv) = requests(&world);
+    let (_, _, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     sched.run(); // channel bring-up
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..PARTITIONS {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, PARTITIONS).unwrap();
     sched.run();
     assert_eq!((send.completed_rounds(), recv.completed_rounds()), (1, 1));
 
@@ -65,12 +54,10 @@ fn dropped_sim_world_is_freed() {
 fn dropped_instant_world_is_freed() {
     let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
     let world = World::instant(2, cfg);
-    let (send, recv) = requests(&world);
+    let (_, _, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     recv.start().unwrap();
     send.start().unwrap();
-    for i in 0..PARTITIONS {
-        send.pready(i).unwrap();
-    }
+    send.pready_range(0, PARTITIONS).unwrap();
     send.wait().unwrap();
     recv.wait().unwrap();
 
@@ -88,15 +75,13 @@ fn dropped_instant_world_is_freed() {
 fn a_request_keeps_its_world() {
     let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
     let world = World::instant(2, cfg);
-    let (send, recv) = requests(&world);
+    let (_, _, send, recv) = pair(&world, PARTITIONS, PART_BYTES);
     let registry = Arc::downgrade(world.telemetry());
     drop(world);
     for _ in 0..2 {
         recv.start().unwrap();
         send.start().unwrap();
-        for i in 0..PARTITIONS {
-            send.pready(i).unwrap();
-        }
+        send.pready_range(0, PARTITIONS).unwrap();
         send.wait().unwrap();
         recv.wait().unwrap();
     }
