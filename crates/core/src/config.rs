@@ -104,15 +104,6 @@ pub struct PartixConfig {
     /// per peer, which is how Open MPI reaches full link bandwidth for
     /// large messages).
     pub persistent_qps: u32,
-    /// CPU cost of posting one WR through our direct-verbs path (ns).
-    pub wr_post_cost_ns: u64,
-    /// CPU cost of retiring one receive completion in our direct-verbs path
-    /// (decode immediate, set arrival flags), serialised by the progress
-    /// engine (ns).
-    pub wr_recv_cost_ns: u64,
-    /// Modelled duration of the asynchronous QP exchange + RTR/RTS bring-up
-    /// (the `psend_init`/`precv_init` → first `start` readiness gap).
-    pub setup_delay: SimDuration,
     /// UCX protocol cost model for the baseline.
     pub ucx: UcxModel,
     /// Tuning table for [`AggregatorKind::TuningTable`].
@@ -143,9 +134,6 @@ impl Default for PartixConfig {
             fabric: FabricParams::default(),
             max_qps_per_channel: 16,
             persistent_qps: 2,
-            wr_post_cost_ns: 200,
-            wr_recv_cost_ns: 300,
-            setup_delay: SimDuration::from_micros(10),
             ucx: UcxModel::default(),
             tuning_table: None,
             adaptive_delta: false,

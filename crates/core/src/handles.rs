@@ -13,19 +13,17 @@
 //! | `MPI_Test` | [`PsendRequest::test`] / [`PrecvRequest::test`] |
 //! | `MPI_Wait` | [`PsendRequest::wait`] / [`PrecvRequest::wait`] |
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use partix_verbs::{MemoryRegion, QpState};
 
 use crate::error::{PartixError, Result};
 use crate::plan::TransportPlan;
 use crate::proc::ProcInner;
-use crate::request::{bitset, RecvShared, SendShared};
-use crate::world::WorldInner;
+use crate::request::{Lifecycle, RecvShared, RequestCore, SendShared};
+use crate::world::{End, WorldInner};
 
 /// The largest partition count the immediate encoding supports (start index
 /// and run length are packed as two u16s).
@@ -62,14 +60,24 @@ impl Proc {
         Ok(self.inner.ctx.reg_mr_virtual(self.inner.pd, bytes)?)
     }
 
-    fn validate(&self, buf: &MemoryRegion, partitions: u32, part_bytes: usize) -> Result<()> {
+    /// The lifecycle core of a new request of this process under the
+    /// world's next id, once its shape and buffer check out.
+    fn core<C>(
+        &self,
+        buf: &MemoryRegion,
+        partitions: u32,
+        part_bytes: usize,
+        peer: u32,
+        tag: u32,
+    ) -> Result<RequestCore<C>> {
         if partitions == 0 || partitions > MAX_PARTITIONS {
             return Err(PartixError::BadPartitionCount { partitions });
         }
         if part_bytes == 0 {
             return Err(PartixError::ZeroPartitionSize);
         }
-        let required = partitions as usize * part_bytes;
+        // Saturated: a size past `usize` fits no buffer.
+        let required = (partitions as usize).saturating_mul(part_bytes);
         if buf.len() < required {
             return Err(PartixError::BufferTooSmall {
                 required,
@@ -79,7 +87,17 @@ impl Proc {
         if buf.node() != self.inner.ctx.node_id() {
             return Err(PartixError::WrongNode);
         }
-        Ok(())
+        Ok(RequestCore {
+            id: self.world.req_seq.fetch_add(1, Ordering::Relaxed),
+            proc: self.inner.clone(),
+            partitions,
+            part_bytes,
+            mr: buf.clone(),
+            peer,
+            tag,
+            channel: OnceLock::new(),
+            life: Lifecycle::default(),
+        })
     }
 
     /// Initialise a partitioned send of `partitions` partitions of
@@ -94,7 +112,7 @@ impl Proc {
         dest: u32,
         tag: u32,
     ) -> Result<PsendRequest> {
-        self.validate(buf, partitions, part_bytes)?;
+        let core = self.core(buf, partitions, part_bytes, dest, tag)?;
         let max_wr_bytes = self.world.network.fabric().max_wr_bytes();
         if part_bytes as u64 > max_wr_bytes {
             return Err(PartixError::PartitionTooLarge {
@@ -102,35 +120,9 @@ impl Proc {
                 max_wr_bytes,
             });
         }
-        let shared = Arc::new(SendShared {
-            id: self.world.req_seq.fetch_add(1, Ordering::Relaxed),
-            proc: self.inner.clone(),
-            partitions,
-            part_bytes,
-            mr: buf.clone(),
-            dest,
-            tag,
-            channel: OnceLock::new(),
-            ready: AtomicBool::new(false),
-            ready_cbs: Mutex::new(Vec::new()),
-            active: AtomicBool::new(false),
-            round: AtomicU64::new(0),
-            bits: bitset(2 * partitions.next_multiple_of(u64::BITS)),
-            sent_count: AtomicU32::new(0),
-            wr_posted: AtomicU32::new(0),
-            wr_completed: AtomicU32::new(0),
-            wr_posted_total: AtomicU64::new(0),
-            completed_rounds: AtomicU64::new(0),
-            recoveries_round: AtomicU64::new(0),
-            recoveries_total: AtomicU64::new(0),
-            complete_cbs: Mutex::new(Vec::new()),
-            error: OnceLock::new(),
-            pready_ns: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
-        });
-        crate::world::World {
-            inner: self.world.clone(),
-        }
-        .offer_send(shared.clone())?;
+        let shared = Arc::new(SendShared::new(core));
+        let offer = End::Send(shared.clone());
+        self.world.match_svc.offer(&self.world, offer, || {})?;
         Ok(PsendRequest {
             shared,
             _world: self.world.clone(),
@@ -146,37 +138,17 @@ impl Proc {
         src: u32,
         tag: u32,
     ) -> Result<PrecvRequest> {
-        self.validate(buf, partitions, part_bytes)?;
+        let core = self.core(buf, partitions, part_bytes, src, tag)?;
         // The request's place in `recvs` is the id its receive WRs carry.
         // The table stays locked until the match service accepts the offer
         // and registers it there; a refused offer leaves the table as it
         // was. (A failed channel set-up keeps the entry: receive WRs
         // carrying its id may already be posted.)
         let mut recvs = self.inner.recvs.write();
-        let shared = Arc::new(RecvShared {
-            id: self.world.req_seq.fetch_add(1, Ordering::Relaxed),
-            wr_id: recvs.len() as u64,
-            proc: self.inner.clone(),
-            partitions,
-            part_bytes,
-            mr: buf.clone(),
-            src,
-            tag,
-            channel: OnceLock::new(),
-            ready: AtomicBool::new(false),
-            ready_cbs: Mutex::new(Vec::new()),
-            active: AtomicBool::new(false),
-            arrived: bitset(partitions),
-            arrived_count: AtomicU32::new(0),
-            completed_rounds: AtomicU64::new(0),
-            complete_cbs: Mutex::new(Vec::new()),
-            early: Mutex::new(Vec::new()),
-        });
-        let entry = shared.clone();
-        crate::world::World {
-            inner: self.world.clone(),
-        }
-        .offer_recv(shared.clone(), move || recvs.push(entry))?;
+        let shared = Arc::new(RecvShared::new(core, recvs.len() as u64));
+        let (offer, entry) = (End::Recv(shared.clone()), shared.clone());
+        let register = move || recvs.push(entry);
+        self.world.match_svc.offer(&self.world, offer, register)?;
         Ok(PrecvRequest {
             shared,
             _world: self.world.clone(),
@@ -231,46 +203,40 @@ macro_rules! common_request_methods {
     () => {
         /// Unique request identifier (the `chan` of its flow events).
         pub fn id(&self) -> u64 {
-            self.shared.id
+            self.shared.core.id
         }
 
         /// Whether asynchronous channel setup has completed.
         pub fn is_ready(&self) -> bool {
-            self.shared.ready.load(Ordering::Acquire)
+            self.shared.core.is_ready()
         }
 
         /// Run `cb` when the channel becomes ready (immediately if it
         /// already is).
         pub fn on_ready(&self, cb: impl FnOnce() + Send + 'static) {
-            let mut cbs = self.shared.ready_cbs.lock();
-            if self.shared.ready.load(Ordering::Acquire) {
-                drop(cbs);
-                cb();
-            } else {
-                cbs.push(Box::new(cb));
-            }
+            self.shared.core.on_ready(cb)
         }
 
         /// Register `cb` to run when the current round completes. Must be
         /// registered while the round is in flight (or before it can
         /// possibly complete).
         pub fn on_complete(&self, cb: impl FnOnce() + Send + 'static) {
-            self.shared.complete_cbs.lock().push(Box::new(cb));
+            self.shared.core.on_complete(cb)
         }
 
         /// Rounds completed so far.
         pub fn completed_rounds(&self) -> u64 {
-            self.shared.completed_rounds.load(Ordering::Acquire)
+            self.shared.core.completed_rounds()
         }
 
         /// Whether the request is mid-round.
         pub fn is_active(&self) -> bool {
-            self.shared.active.load(Ordering::Acquire)
+            self.shared.core.is_active()
         }
 
         /// The transport plan (available once the channel is established).
         pub fn plan(&self) -> Option<TransportPlan> {
-            self.shared.channel.get().map(|c| c.plan.clone())
+            self.shared.core.channel.get().map(|c| c.plan.clone())
         }
 
         /// Begin a round (`MPI_Start`; a receive also clears its arrival
@@ -286,7 +252,7 @@ macro_rules! common_request_methods {
         /// yet ready is [`PartixError::WouldBlockInSim`] — use `on_ready`.
         pub fn start_blocking(&self) -> Result<()> {
             let ready = || self.is_ready().then(|| self.start());
-            block(&self.shared.proc, None, ready, || self.state())
+            block(&self.shared.core.proc, None, ready, || self.state())
         }
 
         /// Block until the round completes (`MPI_Wait`), driving progress;
@@ -294,20 +260,20 @@ macro_rules! common_request_methods {
         /// [`Self::on_complete`] there.
         pub fn wait(&self) -> Result<()> {
             let done = || self.round_done();
-            block(&self.shared.proc, None, done, || self.state())
+            block(&self.shared.core.proc, None, done, || self.state())
         }
 
         /// [`Self::wait`] for at most `limit` of the world's clock, then
         /// [`PartixError::Timeout`]: the round stays active for a later wait.
         pub fn wait_deadline(&self, limit: Duration) -> Result<()> {
             let done = || self.round_done();
-            block(&self.shared.proc, Some(limit), done, || self.state())
+            block(&self.shared.core.proc, Some(limit), done, || self.state())
         }
 
         /// The request in one line, for a [`PartixError::Timeout`].
         fn state(&self) -> String {
             let (side, counts) = self.counts();
-            let qps = self.shared.channel.get().map(|c| c.qps.as_slice());
+            let qps = self.shared.core.channel.get().map(|c| c.qps.as_slice());
             let qps: Vec<QpState> = qps.unwrap_or_default().iter().map(|q| q.state()).collect();
             let (id, active, done) = (self.id(), self.is_active(), self.completed_rounds());
             let round = done + u64::from(active);
@@ -367,15 +333,10 @@ impl PsendRequest {
     /// a send completes through calls on the send request). Simulated worlds
     /// are driven by completion events instead.
     pub fn test(&self) -> bool {
-        if !self.shared.active.load(Ordering::Acquire) {
-            return true;
-        }
-        self.shared.proc.try_progress(None);
-        // Re-evaluate completion directly: the round can become complete
+        // Completion is re-evaluated directly: the round can become complete
         // without a fresh work completion (a pready that posts nothing
         // because a concurrent flush already covered its partition).
-        self.shared.maybe_complete();
-        !self.shared.active.load(Ordering::Acquire)
+        self.shared.core.test(|| self.shared.maybe_complete())
     }
 
     /// A wait's step: a failed transfer ends it; completion is re-evaluated.
@@ -392,7 +353,7 @@ impl PsendRequest {
         let s = &self.shared;
         let ready = s.bits[..s.bits.len() / 2].iter();
         let arrived: u32 = ready.map(|w| w.load(Ordering::Acquire).count_ones()).sum();
-        let (posted, parts) = (s.sent_count.load(Ordering::Acquire), s.partitions);
+        let (posted, parts) = (s.sent_count.load(Ordering::Acquire), s.core.partitions);
         let counts = format!("{arrived}/{parts} partitions arrived, {posted} posted");
         ("send", counts)
     }
@@ -419,7 +380,7 @@ impl PsendRequest {
     /// The timer aggregator's delta currently in force (changes between
     /// rounds under adaptive tuning); `None` for non-timer plans.
     pub fn current_delta(&self) -> Option<crate::SimDuration> {
-        self.shared.channel.get().and_then(|c| c.current_delta())
+        self.shared.core.channel.get()?.current_delta()
     }
 }
 
@@ -442,11 +403,7 @@ impl PrecvRequest {
 
     /// Non-blocking completion check (`MPI_Test`).
     pub fn test(&self) -> bool {
-        if !self.shared.active.load(Ordering::Acquire) {
-            return true;
-        }
-        self.shared.proc.try_progress(None);
-        !self.shared.active.load(Ordering::Acquire)
+        self.shared.core.test(|| {})
     }
 
     /// The receive side's step of a wait: every partition has arrived.
@@ -456,7 +413,7 @@ impl PrecvRequest {
 
     /// Side and partition counts, for the request's `state`.
     fn counts(&self) -> (&str, String) {
-        let (arrived, parts) = (self.arrived_count(), self.shared.partitions);
+        let (arrived, parts) = (self.arrived_count(), self.shared.core.partitions);
         ("recv", format!("{arrived}/{parts} partitions arrived"))
     }
 

@@ -89,10 +89,11 @@ fn pow2_divisor(n: u32) -> u32 {
 
 /// Compute the transport plan for a channel of `partitions` user partitions
 /// of `part_bytes` bytes each, over a wire whose largest WR is
-/// `max_wr_bytes` (`u64::MAX` when unbounded): while a group's WR would not
-/// fit and halving the group keeps the transport count a power of two that
-/// divides `partitions`, the transport partitions double (and the QPs with
-/// them, up to `max_qps_per_channel`).
+/// `max_wr_bytes` (a fabric's is at most `u32::MAX`, the longest SGE;
+/// `u64::MAX` plans without a bound): while a group's WR would not fit and
+/// halving the group keeps the transport count a power of two that divides
+/// `partitions`, the transport partitions double (and the QPs with them, up
+/// to `max_qps_per_channel`).
 pub fn plan_for(
     config: &PartixConfig,
     partitions: u32,

@@ -283,7 +283,7 @@ impl ProcInner {
             None => false,
         });
         for s in strong.drain(..) {
-            let Some(ch) = s.channel.get() else { continue };
+            let ch = s.core.channel.get().expect("only established sends drain");
             loop {
                 let Some(p) = ch.pending.lock().pop_front() else {
                     break;

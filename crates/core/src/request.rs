@@ -75,6 +75,7 @@ fn word_masks(bits: Range<u32>) -> impl Iterator<Item = (usize, u64)> {
 }
 
 /// Per-transport-partition state.
+#[derive(Default)]
 pub(crate) struct GroupState {
     /// User partitions covered.
     range: Range<u32>,
@@ -83,7 +84,7 @@ pub(crate) struct GroupState {
     full_words: AtomicU32,
     /// Whether this round's δ-timer is armed (timer policy only).
     armed: AtomicBool,
-    /// Timer-aggregator phase.
+    /// Timer-aggregator phase, from `PHASE_COLLECTING` (0).
     phase: AtomicU8,
     /// Serialises flush-path scanning.
     lock: Mutex<()>,
@@ -93,10 +94,7 @@ impl GroupState {
     pub(crate) fn new(range: Range<u32>) -> Self {
         GroupState {
             range,
-            full_words: AtomicU32::new(0),
-            armed: AtomicBool::new(false),
-            phase: AtomicU8::new(PHASE_COLLECTING),
-            lock: Mutex::new(()),
+            ..Default::default()
         }
     }
 
@@ -110,6 +108,15 @@ impl GroupState {
     /// Claim this round's δ-timer: `true` for exactly one caller per round.
     fn arm(&self) -> bool {
         !self.armed.load(Ordering::Acquire) && !self.armed.swap(true, Ordering::AcqRel)
+    }
+
+    /// Move the collecting group to `phase`: `true` for the one caller of a
+    /// round that does, the last arrival (`PHASE_SENT_ALL`) or the δ flush.
+    fn leave_collecting(&self, phase: u8) -> bool {
+        let (from, order) = (PHASE_COLLECTING, Ordering::SeqCst);
+        self.phase
+            .compare_exchange(from, phase, order, order)
+            .is_ok()
     }
 }
 
@@ -238,19 +245,157 @@ impl SendChannel {
     }
 }
 
-/// Shared state of a partitioned send request.
-pub(crate) struct SendShared {
+/// Callbacks a request runs once: at readiness, or at the end of a round.
+type Callbacks = Mutex<Vec<Box<dyn FnOnce() + Send>>>;
+
+/// What both ends of a channel share (DESIGN.md §4, "Request lifecycle"):
+/// the request's identity, its channel `C`, and its readiness and rounds.
+/// [`SendShared`] and [`RecvShared`] embed it by value, so reaching `active`
+/// costs no pointer beyond the request's own.
+pub(crate) struct RequestCore<C> {
     pub id: u64,
     pub proc: Arc<ProcInner>,
     pub partitions: u32,
     pub part_bytes: usize,
     pub mr: MemoryRegion,
-    pub dest: u32,
+    /// The other end's rank: a send's destination, a receive's source.
+    pub peer: u32,
     pub tag: u32,
-    pub channel: OnceLock<Arc<SendChannel>>,
-    pub ready: AtomicBool,
-    pub ready_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
-    pub active: AtomicBool,
+    pub channel: OnceLock<Arc<C>>,
+    pub life: Lifecycle,
+}
+
+/// Readiness and rounds, each with its callbacks: changed only by the
+/// methods of [`RequestCore`].
+#[derive(Default)]
+pub(crate) struct Lifecycle {
+    ready: AtomicBool,
+    ready_cbs: Callbacks,
+    /// Mid-round: set by `start`, cleared by [`RequestCore::end_round`].
+    active: AtomicBool,
+    completed_rounds: AtomicU64,
+    complete_cbs: Callbacks,
+}
+
+impl<C> RequestCore<C> {
+    /// The channel, once bring-up has made it ready.
+    pub(crate) fn channel(&self) -> Result<&Arc<C>> {
+        if !self.is_ready() {
+            return Err(PartixError::ChannelNotReady);
+        }
+        self.channel.get().ok_or(PartixError::ChannelNotReady)
+    }
+
+    /// The channel of a round about to start: ready, and not mid-round.
+    fn startable(&self) -> Result<&Arc<C>> {
+        let ch = self.channel()?;
+        if self.is_active() {
+            return Err(PartixError::AlreadyActive);
+        }
+        Ok(ch)
+    }
+
+    /// Open the round: `AlreadyActive` if a racing `start` opened it first.
+    fn activate(&self) -> Result<()> {
+        if self.life.active.swap(true, Ordering::AcqRel) {
+            return Err(PartixError::AlreadyActive);
+        }
+        Ok(())
+    }
+
+    /// Refuse a partition index past the request's count.
+    fn check_index(&self, index: u32) -> Result<()> {
+        if index >= self.partitions {
+            return Err(PartixError::PartitionOutOfRange {
+                index,
+                partitions: self.partitions,
+            });
+        }
+        Ok(())
+    }
+
+    pub(crate) fn is_ready(&self) -> bool {
+        self.life.ready.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn is_active(&self) -> bool {
+        self.life.active.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn completed_rounds(&self) -> u64 {
+        self.life.completed_rounds.load(Ordering::Acquire)
+    }
+
+    /// Mark the channel ready (flag only; see [`Self::fire_ready`]).
+    pub(crate) fn set_ready(&self) {
+        self.life.ready.store(true, Ordering::Release);
+    }
+
+    /// Fire deferred readiness callbacks. Both ends of a channel are
+    /// flagged ready before either end's callbacks run, so a callback can
+    /// start both requests.
+    pub(crate) fn fire_ready(&self) {
+        debug_assert!(self.is_ready());
+        let cbs = std::mem::take(&mut *self.life.ready_cbs.lock());
+        for cb in cbs {
+            cb();
+        }
+    }
+
+    /// Run `cb` at readiness, or at once if the channel is ready: the flag
+    /// is read under the lock `fire_ready` takes the callbacks under.
+    pub(crate) fn on_ready(&self, cb: impl FnOnce() + Send + 'static) {
+        let mut cbs = self.life.ready_cbs.lock();
+        if self.is_ready() {
+            drop(cbs);
+            cb();
+        } else {
+            cbs.push(Box::new(cb));
+        }
+    }
+
+    /// Run `cb` when the current round ends.
+    pub(crate) fn on_complete(&self, cb: impl FnOnce() + Send + 'static) {
+        self.life.complete_cbs.lock().push(Box::new(cb));
+    }
+
+    /// `MPI_Test`: an inactive request tests true; otherwise drive progress,
+    /// `recheck` the round, and report whether it ended.
+    pub(crate) fn test(&self, recheck: impl FnOnce()) -> bool {
+        if !self.is_active() {
+            return true;
+        }
+        self.proc.try_progress(None);
+        recheck();
+        !self.is_active()
+    }
+
+    /// End the round if it is still in flight: the one caller whose CAS
+    /// closes it runs `settle` (the send side's adaptive δ), counts it, and
+    /// runs its callbacks outside the lock (one may register the next
+    /// round's), handing the emptied vector back for those to reuse.
+    fn end_round(&self, settle: impl FnOnce()) {
+        let (life, acq_rel, acq) = (&self.life, Ordering::AcqRel, Ordering::Acquire);
+        let closed = life.active.compare_exchange(true, false, acq_rel, acq);
+        if closed.is_err() {
+            return; // another caller ended it
+        }
+        settle();
+        life.completed_rounds.fetch_add(1, acq_rel);
+        let mut cbs = std::mem::take(&mut *life.complete_cbs.lock());
+        for cb in cbs.drain(..) {
+            cb();
+        }
+        let mut slot = life.complete_cbs.lock();
+        if slot.is_empty() {
+            *slot = cbs;
+        }
+    }
+}
+
+/// Shared state of a partitioned send request.
+pub(crate) struct SendShared {
+    pub core: RequestCore<SendChannel>,
     pub round: AtomicU64,
     /// This round's `pready` bits, one per partition, then as many posted
     /// bits: one allocation, halved by [`Self::group`].
@@ -261,13 +406,11 @@ pub(crate) struct SendShared {
     pub wr_posted: AtomicU32,
     pub wr_completed: AtomicU32,
     pub wr_posted_total: AtomicU64,
-    pub completed_rounds: AtomicU64,
     /// QP recovery cycles spent this round (bounded by
     /// `reliability.max_recoveries`).
     pub recoveries_round: AtomicU64,
     /// QP recovery cycles across the request's lifetime (diagnostics).
     pub recoveries_total: AtomicU64,
-    pub complete_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     pub error: OnceLock<&'static str>,
     /// Per-partition `pready` times on the world clock, stamped only when
     /// something reads them (see [`Self::stamps_preadies`]): adaptive δ
@@ -277,41 +420,30 @@ pub(crate) struct SendShared {
 }
 
 impl SendShared {
-    pub(crate) fn channel(&self) -> Result<&Arc<SendChannel>> {
-        if !self.ready.load(Ordering::Acquire) {
-            return Err(PartixError::ChannelNotReady);
-        }
-        self.channel.get().ok_or(PartixError::ChannelNotReady)
-    }
-
-    /// Mark the channel ready (flag only; see [`Self::fire_ready`]).
-    pub(crate) fn set_ready(&self) {
-        self.ready.store(true, Ordering::Release);
-    }
-
-    /// Fire deferred readiness callbacks. Both ends of a channel are
-    /// flagged ready before either end's callbacks run, so a callback can
-    /// start both requests.
-    pub(crate) fn fire_ready(&self) {
-        debug_assert!(self.ready.load(Ordering::Acquire));
-        let cbs = std::mem::take(&mut *self.ready_cbs.lock());
-        for cb in cbs {
-            cb();
+    pub(crate) fn new(core: RequestCore<SendChannel>) -> Self {
+        let partitions = core.partitions;
+        SendShared {
+            core,
+            round: AtomicU64::new(0),
+            bits: bitset(2 * partitions.next_multiple_of(WORD_BITS)),
+            sent_count: AtomicU32::new(0),
+            wr_posted: AtomicU32::new(0),
+            wr_completed: AtomicU32::new(0),
+            wr_posted_total: AtomicU64::new(0),
+            recoveries_round: AtomicU64::new(0),
+            recoveries_total: AtomicU64::new(0),
+            error: OnceLock::new(),
+            pready_ns: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Begin a round.
     pub(crate) fn start(self: &Arc<Self>) -> Result<()> {
-        let ch = self.channel()?;
-        if self.active.load(Ordering::Acquire) {
-            return Err(PartixError::AlreadyActive);
-        }
+        let ch = self.core.startable()?;
         // Counted before `active` is set: a δ-timer of the last round that
         // sees the request active sees the new round too, and stands down.
         self.round.fetch_add(1, Ordering::AcqRel);
-        if self.active.swap(true, Ordering::AcqRel) {
-            return Err(PartixError::AlreadyActive);
-        }
+        self.core.activate()?;
         for w in self.bits.iter() {
             w.store(0, Ordering::Relaxed);
         }
@@ -343,21 +475,16 @@ impl SendShared {
     /// Whether `pready` stamps [`Self::pready_ns`]: under adaptive δ or
     /// while flow tracing is on.
     fn stamps_preadies(&self) -> bool {
-        self.proc.config.adaptive_delta || self.proc.tel.flows.enabled()
+        self.core.proc.config.adaptive_delta || self.core.proc.tel.flows.enabled()
     }
 
     /// Mark user partition `i` ready for transfer.
     pub(crate) fn pready(self: &Arc<Self>, i: u32) -> Result<()> {
-        if !self.active.load(Ordering::Acquire) {
+        if !self.core.is_active() {
             return Err(PartixError::NotActive);
         }
-        if i >= self.partitions {
-            return Err(PartixError::PartitionOutOfRange {
-                index: i,
-                partitions: self.partitions,
-            });
-        }
-        let ch = self.channel()?;
+        self.core.check_index(i)?;
+        let ch = self.core.channel()?;
         let g = ch.plan.group_of(i);
         let grp = self.group(ch, g);
         // Stamped before the bit is published: whoever sees the bit may post
@@ -368,12 +495,13 @@ impl SendShared {
             if grp.has_arrived(i) {
                 return Err(PartixError::DoublePready { index: i });
             }
-            self.pready_ns[i as usize].store(self.proc.time.now().as_nanos(), Ordering::Relaxed);
+            self.pready_ns[i as usize]
+                .store(self.core.proc.time.now().as_nanos(), Ordering::Relaxed);
         }
         let Some(last) = grp.arrive(i) else {
             return Err(PartixError::DoublePready { index: i });
         };
-        self.proc.tel.runtime.preadys.inc();
+        self.core.proc.tel.runtime.preadys.inc();
         match ch.current_delta() {
             // Without a timer, the arrival that fills the group posts it.
             None if last => self.post_range(ch, g, ch.plan.range_of(g)),
@@ -403,17 +531,7 @@ impl SendShared {
             // Last arrival: if the delta timer has not flushed yet, the last
             // thread aggregates and sends the whole group (the delta_a case
             // of the paper's Fig. 5).
-            if grp
-                .state
-                .phase
-                .compare_exchange(
-                    PHASE_COLLECTING,
-                    PHASE_SENT_ALL,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_ok()
-            {
+            if grp.state.leave_collecting(PHASE_SENT_ALL) {
                 self.post_range(ch, g, ch.plan.range_of(g));
                 return;
             }
@@ -422,8 +540,8 @@ impl SendShared {
             // First arrival arms the timer (it "sleeps" for at most delta).
             let weak = Arc::downgrade(self);
             let ch2 = ch.clone();
-            let round = self.round.load(Ordering::Acquire);
-            self.proc.time.after(self.proc.rank, delta, move || {
+            let (proc, round) = (&self.core.proc, self.round.load(Ordering::Acquire));
+            proc.time.after(proc.rank, delta, move || {
                 if let Some(s) = weak.upgrade() {
                     s.flush_group(&ch2, g, round);
                 }
@@ -441,23 +559,13 @@ impl SendShared {
     /// Delta-timer expiry: flush the arrived subset of group `g` as maximal
     /// contiguous runs.
     fn flush_group(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, armed_round: u64) {
-        if !self.active.load(Ordering::Acquire) || self.round.load(Ordering::Acquire) != armed_round
-        {
+        if !self.core.is_active() || self.round.load(Ordering::Acquire) != armed_round {
             return; // stale timer from a finished round
         }
-        if ch.groups[g as usize]
-            .phase
-            .compare_exchange(
-                PHASE_COLLECTING,
-                PHASE_FLUSHED,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
+        if !ch.groups[g as usize].leave_collecting(PHASE_FLUSHED) {
             return; // the whole group was already sent
         }
-        self.proc.tel.runtime.timer_fires.inc();
+        self.core.proc.tel.runtime.timer_fires.inc();
         self.post_runs(ch, g, None);
     }
 
@@ -502,14 +610,14 @@ impl SendShared {
         self.wr_posted.fetch_add(1, Ordering::AcqRel);
         self.sent_count.fetch_add(len, Ordering::AcqRel);
         self.wr_posted_total.fetch_add(1, Ordering::Relaxed);
-        self.proc.tel.runtime.aggregated_wrs.inc();
-        self.proc.tel.runtime.partitions_posted.add(len as u64);
+        self.core.proc.tel.runtime.aggregated_wrs.inc();
+        self.core.proc.tel.runtime.partitions_posted.add(len as u64);
 
         // Causal tracing: mint a flow identifier (0 when tracing is off) and
         // record the Posted span. Aggregation hold is measured from the
         // earliest pready of the run — the time the first-ready partition
         // spent waiting for the aggregation decision.
-        let flows = &self.proc.tel.flows;
+        let flows = &self.core.proc.tel.flows;
         let flow = flows.next_flow_id();
         if flow != 0 {
             let now = flows.now();
@@ -525,20 +633,20 @@ impl SendShared {
                 FlowStage::Posted,
                 now,
                 ch.qps[qp_idx as usize].qp_num(),
-                self.id as u32,
+                self.core.id as u32,
                 hold,
             );
         }
 
-        let bytes = len as usize * self.part_bytes;
-        let byte_lo = lo as usize * self.part_bytes;
-        self.proc.track_send(self, qp_idx, opts, |wr| {
+        let bytes = len as usize * self.core.part_bytes;
+        let byte_lo = lo as usize * self.core.part_bytes;
+        self.core.proc.track_send(self, qp_idx, opts, |wr| {
             wr.opcode = Opcode::RdmaWriteWithImm;
             wr.sg_list.clear();
             wr.sg_list.push(Sge {
-                addr: self.mr.addr_at(byte_lo),
+                addr: self.core.mr.addr_at(byte_lo),
                 length: bytes as u32,
-                lkey: self.mr.lkey(),
+                lkey: self.core.mr.lkey(),
             });
             wr.remote_addr = ch.remote_addr + byte_lo as u64;
             wr.rkey = ch.remote_rkey;
@@ -551,7 +659,7 @@ impl SendShared {
 
     /// Post one RDMA-write-with-immediate covering user partitions `range`.
     fn post_range(self: &Arc<Self>, ch: &SendChannel, g: u32, range: Range<u32>) {
-        let bytes = (range.end - range.start) as usize * self.part_bytes;
+        let bytes = (range.end - range.start) as usize * self.core.part_bytes;
         let qp_idx = ch.plan.qp_of(g);
         let opts = self.post_options(bytes);
         let mut wr = self.build_range_wr(ch, &range, qp_idx, opts);
@@ -560,7 +668,7 @@ impl SendShared {
 
     /// Whether an errored QP may still be cycled back to RTS.
     fn can_recover(&self) -> bool {
-        self.proc.config.reliability.max_recoveries > 0 && self.error.get().is_none()
+        self.core.proc.config.reliability.max_recoveries > 0 && self.error.get().is_none()
     }
 
     /// Post tracked WRs (their images are retained, for recovery to re-post
@@ -591,28 +699,23 @@ impl SendShared {
                 // Poisoned before the count lets the round complete, so no
                 // waiter sees it end without its error.
                 self.poison(ch, "queue pair in error state");
-                for wr in wrs.iter_mut() {
-                    self.proc.retire_send(wr.wr_id, false);
-                    self.proc.recycle_wr(std::mem::take(wr));
-                }
-                self.wr_completed
-                    .fetch_add(wrs.len() as u32, Ordering::AcqRel);
+                self.retire(wrs.iter_mut().map(std::mem::take));
                 return;
             }
             Err(e) => panic!("unexpected verbs failure on partitioned post: {e}"),
         };
         let (posted, parked) = wrs.split_at_mut(granted);
         for wr in posted {
-            self.proc.recycle_wr(std::mem::take(wr));
+            self.core.proc.recycle_wr(std::mem::take(wr));
         }
-        let flows = &self.proc.tel.flows;
+        let flows = &self.core.proc.tel.flows;
         for wr in parked {
             let mut queued_ns = 0;
             if capped {
-                self.proc.tel.runtime.pending_spills.inc();
+                self.core.proc.tel.runtime.pending_spills.inc();
                 queued_ns = flows.now();
                 let (stage, qp_num) = (FlowStage::CapQueued, qp.qp_num());
-                flows.event_at(wr.flow, stage, queued_ns, qp_num, self.id as u32, 0);
+                flows.event_at(wr.flow, stage, queued_ns, qp_num, self.core.id as u32, 0);
             }
             ch.pending.lock().push_back(PendingPost {
                 qp_idx,
@@ -620,32 +723,31 @@ impl SendShared {
                 opts,
                 queued_ns,
             });
-            self.proc.spilled.fetch_add(1, Ordering::AcqRel);
+            self.core.proc.spilled.fetch_add(1, Ordering::AcqRel);
         }
     }
 
+    /// CPU cost of posting one WR through the direct-verbs path.
+    const WR_POST_COST: SimDuration = SimDuration::from_nanos(200);
+
     /// Software-path cost model for this policy (only in simulated mode).
     fn post_options(&self, bytes: usize) -> PostOptions {
-        if !self.proc.sim_mode() {
+        let proc = &self.core.proc;
+        if !proc.sim_mode() {
             return PostOptions::default();
         }
-        let now = self.proc.time.now();
-        let cfg = &self.proc.config;
-        let plan_kind = self
-            .channel
-            .get()
-            .map(|c| c.plan.kind)
-            .unwrap_or(cfg.aggregator);
-        match plan_kind {
+        let (now, cfg) = (proc.time.now(), &proc.config);
+        let plan = self.core.channel.get().map(|c| c.plan.kind);
+        match plan.unwrap_or(cfg.aggregator) {
             AggregatorKind::Persistent => {
                 // The Open MPI + UCX path: per-message protocol CPU work
                 // serialised by the UCX worker lock; oversubscribed posting
                 // threads (one per partition in the paper's benchmarks)
                 // convoy on the lock.
                 let cost = cfg.ucx.cost(bytes, cfg.fabric.loggp.l);
-                let convoy = cfg.ucx.convoy_factor(self.partitions);
+                let convoy = cfg.ucx.convoy_factor(self.core.partitions);
                 let hold = SimDuration::from_nanos_f64(cost.locked_cpu_ns as f64 * convoy);
-                let (_start, end) = self.proc.ucx_lock.reserve(now, hold);
+                let (_start, end) = self.core.proc.ucx_lock.reserve(now, hold);
                 PostOptions {
                     earliest: Some(end),
                     extra_wire_latency: SimDuration::from_nanos(cost.extra_latency_ns),
@@ -655,7 +757,7 @@ impl SendShared {
             _ => PostOptions {
                 // Our direct-verbs module: a short lock-free post path, but
                 // no inline/BlueFlame fast lane (paper §IV-A).
-                earliest: Some(now + SimDuration::from_nanos(cfg.wr_post_cost_ns)),
+                earliest: Some(now + Self::WR_POST_COST),
                 extra_wire_latency: SimDuration::ZERO,
                 small_lane: false,
             },
@@ -677,7 +779,7 @@ impl SendShared {
             let Err(post) = self.try_recover(post) else {
                 return;
             };
-            self.proc.recycle_wr(post.wr);
+            self.core.proc.recycle_wr(post.wr);
             let msg = match wc.status {
                 WcStatus::RemoteAccessError => "remote access error",
                 WcStatus::RetryExceeded => "transport retries exhausted",
@@ -685,7 +787,7 @@ impl SendShared {
                 WcStatus::LocalLengthError => "payload exceeded receive space",
                 WcStatus::Success => unreachable!("images accompany error completions only"),
             };
-            match self.channel.get() {
+            match self.core.channel.get() {
                 Some(ch) => self.poison(ch, msg),
                 None => drop(self.error.set(msg)),
             }
@@ -705,17 +807,18 @@ impl SendShared {
     /// balanced and the round completes only once the retried transfer
     /// really finishes.
     fn try_recover(self: &Arc<Self>, post: PendingPost) -> std::result::Result<(), PendingPost> {
-        let rel = &self.proc.config.reliability;
-        let Some(ch) = self.channel.get().filter(|_| self.can_recover()) else {
+        let proc = &self.core.proc;
+        let Some(ch) = self.core.channel.get().filter(|_| self.can_recover()) else {
             return Err(post);
         };
-        if self.recoveries_round.fetch_add(1, Ordering::AcqRel) >= rel.max_recoveries {
+        let budget = proc.config.reliability.max_recoveries;
+        if self.recoveries_round.fetch_add(1, Ordering::AcqRel) >= budget {
             // Budget exhausted. Leave the counter saturated; the failure
             // surfaces through the normal poison path.
             return Err(post);
         }
         self.recoveries_total.fetch_add(1, Ordering::Relaxed);
-        self.proc.tel.runtime.recoveries.inc();
+        proc.tel.runtime.recoveries.inc();
         let qp = &ch.qps[post.qp_idx as usize];
         if qp.state() == QpState::Error && !recover_qp(qp) {
             return Err(post);
@@ -724,85 +827,68 @@ impl SendShared {
         // completion was just consumed). In-flight WRs the error flushed to
         // software pending are re-posted by the progress engine's drain once
         // the QP is back at RTS.
-        let mut wr = self.proc.track_send(self, post.qp_idx, post.opts, |wr| {
-            *wr = post.wr;
-        });
+        let mut wr = proc.track_send(self, post.qp_idx, post.opts, |wr| *wr = post.wr);
         self.post(ch, post.qp_idx, std::slice::from_mut(&mut wr), post.opts);
         Ok(())
     }
 
     /// Record a fatal error and retire every software-pending WR of the
-    /// channel: no completion will ever come for them, and the round must
-    /// still terminate (`wr_completed` catches up to `wr_posted`).
+    /// channel.
     pub(crate) fn poison(self: &Arc<Self>, ch: &SendChannel, msg: &'static str) {
         let _ = self.error.set(msg);
         let stranded: Vec<PendingPost> = ch.pending.lock().drain(..).collect();
-        let retired = stranded.len();
-        for p in stranded {
-            self.proc.retire_send(p.wr.wr_id, false);
-            self.proc.recycle_wr(p.wr);
+        if !stranded.is_empty() {
+            self.core
+                .proc
+                .spilled
+                .fetch_sub(stranded.len(), Ordering::AcqRel);
+            self.retire(stranded.into_iter().map(|p| p.wr));
         }
-        if retired > 0 {
-            self.proc.spilled.fetch_sub(retired, Ordering::AcqRel);
-            self.wr_completed
-                .fetch_add(retired as u32, Ordering::AcqRel);
+    }
+
+    /// Retire WRs no completion will ever come for, so that the round still
+    /// terminates: `wr_completed` catches up to `wr_posted`.
+    fn retire(&self, wrs: impl ExactSizeIterator<Item = SendWr>) {
+        let retired = wrs.len() as u32;
+        for wr in wrs {
+            self.core.proc.retire_send(wr.wr_id, false);
+            self.core.proc.recycle_wr(wr);
         }
+        self.wr_completed.fetch_add(retired, Ordering::AcqRel);
     }
 
     /// Complete the round once every partition was posted (and so marked
     /// ready) and every WR was acknowledged.
     pub(crate) fn maybe_complete(self: &Arc<Self>) {
-        if !self.active.load(Ordering::Acquire) {
-            return;
-        }
-        if self.sent_count.load(Ordering::Acquire) != self.partitions {
+        let core = &self.core;
+        if !core.is_active() || self.sent_count.load(Ordering::Acquire) != core.partitions {
             return;
         }
         let posted = self.wr_posted.load(Ordering::Acquire);
         if self.wr_completed.load(Ordering::Acquire) != posted {
             return;
         }
-        if self
-            .active
-            .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            if self.proc.config.adaptive_delta {
+        core.end_round(|| {
+            if core.proc.config.adaptive_delta {
                 self.adapt_delta();
             }
-            self.completed_rounds.fetch_add(1, Ordering::AcqRel);
-            run_round_callbacks(&self.complete_cbs);
-        }
+        });
     }
 
     /// Online delta tuning (the paper's future work): set the next round's
     /// delta to `margin *` [`min_delta_ns`] of this round's `pready` times.
     fn adapt_delta(&self) {
-        let Some(ch) = self.channel.get() else { return };
-        if ch.plan.timer_delta.is_none() {
+        let ch = self.core.channel.get();
+        let Some(ch) = ch.filter(|c| c.plan.timer_delta.is_some()) else {
             return;
-        }
+        };
         let stamps = self.pready_ns.iter().map(|t| t.load(Ordering::Relaxed));
         let Some(spread) = min_delta_ns(stamps) else {
             return;
         };
-        let margin = self.proc.config.adaptive_delta_margin.max(1.0);
+        let margin = self.core.proc.config.adaptive_delta_margin.max(1.0);
         let new_delta = ((spread as f64 * margin) as u64).max(1_000);
         ch.delta_ns.store(new_delta, Ordering::Release);
-    }
-}
-
-/// Run the `on_complete` callbacks of the round that just completed, outside
-/// the lock (a callback may register the next round's), then hand the
-/// emptied vector back so that those registrations reuse its capacity.
-fn run_round_callbacks(slot: &Mutex<Vec<Box<dyn FnOnce() + Send>>>) {
-    let mut cbs = std::mem::take(&mut *slot.lock());
-    for cb in cbs.drain(..) {
-        cb();
-    }
-    let mut slot = slot.lock();
-    if slot.is_empty() {
-        *slot = cbs;
     }
 }
 
@@ -853,26 +939,14 @@ pub(crate) struct RecvChannel {
 
 /// Shared state of a partitioned receive request.
 pub(crate) struct RecvShared {
-    pub id: u64,
+    pub core: RequestCore<RecvChannel>,
     /// The id every receive WR of this request carries: its index in the
     /// process's `recvs` table.
     pub wr_id: u64,
-    pub proc: Arc<ProcInner>,
-    pub partitions: u32,
-    pub part_bytes: usize,
-    pub mr: MemoryRegion,
-    pub src: u32,
-    pub tag: u32,
-    pub channel: OnceLock<Arc<RecvChannel>>,
-    pub ready: AtomicBool,
-    pub ready_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
-    pub active: AtomicBool,
     /// Arrival bits of this round, one per partition.
     pub arrived: Box<[AtomicU64]>,
     /// Set bits of `arrived`.
     pub arrived_count: AtomicU32,
-    pub completed_rounds: AtomicU64,
-    pub complete_cbs: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
     /// Arrivals observed between rounds (sender ran ahead); applied at the
     /// next `start`. Each entry carries `(lo, count, flow, receiving QP
     /// number)` so the causal chain survives the buffering.
@@ -880,24 +954,13 @@ pub(crate) struct RecvShared {
 }
 
 impl RecvShared {
-    pub(crate) fn channel(&self) -> Result<&Arc<RecvChannel>> {
-        if !self.ready.load(Ordering::Acquire) {
-            return Err(PartixError::ChannelNotReady);
-        }
-        self.channel.get().ok_or(PartixError::ChannelNotReady)
-    }
-
-    /// Mark the channel ready (flag only).
-    pub(crate) fn set_ready(&self) {
-        self.ready.store(true, Ordering::Release);
-    }
-
-    /// Fire deferred readiness callbacks (after both ends are flagged).
-    pub(crate) fn fire_ready(&self) {
-        debug_assert!(self.ready.load(Ordering::Acquire));
-        let cbs = std::mem::take(&mut *self.ready_cbs.lock());
-        for cb in cbs {
-            cb();
+    pub(crate) fn new(core: RequestCore<RecvChannel>, wr_id: u64) -> Self {
+        RecvShared {
+            wr_id,
+            arrived: bitset(core.partitions),
+            arrived_count: AtomicU32::new(0),
+            early: Mutex::default(),
+            core,
         }
     }
 
@@ -906,10 +969,7 @@ impl RecvShared {
     /// arrivals. The reset comes while the request is inactive, so every
     /// arrival until `active` is set (under the `early` lock) is buffered.
     pub(crate) fn start(self: &Arc<Self>) -> Result<()> {
-        let ch = self.channel()?;
-        if self.active.load(Ordering::Acquire) {
-            return Err(PartixError::AlreadyActive);
-        }
+        let ch = self.core.startable()?;
         for w in self.arrived.iter() {
             w.store(0, Ordering::Relaxed);
         }
@@ -925,9 +985,7 @@ impl RecvShared {
 
         let early = {
             let mut early = self.early.lock();
-            if self.active.swap(true, Ordering::AcqRel) {
-                return Err(PartixError::AlreadyActive);
-            }
+            self.core.activate()?;
             std::mem::take(&mut *early)
         };
         for (lo, cnt, flow, qp) in early {
@@ -935,6 +993,11 @@ impl RecvShared {
         }
         Ok(())
     }
+
+    /// CPU cost of retiring one receive completion on the direct-verbs path
+    /// (decode the immediate, set the arrival bits), serialised by the
+    /// progress engine, in ns.
+    const WR_RECV_COST_NS: u64 = 300;
 
     /// An incoming write-with-immediate completion. In simulated mode the
     /// receive software path (completion dispatch + flag bookkeeping) is
@@ -947,26 +1010,23 @@ impl RecvShared {
         debug_assert_eq!(wc.status, WcStatus::Success, "recv completion error");
         let (lo, cnt) = imm::decode(wc.imm.expect("write-with-imm carries an immediate"));
         let (flow, qp) = (wc.flow, wc.qp_num);
-        if !self.proc.sim_mode() {
+        let proc = &self.core.proc;
+        if !proc.sim_mode() {
             self.record_arrival(lo, cnt, flow, qp);
             return;
         }
-        let cfg = &self.proc.config;
-        let cost = match self.channel.get().map(|c| c.plan.kind) {
-            Some(AggregatorKind::Persistent) => cfg.ucx.recv_cost_ns(wc.byte_len as usize),
-            _ => cfg.wr_recv_cost_ns,
+        let cost = match self.core.channel.get().map(|c| c.plan.kind) {
+            Some(AggregatorKind::Persistent) => proc.config.ucx.recv_cost_ns(wc.byte_len as usize),
+            _ => Self::WR_RECV_COST_NS,
         };
-        let now = self.proc.time.now();
-        let (_s, end) = self
-            .proc
-            .recv_path
-            .reserve(now, SimDuration::from_nanos(cost));
+        let now = proc.time.now();
+        let (_s, end) = proc.recv_path.reserve(now, SimDuration::from_nanos(cost));
         let delay = end.saturating_since(now);
         if delay == SimDuration::ZERO {
             self.record_arrival(lo, cnt, flow, qp);
         } else {
             let me = self.clone();
-            self.proc.time.after(self.proc.rank, delay, move || {
+            proc.time.after(proc.rank, delay, move || {
                 me.record_arrival(lo, cnt, flow, qp)
             });
         }
@@ -976,9 +1036,9 @@ impl RecvShared {
     /// has not started: an inactive reading is re-checked under the `early`
     /// lock, under which `start` sets `active` and takes the buffer.
     fn record_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64, qp: u32) {
-        if !self.active.load(Ordering::Acquire) {
+        if !self.core.is_active() {
             let mut early = self.early.lock();
-            if !self.active.load(Ordering::Acquire) {
+            if !self.core.is_active() {
                 early.push((lo, cnt, flow, qp));
                 return;
             }
@@ -990,11 +1050,11 @@ impl RecvShared {
         debug_assert!(cnt >= 1);
         // Terminal span of the causal chain: the arrival flags are visible
         // to `parrived` from here on.
-        self.proc.tel.flows.event(
+        self.core.proc.tel.flows.event(
             flow,
             FlowStage::Arrived,
             qp,
-            self.id as u32,
+            self.core.id as u32,
             ((lo as u64) << 32) | cnt as u64,
         );
         // Only bits this arrival set are counted: a duplicate can neither
@@ -1010,31 +1070,20 @@ impl RecvShared {
             return;
         }
         let total = self.arrived_count.fetch_add(fresh, Ordering::AcqRel) + fresh;
-        if total == self.partitions
-            && self
-                .active
-                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            self.completed_rounds.fetch_add(1, Ordering::AcqRel);
-            run_round_callbacks(&self.complete_cbs);
+        if total == self.core.partitions {
+            self.core.end_round(|| {});
         }
     }
 
     /// Has partition `i` arrived this round? (`MPI_Parrived`.)
     pub(crate) fn parrived(&self, i: u32) -> Result<bool> {
-        if i >= self.partitions {
-            return Err(PartixError::PartitionOutOfRange {
-                index: i,
-                partitions: self.partitions,
-            });
-        }
+        self.core.check_index(i)?;
         let (w, bit) = word_bit(i);
         if self.arrived[w].load(Ordering::Acquire) & bit != 0 {
             return Ok(true);
         }
         // Not yet: drive the progress engine (try-lock; §IV-A) and re-check.
-        self.proc.try_progress(None);
+        self.core.proc.try_progress(None);
         Ok(self.arrived[w].load(Ordering::Acquire) & bit != 0)
     }
 }
@@ -1210,7 +1259,7 @@ mod tests {
         sbuf.write(0, &data).unwrap();
         recv.start().unwrap();
         send.start().unwrap();
-        let qp = send.shared.channel.get().unwrap().qps[0].clone();
+        let qp = send.shared.core.channel.get().unwrap().qps[0].clone();
         if onto != FlushOnto::FullQueue {
             qp.modify(QpState::Error).unwrap();
         }
@@ -1218,7 +1267,7 @@ mod tests {
             send.pready(i).unwrap();
         }
         sched.run(); // the δ flush
-        let parked = || send.shared.proc.spilled.load(Ordering::Acquire);
+        let parked = || send.shared.core.proc.spilled.load(Ordering::Acquire);
         let rt = world.telemetry_snapshot().runtime;
         assert_eq!((rt.timer_fires, rt.aggregated_wrs), (1, 32), "{onto:?}");
         match onto {

@@ -9,7 +9,7 @@
 //! delay (the paper polls the progress engine in `MPI_Start` until the
 //! remote buffer is ready — §IV-A).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
@@ -26,81 +26,69 @@ use crate::plan::{plan_for, PlanDecision};
 use crate::proc::ProcInner;
 use crate::request::{GroupState, RecvChannel, RecvShared, SendChannel, SendShared};
 
-/// Matching queues per `(src, dst, tag)`.
-#[derive(Default)]
-struct PairQueues {
-    sends: std::collections::VecDeque<Arc<SendShared>>,
-    recvs: std::collections::VecDeque<Arc<RecvShared>>,
+/// One end of a pair, as offered to the match service.
+pub(crate) enum End {
+    Send(Arc<SendShared>),
+    Recv(Arc<RecvShared>),
 }
 
-/// Init-time matcher.
+impl End {
+    /// The `(source rank, destination rank, tag)` the end matches on.
+    fn key(&self) -> (u32, u32, u32) {
+        match self {
+            End::Send(s) => (s.core.proc.rank, s.core.peer, s.core.tag),
+            End::Recv(r) => (r.core.peer, r.core.proc.rank, r.core.tag),
+        }
+    }
+}
+
+/// Init-time matcher: per `(src, dst, tag)`, the unmatched ends in posted
+/// order, all of one side (an end of the other side would have matched).
 #[derive(Default)]
 pub(crate) struct MatchService {
-    pending: Mutex<HashMap<(u32, u32, u32), PairQueues>>,
-}
-
-/// The two ends of a matched pair must agree on their shape.
-fn same_shape(s: &SendShared, r: &RecvShared) -> Result<()> {
-    if (s.partitions, s.part_bytes) == (r.partitions, r.part_bytes) {
-        return Ok(());
-    }
-    Err(PartixError::ShapeMismatch {
-        send: (s.partitions, s.part_bytes),
-        recv: (r.partitions, r.part_bytes),
-    })
+    pending: Mutex<HashMap<(u32, u32, u32), VecDeque<End>>>,
 }
 
 impl MatchService {
-    fn offer_send(&self, world: &Arc<WorldInner>, s: Arc<SendShared>) -> Result<()> {
-        let key = (s.proc.rank, s.dest, s.tag);
-        let matched = {
-            let mut map = self.pending.lock();
-            let q = map.entry(key).or_default();
-            match q.recvs.front() {
-                // A mismatched peer stays at the front of its queue.
-                Some(r) => {
-                    same_shape(&s, r)?;
-                    q.recvs.pop_front()
-                }
-                None => {
-                    q.sends.push_back(s.clone());
-                    None
-                }
-            }
-        };
-        if let Some(r) = matched {
-            establish(world, s, r)?;
-        }
-        Ok(())
-    }
-
-    /// `register` enters `r` in its process's receive table. It runs only
-    /// once the offer is accepted, and before the match lock is released,
-    /// so no peer can post to `r` before a completion can find it.
-    fn offer_recv(
+    /// Match `end` with the oldest waiting end of the other side, or queue
+    /// it; a key with nothing waiting keeps no queue. A peer of another
+    /// shape (partition count and size) refuses the offer and stays at the
+    /// front of its queue. `register` runs only once the offer is accepted,
+    /// and before the match lock is released, so that a receive is in its
+    /// process's table before any peer can post to it.
+    pub(crate) fn offer(
         &self,
         world: &Arc<WorldInner>,
-        r: Arc<RecvShared>,
+        end: End,
         register: impl FnOnce(),
     ) -> Result<()> {
-        let key = (r.src, r.proc.rank, r.tag);
+        let key = end.key();
         let matched = {
             let mut map = self.pending.lock();
-            let q = map.entry(key).or_default();
-            let matched = match q.sends.front() {
-                Some(s) => {
-                    same_shape(s, &r)?;
-                    q.sends.pop_front()
+            let queue = map.entry(key).or_default();
+            let matched = match (&end, queue.front()) {
+                (End::Send(s), Some(End::Recv(r))) | (End::Recv(r), Some(End::Send(s))) => {
+                    let send = (s.core.partitions, s.core.part_bytes);
+                    let recv = (r.core.partitions, r.core.part_bytes);
+                    if send != recv {
+                        return Err(PartixError::ShapeMismatch { send, recv });
+                    }
+                    let matched = (s.clone(), r.clone());
+                    queue.pop_front();
+                    if queue.is_empty() {
+                        map.remove(&key);
+                    }
+                    Some(matched)
                 }
-                None => {
-                    q.recvs.push_back(r.clone());
+                _ => {
+                    queue.push_back(end);
                     None
                 }
             };
             register();
             matched
         };
-        if let Some(s) = matched {
+        if let Some((s, r)) = matched {
             establish(world, s, r)?;
         }
         Ok(())
@@ -369,20 +357,22 @@ impl World {
         };
         Proc::new(inner, self.inner.clone())
     }
-
-    pub(crate) fn offer_send(&self, s: Arc<SendShared>) -> Result<()> {
-        self.inner.match_svc.offer_send(&self.inner, s)
-    }
-
-    pub(crate) fn offer_recv(&self, r: Arc<RecvShared>, register: impl FnOnce()) -> Result<()> {
-        self.inner.match_svc.offer_recv(&self.inner, r, register)
-    }
 }
+
+/// Modelled duration of the asynchronous QP exchange and RTR/RTS bring-up:
+/// the gap from `psend_init`/`precv_init` to the first possible `start` on
+/// the virtual clock.
+const SETUP_DELAY: SimDuration = SimDuration::from_micros(10);
 
 /// Establish the channel for a matched psend/precv pair.
 fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) -> Result<()> {
     let max_wr_bytes = world.network.fabric().max_wr_bytes();
-    let plan = plan_for(&world.config, s.partitions, s.part_bytes, max_wr_bytes);
+    let plan = plan_for(
+        &world.config,
+        s.core.partitions,
+        s.core.part_bytes,
+        max_wr_bytes,
+    );
     let rt = &world.network.state().telemetry().runtime;
     match plan.decision {
         PlanDecision::Fixed => rt.fixed_decisions.inc(),
@@ -407,18 +397,13 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
             max_recv_wr: plan.max_incoming_wrs(q) + 16,
             ..base_caps
         };
-        let qa = s.proc.ctx.create_qp(
-            s.proc.pd,
-            s.proc.send_cq.clone(),
-            s.proc.recv_cq.clone(),
-            base_caps,
-        )?;
-        let qb = r.proc.ctx.create_qp(
-            r.proc.pd,
-            r.proc.send_cq.clone(),
-            r.proc.recv_cq.clone(),
-            recv_caps,
-        )?;
+        let (sp, rp) = (&s.core.proc, &r.core.proc);
+        let qa = sp
+            .ctx
+            .create_qp(sp.pd, sp.send_cq.clone(), sp.recv_cq.clone(), base_caps)?;
+        let qb = rp
+            .ctx
+            .create_qp(rp.pd, rp.send_cq.clone(), rp.recv_cq.clone(), recv_caps)?;
         connect_pair(&qa, &qb)?;
         send_qps.push(qa);
         recv_qps.push(qb);
@@ -431,13 +416,11 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
     let send_channel = Arc::new(SendChannel {
         plan: plan.clone(),
         qps: send_qps,
-        remote_addr: r.mr.addr(),
-        remote_rkey: r.mr.rkey(),
+        remote_addr: r.core.mr.addr(),
+        remote_rkey: r.core.mr.rkey(),
         groups,
-        pending: Mutex::new(std::collections::VecDeque::new()),
-        delta_ns: std::sync::atomic::AtomicU64::new(
-            plan.timer_delta.map(|d| d.as_nanos()).unwrap_or(0),
-        ),
+        pending: Mutex::new(VecDeque::new()),
+        delta_ns: AtomicU64::new(plan.timer_delta.map_or(0, |d| d.as_nanos())),
         batch_scratch: Mutex::new(Vec::new()),
     });
     let recv_channel = Arc::new(RecvChannel {
@@ -445,17 +428,18 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
         qps: recv_qps,
     });
 
-    set_once(&s.channel, send_channel);
-    set_once(&r.channel, recv_channel);
-    s.proc.drainable.lock().push(Arc::downgrade(&s));
+    let fresh =
+        s.core.channel.set(send_channel).is_ok() && r.core.channel.set(recv_channel).is_ok();
+    assert!(fresh, "channel established twice for one request");
+    s.core.proc.drainable.lock().push(Arc::downgrade(&s));
 
     // Asynchronous bring-up: the channel becomes usable after the modelled
     // QP-exchange delay (first `MPI_Start` waits on this — paper §IV-A).
     let mark_both = move |s: &SendShared, r: &RecvShared| {
-        s.set_ready();
-        r.set_ready();
-        s.fire_ready();
-        r.fire_ready();
+        s.core.set_ready();
+        r.core.set_ready();
+        s.core.fire_ready();
+        r.core.fire_ready();
     };
     match world.time.scheduler() {
         Some(sched) if sched.is_sharded() => {
@@ -466,37 +450,25 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
             // fire, on the reference executor and under parallel epochs
             // alike.
             let lookahead = sched.sharded_lookahead().expect("sharded");
-            let (src_node, dst_node) = (s.proc.rank, r.proc.rank);
-            let at = sched.now() + world.config.setup_delay;
+            let (src_node, dst_node) = (s.core.proc.rank, r.core.proc.rank);
+            let at = sched.now() + SETUP_DELAY;
             let fire_at = at + lookahead;
-            let s2 = s.clone();
-            sched.at_node(src_node, at, move || s2.set_ready());
-            let r2 = r.clone();
-            sched.at_node(dst_node, at, move || r2.set_ready());
-            let s3 = s.clone();
-            sched.at_node(src_node, fire_at, move || s3.fire_ready());
-            let r3 = r.clone();
-            sched.at_node(dst_node, fire_at, move || r3.fire_ready());
+            let (s2, r2, s3, r3) = (s.clone(), r.clone(), s.clone(), r.clone());
+            sched.at_node(src_node, at, move || s2.core.set_ready());
+            sched.at_node(dst_node, at, move || r2.core.set_ready());
+            sched.at_node(src_node, fire_at, move || s3.core.fire_ready());
+            sched.at_node(dst_node, fire_at, move || r3.core.fire_ready());
         }
         Some(sched) => {
-            let (s2, r2) = (s.clone(), r.clone());
             // Bring-up completes at the initiating (sender) rank: tag the
             // event with its node so sharded executors can home it.
-            let src_node = s.proc.rank;
-            let at = sched.now() + world.config.setup_delay;
-            sched.at_node(src_node, at, move || {
-                mark_both(&s2, &r2);
-            });
+            let (s2, r2) = (s.clone(), r.clone());
+            let at = sched.now() + SETUP_DELAY;
+            sched.at_node(s.core.proc.rank, at, move || mark_both(&s2, &r2));
         }
         None => mark_both(&s, &r),
     }
     Ok(())
-}
-
-fn set_once<T>(slot: &OnceLock<T>, value: T) {
-    if slot.set(value).is_err() {
-        unreachable!("channel established twice for one request");
-    }
 }
 
 #[cfg(test)]
@@ -594,7 +566,8 @@ mod tests {
     /// A `precv_init` the match service refuses leaves no entry in its
     /// process's receive table, so refusals neither grow it nor pin their
     /// requests; the next accepted request takes the first free index as
-    /// its `wr_id` and completes a round.
+    /// its `wr_id` and completes a round. The matched pair leaves nothing
+    /// queued in the match service, not even an empty queue.
     #[test]
     fn a_refused_precv_init_is_not_registered() {
         let world = World::instant(2, PartixConfig::with_aggregator(AggregatorKind::PLogGp));
@@ -618,6 +591,7 @@ mod tests {
 
         let recv = p1.precv_init(&rbuf, 4, 256, 0, 0).unwrap();
         assert_eq!(table(), [0], "the wr_id is the table index");
+        assert!(world.inner.match_svc.pending.lock().is_empty());
         let data: Vec<u8> = (0..4 * 256).map(|b| (b % 251) as u8).collect();
         sbuf.write(0, &data).unwrap();
         recv.start().unwrap();

@@ -53,8 +53,10 @@ proptest! {
     fn bounded_wire_plans_fit_or_cannot_split(
         kind in kinds(),
         partitions in 1u32..256,
-        part_bytes in prop::sample::select(vec![64usize, 4096, 64 << 10, 1 << 20]),
-        max_wr_bytes in prop::sample::select(vec![4096u64, 100_000, (512 << 10) - 80, 1 << 22]),
+        part_bytes in prop::sample::select(vec![64usize, 4096, 64 << 10, 1 << 20, 256 << 20]),
+        max_wr_bytes in prop::sample::select(
+            vec![4096u64, 100_000, (512 << 10) - 80, 1 << 22, u32::MAX.into()],
+        ),
     ) {
         let cfg = PartixConfig::with_aggregator(kind);
         let open = plan_for(&cfg, partitions, part_bytes, u64::MAX);

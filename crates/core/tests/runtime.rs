@@ -2,7 +2,7 @@
 //! behaviour (WR counts per policy), timer semantics, multi-threaded pready,
 //! simulated-mode rounds, and error paths.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -331,40 +331,83 @@ fn multithreaded_parrived_consumers() {
     wait_round(&l);
 }
 
+/// A callback that counts its runs in `n`.
+fn bump(n: &Arc<AtomicUsize>) -> impl FnOnce() + Send + 'static {
+    let n = n.clone();
+    move || {
+        n.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The request lifecycle of both handles on both clocks: readiness, a
+/// round's start, its misuse, its end and its callbacks.
 #[test]
 fn error_paths() {
-    let l = instant_link(PartixConfig::with_aggregator(AggregatorKind::PLogGp), 4, 64);
+    for sim in [false, true] {
+        let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+        let (world, sched) = if sim {
+            let (world, sched) = World::sim(2, cfg);
+            (world, Some(sched))
+        } else {
+            (World::instant(2, cfg), None)
+        };
+        let clock = if sim { "sim" } else { "instant" };
+        let l = link(world, 4, 64);
 
-    // pready before start.
-    assert_eq!(l.send.pready(0), Err(PartixError::NotActive));
+        // Before any round: nothing to make ready, nothing to wait for.
+        assert_eq!(l.send.pready(0), Err(PartixError::NotActive), "{clock}");
+        assert!(l.send.test() && l.recv.test(), "{clock}");
+        if let Some(sched) = &sched {
+            assert_eq!(l.send.start(), Err(PartixError::ChannelNotReady));
+            assert_eq!(l.recv.start(), Err(PartixError::ChannelNotReady));
+            sched.run(); // channel bring-up
+        }
 
-    l.recv.start().unwrap();
-    l.send.start().unwrap();
+        // Registered after readiness, `on_ready` runs at once.
+        let ready = Arc::new(AtomicUsize::new(0));
+        l.send.on_ready(bump(&ready));
+        l.recv.on_ready(bump(&ready));
+        assert_eq!(ready.load(Ordering::SeqCst), 2, "{clock}");
 
-    // Double start.
-    assert_eq!(l.send.start(), Err(PartixError::AlreadyActive));
-    assert_eq!(l.recv.start(), Err(PartixError::AlreadyActive));
+        let (sent, received) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        for round in 1..=2 {
+            l.recv.start().unwrap();
+            l.send.start().unwrap();
+            l.send.on_complete(bump(&sent));
+            l.recv.on_complete(bump(&received));
+            assert_eq!(l.send.start(), Err(PartixError::AlreadyActive));
+            assert_eq!(l.recv.start(), Err(PartixError::AlreadyActive));
+            assert!(matches!(
+                l.send.pready(4),
+                Err(PartixError::PartitionOutOfRange { index: 4, .. })
+            ));
+            assert!(matches!(
+                l.recv.parrived(99),
+                Err(PartixError::PartitionOutOfRange { .. })
+            ));
+            l.send.pready(1).unwrap();
+            assert_eq!(
+                l.send.pready(1),
+                Err(PartixError::DoublePready { index: 1 })
+            );
+            l.send.pready_range(2, 4).unwrap();
+            l.send.pready(0).unwrap();
+            match &sched {
+                Some(sched) => {
+                    sched.run();
+                }
+                None => wait_round(&l),
+            }
 
-    // Out-of-range partition.
-    assert!(matches!(
-        l.send.pready(4),
-        Err(PartixError::PartitionOutOfRange { index: 4, .. })
-    ));
-    assert!(matches!(
-        l.recv.parrived(99),
-        Err(PartixError::PartitionOutOfRange { .. })
-    ));
-
-    // Double pready.
-    l.send.pready(1).unwrap();
-    assert_eq!(
-        l.send.pready(1),
-        Err(PartixError::DoublePready { index: 1 })
-    );
-
-    l.send.pready_range(2, 4).unwrap();
-    l.send.pready(0).unwrap();
-    wait_round(&l);
+            // Each end's `on_complete` ran once, and both count the round.
+            let ends = [&sent, &received].map(|n| n.load(Ordering::SeqCst));
+            assert_eq!(ends, [round; 2], "{clock}");
+            let rounds = [l.send.completed_rounds(), l.recv.completed_rounds()];
+            assert_eq!(rounds, [round as u64; 2], "{clock}");
+            assert!(l.send.test() && l.recv.test(), "{clock}");
+            assert_eq!(l.send.pready(0), Err(PartixError::NotActive), "{clock}");
+        }
+    }
 }
 
 #[test]
@@ -382,6 +425,11 @@ fn init_validation() {
     ));
     assert!(matches!(
         p0.psend_init(&buf, 32, 64, 1, 0),
+        Err(PartixError::BufferTooSmall { .. })
+    ));
+    // A size past `usize` is too large for any buffer, not an overflow.
+    assert!(matches!(
+        p0.psend_init(&buf, 2, 1 << 63, 1, 0),
         Err(PartixError::BufferTooSmall { .. })
     ));
     // Buffer from the wrong node.
@@ -898,26 +946,30 @@ fn shm_plan_fits_the_ring_at_16_x_64_kib() {
 }
 
 /// A single partition longer than the fabric's largest WR cannot be sent
-/// by any plan: `psend_init` refuses it and names both sizes.
+/// by any plan: `psend_init` refuses it and names both sizes. On
+/// `ShmFabric` the bound is its ring; elsewhere it is the longest SGE.
 #[test]
 fn psend_init_refuses_a_partition_longer_than_the_largest_wr() {
-    let fabric = partix_verbs::ShmFabric::loopback();
     let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-    let world = World::with_fabric(2, cfg, fabric);
-    let p0 = world.proc(0);
-    let big = 1usize << 20;
-    let buf = p0.alloc_buffer(big).unwrap();
-    let Err(err) = p0.psend_init(&buf, 1, big, 1, 0) else {
-        panic!("a 1 MiB partition was accepted");
-    };
-    let max_wr_bytes = (512 << 10) - 80;
-    assert_eq!(
-        err,
-        PartixError::PartitionTooLarge {
+    let shm = World::with_fabric(2, cfg.clone(), partix_verbs::ShmFabric::loopback()).proc(0);
+    let (sim, _sched) = World::sim(2, cfg);
+    let sim = sim.proc(0);
+    let cases = [
+        (&shm, shm.alloc_buffer(1 << 20), (512 << 10) - 80),
+        (&sim, sim.alloc_buffer_virtual(5 << 30), u32::MAX.into()),
+    ];
+    for (p0, buf, max_wr_bytes) in cases {
+        let buf = buf.unwrap();
+        let big = buf.len();
+        let Err(err) = p0.psend_init(&buf, 1, big, 1, 0) else {
+            panic!("a partition of {big} bytes was accepted");
+        };
+        let want = PartixError::PartitionTooLarge {
             part_bytes: big,
-            max_wr_bytes
-        }
-    );
-    let text = err.to_string();
-    assert!(text.contains(&big.to_string()) && text.contains(&max_wr_bytes.to_string()));
+            max_wr_bytes,
+        };
+        assert_eq!(err, want);
+        let text = err.to_string();
+        assert!(text.contains(&big.to_string()) && text.contains(&max_wr_bytes.to_string()));
+    }
 }

@@ -215,9 +215,10 @@ pub trait Fabric: Send + Sync {
 
     /// The largest payload one WR may carry, in bytes (the
     /// `ibv_device_attr.max_msg_sz` analogue). A longer WR completes with
-    /// `LocalLengthError`. Unbounded unless the wire says otherwise.
+    /// `LocalLengthError`. Unless the wire says otherwise, the longest
+    /// [`Sge`](crate::Sge): its `length` is a `u32`.
     fn max_wr_bytes(&self) -> u64 {
-        u64::MAX
+        u32::MAX.into()
     }
 }
 
