@@ -120,9 +120,13 @@ impl Proc {
                 max_wr_bytes,
             });
         }
-        let shared = Arc::new(SendShared::new(core));
-        let offer = End::Send(shared.clone());
-        self.world.match_svc.offer(&self.world, offer, || {})?;
+        // The request's place in `sends` is the top of its WR ids,
+        // registered as `precv_init` registers a receive.
+        let mut sends = self.inner.sends.write();
+        let shared = Arc::new(SendShared::new(core, sends.len() as u32));
+        let (offer, entry) = (End::Send(shared.clone()), shared.clone());
+        let register = move || sends.push(entry);
+        self.world.match_svc.offer(&self.world, offer, register)?;
         Ok(PsendRequest {
             shared,
             _world: self.world.clone(),
@@ -387,7 +391,7 @@ impl PsendRequest {
 /// Handle to a partitioned receive request.
 #[derive(Clone)]
 pub struct PrecvRequest {
-    shared: Arc<RecvShared>,
+    pub(crate) shared: Arc<RecvShared>,
     /// A request keeps its world alive (see `Drop for WorldInner`).
     _world: Arc<WorldInner>,
 }

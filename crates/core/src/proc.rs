@@ -10,50 +10,18 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
-use partix_sim::{SerialResource, Slab, TimeSource};
+use partix_sim::{SerialResource, TimeSource};
 use partix_verbs::telemetry::Registry;
 use partix_verbs::{
-    CompletionQueue, Context, Handoff, PostOptions, ProtectionDomain, SendWr, VerbsError, WcStatus,
-    WorkCompletion,
+    CompletionQueue, Context, Handoff, ProtectionDomain, SendWr, VerbsError, WorkCompletion,
 };
 
 use crate::config::PartixConfig;
-use crate::request::{PendingPost, RecvShared, SendShared};
+use crate::request::{send_wr_run, RecvShared, SendShared};
 
 /// CQ entries drained per poll call inside the progress loop. One batch per
 /// lock acquisition; the loop re-polls until both CQs are quiescent.
 const POLL_BATCH: usize = 64;
-
-/// A send WR between `track_send` and its completion: the request it
-/// belongs to and the image QP recovery re-posts it from.
-struct SendSlot {
-    owner: Arc<SendShared>,
-    post: PendingPost,
-}
-
-/// Every in-flight send WR of a process, at the slot its `wr_id` names (the
-/// process mints the id, so it mints the index), plus the freelist of
-/// retired `SendWr` shells. The `sg_list` vectors keep their capacity across
-/// reuse, so steady-state posting builds WRs and their in-flight images
-/// without heap allocation. One lock: minting an id, retaining the image and
-/// drawing both shells is one critical section, retiring the WR another.
-pub(crate) struct SendTable {
-    slots: Slab<SendSlot>,
-    shells: Vec<SendWr>,
-}
-
-/// Copy `src` into a recycled shell by field assignment instead of `Clone`.
-fn copy_wr(dst: &mut SendWr, src: &SendWr) {
-    dst.wr_id = src.wr_id;
-    dst.opcode = src.opcode;
-    dst.sg_list.clear();
-    dst.sg_list.extend_from_slice(&src.sg_list);
-    dst.remote_addr = src.remote_addr;
-    dst.rkey = src.rkey;
-    dst.imm = src.imm;
-    dst.inline_data = src.inline_data;
-    dst.flow = src.flow;
-}
 
 /// Buffers only the progress-lock winner touches, so they live inside the
 /// lock and steady-state progress neither allocates nor takes a second one.
@@ -63,6 +31,8 @@ pub(crate) struct ProgressScratch {
     /// Strong handles for the software-pending drain (upgrading the
     /// drainable weak refs is a refcount bump into retained capacity).
     strong: Vec<Arc<SendShared>>,
+    /// The WR the drain rebuilds a pending post in.
+    wr: SendWr,
 }
 
 /// Internal per-rank state.
@@ -78,7 +48,11 @@ pub(crate) struct ProcInner {
     /// World-wide telemetry registry (runtime counters live here).
     pub tel: Arc<Registry>,
     pub progress: Mutex<ProgressScratch>,
-    pub sends: Mutex<SendTable>,
+    /// Send requests by their `slot`, the top of every WR id they post
+    /// ([`send_wr_id`](crate::request::send_wr_id)): a send completion
+    /// finds its request as a receive completion does. Written at
+    /// `psend_init`, emptied when the world drops.
+    pub sends: RwLock<Vec<Arc<SendShared>>>,
     /// Receive requests by the `wr_id` every receive WR they post carries
     /// (one id per request: a receive completion only has to find its
     /// request). Written at `precv_init`, emptied when the world drops.
@@ -118,10 +92,7 @@ impl ProcInner {
             time,
             tel,
             progress: Mutex::default(),
-            sends: Mutex::new(SendTable {
-                slots: Slab::with_capacity(0),
-                shells: Vec::new(),
-            }),
+            sends: RwLock::default(),
             recvs: RwLock::default(),
             drainable: Mutex::default(),
             spilled: AtomicUsize::new(0),
@@ -133,66 +104,12 @@ impl ProcInner {
     /// Drop every request the WR tables hold (see `Drop for WorldInner`).
     pub(crate) fn forget_requests(&self) {
         self.recvs.write().clear();
-        self.sends.lock().slots.clear();
+        self.sends.write().clear();
     }
 
     /// Whether this process runs on the virtual clock.
     pub(crate) fn sim_mode(&self) -> bool {
         self.time.scheduler().is_some()
-    }
-
-    /// Mint a WR id for one send of `owner` and retain its in-flight image:
-    /// `fill` writes the WR into a recycled shell, which stays in the table
-    /// as the image; the returned copy is the one to post.
-    pub(crate) fn track_send(
-        &self,
-        owner: &Arc<SendShared>,
-        qp_idx: u32,
-        opts: PostOptions,
-        fill: impl FnOnce(&mut SendWr),
-    ) -> SendWr {
-        let mut t = self.sends.lock();
-        let mut image = t.shells.pop().unwrap_or_default();
-        let mut wr = t.shells.pop().unwrap_or_default();
-        fill(&mut image);
-        image.wr_id = t.slots.next_key() as u64;
-        copy_wr(&mut wr, &image);
-        t.slots.insert(SendSlot {
-            owner: owner.clone(),
-            post: PendingPost {
-                qp_idx,
-                wr: image,
-                opts,
-                queued_ns: 0,
-            },
-        });
-        wr
-    }
-
-    /// Forget the WR `wr_id` names and return the request it belonged to —
-    /// with its image when `keep_image` (a failed completion may re-post
-    /// it); otherwise the image's shell goes straight back on the freelist.
-    /// `None` for an id that is not in flight.
-    pub(crate) fn retire_send(
-        &self,
-        wr_id: u64,
-        keep_image: bool,
-    ) -> Option<(Arc<SendShared>, Option<PendingPost>)> {
-        let mut t = self.sends.lock();
-        let SendSlot { owner, mut post } = t.slots.remove(u32::try_from(wr_id).ok()?)?;
-        if keep_image {
-            return Some((owner, Some(post)));
-        }
-        post.wr.sg_list.clear();
-        t.shells.push(post.wr);
-        Some((owner, None))
-    }
-
-    /// Return a WR shell that is no longer needed to the freelist, keeping
-    /// its `sg_list` capacity.
-    pub(crate) fn recycle_wr(&self, mut wr: SendWr) {
-        wr.sg_list.clear();
-        self.sends.lock().shells.push(wr);
     }
 
     /// Drive the progress engine if no one else currently is (the paper's
@@ -207,7 +124,7 @@ impl ProcInner {
         let Some(mut scratch) = self.progress.try_lock() else {
             return;
         };
-        let ProgressScratch { wcs, strong } = &mut *scratch;
+        let ProgressScratch { wcs, strong, wr } = &mut *scratch;
         let (mut first_send, mut first_recv) = match offer {
             Some(h) if std::ptr::eq(h.cq(), &*self.recv_cq) => (None, Some(h.take())),
             Some(h) => (Some(h.take()), None),
@@ -229,7 +146,7 @@ impl ProcInner {
             }
 
             let drained =
-                self.spilled.load(Ordering::Acquire) != 0 && self.drain_pending(strong) > 0;
+                self.spilled.load(Ordering::Acquire) != 0 && self.drain_pending(strong, wr) > 0;
             if polled == 0 && !drained {
                 break;
             }
@@ -251,9 +168,10 @@ impl ProcInner {
 
     fn dispatch_send_wc(self: &Arc<Self>, wc: WorkCompletion) {
         self.note_cqe(&wc, partix_verbs::FlowStage::SendCqe);
-        match self.retire_send(wc.wr_id, wc.status != WcStatus::Success) {
-            Some((owner, failed)) => owner.on_wr_complete(wc, failed),
-            None => debug_assert!(false, "send completion for unknown WR {}", wc.wr_id),
+        let request = self.sends.read().get(send_wr_run(wc.wr_id).0).cloned();
+        match request {
+            Some(s) => s.on_wr_complete(wc),
+            None => debug_assert!(false, "send completion for unknown WR {:#x}", wc.wr_id),
         }
     }
 
@@ -269,11 +187,12 @@ impl ProcInner {
     /// Re-post software-pending WRs that were deferred by the hardware
     /// outstanding-WR cap. Returns how many posts succeeded.
     ///
-    /// The drain re-posts one WR at a time in its own loop, not through
-    /// `SendShared::post`: a WR refused again goes back to the *front* of
-    /// its queue, keeping the channel's order, and is not counted as a new
-    /// spill, where `post` would queue it at the back and count it again.
-    fn drain_pending(&self, strong: &mut Vec<Arc<SendShared>>) -> usize {
+    /// The drain re-posts one WR at a time, rebuilt in `wr` from its id, in
+    /// its own loop, not through `SendShared::post`: a WR refused again goes
+    /// back to the *front* of its queue, keeping the channel's order, and is
+    /// not counted as a new spill, where `post` would queue it at the back
+    /// and count it again.
+    fn drain_pending(&self, strong: &mut Vec<Arc<SendShared>>, wr: &mut SendWr) -> usize {
         let mut posted = 0;
         self.drainable.lock().retain(|w| match w.upgrade() {
             Some(s) => {
@@ -288,21 +207,20 @@ impl ProcInner {
                 let Some(p) = ch.pending.lock().pop_front() else {
                     break;
                 };
-                // Borrowing batch post of one WR: `Ok(0)` is queue-full, and
-                // a successful re-post recycles the shell instead of cloning
-                // it onto the wire.
+                // Borrowing batch post of one WR: `Ok(0)` is queue-full.
+                s.fill_wr(ch.remote, &send_wr_run(p.wr_id).1, p.flow, wr);
                 let qp = &ch.qps[p.qp_idx as usize];
-                match qp.post_send_batch(std::slice::from_ref(&p.wr), p.opts) {
+                match qp.post_send_batch(std::slice::from_ref(wr), p.opts) {
                     Ok(1..) => {
                         self.spilled.fetch_sub(1, Ordering::AcqRel);
                         self.tel.runtime.pending_reposts.inc();
                         posted += 1;
-                        if p.wr.flow != 0 && p.queued_ns != 0 {
+                        if p.flow != 0 && p.queued_ns != 0 {
                             let flows = &self.tel.flows;
                             let now = flows.now();
                             let wait = now.saturating_sub(p.queued_ns);
                             flows.event_at(
-                                p.wr.flow,
+                                p.flow,
                                 partix_verbs::FlowStage::CapDequeued,
                                 now,
                                 qp.qp_num(),
@@ -310,7 +228,6 @@ impl ProcInner {
                                 wait,
                             );
                         }
-                        self.recycle_wr(p.wr);
                     }
                     // Queue full — or the QP errored (or is mid-recovery).
                     // Hold the WR: a later drain posts it once a slot frees

@@ -14,13 +14,17 @@
 //!   of a group, flushes the arrived subset as maximal contiguous runs on
 //!   expiry, and lets post-flush arrivals send their own runs.
 //!
-//! One `pready` makes two read-modify-writes (RMWs) on shared memory: the
-//! `fetch_or` on its arrival word, which both rejects a double `pready` and
-//! finds the group's last arrival, and the ledger's `preadys` increment.
-//! Everything else is per WR or rarer: one `full_words` increment per word a
-//! wide group fills, the timer policy's `armed` swap and phase CAS per
-//! group, one `fetch_or` per posted word (groups narrower than a word share
-//! it), and the WR counters.
+//! One `pready` makes one read-modify-write (RMW) on shared memory, as the
+//! paper's `MPI_Pready` makes one atomic add-and-fetch: the `fetch_or` on its
+//! arrival word, which both rejects a double `pready` and finds the group's
+//! last arrival. A fixed plan adds a filled group to the ledger's `preadys`
+//! once, as it posts it; the timer policy counts each call. Everything else
+//! is per WR or rarer: one `full_words` increment per word a wide group
+//! fills, the timer policy's `armed` swap and phase CAS per group, one
+//! `fetch_or` per posted word (groups narrower than a word share it), and the
+//! WR counters. A send WR's id names its request and its run
+//! ([`send_wr_id`]), so a fixed group's WR is built once, with its channel,
+//! and posted by reference; the process keeps no copy of a WR in flight.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -91,7 +95,7 @@ pub(crate) struct GroupState {
 }
 
 impl GroupState {
-    pub(crate) fn new(range: Range<u32>) -> Self {
+    fn new(range: Range<u32>) -> Self {
         GroupState {
             range,
             ..Default::default()
@@ -205,13 +209,28 @@ impl Group<'_> {
     }
 }
 
-/// A WR that hit the hardware outstanding cap and waits for a free slot.
-/// Also the retained image of every in-flight WR (in the process's
-/// [`SendTable`](crate::proc::SendTable)), so QP recovery can re-post a
-/// failed transfer byte-identically.
+/// The id of a send WR: the request's index in its process's `sends`
+/// table, then the first partition and the length of the run it carries.
+/// The id alone rebuilds the WR (with its flow), so a completion finds its
+/// request by it and QP recovery and the pending drain re-post from it.
+pub(crate) fn send_wr_id(slot: u32, run: &Range<u32>) -> u64 {
+    let len = run.end - run.start;
+    debug_assert!(len >= 1 && run.end <= u32::from(u16::MAX));
+    (u64::from(slot) << 32) | (u64::from(run.start) << 16) | u64::from(len)
+}
+
+/// The `sends` slot and the run a [`send_wr_id`] names.
+pub(crate) fn send_wr_run(wr_id: u64) -> (usize, Range<u32>) {
+    let (lo, len) = ((wr_id >> 16) as u32 & 0xFFFF, wr_id as u32 & 0xFFFF);
+    ((wr_id >> 32) as usize, lo..lo + len)
+}
+
+/// A WR that hit the hardware outstanding cap, or an errored QP, and waits
+/// to be re-posted: by its id, rebuilt at the drain.
 pub(crate) struct PendingPost {
     pub qp_idx: u32,
-    pub wr: SendWr,
+    pub wr_id: u64,
+    pub flow: u64,
     pub opts: PostOptions,
     /// Flow-trace timestamp of the spill into the software-pending queue
     /// (0 when tracing is off or the WR is untraced); the progress drain
@@ -223,19 +242,47 @@ pub(crate) struct PendingPost {
 pub(crate) struct SendChannel {
     pub plan: TransportPlan,
     pub qps: Vec<Arc<QueuePair>>,
-    pub remote_addr: u64,
-    pub remote_rkey: u32,
+    /// The receive buffer's address and rkey.
+    pub remote: (u64, u32),
     pub groups: Vec<GroupState>,
+    /// Each group's WR, built with the channel: every round posts it as is.
+    pub wrs: Vec<SendWr>,
     pub pending: Mutex<VecDeque<PendingPost>>,
     /// Live delta for the timer aggregator (ns); seeded from the plan and
     /// rewritten each round when adaptive tuning is on.
     pub delta_ns: AtomicU64,
-    /// Reusable assembly buffer for multi-run flush batches (capacity
-    /// retained between flushes).
+    /// Reused WRs for what is built per post: flush runs, traced posts and
+    /// recovery re-posts (their `sg_list` capacity is kept).
     pub batch_scratch: Mutex<Vec<SendWr>>,
 }
 
 impl SendChannel {
+    /// The channel of `s` over `qps` to the receive buffer `remote`.
+    pub(crate) fn new(
+        s: &SendShared,
+        plan: TransportPlan,
+        qps: Vec<Arc<QueuePair>>,
+        remote: (u64, u32),
+    ) -> Self {
+        let wrs = (0..plan.groups).map(|g| {
+            let mut wr = SendWr::default();
+            s.fill_wr(remote, &plan.range_of(g), 0, &mut wr);
+            wr
+        });
+        SendChannel {
+            groups: (0..plan.groups)
+                .map(|g| GroupState::new(plan.range_of(g)))
+                .collect(),
+            wrs: wrs.collect(),
+            delta_ns: AtomicU64::new(plan.timer_delta.map_or(0, |d| d.as_nanos())),
+            plan,
+            qps,
+            remote,
+            pending: Mutex::default(),
+            batch_scratch: Mutex::default(),
+        }
+    }
+
     /// Current timer delta, if this channel aggregates with a timer.
     pub(crate) fn current_delta(&self) -> Option<SimDuration> {
         self.plan.timer_delta?;
@@ -396,6 +443,9 @@ impl<C> RequestCore<C> {
 /// Shared state of a partitioned send request.
 pub(crate) struct SendShared {
     pub core: RequestCore<SendChannel>,
+    /// The request's index in its process's `sends` table: the top of
+    /// every WR id it posts ([`send_wr_id`]).
+    pub slot: u32,
     pub round: AtomicU64,
     /// This round's `pready` bits, one per partition, then as many posted
     /// bits: one allocation, halved by [`Self::group`].
@@ -420,10 +470,11 @@ pub(crate) struct SendShared {
 }
 
 impl SendShared {
-    pub(crate) fn new(core: RequestCore<SendChannel>) -> Self {
+    pub(crate) fn new(core: RequestCore<SendChannel>, slot: u32) -> Self {
         let partitions = core.partitions;
         SendShared {
             core,
+            slot,
             round: AtomicU64::new(0),
             bits: bitset(2 * partitions.next_multiple_of(WORD_BITS)),
             sent_count: AtomicU32::new(0),
@@ -501,12 +552,20 @@ impl SendShared {
         let Some(last) = grp.arrive(i) else {
             return Err(PartixError::DoublePready { index: i });
         };
-        self.core.proc.tel.runtime.preadys.inc();
+        let preadys = &self.core.proc.tel.runtime.preadys;
         match ch.current_delta() {
-            // Without a timer, the arrival that fills the group posts it.
-            None if last => self.post_range(ch, g, ch.plan.range_of(g)),
-            None => {}
-            Some(delta) => self.timer_pready(ch, g, i, last, delta),
+            // Without a timer, the arrival that fills the group counts the
+            // group's `pready`s, then posts it.
+            None if last => {
+                preadys.add(u64::from(ch.plan.group_size));
+                self.post_group(ch, g);
+            }
+            // A group not yet full posted nothing, and ends no round.
+            None => return Ok(()),
+            Some(delta) => {
+                preadys.inc();
+                self.timer_pready(ch, g, i, last, delta);
+            }
         }
         // This pready may have posted nothing (a concurrent flush already
         // covered the partition) while every WR ack has already been
@@ -532,7 +591,7 @@ impl SendShared {
             // thread aggregates and sends the whole group (the delta_a case
             // of the paper's Fig. 5).
             if grp.state.leave_collecting(PHASE_SENT_ALL) {
-                self.post_range(ch, g, ch.plan.range_of(g));
+                self.post_group(ch, g);
                 return;
             }
             // Already flushed: fall through and send our own run.
@@ -580,30 +639,32 @@ impl SendShared {
         let _guard = grp.state.lock.lock();
         let runs = grp.unsent_runs(containing);
         let qp_idx = ch.plan.qp_of(g);
-        let opts = self.post_options(0);
-        let mut wrs = std::mem::take(&mut *ch.batch_scratch.lock());
-        for run in &runs {
-            wrs.push(self.build_range_wr(ch, run, qp_idx, opts));
-        }
-        self.post(ch, qp_idx, &mut wrs, opts);
-        wrs.clear();
-        *ch.batch_scratch.lock() = wrs;
+        let opts = self.post_options(0, true);
+        let noted = runs.into_iter().map(|run| {
+            let flow = self.note_posted(ch, &run, qp_idx);
+            (run, flow)
+        });
+        self.post_built(ch, qp_idx, noted, opts);
     }
 
-    /// Per-run posting bookkeeping (sent flags, counters, events) and WR
-    /// assembly: the process mints the WR's id and retains its in-flight
-    /// image, and the copy to post comes back in a pooled shell.
-    fn build_range_wr(
-        self: &Arc<Self>,
-        ch: &SendChannel,
-        range: &Range<u32>,
-        qp_idx: u32,
-        opts: PostOptions,
-    ) -> SendWr {
-        let lo = range.start;
+    /// Post group `g` whole. Its WR was built with the channel and is posted
+    /// as is; a traced post carries a flow of its own, so it is built anew.
+    fn post_group(self: &Arc<Self>, ch: &SendChannel, g: u32) {
+        let run = ch.plan.range_of(g);
+        let qp_idx = ch.plan.qp_of(g);
+        let opts = self.post_options(ch.plan.group_size as usize * self.core.part_bytes, true);
+        match self.note_posted(ch, &run, qp_idx) {
+            0 => self.post(ch, qp_idx, std::slice::from_ref(&ch.wrs[g as usize]), opts),
+            flow => self.post_built(ch, qp_idx, std::iter::once((run, flow)), opts),
+        }
+    }
+
+    /// Per-run posting bookkeeping: posted bits, counters, and the flow's
+    /// `Posted` event. Returns the run's flow id, 0 when tracing is off.
+    fn note_posted(&self, ch: &SendChannel, range: &Range<u32>, qp_idx: u32) -> u64 {
         let len = range.end - range.start;
         debug_assert!(len >= 1);
-        self.group(ch, ch.plan.group_of(lo))
+        self.group(ch, ch.plan.group_of(range.start))
             .mark_sent(range.clone());
         // `wr_posted` counts the WR before `sent_count` can read full:
         // `maybe_complete` reads them in the other order.
@@ -637,33 +698,50 @@ impl SendShared {
                 hold,
             );
         }
-
-        let bytes = len as usize * self.core.part_bytes;
-        let byte_lo = lo as usize * self.core.part_bytes;
-        self.core.proc.track_send(self, qp_idx, opts, |wr| {
-            wr.opcode = Opcode::RdmaWriteWithImm;
-            wr.sg_list.clear();
-            wr.sg_list.push(Sge {
-                addr: self.core.mr.addr_at(byte_lo),
-                length: bytes as u32,
-                lkey: self.core.mr.lkey(),
-            });
-            wr.remote_addr = ch.remote_addr + byte_lo as u64;
-            wr.rkey = ch.remote_rkey;
-            wr.imm = Some(imm::encode(lo as u16, len as u16));
-            // The paper's module does not use inlining (§IV-A).
-            wr.inline_data = false;
-            wr.flow = flow;
-        })
+        flow
     }
 
-    /// Post one RDMA-write-with-immediate covering user partitions `range`.
-    fn post_range(self: &Arc<Self>, ch: &SendChannel, g: u32, range: Range<u32>) {
-        let bytes = (range.end - range.start) as usize * self.core.part_bytes;
-        let qp_idx = ch.plan.qp_of(g);
-        let opts = self.post_options(bytes);
-        let mut wr = self.build_range_wr(ch, &range, qp_idx, opts);
-        self.post(ch, qp_idx, std::slice::from_mut(&mut wr), opts);
+    /// Write into `wr` the RDMA-write-with-immediate that carries partitions
+    /// `run` to the receive buffer `(addr, rkey)`, traced as `flow`.
+    pub(crate) fn fill_wr(&self, remote: (u64, u32), run: &Range<u32>, flow: u64, wr: &mut SendWr) {
+        let (lo, len) = (run.start, run.end - run.start);
+        let byte_lo = lo as usize * self.core.part_bytes;
+        wr.wr_id = send_wr_id(self.slot, run);
+        wr.opcode = Opcode::RdmaWriteWithImm;
+        wr.sg_list.clear();
+        wr.sg_list.push(Sge {
+            addr: self.core.mr.addr_at(byte_lo),
+            length: (len as usize * self.core.part_bytes) as u32,
+            lkey: self.core.mr.lkey(),
+        });
+        wr.remote_addr = remote.0 + byte_lo as u64;
+        wr.rkey = remote.1;
+        wr.imm = Some(imm::encode(lo as u16, len as u16));
+        // The paper's module does not use inlining (§IV-A).
+        wr.inline_data = false;
+        wr.flow = flow;
+    }
+
+    /// Build a WR for each `(run, flow)` in the channel's reused scratch and
+    /// post them to QP `qp_idx` as one batch.
+    fn post_built(
+        self: &Arc<Self>,
+        ch: &SendChannel,
+        qp_idx: u32,
+        runs: impl Iterator<Item = (Range<u32>, u64)>,
+        opts: PostOptions,
+    ) {
+        let mut wrs = std::mem::take(&mut *ch.batch_scratch.lock());
+        let mut n = 0;
+        for (run, flow) in runs {
+            if n == wrs.len() {
+                wrs.push(SendWr::default());
+            }
+            self.fill_wr(ch.remote, &run, flow, &mut wrs[n]);
+            n += 1;
+        }
+        self.post(ch, qp_idx, &wrs[..n], opts);
+        *ch.batch_scratch.lock() = wrs;
     }
 
     /// Whether an errored QP may still be cycled back to RTS.
@@ -671,21 +749,14 @@ impl SendShared {
         self.core.proc.config.reliability.max_recoveries > 0 && self.error.get().is_none()
     }
 
-    /// Post tracked WRs (their images are retained, for recovery to re-post
-    /// one that fails) to QP `qp_idx` through one `post_send_batch` call,
-    /// and dispose of each by outcome. Granted, its shell is recycled;
-    /// refused by the outstanding cap, it is spilled: counted, stamped
-    /// `CapQueued` and parked in the channel's software-pending queue; on a
-    /// QP errored or mid recovery, it is parked until the drain finds the QP
+    /// Post WRs to QP `qp_idx` through one `post_send_batch` call, and
+    /// dispose of each by outcome. Granted, it is in flight; refused by the
+    /// outstanding cap, it is spilled: counted, stamped `CapQueued` and
+    /// parked, by id, in the channel's software-pending queue; on a QP
+    /// errored or mid recovery, it is parked until the drain finds the QP
     /// back at RTS; on a dead QP with recovery off, no completion will come,
     /// so it is retired as completed and the request poisoned.
-    fn post(
-        self: &Arc<Self>,
-        ch: &SendChannel,
-        qp_idx: u32,
-        wrs: &mut [SendWr],
-        opts: PostOptions,
-    ) {
+    fn post(self: &Arc<Self>, ch: &SendChannel, qp_idx: u32, wrs: &[SendWr], opts: PostOptions) {
         let qp = &ch.qps[qp_idx as usize];
         // How many WRs the QP took, and whether the rest were refused by the
         // cap (else they met an errored QP that recovery may bring back).
@@ -699,17 +770,13 @@ impl SendShared {
                 // Poisoned before the count lets the round complete, so no
                 // waiter sees it end without its error.
                 self.poison(ch, "queue pair in error state");
-                self.retire(wrs.iter_mut().map(std::mem::take));
+                self.retire(wrs.len());
                 return;
             }
             Err(e) => panic!("unexpected verbs failure on partitioned post: {e}"),
         };
-        let (posted, parked) = wrs.split_at_mut(granted);
-        for wr in posted {
-            self.core.proc.recycle_wr(std::mem::take(wr));
-        }
         let flows = &self.core.proc.tel.flows;
-        for wr in parked {
+        for wr in &wrs[granted..] {
             let mut queued_ns = 0;
             if capped {
                 self.core.proc.tel.runtime.pending_spills.inc();
@@ -719,7 +786,8 @@ impl SendShared {
             }
             ch.pending.lock().push_back(PendingPost {
                 qp_idx,
-                wr: std::mem::take(wr),
+                wr_id: wr.wr_id,
+                flow: wr.flow,
                 opts,
                 queued_ns,
             });
@@ -730,8 +798,11 @@ impl SendShared {
     /// CPU cost of posting one WR through the direct-verbs path.
     const WR_POST_COST: SimDuration = SimDuration::from_nanos(200);
 
-    /// Software-path cost model for this policy (only in simulated mode).
-    fn post_options(&self, bytes: usize) -> PostOptions {
+    /// Software-path cost model for this policy (only in simulated mode). A
+    /// re-post does not `reserve` the software path again: the original
+    /// post's `earliest` is already past, and the fabric starts a WR at
+    /// `max(now, earliest)`, so `None` gives it the same start.
+    fn post_options(&self, bytes: usize, reserve: bool) -> PostOptions {
         let proc = &self.core.proc;
         if !proc.sim_mode() {
             return PostOptions::default();
@@ -747,9 +818,8 @@ impl SendShared {
                 let cost = cfg.ucx.cost(bytes, cfg.fabric.loggp.l);
                 let convoy = cfg.ucx.convoy_factor(self.core.partitions);
                 let hold = SimDuration::from_nanos_f64(cost.locked_cpu_ns as f64 * convoy);
-                let (_start, end) = self.core.proc.ucx_lock.reserve(now, hold);
                 PostOptions {
-                    earliest: Some(end),
+                    earliest: reserve.then(|| proc.ucx_lock.reserve(now, hold).1),
                     extra_wire_latency: SimDuration::from_nanos(cost.extra_latency_ns),
                     small_lane: cost.small_lane,
                 }
@@ -757,104 +827,94 @@ impl SendShared {
             _ => PostOptions {
                 // Our direct-verbs module: a short lock-free post path, but
                 // no inline/BlueFlame fast lane (paper §IV-A).
-                earliest: Some(now + Self::WR_POST_COST),
+                earliest: reserve.then(|| now + Self::WR_POST_COST),
                 extra_wire_latency: SimDuration::ZERO,
                 small_lane: false,
             },
         }
     }
 
-    /// A send-side work completion arrived. `failed` is the WR's in-flight
-    /// image, handed over only with an error completion (a successful one
-    /// has no further use for it).
-    pub(crate) fn on_wr_complete(
-        self: &Arc<Self>,
-        wc: WorkCompletion,
-        failed: Option<PendingPost>,
-    ) {
-        if let Some(post) = failed {
+    /// A send-side work completion arrived, for a WR of this request that
+    /// was in flight.
+    pub(crate) fn on_wr_complete(self: &Arc<Self>, wc: WorkCompletion) {
+        if wc.status != WcStatus::Success {
             // The wire layer already exhausted its own retries to produce
             // this completion; the runtime's last line of defence is QP
             // recovery (cycle the QP back to RTS and re-post the WR).
-            let Err(post) = self.try_recover(post) else {
+            if self.try_recover(&wc) {
                 return;
-            };
-            self.core.proc.recycle_wr(post.wr);
+            }
             let msg = match wc.status {
                 WcStatus::RemoteAccessError => "remote access error",
                 WcStatus::RetryExceeded => "transport retries exhausted",
                 WcStatus::RnrRetryExceeded => "receiver not ready",
                 WcStatus::LocalLengthError => "payload exceeded receive space",
-                WcStatus::Success => unreachable!("images accompany error completions only"),
+                WcStatus::Success => unreachable!("only error completions get here"),
             };
             match self.core.channel.get() {
                 Some(ch) => self.poison(ch, msg),
                 None => drop(self.error.set(msg)),
             }
         }
-        self.wr_completed.fetch_add(1, Ordering::AcqRel);
+        let done = self.wr_completed.fetch_add(1, Ordering::AcqRel);
+        let posted = || self.wr_posted.load(Ordering::Acquire);
+        debug_assert!(done < posted(), "WR {:#x} not in flight", wc.wr_id);
         self.maybe_complete();
     }
 
-    /// Attempt QP recovery for a failed WR: consume one unit of the round's
-    /// recovery budget, cycle the errored QP Error → Reset → Init → RTR →
-    /// RTS, and re-post the WR under a fresh id. Hands the image back when
-    /// the budget is exhausted, recovery is disabled, or the QP cannot be
-    /// cycled — the caller then poisons the request.
+    /// Attempt QP recovery for the failed WR `wc` names: consume one unit of
+    /// the round's recovery budget, cycle the errored QP Error → Reset →
+    /// Init → RTR → RTS, and re-post the WR, rebuilt from its id and flow.
+    /// `false` when the budget is exhausted, recovery is disabled, or the QP
+    /// cannot be cycled — the caller then poisons the request.
     ///
     /// The failed WR is *not* counted as retired here: its re-post inherits
     /// the original's `wr_posted` slot, so `wr_posted`/`wr_completed` stay
     /// balanced and the round completes only once the retried transfer
     /// really finishes.
-    fn try_recover(self: &Arc<Self>, post: PendingPost) -> std::result::Result<(), PendingPost> {
+    fn try_recover(self: &Arc<Self>, wc: &WorkCompletion) -> bool {
         let proc = &self.core.proc;
         let Some(ch) = self.core.channel.get().filter(|_| self.can_recover()) else {
-            return Err(post);
+            return false;
         };
         let budget = proc.config.reliability.max_recoveries;
         if self.recoveries_round.fetch_add(1, Ordering::AcqRel) >= budget {
             // Budget exhausted. Leave the counter saturated; the failure
             // surfaces through the normal poison path.
-            return Err(post);
+            return false;
         }
         self.recoveries_total.fetch_add(1, Ordering::Relaxed);
         proc.tel.runtime.recoveries.inc();
-        let qp = &ch.qps[post.qp_idx as usize];
+        let (_, run) = send_wr_run(wc.wr_id);
+        let qp_idx = ch.plan.qp_of(ch.plan.group_of(run.start));
+        let qp = &ch.qps[qp_idx as usize];
         if qp.state() == QpState::Error && !recover_qp(qp) {
-            return Err(post);
+            return false;
         }
-        // Re-post byte-identically under a fresh WR id (the old id's
-        // completion was just consumed). In-flight WRs the error flushed to
-        // software pending are re-posted by the progress engine's drain once
-        // the QP is back at RTS.
-        let mut wr = proc.track_send(self, post.qp_idx, post.opts, |wr| *wr = post.wr);
-        self.post(ch, post.qp_idx, std::slice::from_mut(&mut wr), post.opts);
-        Ok(())
+        // Re-posted byte-identically under the same id (its completion was
+        // just consumed). In-flight WRs the error flushed to software
+        // pending are re-posted by the progress engine's drain once the QP
+        // is back at RTS.
+        let opts = self.post_options((run.end - run.start) as usize * self.core.part_bytes, false);
+        self.post_built(ch, qp_idx, std::iter::once((run, wc.flow)), opts);
+        true
     }
 
     /// Record a fatal error and retire every software-pending WR of the
     /// channel.
     pub(crate) fn poison(self: &Arc<Self>, ch: &SendChannel, msg: &'static str) {
         let _ = self.error.set(msg);
-        let stranded: Vec<PendingPost> = ch.pending.lock().drain(..).collect();
-        if !stranded.is_empty() {
-            self.core
-                .proc
-                .spilled
-                .fetch_sub(stranded.len(), Ordering::AcqRel);
-            self.retire(stranded.into_iter().map(|p| p.wr));
+        let stranded = ch.pending.lock().drain(..).count();
+        if stranded > 0 {
+            self.core.proc.spilled.fetch_sub(stranded, Ordering::AcqRel);
+            self.retire(stranded);
         }
     }
 
-    /// Retire WRs no completion will ever come for, so that the round still
-    /// terminates: `wr_completed` catches up to `wr_posted`.
-    fn retire(&self, wrs: impl ExactSizeIterator<Item = SendWr>) {
-        let retired = wrs.len() as u32;
-        for wr in wrs {
-            self.core.proc.retire_send(wr.wr_id, false);
-            self.core.proc.recycle_wr(wr);
-        }
-        self.wr_completed.fetch_add(retired, Ordering::AcqRel);
+    /// Retire `n` WRs no completion will ever come for, so that the round
+    /// still terminates: `wr_completed` catches up to `wr_posted`.
+    fn retire(&self, n: usize) {
+        self.wr_completed.fetch_add(n as u32, Ordering::AcqRel);
     }
 
     /// Complete the round once every partition was posted (and so marked
@@ -1006,9 +1066,16 @@ impl RecvShared {
     /// baseline pays the much larger Open MPI + UCX receive cost per
     /// message, which is the receive-side half of the paper's aggregation
     /// argument.
+    ///
+    /// A malformed immediate — an empty run, or one past the last partition
+    /// — is dropped: applied, it would index past the arrival bitset or set
+    /// bits no partition owns.
     pub(crate) fn on_incoming(self: &Arc<Self>, wc: WorkCompletion) {
         debug_assert_eq!(wc.status, WcStatus::Success, "recv completion error");
         let (lo, cnt) = imm::decode(wc.imm.expect("write-with-imm carries an immediate"));
+        if cnt == 0 || u32::from(lo) + u32::from(cnt) > self.core.partitions {
+            return;
+        }
         let (flow, qp) = (wc.flow, wc.qp_num);
         let proc = &self.core.proc;
         if !proc.sim_mode() {
@@ -1047,7 +1114,6 @@ impl RecvShared {
     }
 
     fn apply_arrival(self: &Arc<Self>, lo: u16, cnt: u16, flow: u64, qp: u32) {
-        debug_assert!(cnt >= 1);
         // Terminal span of the causal chain: the arrival flags are visible
         // to `parrived` from here on.
         self.core.proc.tel.flows.event(
@@ -1216,6 +1282,69 @@ mod tests {
         assert_eq!(words, [(0, 0xF << 60), (1, u64::MAX), (2, 0b11)]);
         assert_eq!(word_masks(64..128).collect::<Vec<_>>(), [(1, u64::MAX)]);
         assert_eq!(word_masks(5..6).collect::<Vec<_>>(), [(0, 1 << 5)]);
+    }
+
+    /// A send WR's id names its request's slot and its run exactly, at the
+    /// edges of both, and its low half is the run's immediate.
+    #[test]
+    fn a_send_wr_id_round_trips_at_its_edges() {
+        let cases = [
+            (u32::MAX, 0..65_535),
+            (u32::MAX - 1, 65_534..65_535),
+            (0, 0..1),
+            (1 << 20, 3..9),
+        ];
+        for (slot, run) in cases {
+            let id = send_wr_id(slot, &run);
+            assert_eq!(send_wr_run(id), (slot as usize, run.clone()));
+            let imm = imm::encode(run.start as u16, (run.end - run.start) as u16);
+            assert_eq!(id as u32, imm, "{slot} {run:?}");
+        }
+    }
+
+    /// A receive completion whose immediate names an empty run, or a run
+    /// past the last partition, is dropped — mid-round or buffered before
+    /// `start` — without a panic and without an arrival; a good round after
+    /// them completes with every byte.
+    #[test]
+    fn a_malformed_immediate_is_dropped() {
+        const PARTS: u32 = 8;
+        let cfg = crate::PartixConfig::with_aggregator(AggregatorKind::PLogGp);
+        let world = crate::World::instant(2, cfg);
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        let bytes = PARTS as usize * 64;
+        let sbuf = p0.alloc_buffer(bytes).unwrap();
+        let rbuf = p1.alloc_buffer(bytes).unwrap();
+        let send = p0.psend_init(&sbuf, PARTS, 64, 1, 0).unwrap();
+        let recv = p1.precv_init(&rbuf, PARTS, 64, 0, 0).unwrap();
+        let deliver = |lo: u16, cnt: u16| {
+            recv.shared.on_incoming(WorkCompletion {
+                wr_id: recv.shared.wr_id,
+                status: WcStatus::Success,
+                opcode: partix_verbs::WcOpcode::RecvRdmaWithImm,
+                byte_len: u32::from(cnt) * 64,
+                imm: Some(imm::encode(lo, cnt)),
+                qp_num: 0,
+                flow: 0,
+                pushed_ns: 0,
+            })
+        };
+        let bad = [(0, 0), (7, 0), (4, 5), (7, 2), (u16::MAX, 1), (1, u16::MAX)];
+        deliver(3, 0); // before `start`: would be buffered
+        recv.start().unwrap();
+        send.start().unwrap();
+        for (lo, cnt) in bad {
+            deliver(lo, cnt);
+            assert_eq!(recv.arrived_count(), 0, "({lo}, {cnt})");
+        }
+        let data: Vec<u8> = (0..bytes).map(|b| (b * 13 + 1) as u8).collect();
+        sbuf.write(0, &data).unwrap();
+        send.pready_range(0, PARTS).unwrap();
+        send.wait().unwrap();
+        recv.wait().unwrap();
+        assert_eq!(recv.arrived_count(), PARTS);
+        assert_eq!(recv.completed_rounds(), 1);
+        assert_eq!(rbuf.read_vec(0, bytes).unwrap(), data);
     }
 
     /// What a δ flush of many runs meets at its QP.

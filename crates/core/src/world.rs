@@ -24,7 +24,7 @@ use crate::error::{PartixError, Result};
 use crate::handles::Proc;
 use crate::plan::{plan_for, PlanDecision};
 use crate::proc::ProcInner;
-use crate::request::{GroupState, RecvChannel, RecvShared, SendChannel, SendShared};
+use crate::request::{RecvChannel, RecvShared, SendChannel, SendShared};
 
 /// One end of a pair, as offered to the match service.
 pub(crate) enum End {
@@ -409,20 +409,8 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
         recv_qps.push(qb);
     }
 
-    let groups = (0..plan.groups)
-        .map(|g| GroupState::new(plan.range_of(g)))
-        .collect();
-
-    let send_channel = Arc::new(SendChannel {
-        plan: plan.clone(),
-        qps: send_qps,
-        remote_addr: r.core.mr.addr(),
-        remote_rkey: r.core.mr.rkey(),
-        groups,
-        pending: Mutex::new(VecDeque::new()),
-        delta_ns: AtomicU64::new(plan.timer_delta.map_or(0, |d| d.as_nanos())),
-        batch_scratch: Mutex::new(Vec::new()),
-    });
+    let remote = (r.core.mr.addr(), r.core.mr.rkey());
+    let send_channel = Arc::new(SendChannel::new(&s, plan.clone(), send_qps, remote));
     let recv_channel = Arc::new(RecvChannel {
         plan,
         qps: recv_qps,

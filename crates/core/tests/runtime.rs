@@ -410,6 +410,81 @@ fn error_paths() {
     }
 }
 
+/// The ledger's `preadys` under each policy, on both clocks: a fixed plan
+/// counts a group once, as the `pready` that fills it posts it; the timer
+/// policy counts every call. Mid-round, with half the partitions ready, a
+/// fixed plan has counted only its filled groups; after three rounds every
+/// policy has counted every partition of each. Law 12 (`partitions_posted
+/// <= preadys`) holds in both states.
+#[test]
+fn preadys_count_filled_groups_on_fixed_plans_and_every_call_on_the_timer() {
+    const PARTS: u32 = 64;
+    let kinds = [
+        AggregatorKind::Persistent,
+        AggregatorKind::PLogGp,
+        AggregatorKind::TuningTable,
+        AggregatorKind::TimerPLogGp,
+    ];
+    for kind in kinds {
+        for sim in [false, true] {
+            let mut cfg = PartixConfig::with_aggregator(kind);
+            // No δ flush mid-round: the round's last arrival posts the group.
+            cfg.delta = SimDuration::from_secs(3600);
+            let (world, sched) = if sim {
+                let (world, sched) = World::sim(2, cfg);
+                (world, Some(sched))
+            } else {
+                (World::instant(2, cfg), None)
+            };
+            let case = format!("{kind:?} on {}", if sim { "sim" } else { "instant" });
+            let l = link(world, PARTS, 64);
+            if let Some(sched) = &sched {
+                sched.run(); // channel bring-up
+            }
+            let plan = l.send.plan().unwrap();
+            assert_eq!(
+                plan.timer_delta.is_some(),
+                kind == AggregatorKind::TimerPLogGp
+            );
+            let half = PARTS / 2;
+            let mid = match plan.timer_delta {
+                Some(_) => half,
+                None => (half / plan.group_size) * plan.group_size,
+            };
+            let preadys = || l.world.telemetry_snapshot().runtime.preadys;
+            let law_12 = || {
+                let report = l.world.check_invariants();
+                assert!(
+                    report.violations.iter().all(|v| v.law != 12),
+                    "{case}: {report}"
+                );
+            };
+            for round in 0..3 {
+                l.recv.start().unwrap();
+                l.send.start().unwrap();
+                l.send.pready_range(0, half).unwrap();
+                assert_eq!(
+                    preadys(),
+                    u64::from(round * PARTS + mid),
+                    "{case} mid-round"
+                );
+                law_12();
+                l.send.pready_range(half, PARTS).unwrap();
+                match &sched {
+                    Some(sched) => {
+                        sched.run();
+                    }
+                    None => wait_round(&l),
+                }
+            }
+            assert_eq!(l.send.completed_rounds(), 3, "{case}");
+            assert_eq!(preadys(), u64::from(3 * PARTS), "{case}");
+            law_12();
+            l.world.check_invariants().assert_clean();
+        }
+    }
+}
+
 #[test]
 fn init_validation() {
     let world = World::instant(2, PartixConfig::default());

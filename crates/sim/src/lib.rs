@@ -54,7 +54,7 @@ mod time;
 pub use clock::TimeSource;
 pub use parallel::{default_jobs, par_map};
 pub use resource::SerialResource;
-pub use rng::{split_seed, stream_rng};
+pub use rng::{split_seed, stream_rng, SeedStream};
 pub use scheduler::{SampleHook, Scheduler};
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};

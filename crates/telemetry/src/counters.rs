@@ -30,10 +30,12 @@ pub const STATUS_NAMES: [&str; STATUS_SLOTS] = [
 /// All operations use `Relaxed` ordering: counters are a ledger reconciled
 /// at quiescence, never a synchronisation primitive. `inc`/`add` compile to
 /// a single `lock xadd` with no fence, which is still a read-modify-write:
-/// about 10 ns uncontended on a 2-vCPU x86-64 VM. A simulated work request
+/// 7–10 ns uncontended on a 2-vCPU x86-64 VM. A simulated work request
 /// makes about 20 of them, yet sampled they are 2.2 % of fig14's host time,
 /// against 15 % for locks and 15 % in `Arc` code (count updates, `Weak`
-/// upgrades and derefs; DESIGN.md §13).
+/// upgrades and derefs; DESIGN.md §13). Per partition they are not cheap:
+/// at 30 ns a `pready`, one more RMW is a quarter of it, so a fixed plan
+/// counts a group's `preadys` with one `add` as it posts the group.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -323,7 +325,11 @@ ledger! {
     RuntimeSnapshot {}
     read {}
     counted {
-        /// `pready` calls accepted across all send requests.
+        /// `pready` calls accepted across all send requests. A fixed plan
+        /// (`Persistent`, `PLogGp`, `TuningTable`) counts a group's calls at
+        /// once, as the call that fills the group posts it; the timer policy
+        /// counts each call. Exact for every completed round, and never
+        /// below `partitions_posted`.
         counter preadys,
         /// δ-timer expirations that flushed a partition group.
         counter timer_fires,

@@ -185,12 +185,9 @@ impl Coord {
         // Deterministic per-(rank, partition, iteration) arrival stagger —
         // the spread of user-thread arrival times the figures model.
         let spread = self.cfg.spread.as_nanos();
+        let stagger = partix_sim::SeedStream::new(self.cfg.seed, "fullstack-pready");
         for p in 0..self.cfg.partitions {
-            let mix = partix_sim::split_seed(
-                self.cfg.seed,
-                "fullstack-pready",
-                (iter << 40) ^ ((r as u64) << 20) ^ p as u64,
-            );
+            let mix = stagger.at((iter << 40) ^ ((r as u64) << 20) ^ p as u64);
             let off = if spread == 0 { 0 } else { mix % (spread + 1) };
             let send = link.send.clone();
             self.sched

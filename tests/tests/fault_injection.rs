@@ -3,12 +3,15 @@
 //! drop is an injected fault. It must surface as an error completion, a
 //! poisoned request and a QP error state — never as silent data loss.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use partix_core::{AggregatorKind, PartixConfig, PartixError, ReliabilityConfig, World};
 use partix_system_tests::pair;
-use partix_verbs::{FaultPlan, InstantFabric, LossyConfig, LossyFabric};
+use partix_verbs::{
+    Fabric, FaultPlan, FlowLog, FlowStage, InstantFabric, LossyConfig, LossyFabric, NetworkState,
+    TransferJob,
+};
 
 fn faulty_world(plan: FaultPlan) -> World {
     let faulty = LossyFabric::scripted(InstantFabric::new(), plan);
@@ -199,6 +202,74 @@ fn qp_recovery_absorbs_an_injected_fault() {
     assert_eq!((snap.wire.dropped, snap.wire.exhausted), (1, 1));
     assert_eq!(snap.qps.iter().map(|q| q.recoveries).sum::<u64>(), 1);
     partix_core::invariants::check(&snap).assert_clean();
+}
+
+/// What a wire is handed of one WR: its id, immediate, bytes and flow.
+type Submitted = (u64, Option<u32>, u32, u64);
+
+/// A wire that records every job it is handed, then passes it on.
+struct Recording {
+    inner: Arc<dyn Fabric>,
+    jobs: Mutex<Vec<Submitted>>,
+}
+
+impl Fabric for Recording {
+    fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
+        let seen = (job.wr_id, job.imm, job.total_len, job.flow);
+        self.jobs.lock().unwrap().push(seen);
+        self.inner.submit(net, job);
+    }
+}
+
+#[test]
+fn a_recovered_wr_is_reposted_with_its_run_and_flow() {
+    // As above, traced: the first WR's one wire attempt is dropped, QP
+    // recovery re-posts it, and the re-post is the WR that failed — the
+    // same id (request and run), immediate, byte count and flow. The round
+    // completes once, every partition arriving once.
+    for kind in [AggregatorKind::Persistent, AggregatorKind::PLogGp] {
+        let scripted = LossyFabric::scripted(InstantFabric::new(), FaultPlan::Indices(vec![0]));
+        let wire = Arc::new(Recording {
+            inner: scripted,
+            jobs: Mutex::default(),
+        });
+        let mut config = PartixConfig::with_aggregator(kind);
+        config.reliability.retry_cnt = 0;
+        config.persistent_qps = 1;
+        let world = World::with_fabric(2, config, wire.clone());
+        let log = FlowLog::new();
+        world.enable_flow_tracing(log.clone());
+        let (sbuf, rbuf, send, recv) = pair(&world, 8, 64);
+        let data: Vec<u8> = (0..8 * 64).map(|b| (b % 239) as u8).collect();
+        sbuf.write(0, &data).unwrap();
+        recv.start().unwrap();
+        send.start().unwrap();
+        send.pready_range(0, 8).unwrap();
+        send.wait().unwrap();
+        recv.wait().unwrap();
+        assert_eq!((send.error(), send.recoveries()), (None, 1), "{kind:?}");
+        assert_eq!(rbuf.read_vec(0, 8 * 64).unwrap(), data, "{kind:?}");
+
+        let jobs = wire.jobs.lock().unwrap().clone();
+        let failed = jobs[0];
+        assert_ne!(failed.3, 0, "{kind:?}: the WR is traced");
+        let reposts: Vec<_> = jobs[1..].iter().filter(|j| j.3 == failed.3).collect();
+        assert_eq!(reposts, [&failed], "{kind:?}: one re-post, the failed WR");
+
+        assert_eq!(send.completed_rounds(), 1, "{kind:?}");
+        assert_eq!(recv.completed_rounds(), 1, "{kind:?}");
+        let mut covered = [0u32; 8];
+        for e in log
+            .sorted()
+            .iter()
+            .filter(|e| e.stage == FlowStage::Arrived)
+        {
+            let (lo, count) = (e.aux >> 32, e.aux & 0xffff_ffff);
+            (lo..lo + count).for_each(|p| covered[p as usize] += 1);
+        }
+        assert_eq!(covered, [1; 8], "{kind:?}: each partition arrived once");
+        partix_core::invariants::check(&world.telemetry_snapshot()).assert_clean();
+    }
 }
 
 #[test]
