@@ -848,7 +848,7 @@ impl SendShared {
                 WcStatus::RemoteAccessError => "remote access error",
                 WcStatus::RetryExceeded => "transport retries exhausted",
                 WcStatus::RnrRetryExceeded => "receiver not ready",
-                WcStatus::LocalLengthError => "payload exceeded receive space",
+                WcStatus::LocalLengthError => "work request longer than the wire carries",
                 WcStatus::Success => unreachable!("only error completions get here"),
             };
             match self.core.channel.get() {

@@ -309,7 +309,8 @@ ledger! {
         /// Attempts that found no receive WR posted (single RNR event; the
         /// requeue that may follow is counted separately).
         counter receiver_not_ready,
-        /// Attempts whose payload exceeded the receive WR's scatter space.
+        /// Attempts refused for a WR longer than the wire carries in one
+        /// message.
         counter length_errors,
         /// Payload bytes landed in target memory regions.
         counter bytes_delivered,

@@ -150,7 +150,7 @@ impl CompletionQueue {
         // can only over-report, never under-report (an over-report costs
         // one wasted lock, an under-report would skip a present entry).
         self.counters.pushed_by_status[status_slot(wc.status)].inc();
-        if matches!(wc.opcode, WcOpcode::Recv | WcOpcode::RecvRdmaWithImm) {
+        if wc.opcode == WcOpcode::RecvRdmaWithImm {
             self.counters.recv_pushed.inc();
             self.counters.recv_bytes.add(wc.byte_len as u64);
         }

@@ -66,8 +66,8 @@ pub enum VerbsError {
     },
     /// The QP has not been connected to a peer yet.
     PeerNotSet,
-    /// The opcode is not valid for this call (e.g. posting `Recv` through
-    /// `post_send`).
+    /// The opcode is not valid for this WR (a write-with-immediate that
+    /// carries no immediate).
     BadOpcode,
     /// Object belongs to a different protection domain.
     ProtectionDomainMismatch,

@@ -16,9 +16,8 @@ use std::sync::Arc;
 use partix_sim::{SimDuration, SimTime};
 
 use crate::buf::{InlineVec, PooledBuf};
-use crate::memory::{MemoryRegion, MrRegistry};
 use crate::network::{NetworkState, NodeCtx};
-use crate::types::{NodeId, Opcode, RecvWr, WcOpcode, WcStatus, WorkCompletion};
+use crate::types::{NodeId, WcOpcode, WcStatus, WorkCompletion};
 
 /// A gather segment checked against local registrations at post time: the
 /// source region by its lkey, which names it for the life of the network
@@ -64,8 +63,6 @@ pub struct TransferJob {
     pub dst_qp: u32,
     /// Caller's WR id.
     pub wr_id: u64,
-    /// Operation.
-    pub opcode: Opcode,
     /// Resolved gather list. Inline up to four segments: partitioned
     /// aggregation posts one or two SGEs per WR, so the common case carries
     /// no heap allocation inside the job.
@@ -74,7 +71,8 @@ pub struct TransferJob {
     pub remote_addr: u64,
     /// Remote key.
     pub rkey: u32,
-    /// Immediate data.
+    /// Immediate data, present exactly for a write-with-immediate: the
+    /// transfer consumes a receive WR if and only if it carries one.
     pub imm: Option<u32>,
     /// Total bytes.
     pub total_len: u32,
@@ -112,13 +110,11 @@ pub struct DeliveryHeader {
     pub dst_node: NodeId,
     /// Destination QP number.
     pub dst_qp: u32,
-    /// Operation.
-    pub opcode: Opcode,
     /// Remote NIC-visible destination address.
     pub remote_addr: u64,
     /// Remote key.
     pub rkey: u32,
-    /// Immediate data.
+    /// Immediate data (see [`TransferJob::imm`]).
     pub imm: Option<u32>,
     /// Total bytes.
     pub total_len: u32,
@@ -152,8 +148,6 @@ pub struct PostedSend {
     pub src_qp: u32,
     /// Caller's WR id.
     pub wr_id: u64,
-    /// Operation.
-    pub opcode: Opcode,
     /// Total bytes.
     pub total_len: u32,
     /// Causal-trace flow identifier (0 = untraced).
@@ -167,7 +161,6 @@ impl TransferJob {
             src_qp: self.src_qp,
             dst_node: self.dst_node,
             dst_qp: self.dst_qp,
-            opcode: self.opcode,
             remote_addr: self.remote_addr,
             rkey: self.rkey,
             imm: self.imm,
@@ -197,7 +190,6 @@ impl TransferJob {
             src_node: self.src_node,
             src_qp: self.src_qp,
             wr_id: self.wr_id,
-            opcode: self.opcode,
             total_len: self.total_len,
             flow: self.flow,
         }
@@ -234,8 +226,6 @@ pub enum DeliveryOutcome {
     RemoteAccessError,
     /// No receive WR was posted on the destination QP (write-with-imm).
     ReceiverNotReady,
-    /// A two-sided payload did not fit the receive WR's scatter space.
-    PayloadTooLarge,
     /// The destination had already applied this `(src_qp, psn)`: a
     /// retransmission or injected duplicate arrived after the original
     /// landed. Nothing was consumed or written; the sender still sees
@@ -282,16 +272,15 @@ pub fn execute_delivery(
                 0,
                 *bytes as u64,
             );
-            // Every opcode except a bare RDMA write pushes a receive CQE on
-            // delivery; mirrored against the CQ-side `recv_pushed` count.
-            if job.opcode != Opcode::RdmaWrite {
+            // A write-with-immediate pushes a receive CQE on delivery;
+            // mirrored against the CQ-side `recv_pushed` count.
+            if job.imm.is_some() {
                 wire.recv_cqes.inc();
             }
         }
         DeliveryOutcome::Duplicate => wire.duplicates_suppressed.inc(),
         DeliveryOutcome::RemoteAccessError => wire.remote_errors.inc(),
         DeliveryOutcome::ReceiverNotReady => wire.receiver_not_ready.inc(),
-        DeliveryOutcome::PayloadTooLarge => wire.length_errors.inc(),
     }
     outcome
 }
@@ -305,9 +294,6 @@ fn deliver(
     let Ok(dst_qp) = net.qp(job.dst_node, job.dst_qp) else {
         return DeliveryOutcome::RemoteAccessError;
     };
-    let mrs = dst_qp.mrs();
-    let two_sided = matches!(job.opcode, Opcode::Send | Opcode::SendWithImm);
-
     // Admission, one critical section on the destination QP's receive side.
     // PSN suppression comes first: a retransmission or duplicate of an
     // already-applied transfer is dropped *before* it can consume a receive
@@ -319,76 +305,57 @@ fn deliver(
     if rx.psn_seen(job.src_qp, job.psn) {
         return DeliveryOutcome::Duplicate;
     }
-    // One-sided: validate the remote address *before* consuming a receive
-    // WR, so a protection failure leaves the receive queue untouched.
-    let target = if two_sided {
-        None
-    } else {
-        match mrs.resolve_remote(job.rkey, job.remote_addr, job.total_len as u64) {
-            Ok(t) => Some(t),
-            Err(_) => return DeliveryOutcome::RemoteAccessError,
-        }
+    // Validate the remote address *before* consuming a receive WR, so a
+    // protection failure leaves the receive queue untouched.
+    let Ok((dst_mr, base_off)) =
+        dst_qp
+            .mrs()
+            .resolve_remote(job.rkey, job.remote_addr, job.total_len as u64)
+    else {
+        return DeliveryOutcome::RemoteAccessError;
     };
-    let recv_wr = if job.opcode == Opcode::RdmaWrite {
-        None
-    } else {
-        let Some(wr) = rx.queue.pop_front() else {
+    let recv_wr_id = if job.imm.is_some() {
+        let Some(wr_id) = rx.queue.pop_front() else {
             return DeliveryOutcome::ReceiverNotReady;
         };
         dst_qp.counters().recv_consumed.inc();
-        Some(wr)
-    };
-
-    let wc_opcode = if let Some((dst_mr, base_off)) = target {
-        rx.mark_psn(job.src_qp, job.psn);
-        drop(rx);
-        // Gather: copy each piece of the payload into the contiguous remote
-        // range.
-        if copy_data {
-            let mut cursor = base_off;
-            match payload {
-                Payload::Bytes(pieces) => {
-                    for piece in pieces {
-                        dst_mr
-                            .write(cursor, piece)
-                            .expect("range validated at resolve time");
-                        cursor += piece.len();
-                    }
-                }
-                Payload::Segments(src, segments) => {
-                    for seg in segments.iter() {
-                        let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
-                        dst_mr
-                            .copy_from(cursor, mr, seg.offset, seg.len)
-                            .expect("ranges validated at post and resolve time");
-                        cursor += seg.len;
-                    }
-                }
-            }
-        }
-        WcOpcode::RecvRdmaWithImm
+        Some(wr_id)
     } else {
-        // Two-sided: the receive WR *is* the destination.
-        let recv_wr = recv_wr.as_ref().expect("two-sided sends consume a WR");
-        let recv_space: u64 = recv_wr.sg_list.iter().map(|s| s.length as u64).sum();
-        if (job.total_len as u64) > recv_space {
-            return DeliveryOutcome::PayloadTooLarge;
-        }
-        if copy_data {
-            if let Err(outcome) = scatter(mrs, payload, recv_wr) {
-                return outcome;
+        None
+    };
+    rx.mark_psn(job.src_qp, job.psn);
+    drop(rx);
+
+    // Gather: copy each piece of the payload into the contiguous remote
+    // range.
+    if copy_data {
+        let mut cursor = base_off;
+        match payload {
+            Payload::Bytes(pieces) => {
+                for piece in pieces {
+                    dst_mr
+                        .write(cursor, piece)
+                        .expect("range validated at resolve time");
+                    cursor += piece.len();
+                }
+            }
+            Payload::Segments(src, segments) => {
+                for seg in segments.iter() {
+                    let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
+                    dst_mr
+                        .copy_from(cursor, mr, seg.offset, seg.len)
+                        .expect("ranges validated at post and resolve time");
+                    cursor += seg.len;
+                }
             }
         }
-        rx.mark_psn(job.src_qp, job.psn);
-        drop(rx);
-        WcOpcode::Recv
-    };
+    }
 
-    if let Some(recv_wr) = recv_wr {
+    if let Some(wr_id) = recv_wr_id {
         dst_qp.recv_cq().push(WorkCompletion {
-            wr_id: recv_wr.wr_id,
+            wr_id,
             status: WcStatus::Success,
-            opcode: wc_opcode,
+            opcode: WcOpcode::RecvRdmaWithImm,
             byte_len: job.total_len,
             imm: job.imm,
             qp_num: dst_qp.qp_num(),
@@ -399,72 +366,6 @@ fn deliver(
     DeliveryOutcome::Delivered {
         bytes: job.total_len,
     }
-}
-
-/// Stream a two-sided payload into the receive WR's scatter elements with
-/// chunked copies: each chunk spans as far as both the current source piece
-/// and the current destination element allow, moving bytes
-/// source→destination-region with a single copy and no intermediate buffer.
-fn scatter(
-    mrs: &MrRegistry,
-    payload: Payload<'_>,
-    recv_wr: &RecvWr,
-) -> Result<(), DeliveryOutcome> {
-    enum Piece<'a> {
-        Bytes(&'a [u8]),
-        Region(&'a MemoryRegion, usize, usize),
-    }
-    let (bytes, segments) = match payload {
-        Payload::Bytes(pieces) => (pieces, None),
-        Payload::Segments(src, segments) => ([&[][..]; 2], Some((src, segments))),
-    };
-    let pieces = bytes.into_iter().map(Piece::Bytes).chain(
-        segments
-            .into_iter()
-            .flat_map(|(src, s)| s.iter().map(move |s| (src, s)))
-            .map(|(src, s)| {
-                let mr = src.mrs.by_lkey(s.lkey).expect("lkey checked at post");
-                Piece::Region(mr, s.offset, s.len)
-            }),
-    );
-    let mut sge_iter = recv_wr.sg_list.iter();
-    // Current destination window: (region, cursor, bytes left).
-    let mut dst: Option<(&MemoryRegion, usize, usize)> = None;
-    for piece in pieces {
-        let slen = match &piece {
-            Piece::Bytes(b) => b.len(),
-            Piece::Region(_, _, len) => *len,
-        };
-        let mut spos = 0usize;
-        while spos < slen {
-            if dst.as_ref().is_none_or(|w| w.2 == 0) {
-                let Some(sge) = sge_iter.next() else {
-                    return Ok(());
-                };
-                let Ok(mr) = mrs.by_lkey(sge.lkey) else {
-                    return Err(DeliveryOutcome::RemoteAccessError);
-                };
-                let Ok(base) = mr.offset_of(sge.lkey, sge.addr, sge.length as u64) else {
-                    return Err(DeliveryOutcome::RemoteAccessError);
-                };
-                dst = Some((mr, base, sge.length as usize));
-                continue; // re-check: the new element may be empty
-            }
-            let w = dst.as_mut().expect("window installed above");
-            let n = w.2.min(slen - spos);
-            match &piece {
-                Piece::Bytes(b) => w.0.write(w.1, &b[spos..spos + n]).expect("validated above"),
-                Piece::Region(mr, off, _) => {
-                    w.0.copy_from(w.1, mr, off + spos, n)
-                        .expect("validated at post and above")
-                }
-            }
-            w.1 += n;
-            w.2 -= n;
-            spos += n;
-        }
-    }
-    Ok(())
 }
 
 /// Push the send-side completion for `job` with `status`, releasing the
@@ -492,14 +393,10 @@ pub fn complete_posted(net: &Arc<NetworkState>, wr: &PostedSend, status: WcStatu
         src_qp.counters().completed_error.inc();
         src_qp.set_error();
     }
-    let opcode = match wr.opcode {
-        Opcode::Send | Opcode::SendWithImm => WcOpcode::Send,
-        _ => WcOpcode::RdmaWrite,
-    };
     src_qp.send_cq().push(WorkCompletion {
         wr_id: wr.wr_id,
         status,
-        opcode,
+        opcode: WcOpcode::RdmaWrite,
         byte_len: wr.total_len,
         imm: None,
         qp_num: src_qp.qp_num(),
@@ -527,6 +424,5 @@ pub fn outcome_status(outcome: &DeliveryOutcome) -> WcStatus {
         DeliveryOutcome::Duplicate => WcStatus::Success,
         DeliveryOutcome::RemoteAccessError => WcStatus::RemoteAccessError,
         DeliveryOutcome::ReceiverNotReady => WcStatus::RnrRetryExceeded,
-        DeliveryOutcome::PayloadTooLarge => WcStatus::LocalLengthError,
     }
 }

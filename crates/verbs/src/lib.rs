@@ -12,8 +12,8 @@
 //! - [`Context::create_cq`] ≈ `ibv_create_cq` → [`CompletionQueue`]
 //! - [`Context::create_qp`] ≈ `ibv_create_qp` → [`QueuePair`] with the
 //!   RESET → INIT → RTR → RTS state machine and a 16-outstanding-WR cap
-//! - [`QueuePair::post_send`] ≈ `ibv_post_send` with scatter/gather lists
-//!   and `IBV_WR_RDMA_WRITE_WITH_IMM`
+//! - [`QueuePair::post_send`] ≈ `ibv_post_send` with gather lists and
+//!   `IBV_WR_RDMA_WRITE{,_WITH_IMM}`, the only operations
 //! - [`CompletionQueue::poll`] ≈ `ibv_poll_cq`
 //!
 //! Bytes genuinely move between registered regions on every fabric. The

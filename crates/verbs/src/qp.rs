@@ -172,7 +172,9 @@ const STATES: [QpState; 5] = [
 /// critical section.
 #[derive(Default)]
 pub(crate) struct RxSide {
-    pub(crate) queue: VecDeque<RecvWr>,
+    /// The `wr_id`s of the posted receive WRs, oldest first: a receive WR
+    /// is consumed for its completion only, so its id is all it carries.
+    pub(crate) queue: VecDeque<u64>,
     /// One [`PsnWindow`] per peer QP (linear scan: a QP talks to very few
     /// peers). At-least-once wire behaviour (retransmits, duplicated
     /// packets) collapses to exactly-once at the memory region here.
@@ -404,28 +406,14 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Post a receive work request (`ibv_post_recv`). Scatter elements are
-    /// validated against local registrations and the protection domain.
+    /// Post a receive work request (`ibv_post_recv`).
     pub fn post_recv(&self, wr: RecvWr) -> Result<()> {
         self.check_recv_state()?;
-        if wr.sg_list.len() > self.caps.max_sge {
-            return Err(VerbsError::TooManySges {
-                got: wr.sg_list.len(),
-                max: self.caps.max_sge,
-            });
-        }
-        for sge in &wr.sg_list {
-            let mr = self.mrs().by_lkey(sge.lkey)?;
-            if mr.pd_id() != self.pd_id {
-                return Err(VerbsError::ProtectionDomainMismatch);
-            }
-            mr.offset_of(sge.lkey, sge.addr, sge.length as u64)?;
-        }
         let mut rx = self.rx.lock();
         if rx.queue.len() as u32 >= self.caps.max_recv_wr {
             return Err(VerbsError::RecvQueueFull);
         }
-        rx.queue.push_back(wr);
+        rx.queue.push_back(wr.wr_id);
         self.counters.recv_posted.inc();
         Ok(())
     }
@@ -440,7 +428,7 @@ impl QueuePair {
         let cap = self.caps.max_recv_wr as usize;
         let mut rx = self.rx.lock();
         let posted = depth.min(cap).saturating_sub(rx.queue.len());
-        rx.queue.extend((0..posted).map(|_| RecvWr::bare(wr_id)));
+        rx.queue.extend(std::iter::repeat_n(wr_id, posted));
         self.counters.recv_posted.add(posted as u64);
         if depth > cap {
             return Err(VerbsError::RecvQueueFull);
@@ -467,13 +455,8 @@ impl QueuePair {
 
     /// Validate one WR of a batch and resolve its gather list.
     fn prepare_send(&self, net: &NetworkState, wr: &SendWr) -> Result<PreparedSend> {
-        match wr.opcode {
-            Opcode::RdmaWrite | Opcode::Send => {}
-            Opcode::RdmaWriteWithImm | Opcode::SendWithImm => {
-                if wr.imm.is_none() {
-                    return Err(VerbsError::BadOpcode);
-                }
-            }
+        if wr.opcode == Opcode::RdmaWriteWithImm && wr.imm.is_none() {
+            return Err(VerbsError::BadOpcode);
         }
         if wr.sg_list.is_empty() {
             return Err(VerbsError::EmptySgList);
@@ -561,11 +544,12 @@ impl QueuePair {
             src_qp: self.qp_num,
             dst_qp: peer.qp_num,
             wr_id: wr.wr_id,
-            opcode: wr.opcode,
             segments,
             remote_addr: wr.remote_addr,
             rkey: wr.rkey,
-            imm: wr.imm,
+            // Below the QP an immediate *is* the opcode: a write carrying
+            // one consumes a receive WR, and a bare write's is dropped here.
+            imm: wr.imm.filter(|_| wr.opcode == Opcode::RdmaWriteWithImm),
             total_len: total as u32,
             inline_payload: snapshot,
             psn: self.assign_psn(),
@@ -703,7 +687,7 @@ mod tests {
                 per_wr.counters().recv_posted.get(),
                 "round {round}"
             );
-            let ids = |qp: &QueuePair| qp.rx().queue.iter().map(|w| w.wr_id).collect::<Vec<_>>();
+            let ids = |qp: &QueuePair| qp.rx().queue.iter().copied().collect::<Vec<_>>();
             assert_eq!(ids(&topped), ids(&per_wr));
             assert!(posted <= depth);
             for qp in [&per_wr, &topped] {

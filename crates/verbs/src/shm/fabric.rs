@@ -24,8 +24,8 @@
 //! first), and the progress thread delivers the record *in place* — inside
 //! [`SpscRing::try_pop_with`], before `Head` moves, the shared
 //! [`execute_delivery`] writes the (up to two) ring slices into the
-//! destination MR, or feeds them to a receive WR's scatter list. The sender
-//! keeps no copy: the ring loses nothing, so nothing is ever re-sent.
+//! destination MR. The sender keeps no copy: the ring loses nothing, so
+//! nothing is ever re-sent.
 //!
 //! **Ownership rule.** Ring memory is borrowed for exactly as long as the
 //! pop's closure runs; the slot goes back to the producer when it returns. A
@@ -91,7 +91,7 @@ use crate::fabric::{
 use crate::network::NetworkState;
 use crate::qp::RetryProfile;
 use crate::table::IndexTable;
-use crate::types::{Opcode, WcStatus};
+use crate::types::WcStatus;
 
 use super::ring::{RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
 use super::segment::{FileSegment, HeapSegment, Segment};
@@ -811,26 +811,10 @@ impl Fabric for ShmFabric {
 // Wire records
 // ---------------------------------------------------------------------------
 
+/// The record carries an immediate: it is a write-with-immediate and
+/// consumes a receive WR. Nothing else in the header names the operation.
 const FLAG_IMM: u8 = 1;
 const FLAG_GHOST: u8 = 2;
-
-fn opcode_to_wire(op: Opcode) -> u8 {
-    match op {
-        Opcode::RdmaWrite => 0,
-        Opcode::RdmaWriteWithImm => 1,
-        Opcode::Send => 2,
-        Opcode::SendWithImm => 3,
-    }
-}
-
-fn opcode_from_wire(b: u8) -> Opcode {
-    match b {
-        0 => Opcode::RdmaWrite,
-        1 => Opcode::RdmaWriteWithImm,
-        2 => Opcode::Send,
-        _ => Opcode::SendWithImm,
-    }
-}
 
 fn status_to_wire(s: WcStatus) -> u8 {
     match s {
@@ -878,7 +862,6 @@ fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
     if job.ghost {
         rec[FLAGS_AT] |= FLAG_GHOST;
     }
-    rec[61] = opcode_to_wire(job.opcode);
     rec[62] = profile.rnr_retry;
     rec[64..72].copy_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
     rec
@@ -922,7 +905,6 @@ fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, u8, u64) {
         src_qp: u32_at(8),
         dst_node: u32_at(4),
         dst_qp: u32_at(12),
-        opcode: opcode_from_wire(rec[61]),
         remote_addr: u64_at(40),
         rkey: u32_at(48),
         imm: (flags & FLAG_IMM != 0).then(|| u32_at(56)),
@@ -2010,49 +1992,6 @@ mod tests {
         assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1);
         assert_eq!(tx.stale_acks(), 1);
         p.finish();
-    }
-
-    #[test]
-    fn two_sided_send_lands_in_recv_scatter_space() {
-        let p = pair(ShmConfig::default(), QpCaps::default());
-        let src = p.a.reg_mr(p.pda, 256).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 256).unwrap();
-        src.write(0, b"partitioned aggregation over shm").unwrap();
-        p.qb.post_recv(RecvWr {
-            wr_id: 11,
-            sg_list: vec![Sge {
-                addr: dst.addr(),
-                length: 256,
-                lkey: dst.lkey(),
-            }],
-        })
-        .unwrap();
-        p.qa.post_send(SendWr {
-            wr_id: 12,
-            opcode: Opcode::Send,
-            sg_list: vec![Sge {
-                addr: src.addr(),
-                length: 32,
-                lkey: src.lkey(),
-            }],
-            remote_addr: 0,
-            rkey: 0,
-            imm: None,
-            inline_data: false,
-            flow: 0,
-        })
-        .unwrap();
-        let wc = poll_until(&p.cqa, "send CQE");
-        assert_eq!(wc.status, WcStatus::Success);
-        let recv_wc = poll_until(&p.cqb, "recv CQE");
-        assert_eq!(recv_wc.wr_id, 11);
-        assert_eq!(recv_wc.byte_len, 32);
-        assert_eq!(
-            dst.read_vec(0, 32).unwrap(),
-            b"partitioned aggregation over shm".to_vec()
-        );
-        assert_clean(&p);
-        p.fabric.shutdown();
     }
 
     #[test]

@@ -4,21 +4,17 @@
 /// host/NIC pair).
 pub type NodeId = u32;
 
-/// Work-request opcodes. `RdmaWriteWithImm` is the paper's workhorse
-/// (§IV-A); the two-sided `Send` path (what UCX's eager protocols ride on)
-/// is implemented for completeness.
+/// Work-request opcodes: the two RDMA writes. `RdmaWriteWithImm` is the
+/// paper's one operation (§IV-A); every transfer is a one-sided write into
+/// the target's registered memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Opcode {
-    /// One-sided RDMA write; no receive-side completion.
+    /// One-sided RDMA write; no receive-side completion. An immediate on
+    /// the WR is dropped at post time.
     RdmaWrite,
     /// One-sided RDMA write that consumes a posted receive WR on the target
     /// and delivers the 32-bit immediate in the receive completion.
     RdmaWriteWithImm,
-    /// Two-sided send: payload is scattered into the buffers of the posted
-    /// receive WR it consumes; `remote_addr`/`rkey` are ignored.
-    Send,
-    /// Two-sided send carrying a 32-bit immediate.
-    SendWithImm,
 }
 
 /// QP state machine states (the subset of the IB spec the design exercises).
@@ -92,24 +88,19 @@ impl Default for SendWr {
     }
 }
 
-/// A receive work request. For two-sided sends the scatter list receives
-/// the payload; for RDMA-write-with-immediate the WR is consumed for its
-/// completion only and the scatter list may be empty.
+/// A receive work request. A write-with-immediate consumes one for its
+/// completion only (the payload lands where the write addressed it), so a
+/// receive WR is its id.
 #[derive(Clone, Debug, Default)]
 pub struct RecvWr {
     /// Caller-chosen identifier echoed in the completion.
     pub wr_id: u64,
-    /// Scatter list for two-sided payload placement.
-    pub sg_list: Vec<Sge>,
 }
 
 impl RecvWr {
-    /// A placement-free receive WR (sufficient for write-with-immediate).
+    /// A receive WR carrying `wr_id`.
     pub fn bare(wr_id: u64) -> Self {
-        RecvWr {
-            wr_id,
-            sg_list: Vec::new(),
-        }
+        RecvWr { wr_id }
     }
 }
 
@@ -127,21 +118,19 @@ pub enum WcStatus {
     /// The target had no receive WR posted after `rnr_retry` RNR-timer
     /// waits (`IBV_WC_RNR_RETRY_EXC_ERR`).
     RnrRetryExceeded,
-    /// A two-sided send's payload exceeded the receive WR's scatter space.
+    /// The WR is longer than the wire carries in one message
+    /// ([`Fabric::max_wr_bytes`](crate::Fabric::max_wr_bytes)).
     LocalLengthError,
 }
 
 /// Which queue the completion came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WcOpcode {
-    /// Completion of a send-queue WR (one-sided write).
+    /// Completion of a send-queue WR (an RDMA write, with or without an
+    /// immediate).
     RdmaWrite,
-    /// Completion of a send-queue WR (two-sided send).
-    Send,
     /// Completion of a receive-queue WR consumed by a write-with-immediate.
     RecvRdmaWithImm,
-    /// Completion of a receive-queue WR that received a two-sided send.
-    Recv,
 }
 
 /// A work completion.

@@ -73,8 +73,6 @@ conformance_tests!(
     connect_teardown_reconnect,
     write_imm_roundtrip,
     bare_write_has_no_recv_cqe,
-    two_sided_send_scatter,
-    send_with_imm_roundtrip,
     gather_three_sge_write,
     mtu_segmentation_ledger,
     wr_cap_spill_sequential,
@@ -86,7 +84,6 @@ conformance_tests!(
     rnr_exhausts_without_receiver,
     qp_error_then_recovery_cycle,
     remote_access_error_writes_nothing,
-    two_sided_overflow_is_length_error,
     inline_send_arena_conservation,
     imm_encoding_sweep,
     bidirectional_interleave,
