@@ -15,11 +15,10 @@
 //! a 16-WR window while B consumes receive CQEs and verifies payload
 //! bytes. Throughput is measured on A from first post to last send-side
 //! completion — i.e. it includes the full ack round trip through the
-//! reverse ring, not just enqueue rate. Both ranks `yield_now()` on an empty
-//! CQ poll: two drivers and two progress threads rarely have four cores to
-//! themselves, and a driver that spins instead takes the core its own
-//! progress thread needs (the fabric then falls back to parking, at about a
-//! fifth of the throughput on a 2-CPU host).
+//! reverse ring, not just enqueue rate. A rank's empty CQ poll runs one scan
+//! of its own fabric, so each rank moves its own side of the wire, and then
+//! the rank `yield_now()`s: the two ranks share the host's cores with each
+//! other and with their fabrics' fallback progress threads.
 //!
 //! Per row the JSON records sustained msgs/s and GB/s plus what that row
 //! added to the fabric's reliability counters on both sides (retransmits,
@@ -301,7 +300,7 @@ fn role_b(dir: &Path, smoke: bool) {
     })
     .expect("rtr");
     qb.modify_to_rts().expect("rts");
-    // Receive-only process: give the progress thread its delivery target
+    // Receive-only process: give the fabric its delivery target
     // before any record can arrive.
     fabric.attach_network(net.state());
     fabric

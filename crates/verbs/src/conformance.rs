@@ -58,7 +58,8 @@ pub enum BackendKind {
     /// Seeded chaos decorator over the instant fabric (pass-through
     /// configuration when the scenario itself is clean).
     Lossy,
-    /// Real-time shared-memory fabric (loopback rings + progress thread).
+    /// Real-time shared-memory fabric (loopback rings, progressed by polls
+    /// and its fallback progress thread).
     Shm,
     /// The same fabric deployed as two processes would deploy it: one
     /// [`ShmFabric::host`] per node over mapped file segments in a shared
@@ -128,7 +129,7 @@ pub struct Bed {
 
 /// Routes each job to the [`ShmFabric`] of the node that posted it — what
 /// having one process per node does in a real deployment.
-struct PerNode([Arc<ShmFabric>; 2]);
+pub(crate) struct PerNode(pub(crate) [Arc<ShmFabric>; 2]);
 
 impl Fabric for PerNode {
     fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
@@ -141,6 +142,12 @@ impl Fabric for PerNode {
             .map(|f| f.max_wr_bytes())
             .min()
             .unwrap_or(u64::MAX)
+    }
+
+    /// A CQ does not say whose node it is, so a poll drives both fabrics,
+    /// as each process would drive its own.
+    fn progress(&self) -> bool {
+        self.0.iter().fold(false, |any, f| f.progress() | any)
     }
 }
 
@@ -284,8 +291,9 @@ impl Bed {
         )
     }
 
-    /// One progress step: run the virtual clock to idle (sim), or yield to
-    /// the progress thread (shm). No-op on synchronous backends.
+    /// One progress step: run the virtual clock to idle (sim), or yield
+    /// (shm, whose polls scan and whose progress thread stands by). No-op on
+    /// synchronous backends.
     pub fn drive(&self) {
         if let Some(s) = &self.sched {
             s.run();

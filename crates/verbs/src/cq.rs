@@ -17,6 +17,12 @@
 //! plain push would. A push behind queued entries queues, then calls the
 //! hook with nothing to hand over, so the queue stays FIFO. Either way
 //! `pushed == polled + depth` holds at quiescence.
+//!
+//! **Driven polls.** A CQ created on a fabric that progresses on its
+//! pollers' threads ([`Fabric::progress`]) holds that fabric: a poll that
+//! finds the queue empty calls `progress` and looks once more, so whoever
+//! polls also moves the wire, with no thread hop between a record and its
+//! completion.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,6 +32,7 @@ use parking_lot::Mutex;
 
 use partix_telemetry::CqCounters;
 
+use crate::fabric::Fabric;
 use crate::types::{WcOpcode, WcStatus, WorkCompletion};
 
 /// Index of `status` in the telemetry per-status buckets (aligned with
@@ -94,17 +101,27 @@ pub struct CompletionQueue {
     /// reads only this flag.
     hooked: AtomicBool,
     counters: Arc<CqCounters>,
+    /// The fabric an empty poll drives (see the module docs), if it asked
+    /// to be.
+    fabric: Option<Arc<dyn Fabric>>,
 }
 
 impl CompletionQueue {
-    pub(crate) fn new(id: u32) -> Arc<Self> {
+    pub(crate) fn new(id: u32, fabric: Option<Arc<dyn Fabric>>) -> Arc<Self> {
         Arc::new(CompletionQueue {
             id,
             entries: Mutex::new(VecDeque::with_capacity(CQ_INITIAL_CAPACITY)),
             notify: OnceLock::new(),
             hooked: AtomicBool::new(false),
             counters: Arc::new(CqCounters::default()),
+            fabric,
         })
+    }
+
+    /// Drive the attached fabric for a poll that found nothing; whether the
+    /// queue is worth another look.
+    fn drive(&self) -> bool {
+        self.fabric.as_ref().is_some_and(|fabric| fabric.progress()) && self.depth() != 0
     }
 
     /// Queue identifier.
@@ -178,11 +195,12 @@ impl CompletionQueue {
 
     /// Batched drain into a reusable scratch vector: up to `max` entries are
     /// appended to `scratch` under one queue lock, and the lock is taken at
-    /// all only when the lock-free depth estimate says entries are waiting.
+    /// all only when the lock-free depth estimate says entries are waiting
+    /// (after driving an attached fabric, if it says none are).
     /// Callers keep `scratch` across calls so steady-state polling performs
     /// no allocation.
     pub fn poll_cq_into(&self, scratch: &mut Vec<WorkCompletion>, max: usize) -> usize {
-        if max == 0 || self.depth() == 0 {
+        if max == 0 || (self.depth() == 0 && !self.drive()) {
             return 0;
         }
         let mut q = self.entries.lock();
@@ -192,8 +210,14 @@ impl CompletionQueue {
         n
     }
 
-    /// Convenience: poll a single completion.
+    /// Convenience: poll a single completion. Like
+    /// [`poll_cq_into`](Self::poll_cq_into), it locks the queue only when
+    /// the depth estimate says an entry is waiting, driving an attached
+    /// fabric first if it says none is.
     pub fn poll_one(&self) -> Option<WorkCompletion> {
+        if self.depth() == 0 && !self.drive() {
+            return None;
+        }
         let mut q = self.entries.lock();
         let wc = q.pop_front();
         if wc.is_some() {
@@ -243,7 +267,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let cq = CompletionQueue::new(0);
+        let cq = CompletionQueue::new(0, None);
         for i in 0..5 {
             cq.push(wc(i));
         }
@@ -257,7 +281,7 @@ mod tests {
 
     #[test]
     fn notify_fires_per_push() {
-        let cq = CompletionQueue::new(1);
+        let cq = CompletionQueue::new(1, None);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         // The hook drops what it is handed, which queues it.
@@ -277,7 +301,7 @@ mod tests {
 
     #[test]
     fn a_second_notify_install_is_refused() {
-        let cq = CompletionQueue::new(4);
+        let cq = CompletionQueue::new(4, None);
         let (first, second) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let (f, s) = (first.clone(), second.clone());
         assert!(cq
@@ -333,7 +357,7 @@ mod tests {
 
     #[test]
     fn an_idle_hook_takes_the_entry_and_it_counts_as_polled() {
-        let cq = CompletionQueue::new(5);
+        let cq = CompletionQueue::new(5, None);
         let seen = Arc::new(Mutex::new(Vec::new()));
         assert!(cq.set_notify(engine_hook(&cq, &seen, &[])).is_ok());
         for i in 0..3 {
@@ -349,7 +373,7 @@ mod tests {
 
     #[test]
     fn a_push_behind_a_queued_entry_queues_behind_it() {
-        let cq = CompletionQueue::new(6);
+        let cq = CompletionQueue::new(6, None);
         let offers = Arc::new(Mutex::new(Vec::new()));
         let o = offers.clone();
         // Refuses every hand-off, so the first entry queues.
@@ -376,7 +400,7 @@ mod tests {
 
     #[test]
     fn a_reentrant_push_is_drained_by_the_same_run() {
-        let cq = CompletionQueue::new(7);
+        let cq = CompletionQueue::new(7, None);
         let seen = Arc::new(Mutex::new(Vec::new()));
         // Entry 0's dispatch pushes 100, whose dispatch pushes 200.
         assert!(cq.set_notify(engine_hook(&cq, &seen, &[0, 100])).is_ok());
@@ -392,7 +416,7 @@ mod tests {
 
     #[test]
     fn a_cleared_hook_queues() {
-        let cq = CompletionQueue::new(8);
+        let cq = CompletionQueue::new(8, None);
         let seen = Arc::new(Mutex::new(Vec::new()));
         assert!(cq.set_notify(engine_hook(&cq, &seen, &[])).is_ok());
         cq.push(wc(0));
@@ -412,7 +436,7 @@ mod tests {
 
     #[test]
     fn counters_track() {
-        let cq = CompletionQueue::new(2);
+        let cq = CompletionQueue::new(2, None);
         cq.push(wc(0));
         cq.push(wc(1));
         assert_eq!(cq.poll_one().unwrap().wr_id, 0);
@@ -422,7 +446,7 @@ mod tests {
 
     #[test]
     fn poll_empty_returns_zero() {
-        let cq = CompletionQueue::new(3);
+        let cq = CompletionQueue::new(3, None);
         let mut out = Vec::new();
         assert_eq!(cq.poll(8, &mut out), 0);
         assert!(cq.poll_one().is_none());

@@ -212,6 +212,18 @@ pub trait Fabric: Send + Sync {
     fn max_wr_bytes(&self) -> u64 {
         u32::MAX.into()
     }
+
+    /// Make what progress this fabric can on the calling thread, for a
+    /// poller that found its completion queue empty. Returns whether the
+    /// fabric progresses on its pollers' threads at all: `false`, the
+    /// default, says its completions arrive without a poller's help, and
+    /// [`Context::create_cq`](crate::Context::create_cq), which asks once,
+    /// then leaves the fabric off the queue. A fabric that returns `true`
+    /// must tolerate calls from any thread, concurrent ones and ones from
+    /// inside its own completion pushes included.
+    fn progress(&self) -> bool {
+        false
+    }
 }
 
 /// Outcome of executing a delivery.

@@ -295,6 +295,10 @@ impl Fabric for LossyFabric {
     fn max_wr_bytes(&self) -> u64 {
         self.inner.max_wr_bytes()
     }
+
+    fn progress(&self) -> bool {
+        self.inner.progress()
+    }
 }
 
 #[cfg(test)]

@@ -205,9 +205,15 @@ impl Context {
         Ok(self.node.mrs.register_virtual(pd.id, len))
     }
 
-    /// Create a completion queue (`ibv_create_cq`).
+    /// Create a completion queue (`ibv_create_cq`). A fabric that progresses
+    /// on its pollers' threads ([`Fabric::progress`]) is attached to it, so
+    /// an empty poll drives the fabric.
     pub fn create_cq(&self) -> Arc<CompletionQueue> {
-        let cq = CompletionQueue::new(self.state.next_cq_id.fetch_add(1, Ordering::Relaxed));
+        let polled_fabric = self.fabric.progress().then(|| self.fabric.clone());
+        let cq = CompletionQueue::new(
+            self.state.next_cq_id.fetch_add(1, Ordering::Relaxed),
+            polled_fabric,
+        );
         self.state
             .telemetry
             .register_cq(cq.id(), cq.counters().clone());

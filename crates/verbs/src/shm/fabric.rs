@@ -2,10 +2,11 @@
 //!
 //! [`ShmFabric`] runs the verbs object model on *wall-clock time and real
 //! threads*: every posted WR becomes a DATA record in a per-QP-pair SPSC
-//! [`SpscRing`], a dedicated progress thread drains rings into deliveries
-//! and completions, and the receive side acknowledges each record on a
-//! paired ACK ring — the RDMA-write-with-immediate protocol of Ibdxnet's
-//! messaging engine mapped onto shared memory (see DESIGN.md §11).
+//! [`SpscRing`], whoever polls a completion queue of the fabric drains rings
+//! into deliveries and completions (with a progress thread standing by for
+//! a process that does not poll), and the receive side acknowledges the
+//! records on a paired ACK ring — the RDMA-write-with-immediate protocol of
+//! Ibdxnet's messaging engine mapped onto shared memory (see DESIGN.md §11).
 //!
 //! Two deployments share all of this code:
 //!
@@ -21,7 +22,7 @@
 //! A payload is copied twice between the two registered regions, and no
 //! syscall, allocation, hash look-up or clock read is made on the way:
 //! `submit` gathers the source MR straight into the ring (72-byte header
-//! first), and the progress thread delivers the record *in place* — inside
+//! first), and the scan delivers the record *in place* — inside
 //! [`SpscRing::try_pop_with`], before `Head` moves, the shared
 //! [`execute_delivery`] writes the (up to two) ring slices into the
 //! destination MR. The sender keeps no copy: the ring loses nothing, so
@@ -35,28 +36,45 @@
 //! ([`Deferred`]); that is the only staging copy left. A PSN-suppressed
 //! duplicate, a protection failure and an exhausted RNR budget copy nothing.
 //!
-//! On the way back an ACK is `(psn, status)`: the sending channel keeps its
-//! un-acked records in a window in posting order, so the ack of an in-order
-//! stream completes the window's front, and [`complete_posted`] is handed
-//! what the sender kept. The sending channel of a QP is resolved once, into
-//! a table indexed by the local QP number.
+//! On the way back an ACK is `(psn, status)`, coalesced as an InfiniBand RC
+//! responder coalesces them: one ACK per drained batch names the last record
+//! the batch delivered, and a failure, or a record deferred on the RNR
+//! timer, first sends what the batch owes and then (a failure) its own. The
+//! record that fills half the sender's window carries IB's AckReq: it is
+//! acknowledged at once and ends the batch, so the sender refills its window
+//! while the rest of it drains, and a drain never chases a sender its own
+//! ACKs keep refilling (one that did would deliver past the receives its
+//! poller has posted, and defer on RNR). The sending channel registers its
+//! records in a window in ring order, so an ACK completes the window's front
+//! through the record it names, each with [`complete_posted`] of what the
+//! sender kept. The sending channel of a QP is resolved once, into a table
+//! indexed by the local QP number.
 //!
 //! # Progress loop
 //!
-//! The progress thread polls. A scan ([`ShmFabric::scan`]) visits every
-//! channel (from a snapshot of the channel list refreshed only when one is
-//! installed), then the RNR queue; the clock is read only where a deadline is
-//! set or checked. After a scan that found nothing it backs off up a ladder:
-//! [`SPIN_ROUNDS`] scans separated by a spin hint, [`YIELD_ROUNDS`] separated
-//! by `yield_now`, and then it parks for [`ShmConfig::idle_park`] (or until
-//! the nearest RNR timer) — any work sends it back to the bottom. So a stream or a ping-pong is served at polling
-//! latency, an idle fabric costs a wake-up per `idle_park`, and the first
-//! message after a quiet spell waits at most `idle_park` (a local submit
-//! unparks the thread; a peer *process* cannot). Yields are timed: one that
-//! returns later than a park would have means a neighbour is busy-polling
-//! on a core this thread needs, and the ladder then skips to parking for a
-//! while (see [`MAX_STARVED_SPELLS`]), because a waking sleeper is scheduled
-//! ahead of such a neighbour and a yielder is not.
+//! A scan ([`ShmFabric::scan`]) visits every channel (from a snapshot of the
+//! channel list refreshed only when one is installed), then the RNR queue;
+//! the clock is read only where a deadline is set or checked. One scanner
+//! runs at a time, under the progress lock. Pollers scan: every completion
+//! queue created on the fabric holds it ([`Fabric::progress`]), and a poll
+//! that finds its queue empty try-locks and runs one scan on the polling
+//! thread, so a record goes from the poster's ring to the poller's CQ with
+//! no thread hop — the paper's caller-driven progress (§IV-A).
+//!
+//! The progress thread is the fallback. It takes the lock once per scan,
+//! so pollers interleave with it; it stands down — parks for
+//! [`ShmConfig::idle_park`], or until the nearest RNR timer — whenever
+//! pollers have scanned since it last looked; and otherwise serves RNR
+//! timers and a process that never polls. After a scan that found nothing
+//! it backs off up a ladder: [`SPIN_ROUNDS`] scans separated by a spin hint,
+//! [`YIELD_ROUNDS`] separated by `yield_now`, and then it parks for
+//! `idle_park` — any work sends it back to the bottom. A submit does not
+//! unpark it, so with nobody polling the first message after a quiet spell
+//! waits at most `idle_park`. Yields are timed: one that returns later than
+//! a park would have means a neighbour is busy-polling on a core this thread
+//! needs, and the ladder then skips to parking for a while (see
+//! [`MAX_STARVED_SPELLS`]), because a waking sleeper is scheduled ahead of
+//! such a neighbour and a yielder is not.
 //!
 //! Receiver-not-ready deliveries wait in a FIFO the progress thread owns;
 //! later records for the same destination QP queue behind the deferred one,
@@ -85,8 +103,8 @@ use parking_lot::{Mutex, MutexGuard};
 use partix_telemetry::{segments_for, FlowStage, Sampler};
 
 use crate::fabric::{
-    complete_posted, execute_delivery, outcome_status, sender_retry_profile, DeliveryHeader,
-    DeliveryOutcome, Fabric, Payload, PostedSend, TransferJob,
+    complete_posted, execute_delivery, outcome_status, DeliveryHeader, DeliveryOutcome, Fabric,
+    Payload, PostedSend, TransferJob,
 };
 use crate::network::NetworkState;
 use crate::qp::RetryProfile;
@@ -115,12 +133,12 @@ pub struct ShmConfig {
     pub ring_capacity: u64,
     /// ACK-ring capacity per channel, bytes.
     pub ack_capacity: u64,
-    /// How long the progress thread parks once the back-off ladder (spin,
-    /// then yield; see the module docs) has run out. Local submissions
-    /// unpark it and a message finds it still polling unless the channel
-    /// has been quiet for a while, so this bounds RNR/timer latency and the
-    /// latency of the first message after a quiet spell from another
-    /// process, not steady-state message latency.
+    /// How long the progress thread parks: once the back-off ladder (spin,
+    /// then yield; see the module docs) has run out, and each time it
+    /// stands down because pollers scanned since it last looked (never past
+    /// the nearest RNR timer). Pollers move every message while they poll,
+    /// so this bounds only the latency of the first message after a quiet
+    /// spell with nobody polling: a submit does not unpark the thread.
     pub idle_park: Duration,
     /// MTU used for `mtu_segments` accounting (the wire ledger's
     /// segmentation law), matching `FabricParams::mtu`.
@@ -199,11 +217,9 @@ struct Channel {
     /// Serialises the DATA producer side (posts may come from any thread;
     /// the ring protocol wants one logical producer).
     tx_lock: Mutex<()>,
-    /// Sender side: records awaiting their ACK, oldest first. One posting
-    /// thread registers them in PSN order and the receiver acks in delivery
-    /// order, so an ack normally completes the front; anything else (posts
-    /// racing on one QP) is found by a scan of at most the QP's send-queue
-    /// depth.
+    /// Sender side: records awaiting their ACK, in ring order (each is
+    /// registered under `tx_lock`, just before it is pushed). The receiver
+    /// acks in ring order, so an ACK completes a prefix of the window.
     window: Mutex<VecDeque<Pending>>,
 }
 
@@ -276,14 +292,31 @@ impl Deferred {
     }
 }
 
-/// What the progress thread keeps between scans. Whoever scans holds the
-/// lock around it, so there is one scanner at a time.
+/// What the scanner keeps between scans. Whoever scans holds the lock
+/// around it, so there is one scanner at a time.
 #[derive(Default)]
 struct ProgressState {
     /// Snapshot of the channel list, re-read only when one is installed.
     channels: Vec<Arc<Channel>>,
     /// Deliveries waiting on a receive queue, in arrival order.
     rnr: VecDeque<Deferred>,
+    /// The window prefix an ACK covers, taken out of the window so that
+    /// completions are pushed with no window lock held. Empty between ACKs;
+    /// kept for its capacity.
+    acked: Vec<Pending>,
+}
+
+/// What a drain of one data ring owes the channel's sender: the coalesced
+/// ACK of the records it delivered since it last sent one.
+#[derive(Default)]
+struct OwedAck {
+    /// PSN of the last record delivered.
+    psn: u64,
+    /// Records the ACK covers, 0 when nothing is owed. They stay counted in
+    /// hand (see `ShmStats::in_hand`) until it is sent.
+    records: u64,
+    /// A record asked for its ACK (AckReq) and got it: the batch ends.
+    answered: bool,
 }
 
 #[derive(Default)]
@@ -294,13 +327,18 @@ struct ShmStats {
     stale_acks: AtomicU64,
     ring_full_stalls: AtomicU64,
     progress_iterations: AtomicU64,
+    /// The progress thread's share of `progress_iterations`; the rest are
+    /// pollers'.
+    thread_scans: AtomicU64,
     progress_wakeups: AtomicU64,
+    stand_downs: AtomicU64,
     ring_occupancy_high_water: AtomicU64,
-    /// Records the progress thread has taken off a ring and not finished
-    /// with: being delivered or completed right now, or waiting in its RNR
-    /// queue (which is that thread's own; this is what `is_idle` can see of
-    /// it). Raised *before* the ring's `Head` moves, so whoever sees the
-    /// ring empty also sees the record counted here.
+    /// Records a scanner has taken off a ring and not finished with: being
+    /// delivered or completed right now, delivered with their ACK still
+    /// owed, or waiting in the RNR queue (which is the scanner's own; this
+    /// is what `is_idle` can see of it). Raised *before* the ring's `Head`
+    /// moves, so whoever sees the ring empty also sees the record counted
+    /// here.
     in_hand: AtomicU64,
 }
 
@@ -316,15 +354,16 @@ pub struct ShmFabric {
     /// (a connected QP sends to one peer): what `submit` resolves instead of
     /// searching `channels`.
     tx_route: IndexTable<Arc<Channel>>,
-    /// The scanner's state; see [`ProgressState`].
+    /// The scanner's state, and the progress lock; see [`ProgressState`].
     progress_state: Mutex<ProgressState>,
     net: OnceLock<Weak<NetworkState>>,
     shutdown: AtomicBool,
     progress: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Progress thread handle for unparking on submit.
+    /// Progress thread handle, unparked by `shutdown`.
     progress_thread: OnceLock<std::thread::Thread>,
     stats: ShmStats,
-    /// Wall-clock sampler ticked by the progress thread, paired with the
+    /// Wall-clock sampler ticked by the progress thread at every turn of its
+    /// loop (a scan or a stand-down), paired with the
     /// instant it was attached (its t = 0).
     sampler: OnceLock<(Arc<Sampler>, Instant)>,
     me: Weak<ShmFabric>,
@@ -395,12 +434,13 @@ impl ShmFabric {
         );
     }
 
-    /// DATA records consumed by this process's progress thread.
+    /// DATA records this process's scans consumed.
     pub fn data_records(&self) -> u64 {
         self.stats.data_records.load(Ordering::Relaxed)
     }
 
-    /// ACK records consumed by this process's progress thread.
+    /// ACK records this process's scans consumed (one per drained batch of
+    /// the peer's, not one per record: see the module docs).
     pub fn ack_records(&self) -> u64 {
         self.stats.ack_records.load(Ordering::Relaxed)
     }
@@ -419,10 +459,11 @@ impl ShmFabric {
         self.stats.rnr_deferrals.load(Ordering::Relaxed)
     }
 
-    /// ACKs naming a PSN the sender's window does not hold. This fabric
-    /// sends one ack per record, so its own traffic never produces one; an
-    /// ACK is bytes from another process, and one that matches nothing is
-    /// counted and dropped rather than trusted.
+    /// ACKs naming a PSN the sender's window does not hold — beyond the
+    /// highest it posted, or already completed. This fabric's own ACKs name
+    /// a record still in the window, so its own traffic never produces one;
+    /// an ACK is bytes from another process, and one that matches nothing
+    /// is counted and dropped rather than trusted.
     pub fn stale_acks(&self) -> u64 {
         self.stats.stale_acks.load(Ordering::Relaxed)
     }
@@ -432,16 +473,29 @@ impl ShmFabric {
         self.stats.ring_full_stalls.load(Ordering::Relaxed)
     }
 
-    /// Progress-thread loop iterations (each is one full scan of every
-    /// channel plus the RNR queue).
+    /// Scans, by pollers and the progress thread alike (each is one full
+    /// scan of every channel plus the RNR queue).
     pub fn progress_iterations(&self) -> u64 {
         self.stats.progress_iterations.load(Ordering::Relaxed)
     }
 
-    /// Times the progress thread woke from an idle park (unparked by a
-    /// submit or a timer deadline).
+    /// The progress thread's share of [`progress_iterations`](Self::progress_iterations).
+    fn thread_scans(&self) -> u64 {
+        self.stats.thread_scans.load(Ordering::Relaxed)
+    }
+
+    /// Times the progress thread woke from an idle park, the end of its
+    /// back-off ladder (see the module docs). A park it took to stand down
+    /// for pollers is counted apart, in
+    /// [`progress_stand_downs`](Self::progress_stand_downs).
     pub fn progress_wakeups(&self) -> u64 {
         self.stats.progress_wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Times the progress thread parked because pollers had scanned since
+    /// it last looked: about one per `idle_park` while they poll.
+    pub fn progress_stand_downs(&self) -> u64 {
+        self.stats.stand_downs.load(Ordering::Relaxed)
     }
 
     /// High-water mark of DATA-ring occupancy in bytes, across every
@@ -475,6 +529,7 @@ impl ShmFabric {
         vec![
             ("progress_iterations", self.progress_iterations()),
             ("progress_wakeups", self.progress_wakeups()),
+            ("progress_stand_downs", self.progress_stand_downs()),
             (
                 "ring_occupancy_high_water",
                 self.ring_occupancy_high_water(),
@@ -511,7 +566,7 @@ impl ShmFabric {
             if Instant::now() >= deadline {
                 return false;
             }
-            self.kick();
+            self.progress();
             std::thread::yield_now();
         }
     }
@@ -684,21 +739,35 @@ impl ShmFabric {
 
     /// Publish one DATA record of `len` bytes, written in place by `write`,
     /// on `ch`'s ring, waiting out backpressure, and charge the wire ledger
-    /// for a transfer entering the fabric.
+    /// for a transfer entering the fabric. `pending` (none for a ghost) joins
+    /// the window in the order its record joins the ring; `write` is told
+    /// whether the record is the one that fills `half_window`, and asks for
+    /// its ACK at once.
     fn enqueue_data(
         &self,
         net: &Arc<NetworkState>,
         ch: &Channel,
         len: usize,
-        write: &dyn Fn(&mut RecordWriter<'_>),
+        write: &dyn Fn(&mut RecordWriter<'_>, bool),
+        pending: Option<Pending>,
+        half_window: usize,
     ) {
         let _tx = ch.tx_lock.lock();
+        // Registered before the record can produce an ACK, so the ACK
+        // handler always finds its entry.
+        let ack_req = pending.is_some_and(|pending| {
+            let mut window = ch.window.lock();
+            window.push_back(pending);
+            window.len() == half_window
+        });
+        let write = |w: &mut RecordWriter<'_>| write(w, ack_req);
         if !ch.data.try_push_with(KIND_DATA, len, write) {
             self.stats.ring_full_stalls.fetch_add(1, Ordering::Relaxed);
             self.note_occupancy(ch.data.len());
             let deadline = Instant::now() + self.cfg.full_ring_deadline;
             loop {
-                self.kick();
+                // A loopback ring drains when its poster scans.
+                self.progress();
                 std::thread::yield_now();
                 if ch.data.try_push_with(KIND_DATA, len, write) {
                     break;
@@ -721,17 +790,21 @@ impl ShmFabric {
         wire.inner_submissions.inc();
         wire.mtu_segments
             .add(segments_for((len - DATA_HEADER) as u64, self.cfg.mtu));
-        self.kick();
     }
 
     /// [`Fabric::submit`] once the sending channel is known.
     fn submit_on(&self, net: &Arc<NetworkState>, ch: &Channel, job: TransferJob) {
-        let profile = sender_retry_profile(net, &job).unwrap_or(RetryProfile {
-            timeout: 5,
-            retry_cnt: 0,
-            rnr_retry: 0,
-            min_rnr_timer_ns: 10_000,
-        });
+        let qp = net.qp(job.src_node, job.src_qp).ok();
+        let profile = qp.map_or(
+            RetryProfile {
+                timeout: 5,
+                retry_cnt: 0,
+                rnr_retry: 0,
+                min_rnr_timer_ns: 10_000,
+            },
+            |qp| qp.retry_profile(),
+        );
+        let half_window = qp.map_or(0, |qp| qp.caps().max_send_wr.div_ceil(2) as usize);
         let len = DATA_HEADER + job.total_len as usize;
         // One WR is one record, and a record the ring can never hold would
         // trip the ring's own assertion from inside `post_send`. The wire
@@ -751,23 +824,22 @@ impl ShmFabric {
         // Header, then the payload gathered *at post time* straight into
         // the ring (the wire must not chase source-region rewrites across a
         // process boundary; inline sends reuse their snapshot).
-        let write = |w: &mut RecordWriter<'_>| {
+        let write = |w: &mut RecordWriter<'_>, ack_req: bool| {
+            let mut header = header;
+            if ack_req {
+                header[FLAGS_AT] |= FLAG_ACK_REQ;
+            }
             w.put(&header);
             gather_payload(net, &job, w);
         };
-        let submit_ns = net.telemetry().flows.now();
-
         // A ghost duplicate (a lossy decorator's) is fire-and-forget: no
-        // ack, no completion. Anything else is registered before the record
-        // can produce an ack, so the ack handler always finds its entry.
-        if !job.ghost {
-            ch.window.lock().push_back(Pending {
-                wr: job.posted(),
-                psn: job.psn,
-                submit_ns,
-            });
-        }
-        self.enqueue_data(net, ch, len, &write);
+        // ack, no completion.
+        let pending = (!job.ghost).then(|| Pending {
+            wr: job.posted(),
+            psn: job.psn,
+            submit_ns: net.telemetry().flows.now(),
+        });
+        self.enqueue_data(net, ch, len, &write, pending, half_window);
     }
 }
 
@@ -805,6 +877,16 @@ impl Fabric for ShmFabric {
             .ring_capacity
             .saturating_sub(RECORD_HEADER + DATA_HEADER as u64)
     }
+
+    /// One scan on the polling thread, unless another scanner (the progress
+    /// thread, another poller) holds the progress lock: then that one is
+    /// scanning, and the poller looks at its queue again all the same.
+    fn progress(&self) -> bool {
+        if let Some(mut st) = self.progress_state.try_lock() {
+            self.scan(&mut st);
+        }
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -815,6 +897,10 @@ impl Fabric for ShmFabric {
 /// consumes a receive WR. Nothing else in the header names the operation.
 const FLAG_IMM: u8 = 1;
 const FLAG_GHOST: u8 = 2;
+/// InfiniBand's AckReq: acknowledge this record at once rather than at the
+/// end of the receiver's batch. The sender sets it on the record that fills
+/// half its window, so the window is refilled while the rest of it drains.
+const FLAG_ACK_REQ: u8 = 4;
 
 fn status_to_wire(s: WcStatus) -> u8 {
     match s {
@@ -886,10 +972,21 @@ fn gather_payload(net: &NetworkState, job: &TransferJob, w: &mut RecordWriter<'_
     }
 }
 
+/// What a DATA record says besides its delivery header.
+#[derive(Clone, Copy)]
+struct RecordAttrs {
+    /// The sending QP's `rnr_retry`.
+    rnr_retry: u8,
+    /// The sending QP's RNR timer.
+    min_rnr_timer_ns: u64,
+    /// AckReq ([`FLAG_ACK_REQ`]).
+    ack_req: bool,
+}
+
 /// Read a DATA record's fixed header: what its delivery needs, plus the
-/// sender's RNR attributes. The payload stays where it is, in the ring, as
-/// what is left of `r`.
-fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, u8, u64) {
+/// sender's attributes. The payload stays where it is, in the ring, as what
+/// is left of `r`.
+fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, RecordAttrs) {
     let mut rec = [0u8; DATA_HEADER];
     r.take(&mut rec);
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
@@ -913,7 +1010,12 @@ fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, u8, u64) {
         ghost: flags & FLAG_GHOST != 0,
         flow: u64_at(32),
     };
-    (header, rec[62], u64_at(64))
+    let attrs = RecordAttrs {
+        rnr_retry: rec[62],
+        min_rnr_timer_ns: u64_at(64),
+        ack_req: flags & FLAG_ACK_REQ != 0,
+    };
+    (header, attrs)
 }
 
 fn serialize_ack(psn: u64, status: WcStatus) -> [u8; ACK_LEN] {
@@ -951,8 +1053,9 @@ const YIELD_ROUNDS: u32 = 240;
 /// caller.
 const MAX_STARVED_SPELLS: u32 = 128;
 
-/// The dedicated poll/progress thread (Ibdxnet's receive thread): runs
-/// [`ShmFabric::scan`] until there is nothing to do, then backs off.
+/// The fallback progress thread (Ibdxnet's receive thread): runs
+/// [`ShmFabric::scan`] while nobody polls and there is something to do, then
+/// backs off; stands down while pollers scan (see the module docs).
 fn progress_loop(me: Weak<ShmFabric>) {
     // Consecutive scans that found nothing to do.
     let mut idle_rounds = 0u32;
@@ -961,21 +1064,40 @@ fn progress_loop(me: Weak<ShmFabric>) {
     let (mut skip_yields, mut starved_spells) = (0u32, 0u32);
     // Set when a final drain starts, pushed back by every scan that worked.
     let mut drain_deadline: Option<Instant> = None;
+    // Pollers' scans when this thread last looked, and whether what
+    // follows is a stand-down rather than an idle park.
+    let (mut polled, mut standing_down) = (0u64, false);
     loop {
         // Held across scans and dropped only to park: `Drop` must be able
         // to join a parked thread, and the fabric may be gone by the time it
         // wakes. (If this handle turns out to be the last one, `shutdown`
         // runs here and knows not to join itself.)
         let Some(fab) = me.upgrade() else { return };
-        // The scanner's lock, held for the spell like the fabric.
-        let mut st = fab.progress_state.lock();
         loop {
-            let shutting_down = fab.shutdown.load(Ordering::Acquire);
-            let did_work = fab.scan(&mut st);
-
             if let Some((sampler, epoch)) = fab.sampler.get() {
                 sampler.tick(epoch.elapsed().as_nanos() as u64);
             }
+            let shutting_down = fab.shutdown.load(Ordering::Acquire);
+            let pollers = fab.progress_iterations() - fab.thread_scans();
+            if !shutting_down && pollers != polled {
+                // Pollers carry the fabric: stand down.
+                (polled, standing_down) = (pollers, true);
+                break;
+            }
+            // The progress lock is tried per scan, so pollers get it between
+            // two of this thread's, and never wait on it: a lock that is
+            // taken is another scanner at work, and this thread steps aside.
+            let Some(mut st) = fab.progress_state.try_lock() else {
+                if shutting_down {
+                    std::thread::yield_now();
+                    continue;
+                }
+                standing_down = true;
+                break;
+            };
+            let did_work = fab.scan(&mut st);
+            drop(st);
+            fab.stats.thread_scans.fetch_add(1, Ordering::Relaxed);
 
             if shutting_down {
                 // Final drain: leave once everything consumable is quiet, the
@@ -1024,12 +1146,17 @@ fn progress_loop(me: Weak<ShmFabric>) {
                 break;
             }
         }
-        let park = fab.next_deadline_in(&st);
-        drop(st);
+        // A scanner holding the lock serves the RNR timers itself.
+        let park = (fab.progress_state.try_lock())
+            .map_or(fab.cfg.idle_park, |st| fab.next_deadline_in(&st));
         drop(fab);
         std::thread::park_timeout(park);
         if let Some(fab) = me.upgrade() {
-            fab.stats.progress_wakeups.fetch_add(1, Ordering::Relaxed);
+            let stat = match std::mem::take(&mut standing_down) {
+                true => &fab.stats.stand_downs,
+                false => &fab.stats.progress_wakeups,
+            };
+            stat.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -1074,19 +1201,27 @@ impl ShmFabric {
         let Some(net) = self.net.get().and_then(Weak::upgrade) else {
             return false;
         };
-        let ProgressState { channels, rnr } = st;
+        let ProgressState {
+            channels,
+            rnr,
+            acked,
+        } = st;
         if self.channels_installed.load(Ordering::Acquire) != channels.len() {
             channels.clone_from(&self.channels.lock());
         }
         let mut did_work = false;
         for ch in channels.iter() {
             if ch.we_recv {
-                while self.take_data(&net, ch, rnr) {
+                // One batch, acknowledged once: up to the ring's end, or to
+                // a record that asks for its ACK at once.
+                let mut owed = OwedAck::default();
+                while !owed.answered && self.take_data(&net, ch, rnr, &mut owed) {
                     did_work = true;
                 }
+                self.send_owed(ch, &mut owed);
             }
             if ch.we_send {
-                while self.take_ack(&net, ch) {
+                while self.take_ack(&net, ch, acked) {
                     did_work = true;
                 }
             }
@@ -1113,24 +1248,33 @@ impl ShmFabric {
     /// posting order: while an earlier delivery for the same destination QP
     /// waits in the RNR queue, this one queues behind it untried. Only a
     /// record that queues — either way — copies its payload out of the ring.
+    /// A delivered record that asks for its ACK (AckReq) sends what `owed`
+    /// holds at once, and ends the batch.
     fn take_data(
         &self,
         net: &Arc<NetworkState>,
         ch: &Arc<Channel>,
         rnr: &mut VecDeque<Deferred>,
+        owed: &mut OwedAck,
     ) -> bool {
         let taken = ch.data.try_pop_with(|kind, r| {
             debug_assert_eq!(kind, KIND_DATA);
             self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
             self.note_occupancy(r.backlog());
-            let (header, rnr_retry, min_rnr_timer_ns) = parse_data_header(r);
+            let (header, attrs) = parse_data_header(r);
             let payload = r.rest();
             let dst = (header.dst_node, header.dst_qp);
+            let (rnr_retry, min_rnr_timer_ns) = (attrs.rnr_retry, attrs.min_rnr_timer_ns);
             let due = if rnr.iter().any(|d| d.dst() == dst) {
                 None
             } else {
-                let retry = rnr_retry > 0;
-                Some(self.deliver(net, ch, &header, payload, retry, min_rnr_timer_ns)?)
+                let rearm = (rnr_retry > 0).then_some(min_rnr_timer_ns);
+                let due = self.deliver(net, ch, &header, payload, rearm, owed);
+                if due.is_none() && attrs.ack_req {
+                    self.send_owed(ch, owed);
+                    owed.answered = true;
+                }
+                Some(due?)
             };
             // A first attempt that re-armed the timer has spent one re-arm.
             let budget = if rnr_retry == RNR_RETRY_INFINITE {
@@ -1149,31 +1293,31 @@ impl ShmFabric {
         });
         let Ok(deferred) = taken else { return false };
         self.stats.data_records.fetch_add(1, Ordering::Relaxed);
-        match deferred {
-            Some(deferred) => rnr.push_back(deferred),
-            None => {
-                self.stats.in_hand.fetch_sub(1, Ordering::Release);
-            }
-        }
+        rnr.extend(deferred);
         true
     }
 
     /// Attempt one delivery: run the destination-side effects and, for
-    /// non-ghost records, acknowledge. `None` means the record is done with,
-    /// delivered or acknowledged as failed; on receiver-not-ready with
-    /// `retry` left in the sender's RNR budget it is instead the wall-clock
-    /// deadline of the re-armed RNR timer, for the caller to (re)queue by.
+    /// non-ghost records, acknowledge — a success by adding it to `owed`, a
+    /// failure by sending what `owed` holds and then its own ACK. `None`
+    /// means the record is done with, delivered or acknowledged as failed
+    /// (and, unless its ACK is owed, out of hand); on receiver-not-ready
+    /// with a re-arm left in the sender's RNR budget (`rearm`, the sender's
+    /// RNR timer) it is instead the wall-clock deadline of the re-armed
+    /// timer, for the caller to (re)queue by, and `owed` has been sent: the
+    /// deferred record is acknowledged after everything delivered before it.
     fn deliver(
         &self,
         net: &Arc<NetworkState>,
         ch: &Channel,
         header: &DeliveryHeader,
         payload: [&[u8]; 2],
-        retry: bool,
-        min_rnr_timer_ns: u64,
+        rearm: Option<u64>,
+        owed: &mut OwedAck,
     ) -> Option<Instant> {
         let outcome = execute_delivery(net, header, Payload::Bytes(payload), true);
-        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && retry {
+        if let (DeliveryOutcome::ReceiverNotReady, Some(min_rnr_timer_ns)) = (&outcome, rearm) {
+            self.send_owed(ch, owed);
             let wire = &net.telemetry().wire;
             wire.rnr_requeues.inc();
             self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
@@ -1186,10 +1330,38 @@ impl ShmFabric {
             );
             return Some(Instant::now() + Duration::from_nanos(min_rnr_timer_ns.max(1)));
         }
-        if header.ghost {
-            return None;
+        match outcome_status(&outcome) {
+            _ if header.ghost => {}
+            WcStatus::Success => {
+                owed.psn = header.psn;
+                owed.records += 1;
+                return None;
+            }
+            status => {
+                self.send_owed(ch, owed);
+                self.push_ack(ch, header.psn, status);
+            }
         }
-        let ack = serialize_ack(header.psn, outcome_status(&outcome));
+        self.stats.in_hand.fetch_sub(1, Ordering::Release);
+        None
+    }
+
+    /// Send the coalesced ACK `owed` holds, if it holds one, and let the
+    /// records it covers out of hand.
+    fn send_owed(&self, ch: &Channel, owed: &mut OwedAck) {
+        if owed.records == 0 {
+            return;
+        }
+        self.push_ack(ch, owed.psn, WcStatus::Success);
+        self.stats
+            .in_hand
+            .fetch_sub(std::mem::take(&mut owed.records), Ordering::Release);
+    }
+
+    /// Push one ACK record onto `ch`, waiting out a full ring for the stall
+    /// deadline.
+    fn push_ack(&self, ch: &Channel, psn: u64, status: WcStatus) {
+        let ack = serialize_ack(psn, status);
         // The clock is read only once the ring has turned an ACK away.
         let mut deadline = None;
         while !ch.ack.try_push(KIND_ACK, &ack) {
@@ -1204,12 +1376,11 @@ impl ShmFabric {
             );
             std::thread::yield_now();
         }
-        None
     }
 
-    /// Take one ACK record off `ch`, if one is there, and complete the send
-    /// it names.
-    fn take_ack(&self, net: &Arc<NetworkState>, ch: &Channel) -> bool {
+    /// Take one ACK record off `ch`, if one is there, and complete the sends
+    /// it covers (`acked` is scratch).
+    fn take_ack(&self, net: &Arc<NetworkState>, ch: &Channel, acked: &mut Vec<Pending>) -> bool {
         let taken = ch.ack.try_pop_with(|kind, r| {
             debug_assert_eq!(kind, KIND_ACK);
             self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
@@ -1219,32 +1390,47 @@ impl ShmFabric {
             return false;
         };
         self.stats.ack_records.fetch_add(1, Ordering::Relaxed);
-        self.handle_ack(net, ch, psn, status);
+        self.handle_ack(net, ch, psn, status, acked);
         self.stats.in_hand.fetch_sub(1, Ordering::Release);
         true
     }
 
-    /// Complete a send against an arriving ACK. One that names no record in
-    /// the window completes nothing (see [`ShmFabric::stale_acks`]).
-    fn handle_ack(&self, net: &Arc<NetworkState>, ch: &Channel, psn: u64, status: WcStatus) {
-        let pending = {
+    /// Complete the sends an arriving ACK covers: the window's front through
+    /// the record it names, that one with the ACK's status and every one
+    /// before it `Success` (the responder sends what it owes before any
+    /// failure, so those were delivered). An ACK that names no record in the
+    /// window — beyond the highest PSN posted, or already completed —
+    /// completes nothing (see [`ShmFabric::stale_acks`]).
+    fn handle_ack(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        psn: u64,
+        status: WcStatus,
+        acked: &mut Vec<Pending>,
+    ) {
+        {
             let mut window = ch.window.lock();
-            // The front, unless acks and registrations disagree on order.
-            let at = window.iter().position(|p| p.psn == psn);
-            at.and_then(|i| window.remove(i))
-        };
-        let Some(pending) = pending else {
-            self.stats.stale_acks.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+            let Some(at) = window.iter().position(|p| p.psn == psn) else {
+                self.stats.stale_acks.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            acked.extend(window.drain(..=at));
+        }
         // The wire stage is known once it ends: stamped at submit, lasting
         // until this ACK. Recorded before the completion, which a traced
         // poller may be waiting on.
-        let (wr, flows) = (&pending.wr, &net.telemetry().flows);
-        let wire_ns = flows.now().saturating_sub(pending.submit_ns);
-        let stage = FlowStage::WireSubmit;
-        flows.event_at(wr.flow, stage, pending.submit_ns, wr.src_qp, 0, wire_ns);
-        complete_posted(net, wr, status);
+        let flows = &net.telemetry().flows;
+        let now = flows.now();
+        let last = acked.len() - 1;
+        for (i, pending) in acked.drain(..).enumerate() {
+            let wr = &pending.wr;
+            let wire_ns = now.saturating_sub(pending.submit_ns);
+            let stage = FlowStage::WireSubmit;
+            flows.event_at(wr.flow, stage, pending.submit_ns, wr.src_qp, 0, wire_ns);
+            let status = if i == last { status } else { WcStatus::Success };
+            complete_posted(net, wr, status);
+        }
     }
 
     /// Re-attempt queued deliveries, oldest first. A QP whose oldest queued
@@ -1277,7 +1463,11 @@ impl ShmFabric {
                 RnrBudget::Until(give_up) => now < give_up,
             };
             let payload = [&d.payload[..], &[]];
-            match self.deliver(net, &d.ch, &d.header, payload, retry, d.min_rnr_timer_ns) {
+            let rearm = retry.then_some(d.min_rnr_timer_ns);
+            let mut owed = OwedAck::default();
+            let due = self.deliver(net, &d.ch, &d.header, payload, rearm, &mut owed);
+            self.send_owed(&d.ch, &mut owed);
+            match due {
                 Some(due) => {
                     if let RnrBudget::Rearms(left) = &mut d.budget {
                         *left -= 1;
@@ -1288,7 +1478,6 @@ impl ShmFabric {
                 }
                 None => {
                     rnr.remove(i);
-                    self.stats.in_hand.fetch_sub(1, Ordering::Release);
                 }
             }
         }
@@ -1299,6 +1488,7 @@ impl ShmFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::PerNode;
     use crate::cq::CompletionQueue;
     use crate::network::{connect_pair, Context, Network};
     use crate::qp::{QpCaps, QueuePair};
@@ -1330,7 +1520,8 @@ mod tests {
     /// channel a → b: node 0 maps the segment files it creates, node 1 maps
     /// them again, which is what two processes have. One network, so the
     /// test sees both ends; node 0 only sends, so every submit goes to its
-    /// fabric, and node 1's only ever delivers.
+    /// fabric, and node 1's only ever delivers. A poll of either node's CQ
+    /// drives both fabrics.
     #[cfg(unix)]
     fn host_pair(cfg: ShmConfig, caps: QpCaps) -> Pair {
         static DIRS: AtomicU64 = AtomicU64::new(0);
@@ -1351,10 +1542,14 @@ mod tests {
         host: Option<(Arc<ShmFabric>, PathBuf)>,
         caps: QpCaps,
     ) -> Pair {
-        let net = Network::new(2, fabric.clone());
-        if let Some((rx, _)) = &host {
-            rx.attach_network(net.state());
-        }
+        let net = match &host {
+            Some((rx, _)) => {
+                let net = Network::new(2, Arc::new(PerNode([fabric.clone(), rx.clone()])));
+                rx.attach_network(net.state());
+                net
+            }
+            None => Network::new(2, fabric.clone()),
+        };
         let a = net.open(0).unwrap();
         let b = net.open(1).unwrap();
         let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
@@ -1926,9 +2121,12 @@ mod tests {
     }
 
     /// The same bound on the way back: an ack ring that holds two ACKs and a
-    /// scan that delivers three records before it consumes an ACK (loopback,
-    /// where the delivering thread is also the one that would drain them).
-    /// The test drives the scan itself, so the stall is its own to catch.
+    /// scan that owes three before it consumes one (loopback, where the
+    /// delivering thread is also the one that would drain them). Successes
+    /// would share one coalesced ACK, so the three records each fail the
+    /// protection check (64 bytes into a 32-byte region): a failure is
+    /// acknowledged on its own. The test drives the scan itself, so the
+    /// stall is its own to catch.
     #[test]
     fn full_ack_ring_fails_within_the_stall_deadline() {
         let cfg = ShmConfig {
@@ -1938,10 +2136,9 @@ mod tests {
         };
         let p = pair(cfg, QpCaps::default());
         let src = p.a.reg_mr(p.pda, 64).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 32).unwrap();
         let mut driver = p.fabric.pause_progress();
         for i in 0..3u64 {
-            p.qb.post_recv(RecvWr::bare(i)).unwrap();
             write_with_imm(&p, &src, &dst, i, 64);
         }
         let t0 = Instant::now();
@@ -2056,5 +2253,188 @@ mod tests {
         p.fabric.shutdown(); // second call is a no-op
         assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0xEE; 64]);
         let _ = &p.qa;
+    }
+
+    /// The fabrics of `p`: the one node 0 posts on, then node 1's if it has
+    /// its own.
+    fn fabrics(p: &Pair) -> Vec<&Arc<ShmFabric>> {
+        std::iter::once(&p.fabric)
+            .chain(p.host.iter().map(|(rx, _)| rx))
+            .collect()
+    }
+
+    /// Poll `cq`, which finds nothing, until every progress thread of `p`
+    /// has stood down: its scan count held still for 20 ms, which a thread
+    /// that is not parked does not do for long. Returns the counts.
+    fn stand_down(p: &Pair, cq: &CompletionQueue) -> Vec<u64> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let scans = || -> Vec<u64> { fabrics(p).iter().map(|f| f.thread_scans()).collect() };
+        let (mut last, mut since) = (scans(), Instant::now());
+        loop {
+            assert!(cq.poll_one().is_none(), "nothing was posted yet");
+            std::thread::sleep(Duration::from_millis(1));
+            let now = scans();
+            if now != last {
+                (last, since) = (now, Instant::now());
+            } else if since.elapsed() >= Duration::from_millis(20) {
+                return now;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "a progress thread never stood down"
+            );
+        }
+    }
+
+    /// A long park: a progress thread that stands down is out of the way
+    /// for the rest of the test.
+    fn long_park() -> ShmConfig {
+        ShmConfig {
+            idle_park: Duration::from_secs(10),
+            ..ShmConfig::default()
+        }
+    }
+
+    /// The poll is the progress engine: a receiver that does nothing but
+    /// `poll_one` gets a write-with-immediate, and the sender its
+    /// completion, while every progress thread stands down (parked for ten
+    /// seconds), so the pollers' own scans moved the record and its ACK.
+    fn a_poller_moves_the_wire_while_the_thread_stands_down(p: Pair) {
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        src.fill(0, 64, 0x42).unwrap();
+        p.qb.post_recv(RecvWr::bare(5)).unwrap();
+        let parked = stand_down(&p, &p.cqb);
+        write_with_imm(&p, &src, &dst, 1, 64);
+        let recv = poll_until(&p.cqb, "recv CQE");
+        assert_eq!((recv.wr_id, recv.status), (5, WcStatus::Success));
+        let send = poll_until(&p.cqa, "send CQE");
+        assert_eq!((send.wr_id, send.status), (1, WcStatus::Success));
+        assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0x42; 64]);
+        let scans: Vec<u64> = fabrics(&p).iter().map(|f| f.thread_scans()).collect();
+        assert_eq!(scans, parked, "a progress thread scanned");
+        p.finish();
+    }
+
+    #[test]
+    fn a_poller_moves_the_wire_while_the_thread_stands_down_over_a_heap_segment() {
+        a_poller_moves_the_wire_while_the_thread_stands_down(pair(long_park(), QpCaps::default()));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_poller_moves_the_wire_while_the_thread_stands_down_over_two_mappings_of_a_file_segment() {
+        a_poller_moves_the_wire_while_the_thread_stands_down(host_pair(
+            long_park(),
+            QpCaps::default(),
+        ));
+    }
+
+    /// Scheduling slack on a loaded host, beyond the parks a bound allows.
+    const SLACK: Duration = Duration::from_millis(450);
+
+    /// With nobody polling, the progress thread still serves: a WR posted
+    /// while it is parked (a submit does not wake it) lands within one
+    /// `idle_park` and its completion within two (the sender's thread may
+    /// look just before the ACK arrives), each plus scheduling slack.
+    fn with_no_poller_the_thread_completes_a_wr_within_idle_park(p: Pair) {
+        let park = p.fabric.config().idle_park;
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        src.fill(0, 64, 0x24).unwrap();
+        p.qb.post_recv(RecvWr::bare(8)).unwrap();
+        // Quiet long enough that every thread has climbed its ladder to the
+        // park.
+        std::thread::sleep(3 * park);
+        let t0 = Instant::now();
+        write_with_imm(&p, &src, &dst, 3, 64);
+        // Watched without polling: `depth` drives nothing.
+        let landed = |cq: &CompletionQueue, bound: Duration| {
+            while cq.depth() == 0 {
+                assert!(t0.elapsed() < bound, "nothing within {bound:?}");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+        landed(&p.cqb, park + SLACK);
+        landed(&p.cqa, 2 * park + SLACK);
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 8);
+        assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
+        assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0x24; 64]);
+        p.finish();
+    }
+
+    fn park_50ms() -> ShmConfig {
+        ShmConfig {
+            idle_park: Duration::from_millis(50),
+            ..ShmConfig::default()
+        }
+    }
+
+    #[test]
+    fn with_no_poller_the_thread_completes_a_wr_within_idle_park_over_a_heap_segment() {
+        with_no_poller_the_thread_completes_a_wr_within_idle_park(pair(
+            park_50ms(),
+            QpCaps::default(),
+        ));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn with_no_poller_the_thread_completes_a_wr_within_idle_park_over_two_mappings_of_a_file_segment(
+    ) {
+        with_no_poller_the_thread_completes_a_wr_within_idle_park(host_pair(
+            park_50ms(),
+            QpCaps::default(),
+        ));
+    }
+
+    /// `pause_progress` holds the progress lock against everyone: for many
+    /// parks' worth of polls and thread turns nothing moves, and then the
+    /// holder's own scan does.
+    fn pause_progress_locks_out_pollers_and_the_thread_alike(p: Pair) {
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        p.qb.post_recv(RecvWr::bare(2)).unwrap();
+        let rx = *fabrics(&p).last().unwrap();
+        let mut paused: Vec<ProgressDriver<'_>> =
+            fabrics(&p).iter().map(|f| f.pause_progress()).collect();
+        write_with_imm(&p, &src, &dst, 4, 64);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(20) {
+            assert!(p.cqb.poll_one().is_none(), "a poller delivered");
+            assert!(p.cqa.poll_one().is_none(), "a poller completed");
+            std::thread::yield_now();
+        }
+        assert_eq!(rx.data_records(), 0, "the record is still on its ring");
+        assert!(
+            paused.last_mut().unwrap().scan(),
+            "the holder's scan delivers"
+        );
+        assert_eq!(rx.data_records(), 1);
+        drop(paused);
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 2);
+        assert_eq!(poll_until(&p.cqa, "send CQE").wr_id, 4);
+        p.finish();
+    }
+
+    fn park_1ms() -> ShmConfig {
+        ShmConfig {
+            idle_park: Duration::from_millis(1),
+            ..ShmConfig::default()
+        }
+    }
+
+    #[test]
+    fn pause_progress_locks_out_pollers_and_the_thread_alike_over_a_heap_segment() {
+        pause_progress_locks_out_pollers_and_the_thread_alike(pair(park_1ms(), QpCaps::default()));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn pause_progress_locks_out_pollers_and_the_thread_alike_over_two_mappings_of_a_file_segment() {
+        pause_progress_locks_out_pollers_and_the_thread_alike(host_pair(
+            park_1ms(),
+            QpCaps::default(),
+        ));
     }
 }

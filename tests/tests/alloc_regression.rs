@@ -205,7 +205,7 @@ fn steady_state_shm_progress_scan_is_allocation_free() {
         let done = (round + 1) * WINDOW;
         let deadline = Instant::now() + Duration::from_secs(10);
         let (allocs, ()) = count_allocs(|| {
-            while fabric.ack_records() < done {
+            while cqa.total_pushed() < done {
                 driver.scan();
                 assert!(Instant::now() < deadline, "scans made no progress");
             }
