@@ -20,12 +20,12 @@
 //! the rank `yield_now()`s: the two ranks share the host's cores with each
 //! other and with their fabrics' fallback progress threads.
 //!
-//! Per row the JSON records sustained msgs/s and GB/s plus what that row
-//! added to the fabric's reliability counters on both sides (retransmits,
-//! stale acks and ring-full backpressure stalls on the sender; records
-//! consumed, RNR deferrals and out-of-order arrivals on the receiver), so a
-//! "fast" run that silently leaned on the retry machinery is visible as
-//! such.
+//! The JSON names the host (CPU model, architecture, OS, CPU count). Per row
+//! it records sustained msgs/s and GB/s plus what that row added to the
+//! fabric's reliability counters on both sides (retransmits, stale acks and
+//! ring-full backpressure stalls on the sender; records consumed, RNR
+//! deferrals and out-of-order arrivals on the receiver), so a "fast" run
+//! that silently leaned on the retry machinery is visible as such.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -365,6 +365,18 @@ fn role_b(dir: &Path, smoke: bool) {
     fabric.shutdown();
 }
 
+/// What this host is, for the record: the CPU model `/proc/cpuinfo` names
+/// (where there is one), the architecture and the OS.
+fn host() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+        .map_or("unknown CPU", |(_, name)| name.trim());
+    let (arch, os) = (std::env::consts::ARCH, std::env::consts::OS);
+    format!("{model}, {arch}-{os}")
+}
+
 /// The `BENCH_shm.json` document. `receiver_report` is text the peer process
 /// published; the writer's escaping is what keeps the file parseable.
 fn bench_json(smoke: bool, results: &[RowResult], fabric_gauges: &[(&'static str, u64)]) -> Json {
@@ -388,6 +400,7 @@ fn bench_json(smoke: bool, results: &[RowResult], fabric_gauges: &[(&'static str
     Json::obj([
         ("bench", "shm_exchange".into()),
         ("smoke", smoke.into()),
+        ("host", host().as_str().into()),
         ("host_cpus", host_cpus.into()),
         ("window", WINDOW.into()),
         ("slots", SLOTS.into()),

@@ -994,57 +994,63 @@ fn shm_wire_stage_is_one_event_per_wr_with_its_duration() {
     assert_eq!(wire.1.count, wrs);
 }
 
-/// A request whose plan would exceed the ring: 16 x 64 KiB under `PLogGp` on
-/// `ShmFabric`, whose 512 KiB data ring holds one record of just under
-/// 512 KiB. The plan halves its groups until a WR fits, and every byte
-/// arrives.
+/// A request whose plan would exceed the fabric's largest WR (the longest
+/// SGE, `u32::MAX`): 8 x 1 GiB of virtual partitions on `World::sim`, which
+/// a tuning table sends as one group of 8 GiB. The plan halves its groups
+/// until a WR fits, and a round posts one WR per group.
 #[test]
-fn shm_plan_fits_the_ring_at_16_x_64_kib() {
-    let (parts, pb) = (16u32, 64usize << 10);
-    let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-    let fabric = partix_verbs::ShmFabric::loopback();
-    let ring = fabric.config().ring_capacity;
-    let l = link(World::with_fabric(2, cfg, fabric), parts, pb);
-    for round in 0..2u8 {
-        fill_pattern(&l.sbuf, parts, pb, 7 + round);
-        l.recv.start_blocking().unwrap();
-        l.send.start_blocking().unwrap();
-        l.send.pready_range(0, parts).unwrap();
-        wait_round(&l);
-        assert_eq!(l.send.error(), None);
-        check_pattern(&l.rbuf, parts, pb, 7 + round);
-    }
-    let wrs = l.send.total_wrs_posted();
-    assert!(wrs >= 4, "{wrs} WRs for two rounds of 1 MiB");
-    assert!(2 * (parts as usize * pb) as u64 / wrs < ring);
-    l.world.check_invariants().assert_clean();
+fn sim_plan_halves_groups_past_the_largest_wr() {
+    let (parts, pb) = (8u32, 1usize << 30);
+    let mut table = partix_core::TuningTable::new();
+    table.insert(parts, u64::from(parts) * pb as u64, 1, 1);
+    let cfg = PartixConfig {
+        tuning_table: Some(Arc::new(table)),
+        ..PartixConfig::with_aggregator(AggregatorKind::TuningTable)
+    };
+    let unbounded = partix_core::plan_for(&cfg, parts, pb, u64::MAX);
+    assert!(
+        u64::from(unbounded.group_size) * pb as u64 > u64::from(u32::MAX),
+        "the unbounded plan fits already: {unbounded:?}"
+    );
+    let (world, sched) = World::sim(2, cfg);
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let sbuf = p0.alloc_buffer_virtual(parts as usize * pb).unwrap();
+    let rbuf = p1.alloc_buffer_virtual(parts as usize * pb).unwrap();
+    let send = p0.psend_init(&sbuf, parts, pb, 1, 7).unwrap();
+    let recv = p1.precv_init(&rbuf, parts, pb, 0, 7).unwrap();
+    let (send2, recv2) = (send.clone(), recv.clone());
+    send.on_ready(move || {
+        recv2.start().unwrap();
+        send2.start().unwrap();
+        send2.pready_range(0, parts).unwrap();
+    });
+    sched.run();
+    assert_eq!(recv.completed_rounds(), 1);
+    let plan = send.plan().unwrap();
+    assert!(plan.group_size < unbounded.group_size, "{plan:?}");
+    assert!(u64::from(plan.group_size) * pb as u64 <= u64::from(u32::MAX));
+    assert_eq!(send.total_wrs_posted(), u64::from(plan.groups));
+    world.check_invariants().assert_clean();
 }
 
-/// A single partition longer than the fabric's largest WR cannot be sent
-/// by any plan: `psend_init` refuses it and names both sizes. On
-/// `ShmFabric` the bound is its ring; elsewhere it is the longest SGE.
+/// A single partition longer than the fabric's largest WR, the longest
+/// SGE, cannot be sent by any plan: `psend_init` refuses it and names both
+/// sizes.
 #[test]
 fn psend_init_refuses_a_partition_longer_than_the_largest_wr() {
     let cfg = PartixConfig::with_aggregator(AggregatorKind::PLogGp);
-    let shm = World::with_fabric(2, cfg.clone(), partix_verbs::ShmFabric::loopback()).proc(0);
     let (sim, _sched) = World::sim(2, cfg);
-    let sim = sim.proc(0);
-    let cases = [
-        (&shm, shm.alloc_buffer(1 << 20), (512 << 10) - 80),
-        (&sim, sim.alloc_buffer_virtual(5 << 30), u32::MAX.into()),
-    ];
-    for (p0, buf, max_wr_bytes) in cases {
-        let buf = buf.unwrap();
-        let big = buf.len();
-        let Err(err) = p0.psend_init(&buf, 1, big, 1, 0) else {
-            panic!("a partition of {big} bytes was accepted");
-        };
-        let want = PartixError::PartitionTooLarge {
-            part_bytes: big,
-            max_wr_bytes,
-        };
-        assert_eq!(err, want);
-        let text = err.to_string();
-        assert!(text.contains(&big.to_string()) && text.contains(&max_wr_bytes.to_string()));
-    }
+    let p0 = sim.proc(0);
+    let buf = p0.alloc_buffer_virtual(5 << 30).unwrap();
+    let (big, max_wr_bytes) = (buf.len(), u64::from(u32::MAX));
+    let Err(err) = p0.psend_init(&buf, 1, big, 1, 0) else {
+        panic!("a partition of {big} bytes was accepted");
+    };
+    let want = PartixError::PartitionTooLarge {
+        part_bytes: big,
+        max_wr_bytes,
+    };
+    assert_eq!(err, want);
+    let text = err.to_string();
+    assert!(text.contains(&big.to_string()) && text.contains(&max_wr_bytes.to_string()));
 }

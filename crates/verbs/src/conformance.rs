@@ -39,8 +39,8 @@ use crate::fabric_sim::{FabricParams, SimFabric};
 use crate::memory::MemoryRegion;
 use crate::network::{connect_pair, Context, Network, NetworkState, ProtectionDomain};
 use crate::qp::{QpCaps, QueuePair};
-use crate::shm::{ShmConfig, ShmFabric};
-use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcStatus, WorkCompletion};
+use crate::shm::{FileMapping, ShmConfig, ShmFabric};
+use crate::types::{imm, NodeId, Opcode, QpState, RecvWr, SendWr, Sge, WcStatus, WorkCompletion};
 use crate::VerbsError;
 use partix_telemetry::{invariants, FlowLog, FlowStage};
 
@@ -136,12 +136,13 @@ impl Fabric for PerNode {
         self.0[job.src_node as usize].submit(net, job);
     }
 
-    fn max_wr_bytes(&self) -> u64 {
-        self.0
-            .iter()
-            .map(|f| f.max_wr_bytes())
-            .min()
-            .unwrap_or(u64::MAX)
+    fn region_storage(
+        &self,
+        node: NodeId,
+        lkey: u32,
+        len: usize,
+    ) -> std::io::Result<Option<Arc<FileMapping>>> {
+        self.0[node as usize].region_storage(node, lkey, len)
     }
 
     /// A CQ does not say whose node it is, so a poll drives both fabrics,
@@ -169,9 +170,10 @@ impl Bed {
         let mut shm = Vec::new();
         let mut shm_dir = None;
         let shm_cfg = ShmConfig {
-            // Small enough that long scenarios lap the physical ring; large
-            // enough for the biggest scenario record.
-            ring_capacity: 1 << 16,
+            // Small enough that long scenarios lap the physical ring several
+            // times (a doorbell is 96 bytes); large enough for the biggest
+            // scenario record, an inline one.
+            ring_capacity: 1 << 14,
             ack_capacity: 1 << 14,
             idle_park: Duration::from_micros(50),
             ..ShmConfig::default()
@@ -1156,8 +1158,8 @@ fn s_multi_qp_fanout(kind: BackendKind) -> Vec<String> {
 
 fn s_sequential_stream(kind: BackendKind) -> Vec<String> {
     // Enough sequential traffic that bounded transports lap their physical
-    // storage (the shm data ring wraps several times); the digest is the
-    // running hash of everything that landed, in order.
+    // storage (the shm data ring wraps at least twice, asserted below); the
+    // digest is the running hash of everything that landed, in order.
     let bed = Bed::new(kind);
     let (a, b) = bed.pair();
     let src = a.mr(64);
@@ -1187,6 +1189,9 @@ fn s_sequential_stream(kind: BackendKind) -> Vec<String> {
     }
     let out = vec![format!("stream of 700 hash={running:#x}")];
     bed.check_invariants(true);
+    if let Some(laps) = bed.shm.iter().map(|f| f.data_ring_laps()).max() {
+        assert!(laps >= 2, "the data ring wrapped {laps} times");
+    }
     out
 }
 

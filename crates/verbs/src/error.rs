@@ -75,6 +75,10 @@ pub enum VerbsError {
     UnknownNode(u32),
     /// Referenced QP number does not exist on the node.
     UnknownQp(u32),
+    /// The fabric could not provide a region's storage (a host-mode
+    /// `ShmFabric` maps each region from a file of its own); the text is the
+    /// OS error.
+    RegionStorage(String),
 }
 
 impl fmt::Display for VerbsError {
@@ -114,6 +118,7 @@ impl fmt::Display for VerbsError {
             }
             VerbsError::UnknownNode(n) => write!(f, "unknown node {n}"),
             VerbsError::UnknownQp(q) => write!(f, "unknown QP number {q}"),
+            VerbsError::RegionStorage(e) => write!(f, "no storage for the region: {e}"),
         }
     }
 }

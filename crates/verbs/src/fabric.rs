@@ -17,6 +17,7 @@ use partix_sim::{SimDuration, SimTime};
 
 use crate::buf::{InlineVec, PooledBuf};
 use crate::network::{NetworkState, NodeCtx};
+use crate::shm::FileMapping;
 use crate::types::{NodeId, WcOpcode, WcStatus, WorkCompletion};
 
 /// A gather segment checked against local registrations at post time: the
@@ -129,12 +130,14 @@ pub struct DeliveryHeader {
 /// Where a delivery's bytes come from.
 #[derive(Clone, Copy)]
 pub enum Payload<'a> {
-    /// Gather segments checked at post time, read out of their source
-    /// regions, which are the sending node's, at delivery.
+    /// Gather segments checked at post time, read at delivery out of their
+    /// source regions: the sending node's own, or (a receiver in another
+    /// process, which checks the list again before it delivers) its
+    /// read-only views of them.
     Segments(&'a NodeCtx, &'a InlineVec<ResolvedSegment>),
     /// The bytes themselves, in up to two pieces (either may be empty): an
-    /// inline snapshot, or a record still in the ring it arrived on, split
-    /// where the ring wraps.
+    /// inline snapshot, or an inline record still in the ring it arrived
+    /// on, split where the ring wraps.
     Bytes([&'a [u8]; 2]),
 }
 
@@ -211,6 +214,20 @@ pub trait Fabric: Send + Sync {
     /// [`Sge`](crate::Sge): its `length` is a `u32`.
     fn max_wr_bytes(&self) -> u64 {
         u32::MAX.into()
+    }
+
+    /// Storage for the region of `len` bytes that `node` registers under
+    /// `lkey`. `None`, the default, puts it on the heap. A fabric whose peers
+    /// read a region in place, in another process, maps it from a file they
+    /// can open (a host-mode [`ShmFabric`](crate::ShmFabric)).
+    fn region_storage(
+        &self,
+        node: NodeId,
+        lkey: u32,
+        len: usize,
+    ) -> std::io::Result<Option<Arc<FileMapping>>> {
+        let _ = (node, lkey, len);
+        Ok(None)
     }
 
     /// Make what progress this fabric can on the calling thread, for a
@@ -356,7 +373,7 @@ fn deliver(
                     let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
                     dst_mr
                         .copy_from(cursor, mr, seg.offset, seg.len)
-                        .expect("ranges validated at post and resolve time");
+                        .expect("ranges validated at post (or receipt) and resolve time");
                     cursor += seg.len;
                 }
             }

@@ -29,8 +29,9 @@ use rand::{RngExt, SeedableRng};
 
 use crate::fabric::{complete_send, sender_retry_profile, Fabric, TransferJob};
 use crate::network::NetworkState;
+use crate::shm::FileMapping;
 use crate::table::IndexTable;
-use crate::types::WcStatus;
+use crate::types::{NodeId, WcStatus};
 
 /// Loss model of a [`LossyFabric`]. All probabilities are per wire attempt
 /// (a retransmission re-rolls the dice).
@@ -294,6 +295,15 @@ impl Fabric for LossyFabric {
 
     fn max_wr_bytes(&self) -> u64 {
         self.inner.max_wr_bytes()
+    }
+
+    fn region_storage(
+        &self,
+        node: NodeId,
+        lkey: u32,
+        len: usize,
+    ) -> std::io::Result<Option<Arc<FileMapping>>> {
+        self.inner.region_storage(node, lkey, len)
     }
 
     fn progress(&self) -> bool {

@@ -17,10 +17,12 @@
 //! arrival flag with `Acquire` ordering, and the flag is set after the copy
 //! with `Release` ordering).
 
+use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Result, VerbsError};
+use crate::shm::FileMapping;
 use crate::table::IndexTable;
 use crate::types::NodeId;
 
@@ -28,17 +30,35 @@ use crate::types::NodeId;
 /// this and separated by a guard page so stray addresses fault.
 const PAGE: u64 = 4096;
 
-struct Storage {
-    bytes: Box<[std::cell::UnsafeCell<u8>]>,
+/// Where a region's bytes live.
+enum Storage {
+    /// The heap: every region of an in-process fabric (empty when virtual).
+    Heap(Box<[UnsafeCell<u8>]>),
+    /// A shared file mapping a fabric provided
+    /// ([`Fabric::region_storage`](crate::Fabric::region_storage)), at
+    /// least the region's length: the owner's read-write, or a peer's
+    /// read-only view, which is only ever copied from.
+    Mapped(Arc<FileMapping>),
 }
 
-// SAFETY: all access to the cells goes through `MemoryRegion::read/write`,
+// SAFETY: all access to the bytes goes through `MemoryRegion::read/write`,
 // whose callers (the partitioned runtime) guarantee byte ranges are not
 // accessed concurrently from both sides; cross-thread visibility is
 // established with explicit fences paired with the runtime's flag
 // operations.
 unsafe impl Send for Storage {}
 unsafe impl Sync for Storage {}
+
+impl Storage {
+    /// The first byte.
+    #[inline]
+    fn base(&self) -> *mut u8 {
+        match self {
+            Storage::Heap(bytes) => UnsafeCell::raw_get(bytes.as_ptr()),
+            Storage::Mapped(map) => map.base(),
+        }
+    }
+}
 
 /// A registered, NIC-addressable memory region.
 #[derive(Clone)]
@@ -57,31 +77,39 @@ pub struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    pub(crate) fn new(
+    /// A region keyed `lkey` (and `rkey = lkey + 1`) over `mapped` (at
+    /// least `len` bytes), or else over fresh heap bytes — none when it is
+    /// virtual.
+    fn new(
         node: NodeId,
         pd_id: u32,
         base_addr: u64,
         len: usize,
         lkey: u32,
-        rkey: u32,
         virtual_backing: bool,
+        mapped: Option<Arc<FileMapping>>,
     ) -> Self {
-        let bytes = if virtual_backing {
-            Vec::new().into_boxed_slice()
-        } else {
-            (0..len)
-                .map(|_| std::cell::UnsafeCell::new(0u8))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
+        let storage = match mapped {
+            Some(map) => {
+                debug_assert!(map.len() >= len);
+                Storage::Mapped(map)
+            }
+            None if virtual_backing => Storage::Heap(Box::new([])),
+            None => Storage::Heap(
+                (0..len)
+                    .map(|_| UnsafeCell::new(0u8))
+                    .collect::<Vec<_>>()
+                    .into_boxed_slice(),
+            ),
         };
         MemoryRegion {
-            storage: Arc::new(Storage { bytes }),
+            storage: Arc::new(storage),
             node,
             pd_id,
             base_addr,
             len,
             lkey,
-            rkey,
+            rkey: lkey + 1,
             virtual_backing,
         }
     }
@@ -162,7 +190,7 @@ impl MemoryRegion {
         }
         // SAFETY: bounds checked above; aliasing discipline per module docs.
         unsafe {
-            let dst = self.storage.bytes.as_ptr().add(offset) as *mut u8;
+            let dst = self.storage.base().add(offset);
             std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
         }
         fence(Ordering::Release);
@@ -180,7 +208,7 @@ impl MemoryRegion {
         }
         // SAFETY: bounds checked above; aliasing discipline per module docs.
         unsafe {
-            let src = self.storage.bytes.as_ptr().add(offset) as *const u8;
+            let src = self.storage.base().add(offset) as *const u8;
             std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len());
         }
         Ok(())
@@ -202,7 +230,7 @@ impl MemoryRegion {
         // SAFETY: bounds checked above; `reserve` guarantees the spare
         // capacity; aliasing discipline per module docs.
         unsafe {
-            let src = self.storage.bytes.as_ptr().add(offset) as *const u8;
+            let src = self.storage.base().add(offset) as *const u8;
             std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr().add(start), len);
             dst.set_len(start + len);
         }
@@ -234,6 +262,24 @@ impl MemoryRegion {
         dst.copy_from(dst_offset, self, src_offset, len)
     }
 
+    /// Start loading the cache line at `offset`: a delivery that reads its
+    /// source only after checks of its own (the shared-memory fabric's)
+    /// overlaps the miss with them. A no-op on a virtual region, past the
+    /// end, and off x86-64.
+    #[inline]
+    pub(crate) fn prefetch(&self, offset: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if !self.virtual_backing && offset < self.len {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: `offset` lies inside the region's storage, and a
+            // prefetch is a hint: it reads nothing the program sees and
+            // cannot fault.
+            unsafe { _mm_prefetch(self.storage.base().add(offset).cast::<i8>(), _MM_HINT_T0) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = offset;
+    }
+
     /// Fill `len` bytes at `offset` with `value`. No-op on a virtual
     /// region.
     pub fn fill(&self, offset: usize, len: usize, value: u8) -> Result<()> {
@@ -243,7 +289,7 @@ impl MemoryRegion {
         }
         // SAFETY: bounds checked above.
         unsafe {
-            let dst = self.storage.bytes.as_ptr().add(offset) as *mut u8;
+            let dst = self.storage.base().add(offset);
             std::ptr::write_bytes(dst, value, len);
         }
         fence(Ordering::Release);
@@ -269,8 +315,8 @@ impl MemoryRegion {
         // ranges are not concurrently accessed (MPI Partitioned contract);
         // distinct regions cannot overlap.
         unsafe {
-            let s = src.storage.bytes.as_ptr().add(src_offset) as *const u8;
-            let d = self.storage.bytes.as_ptr().add(dst_offset) as *mut u8;
+            let s = src.storage.base().add(src_offset) as *const u8;
+            let d = self.storage.base().add(dst_offset);
             std::ptr::copy_nonoverlapping(s, d, len);
         }
         fence(Ordering::Release);
@@ -325,22 +371,39 @@ impl MrRegistry {
         }
     }
 
-    /// Register a new region of `len` bytes under protection domain `pd_id`.
-    pub(crate) fn register(&self, pd_id: u32, len: usize) -> MemoryRegion {
-        self.register_inner(pd_id, len, false)
+    /// Register a new region of `len` bytes under protection domain `pd_id`,
+    /// over the storage `mapped` returns for its lkey (the heap if `None`).
+    /// A key whose storage could not be had is spent.
+    pub(crate) fn register<E>(
+        &self,
+        pd_id: u32,
+        len: usize,
+        mapped: impl FnOnce(u32) -> std::result::Result<Option<Arc<FileMapping>>, E>,
+    ) -> std::result::Result<MemoryRegion, E> {
+        let lkey = self.mint_key();
+        let mapped = mapped(lkey)?;
+        Ok(self.register_inner(pd_id, len, lkey, false, mapped))
     }
 
     /// Register a virtual (timing-only) region: full address-space
     /// semantics, no storage.
     pub(crate) fn register_virtual(&self, pd_id: u32, len: usize) -> MemoryRegion {
-        self.register_inner(pd_id, len, true)
+        self.register_inner(pd_id, len, self.mint_key(), true, None)
     }
 
-    fn register_inner(&self, pd_id: u32, len: usize, virtual_backing: bool) -> MemoryRegion {
-        let key = self
-            .next_key
-            .fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        let (lkey, rkey) = (key, key + 1);
+    fn mint_key(&self) -> u32 {
+        self.next_key
+            .fetch_add(2, std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn register_inner(
+        &self,
+        pd_id: u32,
+        len: usize,
+        lkey: u32,
+        virtual_backing: bool,
+        mapped: Option<Arc<FileMapping>>,
+    ) -> MemoryRegion {
         let base = {
             let mut next = self.next_addr.lock();
             let base = *next;
@@ -349,10 +412,24 @@ impl MrRegistry {
             *next += span;
             base
         };
-        let mr = MemoryRegion::new(self.node, pd_id, base, len, lkey, rkey, virtual_backing);
-        let fresh = self.regions.set((key - FIRST_KEY) / 2, mr.clone());
+        let mr = MemoryRegion::new(self.node, pd_id, base, len, lkey, virtual_backing, mapped);
+        let fresh = self.regions.set((lkey - FIRST_KEY) / 2, mr.clone());
         assert!(fresh.is_ok(), "memory keys are minted once");
         mr
+    }
+
+    /// Enter a read-only view of another process's region `lkey` of this
+    /// registry's node, `view` mapped from the file that region lives in:
+    /// a copy source for the deliveries that name it, and nothing else. No
+    /// address or protection domain: nothing local writes to it or resolves
+    /// a remote key to it. `None` (the view dropped) if `lkey` is no local
+    /// key or already names a region.
+    pub(crate) fn insert_view(&self, lkey: u32, view: Arc<FileMapping>) -> Option<&MemoryRegion> {
+        let i = lkey.checked_sub(FIRST_KEY).filter(|i| i % 2 == 0)? / 2;
+        let len = view.len();
+        let mr = MemoryRegion::new(self.node, 0, 0, len, lkey, false, Some(view));
+        self.regions.set(i, mr).ok()?;
+        self.regions.get(i)
     }
 
     /// The region whose local (`remote = false`) or remote key is `key`.
@@ -391,9 +468,14 @@ impl MrRegistry {
 mod tests {
     use super::*;
 
+    /// A heap region of `len` bytes in `r`.
+    fn heap(r: &MrRegistry, len: usize) -> MemoryRegion {
+        r.register(1, len, |_| Ok::<_, ()>(None)).unwrap()
+    }
+
     fn reg(len: usize) -> (MrRegistry, MemoryRegion) {
         let r = MrRegistry::new(0);
-        let m = r.register(1, len);
+        let m = heap(&r, len);
         (r, m)
     }
 
@@ -431,8 +513,8 @@ mod tests {
     fn copy_to_mirrors_copy_from() {
         let r0 = MrRegistry::new(0);
         let r1 = MrRegistry::new(1);
-        let src = r0.register(1, 32);
-        let dst = r1.register(1, 32);
+        let src = heap(&r0, 32);
+        let dst = heap(&r1, 32);
         src.write(4, &[3u8; 12]).unwrap();
         src.copy_to(4, &dst, 8, 12).unwrap();
         assert_eq!(dst.read_vec(8, 12).unwrap(), vec![3u8; 12]);
@@ -452,8 +534,8 @@ mod tests {
     #[test]
     fn regions_get_distinct_keys_and_guarded_addresses() {
         let r = MrRegistry::new(0);
-        let a = r.register(1, 4096);
-        let b = r.register(1, 100);
+        let a = heap(&r, 4096);
+        let b = heap(&r, 100);
         assert_ne!(a.lkey(), b.lkey());
         assert_ne!(a.rkey(), b.rkey());
         assert_ne!(a.lkey(), a.rkey());
@@ -465,8 +547,8 @@ mod tests {
     fn copy_between_regions() {
         let r0 = MrRegistry::new(0);
         let r1 = MrRegistry::new(1);
-        let src = r0.register(1, 32);
-        let dst = r1.register(1, 32);
+        let src = heap(&r0, 32);
+        let dst = heap(&r1, 32);
         src.write(0, &[9u8; 16]).unwrap();
         dst.copy_from(16, &src, 0, 16).unwrap();
         assert_eq!(dst.read_vec(16, 16).unwrap(), vec![9u8; 16]);
@@ -476,7 +558,7 @@ mod tests {
     #[test]
     fn remote_resolution_checks_rkey_and_bounds() {
         let r = MrRegistry::new(0);
-        let m = r.register(1, 64);
+        let m = heap(&r, 64);
         // Correct rkey, in-bounds.
         let (found, off) = r.resolve_remote(m.rkey(), m.addr_at(10), 20).unwrap();
         assert_eq!(off, 10);
@@ -492,7 +574,7 @@ mod tests {
     #[test]
     fn lkey_lookup() {
         let r = MrRegistry::new(0);
-        let m = r.register(1, 8);
+        let m = heap(&r, 8);
         assert_eq!(r.by_lkey(m.lkey()).unwrap().rkey(), m.rkey());
         assert!(matches!(
             r.by_lkey(0xdead),

@@ -28,7 +28,7 @@ pub struct NodeCtx {
 }
 
 impl NodeCtx {
-    fn new(id: NodeId) -> Arc<Self> {
+    pub(crate) fn new(id: NodeId) -> Arc<Self> {
         Arc::new(NodeCtx {
             id,
             mrs: MrRegistry::new(id),
@@ -188,12 +188,15 @@ impl Context {
         }
     }
 
-    /// Register a memory region of `len` bytes (`ibv_reg_mr`).
+    /// Register a memory region of `len` bytes (`ibv_reg_mr`), over the
+    /// storage the fabric provides for it ([`Fabric::region_storage`]).
     pub fn reg_mr(&self, pd: ProtectionDomain, len: usize) -> Result<MemoryRegion> {
         if pd.node != self.node.id {
             return Err(VerbsError::ProtectionDomainMismatch);
         }
-        Ok(self.node.mrs.register(pd.id, len))
+        let storage = |lkey| self.fabric.region_storage(self.node.id, lkey, len);
+        (self.node.mrs.register(pd.id, len, storage))
+            .map_err(|e| VerbsError::RegionStorage(e.to_string()))
     }
 
     /// Register a virtual (timing-only, storage-free) region for

@@ -19,22 +19,37 @@
 //!
 //! # Data path
 //!
-//! A payload is copied twice between the two registered regions, and no
-//! syscall, allocation, hash look-up or clock read is made on the way:
-//! `submit` gathers the source MR straight into the ring (72-byte header
-//! first), and the scan delivers the record *in place* — inside
-//! [`SpscRing::try_pop_with`], before `Head` moves, the shared
-//! [`execute_delivery`] writes the (up to two) ring slices into the
-//! destination MR. The sender keeps no copy: the ring loses nothing, so
-//! nothing is ever re-sent.
+//! A payload is copied once, from the source region straight into the
+//! destination region, as a NIC's RDMA write moves it; no syscall,
+//! allocation, hash look-up or clock read is made on the way. The ring
+//! carries a *doorbell*: `submit` writes the 72-byte header and the WR's
+//! gather list (16 bytes per segment, checked against the sender's
+//! registrations at post), and the scan hands the list to the shared
+//! [`execute_delivery`], which reads each segment out of the sender's region
+//! only once the PSN, protection and receive-WR checks have passed — a
+//! delivery that fails one writes nothing. Only an inline WR's record
+//! carries bytes: the snapshot `post_send` took. The sender keeps no copy:
+//! the ring loses nothing, so nothing is ever re-sent.
 //!
-//! **Ownership rule.** Ring memory is borrowed for exactly as long as the
-//! pop's closure runs; the slot goes back to the producer when it returns. A
-//! delivery that must outlive its slot — receiver-not-ready and re-armed on
-//! the RNR timer, or queued behind such a delivery for the same QP — copies
-//! its payload into a buffer it owns before the closure returns
-//! ([`Deferred`]); that is the only staging copy left. A PSN-suppressed
-//! duplicate, a protection failure and an exhausted RNR budget copy nothing.
+//! Where the source region is: in loopback, in the same [`NetworkState`]. In
+//! host mode every region a node registers lives in a memory file of its own,
+//! named in the fabric's directory ([`Fabric::region_storage`], and the
+//! `region` module for how the files are made, shared in-process and
+//! pooled); the receiver maps a peer's region read-only the first time a
+//! record names it and keeps the mapping, by node and lkey, for the life of
+//! the fabric (regions are never deregistered). Each segment is checked
+//! again on receipt — the region exists and holds the range, the lengths add
+//! up to the header's — and a record that fails is refused as a protection
+//! error (see [`ShmFabric::malformed_records`]).
+//!
+//! **Ownership rule.** The source range belongs to the sender until its send
+//! completion, as on every fabric (the MPI Partitioned contract); the ring
+//! slot belongs to the consumer for exactly as long as the pop's closure
+//! runs. A delivery that must outlive its slot — receiver-not-ready and
+//! re-armed on the RNR timer, or queued behind such a delivery for the same
+//! QP — keeps its header and gather list ([`Deferred`]), and reads the
+//! source when it lands: no payload is staged. An inline record's snapshot
+//! is the one exception; it is copied out of the slot.
 //!
 //! On the way back an ACK is `(psn, status)`, coalesced as an InfiniBand RC
 //! responder coalesces them: one ACK per drained batch names the last record
@@ -102,25 +117,31 @@ use parking_lot::{Mutex, MutexGuard};
 
 use partix_telemetry::{segments_for, FlowStage, Sampler};
 
+use crate::buf::InlineVec;
 use crate::fabric::{
     complete_posted, execute_delivery, outcome_status, DeliveryHeader, DeliveryOutcome, Fabric,
-    Payload, PostedSend, TransferJob,
+    Payload, PostedSend, ResolvedSegment, TransferJob,
 };
-use crate::network::NetworkState;
+use crate::memory::MemoryRegion;
+use crate::network::{NetworkState, NodeCtx};
 use crate::qp::RetryProfile;
 use crate::table::IndexTable;
-use crate::types::WcStatus;
+use crate::types::{NodeId, WcStatus};
 
-use super::ring::{RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
-use super::segment::{FileSegment, HeapSegment, Segment};
+use super::ring::{RecordReader, RecordWriter, SpscRing};
+use super::segment::{FileMapping, FileSegment, HeapSegment, Segment};
 
 /// DATA record kind tag.
 const KIND_DATA: u8 = 1;
 /// ACK record kind tag.
 const KIND_ACK: u8 = 2;
 
-/// Serialized DATA header bytes (payload follows).
+/// Serialized DATA header bytes (the gather list, or an inline snapshot,
+/// follows).
 const DATA_HEADER: usize = 72;
+/// Serialized bytes of one gather-list entry: `lkey: u32` | `len: u32` |
+/// `offset: u64`.
+const SEGMENT_ENTRY: usize = 16;
 /// Serialized ACK record bytes: `psn: u64` | `status: u8` | padding.
 const ACK_LEN: usize = 16;
 
@@ -128,8 +149,9 @@ const ACK_LEN: usize = 16;
 #[derive(Clone, Copy, Debug)]
 pub struct ShmConfig {
     /// Data-ring capacity per QP-pair channel, bytes. A single record
-    /// (72-byte header + payload) must fit. See [`ShmConfig::default`] for
-    /// how the default was chosen.
+    /// (72-byte header + 16 bytes per gather segment, or + the payload of an
+    /// inline WR) must fit. See [`ShmConfig::default`] for how the default
+    /// was chosen.
     pub ring_capacity: u64,
     /// ACK-ring capacity per channel, bytes.
     pub ack_capacity: u64,
@@ -152,23 +174,21 @@ pub struct ShmConfig {
 }
 
 impl Default for ShmConfig {
-    /// The data ring defaults to 512 KiB: seven 64 KiB records, about half
-    /// of a 16-WR window of the largest message the benches send. Measured
-    /// on the benchmark's `shm_exchange` (2 vCPUs, 64 KiB × 400 stream),
-    /// throughput is flat from 256 KiB to 1 MiB (8.7–9.3 GB/s) because the
-    /// consumer polls: a full ring costs the sender one `yield_now`, not a
-    /// 100 µs park as it did when 1 MiB was chosen. What the size does
-    /// change is memory — ring pages are mapped, so every touched page is
-    /// resident in each process that maps it (peak RSS of that workload
-    /// against the positioned-I/O transport: 1 MiB +16 %, 512 KiB +4–7 %,
-    /// 256 KiB −1–+3 %) — and ring-full stalls per 400 messages (13 / 84 /
-    /// 165). 512 KiB halves the memory for a count that costs nothing
-    /// measurable. 256 KiB would buy the last few percent, but the ring also
-    /// bounds the largest message a channel can carry (capacity − 80 bytes)
-    /// and would pipeline only three of the largest records.
+    /// The data ring defaults to 64 KiB: records are doorbells (a 96-byte
+    /// record for a one-segment write), so it holds about 680 of them, over
+    /// forty 16-WR windows. Measured on the benchmark's `shm_exchange`
+    /// (2 vCPUs, three seeds per size, traced runs for the stream and
+    /// untraced ones for memory), the 64 KiB stream moves 11.2–12.0 GB/s at
+    /// 64 KiB, 128 KiB 10.7–11.7 and 512 KiB 11.2–11.6, none with a ring-full
+    /// stall: what bounds the stream is the one copy, not the ring. What the
+    /// size does change is memory, since ring pages are mapped and every
+    /// touched page is resident in each process that maps it: peak RSS 7.9–8.1
+    /// MB at 64 KiB, 8.0–8.1 at 128 KiB, 8.1–8.2 at 512 KiB. A ring must
+    /// still hold the largest record, which an inline WR's snapshot makes
+    /// (`max_inline_data` + 88 bytes).
     fn default() -> Self {
         ShmConfig {
-            ring_capacity: 1 << 19,
+            ring_capacity: 1 << 16,
             ack_capacity: 1 << 16,
             idle_park: Duration::from_micros(100),
             mtu: 4096,
@@ -254,19 +274,51 @@ struct Pending {
 }
 
 /// Receiver-side delivery that outlived its ring slot, waiting in the
-/// progress thread's RNR queue with its payload in a buffer of its own:
-/// either deferred by a receiver-not-ready outcome (due when the wall-clock
-/// RNR timer expires) or held, untried, behind such a delivery of the same
-/// QP (due at once — order is what holds it).
+/// progress thread's RNR queue with what its record said: either deferred by
+/// a receiver-not-ready outcome (due when the wall-clock RNR timer expires)
+/// or held, untried, behind such a delivery of the same QP (due at once —
+/// order is what holds it).
 struct Deferred {
     /// The channel the record arrived on, which carries its ACK.
     ch: Arc<Channel>,
     header: DeliveryHeader,
-    payload: Vec<u8>,
+    body: Body,
     budget: RnrBudget,
     min_rnr_timer_ns: u64,
     /// When the RNR timer allows the next attempt; `None` while untried.
     due: Option<Instant>,
+}
+
+/// What follows a DATA record's header, as a delivery reads it: where the
+/// payload is.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// The sender's gather list; the bytes are in its regions.
+    Gather(&'a InlineVec<ResolvedSegment>),
+    /// An inline WR's snapshot, in up to two pieces.
+    Inline([&'a [u8]; 2]),
+    /// A body that disagrees with its header: there is nothing to read.
+    Malformed,
+}
+
+/// A [`Source`] a [`Deferred`] delivery owns.
+enum Body {
+    /// The gather list.
+    Gather(InlineVec<ResolvedSegment>),
+    /// The inline snapshot, copied out of the ring slot.
+    Inline(Vec<u8>),
+    /// See [`Source::Malformed`].
+    Malformed,
+}
+
+impl Body {
+    fn source(&self) -> Source<'_> {
+        match self {
+            Body::Gather(segments) => Source::Gather(segments),
+            Body::Inline(bytes) => Source::Inline([bytes, &[]]),
+            Body::Malformed => Source::Malformed,
+        }
+    }
 }
 
 /// The `rnr_retry` value InfiniBand reserves for "retry indefinitely".
@@ -325,6 +377,7 @@ struct ShmStats {
     ack_records: AtomicU64,
     rnr_deferrals: AtomicU64,
     stale_acks: AtomicU64,
+    malformed_records: AtomicU64,
     ring_full_stalls: AtomicU64,
     progress_iterations: AtomicU64,
     /// The progress thread's share of `progress_iterations`; the rest are
@@ -346,6 +399,13 @@ struct ShmStats {
 pub struct ShmFabric {
     cfg: ShmConfig,
     backing: Backing,
+    /// Host mode: the files this fabric's own regions live in, unlinked at
+    /// `shutdown`.
+    region_files: Mutex<Vec<PathBuf>>,
+    /// Host mode: what this process has mapped of each peer node's regions,
+    /// read-only, at the index the node's id spells (see
+    /// [`ShmFabric::source_region`]).
+    peers: IndexTable<Arc<NodeCtx>>,
     channels: Mutex<Vec<Arc<Channel>>>,
     /// `channels.len()`, published after each install: the progress thread
     /// re-reads the list only when this differs from its snapshot.
@@ -396,6 +456,8 @@ impl ShmFabric {
         let fabric = Arc::new_cyclic(|me| ShmFabric {
             cfg,
             backing,
+            region_files: Mutex::new(Vec::new()),
+            peers: IndexTable::new(),
             channels: Mutex::new(Vec::new()),
             channels_installed: AtomicUsize::new(0),
             tx_route: IndexTable::new(),
@@ -468,6 +530,29 @@ impl ShmFabric {
         self.stats.stale_acks.load(Ordering::Relaxed)
     }
 
+    /// DATA records refused as malformed: a body that disagrees with its
+    /// header, or a gather segment that names no region of the sender's (in
+    /// host mode: no region file) or reaches past the end of one. Each is
+    /// acknowledged `RemoteAccessError` — unless it is too short to hold a
+    /// header, and so names no PSN to acknowledge — and counted in the wire
+    /// ledger as a delivery attempt that failed its protection check. A
+    /// record is bytes another process wrote; this fabric's own records
+    /// never produce one.
+    pub fn malformed_records(&self) -> u64 {
+        self.stats.malformed_records.load(Ordering::Relaxed)
+    }
+
+    /// Laps of its data ring made by the busiest channel this process
+    /// receives on: bytes consumed over the ring's capacity.
+    pub fn data_ring_laps(&self) -> u64 {
+        let channels = self.channels.lock();
+        let received = channels.iter().filter(|ch| ch.we_recv);
+        received
+            .map(|ch| ch.data.consumed() / ch.data.capacity())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Times a submit had to wait for ring space (backpressure events).
     pub fn ring_full_stalls(&self) -> u64 {
         self.stats.ring_full_stalls.load(Ordering::Relaxed)
@@ -537,6 +622,7 @@ impl ShmFabric {
             ("ring_full_stalls", self.ring_full_stalls()),
             ("rnr_deferrals", self.rnr_deferrals()),
             ("stale_acks", self.stale_acks()),
+            ("malformed_records", self.malformed_records()),
         ]
     }
 
@@ -572,7 +658,9 @@ impl ShmFabric {
     }
 
     /// Stop the progress thread: close every producer ring, wait for the
-    /// final drain, and join. Idempotent; also run by `Drop`.
+    /// final drain, join, and unlink the files this fabric's regions live in
+    /// (host mode; mappings stay valid, so a peer's views outlive them).
+    /// Idempotent; also run by `Drop`.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         for ch in self.channels.lock().iter() {
@@ -589,10 +677,12 @@ impl ShmFabric {
             // — and thus this method — runs *on* that thread), a join would
             // self-deadlock (EDEADLK). The stop flag is already set, so the
             // loop exits on its own; just let the handle fall away.
-            if handle.thread().id() == std::thread::current().id() {
-                return;
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
             }
-            let _ = handle.join();
+        }
+        for path in self.region_files.lock().drain(..) {
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -738,14 +828,12 @@ impl ShmFabric {
     }
 
     /// Publish one DATA record of `len` bytes, written in place by `write`,
-    /// on `ch`'s ring, waiting out backpressure, and charge the wire ledger
-    /// for a transfer entering the fabric. `pending` (none for a ghost) joins
-    /// the window in the order its record joins the ring; `write` is told
-    /// whether the record is the one that fills `half_window`, and asks for
-    /// its ACK at once.
+    /// on `ch`'s ring, waiting out backpressure. `pending` (none for a ghost)
+    /// joins the window in the order its record joins the ring; `write` is
+    /// told whether the record is the one that fills `half_window`, and asks
+    /// for its ACK at once.
     fn enqueue_data(
         &self,
-        net: &Arc<NetworkState>,
         ch: &Channel,
         len: usize,
         write: &dyn Fn(&mut RecordWriter<'_>, bool),
@@ -786,10 +874,6 @@ impl ShmFabric {
         if ch.data.len_bound() > self.ring_occupancy_high_water() {
             self.note_occupancy(ch.data.len());
         }
-        let wire = &net.telemetry().wire;
-        wire.inner_submissions.inc();
-        wire.mtu_segments
-            .add(segments_for((len - DATA_HEADER) as u64, self.cfg.mtu));
     }
 
     /// [`Fabric::submit`] once the sending channel is known.
@@ -805,32 +889,23 @@ impl ShmFabric {
             |qp| qp.retry_profile(),
         );
         let half_window = qp.map_or(0, |qp| qp.caps().max_send_wr.div_ceil(2) as usize);
-        let len = DATA_HEADER + job.total_len as usize;
-        // One WR is one record, and a record the ring can never hold would
-        // trip the ring's own assertion from inside `post_send`. The wire
-        // took it and refused it for its length: counted as such, and the
-        // poster gets IB's status for a message the port cannot carry.
-        if len as u64 > ch.data.max_payload() {
-            let wire = &net.telemetry().wire;
-            wire.inner_submissions.inc();
-            wire.delivery_attempts.inc();
-            wire.length_errors.inc();
-            if !job.ghost {
-                complete_posted(net, &job.posted(), WcStatus::LocalLengthError);
-            }
-            return;
-        }
+        // Header, then the doorbell's gather list — the receiver reads the
+        // bytes out of the source regions — or an inline WR's snapshot.
+        let body = match &job.inline_payload {
+            Some(snapshot) => snapshot.len(),
+            None => SEGMENT_ENTRY * job.segments.len(),
+        };
         let header = data_header(&job, &profile);
-        // Header, then the payload gathered *at post time* straight into
-        // the ring (the wire must not chase source-region rewrites across a
-        // process boundary; inline sends reuse their snapshot).
         let write = |w: &mut RecordWriter<'_>, ack_req: bool| {
             let mut header = header;
             if ack_req {
                 header[FLAGS_AT] |= FLAG_ACK_REQ;
             }
             w.put(&header);
-            gather_payload(net, &job, w);
+            match &job.inline_payload {
+                Some(snapshot) => w.put(snapshot),
+                None => (job.segments.iter()).for_each(|seg| w.put(&segment_entry(seg))),
+            }
         };
         // A ghost duplicate (a lossy decorator's) is fire-and-forget: no
         // ack, no completion.
@@ -839,7 +914,13 @@ impl ShmFabric {
             psn: job.psn,
             submit_ns: net.telemetry().flows.now(),
         });
-        self.enqueue_data(net, ch, len, &write, pending, half_window);
+        // The wire ledger is charged for a transfer entering the fabric
+        // before its record can be delivered.
+        let wire = &net.telemetry().wire;
+        wire.inner_submissions.inc();
+        wire.mtu_segments
+            .add(segments_for(job.total_len.into(), self.cfg.mtu));
+        self.enqueue_data(ch, DATA_HEADER + body, &write, pending, half_window);
     }
 }
 
@@ -870,12 +951,22 @@ impl Fabric for ShmFabric {
         }
     }
 
-    /// One WR is one record, so the largest is what a record of the data
-    /// ring holds less the DATA header.
-    fn max_wr_bytes(&self) -> u64 {
-        self.cfg
-            .ring_capacity
-            .saturating_sub(RECORD_HEADER + DATA_HEADER as u64)
+    /// Host mode: a file of the fabric's directory, mapped read-write, which
+    /// peers map read-only to deliver from (see the module docs). Loopback:
+    /// the heap, in the one process.
+    fn region_storage(
+        &self,
+        node: NodeId,
+        lkey: u32,
+        len: usize,
+    ) -> std::io::Result<Option<Arc<FileMapping>>> {
+        let Backing::Host(dir) = &self.backing else {
+            return Ok(None);
+        };
+        let path = region_path(dir, node, lkey);
+        let map = super::region::create(&path, len as u64)?;
+        self.region_files.lock().push(path);
+        Ok(Some(map))
     }
 
     /// One scan on the polling thread, unless another scanner (the progress
@@ -901,6 +992,8 @@ const FLAG_GHOST: u8 = 2;
 /// end of the receiver's batch. The sender sets it on the record that fills
 /// half its window, so the window is refilled while the rest of it drains.
 const FLAG_ACK_REQ: u8 = 4;
+/// The record carries an inline WR's snapshot instead of a gather list.
+const FLAG_INLINE: u8 = 8;
 
 fn status_to_wire(s: WcStatus) -> u8 {
     match s {
@@ -925,10 +1018,11 @@ fn status_from_wire(b: u8) -> WcStatus {
 /// Offset of the flags byte in a DATA header.
 const FLAGS_AT: usize = 60;
 
-/// The fixed header of `job`'s DATA record (the payload follows it). The
-/// receiver reads all of it but `src_node` and `wr_id`, which only say whose
-/// record this is to someone reading a segment file: the ACK names the PSN,
-/// and the sender's window has the rest.
+/// The fixed header of `job`'s DATA record (its gather list or inline
+/// snapshot follows). The receiver reads all of it but `src_node` and
+/// `wr_id`, which only say whose record this is to someone reading a segment
+/// file: the channel names the sending node, the ACK names the PSN, and the
+/// sender's window has the rest.
 fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
     let mut rec = [0u8; DATA_HEADER];
     rec[0..4].copy_from_slice(&job.src_node.to_le_bytes());
@@ -948,28 +1042,28 @@ fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
     if job.ghost {
         rec[FLAGS_AT] |= FLAG_GHOST;
     }
+    if job.inline_payload.is_some() {
+        rec[FLAGS_AT] |= FLAG_INLINE;
+    }
     rec[62] = profile.rnr_retry;
     rec[64..72].copy_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
     rec
 }
 
-/// Write `job`'s `total_len` payload bytes through `w`: the inline snapshot,
-/// or each gather segment read out of its source region — one copy, source
-/// MR to wherever `w` points.
-fn gather_payload(net: &NetworkState, job: &TransferJob, w: &mut RecordWriter<'_>) {
-    match job.payload(net) {
-        Payload::Bytes(pieces) => pieces.into_iter().for_each(|p| w.put(p)),
-        Payload::Segments(src, segments) => {
-            for seg in segments.iter() {
-                let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
-                let mut at = seg.offset;
-                w.fill(seg.len, |dst| {
-                    mr.read(at, dst).expect("segments validated at post time");
-                    at += dst.len();
-                });
-            }
-        }
-    }
+/// One gather-list entry of a DATA record.
+fn segment_entry(seg: &ResolvedSegment) -> [u8; SEGMENT_ENTRY] {
+    let mut e = [0u8; SEGMENT_ENTRY];
+    e[0..4].copy_from_slice(&seg.lkey.to_le_bytes());
+    // An SGE's length is a `u32`, so a checked segment's is too.
+    e[4..8].copy_from_slice(&(seg.len as u32).to_le_bytes());
+    e[8..16].copy_from_slice(&(seg.offset as u64).to_le_bytes());
+    e
+}
+
+/// The file region `lkey` of `node` lives in, in a host-mode fabric's
+/// directory.
+fn region_path(dir: &std::path::Path, node: u32, lkey: u32) -> PathBuf {
+    dir.join(format!("partix_n{node}_mr{lkey:#x}"))
 }
 
 /// What a DATA record says besides its delivery header.
@@ -981,23 +1075,23 @@ struct RecordAttrs {
     min_rnr_timer_ns: u64,
     /// AckReq ([`FLAG_ACK_REQ`]).
     ack_req: bool,
+    /// An inline WR's record ([`FLAG_INLINE`]).
+    inline: bool,
 }
 
 /// Read a DATA record's fixed header: what its delivery needs, plus the
-/// sender's attributes. The payload stays where it is, in the ring, as what
-/// is left of `r`.
-fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, RecordAttrs) {
+/// sender's attributes. The body stays where it is, in the ring, as what is
+/// left of `r`. `None` for a record too short to hold a header.
+fn parse_data_header(r: &mut RecordReader<'_>) -> Option<(DeliveryHeader, RecordAttrs)> {
     let mut rec = [0u8; DATA_HEADER];
+    if r.remaining() < DATA_HEADER {
+        return None;
+    }
     r.take(&mut rec);
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
     let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("fixed"));
     let flags = rec[FLAGS_AT];
     let total_len = u32_at(52);
-    assert_eq!(
-        r.remaining(),
-        total_len as usize,
-        "shm DATA record length disagrees with its header"
-    );
     let header = DeliveryHeader {
         src_qp: u32_at(8),
         dst_node: u32_at(4),
@@ -1014,8 +1108,45 @@ fn parse_data_header(r: &mut RecordReader<'_>) -> (DeliveryHeader, RecordAttrs) 
         rnr_retry: rec[62],
         min_rnr_timer_ns: u64_at(64),
         ack_req: flags & FLAG_ACK_REQ != 0,
+        inline: flags & FLAG_INLINE != 0,
     };
-    (header, attrs)
+    Some((header, attrs))
+}
+
+/// Read what follows a DATA record's header into `gather` (a gather list)
+/// and say whether it agrees with the header: an inline snapshot of exactly
+/// `total_len` bytes, or one or more whole entries whose lengths add up to
+/// it.
+fn read_body(
+    r: &mut RecordReader<'_>,
+    header: &DeliveryHeader,
+    inline: bool,
+    gather: &mut InlineVec<ResolvedSegment>,
+) -> bool {
+    let total = u64::from(header.total_len);
+    if inline {
+        return r.remaining() as u64 == total;
+    }
+    if r.remaining() == 0 || r.remaining() % SEGMENT_ENTRY != 0 {
+        return false;
+    }
+    let mut sum = 0u64;
+    while r.remaining() > 0 {
+        let mut e = [0u8; SEGMENT_ENTRY];
+        r.take(&mut e);
+        let len = u32::from_le_bytes(e[4..8].try_into().expect("fixed"));
+        let offset = u64::from_le_bytes(e[8..16].try_into().expect("fixed"));
+        let Ok(offset) = usize::try_from(offset) else {
+            return false;
+        };
+        sum += u64::from(len);
+        gather.push(ResolvedSegment {
+            lkey: u32::from_le_bytes(e[0..4].try_into().expect("fixed")),
+            offset,
+            len: len as usize,
+        });
+    }
+    sum == total
 }
 
 fn serialize_ack(psn: u64, status: WcStatus) -> [u8; ACK_LEN] {
@@ -1242,14 +1373,15 @@ impl ShmFabric {
         }
     }
 
-    /// Take one DATA record off `ch`, if one is there, and deliver it in
-    /// place: the payload goes from the ring slices to wherever the delivery
-    /// puts it, before the slot is handed back. Delivery order on a QP is
-    /// posting order: while an earlier delivery for the same destination QP
-    /// waits in the RNR queue, this one queues behind it untried. Only a
-    /// record that queues — either way — copies its payload out of the ring.
-    /// A delivered record that asks for its ACK (AckReq) sends what `owed`
-    /// holds at once, and ends the batch.
+    /// Take one DATA record off `ch`, if one is there, and deliver it:
+    /// its gather list (or inline snapshot) goes to the delivery engine
+    /// before the slot is handed back. Delivery order on a QP is posting
+    /// order: while an earlier delivery for the same destination QP waits in
+    /// the RNR queue, this one queues behind it untried. A record that
+    /// queues — either way — keeps its header and gather list; only an
+    /// inline one copies its bytes out of the ring. A delivered record that
+    /// asks for its ACK (AckReq) sends what `owed` holds at once, and ends
+    /// the batch.
     fn take_data(
         &self,
         net: &Arc<NetworkState>,
@@ -1258,18 +1390,30 @@ impl ShmFabric {
         owed: &mut OwedAck,
     ) -> bool {
         let taken = ch.data.try_pop_with(|kind, r| {
-            debug_assert_eq!(kind, KIND_DATA);
             self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
             self.note_occupancy(r.backlog());
-            let (header, attrs) = parse_data_header(r);
-            let payload = r.rest();
+            let parsed = (kind == KIND_DATA).then(|| parse_data_header(r)).flatten();
+            let Some((header, attrs)) = parsed else {
+                // No header, so no PSN to refuse: counted, and dropped.
+                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+                self.stats.in_hand.fetch_sub(1, Ordering::Release);
+                return None;
+            };
+            let mut gather = InlineVec::new();
+            let well_formed = read_body(r, &header, attrs.inline, &mut gather);
+            let snapshot = r.rest();
             let dst = (header.dst_node, header.dst_qp);
             let (rnr_retry, min_rnr_timer_ns) = (attrs.rnr_retry, attrs.min_rnr_timer_ns);
             let due = if rnr.iter().any(|d| d.dst() == dst) {
                 None
             } else {
+                let source = match (well_formed, attrs.inline) {
+                    (false, _) => Source::Malformed,
+                    (true, true) => Source::Inline(snapshot),
+                    (true, false) => Source::Gather(&gather),
+                };
                 let rearm = (rnr_retry > 0).then_some(min_rnr_timer_ns);
-                let due = self.deliver(net, ch, &header, payload, rearm, owed);
+                let due = self.deliver(net, ch, &header, source, rearm, owed);
                 if due.is_none() && attrs.ack_req {
                     self.send_owed(ch, owed);
                     owed.answered = true;
@@ -1282,10 +1426,15 @@ impl ShmFabric {
             } else {
                 RnrBudget::Rearms(rnr_retry - due.is_some() as u8)
             };
+            let body = match (well_formed, attrs.inline) {
+                (false, _) => Body::Malformed,
+                (true, true) => Body::Inline(snapshot.concat()),
+                (true, false) => Body::Gather(gather),
+            };
             Some(Deferred {
                 ch: ch.clone(),
                 header,
-                payload: payload.concat(),
+                body,
                 budget,
                 min_rnr_timer_ns,
                 due,
@@ -1297,9 +1446,56 @@ impl ShmFabric {
         true
     }
 
-    /// Attempt one delivery: run the destination-side effects and, for
-    /// non-ghost records, acknowledge — a success by adding it to `owed`, a
-    /// failure by sending what `owed` holds and then its own ACK. `None`
+    /// What a delivery from `source`, of a record sent by `src_node`, reads:
+    /// the inline snapshot, or the gather list over the regions it names —
+    /// `None` unless every segment lies inside a region of the sender's,
+    /// which host mode maps read-only the first time a record names it.
+    fn payload<'a>(
+        &'a self,
+        net: &'a NetworkState,
+        src_node: NodeId,
+        source: Source<'a>,
+    ) -> Option<Payload<'a>> {
+        let segments = match source {
+            Source::Inline(pieces) => return Some(Payload::Bytes(pieces)),
+            Source::Malformed => return None,
+            Source::Gather(segments) => segments,
+        };
+        let src: &NodeCtx = match &self.backing {
+            Backing::Loopback => net.node(src_node).ok()?,
+            Backing::Host(_) => self.peers.get_or_init(src_node, || NodeCtx::new(src_node)),
+        };
+        for seg in segments.iter() {
+            let mr = self.source_region(src, seg.lkey)?;
+            seg.offset
+                .checked_add(seg.len)
+                .filter(|&end| end <= mr.len())?;
+            // The copy waits on the delivery engine's checks; the source's
+            // first line, likely in the sender's cache, need not.
+            mr.prefetch(seg.offset);
+        }
+        Some(Payload::Segments(src, segments))
+    }
+
+    /// Region `lkey` of the sending node `src`: registered in this process
+    /// (loopback), or a peer's, mapped read-only from its file on first use
+    /// and kept (host mode). `None` if there is no such region.
+    fn source_region<'a>(&self, src: &'a NodeCtx, lkey: u32) -> Option<&'a MemoryRegion> {
+        if let Ok(mr) = src.mrs.by_lkey(lkey) {
+            return Some(mr);
+        }
+        let Backing::Host(dir) = &self.backing else {
+            return None;
+        };
+        let view = super::region::open(&region_path(dir, src.id, lkey)).ok()?;
+        src.mrs.insert_view(lkey, view)
+    }
+
+    /// Attempt one delivery from `source`: run the destination-side effects
+    /// and, for non-ghost records, acknowledge — a success by adding it to
+    /// `owed`, a failure by sending what `owed` holds and then its own ACK.
+    /// A source that does not check out ([`ShmFabric::payload`]) fails as a
+    /// protection error, before any check the delivery engine makes. `None`
     /// means the record is done with, delivered or acknowledged as failed
     /// (and, unless its ACK is owed, out of hand); on receiver-not-ready
     /// with a re-arm left in the sender's RNR budget (`rearm`, the sender's
@@ -1311,11 +1507,21 @@ impl ShmFabric {
         net: &Arc<NetworkState>,
         ch: &Channel,
         header: &DeliveryHeader,
-        payload: [&[u8]; 2],
+        source: Source<'_>,
         rearm: Option<u64>,
         owed: &mut OwedAck,
     ) -> Option<Instant> {
-        let outcome = execute_delivery(net, header, Payload::Bytes(payload), true);
+        let outcome = match self.payload(net, ch.key.src_node, source) {
+            Some(payload) => execute_delivery(net, header, payload, true),
+            None => {
+                // Counted in the ledger as the protection failure it is.
+                let wire = &net.telemetry().wire;
+                wire.delivery_attempts.inc();
+                wire.remote_errors.inc();
+                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+                DeliveryOutcome::RemoteAccessError
+            }
+        };
         if let (DeliveryOutcome::ReceiverNotReady, Some(min_rnr_timer_ns)) = (&outcome, rearm) {
             self.send_owed(ch, owed);
             let wire = &net.telemetry().wire;
@@ -1462,10 +1668,9 @@ impl ShmFabric {
                 RnrBudget::Rearms(left) => left > 0,
                 RnrBudget::Until(give_up) => now < give_up,
             };
-            let payload = [&d.payload[..], &[]];
             let rearm = retry.then_some(d.min_rnr_timer_ns);
             let mut owed = OwedAck::default();
-            let due = self.deliver(net, &d.ch, &d.header, payload, rearm, &mut owed);
+            let due = self.deliver(net, &d.ch, &d.header, d.body.source(), rearm, &mut owed);
             self.send_owed(&d.ch, &mut owed);
             match due {
                 Some(due) => {
@@ -1494,6 +1699,12 @@ mod tests {
     use crate::qp::{QpCaps, QueuePair};
     use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcOpcode, WorkCompletion};
     use partix_telemetry::invariants;
+
+    use super::super::ring::RECORD_HEADER;
+
+    /// Ring bytes of a one-segment DATA record: the doorbell of an ordinary
+    /// write.
+    const DOORBELL: u64 = RECORD_HEADER + (DATA_HEADER + SEGMENT_ENTRY) as u64;
 
     struct Pair {
         net: Network,
@@ -1800,7 +2011,7 @@ mod tests {
         assert_eq!((tx.ack_records(), rx.ack_records()), (32, 0));
         let mark = tx.ring_occupancy_high_water();
         assert!(
-            (4096..8192).contains(&mark),
+            (DOORBELL..2 * DOORBELL).contains(&mark),
             "the sender saw one whole record on its ring and never two: {mark}"
         );
         p.finish();
@@ -1816,21 +2027,21 @@ mod tests {
     }
 
     /// Post the window with no receive posted: message `i` carries its own
-    /// bytes to slot `i` of the destination region, which is returned, with
-    /// immediate `i`.
+    /// bytes from slot `i` of the source region to slot `i` of the
+    /// destination region, which is returned, with immediate `i`. A slot is
+    /// written once, before its post: the bytes are read at delivery, and
+    /// the source belongs to the sender until its send completion.
     fn post_window_ahead_of_its_receives(p: &Pair) -> crate::memory::MemoryRegion {
-        let src = p.a.reg_mr(p.pda, LEN).unwrap();
+        let src = p.a.reg_mr(p.pda, WINDOW as usize * LEN).unwrap();
         let dst = p.b.reg_mr(p.pdb, WINDOW as usize * LEN).unwrap();
         for i in 0..WINDOW {
-            // Gathered at post time, so the one source region can be
-            // rewritten between posts.
             let payload: Vec<u8> = (0..LEN).map(|k| window_byte(i, k)).collect();
-            src.write(0, &payload).unwrap();
+            src.write(i as usize * LEN, &payload).unwrap();
             p.qa.post_send(SendWr {
                 wr_id: i,
                 opcode: Opcode::RdmaWriteWithImm,
                 sg_list: vec![Sge {
-                    addr: src.addr(),
+                    addr: src.addr_at(i as usize * LEN),
                     length: LEN as u32,
                     lkey: src.lkey(),
                 }],
@@ -1867,13 +2078,13 @@ mod tests {
     }
 
     /// The hazard in-place delivery adds: a delivery that outlives its ring
-    /// slot must own its bytes. On a data ring that holds two records, a
-    /// window is posted ahead of its receives — the first record is
-    /// RNR-deferred, the rest queue behind it — and the producer laps the
-    /// ring six times before a receive exists. Every message must still land
-    /// exactly once, in posting order, with the bytes it was posted with; a
-    /// deferred delivery that still read its (long since reused) slot would
-    /// deliver a later message's bytes.
+    /// slot must own what its record said. On a data ring that holds two
+    /// doorbells, a window is posted ahead of its receives — the first
+    /// record is RNR-deferred, the rest queue behind it — and the producer
+    /// laps the ring six times before a receive exists. Every message must
+    /// still land exactly once, in posting order, with the bytes it was
+    /// posted with; a deferred delivery that still read its (long since
+    /// reused) slot would follow a later message's gather list.
     fn deferred_deliveries_own_their_bytes(p: Pair) {
         let dst = post_window_ahead_of_its_receives(&p);
         // Every post returned, so all twelve records went through the
@@ -1893,11 +2104,10 @@ mod tests {
         p.finish();
     }
 
-    /// Two 64-byte records (8 + 72 + 64 bytes each) and no third, on a 5 ms
-    /// RNR timer.
+    /// Two doorbells and no third, on a 5 ms RNR timer.
     fn two_record_ring() -> (ShmConfig, QpCaps) {
         let cfg = ShmConfig {
-            ring_capacity: 2 * (RECORD_HEADER as usize + DATA_HEADER + 64) as u64 + 16,
+            ring_capacity: 2 * DOORBELL + 16,
             ..ShmConfig::default()
         };
         let caps = QpCaps {
@@ -2014,33 +2224,25 @@ mod tests {
         ));
     }
 
-    /// A WR the data ring can never hold (128 KiB against a 64 KiB ring)
-    /// fails its poster with `LocalLengthError` — one CQE, nothing delivered,
-    /// no panic out of `post_send` — and leaves the fabric working: a 1 KiB
-    /// write on a fresh QP pair arrives intact.
-    fn a_wr_larger_than_the_ring_is_a_length_error(p: Pair) {
-        const BIG: usize = 128 << 10;
+    /// A WR is no longer bounded by the ring: 1 MiB, sixteen times a
+    /// 64 KiB ring, goes as one doorbell record and lands whole, once, with
+    /// one completion on each side.
+    fn a_1_mib_wr_lands_whole_as_one_record(p: Pair) {
+        const BIG: usize = 1 << 20;
         let src = p.a.reg_mr(p.pda, BIG).unwrap();
         let dst = p.b.reg_mr(p.pdb, BIG).unwrap();
-        src.fill(0, BIG, 0x3c).unwrap();
+        let bytes: Vec<u8> = (0..BIG).map(|k| (k % 251) as u8).collect();
+        src.write(0, &bytes).unwrap();
         p.qb.post_recv(RecvWr::bare(70)).unwrap();
         write_with_imm(&p, &src, &dst, 1, BIG as u32);
-        let wc = poll_until(&p.cqa, "send CQE of the over-size WR");
-        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::LocalLengthError));
-        assert_eq!(p.qa.state(), QpState::Error);
-        let qb1 = p.qb.clone();
-
-        let p2 = p.with_fresh_qps();
-        p2.qb.post_recv(RecvWr::bare(71)).unwrap();
-        write_with_imm(&p2, &src, &dst, 2, 1024);
-        let wc = poll_until(&p2.cqa, "send CQE of the 1 KiB write");
-        assert_eq!((wc.wr_id, wc.status), (2, WcStatus::Success));
-        assert_eq!(poll_until(&p2.cqb, "recv CQE").wr_id, 71);
-        let landed = dst.read_vec(0, BIG).unwrap();
-        assert_eq!(landed[..1024], [0x3c; 1024]);
-        assert_eq!(landed[1024..], vec![0; BIG - 1024], "over-size WR landed");
-        assert_eq!(qb1.recv_queue_depth(), 1, "over-size WR took a receive");
-        p2.finish();
+        let wc = poll_until(&p.cqa, "send CQE of the 1 MiB WR");
+        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::Success));
+        let recv = poll_until(&p.cqb, "recv CQE");
+        assert_eq!((recv.wr_id, recv.byte_len), (70, BIG as u32));
+        assert!(dst.read_vec(0, BIG).unwrap() == bytes, "landed whole");
+        let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
+        assert_eq!(rx.data_records(), 1, "one WR, one record");
+        p.finish();
     }
 
     fn small_ring() -> ShmConfig {
@@ -2051,14 +2253,84 @@ mod tests {
     }
 
     #[test]
-    fn a_wr_larger_than_the_ring_is_a_length_error_over_a_heap_segment() {
-        a_wr_larger_than_the_ring_is_a_length_error(pair(small_ring(), QpCaps::default()));
+    fn a_1_mib_wr_lands_whole_as_one_record_over_a_heap_segment() {
+        a_1_mib_wr_lands_whole_as_one_record(pair(small_ring(), QpCaps::default()));
     }
 
     #[cfg(unix)]
     #[test]
-    fn a_wr_larger_than_the_ring_is_a_length_error_over_two_mappings_of_a_file_segment() {
-        a_wr_larger_than_the_ring_is_a_length_error(host_pair(small_ring(), QpCaps::default()));
+    fn a_1_mib_wr_lands_whole_as_one_record_over_two_mappings_of_a_file_segment() {
+        a_1_mib_wr_lands_whole_as_one_record(host_pair(small_ring(), QpCaps::default()));
+    }
+
+    /// A record is bytes another process wrote, and one that lies fails its
+    /// own delivery without taking the receiver down. Four writes go onto
+    /// the ring of a file segment while the receiver is paused; three are
+    /// then rewritten by hand through a second mapping of that file: a
+    /// header whose length disagrees with the gather list, a gather entry
+    /// naming a region with no file, and one reaching past the end of its
+    /// region. Each of the three is acknowledged `RemoteAccessError`,
+    /// counted, consumes no receive WR and writes nothing; the fourth lands,
+    /// and so does a write on a fresh QP pair.
+    #[cfg(unix)]
+    #[test]
+    fn malformed_records_fail_their_delivery_and_the_receiver_survives() {
+        let p = host_pair(ShmConfig::default(), QpCaps::default());
+        let (rx, dir) = p.host.as_ref().unwrap();
+        let src = p.a.reg_mr(p.pda, 4 * LEN).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 4 * LEN).unwrap();
+        src.fill(0, 4 * LEN, 0x6b).unwrap();
+        p.qb.post_recv(RecvWr::bare(90)).unwrap();
+        let paused = rx.pause_progress();
+        for i in 0..4u64 {
+            let at = i as usize * LEN;
+            p.qa.post_send(SendWr {
+                wr_id: i,
+                opcode: Opcode::RdmaWriteWithImm,
+                sg_list: vec![Sge {
+                    addr: src.addr_at(at),
+                    length: LEN as u32,
+                    lkey: src.lkey(),
+                }],
+                remote_addr: dst.addr_at(at),
+                rkey: dst.rkey(),
+                imm: Some(i as u32),
+                inline_data: false,
+                flow: 0,
+            })
+            .unwrap();
+        }
+        let name = format!("partix_n0q{}_n1q{}.data", p.qa.qp_num(), p.qb.qp_num());
+        let ring = FileSegment::open(&dir.join(name)).unwrap().unwrap();
+        // Record `i` starts `i` doorbells into the fresh ring; its DATA
+        // header follows the ring's own, and its gather entry that.
+        let data = |i: u64| i * DOORBELL + RECORD_HEADER;
+        let entry = |i: u64| data(i) + DATA_HEADER as u64;
+        ring.data_write(data(0) + 52, &(LEN as u32 + 1).to_le_bytes());
+        ring.data_write(entry(1), &(src.lkey() + 2000).to_le_bytes());
+        ring.data_write(entry(2) + 8, &(3 * LEN as u64 + 32).to_le_bytes());
+        drop(paused);
+
+        for i in 0..3u64 {
+            let wc = poll_until(&p.cqa, "send CQE of a malformed record");
+            assert_eq!((wc.wr_id, wc.status), (i, WcStatus::RemoteAccessError));
+        }
+        let wc = poll_until(&p.cqa, "send CQE of the good record");
+        assert_eq!((wc.wr_id, wc.status), (3, WcStatus::Success));
+        let recv = poll_until(&p.cqb, "recv CQE of the good record");
+        assert_eq!((recv.wr_id, recv.imm), (90, Some(3)));
+        assert_eq!(rx.malformed_records(), 3);
+        let landed = dst.read_vec(0, 4 * LEN).unwrap();
+        assert_eq!(landed[..3 * LEN], [0; 3 * LEN], "a malformed record wrote");
+        assert_eq!(landed[3 * LEN..], [0x6b; LEN]);
+        assert_eq!(p.qa.state(), QpState::Error);
+
+        let p = p.with_fresh_qps();
+        p.qb.post_recv(RecvWr::bare(91)).unwrap();
+        write_with_imm(&p, &src, &dst, 4, LEN as u32);
+        assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 91);
+        p.finish();
     }
 
     /// What a panic carried, as text.

@@ -4,10 +4,13 @@
 
 mod bootstrap;
 mod fabric;
+mod region;
 mod ring;
 mod segment;
 
 pub use bootstrap::{await_blob, publish_blob, Endpoint, EndpointError};
 pub use fabric::{ShmConfig, ShmFabric};
 pub use ring::{Popped, RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
-pub use segment::{default_shm_dir, Ctrl, FileSegment, HeapSegment, Segment, FILE_HEADER};
+pub use segment::{
+    default_shm_dir, Ctrl, FileMapping, FileSegment, HeapSegment, Segment, FILE_HEADER,
+};

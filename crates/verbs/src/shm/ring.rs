@@ -27,8 +27,8 @@
 //! Both ends can work on a record *in place*: [`SpscRing::try_push_with`]
 //! hands the producer the record's span to fill before `Tail` moves, and
 //! [`SpscRing::try_pop_with`] hands the consumer the span to read before
-//! `Head` moves — so a payload is copied once on the way in (source → ring)
-//! and once on the way out (ring → its owner), with no staging buffer.
+//! `Head` moves — so a record is written once and read where it lies, with
+//! no staging buffer.
 //! [`SpscRing::try_push`] / [`SpscRing::try_pop`] are the slice-and-`Vec`
 //! conveniences over them.
 
@@ -204,6 +204,11 @@ impl SpscRing {
     pub fn len_bound(&self) -> u64 {
         let tail = self.seg.ctrl_load(Ctrl::Tail);
         tail.saturating_sub(self.seen_head.load(Ordering::Relaxed))
+    }
+
+    /// Bytes ever consumed: the consumer's cursor.
+    pub fn consumed(&self) -> u64 {
+        self.seg.ctrl_load(Ctrl::Head)
     }
 
     /// Whether nothing is waiting.

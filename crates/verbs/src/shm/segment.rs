@@ -199,7 +199,7 @@ pub fn default_shm_dir() -> PathBuf {
 /// constants below are the same on Linux, macOS and the BSDs; `off_t` is
 /// declared as `i64`, which is what those platforms use on 64-bit targets.
 #[cfg(all(unix, target_pointer_width = "64"))]
-mod sys {
+pub(super) mod sys {
     use std::ffi::{c_int, c_void};
     use std::os::fd::AsRawFd;
 
@@ -219,16 +219,22 @@ mod sys {
     const PROT_WRITE: c_int = 2;
     const MAP_SHARED: c_int = 1;
 
-    /// Map the first `len` bytes of `file` shared and read-write.
-    pub fn map(file: &std::fs::File, len: usize) -> std::io::Result<*mut u8> {
+    /// Map the first `len` bytes of `file` shared, read-write or (`writable
+    /// = false`) read-only.
+    pub fn map(file: &std::fs::File, len: usize, writable: bool) -> std::io::Result<*mut u8> {
+        let prot = if writable {
+            PROT_READ | PROT_WRITE
+        } else {
+            PROT_READ
+        };
         // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing
-        // this process owns; `file` is open read-write and the caller has
-        // checked it is at least `len` bytes long.
+        // this process owns; `file` is open with the access `prot` asks for
+        // and the caller has checked it is at least `len` bytes long.
         let base = unsafe {
             mmap(
                 std::ptr::null_mut(),
                 len,
-                PROT_READ | PROT_WRITE,
+                prot,
                 MAP_SHARED,
                 file.as_raw_fd(),
                 0,
@@ -238,6 +244,25 @@ mod sys {
             return Err(std::io::Error::last_os_error());
         }
         Ok(base.cast())
+    }
+
+    /// A fresh, empty anonymous memory file (`memfd_create`), closed on
+    /// exec: what a host-mode region lives in on Linux.
+    #[cfg(target_os = "linux")]
+    pub fn memfd() -> std::io::Result<std::fs::File> {
+        use std::os::fd::FromRawFd;
+        extern "C" {
+            fn memfd_create(name: *const std::ffi::c_char, flags: std::ffi::c_uint) -> c_int;
+        }
+        const MFD_CLOEXEC: std::ffi::c_uint = 1;
+        // SAFETY: the name is a NUL-terminated literal; the call creates a
+        // descriptor nothing else owns.
+        let fd = unsafe { memfd_create(c"partix_region".as_ptr(), MFD_CLOEXEC) };
+        if fd < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a fresh descriptor this call alone owns.
+        Ok(unsafe { std::fs::File::from_raw_fd(fd) })
     }
 
     /// Unmap what [`map`] returned.
@@ -254,8 +279,13 @@ mod sys {
 }
 
 #[cfg(not(all(unix, target_pointer_width = "64")))]
-mod sys {
-    pub fn map(_file: &std::fs::File, _len: usize) -> std::io::Result<*mut u8> {
+pub(super) mod sys {
+    #[cfg(target_os = "linux")]
+    pub fn memfd() -> std::io::Result<std::fs::File> {
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
+
+    pub fn map(_file: &std::fs::File, _len: usize, _writable: bool) -> std::io::Result<*mut u8> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "cross-process shm segments require a 64-bit unix platform",
@@ -293,30 +323,118 @@ fn read_at(file: &std::fs::File, off: u64, dst: &mut [u8]) -> std::io::Result<()
     }
 }
 
-/// Cross-process segment: one shared mapping of a file (tmpfs-resident when
-/// available), header first, data area after it.
+/// One shared mapping of a whole file: a segment's, or a registered
+/// region's in a host-mode fabric (see
+/// [`Fabric::region_storage`](crate::Fabric::region_storage)), which the
+/// owner maps read-write and a peer read-only. A zero-length file maps to no
+/// memory at all.
 ///
-/// After [`create`](Self::create) / [`open`](Self::open) return, every
-/// access is a load or a store into the mapping; the file descriptor is
-/// already closed. A peer that truncates the file under a live mapping
-/// turns the next access into a SIGBUS — segments are owned by the pair
-/// that opened them, like any `shm_open` object.
-pub struct FileSegment {
+/// After the constructor returns, every access is a load or a store into
+/// the mapping. A peer that truncates the file under a live mapping turns
+/// the next access into a SIGBUS — a file is owned by whoever created it,
+/// like any `shm_open` object. On drop a region's own mapping goes back to
+/// the region pool; every other mapping is unmapped.
+pub struct FileMapping {
     base: *mut u8,
+    len: usize,
+    /// A region's file, kept open for the pool; `None` for other mappings.
+    region: Option<std::fs::File>,
+}
+
+// SAFETY: `base` is a private mapping handle, unmapped only in `Drop`; what
+// is read or written through it is the owner's to order (a segment's ring
+// protocol, a region's aliasing discipline).
+unsafe impl Send for FileMapping {}
+unsafe impl Sync for FileMapping {}
+
+impl FileMapping {
+    /// Map the first `len` bytes of `file`, read-write or read-only.
+    pub(super) fn map(file: &std::fs::File, len: u64, writable: bool) -> std::io::Result<Self> {
+        let len = usize::try_from(len)
+            .map_err(|_| std::io::Error::other("mapping larger than the address space"))?;
+        let base = match len {
+            0 => std::ptr::NonNull::dangling().as_ptr(),
+            _ => sys::map(file, len, writable)?,
+        };
+        Ok(FileMapping {
+            base,
+            len,
+            region: None,
+        })
+    }
+
+    /// A region's mapping of `len` bytes at `base`, of `file`, which it
+    /// keeps open and hands back to the region pool on drop.
+    ///
+    /// # Safety
+    ///
+    /// `base`/`len` must be one live writable mapping of `file` that
+    /// nothing else refers to.
+    pub(super) unsafe fn region(file: std::fs::File, base: *mut u8, len: usize) -> Self {
+        FileMapping {
+            base,
+            len,
+            region: Some(file),
+        }
+    }
+
+    /// Map all `len` bytes of `file` read-write as a region's own mapping,
+    /// which keeps the file open and goes back to the region pool on drop.
+    pub(super) fn region_of(file: std::fs::File, len: u64) -> std::io::Result<Self> {
+        let mut map = Self::map(&file, len, true)?;
+        map.region = Some(file);
+        Ok(map)
+    }
+
+    /// Map the whole of the existing file at `path` read-only.
+    pub(super) fn open_read_only(path: &Path) -> std::io::Result<Self> {
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        Self::map(&file, len, false)
+    }
+
+    /// The region's file, if this is a region's own mapping.
+    pub(super) fn region_file(&self) -> Option<&std::fs::File> {
+        self.region.as_ref()
+    }
+
+    /// Base of the mapping (dangling when it is empty).
+    pub(crate) fn base(&self) -> *mut u8 {
+        self.base
+    }
+
+    /// Mapped bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl Drop for FileMapping {
+    fn drop(&mut self) {
+        if let Some(file) = self.region.take() {
+            if super::region::keep(file, self.base, self.len) {
+                return;
+            }
+        }
+        if self.len > 0 {
+            // SAFETY: `base` came from `sys::map` with exactly this length,
+            // and `&mut self` proves no borrow into the mapping is left.
+            unsafe { sys::unmap(self.base, self.len) };
+        }
+    }
+}
+
+/// Cross-process segment: one shared [`FileMapping`] of a file
+/// (tmpfs-resident when available), header first, data area after it.
+pub struct FileSegment {
+    map: FileMapping,
     capacity: u64,
 }
 
-// SAFETY: `base` is a private mapping handle, unmapped only in `Drop`; all
-// access through it follows the `Segment` contract (see `HeapSegment`).
-unsafe impl Send for FileSegment {}
-unsafe impl Sync for FileSegment {}
-
 impl FileSegment {
     fn map(file: &std::fs::File, capacity: u64) -> std::io::Result<Self> {
-        let len = usize::try_from(FILE_HEADER + capacity)
-            .map_err(|_| std::io::Error::other("segment larger than the address space"))?;
         Ok(FileSegment {
-            base: sys::map(file, len)?,
+            map: FileMapping::map(file, FILE_HEADER + capacity, true)?,
             capacity,
         })
     }
@@ -381,14 +499,6 @@ impl FileSegment {
     }
 }
 
-impl Drop for FileSegment {
-    fn drop(&mut self) {
-        // SAFETY: `base` came from `sys::map` with exactly this length, and
-        // `&mut self` proves no borrow into the mapping is left.
-        unsafe { sys::unmap(self.base, (FILE_HEADER + self.capacity) as usize) };
-    }
-}
-
 // SAFETY: the mapping is `FILE_HEADER + capacity` bytes (its length was
 // checked against the file before mapping), lives until `Drop`, and is
 // page-aligned, so the control words at `CTRL_BASE + 8 * slot` are aligned
@@ -404,7 +514,8 @@ unsafe impl Segment for FileSegment {
         // patterns and is only ever accessed atomically, by either process.
         unsafe {
             &*self
-                .base
+                .map
+                .base()
                 .add(CTRL_BASE + 8 * slot as usize)
                 .cast::<AtomicU64>()
         }
@@ -412,7 +523,7 @@ unsafe impl Segment for FileSegment {
 
     fn data(&self) -> *mut u8 {
         // SAFETY: the header is inside the mapping.
-        unsafe { self.base.add(FILE_HEADER as usize) }
+        unsafe { self.map.base().add(FILE_HEADER as usize) }
     }
 }
 

@@ -10,13 +10,14 @@
 //! delivered record or per ack in a progress scan of the shared-memory
 //! fabric.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use partix_core::{AggregatorKind, PartixConfig, World};
 use partix_system_tests::alloc_count::count_allocs;
 use partix_system_tests::pair;
 use partix_verbs::{
-    connect_pair, Network, Opcode, QpCaps, RecvWr, SendWr, Sge, ShmFabric, WcStatus,
+    connect_pair, Network, Opcode, QpCaps, RecvWr, SendWr, Sge, ShmConfig, ShmFabric, WcStatus,
 };
 
 const PARTITIONS: u32 = 16;
@@ -152,21 +153,35 @@ fn steady_state_timer_flush_sim_round_allocates_a_flight_per_wr_and_a_list_per_s
     );
 }
 
-/// The real-time path: one progress scan of a loopback `ShmFabric` takes
-/// every waiting DATA record from its ring to the destination region and the
+/// The real-time path: one progress scan of a `ShmFabric` takes every
+/// waiting DATA record from its ring to the destination region and the
 /// receive CQ, acks it, and takes every ACK to the send CQ. The test holds
 /// the fabric's progress itself (`pause_progress`), so the scans — and the
 /// counting — happen on this thread. A record staged through a buffer of its
 /// own on the way (two allocations each, before in-place delivery), a
-/// per-ack job, or a scratch list per scan shows up here.
+/// per-ack job, or a scratch list per scan shows up here. Over a loopback
+/// fabric and over a host-mode one, whose file segments and region files
+/// this one fabric maps both ends of: there the first record that names the
+/// source region maps it (during warm-up), and every later one finds it
+/// mapped.
 #[test]
 fn steady_state_shm_progress_scan_is_allocation_free() {
+    scans_allocate_nothing(ShmFabric::loopback(), false);
+    let dir = std::env::temp_dir().join(format!("partix_alloc_shm_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    scans_allocate_nothing(ShmFabric::host(&dir, ShmConfig::default()), true);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The steady-state scan check over `fabric`, whose channel a `host`-mode
+/// fabric opens explicitly.
+fn scans_allocate_nothing(fabric: Arc<ShmFabric>, host: bool) {
     const WINDOW: u64 = 8;
     const LEN: usize = 64;
     const WARM_UP: u64 = 4;
     const ROUNDS: u64 = 16;
-    let fabric = ShmFabric::loopback();
     let net = Network::new(2, fabric.clone());
+    fabric.attach_network(net.state());
     let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
     let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
     let (cqa, cqb) = (a.create_cq(), b.create_cq());
@@ -174,6 +189,14 @@ fn steady_state_shm_progress_scan_is_allocation_free() {
     let qa = a.create_qp(pda, cqa.clone(), a.create_cq(), caps).unwrap();
     let qb = b.create_qp(pdb, b.create_cq(), cqb.clone(), caps).unwrap();
     connect_pair(&qa, &qb).unwrap();
+    if host {
+        let (from, to) = ((0, qa.qp_num()), (1, qb.qp_num()));
+        let wait = Duration::from_secs(10);
+        std::thread::scope(|s| {
+            s.spawn(|| fabric.open_tx(from, to, wait).unwrap());
+            fabric.open_rx(from, to, wait).unwrap();
+        });
+    }
     let src = a.reg_mr(pda, WINDOW as usize * LEN).unwrap();
     let dst = b.reg_mr(pdb, WINDOW as usize * LEN).unwrap();
 
