@@ -17,8 +17,8 @@
 //! completion — i.e. it includes the full ack round trip through the
 //! reverse ring, not just enqueue rate. A rank's empty CQ poll runs one scan
 //! of its own fabric, so each rank moves its own side of the wire, and then
-//! the rank `yield_now()`s: the two ranks share the host's cores with each
-//! other and with their fabrics' fallback progress threads.
+//! the rank `yield_now()`s: the two ranks are the only threads, and share the
+//! host's cores with each other.
 //!
 //! The JSON names the host (CPU model, architecture, OS, CPU count). Per row
 //! it records sustained msgs/s and GB/s plus what that row added to the
@@ -52,7 +52,7 @@ const RECV_DEPTH: u64 = 256;
 
 /// QP caps for both ends: the defaults, whose `rnr_retry = 7` `ShmFabric`
 /// honours as "retry indefinitely" — a receiver that is late reposting (on a
-/// host with fewer CPUs than this bench's four threads, one waiting its turn
+/// host with fewer CPUs than this bench's two threads, one waiting its turn
 /// to run) holds the sender back, and only one that stays away for the
 /// fabric's stall deadline fails it — on a 2 ms RNR timer. The timer is no
 /// budget, only how soon a delivery that found no receive WR looks again;

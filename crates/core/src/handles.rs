@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use partix_verbs::{MemoryRegion, QpState};
+use partix_verbs::{MemoryRegion, QpState, MAX_WR_BYTES};
 
 use crate::error::{PartixError, Result};
 use crate::plan::TransportPlan;
@@ -113,11 +113,10 @@ impl Proc {
         tag: u32,
     ) -> Result<PsendRequest> {
         let core = self.core(buf, partitions, part_bytes, dest, tag)?;
-        let max_wr_bytes = self.world.network.fabric().max_wr_bytes();
-        if part_bytes as u64 > max_wr_bytes {
+        if part_bytes as u64 > MAX_WR_BYTES {
             return Err(PartixError::PartitionTooLarge {
                 part_bytes,
-                max_wr_bytes,
+                max_wr_bytes: MAX_WR_BYTES,
             });
         }
         // The request's place in `sends` is the top of its WR ids,

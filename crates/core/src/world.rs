@@ -17,7 +17,9 @@ use parking_lot::Mutex;
 
 use partix_sim::{Scheduler, SimDuration, SimTime, TimeSource};
 use partix_verbs::telemetry::{invariants, Registry, Sample, Sampler, SamplerConfig, Snapshot};
-use partix_verbs::{connect_pair, Fabric, LossyFabric, Network, NotifyHook, QpCaps, SimFabric};
+use partix_verbs::{
+    connect_pair, Fabric, LossyFabric, Network, NotifyHook, QpCaps, SimFabric, MAX_WR_BYTES,
+};
 
 use crate::config::PartixConfig;
 use crate::error::{PartixError, Result};
@@ -277,9 +279,9 @@ impl World {
     /// retaining the last `capacity` frames. In sim mode the scheduler drives
     /// it at deterministic points (epoch boundaries on the sharded engine,
     /// batch boundaries on the sequential one), so frame sequences are
-    /// byte-identical across job counts; wall-clock worlds tick it from
-    /// whoever drives progress (e.g.
-    /// [`partix_verbs::ShmFabric::attach_sampler`]). Idempotent: a second
+    /// byte-identical across job counts; on the wall clock a fabric that
+    /// samples itself ticks it from its pollers' scans
+    /// ([`partix_verbs::ShmFabric::attach_sampler`]). Idempotent: a second
     /// call returns the sampler installed by the first.
     pub fn enable_sampling(&self, interval: SimDuration, capacity: usize) -> Arc<Sampler> {
         let sampler = self.inner.sampler.get_or_init(|| {
@@ -366,12 +368,11 @@ const SETUP_DELAY: SimDuration = SimDuration::from_micros(10);
 
 /// Establish the channel for a matched psend/precv pair.
 fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) -> Result<()> {
-    let max_wr_bytes = world.network.fabric().max_wr_bytes();
     let plan = plan_for(
         &world.config,
         s.core.partitions,
         s.core.part_bytes,
-        max_wr_bytes,
+        MAX_WR_BYTES,
     );
     let rt = &world.network.state().telemetry().runtime;
     match plan.decision {

@@ -18,9 +18,9 @@
 //!   a state every executor passes through). Frames from a sharded run are
 //!   therefore deterministic and byte-identical across `--jobs` counts,
 //!   like every other observable.
-//! - **Real-time runs** (the ShmFabric) tick it with wall time from the
-//!   fabric's own progress thread, Ibdxnet-style: no extra instrumentation
-//!   thread, the transport samples itself between servicing rings.
+//! - **Real-time runs** (the ShmFabric) tick it with wall time from every
+//!   scan of the fabric's rings, which its pollers make: no instrumentation
+//!   thread, the transport samples itself as it is driven.
 //!
 //! The hot path is lock-free: [`Sampler::tick`] is a single relaxed atomic
 //! load and compare until a window boundary is crossed; only the actual

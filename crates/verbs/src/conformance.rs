@@ -58,8 +58,8 @@ pub enum BackendKind {
     /// Seeded chaos decorator over the instant fabric (pass-through
     /// configuration when the scenario itself is clean).
     Lossy,
-    /// Real-time shared-memory fabric (loopback rings, progressed by polls
-    /// and its fallback progress thread).
+    /// Real-time shared-memory fabric (loopback rings, progressed by the
+    /// polls, and only by them).
     Shm,
     /// The same fabric deployed as two processes would deploy it: one
     /// [`ShmFabric::host`] per node over mapped file segments in a shared
@@ -175,7 +175,6 @@ impl Bed {
             // scenario record, an inline one.
             ring_capacity: 1 << 14,
             ack_capacity: 1 << 14,
-            idle_park: Duration::from_micros(50),
             ..ShmConfig::default()
         };
         let base: Arc<dyn Fabric> = match kind {
@@ -293,15 +292,15 @@ impl Bed {
         )
     }
 
-    /// One progress step: run the virtual clock to idle (sim), or yield
-    /// (shm, whose polls scan and whose progress thread stands by). No-op on
-    /// synchronous backends.
+    /// One progress step: run the virtual clock to idle (sim), or scan
+    /// every shm fabric once, as an empty poll would. No-op on synchronous
+    /// backends.
     pub fn drive(&self) {
         if let Some(s) = &self.sched {
             s.run();
         }
-        if !self.shm.is_empty() {
-            std::thread::yield_now();
+        for f in &self.shm {
+            f.progress();
         }
     }
 
@@ -310,14 +309,14 @@ impl Bed {
         if let Some(s) = &self.sched {
             s.run();
         }
-        // One after the other is enough: a fabric is idle only once its
-        // own sends are acked, i.e. after the peer delivered them, and
-        // nothing posts while a scenario settles.
-        for f in &self.shm {
-            assert!(
-                f.quiesce(Duration::from_secs(30)),
-                "shm fabric failed to quiesce"
-            );
+        // A fabric is idle only once its own sends are acked, which takes
+        // its peer's scans (host mode: the other fabric's), so every fabric
+        // is scanned until all are idle at once; nothing posts while a
+        // scenario settles.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !self.shm.iter().all(|f| f.is_idle()) {
+            assert!(Instant::now() < deadline, "shm fabric failed to quiesce");
+            self.drive();
         }
     }
 

@@ -199,6 +199,11 @@ impl TransferJob {
     }
 }
 
+/// The largest payload one WR may carry, in bytes (the
+/// `ibv_device_attr.max_msg_sz` analogue), on every fabric: the longest
+/// [`Sge`](crate::Sge), whose `length` is a `u32`.
+pub const MAX_WR_BYTES: u64 = u32::MAX as u64;
+
 /// Moves bytes for posted work requests and delivers completions.
 pub trait Fabric: Send + Sync {
     /// Accept a validated transfer job. Implementations must eventually:
@@ -207,14 +212,6 @@ pub trait Fabric: Send + Sync {
     /// sender's outstanding-WR slot. The network handle is the poster's, handed
     /// over so that a fabric which keeps it until delivery need not clone it.
     fn submit(&self, net: Arc<NetworkState>, job: TransferJob);
-
-    /// The largest payload one WR may carry, in bytes (the
-    /// `ibv_device_attr.max_msg_sz` analogue). A longer WR completes with
-    /// `LocalLengthError`. Unless the wire says otherwise, the longest
-    /// [`Sge`](crate::Sge): its `length` is a `u32`.
-    fn max_wr_bytes(&self) -> u64 {
-        u32::MAX.into()
-    }
 
     /// Storage for the region of `len` bytes that `node` registers under
     /// `lkey`. `None`, the default, puts it on the heap. A fabric whose peers

@@ -293,10 +293,6 @@ impl Fabric for LossyFabric {
         self.attempt(net, job, 0);
     }
 
-    fn max_wr_bytes(&self) -> u64 {
-        self.inner.max_wr_bytes()
-    }
-
     fn region_storage(
         &self,
         node: NodeId,

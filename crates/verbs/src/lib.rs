@@ -78,7 +78,7 @@ pub use error::{Result, VerbsError};
 pub use fabric::{
     complete_posted, complete_send, execute_delivery, outcome_status, sender_retry_profile,
     DeliveryHeader, DeliveryOutcome, Fabric, Payload, PostOptions, PostedSend, ResolvedSegment,
-    TransferJob,
+    TransferJob, MAX_WR_BYTES,
 };
 pub use fabric_instant::InstantFabric;
 pub use fabric_lossy::{FaultPlan, LossyConfig, LossyFabric};

@@ -3,8 +3,7 @@
 //! [`ShmFabric`] runs the verbs object model on *wall-clock time and real
 //! threads*: every posted WR becomes a DATA record in a per-QP-pair SPSC
 //! [`SpscRing`], whoever polls a completion queue of the fabric drains rings
-//! into deliveries and completions (with a progress thread standing by for
-//! a process that does not poll), and the receive side acknowledges the
+//! into deliveries and completions, and the receive side acknowledges the
 //! records on a paired ACK ring — the RDMA-write-with-immediate protocol of
 //! Ibdxnet's messaging engine mapped onto shared memory (see DESIGN.md §11).
 //!
@@ -65,35 +64,27 @@
 //! sender kept. The sending channel of a QP is resolved once, into a table
 //! indexed by the local QP number.
 //!
-//! # Progress loop
+//! # Progress
 //!
 //! A scan ([`ShmFabric::scan`]) visits every channel (from a snapshot of the
 //! channel list refreshed only when one is installed), then the RNR queue;
-//! the clock is read only where a deadline is set or checked. One scanner
-//! runs at a time, under the progress lock. Pollers scan: every completion
-//! queue created on the fabric holds it ([`Fabric::progress`]), and a poll
-//! that finds its queue empty try-locks and runs one scan on the polling
-//! thread, so a record goes from the poster's ring to the poller's CQ with
-//! no thread hop — the paper's caller-driven progress (§IV-A).
+//! the clock is read only where a deadline is set or checked, or to tick an
+//! attached sampler. One scanner runs at a time, under the progress lock.
+//! Pollers scan, and nothing else does: every completion queue created on
+//! the fabric holds it ([`Fabric::progress`]), and a poll that finds its
+//! queue empty try-locks and runs one scan on the polling thread, so a record
+//! goes from the poster's ring to the poller's CQ with no thread hop — the
+//! paper's caller-driven progress (§IV-A). [`ShmFabric::quiesce`], a submit
+//! waiting out a full ring and [`ShmFabric::shutdown`]'s final drain scan
+//! the same way. The fabric starts no thread: a process that stops polling
+//! stops its side of the wire, and its peers' sends wait for their
+//! completions until it polls again (a caller bounds that wait with its own
+//! deadline).
 //!
-//! The progress thread is the fallback. It takes the lock once per scan,
-//! so pollers interleave with it; it stands down — parks for
-//! [`ShmConfig::idle_park`], or until the nearest RNR timer — whenever
-//! pollers have scanned since it last looked; and otherwise serves RNR
-//! timers and a process that never polls. After a scan that found nothing
-//! it backs off up a ladder: [`SPIN_ROUNDS`] scans separated by a spin hint,
-//! [`YIELD_ROUNDS`] separated by `yield_now`, and then it parks for
-//! `idle_park` — any work sends it back to the bottom. A submit does not
-//! unpark it, so with nobody polling the first message after a quiet spell
-//! waits at most `idle_park`. Yields are timed: one that returns later than
-//! a park would have means a neighbour is busy-polling on a core this thread
-//! needs, and the ladder then skips to parking for a while (see
-//! [`MAX_STARVED_SPELLS`]), because a waking sleeper is scheduled ahead of
-//! such a neighbour and a yielder is not.
-//!
-//! Receiver-not-ready deliveries wait in a FIFO the progress thread owns;
-//! later records for the same destination QP queue behind the deferred one,
-//! so a window posted ahead of its receives still lands in posting order.
+//! Receiver-not-ready deliveries wait in a FIFO the scanner owns; later
+//! records for the same destination QP queue behind the deferred one, so a
+//! window posted ahead of its receives still lands in posting order. Their
+//! timers are served by the next scan after they expire.
 //!
 //! The ring transport is lossless, so what the fabric keeps above it is flow
 //! control, on real [`Instant`] deadlines: receiver-not-ready re-arms after
@@ -155,13 +146,6 @@ pub struct ShmConfig {
     pub ring_capacity: u64,
     /// ACK-ring capacity per channel, bytes.
     pub ack_capacity: u64,
-    /// How long the progress thread parks: once the back-off ladder (spin,
-    /// then yield; see the module docs) has run out, and each time it
-    /// stands down because pollers scanned since it last looked (never past
-    /// the nearest RNR timer). Pollers move every message while they poll,
-    /// so this bounds only the latency of the first message after a quiet
-    /// spell with nobody polling: a submit does not unpark the thread.
-    pub idle_park: Duration,
     /// MTU used for `mtu_segments` accounting (the wire ledger's
     /// segmentation law), matching `FabricParams::mtu`.
     pub mtu: usize,
@@ -190,7 +174,6 @@ impl Default for ShmConfig {
         ShmConfig {
             ring_capacity: 1 << 16,
             ack_capacity: 1 << 16,
-            idle_park: Duration::from_micros(100),
             mtu: 4096,
             full_ring_deadline: Duration::from_secs(10),
         }
@@ -274,7 +257,7 @@ struct Pending {
 }
 
 /// Receiver-side delivery that outlived its ring slot, waiting in the
-/// progress thread's RNR queue with what its record said: either deferred by
+/// scanner's RNR queue with what its record said: either deferred by
 /// a receiver-not-ready outcome (due when the wall-clock RNR timer expires)
 /// or held, untried, behind such a delivery of the same QP (due at once —
 /// order is what holds it).
@@ -380,11 +363,6 @@ struct ShmStats {
     malformed_records: AtomicU64,
     ring_full_stalls: AtomicU64,
     progress_iterations: AtomicU64,
-    /// The progress thread's share of `progress_iterations`; the rest are
-    /// pollers'.
-    thread_scans: AtomicU64,
-    progress_wakeups: AtomicU64,
-    stand_downs: AtomicU64,
     ring_occupancy_high_water: AtomicU64,
     /// Records a scanner has taken off a ring and not finished with: being
     /// delivered or completed right now, delivered with their ACK still
@@ -407,8 +385,8 @@ pub struct ShmFabric {
     /// [`ShmFabric::source_region`]).
     peers: IndexTable<Arc<NodeCtx>>,
     channels: Mutex<Vec<Arc<Channel>>>,
-    /// `channels.len()`, published after each install: the progress thread
-    /// re-reads the list only when this differs from its snapshot.
+    /// `channels.len()`, published after each install: a scan re-reads the
+    /// list only when this differs from its snapshot.
     channels_installed: AtomicUsize,
     /// The sending channel of each local QP, at the index its number spells
     /// (a connected QP sends to one peer): what `submit` resolves instead of
@@ -418,15 +396,10 @@ pub struct ShmFabric {
     progress_state: Mutex<ProgressState>,
     net: OnceLock<Weak<NetworkState>>,
     shutdown: AtomicBool,
-    progress: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Progress thread handle, unparked by `shutdown`.
-    progress_thread: OnceLock<std::thread::Thread>,
     stats: ShmStats,
-    /// Wall-clock sampler ticked by the progress thread at every turn of its
-    /// loop (a scan or a stand-down), paired with the
-    /// instant it was attached (its t = 0).
+    /// Wall-clock sampler ticked at every scan, paired with the instant it
+    /// was attached (its t = 0).
     sampler: OnceLock<(Arc<Sampler>, Instant)>,
-    me: Weak<ShmFabric>,
 }
 
 impl ShmFabric {
@@ -453,7 +426,7 @@ impl ShmFabric {
             cfg.ring_capacity > DATA_HEADER as u64 && cfg.ack_capacity > ACK_LEN as u64,
             "ring capacities must hold at least one record"
         );
-        let fabric = Arc::new_cyclic(|me| ShmFabric {
+        Arc::new(ShmFabric {
             cfg,
             backing,
             region_files: Mutex::new(Vec::new()),
@@ -464,20 +437,9 @@ impl ShmFabric {
             progress_state: Mutex::new(ProgressState::default()),
             net: OnceLock::new(),
             shutdown: AtomicBool::new(false),
-            progress: Mutex::new(None),
-            progress_thread: OnceLock::new(),
             stats: ShmStats::default(),
             sampler: OnceLock::new(),
-            me: me.clone(),
-        });
-        let weak = fabric.me.clone();
-        let handle = std::thread::Builder::new()
-            .name("partix-shm-progress".into())
-            .spawn(move || progress_loop(weak))
-            .expect("spawn shm progress thread");
-        let _ = fabric.progress_thread.set(handle.thread().clone());
-        *fabric.progress.lock() = Some(handle);
-        fabric
+        })
     }
 
     /// The configuration in force.
@@ -487,7 +449,7 @@ impl ShmFabric {
 
     /// Register the network this fabric delivers into. Implicit on first
     /// `submit`; a receive-only process (host mode) calls it explicitly so
-    /// the progress thread can resolve destination QPs.
+    /// its scans can resolve destination QPs.
     pub fn attach_network(&self, net: &Arc<NetworkState>) {
         let weak = self.net.get_or_init(|| Arc::downgrade(net));
         debug_assert!(
@@ -558,42 +520,30 @@ impl ShmFabric {
         self.stats.ring_full_stalls.load(Ordering::Relaxed)
     }
 
-    /// Scans, by pollers and the progress thread alike (each is one full
-    /// scan of every channel plus the RNR queue).
+    /// Scans (each is one full scan of every channel plus the RNR queue).
     pub fn progress_iterations(&self) -> u64 {
         self.stats.progress_iterations.load(Ordering::Relaxed)
     }
 
-    /// The progress thread's share of [`progress_iterations`](Self::progress_iterations).
-    fn thread_scans(&self) -> u64 {
-        self.stats.thread_scans.load(Ordering::Relaxed)
-    }
-
-    /// Times the progress thread woke from an idle park, the end of its
-    /// back-off ladder (see the module docs). A park it took to stand down
-    /// for pollers is counted apart, in
-    /// [`progress_stand_downs`](Self::progress_stand_downs).
+    /// Always 0: the fabric has no thread to wake, since pollers make all
+    /// of its progress. Kept because `benchmark/` reports it as
+    /// `verbs.shm.wakeups_per_msg`; it goes with the `[benchmark]` change
+    /// that drops that metric.
     pub fn progress_wakeups(&self) -> u64 {
-        self.stats.progress_wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Times the progress thread parked because pollers had scanned since
-    /// it last looked: about one per `idle_park` while they poll.
-    pub fn progress_stand_downs(&self) -> u64 {
-        self.stats.stand_downs.load(Ordering::Relaxed)
+        0
     }
 
     /// High-water mark of DATA-ring occupancy in bytes, across every
     /// channel of this fabric: sampled by the sender after each enqueue (and
-    /// at each ring-full stall) and by the receiver's progress thread at
-    /// each record it takes, so whichever side sees the backlog reports it.
+    /// at each ring-full stall) and by the receiver's scans at each record
+    /// they take, so whichever side sees the backlog reports it.
     pub fn ring_occupancy_high_water(&self) -> u64 {
         self.stats.ring_occupancy_high_water.load(Ordering::Relaxed)
     }
 
     /// Raise the occupancy gauge to `seen` bytes. Compared first: past
     /// warm-up the mark rarely moves, and a plain load leaves the counter's
-    /// cache line shared between the posting and the progress thread.
+    /// cache line shared between the posting and the scanning thread.
     fn note_occupancy(&self, seen: u64) {
         let mark = &self.stats.ring_occupancy_high_water;
         if seen > mark.load(Ordering::Relaxed) {
@@ -601,20 +551,19 @@ impl ShmFabric {
         }
     }
 
-    /// Attach a wall-clock [`Sampler`]: the progress thread ticks it with
-    /// nanoseconds elapsed since this call, so frames capture windows of
-    /// real time. One sampler per fabric; later calls are ignored.
+    /// Attach a wall-clock [`Sampler`]: every scan — a poller's, as a rule —
+    /// ticks it with nanoseconds elapsed since this call, so frames capture
+    /// windows of real time while someone polls. One sampler per fabric;
+    /// later calls are ignored.
     pub fn attach_sampler(&self, sampler: Arc<Sampler>) {
         let _ = self.sampler.set((sampler, Instant::now()));
     }
 
     /// The fabric-level gauges a composed [`Sample`](partix_telemetry::Sample)
-    /// source should carry: progress-loop activity and ring occupancy.
+    /// source should carry: scan activity and ring occupancy.
     pub fn sample_gauges(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("progress_iterations", self.progress_iterations()),
-            ("progress_wakeups", self.progress_wakeups()),
-            ("progress_stand_downs", self.progress_stand_downs()),
             (
                 "ring_occupancy_high_water",
                 self.ring_occupancy_high_water(),
@@ -657,10 +606,11 @@ impl ShmFabric {
         }
     }
 
-    /// Stop the progress thread: close every producer ring, wait for the
-    /// final drain, join, and unlink the files this fabric's regions live in
-    /// (host mode; mappings stay valid, so a peer's views outlive them).
-    /// Idempotent; also run by `Drop`.
+    /// Stop the fabric: close every producer ring, run the final drain on
+    /// the calling thread, and unlink the files this fabric's regions live
+    /// in (host mode; mappings stay valid, so a peer's views outlive them).
+    /// Idempotent; also run by `Drop`. A thread that is unwinding skips the
+    /// drain: a scan that panicked there too would abort the process.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         for ch in self.channels.lock().iter() {
@@ -671,24 +621,34 @@ impl ShmFabric {
                 ch.ack.close();
             }
         }
-        self.kick();
-        if let Some(handle) = self.progress.lock().take() {
-            // If the progress thread itself holds the last `Arc` (so `Drop`
-            // — and thus this method — runs *on* that thread), a join would
-            // self-deadlock (EDEADLK). The stop flag is already set, so the
-            // loop exits on its own; just let the handle fall away.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
+        if !std::thread::panicking() {
+            self.drain();
         }
         for path in self.region_files.lock().drain(..) {
             let _ = std::fs::remove_file(path);
         }
     }
 
-    fn kick(&self) {
-        if let Some(t) = self.progress_thread.get() {
-            t.unpark();
+    /// The final drain: scan, try-locked as a poll does, until the fabric
+    /// is idle, the network it delivers into is gone, or nothing has moved
+    /// for a stall deadline (a peer that will never ack must not turn
+    /// `shutdown` into a hang).
+    fn drain(&self) {
+        let mut deadline = Instant::now() + self.cfg.full_ring_deadline;
+        loop {
+            // `None`: another scanner holds the lock, and is draining too.
+            let scanned = (self.progress_state.try_lock()).map(|mut st| self.scan(&mut st));
+            let now = Instant::now();
+            if scanned == Some(true) {
+                deadline = now + self.cfg.full_ring_deadline;
+            }
+            let network_gone = self.net.get().is_none_or(|net| net.strong_count() == 0);
+            if network_gone || (scanned == Some(false) && self.is_idle()) || now >= deadline {
+                return;
+            }
+            if scanned != Some(true) {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -783,7 +743,7 @@ impl ShmFabric {
         Ok(())
     }
 
-    /// Add `ch` to `channels`, the locked list the progress thread scans.
+    /// Add `ch` to `channels`, the locked list a scan visits.
     fn publish(&self, channels: &mut Vec<Arc<Channel>>, ch: &Arc<Channel>) {
         channels.push(ch.clone());
         self.channels_installed
@@ -969,9 +929,9 @@ impl Fabric for ShmFabric {
         Ok(Some(map))
     }
 
-    /// One scan on the polling thread, unless another scanner (the progress
-    /// thread, another poller) holds the progress lock: then that one is
-    /// scanning, and the poller looks at its queue again all the same.
+    /// One scan on the polling thread, unless another scanner holds the
+    /// progress lock: then that one is scanning, and the poller looks at its
+    /// queue again all the same.
     fn progress(&self) -> bool {
         if let Some(mut st) = self.progress_state.try_lock() {
             self.scan(&mut st);
@@ -1167,131 +1127,6 @@ fn parse_ack(r: &mut RecordReader<'_>) -> (u64, WcStatus) {
 // Progress engine
 // ---------------------------------------------------------------------------
 
-/// Back-off ladder of an idle progress thread: this many scans separated by
-/// a `spin_loop` hint…
-const SPIN_ROUNDS: u32 = 16;
-/// …then this many separated by `yield_now`, and only then `idle_park`
-/// parks. Short on purpose: hosts here have fewer cores than runnable
-/// threads, and a progress loop that spins for long starves the very
-/// drivers whose posts it is waiting for (they only ever `yield_now`). 256
-/// scans outlast the gap between two messages of a ping-pong; a channel
-/// quiet for longer is served at `idle_park` latency.
-const YIELD_ROUNDS: u32 = 240;
-/// After yields that took longer than `idle_park` (so parking would have
-/// been no slower), at most this many idle spells go straight from spinning
-/// to parking before a yield is tried again: one slow yield in 128 spells
-/// is noise, one per spell is a sixfold collapse under a busy-polling
-/// caller.
-const MAX_STARVED_SPELLS: u32 = 128;
-
-/// The fallback progress thread (Ibdxnet's receive thread): runs
-/// [`ShmFabric::scan`] while nobody polls and there is something to do, then
-/// backs off; stands down while pollers scan (see the module docs).
-fn progress_loop(me: Weak<ShmFabric>) {
-    // Consecutive scans that found nothing to do.
-    let mut idle_rounds = 0u32;
-    // Idle spells left that skip the yield phase, and how many were skipped
-    // last time (see `MAX_STARVED_SPELLS`).
-    let (mut skip_yields, mut starved_spells) = (0u32, 0u32);
-    // Set when a final drain starts, pushed back by every scan that worked.
-    let mut drain_deadline: Option<Instant> = None;
-    // Pollers' scans when this thread last looked, and whether what
-    // follows is a stand-down rather than an idle park.
-    let (mut polled, mut standing_down) = (0u64, false);
-    loop {
-        // Held across scans and dropped only to park: `Drop` must be able
-        // to join a parked thread, and the fabric may be gone by the time it
-        // wakes. (If this handle turns out to be the last one, `shutdown`
-        // runs here and knows not to join itself.)
-        let Some(fab) = me.upgrade() else { return };
-        loop {
-            if let Some((sampler, epoch)) = fab.sampler.get() {
-                sampler.tick(epoch.elapsed().as_nanos() as u64);
-            }
-            let shutting_down = fab.shutdown.load(Ordering::Acquire);
-            let pollers = fab.progress_iterations() - fab.thread_scans();
-            if !shutting_down && pollers != polled {
-                // Pollers carry the fabric: stand down.
-                (polled, standing_down) = (pollers, true);
-                break;
-            }
-            // The progress lock is tried per scan, so pollers get it between
-            // two of this thread's, and never wait on it: a lock that is
-            // taken is another scanner at work, and this thread steps aside.
-            let Some(mut st) = fab.progress_state.try_lock() else {
-                if shutting_down {
-                    std::thread::yield_now();
-                    continue;
-                }
-                standing_down = true;
-                break;
-            };
-            let did_work = fab.scan(&mut st);
-            drop(st);
-            fab.stats.thread_scans.fetch_add(1, Ordering::Relaxed);
-
-            if shutting_down {
-                // Final drain: leave once everything consumable is quiet, the
-                // fabric is being torn down with the network gone, or nothing
-                // has moved for a stall deadline (a peer that will never ack
-                // must not turn `shutdown` into a hang).
-                let now = Instant::now();
-                if did_work || drain_deadline.is_none() {
-                    drain_deadline = Some(now + fab.cfg.full_ring_deadline);
-                }
-                let network_gone = fab.net.get().is_none_or(|net| net.strong_count() == 0);
-                if network_gone
-                    || (!did_work && fab.is_idle())
-                    || drain_deadline.is_some_and(|deadline| now >= deadline)
-                {
-                    return;
-                }
-                continue;
-            }
-            if did_work {
-                idle_rounds = 0;
-            } else if idle_rounds < SPIN_ROUNDS {
-                idle_rounds += 1;
-                std::hint::spin_loop();
-            } else if idle_rounds < SPIN_ROUNDS + YIELD_ROUNDS && skip_yields == 0 {
-                idle_rounds += 1;
-                let before = Instant::now();
-                std::thread::yield_now();
-                // A yield that comes back later than a park would have:
-                // some neighbour polls without yielding (a caller spinning
-                // on its CQ, on a host with a core too few). Yielding to it
-                // costs a time slice per idle spell, while a parked thread
-                // is scheduled ahead of it when it wakes: park instead, for
-                // twice as many spells each time the next yield is slow too
-                // (a lone slow yield is the hypervisor, and costs one spell).
-                if before.elapsed() > fab.cfg.idle_park {
-                    starved_spells = (2 * starved_spells).clamp(1, MAX_STARVED_SPELLS);
-                    skip_yields = starved_spells;
-                } else {
-                    starved_spells = 0;
-                }
-            } else {
-                // The ladder restarts only after work: a timed-out park that
-                // finds nothing parks again at once.
-                skip_yields = skip_yields.saturating_sub(1);
-                break;
-            }
-        }
-        // A scanner holding the lock serves the RNR timers itself.
-        let park = (fab.progress_state.try_lock())
-            .map_or(fab.cfg.idle_park, |st| fab.next_deadline_in(&st));
-        drop(fab);
-        std::thread::park_timeout(park);
-        if let Some(fab) = me.upgrade() {
-            let stat = match std::mem::take(&mut standing_down) {
-                true => &fab.stats.stand_downs,
-                false => &fab.stats.progress_wakeups,
-            };
-            stat.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Test hook: exclusive hold on a fabric's progress. See
 /// [`ShmFabric::pause_progress`].
 #[doc(hidden)]
@@ -1308,11 +1143,11 @@ impl ProgressDriver<'_> {
 }
 
 impl ShmFabric {
-    /// Test hook: lock the progress thread out (it blocks at its next spell
-    /// and stays parked on the lock) and hand its job to the caller, one
+    /// Test hook: lock every poller out (their scans skip while the driver
+    /// lives) and hand the scanning to the caller, one
     /// [`ProgressDriver::scan`] at a time — so a test can count what one scan
-    /// does, on its own thread, or provoke a stall the thread would otherwise
-    /// die of out of sight. Drop the driver before `shutdown`.
+    /// does, or hold a side of the wire still. Drop the driver before
+    /// `shutdown`, whose drain otherwise waits out the stall deadline.
     #[doc(hidden)]
     pub fn pause_progress(&self) -> ProgressDriver<'_> {
         ProgressDriver {
@@ -1329,6 +1164,9 @@ impl ShmFabric {
         self.stats
             .progress_iterations
             .fetch_add(1, Ordering::Relaxed);
+        if let Some((sampler, epoch)) = self.sampler.get() {
+            sampler.tick(epoch.elapsed().as_nanos() as u64);
+        }
         let Some(net) = self.net.get().and_then(Weak::upgrade) else {
             return false;
         };
@@ -1358,19 +1196,6 @@ impl ShmFabric {
             }
         }
         did_work | self.service_rnr(&net, rnr)
-    }
-
-    /// How long an idle progress thread may park: until the nearest armed
-    /// RNR deadline, and never longer than `idle_park`.
-    fn next_deadline_in(&self, st: &ProgressState) -> Duration {
-        // A delivery queued untried waits on the one ahead of it, not on a
-        // timer of its own.
-        match st.rnr.iter().filter_map(|d| d.due).min() {
-            Some(nearest) => nearest
-                .saturating_duration_since(Instant::now())
-                .min(self.cfg.idle_park),
-            None => self.cfg.idle_park,
-        }
     }
 
     /// Take one DATA record off `ch`, if one is there, and deliver it:
@@ -1575,8 +1400,8 @@ impl ShmFabric {
                 *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_ring_deadline);
             assert!(
                 Instant::now() < deadline,
-                "shm ack ring {:?} full past the {:?} stall deadline — sender progress \
-                 thread gone?",
+                "shm ack ring {:?} full past the {:?} stall deadline — has the sender \
+                 stopped polling?",
                 ch.key,
                 self.cfg.full_ring_deadline
             );
@@ -1837,6 +1662,20 @@ mod tests {
         }
     }
 
+    /// Poll `cq`, which stays empty meanwhile, until `done` holds: a waiting
+    /// receiver's polls are what drive the fabric.
+    fn poll_empty_until(cq: &CompletionQueue, what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(
+                cq.poll_one().is_none(),
+                "a completion while waiting for {what}"
+            );
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
     fn write_with_imm(
         p: &Pair,
         src: &crate::memory::MemoryRegion,
@@ -1905,11 +1744,7 @@ mod tests {
         // No receive posted yet: the first delivery attempt hits RNR and
         // re-arms on the wall-clock timer; the receive lands mid-backoff.
         write_with_imm(&p, &src, &dst, 9, 64);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while p.fabric.rnr_deferrals() == 0 {
-            assert!(Instant::now() < deadline, "timed out waiting for the RNR");
-            std::thread::yield_now();
-        }
+        poll_empty_until(&p.cqb, "the RNR", || p.fabric.rnr_deferrals() > 0);
         p.qb.post_recv(RecvWr::bare(900)).unwrap();
         let wc = poll_until(&p.cqa, "send CQE");
         assert_eq!(wc.status, WcStatus::Success);
@@ -1932,20 +1767,15 @@ mod tests {
             ..QpCaps::default()
         };
         let p = pair(ShmConfig::default(), caps);
-        let dst = post_window_ahead_of_its_receives(&p);
+        let dst = post_window(&p);
         // Every record is off the ring: the first hit receiver-not-ready,
         // the rest are queued behind it (or deferred themselves, before the
-        // fix — each with its own deadline, collected out of order).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while p.fabric.data_records() < WINDOW {
-            assert!(Instant::now() < deadline, "window never left the ring");
-            std::thread::yield_now();
-        }
+        // fix — each with its own deadline, collected out of order). Nothing
+        // can land without a receive.
+        poll_empty_until(&p.cqb, "the window to leave the ring", || {
+            p.fabric.data_records() >= WINDOW
+        });
         assert!(p.fabric.rnr_deferrals() >= 1);
-        assert!(
-            p.cqb.poll_one().is_none(),
-            "nothing can land without a receive"
-        );
 
         // A second QP pair on the same nodes, receiver ready: passes.
         let (cq2a, cq2b) = (p.a.create_cq(), p.b.create_cq());
@@ -2026,12 +1856,12 @@ mod tests {
         (i as u8).wrapping_mul(37) ^ (k as u8).wrapping_mul(11)
     }
 
-    /// Post the window with no receive posted: message `i` carries its own
-    /// bytes from slot `i` of the source region to slot `i` of the
-    /// destination region, which is returned, with immediate `i`. A slot is
-    /// written once, before its post: the bytes are read at delivery, and
-    /// the source belongs to the sender until its send completion.
-    fn post_window_ahead_of_its_receives(p: &Pair) -> crate::memory::MemoryRegion {
+    /// Post the window: message `i` carries its own bytes from slot `i` of
+    /// the source region to slot `i` of the destination region, which is
+    /// returned, with immediate `i`. A slot is written once, before its
+    /// post: the bytes are read at delivery, and the source belongs to the
+    /// sender until its send completion.
+    fn post_window(p: &Pair) -> crate::memory::MemoryRegion {
         let src = p.a.reg_mr(p.pda, WINDOW as usize * LEN).unwrap();
         let dst = p.b.reg_mr(p.pdb, WINDOW as usize * LEN).unwrap();
         for i in 0..WINDOW {
@@ -2070,6 +1900,10 @@ mod tests {
             assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
         }
         assert!(p.cqb.poll_one().is_none(), "every message landed once");
+        window_holds_its_bytes(dst);
+    }
+
+    fn window_holds_its_bytes(dst: &crate::memory::MemoryRegion) {
         for i in 0..WINDOW {
             let got = dst.read_vec(i as usize * LEN, LEN).unwrap();
             let want: Vec<u8> = (0..LEN).map(|k| window_byte(i, k)).collect();
@@ -2084,17 +1918,21 @@ mod tests {
     /// laps the ring six times before a receive exists. Every message must
     /// still land exactly once, in posting order, with the bytes it was
     /// posted with; a deferred delivery that still read its (long since
-    /// reused) slot would follow a later message's gather list.
+    /// reused) slot would follow a later message's gather list. The window
+    /// is posted on a thread of its own, as the sending process would, while
+    /// this one polls as the receiver: its scans make the room each post
+    /// after the second waits for.
     fn deferred_deliveries_own_their_bytes(p: Pair) {
-        let dst = post_window_ahead_of_its_receives(&p);
-        // Every post returned, so all twelve records went through the
-        // two-record ring — six laps of it, however the two sides interleaved.
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while rx.data_records() < WINDOW {
-            assert!(Instant::now() < deadline, "window never left the ring");
-            std::thread::yield_now();
-        }
+        let dst = std::thread::scope(|s| {
+            let poster = s.spawn(|| post_window(&p));
+            poll_empty_until(&p.cqb, "the window to leave the ring", || {
+                rx.data_records() >= WINDOW
+            });
+            poster.join().unwrap()
+        });
+        // All twelve records went through the two-record ring — six laps of
+        // it, however the two sides interleaved.
         assert!(rx.rnr_deferrals() >= 1);
         assert_eq!(
             dst.read_vec(0, WINDOW as usize * LEN).unwrap(),
@@ -2146,13 +1984,11 @@ mod tests {
     /// bytes it was posted with.
     fn a_late_receiver_holds_the_sender_back(p: Pair) {
         let t0 = Instant::now();
-        let dst = post_window_ahead_of_its_receives(&p);
+        let dst = post_window(&p);
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
-        let deadline = t0 + Duration::from_secs(10);
-        while t0.elapsed() < Duration::from_millis(14) || rx.rnr_deferrals() <= 7 {
-            assert!(Instant::now() < deadline, "the RNR timer stopped re-arming");
-            std::thread::yield_now();
-        }
+        poll_empty_until(&p.cqb, "the RNR timer to re-arm", || {
+            t0.elapsed() >= Duration::from_millis(14) && rx.rnr_deferrals() > 7
+        });
         assert!(p.cqa.poll_one().is_none(), "no send may have failed yet");
         window_lands_once_in_order(&p, &dst);
         p.finish();
@@ -2426,7 +2262,14 @@ mod tests {
             "bounded by the stall deadline, not a hang: {waited:?}"
         );
         drop(driver);
+        // The third ACK is still owed and the ring still full, so the final
+        // drain, which runs on this thread, would stall on it again: take
+        // the two ACKs off by hand, and the drain ends within its deadline.
+        let ch = p.fabric.channels.lock()[0].clone();
+        while ch.ack.try_pop_with(|_, _| ()).is_ok() {}
+        let t0 = Instant::now();
         p.fabric.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
     /// An ACK is bytes another process wrote. One that is well formed but
@@ -2464,7 +2307,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_sampler_captures_frames_from_the_progress_thread() {
+    fn wall_clock_sampler_captures_frames_from_the_poller() {
         use partix_telemetry::{Sample, SampleSource, SamplerConfig};
         let p = pair(ShmConfig::default(), QpCaps::default());
         let net = p.net.state().clone();
@@ -2492,11 +2335,7 @@ mod tests {
             let _ = poll_until(&p.cqb, "recv CQE");
             std::thread::sleep(Duration::from_micros(300));
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while sampler.frames_captured() == 0 {
-            assert!(Instant::now() < deadline, "progress thread never sampled");
-            std::thread::yield_now();
-        }
+        poll_empty_until(&p.cqb, "a frame", || sampler.frames_captured() > 0);
         let frames = sampler.frames();
         let gauges: Vec<&str> = frames
             .last()
@@ -2512,19 +2351,39 @@ mod tests {
         p.fabric.shutdown();
     }
 
+    /// `shutdown`'s final drain runs on the calling thread: a record still
+    /// on its ring when it is called — posted, and never polled for — is
+    /// delivered, acknowledged and completed there, and a second call is a
+    /// no-op.
     #[test]
     fn shutdown_is_idempotent_and_drains() {
         let p = pair(ShmConfig::default(), QpCaps::default());
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
         src.fill(0, 64, 0xEE).unwrap();
+        // The hook sees each send completion pushed, on the pushing thread,
+        // and queues it.
+        let pushed_on = Arc::new(Mutex::new(Vec::new()));
+        let seen = pushed_on.clone();
+        let hook: crate::cq::NotifyHook =
+            Arc::new(move |_| seen.lock().push(std::thread::current().id()));
+        assert!(p.cqa.set_notify(hook).is_ok());
         p.qb.post_recv(RecvWr::bare(3)).unwrap();
         write_with_imm(&p, &src, &dst, 2, 64);
-        let _ = poll_until(&p.cqa, "send CQE");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            p.fabric.data_records(),
+            0,
+            "the record is still on its ring"
+        );
         p.fabric.shutdown();
+        assert_eq!(*pushed_on.lock(), [std::thread::current().id()]);
         p.fabric.shutdown(); // second call is a no-op
+        assert_eq!(p.fabric.data_records(), 1);
         assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0xEE; 64]);
-        let _ = &p.qa;
+        let send = p.cqa.poll_one().expect("send CQE");
+        assert_eq!((send.wr_id, send.status), (2, WcStatus::Success));
+        assert_eq!(p.cqb.poll_one().expect("recv CQE").wr_id, 3);
     }
 
     /// The fabrics of `p`: the one node 0 posts on, then node 1's if it has
@@ -2535,135 +2394,9 @@ mod tests {
             .collect()
     }
 
-    /// Poll `cq`, which finds nothing, until every progress thread of `p`
-    /// has stood down: its scan count held still for 20 ms, which a thread
-    /// that is not parked does not do for long. Returns the counts.
-    fn stand_down(p: &Pair, cq: &CompletionQueue) -> Vec<u64> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let scans = || -> Vec<u64> { fabrics(p).iter().map(|f| f.thread_scans()).collect() };
-        let (mut last, mut since) = (scans(), Instant::now());
-        loop {
-            assert!(cq.poll_one().is_none(), "nothing was posted yet");
-            std::thread::sleep(Duration::from_millis(1));
-            let now = scans();
-            if now != last {
-                (last, since) = (now, Instant::now());
-            } else if since.elapsed() >= Duration::from_millis(20) {
-                return now;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "a progress thread never stood down"
-            );
-        }
-    }
-
-    /// A long park: a progress thread that stands down is out of the way
-    /// for the rest of the test.
-    fn long_park() -> ShmConfig {
-        ShmConfig {
-            idle_park: Duration::from_secs(10),
-            ..ShmConfig::default()
-        }
-    }
-
-    /// The poll is the progress engine: a receiver that does nothing but
-    /// `poll_one` gets a write-with-immediate, and the sender its
-    /// completion, while every progress thread stands down (parked for ten
-    /// seconds), so the pollers' own scans moved the record and its ACK.
-    fn a_poller_moves_the_wire_while_the_thread_stands_down(p: Pair) {
-        let src = p.a.reg_mr(p.pda, 64).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
-        src.fill(0, 64, 0x42).unwrap();
-        p.qb.post_recv(RecvWr::bare(5)).unwrap();
-        let parked = stand_down(&p, &p.cqb);
-        write_with_imm(&p, &src, &dst, 1, 64);
-        let recv = poll_until(&p.cqb, "recv CQE");
-        assert_eq!((recv.wr_id, recv.status), (5, WcStatus::Success));
-        let send = poll_until(&p.cqa, "send CQE");
-        assert_eq!((send.wr_id, send.status), (1, WcStatus::Success));
-        assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0x42; 64]);
-        let scans: Vec<u64> = fabrics(&p).iter().map(|f| f.thread_scans()).collect();
-        assert_eq!(scans, parked, "a progress thread scanned");
-        p.finish();
-    }
-
-    #[test]
-    fn a_poller_moves_the_wire_while_the_thread_stands_down_over_a_heap_segment() {
-        a_poller_moves_the_wire_while_the_thread_stands_down(pair(long_park(), QpCaps::default()));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn a_poller_moves_the_wire_while_the_thread_stands_down_over_two_mappings_of_a_file_segment() {
-        a_poller_moves_the_wire_while_the_thread_stands_down(host_pair(
-            long_park(),
-            QpCaps::default(),
-        ));
-    }
-
-    /// Scheduling slack on a loaded host, beyond the parks a bound allows.
-    const SLACK: Duration = Duration::from_millis(450);
-
-    /// With nobody polling, the progress thread still serves: a WR posted
-    /// while it is parked (a submit does not wake it) lands within one
-    /// `idle_park` and its completion within two (the sender's thread may
-    /// look just before the ACK arrives), each plus scheduling slack.
-    fn with_no_poller_the_thread_completes_a_wr_within_idle_park(p: Pair) {
-        let park = p.fabric.config().idle_park;
-        let src = p.a.reg_mr(p.pda, 64).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
-        src.fill(0, 64, 0x24).unwrap();
-        p.qb.post_recv(RecvWr::bare(8)).unwrap();
-        // Quiet long enough that every thread has climbed its ladder to the
-        // park.
-        std::thread::sleep(3 * park);
-        let t0 = Instant::now();
-        write_with_imm(&p, &src, &dst, 3, 64);
-        // Watched without polling: `depth` drives nothing.
-        let landed = |cq: &CompletionQueue, bound: Duration| {
-            while cq.depth() == 0 {
-                assert!(t0.elapsed() < bound, "nothing within {bound:?}");
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        };
-        landed(&p.cqb, park + SLACK);
-        landed(&p.cqa, 2 * park + SLACK);
-        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 8);
-        assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
-        assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0x24; 64]);
-        p.finish();
-    }
-
-    fn park_50ms() -> ShmConfig {
-        ShmConfig {
-            idle_park: Duration::from_millis(50),
-            ..ShmConfig::default()
-        }
-    }
-
-    #[test]
-    fn with_no_poller_the_thread_completes_a_wr_within_idle_park_over_a_heap_segment() {
-        with_no_poller_the_thread_completes_a_wr_within_idle_park(pair(
-            park_50ms(),
-            QpCaps::default(),
-        ));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn with_no_poller_the_thread_completes_a_wr_within_idle_park_over_two_mappings_of_a_file_segment(
-    ) {
-        with_no_poller_the_thread_completes_a_wr_within_idle_park(host_pair(
-            park_50ms(),
-            QpCaps::default(),
-        ));
-    }
-
-    /// `pause_progress` holds the progress lock against everyone: for many
-    /// parks' worth of polls and thread turns nothing moves, and then the
-    /// holder's own scan does.
-    fn pause_progress_locks_out_pollers_and_the_thread_alike(p: Pair) {
+    /// `pause_progress` holds the progress lock against every poller: for
+    /// 20 ms of polls nothing moves, and then the holder's own scan does.
+    fn pause_progress_locks_out_pollers(p: Pair) {
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
         p.qb.post_recv(RecvWr::bare(2)).unwrap();
@@ -2689,24 +2422,60 @@ mod tests {
         p.finish();
     }
 
-    fn park_1ms() -> ShmConfig {
-        ShmConfig {
-            idle_park: Duration::from_millis(1),
-            ..ShmConfig::default()
-        }
-    }
-
     #[test]
-    fn pause_progress_locks_out_pollers_and_the_thread_alike_over_a_heap_segment() {
-        pause_progress_locks_out_pollers_and_the_thread_alike(pair(park_1ms(), QpCaps::default()));
+    fn pause_progress_locks_out_pollers_over_a_heap_segment() {
+        pause_progress_locks_out_pollers(pair(ShmConfig::default(), QpCaps::default()));
     }
 
     #[cfg(unix)]
     #[test]
-    fn pause_progress_locks_out_pollers_and_the_thread_alike_over_two_mappings_of_a_file_segment() {
-        pause_progress_locks_out_pollers_and_the_thread_alike(host_pair(
-            park_1ms(),
-            QpCaps::default(),
-        ));
+    fn pause_progress_locks_out_pollers_over_two_mappings_of_a_file_segment() {
+        pause_progress_locks_out_pollers(host_pair(ShmConfig::default(), QpCaps::default()));
+    }
+
+    /// Nothing moves a receiver's side of the wire but its own polls. A
+    /// window is posted to a host-mode receiver whose fabric nobody scans:
+    /// through 20 ms of the sender's own scans it stays on its ring, and no
+    /// send completes. The receiver's first poll then lands all of it, once,
+    /// in posting order, and every send completes `Success`.
+    #[cfg(unix)]
+    #[test]
+    fn a_receiver_that_stops_polling_holds_its_senders_completions_over_two_mappings_of_a_file_segment(
+    ) {
+        // No record of the window fills half the send queue, so none asks
+        // for its ACK at once and ends the receiver's batch early.
+        let caps = QpCaps {
+            max_send_wr: 32,
+            ..QpCaps::default()
+        };
+        let p = host_pair(ShmConfig::default(), caps);
+        let rx = &p.host.as_ref().unwrap().0;
+        for i in 0..WINDOW {
+            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
+        }
+        let dst = post_window(&p);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(20) {
+            // Node 0's fabric alone: the scans the sending process makes.
+            p.fabric.progress();
+            assert_eq!(p.cqa.depth(), 0, "a send completed");
+            std::thread::yield_now();
+        }
+        assert_eq!((rx.data_records(), p.cqb.depth()), (0, 0), "nothing landed");
+
+        let first = p.cqb.poll_one().expect("the receiver's first poll lands");
+        assert_eq!((first.wr_id, first.imm), (500, Some(0)));
+        assert_eq!(rx.data_records(), WINDOW, "the whole window, in one poll");
+        for i in 1..WINDOW {
+            let wc = p.cqb.poll_one().expect("landed by the first poll");
+            assert_eq!((wc.wr_id, wc.imm), (500 + i, Some(i as u32)), "in order");
+        }
+        for i in 0..WINDOW {
+            let send = poll_until(&p.cqa, "send CQE");
+            assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
+        }
+        assert!(p.cqb.poll_one().is_none(), "every message landed once");
+        window_holds_its_bytes(&dst);
+        p.finish();
     }
 }

@@ -119,7 +119,8 @@ pub enum WcStatus {
     /// waits (`IBV_WC_RNR_RETRY_EXC_ERR`).
     RnrRetryExceeded,
     /// The WR is longer than the wire carries in one message
-    /// ([`Fabric::max_wr_bytes`](crate::Fabric::max_wr_bytes)).
+    /// ([`MAX_WR_BYTES`](crate::MAX_WR_BYTES)). No fabric produces it:
+    /// every one carries a WR of that length.
     LocalLengthError,
 }
 
