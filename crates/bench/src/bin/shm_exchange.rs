@@ -20,6 +20,11 @@
 //! the rank `yield_now()`s: the two ranks are the only threads, and share the
 //! host's cores with each other.
 //!
+//! `connect_s` is the bring-up: from spawning rank B to rank A's first send
+//! completion, which comes once the first message has landed in a receive
+//! B posted and B's acknowledgement has come back, a record each way. It
+//! holds B's start-up, both blob exchanges and both channel opens.
+//!
 //! The JSON names the host (CPU model, architecture, OS, CPU count). Per row
 //! it records sustained msgs/s and GB/s plus what that row added to the
 //! fabric's reliability counters on both sides (retransmits, stale acks and
@@ -36,7 +41,7 @@ use partix_verbs::shm::{await_blob, default_shm_dir, publish_blob, Endpoint};
 use partix_verbs::telemetry::{write_json, Json};
 use partix_verbs::{
     Network, Opcode, PeerId, QpCaps, QpState, RecvWr, SendWr, Sge, ShmConfig, ShmFabric,
-    VerbsError, WcStatus,
+    VerbsError, WcStatus, WorkCompletion,
 };
 
 /// Receive-window slots (and the sender's source slots): message `j` lands
@@ -107,8 +112,15 @@ fn await_endpoint(dir: &Path, name: &str) -> Endpoint {
     })
 }
 
-/// Rank A: the sender / orchestrator.
-fn role_a(dir: &Path, smoke: bool, out: &Path) {
+/// Count a send completion, which must be a success, and stamp the first.
+fn reap(wc: &WorkCompletion, completed: &mut u64, first: &mut Option<Instant>) {
+    assert_eq!(wc.status, WcStatus::Success, "send {}", wc.wr_id);
+    *completed += 1;
+    first.get_or_insert_with(Instant::now);
+}
+
+/// Rank A: the sender / orchestrator. `spawned` is when rank B was started.
+fn role_a(dir: &Path, smoke: bool, out: &Path, spawned: Instant) {
     let fabric = ShmFabric::host(dir.to_path_buf(), ShmConfig::default());
     let net = Network::new(2, fabric.clone() as Arc<dyn partix_verbs::Fabric>);
     let a = net.open(0).expect("node 0");
@@ -147,6 +159,7 @@ fn role_a(dir: &Path, smoke: bool, out: &Path) {
         .expect("open data channel");
 
     let mut results: Vec<RowResult> = Vec::new();
+    let mut first_completion = None;
     for (cfg_idx, (msg_bytes, messages)) in rows(smoke).iter().copied().enumerate() {
         // B pre-posts its receive window, then signals readiness.
         let rdy = format!("rdy_{cfg_idx}_b");
@@ -181,8 +194,7 @@ fn role_a(dir: &Path, smoke: bool, out: &Path) {
                     Err(VerbsError::SendQueueFull { .. }) => {
                         loop {
                             if let Some(wc) = send_cq.poll_one() {
-                                assert_eq!(wc.status, WcStatus::Success, "send {}", wc.wr_id);
-                                completed += 1;
+                                reap(&wc, &mut completed, &mut first_completion);
                                 break;
                             }
                             std::thread::yield_now();
@@ -209,16 +221,12 @@ fn role_a(dir: &Path, smoke: bool, out: &Path) {
             }
             // Opportunistic reap keeps the queue from hard-filling.
             while let Some(wc) = send_cq.poll_one() {
-                assert_eq!(wc.status, WcStatus::Success, "send {}", wc.wr_id);
-                completed += 1;
+                reap(&wc, &mut completed, &mut first_completion);
             }
         }
         while completed < messages {
             match send_cq.poll_one() {
-                Some(wc) => {
-                    assert_eq!(wc.status, WcStatus::Success, "send {}", wc.wr_id);
-                    completed += 1;
-                }
+                Some(wc) => reap(&wc, &mut completed, &mut first_completion),
                 None => std::thread::yield_now(),
             }
         }
@@ -262,9 +270,11 @@ fn role_a(dir: &Path, smoke: bool, out: &Path) {
     }
 
     publish_blob(dir, "shutdown_a", b"bye").expect("publish shutdown");
+    let connect_s = (first_completion.expect("a row completed a send") - spawned).as_secs_f64();
+    println!("connect {:.3} ms", connect_s * 1e3);
     let path = out.join("BENCH_shm.json");
-    write_json(&path, &bench_json(smoke, &results, &fabric.sample_gauges()))
-        .expect("write BENCH_shm.json");
+    let doc = bench_json(smoke, connect_s, &results, &fabric.sample_gauges());
+    write_json(&path, &doc).expect("write BENCH_shm.json");
     println!("wrote {}", path.display());
     assert!(
         fabric.quiesce(Duration::from_secs(10)),
@@ -379,7 +389,12 @@ fn host() -> String {
 
 /// The `BENCH_shm.json` document. `receiver_report` is text the peer process
 /// published; the writer's escaping is what keeps the file parseable.
-fn bench_json(smoke: bool, results: &[RowResult], fabric_gauges: &[(&'static str, u64)]) -> Json {
+fn bench_json(
+    smoke: bool,
+    connect_s: f64,
+    results: &[RowResult],
+    fabric_gauges: &[(&'static str, u64)],
+) -> Json {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -404,6 +419,7 @@ fn bench_json(smoke: bool, results: &[RowResult], fabric_gauges: &[(&'static str
         ("host_cpus", host_cpus.into()),
         ("window", WINDOW.into()),
         ("slots", SLOTS.into()),
+        ("connect_s", connect_s.into()),
         ("sender_fabric", Json::obj(gauges)),
         ("rows", Json::arr(results.iter().map(row))),
     ])
@@ -444,8 +460,9 @@ fn main() {
             if smoke {
                 cmd.arg("--smoke");
             }
+            let spawned = Instant::now();
             let mut child = cmd.spawn().expect("spawn rank B");
-            role_a(&dir, smoke, &out);
+            role_a(&dir, smoke, &out, spawned);
             let status = child.wait().expect("wait for rank B");
             assert!(status.success(), "rank B exited with {status:?}");
             let _ = std::fs::remove_dir_all(&dir);
@@ -478,7 +495,7 @@ mod tests {
             sender_ring_full_stalls: u64::MAX,
             receiver_report: report.to_string(),
         };
-        let doc = bench_json(true, &[row], &[("progress_iterations", 7)]);
+        let doc = bench_json(true, 2.5e-3, &[row], &[("progress_iterations", 7)]);
         let back = parse_json(&doc.to_string()).expect("BENCH_shm.json parses");
         assert_eq!(back, doc);
         let row = &back.get("rows").and_then(Json::as_arr).expect("rows")[0];

@@ -64,6 +64,14 @@ pub enum VerbsError {
         /// QP inline capacity.
         max: u32,
     },
+    /// A work request's segments add up to more bytes than one transfer
+    /// can carry (a completion reports its length in 32 bits).
+    WrTooLarge {
+        /// The WR's total length.
+        got: u64,
+        /// [`MAX_WR_BYTES`](crate::MAX_WR_BYTES).
+        max: u64,
+    },
     /// The QP has not been connected to a peer yet.
     PeerNotSet,
     /// The opcode is not valid for this WR (a write-with-immediate that
@@ -110,6 +118,9 @@ impl fmt::Display for VerbsError {
             }
             VerbsError::InlineTooLarge { got, max } => {
                 write!(f, "inline payload of {got} bytes exceeds max_inline_data {max}")
+            }
+            VerbsError::WrTooLarge { got, max } => {
+                write!(f, "work request of {got} bytes exceeds the wire's maximum of {max}")
             }
             VerbsError::PeerNotSet => write!(f, "QP not connected to a peer"),
             VerbsError::BadOpcode => write!(f, "opcode invalid for this operation"),
@@ -174,6 +185,13 @@ mod tests {
             (
                 VerbsError::InlineTooLarge { got: 512, max: 220 },
                 "512 bytes exceeds max_inline_data 220",
+            ),
+            (
+                VerbsError::WrTooLarge {
+                    got: 6 << 30,
+                    max: u32::MAX as u64,
+                },
+                "6442450944 bytes exceeds the wire's maximum of 4294967295",
             ),
             (VerbsError::PeerNotSet, "not connected"),
             (VerbsError::BadOpcode, "opcode invalid"),

@@ -201,7 +201,9 @@ impl TransferJob {
 
 /// The largest payload one WR may carry, in bytes (the
 /// `ibv_device_attr.max_msg_sz` analogue), on every fabric: the longest
-/// [`Sge`](crate::Sge), whose `length` is a `u32`.
+/// [`Sge`](crate::Sge), whose `length` is a `u32`. A WR whose segments add
+/// up to more is refused at post with
+/// [`VerbsError::WrTooLarge`](crate::VerbsError::WrTooLarge).
 pub const MAX_WR_BYTES: u64 = u32::MAX as u64;
 
 /// Moves bytes for posted work requests and delivers completions.

@@ -16,7 +16,7 @@ use partix_telemetry::QpCounters;
 use crate::buf::{InlineVec, PooledBuf};
 use crate::cq::CompletionQueue;
 use crate::error::{Result, VerbsError};
-use crate::fabric::{Fabric, PostOptions, ResolvedSegment, TransferJob};
+use crate::fabric::{Fabric, PostOptions, ResolvedSegment, TransferJob, MAX_WR_BYTES};
 use crate::memory::MrRegistry;
 use crate::network::{NetworkState, NodeCtx};
 use crate::types::{NodeId, Opcode, QpState, RecvWr, SendWr};
@@ -485,6 +485,12 @@ impl QueuePair {
                 len: sge.length as usize,
             });
         }
+        if total > MAX_WR_BYTES {
+            return Err(VerbsError::WrTooLarge {
+                got: total,
+                max: MAX_WR_BYTES,
+            });
+        }
 
         // Inline sends snapshot the payload at post time (the WQE carries
         // it), so later writes to the source buffer cannot race the wire.
@@ -705,6 +711,84 @@ mod tests {
             before + (8 - have) as u64
         );
         assert_eq!(topped.top_up_recv(8, 7), Ok(0));
+    }
+
+    /// A WR whose segments add up past [`MAX_WR_BYTES`] is refused at post,
+    /// alone or anywhere in a batch, before any slot is claimed: no CQE, no
+    /// ledger count, and the QP still takes a full window afterwards. Two
+    /// 3 GiB segments over virtual regions make the 6 GiB WR.
+    #[test]
+    fn a_wr_longer_than_the_wire_carries_is_refused_at_post() {
+        use crate::types::{Sge, WcStatus};
+        let net = Network::new(2, InstantFabric::new());
+        let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
+        let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+        let (send_cq, recv_cq) = (a.create_cq(), b.create_cq());
+        let caps = QpCaps::default();
+        let qa = a.create_qp(pda, send_cq.clone(), a.create_cq(), caps);
+        let qb = b.create_qp(pdb, b.create_cq(), recv_cq.clone(), caps);
+        let (qa, qb) = (qa.unwrap(), qb.unwrap());
+        connect_pair(&qa, &qb).unwrap();
+        const SEG: u32 = 3 << 30;
+        let src = a.reg_mr_virtual(pda, 2 * SEG as usize).unwrap();
+        let dst = b.reg_mr_virtual(pdb, 2 * SEG as usize).unwrap();
+        let wr = |wr_id: u64, lens: &[u32]| SendWr {
+            wr_id,
+            opcode: Opcode::RdmaWriteWithImm,
+            sg_list: (lens.iter().scan(0u64, |off, &length| {
+                let sge = Sge {
+                    addr: src.addr() + *off,
+                    length,
+                    lkey: src.lkey(),
+                };
+                *off += u64::from(length);
+                Some(sge)
+            }))
+            .collect(),
+            remote_addr: dst.addr(),
+            rkey: dst.rkey(),
+            imm: Some(wr_id as u32),
+            inline_data: false,
+            flow: 0,
+        };
+        let too_long = wr(99, &[SEG, SEG]);
+        let refused = Err(VerbsError::WrTooLarge {
+            got: 2 * u64::from(SEG),
+            max: MAX_WR_BYTES,
+        });
+        let window = caps.max_send_wr as u64;
+        qb.top_up_recv(2 * window as usize, 7).unwrap();
+        let before = net.state().telemetry_snapshot();
+
+        assert_eq!(qa.post_send(too_long.clone()).map(|()| 1), refused);
+        let mut batch: Vec<SendWr> = (0..3).map(|i| wr(i, &[64])).collect();
+        batch.insert(1, too_long);
+        assert_eq!(qa.post_send_batch(&batch, PostOptions::default()), refused);
+        assert!(send_cq.poll_one().is_none() && recv_cq.poll_one().is_none());
+        assert_eq!(
+            net.state().telemetry_snapshot(),
+            before,
+            "a refusal counts nothing"
+        );
+        assert_eq!(qa.outstanding(), 0);
+
+        // The longest WR the wire carries, and then a full window, post.
+        let longest = wr(100, &[SEG, u32::MAX - SEG]);
+        assert_eq!(
+            qa.post_send_batch(&[longest], PostOptions::default()),
+            Ok(1)
+        );
+        let full: Vec<SendWr> = (0..window).map(|i| wr(i, &[64])).collect();
+        assert_eq!(
+            qa.post_send_batch(&full, PostOptions::default()),
+            Ok(window as usize)
+        );
+        let sent = std::iter::from_fn(|| send_cq.poll_one()).collect::<Vec<_>>();
+        assert!(sent.iter().all(|wc| wc.status == WcStatus::Success));
+        assert_eq!(sent.len() as u64, window + 1);
+        let landed = std::iter::from_fn(|| recv_cq.poll_one()).collect::<Vec<_>>();
+        assert_eq!(landed[0].byte_len, u32::MAX);
+        assert_eq!(landed.len() as u64, window + 1);
     }
 
     /// Connecting makes the peer's PSN window, with room; deliveries mark

@@ -120,7 +120,8 @@ pub enum WcStatus {
     RnrRetryExceeded,
     /// The WR is longer than the wire carries in one message
     /// ([`MAX_WR_BYTES`](crate::MAX_WR_BYTES)). No fabric produces it:
-    /// every one carries a WR of that length.
+    /// every one carries a WR of that length, and a longer one is refused
+    /// at post ([`VerbsError::WrTooLarge`](crate::VerbsError::WrTooLarge)).
     LocalLengthError,
 }
 
