@@ -14,23 +14,23 @@
 //! A streams RDMA-write-with-immediate messages into B's slot buffer with
 //! a 16-WR window while B consumes receive CQEs and verifies payload
 //! bytes. Throughput is measured on A from first post to last send-side
-//! completion — i.e. it includes the full ack round trip through the
-//! reverse ring, not just enqueue rate. A rank's empty CQ poll runs one scan
-//! of its own fabric, so each rank moves its own side of the wire, and then
-//! the rank `yield_now()`s: the two ranks are the only threads, and share the
-//! host's cores with each other.
+//! completion — i.e. it includes B's release of each record and A's read of
+//! it, not just enqueue rate. A rank's empty CQ poll runs one scan of its own
+//! fabric, so each rank moves its own side of the wire, and then the rank
+//! `yield_now()`s: the two ranks are the only threads, and share the host's
+//! cores with each other.
 //!
 //! `connect_s` is the bring-up: from spawning rank B to rank A's first send
-//! completion, which comes once the first message has landed in a receive
-//! B posted and B's acknowledgement has come back, a record each way. It
-//! holds B's start-up, both blob exchanges and both channel opens.
+//! completion, which comes once the first message has landed in a receive B
+//! posted and A has seen B release its record. It holds B's start-up, both
+//! blob exchanges and both channel opens.
 //!
 //! The JSON names the host (CPU model, architecture, OS, CPU count). Per row
 //! it records sustained msgs/s and GB/s plus what that row added to the
-//! fabric's reliability counters on both sides (retransmits, stale acks and
-//! ring-full backpressure stalls on the sender; records consumed, RNR
-//! deferrals and out-of-order arrivals on the receiver), so a "fast" run
-//! that silently leaned on the retry machinery is visible as such.
+//! fabric's reliability counters on both sides (retransmits and ring-full
+//! backpressure stalls on the sender; records consumed, RNR deferrals and
+//! out-of-order arrivals on the receiver), so a "fast" run that silently
+//! leaned on the retry machinery is visible as such.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -90,7 +90,6 @@ struct RowResult {
     msgs_per_sec: f64,
     gb_per_sec: f64,
     sender_retransmits: u64,
-    sender_stale_acks: u64,
     sender_ring_full_stalls: u64,
     receiver_report: String,
 }
@@ -167,7 +166,6 @@ fn role_a(dir: &Path, smoke: bool, out: &Path, spawned: Instant) {
 
         let stalls0 = fabric.ring_full_stalls();
         let retrans0 = fabric.retransmits();
-        let stale0 = fabric.stale_acks();
         let mut completed = 0u64;
         let t0 = Instant::now();
         for j in 0..messages {
@@ -252,7 +250,6 @@ fn role_a(dir: &Path, smoke: bool, out: &Path, spawned: Instant) {
             msgs_per_sec: messages as f64 / wall_s,
             gb_per_sec: (messages as f64 * msg_bytes as f64) / wall_s / 1e9,
             sender_retransmits: fabric.retransmits() - retrans0,
-            sender_stale_acks: fabric.stale_acks() - stale0,
             sender_ring_full_stalls: fabric.ring_full_stalls() - stalls0,
             receiver_report: report.trim().to_string(),
         };
@@ -406,7 +403,6 @@ fn bench_json(
             ("msgs_per_sec", r.msgs_per_sec.into()),
             ("gb_per_sec", r.gb_per_sec.into()),
             ("sender_retransmits", r.sender_retransmits.into()),
-            ("sender_stale_acks", r.sender_stale_acks.into()),
             ("sender_ring_full_stalls", r.sender_ring_full_stalls.into()),
             ("receiver_report", r.receiver_report.as_str().into()),
         ])
@@ -491,7 +487,6 @@ mod tests {
             msgs_per_sec: 2.0,
             gb_per_sec: 1.28e-7,
             sender_retransmits: 0,
-            sender_stale_acks: 0,
             sender_ring_full_stalls: u64::MAX,
             receiver_report: report.to_string(),
         };

@@ -958,8 +958,9 @@ fn spilled_wrs_are_driven_by_the_send_side_only() {
     finish(&l);
 }
 
-/// On `ShmFabric` the wire stage ends with the ACK: each posted WR records
-/// one `WireSubmit`, stamped at submit and carrying submit → ack, and the
+/// On `ShmFabric` the wire stage ends with the completion: each posted WR
+/// records one `WireSubmit`, stamped at submit and carrying submit →
+/// completion (the sender seeing its record released), and the
 /// `wire_ns` table computed from the flow log counts exactly those.
 #[test]
 fn shm_wire_stage_is_one_event_per_wr_with_its_duration() {

@@ -171,10 +171,10 @@ impl Bed {
         let mut shm_dir = None;
         let shm_cfg = ShmConfig {
             // Small enough that long scenarios lap the physical ring several
-            // times (a doorbell is 96 bytes); large enough for the biggest
-            // scenario record, an inline one.
+            // times (a doorbell is 96 bytes); large enough for a window of
+            // the biggest scenario records, inline ones, which wait on the
+            // ring while their receiver is not ready.
             ring_capacity: 1 << 14,
-            ack_capacity: 1 << 14,
             ..ShmConfig::default()
         };
         let base: Arc<dyn Fabric> = match kind {
@@ -309,7 +309,7 @@ impl Bed {
         if let Some(s) = &self.sched {
             s.run();
         }
-        // A fabric is idle only once its own sends are acked, which takes
+        // A fabric is idle only once its own sends are released, which takes
         // its peer's scans (host mode: the other fabric's), so every fabric
         // is scanned until all are idle at once; nothing posts while a
         // scenario settles.
@@ -590,6 +590,7 @@ const TABLE: &[Row] = &[
     ("multi_qp_fanout", s_multi_qp_fanout),
     ("sequential_stream_wraps_transport", s_sequential_stream),
     ("flow_stage_trace", s_flow_stage_trace),
+    ("post_refusals_touch_nothing", s_post_refusals_touch_nothing),
 ];
 
 /// Round-trip one message end to end and return `(digest-lines)` for the
@@ -1224,6 +1225,106 @@ fn s_flow_stage_trace(kind: BackendKind) -> Vec<String> {
         has(FlowStage::WireSubmit),
         has(FlowStage::Delivered)
     )];
+    bed.check_invariants(true);
+    out
+}
+
+fn s_post_refusals_touch_nothing(kind: BackendKind) -> Vec<String> {
+    let bed = Bed::new(kind);
+    let log = FlowLog::new();
+    let flows = &bed.net.state().telemetry().flows;
+    flows.attach(log.clone(), Arc::new(|| 0));
+    let (a, b) = bed.pair();
+    let caps = QpCaps::default();
+    let src = a.mr(256);
+    let dst = b.mr(256);
+    src.write(0, &pattern(23, 256)).expect("fill");
+    // A region of another PD, and one too long for any WR to carry whole
+    // (virtual: no storage, on every backend).
+    let foreign = a.ctx.reg_mr(a.ctx.alloc_pd(), 64).expect("foreign region");
+    const SEG: u32 = 3 << 30;
+    let huge = a.ctx.reg_mr_virtual(a.pd, 2 * SEG as usize).expect("huge");
+    // A QP that was never connected: still in Reset.
+    let cq = a.ctx.create_cq();
+    let unconnected = (a.ctx.create_qp(a.pd, cq.clone(), cq, caps)).expect("qp");
+    let window = u64::from(caps.max_send_wr);
+    b.qp.top_up_recv(window as usize, 6000).expect("recv");
+    let good = |wr_id: u64| {
+        let mut wr = write_imm_wr(&src, &dst, wr_id, 64, imm::encode(wr_id as u16, 1));
+        wr.flow = flows.next_flow_id();
+        wr
+    };
+    let with = |edit: &dyn Fn(&mut SendWr)| {
+        let mut wr = good(6100);
+        edit(&mut wr);
+        wr
+    };
+    let sge = |mr: &MemoryRegion, length: u32| Sge {
+        addr: mr.addr(),
+        length,
+        lkey: mr.lkey(),
+    };
+    // One WR per refusal a post of a well-formed QP can make. (`PeerNotSet`
+    // cannot be reached: a QP is ready to send only once connected.)
+    let refused = [
+        ("BadOpcode", with(&|wr| wr.imm = None)),
+        ("EmptySgList", with(&|wr| wr.sg_list.clear())),
+        (
+            "TooManySges",
+            with(&|wr| wr.sg_list = vec![sge(&src, 4); 17]),
+        ),
+        ("InvalidLKey", with(&|wr| wr.sg_list[0].lkey ^= 0x4000)),
+        (
+            "ProtectionDomainMismatch",
+            with(&|wr| wr.sg_list = vec![sge(&foreign, 64)]),
+        ),
+        ("OutOfBounds", with(&|wr| wr.sg_list = vec![sge(&src, 257)])),
+        (
+            "WrTooLarge",
+            with(&|wr| wr.sg_list = vec![sge(&huge, SEG); 2]),
+        ),
+        (
+            "InlineTooLarge",
+            with(&|wr| {
+                wr.inline_data = true;
+                wr.sg_list = vec![sge(&src, caps.max_inline_data + 1)];
+            }),
+        ),
+    ];
+    let before = bed.net.state().telemetry_snapshot();
+    let mut out = Vec::new();
+    let unconnected = ("InvalidQpState", unconnected, good(6300));
+    for (name, qp, wr) in (refused.iter().map(|(name, wr)| (*name, &a.qp, wr))).chain([(
+        unconnected.0,
+        &unconnected.1,
+        &unconnected.2,
+    )]) {
+        let alone = qp.post_send(wr.clone()).expect_err("refused alone");
+        let batch = [good(6200), wr.clone(), good(6201)];
+        let within = (qp.post_send_batch(&batch, PostOptions::default()))
+            .expect_err("refused within a batch");
+        let line = format!("refused {alone:?}");
+        assert!(line.starts_with(&format!("refused {name}")), "{line}");
+        assert_eq!(alone, within, "the batch names the WR it refuses");
+        out.push(line);
+    }
+    bed.settle();
+    let untouched = bed.net.state().telemetry_snapshot() == before;
+    let left = [log.sorted().len(), a.send_cq.depth(), b.recv_cq.depth()];
+    assert!(untouched && left == [0; 3] && a.qp.outstanding() == 0);
+    out.push(format!("untouched ledger={untouched} flows, CQEs={left:?}"));
+    // No slot is held: a full window posts in one batch, and lands.
+    let full: Vec<SendWr> = (0..window).map(good).collect();
+    let granted = a.qp.post_send_batch(&full, PostOptions::default());
+    assert_eq!(granted, Ok(window as usize), "a full window posts");
+    out.push(format!("window granted={granted:?} of {window}"));
+    bed.settle();
+    out.extend(drain_lines(&a.send_cq, "send", false));
+    out.extend(drain_lines(&b.recv_cq, "recv", false));
+    out.push(format!(
+        "payload hash={:#x}",
+        fnv1a(&dst.read_vec(0, 64).expect("read"))
+    ));
     bed.check_invariants(true);
     out
 }

@@ -142,7 +142,7 @@ pub enum Payload<'a> {
 }
 
 /// What the send-side completion of a posted WR reads: the sender's whole
-/// record of it between post and ack.
+/// record of it between post and completion.
 #[derive(Clone, Copy, Debug)]
 pub struct PostedSend {
     /// Originating node.

@@ -2,10 +2,12 @@
 //!
 //! [`ShmFabric`] runs the verbs object model on *wall-clock time and real
 //! threads*: every posted WR becomes a DATA record in a per-QP-pair SPSC
-//! [`SpscRing`], whoever polls a completion queue of the fabric drains rings
-//! into deliveries and completions, and the receive side acknowledges the
-//! records on a paired ACK ring — the RDMA-write-with-immediate protocol of
-//! Ibdxnet's messaging engine mapped onto shared memory (see DESIGN.md §11).
+//! [`SpscRing`], and whoever polls a completion queue of the fabric scans
+//! the rings into deliveries and completions. The data ring is the send
+//! queue: a record stays on it until the receiver is done with it, and the
+//! ring's `Head`, the receiver's cursor, is the acknowledgement — the shape
+//! of MPICH2-over-IB's RDMA channel, whose flow control is a consumer cursor
+//! the sender reads (see DESIGN.md §11).
 //!
 //! Two deployments share all of this code:
 //!
@@ -27,8 +29,8 @@
 //! [`execute_delivery`], which reads each segment out of the sender's region
 //! only once the PSN, protection and receive-WR checks have passed — a
 //! delivery that fails one writes nothing. Only an inline WR's record
-//! carries bytes: the snapshot `post_send` took. The sender keeps no copy:
-//! the ring loses nothing, so nothing is ever re-sent.
+//! carries bytes: the snapshot `post_send` took. The ring loses nothing, so
+//! nothing is ever re-sent.
 //!
 //! Where the source region is: in loopback, in the same [`NetworkState`]. In
 //! host mode every region a node registers lives in a memory file of its own,
@@ -42,33 +44,35 @@
 //! error (see [`ShmFabric::malformed_records`]).
 //!
 //! **Ownership rule.** The source range belongs to the sender until its send
-//! completion, as on every fabric (the MPI Partitioned contract); the ring
-//! slot belongs to the consumer for exactly as long as the pop's closure
-//! runs. A delivery that must outlive its slot — receiver-not-ready and
-//! re-armed on the RNR timer, or queued behind such a delivery for the same
-//! QP — keeps its header and gather list ([`Deferred`]), and reads the
-//! source when it lands: no payload is staged. An inline record's snapshot
-//! is the one exception; it is copied out of the slot.
+//! completion, as on every fabric (the MPI Partitioned contract). A ring
+//! record belongs to the receiver from its publication until `Head` moves
+//! past it, and is delivered from where it lies, however long the RNR rule
+//! holds it there: nothing is copied out of the ring.
 //!
-//! On the way back an ACK is `(psn, status)`, coalesced as an InfiniBand RC
-//! responder coalesces them: one ACK per drained batch names the last record
-//! the batch delivered, and a failure, or a record deferred on the RNR
-//! timer, first sends what the batch owes and then (a failure) its own. The
-//! record that fills half the sender's window carries IB's AckReq: it is
-//! acknowledged at once and ends the batch, so the sender refills its window
-//! while the rest of it drains, and a drain never chases a sender its own
-//! ACKs keep refilling (one that did would deliver past the receives its
-//! poller has posted, and defer on RNR). The sending channel registers its
-//! records in a window in ring order, so an ACK completes the window's front
-//! through the record it names, each with [`complete_posted`] of what the
-//! sender kept. The sending channel of a QP is resolved once, into a table
-//! indexed by the local QP number.
+//! # Completion
+//!
+//! The receiver releases a record once its delivery has succeeded or failed;
+//! a failure first writes its status into the record's header, in a byte
+//! the ring reserves for it, before `Head` moves. The sending channel keeps
+//! its records in a window, in ring order, each with its ring position. The
+//! sender's scan reads `Head` and completes, in window order, every record
+//! `Head` has passed, each with [`complete_posted`] of what the sender kept
+//! and the status its slot holds. Only then does the sender reuse that space
+//! (its `reclaimed` cursor): the ring's own check against `Head` would hand
+//! back a slot whose status is unread. `Head` and the status bytes are
+//! written by another process: a status byte that names no status fails
+//! its WR as a protection error, and a `Head` past what this side posted
+//! completes nothing beyond it. The sending channel of a QP is resolved once,
+//! into a table indexed by the local QP number.
 //!
 //! # Progress
 //!
 //! A scan ([`ShmFabric::scan`]) visits every channel (from a snapshot of the
-//! channel list refreshed only when one is installed), then the RNR queue;
-//! the clock is read only where a deadline is set or checked, or to tick an
+//! channel list refreshed only when one is installed): it delivers what a
+//! data ring holds and completes what a sent ring's `Head` has passed. It
+//! takes at most the records that were on a ring when it reached it, so a
+//! drain never chases a sender that its own completions keep refilling. The
+//! clock is read only where a deadline is set or checked, or to tick an
 //! attached sampler. One scanner runs at a time, under the progress lock.
 //! Pollers scan, and nothing else does: every completion queue created on
 //! the fabric holds it ([`Fabric::progress`]), and a poll that finds its
@@ -81,22 +85,30 @@
 //! completions until it polls again (a caller bounds that wait with its own
 //! deadline).
 //!
-//! Receiver-not-ready deliveries wait in a FIFO the scanner owns; later
-//! records for the same destination QP queue behind the deferred one, so a
-//! window posted ahead of its receives still lands in posting order. Their
-//! timers are served by the next scan after they expire.
+//! # The RNR rule
 //!
-//! The ring transport is lossless, so what the fabric keeps above it is flow
-//! control, on real [`Instant`] deadlines: receiver-not-ready re-arms after
-//! the QP's `min_rnr_timer` (wall-clock), `rnr_retry` times for budgets 0–6
-//! and, for InfiniBand's "retry indefinitely" 7, until the record has waited
-//! [`ShmConfig::full_ring_deadline`] ([`RnrBudget`]): a receiver that is
-//! merely slow holds its sender back, and only one that is gone fails it.
-//! There is no ack timer and no retransmission: a slow ack is awaited. Loss
-//! is not this fabric's to inject or to recover from — a
+//! A record whose receiver is not ready stays at the head of its ring. The
+//! channel keeps one head-of-line wait, started at the record's first
+//! attempt: when the sending QP's `min_rnr_timer` (wall-clock) expires, and
+//! what is left of its `rnr_retry` ([`RnrBudget`]) — that many re-arms for
+//! budgets 0–6 and, for InfiniBand's "retry indefinitely" 7, re-arms until
+//! the record has waited [`ShmConfig::full_ring_deadline`]. The first scan
+//! after the timer tries the record again. The records behind it wait,
+//! unattempted, as an RC QP's later requests wait behind an RNR NAK, so a
+//! window posted ahead of its receives lands in posting order; other
+//! channels pass it. A receiver that is merely slow holds its sender back,
+//! and only one that is gone fails it: a record that runs out of budget
+//! fails `RnrRetryExceeded`, and so, at their first receiver-not-ready, do
+//! the records that were behind it then, as an RC QP flushes its queue once
+//! its RNR retries run out — a window fails in one deadline, not one per
+//! record.
+//!
+//! There is no ack timer and no retransmission: a slow receiver is awaited.
+//! Loss is not this fabric's to inject or to recover from — a
 //! [`LossyFabric`](crate::LossyFabric) wrapped around it drops, duplicates
 //! and re-sends, and what reaches this fabric from one is ordinary records
-//! plus ghost duplicates, which the delivery engine's PSN check suppresses.
+//! plus ghost duplicates, which the delivery engine's PSN check suppresses
+//! and which complete nothing.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -110,8 +122,8 @@ use partix_telemetry::{segments_for, FlowStage, Sampler};
 
 use crate::buf::InlineVec;
 use crate::fabric::{
-    complete_posted, execute_delivery, outcome_status, DeliveryHeader, DeliveryOutcome, Fabric,
-    Payload, PostedSend, ResolvedSegment, TransferJob,
+    complete_posted, execute_delivery, DeliveryHeader, DeliveryOutcome, Fabric, Payload,
+    PostedSend, ResolvedSegment, TransferJob,
 };
 use crate::memory::MemoryRegion;
 use crate::network::{NetworkState, NodeCtx};
@@ -119,14 +131,12 @@ use crate::qp::RetryProfile;
 use crate::table::IndexTable;
 use crate::types::{NodeId, WcStatus};
 
-use super::ring::{RecordReader, RecordWriter, SpscRing};
+use super::ring::{RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
 use super::segment::{FileMapping, FileSegment, HeapSegment, Segment};
 use super::wait_until;
 
 /// DATA record kind tag.
 const KIND_DATA: u8 = 1;
-/// ACK record kind tag.
-const KIND_ACK: u8 = 2;
 
 /// Serialized DATA header bytes (the gather list, or an inline snapshot,
 /// follows).
@@ -134,19 +144,20 @@ const DATA_HEADER: usize = 72;
 /// Serialized bytes of one gather-list entry: `lkey: u32` | `len: u32` |
 /// `offset: u64`.
 const SEGMENT_ENTRY: usize = 16;
-/// Serialized ACK record bytes: `psn: u64` | `status: u8` | padding.
-const ACK_LEN: usize = 16;
 
 /// Configuration of a [`ShmFabric`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShmConfig {
     /// Data-ring capacity per QP-pair channel, bytes. A single record
     /// (72-byte header + 16 bytes per gather segment, or + the payload of an
-    /// inline WR) must fit. See [`ShmConfig::default`] for how the default
+    /// inline WR, + the ring's 8) must fit, and so must a QP's whole window
+    /// of its largest records: a record waiting on the RNR rule stays on the
+    /// ring, and the records posted behind it wait there too. With the
+    /// default caps that is 16 × 336 bytes, about 5.4 KiB; a ring that holds
+    /// less stalls a window posted ahead of its receives, and fails it at
+    /// the stall deadline. See [`ShmConfig::default`] for how the default
     /// was chosen.
     pub ring_capacity: u64,
-    /// ACK-ring capacity per channel, bytes.
-    pub ack_capacity: u64,
     /// MTU used for `mtu_segments` accounting (the wire ledger's
     /// segmentation law), matching `FabricParams::mtu`.
     pub mtu: usize,
@@ -168,13 +179,10 @@ impl Default for ShmConfig {
     /// stall: what bounds the stream is the one copy, not the ring. What the
     /// size does change is memory, since ring pages are mapped and every
     /// touched page is resident in each process that maps it: peak RSS 7.9–8.1
-    /// MB at 64 KiB, 8.0–8.1 at 128 KiB, 8.1–8.2 at 512 KiB. A ring must
-    /// still hold the largest record, which an inline WR's snapshot makes
-    /// (`max_inline_data` + 88 bytes).
+    /// MB at 64 KiB, 8.0–8.1 at 128 KiB, 8.1–8.2 at 512 KiB.
     fn default() -> Self {
         ShmConfig {
             ring_capacity: 1 << 16,
-            ack_capacity: 1 << 16,
             mtu: 4096,
             full_ring_deadline: Duration::from_secs(10),
         }
@@ -208,37 +216,35 @@ impl PairKey {
     }
 }
 
-/// One directed QP-pair channel: DATA ring (sender → receiver) plus ACK
-/// ring (receiver → sender).
+/// One directed QP-pair channel: its DATA ring, sender → receiver, whose
+/// `Head` carries the acknowledgements back.
 struct Channel {
     key: PairKey,
     data: SpscRing,
-    ack: SpscRing,
-    /// This process produces DATA / consumes ACK.
+    /// This process produces DATA and completes it.
     we_send: bool,
-    /// This process consumes DATA / produces ACK.
+    /// This process consumes DATA.
     we_recv: bool,
     /// Serialises the DATA producer side (posts may come from any thread;
     /// the ring protocol wants one logical producer).
     tx_lock: Mutex<()>,
-    /// Sender side: records awaiting their ACK, in ring order (each is
-    /// registered under `tx_lock`, just before it is pushed). The receiver
-    /// acks in ring order, so an ACK completes a prefix of the window.
+    /// Sender side: records not completed yet, in ring order (each is
+    /// registered under `tx_lock`, just before it is pushed, so a scan
+    /// that sees `Head` past a record finds it here).
     window: Mutex<VecDeque<Pending>>,
+    /// Sender side: ring bytes the sender has completed, ghosts included:
+    /// the bound on its pushes. Stored by the scanner, after the statuses
+    /// below it are read.
+    reclaimed: AtomicU64,
 }
 
 impl Channel {
-    fn new(
-        key: PairKey,
-        data: Arc<dyn Segment>,
-        ack: Arc<dyn Segment>,
-        we_send: bool,
-        we_recv: bool,
-    ) -> Arc<Channel> {
+    fn new(key: PairKey, data: Arc<dyn Segment>, we_send: bool, we_recv: bool) -> Arc<Channel> {
+        let data = SpscRing::new(data);
         Arc::new(Channel {
             key,
-            data: SpscRing::new(data),
-            ack: SpscRing::new(ack),
+            reclaimed: AtomicU64::new(data.consumed()),
+            data,
             we_send,
             we_recv,
             tx_lock: Mutex::new(()),
@@ -247,30 +253,14 @@ impl Channel {
     }
 }
 
-/// Sender-side record awaiting its ACK.
+/// Sender-side record awaiting its completion.
 struct Pending {
     /// What the completion needs.
     wr: PostedSend,
-    /// The PSN its ACK will name.
-    psn: u64,
+    /// The record's ring position: `Head` past it completes it.
+    at: u64,
     /// Flow-clock timestamp at submit: the `WireSubmit` event's time.
     submit_ns: u64,
-}
-
-/// Receiver-side delivery that outlived its ring slot, waiting in the
-/// scanner's RNR queue with what its record said: either deferred by
-/// a receiver-not-ready outcome (due when the wall-clock RNR timer expires)
-/// or held, untried, behind such a delivery of the same QP (due at once —
-/// order is what holds it).
-struct Deferred {
-    /// The channel the record arrived on, which carries its ACK.
-    ch: Arc<Channel>,
-    header: DeliveryHeader,
-    body: Body,
-    budget: RnrBudget,
-    min_rnr_timer_ns: u64,
-    /// When the RNR timer allows the next attempt; `None` while untried.
-    due: Option<Instant>,
 }
 
 /// What follows a DATA record's header, as a delivery reads it: where the
@@ -285,93 +275,62 @@ enum Source<'a> {
     Malformed,
 }
 
-/// A [`Source`] a [`Deferred`] delivery owns.
-enum Body {
-    /// The gather list.
-    Gather(InlineVec<ResolvedSegment>),
-    /// The inline snapshot, copied out of the ring slot.
-    Inline(Vec<u8>),
-    /// See [`Source::Malformed`].
-    Malformed,
-}
-
-impl Body {
-    fn source(&self) -> Source<'_> {
-        match self {
-            Body::Gather(segments) => Source::Gather(segments),
-            Body::Inline(bytes) => Source::Inline([bytes, &[]]),
-            Body::Malformed => Source::Malformed,
-        }
-    }
-}
-
 /// The `rnr_retry` value InfiniBand reserves for "retry indefinitely".
 const RNR_RETRY_INFINITE: u8 = 7;
 
-/// What is left of the sending QP's `rnr_retry` for one queued delivery.
+/// What is left of the sending QP's `rnr_retry` for the record at the head
+/// of a ring.
+#[derive(Clone, Copy)]
 enum RnrBudget {
     /// `rnr_retry` 0–6: receiver-not-ready may re-arm the timer this many
     /// more times.
     Rearms(u8),
     /// `rnr_retry = 7`: it may re-arm the timer until this instant,
-    /// [`ShmConfig::full_ring_deadline`] after the record came off its ring.
+    /// [`ShmConfig::full_ring_deadline`] after the record's first attempt.
     /// A wall-clock fabric cannot count this budget out: seven timers are a
     /// few milliseconds, which a receiver thread that merely lost its CPU
     /// outlasts, and the sender it fails cannot tell that from a dead peer.
     Until(Instant),
 }
 
-impl Deferred {
-    /// The destination QP whose receive queue this delivery waits on.
-    fn dst(&self) -> (u32, u32) {
-        (self.header.dst_node, self.header.dst_qp)
-    }
+/// The receiver's head-of-line wait on one channel: the record at its head
+/// met receiver-not-ready.
+struct RnrWait {
+    /// When the re-armed RNR timer expires.
+    due: Instant,
+    budget: RnrBudget,
+}
+
+/// What the receiver keeps of a channel between scans: the RNR rule's
+/// state.
+#[derive(Default)]
+struct RxState {
+    /// The head record's RNR wait, if it has one.
+    wait: Option<RnrWait>,
+    /// Records before this ring position fail at their first
+    /// receiver-not-ready: they were on the ring when a record ran out of
+    /// RNR budget (see the module docs).
+    flush_to: u64,
 }
 
 /// What the scanner keeps between scans. Whoever scans holds the lock
 /// around it, so there is one scanner at a time.
 #[derive(Default)]
 struct ProgressState {
-    /// Snapshot of the channel list, re-read only when one is installed.
-    channels: Vec<Arc<Channel>>,
-    /// Deliveries waiting on a receive queue, in arrival order.
-    rnr: VecDeque<Deferred>,
-    /// The window prefix an ACK covers, taken out of the window so that
-    /// completions are pushed with no window lock held. Empty between ACKs;
-    /// kept for its capacity.
-    acked: Vec<Pending>,
-}
-
-/// What a drain of one data ring owes the channel's sender: the coalesced
-/// ACK of the records it delivered since it last sent one.
-#[derive(Default)]
-struct OwedAck {
-    /// PSN of the last record delivered.
-    psn: u64,
-    /// Records the ACK covers, 0 when nothing is owed. They stay counted in
-    /// hand (see `ShmStats::in_hand`) until it is sent.
-    records: u64,
-    /// A record asked for its ACK (AckReq) and got it: the batch ends.
-    answered: bool,
+    /// Every installed channel, in installation order (the list only
+    /// grows), re-read only when one is installed, with its receiver's
+    /// state.
+    channels: Vec<(Arc<Channel>, RxState)>,
 }
 
 #[derive(Default)]
 struct ShmStats {
     data_records: AtomicU64,
-    ack_records: AtomicU64,
     rnr_deferrals: AtomicU64,
-    stale_acks: AtomicU64,
     malformed_records: AtomicU64,
     ring_full_stalls: AtomicU64,
     progress_iterations: AtomicU64,
     ring_occupancy_high_water: AtomicU64,
-    /// Records a scanner has taken off a ring and not finished with: being
-    /// delivered or completed right now, delivered with their ACK still
-    /// owed, or waiting in the RNR queue (which is the scanner's own; this
-    /// is what `is_idle` can see of it). Raised *before* the ring's `Head`
-    /// moves, so whoever sees the ring empty also sees the record counted
-    /// here.
-    in_hand: AtomicU64,
 }
 
 /// Real-time shared-memory fabric. See the module docs.
@@ -424,8 +383,8 @@ impl ShmFabric {
 
     fn build(cfg: ShmConfig, backing: Backing) -> Arc<Self> {
         assert!(
-            cfg.ring_capacity > DATA_HEADER as u64 && cfg.ack_capacity > ACK_LEN as u64,
-            "ring capacities must hold at least one record"
+            cfg.ring_capacity > DATA_HEADER as u64,
+            "the ring capacity must hold at least one record"
         );
         Arc::new(ShmFabric {
             cfg,
@@ -459,15 +418,11 @@ impl ShmFabric {
         );
     }
 
-    /// DATA records this process's scans consumed.
+    /// DATA records this process's scans released: delivered, or failed.
+    /// A record that the RNR rule holds at the head of its ring is not
+    /// counted until it is released.
     pub fn data_records(&self) -> u64 {
         self.stats.data_records.load(Ordering::Relaxed)
-    }
-
-    /// ACK records this process's scans consumed (one per drained batch of
-    /// the peer's, not one per record: see the module docs).
-    pub fn ack_records(&self) -> u64 {
-        self.stats.ack_records.load(Ordering::Relaxed)
     }
 
     /// Always 0: the rings lose nothing, so this fabric re-sends nothing
@@ -484,23 +439,15 @@ impl ShmFabric {
         self.stats.rnr_deferrals.load(Ordering::Relaxed)
     }
 
-    /// ACKs naming a PSN the sender's window does not hold — beyond the
-    /// highest it posted, or already completed. This fabric's own ACKs name
-    /// a record still in the window, so its own traffic never produces one;
-    /// an ACK is bytes from another process, and one that matches nothing
-    /// is counted and dropped rather than trusted.
-    pub fn stale_acks(&self) -> u64 {
-        self.stats.stale_acks.load(Ordering::Relaxed)
-    }
-
-    /// DATA records refused as malformed: a body that disagrees with its
-    /// header, or a gather segment that names no region of the sender's (in
-    /// host mode: no region file) or reaches past the end of one. Each is
-    /// acknowledged `RemoteAccessError` — unless it is too short to hold a
-    /// header, and so names no PSN to acknowledge — and counted in the wire
-    /// ledger as a delivery attempt that failed its protection check. A
-    /// record is bytes another process wrote; this fabric's own records
-    /// never produce one.
+    /// Records and completions refused as malformed. On the receiving side:
+    /// a body that disagrees with its header, or a gather segment that
+    /// names no region of the sender's (in host mode: no region file) or
+    /// reaches past the end of one; each is released `RemoteAccessError`
+    /// and counted in the wire ledger as a delivery attempt that failed its
+    /// protection check. On the sending side: a released record whose
+    /// status byte names no status, which completes `RemoteAccessError`.
+    /// Both are bytes another process wrote; this fabric's own never
+    /// produce one.
     pub fn malformed_records(&self) -> u64 {
         self.stats.malformed_records.load(Ordering::Relaxed)
     }
@@ -521,7 +468,7 @@ impl ShmFabric {
         self.stats.ring_full_stalls.load(Ordering::Relaxed)
     }
 
-    /// Scans (each is one full scan of every channel plus the RNR queue).
+    /// Scans (each is one full scan of every channel).
     pub fn progress_iterations(&self) -> u64 {
         self.stats.progress_iterations.load(Ordering::Relaxed)
     }
@@ -571,24 +518,19 @@ impl ShmFabric {
             ),
             ("ring_full_stalls", self.ring_full_stalls()),
             ("rnr_deferrals", self.rnr_deferrals()),
-            ("stale_acks", self.stale_acks()),
             ("malformed_records", self.malformed_records()),
         ]
     }
 
-    /// Whether nothing is in flight on this fabric: every consumable ring
-    /// drained, no record being delivered, completed or RNR-deferred, none
-    /// awaiting its ack.
+    /// Whether nothing is in flight on this fabric: every ring it consumes
+    /// drained, and every record it sent completed and its space reclaimed.
     pub fn is_idle(&self) -> bool {
-        // Rings first, `in_hand` second: a record leaves a ring only after
-        // it is counted in hand (see `ShmStats::in_hand`).
-        let channels = self.channels.lock();
-        let drained = channels
-            .iter()
-            .all(|ch| (!ch.we_recv || ch.data.is_empty()) && (!ch.we_send || ch.ack.is_empty()));
-        drained
-            && self.stats.in_hand.load(Ordering::Acquire) == 0
-            && channels.iter().all(|ch| ch.window.lock().is_empty())
+        self.channels.lock().iter().all(|ch| {
+            (!ch.we_recv || ch.data.is_empty())
+                && (!ch.we_send
+                    || (ch.reclaimed.load(Ordering::Acquire) == ch.data.published()
+                        && ch.window.lock().is_empty()))
+        })
     }
 
     /// Block until [`is_idle`](Self::is_idle) holds, or `timeout` elapses.
@@ -607,20 +549,15 @@ impl ShmFabric {
         }
     }
 
-    /// Stop the fabric: close every producer ring, run the final drain on
+    /// Stop the fabric: close every ring it produces, run the final drain on
     /// the calling thread, and unlink the files this fabric's regions live
     /// in (host mode; mappings stay valid, so a peer's views outlive them).
     /// Idempotent; also run by `Drop`. A thread that is unwinding skips the
     /// drain: a scan that panicked there too would abort the process.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        for ch in self.channels.lock().iter() {
-            if ch.we_send {
-                ch.data.close();
-            }
-            if ch.we_recv {
-                ch.ack.close();
-            }
+        for ch in self.channels.lock().iter().filter(|ch| ch.we_send) {
+            ch.data.close();
         }
         if !std::thread::panicking() {
             self.drain();
@@ -632,7 +569,7 @@ impl ShmFabric {
 
     /// The final drain: scan, try-locked as a poll does, until the fabric
     /// is idle, the network it delivers into is gone, or nothing has moved
-    /// for a stall deadline (a peer that will never ack must not turn
+    /// for a stall deadline (a peer that will never consume must not turn
     /// `shutdown` into a hang).
     fn drain(&self) {
         let mut deadline = Instant::now() + self.cfg.full_ring_deadline;
@@ -654,7 +591,7 @@ impl ShmFabric {
     }
 
     /// Open the sending side of the directed channel `src → dst` (host
-    /// mode): creates the segment files and waits up to `timeout` for the
+    /// mode): creates the segment file and waits up to `timeout` for the
     /// receiver to attach, or fails with `TimedOut`. The wait yields, and
     /// sleeps only after a millisecond, never past `timeout`: a receiver
     /// that is there is seen within µs.
@@ -686,9 +623,7 @@ impl ShmFabric {
             }
             let data =
                 FileSegment::create(&dir.join(key.file_stem() + ".data"), self.cfg.ring_capacity)?;
-            let ack =
-                FileSegment::create(&dir.join(key.file_stem() + ".ack"), self.cfg.ack_capacity)?;
-            let ch = Channel::new(key, Arc::new(data), Arc::new(ack), true, false);
+            let ch = Channel::new(key, Arc::new(data), true, false);
             self.publish(&mut channels, &ch);
             let fresh = self.tx_route.set(src.1, ch.clone());
             assert!(fresh.is_ok(), "route checked empty under the list lock");
@@ -704,9 +639,9 @@ impl ShmFabric {
     }
 
     /// Open the receiving side of the directed channel `src → dst` (host
-    /// mode): looks for the sender's segment files up to `timeout` (or fails
+    /// mode): looks for the sender's segment file up to `timeout` (or fails
     /// with `TimedOut`), then acknowledges attachment. The wait is
-    /// [`open_tx`](Self::open_tx)'s: files that are there are seen within
+    /// [`open_tx`](Self::open_tx)'s: a file that is there is seen within
     /// µs, and no sleep reaches past `timeout`.
     pub fn open_rx(
         &self,
@@ -723,24 +658,20 @@ impl ShmFabric {
         let Backing::Host(dir) = &self.backing else {
             panic!("open_rx applies to host-mode fabrics; loopback channels are implicit");
         };
-        let open = |ext: &str| FileSegment::open(&dir.join(key.file_stem() + ext));
-        // `Ok(None)` until both files are complete; an error ends the wait.
+        let path = dir.join(key.file_stem() + ".data");
+        // `Ok(None)` until the file is complete; an error ends the wait.
         let mut opened = Ok(None);
         wait_until(Instant::now() + timeout, || {
-            opened = match (open(".data"), open(".ack")) {
-                (Ok(Some(d)), Ok(Some(a))) => Ok(Some((d, a))),
-                (Err(e), _) | (_, Err(e)) => Err(e),
-                _ => Ok(None),
-            };
+            opened = FileSegment::open(&path);
             !matches!(opened, Ok(None))
         });
-        let Some((data, ack)) = opened? else {
+        let Some(data) = opened? else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "shm channel segments never appeared",
             ));
         };
-        let ch = Channel::new(key, Arc::new(data), Arc::new(ack), false, true);
+        let ch = Channel::new(key, Arc::new(data), false, true);
         self.publish(&mut self.channels.lock(), &ch);
         ch.data.mark_attached();
         Ok(())
@@ -771,14 +702,8 @@ impl ShmFabric {
             if let Some(ch) = channels.iter().find(|c| c.key == key) {
                 return ch.clone();
             }
-            let heap = |bytes: u64| Arc::new(HeapSegment::new(bytes as usize));
-            let ch = Channel::new(
-                key,
-                heap(self.cfg.ring_capacity),
-                heap(self.cfg.ack_capacity),
-                true,
-                true,
-            );
+            let ring = Arc::new(HeapSegment::new(self.cfg.ring_capacity as usize));
+            let ch = Channel::new(key, ring, true, true);
             self.publish(&mut channels, &ch);
             ch
         };
@@ -792,35 +717,42 @@ impl ShmFabric {
 
     /// Publish one DATA record of `len` bytes, written in place by `write`,
     /// on `ch`'s ring, waiting out backpressure. `pending` (none for a ghost)
-    /// joins the window in the order its record joins the ring; `write` is
-    /// told whether the record is the one that fills `half_window`, and asks
-    /// for its ACK at once.
+    /// joins the window, with the record's position, before the record
+    /// joins the ring.
     fn enqueue_data(
         &self,
         ch: &Channel,
         len: usize,
-        write: &dyn Fn(&mut RecordWriter<'_>, bool),
+        write: &dyn Fn(&mut RecordWriter<'_>),
         pending: Option<Pending>,
-        half_window: usize,
     ) {
         let _tx = ch.tx_lock.lock();
-        // Registered before the record can produce an ACK, so the ACK
-        // handler always finds its entry.
-        let ack_req = pending.is_some_and(|pending| {
-            let mut window = ch.window.lock();
-            window.push_back(pending);
-            window.len() == half_window
-        });
-        let write = |w: &mut RecordWriter<'_>| write(w, ack_req);
-        if !ch.data.try_push_with(KIND_DATA, len, write) {
+        // The producer's own cursor: it moves only under `tx_lock`.
+        let at = ch.data.published();
+        let (need, cap) = (RECORD_HEADER + len as u64, ch.data.capacity());
+        // The ring's own check, which the bound below would only wait out.
+        assert!(
+            need <= cap,
+            "record of {need} bytes exceeds ring capacity {cap}"
+        );
+        if let Some(pending) = pending {
+            ch.window.lock().push_back(Pending { at, ..pending });
+        }
+        // Only completed records' space is reused: `Head` alone would hand
+        // back slots whose status the sender has not read yet.
+        let push = || {
+            at + need <= ch.reclaimed.load(Ordering::Acquire) + cap
+                && ch.data.try_push_with(KIND_DATA, len, write)
+        };
+        if !push() {
             self.stats.ring_full_stalls.fetch_add(1, Ordering::Relaxed);
             self.note_occupancy(ch.data.len());
             let deadline = Instant::now() + self.cfg.full_ring_deadline;
             loop {
-                // A loopback ring drains when its poster scans.
+                // A ring's space comes back when its sender scans.
                 self.progress();
                 std::thread::yield_now();
-                if ch.data.try_push_with(KIND_DATA, len, write) {
+                if push() {
                     break;
                 }
                 assert!(
@@ -841,8 +773,7 @@ impl ShmFabric {
 
     /// [`Fabric::submit`] once the sending channel is known.
     fn submit_on(&self, net: &Arc<NetworkState>, ch: &Channel, job: TransferJob) {
-        let qp = net.qp(job.src_node, job.src_qp).ok();
-        let profile = qp.map_or(
+        let profile = net.qp(job.src_node, job.src_qp).ok().map_or(
             RetryProfile {
                 timeout: 5,
                 retry_cnt: 0,
@@ -851,7 +782,6 @@ impl ShmFabric {
             },
             |qp| qp.retry_profile(),
         );
-        let half_window = qp.map_or(0, |qp| qp.caps().max_send_wr.div_ceil(2) as usize);
         // Header, then the doorbell's gather list — the receiver reads the
         // bytes out of the source regions — or an inline WR's snapshot.
         let body = match &job.inline_payload {
@@ -859,11 +789,7 @@ impl ShmFabric {
             None => SEGMENT_ENTRY * job.segments.len(),
         };
         let header = data_header(&job, &profile);
-        let write = |w: &mut RecordWriter<'_>, ack_req: bool| {
-            let mut header = header;
-            if ack_req {
-                header[FLAGS_AT] |= FLAG_ACK_REQ;
-            }
+        let write = |w: &mut RecordWriter<'_>| {
             w.put(&header);
             match &job.inline_payload {
                 Some(snapshot) => w.put(snapshot),
@@ -871,10 +797,10 @@ impl ShmFabric {
             }
         };
         // A ghost duplicate (a lossy decorator's) is fire-and-forget: no
-        // ack, no completion.
+        // completion. The record's position is known once it is queued.
         let pending = (!job.ghost).then(|| Pending {
             wr: job.posted(),
-            psn: job.psn,
+            at: 0,
             submit_ns: net.telemetry().flows.now(),
         });
         // The wire ledger is charged for a transfer entering the fabric
@@ -883,7 +809,7 @@ impl ShmFabric {
         wire.inner_submissions.inc();
         wire.mtu_segments
             .add(segments_for(job.total_len.into(), self.cfg.mtu));
-        self.enqueue_data(ch, DATA_HEADER + body, &write, pending, half_window);
+        self.enqueue_data(ch, DATA_HEADER + body, &write, pending);
     }
 }
 
@@ -951,30 +877,27 @@ impl Fabric for ShmFabric {
 /// consumes a receive WR. Nothing else in the header names the operation.
 const FLAG_IMM: u8 = 1;
 const FLAG_GHOST: u8 = 2;
-/// InfiniBand's AckReq: acknowledge this record at once rather than at the
-/// end of the receiver's batch. The sender sets it on the record that fills
-/// half its window, so the window is refilled while the rest of it drains.
-const FLAG_ACK_REQ: u8 = 4;
 /// The record carries an inline WR's snapshot instead of a gather list.
 const FLAG_INLINE: u8 = 8;
 
-fn status_to_wire(s: WcStatus) -> u8 {
-    match s {
-        WcStatus::Success => 0,
-        WcStatus::RemoteAccessError => 1,
-        WcStatus::RetryExceeded => 2,
-        WcStatus::RnrRetryExceeded => 3,
-        WcStatus::LocalLengthError => 4,
+/// The status byte the receiver releases a record with: 0 when its
+/// delivery landed (or was a suppressed duplicate of one that did).
+fn status_to_wire(outcome: &DeliveryOutcome) -> u8 {
+    match outcome {
+        DeliveryOutcome::Delivered { .. } | DeliveryOutcome::Duplicate => 0,
+        DeliveryOutcome::RemoteAccessError => 1,
+        DeliveryOutcome::ReceiverNotReady => 2,
     }
 }
 
-fn status_from_wire(b: u8) -> WcStatus {
+/// The completion status a released record's status byte names; `None` for
+/// a byte that names none.
+fn status_from_wire(b: u8) -> Option<WcStatus> {
     match b {
-        0 => WcStatus::Success,
-        1 => WcStatus::RemoteAccessError,
-        2 => WcStatus::RetryExceeded,
-        3 => WcStatus::RnrRetryExceeded,
-        _ => WcStatus::LocalLengthError,
+        0 => Some(WcStatus::Success),
+        1 => Some(WcStatus::RemoteAccessError),
+        2 => Some(WcStatus::RnrRetryExceeded),
+        _ => None,
     }
 }
 
@@ -984,8 +907,8 @@ const FLAGS_AT: usize = 60;
 /// The fixed header of `job`'s DATA record (its gather list or inline
 /// snapshot follows). The receiver reads all of it but `src_node` and
 /// `wr_id`, which only say whose record this is to someone reading a segment
-/// file: the channel names the sending node, the ACK names the PSN, and the
-/// sender's window has the rest.
+/// file: the channel names the sending node, and the sender's window has
+/// the rest.
 fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
     let mut rec = [0u8; DATA_HEADER];
     rec[0..4].copy_from_slice(&job.src_node.to_le_bytes());
@@ -1036,8 +959,6 @@ struct RecordAttrs {
     rnr_retry: u8,
     /// The sending QP's RNR timer.
     min_rnr_timer_ns: u64,
-    /// AckReq ([`FLAG_ACK_REQ`]).
-    ack_req: bool,
     /// An inline WR's record ([`FLAG_INLINE`]).
     inline: bool,
 }
@@ -1070,7 +991,6 @@ fn parse_data_header(r: &mut RecordReader<'_>) -> Option<(DeliveryHeader, Record
     let attrs = RecordAttrs {
         rnr_retry: rec[62],
         min_rnr_timer_ns: u64_at(64),
-        ack_req: flags & FLAG_ACK_REQ != 0,
         inline: flags & FLAG_INLINE != 0,
     };
     Some((header, attrs))
@@ -1112,20 +1032,6 @@ fn read_body(
     sum == total
 }
 
-fn serialize_ack(psn: u64, status: WcStatus) -> [u8; ACK_LEN] {
-    let mut rec = [0u8; ACK_LEN];
-    rec[0..8].copy_from_slice(&psn.to_le_bytes());
-    rec[8] = status_to_wire(status);
-    rec
-}
-
-fn parse_ack(r: &mut RecordReader<'_>) -> (u64, WcStatus) {
-    let mut rec = [0u8; ACK_LEN];
-    r.take(&mut rec);
-    let psn = u64::from_le_bytes(rec[0..8].try_into().expect("fixed"));
-    (psn, status_from_wire(rec[8]))
-}
-
 // ---------------------------------------------------------------------------
 // Progress engine
 // ---------------------------------------------------------------------------
@@ -1159,10 +1065,9 @@ impl ShmFabric {
         }
     }
 
-    /// One progress scan: drain every DATA ring this process consumes into
-    /// deliveries + ACKs and every ACK ring into send completions, then
-    /// service the wall-clock RNR queue. Returns whether anything was there
-    /// to do.
+    /// One progress scan: deliver what every DATA ring this process
+    /// consumes holds, and complete what every ring it sends on has seen
+    /// released. Returns whether anything was there to do.
     fn scan(&self, st: &mut ProgressState) -> bool {
         self.stats
             .progress_iterations
@@ -1173,105 +1078,112 @@ impl ShmFabric {
         let Some(net) = self.net.get().and_then(Weak::upgrade) else {
             return false;
         };
-        let ProgressState {
-            channels,
-            rnr,
-            acked,
-        } = st;
+        let channels = &mut st.channels;
         if self.channels_installed.load(Ordering::Acquire) != channels.len() {
-            channels.clone_from(&self.channels.lock());
+            let installed = self.channels.lock();
+            let fresh = installed[channels.len()..].iter();
+            channels.extend(fresh.map(|ch| (ch.clone(), RxState::default())));
         }
         let mut did_work = false;
-        for ch in channels.iter() {
+        for (ch, rx) in channels.iter_mut() {
             if ch.we_recv {
-                // One batch, acknowledged once: up to the ring's end, or to
-                // a record that asks for its ACK at once.
-                let mut owed = OwedAck::default();
-                while !owed.answered && self.take_data(&net, ch, rnr, &mut owed) {
-                    did_work = true;
-                }
-                self.send_owed(ch, &mut owed);
+                did_work |= self.take_data(&net, ch, rx);
             }
             if ch.we_send {
-                while self.take_ack(&net, ch, acked) {
-                    did_work = true;
-                }
+                did_work |= self.complete_sends(&net, ch);
             }
         }
-        did_work | self.service_rnr(&net, rnr)
+        did_work
     }
 
-    /// Take one DATA record off `ch`, if one is there, and deliver it:
-    /// its gather list (or inline snapshot) goes to the delivery engine
-    /// before the slot is handed back. Delivery order on a QP is posting
-    /// order: while an earlier delivery for the same destination QP waits in
-    /// the RNR queue, this one queues behind it untried. A record that
-    /// queues — either way — keeps its header and gather list; only an
-    /// inline one copies its bytes out of the ring. A delivered record that
-    /// asks for its ACK (AckReq) sends what `owed` holds at once, and ends
-    /// the batch.
-    fn take_data(
+    /// Deliver the records on `ch`'s ring, in order, from where they lie:
+    /// at most those that were there when the drain began. A record that
+    /// meets receiver-not-ready with budget left stays at the head, and the
+    /// drain ends; the first drain after its timer tries it again. Returns
+    /// whether a delivery was attempted.
+    fn take_data(&self, net: &Arc<NetworkState>, ch: &Channel, rx: &mut RxState) -> bool {
+        let end = ch.data.published();
+        let mut attempted = false;
+        while ch.data.consumed() < end {
+            if rx.wait.as_ref().is_some_and(|w| w.due > Instant::now()) {
+                break;
+            }
+            let taken = ch.data.try_take_with(|kind, r| {
+                self.note_occupancy(r.backlog());
+                let released = self.take_record(net, ch, rx, kind, r);
+                (released.is_some(), released)
+            });
+            attempted = true;
+            if taken != Ok(true) {
+                break;
+            }
+            self.stats.data_records.fetch_add(1, Ordering::Relaxed);
+        }
+        attempted
+    }
+
+    /// Attempt the delivery of the record at the head of `ch`, whose kind
+    /// and body `r` holds. `Some(status)` releases it with the status byte
+    /// its sender will read; `None` keeps it at the head, receiver-not-ready,
+    /// with its RNR timer re-armed.
+    fn take_record(
         &self,
         net: &Arc<NetworkState>,
-        ch: &Arc<Channel>,
-        rnr: &mut VecDeque<Deferred>,
-        owed: &mut OwedAck,
-    ) -> bool {
-        let taken = ch.data.try_pop_with(|kind, r| {
-            self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
-            self.note_occupancy(r.backlog());
-            let parsed = (kind == KIND_DATA).then(|| parse_data_header(r)).flatten();
-            let Some((header, attrs)) = parsed else {
-                // No header, so no PSN to refuse: counted, and dropped.
-                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
-                self.stats.in_hand.fetch_sub(1, Ordering::Release);
-                return None;
-            };
-            let mut gather = InlineVec::new();
-            let well_formed = read_body(r, &header, attrs.inline, &mut gather);
-            let snapshot = r.rest();
-            let dst = (header.dst_node, header.dst_qp);
-            let (rnr_retry, min_rnr_timer_ns) = (attrs.rnr_retry, attrs.min_rnr_timer_ns);
-            let due = if rnr.iter().any(|d| d.dst() == dst) {
-                None
-            } else {
-                let source = match (well_formed, attrs.inline) {
-                    (false, _) => Source::Malformed,
-                    (true, true) => Source::Inline(snapshot),
-                    (true, false) => Source::Gather(&gather),
-                };
-                let rearm = (rnr_retry > 0).then_some(min_rnr_timer_ns);
-                let due = self.deliver(net, ch, &header, source, rearm, owed);
-                if due.is_none() && attrs.ack_req {
-                    self.send_owed(ch, owed);
-                    owed.answered = true;
-                }
-                Some(due?)
-            };
-            // A first attempt that re-armed the timer has spent one re-arm.
-            let budget = if rnr_retry == RNR_RETRY_INFINITE {
-                RnrBudget::Until(Instant::now() + self.cfg.full_ring_deadline)
-            } else {
-                RnrBudget::Rearms(rnr_retry - due.is_some() as u8)
-            };
-            let body = match (well_formed, attrs.inline) {
-                (false, _) => Body::Malformed,
-                (true, true) => Body::Inline(snapshot.concat()),
-                (true, false) => Body::Gather(gather),
-            };
-            Some(Deferred {
-                ch: ch.clone(),
-                header,
-                body,
-                budget,
-                min_rnr_timer_ns,
-                due,
-            })
+        ch: &Channel,
+        rx: &mut RxState,
+        kind: u8,
+        r: &mut RecordReader<'_>,
+    ) -> Option<u8> {
+        let parsed = (kind == KIND_DATA).then(|| parse_data_header(r)).flatten();
+        let Some((header, attrs)) = parsed else {
+            // No header, so nothing to deliver to: counted, and failed.
+            self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+            return Some(status_to_wire(&DeliveryOutcome::RemoteAccessError));
+        };
+        let mut gather = InlineVec::new();
+        let source = match (
+            read_body(r, &header, attrs.inline, &mut gather),
+            attrs.inline,
+        ) {
+            (false, _) => Source::Malformed,
+            (true, true) => Source::Inline(r.rest()),
+            (true, false) => Source::Gather(&gather),
+        };
+        let outcome = self.deliver(net, ch.key.src_node, &header, source);
+        if !matches!(outcome, DeliveryOutcome::ReceiverNotReady) {
+            rx.wait = None;
+            return Some(status_to_wire(&outcome));
+        }
+        let now = Instant::now();
+        let timer = Duration::from_nanos(attrs.min_rnr_timer_ns.max(1));
+        let budget = match rx.wait.take() {
+            Some(RnrWait { budget, .. }) => budget,
+            // A first attempt: the budget starts here, unless the record was
+            // on the ring when another ran out of its own.
+            None if ch.data.consumed() < rx.flush_to => RnrBudget::Rearms(0),
+            None if attrs.rnr_retry == RNR_RETRY_INFINITE => {
+                RnrBudget::Until(now + self.cfg.full_ring_deadline)
+            }
+            None => RnrBudget::Rearms(attrs.rnr_retry),
+        };
+        let budget = match budget {
+            RnrBudget::Rearms(left) if left > 0 => RnrBudget::Rearms(left - 1),
+            RnrBudget::Until(give_up) if now < give_up => budget,
+            _ => {
+                rx.flush_to = ch.data.published();
+                return Some(status_to_wire(&outcome));
+            }
+        };
+        rx.wait = Some(RnrWait {
+            due: now + timer,
+            budget,
         });
-        let Ok(deferred) = taken else { return false };
-        self.stats.data_records.fetch_add(1, Ordering::Relaxed);
-        rnr.extend(deferred);
-        true
+        net.telemetry().wire.rnr_requeues.inc();
+        self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
+        let flows = &net.telemetry().flows;
+        let stage = FlowStage::RnrWait;
+        flows.event(header.flow, stage, header.src_qp, 0, attrs.min_rnr_timer_ns);
+        None
     }
 
     /// What a delivery from `source`, of a record sent by `src_node`, reads:
@@ -1319,27 +1231,17 @@ impl ShmFabric {
         src.mrs.insert_view(lkey, view)
     }
 
-    /// Attempt one delivery from `source`: run the destination-side effects
-    /// and, for non-ghost records, acknowledge — a success by adding it to
-    /// `owed`, a failure by sending what `owed` holds and then its own ACK.
-    /// A source that does not check out ([`ShmFabric::payload`]) fails as a
-    /// protection error, before any check the delivery engine makes. `None`
-    /// means the record is done with, delivered or acknowledged as failed
-    /// (and, unless its ACK is owed, out of hand); on receiver-not-ready
-    /// with a re-arm left in the sender's RNR budget (`rearm`, the sender's
-    /// RNR timer) it is instead the wall-clock deadline of the re-armed
-    /// timer, for the caller to (re)queue by, and `owed` has been sent: the
-    /// deferred record is acknowledged after everything delivered before it.
+    /// Run the destination-side effects of one delivery from `source`. A
+    /// source that does not check out ([`ShmFabric::payload`]) fails as a
+    /// protection error, before any check the delivery engine makes.
     fn deliver(
         &self,
         net: &Arc<NetworkState>,
-        ch: &Channel,
+        src_node: NodeId,
         header: &DeliveryHeader,
         source: Source<'_>,
-        rearm: Option<u64>,
-        owed: &mut OwedAck,
-    ) -> Option<Instant> {
-        let outcome = match self.payload(net, ch.key.src_node, source) {
+    ) -> DeliveryOutcome {
+        match self.payload(net, src_node, source) {
             Some(payload) => execute_delivery(net, header, payload, true),
             None => {
                 // Counted in the ledger as the protection failure it is.
@@ -1349,172 +1251,52 @@ impl ShmFabric {
                 self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
                 DeliveryOutcome::RemoteAccessError
             }
-        };
-        if let (DeliveryOutcome::ReceiverNotReady, Some(min_rnr_timer_ns)) = (&outcome, rearm) {
-            self.send_owed(ch, owed);
-            let wire = &net.telemetry().wire;
-            wire.rnr_requeues.inc();
-            self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
-            net.telemetry().flows.event(
-                header.flow,
-                FlowStage::RnrWait,
-                header.src_qp,
-                0,
-                min_rnr_timer_ns,
-            );
-            return Some(Instant::now() + Duration::from_nanos(min_rnr_timer_ns.max(1)));
-        }
-        match outcome_status(&outcome) {
-            _ if header.ghost => {}
-            WcStatus::Success => {
-                owed.psn = header.psn;
-                owed.records += 1;
-                return None;
-            }
-            status => {
-                self.send_owed(ch, owed);
-                self.push_ack(ch, header.psn, status);
-            }
-        }
-        self.stats.in_hand.fetch_sub(1, Ordering::Release);
-        None
-    }
-
-    /// Send the coalesced ACK `owed` holds, if it holds one, and let the
-    /// records it covers out of hand.
-    fn send_owed(&self, ch: &Channel, owed: &mut OwedAck) {
-        if owed.records == 0 {
-            return;
-        }
-        self.push_ack(ch, owed.psn, WcStatus::Success);
-        self.stats
-            .in_hand
-            .fetch_sub(std::mem::take(&mut owed.records), Ordering::Release);
-    }
-
-    /// Push one ACK record onto `ch`, waiting out a full ring for the stall
-    /// deadline.
-    fn push_ack(&self, ch: &Channel, psn: u64, status: WcStatus) {
-        let ack = serialize_ack(psn, status);
-        // The clock is read only once the ring has turned an ACK away.
-        let mut deadline = None;
-        while !ch.ack.try_push(KIND_ACK, &ack) {
-            let deadline =
-                *deadline.get_or_insert_with(|| Instant::now() + self.cfg.full_ring_deadline);
-            assert!(
-                Instant::now() < deadline,
-                "shm ack ring {:?} full past the {:?} stall deadline — has the sender \
-                 stopped polling?",
-                ch.key,
-                self.cfg.full_ring_deadline
-            );
-            std::thread::yield_now();
         }
     }
 
-    /// Take one ACK record off `ch`, if one is there, and complete the sends
-    /// it covers (`acked` is scratch).
-    fn take_ack(&self, net: &Arc<NetworkState>, ch: &Channel, acked: &mut Vec<Pending>) -> bool {
-        let taken = ch.ack.try_pop_with(|kind, r| {
-            debug_assert_eq!(kind, KIND_ACK);
-            self.stats.in_hand.fetch_add(1, Ordering::Relaxed);
-            parse_ack(r)
-        });
-        let Ok((psn, status)) = taken else {
+    /// Complete, in window order, the records of `ch` whose release its
+    /// ring's `Head` shows, each with the status its slot holds, and then
+    /// reclaim their space. A `Head` past what this side posted completes
+    /// nothing beyond it. Returns whether anything completed.
+    fn complete_sends(&self, net: &Arc<NetworkState>, ch: &Channel) -> bool {
+        // The scanner's own word: only scans store it.
+        let reclaimed = ch.reclaimed.load(Ordering::Relaxed);
+        let published = ch.data.published();
+        if reclaimed == published {
+            // Nothing in flight: the peer's cursor is not even read.
             return false;
-        };
-        self.stats.ack_records.fetch_add(1, Ordering::Relaxed);
-        self.handle_ack(net, ch, psn, status, acked);
-        self.stats.in_hand.fetch_sub(1, Ordering::Release);
-        true
-    }
-
-    /// Complete the sends an arriving ACK covers: the window's front through
-    /// the record it names, that one with the ACK's status and every one
-    /// before it `Success` (the responder sends what it owes before any
-    /// failure, so those were delivered). An ACK that names no record in the
-    /// window — beyond the highest PSN posted, or already completed —
-    /// completes nothing (see [`ShmFabric::stale_acks`]).
-    fn handle_ack(
-        &self,
-        net: &Arc<NetworkState>,
-        ch: &Channel,
-        psn: u64,
-        status: WcStatus,
-        acked: &mut Vec<Pending>,
-    ) {
-        {
-            let mut window = ch.window.lock();
-            let Some(at) = window.iter().position(|p| p.psn == psn) else {
-                self.stats.stale_acks.fetch_add(1, Ordering::Relaxed);
-                return;
-            };
-            acked.extend(window.drain(..=at));
+        }
+        let head = ch.data.consumed().min(published);
+        if head <= reclaimed {
+            return false;
         }
         // The wire stage is known once it ends: stamped at submit, lasting
-        // until this ACK. Recorded before the completion, which a traced
-        // poller may be waiting on.
+        // until its release is seen here. Recorded before the completion,
+        // which a traced poller may be waiting on.
         let flows = &net.telemetry().flows;
         let now = flows.now();
-        let last = acked.len() - 1;
-        for (i, pending) in acked.drain(..).enumerate() {
+        loop {
+            let next = {
+                let mut window = ch.window.lock();
+                match window.front() {
+                    Some(pending) if pending.at < head => window.pop_front(),
+                    _ => None,
+                }
+            };
+            let Some(pending) = next else { break };
+            let status = status_from_wire(ch.data.status_at(pending.at)).unwrap_or_else(|| {
+                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+                WcStatus::RemoteAccessError
+            });
             let wr = &pending.wr;
             let wire_ns = now.saturating_sub(pending.submit_ns);
             let stage = FlowStage::WireSubmit;
             flows.event_at(wr.flow, stage, pending.submit_ns, wr.src_qp, 0, wire_ns);
-            let status = if i == last { status } else { WcStatus::Success };
             complete_posted(net, wr, status);
         }
-    }
-
-    /// Re-attempt queued deliveries, oldest first. A QP whose oldest queued
-    /// delivery is not due yet (or hits receiver-not-ready again) keeps
-    /// everything behind it waiting, so a deferred window is redelivered in
-    /// posting order; other QPs pass it.
-    fn service_rnr(&self, net: &Arc<NetworkState>, rnr: &mut VecDeque<Deferred>) -> bool {
-        if rnr.is_empty() {
-            return false;
-        }
-        let now = Instant::now();
-        let mut blocked: Vec<(u32, u32)> = Vec::new();
-        let mut worked = false;
-        let mut i = 0;
-        while i < rnr.len() {
-            let d = &mut rnr[i];
-            let dst = d.dst();
-            if blocked.contains(&dst) {
-                i += 1;
-                continue;
-            }
-            if d.due.is_some_and(|due| due > now) {
-                blocked.push(dst);
-                i += 1;
-                continue;
-            }
-            worked = true;
-            let retry = match d.budget {
-                RnrBudget::Rearms(left) => left > 0,
-                RnrBudget::Until(give_up) => now < give_up,
-            };
-            let rearm = retry.then_some(d.min_rnr_timer_ns);
-            let mut owed = OwedAck::default();
-            let due = self.deliver(net, &d.ch, &d.header, d.body.source(), rearm, &mut owed);
-            self.send_owed(&d.ch, &mut owed);
-            match due {
-                Some(due) => {
-                    if let RnrBudget::Rearms(left) = &mut d.budget {
-                        *left -= 1;
-                    }
-                    d.due = Some(due);
-                    blocked.push(dst);
-                    i += 1;
-                }
-                None => {
-                    rnr.remove(i);
-                }
-            }
-        }
-        worked
+        // Every status below `head` is read: its space may be reused.
+        ch.reclaimed.store(head, Ordering::Release);
+        true
     }
 }
 
@@ -1528,7 +1310,7 @@ mod tests {
     use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcOpcode, WorkCompletion};
     use partix_telemetry::invariants;
 
-    use super::super::ring::RECORD_HEADER;
+    use super::super::segment::Ctrl;
 
     /// Ring bytes of a one-segment DATA record: the doorbell of an ordinary
     /// write.
@@ -1627,8 +1409,14 @@ mod tests {
     impl Pair {
         /// Host mode: open the channel `qa → qb` on both fabrics.
         fn open_channel(&self) {
+            self.open(&self.qa, &self.qb);
+        }
+
+        /// Host mode: open the channel `qa → qb` of node 0's `qa` and node
+        /// 1's `qb` on both fabrics.
+        fn open(&self, qa: &QueuePair, qb: &QueuePair) {
             let Some((rx, _)) = &self.host else { return };
-            let (from, to) = ((0, self.qa.qp_num()), (1, self.qb.qp_num()));
+            let (from, to) = ((0, qa.qp_num()), (1, qb.qp_num()));
             let tx = &self.fabric;
             std::thread::scope(|s| {
                 s.spawn(|| tx.open_tx(from, to, Duration::from_secs(10)).unwrap());
@@ -1636,29 +1424,39 @@ mod tests {
             });
         }
 
-        /// The same nodes, fabrics and PDs with a fresh connected QP pair.
-        fn with_fresh_qps(self) -> Pair {
-            let (a, b, caps) = (&self.a, &self.b, QpCaps::default());
+        /// Another connected QP pair on the same nodes, fabrics and PDs,
+        /// its channel open: `(qa, qb, cqa, cqb)`, as in [`Pair`].
+        fn more_qps(&self, caps: QpCaps) -> QpPair {
+            let (a, b) = (&self.a, &self.b);
             let (cqa, cqb) = (a.create_cq(), b.create_cq());
             let qa = a.create_qp(self.pda, cqa.clone(), a.create_cq(), caps);
             let qb = b.create_qp(self.pdb, b.create_cq(), cqb.clone(), caps);
             let (qa, qb) = (qa.unwrap(), qb.unwrap());
             connect_pair(&qa, &qb).unwrap();
-            let p = Pair {
+            self.open(&qa, &qb);
+            (qa, qb, cqa, cqb)
+        }
+
+        /// The same nodes, fabrics and PDs with a fresh connected QP pair.
+        fn with_fresh_qps(self) -> Pair {
+            let (qa, qb, cqa, cqb) = self.more_qps(QpCaps::default());
+            Pair {
                 qa,
                 qb,
                 cqa,
                 cqb,
                 ..self
-            };
-            p.open_channel();
-            p
+            }
         }
 
-        /// Quiesce, check the ledger, stop the fabric(s) and remove the
-        /// segment directory.
+        /// Quiesce, check the ledger, then [`close`](Self::close).
         fn finish(self) {
             assert_clean(&self);
+            self.close();
+        }
+
+        /// Stop the fabric(s) and remove the segment directory.
+        fn close(self) {
             self.fabric.shutdown();
             if let Some((rx, dir)) = &self.host {
                 rx.shutdown();
@@ -1666,6 +1464,14 @@ mod tests {
             }
         }
     }
+
+    /// What [`Pair::more_qps`] returns.
+    type QpPair = (
+        Arc<QueuePair>,
+        Arc<QueuePair>,
+        Arc<CompletionQueue>,
+        Arc<CompletionQueue>,
+    );
 
     fn poll_until(cq: &CompletionQueue, what: &str) -> WorkCompletion {
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1839,10 +1645,11 @@ mod tests {
         p.fabric.shutdown();
     }
 
-    /// A window posted before any receive is deferred as a whole; once the
-    /// receives arrive it must land in posting order (a receiver that
-    /// reposts late would otherwise see its messages shuffled), while a QP
-    /// with receives posted is not held up behind it.
+    /// A window posted before any receive stays on its ring: the first
+    /// record meets receiver-not-ready and re-arms its timer, again and
+    /// again, and none behind it is attempted. A second QP pair on the same
+    /// nodes, its receiver ready, passes it. Then the receives come, and
+    /// the window lands in posting order, each message once.
     #[test]
     fn rnr_deferred_window_is_redelivered_in_posting_order() {
         // Default caps: the 2 ms timer re-arms until the receives are posted.
@@ -1851,25 +1658,10 @@ mod tests {
             ..QpCaps::default()
         };
         let p = pair(ShmConfig::default(), caps);
-        let dst = post_window(&p);
-        // Every record is off the ring: the first hit receiver-not-ready,
-        // the rest are queued behind it (or deferred themselves, before the
-        // fix — each with its own deadline, collected out of order). Nothing
-        // can land without a receive.
-        poll_empty_until(&p.cqb, "the window to leave the ring", || {
-            p.fabric.data_records() >= WINDOW
-        });
-        assert!(p.fabric.rnr_deferrals() >= 1);
+        let dst = post_window(&p, 0);
+        window_is_held_on_its_ring(&p);
 
-        // A second QP pair on the same nodes, receiver ready: passes.
-        let (cq2a, cq2b) = (p.a.create_cq(), p.b.create_cq());
-        let q2a =
-            p.a.create_qp(p.pda, cq2a.clone(), p.a.create_cq(), caps)
-                .unwrap();
-        let q2b =
-            p.b.create_qp(p.pdb, p.b.create_cq(), cq2b.clone(), caps)
-                .unwrap();
-        connect_pair(&q2a, &q2b).unwrap();
+        let (q2a, q2b, cq2a, cq2b) = p.more_qps(caps);
         let src2 = p.a.reg_mr(p.pda, 64).unwrap();
         let dst2 = p.b.reg_mr(p.pdb, 64).unwrap();
         q2b.post_recv(RecvWr::bare(1)).unwrap();
@@ -1889,13 +1681,34 @@ mod tests {
         })
         .unwrap();
         assert_eq!(poll_until(&cq2b, "second QP's recv CQE").imm, Some(77));
+        assert_eq!(poll_until(&cq2a, "second QP's send CQE").wr_id, 77);
         assert!(p.cqb.poll_one().is_none(), "first QP still waits");
+        assert_eq!(p.fabric.data_records(), 1, "the second QP's record alone");
 
-        // Acks follow deliveries, so the send CQEs show the delivery order.
-        window_lands_once_in_order(&p, &dst);
-        let _ = poll_until(&cq2a, "second QP's send CQE");
-        assert_clean(&p);
-        p.fabric.shutdown();
+        window_lands_once_in_order(&p, &dst, 0);
+        p.finish();
+    }
+
+    /// Poll the receiver of a window `post_window` posted ahead of its
+    /// receives until its first record has re-armed its RNR timer twice,
+    /// and check that nothing left the ring: no record was released, and
+    /// every delivery attempt re-armed the timer (an attempt of a record
+    /// behind the first would have released it, or not re-armed).
+    fn window_is_held_on_its_ring(p: &Pair) {
+        let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
+        let (released, deferrals) = (rx.data_records(), rx.rnr_deferrals());
+        poll_empty_until(&p.cqb, "the RNR timer to re-arm twice", || {
+            rx.rnr_deferrals() >= deferrals + 2
+        });
+        // This thread's polls are the only scans, so the counts agree.
+        let wire = p.net.state().telemetry_snapshot().wire;
+        assert_eq!(rx.data_records(), released, "no record left the ring");
+        assert_eq!(
+            wire.delivery_attempts - wire.rnr_requeues,
+            released,
+            "every attempt since the last release re-armed the head's timer"
+        );
+        assert!(p.cqa.poll_one().is_none(), "no send completed");
     }
 
     /// Host mode over mapped file segments, one direction: the sending
@@ -1922,7 +1735,6 @@ mod tests {
             assert_eq!(dst.read_vec(0, 4096).unwrap(), vec![i as u8 + 1; 4096]);
         }
         assert_eq!((tx.data_records(), rx.data_records()), (0, 32));
-        assert_eq!((tx.ack_records(), rx.ack_records()), (32, 0));
         let mark = tx.ring_occupancy_high_water();
         assert!(
             (DOORBELL..2 * DOORBELL).contains(&mark),
@@ -1936,20 +1748,20 @@ mod tests {
     const WINDOW: u64 = 12;
     const LEN: usize = 64;
 
-    fn window_byte(i: u64, k: usize) -> u8 {
-        (i as u8).wrapping_mul(37) ^ (k as u8).wrapping_mul(11)
+    fn window_byte(round: u64, i: u64, k: usize) -> u8 {
+        ((round * WINDOW + i) as u8).wrapping_mul(37) ^ (k as u8).wrapping_mul(11)
     }
 
-    /// Post the window: message `i` carries its own bytes from slot `i` of
-    /// the source region to slot `i` of the destination region, which is
-    /// returned, with immediate `i`. A slot is written once, before its
-    /// post: the bytes are read at delivery, and the source belongs to the
-    /// sender until its send completion.
-    fn post_window(p: &Pair) -> crate::memory::MemoryRegion {
+    /// Post round `round` of the window: message `i` carries its own bytes
+    /// from slot `i` of the source region to slot `i` of the destination
+    /// region, which is returned, with immediate `i`. A slot is written
+    /// once, before its post: the bytes are read at delivery, and the source
+    /// belongs to the sender until its send completion.
+    fn post_window(p: &Pair, round: u64) -> crate::memory::MemoryRegion {
         let src = p.a.reg_mr(p.pda, WINDOW as usize * LEN).unwrap();
         let dst = p.b.reg_mr(p.pdb, WINDOW as usize * LEN).unwrap();
         for i in 0..WINDOW {
-            let payload: Vec<u8> = (0..LEN).map(|k| window_byte(i, k)).collect();
+            let payload: Vec<u8> = (0..LEN).map(|k| window_byte(round, i, k)).collect();
             src.write(i as usize * LEN, &payload).unwrap();
             p.qa.post_send(SendWr {
                 wr_id: i,
@@ -1973,7 +1785,7 @@ mod tests {
     /// Post the window's receives: every message must land exactly once, in
     /// posting order, `Success` on both sides, with the bytes it was posted
     /// with.
-    fn window_lands_once_in_order(p: &Pair, dst: &crate::memory::MemoryRegion) {
+    fn window_lands_once_in_order(p: &Pair, dst: &crate::memory::MemoryRegion, round: u64) {
         for i in 0..WINDOW {
             p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
         }
@@ -1984,52 +1796,46 @@ mod tests {
             assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
         }
         assert!(p.cqb.poll_one().is_none(), "every message landed once");
-        window_holds_its_bytes(dst);
+        window_holds_its_bytes(dst, round);
     }
 
-    fn window_holds_its_bytes(dst: &crate::memory::MemoryRegion) {
+    fn window_holds_its_bytes(dst: &crate::memory::MemoryRegion, round: u64) {
         for i in 0..WINDOW {
             let got = dst.read_vec(i as usize * LEN, LEN).unwrap();
-            let want: Vec<u8> = (0..LEN).map(|k| window_byte(i, k)).collect();
+            let want: Vec<u8> = (0..LEN).map(|k| window_byte(round, i, k)).collect();
             assert_eq!(got, want, "message {i} holds the bytes it was posted with");
         }
     }
 
-    /// The hazard in-place delivery adds: a delivery that outlives its ring
-    /// slot must own what its record said. On a data ring that holds two
-    /// doorbells, a window is posted ahead of its receives — the first
-    /// record is RNR-deferred, the rest queue behind it — and the producer
-    /// laps the ring six times before a receive exists. Every message must
-    /// still land exactly once, in posting order, with the bytes it was
-    /// posted with; a deferred delivery that still read its (long since
-    /// reused) slot would follow a later message's gather list. The window
-    /// is posted on a thread of its own, as the sending process would, while
-    /// this one polls as the receiver: its scans make the room each post
-    /// after the second waits for.
+    /// A held window owns its ring slots. On a data ring that holds one
+    /// window and no more, a window posted ahead of its receives fills the
+    /// ring, with no stall, and stays there: its first record re-arms its
+    /// RNR timer, and none behind it is attempted. When the receives come it
+    /// lands in posting order, each message with the bytes it was posted
+    /// with. A second window then does the same in the slots the first one
+    /// used: one that reused a slot before its record was done would land
+    /// the wrong bytes, or stall.
     fn deferred_deliveries_own_their_bytes(p: Pair) {
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
-        let dst = std::thread::scope(|s| {
-            let poster = s.spawn(|| post_window(&p));
-            poll_empty_until(&p.cqb, "the window to leave the ring", || {
-                rx.data_records() >= WINDOW
-            });
-            poster.join().unwrap()
-        });
-        // All twelve records went through the two-record ring — six laps of
-        // it, however the two sides interleaved.
-        assert!(rx.rnr_deferrals() >= 1);
-        assert_eq!(
-            dst.read_vec(0, WINDOW as usize * LEN).unwrap(),
-            vec![0; 768]
-        );
-        window_lands_once_in_order(&p, &dst);
+        for round in 0..2 {
+            let dst = post_window(&p, round);
+            window_is_held_on_its_ring(&p);
+            assert_eq!(
+                dst.read_vec(0, WINDOW as usize * LEN).unwrap(),
+                vec![0; 768]
+            );
+            window_lands_once_in_order(&p, &dst, round);
+        }
+        assert_eq!(p.fabric.ring_full_stalls(), 0);
+        assert_eq!(rx.data_records(), 2 * WINDOW);
         p.finish();
     }
 
-    /// Two doorbells and no third, on a 5 ms RNR timer.
-    fn two_record_ring() -> (ShmConfig, QpCaps) {
+    /// A data ring that holds the window of [`post_window`] and no more, on
+    /// a 5 ms RNR timer.
+    fn window_ring() -> (ShmConfig, QpCaps) {
         let cfg = ShmConfig {
-            ring_capacity: 2 * DOORBELL + 16,
+            ring_capacity: WINDOW * DOORBELL,
             ..ShmConfig::default()
         };
         let caps = QpCaps {
@@ -2041,14 +1847,14 @@ mod tests {
 
     #[test]
     fn deferred_deliveries_own_their_bytes_over_a_heap_segment() {
-        let (cfg, caps) = two_record_ring();
+        let (cfg, caps) = window_ring();
         deferred_deliveries_own_their_bytes(pair(cfg, caps));
     }
 
     #[cfg(unix)]
     #[test]
     fn deferred_deliveries_own_their_bytes_over_two_mappings_of_a_file_segment() {
-        let (cfg, caps) = two_record_ring();
+        let (cfg, caps) = window_ring();
         deferred_deliveries_own_their_bytes(host_pair(cfg, caps));
     }
 
@@ -2068,13 +1874,13 @@ mod tests {
     /// bytes it was posted with.
     fn a_late_receiver_holds_the_sender_back(p: Pair) {
         let t0 = Instant::now();
-        let dst = post_window(&p);
+        let dst = post_window(&p, 0);
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
         poll_empty_until(&p.cqb, "the RNR timer to re-arm", || {
             t0.elapsed() >= Duration::from_millis(14) && rx.rnr_deferrals() > 7
         });
         assert!(p.cqa.poll_one().is_none(), "no send may have failed yet");
-        window_lands_once_in_order(&p, &dst);
+        window_lands_once_in_order(&p, &dst, 0);
         p.finish();
     }
 
@@ -2092,9 +1898,10 @@ mod tests {
         ));
     }
 
-    /// Indefinitely is still bounded: with no receive ever, everything the
-    /// receiver holds fails with `RnrRetryExceeded` once it has waited the
-    /// stall deadline — not after 0.7 ms, and not one deadline per message —
+    /// Indefinitely is still bounded: with no receive ever, everything on
+    /// the ring fails with `RnrRetryExceeded` once the first record has
+    /// waited the stall deadline — not after 0.7 ms, and not one deadline
+    /// per message —
     /// the QP enters Error, and `shutdown` has nothing left to wait for.
     fn a_receiver_that_never_posts_fails_the_sender_at_the_stall_deadline(p: Pair) {
         let src = p.a.reg_mr(p.pda, 64).unwrap();
@@ -2144,6 +1951,33 @@ mod tests {
         ));
     }
 
+    /// Once a record runs out of RNR budget, the records that were behind
+    /// it on the ring fail at their first receiver-not-ready, as an RC QP
+    /// flushes: with `rnr_retry = 1`, the first of three re-arms once and
+    /// fails, and the two behind it fail without a re-arm of their own.
+    #[test]
+    fn records_behind_one_that_ran_out_of_rnr_budget_fail_at_their_first_attempt() {
+        let caps = QpCaps {
+            rnr_retry: 1,
+            min_rnr_timer_ns: 1_000_000,
+            ..QpCaps::default()
+        };
+        let p = pair(ShmConfig::default(), caps);
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        for i in 0..3u64 {
+            write_with_imm(&p, &src, &dst, i, 64);
+        }
+        for i in 0..3u64 {
+            let wc = poll_until(&p.cqa, "send CQE");
+            assert_eq!((wc.wr_id, wc.status), (i, WcStatus::RnrRetryExceeded));
+        }
+        let wire = p.net.state().telemetry_snapshot().wire;
+        assert_eq!((wire.rnr_requeues, wire.receiver_not_ready), (1, 4));
+        assert_eq!(p.fabric.rnr_deferrals(), 1);
+        p.finish();
+    }
+
     /// A WR is no longer bounded by the ring: 1 MiB, sixteen times a
     /// 64 KiB ring, goes as one doorbell record and lands whole, once, with
     /// one completion on each side.
@@ -2189,7 +2023,7 @@ mod tests {
     /// then rewritten by hand through a second mapping of that file: a
     /// header whose length disagrees with the gather list, a gather entry
     /// naming a region with no file, and one reaching past the end of its
-    /// region. Each of the three is acknowledged `RemoteAccessError`,
+    /// region. Each of the three is released `RemoteAccessError`,
     /// counted, consumes no receive WR and writes nothing; the fourth lands,
     /// and so does a write on a fresh QP pair.
     #[cfg(unix)]
@@ -2271,8 +2105,12 @@ mod tests {
     fn full_data_ring_with_no_consumer_fails_within_the_stall_deadline() {
         let dir = std::env::temp_dir().join(format!("partix_shm_stall_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (mut cfg, caps) = two_record_ring();
-        cfg.full_ring_deadline = Duration::from_millis(50);
+        let cfg = ShmConfig {
+            ring_capacity: 2 * DOORBELL + 16,
+            full_ring_deadline: Duration::from_millis(50),
+            ..ShmConfig::default()
+        };
+        let caps = QpCaps::default();
         let p = build_pair(ShmFabric::host(&dir, cfg), None, caps);
         let (from, to) = ((0, p.qa.qp_num()), (1, p.qb.qp_num()));
         std::thread::scope(|s| {
@@ -2304,90 +2142,132 @@ mod tests {
             waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
             "bounded by the stall deadline, not a hang: {waited:?}"
         );
-        // Nothing will ever ack the two records on the ring: the final drain
-        // gives up after the same deadline instead of joining for ever.
+        // Nothing will ever release the two records on the ring: the final
+        // drain gives up after the same deadline instead of joining for ever.
         let t0 = Instant::now();
         p.fabric.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The same bound on the way back: an ack ring that holds two ACKs and a
-    /// scan that owes three before it consumes one (loopback, where the
-    /// delivering thread is also the one that would drain them). Successes
-    /// would share one coalesced ACK, so the three records each fail the
-    /// protection check (64 bytes into a 32-byte region): a failure is
-    /// acknowledged on its own. The test drives the scan itself, so the
-    /// stall is its own to catch.
-    #[test]
-    fn full_ack_ring_fails_within_the_stall_deadline() {
-        let cfg = ShmConfig {
-            ack_capacity: 2 * (RECORD_HEADER as usize + ACK_LEN) as u64,
-            full_ring_deadline: Duration::from_millis(50),
-            ..ShmConfig::default()
-        };
-        let p = pair(cfg, QpCaps::default());
-        let src = p.a.reg_mr(p.pda, 64).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 32).unwrap();
-        let mut driver = p.fabric.pause_progress();
-        for i in 0..3u64 {
-            write_with_imm(&p, &src, &dst, i, 64);
-        }
-        let t0 = Instant::now();
-        let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.scan()));
-        let waited = t0.elapsed();
-        let text = panic_text(scan.expect_err("the third ACK cannot fit"));
-        assert!(
-            text.contains("ack ring") && text.contains("full past the 50ms stall deadline"),
-            "diagnostic: {text}"
-        );
-        assert!(
-            waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
-            "bounded by the stall deadline, not a hang: {waited:?}"
-        );
-        drop(driver);
-        // The third ACK is still owed and the ring still full, so the final
-        // drain, which runs on this thread, would stall on it again: take
-        // the two ACKs off by hand, and the drain ends within its deadline.
-        let ch = p.fabric.channels.lock()[0].clone();
-        while ch.ack.try_pop_with(|_, _| ()).is_ok() {}
-        let t0 = Instant::now();
-        p.fabric.shutdown();
-        assert!(t0.elapsed() < Duration::from_secs(1));
-    }
-
-    /// An ACK is bytes another process wrote. One that is well formed but
-    /// names a PSN the window does not hold completes nothing and breaks
-    /// nothing: it is counted, the record that is in the window stays there,
-    /// and its own ack still completes it.
+    /// A status byte is bytes another process wrote. One that names no
+    /// status fails its WR `RemoteAccessError` and is counted, and breaks
+    /// nothing else: the receiver released the record `Success` (here it
+    /// landed), and a forged byte is written over that through a second
+    /// mapping of the ring before the sender reads it.
     #[cfg(unix)]
     #[test]
-    fn an_ack_for_a_psn_not_in_the_window_is_counted_and_ignored() {
+    fn a_status_byte_that_names_no_status_fails_its_wr_and_is_counted() {
         let p = host_pair(ShmConfig::default(), QpCaps::default());
         let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
         p.qb.post_recv(RecvWr::bare(1)).unwrap();
-        // Both sides paused: the record stays on its ring un-acked, and this
-        // thread is the ack ring's only producer.
+        // The sender paused: the record is released and not yet completed.
+        let mut tx_driver = tx.pause_progress();
+        write_with_imm(&p, &src, &dst, 7, 64);
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1);
+        let ring = sent_ring(&p);
+        assert_eq!(ring.ctrl_load(Ctrl::Head), DOORBELL, "released");
+        // The status byte of the record's ring header.
+        ring.data_write(RECORD_HEADER - 2, &[0x7f]);
+
+        assert!(tx_driver.scan(), "the scan completed the record");
+        let wc = p.cqa.poll_one().expect("send CQE");
+        assert_eq!((wc.wr_id, wc.status), (7, WcStatus::RemoteAccessError));
+        assert_eq!((tx.malformed_records(), rx.malformed_records()), (1, 0));
+        assert_eq!(p.qa.state(), QpState::Error);
+        drop(tx_driver);
+        // The ledger now holds a landed write its sender saw fail, which no
+        // law allows: the pair is closed unchecked.
+        p.close();
+    }
+
+    /// `Head` is bytes another process wrote too. One forged past the last
+    /// record this side posted completes the records it did post, with the
+    /// statuses their slots hold, and nothing beyond them; the sender
+    /// reclaims no space past what it published.
+    #[cfg(unix)]
+    #[test]
+    fn a_head_past_what_was_posted_completes_nothing_beyond_it() {
+        let p = host_pair(ShmConfig::default(), QpCaps::default());
+        let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        // Both sides paused: the records stay on their ring, undelivered.
         let rx_driver = rx.pause_progress();
         let mut tx_driver = tx.pause_progress();
         write_with_imm(&p, &src, &dst, 7, 64);
+        write_with_imm(&p, &src, &dst, 8, 64);
+        let ring = sent_ring(&p);
+        ring.ctrl_store(Ctrl::Head, 1000 * DOORBELL);
+
+        assert!(tx_driver.scan(), "the scan completed the records");
+        for wr_id in [7, 8] {
+            let wc = p.cqa.poll_one().expect("send CQE");
+            assert_eq!((wc.wr_id, wc.status), (wr_id, WcStatus::Success));
+        }
+        assert!(p.cqa.poll_one().is_none(), "nothing beyond what was posted");
         let ch = tx.channels.lock()[0].clone();
-        let forged = serialize_ack(ch.window.lock()[0].psn + 1000, WcStatus::Success);
-        assert!(ch.ack.try_push(KIND_ACK, &forged));
-
-        assert!(tx_driver.scan(), "the scan consumed the ACK");
-        assert_eq!((tx.stale_acks(), tx.ack_records()), (1, 1));
-        assert!(p.cqa.poll_one().is_none(), "a stale ACK completes nothing");
-        assert_eq!(ch.window.lock().len(), 1, "the window is as it was");
-
+        assert_eq!(ch.reclaimed.load(Ordering::Relaxed), 2 * DOORBELL);
+        assert!(ch.window.lock().is_empty());
+        assert!(!tx_driver.scan(), "a second look completes nothing more");
         drop((tx_driver, rx_driver));
-        let wc = poll_until(&p.cqa, "send CQE");
-        assert_eq!((wc.wr_id, wc.status), (7, WcStatus::Success));
-        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1);
-        assert_eq!(tx.stale_acks(), 1);
+        // Two sends completed `Success` that never landed, which no ledger
+        // law allows: the pair is closed unchecked.
+        p.close();
+    }
+
+    /// The reclaim rule on the real ring: a slot the receiver has released
+    /// is reused only after the sender has read its status. On a ring of
+    /// two doorbells, a write that fails its protection check and a good
+    /// one are released while the sender is paused; the next post finds
+    /// the ring free by `Head` but not by what the sender has read, so it
+    /// waits for the sender's own scan, and the failed write still
+    /// completes `RemoteAccessError`. A post bounded by `Head` would write
+    /// over that status, and the failure would complete `Success`.
+    #[cfg(unix)]
+    #[test]
+    fn a_released_slot_is_reused_only_after_its_status_is_read() {
+        let cfg = ShmConfig {
+            ring_capacity: 2 * DOORBELL,
+            ..ShmConfig::default()
+        };
+        let p = host_pair(cfg, QpCaps::default());
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        p.qb.post_recv(RecvWr::bare(1)).unwrap();
+        p.qb.post_recv(RecvWr::bare(2)).unwrap();
+        let tx_driver = p.fabric.pause_progress();
+        p.qa.post_send(SendWr {
+            rkey: dst.rkey() ^ 0x5c5c,
+            ..crate::conformance::write_imm_wr(&src, &dst, 0, 64, 0)
+        })
+        .unwrap();
+        write_with_imm(&p, &src, &dst, 1, 64);
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1, "both released");
+        assert_eq!(sent_ring(&p).ctrl_load(Ctrl::Head), 2 * DOORBELL);
+        drop(tx_driver);
+
+        write_with_imm(&p, &src, &dst, 2, 64);
+        assert_eq!(p.fabric.ring_full_stalls(), 1, "the post waited");
+        for (wr_id, status) in [(0, WcStatus::RemoteAccessError), (1, WcStatus::Success)] {
+            let wc = poll_until(&p.cqa, "send CQE");
+            assert_eq!((wc.wr_id, wc.status), (wr_id, status));
+        }
+        // The QP is in Error since the first completion: the third record
+        // still lands, and completes, behind it.
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 2);
+        assert_eq!(poll_until(&p.cqa, "send CQE").wr_id, 2);
         p.finish();
+    }
+
+    /// A second mapping of the ring node 0 sends on to node 1 in `p`.
+    #[cfg(unix)]
+    fn sent_ring(p: &Pair) -> FileSegment {
+        let dir = &p.host.as_ref().unwrap().1;
+        let name = format!("partix_n0q{}_n1q{}.data", p.qa.qp_num(), p.qb.qp_num());
+        FileSegment::open(&dir.join(name)).unwrap().unwrap()
     }
 
     #[test]
@@ -2526,8 +2406,7 @@ mod tests {
     #[test]
     fn a_receiver_that_stops_polling_holds_its_senders_completions_over_two_mappings_of_a_file_segment(
     ) {
-        // No record of the window fills half the send queue, so none asks
-        // for its ACK at once and ends the receiver's batch early.
+        // A send queue well beyond the window.
         let caps = QpCaps {
             max_send_wr: 32,
             ..QpCaps::default()
@@ -2537,7 +2416,7 @@ mod tests {
         for i in 0..WINDOW {
             p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
         }
-        let dst = post_window(&p);
+        let dst = post_window(&p, 0);
         let t0 = Instant::now();
         while t0.elapsed() < Duration::from_millis(20) {
             // Node 0's fabric alone: the scans the sending process makes.
@@ -2559,7 +2438,7 @@ mod tests {
             assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
         }
         assert!(p.cqb.poll_one().is_none(), "every message landed once");
-        window_holds_its_bytes(&dst);
+        window_holds_its_bytes(&dst, 0);
         p.finish();
     }
 }

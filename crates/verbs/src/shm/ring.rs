@@ -1,10 +1,10 @@
 //! Single-producer single-consumer byte ring over a [`Segment`].
 //!
 //! The ring carries variable-size records — `[len u32][kind u8][magic
-//! u8][reserved u16]` header plus payload — through a fixed data area.
-//! Cursors are *monotone byte counts* (they never wrap); only the data
-//! offsets wrap, so "full" (`tail - head == capacity`) and "empty" (`tail
-//! == head`) are unambiguous without a sacrificial slot. Records may
+//! u8][status u8][reserved u8]` header plus payload — through a fixed data
+//! area. Cursors are *monotone byte counts* (they never wrap); only the
+//! data offsets wrap, so "full" (`tail - head == capacity`) and "empty"
+//! (`tail == head`) are unambiguous without a sacrificial slot. Records may
 //! straddle the physical wrap point: every copy is split at the boundary.
 //!
 //! Publication protocol (model-checked in `tests/ring_protocol.rs`):
@@ -16,6 +16,9 @@
 //!
 //! The acquire on `Tail` is what makes the record bytes visible to the
 //! consumer; the acquire on `Head` is what lets the producer reuse space.
+//! A consumer may keep a record at the head, or release it with a status
+//! byte that the producer reads back once `Head` has passed it, and before
+//! it reuses the space (the reclaim rule, in [`Segment`]'s contract).
 //!
 //! Each end remembers the other side's cursor as it last read it and goes
 //! back to the shared word only when that copy says *full* (producer) or
@@ -38,8 +41,12 @@ use std::sync::Arc;
 use super::segment::{Ctrl, Segment};
 
 /// Per-record header bytes: `len: u32` | `kind: u8` | `magic: u8` |
-/// `reserved: u16`.
+/// `status: u8` | `reserved: u8`.
 pub const RECORD_HEADER: u64 = 8;
+
+/// Offset of the status byte in a record header: 0 as the producer writes
+/// it, and whatever the consumer released the record with.
+const STATUS_AT: u64 = 6;
 
 /// Magic byte stamped into every record header; a mismatch on pop means
 /// cursor corruption and is reported as poisoning, not silently skipped.
@@ -211,6 +218,11 @@ impl SpscRing {
         self.seg.ctrl_load(Ctrl::Head)
     }
 
+    /// Bytes ever published: the producer's cursor.
+    pub(crate) fn published(&self) -> u64 {
+        self.seg.ctrl_load(Ctrl::Tail)
+    }
+
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -362,6 +374,19 @@ impl SpscRing {
         &self,
         read: impl FnOnce(u8, &mut RecordReader<'_>) -> R,
     ) -> Result<R, Popped> {
+        self.try_take_with(|kind, payload| (read(kind, payload), Some(0)))
+    }
+
+    /// Read the record at the head in place, as
+    /// [`try_pop_with`](Self::try_pop_with) does, and let `read` say what
+    /// becomes of it: `Some(status)` releases it, a non-zero `status` first
+    /// written into its header for the producer
+    /// ([`status_at`](Self::status_at)); `None` leaves it at the head, to be
+    /// read again by the next call.
+    pub(crate) fn try_take_with<R>(
+        &self,
+        read: impl FnOnce(u8, &mut RecordReader<'_>) -> (R, Option<u8>),
+    ) -> Result<R, Popped> {
         let head = self.seg.ctrl_load(Ctrl::Head);
         // As `seen_head` in `try_push_with`: this side's own word, and the
         // acquire that publishes the bytes below it was made when it was
@@ -420,9 +445,24 @@ impl SpscRing {
                 backlog: avail,
             }
         };
-        let out = read(kind, &mut reader);
-        self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
+        let (out, release) = read(kind, &mut reader);
+        if let Some(status) = release {
+            if status != 0 {
+                // Before `Head` moves: its release publishes the byte.
+                self.write_wrapped(head + STATUS_AT, &[status]);
+            }
+            self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
+        }
         Ok(out)
+    }
+
+    /// Producer side: the status byte of the record published at `pos` (0
+    /// unless the consumer released it with another), once `Head` has
+    /// passed it and until its space is reused.
+    pub(crate) fn status_at(&self, pos: u64) -> u8 {
+        let mut status = [0u8];
+        self.read_wrapped(pos + STATUS_AT, &mut status);
+        status[0]
     }
 }
 
@@ -498,6 +538,32 @@ mod tests {
         assert_eq!(body, (0..11).collect::<Vec<u8>>());
         assert_eq!(r.try_pop_with(|_, _| ()), Err(Popped::Empty));
         assert!(r.is_empty(), "the space went back when the reader returned");
+    }
+
+    /// A record the consumer keeps is read again, whole, by the next take;
+    /// one it releases with a status hands that status back to the
+    /// producer, here through a header that straddles the wrap point.
+    #[test]
+    fn a_kept_record_is_read_again_and_a_released_one_carries_its_status() {
+        let r = ring(40);
+        // Park the cursors at 34: the next header's status byte is the
+        // first byte of the data area.
+        assert!(r.try_push(0, &[0; 26]));
+        assert_eq!(r.try_pop_with(|_, _| ()), Ok(()));
+        assert!(r.try_push(7, b"abc"));
+        let at = r.consumed();
+        let peek = |kind, p: &mut RecordReader<'_>| ((kind, p.remaining()), None);
+        assert_eq!(r.try_take_with(peek), Ok((7, 3)));
+        assert_eq!(r.try_take_with(peek), Ok((7, 3)), "kept, and read again");
+        assert_eq!(r.consumed(), at);
+        assert_eq!(r.try_take_with(|kind, _| (kind, Some(0x5c))), Ok(7));
+        assert_eq!(r.consumed(), r.published(), "released");
+        assert_eq!(r.status_at(at), 0x5c);
+        // Released with 0, a record's status is the producer's own 0.
+        assert!(r.try_push(8, b"d"));
+        let at = r.consumed();
+        assert_eq!(r.try_pop_with(|kind, _| kind), Ok(8));
+        assert_eq!(r.status_at(at), 0);
     }
 
     #[test]

@@ -65,8 +65,13 @@ pub const SEG_MAGIC: u64 = 0x5052_5458_5348_4d31; // "PRTXSHM1"
 /// Contract: control-word stores are release operations and loads are
 /// acquire operations, so data written *before* a [`Ctrl::Tail`] store is
 /// visible *after* the corresponding load. Data access is only valid for
-/// ranges the protocol proves unshared: the producer writes only
-/// `[tail, head + capacity)`, the consumer reads only `[head, tail)`.
+/// ranges the protocol proves unshared: the consumer reads only `[head,
+/// tail)`, and writes there only the status byte of the record it is about
+/// to release, before the `Head` store that releases it; the producer reads
+/// a released record's status byte in `[reclaimed, head)`, where
+/// `reclaimed` is how far it has read them, and writes only `[tail,
+/// reclaimed + capacity)` (a producer that reads no statuses has `reclaimed
+/// = head`).
 ///
 /// # Safety
 ///
@@ -97,9 +102,10 @@ pub unsafe trait Segment: Send + Sync {
     /// capacity`; wrap splitting is the ring's job).
     fn data_write(&self, off: u64, src: &[u8]) {
         assert!(in_bounds(off, src.len(), self.capacity()));
-        // SAFETY: bounds asserted; the range is producer-owned per the
-        // `Segment` contract, and the subsequent `ctrl_store(Tail)` release
-        // publishes it before any consumer acquire-load can cover it.
+        // SAFETY: bounds asserted; the range is the caller's per the
+        // `Segment` contract (the producer's span, or the status byte of a
+        // record the consumer is releasing), and the control-word release
+        // that follows (`Tail`, `Head`) publishes it to the other side.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.data().add(off as usize), src.len());
         }
@@ -108,8 +114,10 @@ pub unsafe trait Segment: Send + Sync {
     /// Copy `dst.len()` bytes out of the data area at `off`.
     fn data_read(&self, off: u64, dst: &mut [u8]) {
         assert!(in_bounds(off, dst.len(), self.capacity()));
-        // SAFETY: bounds asserted; the range is consumer-owned (published
-        // by a Tail release the caller has already acquire-loaded).
+        // SAFETY: bounds asserted; the range is the caller's to read per the
+        // `Segment` contract, published by a control-word release (`Tail`
+        // for a record, `Head` for a status byte) the caller has already
+        // acquire-loaded.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 self.data().add(off as usize),

@@ -29,6 +29,16 @@
 //! on real threads; and so is a consumer whose close-drain "re-read" looks at
 //! its remembered `Tail` instead of the word, which loses the same records.
 //!
+//! A second model checks the reclaim rule of a ring whose records carry
+//! their outcome back (`ShmFabric`'s data ring): a poster pushes, the
+//! consumer writes each record's status into its slot and then releases it
+//! (`Head`), and the sender's completer reads `Head`, then the status of
+//! every record below it, and only then moves the poster's bound
+//! (`reclaimed`). Every status must be read as the consumer wrote it, and
+//! no state may be stuck. The checker must catch the mutant that bounds the
+//! push by `Head` instead: it reuses a released slot before its status is
+//! read.
+//!
 //! Bounds: capacities 1–3 records × streams of 1–4 records by default.
 //! Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4, stream
 //! ≤ 6) and raises the concrete-ring stress iterations; the state spaces
@@ -352,6 +362,197 @@ fn stale_head_space_check_never_overcommits() {
         close_drain: CloseDrain::RereadWord,
     }
     .check();
+}
+
+/// The status the consumer releases record `k` with: never 0, which is
+/// what a freshly pushed record holds, and different for neighbours.
+fn status_of(k: u8) -> u8 {
+    1 + k % 2
+}
+
+/// The most records a reclaim model's ring holds.
+const MAX_CAP: usize = 4;
+
+/// What a ring slot holds: the record last pushed there (the model's own
+/// bookkeeping; the real completer knows only positions), and its status
+/// byte.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct Slot {
+    rec: u8,
+    status: u8,
+}
+
+/// The completer's program counter, mirroring `ShmFabric::complete_sends`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Completer {
+    /// About to load `Head`.
+    LoadHead,
+    /// Loaded `Head` as `h`; about to read the status of record `k`.
+    Read { h: u8, k: u8 },
+    /// Has read every status below `h`; about to store `reclaimed = h`.
+    Reclaim { h: u8 },
+}
+
+/// One interleaved state of poster, consumer and completer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct ReclaimWorld {
+    tail: u8,
+    head: u8,
+    reclaimed: u8,
+    slots: [Slot; MAX_CAP],
+    /// The consumer has written the status of record `head` and is about
+    /// to release it.
+    marked: bool,
+    completer: Completer,
+}
+
+/// The reclaim model: `n` records through a ring of `cap` records, the
+/// poster bounded by `reclaimed` or (the mutant) by `Head`.
+#[derive(Clone, Copy)]
+struct ReclaimModel {
+    n: u8,
+    cap: u8,
+    bound_by_head: bool,
+}
+
+impl ReclaimModel {
+    /// Every successor of `w`; `Err` names a status read wrong.
+    fn successors(&self, w: ReclaimWorld, out: &mut Vec<ReclaimWorld>) -> Result<(), String> {
+        let slot = |k: u8| (k % self.cap) as usize;
+        // Poster: one step publishes the record (bytes, then `Tail`), as
+        // `enqueue_data` does once the bound it read shows room. The bound
+        // only grows, so reading it in the same step loses nothing.
+        let bound = if self.bound_by_head {
+            w.head
+        } else {
+            w.reclaimed
+        };
+        if w.tail < self.n && w.tail - bound < self.cap {
+            let mut v = w;
+            v.slots[slot(w.tail)] = Slot {
+                rec: w.tail,
+                status: 0,
+            };
+            v.tail += 1;
+            out.push(v);
+        }
+        // Consumer: write the head record's status into its slot, then
+        // release it.
+        if w.marked {
+            let mut v = w;
+            v.head += 1;
+            v.marked = false;
+            out.push(v);
+        } else if w.head < w.tail {
+            assert_eq!(w.slots[slot(w.head)].rec, w.head, "FIFO in {w:?}");
+            let mut v = w;
+            v.slots[slot(w.head)].status = status_of(w.head);
+            v.marked = true;
+            out.push(v);
+        }
+        // Completer: load `Head`, read each status below it, reclaim.
+        let mut v = w;
+        match w.completer {
+            Completer::LoadHead if w.head > w.reclaimed => {
+                v.completer = Completer::Read {
+                    h: w.head,
+                    k: w.reclaimed,
+                };
+                out.push(v);
+            }
+            Completer::LoadHead => {}
+            Completer::Read { h, k } => {
+                let got = w.slots[slot(k)];
+                if got.rec != k || got.status != status_of(k) {
+                    return Err(format!(
+                        "record {k}'s status was overwritten before it was read: \
+                         its slot holds {got:?} in {w:?}"
+                    ));
+                }
+                v.completer = if k + 1 == h {
+                    Completer::Reclaim { h }
+                } else {
+                    Completer::Read { h, k: k + 1 }
+                };
+                out.push(v);
+            }
+            Completer::Reclaim { h } => {
+                v.reclaimed = h;
+                v.completer = Completer::LoadHead;
+                out.push(v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Explore every interleaving: `Err` on a status read wrong; a stuck
+    /// state panics.
+    fn check(&self) -> Result<(), String> {
+        assert!(usize::from(self.cap) <= MAX_CAP);
+        let initial = ReclaimWorld {
+            tail: 0,
+            head: 0,
+            reclaimed: 0,
+            slots: [Slot { rec: 0, status: 0 }; MAX_CAP],
+            marked: false,
+            completer: Completer::LoadHead,
+        };
+        let mut seen = HashSet::new();
+        let mut stack = vec![initial];
+        let mut succ = Vec::with_capacity(3);
+        while let Some(w) = stack.pop() {
+            if !seen.insert(w) {
+                continue;
+            }
+            succ.clear();
+            self.successors(w, &mut succ)?;
+            if succ.is_empty() {
+                let done = (w.tail, w.head, w.reclaimed) == (self.n, self.n, self.n);
+                assert!(done, "stuck in {w:?}");
+            }
+            stack.extend(succ.iter().copied());
+        }
+        Ok(())
+    }
+}
+
+/// The reclaim rule reads every status as the consumer wrote it, in every
+/// interleaving, and always finishes.
+#[test]
+fn reclaim_rule_reads_every_status_before_its_slot_is_reused() {
+    let (max_n, max_cap) = bounds();
+    for n in 1..=max_n {
+        for cap in 1..=max_cap {
+            let model = ReclaimModel {
+                n,
+                cap,
+                bound_by_head: false,
+            };
+            if let Err(e) = model.check() {
+                panic!("n={n} cap={cap}: {e}");
+            }
+        }
+    }
+}
+
+/// Checker self-test: a poster bounded by `Head`, which the ring's own
+/// space check is, reuses a released slot before the completer has read its
+/// status, whenever the stream is longer than the ring — and is caught at
+/// default bounds.
+#[test]
+fn checker_finds_a_push_bounded_by_head_instead_of_reclaimed() {
+    let (max_n, max_cap) = bounds();
+    for n in 1..=max_n {
+        for cap in 1..=max_cap {
+            let model = ReclaimModel {
+                n,
+                cap,
+                bound_by_head: true,
+            };
+            let caught = model.check().is_err();
+            assert_eq!(caught, n > cap, "n={n} cap={cap}");
+        }
+    }
 }
 
 /// Concrete counterpart on the real ring: hammer the close-drain

@@ -155,11 +155,12 @@ fn steady_state_timer_flush_sim_round_allocates_a_flight_per_wr_and_a_list_per_s
 
 /// The real-time path: one progress scan of a `ShmFabric` takes every
 /// waiting DATA record from its ring to the destination region and the
-/// receive CQ, acks it, and takes every ACK to the send CQ. The test holds
+/// receive CQ, releases it, and takes every released record to the send
+/// CQ. The test holds
 /// the fabric's progress itself (`pause_progress`), so the scans — and the
 /// counting — happen on this thread. A record staged through a buffer of its
 /// own on the way (two allocations each, before in-place delivery), a
-/// per-ack job, or a scratch list per scan shows up here. Over a loopback
+/// per-completion job, or a scratch list per scan shows up here. Over a loopback
 /// fabric and over a host-mode one, whose file segments and region files
 /// this one fabric maps both ends of: there the first record that names the
 /// source region maps it (during warm-up), and every later one finds it
@@ -251,7 +252,7 @@ fn scans_allocate_nothing(fabric: Arc<ShmFabric>, host: bool) {
     assert_eq!(
         scan_allocs,
         0,
-        "{scan_allocs} allocations in the scans that delivered and acked {} records",
+        "{scan_allocs} allocations in the scans that delivered and completed {} records",
         ROUNDS * WINDOW
     );
     drop(driver);

@@ -90,4 +90,5 @@ conformance_tests!(
     multi_qp_fanout,
     sequential_stream_wraps_transport,
     flow_stage_trace,
+    post_refusals_touch_nothing,
 );
