@@ -14,22 +14,24 @@
 //! A streams RDMA-write-with-immediate messages into B's slot buffer with
 //! a 16-WR window while B consumes receive CQEs and verifies payload
 //! bytes. Throughput is measured on A from first post to last send-side
-//! completion — i.e. it includes B's release of each record and A's read of
-//! it, not just enqueue rate. A rank's empty CQ poll runs one scan of its own
-//! fabric, so each rank moves its own side of the wire, and then the rank
-//! `yield_now()`s: the two ranks are the only threads, and share the host's
-//! cores with each other.
+//! completion. A places each message in B's slot buffer itself and
+//! completes it there, spending one of the receive credits B publishes (B
+//! keeps 256 receives posted, re-posting one per receive CQE), so past 256
+//! messages ahead A runs at B's pace. A rank's empty CQ poll runs one scan of
+//! its own fabric, so each rank moves its own side of the wire, and then the
+//! rank `yield_now()`s: the two ranks are the only threads, and share the
+//! host's cores with each other.
 //!
 //! `connect_s` is the bring-up: from spawning rank B to rank A's first send
-//! completion, which comes once the first message has landed in a receive B
-//! posted and A has seen B release its record. It holds B's start-up, both
-//! blob exchanges and both channel opens.
+//! completion, which comes once the first message is placed in B's buffer
+//! with a credit B published. It holds B's start-up, both blob exchanges and
+//! both channel opens.
 //!
 //! The JSON names the host (CPU model, architecture, OS, CPU count). Per row
 //! it records sustained msgs/s and GB/s plus what that row added to the
-//! fabric's reliability counters on both sides (retransmits and ring-full
-//! backpressure stalls on the sender; records consumed, RNR deferrals and
-//! out-of-order arrivals on the receiver), so a "fast" run that silently
+//! fabric's reliability counters on both sides (retransmits, ring-full
+//! backpressure stalls and RNR deferrals on the sender; doorbells notified
+//! and out-of-order arrivals on the receiver), so a "fast" run that silently
 //! leaned on the retry machinery is visible as such.
 
 use std::path::{Path, PathBuf};
@@ -60,7 +62,7 @@ const RECV_DEPTH: u64 = 256;
 /// host with fewer CPUs than this bench's two threads, one waiting its turn
 /// to run) holds the sender back, and only one that stays away for the
 /// fabric's stall deadline fails it — on a 2 ms RNR timer. The timer is no
-/// budget, only how soon a delivery that found no receive WR looks again;
+/// budget, only how soon a write that found no receive credit looks again;
 /// 2 ms is what `results/BENCH_shm.json` and the benchmark's `shm_exchange`
 /// workload were recorded with.
 fn bench_caps() -> QpCaps {
@@ -91,6 +93,7 @@ struct RowResult {
     gb_per_sec: f64,
     sender_retransmits: u64,
     sender_ring_full_stalls: u64,
+    sender_rnr_deferrals: u64,
     receiver_report: String,
 }
 
@@ -166,6 +169,7 @@ fn role_a(dir: &Path, smoke: bool, out: &Path, spawned: Instant) {
 
         let stalls0 = fabric.ring_full_stalls();
         let retrans0 = fabric.retransmits();
+        let rnr0 = fabric.rnr_deferrals();
         let mut completed = 0u64;
         let t0 = Instant::now();
         for j in 0..messages {
@@ -251,17 +255,19 @@ fn role_a(dir: &Path, smoke: bool, out: &Path, spawned: Instant) {
             gb_per_sec: (messages as f64 * msg_bytes as f64) / wall_s / 1e9,
             sender_retransmits: fabric.retransmits() - retrans0,
             sender_ring_full_stalls: fabric.ring_full_stalls() - stalls0,
+            sender_rnr_deferrals: fabric.rnr_deferrals() - rnr0,
             receiver_report: report.trim().to_string(),
         };
         println!(
-            "{:>7} B x {:>7}: {:>10.0} msgs/s {:>8.3} GB/s  (wall {:.3}s, stalls {}, retrans {})",
+            "{:>7} B x {:>7}: {:>10.0} msgs/s {:>8.3} GB/s  (wall {:.3}s, stalls {}, retrans {}, rnr {})",
             row.msg_bytes,
             row.messages,
             row.msgs_per_sec,
             row.gb_per_sec,
             row.wall_s,
             row.sender_ring_full_stalls,
-            row.sender_retransmits
+            row.sender_retransmits,
+            row.sender_rnr_deferrals
         );
         results.push(row);
     }
@@ -316,7 +322,7 @@ fn role_b(dir: &Path, smoke: bool) {
 
     for (cfg_idx, (msg_bytes, messages)) in rows(smoke).iter().copied().enumerate() {
         // The fabric's counters are cumulative; a row reports what it added.
-        let (records0, rnr0) = (fabric.data_records(), fabric.rnr_deferrals());
+        let records0 = fabric.data_records();
         let mut posted = 0u64;
         while posted < RECV_DEPTH.min(messages) {
             qb.post_recv(RecvWr::bare(posted)).expect("pre-post recv");
@@ -358,10 +364,8 @@ fn role_b(dir: &Path, smoke: bool) {
             &format!("done_{cfg_idx}_b"),
             format!(
                 "received={received} out_of_order={out_of_order} \
-                 verify_failures={verify_failures} data_records={} \
-                 rnr_deferrals={}",
-                fabric.data_records() - records0,
-                fabric.rnr_deferrals() - rnr0
+                 verify_failures={verify_failures} data_records={}",
+                fabric.data_records() - records0
             )
             .as_bytes(),
         )
@@ -404,6 +408,7 @@ fn bench_json(
             ("gb_per_sec", r.gb_per_sec.into()),
             ("sender_retransmits", r.sender_retransmits.into()),
             ("sender_ring_full_stalls", r.sender_ring_full_stalls.into()),
+            ("sender_rnr_deferrals", r.sender_rnr_deferrals.into()),
             ("receiver_report", r.receiver_report.as_str().into()),
         ])
     };

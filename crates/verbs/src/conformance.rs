@@ -140,9 +140,14 @@ impl Fabric for PerNode {
         &self,
         node: NodeId,
         lkey: u32,
+        addr: u64,
         len: usize,
     ) -> std::io::Result<Option<Arc<FileMapping>>> {
-        self.0[node as usize].region_storage(node, lkey, len)
+        self.0[node as usize].region_storage(node, lkey, addr, len)
+    }
+
+    fn recv_posted(&self, node: NodeId, qp_num: u32, posted: u64) {
+        self.0[node as usize].recv_posted(node, qp_num, posted);
     }
 
     /// A CQ does not say whose node it is, so a poll drives both fabrics,

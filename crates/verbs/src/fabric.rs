@@ -1,22 +1,21 @@
 //! The fabric abstraction and the shared data-movement engine.
 //!
-//! A [`Fabric`] decides *when* a posted transfer's side effects occur. Two
-//! implementations exist:
-//!
-//! - [`InstantFabric`](crate::InstantFabric) — everything happens inside
-//!   `post_send` (functional mode for examples/tests on real threads);
-//! - [`SimFabric`](crate::SimFabric) — effects are scheduled on the virtual
-//!   clock according to a LogGP-parameterised cost model.
-//!
-//! Both share [`execute_delivery`], which really moves the bytes and
-//! produces the completions, so data-integrity behaviour is identical.
+//! A [`Fabric`] decides *when* a posted transfer's side effects occur, and
+//! where: [`InstantFabric`](crate::InstantFabric) inside `post_send`,
+//! [`SimFabric`](crate::SimFabric) on the virtual clock, and
+//! [`ShmFabric`](crate::ShmFabric) on real threads, its sender placing the
+//! bytes and its receiver's poll notifying. All run the one delivery engine's
+//! two halves ([`execute_delivery`]), so data-integrity behaviour is
+//! identical.
 
 use std::sync::Arc;
 
 use partix_sim::{SimDuration, SimTime};
 
 use crate::buf::{InlineVec, PooledBuf};
+use crate::memory::{MemoryRegion, MrRegistry};
 use crate::network::{NetworkState, NodeCtx};
+use crate::qp::QueuePair;
 use crate::shm::FileMapping;
 use crate::types::{NodeId, WcOpcode, WcStatus, WorkCompletion};
 
@@ -130,31 +129,11 @@ pub struct DeliveryHeader {
 /// Where a delivery's bytes come from.
 #[derive(Clone, Copy)]
 pub enum Payload<'a> {
-    /// Gather segments checked at post time, read at delivery out of their
-    /// source regions: the sending node's own, or (a receiver in another
-    /// process, which checks the list again before it delivers) its
-    /// read-only views of them.
+    /// Gather segments checked at post time, read at delivery out of the
+    /// sending node's regions.
     Segments(&'a NodeCtx, &'a InlineVec<ResolvedSegment>),
-    /// The bytes themselves, in up to two pieces (either may be empty): an
-    /// inline snapshot, or an inline record still in the ring it arrived
-    /// on, split where the ring wraps.
-    Bytes([&'a [u8]; 2]),
-}
-
-/// What the send-side completion of a posted WR reads: the sender's whole
-/// record of it between post and completion.
-#[derive(Clone, Copy, Debug)]
-pub struct PostedSend {
-    /// Originating node.
-    pub src_node: NodeId,
-    /// Originating QP number.
-    pub src_qp: u32,
-    /// Caller's WR id.
-    pub wr_id: u64,
-    /// Total bytes.
-    pub total_len: u32,
-    /// Causal-trace flow identifier (0 = untraced).
-    pub flow: u64,
+    /// The bytes themselves: an inline send's snapshot.
+    Bytes(&'a [u8]),
 }
 
 impl TransferJob {
@@ -179,22 +158,11 @@ impl TransferJob {
     /// the gather list over the sending node's regions.
     pub fn payload<'a>(&'a self, net: &'a NetworkState) -> Payload<'a> {
         match &self.inline_payload {
-            Some(snapshot) => Payload::Bytes([snapshot, &[]]),
+            Some(snapshot) => Payload::Bytes(snapshot),
             None => Payload::Segments(
                 net.node(self.src_node).expect("the posting node exists"),
                 &self.segments,
             ),
-        }
-    }
-
-    /// The completion-side view of this job.
-    pub fn posted(&self) -> PostedSend {
-        PostedSend {
-            src_node: self.src_node,
-            src_qp: self.src_qp,
-            wr_id: self.wr_id,
-            total_len: self.total_len,
-            flow: self.flow,
         }
     }
 }
@@ -216,17 +184,27 @@ pub trait Fabric: Send + Sync {
     fn submit(&self, net: Arc<NetworkState>, job: TransferJob);
 
     /// Storage for the region of `len` bytes that `node` registers under
-    /// `lkey`. `None`, the default, puts it on the heap. A fabric whose peers
-    /// read a region in place, in another process, maps it from a file they
-    /// can open (a host-mode [`ShmFabric`](crate::ShmFabric)).
+    /// `lkey` at NIC-visible address `addr`. `None`, the default, puts it on
+    /// the heap. A fabric whose peers write a region in place, from another
+    /// process, maps it from a file they can open (a host-mode
+    /// [`ShmFabric`](crate::ShmFabric)).
     fn region_storage(
         &self,
         node: NodeId,
         lkey: u32,
+        addr: u64,
         len: usize,
     ) -> std::io::Result<Option<Arc<FileMapping>>> {
-        let _ = (node, lkey, len);
+        let _ = (node, lkey, addr, len);
         Ok(None)
+    }
+
+    /// QP `qp_num` of `node` has had `posted` receive WRs posted in all (a
+    /// monotone count), called under the QP's receive lock by every post. The
+    /// default ignores it; a fabric whose senders spend receive credits (a
+    /// [`ShmFabric`](crate::ShmFabric)) publishes it to them.
+    fn recv_posted(&self, node: NodeId, qp_num: u32, posted: u64) {
+        let _ = (node, qp_num, posted);
     }
 
     /// Make what progress this fabric can on the calling thread, for a
@@ -262,124 +240,127 @@ pub enum DeliveryOutcome {
 }
 
 /// Execute the destination-side effects of a transfer described by its
-/// header: validate the remote address, copy the bytes, and (for
-/// write-with-immediate) consume a receive WR and push the receive
-/// completion. Returns what happened so the fabric can construct the
-/// matching send-side completion.
+/// header: *place* (check the rkey and bounds, then copy the bytes) and
+/// *notify* (check the PSN, take a receive WR for an immediate, push the
+/// receive completion), the halves real RDMA splits between the responder's
+/// NIC and its CPU. Returns what happened, for the send-side completion.
 ///
-/// The payload source is the caller's choice, and is read only by a
-/// delivery that lands: a suppressed duplicate, a protection failure or a
-/// receiver-not-ready outcome never touches it. Timing studies over
-/// many-gigabyte sweeps disable the byte copies (`copy_data = false`): all
-/// validation, receive-WR accounting and completions still happen, so
-/// control-flow behaviour is identical.
+/// The order is the contract: (1) the destination QP and place's check, else
+/// `RemoteAccessError`; (2) notify's checks, under the QP's receive lock — a
+/// PSN already applied is `Duplicate`, an immediate with no receive WR
+/// `ReceiverNotReady`, and only then are the receive WR taken and the PSN
+/// marked; (3) place's copy; (4) notify's completion. A failed check writes
+/// nothing, so a duplicate writes nothing; (1) and (2) commute, since a
+/// duplicate carries its original's rkey and regions are never
+/// deregistered. A fabric that runs the halves apart (a shared-memory sender
+/// places, its receiver notifies) copies before notify's checks, and keeps
+/// both rules itself: a ghost places nothing, and a write-with-imm is placed
+/// only with a receive credit.
+///
+/// The payload is read only by a delivery that lands. Timing studies over
+/// many-gigabyte sweeps disable the copies (`copy_data = false`): every
+/// check, receive WR and completion still happens.
 pub fn execute_delivery(
     net: &Arc<NetworkState>,
     job: &DeliveryHeader,
     payload: Payload<'_>,
     copy_data: bool,
 ) -> DeliveryOutcome {
-    // Telemetry: the attempt is counted before any validation so that the
-    // outcome buckets below always partition the attempts exactly — the
-    // "outcome partition" invariant. Every return path of `deliver` maps to
-    // precisely one bucket.
-    let wire = &net.telemetry().wire;
-    wire.delivery_attempts.inc();
-    let outcome = deliver(net, job, payload, copy_data);
-    match &outcome {
-        DeliveryOutcome::Delivered { bytes } => {
-            wire.delivered.inc();
-            wire.bytes_delivered.add(*bytes as u64);
-            if job.ghost {
-                wire.delivered_ghost.inc();
-            }
-            net.telemetry().flows.event(
-                job.flow,
-                partix_telemetry::FlowStage::Delivered,
-                job.src_qp,
-                0,
-                *bytes as u64,
-            );
-            // A write-with-immediate pushes a receive CQE on delivery;
-            // mirrored against the CQ-side `recv_pushed` count.
-            if job.imm.is_some() {
-                wire.recv_cqes.inc();
-            }
+    let deliver = || {
+        let Ok(dst_qp) = net.qp(job.dst_node, job.dst_qp) else {
+            return DeliveryOutcome::RemoteAccessError;
+        };
+        let Some((dst_mr, offset)) = placement(dst_qp.mrs(), job) else {
+            return DeliveryOutcome::RemoteAccessError;
+        };
+        let recv = match admit(dst_qp, job) {
+            Ok(recv) => recv,
+            Err(outcome) => return outcome,
+        };
+        if copy_data {
+            place(dst_mr, offset, payload);
         }
-        DeliveryOutcome::Duplicate => wire.duplicates_suppressed.inc(),
-        DeliveryOutcome::RemoteAccessError => wire.remote_errors.inc(),
-        DeliveryOutcome::ReceiverNotReady => wire.receiver_not_ready.inc(),
-    }
+        push_recv_cqe(net, dst_qp, job, recv)
+    };
+    let outcome = deliver();
+    record_attempt(net, job, &outcome);
     outcome
 }
 
-fn deliver(
-    net: &Arc<NetworkState>,
-    job: &DeliveryHeader,
-    payload: Payload<'_>,
-    copy_data: bool,
-) -> DeliveryOutcome {
-    let Ok(dst_qp) = net.qp(job.dst_node, job.dst_qp) else {
-        return DeliveryOutcome::RemoteAccessError;
+/// The notify half alone, for a transfer whose bytes its sender has placed
+/// already: steps (2) and (4) of [`execute_delivery`]'s contract, recorded
+/// in the wire ledger as one delivery attempt.
+pub(crate) fn notify(net: &Arc<NetworkState>, job: &DeliveryHeader) -> DeliveryOutcome {
+    let outcome = match net.qp(job.dst_node, job.dst_qp) {
+        Ok(dst_qp) => match admit(dst_qp, job) {
+            Ok(recv) => push_recv_cqe(net, dst_qp, job, recv),
+            Err(outcome) => outcome,
+        },
+        Err(_) => DeliveryOutcome::RemoteAccessError,
     };
-    // Admission, one critical section on the destination QP's receive side.
-    // PSN suppression comes first: a retransmission or duplicate of an
-    // already-applied transfer is dropped *before* it can consume a receive
-    // WR or write memory, turning at-least-once wire behaviour into
-    // exactly-once at the memory region. The PSN is marked only once nothing
-    // can fail any more, so an RNR-deferred attempt is never mistaken for a
-    // duplicate.
-    let mut rx = dst_qp.rx();
-    if rx.psn_seen(job.src_qp, job.psn) {
-        return DeliveryOutcome::Duplicate;
-    }
-    // Validate the remote address *before* consuming a receive WR, so a
-    // protection failure leaves the receive queue untouched.
-    let Ok((dst_mr, base_off)) =
-        dst_qp
-            .mrs()
-            .resolve_remote(job.rkey, job.remote_addr, job.total_len as u64)
-    else {
-        return DeliveryOutcome::RemoteAccessError;
-    };
-    let recv_wr_id = if job.imm.is_some() {
-        let Some(wr_id) = rx.queue.pop_front() else {
-            return DeliveryOutcome::ReceiverNotReady;
-        };
-        dst_qp.counters().recv_consumed.inc();
-        Some(wr_id)
-    } else {
-        None
-    };
-    rx.mark_psn(job.src_qp, job.psn);
-    drop(rx);
+    record_attempt(net, job, &outcome);
+    outcome
+}
 
-    // Gather: copy each piece of the payload into the contiguous remote
-    // range.
-    if copy_data {
-        let mut cursor = base_off;
-        match payload {
-            Payload::Bytes(pieces) => {
-                for piece in pieces {
-                    dst_mr
-                        .write(cursor, piece)
-                        .expect("range validated at resolve time");
-                    cursor += piece.len();
-                }
-            }
-            Payload::Segments(src, segments) => {
-                for seg in segments.iter() {
-                    let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
-                    dst_mr
-                        .copy_from(cursor, mr, seg.offset, seg.len)
-                        .expect("ranges validated at post (or receipt) and resolve time");
-                    cursor += seg.len;
-                }
+/// Place's check: the region of `mrs` that `job`'s rkey names, and the
+/// offset of its remote address, if the whole range lies inside it.
+pub(crate) fn placement<'a>(
+    mrs: &'a MrRegistry,
+    job: &DeliveryHeader,
+) -> Option<(&'a MemoryRegion, usize)> {
+    (mrs.resolve_remote(job.rkey, job.remote_addr, job.total_len as u64)).ok()
+}
+
+/// Place's copy: each piece of the payload, in order, into the contiguous
+/// range at `offset` of `dst`, which [`placement`] checked.
+pub(crate) fn place(dst: &MemoryRegion, offset: usize, payload: Payload<'_>) {
+    let mut cursor = offset;
+    match payload {
+        Payload::Bytes(bytes) => {
+            dst.write(cursor, bytes)
+                .expect("range validated at resolve time");
+        }
+        Payload::Segments(src, segments) => {
+            for seg in segments.iter() {
+                let mr = src.mrs.by_lkey(seg.lkey).expect("lkey checked at post");
+                dst.copy_from(cursor, mr, seg.offset, seg.len)
+                    .expect("ranges validated at post and resolve time");
+                cursor += seg.len;
             }
         }
     }
+}
 
-    if let Some(wr_id) = recv_wr_id {
+/// Notify's checks, one critical section on the destination QP's receive
+/// side: PSN suppression first, so a retransmission or duplicate of an
+/// applied transfer consumes nothing (at-least-once on the wire, exactly
+/// once at the region); then the receive WR of an immediate. The PSN is
+/// marked only once nothing can fail, so a receiver-not-ready attempt is
+/// never mistaken for a duplicate. `Ok` holds the receive WR taken.
+fn admit(dst_qp: &QueuePair, job: &DeliveryHeader) -> Result<Option<u64>, DeliveryOutcome> {
+    let mut rx = dst_qp.rx();
+    if rx.psn_seen(job.src_qp, job.psn) {
+        return Err(DeliveryOutcome::Duplicate);
+    }
+    if job.imm.is_some() && rx.queue.is_empty() {
+        return Err(DeliveryOutcome::ReceiverNotReady);
+    }
+    let recv = job.imm.and_then(|_| rx.queue.pop_front());
+    if recv.is_some() {
+        dst_qp.counters().recv_consumed.inc();
+    }
+    rx.mark_psn(job.src_qp, job.psn);
+    Ok(recv)
+}
+
+/// Notify's completion: the receive CQE of the receive WR `recv` took.
+fn push_recv_cqe(
+    net: &Arc<NetworkState>,
+    dst_qp: &QueuePair,
+    job: &DeliveryHeader,
+    recv: Option<u64>,
+) -> DeliveryOutcome {
+    if let Some(wr_id) = recv {
         dst_qp.recv_cq().push(WorkCompletion {
             wr_id,
             status: WcStatus::Success,
@@ -396,39 +377,57 @@ fn deliver(
     }
 }
 
+/// Count one delivery attempt of `job` and its outcome in the wire ledger.
+/// Attempt and outcome are counted together, so the outcome buckets always
+/// partition the attempts exactly (the "outcome partition" law).
+pub(crate) fn record_attempt(net: &NetworkState, job: &DeliveryHeader, outcome: &DeliveryOutcome) {
+    let wire = &net.telemetry().wire;
+    wire.delivery_attempts.inc();
+    match outcome {
+        DeliveryOutcome::Delivered { bytes } => {
+            wire.delivered.inc();
+            wire.bytes_delivered.add(*bytes as u64);
+            if job.ghost {
+                wire.delivered_ghost.inc();
+            }
+            let stage = partix_telemetry::FlowStage::Delivered;
+            (net.telemetry().flows).event(job.flow, stage, job.src_qp, 0, *bytes as u64);
+            // Mirrored against the CQ-side `recv_pushed` count.
+            if job.imm.is_some() {
+                wire.recv_cqes.inc();
+            }
+        }
+        DeliveryOutcome::Duplicate => wire.duplicates_suppressed.inc(),
+        DeliveryOutcome::RemoteAccessError => wire.remote_errors.inc(),
+        DeliveryOutcome::ReceiverNotReady => wire.receiver_not_ready.inc(),
+    }
+}
+
 /// Push the send-side completion for `job` with `status`, releasing the
 /// outstanding-WR slot; drives the source QP to the error state on failure
 /// (as real hardware does).
 pub fn complete_send(net: &Arc<NetworkState>, job: &TransferJob, status: WcStatus) {
-    if job.ghost {
-        // Injected duplicates never completed at the sender in the first
-        // place: no CQE, no slot release, no error state.
-        return;
-    }
-    complete_posted(net, &job.posted(), status);
-}
-
-/// [`complete_send`] for a WR known by what its sender kept of it.
-pub fn complete_posted(net: &Arc<NetworkState>, wr: &PostedSend, status: WcStatus) {
-    let Ok(src_qp) = net.qp(wr.src_node, wr.src_qp) else {
+    // Injected duplicates never completed at the sender in the first place:
+    // no CQE, no slot release, no error state.
+    let (false, Ok(src_qp)) = (job.ghost, net.qp(job.src_node, job.src_qp)) else {
         return;
     };
     src_qp.release_send_slot();
     if status == WcStatus::Success {
         src_qp.counters().completed_success.inc();
-        src_qp.counters().bytes_completed.add(wr.total_len as u64);
+        src_qp.counters().bytes_completed.add(job.total_len as u64);
     } else {
         src_qp.counters().completed_error.inc();
         src_qp.set_error();
     }
     src_qp.send_cq().push(WorkCompletion {
-        wr_id: wr.wr_id,
+        wr_id: job.wr_id,
         status,
         opcode: WcOpcode::RdmaWrite,
-        byte_len: wr.total_len,
+        byte_len: job.total_len,
         imm: None,
         qp_num: src_qp.qp_num(),
-        flow: wr.flow,
+        flow: job.flow,
         pushed_ns: net.telemetry().flows.now(),
     });
 }

@@ -297,9 +297,14 @@ impl Fabric for LossyFabric {
         &self,
         node: NodeId,
         lkey: u32,
+        addr: u64,
         len: usize,
     ) -> std::io::Result<Option<Arc<FileMapping>>> {
-        self.inner.region_storage(node, lkey, len)
+        self.inner.region_storage(node, lkey, addr, len)
+    }
+
+    fn recv_posted(&self, node: NodeId, qp_num: u32, posted: u64) {
+        self.inner.recv_posted(node, qp_num, posted);
     }
 
     fn progress(&self) -> bool {

@@ -76,9 +76,8 @@ pub use buf::{InlineVec, PayloadArena, PooledBuf, PooledBufMut, INLINE_CAP};
 pub use cq::{CompletionQueue, Handoff, NotifyHook};
 pub use error::{Result, VerbsError};
 pub use fabric::{
-    complete_posted, complete_send, execute_delivery, outcome_status, sender_retry_profile,
-    DeliveryHeader, DeliveryOutcome, Fabric, Payload, PostOptions, PostedSend, ResolvedSegment,
-    TransferJob, MAX_WR_BYTES,
+    complete_send, execute_delivery, outcome_status, sender_retry_profile, DeliveryHeader,
+    DeliveryOutcome, Fabric, Payload, PostOptions, ResolvedSegment, TransferJob, MAX_WR_BYTES,
 };
 pub use fabric_instant::InstantFabric;
 pub use fabric_lossy::{FaultPlan, LossyConfig, LossyFabric};

@@ -36,8 +36,8 @@ enum Storage {
     Heap(Box<[UnsafeCell<u8>]>),
     /// A shared file mapping a fabric provided
     /// ([`Fabric::region_storage`](crate::Fabric::region_storage)), at
-    /// least the region's length: the owner's read-write, or a peer's
-    /// read-only view, which is only ever copied from.
+    /// least the region's length: the owner's, or a sender's in another
+    /// process, which places its writes through it.
     Mapped(Arc<FileMapping>),
 }
 
@@ -262,24 +262,6 @@ impl MemoryRegion {
         dst.copy_from(dst_offset, self, src_offset, len)
     }
 
-    /// Start loading the cache line at `offset`: a delivery that reads its
-    /// source only after checks of its own (the shared-memory fabric's)
-    /// overlaps the miss with them. A no-op on a virtual region, past the
-    /// end, and off x86-64.
-    #[inline]
-    pub(crate) fn prefetch(&self, offset: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.virtual_backing && offset < self.len {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: `offset` lies inside the region's storage, and a
-            // prefetch is a hint: it reads nothing the program sees and
-            // cannot fault.
-            unsafe { _mm_prefetch(self.storage.base().add(offset).cast::<i8>(), _MM_HINT_T0) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = offset;
-    }
-
     /// Fill `len` bytes at `offset` with `value`. No-op on a virtual
     /// region.
     pub fn fill(&self, offset: usize, len: usize, value: u8) -> Result<()> {
@@ -372,23 +354,29 @@ impl MrRegistry {
     }
 
     /// Register a new region of `len` bytes under protection domain `pd_id`,
-    /// over the storage `mapped` returns for its lkey (the heap if `None`).
-    /// A key whose storage could not be had is spent.
+    /// over the storage `mapped` returns for its lkey and base address (the
+    /// heap if `None`). A key and an address whose storage could not be had
+    /// are spent.
     pub(crate) fn register<E>(
         &self,
         pd_id: u32,
         len: usize,
-        mapped: impl FnOnce(u32) -> std::result::Result<Option<Arc<FileMapping>>, E>,
+        mapped: impl FnOnce(u32, u64) -> std::result::Result<Option<Arc<FileMapping>>, E>,
     ) -> std::result::Result<MemoryRegion, E> {
-        let lkey = self.mint_key();
-        let mapped = mapped(lkey)?;
-        Ok(self.register_inner(pd_id, len, lkey, false, mapped))
+        let (lkey, base) = (self.mint_key(), self.mint_addr(len));
+        let mapped = mapped(lkey, base)?;
+        Ok(self.insert(MemoryRegion::new(
+            self.node, pd_id, base, len, lkey, false, mapped,
+        )))
     }
 
     /// Register a virtual (timing-only) region: full address-space
     /// semantics, no storage.
     pub(crate) fn register_virtual(&self, pd_id: u32, len: usize) -> MemoryRegion {
-        self.register_inner(pd_id, len, self.mint_key(), true, None)
+        let (lkey, base) = (self.mint_key(), self.mint_addr(len));
+        self.insert(MemoryRegion::new(
+            self.node, pd_id, base, len, lkey, true, None,
+        ))
     }
 
     fn mint_key(&self) -> u32 {
@@ -396,38 +384,36 @@ impl MrRegistry {
             .fetch_add(2, std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn register_inner(
-        &self,
-        pd_id: u32,
-        len: usize,
-        lkey: u32,
-        virtual_backing: bool,
-        mapped: Option<Arc<FileMapping>>,
-    ) -> MemoryRegion {
-        let base = {
-            let mut next = self.next_addr.lock();
-            let base = *next;
-            // Pad to page size and add a guard page.
-            let span = (len as u64).div_ceil(PAGE).max(1) * PAGE + PAGE;
-            *next += span;
-            base
-        };
-        let mr = MemoryRegion::new(self.node, pd_id, base, len, lkey, virtual_backing, mapped);
-        let fresh = self.regions.set((lkey - FIRST_KEY) / 2, mr.clone());
+    /// The base address of a new region of `len` bytes: padded to the page
+    /// size, with a guard page after it.
+    fn mint_addr(&self, len: usize) -> u64 {
+        let mut next = self.next_addr.lock();
+        let base = *next;
+        *next += (len as u64).div_ceil(PAGE).max(1) * PAGE + PAGE;
+        base
+    }
+
+    fn insert(&self, mr: MemoryRegion) -> MemoryRegion {
+        let fresh = self.regions.set((mr.lkey - FIRST_KEY) / 2, mr.clone());
         assert!(fresh.is_ok(), "memory keys are minted once");
         mr
     }
 
-    /// Enter a read-only view of another process's region `lkey` of this
-    /// registry's node, `view` mapped from the file that region lives in:
-    /// a copy source for the deliveries that name it, and nothing else. No
-    /// address or protection domain: nothing local writes to it or resolves
-    /// a remote key to it. `None` (the view dropped) if `lkey` is no local
-    /// key or already names a region.
-    pub(crate) fn insert_view(&self, lkey: u32, view: Arc<FileMapping>) -> Option<&MemoryRegion> {
+    /// Enter another process's region `lkey` of this registry's node, of
+    /// `len` bytes at NIC-visible address `base`, over `map`, a writable
+    /// mapping of the file that region lives in: what a sender resolves the
+    /// rkey of a write into that region against, and places the bytes
+    /// through. `None` (the mapping dropped) if `lkey` is no local key, or
+    /// already names a region.
+    pub(crate) fn insert_remote(
+        &self,
+        lkey: u32,
+        base: u64,
+        len: usize,
+        map: Arc<FileMapping>,
+    ) -> Option<&MemoryRegion> {
         let i = lkey.checked_sub(FIRST_KEY).filter(|i| i % 2 == 0)? / 2;
-        let len = view.len();
-        let mr = MemoryRegion::new(self.node, 0, 0, len, lkey, false, Some(view));
+        let mr = MemoryRegion::new(self.node, 0, base, len, lkey, false, Some(map));
         self.regions.set(i, mr).ok()?;
         self.regions.get(i)
     }
@@ -470,7 +456,7 @@ mod tests {
 
     /// A heap region of `len` bytes in `r`.
     fn heap(r: &MrRegistry, len: usize) -> MemoryRegion {
-        r.register(1, len, |_| Ok::<_, ()>(None)).unwrap()
+        r.register(1, len, |_, _| Ok::<_, ()>(None)).unwrap()
     }
 
     fn reg(len: usize) -> (MrRegistry, MemoryRegion) {

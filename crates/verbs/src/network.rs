@@ -194,7 +194,7 @@ impl Context {
         if pd.node != self.node.id {
             return Err(VerbsError::ProtectionDomainMismatch);
         }
-        let storage = |lkey| self.fabric.region_storage(self.node.id, lkey, len);
+        let storage = |lkey, addr| (self.fabric).region_storage(self.node.id, lkey, addr, len);
         (self.node.mrs.register(pd.id, len, storage))
             .map_err(|e| VerbsError::RegionStorage(e.to_string()))
     }

@@ -175,6 +175,8 @@ pub(crate) struct RxSide {
     /// The `wr_id`s of the posted receive WRs, oldest first: a receive WR
     /// is consumed for its completion only, so its id is all it carries.
     pub(crate) queue: VecDeque<u64>,
+    /// Receive WRs ever posted: the count [`Fabric::recv_posted`] publishes.
+    pub(crate) posted: u64,
     /// One [`PsnWindow`] per peer QP (linear scan: a QP talks to very few
     /// peers). At-least-once wire behaviour (retransmits, duplicated
     /// packets) collapses to exactly-once at the memory region here.
@@ -414,6 +416,9 @@ impl QueuePair {
             return Err(VerbsError::RecvQueueFull);
         }
         rx.queue.push_back(wr.wr_id);
+        rx.posted += 1;
+        self.fabric
+            .recv_posted(self.node.id, self.qp_num, rx.posted);
         self.counters.recv_posted.inc();
         Ok(())
     }
@@ -429,6 +434,9 @@ impl QueuePair {
         let mut rx = self.rx.lock();
         let posted = depth.min(cap).saturating_sub(rx.queue.len());
         rx.queue.extend(std::iter::repeat_n(wr_id, posted));
+        rx.posted += posted as u64;
+        self.fabric
+            .recv_posted(self.node.id, self.qp_num, rx.posted);
         self.counters.recv_posted.add(posted as u64);
         if depth > cap {
             return Err(VerbsError::RecvQueueFull);

@@ -1,13 +1,14 @@
 //! The real-time shared-memory fabric.
 //!
 //! [`ShmFabric`] runs the verbs object model on *wall-clock time and real
-//! threads*: every posted WR becomes a DATA record in a per-QP-pair SPSC
-//! [`SpscRing`], and whoever polls a completion queue of the fabric scans
-//! the rings into deliveries and completions. The data ring is the send
-//! queue: a record stays on it until the receiver is done with it, and the
-//! ring's `Head`, the receiver's cursor, is the acknowledgement — the shape
-//! of MPICH2-over-IB's RDMA channel, whose flow control is a consumer cursor
-//! the sender reads (see DESIGN.md §11).
+//! threads*, and splits the delivery engine as an RDMA NIC does: the sender
+//! runs *place* itself — it writes the bytes straight into the receiver's
+//! registered region and completes its WR — and rings a doorbell on a
+//! per-QP-pair SPSC [`SpscRing`]; whoever polls the receiver's completion
+//! queues runs *notify*, which consumes a receive WR and pushes the receive
+//! completion. It is the RDMA fast path of MPICH2-over-IB (DESIGN.md §11):
+//! the sender writes into pre-registered buffers, and receive credits flow
+//! back to it.
 //!
 //! Two deployments share all of this code:
 //!
@@ -20,95 +21,98 @@
 //!
 //! # Data path
 //!
-//! A payload is copied once, from the source region straight into the
-//! destination region, as a NIC's RDMA write moves it; no syscall,
-//! allocation, hash look-up or clock read is made on the way. The ring
-//! carries a *doorbell*: `submit` writes the 72-byte header and the WR's
-//! gather list (16 bytes per segment, checked against the sender's
-//! registrations at post), and the scan hands the list to the shared
-//! [`execute_delivery`], which reads each segment out of the sender's region
-//! only once the PSN, protection and receive-WR checks have passed — a
-//! delivery that fails one writes nothing. Only an inline WR's record
-//! carries bytes: the snapshot `post_send` took. The ring loses nothing, so
-//! nothing is ever re-sent.
+//! A payload is copied once, by the sender, from its source region straight
+//! into the destination region, as a NIC's RDMA write moves it; no syscall,
+//! allocation, hash look-up or clock read is made on the way. `submit` runs
+//! place's check — the rkey names a region of the destination node that
+//! holds the whole range — and a WR that fails it completes
+//! `RemoteAccessError` and writes nothing. Otherwise it copies the gather
+//! list (or an inline WR's snapshot) into the region, pushes a 40-byte
+//! *doorbell* — the header notify needs, no payload and no gather list — and
+//! pushes the send completion. The copy's release is published before the
+//! ring's `Tail`, which the receiver acquires before it notifies. A lossy
+//! decorator's ghost duplicate places nothing: its doorbell reaches the ring
+//! ahead of its original's, and notify suppresses it as the duplicate it is,
+//! so a duplicate writes nothing on this fabric either.
 //!
-//! Where the source region is: in loopback, in the same [`NetworkState`]. In
-//! host mode every region a node registers lives in a memory file of its own,
-//! named in the fabric's directory ([`Fabric::region_storage`], and the
-//! `region` module for how the files are made, shared in-process and
-//! pooled); the receiver maps a peer's region read-only the first time a
-//! record names it and keeps the mapping, by node and lkey, for the life of
-//! the fabric (regions are never deregistered). Each segment is checked
-//! again on receipt — the region exists and holds the range, the lengths add
-//! up to the header's — and a record that fails is refused as a protection
-//! error (see [`ShmFabric::malformed_records`]).
+//! Where the destination region is: in loopback, in the same
+//! [`NetworkState`]. In host mode every region a node registers lives in a
+//! memory file of its own, named in the fabric's directory, which ends in a
+//! trailer with the region's base address and length
+//! ([`Fabric::region_storage`], and the `region` module for how the files
+//! are made, shared in-process and pooled). A sender maps a peer's region
+//! writable the first time a WR names it and keeps the mapping, by node and
+//! rkey, for the life of the fabric (regions are never deregistered).
 //!
 //! **Ownership rule.** The source range belongs to the sender until its send
-//! completion, as on every fabric (the MPI Partitioned contract). A ring
-//! record belongs to the receiver from its publication until `Head` moves
-//! past it, and is delivered from where it lies, however long the RNR rule
-//! holds it there: nothing is copied out of the ring.
+//! completion, as on every fabric (the MPI Partitioned contract); here that
+//! completion comes once the bytes are placed. A doorbell belongs to the
+//! receiver from its publication until `Head` moves past it, which it does
+//! once the doorbell is notified.
 //!
-//! # Completion
+//! # Receive credits
 //!
-//! The receiver releases a record once its delivery has succeeded or failed;
-//! a failure first writes its status into the record's header, in a byte
-//! the ring reserves for it, before `Head` moves. The sending channel keeps
-//! its records in a window, in ring order, each with its ring position. The
-//! sender's scan reads `Head` and completes, in window order, every record
-//! `Head` has passed, each with [`complete_posted`] of what the sender kept
-//! and the status its slot holds. Only then does the sender reuse that space
-//! (its `reclaimed` cursor): the ring's own check against `Head` would hand
-//! back a slot whose status is unread. `Head` and the status bytes are
-//! written by another process: a status byte that names no status fails
-//! its WR as a protection error, and a `Head` past what this side posted
-//! completes nothing beyond it. The sending channel of a QP is resolved once,
-//! into a table indexed by the local QP number.
+//! A write-with-immediate consumes a receive WR, and the sender may not
+//! place one the receiver has no receive WR for. Each receiving QP
+//! publishes the monotone count of receive WRs ever posted on it in its
+//! incoming channel's segment ([`Ctrl::Credits`], through
+//! [`Fabric::recv_posted`]), and the sender spends one credit per
+//! write-with-immediate. It reads the word only once the credits it knows
+//! of are spent. A bare write needs no credit, but it is held behind a
+//! write-with-immediate that is (RC order), and so is every WR posted after
+//! a held one. A held WR still holds its send slot, so it counts against
+//! the QP's WR cap. A credit word is bytes another process wrote: one that
+//! runs past the receives really posted makes notify meet a doorbell with
+//! no receive WR, which completes nothing, and is counted
+//! ([`ShmFabric::malformed_records`]).
+//!
+//! # The RNR rule
+//!
+//! A write with no credit is not yet receiver-not-ready: its receiver may
+//! post the receives while it notifies what is ahead of it, or while its
+//! application takes the receive completions of what it notified. It is held
+//! until the receiver has notified every doorbell before it and its poller
+//! has come back since, finding the ring empty (a scan that does publishes
+//! `Head` as [`Ctrl::Polled`]). Only if it still has no credit then — the
+//! credit word is read again after `Polled` — does the RNR rule start, on
+//! the sender, as InfiniBand decides RNR when the packet reaches the
+//! responder: the sending QP's `min_rnr_timer`
+//! (wall-clock) is armed, and what is left of its `rnr_retry`
+//! ([`RnrBudget`]) — that many re-arms for budgets 0–6 and, for
+//! InfiniBand's "retry indefinitely" 7, re-arms until the WR has waited
+//! [`ShmConfig::full_ring_deadline`]. Each expiry with no credit is another
+//! receiver-not-ready attempt. A credit that comes mid-wait sends the WR at
+//! the next scan. A receiver that is merely slow holds its sender back, and
+//! only one that is gone fails it: a WR that runs out of budget fails
+//! `RnrRetryExceeded`, and so, at their first receiver-not-ready, do the WRs
+//! held behind it then, as an RC QP flushes its queue once its RNR retries
+//! run out — a window fails in one deadline, not one per WR. A `Head` or a
+//! `Polled` past what the sender published is read as a drained ring, and
+//! counted.
 //!
 //! # Progress
 //!
 //! A scan ([`ShmFabric::scan`]) visits every channel (from a snapshot of the
-//! channel list refreshed only when one is installed): it delivers what a
-//! data ring holds and completes what a sent ring's `Head` has passed. It
-//! takes at most the records that were on a ring when it reached it, so a
-//! drain never chases a sender that its own completions keep refilling. The
-//! clock is read only where a deadline is set or checked, or to tick an
-//! attached sampler. One scanner runs at a time, under the progress lock.
-//! Pollers scan, and nothing else does: every completion queue created on
-//! the fabric holds it ([`Fabric::progress`]), and a poll that finds its
-//! queue empty try-locks and runs one scan on the polling thread, so a record
-//! goes from the poster's ring to the poller's CQ with no thread hop — the
-//! paper's caller-driven progress (§IV-A). [`ShmFabric::quiesce`], a submit
-//! waiting out a full ring and [`ShmFabric::shutdown`]'s final drain scan
-//! the same way. The fabric starts no thread: a process that stops polling
-//! stops its side of the wire, and its peers' sends wait for their
-//! completions until it polls again (a caller bounds that wait with its own
-//! deadline).
+//! channel list refreshed only when one is installed): it notifies what a
+//! ring it receives on holds, and sends what a held queue now allows. It
+//! takes at most the doorbells that were on a ring when it reached it, so a
+//! drain never chases a sender. The clock is read only where a deadline is
+//! set or checked, or to tick an attached sampler. One scanner runs at a
+//! time, under the progress lock. Pollers scan, and nothing else does: every
+//! completion queue created on the fabric holds it ([`Fabric::progress`]),
+//! and a poll that finds its queue empty try-locks and runs one scan on the
+//! polling thread — the paper's caller-driven progress (§IV-A).
+//! [`ShmFabric::quiesce`], a submit waiting out a full ring and
+//! [`ShmFabric::shutdown`]'s final drain scan the same way. The fabric
+//! starts no thread. A receiver that stops polling holds no send: its
+//! senders' writes land and complete, and its receive completions wait for
+//! its next poll, as on InfiniBand.
 //!
-//! # The RNR rule
-//!
-//! A record whose receiver is not ready stays at the head of its ring. The
-//! channel keeps one head-of-line wait, started at the record's first
-//! attempt: when the sending QP's `min_rnr_timer` (wall-clock) expires, and
-//! what is left of its `rnr_retry` ([`RnrBudget`]) — that many re-arms for
-//! budgets 0–6 and, for InfiniBand's "retry indefinitely" 7, re-arms until
-//! the record has waited [`ShmConfig::full_ring_deadline`]. The first scan
-//! after the timer tries the record again. The records behind it wait,
-//! unattempted, as an RC QP's later requests wait behind an RNR NAK, so a
-//! window posted ahead of its receives lands in posting order; other
-//! channels pass it. A receiver that is merely slow holds its sender back,
-//! and only one that is gone fails it: a record that runs out of budget
-//! fails `RnrRetryExceeded`, and so, at their first receiver-not-ready, do
-//! the records that were behind it then, as an RC QP flushes its queue once
-//! its RNR retries run out — a window fails in one deadline, not one per
-//! record.
-//!
-//! There is no ack timer and no retransmission: a slow receiver is awaited.
+//! There is no ack timer and no retransmission: the ring loses nothing.
 //! Loss is not this fabric's to inject or to recover from — a
 //! [`LossyFabric`](crate::LossyFabric) wrapped around it drops, duplicates
-//! and re-sends, and what reaches this fabric from one is ordinary records
-//! plus ghost duplicates, which the delivery engine's PSN check suppresses
-//! and which complete nothing.
+//! and re-sends, and what reaches this fabric from one is ordinary WRs plus
+//! ghost duplicates, which place nothing and complete nothing.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -120,42 +124,31 @@ use parking_lot::{Mutex, MutexGuard};
 
 use partix_telemetry::{segments_for, FlowStage, Sampler};
 
-use crate::buf::InlineVec;
 use crate::fabric::{
-    complete_posted, execute_delivery, DeliveryHeader, DeliveryOutcome, Fabric, Payload,
-    PostedSend, ResolvedSegment, TransferJob,
+    complete_send, notify, place, placement, record_attempt, sender_retry_profile, DeliveryHeader,
+    DeliveryOutcome, Fabric, TransferJob,
 };
 use crate::memory::MemoryRegion;
 use crate::network::{NetworkState, NodeCtx};
-use crate::qp::RetryProfile;
 use crate::table::IndexTable;
 use crate::types::{NodeId, WcStatus};
 
-use super::ring::{RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
-use super::segment::{FileMapping, FileSegment, HeapSegment, Segment};
+use super::ring::{RecordReader, SpscRing, RECORD_HEADER};
+use super::segment::{Ctrl, FileMapping, FileSegment, HeapSegment, Segment};
 use super::wait_until;
 
-/// DATA record kind tag.
-const KIND_DATA: u8 = 1;
+/// Doorbell record kind tag.
+const KIND_DOORBELL: u8 = 1;
 
-/// Serialized DATA header bytes (the gather list, or an inline snapshot,
-/// follows).
-const DATA_HEADER: usize = 72;
-/// Serialized bytes of one gather-list entry: `lkey: u32` | `len: u32` |
-/// `offset: u64`.
-const SEGMENT_ENTRY: usize = 16;
+/// Serialized doorbell bytes: what notify reads, and nothing else.
+const DOORBELL: usize = 40;
 
 /// Configuration of a [`ShmFabric`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShmConfig {
-    /// Data-ring capacity per QP-pair channel, bytes. A single record
-    /// (72-byte header + 16 bytes per gather segment, or + the payload of an
-    /// inline WR, + the ring's 8) must fit, and so must a QP's whole window
-    /// of its largest records: a record waiting on the RNR rule stays on the
-    /// ring, and the records posted behind it wait there too. With the
-    /// default caps that is 16 × 336 bytes, about 5.4 KiB; a ring that holds
-    /// less stalls a window posted ahead of its receives, and fails it at
-    /// the stall deadline. See [`ShmConfig::default`] for how the default
+    /// Doorbell-ring capacity per QP-pair channel, bytes. A doorbell takes
+    /// 48 (40 and the ring's 8); WRs held for credit wait on the sender's
+    /// side, not on the ring. See [`ShmConfig::default`] for how the default
     /// was chosen.
     pub ring_capacity: u64,
     /// MTU used for `mtu_segments` accounting (the wire ledger's
@@ -163,23 +156,22 @@ pub struct ShmConfig {
     pub mtu: usize,
     /// The stall deadline. Bound on waiting for ring space on submit before
     /// panicking (a ring sized far below the offered load is a deployment
-    /// error, not a recoverable condition), and on how long a delivery from a
-    /// QP with `rnr_retry = 7` waits for a receive WR before it fails with
-    /// `RnrRetryExceeded`.
+    /// error, not a recoverable condition), and on how long a write-with-imm
+    /// from a QP with `rnr_retry = 7` waits for a receive credit before it
+    /// fails with `RnrRetryExceeded`.
     pub full_ring_deadline: Duration,
 }
 
 impl Default for ShmConfig {
-    /// The data ring defaults to 64 KiB: records are doorbells (a 96-byte
-    /// record for a one-segment write), so it holds about 680 of them, over
-    /// forty 16-WR windows. Measured on the benchmark's `shm_exchange`
-    /// (2 vCPUs, three seeds per size, traced runs for the stream and
-    /// untraced ones for memory), the 64 KiB stream moves 11.2–12.0 GB/s at
-    /// 64 KiB, 128 KiB 10.7–11.7 and 512 KiB 11.2–11.6, none with a ring-full
-    /// stall: what bounds the stream is the one copy, not the ring. What the
-    /// size does change is memory, since ring pages are mapped and every
-    /// touched page is resident in each process that maps it: peak RSS 7.9–8.1
-    /// MB at 64 KiB, 8.0–8.1 at 128 KiB, 8.1–8.2 at 512 KiB.
+    /// The ring defaults to 64 KiB, about 1 360 doorbells. Measured on the
+    /// benchmark's `shm_exchange` when records were 96-byte doorbells read
+    /// by the receiver (2 vCPUs, three seeds per size), the 64 KiB stream
+    /// moved 11.2–12.0 GB/s at 64 KiB, 10.7–11.7 at 128 KiB and 11.2–11.6 at
+    /// 512 KiB, none with a ring-full stall: what bounds the stream is the
+    /// one copy, not the ring. What the size does change is memory, since
+    /// ring pages are mapped and every touched page is resident in each
+    /// process that maps it: peak RSS 7.9–8.1 MB at 64 KiB, 8.0–8.1 at 128
+    /// KiB, 8.1–8.2 at 512 KiB.
     fn default() -> Self {
         ShmConfig {
             ring_capacity: 1 << 16,
@@ -216,101 +208,101 @@ impl PairKey {
     }
 }
 
-/// One directed QP-pair channel: its DATA ring, sender → receiver, whose
-/// `Head` carries the acknowledgements back.
+/// One directed QP-pair channel: its doorbell ring, sender → receiver, and
+/// in the same segment the receiver's credit word.
 struct Channel {
     key: PairKey,
     data: SpscRing,
-    /// This process produces DATA and completes it.
+    /// The ring's segment, for [`Ctrl::Credits`].
+    seg: Arc<dyn Segment>,
+    /// This process sends on the channel.
     we_send: bool,
-    /// This process consumes DATA.
+    /// This process notifies what the channel carries.
     we_recv: bool,
-    /// Serialises the DATA producer side (posts may come from any thread;
-    /// the ring protocol wants one logical producer).
-    tx_lock: Mutex<()>,
-    /// Sender side: records not completed yet, in ring order (each is
-    /// registered under `tx_lock`, just before it is pushed, so a scan
-    /// that sees `Head` past a record finds it here).
-    window: Mutex<VecDeque<Pending>>,
-    /// Sender side: ring bytes the sender has completed, ghosts included:
-    /// the bound on its pushes. Stored by the scanner, after the statuses
-    /// below it are read.
-    reclaimed: AtomicU64,
+    /// Sender side: the producer's state. Posts may come from any thread;
+    /// the ring protocol wants one logical producer.
+    tx: Mutex<TxState>,
+    /// Whether `tx` holds a WR: what a scan reads before it locks.
+    holding: AtomicBool,
 }
 
 impl Channel {
-    fn new(key: PairKey, data: Arc<dyn Segment>, we_send: bool, we_recv: bool) -> Arc<Channel> {
-        let data = SpscRing::new(data);
+    fn new(key: PairKey, seg: Arc<dyn Segment>, we_send: bool, we_recv: bool) -> Arc<Channel> {
         Arc::new(Channel {
             key,
-            reclaimed: AtomicU64::new(data.consumed()),
-            data,
+            data: SpscRing::new(seg.clone()),
+            seg,
             we_send,
             we_recv,
-            tx_lock: Mutex::new(()),
-            window: Mutex::new(VecDeque::new()),
+            tx: Mutex::new(TxState::default()),
+            holding: AtomicBool::new(false),
         })
+    }
+
+    /// Publish the receiving QP's posted-receive count, `posted`. Every
+    /// caller holds that QP's receive lock, so stores are never reordered.
+    fn publish_credits(&self, posted: u64) {
+        self.seg.ctrl_store(Ctrl::Credits, posted);
     }
 }
 
-/// Sender-side record awaiting its completion.
-struct Pending {
-    /// What the completion needs.
-    wr: PostedSend,
-    /// The record's ring position: `Head` past it completes it.
-    at: u64,
-    /// Flow-clock timestamp at submit: the `WireSubmit` event's time.
-    submit_ns: u64,
+/// The sender's side of a channel.
+#[derive(Default)]
+struct TxState {
+    /// WRs not sent yet, in posting order, each with its flow-clock submit
+    /// time: the first waits for a credit (or for the RNR rule), the rest
+    /// are behind it.
+    held: VecDeque<(TransferJob, u64)>,
+    credit: Credit,
 }
 
-/// What follows a DATA record's header, as a delivery reads it: where the
-/// payload is.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    /// The sender's gather list; the bytes are in its regions.
-    Gather(&'a InlineVec<ResolvedSegment>),
-    /// An inline WR's snapshot, in up to two pieces.
-    Inline([&'a [u8]; 2]),
-    /// A body that disagrees with its header: there is nothing to read.
-    Malformed,
+/// The sender's credit account and the RNR rule's state for the first WR
+/// not sent yet.
+#[derive(Default)]
+struct Credit {
+    /// Credits spent: writes-with-imm placed.
+    spent: u64,
+    /// The credit word as last read (never lowered).
+    limit: u64,
+    /// The first WR's RNR wait, if the rule has started for it.
+    wait: Option<RnrWait>,
+    /// WRs that fail at their first receiver-not-ready: those that were
+    /// held behind one that ran out of RNR budget.
+    flush: usize,
 }
 
 /// The `rnr_retry` value InfiniBand reserves for "retry indefinitely".
 const RNR_RETRY_INFINITE: u8 = 7;
 
-/// What is left of the sending QP's `rnr_retry` for the record at the head
-/// of a ring.
+/// What is left of the sending QP's `rnr_retry` for the first WR not sent
+/// yet.
 #[derive(Clone, Copy)]
 enum RnrBudget {
     /// `rnr_retry` 0–6: receiver-not-ready may re-arm the timer this many
     /// more times.
     Rearms(u8),
     /// `rnr_retry = 7`: it may re-arm the timer until this instant,
-    /// [`ShmConfig::full_ring_deadline`] after the record's first attempt.
+    /// [`ShmConfig::full_ring_deadline`] after the WR's first attempt.
     /// A wall-clock fabric cannot count this budget out: seven timers are a
     /// few milliseconds, which a receiver thread that merely lost its CPU
     /// outlasts, and the sender it fails cannot tell that from a dead peer.
     Until(Instant),
 }
 
-/// The receiver's head-of-line wait on one channel: the record at its head
-/// met receiver-not-ready.
+/// A WR's wait for a receive credit, once the RNR rule has started.
+#[derive(Clone, Copy)]
 struct RnrWait {
     /// When the re-armed RNR timer expires.
     due: Instant,
     budget: RnrBudget,
 }
 
-/// What the receiver keeps of a channel between scans: the RNR rule's
-/// state.
-#[derive(Default)]
-struct RxState {
-    /// The head record's RNR wait, if it has one.
-    wait: Option<RnrWait>,
-    /// Records before this ring position fail at their first
-    /// receiver-not-ready: they were on the ring when a record ran out of
-    /// RNR budget (see the module docs).
-    flush_to: u64,
+/// What becomes of the first WR of a channel not sent yet.
+enum Step {
+    /// It completes with this status.
+    Done(WcStatus),
+    /// It waits, for a credit or for its RNR timer.
+    Hold,
 }
 
 /// What the scanner keeps between scans. Whoever scans holds the lock
@@ -318,9 +310,8 @@ struct RxState {
 #[derive(Default)]
 struct ProgressState {
     /// Every installed channel, in installation order (the list only
-    /// grows), re-read only when one is installed, with its receiver's
-    /// state.
-    channels: Vec<(Arc<Channel>, RxState)>,
+    /// grows), re-read only when one is installed.
+    channels: Vec<Arc<Channel>>,
 }
 
 #[derive(Default)]
@@ -341,8 +332,8 @@ pub struct ShmFabric {
     /// `shutdown`.
     region_files: Mutex<Vec<PathBuf>>,
     /// Host mode: what this process has mapped of each peer node's regions,
-    /// read-only, at the index the node's id spells (see
-    /// [`ShmFabric::source_region`]).
+    /// writable, at the index the node's id spells (see
+    /// [`ShmFabric::placement`]).
     peers: IndexTable<Arc<NodeCtx>>,
     channels: Mutex<Vec<Arc<Channel>>>,
     /// `channels.len()`, published after each install: a scan re-reads the
@@ -352,6 +343,9 @@ pub struct ShmFabric {
     /// (a connected QP sends to one peer): what `submit` resolves instead of
     /// searching `channels`.
     tx_route: IndexTable<Arc<Channel>>,
+    /// The receiving channel of each local QP, by its number (a connected
+    /// QP receives from one peer): where its credits are published.
+    rx_route: IndexTable<Arc<Channel>>,
     /// The scanner's state, and the progress lock; see [`ProgressState`].
     progress_state: Mutex<ProgressState>,
     net: OnceLock<Weak<NetworkState>>,
@@ -383,8 +377,8 @@ impl ShmFabric {
 
     fn build(cfg: ShmConfig, backing: Backing) -> Arc<Self> {
         assert!(
-            cfg.ring_capacity > DATA_HEADER as u64,
-            "the ring capacity must hold at least one record"
+            cfg.ring_capacity >= RECORD_HEADER + DOORBELL as u64,
+            "the ring capacity must hold at least one doorbell"
         );
         Arc::new(ShmFabric {
             cfg,
@@ -394,6 +388,7 @@ impl ShmFabric {
             channels: Mutex::new(Vec::new()),
             channels_installed: AtomicUsize::new(0),
             tx_route: IndexTable::new(),
+            rx_route: IndexTable::new(),
             progress_state: Mutex::new(ProgressState::default()),
             net: OnceLock::new(),
             shutdown: AtomicBool::new(false),
@@ -408,8 +403,10 @@ impl ShmFabric {
     }
 
     /// Register the network this fabric delivers into. Implicit on first
-    /// `submit`; a receive-only process (host mode) calls it explicitly so
-    /// its scans can resolve destination QPs.
+    /// `submit`; a receive-only process (host mode) calls it explicitly,
+    /// before [`open_rx`](Self::open_rx), so its scans can resolve
+    /// destination QPs and the channel starts with the receives posted so
+    /// far.
     pub fn attach_network(&self, net: &Arc<NetworkState>) {
         let weak = self.net.get_or_init(|| Arc::downgrade(net));
         debug_assert!(
@@ -418,9 +415,7 @@ impl ShmFabric {
         );
     }
 
-    /// DATA records this process's scans released: delivered, or failed.
-    /// A record that the RNR rule holds at the head of its ring is not
-    /// counted until it is released.
+    /// Doorbells this process's scans notified.
     pub fn data_records(&self) -> u64 {
         self.stats.data_records.load(Ordering::Relaxed)
     }
@@ -434,26 +429,24 @@ impl ShmFabric {
         0
     }
 
-    /// Deliveries re-armed by the wall-clock RNR timer.
+    /// Sender-side RNR timer arms: each time a write-with-imm with no
+    /// credit, its receiver drained, (re-)armed the timer.
     pub fn rnr_deferrals(&self) -> u64 {
         self.stats.rnr_deferrals.load(Ordering::Relaxed)
     }
 
-    /// Records and completions refused as malformed. On the receiving side:
-    /// a body that disagrees with its header, or a gather segment that
-    /// names no region of the sender's (in host mode: no region file) or
-    /// reaches past the end of one; each is released `RemoteAccessError`
-    /// and counted in the wire ledger as a delivery attempt that failed its
-    /// protection check. On the sending side: a released record whose
-    /// status byte names no status, which completes `RemoteAccessError`.
-    /// Both are bytes another process wrote; this fabric's own never
-    /// produce one.
+    /// Words another process wrote that this one refused. On the receiving
+    /// side: a doorbell that is no doorbell, one that names no QP, and one
+    /// that found no receive WR (a credit word past the receives really
+    /// posted), each of which notifies nothing. On the sending side: a
+    /// `Head` past what it published, read as a drained ring. This fabric's
+    /// own never produce one.
     pub fn malformed_records(&self) -> u64 {
         self.stats.malformed_records.load(Ordering::Relaxed)
     }
 
-    /// Laps of its data ring made by the busiest channel this process
-    /// receives on: bytes consumed over the ring's capacity.
+    /// Laps of its ring made by the busiest channel this process receives
+    /// on: bytes consumed over the ring's capacity.
     pub fn data_ring_laps(&self) -> u64 {
         let channels = self.channels.lock();
         let received = channels.iter().filter(|ch| ch.we_recv);
@@ -481,10 +474,10 @@ impl ShmFabric {
         0
     }
 
-    /// High-water mark of DATA-ring occupancy in bytes, across every
-    /// channel of this fabric: sampled by the sender after each enqueue (and
-    /// at each ring-full stall) and by the receiver's scans at each record
-    /// they take, so whichever side sees the backlog reports it.
+    /// High-water mark of ring occupancy in bytes, across every channel of
+    /// this fabric: sampled by the sender after each doorbell (and at each
+    /// ring-full stall) and by the receiver's scans at each doorbell they
+    /// take, so whichever side sees the backlog reports it.
     pub fn ring_occupancy_high_water(&self) -> u64 {
         self.stats.ring_occupancy_high_water.load(Ordering::Relaxed)
     }
@@ -522,14 +515,12 @@ impl ShmFabric {
         ]
     }
 
-    /// Whether nothing is in flight on this fabric: every ring it consumes
-    /// drained, and every record it sent completed and its space reclaimed.
+    /// Whether nothing is in flight on this fabric: every ring it notifies
+    /// from drained, and no WR it sends held.
     pub fn is_idle(&self) -> bool {
         self.channels.lock().iter().all(|ch| {
             (!ch.we_recv || ch.data.is_empty())
-                && (!ch.we_send
-                    || (ch.reclaimed.load(Ordering::Acquire) == ch.data.published()
-                        && ch.window.lock().is_empty()))
+                && (!ch.we_send || !ch.holding.load(Ordering::Acquire))
         })
     }
 
@@ -551,7 +542,7 @@ impl ShmFabric {
 
     /// Stop the fabric: close every ring it produces, run the final drain on
     /// the calling thread, and unlink the files this fabric's regions live
-    /// in (host mode; mappings stay valid, so a peer's views outlive them).
+    /// in (host mode; mappings stay valid, so a peer's outlive them).
     /// Idempotent; also run by `Drop`. A thread that is unwinding skips the
     /// drain: a scan that panicked there too would abort the process.
     pub fn shutdown(&self) {
@@ -640,7 +631,8 @@ impl ShmFabric {
 
     /// Open the receiving side of the directed channel `src → dst` (host
     /// mode): looks for the sender's segment file up to `timeout` (or fails
-    /// with `TimedOut`), then acknowledges attachment. The wait is
+    /// with `TimedOut`), publishes the receives the destination QP has had
+    /// posted so far, then acknowledges attachment. The wait is
     /// [`open_tx`](Self::open_tx)'s: a file that is there is seen within
     /// µs, and no sleep reaches past `timeout`.
     pub fn open_rx(
@@ -673,6 +665,7 @@ impl ShmFabric {
         };
         let ch = Channel::new(key, Arc::new(data), false, true);
         self.publish(&mut self.channels.lock(), &ch);
+        self.route_rx(self.net.get().and_then(Weak::upgrade).as_deref(), &ch);
         ch.data.mark_attached();
         Ok(())
     }
@@ -684,12 +677,26 @@ impl ShmFabric {
             .store(channels.len(), Ordering::Release);
     }
 
+    /// Make `ch` the receiving channel of its destination QP (the first one
+    /// made stays), and publish the receives that QP has had posted so far.
+    /// The route is set before the count is read, and every post publishes
+    /// under the QP's receive lock, which the read takes too: a post either
+    /// finds the route, or is counted in what is read.
+    fn route_rx(&self, net: Option<&NetworkState>, ch: &Arc<Channel>) {
+        if self.rx_route.set(ch.key.dst_qp, ch.clone()).is_err() {
+            return;
+        }
+        if let Some(qp) = net.and_then(|net| net.qp(ch.key.dst_node, ch.key.dst_qp).ok()) {
+            ch.publish_credits(qp.rx().posted);
+        }
+    }
+
     /// The sending channel for `key` when its QP is not routed to it yet:
     /// the first post of a loopback QP, which creates the channel and the
     /// route, or a QP re-connected to another peer, which keeps its first
     /// route and finds its later channels here on every post.
     #[cold]
-    fn channel_slow(&self, key: PairKey) -> Arc<Channel> {
+    fn channel_slow(&self, net: &NetworkState, key: PairKey) -> Arc<Channel> {
         let Backing::Loopback = &self.backing else {
             panic!(
                 "no shm channel open for QP pair {key:?}; host mode requires open_tx before posting"
@@ -705,6 +712,7 @@ impl ShmFabric {
             let ring = Arc::new(HeapSegment::new(self.cfg.ring_capacity as usize));
             let ch = Channel::new(key, ring, true, true);
             self.publish(&mut channels, &ch);
+            self.route_rx(Some(net), &ch);
             ch
         };
         let routed = self.tx_route.get_or_init(key.src_qp, find_or_create);
@@ -715,41 +723,197 @@ impl ShmFabric {
         }
     }
 
-    /// Publish one DATA record of `len` bytes, written in place by `write`,
-    /// on `ch`'s ring, waiting out backpressure. `pending` (none for a ghost)
-    /// joins the window, with the record's position, before the record
-    /// joins the ring.
-    fn enqueue_data(
-        &self,
-        ch: &Channel,
-        len: usize,
-        write: &dyn Fn(&mut RecordWriter<'_>),
-        pending: Option<Pending>,
-    ) {
-        let _tx = ch.tx_lock.lock();
-        // The producer's own cursor: it moves only under `tx_lock`.
-        let at = ch.data.published();
-        let (need, cap) = (RECORD_HEADER + len as u64, ch.data.capacity());
-        // The ring's own check, which the bound below would only wait out.
-        assert!(
-            need <= cap,
-            "record of {need} bytes exceeds ring capacity {cap}"
-        );
-        if let Some(pending) = pending {
-            ch.window.lock().push_back(Pending { at, ..pending });
+    /// [`Fabric::submit`] once the sending channel is known: send `job` at
+    /// once unless a WR before it is held, or it must be held itself.
+    fn submit_on(&self, net: &Arc<NetworkState>, ch: &Channel, job: TransferJob) {
+        // The wire ledger is charged for a transfer entering the fabric
+        // before anything of it can be counted as delivered.
+        let wire = &net.telemetry().wire;
+        wire.inner_submissions.inc();
+        wire.mtu_segments
+            .add(segments_for(job.total_len.into(), self.cfg.mtu));
+        let submit_ns = net.telemetry().flows.now();
+        let mut tx = ch.tx.lock();
+        if tx.held.is_empty() {
+            if let Step::Done(status) = self.try_send(net, ch, &mut tx.credit, &job, 0) {
+                // Completed outside the lock: a completion hook may post.
+                drop(tx);
+                return self.finish(net, &job, submit_ns, status);
+            }
         }
-        // Only completed records' space is reused: `Head` alone would hand
-        // back slots whose status the sender has not read yet.
-        let push = || {
-            at + need <= ch.reclaimed.load(Ordering::Acquire) + cap
-                && ch.data.try_push_with(KIND_DATA, len, write)
+        tx.held.push_back((job, submit_ns));
+        ch.holding.store(true, Ordering::Release);
+    }
+
+    /// Send what `ch`'s held queue now allows, in order, each WR completed
+    /// outside the lock. Returns whether a WR left the queue.
+    fn advance<'c>(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &'c Channel,
+        mut tx: MutexGuard<'c, TxState>,
+    ) -> bool {
+        let mut moved = false;
+        loop {
+            let TxState { held, credit } = &mut *tx;
+            let Some((job, _)) = held.front() else { break };
+            let Step::Done(status) = self.try_send(net, ch, credit, job, held.len() - 1) else {
+                break;
+            };
+            let (job, submit_ns) = held.pop_front().expect("the front WR");
+            ch.holding.store(!held.is_empty(), Ordering::Release);
+            drop(tx);
+            self.finish(net, &job, submit_ns, status);
+            moved = true;
+            // Another thread that holds the lock is sending too.
+            let Some(relocked) = ch.tx.try_lock() else {
+                return moved;
+            };
+            tx = relocked;
+        }
+        moved
+    }
+
+    /// Try to send `job`, the first WR of `ch` not sent yet, with `behind`
+    /// WRs held after it: fail its placement check, hold it for a credit,
+    /// or place its bytes and ring its doorbell.
+    fn try_send(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        credit: &mut Credit,
+        job: &TransferJob,
+        behind: usize,
+    ) -> Step {
+        let header = job.delivery_header();
+        let step = if job.ghost {
+            // A ghost places nothing and spends nothing: its doorbell only
+            // meets notify's duplicate check.
+            self.ring_doorbell(ch, &header);
+            Step::Done(WcStatus::Success)
+        } else if let Some((dst, offset)) = self.placement(net, &header) {
+            if job.imm.is_some() && !take_credit(ch, credit) {
+                if let Some(step) = self.rnr(net, ch, credit, job, behind) {
+                    return step;
+                }
+            }
+            place(dst, offset, job.payload(net));
+            self.ring_doorbell(ch, &header);
+            Step::Done(WcStatus::Success)
+        } else {
+            record_attempt(net, &header, &DeliveryOutcome::RemoteAccessError);
+            Step::Done(WcStatus::RemoteAccessError)
         };
+        credit.wait = None;
+        credit.flush = credit.flush.saturating_sub(1);
+        step
+    }
+
+    /// The RNR rule for `job`, a write-with-imm with no credit (see the
+    /// module docs); `None` if a credit came after all. The credit word is
+    /// read again after `Polled`: a receive posted before the receiver's
+    /// last notify ahead is then seen, so receiver-not-ready is decided only
+    /// for a receiver that has notified everything ahead and has no receive
+    /// left (the `ring_protocol` credit model).
+    fn rnr(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        credit: &mut Credit,
+        job: &TransferJob,
+        behind: usize,
+    ) -> Option<Step> {
+        let now = Instant::now();
+        let profile = sender_retry_profile(net, job);
+        let rnr_retry = profile.map_or(0, |p| p.rnr_retry);
+        let budget = match credit.wait {
+            Some(wait) if wait.due > now => return Some(Step::Hold),
+            Some(wait) => wait.budget,
+            None if !self.drained(ch) => return Some(Step::Hold),
+            None if credit.flush > 0 => RnrBudget::Rearms(0),
+            None if rnr_retry == RNR_RETRY_INFINITE => {
+                RnrBudget::Until(now + self.cfg.full_ring_deadline)
+            }
+            None => RnrBudget::Rearms(rnr_retry),
+        };
+        if take_credit(ch, credit) {
+            return None;
+        }
+        let header = job.delivery_header();
+        record_attempt(net, &header, &DeliveryOutcome::ReceiverNotReady);
+        let budget = match budget {
+            RnrBudget::Rearms(left) if left > 0 => RnrBudget::Rearms(left - 1),
+            RnrBudget::Until(give_up) if now < give_up => budget,
+            _ => {
+                // The WRs held behind this one fail at their first
+                // receiver-not-ready.
+                credit.wait = None;
+                credit.flush = behind;
+                return Some(Step::Done(WcStatus::RnrRetryExceeded));
+            }
+        };
+        let timer_ns = profile.map_or(10_000, |p| p.min_rnr_timer_ns).max(1);
+        credit.wait = Some(RnrWait {
+            due: now + Duration::from_nanos(timer_ns),
+            budget,
+        });
+        net.telemetry().wire.rnr_requeues.inc();
+        self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
+        let flows = &net.telemetry().flows;
+        flows.event(job.flow, FlowStage::RnrWait, job.src_qp, 0, timer_ns);
+        Some(Step::Hold)
+    }
+
+    /// Whether the receiver has notified every doorbell `ch` has published
+    /// and its poller has come back since, finding the ring empty
+    /// ([`Ctrl::Polled`]). A `Head` or a `Polled` past them is counted, and
+    /// read as a drained ring.
+    fn drained(&self, ch: &Channel) -> bool {
+        let published = ch.data.published();
+        let polled = ch.seg.ctrl_load(Ctrl::Polled);
+        if polled.max(ch.data.consumed()) > published {
+            self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+        }
+        polled >= published
+    }
+
+    /// Place's check for a WR of header `h`: the destination range in the
+    /// region its rkey names — registered in this process (loopback), or a
+    /// peer's, which host mode maps writable the first time a WR names it
+    /// (`None` if there is no such region).
+    fn placement<'a>(
+        &'a self,
+        net: &'a NetworkState,
+        h: &DeliveryHeader,
+    ) -> Option<(&'a MemoryRegion, usize)> {
+        let Backing::Host(dir) = &self.backing else {
+            return placement(net.qp(h.dst_node, h.dst_qp).ok()?.mrs(), h);
+        };
+        let peer = self
+            .peers
+            .get_or_init(h.dst_node, || NodeCtx::new(h.dst_node));
+        if let Some(found) = placement(&peer.mrs, h) {
+            return Some(found);
+        }
+        // The first WR to name the region, or an rkey that names none.
+        let lkey = h.rkey.checked_sub(1)?;
+        let remote = super::region::open(&region_path(dir, h.dst_node, lkey)).ok()?;
+        // A concurrent first WR may have entered it already.
+        let _ = (peer.mrs).insert_remote(lkey, remote.base, remote.len, remote.map);
+        placement(&peer.mrs, h)
+    }
+
+    /// Push the doorbell of the WR of header `h` on `ch`'s ring, waiting
+    /// out backpressure. The caller holds `ch`'s sender lock.
+    fn ring_doorbell(&self, ch: &Channel, h: &DeliveryHeader) {
+        let bell = doorbell(h);
+        let push = || ch.data.try_push(KIND_DOORBELL, &bell);
         if !push() {
             self.stats.ring_full_stalls.fetch_add(1, Ordering::Relaxed);
-            self.note_occupancy(ch.data.len());
+            self.note_occupancy(ch.data.producer_len());
             let deadline = Instant::now() + self.cfg.full_ring_deadline;
             loop {
-                // A ring's space comes back when its sender scans.
+                // A ring's space comes back when its receiver scans.
                 self.progress();
                 std::thread::yield_now();
                 if push() {
@@ -765,52 +929,37 @@ impl ShmFabric {
             }
         }
         // The producer's own bound never under-reports, so the consumer's
-        // cursor is looked at only when the mark could move.
+        // cursor is looked at only when the mark could move, and what is
+        // read of it then makes the bound exact again.
         if ch.data.len_bound() > self.ring_occupancy_high_water() {
-            self.note_occupancy(ch.data.len());
+            self.note_occupancy(ch.data.producer_len());
         }
     }
 
-    /// [`Fabric::submit`] once the sending channel is known.
-    fn submit_on(&self, net: &Arc<NetworkState>, ch: &Channel, job: TransferJob) {
-        let profile = net.qp(job.src_node, job.src_qp).ok().map_or(
-            RetryProfile {
-                timeout: 5,
-                retry_cnt: 0,
-                rnr_retry: 0,
-                min_rnr_timer_ns: 10_000,
-            },
-            |qp| qp.retry_profile(),
-        );
-        // Header, then the doorbell's gather list — the receiver reads the
-        // bytes out of the source regions — or an inline WR's snapshot.
-        let body = match &job.inline_payload {
-            Some(snapshot) => snapshot.len(),
-            None => SEGMENT_ENTRY * job.segments.len(),
-        };
-        let header = data_header(&job, &profile);
-        let write = |w: &mut RecordWriter<'_>| {
-            w.put(&header);
-            match &job.inline_payload {
-                Some(snapshot) => w.put(snapshot),
-                None => (job.segments.iter()).for_each(|seg| w.put(&segment_entry(seg))),
-            }
-        };
-        // A ghost duplicate (a lossy decorator's) is fire-and-forget: no
-        // completion. The record's position is known once it is queued.
-        let pending = (!job.ghost).then(|| Pending {
-            wr: job.posted(),
-            at: 0,
-            submit_ns: net.telemetry().flows.now(),
-        });
-        // The wire ledger is charged for a transfer entering the fabric
-        // before its record can be delivered.
-        let wire = &net.telemetry().wire;
-        wire.inner_submissions.inc();
-        wire.mtu_segments
-            .add(segments_for(job.total_len.into(), self.cfg.mtu));
-        self.enqueue_data(ch, DATA_HEADER + body, &write, pending);
+    /// Complete `job`, submitted at `submit_ns` on the flow clock, with
+    /// `status`. The wire stage is known once it ends, at placement;
+    /// recorded before the completion, which a traced poller may wait on.
+    fn finish(&self, net: &Arc<NetworkState>, job: &TransferJob, submit_ns: u64, status: WcStatus) {
+        if !job.ghost {
+            let flows = &net.telemetry().flows;
+            let wire_ns = flows.now().saturating_sub(submit_ns);
+            let stage = FlowStage::WireSubmit;
+            flows.event_at(job.flow, stage, submit_ns, job.src_qp, 0, wire_ns);
+        }
+        complete_send(net, job, status);
     }
+}
+
+/// Take one credit of `ch` for a write-with-imm, if the receiver has posted
+/// a receive not spent yet. The credit word is read only once the credits
+/// this side knows of are spent.
+fn take_credit(ch: &Channel, credit: &mut Credit) -> bool {
+    if credit.spent == credit.limit {
+        credit.limit = credit.limit.max(ch.seg.ctrl_load(Ctrl::Credits));
+    }
+    let ok = credit.spent < credit.limit;
+    credit.spent += u64::from(ok);
+    ok
 }
 
 impl Drop for ShmFabric {
@@ -836,26 +985,38 @@ impl Fabric for ShmFabric {
         };
         match self.tx_route.get(key.src_qp).filter(|ch| ch.key == key) {
             Some(ch) => self.submit_on(net, ch, job),
-            None => self.submit_on(net, &self.channel_slow(key), job),
+            None => self.submit_on(net, &self.channel_slow(net, key), job),
         }
     }
 
-    /// Host mode: a file of the fabric's directory, mapped read-write, which
-    /// peers map read-only to deliver from (see the module docs). Loopback:
-    /// the heap, in the one process.
+    /// Host mode: a file of the fabric's directory, mapped read-write, with
+    /// the region's address and length in its trailer, which peers map to
+    /// place their writes (see the module docs). Loopback: the heap, in the
+    /// one process.
     fn region_storage(
         &self,
         node: NodeId,
         lkey: u32,
+        addr: u64,
         len: usize,
     ) -> std::io::Result<Option<Arc<FileMapping>>> {
         let Backing::Host(dir) = &self.backing else {
             return Ok(None);
         };
         let path = region_path(dir, node, lkey);
-        let map = super::region::create(&path, len as u64)?;
+        let map = super::region::create(&path, addr, len)?;
         self.region_files.lock().push(path);
         Ok(Some(map))
+    }
+
+    /// Publish the credits of QP `qp_num`'s receiving channel, if it has
+    /// one yet (its creation reads the count itself).
+    fn recv_posted(&self, node: NodeId, qp_num: u32, posted: u64) {
+        if let Some(ch) = self.rx_route.get(qp_num) {
+            if ch.key.dst_node == node {
+                ch.publish_credits(posted);
+            }
+        }
     }
 
     /// One scan on the polling thread, unless another scanner holds the
@@ -870,166 +1031,60 @@ impl Fabric for ShmFabric {
 }
 
 // ---------------------------------------------------------------------------
-// Wire records
+// Doorbells
 // ---------------------------------------------------------------------------
 
-/// The record carries an immediate: it is a write-with-immediate and
-/// consumes a receive WR. Nothing else in the header names the operation.
+/// The doorbell carries an immediate: notify consumes a receive WR.
 const FLAG_IMM: u8 = 1;
+/// The doorbell is a ghost duplicate's, which placed nothing.
 const FLAG_GHOST: u8 = 2;
-/// The record carries an inline WR's snapshot instead of a gather list.
-const FLAG_INLINE: u8 = 8;
 
-/// The status byte the receiver releases a record with: 0 when its
-/// delivery landed (or was a suppressed duplicate of one that did).
-fn status_to_wire(outcome: &DeliveryOutcome) -> u8 {
-    match outcome {
-        DeliveryOutcome::Delivered { .. } | DeliveryOutcome::Duplicate => 0,
-        DeliveryOutcome::RemoteAccessError => 1,
-        DeliveryOutcome::ReceiverNotReady => 2,
-    }
+/// Offset of the flags byte in a doorbell.
+const FLAGS_AT: usize = 36;
+
+/// The doorbell of the WR of header `h`: what notify reads of it, since the
+/// bytes are placed already (the rkey and the address are not sent).
+fn doorbell(h: &DeliveryHeader) -> [u8; DOORBELL] {
+    let mut bell = [0u8; DOORBELL];
+    bell[0..4].copy_from_slice(&h.dst_node.to_le_bytes());
+    bell[4..8].copy_from_slice(&h.src_qp.to_le_bytes());
+    bell[8..12].copy_from_slice(&h.dst_qp.to_le_bytes());
+    bell[12..16].copy_from_slice(&h.imm.unwrap_or(0).to_le_bytes());
+    bell[16..24].copy_from_slice(&h.psn.to_le_bytes());
+    bell[24..32].copy_from_slice(&h.flow.to_le_bytes());
+    bell[32..36].copy_from_slice(&h.total_len.to_le_bytes());
+    bell[FLAGS_AT] = u8::from(h.imm.is_some()) * FLAG_IMM + u8::from(h.ghost) * FLAG_GHOST;
+    bell
 }
 
-/// The completion status a released record's status byte names; `None` for
-/// a byte that names none.
-fn status_from_wire(b: u8) -> Option<WcStatus> {
-    match b {
-        0 => Some(WcStatus::Success),
-        1 => Some(WcStatus::RemoteAccessError),
-        2 => Some(WcStatus::RnrRetryExceeded),
-        _ => None,
+/// Read a doorbell back: `None` for a record that is no doorbell.
+fn parse_doorbell(kind: u8, r: &mut RecordReader<'_>) -> Option<DeliveryHeader> {
+    if kind != KIND_DOORBELL || r.remaining() != DOORBELL {
+        return None;
     }
-}
-
-/// Offset of the flags byte in a DATA header.
-const FLAGS_AT: usize = 60;
-
-/// The fixed header of `job`'s DATA record (its gather list or inline
-/// snapshot follows). The receiver reads all of it but `src_node` and
-/// `wr_id`, which only say whose record this is to someone reading a segment
-/// file: the channel names the sending node, and the sender's window has
-/// the rest.
-fn data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
-    let mut rec = [0u8; DATA_HEADER];
-    rec[0..4].copy_from_slice(&job.src_node.to_le_bytes());
-    rec[4..8].copy_from_slice(&job.dst_node.to_le_bytes());
-    rec[8..12].copy_from_slice(&job.src_qp.to_le_bytes());
-    rec[12..16].copy_from_slice(&job.dst_qp.to_le_bytes());
-    rec[16..24].copy_from_slice(&job.wr_id.to_le_bytes());
-    rec[24..32].copy_from_slice(&job.psn.to_le_bytes());
-    rec[32..40].copy_from_slice(&job.flow.to_le_bytes());
-    rec[40..48].copy_from_slice(&job.remote_addr.to_le_bytes());
-    rec[48..52].copy_from_slice(&job.rkey.to_le_bytes());
-    rec[52..56].copy_from_slice(&job.total_len.to_le_bytes());
-    rec[56..60].copy_from_slice(&job.imm.unwrap_or(0).to_le_bytes());
-    if job.imm.is_some() {
-        rec[FLAGS_AT] |= FLAG_IMM;
-    }
-    if job.ghost {
-        rec[FLAGS_AT] |= FLAG_GHOST;
-    }
-    if job.inline_payload.is_some() {
-        rec[FLAGS_AT] |= FLAG_INLINE;
-    }
-    rec[62] = profile.rnr_retry;
-    rec[64..72].copy_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
-    rec
-}
-
-/// One gather-list entry of a DATA record.
-fn segment_entry(seg: &ResolvedSegment) -> [u8; SEGMENT_ENTRY] {
-    let mut e = [0u8; SEGMENT_ENTRY];
-    e[0..4].copy_from_slice(&seg.lkey.to_le_bytes());
-    // An SGE's length is a `u32`, so a checked segment's is too.
-    e[4..8].copy_from_slice(&(seg.len as u32).to_le_bytes());
-    e[8..16].copy_from_slice(&(seg.offset as u64).to_le_bytes());
-    e
+    let mut bell = [0u8; DOORBELL];
+    r.take(&mut bell);
+    let u32_at = |o: usize| u32::from_le_bytes(bell[o..o + 4].try_into().expect("fixed"));
+    let u64_at = |o: usize| u64::from_le_bytes(bell[o..o + 8].try_into().expect("fixed"));
+    let flags = bell[FLAGS_AT];
+    Some(DeliveryHeader {
+        dst_node: u32_at(0),
+        src_qp: u32_at(4),
+        dst_qp: u32_at(8),
+        imm: (flags & FLAG_IMM != 0).then(|| u32_at(12)),
+        psn: u64_at(16),
+        flow: u64_at(24),
+        total_len: u32_at(32),
+        ghost: flags & FLAG_GHOST != 0,
+        remote_addr: 0,
+        rkey: 0,
+    })
 }
 
 /// The file region `lkey` of `node` lives in, in a host-mode fabric's
 /// directory.
 fn region_path(dir: &std::path::Path, node: u32, lkey: u32) -> PathBuf {
     dir.join(format!("partix_n{node}_mr{lkey:#x}"))
-}
-
-/// What a DATA record says besides its delivery header.
-#[derive(Clone, Copy)]
-struct RecordAttrs {
-    /// The sending QP's `rnr_retry`.
-    rnr_retry: u8,
-    /// The sending QP's RNR timer.
-    min_rnr_timer_ns: u64,
-    /// An inline WR's record ([`FLAG_INLINE`]).
-    inline: bool,
-}
-
-/// Read a DATA record's fixed header: what its delivery needs, plus the
-/// sender's attributes. The body stays where it is, in the ring, as what is
-/// left of `r`. `None` for a record too short to hold a header.
-fn parse_data_header(r: &mut RecordReader<'_>) -> Option<(DeliveryHeader, RecordAttrs)> {
-    let mut rec = [0u8; DATA_HEADER];
-    if r.remaining() < DATA_HEADER {
-        return None;
-    }
-    r.take(&mut rec);
-    let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
-    let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("fixed"));
-    let flags = rec[FLAGS_AT];
-    let total_len = u32_at(52);
-    let header = DeliveryHeader {
-        src_qp: u32_at(8),
-        dst_node: u32_at(4),
-        dst_qp: u32_at(12),
-        remote_addr: u64_at(40),
-        rkey: u32_at(48),
-        imm: (flags & FLAG_IMM != 0).then(|| u32_at(56)),
-        total_len,
-        psn: u64_at(24),
-        ghost: flags & FLAG_GHOST != 0,
-        flow: u64_at(32),
-    };
-    let attrs = RecordAttrs {
-        rnr_retry: rec[62],
-        min_rnr_timer_ns: u64_at(64),
-        inline: flags & FLAG_INLINE != 0,
-    };
-    Some((header, attrs))
-}
-
-/// Read what follows a DATA record's header into `gather` (a gather list)
-/// and say whether it agrees with the header: an inline snapshot of exactly
-/// `total_len` bytes, or one or more whole entries whose lengths add up to
-/// it.
-fn read_body(
-    r: &mut RecordReader<'_>,
-    header: &DeliveryHeader,
-    inline: bool,
-    gather: &mut InlineVec<ResolvedSegment>,
-) -> bool {
-    let total = u64::from(header.total_len);
-    if inline {
-        return r.remaining() as u64 == total;
-    }
-    if r.remaining() == 0 || r.remaining() % SEGMENT_ENTRY != 0 {
-        return false;
-    }
-    let mut sum = 0u64;
-    while r.remaining() > 0 {
-        let mut e = [0u8; SEGMENT_ENTRY];
-        r.take(&mut e);
-        let len = u32::from_le_bytes(e[4..8].try_into().expect("fixed"));
-        let offset = u64::from_le_bytes(e[8..16].try_into().expect("fixed"));
-        let Ok(offset) = usize::try_from(offset) else {
-            return false;
-        };
-        sum += u64::from(len);
-        gather.push(ResolvedSegment {
-            lkey: u32::from_le_bytes(e[0..4].try_into().expect("fixed")),
-            offset,
-            len: len as usize,
-        });
-    }
-    sum == total
 }
 
 // ---------------------------------------------------------------------------
@@ -1065,9 +1120,9 @@ impl ShmFabric {
         }
     }
 
-    /// One progress scan: deliver what every DATA ring this process
-    /// consumes holds, and complete what every ring it sends on has seen
-    /// released. Returns whether anything was there to do.
+    /// One progress scan: notify what every ring this process receives on
+    /// holds, and send what every held queue of a ring it sends on now
+    /// allows. Returns whether anything was there to do.
     fn scan(&self, st: &mut ProgressState) -> bool {
         self.stats
             .progress_iterations
@@ -1081,222 +1136,64 @@ impl ShmFabric {
         let channels = &mut st.channels;
         if self.channels_installed.load(Ordering::Acquire) != channels.len() {
             let installed = self.channels.lock();
-            let fresh = installed[channels.len()..].iter();
-            channels.extend(fresh.map(|ch| (ch.clone(), RxState::default())));
+            channels.extend(installed[channels.len()..].iter().cloned());
         }
         let mut did_work = false;
-        for (ch, rx) in channels.iter_mut() {
+        for ch in channels.iter() {
             if ch.we_recv {
-                did_work |= self.take_data(&net, ch, rx);
+                did_work |= self.take_doorbells(&net, ch);
             }
-            if ch.we_send {
-                did_work |= self.complete_sends(&net, ch);
+            if ch.we_send && ch.holding.load(Ordering::Acquire) {
+                // A busy lock is a submit or another advance: skipped.
+                if let Some(tx) = ch.tx.try_lock() {
+                    did_work |= self.advance(&net, ch, tx);
+                }
             }
         }
         did_work
     }
 
-    /// Deliver the records on `ch`'s ring, in order, from where they lie:
-    /// at most those that were there when the drain began. A record that
-    /// meets receiver-not-ready with budget left stays at the head, and the
-    /// drain ends; the first drain after its timer tries it again. Returns
-    /// whether a delivery was attempted.
-    fn take_data(&self, net: &Arc<NetworkState>, ch: &Channel, rx: &mut RxState) -> bool {
+    /// Notify the doorbells on `ch`'s ring, in order: at most those that
+    /// were there when the drain began. Each moves `Head` once it is
+    /// notified. A scan that finds the ring empty publishes `Head` as
+    /// [`Ctrl::Polled`]. Returns whether there was a doorbell.
+    fn take_doorbells(&self, net: &Arc<NetworkState>, ch: &Channel) -> bool {
         let end = ch.data.published();
-        let mut attempted = false;
+        let head = ch.data.consumed();
+        if head == end && ch.seg.ctrl_load(Ctrl::Polled) != head {
+            // Back with nothing to notify: every receive completion this
+            // side pushed has had a poll since (the RNR rule's drain).
+            ch.seg.ctrl_store(Ctrl::Polled, head);
+        }
+        let mut took = false;
         while ch.data.consumed() < end {
-            if rx.wait.as_ref().is_some_and(|w| w.due > Instant::now()) {
-                break;
-            }
-            let taken = ch.data.try_take_with(|kind, r| {
+            let notified = ch.data.try_pop_with(|kind, r| {
                 self.note_occupancy(r.backlog());
-                let released = self.take_record(net, ch, rx, kind, r);
-                (released.is_some(), released)
-            });
-            attempted = true;
-            if taken != Ok(true) {
-                break;
-            }
-            self.stats.data_records.fetch_add(1, Ordering::Relaxed);
-        }
-        attempted
-    }
-
-    /// Attempt the delivery of the record at the head of `ch`, whose kind
-    /// and body `r` holds. `Some(status)` releases it with the status byte
-    /// its sender will read; `None` keeps it at the head, receiver-not-ready,
-    /// with its RNR timer re-armed.
-    fn take_record(
-        &self,
-        net: &Arc<NetworkState>,
-        ch: &Channel,
-        rx: &mut RxState,
-        kind: u8,
-        r: &mut RecordReader<'_>,
-    ) -> Option<u8> {
-        let parsed = (kind == KIND_DATA).then(|| parse_data_header(r)).flatten();
-        let Some((header, attrs)) = parsed else {
-            // No header, so nothing to deliver to: counted, and failed.
-            self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
-            return Some(status_to_wire(&DeliveryOutcome::RemoteAccessError));
-        };
-        let mut gather = InlineVec::new();
-        let source = match (
-            read_body(r, &header, attrs.inline, &mut gather),
-            attrs.inline,
-        ) {
-            (false, _) => Source::Malformed,
-            (true, true) => Source::Inline(r.rest()),
-            (true, false) => Source::Gather(&gather),
-        };
-        let outcome = self.deliver(net, ch.key.src_node, &header, source);
-        if !matches!(outcome, DeliveryOutcome::ReceiverNotReady) {
-            rx.wait = None;
-            return Some(status_to_wire(&outcome));
-        }
-        let now = Instant::now();
-        let timer = Duration::from_nanos(attrs.min_rnr_timer_ns.max(1));
-        let budget = match rx.wait.take() {
-            Some(RnrWait { budget, .. }) => budget,
-            // A first attempt: the budget starts here, unless the record was
-            // on the ring when another ran out of its own.
-            None if ch.data.consumed() < rx.flush_to => RnrBudget::Rearms(0),
-            None if attrs.rnr_retry == RNR_RETRY_INFINITE => {
-                RnrBudget::Until(now + self.cfg.full_ring_deadline)
-            }
-            None => RnrBudget::Rearms(attrs.rnr_retry),
-        };
-        let budget = match budget {
-            RnrBudget::Rearms(left) if left > 0 => RnrBudget::Rearms(left - 1),
-            RnrBudget::Until(give_up) if now < give_up => budget,
-            _ => {
-                rx.flush_to = ch.data.published();
-                return Some(status_to_wire(&outcome));
-            }
-        };
-        rx.wait = Some(RnrWait {
-            due: now + timer,
-            budget,
-        });
-        net.telemetry().wire.rnr_requeues.inc();
-        self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
-        let flows = &net.telemetry().flows;
-        let stage = FlowStage::RnrWait;
-        flows.event(header.flow, stage, header.src_qp, 0, attrs.min_rnr_timer_ns);
-        None
-    }
-
-    /// What a delivery from `source`, of a record sent by `src_node`, reads:
-    /// the inline snapshot, or the gather list over the regions it names —
-    /// `None` unless every segment lies inside a region of the sender's,
-    /// which host mode maps read-only the first time a record names it.
-    fn payload<'a>(
-        &'a self,
-        net: &'a NetworkState,
-        src_node: NodeId,
-        source: Source<'a>,
-    ) -> Option<Payload<'a>> {
-        let segments = match source {
-            Source::Inline(pieces) => return Some(Payload::Bytes(pieces)),
-            Source::Malformed => return None,
-            Source::Gather(segments) => segments,
-        };
-        let src: &NodeCtx = match &self.backing {
-            Backing::Loopback => net.node(src_node).ok()?,
-            Backing::Host(_) => self.peers.get_or_init(src_node, || NodeCtx::new(src_node)),
-        };
-        for seg in segments.iter() {
-            let mr = self.source_region(src, seg.lkey)?;
-            seg.offset
-                .checked_add(seg.len)
-                .filter(|&end| end <= mr.len())?;
-            // The copy waits on the delivery engine's checks; the source's
-            // first line, likely in the sender's cache, need not.
-            mr.prefetch(seg.offset);
-        }
-        Some(Payload::Segments(src, segments))
-    }
-
-    /// Region `lkey` of the sending node `src`: registered in this process
-    /// (loopback), or a peer's, mapped read-only from its file on first use
-    /// and kept (host mode). `None` if there is no such region.
-    fn source_region<'a>(&self, src: &'a NodeCtx, lkey: u32) -> Option<&'a MemoryRegion> {
-        if let Ok(mr) = src.mrs.by_lkey(lkey) {
-            return Some(mr);
-        }
-        let Backing::Host(dir) = &self.backing else {
-            return None;
-        };
-        let view = super::region::open(&region_path(dir, src.id, lkey)).ok()?;
-        src.mrs.insert_view(lkey, view)
-    }
-
-    /// Run the destination-side effects of one delivery from `source`. A
-    /// source that does not check out ([`ShmFabric::payload`]) fails as a
-    /// protection error, before any check the delivery engine makes.
-    fn deliver(
-        &self,
-        net: &Arc<NetworkState>,
-        src_node: NodeId,
-        header: &DeliveryHeader,
-        source: Source<'_>,
-    ) -> DeliveryOutcome {
-        match self.payload(net, src_node, source) {
-            Some(payload) => execute_delivery(net, header, payload, true),
-            None => {
-                // Counted in the ledger as the protection failure it is.
-                let wire = &net.telemetry().wire;
-                wire.delivery_attempts.inc();
-                wire.remote_errors.inc();
-                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
-                DeliveryOutcome::RemoteAccessError
-            }
-        }
-    }
-
-    /// Complete, in window order, the records of `ch` whose release its
-    /// ring's `Head` shows, each with the status its slot holds, and then
-    /// reclaim their space. A `Head` past what this side posted completes
-    /// nothing beyond it. Returns whether anything completed.
-    fn complete_sends(&self, net: &Arc<NetworkState>, ch: &Channel) -> bool {
-        // The scanner's own word: only scans store it.
-        let reclaimed = ch.reclaimed.load(Ordering::Relaxed);
-        let published = ch.data.published();
-        if reclaimed == published {
-            // Nothing in flight: the peer's cursor is not even read.
-            return false;
-        }
-        let head = ch.data.consumed().min(published);
-        if head <= reclaimed {
-            return false;
-        }
-        // The wire stage is known once it ends: stamped at submit, lasting
-        // until its release is seen here. Recorded before the completion,
-        // which a traced poller may be waiting on.
-        let flows = &net.telemetry().flows;
-        let now = flows.now();
-        loop {
-            let next = {
-                let mut window = ch.window.lock();
-                match window.front() {
-                    Some(pending) if pending.at < head => window.pop_front(),
-                    _ => None,
+                match parse_doorbell(kind, r) {
+                    // A ghost placed nothing: it is a duplicate whether or
+                    // not its original has been notified (it never has: its
+                    // doorbell comes first).
+                    Some(h) if h.ghost => {
+                        record_attempt(net, &h, &DeliveryOutcome::Duplicate);
+                        true
+                    }
+                    // A doorbell that names no QP, or an immediate with no
+                    // receive WR (a credit past what was posted), lies.
+                    Some(h) => matches!(
+                        notify(net, &h),
+                        DeliveryOutcome::Delivered { .. } | DeliveryOutcome::Duplicate
+                    ),
+                    None => false,
                 }
-            };
-            let Some(pending) = next else { break };
-            let status = status_from_wire(ch.data.status_at(pending.at)).unwrap_or_else(|| {
-                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
-                WcStatus::RemoteAccessError
             });
-            let wr = &pending.wr;
-            let wire_ns = now.saturating_sub(pending.submit_ns);
-            let stage = FlowStage::WireSubmit;
-            flows.event_at(wr.flow, stage, pending.submit_ns, wr.src_qp, 0, wire_ns);
-            complete_posted(net, wr, status);
+            let Ok(sound) = notified else { break };
+            took = true;
+            self.stats.data_records.fetch_add(1, Ordering::Relaxed);
+            if !sound {
+                self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        // Every status below `head` is read: its space may be reused.
-        ch.reclaimed.store(head, Ordering::Release);
-        true
+        took
     }
 }
 
@@ -1310,11 +1207,8 @@ mod tests {
     use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcOpcode, WorkCompletion};
     use partix_telemetry::invariants;
 
-    use super::super::segment::Ctrl;
-
-    /// Ring bytes of a one-segment DATA record: the doorbell of an ordinary
-    /// write.
-    const DOORBELL: u64 = RECORD_HEADER + (DATA_HEADER + SEGMENT_ENTRY) as u64;
+    /// Ring bytes of one doorbell.
+    const BELL: u64 = RECORD_HEADER + DOORBELL as u64;
 
     struct Pair {
         net: Network,
@@ -1506,8 +1400,24 @@ mod tests {
         len: u32,
     ) {
         p.qa.post_send(SendWr {
-            wr_id,
             opcode: Opcode::RdmaWriteWithImm,
+            imm: Some(imm::encode(0, 4)),
+            ..bare_write_wr(src, dst, wr_id, len)
+        })
+        .unwrap();
+    }
+
+    /// A write with no immediate of `len` bytes from the start of `src` to
+    /// the start of `dst`.
+    fn bare_write_wr(
+        src: &crate::memory::MemoryRegion,
+        dst: &crate::memory::MemoryRegion,
+        wr_id: u64,
+        len: u32,
+    ) -> SendWr {
+        SendWr {
+            wr_id,
+            opcode: Opcode::RdmaWrite,
             sg_list: vec![Sge {
                 addr: src.addr(),
                 length: len,
@@ -1515,11 +1425,10 @@ mod tests {
             }],
             remote_addr: dst.addr(),
             rkey: dst.rkey(),
-            imm: Some(imm::encode(0, 4)),
+            imm: None,
             inline_data: false,
             flow: 0,
-        })
-        .unwrap();
+        }
     }
 
     fn assert_clean(p: &Pair) {
@@ -1631,8 +1540,9 @@ mod tests {
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
         src.fill(0, 64, 0x77).unwrap();
-        // No receive posted yet: the first delivery attempt hits RNR and
-        // re-arms on the wall-clock timer; the receive lands mid-backoff.
+        // No receive posted yet, and nothing ahead of the write on its ring:
+        // the sender meets RNR at once and arms its wall-clock timer; the
+        // receive's credit comes mid-backoff.
         write_with_imm(&p, &src, &dst, 9, 64);
         poll_empty_until(&p.cqb, "the RNR", || p.fabric.rnr_deferrals() > 0);
         p.qb.post_recv(RecvWr::bare(900)).unwrap();
@@ -1645,11 +1555,11 @@ mod tests {
         p.fabric.shutdown();
     }
 
-    /// A window posted before any receive stays on its ring: the first
-    /// record meets receiver-not-ready and re-arms its timer, again and
-    /// again, and none behind it is attempted. A second QP pair on the same
-    /// nodes, its receiver ready, passes it. Then the receives come, and
-    /// the window lands in posting order, each message once.
+    /// A window posted before any receive is held by its sender: the first
+    /// write has no credit and re-arms its RNR timer, again and again, and
+    /// none behind it is attempted. A second QP pair on the same nodes, its
+    /// receiver ready, passes it. Then the receives come, and the window
+    /// lands in posting order, each message once.
     #[test]
     fn rnr_deferred_window_is_redelivered_in_posting_order() {
         // Default caps: the 2 ms timer re-arms until the receives are posted.
@@ -1659,7 +1569,7 @@ mod tests {
         };
         let p = pair(ShmConfig::default(), caps);
         let dst = post_window(&p, 0);
-        window_is_held_on_its_ring(&p);
+        window_is_held_by_its_sender(&p);
 
         let (q2a, q2b, cq2a, cq2b) = p.more_qps(caps);
         let src2 = p.a.reg_mr(p.pda, 64).unwrap();
@@ -1690,31 +1600,30 @@ mod tests {
     }
 
     /// Poll the receiver of a window `post_window` posted ahead of its
-    /// receives until its first record has re-armed its RNR timer twice,
-    /// and check that nothing left the ring: no record was released, and
-    /// every delivery attempt re-armed the timer (an attempt of a record
-    /// behind the first would have released it, or not re-armed).
-    fn window_is_held_on_its_ring(p: &Pair) {
+    /// receives until the sender's first write has re-armed its RNR timer
+    /// twice, and check that nothing left the sender: no doorbell was
+    /// notified, and every delivery attempt re-armed the timer (an attempt
+    /// of a write behind the first would have sent it, or not re-armed).
+    fn window_is_held_by_its_sender(p: &Pair) {
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
-        let (released, deferrals) = (rx.data_records(), rx.rnr_deferrals());
+        let (notified, deferrals) = (rx.data_records(), p.fabric.rnr_deferrals());
         poll_empty_until(&p.cqb, "the RNR timer to re-arm twice", || {
-            rx.rnr_deferrals() >= deferrals + 2
+            p.fabric.rnr_deferrals() >= deferrals + 2
         });
         // This thread's polls are the only scans, so the counts agree.
         let wire = p.net.state().telemetry_snapshot().wire;
-        assert_eq!(rx.data_records(), released, "no record left the ring");
+        assert_eq!(rx.data_records(), notified, "no doorbell was rung");
         assert_eq!(
             wire.delivery_attempts - wire.rnr_requeues,
-            released,
-            "every attempt since the last release re-armed the head's timer"
+            notified,
+            "every attempt since the last notify re-armed the first write's timer"
         );
         assert!(p.cqa.poll_one().is_none(), "no send completed");
     }
 
     /// Host mode over mapped file segments, one direction: the sending
-    /// fabric never consumes a DATA record, yet its occupancy gauge must
-    /// show what it put on the ring (it is the side that stalls on a full
-    /// one).
+    /// fabric never notifies a doorbell, yet its occupancy gauge must show
+    /// what it put on the ring (it is the side that stalls on a full one).
     #[cfg(unix)]
     #[test]
     fn host_mode_sender_reports_ring_occupancy() {
@@ -1737,8 +1646,8 @@ mod tests {
         assert_eq!((tx.data_records(), rx.data_records()), (0, 32));
         let mark = tx.ring_occupancy_high_water();
         assert!(
-            (DOORBELL..2 * DOORBELL).contains(&mark),
-            "the sender saw one whole record on its ring and never two: {mark}"
+            (BELL..2 * BELL).contains(&mark),
+            "the sender saw one doorbell on its ring and never two: {mark}"
         );
         p.finish();
     }
@@ -1755,17 +1664,31 @@ mod tests {
     /// Post round `round` of the window: message `i` carries its own bytes
     /// from slot `i` of the source region to slot `i` of the destination
     /// region, which is returned, with immediate `i`. A slot is written
-    /// once, before its post: the bytes are read at delivery, and the source
-    /// belongs to the sender until its send completion.
+    /// once, before its post: the bytes are read at placement, and the
+    /// source belongs to the sender until its send completion.
     fn post_window(p: &Pair, round: u64) -> crate::memory::MemoryRegion {
+        post_window_with(p, round, |_| true)
+    }
+
+    /// [`post_window`], message `i` a write-with-imm if `imm(i)`, else a
+    /// bare write.
+    fn post_window_with(
+        p: &Pair,
+        round: u64,
+        imm: impl Fn(u64) -> bool,
+    ) -> crate::memory::MemoryRegion {
         let src = p.a.reg_mr(p.pda, WINDOW as usize * LEN).unwrap();
         let dst = p.b.reg_mr(p.pdb, WINDOW as usize * LEN).unwrap();
         for i in 0..WINDOW {
             let payload: Vec<u8> = (0..LEN).map(|k| window_byte(round, i, k)).collect();
             src.write(i as usize * LEN, &payload).unwrap();
+            let (opcode, imm) = match imm(i) {
+                true => (Opcode::RdmaWriteWithImm, Some(i as u32)),
+                false => (Opcode::RdmaWrite, None),
+            };
             p.qa.post_send(SendWr {
                 wr_id: i,
-                opcode: Opcode::RdmaWriteWithImm,
+                opcode,
                 sg_list: vec![Sge {
                     addr: src.addr_at(i as usize * LEN),
                     length: LEN as u32,
@@ -1773,7 +1696,7 @@ mod tests {
                 }],
                 remote_addr: dst.addr_at(i as usize * LEN),
                 rkey: dst.rkey(),
-                imm: Some(i as u32),
+                imm,
                 inline_data: false,
                 flow: 0,
             })
@@ -1807,19 +1730,19 @@ mod tests {
         }
     }
 
-    /// A held window owns its ring slots. On a data ring that holds one
-    /// window and no more, a window posted ahead of its receives fills the
-    /// ring, with no stall, and stays there: its first record re-arms its
+    /// A held window owns its bytes. A window posted ahead of its receives
+    /// is held by its sender, placing nothing: its first write re-arms its
     /// RNR timer, and none behind it is attempted. When the receives come it
     /// lands in posting order, each message with the bytes it was posted
-    /// with. A second window then does the same in the slots the first one
-    /// used: one that reused a slot before its record was done would land
-    /// the wrong bytes, or stall.
+    /// with, on a ring that holds its doorbells and no more, with no stall.
+    /// A second window then does the same through the ring slots the first
+    /// one used: a doorbell that reused a slot before it was notified would
+    /// notify the wrong message, or stall.
     fn deferred_deliveries_own_their_bytes(p: Pair) {
         let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
         for round in 0..2 {
             let dst = post_window(&p, round);
-            window_is_held_on_its_ring(&p);
+            window_is_held_by_its_sender(&p);
             assert_eq!(
                 dst.read_vec(0, WINDOW as usize * LEN).unwrap(),
                 vec![0; 768]
@@ -1831,11 +1754,11 @@ mod tests {
         p.finish();
     }
 
-    /// A data ring that holds the window of [`post_window`] and no more, on
-    /// a 5 ms RNR timer.
+    /// A ring that holds the doorbells of [`post_window`] and no more, on a
+    /// 5 ms RNR timer.
     fn window_ring() -> (ShmConfig, QpCaps) {
         let cfg = ShmConfig {
-            ring_capacity: WINDOW * DOORBELL,
+            ring_capacity: WINDOW * BELL,
             ..ShmConfig::default()
         };
         let caps = QpCaps {
@@ -1868,16 +1791,15 @@ mod tests {
     }
 
     /// `rnr_retry = 7` is flow control, not a countdown: a window posted
-    /// twenty old budgets ahead of its receives is held back, re-arming the
-    /// timer many more than seven times, and no send fails; when the
-    /// receives come every message lands once, in posting order, with the
-    /// bytes it was posted with.
+    /// twenty old budgets ahead of its receives is held back by its sender,
+    /// re-arming the timer many more than seven times, and no send fails;
+    /// when the receives come every message lands once, in posting order,
+    /// with the bytes it was posted with.
     fn a_late_receiver_holds_the_sender_back(p: Pair) {
         let t0 = Instant::now();
         let dst = post_window(&p, 0);
-        let rx = p.host.as_ref().map_or(&p.fabric, |(rx, _)| rx);
         poll_empty_until(&p.cqb, "the RNR timer to re-arm", || {
-            t0.elapsed() >= Duration::from_millis(14) && rx.rnr_deferrals() > 7
+            t0.elapsed() >= Duration::from_millis(14) && p.fabric.rnr_deferrals() > 7
         });
         assert!(p.cqa.poll_one().is_none(), "no send may have failed yet");
         window_lands_once_in_order(&p, &dst, 0);
@@ -1898,11 +1820,11 @@ mod tests {
         ));
     }
 
-    /// Indefinitely is still bounded: with no receive ever, everything on
-    /// the ring fails with `RnrRetryExceeded` once the first record has
-    /// waited the stall deadline — not after 0.7 ms, and not one deadline
-    /// per message —
-    /// the QP enters Error, and `shutdown` has nothing left to wait for.
+    /// Indefinitely is still bounded: with no receive ever, every write the
+    /// sender holds fails with `RnrRetryExceeded` once the first has waited
+    /// the stall deadline — not after 0.7 ms, and not one deadline per
+    /// message — the QP enters Error, nothing was placed, and `shutdown` has
+    /// nothing left to wait for.
     fn a_receiver_that_never_posts_fails_the_sender_at_the_stall_deadline(p: Pair) {
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
@@ -1951,8 +1873,8 @@ mod tests {
         ));
     }
 
-    /// Once a record runs out of RNR budget, the records that were behind
-    /// it on the ring fail at their first receiver-not-ready, as an RC QP
+    /// Once a write runs out of RNR budget, the writes its sender held
+    /// behind it fail at their first receiver-not-ready, as an RC QP
     /// flushes: with `rnr_retry = 1`, the first of three re-arms once and
     /// fails, and the two behind it fail without a re-arm of their own.
     #[test]
@@ -1978,9 +1900,9 @@ mod tests {
         p.finish();
     }
 
-    /// A WR is no longer bounded by the ring: 1 MiB, sixteen times a
-    /// 64 KiB ring, goes as one doorbell record and lands whole, once, with
-    /// one completion on each side.
+    /// A WR is not bounded by the ring: 1 MiB, sixteen times a 64 KiB ring,
+    /// is placed whole and rings one doorbell, with one completion on each
+    /// side.
     fn a_1_mib_wr_lands_whole_as_one_record(p: Pair) {
         const BIG: usize = 1 << 20;
         let src = p.a.reg_mr(p.pda, BIG).unwrap();
@@ -2017,24 +1939,24 @@ mod tests {
         a_1_mib_wr_lands_whole_as_one_record(host_pair(small_ring(), QpCaps::default()));
     }
 
-    /// A record is bytes another process wrote, and one that lies fails its
-    /// own delivery without taking the receiver down. Four writes go onto
-    /// the ring of a file segment while the receiver is paused; three are
-    /// then rewritten by hand through a second mapping of that file: a
-    /// header whose length disagrees with the gather list, a gather entry
-    /// naming a region with no file, and one reaching past the end of its
-    /// region. Each of the three is released `RemoteAccessError`,
-    /// counted, consumes no receive WR and writes nothing; the fourth lands,
-    /// and so does a write on a fresh QP pair.
+    /// A doorbell is bytes another process wrote, and one that lies
+    /// notifies nothing without taking the receiver down. Four writes are
+    /// placed and complete while the receiver is paused; two of their
+    /// doorbells are then rewritten through a second mapping of the ring
+    /// file: one is given a kind that is no doorbell's, one a destination QP
+    /// that does not exist. Each is counted and consumes no receive WR; the
+    /// other two notify in order, and so does a write on a fresh QP pair.
     #[cfg(unix)]
     #[test]
     fn malformed_records_fail_their_delivery_and_the_receiver_survives() {
         let p = host_pair(ShmConfig::default(), QpCaps::default());
-        let (rx, dir) = p.host.as_ref().unwrap();
+        let rx = &p.host.as_ref().unwrap().0;
         let src = p.a.reg_mr(p.pda, 4 * LEN).unwrap();
         let dst = p.b.reg_mr(p.pdb, 4 * LEN).unwrap();
         src.fill(0, 4 * LEN, 0x6b).unwrap();
-        p.qb.post_recv(RecvWr::bare(90)).unwrap();
+        for i in 0..4 {
+            p.qb.post_recv(RecvWr::bare(90 + i)).unwrap();
+        }
         let paused = rx.pause_progress();
         for i in 0..4u64 {
             let at = i as usize * LEN;
@@ -2053,38 +1975,33 @@ mod tests {
                 flow: 0,
             })
             .unwrap();
+            let wc = p.cqa.poll_one().expect("completed at placement");
+            assert_eq!((wc.wr_id, wc.status), (i, WcStatus::Success));
         }
-        let name = format!("partix_n0q{}_n1q{}.data", p.qa.qp_num(), p.qb.qp_num());
-        let ring = FileSegment::open(&dir.join(name)).unwrap().unwrap();
-        // Record `i` starts `i` doorbells into the fresh ring; its DATA
-        // header follows the ring's own, and its gather entry that.
-        let data = |i: u64| i * DOORBELL + RECORD_HEADER;
-        let entry = |i: u64| data(i) + DATA_HEADER as u64;
-        ring.data_write(data(0) + 52, &(LEN as u32 + 1).to_le_bytes());
-        ring.data_write(entry(1), &(src.lkey() + 2000).to_le_bytes());
-        ring.data_write(entry(2) + 8, &(3 * LEN as u64 + 32).to_le_bytes());
+        let ring = sent_ring(&p);
+        // Doorbell `i` starts `i` doorbells into the fresh ring: its ring
+        // header's kind byte at 4, its body after the header.
+        ring.data_write(4, &[9]);
+        ring.data_write(BELL + RECORD_HEADER + 8, &999u32.to_le_bytes());
         drop(paused);
 
-        for i in 0..3u64 {
-            let wc = poll_until(&p.cqa, "send CQE of a malformed record");
-            assert_eq!((wc.wr_id, wc.status), (i, WcStatus::RemoteAccessError));
+        for (wr_id, imm) in [(90, 2), (91, 3)] {
+            let recv = poll_until(&p.cqb, "recv CQE of a sound doorbell");
+            assert_eq!((recv.wr_id, recv.imm), (wr_id, Some(imm)));
         }
-        let wc = poll_until(&p.cqa, "send CQE of the good record");
-        assert_eq!((wc.wr_id, wc.status), (3, WcStatus::Success));
-        let recv = poll_until(&p.cqb, "recv CQE of the good record");
-        assert_eq!((recv.wr_id, recv.imm), (90, Some(3)));
-        assert_eq!(rx.malformed_records(), 3);
-        let landed = dst.read_vec(0, 4 * LEN).unwrap();
-        assert_eq!(landed[..3 * LEN], [0; 3 * LEN], "a malformed record wrote");
-        assert_eq!(landed[3 * LEN..], [0x6b; LEN]);
-        assert_eq!(p.qa.state(), QpState::Error);
+        assert!(p.cqb.poll_one().is_none(), "a lying doorbell notified");
+        assert_eq!(rx.malformed_records(), 2);
+        assert_eq!(p.qb.recv_queue_depth(), 2, "no receive WR consumed by one");
+        assert_eq!(dst.read_vec(0, 4 * LEN).unwrap(), vec![0x6b; 4 * LEN]);
 
         let p = p.with_fresh_qps();
-        p.qb.post_recv(RecvWr::bare(91)).unwrap();
+        p.qb.post_recv(RecvWr::bare(95)).unwrap();
         write_with_imm(&p, &src, &dst, 4, LEN as u32);
         assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
-        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 91);
-        p.finish();
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 95);
+        // The ledger holds two sends that completed and never notified,
+        // which no law allows: the pair is closed unchecked.
+        p.close();
     }
 
     /// What a panic carried, as text.
@@ -2097,16 +2014,17 @@ mod tests {
         }
     }
 
-    /// A full data ring nobody drains is a diagnostic within
+    /// A full ring nobody drains is a diagnostic within
     /// `full_ring_deadline`, not a hang: the receiver here attaches (so
-    /// `open_tx` returns) and then never consumes a record.
+    /// `open_tx` returns) and then never notifies a doorbell. The writes
+    /// are bare, so no credit holds them back.
     #[cfg(unix)]
     #[test]
     fn full_data_ring_with_no_consumer_fails_within_the_stall_deadline() {
         let dir = std::env::temp_dir().join(format!("partix_shm_stall_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = ShmConfig {
-            ring_capacity: 2 * DOORBELL + 16,
+            ring_capacity: 2 * BELL + 16,
             full_ring_deadline: Duration::from_millis(50),
             ..ShmConfig::default()
         };
@@ -2126,11 +2044,11 @@ mod tests {
         });
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
-        write_with_imm(&p, &src, &dst, 0, 64);
-        write_with_imm(&p, &src, &dst, 1, 64);
+        p.qa.post_send(bare_write_wr(&src, &dst, 0, 64)).unwrap();
+        p.qa.post_send(bare_write_wr(&src, &dst, 1, 64)).unwrap();
         let t0 = Instant::now();
         let third = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            write_with_imm(&p, &src, &dst, 2, 64)
+            p.qa.post_send(bare_write_wr(&src, &dst, 2, 64))
         }));
         let waited = t0.elapsed();
         let text = panic_text(third.expect_err("the third record cannot fit"));
@@ -2142,51 +2060,53 @@ mod tests {
             waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
             "bounded by the stall deadline, not a hang: {waited:?}"
         );
-        // Nothing will ever release the two records on the ring: the final
-        // drain gives up after the same deadline instead of joining for ever.
+        // Nothing will ever notify the two doorbells on the ring, and this
+        // side holds no WR: the final drain does not wait for them.
         let t0 = Instant::now();
         p.fabric.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A status byte is bytes another process wrote. One that names no
-    /// status fails its WR `RemoteAccessError` and is counted, and breaks
-    /// nothing else: the receiver released the record `Success` (here it
-    /// landed), and a forged byte is written over that through a second
-    /// mapping of the ring before the sender reads it.
+    /// The credit word is bytes another process wrote too. One forged past
+    /// the receives really posted lets the sender place writes the receiver
+    /// has no receive WR for, and they complete at the sender, which cannot
+    /// tell; but notify completes nothing beyond what was posted: one
+    /// receive, one receive completion, and the two doorbells that found
+    /// none are counted.
     #[cfg(unix)]
     #[test]
-    fn a_status_byte_that_names_no_status_fails_its_wr_and_is_counted() {
+    fn a_credit_word_past_what_was_posted_completes_nothing_beyond_it() {
         let p = host_pair(ShmConfig::default(), QpCaps::default());
-        let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
+        let rx = &p.host.as_ref().unwrap().0;
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
         p.qb.post_recv(RecvWr::bare(1)).unwrap();
-        // The sender paused: the record is released and not yet completed.
-        let mut tx_driver = tx.pause_progress();
-        write_with_imm(&p, &src, &dst, 7, 64);
-        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1);
         let ring = sent_ring(&p);
-        assert_eq!(ring.ctrl_load(Ctrl::Head), DOORBELL, "released");
-        // The status byte of the record's ring header.
-        ring.data_write(RECORD_HEADER - 2, &[0x7f]);
-
-        assert!(tx_driver.scan(), "the scan completed the record");
-        let wc = p.cqa.poll_one().expect("send CQE");
-        assert_eq!((wc.wr_id, wc.status), (7, WcStatus::RemoteAccessError));
-        assert_eq!((tx.malformed_records(), rx.malformed_records()), (1, 0));
-        assert_eq!(p.qa.state(), QpState::Error);
-        drop(tx_driver);
-        // The ledger now holds a landed write its sender saw fail, which no
-        // law allows: the pair is closed unchecked.
+        assert_eq!(ring.ctrl_load(Ctrl::Credits), 1, "the receive is published");
+        ring.ctrl_store(Ctrl::Credits, 5);
+        for wr_id in 0..3 {
+            write_with_imm(&p, &src, &dst, wr_id, 64);
+            let wc = p.cqa.poll_one().expect("completed at placement");
+            assert_eq!((wc.wr_id, wc.status), (wr_id, WcStatus::Success));
+        }
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1);
+        poll_empty_until(&p.cqb, "the other doorbells", || rx.data_records() == 3);
+        assert_eq!(rx.malformed_records(), 2);
+        let wire = p.net.state().telemetry_snapshot().wire;
+        assert_eq!((wire.receiver_not_ready, wire.recv_cqes), (2, 1));
+        // Two sends completed `Success` that no receive completion matches,
+        // which no ledger law allows: the pair is closed unchecked.
         p.close();
     }
 
-    /// `Head` is bytes another process wrote too. One forged past the last
-    /// record this side posted completes the records it did post, with the
-    /// statuses their slots hold, and nothing beyond them; the sender
-    /// reclaims no space past what it published.
+    /// `Head` is bytes another process wrote too, and so is `Polled`, the
+    /// receiver's copy of it. A write with no credit is held while its
+    /// receiver has doorbells to notify; a `Head` and a `Polled` forged past
+    /// what the sender published read as a drained ring, so the RNR rule
+    /// starts at once, and the forgery is counted. It completes nothing
+    /// beyond what was posted: the two bare writes before the held one, and
+    /// the held one once a receive's credit comes.
     #[cfg(unix)]
     #[test]
     fn a_head_past_what_was_posted_completes_nothing_beyond_it() {
@@ -2194,72 +2114,36 @@ mod tests {
         let (tx, rx) = (&p.fabric, &p.host.as_ref().unwrap().0);
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
-        // Both sides paused: the records stay on their ring, undelivered.
+        // Both sides paused: the doorbells stay on their ring.
         let rx_driver = rx.pause_progress();
         let mut tx_driver = tx.pause_progress();
-        write_with_imm(&p, &src, &dst, 7, 64);
-        write_with_imm(&p, &src, &dst, 8, 64);
-        let ring = sent_ring(&p);
-        ring.ctrl_store(Ctrl::Head, 1000 * DOORBELL);
-
-        assert!(tx_driver.scan(), "the scan completed the records");
         for wr_id in [7, 8] {
+            p.qa.post_send(bare_write_wr(&src, &dst, wr_id, 64))
+                .unwrap();
+        }
+        write_with_imm(&p, &src, &dst, 9, 64);
+        assert_eq!(
+            tx.rnr_deferrals(),
+            0,
+            "held: its receiver has two to notify"
+        );
+        let ring = sent_ring(&p);
+        ring.ctrl_store(Ctrl::Head, 1000 * BELL);
+        ring.ctrl_store(Ctrl::Polled, 1000 * BELL);
+
+        assert!(!tx_driver.scan(), "the held write waits out its timer");
+        assert_eq!((tx.rnr_deferrals(), tx.malformed_records()), (1, 1));
+        p.qb.post_recv(RecvWr::bare(1)).unwrap();
+        assert!(tx_driver.scan(), "the credit sends the held write");
+        for wr_id in [7, 8, 9] {
             let wc = p.cqa.poll_one().expect("send CQE");
             assert_eq!((wc.wr_id, wc.status), (wr_id, WcStatus::Success));
         }
         assert!(p.cqa.poll_one().is_none(), "nothing beyond what was posted");
-        let ch = tx.channels.lock()[0].clone();
-        assert_eq!(ch.reclaimed.load(Ordering::Relaxed), 2 * DOORBELL);
-        assert!(ch.window.lock().is_empty());
-        assert!(!tx_driver.scan(), "a second look completes nothing more");
+        assert!(!tx_driver.scan(), "a second look sends nothing more");
         drop((tx_driver, rx_driver));
-        // Two sends completed `Success` that never landed, which no ledger
-        // law allows: the pair is closed unchecked.
+        // The receiver's own cursor is forged: the pair is closed unchecked.
         p.close();
-    }
-
-    /// The reclaim rule on the real ring: a slot the receiver has released
-    /// is reused only after the sender has read its status. On a ring of
-    /// two doorbells, a write that fails its protection check and a good
-    /// one are released while the sender is paused; the next post finds
-    /// the ring free by `Head` but not by what the sender has read, so it
-    /// waits for the sender's own scan, and the failed write still
-    /// completes `RemoteAccessError`. A post bounded by `Head` would write
-    /// over that status, and the failure would complete `Success`.
-    #[cfg(unix)]
-    #[test]
-    fn a_released_slot_is_reused_only_after_its_status_is_read() {
-        let cfg = ShmConfig {
-            ring_capacity: 2 * DOORBELL,
-            ..ShmConfig::default()
-        };
-        let p = host_pair(cfg, QpCaps::default());
-        let src = p.a.reg_mr(p.pda, 64).unwrap();
-        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
-        p.qb.post_recv(RecvWr::bare(1)).unwrap();
-        p.qb.post_recv(RecvWr::bare(2)).unwrap();
-        let tx_driver = p.fabric.pause_progress();
-        p.qa.post_send(SendWr {
-            rkey: dst.rkey() ^ 0x5c5c,
-            ..crate::conformance::write_imm_wr(&src, &dst, 0, 64, 0)
-        })
-        .unwrap();
-        write_with_imm(&p, &src, &dst, 1, 64);
-        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 1, "both released");
-        assert_eq!(sent_ring(&p).ctrl_load(Ctrl::Head), 2 * DOORBELL);
-        drop(tx_driver);
-
-        write_with_imm(&p, &src, &dst, 2, 64);
-        assert_eq!(p.fabric.ring_full_stalls(), 1, "the post waited");
-        for (wr_id, status) in [(0, WcStatus::RemoteAccessError), (1, WcStatus::Success)] {
-            let wc = poll_until(&p.cqa, "send CQE");
-            assert_eq!((wc.wr_id, wc.status), (wr_id, status));
-        }
-        // The QP is in Error since the first completion: the third record
-        // still lands, and completes, behind it.
-        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 2);
-        assert_eq!(poll_until(&p.cqa, "send CQE").wr_id, 2);
-        p.finish();
     }
 
     /// A second mapping of the ring node 0 sends on to node 1 in `p`.
@@ -2315,10 +2199,10 @@ mod tests {
         p.fabric.shutdown();
     }
 
-    /// `shutdown`'s final drain runs on the calling thread: a record still
+    /// A send completes on the posting thread, at placement, and
+    /// `shutdown`'s final drain runs on the calling thread: a doorbell still
     /// on its ring when it is called — posted, and never polled for — is
-    /// delivered, acknowledged and completed there, and a second call is a
-    /// no-op.
+    /// notified there, and a second call is a no-op.
     #[test]
     fn shutdown_is_idempotent_and_drains() {
         let p = pair(ShmConfig::default(), QpCaps::default());
@@ -2338,7 +2222,7 @@ mod tests {
         assert_eq!(
             p.fabric.data_records(),
             0,
-            "the record is still on its ring"
+            "the doorbell is still on its ring"
         );
         p.fabric.shutdown();
         assert_eq!(*pushed_on.lock(), [std::thread::current().id()]);
@@ -2359,7 +2243,8 @@ mod tests {
     }
 
     /// `pause_progress` holds the progress lock against every poller: for
-    /// 20 ms of polls nothing moves, and then the holder's own scan does.
+    /// 20 ms of polls nothing is notified, and then the holder's own scan
+    /// notifies. The send needs no scan: it completes at placement.
     fn pause_progress_locks_out_pollers(p: Pair) {
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
@@ -2368,21 +2253,20 @@ mod tests {
         let mut paused: Vec<ProgressDriver<'_>> =
             fabrics(&p).iter().map(|f| f.pause_progress()).collect();
         write_with_imm(&p, &src, &dst, 4, 64);
+        assert_eq!(p.cqa.poll_one().expect("send CQE").wr_id, 4);
         let t0 = Instant::now();
         while t0.elapsed() < Duration::from_millis(20) {
-            assert!(p.cqb.poll_one().is_none(), "a poller delivered");
-            assert!(p.cqa.poll_one().is_none(), "a poller completed");
+            assert!(p.cqb.poll_one().is_none(), "a poller notified");
             std::thread::yield_now();
         }
-        assert_eq!(rx.data_records(), 0, "the record is still on its ring");
+        assert_eq!(rx.data_records(), 0, "the doorbell is still on its ring");
         assert!(
             paused.last_mut().unwrap().scan(),
-            "the holder's scan delivers"
+            "the holder's scan notifies"
         );
         assert_eq!(rx.data_records(), 1);
         drop(paused);
         assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 2);
-        assert_eq!(poll_until(&p.cqa, "send CQE").wr_id, 4);
         p.finish();
     }
 
@@ -2397,15 +2281,15 @@ mod tests {
         pause_progress_locks_out_pollers(host_pair(ShmConfig::default(), QpCaps::default()));
     }
 
-    /// Nothing moves a receiver's side of the wire but its own polls. A
-    /// window is posted to a host-mode receiver whose fabric nobody scans:
-    /// through 20 ms of the sender's own scans it stays on its ring, and no
-    /// send completes. The receiver's first poll then lands all of it, once,
-    /// in posting order, and every send completes `Success`.
+    /// A receiver that stops polling holds no send. A host-mode receiver
+    /// posts its receives, and then nobody scans its fabric for 20 ms: in
+    /// that time the sender's window of bare writes and writes-with-imm
+    /// completes `Success`, at once and with no scan of the receiver's, and
+    /// the bytes are in the receiver's region. The receiver's first poll
+    /// then yields the receive completions, in order.
     #[cfg(unix)]
     #[test]
-    fn a_receiver_that_stops_polling_holds_its_senders_completions_over_two_mappings_of_a_file_segment(
-    ) {
+    fn a_receiver_that_stops_polling_holds_no_send_over_two_mappings_of_a_file_segment() {
         // A send queue well beyond the window.
         let caps = QpCaps {
             max_send_wr: 32,
@@ -2413,32 +2297,133 @@ mod tests {
         };
         let p = host_pair(ShmConfig::default(), caps);
         let rx = &p.host.as_ref().unwrap().0;
-        for i in 0..WINDOW {
+        let imm = |i: u64| i % 2 == 0;
+        for i in (0..WINDOW).filter(|&i| imm(i)) {
             p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
         }
-        let dst = post_window(&p, 0);
+        let dst = post_window_with(&p, 0, imm);
         let t0 = Instant::now();
         while t0.elapsed() < Duration::from_millis(20) {
             // Node 0's fabric alone: the scans the sending process makes.
             p.fabric.progress();
-            assert_eq!(p.cqa.depth(), 0, "a send completed");
             std::thread::yield_now();
         }
-        assert_eq!((rx.data_records(), p.cqb.depth()), (0, 0), "nothing landed");
-
-        let first = p.cqb.poll_one().expect("the receiver's first poll lands");
-        assert_eq!((first.wr_id, first.imm), (500, Some(0)));
-        assert_eq!(rx.data_records(), WINDOW, "the whole window, in one poll");
-        for i in 1..WINDOW {
-            let wc = p.cqb.poll_one().expect("landed by the first poll");
-            assert_eq!((wc.wr_id, wc.imm), (500 + i, Some(i as u32)), "in order");
-        }
+        assert_eq!(
+            (rx.data_records(), p.cqb.depth()),
+            (0, 0),
+            "nothing notified"
+        );
+        assert_eq!(p.cqa.depth(), WINDOW as usize, "every send completed");
         for i in 0..WINDOW {
-            let send = poll_until(&p.cqa, "send CQE");
+            let send = p.cqa.poll_one().expect("completed");
             assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
         }
-        assert!(p.cqb.poll_one().is_none(), "every message landed once");
         window_holds_its_bytes(&dst, 0);
+
+        let first = p
+            .cqb
+            .poll_one()
+            .expect("the receiver's first poll notifies");
+        assert_eq!((first.wr_id, first.imm), (500, Some(0)));
+        assert_eq!(rx.data_records(), WINDOW, "the whole window, in one poll");
+        for i in (2..WINDOW).step_by(2) {
+            let wc = p.cqb.poll_one().expect("notified by the first poll");
+            assert_eq!((wc.wr_id, wc.imm), (500 + i, Some(i as u32)), "in order");
+        }
+        assert!(p.cqb.poll_one().is_none(), "every message notified once");
         p.finish();
+    }
+
+    /// What [`LossyFabric`](crate::LossyFabric) hands the wire, with every
+    /// ghost duplicate held back until [`release`](Self::release): a ghost
+    /// that arrives late.
+    struct LateGhosts {
+        inner: Arc<ShmFabric>,
+        ghosts: Mutex<Vec<(Arc<NetworkState>, TransferJob)>>,
+    }
+
+    impl LateGhosts {
+        fn release(&self) {
+            for (net, ghost) in self.ghosts.lock().drain(..) {
+                self.inner.submit(net, ghost);
+            }
+        }
+    }
+
+    impl Fabric for LateGhosts {
+        fn submit(&self, net: Arc<NetworkState>, job: TransferJob) {
+            match job.ghost {
+                true => self.ghosts.lock().push((net, job)),
+                false => self.inner.submit(net, job),
+            }
+        }
+
+        fn recv_posted(&self, node: NodeId, qp_num: u32, posted: u64) {
+            self.inner.recv_posted(node, qp_num, posted);
+        }
+
+        fn progress(&self) -> bool {
+            self.inner.progress()
+        }
+    }
+
+    /// A duplicate writes nothing here either, however late it comes. Over
+    /// a `LossyFabric` that duplicates every transfer, around a loopback
+    /// fabric, a write-with-imm lands and its round completes on both sides;
+    /// the receiver then rewrites the buffer, and only then does the ghost
+    /// reach the fabric. The buffer keeps the receiver's bytes, the ghost
+    /// is counted as a suppressed duplicate, and it completes nothing.
+    #[test]
+    fn a_late_ghost_writes_nothing_and_is_counted() {
+        use crate::fabric_lossy::{LossyConfig, LossyFabric};
+        let shm = ShmFabric::loopback();
+        let late = Arc::new(LateGhosts {
+            inner: shm.clone(),
+            ghosts: Mutex::new(Vec::new()),
+        });
+        let dup_all = LossyConfig {
+            dup_p: 1.0,
+            ..LossyConfig::default()
+        };
+        let net = Network::new(2, LossyFabric::new(late.clone(), dup_all));
+        let (a, b) = (net.open(0).unwrap(), net.open(1).unwrap());
+        let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+        let (cqa, cqb) = (a.create_cq(), b.create_cq());
+        let caps = QpCaps::default();
+        let qa = a.create_qp(pda, cqa.clone(), a.create_cq(), caps).unwrap();
+        let qb = b.create_qp(pdb, b.create_cq(), cqb.clone(), caps).unwrap();
+        connect_pair(&qa, &qb).unwrap();
+        let src = a.reg_mr(pda, 64).unwrap();
+        let dst = b.reg_mr(pdb, 64).unwrap();
+        src.fill(0, 64, 0x11).unwrap();
+        qb.post_recv(RecvWr::bare(1)).unwrap();
+        qa.post_send(SendWr {
+            opcode: Opcode::RdmaWriteWithImm,
+            imm: Some(5),
+            ..bare_write_wr(&src, &dst, 3, 64)
+        })
+        .unwrap();
+        assert_eq!(poll_until(&cqa, "send CQE").status, WcStatus::Success);
+        assert_eq!(poll_until(&cqb, "recv CQE").imm, Some(5));
+        assert_eq!(dst.read_vec(0, 64).unwrap(), vec![0x11; 64]);
+        dst.fill(0, 64, 0x22).unwrap();
+
+        late.release();
+        poll_empty_until(&cqb, "the ghost's doorbell", || shm.data_records() == 2);
+        assert_eq!(
+            dst.read_vec(0, 64).unwrap(),
+            vec![0x22; 64],
+            "the ghost wrote"
+        );
+        assert!(cqa.poll_one().is_none(), "the ghost completed");
+        let wire = net.state().telemetry_snapshot().wire;
+        assert_eq!(
+            (wire.duplicates_injected, wire.duplicates_suppressed),
+            (1, 1)
+        );
+        assert!(shm.quiesce(Duration::from_secs(10)));
+        let report = invariants::check_strict(&net.state().telemetry_snapshot());
+        assert!(report.is_clean(), "invariants violated: {report:?}");
+        shm.shutdown();
     }
 }

@@ -33,22 +33,24 @@ const MAX_SLICE: Duration = Duration::from_micros(200);
 /// start costs no spinning core. No sleep reaches past `deadline`: it is
 /// the only bound.
 fn wait_until(deadline: Instant, cond: impl FnMut() -> bool) -> bool {
-    wait_with(deadline, cond, std::thread::sleep)
+    wait_with(deadline, cond, Instant::now, std::thread::sleep)
 }
 
-/// [`wait_until`], with its sleep passed in so that a test sees each one.
+/// [`wait_until`], with its clock and its sleep passed in, so that a test
+/// can script the one and see each call of the other.
 fn wait_with(
     deadline: Instant,
     mut cond: impl FnMut() -> bool,
+    mut now: impl FnMut() -> Instant,
     mut sleep: impl FnMut(Duration),
 ) -> bool {
-    let start = Instant::now();
+    let start = now();
     let mut slice = FIRST_SLICE;
     loop {
         if cond() {
             return true;
         }
-        let now = Instant::now();
+        let now = now();
         if now >= deadline {
             return false;
         }
@@ -106,29 +108,41 @@ mod tests {
     /// wait yields for [`YIELD_FOR`] and then sleeps, in slices that double
     /// from [`FIRST_SLICE`] to [`MAX_SLICE`], each cut so that it ends by
     /// the deadline: every sleep the wait asks for is checked against the
-    /// try just before it. What the host adds to the last sleep is checked
-    /// too, as the best of five waits, so that one descheduled turn of a
-    /// loaded host cannot fail it.
+    /// try just before it. That schedule is checked on a scripted clock —
+    /// each read moves it on by an odd step, each sleep by what it asked
+    /// for — so that no descheduled turn of the host can end the yields
+    /// past the deadline and leave no sleep to check. What the host adds to
+    /// the last sleep is checked on the real clock, as the best of five
+    /// waits, so that one descheduled turn of a loaded host cannot fail it.
     #[test]
     fn wait_until_is_false_at_the_deadline_and_never_overshoots_it_by_a_slice() {
-        let mut best = Duration::MAX;
-        for timeout in [3_100u64, 4_150, 5_200, 6_100, 7_150].map(Duration::from_micros) {
-            let start = Instant::now();
+        const STEP: Duration = Duration::from_micros(37);
+        let timeouts = [3_100u64, 4_150, 5_200, 6_100, 7_150].map(Duration::from_micros);
+        for timeout in timeouts {
+            let clock = std::cell::Cell::new(Instant::now());
+            let start = clock.get();
             let deadline = start + timeout;
             let last_try = std::cell::Cell::new(start);
             let mut sleeps = Vec::new();
             let cond = || {
-                last_try.set(Instant::now());
+                last_try.set(clock.get());
                 false
             };
-            let sleep = |d: Duration| {
-                sleeps.push((last_try.get(), Instant::now(), d));
-                std::thread::sleep(d);
+            let now = || {
+                clock.set(clock.get() + STEP);
+                clock.get()
             };
-            assert!(!wait_with(deadline, cond, sleep));
-            let now = Instant::now();
-            assert!(now >= deadline, "returned {:?} early", deadline - now);
-            best = best.min(now - deadline);
+            let sleep = |d: Duration| {
+                sleeps.push((last_try.get(), clock.get(), d));
+                clock.set(clock.get() + d);
+            };
+            assert!(!wait_with(deadline, cond, now, sleep));
+            let end = clock.get();
+            assert!(end >= deadline, "returned {:?} early", deadline - end);
+            assert!(
+                end <= deadline + STEP,
+                "{timeout:?}: tried past the deadline"
+            );
             assert!(!sleeps.is_empty(), "{timeout:?}: never slept");
             let mut slice = FIRST_SLICE;
             for (i, &(tried, asked, d)) in sleeps.iter().enumerate() {
@@ -147,6 +161,14 @@ mod tests {
                 );
                 slice = (slice * 2).min(MAX_SLICE);
             }
+        }
+        let mut best = Duration::MAX;
+        for timeout in timeouts {
+            let deadline = Instant::now() + timeout;
+            assert!(!wait_until(deadline, || false));
+            let now = Instant::now();
+            assert!(now >= deadline, "returned {:?} early", deadline - now);
+            best = best.min(now - deadline);
         }
         assert!(
             best < MAX_SLICE,

@@ -1,6 +1,9 @@
 //! Where a host-mode fabric's registered regions live (see
 //! [`Fabric::region_storage`](crate::Fabric::region_storage)): each in a
-//! memory file of its own, which a peer maps read-only and delivers from.
+//! memory file of its own, which a sending peer maps to place its writes
+//! into. The file is the region's bytes, then a [`TRAILER`] that says where
+//! the region lies in its owner's NIC-visible address space, which is what
+//! a sender resolves a write's remote address against.
 //!
 //! On Linux a region is a `memfd`, and the name a peer opens, in the
 //! fabric's directory, is a symbolic link to it through `/proc/<pid>/fd`,
@@ -24,16 +27,43 @@ use std::sync::Arc;
 
 use super::segment::FileMapping;
 
-/// A new region of `len` zero bytes, mapped read-write, that a peer opens
-/// at `path` (see the module docs).
-pub(crate) fn create(path: &Path, len: u64) -> std::io::Result<Arc<FileMapping>> {
+/// Bytes after a region's own in its file: a magic word, the region's base
+/// address and its length, as little-endian `u64`s.
+const TRAILER: usize = 24;
+/// The trailer's magic word: "PRTXMR01".
+const REGION_MAGIC: u64 = 0x5052_5458_4d52_3031;
+
+/// A peer's region, as [`open`] finds it.
+pub(crate) struct Remote {
+    /// The whole file, mapped read-write.
+    pub(crate) map: Arc<FileMapping>,
+    /// The region's base address in its owner's NIC-visible address space.
+    pub(crate) base: u64,
+    /// The region's length: the file's, less the trailer.
+    pub(crate) len: usize,
+}
+
+/// A new region of `len` zero bytes at NIC-visible address `base`, mapped
+/// read-write, that a peer opens at `path` (see the module docs).
+pub(crate) fn create(path: &Path, base: u64, len: usize) -> std::io::Result<Arc<FileMapping>> {
+    let mut trailer = [0u8; TRAILER];
+    for (word, v) in trailer.chunks_mut(8).zip([REGION_MAGIC, base, len as u64]) {
+        word.copy_from_slice(&v.to_le_bytes());
+    }
+    let file_len = (len + TRAILER) as u64;
+    let write_trailer = |map: &FileMapping| {
+        // SAFETY: the mapping is `len + TRAILER` bytes, fresh or zeroed from
+        // the pool, and no peer can name it before the link below exists.
+        unsafe { std::ptr::copy_nonoverlapping(trailer.as_ptr(), map.base().add(len), TRAILER) };
+    };
     #[cfg(target_os = "linux")]
     {
         use std::os::fd::AsRawFd;
-        let map = Arc::new(match take_spare(len) {
+        let map = Arc::new(match take_spare(file_len) {
             Some(map) => map,
-            None => fresh(len)?,
+            None => fresh(file_len)?,
         });
+        write_trailer(&map);
         let fd = map
             .region_file()
             .expect("a region's own mapping")
@@ -52,19 +82,42 @@ pub(crate) fn create(path: &Path, len: u64) -> std::io::Result<Arc<FileMapping>>
             .create(true)
             .truncate(true)
             .open(path)?;
-        file.set_len(len)?;
-        Ok(Arc::new(FileMapping::map(&file, len, true)?))
+        file.set_len(file_len)?;
+        let map = FileMapping::map(&file, file_len)?;
+        write_trailer(&map);
+        Ok(Arc::new(map))
     }
 }
 
-/// A peer's region, named `path`, to read from: the owner's own mapping if
-/// the owner is this process, else a read-only mapping of the whole file.
-pub(crate) fn open(path: &Path) -> std::io::Result<Arc<FileMapping>> {
+/// A peer's region, named `path`, to write into: the owner's own mapping if
+/// the owner is this process, else a read-write mapping of the whole file.
+/// A file whose trailer does not describe it is `InvalidData`: it is bytes
+/// another process wrote.
+pub(crate) fn open(path: &Path) -> std::io::Result<Remote> {
     #[cfg(target_os = "linux")]
-    if let Some(map) = own_descriptor(path).and_then(live::get) {
-        return Ok(map);
+    let own = own_descriptor(path).and_then(live::get);
+    #[cfg(not(target_os = "linux"))]
+    let own = None;
+    let map = match own {
+        Some(map) => map,
+        None => Arc::new(FileMapping::open_writable(path)?),
+    };
+    let mut trailer = [0u8; TRAILER];
+    if let Some(len) = map.len().checked_sub(TRAILER) {
+        // SAFETY: the last `TRAILER` bytes of the mapping.
+        unsafe {
+            std::ptr::copy_nonoverlapping(map.base().add(len), trailer.as_mut_ptr(), TRAILER)
+        };
     }
-    FileMapping::open_read_only(path).map(Arc::new)
+    let word = |i: usize| u64::from_le_bytes(trailer[8 * i..8 * i + 8].try_into().expect("fixed"));
+    if word(0) != REGION_MAGIC || word(2).checked_add(TRAILER as u64) != Some(map.len() as u64) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{} is no region file", path.display()),
+        ));
+    }
+    let (base, len) = (word(1), map.len() - TRAILER);
+    Ok(Remote { map, base, len })
 }
 
 /// The descriptor `path` links to, if it is a region of this process.
@@ -190,46 +243,61 @@ mod tests {
     }
 
     /// A region is zero-filled, its name opens to the owner's own mapping
-    /// in this process and to a read-only mapping of the same bytes through
-    /// the file, and once dropped its mapping is the next region's of that
-    /// length, zeroed again. (A length no other test uses, so the pool's
-    /// entry is this test's.)
+    /// in this process and to a writable mapping of the same bytes through
+    /// the file, each with the base address and length it was created with,
+    /// and once dropped its mapping is the next region's of that length,
+    /// zeroed again. (A length no other test uses, so the pool's entry is
+    /// this test's.) A file with no region trailer does not open.
     #[test]
-    fn a_region_is_shared_in_process_mapped_read_only_and_pooled() {
-        const LEN: u64 = 12_345;
+    fn a_region_is_shared_in_process_mapped_writable_and_pooled() {
+        const LEN: usize = 12_345;
+        const BASE: u64 = 0x7000;
         let dir = temp_dir("pool");
         let (first, second) = (dir.join("first"), dir.join("second"));
-        let owner = create(&first, LEN).unwrap();
+        let owner = create(&first, BASE, LEN).unwrap();
         // SAFETY: the owner's writable mapping of LEN bytes; nothing reads
         // it concurrently.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(owner.base(), LEN as usize) };
+        let bytes = unsafe { std::slice::from_raw_parts_mut(owner.base(), LEN) };
         assert!(bytes.iter().all(|&b| b == 0));
         bytes.fill(0x5c);
         let shared = open(&first).unwrap();
         assert!(
-            Arc::ptr_eq(&shared, &owner),
-            "this process reads the owner's mapping"
+            Arc::ptr_eq(&shared.map, &owner),
+            "this process writes through the owner's mapping"
         );
-        let view = FileMapping::open_read_only(&first).unwrap();
-        assert_eq!(view.len(), LEN as usize);
+        assert_eq!((shared.base, shared.len), (BASE, LEN));
+        let view = FileMapping::open_writable(&first).unwrap();
         assert_ne!(view.base(), owner.base());
-        // SAFETY: a read-only mapping of LEN bytes, read only.
-        let seen = unsafe { std::slice::from_raw_parts(view.base(), view.len()) };
+        // SAFETY: a second mapping of the region's LEN bytes; this thread
+        // alone touches either.
+        let seen = unsafe { std::slice::from_raw_parts_mut(view.base(), LEN) };
         assert!(seen.iter().all(|&b| b == 0x5c), "one file, two mappings");
+        seen[7] = 0xa1;
+        assert_eq!(
+            bytes[7], 0xa1,
+            "a write through one is a read through the other"
+        );
 
         let base = owner.base();
         drop((owner, shared));
-        let reused = create(&second, LEN).unwrap();
+        let reused = create(&second, BASE + 0x4000, LEN).unwrap();
         assert_eq!(
             reused.base(),
             base,
             "the dropped region's mapping is pooled"
         );
         // SAFETY: as above.
-        let bytes = unsafe { std::slice::from_raw_parts(reused.base(), LEN as usize) };
+        let bytes = unsafe { std::slice::from_raw_parts(reused.base(), LEN) };
         assert!(bytes.iter().all(|&b| b == 0), "a pooled region is zeroed");
-        assert!(Arc::ptr_eq(&open(&second).unwrap(), &reused));
-        drop((view, reused));
+        let again = open(&second).unwrap();
+        assert!(Arc::ptr_eq(&again.map, &reused));
+        assert_eq!((again.base, again.len), (BASE + 0x4000, LEN));
+        drop((view, reused, again));
+
+        let foreign = dir.join("foreign");
+        std::fs::write(&foreign, [0x5au8; 64]).unwrap();
+        let err = open(&foreign).err().expect("no trailer, no region");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,8 +1,7 @@
 //! Single-producer single-consumer byte ring over a [`Segment`].
 //!
 //! The ring carries variable-size records — `[len u32][kind u8][magic
-//! u8][status u8][reserved u8]` header plus payload — through a fixed data
-//! area. Cursors are *monotone byte counts* (they never wrap); only the
+//! u8][reserved u16]` header plus payload — through a fixed data area. Cursors are *monotone byte counts* (they never wrap); only the
 //! data offsets wrap, so "full" (`tail - head == capacity`) and "empty"
 //! (`tail == head`) are unambiguous without a sacrificial slot. Records may
 //! straddle the physical wrap point: every copy is split at the boundary.
@@ -16,9 +15,8 @@
 //!
 //! The acquire on `Tail` is what makes the record bytes visible to the
 //! consumer; the acquire on `Head` is what lets the producer reuse space.
-//! A consumer may keep a record at the head, or release it with a status
-//! byte that the producer reads back once `Head` has passed it, and before
-//! it reuses the space (the reclaim rule, in [`Segment`]'s contract).
+//! `Head` is a word the other side writes: one that runs past `Tail` is
+//! read as `Tail` (an empty ring), never as more room than the ring has.
 //!
 //! Each end remembers the other side's cursor as it last read it and goes
 //! back to the shared word only when that copy says *full* (producer) or
@@ -41,12 +39,8 @@ use std::sync::Arc;
 use super::segment::{Ctrl, Segment};
 
 /// Per-record header bytes: `len: u32` | `kind: u8` | `magic: u8` |
-/// `status: u8` | `reserved: u8`.
+/// `reserved: u16`.
 pub const RECORD_HEADER: u64 = 8;
-
-/// Offset of the status byte in a record header: 0 as the producer writes
-/// it, and whatever the consumer released the record with.
-const STATUS_AT: u64 = 6;
 
 /// Magic byte stamped into every record header; a mismatch on pop means
 /// cursor corruption and is reported as poisoning, not silently skipped.
@@ -213,6 +207,16 @@ impl SpscRing {
         tail.saturating_sub(self.seen_head.load(Ordering::Relaxed))
     }
 
+    /// Producer side: [`len`](Self::len), with the `Head` it loads kept as
+    /// the remembered one, so that [`len_bound`](Self::len_bound) is exact
+    /// again until the next push.
+    pub(crate) fn producer_len(&self) -> u64 {
+        let tail = self.seg.ctrl_load(Ctrl::Tail);
+        let head = self.seg.ctrl_load(Ctrl::Head).min(tail);
+        self.seen_head.store(head, Ordering::Relaxed);
+        tail - head
+    }
+
     /// Bytes ever consumed: the consumer's cursor.
     pub fn consumed(&self) -> u64 {
         self.seg.ctrl_load(Ctrl::Head)
@@ -315,7 +319,7 @@ impl SpscRing {
         let mut head = self.seen_head.load(Ordering::Relaxed);
         if cap - (tail - head) < need {
             // Full as far as the remembered `Head` says: look again.
-            head = self.seg.ctrl_load(Ctrl::Head);
+            head = self.seg.ctrl_load(Ctrl::Head).min(tail);
             self.seen_head.store(head, Ordering::Relaxed);
             if cap - (tail - head) < need {
                 return false;
@@ -373,19 +377,6 @@ impl SpscRing {
     pub fn try_pop_with<R>(
         &self,
         read: impl FnOnce(u8, &mut RecordReader<'_>) -> R,
-    ) -> Result<R, Popped> {
-        self.try_take_with(|kind, payload| (read(kind, payload), Some(0)))
-    }
-
-    /// Read the record at the head in place, as
-    /// [`try_pop_with`](Self::try_pop_with) does, and let `read` say what
-    /// becomes of it: `Some(status)` releases it, a non-zero `status` first
-    /// written into its header for the producer
-    /// ([`status_at`](Self::status_at)); `None` leaves it at the head, to be
-    /// read again by the next call.
-    pub(crate) fn try_take_with<R>(
-        &self,
-        read: impl FnOnce(u8, &mut RecordReader<'_>) -> (R, Option<u8>),
     ) -> Result<R, Popped> {
         let head = self.seg.ctrl_load(Ctrl::Head);
         // As `seen_head` in `try_push_with`: this side's own word, and the
@@ -445,24 +436,9 @@ impl SpscRing {
                 backlog: avail,
             }
         };
-        let (out, release) = read(kind, &mut reader);
-        if let Some(status) = release {
-            if status != 0 {
-                // Before `Head` moves: its release publishes the byte.
-                self.write_wrapped(head + STATUS_AT, &[status]);
-            }
-            self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
-        }
+        let out = read(kind, &mut reader);
+        self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
         Ok(out)
-    }
-
-    /// Producer side: the status byte of the record published at `pos` (0
-    /// unless the consumer released it with another), once `Head` has
-    /// passed it and until its space is reused.
-    pub(crate) fn status_at(&self, pos: u64) -> u8 {
-        let mut status = [0u8];
-        self.read_wrapped(pos + STATUS_AT, &mut status);
-        status[0]
     }
 }
 
@@ -538,32 +514,6 @@ mod tests {
         assert_eq!(body, (0..11).collect::<Vec<u8>>());
         assert_eq!(r.try_pop_with(|_, _| ()), Err(Popped::Empty));
         assert!(r.is_empty(), "the space went back when the reader returned");
-    }
-
-    /// A record the consumer keeps is read again, whole, by the next take;
-    /// one it releases with a status hands that status back to the
-    /// producer, here through a header that straddles the wrap point.
-    #[test]
-    fn a_kept_record_is_read_again_and_a_released_one_carries_its_status() {
-        let r = ring(40);
-        // Park the cursors at 34: the next header's status byte is the
-        // first byte of the data area.
-        assert!(r.try_push(0, &[0; 26]));
-        assert_eq!(r.try_pop_with(|_, _| ()), Ok(()));
-        assert!(r.try_push(7, b"abc"));
-        let at = r.consumed();
-        let peek = |kind, p: &mut RecordReader<'_>| ((kind, p.remaining()), None);
-        assert_eq!(r.try_take_with(peek), Ok((7, 3)));
-        assert_eq!(r.try_take_with(peek), Ok((7, 3)), "kept, and read again");
-        assert_eq!(r.consumed(), at);
-        assert_eq!(r.try_take_with(|kind, _| (kind, Some(0x5c))), Ok(7));
-        assert_eq!(r.consumed(), r.published(), "released");
-        assert_eq!(r.status_at(at), 0x5c);
-        // Released with 0, a record's status is the producer's own 0.
-        assert!(r.try_push(8, b"d"));
-        let at = r.consumed();
-        assert_eq!(r.try_pop_with(|kind, _| kind), Ok(8));
-        assert_eq!(r.status_at(at), 0);
     }
 
     #[test]

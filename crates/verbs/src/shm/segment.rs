@@ -42,14 +42,22 @@ pub enum Ctrl {
     Closed = 2,
     /// Consumer attach acknowledgement (cross-process bring-up).
     Attached = 3,
+    /// Receive credits: how many receive WRs the consumer's QP has had
+    /// posted in all (monotone), which its producer spends one per
+    /// write-with-immediate (see `ShmFabric`).
+    Credits = 4,
+    /// `Head` as of the consumer's last scan that found the ring empty:
+    /// every record below it was taken, and the consumer's poller came back
+    /// afterwards (see `ShmFabric`'s RNR rule).
+    Polled = 5,
 }
 
 /// Number of control slots.
-pub const CTRL_SLOTS: usize = 4;
+pub const CTRL_SLOTS: usize = 6;
 
 /// Bytes reserved at the front of a file segment; the data area starts
 /// here. Layout (little-endian `u64`s): magic at 0, capacity at 8, the
-/// [`Ctrl`] words at `16 + 8 * slot`, the rest reserved. The mapping is
+/// [`Ctrl`] words at `16 + 8 * slot`. The mapping is
 /// page-aligned, so every word is naturally aligned.
 pub const FILE_HEADER: u64 = 64;
 
@@ -66,12 +74,7 @@ pub const SEG_MAGIC: u64 = 0x5052_5458_5348_4d31; // "PRTXSHM1"
 /// acquire operations, so data written *before* a [`Ctrl::Tail`] store is
 /// visible *after* the corresponding load. Data access is only valid for
 /// ranges the protocol proves unshared: the consumer reads only `[head,
-/// tail)`, and writes there only the status byte of the record it is about
-/// to release, before the `Head` store that releases it; the producer reads
-/// a released record's status byte in `[reclaimed, head)`, where
-/// `reclaimed` is how far it has read them, and writes only `[tail,
-/// reclaimed + capacity)` (a producer that reads no statuses has `reclaimed
-/// = head`).
+/// tail)`, and the producer writes only `[tail, head + capacity)`.
 ///
 /// # Safety
 ///
@@ -103,9 +106,8 @@ pub unsafe trait Segment: Send + Sync {
     fn data_write(&self, off: u64, src: &[u8]) {
         assert!(in_bounds(off, src.len(), self.capacity()));
         // SAFETY: bounds asserted; the range is the caller's per the
-        // `Segment` contract (the producer's span, or the status byte of a
-        // record the consumer is releasing), and the control-word release
-        // that follows (`Tail`, `Head`) publishes it to the other side.
+        // `Segment` contract (the producer's span), and the `Tail` release
+        // that follows publishes it to the other side.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.data().add(off as usize), src.len());
         }
@@ -115,9 +117,8 @@ pub unsafe trait Segment: Send + Sync {
     fn data_read(&self, off: u64, dst: &mut [u8]) {
         assert!(in_bounds(off, dst.len(), self.capacity()));
         // SAFETY: bounds asserted; the range is the caller's to read per the
-        // `Segment` contract, published by a control-word release (`Tail`
-        // for a record, `Head` for a status byte) the caller has already
-        // acquire-loaded.
+        // `Segment` contract, published by the `Tail` release the caller has
+        // already acquire-loaded.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 self.data().add(off as usize),
@@ -227,22 +228,16 @@ pub(super) mod sys {
     const PROT_WRITE: c_int = 2;
     const MAP_SHARED: c_int = 1;
 
-    /// Map the first `len` bytes of `file` shared, read-write or (`writable
-    /// = false`) read-only.
-    pub fn map(file: &std::fs::File, len: usize, writable: bool) -> std::io::Result<*mut u8> {
-        let prot = if writable {
-            PROT_READ | PROT_WRITE
-        } else {
-            PROT_READ
-        };
+    /// Map the first `len` bytes of `file` shared and read-write.
+    pub fn map(file: &std::fs::File, len: usize) -> std::io::Result<*mut u8> {
         // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing
-        // this process owns; `file` is open with the access `prot` asks for
-        // and the caller has checked it is at least `len` bytes long.
+        // this process owns; `file` is open for reading and writing and the
+        // caller has checked it is at least `len` bytes long.
         let base = unsafe {
             mmap(
                 std::ptr::null_mut(),
                 len,
-                prot,
+                PROT_READ | PROT_WRITE,
                 MAP_SHARED,
                 file.as_raw_fd(),
                 0,
@@ -293,7 +288,7 @@ pub(super) mod sys {
         Err(std::io::ErrorKind::Unsupported.into())
     }
 
-    pub fn map(_file: &std::fs::File, _len: usize, _writable: bool) -> std::io::Result<*mut u8> {
+    pub fn map(_file: &std::fs::File, _len: usize) -> std::io::Result<*mut u8> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "cross-process shm segments require a 64-bit unix platform",
@@ -334,8 +329,8 @@ fn read_at(file: &std::fs::File, off: u64, dst: &mut [u8]) -> std::io::Result<()
 /// One shared mapping of a whole file: a segment's, or a registered
 /// region's in a host-mode fabric (see
 /// [`Fabric::region_storage`](crate::Fabric::region_storage)), which the
-/// owner maps read-write and a peer read-only. A zero-length file maps to no
-/// memory at all.
+/// owner maps and a sending peer maps to place its writes. A zero-length
+/// file maps to no memory at all.
 ///
 /// After the constructor returns, every access is a load or a store into
 /// the mapping. A peer that truncates the file under a live mapping turns
@@ -356,13 +351,13 @@ unsafe impl Send for FileMapping {}
 unsafe impl Sync for FileMapping {}
 
 impl FileMapping {
-    /// Map the first `len` bytes of `file`, read-write or read-only.
-    pub(super) fn map(file: &std::fs::File, len: u64, writable: bool) -> std::io::Result<Self> {
+    /// Map the first `len` bytes of `file`.
+    pub(super) fn map(file: &std::fs::File, len: u64) -> std::io::Result<Self> {
         let len = usize::try_from(len)
             .map_err(|_| std::io::Error::other("mapping larger than the address space"))?;
         let base = match len {
             0 => std::ptr::NonNull::dangling().as_ptr(),
-            _ => sys::map(file, len, writable)?,
+            _ => sys::map(file, len)?,
         };
         Ok(FileMapping {
             base,
@@ -389,16 +384,19 @@ impl FileMapping {
     /// Map all `len` bytes of `file` read-write as a region's own mapping,
     /// which keeps the file open and goes back to the region pool on drop.
     pub(super) fn region_of(file: std::fs::File, len: u64) -> std::io::Result<Self> {
-        let mut map = Self::map(&file, len, true)?;
+        let mut map = Self::map(&file, len)?;
         map.region = Some(file);
         Ok(map)
     }
 
-    /// Map the whole of the existing file at `path` read-only.
-    pub(super) fn open_read_only(path: &Path) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
+    /// Map the whole of the existing file at `path` read-write.
+    pub(super) fn open_writable(path: &Path) -> std::io::Result<Self> {
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)?;
         let len = file.metadata()?.len();
-        Self::map(&file, len, false)
+        Self::map(&file, len)
     }
 
     /// The region's file, if this is a region's own mapping.
@@ -442,7 +440,7 @@ pub struct FileSegment {
 impl FileSegment {
     fn map(file: &std::fs::File, capacity: u64) -> std::io::Result<Self> {
         Ok(FileSegment {
-            map: FileMapping::map(file, FILE_HEADER + capacity, true)?,
+            map: FileMapping::map(file, FILE_HEADER + capacity)?,
             capacity,
         })
     }

@@ -29,15 +29,19 @@
 //! on real threads; and so is a consumer whose close-drain "re-read" looks at
 //! its remembered `Tail` instead of the word, which loses the same records.
 //!
-//! A second model checks the reclaim rule of a ring whose records carry
-//! their outcome back (`ShmFabric`'s data ring): a poster pushes, the
-//! consumer writes each record's status into its slot and then releases it
-//! (`Head`), and the sender's completer reads `Head`, then the status of
-//! every record below it, and only then moves the poster's bound
-//! (`reclaimed`). Every status must be read as the consumer wrote it, and
-//! no state may be stuck. The checker must catch the mutant that bounds the
-//! push by `Head` instead: it reuses a released slot before its status is
-//! read.
+//! A second model checks `ShmFabric`'s receive-credit protocol: a sender
+//! that places each WR and rings its doorbell, spending one credit per
+//! write-with-imm from the credit word its receiver publishes, holding a
+//! write with no credit until the receiver has notified the ring ahead and
+//! come back to find it empty, and only then starting the RNR rule; a
+//! receiver that posts receives, notifies doorbells and looks at an empty
+//! ring; and optionally a forger that raises the credit word past what
+//! was posted. Every write-with-imm must consume exactly one posted
+//! receive, receiver-not-ready must be decided only when the receiver has
+//! notified everything ahead and has no receive left, a forged word must
+//! complete nothing beyond what was posted, and no state may be stuck. The
+//! checker must catch a sender that spends a credit twice, and one that
+//! starts its RNR wait before the ring ahead has drained.
 //!
 //! Bounds: capacities 1–3 records × streams of 1–4 records by default.
 //! Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4, stream
@@ -364,151 +368,289 @@ fn stale_head_space_check_never_overcommits() {
     .check();
 }
 
-/// The status the consumer releases record `k` with: never 0, which is
-/// what a freshly pushed record holds, and different for neighbours.
-fn status_of(k: u8) -> u8 {
-    1 + k % 2
+/// The sender's program counter in the credit model, mirroring
+/// `ShmFabric::try_send` and its RNR rule for the first WR not sent yet.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Sender {
+    /// About to try WR `next`: a bare write is placed at once; a
+    /// write-with-imm reads the credit word if the credits this side knows
+    /// of are spent, and is placed if one is left.
+    Try,
+    /// A write-with-imm with no credit: about to load `Polled` and see
+    /// whether the receiver has notified every doorbell ahead of it and
+    /// come back to an empty ring since.
+    Drained,
+    /// The ring was drained: about to read the credit word again, and make
+    /// a receiver-not-ready attempt if it still shows no credit.
+    Recheck,
+    /// The RNR timer is armed, with `left` re-arms left; it expires at some
+    /// point, and the WR is tried again.
+    Armed { left: u8 },
+    /// Every WR is placed or failed.
+    Done,
 }
 
-/// The most records a reclaim model's ring holds.
-const MAX_CAP: usize = 4;
+/// The most doorbells a credit model's ring holds.
+const MAX_BELLS: usize = 4;
 
-/// What a ring slot holds: the record last pushed there (the model's own
-/// bookkeeping; the real completer knows only positions), and its status
-/// byte.
+/// One interleaved state of the credit protocol: a sender of `n` WRs, the
+/// doorbell ring, and a receiver that posts up to `receives` receive WRs
+/// and notifies doorbells, in any order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Slot {
-    rec: u8,
-    status: u8,
-}
-
-/// The completer's program counter, mirroring `ShmFabric::complete_sends`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Completer {
-    /// About to load `Head`.
-    LoadHead,
-    /// Loaded `Head` as `h`; about to read the status of record `k`.
-    Read { h: u8, k: u8 },
-    /// Has read every status below `h`; about to store `reclaimed = h`.
-    Reclaim { h: u8 },
-}
-
-/// One interleaved state of poster, consumer and completer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct ReclaimWorld {
+struct CreditWorld {
+    sender: Sender,
+    /// The first WR not placed or failed.
+    next: u8,
+    /// Credits spent, and the credit word as the sender last read it.
+    spent: u8,
+    limit: u8,
+    /// WRs that fail at their first receiver-not-ready attempt.
+    flush: u8,
+    /// Doorbells published (`Tail`) and notified (`Head`); slot `k %
+    /// cap` holds the WR index of doorbell `k`.
     tail: u8,
     head: u8,
-    reclaimed: u8,
-    slots: [Slot; MAX_CAP],
-    /// The consumer has written the status of record `head` and is about
-    /// to release it.
-    marked: bool,
-    completer: Completer,
+    ring: [u8; MAX_BELLS],
+    /// `Head` as of the receiver's last look at an empty ring.
+    polled: u8,
+    /// The credit word: the receiving QP's posted count, as published.
+    credit: u8,
+    /// Receive WRs posted, and consumed by notify.
+    posted: u8,
+    consumed: u8,
+    /// Receive completions pushed, and doorbells of a write-with-imm that
+    /// found no receive WR (refused and counted).
+    cqes: u8,
+    refused: u8,
+    /// WRs that failed `RnrRetryExceeded`.
+    failed: u8,
+    /// Whether the forger has written the credit word.
+    forged: bool,
 }
 
-/// The reclaim model: `n` records through a ring of `cap` records, the
-/// poster bounded by `reclaimed` or (the mutant) by `Head`.
+/// A sender that breaks the protocol.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum CreditMutant {
+    /// The protocol.
+    None,
+    /// Takes a credit when the word shows exactly what it has spent: the
+    /// last credit is spent twice.
+    SpendsTwice,
+    /// Starts the RNR rule without waiting for the ring ahead to drain.
+    RnrBeforeDrain,
+}
+
+/// The credit model: `n` WRs (WR `i` a write-with-imm unless bit `i` of
+/// `bare` is set) through a ring of `cap` doorbells, `receives` receive WRs,
+/// an `rnr_retry` budget, and optionally a forger that raises the credit
+/// word once past what was posted.
 #[derive(Clone, Copy)]
-struct ReclaimModel {
+struct CreditModel {
     n: u8,
+    bare: u8,
     cap: u8,
-    bound_by_head: bool,
+    receives: u8,
+    rnr_retry: u8,
+    forger: bool,
+    mutant: CreditMutant,
 }
 
-impl ReclaimModel {
-    /// Every successor of `w`; `Err` names a status read wrong.
-    fn successors(&self, w: ReclaimWorld, out: &mut Vec<ReclaimWorld>) -> Result<(), String> {
-        let slot = |k: u8| (k % self.cap) as usize;
-        // Poster: one step publishes the record (bytes, then `Tail`), as
-        // `enqueue_data` does once the bound it read shows room. The bound
-        // only grows, so reading it in the same step loses nothing.
-        let bound = if self.bound_by_head {
-            w.head
-        } else {
-            w.reclaimed
-        };
-        if w.tail < self.n && w.tail - bound < self.cap {
+impl CreditModel {
+    fn is_imm(&self, wr: u8) -> bool {
+        self.bare & (1 << wr) == 0
+    }
+
+    /// Place WR `next` and ring its doorbell, if the ring has room (else
+    /// the sender stays where it is, as a full ring waits).
+    fn place(&self, w: CreditWorld, out: &mut Vec<CreditWorld>) {
+        if w.tail - w.head < self.cap {
             let mut v = w;
-            v.slots[slot(w.tail)] = Slot {
-                rec: w.tail,
-                status: 0,
-            };
+            v.ring[(w.tail % self.cap) as usize] = w.next;
             v.tail += 1;
+            v.spent += u8::from(self.is_imm(w.next));
+            v.next += 1;
+            v.flush = w.flush.saturating_sub(1);
+            v.sender = if v.next == self.n {
+                Sender::Done
+            } else {
+                Sender::Try
+            };
             out.push(v);
         }
-        // Consumer: write the head record's status into its slot, then
-        // release it.
-        if w.marked {
-            let mut v = w;
-            v.head += 1;
-            v.marked = false;
-            out.push(v);
-        } else if w.head < w.tail {
-            assert_eq!(w.slots[slot(w.head)].rec, w.head, "FIFO in {w:?}");
-            let mut v = w;
-            v.slots[slot(w.head)].status = status_of(w.head);
-            v.marked = true;
-            out.push(v);
+    }
+
+    /// A receiver-not-ready attempt of WR `next`, with `left` re-arms left:
+    /// the receiver must really be not ready — every doorbell ahead
+    /// notified, and no posted receive left unconsumed — as a responder
+    /// decides RNR when the packet reaches it.
+    fn attempt(&self, w: CreditWorld, left: u8, out: &mut Vec<CreditWorld>) -> Result<(), String> {
+        if !w.forged && (w.head != w.tail || w.posted != w.consumed) {
+            return Err(format!(
+                "RNR attempt while the receiver was ready or had doorbells ahead: {w:?}"
+            ));
         }
-        // Completer: load `Head`, read each status below it, reclaim.
         let mut v = w;
-        match w.completer {
-            Completer::LoadHead if w.head > w.reclaimed => {
-                v.completer = Completer::Read {
-                    h: w.head,
-                    k: w.reclaimed,
+        if left > 0 {
+            v.sender = Sender::Armed { left: left - 1 };
+        } else {
+            v.failed += 1;
+            v.next += 1;
+            // The WRs behind it fail at their first attempt.
+            v.flush = self.n - v.next;
+            v.sender = if v.next == self.n {
+                Sender::Done
+            } else {
+                Sender::Try
+            };
+        }
+        out.push(v);
+        Ok(())
+    }
+
+    fn successors(&self, w: CreditWorld, out: &mut Vec<CreditWorld>) -> Result<(), String> {
+        // Sender.
+        let credit_left = |w: &CreditWorld, word: u8| match self.mutant {
+            CreditMutant::SpendsTwice => w.spent <= word,
+            _ => w.spent < word,
+        };
+        match w.sender {
+            Sender::Try if !self.is_imm(w.next) => self.place(w, out),
+            Sender::Try => {
+                let mut v = w;
+                if w.spent == w.limit {
+                    v.limit = w.limit.max(w.credit);
+                }
+                if credit_left(&v, v.limit) {
+                    self.place(v, out);
+                } else if self.mutant == CreditMutant::RnrBeforeDrain {
+                    v.sender = Sender::Recheck;
+                    out.push(v);
+                } else {
+                    v.sender = Sender::Drained;
+                    out.push(v);
+                }
+            }
+            Sender::Drained => {
+                let mut v = w;
+                // Not drained: not yet receiver-not-ready; try again later.
+                v.sender = match w.polled == w.tail {
+                    true => Sender::Recheck,
+                    false => Sender::Try,
                 };
                 out.push(v);
             }
-            Completer::LoadHead => {}
-            Completer::Read { h, k } => {
-                let got = w.slots[slot(k)];
-                if got.rec != k || got.status != status_of(k) {
+            Sender::Recheck => {
+                let mut v = w;
+                v.limit = w.limit.max(w.credit);
+                if credit_left(&v, v.limit) {
+                    self.place(v, out);
+                } else {
+                    let left = if w.flush > 0 { 0 } else { self.rnr_retry };
+                    self.attempt(v, left, out)?;
+                }
+            }
+            Sender::Armed { left } => {
+                // The timer expires; the credit word is read again first.
+                let mut v = w;
+                if w.spent == w.limit {
+                    v.limit = w.limit.max(w.credit);
+                }
+                if credit_left(&v, v.limit) {
+                    self.place(v, out);
+                } else {
+                    self.attempt(v, left, out)?;
+                }
+            }
+            Sender::Done => {}
+        }
+        // Receiver: post a receive (published under the receive lock, one
+        // step), notify the doorbell at `Head`, or find the ring empty and
+        // publish `Head` as `Polled`.
+        if w.head == w.tail && w.polled != w.head {
+            let mut v = w;
+            v.polled = w.head;
+            out.push(v);
+        }
+        if w.posted < self.receives {
+            let mut v = w;
+            v.posted += 1;
+            v.credit = v.posted;
+            out.push(v);
+        }
+        if w.head < w.tail {
+            let mut v = w;
+            let wr = w.ring[(w.head % self.cap) as usize];
+            if self.is_imm(wr) {
+                if w.posted > w.consumed {
+                    v.consumed += 1;
+                    v.cqes += 1;
+                } else if w.forged {
+                    v.refused += 1;
+                } else {
                     return Err(format!(
-                        "record {k}'s status was overwritten before it was read: \
-                         its slot holds {got:?} in {w:?}"
+                        "write-with-imm {wr} notified with no posted receive: {w:?}"
                     ));
                 }
-                v.completer = if k + 1 == h {
-                    Completer::Reclaim { h }
-                } else {
-                    Completer::Read { h, k: k + 1 }
-                };
-                out.push(v);
             }
-            Completer::Reclaim { h } => {
-                v.reclaimed = h;
-                v.completer = Completer::LoadHead;
-                out.push(v);
-            }
+            v.head += 1;
+            out.push(v);
+        }
+        // Forger: raise the credit word past what was posted, once.
+        if self.forger && !w.forged {
+            let mut v = w;
+            v.credit = w.posted + 2;
+            v.forged = true;
+            out.push(v);
         }
         Ok(())
     }
 
-    /// Explore every interleaving: `Err` on a status read wrong; a stuck
-    /// state panics.
+    /// Explore every interleaving: `Err` names the first broken property; a
+    /// stuck state or a lost completion panics.
     fn check(&self) -> Result<(), String> {
-        assert!(usize::from(self.cap) <= MAX_CAP);
-        let initial = ReclaimWorld {
+        assert!(usize::from(self.cap) <= MAX_BELLS);
+        let initial = CreditWorld {
+            sender: if self.n == 0 {
+                Sender::Done
+            } else {
+                Sender::Try
+            },
+            next: 0,
+            spent: 0,
+            limit: 0,
+            flush: 0,
             tail: 0,
             head: 0,
-            reclaimed: 0,
-            slots: [Slot { rec: 0, status: 0 }; MAX_CAP],
-            marked: false,
-            completer: Completer::LoadHead,
+            ring: [0; MAX_BELLS],
+            polled: 0,
+            credit: 0,
+            posted: 0,
+            consumed: 0,
+            cqes: 0,
+            refused: 0,
+            failed: 0,
+            forged: false,
         };
         let mut seen = HashSet::new();
         let mut stack = vec![initial];
-        let mut succ = Vec::with_capacity(3);
+        let mut succ = Vec::with_capacity(4);
         while let Some(w) = stack.pop() {
             if !seen.insert(w) {
                 continue;
             }
+            // Nothing completes beyond what was posted, forged or not.
+            assert!(w.cqes <= w.posted && w.consumed == w.cqes, "{w:?}");
             succ.clear();
             self.successors(w, &mut succ)?;
             if succ.is_empty() {
-                let done = (w.tail, w.head, w.reclaimed) == (self.n, self.n, self.n);
-                assert!(done, "stuck in {w:?}");
+                // No stuck state: the sender resolved every WR, and every
+                // doorbell was notified — each write-with-imm that was
+                // placed completed on the receiver or was refused.
+                assert_eq!(w.sender, Sender::Done, "sender stuck in {w:?}");
+                assert_eq!(w.head, w.tail, "doorbells left in {w:?}");
+                let imms = (0..self.n).filter(|&i| self.is_imm(i)).count() as u8;
+                assert_eq!(w.spent, imms - w.failed, "{w:?}");
+                assert_eq!(w.cqes + w.refused, w.spent, "{w:?}");
             }
             stack.extend(succ.iter().copied());
         }
@@ -516,43 +658,74 @@ impl ReclaimModel {
     }
 }
 
-/// The reclaim rule reads every status as the consumer wrote it, in every
-/// interleaving, and always finishes.
-#[test]
-fn reclaim_rule_reads_every_status_before_its_slot_is_reused() {
+/// Every credit model at the bounds, `forger` and `mutant` as given; the
+/// first failure with its parameters.
+fn check_credit_models(forger: bool, mutant: CreditMutant) -> Result<(), String> {
     let (max_n, max_cap) = bounds();
     for n in 1..=max_n {
-        for cap in 1..=max_cap {
-            let model = ReclaimModel {
-                n,
-                cap,
-                bound_by_head: false,
-            };
-            if let Err(e) = model.check() {
-                panic!("n={n} cap={cap}: {e}");
+        for bare in [0, 0b10] {
+            for cap in 1..=max_cap {
+                for receives in 0..=n {
+                    for rnr_retry in 0..=1 {
+                        let model = CreditModel {
+                            n,
+                            bare,
+                            cap,
+                            receives,
+                            rnr_retry,
+                            forger,
+                            mutant,
+                        };
+                        model.check().map_err(|e| {
+                            format!("n={n} bare={bare:#b} cap={cap} receives={receives} rnr_retry={rnr_retry}: {e}")
+                        })?;
+                    }
+                }
             }
         }
     }
+    Ok(())
 }
 
-/// Checker self-test: a poster bounded by `Head`, which the ring's own
-/// space check is, reuses a released slot before the completer has read its
-/// status, whenever the stream is longer than the ring — and is caught at
-/// default bounds.
+/// The credit protocol, in every interleaving: every write-with-imm that
+/// is placed consumes exactly one posted receive, receiver-not-ready is
+/// decided only when the receiver has notified every doorbell ahead and has
+/// no receive left, and no state is stuck while both sides live.
 #[test]
-fn checker_finds_a_push_bounded_by_head_instead_of_reclaimed() {
-    let (max_n, max_cap) = bounds();
-    for n in 1..=max_n {
-        for cap in 1..=max_cap {
-            let model = ReclaimModel {
-                n,
-                cap,
-                bound_by_head: true,
-            };
-            let caught = model.check().is_err();
-            assert_eq!(caught, n > cap, "n={n} cap={cap}");
-        }
+fn every_write_with_imm_consumes_exactly_one_posted_receive() {
+    if let Err(e) = check_credit_models(false, CreditMutant::None) {
+        panic!("{e}");
     }
+}
+
+/// A credit word forged past what was posted completes nothing beyond it:
+/// a write-with-imm that finds no receive WR is refused and counted, and
+/// no state is stuck.
+#[test]
+fn a_forged_credit_word_completes_nothing_beyond_what_was_posted() {
+    if let Err(e) = check_credit_models(true, CreditMutant::None) {
+        panic!("{e}");
+    }
+}
+
+/// Checker self-test: a sender that spends its last credit twice places a
+/// write-with-imm no receive was posted for, and is caught at default
+/// bounds.
+#[test]
+fn checker_finds_a_sender_that_spends_a_credit_twice() {
+    let found = check_credit_models(false, CreditMutant::SpendsTwice);
+    let e = found.expect_err("the double spend was not found");
+    assert!(e.contains("no posted receive"), "{e}");
+}
+
+/// Checker self-test: a sender that starts its RNR wait while the ring
+/// ahead of it still holds doorbells decides receiver-not-ready for a
+/// receiver that may be about to post, and is caught at default bounds.
+#[test]
+fn checker_finds_an_rnr_wait_started_before_the_ring_drained() {
+    let found = check_credit_models(false, CreditMutant::RnrBeforeDrain);
+    let e = found.expect_err("the early RNR wait was not found");
+    assert!(e.contains("RNR attempt"), "{e}");
 }
 
 /// Concrete counterpart on the real ring: hammer the close-drain

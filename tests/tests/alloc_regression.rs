@@ -7,8 +7,7 @@
 //! progress polling all run out of recycled storage — one box per work
 //! request on the simulated fabric (the transfer's `Flight`, which carries
 //! the job through its delivery, RNR and ack events), and nothing per
-//! delivered record or per ack in a progress scan of the shared-memory
-//! fabric.
+//! placed write or per notified doorbell on the shared-memory fabric.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -153,18 +152,16 @@ fn steady_state_timer_flush_sim_round_allocates_a_flight_per_wr_and_a_list_per_s
     );
 }
 
-/// The real-time path: one progress scan of a `ShmFabric` takes every
-/// waiting DATA record from its ring to the destination region and the
-/// receive CQ, releases it, and takes every released record to the send
-/// CQ. The test holds
-/// the fabric's progress itself (`pause_progress`), so the scans — and the
-/// counting — happen on this thread. A record staged through a buffer of its
-/// own on the way (two allocations each, before in-place delivery), a
-/// per-completion job, or a scratch list per scan shows up here. Over a loopback
-/// fabric and over a host-mode one, whose file segments and region files
-/// this one fabric maps both ends of: there the first record that names the
-/// source region maps it (during warm-up), and every later one finds it
-/// mapped.
+/// The real-time path: a post of a `ShmFabric` places its bytes, rings its
+/// doorbell and completes, and one progress scan notifies every doorbell
+/// waiting on a ring. The test holds the fabric's progress itself
+/// (`pause_progress`), so the scans — and the counting — happen on this
+/// thread. A doorbell staged through a buffer of its own, a per-completion
+/// job, a held-WR queue that grows per post, or a scratch list per scan shows
+/// up here. Over a loopback fabric and over a host-mode one, whose file
+/// segments and region files this one fabric maps both ends of: there the
+/// first post that names the destination region maps it (during warm-up),
+/// and every later one finds it mapped.
 #[test]
 fn steady_state_shm_progress_scan_is_allocation_free() {
     scans_allocate_nothing(ShmFabric::loopback(), false);
@@ -202,45 +199,55 @@ fn scans_allocate_nothing(fabric: Arc<ShmFabric>, host: bool) {
     let dst = b.reg_mr(pdb, WINDOW as usize * LEN).unwrap();
 
     let mut driver = fabric.pause_progress();
-    let mut scan_allocs = 0u64;
+    let mut steady_allocs = 0u64;
     for round in 0..WARM_UP + ROUNDS {
-        for i in 0..WINDOW {
-            let off = i as usize * LEN;
-            src.fill(off, LEN, (round * WINDOW + i) as u8).unwrap();
-            qb.post_recv(RecvWr::bare(i)).unwrap();
-            qa.post_send(SendWr {
+        // The WRs are built outside the count: their gather lists are the
+        // caller's allocations.
+        let wrs: Vec<SendWr> = (0..WINDOW)
+            .map(|i| SendWr {
                 wr_id: i,
                 opcode: Opcode::RdmaWriteWithImm,
                 sg_list: vec![Sge {
-                    addr: src.addr_at(off),
+                    addr: src.addr_at(i as usize * LEN),
                     length: LEN as u32,
                     lkey: src.lkey(),
                 }],
-                remote_addr: dst.addr_at(off),
+                remote_addr: dst.addr_at(i as usize * LEN),
                 rkey: dst.rkey(),
                 imm: Some(i as u32),
                 inline_data: false,
                 flow: 0,
             })
-            .unwrap();
+            .collect();
+        for i in 0..WINDOW {
+            let off = i as usize * LEN;
+            src.fill(off, LEN, (round * WINDOW + i) as u8).unwrap();
         }
-        // Nothing else scans: the window sits on the ring until this does.
+        let (post_allocs, ()) = count_allocs(|| {
+            for (i, wr) in (0..WINDOW).zip(wrs) {
+                qb.post_recv(RecvWr::bare(i)).unwrap();
+                qa.post_send(wr).unwrap();
+            }
+        });
+        // Placed and completed by the posts; nothing else scans, so the
+        // doorbells sit on the ring until this does.
+        assert_eq!(cqa.total_pushed(), (round + 1) * WINDOW);
         assert_eq!(fabric.data_records(), round * WINDOW);
         let done = (round + 1) * WINDOW;
         let deadline = Instant::now() + Duration::from_secs(10);
-        let (allocs, ()) = count_allocs(|| {
-            while cqa.total_pushed() < done {
+        let (scan_allocs, ()) = count_allocs(|| {
+            while cqb.total_pushed() < done {
                 driver.scan();
                 assert!(Instant::now() < deadline, "scans made no progress");
             }
         });
         if round >= WARM_UP {
-            scan_allocs += allocs;
+            steady_allocs += post_allocs + scan_allocs;
         }
         for i in 0..WINDOW {
-            let recv = cqb.poll_one().expect("delivered by the scan");
+            let recv = cqb.poll_one().expect("notified by the scan");
             assert_eq!((recv.wr_id, recv.imm), (i, Some(i as u32)));
-            let send = cqa.poll_one().expect("completed by the scan");
+            let send = cqa.poll_one().expect("completed by the post");
             assert_eq!((send.wr_id, send.status), (i, WcStatus::Success));
         }
         let want: Vec<u8> = (0..WINDOW)
@@ -250,9 +257,9 @@ fn scans_allocate_nothing(fabric: Arc<ShmFabric>, host: bool) {
     }
     assert_eq!(fabric.data_records(), (WARM_UP + ROUNDS) * WINDOW);
     assert_eq!(
-        scan_allocs,
+        steady_allocs,
         0,
-        "{scan_allocs} allocations in the scans that delivered and completed {} records",
+        "{steady_allocs} allocations in the posts and scans that placed and notified {} writes",
         ROUNDS * WINDOW
     );
     drop(driver);
