@@ -493,6 +493,7 @@ mod tests {
             gb_per_sec: 1.28e-7,
             sender_retransmits: 0,
             sender_ring_full_stalls: u64::MAX,
+            sender_rnr_deferrals: 0,
             receiver_report: report.to_string(),
         };
         let doc = bench_json(true, 2.5e-3, &[row], &[("progress_iterations", 7)]);

@@ -202,7 +202,8 @@ pub trait Fabric: Send + Sync {
     /// QP `qp_num` of `node` has had `posted` receive WRs posted in all (a
     /// monotone count), called under the QP's receive lock by every post. The
     /// default ignores it; a fabric whose senders spend receive credits (a
-    /// [`ShmFabric`](crate::ShmFabric)) publishes it to them.
+    /// [`ShmFabric`](crate::ShmFabric)) publishes it, and a decorator passes
+    /// it on.
     fn recv_posted(&self, node: NodeId, qp_num: u32, posted: u64) {
         let _ = (node, qp_num, posted);
     }

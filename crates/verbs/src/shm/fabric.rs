@@ -2014,6 +2014,64 @@ mod tests {
         }
     }
 
+    /// A ring slot is reused only once its doorbell is notified. On a ring
+    /// of two doorbells, with the receiver's fabric scanned by another
+    /// thread only after 10 ms, the third write of a window is placed and
+    /// then waits for ring space (one stall), and every doorbell is
+    /// notified once, in order: a doorbell written over one not yet
+    /// notified would lose that message, or notify it twice.
+    #[cfg(unix)]
+    #[test]
+    fn a_ring_slot_is_reused_only_after_its_doorbell_is_notified() {
+        let cfg = ShmConfig {
+            ring_capacity: 2 * BELL,
+            ..ShmConfig::default()
+        };
+        let p = host_pair(cfg, QpCaps::default());
+        let rx = &p.host.as_ref().unwrap().0;
+        let src = p.a.reg_mr(p.pda, 3 * LEN).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 3 * LEN).unwrap();
+        for i in 0..3 {
+            src.fill(i * LEN, LEN, 0x40 + i as u8).unwrap();
+            p.qb.post_recv(RecvWr::bare(600 + i as u64)).unwrap();
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                for i in 0..3u64 {
+                    let wc = poll_until(&p.cqb, "recv CQE");
+                    assert_eq!((wc.wr_id, wc.imm), (600 + i, Some(i as u32)));
+                }
+            });
+            for i in 0..3u64 {
+                let at = i as usize * LEN;
+                p.qa.post_send(SendWr {
+                    wr_id: i,
+                    opcode: Opcode::RdmaWriteWithImm,
+                    sg_list: vec![Sge {
+                        addr: src.addr_at(at),
+                        length: LEN as u32,
+                        lkey: src.lkey(),
+                    }],
+                    remote_addr: dst.addr_at(at),
+                    rkey: dst.rkey(),
+                    imm: Some(i as u32),
+                    inline_data: false,
+                    flow: 0,
+                })
+                .unwrap();
+            }
+        });
+        assert_eq!(p.fabric.ring_full_stalls(), 1, "the third write waited");
+        assert_eq!(rx.data_records(), 3);
+        for i in 0..3u64 {
+            assert_eq!(poll_until(&p.cqa, "send CQE").wr_id, i);
+            let want = vec![0x40 + i as u8; LEN];
+            assert_eq!(dst.read_vec(i as usize * LEN, LEN).unwrap(), want);
+        }
+        p.finish();
+    }
+
     /// A full ring nobody drains is a diagnostic within
     /// `full_ring_deadline`, not a hang: the receiver here attaches (so
     /// `open_tx` returns) and then never notifies a doorbell. The writes

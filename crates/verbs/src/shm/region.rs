@@ -13,9 +13,9 @@
 //!
 //! - **The regions alive in this process**, by descriptor. A peer in the
 //!   same process — several ranks to a process, as the tests and the
-//!   benchmark run them — reads the owner's own mapping instead of mapping
-//!   the file again, which would count each page twice in the process's
-//!   resident set.
+//!   benchmark run them — writes through the owner's own mapping instead
+//!   of mapping the file again, which would count each page twice in the
+//!   process's resident set.
 //! - **A pool of dropped regions' mappings**, which the next region of the
 //!   same length is taken from, zeroed. A fresh page of a memory file costs
 //!   a page fault on first touch — about 3 µs on a 2-vCPU VM, twice a fresh

@@ -1,5 +1,6 @@
 //! Exhaustive-interleaving model check of the SPSC ring's cursor protocol,
-//! its remembered cursors, and the close-drain shutdown handshake.
+//! its remembered cursors, and the close-drain shutdown handshake; and of
+//! the shared-memory fabric's receive-credit protocol.
 //!
 //! No model-checking framework is vendored, so this is a hand-rolled
 //! explicit-state checker: the producer and consumer are decomposed into
@@ -43,9 +44,11 @@
 //! checker must catch a sender that spends a credit twice, and one that
 //! starts its RNR wait before the ring ahead has drained.
 //!
-//! Bounds: capacities 1–3 records × streams of 1–4 records by default.
-//! Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4, stream
-//! ≤ 6) and raises the concrete-ring stress iterations; the state spaces
+//! Bounds: capacities 1–3 records × streams of 1–4 records by default; the
+//! credit model runs each stream all writes-with-imm and with its second WR
+//! a bare write, against 0 to as many receives as WRs and an `rnr_retry` of
+//! 0 and 1. Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4,
+//! stream ≤ 6) and raises the concrete-ring stress iterations; the state spaces
 //! stay small (tens of thousands of states) because the protocol has so
 //! little shared state — that is rather the point of the design.
 
