@@ -1,10 +1,11 @@
 //! Single-producer single-consumer byte ring over a [`Segment`].
 //!
 //! The ring carries variable-size records — `[len u32][kind u8][magic
-//! u8][reserved u16]` header plus payload — through a fixed data area. Cursors are *monotone byte counts* (they never wrap); only the
-//! data offsets wrap, so "full" (`tail - head == capacity`) and "empty"
-//! (`tail == head`) are unambiguous without a sacrificial slot. Records may
-//! straddle the physical wrap point: every copy is split at the boundary.
+//! u8][reserved u16]` header plus payload — through a fixed data area.
+//! Cursors are *monotone byte counts* (they never wrap); only the data
+//! offsets wrap, so "full" (`tail - head == capacity`) and "empty" (`tail ==
+//! head`) are unambiguous without a sacrificial slot. Records may straddle
+//! the physical wrap point: every copy is split at the boundary.
 //!
 //! Publication protocol (model-checked in `tests/ring_protocol.rs`):
 //!
@@ -116,14 +117,6 @@ impl<'a> RecordReader<'a> {
     /// Bytes not yet read.
     pub fn remaining(&self) -> usize {
         self.first.len() + self.second.len()
-    }
-
-    /// Everything not yet read, in place: the ring memory itself, in up to
-    /// two pieces (the second is empty unless the record straddles the wrap
-    /// point). Valid until the reader's closure returns and the space goes
-    /// back to the producer; whatever must outlive that is copied out.
-    pub fn rest(&self) -> [&'a [u8]; 2] {
-        [self.first, self.second]
     }
 
     /// Bytes published and unconsumed as of the consumer's last `Tail` load,
