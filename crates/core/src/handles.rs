@@ -159,9 +159,11 @@ impl Proc {
     }
 
     /// Drive the progress engine (the `MPI_Test`-without-a-request
-    /// equivalent): poll this rank's CQs and re-post its send WRs that the
-    /// outstanding-WR cap parked in software. Nothing else re-posts them —
-    /// see [`PsendRequest::test`].
+    /// equivalent): fire the world's due δ deadlines, poll this rank's CQs
+    /// and re-post its send WRs that the outstanding-WR cap parked in
+    /// software. Nothing else re-posts them — see [`PsendRequest::test`].
+    /// On the wall clock a δ fires at the first such entry, by any thread of
+    /// the world, at or after its deadline (MPI's progress rule).
     pub fn progress(&self) {
         self.inner.try_progress(None);
     }
@@ -304,7 +306,8 @@ impl PsendRequest {
     /// a free send slot and parked in software (a *spill*) if the
     /// outstanding-WR cap is reached; `pready` itself never drives progress,
     /// so a parked WR waits for [`test`](Self::test), [`wait`](Self::wait)
-    /// or [`Proc::progress`] on this rank.
+    /// or [`Proc::progress`] on this rank. Under a timer plan it first fires
+    /// the world's due δ deadlines.
     pub fn pready(&self, i: u32) -> Result<()> {
         self.shared.pready(i)
     }

@@ -117,8 +117,10 @@ impl ProcInner {
     /// completion it may hand over as `offer`: the winner of the try-lock
     /// takes it and puts it at the head of its CQ's first batch, where a
     /// poll would have found it; a loser drops it, which queues it for the
-    /// winner's next poll.
+    /// winner's next poll. First, outside the try-lock, any entry fires the
+    /// wall clock's due deadlines: there is no timer thread.
     pub(crate) fn try_progress(self: &Arc<Self>, offer: Option<Handoff<'_>>) {
+        self.time.fire_due();
         // Dispatch handlers may re-enter here; the recursive call loses the
         // try-lock and returns.
         let Some(mut scratch) = self.progress.try_lock() else {

@@ -536,6 +536,12 @@ impl SendShared {
         }
         self.core.check_index(i)?;
         let ch = self.core.channel()?;
+        if ch.plan.timer_delta.is_some() {
+            // A due δ fires before this arrival is published: a laggard past
+            // the deadline finds the flush posted, then sends its own run
+            // (the δ_b case of Fig. 5).
+            self.core.proc.time.fire_due();
+        }
         let g = ch.plan.group_of(i);
         let grp = self.group(ch, g);
         // Stamped before the bit is published: whoever sees the bit may post

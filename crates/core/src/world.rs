@@ -511,6 +511,59 @@ mod tests {
         );
     }
 
+    /// A due δ fires at the first runtime entry, by any thread of the
+    /// world, and by none before: the receiver's `progress`, a late
+    /// `pready` (which fires the flush before it posts its own run) and the
+    /// receiver's `wait_deadline`.
+    #[test]
+    fn a_due_delta_fires_at_the_first_runtime_entry() {
+        let delta = std::time::Duration::from_millis(1);
+        let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
+        cfg.delta = SimDuration::from_nanos(delta.as_nanos() as u64);
+        let world = World::instant(2, cfg);
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        let sbuf = p0.alloc_buffer(4 * 256).unwrap();
+        let rbuf = p1.alloc_buffer(4 * 256).unwrap();
+        let send = p0.psend_init(&sbuf, 4, 256, 1, 0).unwrap();
+        let recv = p1.precv_init(&rbuf, 4, 256, 0, 0).unwrap();
+        let counts = || {
+            let fires = world.telemetry_snapshot().runtime.timer_fires;
+            (fires, send.total_wrs_posted())
+        };
+        let round = |first: u32| {
+            recv.start().unwrap();
+            send.start().unwrap();
+            send.pready_range(0, first).unwrap();
+        };
+        let finish = |from: u32| {
+            send.pready_range(from, 4).unwrap();
+            send.wait().unwrap();
+            recv.wait().unwrap();
+        };
+
+        round(1);
+        std::thread::sleep(2 * delta);
+        assert_eq!(counts(), (0, 0), "no thread fired the due δ");
+        p1.progress();
+        assert_eq!(counts(), (1, 1), "the receiver's progress fired it");
+        assert!(recv.parrived(0).unwrap());
+        finish(1);
+
+        round(1);
+        std::thread::sleep(2 * delta);
+        send.pready(1).unwrap();
+        assert_eq!(counts(), (2, 6), "the flush {{0}}, then the run {{1}}");
+        finish(2);
+
+        round(3);
+        let waited = recv.wait_deadline(5 * delta);
+        assert!(matches!(waited, Err(PartixError::Timeout { .. })));
+        assert_eq!(counts(), (3, 9), "the receiver's wait flushed {{0, 1, 2}}");
+        assert_eq!(recv.arrived_count(), 3);
+        finish(3);
+        assert_eq!(counts(), (3, 10));
+    }
+
     /// On the virtual clock every completion reaches an idle progress
     /// engine, which takes it from the CQ's notify hook: after a round both
     /// CQs of both ranks are empty, every pushed entry counts as polled, and

@@ -209,9 +209,9 @@ fn timer_aggregator_sends_whole_group_when_all_arrive_before_delta() {
 
 #[test]
 fn timer_aggregator_flushes_contiguous_runs_on_expiry() {
-    // Tiny delta with a real-thread timer: ready partitions {0,1,3} flush as
-    // runs {0,1} and {3}; the laggard {2} sends itself (the paper's Fig. 5
-    // delta_b walk-through).
+    // Ready partitions {0,1,3} flush as runs {0,1} and {3} once delta has
+    // passed; the laggard {2} sends itself (the paper's Fig. 5 delta_b
+    // walk-through).
     let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     cfg.delta = SimDuration::from_millis(30);
     let l = instant_link(cfg, 4, 256);
@@ -221,14 +221,17 @@ fn timer_aggregator_flushes_contiguous_runs_on_expiry() {
     l.send.pready(0).unwrap();
     l.send.pready(1).unwrap();
     l.send.pready(3).unwrap();
-    // Wait for the delta timer to flush: a WR count, not a round, so no
-    // `wait_deadline` (the round ends only with the laggard below).
+    // Drive progress until the delta timer has flushed: a WR count, not a
+    // round, so no `wait_deadline` (the round ends only with the laggard
+    // below). The flush fires from this thread's `test`; there is no timer
+    // thread.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while l.send.total_wrs_posted() < 2 {
         assert!(
             std::time::Instant::now() < deadline,
             "flush did not happen within 5s"
         );
+        assert!(!l.send.test());
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     assert_eq!(l.send.total_wrs_posted(), 2, "runs {{0,1}} and {{3}}");
@@ -242,15 +245,15 @@ fn timer_aggregator_flushes_contiguous_runs_on_expiry() {
 
 #[test]
 fn dropping_a_world_with_delta_armed_does_not_wait_for_it() {
-    // The armed δ is a deadline on the world's one timer thread, which is
-    // woken and joined when the last handle drops (it used to be a detached
-    // thread asleep for the full 10 s).
+    // The armed δ is a deadline in the world's queue, which runtime entries
+    // fire once it is due; a pending one is dropped unrun with the world.
     let mut cfg = PartixConfig::with_aggregator(AggregatorKind::TimerPLogGp);
     cfg.delta = SimDuration::from_secs(10);
     let l = instant_link(cfg, 8, 512);
     l.recv.start().unwrap();
     l.send.start().unwrap();
     l.send.pready(0).unwrap();
+    assert!(!l.send.test(), "δ is not due");
     let t0 = std::time::Instant::now();
     drop(l);
     assert!(t0.elapsed() < std::time::Duration::from_millis(100));

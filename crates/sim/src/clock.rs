@@ -7,30 +7,32 @@
 //! - [`TimeSource::Sim`] is the [`Scheduler`]: virtual time, callbacks are
 //!   events on their node's shard.
 //! - [`TimeSource::Wall`] is one `WallClock` per world: nanoseconds since
-//!   the world was built, and a `(deadline, seq)` min-queue served by **one**
-//!   thread. The thread starts when the first deadline is armed (a world that
-//!   never arms one never starts it), parks until the nearest deadline, is
-//!   unparked by an earlier one, holds only a `Weak` to its clock, and is
-//!   joined when the last handle to the clock drops — pending callbacks are
-//!   dropped unrun.
+//!   the world was built, and a `(deadline, seq)` min-queue with no thread
+//!   of its own. Whoever is already inside the runtime fires what is due
+//!   ([`TimeSource::fire_due`]), as MPI's progress rule has it: a deadline
+//!   fires at the first entry, by any thread, at or after it. While nothing
+//!   is armed that costs one relaxed load and no clock read. Pending
+//!   callbacks are dropped unrun with the clock.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::scheduler::Scheduler;
 use crate::time::{SimDuration, SimTime};
 
+/// [`WallClock`]'s armed word while no deadline is armed.
+const NOTHING_ARMED: u64 = u64::MAX;
+
 /// Where a world's time comes from (see the module docs).
 #[derive(Clone)]
 pub enum TimeSource {
     /// Virtual time: the scheduler driving a simulated world.
     Sim(Scheduler),
-    /// Wall-clock time, with the world's one deadline thread.
+    /// Wall-clock time, with the world's deadline queue.
     Wall(Arc<WallClock>),
 }
 
@@ -40,7 +42,7 @@ impl TimeSource {
         TimeSource::Wall(Arc::new(WallClock {
             origin: Instant::now(),
             timer: Mutex::default(),
-            threads_started: AtomicUsize::new(0),
+            armed: AtomicU64::new(NOTHING_ARMED),
         }))
     }
 
@@ -55,12 +57,23 @@ impl TimeSource {
 
     /// Run `f` once, `delay` from now, on behalf of simulated node `node`:
     /// an event on that node's shard under the simulator (stored inline in
-    /// the event slab when small), a deadline on the world's timer thread on
-    /// the wall clock (which has no nodes).
+    /// the event slab when small), a deadline in the world's queue on the
+    /// wall clock (which has no nodes), run by the first
+    /// [`fire_due`](Self::fire_due) at or after it.
     pub fn after(&self, node: u32, delay: SimDuration, f: impl FnOnce() + Send + 'static) {
         match self {
             TimeSource::Sim(sched) => sched.at_node(node, sched.now() + delay, f),
-            TimeSource::Wall(clock) => WallClock::arm(clock, clock.now() + delay, Box::new(f)),
+            TimeSource::Wall(clock) => clock.arm(clock.now() + delay, Box::new(f)),
+        }
+    }
+
+    /// Run, on the calling thread, the wall-clock deadlines that are due.
+    /// Every runtime entry calls it, outside the locks it holds. Under the
+    /// simulator it does nothing: its deadlines are events.
+    #[inline]
+    pub fn fire_due(&self) {
+        if let TimeSource::Wall(clock) = self {
+            clock.fire_if_due(|| clock.now());
         }
     }
 
@@ -91,22 +104,21 @@ impl TimeSource {
     }
 }
 
-/// The deadline queue — callbacks by `(deadline, arming order)` — and the
-/// thread that serves it.
+/// The deadline queue: callbacks by `(deadline, arming order)`.
 #[derive(Default)]
 struct TimerState {
     queue: BTreeMap<(SimTime, u64), Box<dyn FnOnce() + Send>>,
     next_seq: u64,
-    thread: Option<JoinHandle<()>>,
 }
 
 /// Wall-clock time relative to construction, plus the world's deadline
-/// queue and the one thread that serves it. Built by [`TimeSource::wall`].
+/// queue. Built by [`TimeSource::wall`].
 pub struct WallClock {
     origin: Instant,
     timer: Mutex<TimerState>,
-    /// Timer threads ever started for this clock (0 or 1).
-    pub(crate) threads_started: AtomicUsize,
+    /// The nearest deadline in `timer` (ns), or [`NOTHING_ARMED`]. Stored
+    /// under the queue lock, read without it: it publishes no other data.
+    armed: AtomicU64,
 }
 
 impl WallClock {
@@ -114,70 +126,54 @@ impl WallClock {
         SimTime(self.origin.elapsed().as_nanos() as u64)
     }
 
-    /// Queue `f` for `at`; start the thread on first use and wake it when
-    /// `at` is earlier than what it is sleeping towards.
-    fn arm(this: &Arc<Self>, at: SimTime, f: Box<dyn FnOnce() + Send>) {
-        let mut t = this.timer.lock();
+    /// Queue `f` for `at`.
+    fn arm(&self, at: SimTime, f: Box<dyn FnOnce() + Send>) {
+        let mut t = self.timer.lock();
         let key = (at, t.next_seq);
         t.next_seq += 1;
         t.queue.insert(key, f);
-        let nearest = t.queue.keys().next() == Some(&key);
-        match &t.thread {
-            Some(handle) if nearest => handle.thread().unpark(),
-            Some(_) => {}
-            None => {
-                this.threads_started.fetch_add(1, Ordering::Relaxed);
-                let weak = Arc::downgrade(this);
-                t.thread = Some(thread::spawn(move || Self::serve(weak)));
-            }
+        self.publish(&t);
+    }
+
+    /// Store the nearest deadline of `t` (locked) in the armed word.
+    fn publish(&self, t: &TimerState) -> Option<SimTime> {
+        let next = t.queue.keys().next().map(|&(at, _)| at);
+        self.armed
+            .store(next.map_or(NOTHING_ARMED, |at| at.0), Ordering::Relaxed);
+        next
+    }
+
+    /// [`fire_due`](Self::fire_due) if the armed word says a deadline may be
+    /// due; `now` (injectable for tests) is called only while one is armed.
+    #[inline]
+    pub fn fire_if_due(&self, now: impl FnOnce() -> SimTime) {
+        let next = self.armed.load(Ordering::Relaxed);
+        if next == NOTHING_ARMED {
+            return;
+        }
+        let now = now();
+        if now.0 >= next {
+            self.fire_due(now);
         }
     }
 
     /// Run, in `(deadline, seq)` order, every callback due at `now`, each
-    /// outside the queue lock. Returns the nearest deadline still pending.
-    /// Takes `now` as an argument so tests expire deadlines without sleeping.
+    /// outside the queue lock (a callback may arm another). Returns the
+    /// nearest deadline still pending.
+    #[cold]
     pub fn fire_due(&self, now: SimTime) -> Option<SimTime> {
         loop {
-            let due = {
-                let mut t = self.timer.lock();
-                match t.queue.keys().next() {
-                    Some(&(at, _)) if at <= now => t.queue.pop_first(),
-                    next => return next.map(|&(at, _)| at),
-                }
+            let mut t = self.timer.lock();
+            let f = match t.queue.first_entry() {
+                Some(due) if due.key().0 <= now => Some(due.remove()),
+                _ => None,
             };
-            if let Some((_, f)) = due {
-                f();
+            let next = self.publish(&t);
+            drop(t);
+            match f {
+                Some(f) => f(),
+                None => return next,
             }
-        }
-    }
-
-    /// The timer thread: holds the clock only while firing, so the last
-    /// world handle dropping is what ends it.
-    fn serve(clock: Weak<WallClock>) {
-        while let Some(c) = clock.upgrade() {
-            let sleep = c
-                .fire_due(c.now())
-                .map(|at| Duration::from_nanos(at.saturating_since(c.now()).as_nanos()));
-            drop(c);
-            match sleep {
-                Some(d) => thread::park_timeout(d),
-                None => thread::park(),
-            }
-        }
-    }
-}
-
-impl Drop for WallClock {
-    fn drop(&mut self) {
-        let Some(handle) = self.timer.get_mut().thread.take() else {
-            return;
-        };
-        // A callback can hold the last reference to a world, in which case
-        // this runs on the timer thread itself: it finds the clock gone on
-        // its next turn and exits unjoined.
-        if handle.thread().id() != thread::current().id() {
-            handle.thread().unpark();
-            let _ = handle.join();
         }
     }
 }
@@ -186,6 +182,7 @@ impl Drop for WallClock {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn wall_clock(ts: &TimeSource) -> &Arc<WallClock> {
         match ts {
@@ -216,6 +213,8 @@ mod tests {
             f2.store(true, Ordering::Relaxed)
         });
         assert!(!fired.load(Ordering::Relaxed));
+        ts.fire_due();
+        assert!(!fired.load(Ordering::Relaxed), "a sim deadline is an event");
         sched.run();
         assert!(fired.load(Ordering::Relaxed));
         assert_eq!(sched.now(), SimTime(7_000));
@@ -228,45 +227,42 @@ mod tests {
         let b = ts.now();
         assert!(b >= a);
         assert!(ts.scheduler().is_none());
-        assert_eq!(wall_clock(&ts).threads_started.load(Ordering::Relaxed), 0);
     }
 
+    /// A deadline fires at the first `fire_due` at or after it, on the
+    /// calling thread, and never before.
     #[test]
     fn wall_deadline_fires() {
         let ts = TimeSource::wall();
         let fired = Arc::new(AtomicBool::new(false));
         let f2 = fired.clone();
-        ts.after(0, SimDuration::from_micros(100), move || {
+        ts.after(0, SimDuration::from_millis(2), move || {
             f2.store(true, Ordering::Release)
         });
-        // Wait generously.
-        for _ in 0..1_000 {
-            if fired.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("timer did not fire within 1s");
+        ts.fire_due();
+        assert!(!fired.load(Ordering::Acquire), "not due yet");
+        std::thread::sleep(Duration::from_millis(3));
+        assert!(!fired.load(Ordering::Acquire), "no thread fires it");
+        ts.fire_due();
+        assert!(fired.load(Ordering::Acquire));
     }
 
+    /// With nothing armed the armed word reads the sentinel and no clock is
+    /// read, so `fire_due` is not reached; an armed deadline sets the word,
+    /// and firing it clears the word again.
     #[test]
-    fn thousand_deadlines_start_one_thread() {
+    fn nothing_armed_reads_no_clock() {
         let ts = TimeSource::wall();
-        let fired = Arc::new(AtomicUsize::new(0));
-        for i in 0..1_000u64 {
-            let f = fired.clone();
-            // Later deadlines first, so most arms are "earlier than the
-            // nearest" and take the unpark path.
-            ts.after(0, SimDuration::from_micros(2_000 - i), move || {
-                f.fetch_add(1, Ordering::AcqRel);
-            });
-        }
-        let give_up = Instant::now() + Duration::from_secs(10);
-        while fired.load(Ordering::Acquire) < 1_000 {
-            assert!(Instant::now() < give_up, "deadlines did not all fire");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(wall_clock(&ts).threads_started.load(Ordering::Relaxed), 1);
+        let clock = wall_clock(&ts);
+        let no_clock = || -> SimTime { panic!("the clock was read with nothing armed") };
+        assert_eq!(clock.armed.load(Ordering::Relaxed), NOTHING_ARMED);
+        clock.fire_if_due(no_clock);
+        let at = SimTime(3_600_000_000_000);
+        clock.arm(at, Box::new(|| {}));
+        assert_eq!(clock.armed.load(Ordering::Relaxed), at.0);
+        clock.fire_if_due(|| at);
+        assert_eq!(clock.armed.load(Ordering::Relaxed), NOTHING_ARMED);
+        clock.fire_if_due(no_clock);
     }
 
     #[test]
@@ -274,17 +270,15 @@ mod tests {
         let ts = TimeSource::wall();
         let clock = wall_clock(&ts);
         let log = Arc::new(Mutex::new(Vec::new()));
-        // Far-future deadlines the timer thread will not reach; `now` is
-        // injected instead.
         let base = SimTime(3_600_000_000_000);
         for (tag, offset) in [(0u32, 30u64), (1, 10), (2, 30), (3, 20), (4, 10)] {
             let log = log.clone();
-            WallClock::arm(
-                clock,
+            clock.arm(
                 SimTime(base.0 + offset),
                 Box::new(move || log.lock().push(tag)),
             );
         }
+        assert_eq!(clock.armed.load(Ordering::Relaxed), base.0 + 10);
         assert_eq!(
             clock.fire_due(SimTime(base.0 + 9)),
             Some(SimTime(base.0 + 10))
@@ -298,39 +292,19 @@ mod tests {
             Some(SimTime(base.0 + 30))
         );
         assert_eq!(*log.lock(), [1, 4, 3], "deadline order, then arming order");
+        assert_eq!(clock.armed.load(Ordering::Relaxed), base.0 + 30);
         assert_eq!(clock.fire_due(SimTime(u64::MAX)), None);
         assert_eq!(*log.lock(), [1, 4, 3, 0, 2]);
         assert_eq!(clock.fire_due(SimTime(u64::MAX)), None, "fired once only");
-        assert_eq!(clock.threads_started.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn dropping_the_clock_joins_its_thread_and_drops_pending_callbacks() {
+    fn dropping_the_clock_drops_pending_callbacks_unrun() {
         let ts = TimeSource::wall();
         let held = Arc::new(());
         let h2 = held.clone();
         ts.after(0, SimDuration::from_secs(10), move || drop(h2));
-        let clock = wall_clock(&ts).clone();
         drop(ts);
-        let t0 = Instant::now();
-        // The last handle (once the thread is not mid-turn with its own):
-        // with it gone the thread's `upgrade` fails.
-        let mut shared = clock;
-        let mut clock = loop {
-            match Arc::try_unwrap(shared) {
-                Ok(clock) => break clock,
-                Err(still) => shared = still,
-            }
-            std::thread::yield_now();
-        };
-        let handle = clock.timer.get_mut().thread.take().expect("thread started");
-        handle.thread().unpark();
-        handle.join().expect("timer thread exits cleanly");
-        drop(clock);
-        assert!(
-            t0.elapsed() < Duration::from_millis(100),
-            "10 s sleeper outlived its world"
-        );
         assert_eq!(
             Arc::strong_count(&held),
             1,
@@ -342,30 +316,42 @@ mod tests {
     fn drop_with_a_pending_deadline_returns_promptly() {
         let ts = TimeSource::wall();
         ts.after(0, SimDuration::from_secs(10), || {});
+        ts.fire_due();
         let t0 = Instant::now();
         drop(ts);
         assert!(t0.elapsed() < Duration::from_millis(100));
     }
 
+    /// A callback runs outside the queue lock: it may arm a deadline on its
+    /// own clock and drop the handle it captured, leaving the caller's as
+    /// the last, which then frees the clock.
     #[test]
     fn callback_may_drop_the_last_handle() {
-        // The world is dropped from inside a deadline: `Drop` runs on the
-        // timer thread and must not join itself.
         let ts = TimeSource::wall();
         let done = Arc::new(AtomicBool::new(false));
         let d2 = done.clone();
         let slot = Arc::new(Mutex::new(Some(ts.clone())));
         let s2 = slot.clone();
-        ts.after(0, SimDuration::from_micros(50), move || {
-            s2.lock().take();
+        ts.after(0, SimDuration::ZERO, move || {
+            let own = s2.lock().take().expect("the callback's handle");
+            own.after(0, SimDuration::from_secs(3600), || {});
+            drop(own);
             d2.store(true, Ordering::Release);
         });
-        drop(ts);
-        let give_up = Instant::now() + Duration::from_secs(5);
-        while !done.load(Ordering::Acquire) {
-            assert!(Instant::now() < give_up);
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let clock = wall_clock(&ts);
+        let now = ts.now() + SimDuration::from_secs(1);
+        let next = clock.fire_due(now);
+        assert!(done.load(Ordering::Acquire));
         assert!(slot.lock().is_none());
+        assert_eq!(
+            Arc::strong_count(clock),
+            1,
+            "the caller's is the last handle"
+        );
+        assert!(
+            next.is_some_and(|at| at > now),
+            "the callback armed a later deadline"
+        );
+        drop(ts);
     }
 }

@@ -12,7 +12,7 @@
 //!   ([`Scheduler`]) with deterministic same-instant ordering — sequential
 //!   (one shard) or one shard per simulated node,
 //! - [`TimeSource`], the one clock-and-timer a world runs on: the scheduler,
-//!   or wall-clock time with one deadline thread per world,
+//!   or wall-clock time with a deadline queue its callers fire,
 //! - [`SerialResource`], the FIFO occupancy primitive used to model QP DMA
 //!   engines, shared links, and software locks,
 //! - seed-splitting helpers for reproducible noise ([`stream_rng`]),

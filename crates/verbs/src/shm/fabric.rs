@@ -73,22 +73,24 @@
 //! application takes the receive completions of what it notified. It is held
 //! until the receiver has notified every doorbell before it and its poller
 //! has come back since, finding the ring empty (a scan that does publishes
-//! `Head` as [`Ctrl::Polled`]). Only if it still has no credit then — the
-//! credit word is read again after `Polled` — does the RNR rule start, on
-//! the sender, as InfiniBand decides RNR when the packet reaches the
-//! responder: the sending QP's `min_rnr_timer`
-//! (wall-clock) is armed, and what is left of its `rnr_retry`
-//! ([`RnrBudget`]) — that many re-arms for budgets 0–6 and, for
+//! `Head` as [`Ctrl::Polled`]), but no longer than
+//! [`ShmConfig::full_ring_deadline`] from its first hold: a receiver that
+//! died or stopped polling never drains, and the write then fails as a
+//! spent budget does. Only if it still has no credit then — the credit word
+//! is read again after `Polled` — does the RNR rule start, on the sender, as
+//! InfiniBand decides RNR when the packet reaches the responder: the sending
+//! QP's `min_rnr_timer` (wall-clock) is armed, and what is left of its
+//! `rnr_retry` ([`RnrBudget`]) — that many re-arms for budgets 0–6 and, for
 //! InfiniBand's "retry indefinitely" 7, re-arms until the WR has waited
 //! [`ShmConfig::full_ring_deadline`]. Each expiry with no credit is another
 //! receiver-not-ready attempt. A credit that comes mid-wait sends the WR at
 //! the next scan. A receiver that is merely slow holds its sender back, and
 //! only one that is gone fails it: a WR that runs out of budget fails
-//! `RnrRetryExceeded`, and so, at their first receiver-not-ready, do the WRs
-//! held behind it then, as an RC QP flushes its queue once its RNR retries
-//! run out — a window fails in one deadline, not one per WR. A `Head` or a
-//! `Polled` past what the sender published is read as a drained ring, and
-//! counted.
+//! `RnrRetryExceeded`, and so, at their first attempt, do the WRs held
+//! behind it then, bare writes too, as an RC QP flushes its queue once its
+//! RNR retries run out — a window fails in one deadline, not one per WR. A
+//! `Head` or a `Polled` past what the sender published is read as a drained
+//! ring, and counted.
 //!
 //! # Progress
 //!
@@ -264,10 +266,10 @@ struct Credit {
     spent: u64,
     /// The credit word as last read (never lowered).
     limit: u64,
-    /// The first WR's RNR wait, if the rule has started for it.
+    /// The first WR's wait, once it has been held for a credit.
     wait: Option<RnrWait>,
-    /// WRs that fail at their first receiver-not-ready: those that were
-    /// held behind one that ran out of RNR budget.
+    /// WRs that fail at their first attempt: those that were held behind
+    /// one that ran out of RNR budget.
     flush: usize,
 }
 
@@ -289,12 +291,15 @@ enum RnrBudget {
     Until(Instant),
 }
 
-/// A WR's wait for a receive credit, once the RNR rule has started.
+/// A WR's wait for a receive credit.
 #[derive(Clone, Copy)]
-struct RnrWait {
-    /// When the re-armed RNR timer expires.
-    due: Instant,
-    budget: RnrBudget,
+enum RnrWait {
+    /// Held until its receiver has drained the ring ahead, before the RNR
+    /// rule starts; failed if that has not happened by this instant,
+    /// [`ShmConfig::full_ring_deadline`] after its first hold.
+    Drain(Instant),
+    /// The RNR rule has started: the re-armed timer expires at `due`.
+    Timer { due: Instant, budget: RnrBudget },
 }
 
 /// What becomes of the first WR of a channel not sent yet.
@@ -791,6 +796,10 @@ impl ShmFabric {
             // meets notify's duplicate check.
             self.ring_doorbell(ch, &header);
             Step::Done(WcStatus::Success)
+        } else if credit.flush > 0 {
+            // The QP went to Error under it: RC flushes what it holds.
+            record_attempt(net, &header, &DeliveryOutcome::ReceiverNotReady);
+            Step::Done(WcStatus::RnrRetryExceeded)
         } else if let Some((dst, offset)) = self.placement(net, &header) {
             if job.imm.is_some() && !take_credit(ch, credit) {
                 if let Some(step) = self.rnr(net, ch, credit, job, behind) {
@@ -827,14 +836,25 @@ impl ShmFabric {
         let profile = sender_retry_profile(net, job);
         let rnr_retry = profile.map_or(0, |p| p.rnr_retry);
         let budget = match credit.wait {
-            Some(wait) if wait.due > now => return Some(Step::Hold),
-            Some(wait) => wait.budget,
-            None if !self.drained(ch) => return Some(Step::Hold),
-            None if credit.flush > 0 => RnrBudget::Rearms(0),
-            None if rnr_retry == RNR_RETRY_INFINITE => {
+            Some(RnrWait::Timer { due, .. }) if due > now => return Some(Step::Hold),
+            Some(RnrWait::Timer { budget, .. }) => budget,
+            // A receiver that stopped polling never drains: the hold ends
+            // at the stall deadline, as a spent budget does.
+            wait if !self.drained(ch) => {
+                let give_up = match wait {
+                    Some(RnrWait::Drain(give_up)) => give_up,
+                    _ => now + self.cfg.full_ring_deadline,
+                };
+                if now < give_up {
+                    credit.wait = Some(RnrWait::Drain(give_up));
+                    return Some(Step::Hold);
+                }
+                RnrBudget::Rearms(0)
+            }
+            _ if rnr_retry == RNR_RETRY_INFINITE => {
                 RnrBudget::Until(now + self.cfg.full_ring_deadline)
             }
-            None => RnrBudget::Rearms(rnr_retry),
+            _ => RnrBudget::Rearms(rnr_retry),
         };
         if take_credit(ch, credit) {
             return None;
@@ -853,7 +873,7 @@ impl ShmFabric {
             }
         };
         let timer_ns = profile.map_or(10_000, |p| p.min_rnr_timer_ns).max(1);
-        credit.wait = Some(RnrWait {
+        credit.wait = Some(RnrWait::Timer {
             due: now + Duration::from_nanos(timer_ns),
             budget,
         });
@@ -2072,22 +2092,12 @@ mod tests {
         p.finish();
     }
 
-    /// A full ring nobody drains is a diagnostic within
-    /// `full_ring_deadline`, not a hang: the receiver here attaches (so
-    /// `open_tx` returns) and then never notifies a doorbell. The writes
-    /// are bare, so no credit holds them back.
+    /// A host-mode fabric on `dir` whose channel `qa → qb` has a receiver
+    /// that attaches (so `open_tx` returns) and then never notifies a
+    /// doorbell: one that died, or stopped polling.
     #[cfg(unix)]
-    #[test]
-    fn full_data_ring_with_no_consumer_fails_within_the_stall_deadline() {
-        let dir = std::env::temp_dir().join(format!("partix_shm_stall_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = ShmConfig {
-            ring_capacity: 2 * BELL + 16,
-            full_ring_deadline: Duration::from_millis(50),
-            ..ShmConfig::default()
-        };
-        let caps = QpCaps::default();
-        let p = build_pair(ShmFabric::host(&dir, cfg), None, caps);
+    fn pair_with_a_dead_receiver(dir: &std::path::Path, cfg: ShmConfig) -> Pair {
+        let p = build_pair(ShmFabric::host(dir, cfg), None, QpCaps::default());
         let (from, to) = ((0, p.qa.qp_num()), (1, p.qb.qp_num()));
         std::thread::scope(|s| {
             s.spawn(|| p.fabric.open_tx(from, to, Duration::from_secs(10)).unwrap());
@@ -2100,6 +2110,21 @@ mod tests {
             };
             SpscRing::new(Arc::new(data)).mark_attached();
         });
+        p
+    }
+
+    /// A full ring nobody drains is a diagnostic within
+    /// `full_ring_deadline`, not a hang. The writes are bare, so no credit
+    /// holds them back.
+    #[cfg(unix)]
+    #[test]
+    fn full_data_ring_with_no_consumer_fails_within_the_stall_deadline() {
+        let dir = host_dir();
+        let cfg = ShmConfig {
+            ring_capacity: 2 * BELL + 16,
+            ..short_stall_deadline()
+        };
+        let p = pair_with_a_dead_receiver(&dir, cfg);
         let src = p.a.reg_mr(p.pda, 64).unwrap();
         let dst = p.b.reg_mr(p.pdb, 64).unwrap();
         p.qa.post_send(bare_write_wr(&src, &dst, 0, 64)).unwrap();
@@ -2120,6 +2145,51 @@ mod tests {
         );
         // Nothing will ever notify the two doorbells on the ring, and this
         // side holds no WR: the final drain does not wait for them.
+        let t0 = Instant::now();
+        p.fabric.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A write held for its receiver's drain is bounded by the stall
+    /// deadline too. A bare write's doorbell sits on the ring of a receiver
+    /// that never notifies it, so the write-with-imm behind it, which has no
+    /// credit, is held for a drain that never comes, and a bare write is
+    /// held behind that. Both fail `RnrRetryExceeded` once the first has
+    /// been held 50 ms, with no RNR timer armed, and neither lands.
+    #[cfg(unix)]
+    #[test]
+    fn a_write_held_for_a_dead_receivers_drain_fails_at_the_stall_deadline() {
+        let dir = host_dir();
+        let p = pair_with_a_dead_receiver(&dir, short_stall_deadline());
+        let src = p.a.reg_mr(p.pda, 64).unwrap();
+        let dst = p.b.reg_mr(p.pdb, 64).unwrap();
+        src.fill(0, 64, 0x77).unwrap();
+        p.qa.post_send(bare_write_wr(&src, &dst, 0, 64)).unwrap();
+        assert_eq!(
+            poll_until(&p.cqa, "the first write").status,
+            WcStatus::Success
+        );
+        src.fill(0, 64, 0x88).unwrap();
+        let t0 = Instant::now();
+        write_with_imm(&p, &src, &dst, 1, 64);
+        p.qa.post_send(bare_write_wr(&src, &dst, 2, 64)).unwrap();
+        for i in 1..3u64 {
+            let wc = poll_until(&p.cqa, "a held write's CQE");
+            assert_eq!((wc.wr_id, wc.status), (i, WcStatus::RnrRetryExceeded));
+        }
+        let waited = t0.elapsed();
+        assert!(
+            waited >= Duration::from_millis(50) && waited < Duration::from_secs(1),
+            "bounded by the stall deadline, not a hang: {waited:?}"
+        );
+        assert_eq!(p.qa.state(), QpState::Error);
+        assert_eq!(p.fabric.rnr_deferrals(), 0, "the RNR rule never started");
+        assert_eq!(
+            dst.read_vec(0, 64).unwrap(),
+            vec![0x77; 64],
+            "neither landed"
+        );
         let t0 = Instant::now();
         p.fabric.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(1));

@@ -10,7 +10,9 @@
 //! laggard (the single-thread-delay model). With the delta timer armed, the
 //! early threads' partitions are flushed as contiguous runs while the
 //! laggard is still computing, and the laggard ships only its own partition
-//! when it arrives — watch the per-round work-request counts.
+//! when it arrives. The flush is fired by the receiver's `wait`, the one
+//! thread inside the runtime then: every round asserts at least two work
+//! requests, the flush and the laggard's run.
 
 use std::time::{Duration, Instant};
 
@@ -76,6 +78,11 @@ fn main() {
 
         send.wait().expect("send wait");
         let wrs = send.total_wrs_posted() - wrs_before;
+        assert!(
+            wrs >= 2,
+            "round {round}: {wrs} work request(s), so the receiver's wait did not \
+             fire the δ flush before the laggard"
+        );
         println!(
             "round {round}: laggard was thread {laggard}; {wrs} work requests \
              ({} early-bird flush + laggard), {:.1} ms wall",
