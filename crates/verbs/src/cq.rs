@@ -1,7 +1,7 @@
 //! Completion queues.
 //!
 //! Completions are pushed by the fabric and drained by the runtime with
-//! [`CompletionQueue::poll`] (the `ibv_poll_cq` analogue). An optional
+//! [`CompletionQueue::poll_cq_into`] (the `ibv_poll_cq` analogue). An optional
 //! notify hook mirrors `ibv_req_notify_cq` + completion channels: the fabric
 //! invokes it on every push, which lets the discrete-event runtime progress
 //! promptly instead of modelling a busy-poll loop.
@@ -187,13 +187,8 @@ impl CompletionQueue {
         }
     }
 
-    /// Drain up to `max` completions into `out` (appended). Returns how many
-    /// were drained. The `ibv_poll_cq` analogue.
-    pub fn poll(&self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
-        self.poll_cq_into(out, max)
-    }
-
-    /// Batched drain into a reusable scratch vector: up to `max` entries are
+    /// Drain up to `max` completions into `scratch` (appended), returning
+    /// how many: the `ibv_poll_cq` analogue. Up to `max` entries are
     /// appended to `scratch` under one queue lock, and the lock is taken at
     /// all only when the lock-free depth estimate says entries are waiting
     /// (after driving an attached fabric, if it says none are).
@@ -272,9 +267,9 @@ mod tests {
             cq.push(wc(i));
         }
         let mut out = Vec::new();
-        assert_eq!(cq.poll(3, &mut out), 3);
+        assert_eq!(cq.poll_cq_into(&mut out, 3), 3);
         assert_eq!(out.iter().map(|w| w.wr_id).collect::<Vec<_>>(), [0, 1, 2]);
-        assert_eq!(cq.poll(10, &mut out), 2);
+        assert_eq!(cq.poll_cq_into(&mut out, 10), 2);
         assert_eq!(out.len(), 5);
         assert_eq!(cq.depth(), 0);
     }
@@ -390,7 +385,7 @@ mod tests {
             "only the push onto an empty queue is handed over"
         );
         let mut out = Vec::new();
-        assert_eq!(cq.poll(8, &mut out), 2);
+        assert_eq!(cq.poll_cq_into(&mut out, 8), 2);
         assert_eq!(out.iter().map(|w| w.wr_id).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(
             (cq.depth(), cq.total_pushed(), cq.total_polled()),
@@ -426,7 +421,7 @@ mod tests {
         assert_eq!(*seen.lock(), [0], "a cleared hook is not called");
         assert_eq!(cq.depth(), 2);
         let mut out = Vec::new();
-        assert_eq!(cq.poll(8, &mut out), 2);
+        assert_eq!(cq.poll_cq_into(&mut out, 8), 2);
         assert_eq!(out.iter().map(|w| w.wr_id).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(
             (cq.depth(), cq.total_pushed(), cq.total_polled()),
@@ -448,7 +443,7 @@ mod tests {
     fn poll_empty_returns_zero() {
         let cq = CompletionQueue::new(3, None);
         let mut out = Vec::new();
-        assert_eq!(cq.poll(8, &mut out), 0);
+        assert_eq!(cq.poll_cq_into(&mut out, 8), 0);
         assert!(cq.poll_one().is_none());
     }
 }

@@ -14,7 +14,7 @@
 //!   RESET → INIT → RTR → RTS state machine and a 16-outstanding-WR cap
 //! - [`QueuePair::post_send`] ≈ `ibv_post_send` with gather lists and
 //!   `IBV_WR_RDMA_WRITE{,_WITH_IMM}`, the only operations
-//! - [`CompletionQueue::poll`] ≈ `ibv_poll_cq`
+//! - [`CompletionQueue::poll_cq_into`] ≈ `ibv_poll_cq`
 //!
 //! Bytes genuinely move between registered regions on every fabric. The
 //! [`SimFabric`] prices each transfer with a LogGP-parameterised cost model

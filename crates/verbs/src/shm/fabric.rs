@@ -48,7 +48,8 @@
 //! completion, as on every fabric (the MPI Partitioned contract); here that
 //! completion comes once the bytes are placed. A doorbell belongs to the
 //! receiver from its publication until `Head` moves past it, which it does
-//! once the doorbell is notified.
+//! once the receiver's scan has copied the doorbell out, before it notifies
+//! it.
 //!
 //! # Receive credits
 //!
@@ -135,7 +136,7 @@ use crate::network::{NetworkState, NodeCtx};
 use crate::table::IndexTable;
 use crate::types::{NodeId, WcStatus};
 
-use super::ring::{RecordReader, SpscRing, RECORD_HEADER};
+use super::ring::{Popped, SpscRing, RECORD_HEADER};
 use super::segment::{Ctrl, FileMapping, FileSegment, HeapSegment, Segment};
 use super::wait_until;
 
@@ -226,6 +227,9 @@ struct Channel {
     tx: Mutex<TxState>,
     /// Whether `tx` holds a WR: what a scan reads before it locks.
     holding: AtomicBool,
+    /// Receiver side: the ring popped [`Popped::Corrupt`], so it is read no
+    /// further and counts as drained.
+    corrupt: AtomicBool,
 }
 
 impl Channel {
@@ -238,6 +242,7 @@ impl Channel {
             we_recv,
             tx: Mutex::new(TxState::default()),
             holding: AtomicBool::new(false),
+            corrupt: AtomicBool::new(false),
         })
     }
 
@@ -317,6 +322,8 @@ struct ProgressState {
     /// Every installed channel, in installation order (the list only
     /// grows), re-read only when one is installed.
     channels: Vec<Arc<Channel>>,
+    /// The doorbell being notified, popped off its ring.
+    bell: Vec<u8>,
 }
 
 #[derive(Default)]
@@ -443,9 +450,10 @@ impl ShmFabric {
     /// Words another process wrote that this one refused. On the receiving
     /// side: a doorbell that is no doorbell, one that names no QP, and one
     /// that found no receive WR (a credit word past the receives really
-    /// posted), each of which notifies nothing. On the sending side: a
-    /// `Head` past what it published, read as a drained ring. This fabric's
-    /// own never produce one.
+    /// posted), each of which notifies nothing; and a ring whose header or
+    /// `Tail` is corrupt ([`Popped::Corrupt`]), counted once and read no
+    /// further. On the sending side: a `Head` past what it published, read
+    /// as a drained ring. This fabric's own never produce one.
     pub fn malformed_records(&self) -> u64 {
         self.stats.malformed_records.load(Ordering::Relaxed)
     }
@@ -481,8 +489,8 @@ impl ShmFabric {
 
     /// High-water mark of ring occupancy in bytes, across every channel of
     /// this fabric: sampled by the sender after each doorbell (and at each
-    /// ring-full stall) and by the receiver's scans at each doorbell they
-    /// take, so whichever side sees the backlog reports it.
+    /// ring-full stall) and by the receiver's scans as each drain starts,
+    /// so whichever side sees the backlog reports it.
     pub fn ring_occupancy_high_water(&self) -> u64 {
         self.stats.ring_occupancy_high_water.load(Ordering::Relaxed)
     }
@@ -521,10 +529,11 @@ impl ShmFabric {
     }
 
     /// Whether nothing is in flight on this fabric: every ring it notifies
-    /// from drained, and no WR it sends held.
+    /// from drained (or corrupt, and read no further), and no WR it sends
+    /// held.
     pub fn is_idle(&self) -> bool {
         self.channels.lock().iter().all(|ch| {
-            (!ch.we_recv || ch.data.is_empty())
+            (!ch.we_recv || ch.data.is_empty() || ch.corrupt.load(Ordering::Relaxed))
                 && (!ch.we_send || !ch.holding.load(Ordering::Acquire))
         })
     }
@@ -545,16 +554,13 @@ impl ShmFabric {
         }
     }
 
-    /// Stop the fabric: close every ring it produces, run the final drain on
-    /// the calling thread, and unlink the files this fabric's regions live
-    /// in (host mode; mappings stay valid, so a peer's outlive them).
-    /// Idempotent; also run by `Drop`. A thread that is unwinding skips the
-    /// drain: a scan that panicked there too would abort the process.
+    /// Stop the fabric: run the final drain on the calling thread, and
+    /// unlink the files this fabric's regions live in (host mode; mappings
+    /// stay valid, so a peer's outlive them). Idempotent; also run by
+    /// `Drop`. A thread that is unwinding skips the drain: a scan that
+    /// panicked there too would abort the process.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        for ch in self.channels.lock().iter().filter(|ch| ch.we_send) {
-            ch.data.close();
-        }
         if !std::thread::panicking() {
             self.drain();
         }
@@ -1078,12 +1084,10 @@ fn doorbell(h: &DeliveryHeader) -> [u8; DOORBELL] {
 }
 
 /// Read a doorbell back: `None` for a record that is no doorbell.
-fn parse_doorbell(kind: u8, r: &mut RecordReader<'_>) -> Option<DeliveryHeader> {
-    if kind != KIND_DOORBELL || r.remaining() != DOORBELL {
+fn parse_doorbell(kind: u8, bell: &[u8]) -> Option<DeliveryHeader> {
+    if kind != KIND_DOORBELL || bell.len() != DOORBELL {
         return None;
     }
-    let mut bell = [0u8; DOORBELL];
-    r.take(&mut bell);
     let u32_at = |o: usize| u32::from_le_bytes(bell[o..o + 4].try_into().expect("fixed"));
     let u64_at = |o: usize| u64::from_le_bytes(bell[o..o + 8].try_into().expect("fixed"));
     let flags = bell[FLAGS_AT];
@@ -1153,7 +1157,7 @@ impl ShmFabric {
         let Some(net) = self.net.get().and_then(Weak::upgrade) else {
             return false;
         };
-        let channels = &mut st.channels;
+        let ProgressState { channels, bell } = st;
         if self.channels_installed.load(Ordering::Acquire) != channels.len() {
             let installed = self.channels.lock();
             channels.extend(installed[channels.len()..].iter().cloned());
@@ -1161,7 +1165,7 @@ impl ShmFabric {
         let mut did_work = false;
         for ch in channels.iter() {
             if ch.we_recv {
-                did_work |= self.take_doorbells(&net, ch);
+                did_work |= self.take_doorbells(&net, ch, bell);
             }
             if ch.we_send && ch.holding.load(Ordering::Acquire) {
                 // A busy lock is a submit or another advance: skipped.
@@ -1174,41 +1178,56 @@ impl ShmFabric {
     }
 
     /// Notify the doorbells on `ch`'s ring, in order: at most those that
-    /// were there when the drain began. Each moves `Head` once it is
-    /// notified. A scan that finds the ring empty publishes `Head` as
-    /// [`Ctrl::Polled`]. Returns whether there was a doorbell.
-    fn take_doorbells(&self, net: &Arc<NetworkState>, ch: &Channel) -> bool {
+    /// were there when the drain began, each popped into `bell` (which moves
+    /// `Head`) and then notified. A scan that finds the ring empty publishes
+    /// `Head` as [`Ctrl::Polled`]; one that finds it corrupt counts it and
+    /// leaves it for good. Returns whether there was a doorbell.
+    fn take_doorbells(&self, net: &Arc<NetworkState>, ch: &Channel, bell: &mut Vec<u8>) -> bool {
+        if ch.corrupt.load(Ordering::Relaxed) {
+            return false;
+        }
         let end = ch.data.published();
         let head = ch.data.consumed();
-        if head == end && ch.seg.ctrl_load(Ctrl::Polled) != head {
-            // Back with nothing to notify: every receive completion this
-            // side pushed has had a poll since (the RNR rule's drain).
-            ch.seg.ctrl_store(Ctrl::Polled, head);
+        if head == end {
+            if ch.seg.ctrl_load(Ctrl::Polled) != head {
+                // Back with nothing to notify: every doorbell popped before
+                // was notified by the scan that popped it, so every receive
+                // completion this side pushed has had a poll since (the RNR
+                // rule's drain).
+                ch.seg.ctrl_store(Ctrl::Polled, head);
+            }
+            return false;
         }
+        self.note_occupancy(end.saturating_sub(head));
         let mut took = false;
         while ch.data.consumed() < end {
-            let notified = ch.data.try_pop_with(|kind, r| {
-                self.note_occupancy(r.backlog());
-                match parse_doorbell(kind, r) {
-                    // A ghost placed nothing: it is a duplicate whether or
-                    // not its original has been notified (it never has: its
-                    // doorbell comes first).
-                    Some(h) if h.ghost => {
-                        record_attempt(net, &h, &DeliveryOutcome::Duplicate);
-                        true
-                    }
-                    // A doorbell that names no QP, or an immediate with no
-                    // receive WR (a credit past what was posted), lies.
-                    Some(h) => matches!(
-                        notify(net, &h),
-                        DeliveryOutcome::Delivered { .. } | DeliveryOutcome::Duplicate
-                    ),
-                    None => false,
+            let kind = match ch.data.try_pop(bell) {
+                Popped::Record(kind) => kind,
+                Popped::Empty => break,
+                Popped::Corrupt => {
+                    ch.corrupt.store(true, Ordering::Relaxed);
+                    self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
+                    break;
                 }
-            });
-            let Ok(sound) = notified else { break };
+            };
             took = true;
             self.stats.data_records.fetch_add(1, Ordering::Relaxed);
+            let sound = match parse_doorbell(kind, bell) {
+                // A ghost placed nothing: it is a duplicate whether or not
+                // its original has been notified (it never has: its
+                // doorbell comes first).
+                Some(h) if h.ghost => {
+                    record_attempt(net, &h, &DeliveryOutcome::Duplicate);
+                    true
+                }
+                // A doorbell that names no QP, or an immediate with no
+                // receive WR (a credit past what was posted), lies.
+                Some(h) => matches!(
+                    notify(net, &h),
+                    DeliveryOutcome::Delivered { .. } | DeliveryOutcome::Duplicate
+                ),
+                None => false,
+            };
             if !sound {
                 self.stats.malformed_records.fetch_add(1, Ordering::Relaxed);
             }
@@ -2022,6 +2041,56 @@ mod tests {
         // The ledger holds two sends that completed and never notified,
         // which no law allows: the pair is closed unchecked.
         p.close();
+    }
+
+    /// A ring header is bytes another process wrote too, and a corrupt one
+    /// stops that ring without taking the receiver down. A write is placed
+    /// and completes while the receiver is paused; the magic byte of its
+    /// doorbell's ring header is then zeroed through a second mapping of
+    /// the ring file. The receiver counts the ring once, notifies nothing
+    /// from it and consumes no receive WR, while a write on a fresh QP pair
+    /// still lands; and shutdown does not wait on the corrupt ring.
+    #[cfg(unix)]
+    #[test]
+    fn a_corrupt_ring_header_is_counted_and_the_receiver_survives() {
+        let p = host_pair(ShmConfig::default(), QpCaps::default());
+        let rx = p.host.as_ref().unwrap().0.clone();
+        let src = p.a.reg_mr(p.pda, LEN).unwrap();
+        let dst = p.b.reg_mr(p.pdb, LEN).unwrap();
+        p.qb.post_recv(RecvWr::bare(80)).unwrap();
+        let paused = rx.pause_progress();
+        write_with_imm(&p, &src, &dst, 1, LEN as u32);
+        let wc = p.cqa.poll_one().expect("completed at placement");
+        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::Success));
+        // The magic byte of the first record's ring header.
+        sent_ring(&p).data_write(5, &[0]);
+        drop(paused);
+
+        poll_empty_until(&p.cqb, "the corrupt ring to be counted", || {
+            rx.malformed_records() == 1
+        });
+        for _ in 0..100 {
+            rx.progress();
+        }
+        assert!(p.cqb.poll_one().is_none(), "a corrupt ring notified");
+        assert_eq!(rx.malformed_records(), 1, "counted once");
+        assert_eq!(p.qb.recv_queue_depth(), 1, "no receive WR consumed");
+        assert!(rx.is_idle(), "a corrupt ring counts as drained");
+
+        let p = p.with_fresh_qps();
+        p.qb.post_recv(RecvWr::bare(81)).unwrap();
+        write_with_imm(&p, &src, &dst, 2, LEN as u32);
+        assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 81);
+        assert_eq!(rx.malformed_records(), 1);
+        // The ledger holds a send that completed and never notified: the
+        // pair is closed unchecked, and its shutdown drains at once.
+        let started = Instant::now();
+        p.close();
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shutdown waited"
+        );
     }
 
     /// What a panic carried, as text.

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 pub use bootstrap::{await_blob, publish_blob, Endpoint, EndpointError};
 pub use fabric::{ShmConfig, ShmFabric};
-pub use ring::{Popped, RecordReader, RecordWriter, SpscRing, RECORD_HEADER};
+pub use ring::{Popped, SpscRing, RECORD_HEADER};
 pub use segment::{
     default_shm_dir, Ctrl, FileMapping, FileSegment, HeapSegment, Segment, FILE_HEADER,
 };

@@ -5,34 +5,31 @@
 //! Cursors are *monotone byte counts* (they never wrap); only the data
 //! offsets wrap, so "full" (`tail - head == capacity`) and "empty" (`tail ==
 //! head`) are unambiguous without a sacrificial slot. Records may straddle
-//! the physical wrap point: every copy is split at the boundary.
+//! the physical wrap point: a copy that crosses it is split there.
 //!
 //! Publication protocol (model-checked in `tests/ring_protocol.rs`):
 //!
 //! - producer: read `Head` (acquire), check space, write record bytes,
 //!   store `Tail = tail + n` (release);
-//! - consumer: read `Tail` (acquire), parse records in `[head, tail)`,
-//!   store `Head = head + n` (release).
+//! - consumer: read `Tail` (acquire), copy the record at `head` out, store
+//!   `Head = head + n` (release).
 //!
 //! The acquire on `Tail` is what makes the record bytes visible to the
 //! consumer; the acquire on `Head` is what lets the producer reuse space.
-//! `Head` is a word the other side writes: one that runs past `Tail` is
-//! read as `Tail` (an empty ring), never as more room than the ring has.
 //!
 //! Each end remembers the other side's cursor as it last read it and goes
 //! back to the shared word only when that copy says *full* (producer) or
 //! *empty* (consumer). Cursors only grow, so a stale copy errs on the safe
 //! side — it under-reports free space, or published bytes — and a burst of
 //! records costs one load of the line the other side keeps writing, not one
-//! per record. The close-drain re-read of `Tail` below bypasses the copy.
+//! per record.
 //!
-//! Both ends can work on a record *in place*: [`SpscRing::try_push_with`]
-//! hands the producer the record's span to fill before `Tail` moves, and
-//! [`SpscRing::try_pop_with`] hands the consumer the span to read before
-//! `Head` moves — so a record is written once and read where it lies, with
-//! no staging buffer.
-//! [`SpscRing::try_push`] / [`SpscRing::try_pop`] are the slice-and-`Vec`
-//! conveniences over them.
+//! The ring has no close: it is a record queue, and teardown is the
+//! owner's, out of band. The words one end reads are the other end's to
+//! write, and in host mode that is another process: a `Head` past `Tail` is
+//! read as `Tail` (an empty ring), never as more room than the ring has, and
+//! a `Tail` or a record header that no producer of this ring writes pops as
+//! [`Popped::Corrupt`], never as a panic or as bytes out of bounds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +41,7 @@ use super::segment::{Ctrl, Segment};
 pub const RECORD_HEADER: u64 = 8;
 
 /// Magic byte stamped into every record header; a mismatch on pop means
-/// cursor corruption and is reported as poisoning, not silently skipped.
+/// the bytes at `Head` are no record.
 const RECORD_MAGIC: u8 = 0xA7;
 
 /// What [`SpscRing::try_pop`] found.
@@ -54,108 +51,15 @@ pub enum Popped {
     Empty,
     /// A record was read; its kind tag (payload is in the caller's scratch).
     Record(u8),
-    /// The producer closed the ring and everything published was consumed.
-    Closed,
+    /// The cursors or the record header at `Head` are not what a producer
+    /// of this ring writes (a bad magic, a length past `Tail`, or a `Tail`
+    /// behind `Head` or more than a capacity ahead of it). Nothing was
+    /// consumed: the ring cannot be read past this point.
+    Corrupt,
 }
 
-/// The payload span of a record being published, handed to the filler of
-/// [`SpscRing::try_push_with`]: up to two pieces of ring memory (split at
-/// the physical wrap point), written front to back. Lets a producer gather
-/// straight into the ring instead of staging the record first.
-pub struct RecordWriter<'a> {
-    first: &'a mut [u8],
-    second: &'a mut [u8],
-}
-
-impl<'a> RecordWriter<'a> {
-    /// A writer over `first` then `second` (any memory, not only a ring's:
-    /// the fabric serialises a retransmission copy through the same code).
-    pub fn new(first: &'a mut [u8], second: &'a mut [u8]) -> Self {
-        RecordWriter { first, second }
-    }
-
-    /// Bytes not yet written.
-    pub fn remaining(&self) -> usize {
-        self.first.len() + self.second.len()
-    }
-
-    /// Hand the next `len` bytes to `fill`, one call per contiguous piece
-    /// (two when the span straddles the wrap point), in order.
-    pub fn fill(&mut self, len: usize, mut fill: impl FnMut(&mut [u8])) {
-        assert!(len <= self.remaining(), "record writer overrun");
-        let n = len.min(self.first.len());
-        for (piece, n) in [(&mut self.first, n), (&mut self.second, len - n)] {
-            if n > 0 {
-                let (now, later) = std::mem::take(piece).split_at_mut(n);
-                fill(now);
-                *piece = later;
-            }
-        }
-    }
-
-    /// Write `bytes` next.
-    pub fn put(&mut self, bytes: &[u8]) {
-        let mut done = 0;
-        self.fill(bytes.len(), |dst| {
-            dst.copy_from_slice(&bytes[done..done + dst.len()]);
-            done += dst.len();
-        });
-    }
-}
-
-/// The payload of the record at the head of the ring, handed to the reader
-/// of [`SpscRing::try_pop_with`]: up to two pieces of ring memory, consumed
-/// front to back. Lets a consumer copy each part of a record once, into the
-/// buffer that will own it.
-pub struct RecordReader<'a> {
-    first: &'a [u8],
-    second: &'a [u8],
-    backlog: u64,
-}
-
-impl<'a> RecordReader<'a> {
-    /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
-        self.first.len() + self.second.len()
-    }
-
-    /// Bytes published and unconsumed as of the consumer's last `Tail` load,
-    /// this record included: the ring's occupancy as this end knows it
-    /// (exact when the load was made for this pop, a lower bound after).
-    pub fn backlog(&self) -> u64 {
-        self.backlog
-    }
-
-    /// Hand the next `len` bytes to `read`, one call per contiguous piece.
-    fn drain(&mut self, len: usize, mut read: impl FnMut(&[u8])) {
-        assert!(len <= self.remaining(), "record shorter than its format");
-        let n = len.min(self.first.len());
-        for (piece, n) in [(&mut self.first, n), (&mut self.second, len - n)] {
-            if n > 0 {
-                let (now, later) = piece.split_at(n);
-                read(now);
-                *piece = later;
-            }
-        }
-    }
-
-    /// Fill `dst` from the next `dst.len()` bytes.
-    pub fn take(&mut self, dst: &mut [u8]) {
-        let mut done = 0;
-        self.drain(dst.len(), |src| {
-            dst[done..done + src.len()].copy_from_slice(src);
-            done += src.len();
-        });
-    }
-
-    /// Append everything left to `dst`.
-    pub fn append_rest_to(&mut self, dst: &mut Vec<u8>) {
-        self.drain(self.remaining(), |src| dst.extend_from_slice(src));
-    }
-}
-
-/// SPSC ring handle. Producer-side calls (`try_push*`, `close`) must come
-/// from one logical producer, consumer-side calls from one logical
+/// SPSC ring handle. Producer-side calls (`try_push`) must come from one
+/// logical producer, consumer-side calls (`try_pop`) from one logical
 /// consumer; the fabric serialises each side with its own lock.
 pub struct SpscRing {
     seg: Arc<dyn Segment>,
@@ -225,22 +129,6 @@ impl SpscRing {
         self.len() == 0
     }
 
-    /// Largest payload a single record can carry in this ring.
-    pub fn max_payload(&self) -> u64 {
-        self.seg.capacity().saturating_sub(RECORD_HEADER)
-    }
-
-    /// Mark the producer side closed (shutdown handshake): consumers keep
-    /// draining and then observe [`Popped::Closed`].
-    pub fn close(&self) {
-        self.seg.ctrl_store(Ctrl::Closed, 1);
-    }
-
-    /// Whether the producer closed the ring.
-    pub fn is_closed(&self) -> bool {
-        self.seg.ctrl_load(Ctrl::Closed) != 0
-    }
-
     /// Consumer-side attach acknowledgement (cross-process bring-up).
     pub fn mark_attached(&self) {
         self.seg.ctrl_store(Ctrl::Attached, 1);
@@ -251,32 +139,26 @@ impl SpscRing {
         self.seg.ctrl_load(Ctrl::Attached) != 0
     }
 
-    /// The `len` data bytes at logical position `pos` as `(offset, first,
-    /// second)`: `first` bytes at physical `offset`, then `second` bytes at
-    /// physical 0 (non-zero only when the span straddles the wrap point).
-    fn split(&self, pos: u64, len: usize) -> (usize, usize, usize) {
-        let cap = self.seg.capacity();
-        assert!(len as u64 <= cap, "span longer than the ring");
-        let off = pos % cap;
-        let first = ((cap - off) as usize).min(len);
-        (off as usize, first, len - first)
-    }
-
-    /// Copy `bytes` into the data area starting at logical position `pos`,
-    /// splitting at the physical wrap point.
+    /// Copy `bytes` into the data area starting at logical position `pos`:
+    /// one copy, or two when the span straddles the physical wrap point.
     fn write_wrapped(&self, pos: u64, bytes: &[u8]) {
-        let (off, first, _) = self.split(pos, bytes.len());
-        self.seg.data_write(off as u64, &bytes[..first]);
+        let cap = self.seg.capacity();
+        let off = pos % cap;
+        let first = ((cap - off) as usize).min(bytes.len());
+        self.seg.data_write(off, &bytes[..first]);
         if first < bytes.len() {
             self.seg.data_write(0, &bytes[first..]);
         }
     }
 
     /// Copy `dst.len()` bytes out of the data area from logical position
-    /// `pos`, splitting at the physical wrap point.
+    /// `pos`: one copy, or two when the span straddles the physical wrap
+    /// point.
     fn read_wrapped(&self, pos: u64, dst: &mut [u8]) {
-        let (off, first, _) = self.split(pos, dst.len());
-        self.seg.data_read(off as u64, &mut dst[..first]);
+        let cap = self.seg.capacity();
+        let off = pos % cap;
+        let first = ((cap - off) as usize).min(dst.len());
+        self.seg.data_read(off, &mut dst[..first]);
         if first < dst.len() {
             self.seg.data_read(0, &mut dst[first..]);
         }
@@ -286,20 +168,7 @@ impl SpscRing {
     /// caller retries after the consumer advances). Panics if the record
     /// can never fit (payload larger than the ring).
     pub fn try_push(&self, kind: u8, payload: &[u8]) -> bool {
-        self.try_push_with(kind, payload.len(), |w| w.put(payload))
-    }
-
-    /// Publish one record of `len` payload bytes that `fill` writes in
-    /// place. `fill` runs only when the record fits, and must write exactly
-    /// `len` bytes; the record becomes visible to the consumer when it
-    /// returns. Returns and panics as [`try_push`](Self::try_push).
-    pub fn try_push_with(
-        &self,
-        kind: u8,
-        len: usize,
-        fill: impl FnOnce(&mut RecordWriter<'_>),
-    ) -> bool {
-        let need = RECORD_HEADER + len as u64;
+        let need = RECORD_HEADER + payload.len() as u64;
         let cap = self.seg.capacity();
         assert!(
             need <= cap,
@@ -319,60 +188,25 @@ impl SpscRing {
             }
         }
         let mut header = [0u8; RECORD_HEADER as usize];
-        header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4] = kind;
         header[5] = RECORD_MAGIC;
+        // The span `[tail, tail + need)` lies below `head + cap`, checked
+        // free above against a `Head` that only grows, and the consumer
+        // reads nothing past `Tail`, which moves only once it is written.
         self.write_wrapped(tail, &header);
-        let (off, first, second) = self.split(tail + RECORD_HEADER, len);
-        let data = self.seg.data();
-        // SAFETY: `split` keeps both pieces inside the data area, and they
-        // are disjoint (`first + second <= cap`). The span lies in `[tail,
-        // head + cap)`, checked free above against a `Head` that only
-        // grows: the consumer reads nothing past `Tail`, which has not
-        // moved yet, and there is one logical producer, so nothing else
-        // touches these bytes while the slices live.
-        let mut writer = unsafe {
-            RecordWriter::new(
-                std::slice::from_raw_parts_mut(data.add(off), first),
-                std::slice::from_raw_parts_mut(data, second),
-            )
-        };
-        fill(&mut writer);
-        assert_eq!(writer.remaining(), 0, "record filler stopped short");
+        self.write_wrapped(tail + RECORD_HEADER, payload);
         self.seg.ctrl_store(Ctrl::Tail, tail + need);
         true
     }
 
-    /// Consume one record if available, appending its payload to `scratch`
-    /// (cleared first).
-    ///
-    /// # Panics
-    ///
-    /// On header corruption (bad magic or a length exceeding the published
-    /// span) — the cursors are no longer trustworthy and continuing would
-    /// deliver garbage bytes into registered memory.
+    /// Consume one record if available, its payload copied into `scratch`
+    /// (resized to the payload's length), and hand its space back to the
+    /// producer. A [`Popped::Corrupt`] consumes nothing and leaves `scratch`
+    /// as it was.
     pub fn try_pop(&self, scratch: &mut Vec<u8>) -> Popped {
-        let popped = self.try_pop_with(|kind, payload| {
-            scratch.clear();
-            payload.append_rest_to(scratch);
-            kind
-        });
-        match popped {
-            Ok(kind) => Popped::Record(kind),
-            Err(none) => none,
-        }
-    }
-
-    /// Consume one record if available: `read` gets its kind tag and its
-    /// payload in place, and the space is handed back to the producer when
-    /// it returns. `Err` is [`Popped::Empty`] or [`Popped::Closed`], never
-    /// a record. Panics as [`try_pop`](Self::try_pop).
-    pub fn try_pop_with<R>(
-        &self,
-        read: impl FnOnce(u8, &mut RecordReader<'_>) -> R,
-    ) -> Result<R, Popped> {
         let head = self.seg.ctrl_load(Ctrl::Head);
-        // As `seen_head` in `try_push_with`: this side's own word, and the
+        // As `seen_head` in `try_push`: this side's own word, and the
         // acquire that publishes the bytes below it was made when it was
         // read from `Tail`.
         let mut tail = self.seen_tail.load(Ordering::Relaxed);
@@ -381,57 +215,27 @@ impl SpscRing {
             // when another handle consumed since): look again.
             tail = self.seg.ctrl_load(Ctrl::Tail);
             if tail == head {
-                if !self.is_closed() {
-                    return Err(Popped::Empty);
-                }
-                // `Closed` may have been observed between our `Tail` load
-                // and the producer's final publishes (push … push, close).
-                // Having seen the close flag (acquire), re-read `Tail` —
-                // the word itself, not the remembered copy: every record
-                // published before the close must still drain, or the
-                // consumer would drop the stream's suffix.
-                tail = self.seg.ctrl_load(Ctrl::Tail);
-                if tail == head {
-                    return Err(Popped::Closed);
-                }
+                return Popped::Empty;
             }
             self.seen_tail.store(tail, Ordering::Relaxed);
         }
-        // Saturating: a `Tail` behind `Head` is corruption too.
+        // Saturating: a `Tail` behind `Head` is corrupt too.
         let avail = tail.saturating_sub(head);
-        assert!(
-            avail >= RECORD_HEADER && avail <= self.seg.capacity(),
-            "ring cursors corrupt: {avail} bytes published at head {head}"
-        );
+        if avail < RECORD_HEADER || avail > self.seg.capacity() {
+            return Popped::Corrupt;
+        }
         let mut header = [0u8; RECORD_HEADER as usize];
         self.read_wrapped(head, &mut header);
         let len = u32::from_le_bytes(header[..4].try_into().expect("fixed slice")) as u64;
-        let kind = header[4];
-        assert_eq!(
-            header[5], RECORD_MAGIC,
-            "ring record magic mismatch at head {head}"
-        );
-        assert!(
-            RECORD_HEADER + len <= avail,
-            "ring record length {len} exceeds published span {avail}"
-        );
-        let (off, first, second) = self.split(head + RECORD_HEADER, len as usize);
-        let data = self.seg.data();
-        // SAFETY: `split` keeps both pieces inside the data area. The span
-        // lies in `[head, tail)`, published by the `Tail` release acquired
-        // above; the producer writes nothing before `Head + cap`, and `Head`
-        // moves only below, after the slices are gone (one logical
-        // consumer).
-        let mut reader = unsafe {
-            RecordReader {
-                first: std::slice::from_raw_parts(data.add(off), first),
-                second: std::slice::from_raw_parts(data, second),
-                backlog: avail,
-            }
-        };
-        let out = read(kind, &mut reader);
+        if header[5] != RECORD_MAGIC || RECORD_HEADER + len > avail {
+            return Popped::Corrupt;
+        }
+        // Every byte is overwritten: a scratch that held a record of the
+        // same length is not filled first.
+        scratch.resize(len as usize, 0);
+        self.read_wrapped(head + RECORD_HEADER, scratch);
         self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
-        Ok(out)
+        Popped::Record(header[4])
     }
 }
 
@@ -473,50 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_push_and_pop_straddle_the_wrap_point() {
-        let r = ring(48);
-        let mut buf = Vec::new();
-        // Park the cursors at 30: the next record's 8-byte header ends at
-        // 38, its 16-byte payload wraps after 10 bytes.
-        assert!(r.try_push(0, &[0; 22]));
-        assert_eq!(r.try_pop(&mut buf), Popped::Record(0));
-        let pushed = r.try_push_with(9, 16, |w| {
-            assert_eq!(w.remaining(), 16);
-            w.put(b"head:");
-            // A gather source that is asked for each contiguous piece.
-            let mut next = 0u8;
-            w.fill(11, |dst| {
-                for b in dst {
-                    *b = next;
-                    next += 1;
-                }
-            });
-        });
-        assert!(pushed);
-        let (tag, body) = r
-            .try_pop_with(|kind, payload| {
-                assert_eq!((kind, payload.remaining()), (9, 16));
-                let mut tag = [0u8; 5];
-                payload.take(&mut tag);
-                let mut body = Vec::new();
-                payload.append_rest_to(&mut body);
-                (tag, body)
-            })
-            .expect("a record is waiting");
-        assert_eq!(&tag, b"head:");
-        assert_eq!(body, (0..11).collect::<Vec<u8>>());
-        assert_eq!(r.try_pop_with(|_, _| ()), Err(Popped::Empty));
-        assert!(r.is_empty(), "the space went back when the reader returned");
-    }
-
-    #[test]
-    #[should_panic(expected = "stopped short")]
-    fn filler_that_stops_short_publishes_nothing() {
-        let r = ring(64);
-        let _ = r.try_push_with(1, 8, |w| w.put(b"four"));
-    }
-
-    #[test]
     fn full_ring_rejects_then_accepts_after_drain() {
         let r = ring(40); // room for exactly two 8+12 records
         assert!(r.try_push(0, &[1; 12]));
@@ -531,39 +291,61 @@ mod tests {
     }
 
     #[test]
-    fn close_drains_then_reports_closed() {
-        let r = ring(64);
-        assert!(r.try_push(9, b"last"));
-        r.close();
-        let mut buf = Vec::new();
-        assert_eq!(r.try_pop(&mut buf), Popped::Record(9));
-        assert_eq!(r.try_pop(&mut buf), Popped::Closed);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds ring capacity")]
     fn oversized_record_panics() {
         let r = ring(16);
         let _ = r.try_push(0, &[0; 64]);
     }
 
+    /// A ring of 64 bytes holding one 4-byte record, with `corrupt` applied
+    /// to its segment as another process could: every pop then reports
+    /// [`Popped::Corrupt`], consumes nothing and leaves the scratch alone.
+    fn assert_pops_corrupt(corrupt: impl FnOnce(&HeapSegment)) {
+        let seg = Arc::new(HeapSegment::new(64));
+        let r = SpscRing::new(seg.clone());
+        assert!(r.try_push(3, b"four"));
+        corrupt(&seg);
+        let mut buf = b"kept".to_vec();
+        for _ in 0..2 {
+            assert_eq!(r.try_pop(&mut buf), Popped::Corrupt);
+            assert_eq!(r.consumed(), 0, "a corrupt record consumes nothing");
+            assert_eq!(buf, b"kept");
+        }
+    }
+
+    #[test]
+    fn a_record_with_a_bad_magic_pops_corrupt() {
+        assert_pops_corrupt(|seg| seg.data_write(5, &[0]));
+    }
+
+    #[test]
+    fn a_record_longer_than_what_tail_publishes_pops_corrupt() {
+        // 4 + 8 bytes published; the header claims 5 of payload.
+        assert_pops_corrupt(|seg| seg.data_write(0, &5u32.to_le_bytes()));
+    }
+
+    #[test]
+    fn a_tail_more_than_a_capacity_ahead_of_head_pops_corrupt() {
+        assert_pops_corrupt(|seg| seg.ctrl_store(Ctrl::Tail, 64 + 12));
+    }
+
     #[test]
     fn cross_thread_stream() {
+        const N: u32 = 10_000;
         let seg = Arc::new(HeapSegment::new(512));
         let tx = SpscRing::new(seg.clone());
         let rx = SpscRing::new(seg);
         let producer = std::thread::spawn(move || {
-            for i in 0..10_000u32 {
+            for i in 0..N {
                 let payload = i.to_le_bytes();
                 while !tx.try_push((i % 251) as u8, &payload) {
                     std::hint::spin_loop();
                 }
             }
-            tx.close();
         });
         let mut buf = Vec::new();
         let mut next = 0u32;
-        loop {
+        while next < N {
             match rx.try_pop(&mut buf) {
                 Popped::Record(kind) => {
                     assert_eq!(kind, (next % 251) as u8);
@@ -571,10 +353,10 @@ mod tests {
                     next += 1;
                 }
                 Popped::Empty => std::hint::spin_loop(),
-                Popped::Closed => break,
+                Popped::Corrupt => panic!("corrupt at record {next}"),
             }
         }
-        assert_eq!(next, 10_000);
         producer.join().unwrap();
+        assert_eq!(rx.try_pop(&mut buf), Popped::Empty);
     }
 }

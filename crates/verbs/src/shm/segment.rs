@@ -1,8 +1,9 @@
 //! Shared-memory segments: the storage a [`SpscRing`](super::SpscRing)
 //! lives in.
 //!
-//! A segment is a fixed-size byte area plus a small bank of 8-byte control
-//! words. Both backings are plain memory the two sides load and store
+//! A segment is a fixed-size byte area plus five 8-byte control words
+//! ([`Ctrl`]): the ring's two cursors, the consumer's attach flag, and the
+//! fabric's credit and polled words. Both backings are plain memory the two sides load and store
 //! directly — no syscall moves a byte or orders one:
 //!
 //! - [`HeapSegment`] — process-private memory for the loopback fabric and
@@ -38,22 +39,20 @@ pub enum Ctrl {
     Tail = 0,
     /// Consumer cursor: total bytes ever consumed (monotone).
     Head = 1,
-    /// Producer-side close flag (shutdown handshake).
-    Closed = 2,
     /// Consumer attach acknowledgement (cross-process bring-up).
-    Attached = 3,
+    Attached = 2,
     /// Receive credits: how many receive WRs the consumer's QP has had
     /// posted in all (monotone), which its producer spends one per
     /// write-with-immediate (see `ShmFabric`).
-    Credits = 4,
+    Credits = 3,
     /// `Head` as of the consumer's last scan that found the ring empty:
     /// every record below it was taken, and the consumer's poller came back
     /// afterwards (see `ShmFabric`'s RNR rule).
-    Polled = 5,
+    Polled = 4,
 }
 
 /// Number of control slots.
-pub const CTRL_SLOTS: usize = 6;
+pub const CTRL_SLOTS: usize = 5;
 
 /// Bytes reserved at the front of a file segment; the data area starts
 /// here. Layout (little-endian `u64`s): magic at 0, capacity at 8, the
@@ -66,7 +65,7 @@ const CTRL_BASE: usize = 16;
 
 /// Magic stamped into file segments so a stale or foreign file is rejected
 /// instead of parsed.
-pub const SEG_MAGIC: u64 = 0x5052_5458_5348_4d31; // "PRTXSHM1"
+pub const SEG_MAGIC: u64 = 0x5052_5458_5348_4d32; // "PRTXSHM2"
 
 /// Storage for one ring: a data area plus control words.
 ///

@@ -86,7 +86,7 @@ fn concurrent_senders_one_progress_thread() {
                 let mut buf = Vec::new();
                 loop {
                     buf.clear();
-                    cqa.poll(64, &mut buf);
+                    cqa.poll_cq_into(&mut buf, 64);
                     {
                         let mut set = seen_send.lock();
                         for wc in &buf {
@@ -94,7 +94,7 @@ fn concurrent_senders_one_progress_thread() {
                         }
                     }
                     buf.clear();
-                    cqb.poll(64, &mut buf);
+                    cqb.poll_cq_into(&mut buf, 64);
                     {
                         let mut set = seen_recv.lock();
                         for wc in &buf {

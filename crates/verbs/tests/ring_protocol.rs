@@ -1,17 +1,21 @@
-//! Exhaustive-interleaving model check of the SPSC ring's cursor protocol,
-//! its remembered cursors, and the close-drain shutdown handshake; and of
-//! the shared-memory fabric's receive-credit protocol.
+//! Exhaustive-interleaving model check of the SPSC ring's cursor protocol
+//! and its remembered cursors, and of the shared-memory fabric's
+//! receive-credit protocol.
 //!
 //! No model-checking framework is vendored, so this is a hand-rolled
-//! explicit-state checker: the producer and consumer are decomposed into
-//! the same atomic load/store steps the real `SpscRing` performs on its
-//! control words — one shared access per step, with each side's remembered
-//! copy of the other's cursor (`seen_head`, `seen_tail`) as thread-local
-//! state — and a memoized DFS enumerates *every* interleaving of those steps
-//! under sequential consistency, asserting that
+//! explicit-state checker: [`explore`] runs a memoized DFS over every
+//! interleaving of a [`Model`]'s steps under sequential consistency, fails
+//! on the first broken property a step reports, and fails on a stuck state:
+//! one where every side can only wait (no step changes the state) before
+//! the model is finished.
 //!
-//! - no published record is lost: when both sides finish, the consumer has
-//!   drained exactly the `n` records the producer pushed before closing;
+//! The ring model decomposes the producer and consumer into the same atomic
+//! load/store steps the real `SpscRing` performs on its control words — one
+//! shared access per step, with each side's remembered copy of the other's
+//! cursor (`seen_head`, `seen_tail`) as thread-local state. It checks that
+//!
+//! - the whole stream goes through: in every interleaving the consumer takes
+//!   all `n` records the producer pushes, and no state is stuck;
 //! - the producer never overcommits: a push accepted against a stale
 //!   `Head` still fits, because `Head` only advances (the stale check is
 //!   conservative);
@@ -19,18 +23,13 @@
 //!   state `seen_head <= Head` and `seen_tail <= Tail`, so the producer can
 //!   only under-report free space and the consumer only under-report
 //!   published bytes, and a record consumed on the strength of `seen_tail`
-//!   is really there;
-//! - the handshake terminates: every reachable state has a successor until
-//!   both sides are done (no stuck states).
+//!   is really there.
 //!
-//! The checker is validated against itself, twice: the *pre-fix* consumer
-//! (which returned `Closed` without re-reading `Tail` after observing the
-//! close flag) is model-checked too, and the checker must find its
-//! lost-record interleaving — the exact race the ring property tests caught
-//! on real threads; and so is a consumer whose close-drain "re-read" looks at
-//! its remembered `Tail` instead of the word, which loses the same records.
+//! The checker is validated against a producer that trusts its remembered
+//! `Head` for good once it says full: that producer waits on a ring the
+//! consumer has emptied, and the search must find it stuck.
 //!
-//! A second model checks `ShmFabric`'s receive-credit protocol: a sender
+//! The credit model checks `ShmFabric`'s receive-credit protocol: a sender
 //! that places each WR and rings its doorbell, spending one credit per
 //! write-with-imm from the credit word its receiver publishes, holding a
 //! write with no credit until the receiver has notified the ring ahead and
@@ -48,235 +47,173 @@
 //! credit model runs each stream all writes-with-imm and with its second WR
 //! a bare write, against 0 to as many receives as WRs and an `rnr_retry` of
 //! 0 and 1. Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4,
-//! stream ≤ 6) and raises the concrete-ring stress iterations; the state spaces
-//! stay small (tens of thousands of states) because the protocol has so
-//! little shared state — that is rather the point of the design.
+//! stream ≤ 6); the state spaces stay small (tens of thousands of states)
+//! because the protocols have so little shared state — that is rather the
+//! point of the design.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::fmt::Debug;
+use std::hash::Hash;
 
-use partix_verbs::shm::{FileSegment, HeapSegment, Popped, SpscRing};
+/// A protocol as the search sees it: its states, the steps each side can
+/// take, and what must hold when it is finished.
+trait Model {
+    type State: Copy + Eq + Hash + Debug;
 
-/// Producer program counter, mirroring `SpscRing::try_push_with`: push
-/// records 0..n, then store `Closed`, then done.
+    fn initial(&self) -> Self::State;
+
+    /// Push every successor of `s`: one per step a side can take. `Err`
+    /// names a property that `s` or one of its steps breaks. A side that
+    /// can only wait pushes `s` itself, or nothing.
+    fn successors(&self, s: Self::State, out: &mut Vec<Self::State>) -> Result<(), String>;
+
+    /// Whether `s` is an end of the protocol: a state that is not, and that
+    /// no step changes, is stuck.
+    fn finished(&self, s: &Self::State) -> bool;
+
+    /// What a finished state must hold.
+    fn check_final(&self, _s: &Self::State) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// The explicit-state search: every state reachable from the model's
+/// initial one, each explored once. `Err` names the first broken property
+/// or stuck state.
+fn explore<M: Model>(model: &M) -> Result<(), String> {
+    let mut seen = HashSet::new();
+    let mut stack = vec![model.initial()];
+    let mut succ = Vec::with_capacity(4);
+    while let Some(s) = stack.pop() {
+        if !seen.insert(s) {
+            continue;
+        }
+        succ.clear();
+        model.successors(s, &mut succ)?;
+        // A step back to `s` is a side waiting, not progress.
+        succ.retain(|&v| v != s);
+        if succ.is_empty() {
+            if !model.finished(&s) {
+                return Err(format!("stuck in {s:?}"));
+            }
+            model.check_final(&s)?;
+        }
+        stack.extend(succ.iter().copied());
+    }
+    Ok(())
+}
+
+/// Producer program counter, mirroring `SpscRing::try_push`: push records
+/// 0..n, then done.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Prod {
     /// About to push record `i`: publish it (store `Tail`) if the remembered
-    /// `Head` shows room, else load `Head` into the remembered copy and try
-    /// again.
+    /// `Head` shows room, else load `Head` into the remembered copy (and the
+    /// caller tries again).
     Push { i: u8 },
-    /// All records published; about to store the close flag.
-    Close,
     /// Finished.
     Done,
 }
 
-/// Consumer program counter, mirroring `SpscRing::try_pop_with` step for
-/// step.
+/// One interleaved state of the ring. `tail`/`head` are the shared control
+/// words; everything else is thread-local. The consumer mirrors
+/// `SpscRing::try_pop`: it consumes a record (stores `Head`) if the
+/// remembered `Tail` shows one, else loads `Tail` into the remembered copy;
+/// it is done once it has taken `n` records.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Cons {
-    /// About to pop: consume a record (store `Head`) if the remembered
-    /// `Tail` shows one, else load `Tail`.
-    Pop,
-    /// Loaded `Tail` as `t` because the remembered copy said empty; about to
-    /// compare it against own `Head`.
-    Compare { t: u8 },
-    /// Saw `t == head`; about to load the close flag.
-    LoadClosed,
-    /// Saw the close flag set; about to re-read `Tail` (the post-fix drain
-    /// step). The pre-fix variant skips this state entirely.
-    Recheck,
-    /// Finished (observed `Closed` with nothing left).
-    Done,
-}
-
-/// What the consumer does between seeing the close flag and reporting
-/// `Closed`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum CloseDrain {
-    /// Re-read the `Tail` word itself: the protocol.
-    RereadWord,
-    /// "Re-read" the remembered `Tail`: a cache that the drain fails to
-    /// bypass.
-    RereadRemembered,
-    /// Nothing: the pre-fix consumer.
-    Skip,
-}
-
-/// One interleaved state of the whole system. `tail`/`head`/`closed` are
-/// the shared control words; everything else is thread-local.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct World {
+struct RingWorld {
     tail: u8,
     head: u8,
-    closed: bool,
     prod: Prod,
     /// `Head` as the producer last read it.
     seen_head: u8,
-    cons: Cons,
     /// `Tail` as the consumer last read it.
     seen_tail: u8,
-    consumed: u8,
 }
 
-/// Model parameters: `n` records through a ring holding `cap` records, and
-/// the consumer's close-drain step.
+/// The ring model: `n` records through a ring holding `cap` records; with
+/// `stale_full`, a producer that never re-reads `Head` once its remembered
+/// copy says full.
 #[derive(Clone, Copy)]
-struct Model {
+struct RingModel {
     n: u8,
     cap: u8,
-    close_drain: CloseDrain,
+    stale_full: bool,
 }
 
-impl Model {
-    fn initial(&self) -> World {
-        World {
+impl Model for RingModel {
+    type State = RingWorld;
+
+    fn initial(&self) -> RingWorld {
+        RingWorld {
             tail: 0,
             head: 0,
-            closed: false,
             prod: Prod::Push { i: 0 },
             seen_head: 0,
-            cons: Cons::Pop,
             seen_tail: 0,
-            consumed: 0,
         }
     }
 
-    /// Producer successor states (at most one: the producer is
-    /// deterministic given the shared state it reads).
-    fn step_prod(&self, w: World, out: &mut Vec<World>) {
-        let mut v = w;
-        match w.prod {
-            Prod::Push { i } => {
-                if w.tail - w.seen_head < self.cap {
-                    // Space check passed against a possibly stale head.
-                    // The real ring writes the record bytes here; under
-                    // sequential consistency the byte copy collapses into
-                    // the release store of `Tail`. The overcommit safety
-                    // assertion: even with the stale copy, the record fits
-                    // against the *true* head, because head only grows.
-                    assert!(
-                        w.tail + 1 - w.head <= self.cap,
-                        "overcommit: push accepted against remembered head {} \
-                         but true occupancy is {}..{} in cap {}",
+    fn successors(&self, w: RingWorld, out: &mut Vec<RingWorld>) -> Result<(), String> {
+        if w.seen_head > w.head || w.seen_tail > w.tail {
+            return Err(format!("remembered cursor ahead of its word in {w:?}"));
+        }
+        // Producer: deterministic given the shared state it reads.
+        if let Prod::Push { i } = w.prod {
+            let mut v = w;
+            if w.tail - w.seen_head < self.cap {
+                // Space check passed against a possibly stale head. The
+                // real ring writes the record bytes here; under sequential
+                // consistency the byte copy collapses into the release store
+                // of `Tail`. Even with the stale copy, the record must fit
+                // against the *true* head, because head only grows.
+                if w.tail + 1 - w.head > self.cap {
+                    return Err(format!(
+                        "overcommit: push accepted against remembered head {} but true \
+                         occupancy is {}..{} in cap {}",
                         w.seen_head,
                         w.head,
                         w.tail + 1,
                         self.cap
-                    );
-                    v.tail = w.tail + 1;
-                    v.prod = if i + 1 < self.n {
-                        Prod::Push { i: i + 1 }
-                    } else {
-                        Prod::Close
-                    };
-                } else {
-                    // Full as far as the remembered head says: re-read it.
-                    // Still full afterwards means the push fails and the
-                    // caller comes back, to this same step.
-                    v.seen_head = w.head;
+                    ));
                 }
-                out.push(v);
-            }
-            Prod::Close => {
-                v.closed = true;
-                v.prod = Prod::Done;
-                out.push(v);
-            }
-            Prod::Done => {}
-        }
-    }
-
-    /// Consumer successor states.
-    fn step_cons(&self, w: World, out: &mut Vec<World>) {
-        let mut v = w;
-        match w.cons {
-            Cons::Pop => {
-                if w.seen_tail > w.head {
-                    // A record is published as far as the remembered tail
-                    // says — and so it is, because tail only grows: consume
-                    // it and loop.
-                    assert!(
-                        w.head < w.tail,
-                        "consumed record {} on the strength of remembered tail {} \
-                         but only {} are published",
-                        w.head,
-                        w.seen_tail,
-                        w.tail
-                    );
-                    v.head = w.head + 1;
-                    v.consumed = w.consumed + 1;
+                v.tail = w.tail + 1;
+                v.prod = if i + 1 < self.n {
+                    Prod::Push { i: i + 1 }
                 } else {
-                    v.cons = Cons::Compare { t: w.tail };
-                }
-                out.push(v);
-            }
-            Cons::Compare { t } => {
-                if t == w.head {
-                    v.cons = Cons::LoadClosed;
-                } else {
-                    v.seen_tail = t;
-                    v.cons = Cons::Pop;
-                }
-                out.push(v);
-            }
-            Cons::LoadClosed => {
-                v.cons = match (w.closed, self.close_drain) {
-                    (false, _) => Cons::Pop, // empty, not closed: spin
-                    (true, CloseDrain::Skip) => Cons::Done,
-                    (true, _) => Cons::Recheck,
+                    Prod::Done
                 };
-                out.push(v);
+            } else if !self.stale_full {
+                // Full as far as the remembered head says: re-read it.
+                v.seen_head = w.head;
             }
-            Cons::Recheck => {
-                // The post-fix drain step: re-read Tail after seeing the
-                // close flag; records published before the close win.
-                let t = match self.close_drain {
-                    CloseDrain::RereadRemembered => w.seen_tail.max(w.head),
-                    _ => w.tail,
-                };
-                if t == w.head {
-                    v.cons = Cons::Done;
-                } else {
-                    v.seen_tail = t;
-                    v.cons = Cons::Pop;
-                }
-                out.push(v);
-            }
-            Cons::Done => {}
+            out.push(v);
         }
-    }
-
-    /// Explore every interleaving; returns the set of `consumed` counts
-    /// observed in final (both-done) states.
-    fn check(&self) -> HashSet<u8> {
-        let mut seen: HashSet<World> = HashSet::new();
-        let mut stack = vec![self.initial()];
-        let mut finals = HashSet::new();
-        let mut succ = Vec::with_capacity(2);
-        while let Some(w) = stack.pop() {
-            if !seen.insert(w) {
-                continue;
-            }
-            // A remembered cursor is never ahead of the word it remembers.
-            assert!(
-                w.seen_head <= w.head && w.seen_tail <= w.tail,
-                "remembered cursor ahead of its word in {w:?}"
-            );
-            succ.clear();
-            self.step_prod(w, &mut succ);
-            self.step_cons(w, &mut succ);
-            if succ.is_empty() {
-                // Terminal: both sides must be done (no stuck states), and
-                // the handshake must not have lost records.
-                assert_eq!(w.prod, Prod::Done, "producer stuck in {w:?}");
-                assert_eq!(w.cons, Cons::Done, "consumer stuck in {w:?}");
-                finals.insert(w.consumed);
+        // Consumer.
+        if w.head < self.n {
+            let mut v = w;
+            if w.seen_tail > w.head {
+                // A record is published as far as the remembered tail says —
+                // and so it is, because tail only grows: consume it.
+                if w.head >= w.tail {
+                    return Err(format!(
+                        "consumed record {} on the strength of remembered tail {} but \
+                         only {} are published",
+                        w.head, w.seen_tail, w.tail
+                    ));
+                }
+                v.head = w.head + 1;
             } else {
-                stack.extend(succ.iter().copied());
+                // Empty as far as the remembered tail says: re-read it.
+                v.seen_tail = w.tail;
             }
+            out.push(v);
         }
-        finals
+        Ok(())
+    }
+
+    fn finished(&self, w: &RingWorld) -> bool {
+        w.prod == Prod::Done && w.head == self.n
     }
 }
 
@@ -292,83 +229,54 @@ fn bounds() -> (u8, u8) {
     }
 }
 
-/// Every interleaving of the post-fix protocol delivers the whole stream:
-/// the only reachable final consumed-count is `n`, for every bounded
-/// (records, capacity) pair.
-#[test]
-fn close_drain_handshake_loses_nothing_in_any_interleaving() {
+/// Every ring model at the bounds; the first failure with its parameters.
+fn check_ring_models(stale_full: bool) -> Result<(), String> {
     let (max_n, max_cap) = bounds();
     for n in 1..=max_n {
         for cap in 1..=max_cap {
-            let finals = Model {
-                n,
-                cap,
-                close_drain: CloseDrain::RereadWord,
-            }
-            .check();
-            assert_eq!(
-                finals,
-                HashSet::from([n]),
-                "n={n} cap={cap}: some interleaving finished with a \
-                 consumed-count other than {n}"
-            );
+            let model = RingModel { n, cap, stale_full };
+            explore(&model).map_err(|e| format!("n={n} cap={cap}: {e}"))?;
         }
     }
+    Ok(())
 }
 
-/// Checker self-test: the pre-fix consumer (no `Tail` re-read after
-/// observing `Closed`) must be caught losing records — there is an
-/// interleaving where the producer publishes its suffix and closes
-/// between the consumer's `Tail` load and its close-flag load.
+/// Every interleaving of the ring protocol delivers the whole stream: the
+/// consumer takes all `n` records and no state is stuck, for every bounded
+/// (records, capacity) pair.
 #[test]
-fn checker_finds_the_prefix_close_race() {
-    assert_loses_a_record(CloseDrain::Skip);
-}
-
-/// The same race, reopened by a remembered cursor: a close-drain step that
-/// consults the consumer's remembered `Tail` re-reads nothing (the copy said
-/// empty a moment ago, which is why the close flag was looked at), so it
-/// must be caught losing the same records. The re-read has to bypass the
-/// copy.
-#[test]
-fn checker_finds_a_close_drain_that_trusts_the_remembered_tail() {
-    assert_loses_a_record(CloseDrain::RereadRemembered);
-}
-
-fn assert_loses_a_record(close_drain: CloseDrain) {
-    let finals = Model {
-        n: 1,
-        cap: 1,
-        close_drain,
+fn every_interleaving_delivers_the_whole_stream() {
+    if let Err(e) = check_ring_models(false) {
+        panic!("{e}");
     }
-    .check();
-    assert!(
-        finals.contains(&0),
-        "the lost-record interleaving of the buggy protocol was not found \
-         (checker too weak): finals={finals:?}"
-    );
-    assert!(
-        finals.contains(&1),
-        "the clean interleaving must also be reachable: finals={finals:?}"
-    );
 }
 
-/// The safety assertions inside the model — no overcommit against a
-/// remembered `Head`, no record consumed that a remembered `Tail` promised
-/// and the word does not hold, no remembered cursor ahead of its word —
-/// double as proof obligations over all interleavings; this test just makes
-/// their coverage explicit for the widest bounded ring.
+/// Checker self-test: a producer that trusts its remembered `Head` for good
+/// once it says full never sees the space the consumer hands back, and is
+/// caught stuck at default bounds.
+#[test]
+fn checker_finds_a_producer_that_never_rereads_a_full_head() {
+    let found = check_ring_models(true);
+    let e = found.expect_err("the stale full ring was not found");
+    assert!(e.contains("stuck"), "{e}");
+}
+
+/// The safety checks inside the model — no overcommit against a remembered
+/// `Head`, no record consumed that a remembered `Tail` promised and the
+/// word does not hold, no remembered cursor ahead of its word — double as
+/// proof obligations over all interleavings; this test just makes their
+/// coverage explicit for the widest bounded ring.
 #[test]
 fn stale_head_space_check_never_overcommits() {
-    let (max_n, max_cap) = bounds();
-    // The assert!s inside `step_prod`, `step_cons` and `check` fire on any
-    // violating interleaving.
-    let _ = Model {
-        n: max_n,
-        cap: max_cap,
-        close_drain: CloseDrain::RereadWord,
+    let (n, cap) = bounds();
+    let model = RingModel {
+        n,
+        cap,
+        stale_full: false,
+    };
+    if let Err(e) = explore(&model) {
+        panic!("{e}");
     }
-    .check();
 }
 
 /// The sender's program counter in the credit model, mirroring
@@ -510,7 +418,8 @@ impl CreditModel {
         Ok(())
     }
 
-    fn successors(&self, w: CreditWorld, out: &mut Vec<CreditWorld>) -> Result<(), String> {
+    /// Every step either side can take from `w`.
+    fn steps(&self, w: CreditWorld, out: &mut Vec<CreditWorld>) -> Result<(), String> {
         // Sender.
         let credit_left = |w: &CreditWorld, word: u8| match self.mutant {
             CreditMutant::SpendsTwice => w.spent <= word,
@@ -607,12 +516,14 @@ impl CreditModel {
         }
         Ok(())
     }
+}
 
-    /// Explore every interleaving: `Err` names the first broken property; a
-    /// stuck state or a lost completion panics.
-    fn check(&self) -> Result<(), String> {
+impl Model for CreditModel {
+    type State = CreditWorld;
+
+    fn initial(&self) -> CreditWorld {
         assert!(usize::from(self.cap) <= MAX_BELLS);
-        let initial = CreditWorld {
+        CreditWorld {
             sender: if self.n == 0 {
                 Sender::Done
             } else {
@@ -633,29 +544,28 @@ impl CreditModel {
             refused: 0,
             failed: 0,
             forged: false,
-        };
-        let mut seen = HashSet::new();
-        let mut stack = vec![initial];
-        let mut succ = Vec::with_capacity(4);
-        while let Some(w) = stack.pop() {
-            if !seen.insert(w) {
-                continue;
-            }
-            // Nothing completes beyond what was posted, forged or not.
-            assert!(w.cqes <= w.posted && w.consumed == w.cqes, "{w:?}");
-            succ.clear();
-            self.successors(w, &mut succ)?;
-            if succ.is_empty() {
-                // No stuck state: the sender resolved every WR, and every
-                // doorbell was notified — each write-with-imm that was
-                // placed completed on the receiver or was refused.
-                assert_eq!(w.sender, Sender::Done, "sender stuck in {w:?}");
-                assert_eq!(w.head, w.tail, "doorbells left in {w:?}");
-                let imms = (0..self.n).filter(|&i| self.is_imm(i)).count() as u8;
-                assert_eq!(w.spent, imms - w.failed, "{w:?}");
-                assert_eq!(w.cqes + w.refused, w.spent, "{w:?}");
-            }
-            stack.extend(succ.iter().copied());
+        }
+    }
+
+    fn successors(&self, w: CreditWorld, out: &mut Vec<CreditWorld>) -> Result<(), String> {
+        // Nothing completes beyond what was posted, forged or not.
+        if w.cqes > w.posted || w.consumed != w.cqes {
+            return Err(format!("a completion beyond what was posted: {w:?}"));
+        }
+        self.steps(w, out)
+    }
+
+    /// The sender resolved every WR, and every doorbell was notified.
+    fn finished(&self, w: &CreditWorld) -> bool {
+        w.sender == Sender::Done && w.head == w.tail
+    }
+
+    /// Each write-with-imm that was placed completed on the receiver or
+    /// was refused.
+    fn check_final(&self, w: &CreditWorld) -> Result<(), String> {
+        let imms = (0..self.n).filter(|&i| self.is_imm(i)).count() as u8;
+        if w.spent != imms - w.failed || w.cqes + w.refused != w.spent {
+            return Err(format!("credits and completions disagree: {w:?}"));
         }
         Ok(())
     }
@@ -679,7 +589,7 @@ fn check_credit_models(forger: bool, mutant: CreditMutant) -> Result<(), String>
                             forger,
                             mutant,
                         };
-                        model.check().map_err(|e| {
+                        explore(&model).map_err(|e| {
                             format!("n={n} bare={bare:#b} cap={cap} receives={receives} rnr_retry={rnr_retry}: {e}")
                         })?;
                     }
@@ -729,64 +639,4 @@ fn checker_finds_an_rnr_wait_started_before_the_ring_drained() {
     let found = check_credit_models(false, CreditMutant::RnrBeforeDrain);
     let e = found.expect_err("the early RNR wait was not found");
     assert!(e.contains("RNR attempt"), "{e}");
-}
-
-/// Concrete counterpart on the real ring: hammer the close-drain
-/// handshake with real threads and varying producer/consumer timing, over
-/// a heap segment and over two mappings of one segment file (the model
-/// above is about control-word steps, which both backings execute as the
-/// same `AtomicU64` operations; this is where the mapped words themselves
-/// are exercised). Default 200 rounds each; `RING_PROTOCOL_DEEP=1` runs 5000.
-#[test]
-fn concrete_close_drain_stress() {
-    let rounds = if deep() { 5000 } else { 200 };
-    let path =
-        std::env::temp_dir().join(format!("partix_ring_protocol_{}.ring", std::process::id()));
-    for round in 0..rounds {
-        let heap = Arc::new(HeapSegment::new(96)); // a few records deep
-        close_drain_round(SpscRing::new(heap.clone()), SpscRing::new(heap), round);
-        let created = FileSegment::create(&path, 96).expect("create segment file");
-        let opened = FileSegment::open(&path)
-            .expect("open segment file")
-            .expect("a created segment is complete");
-        close_drain_round(
-            SpscRing::new(Arc::new(created)),
-            SpscRing::new(Arc::new(opened)),
-            round,
-        );
-    }
-    std::fs::remove_file(&path).expect("remove segment file");
-}
-
-/// One producer thread pushes `1 + round % 7` records and closes; this
-/// thread drains until `Closed` and must have seen them all, in order.
-fn close_drain_round(tx: SpscRing, rx: SpscRing, round: u32) {
-    let n = 1 + round % 7;
-    let producer = std::thread::spawn(move || {
-        for i in 0..n {
-            let bytes = i.to_le_bytes();
-            while !tx.try_push((i % 251) as u8, &bytes) {
-                std::hint::spin_loop();
-            }
-            if i % 3 == round % 3 {
-                std::thread::yield_now(); // vary publish/close timing
-            }
-        }
-        tx.close();
-    });
-    let mut buf = Vec::new();
-    let mut got = 0u32;
-    loop {
-        match rx.try_pop(&mut buf) {
-            Popped::Record(kind) => {
-                assert_eq!(kind, (got % 251) as u8, "round {round}");
-                assert_eq!(buf, got.to_le_bytes(), "round {round}");
-                got += 1;
-            }
-            Popped::Empty => std::hint::spin_loop(),
-            Popped::Closed => break,
-        }
-    }
-    assert_eq!(got, n, "round {round}: close-drain lost records");
-    producer.join().expect("producer");
 }

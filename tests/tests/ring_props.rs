@@ -8,7 +8,8 @@
 //!   span is smaller than the record, with no sacrificial slot, and the
 //!   published-byte ledger (`len()`) reconciles after every operation;
 //! - a real producer thread and consumer thread agree on the stream for
-//!   arbitrary payload mixes, ending in the close-drain handshake.
+//!   arbitrary payload mixes, the consumer draining until it has taken
+//!   every record.
 //!
 //! Every property runs over both backings: a heap segment shared by the two
 //! ends, and a file segment the producer creates and the consumer opens —
@@ -85,19 +86,19 @@ proptest! {
         cap in 24usize..=1024,
         lens in prop::collection::vec(0usize..=192, 1..120),
     ) {
+        let biggest = cap - RECORD_HEADER as usize;
         for Ends { tx, rx, .. } in &rings(cap) {
-            let max_payload = tx.max_payload() as usize;
             let mut buf = Vec::new();
             let mut next = 0usize; // next record index expected out
             for (i, &len) in lens.iter().enumerate() {
-                let len = len.min(max_payload);
+                let len = len.min(biggest);
                 let bytes = payload(i, len);
                 while !tx.try_push((i % 251) as u8, &bytes) {
                     // Full: the consumer must be able to free space.
                     match rx.try_pop(&mut buf) {
                         Popped::Record(kind) => {
                             prop_assert_eq!(kind, (next % 251) as u8);
-                            let want = payload(next, lens[next].min(max_payload));
+                            let want = payload(next, lens[next].min(biggest));
                             prop_assert_eq!(&buf, &want, "record {} corrupted", next);
                             next += 1;
                         }
@@ -105,20 +106,18 @@ proptest! {
                     }
                 }
             }
-            tx.close();
-            loop {
+            while next < lens.len() {
                 match rx.try_pop(&mut buf) {
                     Popped::Record(kind) => {
                         prop_assert_eq!(kind, (next % 251) as u8);
-                        let want = payload(next, lens[next].min(max_payload));
+                        let want = payload(next, lens[next].min(biggest));
                         prop_assert_eq!(&buf, &want, "record {} corrupted", next);
                         next += 1;
                     }
-                    Popped::Closed => break,
-                    Popped::Empty => prop_assert!(false, "closed ring reported Empty"),
+                    other => prop_assert!(false, "record {} lost: popped {:?}", next, other),
                 }
             }
-            prop_assert_eq!(next, lens.len(), "records lost");
+            prop_assert_eq!(rx.try_pop(&mut buf), Popped::Empty);
             prop_assert!(rx.is_empty());
         }
     }
@@ -134,18 +133,18 @@ proptest! {
         warmup in prop::collection::vec(0usize..=100, 0..24),
         len in 0usize..=248,
     ) {
+        let biggest = cap - RECORD_HEADER as usize;
         for Ends { tx, rx, .. } in &rings(cap) {
-            let max_payload = tx.max_payload() as usize;
             let mut buf = Vec::new();
             for (i, &w) in warmup.iter().enumerate() {
-                let bytes = payload(i, w.min(max_payload));
+                let bytes = payload(i, w.min(biggest));
                 prop_assert!(tx.try_push(0, &bytes), "warm-up push on empty ring");
                 prop_assert_eq!(rx.try_pop(&mut buf), Popped::Record(0));
                 prop_assert_eq!(&buf, &bytes);
             }
             // The record under test: long payloads straddle the boundary for
             // most cursor positions; short ones exercise split headers.
-            let bytes = payload(99, len.min(max_payload));
+            let bytes = payload(99, len.min(biggest));
             prop_assert!(tx.try_push(7, &bytes));
             prop_assert_eq!(rx.try_pop(&mut buf), Popped::Record(7));
             prop_assert_eq!(&buf, &bytes);
@@ -162,7 +161,7 @@ proptest! {
         record_len in 0usize..=64,
     ) {
         for Ends { tx, rx, .. } in &rings(cap) {
-            let record_len = record_len.min(tx.max_payload() as usize);
+            let record_len = record_len.min(cap - RECORD_HEADER as usize);
             let footprint = RECORD_HEADER as usize + record_len;
             let bytes = payload(3, record_len);
             let mut pushed = 0usize;
@@ -193,7 +192,7 @@ proptest! {
                         drained += 1;
                     }
                     Popped::Empty => break,
-                    Popped::Closed => prop_assert!(false, "ring never closed"),
+                    Popped::Corrupt => prop_assert!(false, "corrupt after {} records", drained),
                 }
             }
             prop_assert_eq!(drained, pushed, "one popped, one pushed: count preserved");
@@ -202,17 +201,17 @@ proptest! {
     }
 
     /// Cross-thread stream with arbitrary payload mixes: a real producer
-    /// and consumer agree on record order, kinds and bytes, and the close
-    /// handshake drains everything before reporting `Closed`.
+    /// and consumer agree on record order, kinds and bytes, and the
+    /// consumer takes every record, then finds the ring empty.
     #[test]
     fn threaded_stream_agrees(
         cap in 64usize..=2048,
         lens in prop::collection::vec(0usize..=128, 1..400),
     ) {
+        let biggest = cap - RECORD_HEADER as usize;
+        let expect: Vec<usize> = lens.iter().map(|&l| l.min(biggest)).collect();
         for Ends { tx, rx, .. } in &rings(cap) {
-            let max_payload = tx.max_payload() as usize;
-            let expect: Vec<usize> = lens.iter().map(|&l| l.min(max_payload)).collect();
-            let next = std::thread::scope(|s| {
+            std::thread::scope(|s| {
                 s.spawn(|| {
                     for (i, &len) in expect.iter().enumerate() {
                         let bytes = payload(i, len);
@@ -220,11 +219,10 @@ proptest! {
                             std::hint::spin_loop();
                         }
                     }
-                    tx.close();
                 });
                 let mut buf = Vec::new();
                 let mut next = 0usize;
-                loop {
+                while next < expect.len() {
                     match rx.try_pop(&mut buf) {
                         Popped::Record(kind) => {
                             prop_assert_eq!(kind, (next % 251) as u8);
@@ -232,12 +230,11 @@ proptest! {
                             next += 1;
                         }
                         Popped::Empty => std::hint::spin_loop(),
-                        Popped::Closed => break,
+                        Popped::Corrupt => prop_assert!(false, "corrupt at record {}", next),
                     }
                 }
-                next
             });
-            prop_assert_eq!(next, expect.len(), "records lost in flight");
+            prop_assert_eq!(rx.try_pop(&mut Vec::new()), Popped::Empty);
         }
     }
 }
